@@ -113,6 +113,7 @@ type Sender struct {
 	ctrl     *Controller
 	inner    netsim.Shim
 	dec      Decision
+	org      sim.Origin
 	ev       sim.Event // owned inter-packet pacing event
 	sending  bool
 	crafting bool
@@ -199,7 +200,7 @@ func (s *Sender) sendNext() {
 		return
 	}
 	s.emit()
-	s.Env.Eng.ScheduleEvent(&s.ev, s.Env.Eng.Now()+sim.TxTime(int(s.dec.PktSize), s.dec.RateBps), (*senderPace)(s), nil)
+	s.org.ScheduleEvent(&s.ev, s.org.Now()+sim.TxTime(int(s.dec.PktSize), s.dec.RateBps), (*senderPace)(s), nil)
 }
 
 // emit sends one packet through the host stack; the crafting flag routes
@@ -307,6 +308,7 @@ func (c *Controller) AddSender(host *netsim.Host, dst packet.NodeID, flow packet
 		Index: len(c.senders),
 		Env:   c.env,
 		ctrl:  c,
+		org:   host.Node.NewOrigin(),
 	}
 	c.senders = append(c.senders, s)
 	return s
@@ -334,6 +336,8 @@ func (c *Controller) Start() {
 	if interval <= 0 {
 		interval = c.env.Config.Ilim
 	}
+	// The decision tick is scenario-level control: it is keyed from the
+	// engine's own origin, and each sender paces from its host's.
 	c.ticker = c.env.Eng.Tick(interval, func() {
 		for _, s := range c.senders {
 			s.apply(c.decide(c.strategy.Tick(s)))

@@ -52,7 +52,7 @@ func (t *TVA) ProtectAccess(r *netsim.Node) {}
 func (t *TVA) AttachHost(h *netsim.Node, pol defense.Policy) {
 	h.Host.Shim = &tvaShim{sys: t, host: h.Host, deny: pol.Deny,
 		caps: make(map[packet.NodeID]packet.Capability),
-		refr: make(map[packet.NodeID]*tvaPeer)}
+		refr: make(map[packet.NodeID]*tvaPeer), org: h.NewOrigin()}
 }
 
 // tvaQueue is a link queue with a capability-checked regular channel
@@ -168,6 +168,8 @@ type tvaShim struct {
 	// caps holds capabilities this host has been granted, by granter.
 	caps map[packet.NodeID]packet.Capability
 	refr map[packet.NodeID]*tvaPeer
+	// org keys the per-peer capability-refresh tickers.
+	org sim.Origin
 }
 
 type tvaPeer struct {
@@ -241,7 +243,7 @@ func (t *tvaShim) ensureRefresh(peer packet.NodeID, ps *tvaPeer) {
 	}
 	eng := t.host.Network().Eng
 	interval := t.sys.CapLifetime / 4
-	ps.refresh = eng.Tick(interval, func() {
+	ps.refresh = t.org.Tick(interval, func() {
 		now := eng.Now()
 		if now-ps.lastHeard > 2*t.sys.CapLifetime {
 			ps.refresh.Stop()

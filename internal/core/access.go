@@ -34,6 +34,9 @@ type AccessRouter struct {
 	// observed on the path toward each destination.
 	destLinks map[packet.NodeID][]packet.LinkID
 
+	// org keys the key-rotation ticker.
+	org sim.Origin
+
 	// Counters for tests and metrics.
 	ReqAdmitted, ReqDropped   uint64
 	Demoted                   uint64
@@ -52,6 +55,9 @@ type regKey struct {
 type regLimiter struct {
 	ar  *AccessRouter
 	key regKey
+	// org keys the limiter's timers: the control-interval ticker and the
+	// leaky queue's departures.
+	org sim.Origin
 	// pol is the policing strategy: the paper's leaky-bucket queue, or
 	// the token-bucket variant when Config.TokenBucketLimiter is set
 	// (the ablation of the §4.3.3 design choice).
@@ -98,13 +104,14 @@ func (s *System) ProtectAccess(r *netsim.Node) {
 		regLims:     make(map[regKey]*regLimiter),
 		pathASCache: make(map[packet.NodeID][]packet.ASID),
 		destLinks:   make(map[packet.NodeID][]packet.LinkID),
+		org:         r.NewOrigin(),
 	}
 	// In sharded runs the rotated key bytes come from a per-router
 	// stream identical on every shard replica, so stamping and
 	// validation agree across shards; nil (single-engine) keeps the
 	// historical draw-from-engine behavior byte for byte.
 	ar.ring.Material = r.Network().Eng.KeyStream(uint64(r.ID))
-	r.Network().Eng.Tick(s.Cfg.KeyRotate, func() {
+	ar.org.Tick(s.Cfg.KeyRotate, func() {
 		ar.ring.Rotate(r.Network().Eng.Rand)
 		// Runtime plane: rotation timers are replicated on every shard,
 		// so the count scales with the shard layout by design.
@@ -340,19 +347,22 @@ func (ar *AccessRouter) limiter(src packet.NodeID, link packet.LinkID) *regLimit
 		ts:         ar.node.Network().NowSec(),
 		created:    eng.Now(),
 		quotaBytes: ar.sys.Cfg.CongestionQuotaBytes * w,
+		org:        ar.node.NewOrigin(),
 	}
 	if ar.sys.Cfg.TokenBucketLimiter {
 		lim.pol = ratelimit.NewTokenLimiter(eng, ar.sys.Cfg.InitialRateBps*w,
 			ar.sys.Cfg.TokenBurstSec)
 	} else {
-		lim.pol = ratelimit.NewLeakyLimiter(eng, ar.sys.Cfg.InitialRateBps*w,
+		leaky := ratelimit.NewLeakyLimiter(eng, ar.sys.Cfg.InitialRateBps*w,
 			ar.sys.Cfg.MaxCacheDelay, func(p *packet.Packet) {
 				lim.stampForward(p)
 				ar.node.Network().Forward(ar.node, p)
 			})
+		leaky.SetOrigin(&lim.org)
+		lim.pol = leaky
 	}
 	lim.quotaStart = eng.Now()
-	lim.ticker = eng.Tick(ar.sys.Cfg.Ilim, lim.adjust)
+	lim.ticker = lim.org.Tick(ar.sys.Cfg.Ilim, lim.adjust)
 	ar.regLims[key] = lim
 	return lim
 }

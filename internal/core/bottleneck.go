@@ -71,7 +71,7 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 	}
 	l.Q = b.q
 	l.OnTransmit = b.onTransmit
-	l.From.Network().Eng.Tick(s.Cfg.DetectInterval, b.detectTick)
+	l.Origin().Tick(s.Cfg.DetectInterval, b.detectTick)
 	return b
 }
 

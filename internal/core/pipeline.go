@@ -109,7 +109,7 @@ func (pl *Pipeline) Submit(mbs []*netsim.Mailbox) {
 		// Keys ascend within a slab, so the rotation boundary splits it at
 		// one index: everything from the first arrival at or past the next
 		// unexecuted KeyRotate tick falls back to inline validation
-		// (pedigree order decides whether the rotation runs first).
+		// (key order decides whether the rotation runs first).
 		n := sort.Search(len(keys), func(i int) bool { return keys[i].At >= limit })
 		pl.fallbacks += uint64(len(keys) - n)
 		dest := mb.DestLink()

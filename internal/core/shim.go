@@ -27,6 +27,8 @@ type HostShim struct {
 
 	peers     map[packet.NodeID]*peerState
 	flowStart map[packet.FlowID]sim.Time
+	// org keys the per-peer echo tickers.
+	org sim.Origin
 }
 
 type peerState struct {
@@ -67,6 +69,7 @@ func (s *System) AttachHost(h *netsim.Node, pol defense.Policy) {
 		deny:      pol.Deny,
 		peers:     make(map[packet.NodeID]*peerState),
 		flowStart: make(map[packet.FlowID]sim.Time),
+		org:       h.NewOrigin(),
 	}
 	h.Host.Shim = shim
 }
@@ -259,7 +262,7 @@ func (sh *HostShim) ensureEcho(peer packet.NodeID, ps *peerState) {
 	}
 	eng := sh.host.Network().Eng
 	interval := sh.sys.Cfg.EchoInterval
-	ps.echo = eng.Tick(interval, func() {
+	ps.echo = sh.org.Tick(interval, func() {
 		now := eng.Now()
 		if now-ps.lastHeard > 8*interval {
 			ps.echo.Stop()

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
@@ -93,5 +94,14 @@ func TestSteadyStateForwardingZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, send); avg != 0 {
 		t.Fatalf("steady-state forwarding allocates %.2f times per packet, want 0", avg)
+	}
+}
+
+// TestLinkLayoutBudget pins the per-link state — two owned events, the
+// origin, the queue and the counters — inside the 320-byte malloc size
+// class: a large topology's live heap is mostly links.
+func TestLinkLayoutBudget(t *testing.T) {
+	if n := unsafe.Sizeof(netsim.Link{}); n > 320 {
+		t.Fatalf("sizeof(Link) = %d, budget 320", n)
 	}
 }

@@ -19,11 +19,12 @@ type DropReasoner interface {
 // before traffic flows to install a discipline other than the default
 // unbounded FIFO.
 //
-// The link owns its scheduler events: one reusable transmit-complete
-// event (at most one packet serializes at a time) and one reusable
-// not-yet-eligible retry event; per-packet propagation uses the engine's
-// pooled one-shot events. Steady-state forwarding therefore schedules
-// without allocating.
+// The link is one scheduling origin, keyed by its index, and owns its
+// scheduler events: one reusable transmit-complete event (at most one
+// packet serializes at a time) and one reusable not-yet-eligible retry
+// event; per-packet propagation uses the engine's pooled one-shot
+// events. Steady-state forwarding therefore schedules without
+// allocating.
 type Link struct {
 	Index int
 	ID    packet.LinkID
@@ -44,10 +45,13 @@ type Link struct {
 	// single-engine runs — the hot path pays one predictable branch.
 	mailbox *Mailbox
 
-	busy       bool
-	txEv       sim.Event
-	retryEv    sim.Event
-	retryArmed bool
+	// org keys every event of the link: transmit-complete, retry and
+	// propagation (a cut link mints its handoff keys from it too), all
+	// scheduled on the shard owning From. A packet is serializing exactly
+	// while txEv is pending.
+	org     sim.Origin
+	txEv    sim.Event
+	retryEv sim.Event
 
 	// TxPackets and TxBytes count completed transmissions.
 	TxPackets uint64
@@ -76,9 +80,7 @@ func (h *linkArrive) OnEvent(_ sim.Time, arg any) {
 type linkRetry Link
 
 func (h *linkRetry) OnEvent(sim.Time, any) {
-	l := (*Link)(h)
-	l.retryArmed = false
-	l.tryTransmit()
+	(*Link)(h).tryTransmit()
 }
 
 // Send enqueues p and starts the transmitter if idle. A packet the queue
@@ -103,9 +105,7 @@ func (l *Link) Send(p *packet.Packet) {
 	if l.net.Rec.Sampled(uint32(p.Flow)) {
 		l.net.Rec.Record(int64(l.net.Eng.Now()), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
 	}
-	if !l.busy {
-		l.tryTransmit()
-	}
+	l.tryTransmit()
 }
 
 // Label names the link in traces: "from->to".
@@ -115,7 +115,7 @@ func (l *Link) Label() string { return l.From.String() + "->" + l.To.String() }
 // it. If the queue is backlogged but not yet eligible (rate-capped
 // channel), a retry is scheduled at the queue's hint.
 func (l *Link) tryTransmit() {
-	if l.busy {
+	if l.txEv.Pending() {
 		return
 	}
 	now := l.net.Eng.Now()
@@ -126,23 +126,20 @@ func (l *Link) tryTransmit() {
 		}
 		return
 	}
-	if l.retryArmed {
+	if l.retryEv.Pending() {
 		l.retryEv.Cancel()
-		l.retryArmed = false
 	}
 	if l.OnTransmit != nil {
 		l.OnTransmit(p, l)
 	}
-	l.busy = true
 	tx := sim.TxTime(int(p.Size), l.Rate)
-	l.net.Eng.ScheduleEvent(&l.txEv, now+tx, (*linkTx)(l), p)
+	l.org.ScheduleEvent(&l.txEv, now+tx, (*linkTx)(l), p)
 }
 
 // txDone completes p's serialization: launch its propagation event (or
 // hand the packet off to the destination shard over a cut link) and
 // start on the next queued packet.
 func (l *Link) txDone(p *packet.Packet) {
-	l.busy = false
 	l.TxPackets++
 	l.TxBytes += uint64(p.Size)
 	l.net.Cells.Add(obs.NetsimTxPackets, 1)
@@ -152,12 +149,16 @@ func (l *Link) txDone(p *packet.Packet) {
 		// The handoff key is exactly what a local propagation event's
 		// scheduling key would have been, so the destination engine
 		// executes the arrival where a single global engine would have.
-		l.mailbox.push(p, l.net.Eng.HandoffKey(now+l.Delay))
+		l.mailbox.push(p, l.org.HandoffKey(now+l.Delay))
 	} else {
-		l.net.Eng.Schedule(now+l.Delay, (*linkArrive)(l), p)
+		l.org.Schedule(now+l.Delay, (*linkArrive)(l), p)
 	}
 	l.tryTransmit()
 }
+
+// Origin returns the link's scheduling origin, for machinery that lives
+// on the link (a bottleneck's detection ticker).
+func (l *Link) Origin() *sim.Origin { return &l.org }
 
 // SetMailbox marks the link as a cut link delivering into mb's
 // destination replica. Partitioned-run wiring only.
@@ -195,14 +196,13 @@ func (l *Link) SetDelay(d sim.Time) {
 
 // scheduleRetry arms (or re-arms) the not-yet-eligible retry timer.
 func (l *Link) scheduleRetry(at sim.Time) {
-	if l.retryArmed && l.retryEv.Time() <= at {
-		return
-	}
-	if l.retryArmed {
+	if l.retryEv.Pending() {
+		if l.retryEv.Time() <= at {
+			return
+		}
 		l.retryEv.Cancel()
 	}
-	l.retryArmed = true
-	l.net.Eng.ScheduleEvent(&l.retryEv, at, (*linkRetry)(l), nil)
+	l.org.ScheduleEvent(&l.retryEv, at, (*linkRetry)(l), nil)
 }
 
 // Utilization returns the fraction of capacity used over an interval,

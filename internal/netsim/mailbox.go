@@ -16,12 +16,10 @@ import (
 //
 // Pending handoffs are stored structure-of-arrays — a key slab and a
 // parallel packet-argument slab — so a drain hands the destination
-// engine one contiguous batch (Engine.InjectBatch) instead of
-// re-checking the clock and due batch per packet. Keys in a window are
+// engine one contiguous batch (Engine.InjectBatch). Keys in a window are
 // minted as now+delay with now nondecreasing and delay constant between
-// barriers, so the slab is already sorted by arrival time: the batch
-// contract (nondecreasing At) holds by construction, and "did anything
-// land in this window" is answered by the first key alone.
+// barriers, so the slab is already sorted by arrival time, and "did
+// anything land in this window" is answered by the first key alone.
 //
 // Ownership transfer: a handed-off packet leaves the source shard's
 // pool domain with the push and enters the destination's — the

@@ -117,6 +117,7 @@ func (n *Network) addLink(from, to *Node, rateBps int64, delay sim.Time) *Link {
 		Rate:  rateBps,
 		Delay: delay,
 		Q:     &queue.FIFO{},
+		org:   n.Eng.NewOrigin(originLink | uint64(len(n.Links))),
 		net:   n,
 	}
 	n.Links = append(n.Links, l)
@@ -369,6 +370,17 @@ func (n *Network) NowSec() uint32 {
 	return uint32(n.Eng.Now() / sim.Second)
 }
 
+// Scheduling-origin ID classes (see sim.Origin): the top two bits name
+// the kind of model entity, the rest identify it by numbers every
+// replica of the topology agrees on. Class 0 is the engine's own
+// control-point origin, so at any instant control runs first, then the
+// nodes' own timers (long-armed, as a rule), then what the links have
+// in flight — close to the order a global scheduling count gives.
+const (
+	originNode uint64 = 1 << 62 // | node ID << 32 | per-node ordinal
+	originLink uint64 = 2 << 62 // | link index
+)
+
 // Node is a router or host.
 type Node struct {
 	ID     packet.NodeID
@@ -392,6 +404,19 @@ type Node struct {
 
 	net *Network
 	out []*Link
+	// origins counts the scheduling origins handed out on this node.
+	origins uint32
+}
+
+// NewOrigin returns the scheduling origin of one more timer-owning
+// entity living on this node — a transport agent, a rate limiter, a
+// shim's echo stream — for the entity to embed by value. The ID is the
+// node's ID and the entity's creation ordinal on it: everything on a
+// node runs on the shard owning the node, so the ordinal is the same at
+// every shard count.
+func (nd *Node) NewOrigin() sim.Origin {
+	nd.origins++
+	return nd.net.Eng.NewOrigin(originNode | uint64(uint32(nd.ID))<<32 | uint64(nd.origins))
 }
 
 // SenderWeight returns how many modeled senders the node stands for,

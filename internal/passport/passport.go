@@ -79,6 +79,10 @@ func (r *Registry) Stamp(p *packet.Packet, path []packet.ASID) {
 	// (packet.Pool keeps the backing array across recycles), writing
 	// every field so no stale entry survives.
 	entries := p.Passport.Entries[:0]
+	if cap(entries) < len(path) {
+		// Size a fresh packet's trailer once, not by append doublings.
+		entries = make([]packet.PassportMAC, 0, len(path))
+	}
 	var buf [20]byte
 	for _, as := range path {
 		e := packet.PassportMAC{AS: as}

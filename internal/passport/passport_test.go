@@ -224,3 +224,23 @@ func TestCheckIsPure(t *testing.T) {
 		t.Fatal("Apply(-1) mutated the trailer")
 	}
 }
+
+// TestStampSizesTrailerOnce pins the trailer's allocation: a fresh
+// packet gets its entries in one allocation sized to the path, and a
+// recycled packet (retained capacity) in none.
+func TestStampSizesTrailerOnce(t *testing.T) {
+	r := testRegistry()
+	path := []packet.ASID{2, 3, 4}
+	fresh := testing.AllocsPerRun(100, func() {
+		p := packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
+		r.Stamp(&p, path)
+	})
+	if fresh != 1 {
+		t.Errorf("Stamp on a fresh packet allocates %.0f times, want 1", fresh)
+	}
+	p := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
+	r.Stamp(p, path)
+	if again := testing.AllocsPerRun(100, func() { r.Stamp(p, path) }); again != 0 {
+		t.Errorf("Stamp on a recycled packet allocates %.0f times, want 0", again)
+	}
+}

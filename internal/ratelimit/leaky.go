@@ -28,7 +28,9 @@ const (
 // rate limit (on-off attacks); the queue shape makes the instantaneous
 // output rate never exceed the limit while still absorbing TCP's bursts.
 type LeakyLimiter struct {
-	eng *sim.Engine
+	// org keys the departure timer: the engine's own origin until the
+	// owning model entity installs its own with SetOrigin.
+	org *sim.Origin
 	// rate is the current rate limit in bits per second.
 	rate int64
 	// MaxDelay bounds the caching delay; packets that would wait longer
@@ -56,7 +58,7 @@ type LeakyLimiter struct {
 // packet may depart immediately.
 func NewLeakyLimiter(eng *sim.Engine, rateBps int64, maxDelay sim.Time, forward func(*packet.Packet)) *LeakyLimiter {
 	return &LeakyLimiter{
-		eng:        eng,
+		org:        &eng.Origin,
 		rate:       rateBps,
 		MaxDelay:   maxDelay,
 		forward:    forward,
@@ -64,6 +66,10 @@ func NewLeakyLimiter(eng *sim.Engine, rateBps int64, maxDelay sim.Time, forward 
 		lastActive: eng.Now(),
 	}
 }
+
+// SetOrigin makes the limiter schedule its departures from o, the origin
+// of the model entity that owns it. Call before the first Submit.
+func (l *LeakyLimiter) SetOrigin(o *sim.Origin) { l.org = o }
 
 // Rate returns the current rate limit in bits per second.
 func (l *LeakyLimiter) Rate() int64 { return l.rate }
@@ -82,7 +88,7 @@ func (l *LeakyLimiter) SetRate(rateBps int64) {
 
 // Submit applies Figure 16's rate_limit_regular_packet.
 func (l *LeakyLimiter) Submit(p *packet.Packet) Verdict {
-	now := l.eng.Now()
+	now := l.org.Now()
 	l.lastActive = now
 	if l.q.Len() == 0 {
 		// Enough time since the last departure for one packet at the
@@ -131,7 +137,7 @@ func (l *LeakyLimiter) scheduleUnleash() {
 		return
 	}
 	at := l.lastDepart + sim.TxTime(int(head.Size), l.rate)
-	l.eng.ScheduleEvent(&l.unleashEv, at, l, nil)
+	l.org.ScheduleEvent(&l.unleashEv, at, l, nil)
 	l.armed = true
 }
 
@@ -142,7 +148,7 @@ func (l *LeakyLimiter) unleash() {
 		return
 	}
 	l.bytes -= int(p.Size)
-	now := l.eng.Now()
+	now := l.org.Now()
 	l.lastDepart = now
 	l.lastActive = now
 	l.intervalBytes += int64(p.Size)
@@ -159,7 +165,7 @@ func (l *LeakyLimiter) unleash() {
 // as if chained through all of them.
 func (l *LeakyLimiter) CreditBytes(n int) {
 	l.intervalBytes += int64(n)
-	l.lastActive = l.eng.Now()
+	l.lastActive = l.org.Now()
 }
 
 // TakeIntervalThroughput returns the average forwarded rate in bits per

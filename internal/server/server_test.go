@@ -267,8 +267,14 @@ func TestLiveControlMatchesScriptedTimeline(t *testing.T) {
 
 	// At each pause, deliver the scripted instant's mutations over the
 	// control endpoint and resume.
-	for _, m := range scripted.Timeline {
+	for i, m := range scripted.Timeline {
 		ps := waitState(t, base, st.ID, string(jobPaused))
+		// The resume is accepted asynchronously: until the job picks it
+		// up, the status still shows the previous pause.
+		for i > 0 && ps.NowSec == scripted.Timeline[i-1].AtSec {
+			time.Sleep(10 * time.Millisecond)
+			ps = waitState(t, base, st.ID, string(jobPaused))
+		}
 		if ps.NowSec != m.AtSec {
 			t.Fatalf("paused at %.3fs, want %.3fs", ps.NowSec, m.AtSec)
 		}

@@ -19,7 +19,7 @@ import (
 // earliest cross-shard effect lands at or after W+L — the next window.
 // Draining every mailbox at each window boundary therefore delivers
 // every arrival before any event that could observe it, and the
-// pedigree keys carried by the handoffs (see EventKey) order them
+// model-derived keys carried by the handoffs (see EventKey) order them
 // exactly as a single global engine would have.
 //
 // Each shard runs on its own persistent worker goroutine, labeled
@@ -165,8 +165,8 @@ func (c *Coordinator) RunUntil(t Time) {
 		// Every window — including the last — is exclusive of its end:
 		// events at exactly t must wait until the barrier below has
 		// delivered the cross-shard arrivals landing at t, or a local
-		// time-t event would execute ahead of an arrival whose pedigree
-		// sorts before it.
+		// time-t event would execute ahead of an arrival whose key sorts
+		// before it.
 		c.round(func(i int) { c.doDrain(i, end) })
 		c.round(func(i int) { c.execute(i, end) })
 		c.windows++
@@ -205,7 +205,7 @@ func (c *Coordinator) RunBefore(t Time) {
 func (c *Coordinator) settle(t Time) {
 	// The final instant: handoffs transmitted in the last window can
 	// land exactly at t; deliver them first, then execute the time-t
-	// batch, pedigree-interleaved like any other instant. Handoffs
+	// batch, interleaved by key like any other instant. Handoffs
 	// minted at t land beyond t (the lookahead is positive), so the
 	// confirmation rounds terminate immediately.
 	injected := make([]bool, len(c.engines))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -36,36 +37,33 @@ type orderRec struct {
 
 func (r orderRec) OnEvent(Time, any) { *r.order = append(*r.order, r.name) }
 
-// TestInjectOrdersByPedigree pins the cross-engine contract: an
-// injected handoff with an older scheduling pedigree executes before a
-// local same-instant event that was scheduled later, and after one
-// scheduled earlier.
-func TestInjectOrdersByPedigree(t *testing.T) {
-	src := New(1)
-	src.SetShardTag(1)
-	dst := New(1)
-	dst.SetShardTag(0)
+// TestInjectOrdersByKey pins the cross-engine contract: an injected
+// handoff executes among the destination's same-instant events where
+// its (at, origin, seq) key puts it — after a lower origin, before a
+// higher one — whenever either side was scheduled.
+func TestInjectOrdersByKey(t *testing.T) {
+	src, dst := New(1), New(1)
+	link := src.NewOrigin(20)
+	low, high := dst.NewOrigin(10), dst.NewOrigin(30)
 
 	var order []string
+	high.Schedule(100, orderRec{&order, "high-early"}, nil)
 
-	// Local event scheduled at time 0 for t=100: pedigree (100, 0, ...).
-	dst.Schedule(100, orderRec{&order, "local-early"}, nil)
-
-	// Source engine executes an event at t=50 that mints a handoff for
-	// t=100: pedigree (100, 50, ...).
-	var key EventKey
-	src.At(50, func() { key = src.HandoffKey(100) })
+	// The source mints two handoffs for t=100 at t=50, mid-run.
+	var keys [2]EventKey
+	src.At(50, func() { keys[0], keys[1] = link.HandoffKey(100), link.HandoffKey(100) })
 	src.RunUntil(50)
 
-	// Local event scheduled at t=60 for t=100: pedigree (100, 60, ...).
+	// The later handoff is injected first, and a lower-origin local
+	// event is scheduled last of all: neither changes the order.
 	dst.RunUntil(60)
-	dst.Schedule(100, orderRec{&order, "local-late"}, nil)
-
-	dst.Inject(key, orderRec{&order, "injected"}, nil)
+	dst.Inject(keys[1], orderRec{&order, "injected-2"}, nil)
+	dst.Inject(keys[0], orderRec{&order, "injected-1"}, nil)
+	low.Schedule(100, orderRec{&order, "low-late"}, nil)
 	dst.RunUntil(100)
 
-	want := []string{"local-early", "injected", "local-late"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+	want := []string{"low-late", "injected-1", "injected-2", "high-early"}
+	if !slices.Equal(order, want) {
 		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }

@@ -14,18 +14,12 @@ type Handler interface {
 	OnEvent(now Time, arg any)
 }
 
-// PedigreeDepth is how many ancestor scheduling instants an event key
-// retains. Deeper pedigrees resolve longer same-instant cross-shard
-// scheduling chains exactly (the cost is one pedEntry copy per level
-// per scheduled event); see Event.ped.
-const PedigreeDepth = 8
+// Func adapts a plain closure to Handler. A func value is pointer-shaped,
+// so the conversion to the interface does not allocate.
+type Func func()
 
-// pedEntry is one pedigree level: a scheduling instant and the tagged
-// sequence number assigned at it.
-type pedEntry struct {
-	t Time
-	s uint64
-}
+// OnEvent implements Handler.
+func (f Func) OnEvent(Time, any) { f() }
 
 // Event locations while queued.
 const (
@@ -37,42 +31,35 @@ const (
 
 // Event is a scheduled callback. Events come in three flavors:
 //
-//   - closure events, created by Engine.At / Engine.After: heap-allocated
-//     per call, safe to hold and Cancel at any time;
+//   - closure events, created by At / After: heap-allocated per call, safe
+//     to hold and Cancel at any time;
 //   - owned events, embedded by value in a long-lived struct and armed
-//     with Engine.ScheduleEvent: reusable with zero allocation, but must
-//     not be re-armed while still queued;
-//   - pooled events, created by Engine.Schedule: drawn from the engine's
-//     free list and recycled after firing; no handle is returned, so they
+//     with ScheduleEvent: reusable with zero allocation, but must not be
+//     re-armed while still queued;
+//   - pooled events, created by Schedule: drawn from the engine's free
+//     list and recycled after firing; no handle is returned, so they
 //     cannot be cancelled externally.
 //
 // The zero value is an idle owned event ready for ScheduleEvent.
+//
+// Ordering rule: an engine always executes the pending event with the
+// smallest key (at, origin, seq) — the instant, the ID of the Origin
+// that scheduled it, and that origin's own scheduling count. The key is
+// a pure function of the model: it does not depend on what else was
+// scheduled, by whom, or on which engine. An event scheduled for the
+// current instant while that instant's batch is executing is inserted by
+// key into what remains of the batch: it runs next if its key is below
+// everything still pending, and never before something that already ran.
+// Every shard of a partitioned run applies the same rule to the same
+// keys, so a shard's execution order is the single engine's order
+// restricted to that shard, by construction.
 type Event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	h   Handler
-	arg any
-	eng *Engine
-
-	// ped is the scheduling pedigree: ped[0] is this event's own
-	// (scheduling instant, tagged seq), and ped[k] its k-th ancestor's —
-	// the event whose callback scheduled the (k-1)-th. The pedigree
-	// propagates as a shift (a child's level-k entry is its parent's
-	// level k-1), so PedigreeDepth levels cost one small array copy at
-	// schedule time. For a single engine the full key (see keyLess)
-	// orders exactly like (at, seq) — each level is the parent batch's
-	// own execution order, inductively its seq order — so single-engine
-	// behavior is bit-for-bit the PR-4 order. Across sharded engines the
-	// pedigree makes keys comparable: a cross-shard handoff carries its
-	// source-side chain, positioning it among the destination's events
-	// exactly where a single global engine would have run it. Chains
-	// still tied after PedigreeDepth scheduling instants (e.g. two
-	// phase-locked back-to-back transmission chains both busy for more
-	// than PedigreeDepth packets) fall back to the shard-tagged seq,
-	// whose shard-major order matches the setup-order tie-break of fully
-	// symmetric chains.
-	ped [PedigreeDepth]pedEntry
+	at     Time
+	origin uint64
+	seq    uint64
+	h      Handler
+	arg    any
+	eng    *Engine
 
 	// next/prev link the event into a timer-wheel slot (doubly linked so
 	// Cancel detaches in O(1)); next doubles as the free-list link while
@@ -97,17 +84,108 @@ func (ev *Event) Cancel() {
 		ev.eng.remove(ev)
 	}
 	ev.cancelled = true
-	ev.fn = nil
-	ev.h = nil
-	ev.arg = nil
+	ev.h, ev.arg = nil, nil
 }
 
 // Cancelled reports whether the event was cancelled since it was last
 // scheduled.
 func (ev *Event) Cancelled() bool { return ev.cancelled }
 
+// Pending reports whether the event is armed and has not fired yet.
+func (ev *Event) Pending() bool { return ev.queued }
+
 // Time returns the instant the event is (or was last) scheduled for.
 func (ev *Event) Time() Time { return ev.at }
+
+// Origin is a model entity that schedules events: a link, a host agent,
+// a rate limiter, the scenario control point. Its ID is the middle term
+// of every key it mints and must be derived from identifiers every
+// replica of the model agrees on (node ID, link index, per-node ordinal)
+// — never from scheduling history, a shard index or a replica-local
+// counter. seq counts the origin's own schedulings, so two events of one
+// origin at one instant run in the order they were scheduled.
+//
+// Embed an Origin by value in the struct that owns the timers (obtain it
+// from Engine.NewOrigin) and schedule through its methods; nothing
+// allocates.
+type Origin struct {
+	eng *Engine
+	id  uint64
+	seq uint64
+}
+
+// NewOrigin returns an origin with the given model-derived ID, scheduling
+// on e.
+func (e *Engine) NewOrigin(id uint64) Origin { return Origin{eng: e, id: id} }
+
+// Now returns the current simulated time.
+func (o *Origin) Now() Time { return o.eng.now }
+
+// At schedules fn to run at the absolute time t. Scheduling in the past is
+// clamped to the current time.
+func (o *Origin) At(t Time, fn func()) *Event {
+	ev := &Event{h: Func(fn), loc: locNone, index: -1}
+	o.arm(ev, t)
+	return ev
+}
+
+// After schedules fn to run d nanoseconds from now.
+func (o *Origin) After(d Time, fn func()) *Event {
+	if d < 0 {
+		d = 0
+	}
+	return o.At(o.eng.now+d, fn)
+}
+
+// Schedule arms a one-shot pooled event: h.OnEvent(now, arg) runs at time
+// t (clamped to now). The event slot comes from the engine's free list and
+// returns to it after firing, so steady-state scheduling allocates
+// nothing. No handle is returned; use At or ScheduleEvent for cancellable
+// events.
+func (o *Origin) Schedule(t Time, h Handler, arg any) {
+	ev := o.eng.grabEvent()
+	ev.h, ev.arg = h, arg
+	o.arm(ev, t)
+}
+
+// ScheduleEvent arms a caller-owned event slot: h.OnEvent(now, arg) runs
+// at time t (clamped to now). The caller keeps ev alive (typically
+// embedded by value in the object that owns the timer) and may re-arm it
+// after it fires or is cancelled; re-arming a still-queued event panics.
+func (o *Origin) ScheduleEvent(ev *Event, t Time, h Handler, arg any) {
+	if ev.queued {
+		panic("sim: ScheduleEvent on an event that is still queued")
+	}
+	ev.h, ev.arg = h, arg
+	o.arm(ev, t)
+}
+
+// arm stamps the origin's next key onto ev and queues it.
+func (o *Origin) arm(ev *Event, t Time) {
+	if t < o.eng.now {
+		t = o.eng.now
+	}
+	o.seq++
+	ev.at, ev.origin, ev.seq = t, o.id, o.seq
+	o.eng.enqueue(ev)
+}
+
+// EventKey is the scheduling key of one event — the currency of
+// cross-shard handoffs. The source side mints it with HandoffKey at the
+// instant it would have scheduled the event locally; the destination
+// engine's Inject places the event into its own order exactly where a
+// single global engine would have run it.
+type EventKey struct {
+	At          Time
+	Origin, Seq uint64
+}
+
+// HandoffKey consumes one sequence number of the origin and returns the
+// key a locally-scheduled event for time at would have carried.
+func (o *Origin) HandoffKey(at Time) EventKey {
+	o.seq++
+	return EventKey{At: at, Origin: o.id, Seq: o.seq}
+}
 
 // Meter aggregates executed-event counts across the engines of ONE
 // logical run (a scenario's shard replicas, a sweep's cells, a bench
@@ -129,31 +207,20 @@ func (m *Meter) Total() uint64 { return m.n.Load() }
 // Near-future events live in a hierarchical timer wheel (O(1) schedule and
 // cancel, no allocation); events beyond the wheel horizon overflow into a
 // binary heap and migrate inward as the clock advances. Execution order is
-// strictly (time, scheduling sequence), bit-for-bit identical to a pure
-// heap scheduler.
+// strictly ascending (time, origin, seq) — see Event — bit-for-bit
+// identical to a pure heap scheduler.
+//
+// The engine embeds an Origin of its own, the control point: eng.At,
+// After, Schedule, ScheduleEvent, Tick and HandoffKey schedule from it.
+// Its ID is 0 unless SetShardTag says otherwise, below every model
+// origin, so scenario-level control (probes, warmup marks, attack
+// controllers) and anything driven from outside the model runs first at
+// its instant.
 type Engine struct {
+	Origin
+
 	now  Time
-	seq  uint64
 	live int // queued, non-cancelled events
-
-	// pedigreed marks a sharded engine: only then is the deep pedigree
-	// (ped[1:]) maintained. A standalone engine never compares events
-	// beyond (at, ped[0]) — its order is organically (time, seq) — so it
-	// skips the per-event ancestry copies and keeps the PR-4 hot path.
-	pedigreed bool
-
-	// seqTag namespaces this engine's sequence numbers when it runs as
-	// one shard of a partitioned simulation: the shard index occupies the
-	// top 16 bits of every assigned seq, so keys from different shards
-	// compare shard-major when their time pedigree ties (the single
-	// engine's tie order for symmetric event chains, whose roots are the
-	// shard-grouped setup sequence). Zero for standalone engines, making
-	// tagged seqs numerically identical to the untagged PR-4 values.
-	seqTag uint64
-
-	// curPed is the pedigree of the event whose callback is currently
-	// executing — the ancestry stamped onto events it schedules.
-	curPed [PedigreeDepth]pedEntry
 
 	// keyBase, when keyed, seeds KeyStream: per-consumer deterministic
 	// randomness for sharded runs (see KeyStream).
@@ -164,7 +231,7 @@ type Engine struct {
 	heap  eventHeap
 
 	// due is the current batch of events sharing the earliest pending
-	// timestamp, sorted by sequence; Cancel punches nil holes into it.
+	// timestamp, sorted by key; Cancel punches nil holes into it.
 	// dueAt is that shared timestamp — valid while the batch is
 	// non-empty, and authoritative even when the head entry is a hole.
 	due    []*Event
@@ -196,6 +263,7 @@ func New(seed uint64) *Engine {
 		heap: make(eventHeap, 0, 64),
 		Rand: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 	}
+	e.Origin.eng = e
 	e.wheel.init()
 	return e
 }
@@ -221,35 +289,6 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // diagnostics can trust the value.
 func (e *Engine) Pending() int { return e.live }
 
-// At schedules fn to run at the absolute time t. Scheduling in the past is
-// clamped to the current time, preserving execution-order determinism.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := &Event{fn: fn, loc: locNone, index: -1}
-	e.scheduleEv(ev, t)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Schedule arms a one-shot pooled event: h.OnEvent(now, arg) runs at time
-// t (clamped to now). The event slot comes from the engine's free list and
-// returns to it after firing, so steady-state scheduling allocates
-// nothing. No handle is returned; use At or ScheduleEvent for cancellable
-// events.
-func (e *Engine) Schedule(t Time, h Handler, arg any) {
-	ev := e.grabEvent()
-	ev.pooled = true
-	ev.h = h
-	ev.arg = arg
-	e.scheduleEv(ev, t)
-}
-
 // eventSlabSize is how many pooled Event slots one free-list refill
 // allocates at once. Slab refills amortize the allocator over bursts
 // (a mailbox batch injection wants dozens of slots in one drain) and
@@ -269,52 +308,35 @@ func (e *Engine) grabEvent() *Event {
 				slab[i].next = &slab[i-1]
 			}
 		}
-		e.free = &slab[eventSlabSize-2]
 		ev = &slab[eventSlabSize-1]
-		ev.next = nil
-		return ev
 	}
 	e.free = ev.next
 	ev.next = nil
+	ev.pooled = true
 	return ev
 }
 
-// ScheduleEvent arms a caller-owned event slot: h.OnEvent(now, arg) runs
-// at time t (clamped to now). The caller keeps ev alive (typically
-// embedded by value in the object that owns the timer) and may re-arm it
-// after it fires or is cancelled; re-arming a still-queued event panics.
-func (e *Engine) ScheduleEvent(ev *Event, t Time, h Handler, arg any) {
-	if ev.queued {
-		panic("sim: ScheduleEvent on an event that is still queued")
-	}
+// recycle scrubs a pooled event slot and returns it to the free list, so
+// the list retains nothing.
+func (e *Engine) recycle(ev *Event) {
 	ev.pooled = false
-	ev.fn = nil
-	ev.h = h
-	ev.arg = arg
-	e.scheduleEv(ev, t)
+	ev.h, ev.arg = nil, nil
+	ev.next = e.free
+	e.free = ev
 }
 
-// scheduleEv assigns time and sequence and inserts the event.
-func (e *Engine) scheduleEv(ev *Event, t Time) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	ev.at = t
-	ev.seq = e.seqTag | e.seq
-	ev.ped[0] = pedEntry{t: e.now, s: ev.seq}
-	if e.pedigreed {
-		copy(ev.ped[1:], e.curPed[:PedigreeDepth-1])
-	}
+// enqueue queues an event whose key is already stamped.
+func (e *Engine) enqueue(ev *Event) {
 	ev.eng = e
 	ev.queued = true
 	ev.cancelled = false
 	e.live++
-	// An event earlier than the already-extracted due batch preempts it:
-	// spill the batch back into the scheduler so ordering stays global.
+	// An event at or before the instant of the already-extracted due
+	// batch may sort ahead of what remains of it: spill the batch back
+	// into the scheduler, and the next extraction re-merges by key.
 	// Compare against the batch timestamp, not the head entry — the head
 	// may be a cancellation hole.
-	if e.duePos < len(e.due) && t < e.dueAt {
+	if e.duePos < len(e.due) && ev.at <= e.dueAt {
 		e.spillDue()
 	}
 	e.insert(ev)
@@ -330,7 +352,7 @@ func (e *Engine) insert(ev *Event) {
 }
 
 // spillDue returns unexecuted due-batch events to the scheduler, keeping
-// their original (time, sequence) keys.
+// their keys.
 func (e *Engine) spillDue() {
 	for i := e.duePos; i < len(e.due); i++ {
 		if ev := e.due[i]; ev != nil {
@@ -355,10 +377,7 @@ func (e *Engine) remove(ev *Event) {
 	ev.queued = false
 	e.live--
 	if ev.pooled {
-		ev.pooled = false
-		ev.fn, ev.h, ev.arg = nil, nil, nil
-		ev.next = e.free
-		e.free = ev
+		e.recycle(ev)
 	}
 }
 
@@ -409,9 +428,9 @@ func (e *Engine) ensureDue() bool {
 		e.batchFromHeap()
 		return true
 	}
-	// Heap events at exactly wt merge into the wheel's slot so the
-	// sequence sort below interleaves the batch correctly. at == wt ==
-	// wheel.time is always within the horizon, so insertion cannot fail.
+	// Heap events at exactly wt merge into the wheel's slot so the key
+	// sort below interleaves the batch correctly. at == wt == wheel.time
+	// is always within the horizon, so insertion cannot fail.
 	for len(e.heap) > 0 && e.heap[0].at == wt {
 		ev := e.heap.pop()
 		if !e.wheel.insert(ev, e.now) {
@@ -420,7 +439,7 @@ func (e *Engine) ensureDue() bool {
 	}
 
 	e.wheel.drainSlot(wt, &e.due)
-	sortBySeq(e.due)
+	sortByKey(e.due)
 	for i, ev := range e.due {
 		ev.loc = locDue
 		ev.index = int32(i)
@@ -430,7 +449,7 @@ func (e *Engine) ensureDue() bool {
 }
 
 // batchFromHeap pops every heap event sharing the minimum timestamp into
-// the due batch (heap pops already come out in (time, seq) order).
+// the due batch (heap pops already come out in key order).
 func (e *Engine) batchFromHeap() {
 	at := e.heap[0].at
 	for len(e.heap) > 0 && e.heap[0].at == at {
@@ -442,37 +461,23 @@ func (e *Engine) batchFromHeap() {
 	e.dueAt = at
 }
 
-// keyLess orders two same-engine-or-cross-engine events by the full
-// pedigree key. The comparison mirrors the scheduling recursion: after
-// (at, scheduling instants outward to the oldest retained ancestor),
-// ties resolve by the deepest ancestor's tagged seq inward — each level
-// is the corresponding ancestor batch's own execution order. For events
-// of one engine this is exactly (at, seq) order — every field is
-// nondecreasing in seq within the preceding ties — so the single-engine
-// execution order is bit-for-bit the PR-4 order; the longer key only
-// disambiguates events injected from other shards.
+// keyLess orders two events, whichever engine keyed them, by
+// (at, origin, seq).
 func keyLess(a, b *Event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	for k := 0; k < PedigreeDepth; k++ {
-		if a.ped[k].t != b.ped[k].t {
-			return a.ped[k].t < b.ped[k].t
-		}
+	if a.origin != b.origin {
+		return a.origin < b.origin
 	}
-	for k := PedigreeDepth - 1; k > 0; k-- {
-		if a.ped[k].s != b.ped[k].s {
-			return a.ped[k].s < b.ped[k].s
-		}
-	}
-	return a.ped[0].s < b.ped[0].s
+	return a.seq < b.seq
 }
 
-// sortBySeq orders a same-timestamp batch by scheduling key. Insertion
-// sort: batches are small and usually already sorted (slot lists append
-// in sequence order; only cross-level cascades and cross-shard
-// injections disorder them).
-func sortBySeq(evs []*Event) {
+// sortByKey orders a same-timestamp batch by key. Insertion sort: batches
+// are small and usually already sorted (a phase-locked population fires
+// in key order and therefore re-arms, appending to its next slot, in key
+// order).
+func sortByKey(evs []*Event) {
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
 		j := i - 1
@@ -487,32 +492,21 @@ func sortBySeq(evs []*Event) {
 // fire executes one extracted event.
 func (e *Engine) fire(ev *Event) {
 	e.now = ev.at
-	if e.pedigreed {
-		e.curPed = ev.ped
-	}
 	ev.queued = false
 	ev.loc = locNone
 	e.live--
 	e.executed++
-	fn, h, arg := ev.fn, ev.h, ev.arg
+	h, arg := ev.h, ev.arg
 	if ev.pooled {
 		// Recycle before running the callback: the callback may well
-		// schedule its successor into this very slot. Pooled slots are
-		// scrubbed so the free list retains nothing.
-		ev.fn, ev.h, ev.arg = nil, nil, nil
-		ev.pooled = false
-		ev.next = e.free
-		e.free = ev
-	} else if fn != nil {
-		// Closure events may outlive their firing through the caller's
-		// handle; drop the closure so captured state can be collected.
-		ev.fn = nil
-	}
-	if fn != nil {
-		fn()
+		// schedule its successor into this very slot.
+		e.recycle(ev)
 	} else {
-		h.OnEvent(e.now, arg)
+		// The slot may outlive its firing (an owned timer, a closure
+		// event's handle): drop what it captured.
+		ev.h, ev.arg = nil, nil
 	}
+	h.OnEvent(e.now, arg)
 }
 
 // Step executes the next pending event. It returns false when nothing is
@@ -571,28 +565,6 @@ func (e *Engine) RunBefore(t Time) {
 	e.flushExecuted()
 }
 
-// EventKey is the full pedigree scheduling key of one event — the
-// currency of cross-shard handoffs. A source engine mints it with
-// HandoffKey at the instant it would have scheduled the event locally;
-// the destination engine's Inject places the event into its own order
-// exactly where a single global engine would have run it.
-type EventKey struct {
-	At  Time
-	Ped [PedigreeDepth]pedEntry
-}
-
-// HandoffKey consumes one local sequence number and returns the key a
-// locally-scheduled event for time at would have carried — including the
-// pedigree of the currently-executing event. Call it from inside the
-// event callback performing the handoff.
-func (e *Engine) HandoffKey(at Time) EventKey {
-	e.seq++
-	k := EventKey{At: at}
-	k.Ped[0] = pedEntry{t: e.now, s: e.seqTag | e.seq}
-	copy(k.Ped[1:], e.curPed[:PedigreeDepth-1])
-	return k
-}
-
 // Inject schedules h.OnEvent(now, arg) under an explicit key minted by
 // another engine's HandoffKey. The event slot comes from the free list
 // (pooled, non-cancellable). Injecting into the past panics: it means
@@ -601,75 +573,24 @@ func (e *Engine) Inject(k EventKey, h Handler, arg any) {
 	if k.At < e.now {
 		panic("sim: Inject behind the engine clock (lookahead violation)")
 	}
-	// An injected key may precede an already-extracted due batch even at
-	// the same timestamp (its pedigree is older); spill so ordering stays
-	// global.
-	if e.duePos < len(e.due) && k.At <= e.dueAt {
-		e.spillDue()
-	}
-	e.injectOne(k, h, arg)
-}
-
-// injectOne places one handoff event without the clock and due-batch
-// checks — the caller has already established them.
-func (e *Engine) injectOne(k EventKey, h Handler, arg any) {
 	ev := e.grabEvent()
-	ev.pooled = true
-	ev.h = h
-	ev.arg = arg
-	ev.at = k.At
-	ev.seq = k.Ped[0].s
-	ev.ped = k.Ped
-	ev.eng = e
-	ev.queued = true
-	ev.cancelled = false
-	e.live++
-	e.insert(ev)
+	ev.h, ev.arg = h, arg
+	ev.at, ev.origin, ev.seq = k.At, k.Origin, k.Seq
+	e.enqueue(ev)
 }
 
-// InjectBatch injects a slab of handoff events sharing one handler in a
-// single call, amortizing the clock check and due-batch spill over the
-// whole batch. keys and args are parallel slices; keys MUST be
-// nondecreasing in At — the contract holds for a cut-link mailbox drain,
-// whose keys were minted as now+delay with now nondecreasing and delay
-// constant within a synchronization window — so one comparison against
-// the due-batch timestamp covers every key in the slab.
+// InjectBatch injects a slab of handoff events sharing one handler: keys
+// and args are parallel slices, as a cut-link mailbox stores them.
 func (e *Engine) InjectBatch(keys []EventKey, h Handler, args []any) {
-	if len(keys) == 0 {
-		return
-	}
-	if keys[0].At < e.now {
-		panic("sim: InjectBatch behind the engine clock (lookahead violation)")
-	}
-	if e.duePos < len(e.due) && keys[0].At <= e.dueAt {
-		e.spillDue()
-	}
 	for i, k := range keys {
-		e.injectOne(k, h, args[i])
+		e.Inject(k, h, args[i])
 	}
 }
 
-// SetShardTag namespaces this engine's sequence numbers with a shard
-// index (top 16 bits), making keys from different shards of one
-// partitioned simulation comparable, and switches on deep-pedigree
-// maintenance. Call before any event is scheduled.
-func (e *Engine) SetShardTag(shard int) {
-	e.seqTag = uint64(shard) << 48
-	e.pedigreed = true
-}
-
-// ResetPedigree zeroes the executing-event pedigree. Call it before
-// scheduling events from OUTSIDE any event callback at a control point
-// of a segmented run: without the reset, a sharded engine would stamp
-// the ancestry of whatever event happened to execute last onto the new
-// events — ancestry that differs per shard count — while the single
-// engine (which never maintains deep pedigrees) stamps none. Zeroed
-// ancestry on every path keeps control-point scheduling byte-identical
-// across shard counts. No-op mid-callback semantics are not supported:
-// the caller must be between Run calls.
-func (e *Engine) ResetPedigree() {
-	e.curPed = [PedigreeDepth]pedEntry{}
-}
+// SetShardTag sets the ID of the engine's own origin, making the keys
+// that engines of one partitioned simulation mint through Schedule or
+// HandoffKey distinct and comparable. Call before any event is scheduled.
+func (e *Engine) SetShardTag(shard int) { e.Origin.id = uint64(shard) }
 
 // EnableKeyStreams switches the engine into sharded key-material mode:
 // KeyStream returns per-consumer deterministic RNGs derived from base,
@@ -711,11 +632,11 @@ func (e *Engine) flushExecuted() {
 	}
 }
 
-// Ticker invokes a callback periodically. Create one with Engine.Tick.
-// The ticker owns a single reusable event slot, so ticking allocates
-// nothing after construction.
+// Ticker invokes a callback periodically. Create one with Tick. The
+// ticker owns a single reusable event slot, so ticking allocates nothing
+// after construction.
 type Ticker struct {
-	eng      *Engine
+	org      *Origin
 	interval Time
 	fn       func()
 	ev       Event
@@ -723,18 +644,19 @@ type Ticker struct {
 }
 
 // Tick schedules fn to run every interval, with the first invocation one
-// interval from now. It panics if interval is not positive.
-func (e *Engine) Tick(interval Time, fn func()) *Ticker {
+// interval from now, keyed from o (which must outlive the ticker). It
+// panics if interval is not positive.
+func (o *Origin) Tick(interval Time, fn func()) *Ticker {
 	if interval <= 0 {
 		panic("sim: non-positive ticker interval")
 	}
-	t := &Ticker{eng: e, interval: interval, fn: fn}
+	t := &Ticker{org: o, interval: interval, fn: fn}
 	t.schedule()
 	return t
 }
 
 func (t *Ticker) schedule() {
-	t.eng.ScheduleEvent(&t.ev, t.eng.now+t.interval, t, nil)
+	t.org.ScheduleEvent(&t.ev, t.org.eng.now+t.interval, t, nil)
 }
 
 // OnEvent implements Handler; it runs one tick and re-arms.

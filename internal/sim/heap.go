@@ -1,6 +1,6 @@
 package sim
 
-// eventHeap is a binary min-heap ordered by (time, sequence). It serves
+// eventHeap is a binary min-heap ordered by event key. It serves
 // as the timer wheel's far-future overflow level (and as the whole
 // scheduler in the heap-reference engine). A hand-rolled heap avoids the
 // interface indirection of container/heap, and the tracked indices give

@@ -18,8 +18,8 @@ const (
 )
 
 // slotList is a doubly-linked intrusive event list (append at tail keeps
-// same-slot events in scheduling-sequence order; prev pointers make
-// Cancel an O(1) unlink).
+// same-slot events in scheduling order; prev pointers make Cancel an
+// O(1) unlink).
 type slotList struct {
 	head, tail *Event
 }

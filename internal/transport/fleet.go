@@ -38,7 +38,7 @@ type FleetSource struct {
 	PktSize int32
 
 	host    *netsim.Host
-	eng     *sim.Engine
+	org     sim.Origin
 	rng     *rand.Rand
 	running bool
 	// ev is the owned pacing event; the steady-state emit loop
@@ -63,7 +63,7 @@ func NewFleetSource(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, se
 	}
 	return &FleetSource{
 		Dst: dst, Flow: flow, Senders: senders, RateBps: rateBps, PktSize: pktSize,
-		host: host, eng: host.Network().Eng, rng: rng,
+		host: host, org: host.Node.NewOrigin(), rng: rng,
 	}
 }
 
@@ -97,7 +97,7 @@ func (f *FleetSource) sendNext() {
 	if jittered < 1 {
 		jittered = 1
 	}
-	f.eng.ScheduleEvent(&f.ev, f.eng.Now()+jittered, (*fleetPace)(f), nil)
+	f.org.ScheduleEvent(&f.ev, f.org.Now()+jittered, (*fleetPace)(f), nil)
 }
 
 func (f *FleetSource) emit() {

@@ -72,7 +72,7 @@ type TCPSender struct {
 	OnComplete func(fct sim.Time, ok bool)
 
 	host      *netsim.Host
-	eng       *sim.Engine
+	org       sim.Origin
 	fileBytes int64
 	state     int
 	started   sim.Time
@@ -124,7 +124,7 @@ func NewTCPSender(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, file
 		Dst:       dst,
 		Flow:      flow,
 		host:      host,
-		eng:       host.Network().Eng,
+		org:       host.Node.NewOrigin(),
 		fileBytes: fileBytes,
 		cwnd:      1,
 		ssthresh:  64,
@@ -138,9 +138,9 @@ func NewTCPSender(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, file
 func (s *TCPSender) Start() {
 	s.host.Register(s.Flow, s)
 	s.state = tcpSynSent
-	s.started = s.eng.Now()
+	s.started = s.org.Now()
 	if s.Cfg.TransferTimeout > 0 && s.fileBytes >= 0 {
-		s.transferTimer = s.eng.After(s.Cfg.TransferTimeout, func() { s.finish(false) })
+		s.transferTimer = s.org.After(s.Cfg.TransferTimeout, func() { s.finish(false) })
 	}
 	s.sendSYN()
 }
@@ -166,7 +166,7 @@ func (s *TCPSender) sendSYN() {
 	p.Size = packet.SizeRequest
 	p.TCP = packet.TCPInfo{Flags: packet.FlagSYN}
 	s.host.Send(p)
-	s.eng.ScheduleEvent(&s.synEv, s.eng.Now()+s.synRTO, (*tcpSYNTimer)(s), nil)
+	s.org.ScheduleEvent(&s.synEv, s.org.Now()+s.synRTO, (*tcpSYNTimer)(s), nil)
 	s.synTimer = &s.synEv
 }
 
@@ -213,7 +213,7 @@ func (s *TCPSender) handleACK(ack int64) {
 		acked := ack - s.sndUna
 		s.sndUna = ack
 		if s.rttValid && ack >= s.rttSeq {
-			s.sampleRTT(s.eng.Now() - s.rttStart)
+			s.sampleRTT(s.org.Now() - s.rttStart)
 			s.rttValid = false
 		}
 		if s.inFastRec {
@@ -306,7 +306,7 @@ func (s *TCPSender) trySend() {
 		s.emit(s.sndNxt, int32(n))
 		if !s.rttValid {
 			s.rttSeq = s.sndNxt + n
-			s.rttStart = s.eng.Now()
+			s.rttStart = s.org.Now()
 			s.rttValid = true
 		}
 		s.sndNxt += n
@@ -348,7 +348,7 @@ func (s *TCPSender) armRTO() {
 		s.rtoTimer = nil
 	}
 	if s.sndNxt > s.sndUna {
-		s.eng.ScheduleEvent(&s.rtoEv, s.eng.Now()+s.rto, (*tcpRTOTimer)(s), nil)
+		s.org.ScheduleEvent(&s.rtoEv, s.org.Now()+s.rto, (*tcpRTOTimer)(s), nil)
 		s.rtoTimer = &s.rtoEv
 	}
 }
@@ -358,7 +358,7 @@ func (s *TCPSender) armRTOIfIdle() {
 	// naturally is neither and must not be re-armed here (onRTO re-arms
 	// itself), exactly as with the old per-arm events.
 	if s.rtoTimer == nil || s.rtoTimer.Cancelled() {
-		s.eng.ScheduleEvent(&s.rtoEv, s.eng.Now()+s.rto, (*tcpRTOTimer)(s), nil)
+		s.org.ScheduleEvent(&s.rtoEv, s.org.Now()+s.rto, (*tcpRTOTimer)(s), nil)
 		s.rtoTimer = &s.rtoEv
 	}
 }
@@ -405,7 +405,7 @@ func (s *TCPSender) finish(ok bool) {
 	}
 	s.Close()
 	if s.OnComplete != nil {
-		s.OnComplete(s.eng.Now()-s.started, ok)
+		s.OnComplete(s.org.Now()-s.started, ok)
 	}
 }
 

@@ -24,7 +24,7 @@ type UDPSource struct {
 	OffRateBps int64
 
 	host    *netsim.Host
-	eng     *sim.Engine
+	org     sim.Origin
 	running bool
 	on      bool
 	// ev is the owned inter-packet pacing event, reused for the whole
@@ -54,7 +54,7 @@ func (h *udpFlip) OnEvent(sim.Time, any) { (*UDPSource)(h).phaseFlip() }
 func NewUDPSource(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, rateBps int64, pktSize int32) *UDPSource {
 	return &UDPSource{
 		Dst: dst, Flow: flow, RateBps: rateBps, PktSize: pktSize,
-		host: host, eng: host.Network().Eng,
+		host: host, org: host.Node.NewOrigin(),
 	}
 }
 
@@ -81,7 +81,7 @@ func (u *UDPSource) Stop() {
 func (u *UDPSource) SentPackets() uint64 { return u.sent }
 
 func (u *UDPSource) scheduleFlip(after sim.Time) {
-	u.eng.ScheduleEvent(&u.flipEv, u.eng.Now()+after, (*udpFlip)(u), nil)
+	u.org.ScheduleEvent(&u.flipEv, u.org.Now()+after, (*udpFlip)(u), nil)
 }
 
 // phaseFlip toggles the on/off phase and re-arms the owned flip timer.
@@ -109,7 +109,7 @@ func (u *UDPSource) sendTrickle() {
 		return
 	}
 	u.emit()
-	u.eng.ScheduleEvent(&u.ev, u.eng.Now()+sim.TxTime(int(u.PktSize), u.OffRateBps), (*udpTrickle)(u), nil)
+	u.org.ScheduleEvent(&u.ev, u.org.Now()+sim.TxTime(int(u.PktSize), u.OffRateBps), (*udpTrickle)(u), nil)
 }
 
 func (u *UDPSource) sendNext() {
@@ -117,7 +117,7 @@ func (u *UDPSource) sendNext() {
 		return
 	}
 	u.emit()
-	u.eng.ScheduleEvent(&u.ev, u.eng.Now()+sim.TxTime(int(u.PktSize), u.RateBps), (*udpPace)(u), nil)
+	u.org.ScheduleEvent(&u.ev, u.org.Now()+sim.TxTime(int(u.PktSize), u.RateBps), (*udpPace)(u), nil)
 }
 
 func (u *UDPSource) emit() {
@@ -170,7 +170,7 @@ type RequestFlooder struct {
 	Level   uint8
 
 	host    *netsim.Host
-	eng     *sim.Engine
+	org     sim.Origin
 	running bool
 	ev      sim.Event
 	sent    uint64
@@ -184,7 +184,7 @@ func (h *flooderPace) OnEvent(sim.Time, any) { (*RequestFlooder)(h).sendNext() }
 // NewRequestFlooder creates a flooder; call Start to begin.
 func NewRequestFlooder(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, rateBps int64, level uint8) *RequestFlooder {
 	return &RequestFlooder{Dst: dst, Flow: flow, RateBps: rateBps, Level: level,
-		host: host, eng: host.Network().Eng}
+		host: host, org: host.Node.NewOrigin()}
 }
 
 // Start begins the flood.
@@ -217,5 +217,5 @@ func (f *RequestFlooder) sendNext() {
 	p.TCP = packet.TCPInfo{Flags: packet.FlagSYN}
 	f.host.Send(p)
 	f.sent++
-	f.eng.ScheduleEvent(&f.ev, f.eng.Now()+sim.TxTime(packet.SizeRequest, f.RateBps), (*flooderPace)(f), nil)
+	f.org.ScheduleEvent(&f.ev, f.org.Now()+sim.TxTime(packet.SizeRequest, f.RateBps), (*flooderPace)(f), nil)
 }

@@ -22,7 +22,7 @@ type FileClient struct {
 	Gap sim.Time
 
 	host    *netsim.Host
-	eng     *sim.Engine
+	org     sim.Origin
 	running bool
 	cur     *TCPSender
 
@@ -33,7 +33,7 @@ type FileClient struct {
 // NewFileClient creates a repeating client; call Start to begin.
 func NewFileClient(host *netsim.Host, dst packet.NodeID, fileBytes int64, cfg TCPConfig) *FileClient {
 	return &FileClient{Dst: dst, FileBytes: fileBytes, Cfg: cfg,
-		host: host, eng: host.Network().Eng}
+		host: host, org: host.Node.NewOrigin()}
 }
 
 // Start begins the first transfer.
@@ -67,7 +67,7 @@ func (c *FileClient) next() {
 		}
 		c.cur = nil
 		if c.Gap > 0 {
-			c.eng.After(c.Gap, c.next)
+			c.org.After(c.Gap, c.next)
 		} else {
 			c.next()
 		}
@@ -119,7 +119,7 @@ type WebSource struct {
 	OnResult func(bytes int64, fct sim.Time, ok bool)
 
 	host    *netsim.Host
-	eng     *sim.Engine
+	org     sim.Origin
 	running bool
 	cur     *TCPSender
 
@@ -130,7 +130,7 @@ type WebSource struct {
 
 // NewWebSource creates a web-like source; call Start to begin.
 func NewWebSource(host *netsim.Host, dst packet.NodeID, cfg WebConfig) *WebSource {
-	return &WebSource{Dst: dst, Cfg: cfg, host: host, eng: host.Network().Eng}
+	return &WebSource{Dst: dst, Cfg: cfg, host: host, org: host.Node.NewOrigin()}
 }
 
 // Start begins the first transfer.
@@ -149,7 +149,7 @@ func (w *WebSource) Stop() {
 
 // FileSize draws one file size from the mixture.
 func (w *WebSource) FileSize() int64 {
-	rng := w.eng.Rand
+	rng := w.host.Network().Eng.Rand
 	var size float64
 	if rng.Float64() < w.Cfg.TailProb {
 		// Pareto: xm * U^(-1/alpha).
@@ -186,8 +186,8 @@ func (w *WebSource) next() {
 		}
 		w.cur = nil
 		think := w.Cfg.ThinkMin +
-			sim.Time(w.eng.Rand.Int64N(int64(w.Cfg.ThinkMax-w.Cfg.ThinkMin)+1))
-		w.eng.After(think, w.next)
+			sim.Time(w.host.Network().Eng.Rand.Int64N(int64(w.Cfg.ThinkMax-w.Cfg.ThinkMin)+1))
+		w.org.After(think, w.next)
 	}
 	w.cur = s
 	s.Start()

@@ -351,15 +351,11 @@ func (in *Instance) checkMutation(m Mutation) error {
 	return nil
 }
 
-// applyNow applies validated mutations at the current instant. The
-// pedigrees are reset first: mutation application runs outside any
-// event callback, and events it schedules must carry zero ancestry on
-// every engine — a sharded engine would otherwise stamp whatever event
-// it happened to execute last, which differs per shard count.
+// applyNow applies validated mutations at the current instant. Whatever
+// they schedule is keyed by the scheduling model entity alone, so it
+// lands identically on every engine although application runs outside
+// any event callback.
 func (in *Instance) applyNow(ms []Mutation) {
-	for _, e := range in.Engines {
-		e.ResetPedigree()
-	}
 	for _, m := range ms {
 		switch {
 		case m.Link != nil:

@@ -218,9 +218,8 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 // the owning replica's nodes so transports land on the right engines.
 // The scenario s must already be validated and defaulted by Build.
 func (s Scenario) buildSharded(shards int) (*Instance, error) {
-	mkReplica := func(i int) (*sim.Engine, *builtTopo, error) {
+	mkReplica := func() (*sim.Engine, *builtTopo, error) {
 		eng := sim.New(s.Seed)
-		eng.SetShardTag(i)
 		eng.EnableKeyStreams(s.Seed)
 		bt, err := s.Topology.buildTopo(eng)
 		if err != nil {
@@ -229,7 +228,7 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 		return eng, bt, nil
 	}
 
-	eng0, bt0, err := mkReplica(0)
+	eng0, bt0, err := mkReplica()
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +259,7 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	}
 	st.engines[0], st.replicas[0] = eng0, bt0
 	for i := 1; i < shards; i++ {
-		if st.engines[i], st.replicas[i], err = mkReplica(i); err != nil {
+		if st.engines[i], st.replicas[i], err = mkReplica(); err != nil {
 			return nil, err
 		}
 	}

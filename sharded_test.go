@@ -268,3 +268,74 @@ func TestSweepShardsValidation(t *testing.T) {
 		t.Fatal("negative Shards axis entry should fail")
 	}
 }
+
+// TestShardIdentityLargeGraphSeed3 is the regression test of the
+// model-derived event key: the 10,240-sender random-AS cell wired by
+// graph seed 3 phase-locks same-instant transmission chains across cut
+// links for longer than any fixed scheduling-history depth can resolve,
+// and must still yield byte-identical Result JSON at every shard count.
+func TestShardIdentityLargeGraphSeed3(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10,240-sender cell; the topology suite covers short runs")
+	}
+	const pop = 10_240
+	sc := Scenario{
+		Name: "random-as-large", Seed: 1,
+		Topology: RandomASSpec{
+			Senders: pop, BottleneckBps: pop * 100_000,
+			SrcASes: 32, ColluderASes: 9, GraphSeed: 3,
+		},
+		Defense: Defense("netfence"),
+		Workloads: []Workload{
+			LongTCP{Senders: Range(0, pop/4)},
+			AttackSpec{Senders: Range(pop/4, pop), RateBps: 200_000, ToColluders: true},
+		},
+		Duration: 2 * Second, Warmup: Second,
+	}
+	single := resultJSON(t, sc)
+	for _, n := range []int{2, 4} {
+		sc.Shards = n
+		diffJSON(t, sc.Name, single, resultJSON(t, sc), n)
+	}
+}
+
+// TestShardIdentitySymmetricChains is the adversarial case for any
+// ordering key built from scheduling history: eight source ASes whose
+// saturated uplinks — the cut links — transmit back to back for the
+// whole run, every completion phase-locked with the other seven, so the
+// congested bottleneck sees eight simultaneous arrivals per packet time
+// and their order decides who is dropped. Half the chains start ten
+// packet times after the others (same phase, different history), and
+// the late starters sit on both lower and higher shards than the early
+// ones. The Result must not depend on the shard count.
+func TestShardIdentitySymmetricChains(t *testing.T) {
+	const pktTime = 12 * Millisecond // 1500 B at the 1 Mbps edge
+	var early, late []int
+	for as := 0; as < 8; as++ {
+		hosts := []int{2 * as, 2*as + 1}
+		if as%3 == 0 {
+			late = append(late, hosts...)
+		} else {
+			early = append(early, hosts...)
+		}
+	}
+	sc := Scenario{
+		Name: "symmetric-chains", Seed: 1,
+		Topology: DumbbellSpec{Senders: 16, SrcASes: 8, BottleneckBps: 4_000_000, EdgeBps: 1_000_000},
+		Defense:  Defense("none"),
+		Workloads: []Workload{
+			AttackSpec{Senders: early, RateBps: 800_000},
+			AttackSpec{Senders: late, RateBps: 800_000},
+		},
+		Timeline: []Mutation{
+			{At: Millisecond, Attack: &AttackMutation{Workload: 1, Action: AttackStop}},
+			{At: 10 * pktTime, Attack: &AttackMutation{Workload: 1, Action: AttackStart}},
+		},
+		Duration: 3 * Second, Warmup: Second,
+	}
+	single := resultJSON(t, sc)
+	for _, n := range []int{2, 4, 8} {
+		sc.Shards = n
+		diffJSON(t, sc.Name, single, resultJSON(t, sc), n)
+	}
+}

@@ -22,8 +22,12 @@ import (
 // sender behavior (feedback-less packets now climb priority levels with
 // waiting time instead of holding level 0), and again when Result grew
 // the deterministic Counters plane — the counter snapshots are part of
-// the pinned surface now. Run with NETFENCE_REGEN_GOLDEN=1 to rewrite
-// the fixture after an intentional behavior change.
+// the pinned surface now — and once more when same-instant events
+// became ordered by the model-derived (time, origin, seq) key (three
+// parking-lot counters moved). After an intentional behavior change,
+// rewrite the fixture with
+//
+//	NETFENCE_REGEN_GOLDEN=1 go test -run TestGraphGoldenEquivalence .
 func TestGraphGoldenEquivalence(t *testing.T) {
 	qres, err := quickstartScenario().Run()
 	if err != nil {
