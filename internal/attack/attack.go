@@ -151,10 +151,10 @@ func (s *Sender) Ingress(p *packet.Packet) bool {
 		}
 		s.ctrl.strategy.Observe(s, s.LastFB)
 	}
-	if p.RetMFB.Present {
-		s.LastMFB = p.RetMFB
+	if x := p.Ext; x != nil && x.RetMFB.Present {
+		s.LastMFB = x.RetMFB
 		s.HasMFB = true
-		for _, it := range p.RetMFB.Items {
+		for _, it := range x.RetMFB.Items {
 			if it.Action == packet.ActDecr {
 				s.Downs++
 			} else {

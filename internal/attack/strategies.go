@@ -332,7 +332,7 @@ func (r *replay) Craft(s *Sender, p *packet.Packet) bool {
 		return true
 	case packet.MultiHeader:
 		p.Kind = packet.KindRegular
-		p.MFB = fb
+		p.NeedExt().MFB = fb
 		p.FB = packet.Feedback{}
 		return true
 	}

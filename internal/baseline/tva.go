@@ -91,7 +91,7 @@ func (q *tvaQueue) Enqueue(p *packet.Packet, now sim.Time) bool {
 		return q.legacy.Enqueue(p, now)
 	case packet.KindRegular:
 		nowSec := uint32(now / sim.Second)
-		if p.Cap.Valid(p.Dst, nowSec) {
+		if p.Ext != nil && p.Ext.Cap.Valid(p.Dst, nowSec) {
 			return q.reg.Enqueue(p, now)
 		}
 		// Missing/expired/forged capability: the packet is a request.
@@ -197,7 +197,8 @@ func (t *tvaShim) Egress(p *packet.Packet) {
 
 	// Receiver role: any packet we send to a peer we accept from carries
 	// a fresh grant authorizing that peer to send to us.
-	p.CapGrant = packet.Capability{
+	x := p.NeedExt()
+	x.CapGrant = packet.Capability{
 		Present: true,
 		Dst:     t.host.Node.ID,
 		Expire:  nowSec + uint32(t.sys.CapLifetime/sim.Second),
@@ -211,7 +212,7 @@ func (t *tvaShim) Egress(p *packet.Packet) {
 		return
 	}
 	if cap, ok := t.caps[p.Dst]; ok && cap.Valid(p.Dst, nowSec) {
-		p.Cap = cap
+		x.Cap = cap
 		p.Kind = packet.KindRegular
 		return
 	}
@@ -226,8 +227,8 @@ func (t *tvaShim) Ingress(p *packet.Packet) bool {
 	ps := t.peer(p.Src)
 	ps.lastHeard = t.host.Network().Eng.Now()
 	ps.lastFlow = p.Flow
-	if p.CapGrant.Present && p.CapGrant.Dst == p.Src {
-		t.caps[p.Src] = p.CapGrant
+	if x := p.Ext; x != nil && x.CapGrant.Present && x.CapGrant.Dst == p.Src {
+		t.caps[p.Src] = x.CapGrant
 	}
 	if p.Proto == packet.ProtoUDP && p.Payload > 0 {
 		t.ensureRefresh(p.Src, ps)

@@ -208,7 +208,7 @@ func (ar *AccessRouter) police(p *packet.Packet) bool {
 // rather than wrong.
 func (ar *AccessRouter) validate(p *packet.Packet, nowSec uint32) feedback.Verdict {
 	if p.FVSet {
-		hit := p.FVNode == ar.node.ID && p.FVEpoch == ar.ring.Epoch()
+		hit := p.FVNode == ar.node.ID && p.FVEpoch == uint32(ar.ring.Epoch())
 		p.FVSet = false
 		if hit {
 			ar.node.Network().Cells.Add(obs.PipelinePrecomputeHits, 1)

@@ -34,46 +34,46 @@ func TestMultiFeedbackChainSecurity(t *testing.T) {
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p)
 	b.stampMulti(p, d.Net.Eng.Now())
-	if len(p.MFB.Items) != 1 || p.MFB.Items[0].Link != d.Bottleneck.ID {
-		t.Fatalf("MFB items: %+v", p.MFB.Items)
+	if items := p.Ext.MFB.Items; len(items) != 1 || items[0].Link != d.Bottleneck.ID {
+		t.Fatalf("MFB items: %+v", items)
 	}
 	if !ar.validateMulti(p) {
 		t.Fatal("honest chain rejected")
 	}
 
 	// Tampering any element of the chain invalidates it.
-	tampered := func(mutate func(q *packet.Packet)) bool {
-		q := *p
-		q.MFB.Items = append([]packet.MultiFB(nil), p.MFB.Items...)
-		mutate(&q)
-		return ar.validateMulti(&q)
+	tampered := func(mutate func(h *packet.MultiHeader)) bool {
+		q := &packet.Packet{}
+		q.CopyFrom(p)
+		mutate(&q.Ext.MFB)
+		return ar.validateMulti(q)
 	}
-	if tampered(func(q *packet.Packet) {
-		if q.MFB.Items[0].Action == packet.ActIncr {
-			q.MFB.Items[0].Action = packet.ActDecr
+	if tampered(func(h *packet.MultiHeader) {
+		if h.Items[0].Action == packet.ActIncr {
+			h.Items[0].Action = packet.ActDecr
 		} else {
-			q.MFB.Items[0].Action = packet.ActIncr
+			h.Items[0].Action = packet.ActIncr
 		}
 	}) {
 		t.Fatal("action flip accepted")
 	}
-	if tampered(func(q *packet.Packet) { q.MFB.Items[0].Link++ }) {
+	if tampered(func(h *packet.MultiHeader) { h.Items[0].Link++ }) {
 		t.Fatal("link swap accepted")
 	}
-	if tampered(func(q *packet.Packet) { q.MFB.Items = q.MFB.Items[:0] }) {
+	if tampered(func(h *packet.MultiHeader) { h.Items = h.Items[:0] }) {
 		t.Fatal("entry removal accepted")
 	}
-	if tampered(func(q *packet.Packet) { q.MFB.Token[0] ^= 1 }) {
+	if tampered(func(h *packet.MultiHeader) { h.Token[0] ^= 1 }) {
 		t.Fatal("token tamper accepted")
 	}
-	if tampered(func(q *packet.Packet) { q.MFB.TS += 10 }) {
+	if tampered(func(h *packet.MultiHeader) { h.TS += 10 }) {
 		t.Fatal("timestamp tamper accepted")
 	}
 
 	// Policing a valid chain creates a limiter per reported bottleneck.
-	q := *p
-	q.MFB.Items = append([]packet.MultiFB(nil), p.MFB.Items...)
-	if !ar.policeMulti(&q) {
+	q := &packet.Packet{}
+	q.CopyFrom(p)
+	if !ar.policeMulti(q) {
 		t.Fatal("valid multi packet rejected")
 	}
 	if ar.LimiterCount() != 1 {
@@ -101,7 +101,7 @@ func TestMultiFeedbackEmptyChainIsNop(t *testing.T) {
 	p2 := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p2)
-	p2.MFB.TS -= 100
+	p2.Ext.MFB.TS -= 100
 	ar.policeMulti(p2)
 	if p2.Kind != packet.KindRequest {
 		t.Fatal("stale multi header not demoted")

@@ -17,7 +17,7 @@ import (
 // "nop feedback"): just a timestamp and the Eq. 4 token.
 func (ar *AccessRouter) stampMultiNop(p *packet.Packet) {
 	ts := ar.node.Network().NowSec()
-	p.MFB = packet.MultiHeader{
+	p.NeedExt().MFB = packet.MultiHeader{
 		Present: true,
 		TS:      ts,
 		Items:   nil,
@@ -31,9 +31,10 @@ func (ar *AccessRouter) stampMultiNop(p *packet.Packet) {
 // suppression in the B.1 design because entries do not overwrite each
 // other.
 func (b *Bottleneck) stampMulti(p *packet.Packet, now sim.Time) {
-	if !p.MFB.Present {
+	if !p.HasMFB() {
 		return
 	}
+	h := &p.Ext.MFB
 	kai := b.sys.kaiForSender(p.SrcAS, b.link.From.AS)
 	if kai == nil {
 		return
@@ -42,16 +43,16 @@ func (b *Bottleneck) stampMulti(p *packet.Packet, now sim.Time) {
 	if b.overloadedFor(p, now) {
 		action = packet.ActDecr
 	}
-	p.MFB.Items = append(p.MFB.Items, packet.MultiFB{Link: b.link.ID, Action: action})
-	p.MFB.Token = feedback.MultiMAC(kai, p.Src, p.Dst, p.MFB.TS, b.link.ID, action, p.MFB.Token)
+	h.Items = append(h.Items, packet.MultiFB{Link: b.link.ID, Action: action})
+	h.Token = feedback.MultiMAC(kai, p.Src, p.Dst, h.TS, b.link.ID, action, h.Token)
 }
 
 // validateMulti recomputes the token chain of a presented B.1 header.
 func (ar *AccessRouter) validateMulti(p *packet.Packet) bool {
-	h := &p.MFB
-	if !h.Present {
+	if !p.HasMFB() {
 		return false
 	}
+	h := &p.Ext.MFB
 	nowSec := ar.node.Network().NowSec()
 	if diff := int64(nowSec) - int64(h.TS); diff > int64(ar.sys.Cfg.WSec) || diff < -int64(ar.sys.Cfg.WSec) {
 		return false
@@ -87,17 +88,19 @@ func (ar *AccessRouter) policeMulti(p *packet.Packet) bool {
 		ar.Demoted++
 		p.Kind = packet.KindRequest
 		p.Prio = 0
-		p.MFB = packet.MultiHeader{}
+		if p.Ext != nil {
+			p.Ext.MFB = packet.MultiHeader{}
+		}
 		return ar.handleRequest(p)
 	}
-	items := p.MFB.Items
+	items := p.Ext.MFB.Items
 	if len(items) == 0 {
 		// Equivalent of nop: no bottleneck on path, no rate limiting.
 		ar.stampMultiNop(p)
 		ar.stampPassport(p)
 		return true
 	}
-	ts := p.MFB.TS
+	ts := p.Ext.MFB.TS
 	var minLim *regLimiter
 	for _, it := range items {
 		lim := ar.limiter(p.Src, it.Link)

@@ -160,7 +160,7 @@ func (q *nfQueue) enqueue(p *packet.Packet, now sim.Time) bool {
 	// "Never stamped" is the all-zero feedback element: any access
 	// stamp fills the MAC and token fields with CMAC output, so a
 	// false demotion needs both truncated MACs to be zero (~2^-64).
-	if p.Kind == packet.KindRegular && p.FB == (packet.Feedback{}) && !p.MFB.Present {
+	if p.Kind == packet.KindRegular && p.FB == (packet.Feedback{}) && !p.HasMFB() {
 		p.Kind = packet.KindLegacy
 		q.cells.Add(obs.CoreDemotedLegacy, 1)
 		if q.net != nil && q.net.Rec.Sampled(uint32(p.Flow)) {

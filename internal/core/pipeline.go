@@ -64,7 +64,7 @@ const pipeChunk = 64
 
 type pipeJob struct {
 	keys []sim.EventKey
-	args []any
+	pkts []packet.Packet
 	dest *netsim.Link
 }
 
@@ -100,7 +100,7 @@ func (pl *Pipeline) Stop() {
 func (pl *Pipeline) Submit(mbs []*netsim.Mailbox) {
 	limit := pl.nextRotation(pl.net.Eng.Now())
 	for _, mb := range mbs {
-		keys, args := mb.Pending()
+		keys, pkts := mb.Pending()
 		if len(keys) == 0 {
 			continue
 		}
@@ -119,7 +119,7 @@ func (pl *Pipeline) Submit(mbs []*netsim.Mailbox) {
 				hi = n
 			}
 			pl.wg.Add(1)
-			pl.jobs <- pipeJob{keys: keys[lo:hi], args: args[lo:hi], dest: dest}
+			pl.jobs <- pipeJob{keys: keys[lo:hi], pkts: pkts[lo:hi], dest: dest}
 		}
 	}
 }
@@ -173,11 +173,8 @@ func (pl *Pipeline) worker(name string, id int) {
 		w := &pipeWorker{pl: pl, clones: make(map[*cmac.CMAC]*cmac.CMAC)}
 		for job := range pl.jobs {
 			n := uint64(0)
-			for i, a := range job.args {
-				p, ok := a.(*packet.Packet)
-				if !ok {
-					continue
-				}
+			for i := range job.pkts {
+				p := &job.pkts[i]
 				did := w.feedbackVerdict(p, job.dest, job.keys[i].At)
 				if w.passportVerdict(p, job.dest) {
 					did = true
@@ -237,7 +234,7 @@ func (w *pipeWorker) feedbackVerdict(p *packet.Packet, dest *netsim.Link, at sim
 	kai := func(link packet.LinkID) *cmac.CMAC { return w.clone(ar.kaiLookup(link)) }
 	v := feedback.ComputeVerdict(ccur, cprev, kai, p, uint32(at/sim.Second), sys.Cfg.WSec)
 	p.FVNode = node.ID
-	p.FVEpoch = ar.ring.Epoch()
+	p.FVEpoch = uint32(ar.ring.Epoch())
 	p.FVVerdict = uint8(v)
 	p.FVSet = true
 	return true
@@ -257,7 +254,7 @@ func (w *pipeWorker) passportVerdict(p *packet.Packet, dest *netsim.Link) bool {
 		return false
 	}
 	kind := p.Kind
-	if kind == packet.KindRegular && p.FB == (packet.Feedback{}) && !p.MFB.Present {
+	if kind == packet.KindRegular && p.FB == (packet.Feedback{}) && !p.HasMFB() {
 		kind = packet.KindLegacy
 	}
 	if kind != packet.KindRequest && kind != packet.KindRegular {
@@ -279,7 +276,7 @@ func (w *pipeWorker) passportVerdict(p *packet.Packet, dest *netsim.Link) bool {
 			}
 			ok, consume := sys.Registry.Check(p, l.From.AS, w.clone(sys.Registry.Key(p.SrcAS, l.From.AS)))
 			p.PVOK = ok
-			p.PVConsume = int32(consume)
+			p.PVConsume = int16(consume)
 			p.PVLink = l.ID
 			return true
 		}

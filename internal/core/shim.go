@@ -9,6 +9,7 @@ import (
 	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
+	"netfence/internal/smallmap"
 )
 
 // HostShim is NetFence's end-host layer between transport and network
@@ -25,8 +26,13 @@ type HostShim struct {
 	host *netsim.Host
 	deny func(src packet.NodeID) bool
 
-	peers     map[packet.NodeID]*peerState
-	flowStart map[packet.FlowID]sim.Time
+	// peers and flowStart hold one entry on nearly every host (a sender
+	// talks to its victim, one SYN is outstanding at a time), so both
+	// keep it inline, and the first peer's state lives in the shim
+	// itself.
+	peers     smallmap.Map[packet.NodeID, *peerState]
+	first     peerState
+	flowStart smallmap.Map[packet.FlowID, sim.Time]
 	// org keys the per-peer echo tickers.
 	org sim.Origin
 }
@@ -36,14 +42,14 @@ type peerState struct {
 	// to the peer (returned to us by the peer earlier).
 	presented    packet.Feedback
 	hasPresented bool
-	// presentedM is the B.1 multi-bottleneck equivalent.
-	presentedM    packet.MultiHeader
-	hasPresentedM bool
 
 	// toReturn is the latest network-stamped feedback observed on
 	// packets from the peer, to hand back.
-	toReturn  packet.Returned
-	toReturnM packet.MultiHeader
+	toReturn packet.Returned
+
+	// multi holds the Appendix B.1 multi-bottleneck equivalents of the
+	// three fields above; nil until a B.1 header arrives from the peer.
+	multi *peerMulti
 
 	lastSent  sim.Time
 	lastHeard sim.Time
@@ -61,15 +67,27 @@ type peerState struct {
 	hasReqSince bool
 }
 
+type peerMulti struct {
+	presented    packet.MultiHeader
+	hasPresented bool
+	toReturn     packet.MultiHeader
+}
+
+// needMulti returns the peer's B.1 state, allocating it on first use.
+func (ps *peerState) needMulti() *peerMulti {
+	if ps.multi == nil {
+		ps.multi = new(peerMulti)
+	}
+	return ps.multi
+}
+
 // AttachHost installs a NetFence shim on host h with the given policy.
 func (s *System) AttachHost(h *netsim.Node, pol defense.Policy) {
 	shim := &HostShim{
-		sys:       s,
-		host:      h.Host,
-		deny:      pol.Deny,
-		peers:     make(map[packet.NodeID]*peerState),
-		flowStart: make(map[packet.FlowID]sim.Time),
-		org:       h.NewOrigin(),
+		sys:  s,
+		host: h.Host,
+		deny: pol.Deny,
+		org:  h.NewOrigin(),
 	}
 	h.Host.Shim = shim
 }
@@ -81,10 +99,13 @@ func Shim(h *netsim.Node) *HostShim {
 }
 
 func (sh *HostShim) peer(id packet.NodeID) *peerState {
-	ps := sh.peers[id]
-	if ps == nil {
-		ps = &peerState{}
-		sh.peers[id] = ps
+	ps, ok := sh.peers.Get(id)
+	if !ok {
+		ps = &sh.first
+		if sh.peers.Len() > 0 {
+			ps = &peerState{}
+		}
+		sh.peers.Set(id, ps)
 	}
 	return ps
 }
@@ -92,8 +113,8 @@ func (sh *HostShim) peer(id packet.NodeID) *peerState {
 // Presented returns the feedback currently presented toward a peer, for
 // tests and diagnostics.
 func (sh *HostShim) Presented(peer packet.NodeID) (packet.Feedback, bool) {
-	ps := sh.peers[peer]
-	if ps == nil {
+	ps, ok := sh.peers.Get(peer)
+	if !ok {
 		return packet.Feedback{}, false
 	}
 	return ps.presented, ps.hasPresented
@@ -116,8 +137,8 @@ func (sh *HostShim) Egress(p *packet.Packet) {
 
 	// Hand back the latest feedback for the reverse path.
 	if sh.sys.Cfg.MultiFeedback {
-		if ps.toReturnM.Present {
-			p.RetMFB = ps.toReturnM
+		if m := ps.multi; m != nil && m.toReturn.Present {
+			p.NeedExt().RetMFB = m.toReturn
 		}
 	} else if ps.toReturn.Present {
 		p.Ret = ps.toReturn
@@ -132,23 +153,22 @@ func (sh *HostShim) Egress(p *packet.Packet) {
 		// New connections begin with request packets (§3.1 step 1); the
 		// priority level grows with waiting time, mirroring the access
 		// router's token bucket (§4.2, §6.3.1).
-		start, ok := sh.flowStart[p.Flow]
+		start, ok := sh.flowStart.Get(p.Flow)
 		if !ok {
 			start = now
-			sh.flowStart[p.Flow] = now
+			sh.flowStart.Set(p.Flow, now)
 		}
 		p.Kind = packet.KindRequest
 		p.Prio = sh.sys.Cfg.AffordableLevel(now - start)
-		p.FB = packet.Feedback{}
-		p.MFB = packet.MultiHeader{}
+		clearFeedback(p)
 		sh.noteRequest(p, now)
 		return
 	}
-	delete(sh.flowStart, p.Flow)
+	sh.flowStart.Delete(p.Flow)
 
 	if sh.sys.Cfg.MultiFeedback {
-		if ps.hasPresentedM && sh.fresh(ps.presentedM.TS) {
-			p.MFB = ps.presentedM
+		if m := ps.multi; m != nil && m.hasPresented && sh.fresh(m.presented.TS) {
+			p.NeedExt().MFB = m.presented
 			p.Kind = packet.KindRegular
 			ps.hasReqSince = false
 			sh.traceHop(p, now, "regular")
@@ -171,9 +191,17 @@ func (sh *HostShim) Egress(p *packet.Packet) {
 	}
 	p.Kind = packet.KindRequest
 	p.Prio = sh.sys.Cfg.AffordableLevel(now - ps.reqSince)
-	p.FB = packet.Feedback{}
-	p.MFB = packet.MultiHeader{}
+	clearFeedback(p)
 	sh.noteRequest(p, now)
+}
+
+// clearFeedback strips the forward feedback a request packet must not
+// carry, in both header formats.
+func clearFeedback(p *packet.Packet) {
+	p.FB = packet.Feedback{}
+	if p.Ext != nil {
+		p.Ext.MFB = packet.MultiHeader{}
+	}
 }
 
 // noteRequest accounts a request-channel departure: an escalated priority
@@ -212,12 +240,15 @@ func (sh *HostShim) Ingress(p *packet.Packet) bool {
 	ps.lastFlow = p.Flow
 
 	if sh.sys.Cfg.MultiFeedback {
-		if p.MFB.Present {
-			ps.toReturnM = p.MFB
-		}
-		if p.RetMFB.Present {
-			ps.presentedM = p.RetMFB
-			ps.hasPresentedM = true
+		if x := p.Ext; x != nil {
+			if x.MFB.Present {
+				ps.needMulti().toReturn = x.MFB
+			}
+			if x.RetMFB.Present {
+				m := ps.needMulti()
+				m.presented = x.RetMFB
+				m.hasPresented = true
+			}
 		}
 	} else {
 		ps.toReturn = feedback.ToReturned(p.FB)
@@ -272,7 +303,7 @@ func (sh *HostShim) ensureEcho(peer packet.NodeID, ps *peerState) {
 		if now-ps.lastSent < interval {
 			return // recent reverse traffic already carried the feedback
 		}
-		if !ps.toReturn.Present && !ps.toReturnM.Present {
+		if !ps.toReturn.Present && (ps.multi == nil || !ps.multi.toReturn.Present) {
 			return
 		}
 		p := sh.host.NewPacket()

@@ -97,11 +97,11 @@ func TestSteadyStateForwardingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLinkLayoutBudget pins the per-link state — two owned events, the
-// origin, the queue and the counters — inside the 320-byte malloc size
+// TestLinkLayoutBudget pins the per-link state — one owned event, the
+// origin, the queue and the counters — inside the 224-byte malloc size
 // class: a large topology's live heap is mostly links.
 func TestLinkLayoutBudget(t *testing.T) {
-	if n := unsafe.Sizeof(netsim.Link{}); n > 320 {
-		t.Fatalf("sizeof(Link) = %d, budget 320", n)
+	if n := unsafe.Sizeof(netsim.Link{}); n > 224 {
+		t.Fatalf("sizeof(Link) = %d, budget 224", n)
 	}
 }

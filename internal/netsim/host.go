@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"netfence/internal/packet"
+	"netfence/internal/smallmap"
 )
 
 // Agent is a transport endpoint attached to a host (a TCP sender, a TCP
@@ -40,18 +41,22 @@ type Host struct {
 	// an unknown flow (server-style listeners).
 	OnUnknownFlow func(p *packet.Packet) Agent
 
-	net    *Network
-	agents map[packet.FlowID]Agent
+	net *Network
+	// agents holds one flow on nearly every host, inline.
+	agents smallmap.Map[packet.FlowID, Agent]
 }
 
 // Register attaches an agent to a flow.
-func (h *Host) Register(flow packet.FlowID, a Agent) { h.agents[flow] = a }
+func (h *Host) Register(flow packet.FlowID, a Agent) { h.agents.Set(flow, a) }
 
 // Unregister detaches a flow's agent.
-func (h *Host) Unregister(flow packet.FlowID) { delete(h.agents, flow) }
+func (h *Host) Unregister(flow packet.FlowID) { h.agents.Delete(flow) }
 
 // Agent returns the agent registered for flow, or nil.
-func (h *Host) Agent(flow packet.FlowID) Agent { return h.agents[flow] }
+func (h *Host) Agent(flow packet.FlowID) Agent {
+	a, _ := h.agents.Get(flow)
+	return a
+}
 
 // Network returns the owning network.
 func (h *Host) Network() *Network { return h.net }
@@ -81,13 +86,13 @@ func (h *Host) Receive(p *packet.Packet) {
 	if h.Shim != nil && !h.Shim.Ingress(p) {
 		return
 	}
-	if a := h.agents[p.Flow]; a != nil {
+	if a := h.Agent(p.Flow); a != nil {
 		a.Receive(p)
 		return
 	}
 	if h.OnUnknownFlow != nil {
 		if a := h.OnUnknownFlow(p); a != nil {
-			h.agents[p.Flow] = a
+			h.agents.Set(p.Flow, a)
 			a.Receive(p)
 		}
 	}

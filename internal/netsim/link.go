@@ -19,20 +19,25 @@ type DropReasoner interface {
 // before traffic flows to install a discipline other than the default
 // unbounded FIFO.
 //
-// The link is one scheduling origin, keyed by its index, and owns its
-// scheduler events: one reusable transmit-complete event (at most one
-// packet serializes at a time) and one reusable not-yet-eligible retry
-// event; per-packet propagation uses the engine's pooled one-shot
+// The link is one scheduling origin, keyed by its index, and owns one
+// reusable scheduler event that is either the transmit-complete of the
+// packet serializing now or the retry of a backlogged queue that is not
+// yet eligible — never both: nothing is retried while a packet
+// serializes, and a pending retry is cancelled before a transmission
+// starts. Per-packet propagation uses the engine's pooled one-shot
 // events. Steady-state forwarding therefore schedules without
 // allocating.
 type Link struct {
 	Index int
 	ID    packet.LinkID
-	From  *Node
-	To    *Node
-	Rate  int64 // bits per second; must be positive
-	Delay sim.Time
-	Q     queue.Queue
+	// sending says which of its two roles ev has while pending: the
+	// transmit-complete of a serializing packet, or the retry.
+	sending bool
+	From    *Node
+	To      *Node
+	Rate    int64 // bits per second; must be positive
+	Delay   sim.Time
+	Q       queue.Queue
 
 	// OnTransmit, when set, observes each packet as transmission begins —
 	// the hook bottleneck routers use to update congestion policing
@@ -47,11 +52,9 @@ type Link struct {
 
 	// org keys every event of the link: transmit-complete, retry and
 	// propagation (a cut link mints its handoff keys from it too), all
-	// scheduled on the shard owning From. A packet is serializing exactly
-	// while txEv is pending.
-	org     sim.Origin
-	txEv    sim.Event
-	retryEv sim.Event
+	// scheduled on the shard owning From.
+	org sim.Origin
+	ev  sim.Event
 
 	// TxPackets and TxBytes count completed transmissions.
 	TxPackets uint64
@@ -60,7 +63,7 @@ type Link struct {
 	net *Network
 }
 
-// linkTx dispatches the owned transmit-complete event to its link.
+// linkTx dispatches the owned event in its transmit-complete role.
 type linkTx Link
 
 func (h *linkTx) OnEvent(_ sim.Time, arg any) {
@@ -76,7 +79,8 @@ func (h *linkArrive) OnEvent(_ sim.Time, arg any) {
 	l.net.arrive(arg.(*packet.Packet), l.To, l)
 }
 
-// linkRetry dispatches the owned not-yet-eligible retry event.
+// linkRetry dispatches the owned event in its not-yet-eligible retry
+// role.
 type linkRetry Link
 
 func (h *linkRetry) OnEvent(sim.Time, any) {
@@ -115,7 +119,7 @@ func (l *Link) Label() string { return l.From.String() + "->" + l.To.String() }
 // it. If the queue is backlogged but not yet eligible (rate-capped
 // channel), a retry is scheduled at the queue's hint.
 func (l *Link) tryTransmit() {
-	if l.txEv.Pending() {
+	if l.sending {
 		return
 	}
 	now := l.net.Eng.Now()
@@ -126,20 +130,22 @@ func (l *Link) tryTransmit() {
 		}
 		return
 	}
-	if l.retryEv.Pending() {
-		l.retryEv.Cancel()
+	if l.ev.Pending() {
+		l.ev.Cancel() // the retry
 	}
 	if l.OnTransmit != nil {
 		l.OnTransmit(p, l)
 	}
 	tx := sim.TxTime(int(p.Size), l.Rate)
-	l.org.ScheduleEvent(&l.txEv, now+tx, (*linkTx)(l), p)
+	l.sending = true
+	l.org.ScheduleEvent(&l.ev, now+tx, (*linkTx)(l), p)
 }
 
 // txDone completes p's serialization: launch its propagation event (or
 // hand the packet off to the destination shard over a cut link) and
 // start on the next queued packet.
 func (l *Link) txDone(p *packet.Packet) {
+	l.sending = false
 	l.TxPackets++
 	l.TxBytes += uint64(p.Size)
 	l.net.Cells.Add(obs.NetsimTxPackets, 1)
@@ -149,7 +155,7 @@ func (l *Link) txDone(p *packet.Packet) {
 		// The handoff key is exactly what a local propagation event's
 		// scheduling key would have been, so the destination engine
 		// executes the arrival where a single global engine would have.
-		l.mailbox.push(p, l.org.HandoffKey(now+l.Delay))
+		l.mailbox.push(&l.net.Pool, p, l.org.HandoffKey(now+l.Delay))
 	} else {
 		l.org.Schedule(now+l.Delay, (*linkArrive)(l), p)
 	}
@@ -195,14 +201,15 @@ func (l *Link) SetDelay(d sim.Time) {
 }
 
 // scheduleRetry arms (or re-arms) the not-yet-eligible retry timer.
+// Only an idle transmitter retries, so a pending ev is a retry.
 func (l *Link) scheduleRetry(at sim.Time) {
-	if l.retryEv.Pending() {
-		if l.retryEv.Time() <= at {
+	if l.ev.Pending() {
+		if l.ev.Time() <= at {
 			return
 		}
-		l.retryEv.Cancel()
+		l.ev.Cancel()
 	}
-	l.org.ScheduleEvent(&l.retryEv, at, (*linkRetry)(l), nil)
+	l.org.ScheduleEvent(&l.ev, at, (*linkRetry)(l), nil)
 }
 
 // Utilization returns the fraction of capacity used over an interval,

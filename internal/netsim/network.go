@@ -82,7 +82,7 @@ func (n *Network) NewNode(name string, as packet.ASID) *Node {
 func (n *Network) NewHost(name string, as packet.ASID) *Node {
 	node := n.NewNode(name, as)
 	node.IsHost = true
-	node.Host = &Host{Node: node, net: n, agents: make(map[packet.FlowID]Agent)}
+	node.Host = &Host{Node: node, net: n}
 	return node
 }
 

@@ -94,6 +94,13 @@ const (
 	PipelinePrecomputeHits
 	PipelineRotationFallbacks
 
+	// Packet pools, harvested from each replica's pool at snapshot
+	// barriers: packets the pool had to allocate so far, and (a gauge)
+	// packets sitting idle on its free list. A pool that allocates or
+	// idles out of proportion to its replica's traffic is a leak.
+	PacketPoolFresh
+	PacketPoolIdle
+
 	// NumIDs is the cell-array length; keep it last.
 	NumIDs
 )
@@ -163,6 +170,8 @@ var defs = []Def{
 	{PipelinePrecomputed, "pipeline_precompute_total", "MAC verdicts precomputed off the serialized execute phase", "§5.1", Counter, true},
 	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed MAC verdicts consumed at admission instead of inline CMAC", "§5.1", Counter, true},
 	{PipelineRotationFallbacks, "pipeline_rotation_fallback_total", "handoff packets skipped by the pipeline because their window straddles a KeyRotate boundary (validated inline)", "§4.1", Counter, true},
+	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a replica's pool had none to recycle", "—", Counter, true},
+	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one replica's pool held at the last run boundary", "—", Gauge, true},
 }
 
 // Catalog returns the registry in cell order.
@@ -202,7 +211,7 @@ func (c Cells) ObserveBacklog(bytes uint64) {
 
 // gaugeCell reports whether an ID accumulates by max rather than sum.
 func gaugeCell(id ID) bool {
-	return id == QueueHWMBytes || id == NetsimMailboxDepthHWM
+	return id == QueueHWMBytes || id == NetsimMailboxDepthHWM || id == PacketPoolIdle
 }
 
 // Merge folds per-replica cells into one snapshot, in the given

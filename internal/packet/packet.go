@@ -8,7 +8,11 @@
 // clean tree.
 package packet
 
-import "netfence/internal/sim"
+import (
+	"slices"
+
+	"netfence/internal/sim"
+)
 
 // NodeID identifies a host or router. It doubles as the node's network
 // address: the paper's IP addresses map 1:1 onto NodeIDs in simulation.
@@ -114,9 +118,7 @@ const (
 // and as the network-stamped feedback (access router onward); the access
 // router rewrites it in place when forwarding (§4.3.3).
 type Feedback struct {
-	Mode   FBMode
-	Link   LinkID
-	Action FBAction
+	Link LinkID
 	// TS is the stamping time in whole seconds, set only by access routers.
 	TS uint32
 	// MAC attests the feedback's integrity (Eq. 1-3 of §4.4, truncated to
@@ -125,6 +127,8 @@ type Feedback struct {
 	// TokenNop carries the access router's token_nop inside L-up feedback;
 	// a bottleneck router consumes and erases it when stamping L-down.
 	TokenNop [4]byte
+	Mode     FBMode
+	Action   FBAction
 }
 
 // IsNop reports whether the feedback is the nop feedback.
@@ -137,12 +141,12 @@ func (f *Feedback) IsMon() bool { return f.Mode == FBMon }
 // back to the packet's destination about the reverse path. Routers never
 // touch it; only end-host shims read and write it.
 type Returned struct {
-	Present bool
-	Mode    FBMode
 	Link    LinkID
-	Action  FBAction
 	TS      uint32
 	MAC     [4]byte
+	Present bool
+	Mode    FBMode
+	Action  FBAction
 }
 
 // Capability is the simulation-level stand-in for a TVA+ network
@@ -175,10 +179,10 @@ type PassportMAC struct {
 // AS on the path, verified in path order (internal/passport). A transit
 // AS with several on-path routers verifies once, at ingress.
 type PassportStamp struct {
-	Present bool
-	// Next indexes the first unverified entry.
-	Next    int
 	Entries []PassportMAC
+	// Next indexes the first unverified entry.
+	Next    int32
+	Present bool
 }
 
 // MultiFB is one bottleneck's feedback inside the Appendix B.1
@@ -198,11 +202,36 @@ type MultiHeader struct {
 	Token   [4]byte
 }
 
+// Ext holds the headers no hop of the core design reads: the Appendix
+// B.1 multi-bottleneck headers and the TVA+ baseline's capabilities. A
+// packet grows one on first use (NeedExt) and keeps it across pool
+// recycles, zeroed, the way it keeps its Passport trailer array; a
+// default-config NetFence or FQ run never allocates one.
+type Ext struct {
+	// MFB and RetMFB are the forward and returned multi-bottleneck
+	// headers of the Appendix B.1 extension.
+	MFB    MultiHeader
+	RetMFB MultiHeader
+	// Cap is the TVA+ baseline's capability slot: the authorization the
+	// sender presents for this packet.
+	Cap Capability
+	// CapGrant piggybacks a receiver's capability grant back to the
+	// packet's destination (TVA+ baseline).
+	CapGrant Capability
+}
+
 // Packet is a simulated packet, mutated in place as it traverses the
 // network, mirroring how a real router rewrites the shim header. Hot
 // paths draw packets from a Pool (netsim.Host.NewPacket) and the network
 // recycles them at end of life; hand-constructed &Packet{} values work
 // everywhere too and are simply never recycled.
+//
+// The struct carries what the core design reads on every hop and nothing
+// else; everything optional sits behind Ext. Fields are ordered widest
+// first within each group so the struct packs into 176 bytes
+// (TestPacketLayoutBudget holds it under 192): every pooled, cached or
+// in-flight packet costs that much heap, and Reset rewrites that many
+// bytes per recycle.
 type Packet struct {
 	// UID is a simulation-unique identifier, handy for tracing.
 	UID uint64
@@ -210,41 +239,22 @@ type Packet struct {
 	Src, Dst     NodeID
 	SrcAS, DstAS ASID
 	Flow         FlowID
-
-	Kind Kind
-	// Prio is the request-packet priority level (§4.2); 0 is the lowest.
-	Prio uint8
 	// Size is the total wire size in bytes, including all headers.
 	Size int32
 	// Payload is the number of application bytes carried.
 	Payload int32
 
+	Kind Kind
+	// Prio is the request-packet priority level (§4.2); 0 is the lowest.
+	Prio  uint8
 	Proto Proto
-	TCP   TCPInfo
+
+	TCP TCPInfo
 
 	// FB is the forward congestion policing feedback.
 	FB Feedback
 	// Ret is the returned feedback for the reverse path.
 	Ret Returned
-	// MFB and RetMFB are the forward and returned multi-bottleneck
-	// headers of the Appendix B.1 extension (unused in the core design).
-	MFB    MultiHeader
-	RetMFB MultiHeader
-
-	// Cap is the TVA+ baseline's capability slot: the authorization the
-	// sender presents for this packet.
-	Cap Capability
-	// CapGrant piggybacks a receiver's capability grant back to the
-	// packet's destination (TVA+ baseline).
-	CapGrant Capability
-	// Passport is the source-authentication trailer.
-	Passport PassportStamp
-
-	// EnqueuedAt records when the packet last entered a queue, for
-	// queueing-delay metrics.
-	EnqueuedAt sim.Time
-	// SentAt records when the transport first emitted the packet.
-	SentAt sim.Time
 
 	// Precomputed verdict cache, filled by the sharded validation
 	// pipeline while a cut-link handoff batch drains (every shard is at
@@ -260,21 +270,69 @@ type Packet struct {
 	// PVLink tags a cached Passport verdict with the protected link whose
 	// verify hook may consume it (0 = none); PVOK is the Registry.Check
 	// result and PVConsume its trailer-consumption index.
-	PVLink    LinkID
-	PVOK      bool
-	PVConsume int32
+	PVLink LinkID
 	// FVNode tags a cached feedback verdict with the access router that
 	// may consume it; FVSet distinguishes a cached Invalid from "no
-	// cache"; FVEpoch is the key-ring epoch the verdict was computed
-	// under; FVVerdict holds the feedback.Verdict value.
+	// cache"; FVEpoch is the low 32 bits of the key-ring epoch the
+	// verdict was computed under; FVVerdict holds the feedback.Verdict
+	// value.
 	FVNode    NodeID
+	FVEpoch   uint32
+	PVConsume int16
+	PVOK      bool
 	FVSet     bool
-	FVEpoch   uint64
 	FVVerdict uint8
 
 	// pooled marks packets drawn from a Pool (only those are recycled);
 	// inPool guards against double release. See pool.go.
 	pooled, inPool bool
+
+	// Passport is the source-authentication trailer.
+	Passport PassportStamp
+
+	// EnqueuedAt records when the packet last entered a queue, for
+	// queueing-delay metrics.
+	EnqueuedAt sim.Time
+	// SentAt records when the transport first emitted the packet.
+	SentAt sim.Time
+
+	// Ext holds the optional headers (Appendix B.1, TVA+); nil until
+	// NeedExt.
+	Ext *Ext
+}
+
+// NeedExt returns the packet's optional-header block, allocating it on
+// first use.
+func (p *Packet) NeedExt() *Ext {
+	if p.Ext == nil {
+		p.Ext = new(Ext)
+	}
+	return p.Ext
+}
+
+// HasMFB reports whether the packet carries a forward Appendix B.1
+// multi-bottleneck header.
+func (p *Packet) HasMFB() bool { return p.Ext != nil && p.Ext.MFB.Present }
+
+// CopyFrom makes p carry src's contents while sharing no memory with
+// it: p keeps its own Passport trailer array, Ext block and pool
+// bookkeeping. A cut-link handoff uses it to move a packet between
+// shards without moving the struct out of its pool.
+func (p *Packet) CopyFrom(src *Packet) {
+	entries, ext := p.Passport.Entries[:0], p.Ext
+	pooled, inPool := p.pooled, p.inPool
+	*p = *src
+	p.pooled, p.inPool = pooled, inPool
+	p.Passport.Entries = append(entries, src.Passport.Entries...)
+	p.Ext = ext
+	if src.Ext != nil {
+		x := p.NeedExt()
+		*x = *src.Ext
+		x.MFB.Items = slices.Clone(src.Ext.MFB.Items)
+		x.RetMFB.Items = slices.Clone(src.Ext.RetMFB.Items)
+	} else if ext != nil {
+		*ext = Ext{}
+	}
 }
 
 // IsSYN reports whether the packet is a TCP SYN (and not a SYN-ACK).

@@ -3,6 +3,7 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -82,5 +83,16 @@ func TestSizeConstantsMatchPaper(t *testing.T) {
 	}
 	if SizeNetFence != 20 || SizeNetFenceMx != 28 {
 		t.Fatal("NetFence header size constants drifted from §6.1")
+	}
+}
+
+// TestPacketLayoutBudget pins the packet's allocator size class: every
+// pooled, limiter-cached and in-flight packet costs this much heap, and
+// Reset rewrites this much per recycle. The struct is 176 bytes; the
+// budget leaves one size class of slack, and a field that would push it
+// past that belongs behind Ext.
+func TestPacketLayoutBudget(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 192 {
+		t.Fatalf("Packet is %d bytes, budget 192", n)
 	}
 }

@@ -2,14 +2,20 @@ package packet
 
 // Pool recycles Packets so steady-state forwarding allocates nothing. It
 // is deliberately not synchronized: each simulation engine is
-// single-threaded and owns one pool (parallel sweep cells each get their
-// own network, engine and pool).
+// single-threaded and owns one pool (parallel sweep cells and the
+// replicas of a sharded run each get their own network, engine and
+// pool).
 //
-// Ownership discipline: a packet has exactly one owner at a time — the
-// transport that drew it from the pool, then the queue/limiter holding
-// it, then the network delivering it. The network returns it to the pool
-// at end of life (final delivery or drop), after every observer hook has
-// run. Packets constructed directly with &Packet{} (tests, hand-crafted
+// Ownership rule: a packet is allocated, recycled and counted by
+// exactly one pool — the one it was drawn from — and has exactly one
+// owner at a time: the transport that drew it, then the queue/limiter
+// holding it, then the network delivering it. The network returns it to
+// its pool at end of life (final delivery or drop), after every observer
+// hook has run. A packet crossing a cut link of a sharded run does not
+// change pools: the destination shard copies its contents into a packet
+// of its own (CopyFrom) and the source shard recycles the original, so
+// every shard's pool stays as small as its own traffic in flight.
+// Packets constructed directly with &Packet{} (tests, hand-crafted
 // probes) are not pool-managed: Put ignores them, so legacy call sites
 // that inspect a packet after the run keep working.
 type Pool struct {
@@ -56,18 +62,23 @@ func (pl *Pool) Put(p *Packet) {
 func (pl *Pool) Len() int { return len(pl.free) }
 
 // Reset zeroes every field of p, making it indistinguishable from a
-// freshly allocated packet. The one deliberate exception is retained
-// capacity: the Passport trailer's backing array survives (truncated to
-// length zero and rewritten field-for-field on the next stamp), so
-// Passport-enabled runs do not allocate a trailer per packet. Nothing in
-// the tree copies a PassportStamp out of a packet, so the retained array
-// cannot alias live state. The multi-bottleneck headers are fully zeroed:
+// freshly allocated packet to every consumer. The deliberate exception
+// is retained capacity: the Passport trailer's backing array survives
+// (truncated to length zero and rewritten field-for-field on the next
+// stamp) and so does an Ext block (zeroed), so Passport, Appendix B.1
+// and TVA+ runs do not allocate per packet. Nothing in the tree copies a
+// PassportStamp out of a packet, so the retained array cannot alias live
+// state. The multi-bottleneck headers inside Ext are fully zeroed:
 // shims copy those by value, and a shared backing array would let a
 // recycled packet corrupt a peer's cached feedback.
 func (p *Packet) Reset() {
+	entries, ext := p.Passport.Entries[:0], p.Ext
 	pooled, inPool := p.pooled, p.inPool
-	entries := p.Passport.Entries[:0]
 	*p = Packet{}
 	p.Passport.Entries = entries
+	if ext != nil {
+		*ext = Ext{}
+		p.Ext = ext
+	}
 	p.pooled, p.inPool = pooled, inPool
 }

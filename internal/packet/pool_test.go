@@ -22,6 +22,9 @@ func dirtyPacket(p *Packet, rng *rand.Rand) {
 				}
 				fill(v.Field(i))
 			}
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem())
 		case reflect.Slice:
 			n := 1 + int(rng.Int64N(4))
 			s := reflect.MakeSlice(v.Type(), n, n)
@@ -50,8 +53,9 @@ func dirtyPacket(p *Packet, rng *rand.Rand) {
 
 // likeFresh reports whether p is indistinguishable from &Packet{} for
 // every exported field, walking the struct by reflection. Slices compare
-// by length (a recycled packet may retain capacity, which is invisible to
-// all packet consumers); everything else must be deeply zero.
+// by length and pointers by what they point to (a recycled packet may
+// retain trailer capacity and a zeroed Ext block, both invisible to all
+// packet consumers); everything else must be deeply zero.
 func likeFresh(t *testing.T, path string, v reflect.Value) bool {
 	t.Helper()
 	switch v.Kind() {
@@ -67,6 +71,8 @@ func likeFresh(t *testing.T, path string, v reflect.Value) bool {
 			}
 		}
 		return ok
+	case reflect.Pointer:
+		return v.IsNil() || likeFresh(t, path, v.Elem())
 	case reflect.Slice:
 		if v.Len() != 0 {
 			t.Errorf("%s: recycled packet has %d element(s), fresh has none", path, v.Len())
@@ -146,5 +152,91 @@ func TestPoolRetainsPassportCapacity(t *testing.T) {
 	}
 	if cap(q.Passport.Entries) < 2 {
 		t.Fatalf("recycled trailer lost its capacity: %d", cap(q.Passport.Entries))
+	}
+}
+
+// TestPoolRetainsExt: the optional-header block survives recycling,
+// zeroed, so Appendix B.1 and TVA+ runs do not allocate one per packet.
+func TestPoolRetainsExt(t *testing.T) {
+	var pool Pool
+	p := pool.Get()
+	if p.Ext != nil {
+		t.Fatal("fresh packet already has an Ext")
+	}
+	x := p.NeedExt()
+	x.MFB = MultiHeader{Present: true, Items: []MultiFB{{Link: 3}}}
+	x.Cap.Present = true
+	pool.Put(p)
+	q := pool.Get()
+	if q.Ext != x {
+		t.Fatal("recycled packet lost its Ext block")
+	}
+	if !reflect.DeepEqual(*q.Ext, Ext{}) {
+		t.Fatalf("recycled Ext not zeroed: %+v", *q.Ext)
+	}
+}
+
+// TestCopyFromIsDeep: a copy equals its source in every exported field
+// and shares no memory with it — whatever the source held, and whatever
+// the destination had retained from an earlier life.
+func TestCopyFromIsDeep(t *testing.T) {
+	var srcPool, dstPool Pool
+	prop := func(seed uint64, recycled bool) bool {
+		rng := rand.New(rand.NewPCG(seed, 9))
+		src, dst := srcPool.Get(), dstPool.Get()
+		dirtyPacket(src, rng)
+		if recycled {
+			// dst retains a trailer array and an Ext of its own.
+			dirtyPacket(dst, rng)
+			dstPool.Put(dst)
+			dst = dstPool.Get()
+		}
+		// The same seed fills the same values: an independent record of
+		// what src held.
+		want := &Packet{pooled: true}
+		dirtyPacket(want, rand.New(rand.NewPCG(seed, 9)))
+		ownExt := dst.Ext
+		dst.CopyFrom(src)
+		if !reflect.DeepEqual(dst, want) {
+			t.Errorf("copy differs from source:\n got %+v\nwant %+v", dst, want)
+			return false
+		}
+		if recycled && dst.Ext != ownExt {
+			t.Error("copy dropped the destination's retained Ext")
+			return false
+		}
+		// Scribble over everything the source owns.
+		for i := range src.Passport.Entries {
+			src.Passport.Entries[i].AS = -7
+		}
+		for i := range src.Ext.MFB.Items {
+			src.Ext.MFB.Items[i].Link = 0xdead
+		}
+		for i := range src.Ext.RetMFB.Items {
+			src.Ext.RetMFB.Items[i].Link = 0xdead
+		}
+		src.Ext.Cap.Expire++
+		srcPool.Put(src)
+		if !reflect.DeepEqual(dst, want) {
+			t.Errorf("copy changed when its source was mutated and recycled:\n got %+v\nwant %+v", dst, want)
+			return false
+		}
+		dstPool.Put(dst)
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCopyFromWithoutExt: copying an Ext-less packet into one that
+// retains an Ext leaves that Ext zeroed, not stale.
+func TestCopyFromWithoutExt(t *testing.T) {
+	var pool Pool
+	dst := pool.Get()
+	dst.NeedExt().Cap.Present = true
+	dst.CopyFrom(&Packet{Src: 1, Dst: 2})
+	if dst.Ext == nil || !reflect.DeepEqual(*dst.Ext, Ext{}) {
+		t.Fatalf("retained Ext not cleared by an Ext-less copy: %+v", dst.Ext)
 	}
 }

@@ -119,12 +119,13 @@ func (r *Registry) Check(p *packet.Packet, transitAS packet.ASID, mac *cmac.CMAC
 		return false, -1
 	}
 	// Already verified at this AS's ingress?
-	for i := 0; i < st.Next && i < len(st.Entries); i++ {
+	next := int(st.Next)
+	for i := 0; i < next && i < len(st.Entries); i++ {
 		if st.Entries[i].AS == transitAS {
 			return true, -1
 		}
 	}
-	for i := st.Next; i < len(st.Entries); i++ {
+	for i := next; i < len(st.Entries); i++ {
 		if st.Entries[i].AS != transitAS {
 			continue
 		}
@@ -148,8 +149,8 @@ func Apply(p *packet.Packet, consume int) {
 		return
 	}
 	st := &p.Passport
-	for j := st.Next; j < consume; j++ {
+	for j := int(st.Next); j < consume; j++ {
 		st.Entries[j].AS = -1
 	}
-	st.Next = consume + 1
+	st.Next = int32(consume + 1)
 }

@@ -38,10 +38,10 @@ func (in *Instance) replicaNets() []*netsim.Network {
 	return []*netsim.Network{in.env.net}
 }
 
-// harvestGauges folds queue state only visible by inspection — the
-// per-queue backlog high-water mark — into a replica's cells. Called
-// at snapshot barriers; the marks are monotone, so repeated harvests
-// are idempotent.
+// harvestGauges folds state only visible by inspection — the
+// per-queue backlog high-water mark and the packet pool's counters —
+// into a replica's cells. Called at snapshot barriers; repeated
+// harvests are idempotent.
 func harvestGauges(net *netsim.Network) {
 	var hwm uint64
 	for _, l := range net.Links {
@@ -52,6 +52,8 @@ func harvestGauges(net *netsim.Network) {
 		}
 	}
 	net.Cells.SetMax(obs.QueueHWMBytes, hwm)
+	net.Cells.Set(obs.PacketPoolFresh, net.Pool.News)
+	net.Cells.Set(obs.PacketPoolIdle, uint64(net.Pool.Len()))
 }
 
 // mergedCells harvests and merges every replica's cells in shard
@@ -80,7 +82,8 @@ func (in *Instance) Counters() map[string]uint64 {
 // RuntimeCounters returns the runtime plane: execution artifacts that
 // legitimately vary with the shard layout — events executed (total and
 // per shard), cut-link handoff batches and packet counts, mailbox
-// depth high-water marks, replicated keyring-rotation timers. Surfaced
+// depth high-water marks, replicated keyring-rotation timers, packet-pool
+// allocation and idle counts. Surfaced
 // on /metrics, -metrics-out and bench rows; never part of Result.
 func (in *Instance) RuntimeCounters() map[string]uint64 {
 	m := obs.RuntimeMap(in.mergedCells())
