@@ -26,17 +26,9 @@ type System struct {
 // NewSystem creates a NetFence deployment for net, establishing pairwise
 // keys among all ASes present in the topology.
 func NewSystem(net *netsim.Network, cfg Config) *System {
-	seen := map[packet.ASID]bool{}
-	var ases []packet.ASID
-	for _, nd := range net.Nodes {
-		if !seen[nd.AS] {
-			seen[nd.AS] = true
-			ases = append(ases, nd.AS)
-		}
-	}
 	return &System{
 		Cfg:         cfg,
-		Registry:    passport.NewRegistry(net.Eng.Rand, ases),
+		Registry:    passport.NewRegistry(net.Eng.Rand, net.ASes()),
 		net:         net,
 		accesses:    make(map[packet.NodeID]*AccessRouter),
 		bottlenecks: make(map[packet.LinkID]*Bottleneck),

@@ -105,3 +105,12 @@ func TestLinkLayoutBudget(t *testing.T) {
 		t.Fatalf("sizeof(Link) = %d, budget 224", n)
 	}
 }
+
+// TestNodeLayoutBudget pins the per-node state at its 96 bytes: what a
+// network knows about a host it does not hold goes in its flat per-node
+// arrays, not in fields every node of every run would carry.
+func TestNodeLayoutBudget(t *testing.T) {
+	if n := unsafe.Sizeof(netsim.Node{}); n > 96 {
+		t.Fatalf("sizeof(Node) = %d, budget 96", n)
+	}
+}

@@ -72,7 +72,7 @@ func (h *Host) NewPacket() *packet.Packet { return h.net.Pool.Get() }
 func (h *Host) Send(p *packet.Packet) {
 	p.Src = h.Node.ID
 	p.SrcAS = h.Node.AS
-	p.DstAS = h.net.Nodes[p.Dst].AS
+	p.DstAS = h.net.ASOf(p.Dst)
 	p.UID = h.net.NextUID()
 	p.SentAt = h.net.Eng.Now()
 	if h.Shim != nil {

@@ -17,7 +17,10 @@ import (
 // Network is a simulated internetwork. Build one by adding nodes and
 // links, call ComputeRoutes, then attach transports and run the engine.
 type Network struct {
-	Eng   *sim.Engine
+	Eng *sim.Engine
+	// Nodes and Links are indexed by node ID and link index. On a sparse
+	// network (NewSparse) the slots of hosts it does not own, and of the
+	// links joining them to their access routers, are reserved and nil.
 	Nodes []*Node
 	Links []*Link
 
@@ -57,13 +60,42 @@ type Network struct {
 	// instrumented site.
 	Rec *obs.Recorder
 
+	// owns says which ASes' hosts the network materialises; nil owns
+	// every AS.
+	owns func(packet.ASID) bool
+	// as maps every node ID, remote hosts included, to its AS.
+	as []packet.ASID
+	// remote lists the reserved hosts until ComputeRoutes folds them into
+	// the routing arrays.
+	remote []remoteHost
+	// hosts and links count what the network materialised.
+	hosts, links int
+
 	uid  uint64
 	flow uint32
 }
 
+// remoteHost is a host whose AS the network does not own: a reserved
+// node ID and, for the duplex connection to its access router at, a
+// reserved pair of link indices. Nothing is scheduled on a remote host
+// and nothing is forwarded over its links here — the shard owning its
+// AS does both — but other nodes still route toward it.
+type remoteHost struct {
+	id, at   packet.NodeID
+	up, down int32
+}
+
 // New returns an empty network driven by eng.
-func New(eng *sim.Engine) *Network {
-	return &Network{Eng: eng, Cells: obs.NewCells()}
+func New(eng *sim.Engine) *Network { return NewSparse(eng, nil) }
+
+// NewSparse returns an empty network that materialises only the hosts
+// of the ASes owns accepts (nil accepts all) — one shard's replica of a
+// partitioned topology. Routers, the links between them and every node
+// ID and link index are what the full network has: a host of another AS
+// keeps its ID, its AS and its place in the routing arrays, and costs
+// nothing else.
+func NewSparse(eng *sim.Engine, owns func(packet.ASID) bool) *Network {
+	return &Network{Eng: eng, Cells: obs.NewCells(), owns: owns}
 }
 
 // NewNode adds a router node.
@@ -75,19 +107,52 @@ func (n *Network) NewNode(name string, as packet.ASID) *Node {
 		net:  n,
 	}
 	n.Nodes = append(n.Nodes, node)
+	n.as = append(n.as, as)
 	return node
 }
 
-// NewHost adds a host node with an attached host stack.
+// NewHost adds a host node with an attached host stack. For a host of
+// an AS the network does not own it reserves the node ID and returns a
+// placeholder — ID and AS, no Host — that is not in Nodes and serves
+// only to be passed to Connect.
 func (n *Network) NewHost(name string, as packet.ASID) *Node {
+	if n.owns != nil && !n.owns(as) {
+		node := &Node{ID: packet.NodeID(len(n.Nodes)), AS: as, IsHost: true, net: n}
+		n.Nodes = append(n.Nodes, nil)
+		n.as = append(n.as, as)
+		return node
+	}
 	node := n.NewNode(name, as)
 	node.IsHost = true
 	node.Host = &Host{Node: node, net: n}
+	n.hosts++
 	return node
 }
 
-// Node returns the node with the given ID.
+// Node returns the node with the given ID, nil for a remote host.
 func (n *Network) Node(id packet.NodeID) *Node { return n.Nodes[id] }
+
+// ASOf returns the AS of the node with the given ID, remote hosts
+// included.
+func (n *Network) ASOf(id packet.NodeID) packet.ASID { return n.as[id] }
+
+// ASes returns every AS in the topology in node order, remote hosts
+// counted — the set Passport establishes pairwise keys for.
+func (n *Network) ASes() []packet.ASID {
+	seen := map[packet.ASID]bool{}
+	var out []packet.ASID
+	for _, as := range n.as {
+		if !seen[as] {
+			seen[as] = true
+			out = append(out, as)
+		}
+	}
+	return out
+}
+
+// Materialised returns how many hosts and links the network holds as
+// structs, as opposed to reserved slots.
+func (n *Network) Materialised() (hosts, links int) { return n.hosts, n.links }
 
 // Connect creates a duplex connection between a and b as two independent
 // unidirectional links with unbounded FIFO queues (replace Q for
@@ -96,19 +161,39 @@ func (n *Network) Node(id packet.NodeID) *Node { return n.Nodes[id] }
 // Connect fails fast on malformed links: nil endpoints or a non-positive
 // rate panic with the offending link named, instead of surfacing later as
 // a cryptic divide-by-zero in serialization-delay math.
+//
+// When one end is a remote host's placeholder and the other a node of
+// the same AS — which the network does not own either, and ASes are the
+// unit of ownership, so this network never forwards on the pair — the
+// two link indices are reserved and the links returned are nil. A
+// placeholder connected any other way (across ASes: a link some shard
+// may have to hand packets over) becomes a bare node, in Nodes but
+// without a Host, and its links are built.
 func (n *Network) Connect(a, b *Node, rateBps int64, delay sim.Time) (ab, ba *Link) {
+	if a == nil || b == nil {
+		panic(fmt.Sprintf("netsim: link %v -> %v: nil node", a, b))
+	}
+	if rateBps <= 0 {
+		panic(fmt.Sprintf("netsim: link %s -> %s: non-positive rate %d bps", a, b, rateBps))
+	}
+	ra, rb := n.Nodes[a.ID] != a, n.Nodes[b.ID] != b
+	if ra != rb && a.AS == b.AS {
+		idx := int32(len(n.Links))
+		n.Links = append(n.Links, nil, nil)
+		rh := remoteHost{id: a.ID, at: b.ID, up: idx, down: idx + 1}
+		if rb {
+			rh = remoteHost{id: b.ID, at: a.ID, up: idx + 1, down: idx}
+		}
+		n.remote = append(n.remote, rh)
+		return nil, nil
+	}
+	n.Nodes[a.ID], n.Nodes[b.ID] = a, b // a placeholder becomes a bare node
 	ab = n.addLink(a, b, rateBps, delay)
 	ba = n.addLink(b, a, rateBps, delay)
 	return ab, ba
 }
 
 func (n *Network) addLink(from, to *Node, rateBps int64, delay sim.Time) *Link {
-	if from == nil || to == nil {
-		panic(fmt.Sprintf("netsim: link %v -> %v: nil node", from, to))
-	}
-	if rateBps <= 0 {
-		panic(fmt.Sprintf("netsim: link %s -> %s: non-positive rate %d bps", from, to, rateBps))
-	}
 	l := &Link{
 		Index: len(n.Links),
 		ID:    packet.LinkID(len(n.Links) + 1), // 0 is the null link
@@ -121,6 +206,7 @@ func (n *Network) addLink(from, to *Node, rateBps int64, delay sim.Time) *Link {
 		net:   n,
 	}
 	n.Links = append(n.Links, l)
+	n.links++
 	from.out = append(from.out, l)
 	return l
 }
@@ -151,25 +237,48 @@ func (n *Network) LinkByID(id packet.LinkID) *Link {
 // destination degenerates after one step into the BFS rooted at its
 // attachment node plus the explicit downlink entry — exactly what Route
 // reconstructs.
+//
+// A remote host (see NewSparse) is a stub by construction. Its reserved
+// links count toward its access router's degree, so the router stays the
+// core node it is in the full network — also when every host behind it
+// is remote and one uplink is all it holds — and, with the core subgraph
+// and the link order unchanged, every next hop is the full network's.
+// The reservations are folded into the routing arrays and released, so a
+// sparse network computes its routes once.
 func (n *Network) ComputeRoutes() {
+	if n.owns != nil && n.coreIdx != nil {
+		panic("netsim: ComputeRoutes ran twice on a sparse network")
+	}
 	num := len(n.Nodes)
 	n.coreIdx = make([]int32, num)
 	n.attachAt = make([]int32, num)
 	n.uplink = make([]int32, num)
 	n.downlink = make([]int32, num)
-	var core []*Node
+	degree := make([]int32, num)
 	for _, nd := range n.Nodes {
-		n.uplink[nd.ID] = -1
-		n.downlink[nd.ID] = -1
-		n.attachAt[nd.ID] = -1
-		if len(nd.out) == 1 && len(nd.out[0].To.out) > 1 {
-			n.coreIdx[nd.ID] = -1 // stub
+		if nd != nil {
+			degree[nd.ID] = int32(len(nd.out))
+		}
+	}
+	for _, r := range n.remote {
+		degree[r.at]++
+	}
+	var core []*Node
+	for id, nd := range n.Nodes {
+		n.uplink[id] = -1
+		n.downlink[id] = -1
+		n.attachAt[id] = -1
+		if nd == nil || len(nd.out) == 1 && degree[id] == 1 && degree[nd.out[0].To.ID] > 1 {
+			n.coreIdx[id] = -1 // stub
 			continue
 		}
-		n.coreIdx[nd.ID] = int32(len(core))
+		n.coreIdx[id] = int32(len(core))
 		core = append(core, nd)
 	}
 	for _, nd := range n.Nodes {
+		if nd == nil {
+			continue
+		}
 		if n.coreIdx[nd.ID] >= 0 {
 			n.attachAt[nd.ID] = n.coreIdx[nd.ID]
 			continue
@@ -180,12 +289,20 @@ func (n *Network) ComputeRoutes() {
 	}
 	// Downlinks: the final hop from an attachment node to its stub.
 	for _, l := range n.Links {
-		if n.coreIdx[l.To.ID] < 0 && n.coreIdx[l.From.ID] >= 0 {
+		if l != nil && n.coreIdx[l.To.ID] < 0 && n.coreIdx[l.From.ID] >= 0 {
 			if n.downlink[l.To.ID] < 0 {
 				n.downlink[l.To.ID] = int32(l.Index)
 			}
 		}
 	}
+	for _, r := range n.remote {
+		if n.Nodes[r.id] != nil || n.uplink[r.id] >= 0 {
+			panic(fmt.Sprintf("netsim: remote host %d is connected more than once; a sparse network holds singly attached hosts only", r.id))
+		}
+		n.uplink[r.id], n.downlink[r.id] = r.up, r.down
+		n.attachAt[r.id] = n.coreIdx[r.at]
+	}
+	n.remote = nil
 
 	// Reverse BFS per core destination over the core subgraph, walking
 	// inbound links in link-declaration order — the original tie-break.
@@ -200,6 +317,9 @@ func (n *Network) ComputeRoutes() {
 	}
 	in := make([][]*Link, R)
 	for _, l := range n.Links {
+		if l == nil {
+			continue
+		}
 		fi, ti := n.coreIdx[l.From.ID], n.coreIdx[l.To.ID]
 		if fi >= 0 && ti >= 0 {
 			in[ti] = append(in[ti], l)
@@ -249,21 +369,27 @@ func (n *Network) routeFromCore(fi int32, dst packet.NodeID) int32 {
 	return n.rtab[fi][at]
 }
 
+// routeIndex returns the index of the egress link at node from toward
+// dst, or -1.
+func (n *Network) routeIndex(from, dst packet.NodeID) int32 {
+	if from == dst {
+		return -1
+	}
+	fi := n.coreIdx[from]
+	if fi >= 0 {
+		return n.routeFromCore(fi, dst)
+	}
+	// Stub source: everything reachable goes through the uplink.
+	at := n.attachAt[from]
+	if n.coreIdx[dst] == at || n.routeFromCore(at, dst) >= 0 {
+		return n.uplink[from]
+	}
+	return -1
+}
+
 // Route returns the egress link at node from toward dst, or nil.
 func (n *Network) Route(from *Node, dst packet.NodeID) *Link {
-	if from.ID == dst {
-		return nil
-	}
-	fi := n.coreIdx[from.ID]
-	if fi < 0 {
-		// Stub source: everything reachable goes through the uplink.
-		up := n.Links[n.uplink[from.ID]]
-		if up.To.ID == dst || n.routeFromCore(n.coreIdx[up.To.ID], dst) >= 0 {
-			return up
-		}
-		return nil
-	}
-	idx := n.routeFromCore(fi, dst)
+	idx := n.routeIndex(from.ID, dst)
 	if idx < 0 {
 		return nil
 	}
@@ -271,17 +397,22 @@ func (n *Network) Route(from *Node, dst packet.NodeID) *Link {
 }
 
 // PathLinks returns the link sequence from src to dst, or nil when
-// unreachable.
+// unreachable. On a sparse network the walk ends where it meets a
+// reserved link: at the access router of a remote dst, one hop short
+// and inside dst's AS, or at once when src itself is remote.
 func (n *Network) PathLinks(src, dst packet.NodeID) []*Link {
 	var path []*Link
-	at := n.Nodes[src]
-	for at.ID != dst {
-		l := n.Route(at, dst)
-		if l == nil {
+	for at := src; at != dst; {
+		idx := n.routeIndex(at, dst)
+		if idx < 0 {
 			return nil
 		}
+		l := n.Links[idx]
+		if l == nil {
+			break
+		}
 		path = append(path, l)
-		at = l.To
+		at = l.To.ID
 		if len(path) > len(n.Nodes) {
 			return nil // routing loop; cannot happen with BFS tables
 		}
@@ -293,7 +424,7 @@ func (n *Network) PathLinks(src, dst packet.NodeID) []*Link {
 // dst, excluding src's own AS — the AS-level path Passport stamps for.
 func (n *Network) PathASes(src, dst packet.NodeID) []packet.ASID {
 	var ases []packet.ASID
-	last := n.Nodes[src].AS
+	last := n.as[src]
 	for _, l := range n.PathLinks(src, dst) {
 		if as := l.To.AS; as != last {
 			ases = append(ases, as)

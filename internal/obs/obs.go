@@ -101,6 +101,16 @@ const (
 	PacketPoolFresh
 	PacketPoolIdle
 
+	// Replica accounting of a sharded run, harvested at snapshot barriers
+	// and summed over replicas: the hosts and the links that exist as
+	// structs. A sharded run builds each host, and its two links, once —
+	// on the replica of the shard owning its AS — so the host sum is the
+	// topology's host count at every shard count, and the link sum
+	// exceeds the topology's by the router links, which every replica
+	// holds. Absent on the single engine.
+	ReplicaHosts
+	ReplicaLinks
+
 	// NumIDs is the cell-array length; keep it last.
 	NumIDs
 )
@@ -172,6 +182,8 @@ var defs = []Def{
 	{PipelineRotationFallbacks, "pipeline_rotation_fallback_total", "handoff packets skipped by the pipeline because their window straddles a KeyRotate boundary (validated inline)", "§4.1", Counter, true},
 	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a replica's pool had none to recycle", "—", Counter, true},
 	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one replica's pool held at the last run boundary", "—", Gauge, true},
+	{ReplicaHosts, "replica_hosts_materialised_total", "hosts that exist as structs, summed over shard replicas (a host is built only on the shard owning its AS)", "§5.1", Counter, true},
+	{ReplicaLinks, "replica_links_materialised_total", "links that exist as structs, summed over shard replicas (router links are built on every replica, a host's two on its owner's)", "§5.1", Counter, true},
 }
 
 // Catalog returns the registry in cell order.

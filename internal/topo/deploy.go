@@ -62,7 +62,10 @@ func PlanFraction(srcASes []packet.ASID, f float64) Plan {
 // declaration order) the participating access routers police and the
 // participating hosts get the system's shim. deny is each group victim's
 // receiver policy; senders and colluders accept everyone. Legacy ASes
-// are skipped entirely — their traffic crosses the network undefended.
+// are skipped entirely — their traffic crosses the network undefended —
+// and so are hosts a sparse graph does not hold: a shim draws no setup
+// randomness, so skipping one leaves every engine's stream where the
+// full deployment leaves it.
 func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
 	for _, l := range g.bottlenecks {
 		s.ProtectLink(l)
@@ -75,7 +78,7 @@ func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
 			}
 		}
 		for _, h := range grp.Senders {
-			if plan.Participates(h.AS) {
+			if h != nil && plan.Participates(h.AS) {
 				s.AttachHost(h, defense.Policy{})
 			}
 		}
@@ -83,7 +86,7 @@ func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
 			s.AttachHost(grp.Victim, deny)
 		}
 		for _, c := range grp.Colluders {
-			if plan.Participates(c.AS) {
+			if c != nil && plan.Participates(c.AS) {
 				s.AttachHost(c, defense.Policy{})
 			}
 		}

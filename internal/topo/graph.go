@@ -26,6 +26,13 @@ import (
 // then each group's access routers and hosts, in declaration order. Two
 // builders issuing the same call sequence produce byte-identical
 // networks (and therefore identical simulation results for a seed).
+//
+// A graph built by an in-tree topology for one shard of a partitioned
+// run is sparse (see Sparse): routers, the links between them, roles,
+// node IDs and link indices are those of the full graph, but only the
+// hosts of the ASes the shard owns exist. The host constructors return
+// a placeholder for any other host, good only for passing to Link, and
+// its slot in the role lists is nil.
 type Graph struct {
 	Net *netsim.Network
 
@@ -34,6 +41,11 @@ type Graph struct {
 	srcASes     []packet.ASID
 	srcSeen     map[packet.ASID]bool
 	built       bool
+	// sparse says the graph was asked to hold some ASes' hosts only.
+	sparse bool
+	// remoteWeight holds what WeighSender was told about senders the
+	// graph does not hold.
+	remoteWeight map[packet.NodeID]int32
 }
 
 // GraphGroup is one sender group with its destinations and the access
@@ -48,14 +60,52 @@ type GraphGroup struct {
 	Victim *netsim.Node
 	// Colluders lists the group's colluding receiver hosts.
 	Colluders []*netsim.Node
+
+	// senderIDs parallels Senders on a sparse graph, where it names the
+	// senders Senders has nil for.
+	senderIDs []packet.NodeID
 }
 
 // NewGraph returns an empty topology graph driven by eng.
-func NewGraph(eng *sim.Engine) *Graph {
+func NewGraph(eng *sim.Engine) *Graph { return newGraph(eng, nil) }
+
+// newGraph returns an empty graph that holds the hosts of the ASes owns
+// accepts.
+func newGraph(eng *sim.Engine, owns ownership) *Graph {
 	return &Graph{
-		Net:     netsim.New(eng),
+		Net:     netsim.NewSparse(eng, owns),
 		srcSeen: map[packet.ASID]bool{},
+		sparse:  owns != nil,
 	}
+}
+
+// ownership says which ASes' hosts a build materialises; nil owns every
+// AS. It rides, unexported, in BuildOptions and in the config of every
+// in-tree topology, where only Sparse can set it: a replica is sparse
+// because the sharded executor built it, never because a caller asked.
+type ownership func(packet.ASID) bool
+
+func (o *ownership) setOwns(owns func(packet.ASID) bool) { *o = owns }
+
+// Sparse returns cfg — BuildOptions, or the config of an in-tree
+// topology — building only the hosts of the ASes owns accepts. A
+// third-party Builder never sees the request and builds every host,
+// which is correct and merely costs the memory.
+func Sparse[C any, P interface {
+	*C
+	setOwns(func(packet.ASID) bool)
+}](cfg C, owns func(packet.ASID) bool) C {
+	P(&cfg).setOwns(owns)
+	return cfg
+}
+
+// held returns h where the graph holds it as a host, nil for the
+// placeholder of a remote one: what a role list stores.
+func held(h *netsim.Node) *netsim.Node {
+	if h.Host == nil {
+		return nil
+	}
+	return h
 }
 
 func (g *Graph) group(i int) *GraphGroup {
@@ -90,7 +140,10 @@ func (g *Graph) Host(name string, as packet.ASID) *netsim.Node {
 func (g *Graph) Sender(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
 	grp := g.group(group)
-	grp.Senders = append(grp.Senders, h)
+	grp.Senders = append(grp.Senders, held(h))
+	if g.sparse {
+		grp.senderIDs = append(grp.senderIDs, h.ID)
+	}
 	if !g.srcSeen[as] {
 		g.srcSeen[as] = true
 		g.srcASes = append(g.srcASes, as)
@@ -101,7 +154,7 @@ func (g *Graph) Sender(group int, name string, as packet.ASID) *netsim.Node {
 // Victim adds a group's destination host.
 func (g *Graph) Victim(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
-	g.group(group).Victim = h
+	g.group(group).Victim = held(h)
 	return h
 }
 
@@ -109,7 +162,7 @@ func (g *Graph) Victim(group int, name string, as packet.ASID) *netsim.Node {
 func (g *Graph) Colluder(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
 	grp := g.group(group)
-	grp.Colluders = append(grp.Colluders, h)
+	grp.Colluders = append(grp.Colluders, held(h))
 	return h
 }
 
@@ -151,14 +204,20 @@ func (g *Graph) SourceASes() []packet.ASID {
 
 // AllASes returns every AS identifier in the topology, in node order —
 // the set Passport establishes pairwise keys for.
-func (g *Graph) AllASes() []packet.ASID {
-	seen := map[packet.ASID]bool{}
-	var out []packet.ASID
-	for _, nd := range g.Net.Nodes {
-		if !seen[nd.AS] {
-			seen[nd.AS] = true
-			out = append(out, nd.AS)
-		}
+func (g *Graph) AllASes() []packet.ASID { return g.Net.ASes() }
+
+// WeighSender makes sender idx of a group count as w modeled senders
+// when the graph is partitioned — the weight of a fleet attachment
+// point, known before the host that will carry it is built. A sender
+// the graph holds takes it as its node's Weight.
+func (g *Graph) WeighSender(group, idx int, w int32) {
+	grp := &g.groups[group]
+	if h := grp.Senders[idx]; h != nil {
+		h.Weight = w
+		return
 	}
-	return out
+	if g.remoteWeight == nil {
+		g.remoteWeight = map[packet.NodeID]int32{}
+	}
+	g.remoteWeight[grp.senderIDs[idx]] = w
 }

@@ -45,6 +45,8 @@ type RandomASConfig struct {
 	Delay sim.Time
 	// GraphSeed seeds the structure RNG (0 = 1).
 	GraphSeed uint64
+
+	ownership
 }
 
 // DefaultRandomAS mirrors the dumbbell's parameters over a 4-router
@@ -66,6 +68,8 @@ type RandomAS struct {
 	G   *Graph
 	Net *netsim.Network
 
+	// Senders, Victim and Colluders are the Graph's role lists: on a
+	// sparse graph the slot of a host another shard owns is nil.
 	Senders   []*netsim.Node
 	SrcAccess []*netsim.Node
 	// Transit lists the random-core routers, one AS each.
@@ -100,7 +104,7 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	}
 	rng := rand.New(rand.NewPCG(seed, 0x6e65746665_6e6365)) // "netfence"
 
-	g := NewGraph(eng)
+	g := newGraph(eng, cfg.ownership)
 	r := &RandomAS{G: g, Net: g.Net}
 
 	// Random connected transit core: a uniform random spanning tree by
@@ -149,7 +153,6 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 		for h := 0; h < perAS; h++ {
 			host := g.Sender(0, fmt.Sprintf("s%d.%d", i, h), as)
 			g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
-			r.Senders = append(r.Senders, host)
 		}
 	}
 
@@ -163,19 +166,18 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	victimAS := packet.ASID(2000)
 	r.VictimAccess = g.AccessRouter(0, "Rv", victimAS)
 	g.Link(r.Rd, r.VictimAccess, cfg.EdgeBps, cfg.Delay)
-	r.Victim = g.Victim(0, "victim", victimAS)
-	g.Link(r.VictimAccess, r.Victim, cfg.EdgeBps, cfg.Delay)
+	g.Link(r.VictimAccess, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
 		g.Link(r.Rd, rc, cfg.EdgeBps, cfg.Delay)
-		c := g.Colluder(0, fmt.Sprintf("c%d", i), as)
-		g.Link(rc, c, cfg.EdgeBps, cfg.Delay)
+		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
 		r.ColluderAccess = append(r.ColluderAccess, rc)
-		r.Colluders = append(r.Colluders, c)
 	}
 
+	grp := g.groups[0]
+	r.Senders, r.Victim, r.Colluders = grp.Senders, grp.Victim, grp.Colluders
 	g.Build()
 	return r, nil
 }

@@ -22,6 +22,8 @@ type BuildOptions struct {
 	// understand. When both Config and Population are set, Population
 	// wins.
 	Config any
+
+	ownership
 }
 
 // Builder constructs a role-tagged topology graph on eng.

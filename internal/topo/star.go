@@ -26,6 +26,8 @@ type StarConfig struct {
 	EdgeBps int64
 	// Delay is the per-link propagation delay.
 	Delay sim.Time
+
+	ownership
 }
 
 // DefaultStar mirrors the dumbbell's link parameters at a configurable
@@ -45,6 +47,8 @@ type Star struct {
 	G   *Graph
 	Net *netsim.Network
 
+	// Senders, Victim and Colluders are the Graph's role lists: on a
+	// sparse graph the slot of a host another shard owns is nil.
 	Senders []*netsim.Node
 	// Access is the single source-AS access router.
 	Access *netsim.Node
@@ -60,33 +64,30 @@ type Star struct {
 
 // NewStar builds the topology and computes routes.
 func NewStar(eng *sim.Engine, cfg StarConfig) *Star {
-	g := NewGraph(eng)
+	g := newGraph(eng, cfg.ownership)
 	st := &Star{G: g, Net: g.Net}
 
 	srcAS := packet.ASID(1)
 	st.Access = g.AccessRouter(0, "Ra", srcAS)
 	for i := 0; i < cfg.Senders; i++ {
-		h := g.Sender(0, fmt.Sprintf("s%d", i), srcAS)
-		g.Link(h, st.Access, cfg.EdgeBps, cfg.Delay)
-		st.Senders = append(st.Senders, h)
+		g.Link(g.Sender(0, fmt.Sprintf("s%d", i), srcAS), st.Access, cfg.EdgeBps, cfg.Delay)
 	}
 
 	victimAS := packet.ASID(2000)
 	st.VictimAccess = g.AccessRouter(0, "Rv", victimAS)
 	st.Bottleneck, _ = g.BottleneckLink(st.Access, st.VictimAccess, cfg.BottleneckBps, cfg.Delay)
-	st.Victim = g.Victim(0, "victim", victimAS)
-	g.Link(st.VictimAccess, st.Victim, cfg.EdgeBps, cfg.Delay)
+	g.Link(st.VictimAccess, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
 		g.Link(st.VictimAccess, rc, cfg.EdgeBps, cfg.Delay)
-		c := g.Colluder(0, fmt.Sprintf("c%d", i), as)
-		g.Link(rc, c, cfg.EdgeBps, cfg.Delay)
+		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
 		st.ColluderAccess = append(st.ColluderAccess, rc)
-		st.Colluders = append(st.Colluders, c)
 	}
 
+	grp := g.groups[0]
+	st.Senders, st.Victim, st.Colluders = grp.Senders, grp.Victim, grp.Colluders
 	g.Build()
 	return st
 }

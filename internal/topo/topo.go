@@ -34,6 +34,8 @@ type DumbbellConfig struct {
 	EdgeBps int64
 	// Delay is the per-link propagation delay (paper: 10 ms).
 	Delay sim.Time
+
+	ownership
 }
 
 // DefaultDumbbell mirrors the paper's setup at a configurable sender
@@ -59,7 +61,9 @@ type Dumbbell struct {
 	G   *Graph
 	Net *netsim.Network
 
-	// Senders lists every sender host, AS by AS.
+	// Senders lists every sender host, AS by AS. Like Victim and
+	// Colluders it is the Graph's role list: on a sparse graph the slot
+	// of a host another shard owns is nil.
 	Senders []*netsim.Node
 	// SrcAccess lists the source-AS access routers, parallel to AS order.
 	SrcAccess []*netsim.Node
@@ -81,7 +85,7 @@ type Dumbbell struct {
 
 // NewDumbbell builds the topology and computes routes.
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	g := NewGraph(eng)
+	g := newGraph(eng, cfg.ownership)
 	d := &Dumbbell{G: g, Net: g.Net}
 
 	transitAS := packet.ASID(1000)
@@ -97,26 +101,24 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 		for h := 0; h < cfg.HostsPerAS; h++ {
 			host := g.Sender(0, fmt.Sprintf("s%d.%d", i, h), as)
 			g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
-			d.Senders = append(d.Senders, host)
 		}
 	}
 
 	victimAS := packet.ASID(2000)
 	d.VictimAccess = g.AccessRouter(0, "Rv", victimAS)
 	g.Link(d.Rbr, d.VictimAccess, cfg.EdgeBps, cfg.Delay)
-	d.Victim = g.Victim(0, "victim", victimAS)
-	g.Link(d.VictimAccess, d.Victim, cfg.EdgeBps, cfg.Delay)
+	g.Link(d.VictimAccess, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
 		d.ColluderAccess = append(d.ColluderAccess, rc)
 		g.Link(d.Rbr, rc, cfg.EdgeBps, cfg.Delay)
-		c := g.Colluder(0, fmt.Sprintf("c%d", i), as)
-		g.Link(rc, c, cfg.EdgeBps, cfg.Delay)
-		d.Colluders = append(d.Colluders, c)
+		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
 	}
 
+	grp := g.groups[0]
+	d.Senders, d.Victim, d.Colluders = grp.Senders, grp.Victim, grp.Colluders
 	g.Build()
 	return d
 }
@@ -140,6 +142,8 @@ type ParkingLotConfig struct {
 	L1Bps, L2Bps int64
 	EdgeBps      int64
 	Delay        sim.Time
+
+	ownership
 }
 
 // DefaultParkingLot mirrors the paper's three-group setup at a
@@ -156,7 +160,9 @@ func DefaultParkingLot(sendersPerGroup int, l1, l2 int64) ParkingLotConfig {
 	}
 }
 
-// PLGroup holds one sender group and its destinations.
+// PLGroup holds one sender group and its destinations: the Graph's
+// role lists, where a sparse graph has nil for a host another shard
+// owns.
 type PLGroup struct {
 	Senders   []*netsim.Node
 	Access    []*netsim.Node
@@ -178,7 +184,7 @@ type ParkingLot struct {
 
 // NewParkingLot builds the topology and computes routes.
 func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
-	g := NewGraph(eng)
+	g := newGraph(eng, cfg.ownership)
 	pl := &ParkingLot{G: g, Net: g.Net}
 	transitAS := packet.ASID(1000)
 	pl.R0 = g.Router("R0", transitAS)
@@ -189,18 +195,15 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
 
 	asCounter := packet.ASID(1)
 	buildGroup := func(gi int, attach *netsim.Node, dstAttach *netsim.Node) {
-		grp := &pl.Groups[gi]
 		perAS := cfg.SendersPerGroup / cfg.ASesPerGroup
 		for i := 0; i < cfg.ASesPerGroup; i++ {
 			as := asCounter
 			asCounter++
 			ra := g.AccessRouter(gi, fmt.Sprintf("g%dRa%d", gi, i), as)
-			grp.Access = append(grp.Access, ra)
 			g.Link(ra, attach, cfg.EdgeBps, cfg.Delay)
 			for h := 0; h < perAS; h++ {
 				host := g.Sender(gi, fmt.Sprintf("g%ds%d.%d", gi, i, h), as)
 				g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
-				grp.Senders = append(grp.Senders, host)
 			}
 		}
 		// Victim AS. Its access router is deliberately a plain router —
@@ -209,18 +212,17 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
 		asCounter++
 		rv := g.Router(fmt.Sprintf("g%dRv", gi), vas)
 		g.Link(dstAttach, rv, cfg.EdgeBps, cfg.Delay)
-		grp.Victim = g.Victim(gi, fmt.Sprintf("g%dvictim", gi), vas)
-		g.Link(rv, grp.Victim, cfg.EdgeBps, cfg.Delay)
+		g.Link(rv, g.Victim(gi, fmt.Sprintf("g%dvictim", gi), vas), cfg.EdgeBps, cfg.Delay)
 		// Colluder ASes.
 		for i := 0; i < cfg.ColluderASesPerGroup; i++ {
 			cas := asCounter
 			asCounter++
 			rc := g.Router(fmt.Sprintf("g%dRc%d", gi, i), cas)
 			g.Link(dstAttach, rc, cfg.EdgeBps, cfg.Delay)
-			c := g.Colluder(gi, fmt.Sprintf("g%dc%d", gi, i), cas)
-			g.Link(rc, c, cfg.EdgeBps, cfg.Delay)
-			grp.Colluders = append(grp.Colluders, c)
+			g.Link(rc, g.Colluder(gi, fmt.Sprintf("g%dc%d", gi, i), cas), cfg.EdgeBps, cfg.Delay)
 		}
+		grp := g.groups[gi]
+		pl.Groups[gi] = PLGroup{Senders: grp.Senders, Access: grp.Access, Victim: grp.Victim, Colluders: grp.Colluders}
 	}
 	buildGroup(0, pl.R0, pl.R2) // A: enters at R0, exits at R2 (L1+L2)
 	buildGroup(1, pl.R1, pl.R2) // B: enters at R1, exits at R2 (L2)

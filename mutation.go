@@ -332,11 +332,11 @@ func (in *Instance) checkMutation(m Mutation) error {
 		if m.Link.Bottleneck >= len(env.bottlenecks) {
 			return fmt.Errorf("link mutation: Bottleneck index %d out of range (topology tags %d)", m.Link.Bottleneck, len(env.bottlenecks))
 		}
-		if sh := env.sh; sh != nil && m.Link.Delay > 0 && m.Link.Delay < sh.part.Lookahead {
+		if sh := env.sh; sh != nil && m.Link.Delay > 0 && m.Link.Delay < sh.lookahead {
 			l := env.bottlenecks[m.Link.Bottleneck]
 			if sh.shardOf(l.From.ID) != sh.shardOf(l.To.ID) {
 				return fmt.Errorf("link mutation: Delay %v below the partition lookahead %v on cut bottleneck %d breaks conservative synchronization",
-					m.Link.Delay, sh.part.Lookahead, m.Link.Bottleneck)
+					m.Link.Delay, sh.lookahead, m.Link.Bottleneck)
 			}
 		}
 	case m.Attack != nil:
@@ -368,10 +368,11 @@ func (in *Instance) applyNow(ms []Mutation) {
 	}
 }
 
-// applyLink changes the target bottleneck on every replica (replicas
-// must stay structurally identical; only the owner's copy carries
-// traffic, but a later repartition-free comparison depends on all of
-// them agreeing).
+// applyLink changes the target bottleneck on every replica: a
+// bottleneck joins routers, and routers and their links are the part of
+// the network every replica holds and must keep identical. Only the
+// owner's copy carries traffic, but a later repartition-free comparison
+// depends on all of them agreeing.
 func (in *Instance) applyLink(lm *LinkMutation) {
 	env := in.env
 	l0 := env.bottlenecks[lm.Bottleneck]
@@ -457,7 +458,10 @@ func (in *Instance) applyDeploy(dm *DeployMutation) {
 // (the same calls Graph.Deploy makes at build time); a re-join after a
 // disarm restores the saved ingress hooks and shims instead, so
 // long-lived per-router state (keyrings, rotation tickers) is not
-// duplicated.
+// duplicated. The access routers are armed on every replica; the hosts
+// only where they exist, on the replica owning the AS — a shim draws no
+// randomness, so the engines stay aligned (nil is a replica's role slot
+// for a host it does not hold).
 func (st *replicaDeploy) arm(g *Graph, sys defense.System, deny defense.Policy, as packet.ASID) {
 	fresh := !st.installed[as]
 	groups := g.Groups()
@@ -475,7 +479,7 @@ func (st *replicaDeploy) arm(g *Graph, sys defense.System, deny defense.Policy, 
 			}
 		}
 		for _, h := range grp.Senders {
-			if h.AS == as {
+			if h != nil && h.AS == as {
 				st.armHost(sys, h, defense.Policy{}, fresh)
 			}
 		}
@@ -483,7 +487,7 @@ func (st *replicaDeploy) arm(g *Graph, sys defense.System, deny defense.Policy, 
 			st.armHost(sys, grp.Victim, deny, fresh)
 		}
 		for _, c := range grp.Colluders {
-			if c.AS == as {
+			if c != nil && c.AS == as {
 				st.armHost(sys, c, defense.Policy{}, fresh)
 			}
 		}
@@ -535,7 +539,7 @@ func (st *replicaDeploy) disarm(g *Graph, as packet.ASID) {
 			r.Ingress = nil
 		}
 		for _, h := range grp.Senders {
-			if h.AS == as {
+			if h != nil && h.AS == as {
 				st.disarmHost(h)
 			}
 		}
@@ -543,7 +547,7 @@ func (st *replicaDeploy) disarm(g *Graph, as packet.ASID) {
 			st.disarmHost(grp.Victim)
 		}
 		for _, c := range grp.Colluders {
-			if c.AS == as {
+			if c != nil && c.AS == as {
 				st.disarmHost(c)
 			}
 		}

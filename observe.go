@@ -45,6 +45,9 @@ func (in *Instance) replicaNets() []*netsim.Network {
 func harvestGauges(net *netsim.Network) {
 	var hwm uint64
 	for _, l := range net.Links {
+		if l == nil {
+			continue // reserved: a remote host's link
+		}
 		if hw, ok := l.Q.(queue.HighWaterer); ok {
 			if v := uint64(hw.HighWater()); v > hwm {
 				hwm = v
@@ -65,6 +68,14 @@ func (in *Instance) mergedCells() obs.Cells {
 	cells := make([]obs.Cells, len(nets))
 	for i, n := range nets {
 		harvestGauges(n)
+		if len(nets) > 1 {
+			// Replica accounting is a sharded run's: the single engine
+			// holds the topology once by definition, and its snapshots —
+			// a serve-mode job keeps one — do not pay for the rows.
+			hosts, links := n.Materialised()
+			n.Cells.Set(obs.ReplicaHosts, uint64(hosts))
+			n.Cells.Set(obs.ReplicaLinks, uint64(links))
+		}
 		cells[i] = n.Cells
 	}
 	return obs.Merge(cells)
@@ -83,7 +94,8 @@ func (in *Instance) Counters() map[string]uint64 {
 // legitimately vary with the shard layout — events executed (total and
 // per shard), cut-link handoff batches and packet counts, mailbox
 // depth high-water marks, replicated keyring-rotation timers, packet-pool
-// allocation and idle counts. Surfaced
+// allocation and idle counts, hosts and links materialised over all
+// replicas of a sharded run. Surfaced
 // on /metrics, -metrics-out and bench rows; never part of Result.
 func (in *Instance) RuntimeCounters() map[string]uint64 {
 	m := obs.RuntimeMap(in.mergedCells())

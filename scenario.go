@@ -271,7 +271,7 @@ func (env *scenarioEnv) shardCount() int {
 	if env.sh == nil {
 		return 1
 	}
-	return env.sh.part.Shards
+	return len(env.sh.engines)
 }
 
 // fctFor returns the FCT aggregate results from node n's shard feed.
@@ -432,8 +432,10 @@ type Instance struct {
 	Engines []*Engine
 	Net     *Network
 	System  DefenseSystem
-	// Graph is the constructed role-tagged topology (replica 0's on a
-	// sharded run).
+	// Graph is the constructed role-tagged topology. On a sharded run
+	// Net, System, Graph and the two views below are shard 0's replica:
+	// every router and router link, but only the hosts of the ASes
+	// shard 0 owns — the role lists hold nil for the others.
 	Graph *Graph
 	// Dumbbell is the constructed topology for DumbbellSpec scenarios;
 	// ParkingLot for ParkingLotSpec scenarios. The other is nil.
@@ -498,7 +500,7 @@ func (s Scenario) Build() (*Instance, error) {
 // pre-sharding code path, which Shards <= 1 scenarios always take.
 func (s Scenario) buildSingle() (*Instance, error) {
 	eng := sim.New(s.Seed)
-	bt, err := s.Topology.buildTopo(eng)
+	bt, err := s.Topology.buildTopo(eng, nil)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

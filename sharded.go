@@ -105,24 +105,30 @@ func (sh *Sharding) Windows() uint64 { return sh.coord.Windows() }
 // moved into the drain phase.
 func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos() }
 
-// shardState is the executor state of one sharded scenario run: N full
-// replicas of the network (identical construction on every shard engine
-// keeps node and link IDs aligned, and replays every setup random draw
-// so cryptographic state agrees across shards), of which each shard
-// "owns" — attaches live traffic to — only its partition's nodes.
+// shardState is the executor state of one sharded scenario run: one
+// sparse replica of the network per shard. Every replica holds the same
+// routers, router links and control plane; a host, its stack, its two
+// links and its defense shim exist only on the replica of the shard
+// owning its AS — which attaches the live traffic — and are a reserved
+// node ID and pair of link indices everywhere else, so IDs, indices and
+// with them every scheduling origin agree across replicas.
 // Control-plane machinery (defense deployment, key-rotation timers,
 // detection tickers) is deliberately replicated everywhere: it is
-// per-AS-scale cheap, and replicated rotation keeps every engine's
+// per-AS-scale cheap, its setup draws are the only ones there are
+// (hosts draw none), and replicated rotation keeps every engine's
 // random stream position-aligned with the single-engine run, which is
 // what lets the bottleneck shard's RED draw the exact values the single
 // engine would have drawn.
 type shardState struct {
-	part     *topo.Partition
-	engines  []*sim.Engine
-	replicas []*builtTopo
-	systems  []defense.System
-	coord    *sim.Coordinator
-	inboxes  [][]*netsim.Mailbox
+	// shardOfNode maps node ID to owning shard; lookahead is the
+	// partition's synchronization window.
+	shardOfNode []int32
+	lookahead   Time
+	engines     []*sim.Engine
+	replicas    []*builtTopo
+	systems     []defense.System
+	coord       *sim.Coordinator
+	inboxes     [][]*netsim.Mailbox
 	// pipelines holds each shard's validation pipeline (nil slice when
 	// the run resolved to PipelineOff or no shard can use one).
 	pipelines []*core.Pipeline
@@ -150,17 +156,52 @@ func (st *shardState) stopPipelines() {
 
 // shardOf returns the shard owning a node.
 func (st *shardState) shardOf(id packet.NodeID) int {
-	return int(st.part.ShardOfNode[id])
+	return int(st.shardOfNode[id])
 }
 
-// node returns shard sh's replica of the node with the given ID.
-func (st *shardState) node(sh int, id packet.NodeID) *netsim.Node {
-	return st.replicas[sh].net.Nodes[id]
-}
-
-// owned returns the owning replica's copy of a replica-0 node.
-func (st *shardState) owned(n *netsim.Node) *netsim.Node {
-	return st.node(st.shardOf(n.ID), n.ID)
+// stitch returns the role view the workloads attach to: every host
+// slot filled with the owning replica's node, so a transport lands on
+// the right engine without the workload code knowing about shards. The
+// other replicas have nil there, or — built dense by a third-party
+// topology — a copy nothing is attached to.
+func (st *shardState) stitch() *builtTopo {
+	r0 := st.replicas[0]
+	view := &builtTopo{
+		name:       r0.name,
+		net:        r0.net,
+		graph:      r0.graph,
+		dumbbell:   r0.dumbbell,
+		parkingLot: r0.parkingLot,
+		groups:     make([]roleGroup, len(r0.groups)),
+	}
+	for _, l := range r0.bottlenecks {
+		owner := st.shardOf(l.From.ID)
+		view.bottlenecks = append(view.bottlenecks, st.replicas[owner].net.Links[l.Index])
+	}
+	for gi := range view.groups {
+		view.groups[gi].senders = make([]*netsim.Node, len(r0.groups[gi].senders))
+		view.groups[gi].colluders = make([]*netsim.Node, len(r0.groups[gi].colluders))
+	}
+	for r, bt := range st.replicas {
+		mine := func(n *netsim.Node) bool { return n != nil && st.shardOf(n.ID) == r }
+		for gi := range bt.groups {
+			grp, rg := &bt.groups[gi], &view.groups[gi]
+			for i, n := range grp.senders {
+				if mine(n) {
+					rg.senders[i] = n
+				}
+			}
+			if mine(grp.victim) {
+				rg.victim = grp.victim
+			}
+			for i, c := range grp.colluders {
+				if mine(c) {
+					rg.colluders[i] = c
+				}
+			}
+		}
+	}
+	return view
 }
 
 // resolveAutoShards clamps the AutoShards request to
@@ -178,11 +219,11 @@ func resolveAutoShards(g *Graph) int {
 	return n
 }
 
-// applyFleetWeights stamps aggregate-mode FleetSpec weights onto bt's
-// sender nodes. Only specs that will actually aggregate count: exact
-// fan-out (explicit or forced by deployment mutations) keeps weight 1.
-// Malformed specs are skipped here — attachment reports their errors
-// with full context.
+// applyFleetWeights tells bt's graph the aggregate-mode FleetSpec
+// weights of its senders, for the partition's load balance. Only specs
+// that will actually aggregate count: exact fan-out (explicit or forced
+// by deployment mutations) keeps weight 1. Malformed specs are skipped
+// here — attachment reports their errors with full context.
 func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 	fanout := false
 	for i := range s.Timeline {
@@ -203,66 +244,73 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 			continue
 		}
 		weight := fs.Count / len(fs.Senders)
-		grp := &bt.groups[fs.Group]
 		for _, idx := range fs.Senders {
-			if idx >= 0 && idx < len(grp.senders) {
-				grp.senders[idx].Weight = int32(weight)
+			if idx >= 0 && idx < len(bt.groups[fs.Group].senders) {
+				bt.graph.WeighSender(fs.Group, idx, int32(weight))
 			}
 		}
 	}
 }
 
 // buildSharded constructs the partitioned form of the scenario:
-// per-shard engines and network replicas, mailbox-wired cut links, a
-// coordinator, and a scenarioEnv whose role view hands every workload
-// the owning replica's nodes so transports land on the right engines.
-// The scenario s must already be validated and defaulted by Build.
+// per-shard engines and sparse network replicas, mailbox-wired cut
+// links, a coordinator, and a scenarioEnv whose role view hands every
+// workload the owning replica's nodes so transports land on the right
+// engines. The scenario s must already be validated and defaulted by
+// Build.
 func (s Scenario) buildSharded(shards int) (*Instance, error) {
-	mkReplica := func() (*sim.Engine, *builtTopo, error) {
+	build := func(owns func(packet.ASID) bool) (*sim.Engine, *builtTopo, error) {
 		eng := sim.New(s.Seed)
 		eng.EnableKeyStreams(s.Seed)
-		bt, err := s.Topology.buildTopo(eng)
+		bt, err := s.Topology.buildTopo(eng, owns)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		return eng, bt, nil
 	}
 
-	eng0, bt0, err := mkReplica()
+	// The skeleton holds no host at all: routers, their links, roles and
+	// every node's AS are what the partition reads. Nothing below keeps a
+	// pointer into it — cut links and bottlenecks are looked up in the
+	// replicas by index — so it is garbage once this function returns.
+	_, skel, err := build(func(packet.ASID) bool { return false })
 	if err != nil {
 		return nil, err
 	}
 	if shards == AutoShards {
-		shards = resolveAutoShards(bt0.graph)
+		shards = resolveAutoShards(skel.graph)
 		if shards <= 1 {
 			// A topology too small to split runs the exact single-engine
 			// path, untagged and unkeyed.
 			return s.buildSingle()
 		}
 	}
-	// Stamp aggregate-fleet weights before partitioning: the load
-	// balance must count a fleet attachment point as the modeled senders
-	// it stands for, not as one host. Workload attachment re-stamps the
-	// owning replica's copies later; this pass only informs the split.
-	s.applyFleetWeights(bt0)
-	part, err := bt0.graph.Partition(shards)
+	// Weigh aggregate fleets before partitioning: the load balance must
+	// count a fleet attachment point as the modeled senders it stands
+	// for, not as one host. Workload attachment stamps the owning
+	// replica's nodes later; this pass only informs the split.
+	s.applyFleetWeights(skel)
+	part, err := skel.graph.Partition(shards)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: Shards=%d: %w", s.Name, shards, err)
 	}
 
 	st := &shardState{
-		part:     part,
-		engines:  make([]*sim.Engine, shards),
-		replicas: make([]*builtTopo, shards),
-		systems:  make([]defense.System, shards),
-		inboxes:  make([][]*netsim.Mailbox, shards),
+		shardOfNode: part.ShardOfNode,
+		lookahead:   part.Lookahead,
+		engines:     make([]*sim.Engine, shards),
+		replicas:    make([]*builtTopo, shards),
+		systems:     make([]defense.System, shards),
+		inboxes:     make([][]*netsim.Mailbox, shards),
 	}
-	st.engines[0], st.replicas[0] = eng0, bt0
-	for i := 1; i < shards; i++ {
-		if st.engines[i], st.replicas[i], err = mkReplica(); err != nil {
+	shardOfAS := part.ShardOfAS // not part: a replica keeps its owns, and part points into the skeleton
+	for i := range st.replicas {
+		owns := func(as packet.ASID) bool { return shardOfAS[as] == i }
+		if st.engines[i], st.replicas[i], err = build(owns); err != nil {
 			return nil, err
 		}
 	}
+	eng0, bt0 := st.engines[0], st.replicas[0]
 
 	// Replicated control plane: the full defense deploys on every shard
 	// engine so keyrings, Passport keys, rotation timers and detection
@@ -302,33 +350,7 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	}
 	env.system = st.systems[0]
 
-	// Stitch the role view: every workload-visible node is the OWNING
-	// replica's copy, so attaching a transport lands it on the right
-	// engine without the workload code knowing about shards.
-	stitched := &builtTopo{
-		name:       bt0.name,
-		net:        bt0.net,
-		graph:      bt0.graph,
-		dumbbell:   bt0.dumbbell,
-		parkingLot: bt0.parkingLot,
-	}
-	for _, l := range bt0.bottlenecks {
-		owner := st.shardOf(l.From.ID)
-		stitched.bottlenecks = append(stitched.bottlenecks, st.replicas[owner].net.Links[l.Index])
-	}
-	for _, grp := range bt0.groups {
-		rg := roleGroup{}
-		for _, n := range grp.senders {
-			rg.senders = append(rg.senders, st.owned(n))
-		}
-		if grp.victim != nil {
-			rg.victim = st.owned(grp.victim)
-		}
-		for _, c := range grp.colluders {
-			rg.colluders = append(rg.colluders, st.owned(c))
-		}
-		stitched.groups = append(stitched.groups, rg)
-	}
+	stitched := st.stitch()
 	env.builtTopo = stitched
 
 	if len(stitched.bottlenecks) > 0 {

@@ -13,7 +13,9 @@ import (
 // DumbbellSpec, ParkingLotSpec, StarSpec and RandomASSpec; Topology
 // resolves any topology registered by name (see RegisterTopology).
 type TopologySpec interface {
-	buildTopo(eng *sim.Engine) (*builtTopo, error)
+	// buildTopo constructs the topology on eng, holding the hosts of the
+	// ASes owns accepts (nil: all of them; see topo.Sparse).
+	buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error)
 	// withPopulation returns a copy at a different sender population —
 	// the Sweep runner's population axis.
 	withPopulation(n int) TopologySpec
@@ -86,11 +88,11 @@ func (s RegisteredTopology) topoName() string { return topo.Canonical(s.Name) }
 
 func (s RegisteredTopology) groupSizes() []int { return nil }
 
-func (s RegisteredTopology) buildTopo(eng *sim.Engine) (*builtTopo, error) {
-	g, err := topo.Build(s.Name, eng, topo.BuildOptions{
+func (s RegisteredTopology) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
+	g, err := topo.Build(s.Name, eng, topo.Sparse(topo.BuildOptions{
 		Population: s.Population,
 		Config:     s.Config,
-	})
+	}, owns))
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +127,7 @@ func (s DumbbellSpec) topoName() string { return "dumbbell" }
 
 func (s DumbbellSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s DumbbellSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
 	if s.Senders <= 0 {
 		return nil, fmt.Errorf("DumbbellSpec: Senders must be positive")
 	}
@@ -152,7 +154,7 @@ func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	d := topo.NewDumbbell(eng, cfg)
+	d := topo.NewDumbbell(eng, topo.Sparse(cfg, owns))
 	bt := builtFromGraph("dumbbell", d.G)
 	bt.dumbbell = d
 	return bt, nil
@@ -199,7 +201,7 @@ func (s ParkingLotSpec) groupSizes() []int {
 	return []int{s.SendersPerGroup, s.SendersPerGroup, s.SendersPerGroup}
 }
 
-func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s ParkingLotSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
 	if s.declaredPopulation > 0 && s.declaredPopulation != 3*s.SendersPerGroup {
 		return nil, fmt.Errorf("ParkingLotSpec: population %d does not split into 3 equal groups", s.declaredPopulation)
 	}
@@ -226,7 +228,7 @@ func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	pl := topo.NewParkingLot(eng, cfg)
+	pl := topo.NewParkingLot(eng, topo.Sparse(cfg, owns))
 	bt := builtFromGraph("parkinglot", pl.G)
 	bt.parkingLot = pl
 	return bt, nil
@@ -261,7 +263,7 @@ func (s StarSpec) topoName() string { return "star" }
 
 func (s StarSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s StarSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s StarSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
 	if s.Senders <= 0 {
 		return nil, fmt.Errorf("StarSpec: Senders must be positive")
 	}
@@ -276,7 +278,7 @@ func (s StarSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	return builtFromGraph("star", topo.NewStar(eng, cfg).G), nil
+	return builtFromGraph("star", topo.NewStar(eng, topo.Sparse(cfg, owns)).G), nil
 }
 
 // RandomASSpec declares a seeded random AS-level graph: a random
@@ -317,7 +319,7 @@ func (s RandomASSpec) topoName() string { return "random-as" }
 
 func (s RandomASSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s RandomASSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s RandomASSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
 	if s.BottleneckBps <= 0 {
 		return nil, fmt.Errorf("RandomASSpec: BottleneckBps must be positive")
 	}
@@ -335,7 +337,7 @@ func (s RandomASSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	r, err := topo.NewRandomAS(eng, cfg)
+	r, err := topo.NewRandomAS(eng, topo.Sparse(cfg, owns))
 	if err != nil {
 		return nil, fmt.Errorf("RandomASSpec: %w", err)
 	}

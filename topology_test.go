@@ -225,13 +225,14 @@ func TestCustomTopologyRegistration(t *testing.T) {
 	tinyLineOnce.Do(func() {
 		registerTinyLine()
 	})
-	res, err := netfence.Scenario{
+	sc := netfence.Scenario{
 		Seed:      9,
 		Topology:  netfence.Topology("tiny-line"),
 		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0, 1}}},
 		Duration:  30 * netfence.Second,
 		Warmup:    10 * netfence.Second,
-	}.Run()
+	}
+	res, err := sc.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +241,19 @@ func TestCustomTopologyRegistration(t *testing.T) {
 	}
 	if res.UserBps <= 0 {
 		t.Fatal("no goodput across custom topology")
+	}
+
+	// A third-party builder is never asked for a sparse replica: it
+	// builds every host on every shard's, and the sharded run is still
+	// the single engine's, byte for byte.
+	sc.Shards = 2
+	sharded, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(res)
+	if got, _ := json.Marshal(sharded); string(got) != string(want) {
+		t.Fatalf("custom topology at 2 shards diverged from the single engine:\nsingle:  %s\nsharded: %s", want, got)
 	}
 }
 
