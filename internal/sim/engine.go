@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 )
 
@@ -24,9 +27,9 @@ func (f Func) OnEvent(Time, any) { f() }
 // Event locations while queued.
 const (
 	locNone int32 = -1 // not queued
-	locHeap int32 = -2 // in the far-future overflow heap
+	locHeap int32 = -2 // in the heap
 	locDue  int32 = -3 // extracted into the engine's due batch
-	// loc >= 0 encodes a wheel position as level<<8 | slot.
+	// loc >= 0 is the event's slot in the wheel.
 )
 
 // Event is a scheduled callback. Events come in three flavors:
@@ -46,13 +49,13 @@ const (
 // smallest key (at, origin, seq) — the instant, the ID of the Origin
 // that scheduled it, and that origin's own scheduling count. The key is
 // a pure function of the model: it does not depend on what else was
-// scheduled, by whom, or on which engine. An event scheduled for the
-// current instant while that instant's batch is executing is inserted by
-// key into what remains of the batch: it runs next if its key is below
-// everything still pending, and never before something that already ran.
-// Every shard of a partitioned run applies the same rule to the same
-// keys, so a shard's execution order is the single engine's order
-// restricted to that shard, by construction.
+// scheduled, by whom, or on which engine. The rule has no special cases:
+// an event scheduled with zero delay, or into the stretch of time whose
+// events are already extracted, runs next if its key is below everything
+// still pending, and never before something that already ran. Every shard
+// of a partitioned run applies the same rule to the same keys, so a
+// shard's execution order is the single engine's order restricted to
+// that shard, by construction.
 type Event struct {
 	at     Time
 	origin uint64
@@ -61,12 +64,12 @@ type Event struct {
 	arg    any
 	eng    *Engine
 
-	// next/prev link the event into a timer-wheel slot (doubly linked so
-	// Cancel detaches in O(1)); next doubles as the free-list link while
-	// a pooled event is idle.
+	// next/prev link the event into a wheel slot (doubly linked so Cancel
+	// detaches in O(1)); next doubles as the free-list link while a
+	// pooled event is idle.
 	next, prev *Event
 	loc        int32
-	index      int32 // position in the overflow heap or the due batch
+	index      int32 // position in the heap or the due batch
 
 	queued    bool
 	cancelled bool
@@ -204,11 +207,18 @@ func (m *Meter) Total() uint64 { return m.n.Load() }
 // Engine is a discrete-event scheduler. It is not safe for concurrent use:
 // simulations are single-threaded and deterministic by design.
 //
-// Near-future events live in a hierarchical timer wheel (O(1) schedule and
-// cancel, no allocation); events beyond the wheel horizon overflow into a
-// binary heap and migrate inward as the clock advances. Execution order is
+// Events up to 4.29 s ahead live in a calendar (see wheel): O(1) schedule
+// and cancel, no allocation, and an event is linked once, into the 4 µs
+// bucket it will be extracted from. Extraction drains the earliest bucket
+// into the due batch, sorts it by key, and always runs the smaller of the
+// batch's head and the top of a binary heap. The heap holds what the
+// calendar cannot, and keeps it — nothing migrates from heap to wheel:
+// events beyond the calendar's horizon; events for time already
+// extracted (into the executing bucket but deep in its batch, or behind
+// a cursor that a RunUntil peeked ahead with); and, in the reference
+// engine the tests compare against, everything. Execution order is
 // strictly ascending (time, origin, seq) — see Event — bit-for-bit
-// identical to a pure heap scheduler.
+// identical to that reference.
 //
 // The engine embeds an Origin of its own, the control point: eng.At,
 // After, Schedule, ScheduleEvent, Tick and HandoffKey schedule from it.
@@ -230,20 +240,20 @@ type Engine struct {
 	wheel wheel
 	heap  eventHeap
 
-	// due is the current batch of events sharing the earliest pending
-	// timestamp, sorted by key; Cancel punches nil holes into it.
-	// dueAt is that shared timestamp — valid while the batch is
-	// non-empty, and authoritative even when the head entry is a hole.
+	// due is the bucket under execution, sorted by key, due[duePos:] yet
+	// to run; Cancel punches nil holes into it. dueEnd is the instant the
+	// bucket ends at: an event before it never enters the wheel.
 	due    []*Event
 	duePos int
-	dueAt  Time
+	dueEnd Time
+
+	heapPushed, dueInserted uint64 // see SchedStats
 
 	// free is the pooled-event free list, linked through Event.next.
 	free *Event
 
-	// forceHeap routes every event through the overflow heap, bypassing
-	// the wheel: the reference configuration equivalence tests compare
-	// against.
+	// forceHeap routes every event through the heap, bypassing the wheel:
+	// the reference configuration equivalence tests compare against.
 	forceHeap bool
 
 	// Rand is the simulation-wide random source, seeded at construction so
@@ -264,13 +274,12 @@ func New(seed uint64) *Engine {
 		Rand: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 	}
 	e.Origin.eng = e
-	e.wheel.init()
 	return e
 }
 
 // NewHeapReference returns an engine that schedules exclusively through
 // the binary heap — the straightforward reference implementation the
-// timer wheel must match event for event. Tests use it to pin the wheel's
+// calendar must match event for event. Tests use it to pin the wheel's
 // ordering; simulations should use New.
 func NewHeapReference(seed uint64) *Engine {
 	e := New(seed)
@@ -288,6 +297,24 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // events are detached immediately and never counted, so drain loops and
 // diagnostics can trust the value.
 func (e *Engine) Pending() int { return e.live }
+
+// SchedStats counts what the scheduler did with the events it was given:
+// (Placed + HeapPushed + DueInserted) / Executed is how many times an
+// event is linked before it fires.
+type SchedStats struct {
+	Placed      uint64 // links into a wheel slot, Cascaded included
+	Cascaded    uint64 // moves from the upper ring into the bucket ring
+	HeapPushed  uint64 // events given to the heap
+	DueInserted uint64 // events inserted into the bucket under execution
+	Drains      uint64 // buckets extracted
+}
+
+// SchedStats returns the engine's scheduler counts so far.
+func (e *Engine) SchedStats() SchedStats {
+	w := &e.wheel
+	return SchedStats{Placed: w.placed, Cascaded: w.cascaded, HeapPushed: e.heapPushed,
+		DueInserted: e.dueInserted, Drains: w.drains}
+}
 
 // eventSlabSize is how many pooled Event slots one free-list refill
 // allocates at once. Slab refills amortize the allocator over bursts
@@ -325,42 +352,59 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = ev
 }
 
+// dueShiftMax bounds how many due entries one insertion may move. It
+// covers the transmit-complete a few hundred ns ahead, which belongs at
+// the batch's tail; anything deeper costs O(log n) on the heap instead.
+const dueShiftMax = 8
+
 // enqueue queues an event whose key is already stamped.
 func (e *Engine) enqueue(ev *Event) {
 	ev.eng = e
 	ev.queued = true
 	ev.cancelled = false
+	if e.live == len(e.heap) && !e.forceHeap {
+		// Nothing is pending outside the heap, so the cursor carries no
+		// information: pin it to the clock.
+		e.wheel.cur = tickOf(e.now)
+		e.dueEnd = Time(e.wheel.cur) << bucketShift
+	}
 	e.live++
-	// An event at or before the instant of the already-extracted due
-	// batch may sort ahead of what remains of it: spill the batch back
-	// into the scheduler, and the next extraction re-merges by key.
-	// Compare against the batch timestamp, not the head entry — the head
-	// may be a cancellation hole.
-	if e.duePos < len(e.due) && ev.at <= e.dueAt {
-		e.spillDue()
+	switch {
+	case e.forceHeap: // the reference engine: everything to the heap
+	case ev.at >= e.dueEnd:
+		if e.wheel.place(ev) {
+			return
+		}
+	case tickOf(ev.at) == e.wheel.cur && e.insertDue(ev):
+		return
 	}
-	e.insert(ev)
+	ev.loc = locHeap
+	e.heap.push(ev)
+	e.heapPushed++
 }
 
-// insert places a scheduled event into the wheel, or the overflow heap
-// when it lies behind the wheel cursor or beyond its horizon.
-func (e *Engine) insert(ev *Event) {
-	if e.forceHeap || !e.wheel.insert(ev, e.now) {
-		ev.loc = locHeap
-		e.heap.push(ev)
-	}
-}
-
-// spillDue returns unexecuted due-batch events to the scheduler, keeping
-// their keys.
-func (e *Engine) spillDue() {
-	for i := e.duePos; i < len(e.due); i++ {
-		if ev := e.due[i]; ev != nil {
-			e.insert(ev)
+// insertDue inserts an event for the bucket under execution by key into
+// what remains of the due batch, unless it belongs more than dueShiftMax
+// entries from the tail.
+func (e *Engine) insertDue(ev *Event) bool {
+	n := len(e.due)
+	i := n
+	for i > e.duePos && (e.due[i-1] == nil || keyLess(ev, e.due[i-1])) {
+		if i--; n-i > dueShiftMax {
+			return false
 		}
 	}
-	e.due = e.due[:0]
-	e.duePos = 0
+	e.due = append(e.due, nil)
+	copy(e.due[i+1:], e.due[i:n])
+	for j := i + 1; j <= n; j++ {
+		if e.due[j] != nil {
+			e.due[j].index = int32(j)
+		}
+	}
+	e.due[i] = ev
+	ev.loc, ev.index = locDue, int32(i)
+	e.dueInserted++
+	return true
 }
 
 // remove detaches a queued event (Cancel's backend).
@@ -381,84 +425,40 @@ func (e *Engine) remove(ev *Event) {
 	}
 }
 
-// ensureDue guarantees the due batch holds the next event to execute,
-// pulling the earliest-timestamp batch from the wheel and/or the overflow
-// heap. It returns false when nothing is pending.
-func (e *Engine) ensureDue() bool {
-	// Drain the current batch first, skipping cancellation holes.
-	for e.duePos < len(e.due) {
-		if e.due[e.duePos] != nil {
-			return true
-		}
-		e.duePos++
-	}
-	e.due = e.due[:0]
-	e.duePos = 0
-
-	if e.forceHeap {
-		if len(e.heap) == 0 {
-			return false
-		}
-		e.batchFromHeap()
-		return true
-	}
-
-	// Heap events behind the wheel cursor (scheduled after a speculative
-	// cursor advance) are globally earliest: the wheel holds nothing
-	// before its own cursor. Checking before peek avoids needless
-	// cascades.
-	if len(e.heap) > 0 && e.heap[0].at < e.wheel.time {
-		e.batchFromHeap()
-		return true
-	}
-
-	wt, wok := e.wheel.peek()
-	if !wok {
-		// Empty wheel: the heap alone orders everything, including
-		// events beyond the wheel horizon that could never migrate in.
-		if len(e.heap) == 0 {
-			return false
-		}
-		e.batchFromHeap()
-		return true
-	}
-	// peek advanced the cursor to wt, so heap events below wt (there are
-	// no wheel events below wt) are globally earliest.
-	if len(e.heap) > 0 && e.heap[0].at < wt {
-		e.batchFromHeap()
-		return true
-	}
-	// Heap events at exactly wt merge into the wheel's slot so the key
-	// sort below interleaves the batch correctly. at == wt == wheel.time
-	// is always within the horizon, so insertion cannot fail.
-	for len(e.heap) > 0 && e.heap[0].at == wt {
-		ev := e.heap.pop()
-		if !e.wheel.insert(ev, e.now) {
-			panic("sim: wheel rejected an in-horizon migration")
+// next extracts the pending event with the smallest key, or returns nil
+// when nothing is pending at or before limit.
+func (e *Engine) next(limit Time) *Event {
+	var ev *Event
+	for {
+		if e.duePos < len(e.due) {
+			if ev = e.due[e.duePos]; ev != nil {
+				break
+			}
+			e.duePos++ // a cancellation hole
+		} else if e.wheel.count > 0 {
+			e.due, e.dueEnd = e.wheel.drain(e.due[:0])
+			e.duePos = 0
+			sortByKey(e.due)
+			for i, d := range e.due {
+				d.next, d.prev = nil, nil
+				d.loc, d.index = locDue, int32(i)
+			}
+		} else {
+			break
 		}
 	}
-
-	e.wheel.drainSlot(wt, &e.due)
-	sortByKey(e.due)
-	for i, ev := range e.due {
-		ev.loc = locDue
-		ev.index = int32(i)
+	if len(e.heap) > 0 && (ev == nil || keyLess(e.heap[0], ev)) {
+		if ev = e.heap[0]; ev.at <= limit {
+			e.heap.pop()
+			return ev
+		}
+		return nil
 	}
-	e.dueAt = wt
-	return true
-}
-
-// batchFromHeap pops every heap event sharing the minimum timestamp into
-// the due batch (heap pops already come out in key order).
-func (e *Engine) batchFromHeap() {
-	at := e.heap[0].at
-	for len(e.heap) > 0 && e.heap[0].at == at {
-		ev := e.heap.pop()
-		ev.loc = locDue
-		ev.index = int32(len(e.due))
-		e.due = append(e.due, ev)
+	if ev == nil || ev.at > limit {
+		return nil
 	}
-	e.dueAt = at
+	e.duePos++
+	return ev
 }
 
 // keyLess orders two events, whichever engine keyed them, by
@@ -473,19 +473,31 @@ func keyLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// sortByKey orders a same-timestamp batch by key. Insertion sort: batches
-// are small and usually already sorted (a phase-locked population fires
-// in key order and therefore re-arms, appending to its next slot, in key
-// order).
+// sortShiftBudget is how many entries per event sortByKey's insertion
+// sort may move before it gives up: enough to finish any bucket of up to
+// 24 events, however ordered.
+const sortShiftBudget = 12
+
+// sortByKey orders a drained bucket, which arrives in placement order, by
+// key. Insertion sort while that is cheap: a bucket is usually short or
+// nearly sorted (a phase-locked population fires in key order and
+// therefore re-arms in key order). A large bucket in no particular order
+// exhausts the budget and goes to slices.SortFunc.
 func sortByKey(evs []*Event) {
+	budget := sortShiftBudget * len(evs)
 	for i := 1; i < len(evs); i++ {
 		ev := evs[i]
-		j := i - 1
-		for j >= 0 && keyLess(ev, evs[j]) {
-			evs[j+1] = evs[j]
-			j--
+		j := i
+		for ; j > 0 && keyLess(ev, evs[j-1]); j-- {
+			evs[j] = evs[j-1]
 		}
-		evs[j+1] = ev
+		evs[j] = ev
+		if budget -= i - j; budget < 0 {
+			slices.SortFunc(evs, func(a, b *Event) int {
+				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.origin, b.origin), cmp.Compare(a.seq, b.seq))
+			})
+			return
+		}
 	}
 }
 
@@ -512,11 +524,10 @@ func (e *Engine) fire(ev *Event) {
 // Step executes the next pending event. It returns false when nothing is
 // scheduled.
 func (e *Engine) Step() bool {
-	if !e.ensureDue() {
+	ev := e.next(math.MaxInt64)
+	if ev == nil {
 		return false
 	}
-	ev := e.due[e.duePos]
-	e.duePos++
 	e.fire(ev)
 	return true
 }
@@ -531,12 +542,7 @@ func (e *Engine) Run() {
 // RunUntil executes all events scheduled at or before t, then advances the
 // clock to exactly t. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for e.ensureDue() {
-		ev := e.due[e.duePos]
-		if ev.at > t {
-			break
-		}
-		e.duePos++
+	for ev := e.next(t); ev != nil; ev = e.next(t) {
 		e.fire(ev)
 	}
 	if e.now < t {
@@ -551,18 +557,8 @@ func (e *Engine) RunUntil(t Time) {
 // cross-shard arrival landing exactly at a window boundary must be able
 // to preempt them).
 func (e *Engine) RunBefore(t Time) {
-	for e.ensureDue() {
-		ev := e.due[e.duePos]
-		if ev.at >= t {
-			break
-		}
-		e.duePos++
-		e.fire(ev)
-	}
-	if e.now < t {
-		e.now = t
-	}
-	e.flushExecuted()
+	e.RunUntil(t - 1)
+	e.now = max(e.now, t)
 }
 
 // Inject schedules h.OnEvent(now, arg) under an explicit key minted by

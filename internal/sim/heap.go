@@ -1,10 +1,10 @@
 package sim
 
-// eventHeap is a binary min-heap ordered by event key. It serves
-// as the timer wheel's far-future overflow level (and as the whole
-// scheduler in the heap-reference engine). A hand-rolled heap avoids the
-// interface indirection of container/heap, and the tracked indices give
-// O(log n) removal when a queued event is cancelled.
+// eventHeap is a binary min-heap ordered by event key. It holds what the
+// calendar cannot (see Engine), and is the whole scheduler in the
+// heap-reference engine. A hand-rolled heap avoids the interface
+// indirection of container/heap, and the tracked indices give O(log n)
+// removal when a queued event is cancelled.
 type eventHeap []*Event
 
 func (h eventHeap) less(i, j int) bool {

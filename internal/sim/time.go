@@ -1,12 +1,12 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine keeps a virtual clock with nanosecond resolution and a
-// hierarchical timer wheel of scheduled events (with a binary heap as the
-// far-future overflow level). Events execute in ascending (time, origin,
-// seq) order — the instant, the model entity that scheduled the event,
-// and that entity's own scheduling count; bit-for-bit the ordering of a
-// pure heap over that key — which makes every run reproducible for a
-// fixed seed and identical however the model is split across engines.
+// calendar of scheduled events (with a binary heap for what the calendar
+// cannot hold). Events execute in ascending (time, origin, seq) order —
+// the instant, the model entity that scheduled the event, and that
+// entity's own scheduling count; bit-for-bit the ordering of a pure heap
+// over that key — which makes every run reproducible for a fixed seed
+// and identical however the model is split across engines.
 // Hot paths schedule through typed Handler callbacks on reusable or
 // pooled Event slots, so steady-state scheduling allocates nothing.
 package sim

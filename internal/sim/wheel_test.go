@@ -63,13 +63,13 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 			case 0:
 				d = 0 // same-instant follow-up
 			case 1, 2, 3:
-				d = Time(rng.Int64N(int64(Microsecond))) // same wheel window
+				d = Time(rng.Int64N(int64(Microsecond))) // the same bucket
 			case 4, 5, 6:
-				d = Time(rng.Int64N(int64(Millisecond))) // cross-level
+				d = Time(rng.Int64N(int64(Millisecond))) // within a rotation
 			case 7, 8:
-				d = Time(rng.Int64N(int64(Minute))) // deep levels
+				d = Time(rng.Int64N(int64(Minute))) // the upper ring and, past 4.29 s, the heap
 			default:
-				d = Time(rng.Int64N(4 * int64(Hour))) // far future / overflow
+				d = Time(rng.Int64N(4 * int64(Hour))) // far future: the heap
 			}
 			cancel := -1
 			if rng.IntN(4) == 0 {
@@ -231,8 +231,9 @@ type handlerFunc func(now Time, arg any)
 func (f handlerFunc) OnEvent(now Time, arg any) { f(now, arg) }
 
 // TestBeyondHorizonEvent pins the far-future path: an event beyond the
-// wheel's 2^48 ns horizon stays in the overflow heap and still executes
-// (an earlier version hard-hung trying to migrate it into the wheel).
+// wheel's horizon (2^32 ns; 2^48 ns when this was written) stays in the
+// heap and still executes (an earlier version hard-hung trying to
+// migrate it into the wheel).
 func TestBeyondHorizonEvent(t *testing.T) {
 	e := New(1)
 	var fired []Time
@@ -253,9 +254,10 @@ func TestBeyondHorizonEvent(t *testing.T) {
 	}
 }
 
-// TestPreemptionPastCancelledDueHead pins the spill path: cancelling the
-// head of an extracted due batch must not let a newly scheduled earlier
-// event run after the batch (which would also march the clock backwards).
+// TestPreemptionPastCancelledDueHead pins preemption past a hole:
+// cancelling the head of an extracted due batch must not let a newly
+// scheduled earlier event run after the batch (which would also march
+// the clock backwards).
 func TestPreemptionPastCancelledDueHead(t *testing.T) {
 	for _, mk := range []func() *Engine{func() *Engine { return New(1) }, func() *Engine { return NewHeapReference(1) }} {
 		e := mk()
