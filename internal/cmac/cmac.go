@@ -12,6 +12,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/subtle"
+	"encoding/binary"
 )
 
 // BlockSize is the AES block size in bytes.
@@ -33,8 +34,8 @@ type Key = [16]byte
 type CMAC struct {
 	block  cipher.Block
 	k1, k2 [BlockSize]byte
-	// x, y are Sum's CBC chaining state and XOR scratch. Struct-resident
-	// so Sum performs zero heap allocations per call.
+	// y, x are the cipher's input and output blocks. Struct-resident so
+	// Sum performs zero heap allocations per call.
 	x, y [BlockSize]byte
 }
 
@@ -69,36 +70,37 @@ func shiftLeft(dst, src *[BlockSize]byte) {
 	}
 }
 
-// Sum computes the 16-byte AES-CMAC tag of msg.
+// Sum computes the 16-byte AES-CMAC tag of msg. The CBC chain is carried
+// in two 64-bit words: XOR is byte-wise, so any fixed byte order gives
+// RFC 4493's output, and little-endian loads are plain moves on the
+// machines this runs on.
 func (c *CMAC) Sum(msg []byte) [BlockSize]byte {
-	c.x = [BlockSize]byte{}
-	n := len(msg)
+	var x0, x1 uint64
 	// Process all complete blocks except the last.
-	for n > BlockSize {
-		for i := 0; i < BlockSize; i++ {
-			c.y[i] = c.x[i] ^ msg[i]
-		}
-		c.block.Encrypt(c.x[:], c.y[:])
+	for len(msg) > BlockSize {
+		x0, x1 = c.encrypt(x0^binary.LittleEndian.Uint64(msg), x1^binary.LittleEndian.Uint64(msg[8:]))
 		msg = msg[BlockSize:]
-		n -= BlockSize
 	}
-	var last [BlockSize]byte
-	if n == BlockSize {
-		for i := 0; i < BlockSize; i++ {
-			last[i] = msg[i] ^ c.k1[i]
-		}
-	} else {
-		copy(last[:], msg)
-		last[n] = 0x80
-		for i := 0; i < BlockSize; i++ {
-			last[i] ^= c.k2[i]
-		}
+	sub := &c.k1
+	if len(msg) < BlockSize {
+		// Incomplete last block: pad with 10* and switch to K2.
+		c.y = [BlockSize]byte{}
+		c.y[copy(c.y[:], msg)] = 0x80
+		msg, sub = c.y[:], &c.k2
 	}
-	for i := 0; i < BlockSize; i++ {
-		c.y[i] = c.x[i] ^ last[i]
-	}
-	c.block.Encrypt(c.x[:], c.y[:])
+	x0 ^= binary.LittleEndian.Uint64(msg) ^ binary.LittleEndian.Uint64(sub[:])
+	x1 ^= binary.LittleEndian.Uint64(msg[8:]) ^ binary.LittleEndian.Uint64(sub[8:])
+	c.encrypt(x0, x1)
 	return c.x
+}
+
+// encrypt runs one AES pass over the block held in (y0, y1), leaving the
+// ciphertext in c.x and returning it as words.
+func (c *CMAC) encrypt(y0, y1 uint64) (x0, x1 uint64) {
+	binary.LittleEndian.PutUint64(c.y[:], y0)
+	binary.LittleEndian.PutUint64(c.y[8:], y1)
+	c.block.Encrypt(c.x[:], c.y[:])
+	return binary.LittleEndian.Uint64(c.x[:]), binary.LittleEndian.Uint64(c.x[8:])
 }
 
 // Sum32 computes the CMAC tag truncated to its first 4 bytes, the width of

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 
 	"netfence/internal/cmac"
@@ -8,6 +9,7 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/packet"
+	"netfence/internal/passport"
 	"netfence/internal/ratelimit"
 	"netfence/internal/sim"
 )
@@ -23,12 +25,20 @@ type AccessRouter struct {
 	node *netsim.Node
 	ring *feedback.KeyRing
 
-	reqLims map[packet.NodeID]*ratelimit.RequestLimiter
+	// slots is the per-sender state (see senderSlot), a slab of chunks
+	// that fill up and never move: the first has room for every attached
+	// host. A slot's index is chunk<<slotBits | offset, plus one; an
+	// attached host carries its own on its Node, and slotOf finds the
+	// slot of any other source address a packet may claim.
+	slots   [][]senderSlot
+	slotOf  map[packet.NodeID]int32
 	regLims map[regKey]*regLimiter
 
-	// pathASCache memoizes the AS-level path per destination for
-	// Passport stamping.
-	pathASCache map[packet.NodeID][]packet.ASID
+	// paths holds the AS-level path and the pair keys along it per
+	// destination, for Passport stamping; hopSets holds each distinct
+	// path once, for the destinations behind it to share.
+	paths   map[packet.NodeID]*asPath
+	hopSets [][]passport.Hop
 
 	// destLinks is the Appendix B.2 inference cache: bottleneck links
 	// observed on the path toward each destination.
@@ -42,6 +52,93 @@ type AccessRouter struct {
 	Demoted                   uint64
 	LimiterDrops, LimiterPass uint64
 	QuotaDrops                uint64
+	stats                     AccessStats
+}
+
+// AccessStats counts what the per-sender fast path saved and what it
+// still pays; it is read by tests, never by the model.
+type AccessStats struct {
+	// MemoHits and MemoMisses count token lookups (token_nop, token_Lup,
+	// presented-feedback verdict): a hit is a compare, a miss computes
+	// the MACs and refills the memo.
+	MemoHits, MemoMisses uint64
+	// Hashed counts Go map accesses made while policing: slot lookups by
+	// source address, limiter, path and pair-key lookups (the Appendix B
+	// variants' walks over a packet's other limiters are not counted).
+	Hashed uint64
+}
+
+// Stats returns the router's fast-path counters.
+func (ar *AccessRouter) Stats() AccessStats { return ar.stats }
+
+// A slab chunk holds at most 1<<slotBits slots; slotChunkMin is what the
+// slab grows by once source addresses outnumber attached hosts.
+const (
+	slotBits     = 8
+	slotChunkMin = 8
+)
+
+// senderSlot is everything the access router keeps per sender (§4.2,
+// §5.1: one request limiter per sender, one rate limiter per sender and
+// bottleneck), by value in the router's slab, plus the sender's last
+// limiter, last Passport path and last tokens, so that a packet like its
+// predecessor costs compares instead of hashes and AES passes.
+//
+// Why memoising tokens is sound: by Eq. (1)-(3) a token is a function of
+// (key, src, dst, ts, link, action[, token_nop]) and nothing else, with
+// ts in whole seconds — the property that lets a receiver return one as
+// a capability for w seconds. The slot fixes src; every other input, and
+// the key's identity as the ring's rotation count, is compared on each
+// use, so a hit returns exactly what feedback.StampNop, StampIncr or
+// Validate would compute. The freshness window |now - ts| <= w depends
+// on the clock, is not part of any memo, and is evaluated per packet
+// before the verdict memo is consulted. Negative verdicts are kept too:
+// a replayed forgery costs a compare.
+//
+// Why only here: the access router is where the paper already keeps
+// per-sender state. A bottleneck router and a transit AS keep at most
+// per-AS state — the paper's scalability claim — so StampDecr and
+// Passport verification remain per-packet computations.
+type senderSlot struct {
+	req  ratelimit.RequestLimiter
+	lim  *regLimiter // last limiter used, nil once it expires
+	path *asPath     // last Passport path used
+	src  packet.NodeID
+
+	// The memos below hold tokens for packets to dst under the ring's
+	// key number epoch (its rotation count); a packet to another
+	// destination, or a rotation, empties them.
+	epoch uint32
+	dst   packet.NodeID
+	// Tokens last stamped, at second stTS: token_nop, and token_Lup for
+	// upLink when the stamp was L-up feedback.
+	stTS   uint32
+	nopMAC [4]byte
+	upLink packet.LinkID
+	upMAC  [4]byte
+	// Verdict on the feedback last presented: every field Validate
+	// reads, and what it returned.
+	fvTS      uint32
+	fvLink    packet.LinkID
+	fvMAC     [4]byte
+	fvMode    packet.FBMode
+	fvAction  packet.FBAction
+	fvVerdict feedback.Verdict
+	have      uint8 // haveReq | haveNop | haveUp | haveFV
+}
+
+const (
+	haveReq = 1 << iota // req is initialised (at the first request)
+	haveNop
+	haveUp
+	haveFV
+)
+
+// asPath is the AS-level path from this router to one destination with
+// the key this AS shares with each AS on it.
+type asPath struct {
+	dst  packet.NodeID
+	hops []passport.Hop
 }
 
 type regKey struct {
@@ -53,8 +150,10 @@ type regKey struct {
 // state (Figure 17), including the starred flags of the Appendix B.2
 // inference variant.
 type regLimiter struct {
-	ar  *AccessRouter
-	key regKey
+	ar   *AccessRouter
+	slot *senderSlot // the sender's slot; slot.src is the limiter's sender
+	// kai is the key shared with the AS owning link (nil if unknown).
+	kai *cmac.CMAC
 	// org keys the limiter's timers: the control-interval ticker and the
 	// leaky queue's departures.
 	org sim.Origin
@@ -64,25 +163,30 @@ type regLimiter struct {
 	pol  ratelimit.Policer
 	aimd ratelimit.AIMD
 
-	ts       uint32 // control interval start, whole seconds
-	hasIncr  bool
-	lastDecr sim.Time
-	created  sim.Time
-	ticker   *sim.Ticker
+	link packet.LinkID
+	ts   uint32 // control interval start, whole seconds
 
+	hasIncr bool
 	// Appendix B.2 state.
 	hasIncrStar  bool
 	isActive     bool
 	isActiveStar bool
+	// lastAdjustMD: the last adjustment was a multiplicative decrease
+	// (congestion-quota state, below).
+	lastAdjustMD bool
+
+	// lastDecr is when L-down feedback was last presented, or when the
+	// limiter was created if none has been.
+	lastDecr sim.Time
+	ticker   *sim.Ticker
 
 	// Congestion-quota state (§7): bytes forwarded during intervals that
 	// followed a multiplicative decrease count against the quota.
 	// quotaBytes is the per-limiter allowance — Cfg.CongestionQuotaBytes
 	// scaled by the sender's fleet weight at creation.
-	lastAdjustMD bool
-	quotaBytes   int64
-	quotaUsed    int64
-	quotaStart   sim.Time
+	quotaBytes int64
+	quotaUsed  int64
+	quotaStart sim.Time
 }
 
 // senderWeight returns how many modeled senders stand behind src — the
@@ -97,14 +201,14 @@ func (ar *AccessRouter) senderWeight(src packet.NodeID) int64 {
 // packets that arrive from r's directly attached hosts.
 func (s *System) ProtectAccess(r *netsim.Node) {
 	ar := &AccessRouter{
-		sys:         s,
-		node:        r,
-		ring:        feedback.NewKeyRing(r.Network().Eng.Rand),
-		reqLims:     make(map[packet.NodeID]*ratelimit.RequestLimiter),
-		regLims:     make(map[regKey]*regLimiter),
-		pathASCache: make(map[packet.NodeID][]packet.ASID),
-		destLinks:   make(map[packet.NodeID][]packet.LinkID),
-		org:         r.NewOrigin(),
+		sys:       s,
+		node:      r,
+		ring:      feedback.NewKeyRing(r.Network().Eng.Rand),
+		slotOf:    make(map[packet.NodeID]int32),
+		regLims:   make(map[regKey]*regLimiter),
+		paths:     make(map[packet.NodeID]*asPath),
+		destLinks: make(map[packet.NodeID][]packet.LinkID),
+		org:       r.NewOrigin(),
 	}
 	// In sharded runs the rotated key bytes come from a per-router
 	// stream identical on every shard replica, so stamping and
@@ -136,13 +240,66 @@ func (ar *AccessRouter) Limiter(src packet.NodeID, link packet.LinkID) ratelimit
 // the access-router state the scalability analysis of §5.1 bounds.
 func (ar *AccessRouter) LimiterCount() int { return len(ar.regLims) }
 
+// slotAt returns the slot with index i, nil when there is none.
+func (ar *AccessRouter) slotAt(i int32) *senderSlot {
+	c, o := int(i-1)>>slotBits, int(i-1)&(1<<slotBits-1)
+	if i <= 0 || c >= len(ar.slots) || o >= len(ar.slots[c]) {
+		return nil
+	}
+	return &ar.slots[c][o]
+}
+
+// slotFor returns the index of src's slot, taking the slab's next one at
+// the sender's first packet.
+func (ar *AccessRouter) slotFor(src packet.NodeID) int32 {
+	ar.stats.Hashed++
+	i := ar.slotOf[src]
+	if i == 0 {
+		c := len(ar.slots) - 1
+		if c < 0 || len(ar.slots[c]) == cap(ar.slots[c]) {
+			// Room for every attached host not yet seen.
+			n := -len(ar.slotOf)
+			for _, l := range ar.node.Out() {
+				if l.To.IsHost && l.To.AS == ar.node.AS {
+					n++
+				}
+			}
+			if n <= 0 {
+				n = slotChunkMin
+			}
+			n = min(n, 1<<slotBits)
+			ar.slots = append(ar.slots, make([]senderSlot, 0, n))
+			c++
+		}
+		ar.slots[c] = append(ar.slots[c], senderSlot{src: src})
+		i = int32(c<<slotBits + len(ar.slots[c]))
+		ar.slotOf[src] = i
+	}
+	return i
+}
+
 // ingress intercepts arrivals at the access router; only packets from
-// directly attached hosts of this AS are policed.
+// directly attached hosts of this AS are policed. A host that has sent
+// before carries the index of its slot on its Node; the slot is the
+// packet's when it is the one this router keeps for the source address
+// the packet claims, whoever wrote the index.
 func (ar *AccessRouter) ingress(p *packet.Packet, from *netsim.Link) bool {
-	if from == nil || !from.From.IsHost || from.From.AS != ar.node.AS {
+	if from == nil {
 		return true
 	}
-	return ar.police(p)
+	h := from.From
+	if !h.IsHost || h.AS != ar.node.AS {
+		return true
+	}
+	s := ar.slotAt(h.AccessSlot)
+	if s == nil || s.src != p.Src {
+		i := ar.slotFor(p.Src)
+		s = ar.slotAt(i)
+		if p.Src == h.ID {
+			h.AccessSlot = i
+		}
+	}
+	return ar.policeSlot(s, p)
 }
 
 // trace records one policing hop for a sampled flow.
@@ -160,33 +317,34 @@ func (ar *AccessRouter) traced(p *packet.Packet) bool {
 	return ar.node.Network().Rec.Sampled(uint32(p.Flow))
 }
 
-// police implements router.rate_limit_packet of Figure 18.
-func (ar *AccessRouter) police(p *packet.Packet) bool {
+// policeSlot implements router.rate_limit_packet of Figure 18 for a
+// packet of s's sender.
+func (ar *AccessRouter) policeSlot(s *senderSlot, p *packet.Packet) bool {
 	if p.Kind == packet.KindLegacy {
 		return true
 	}
 	if p.Kind == packet.KindRequest {
-		return ar.handleRequest(p)
+		return ar.handleRequest(s, p)
 	}
 	if ar.sys.Cfg.MultiFeedback {
-		return ar.policeMulti(p)
+		return ar.policeMulti(s, p)
 	}
 	cells := ar.node.Network().Cells
 	nowSec := ar.node.Network().NowSec()
-	switch ar.validate(p, nowSec) {
+	switch ar.validate(s, p, nowSec) {
 	case feedback.ValidNop:
-		feedback.StampNop(ar.ring.Current(), p, nowSec)
+		p.FB = feedback.Nop(nowSec, ar.nopToken(s, p.Dst, nowSec))
 		cells.Add(obs.CoreStampNop, 1)
 		ar.trace(p, obs.HopPolice, "nop")
-		ar.stampPassport(p)
+		ar.stampPassport(s, p)
 		return true
 	case feedback.ValidMon:
 		ar.trace(p, obs.HopPolice, "mon")
 		link := p.FB.Link
 		if ar.sys.Cfg.InferLimiters {
-			return ar.policeInferred(p, link)
+			return ar.policeInferred(s, p, link)
 		}
-		lim := ar.limiter(p.Src, link)
+		lim := ar.limiter(s, link)
 		lim.updateStatus(p.FB.Action, p.FB.TS)
 		return ar.submit(lim, p)
 	default:
@@ -196,17 +354,29 @@ func (ar *AccessRouter) police(p *packet.Packet) bool {
 		ar.trace(p, obs.HopDemote, "invalid-feedback->request")
 		p.Kind = packet.KindRequest
 		p.Prio = 0
-		return ar.handleRequest(p)
+		return ar.handleRequest(s, p)
+	}
+}
+
+// memoFor points s's token memos at packets to dst under the current
+// key, emptying them when they held another destination's tokens or the
+// ring has rotated since they were filled.
+func (ar *AccessRouter) memoFor(s *senderSlot, dst packet.NodeID) {
+	if e := uint32(ar.ring.Epoch()); s.epoch != e || s.dst != dst {
+		s.epoch, s.dst = e, dst
+		s.have &^= haveNop | haveUp | haveFV
 	}
 }
 
 // validate resolves the packet's feedback verdict: a verdict
 // precomputed by the sharded validation pipeline is consumed when its
-// binding (this router, the current key epoch) still holds; everything
-// else validates inline. The epoch check makes a stale cache — one
-// computed under a key the ring has since rotated past — harmless
-// rather than wrong.
-func (ar *AccessRouter) validate(p *packet.Packet, nowSec uint32) feedback.Verdict {
+// binding (this router, the current key epoch) still holds — the epoch
+// check makes a stale cache, one computed under a key the ring has since
+// rotated past, harmless rather than wrong — and such a packet neither
+// reads nor fills the slot's memo. Everything else is checked for
+// freshness against the clock and then validated inline, by a compare
+// when the sender's previous packet presented the same feedback.
+func (ar *AccessRouter) validate(s *senderSlot, p *packet.Packet, nowSec uint32) feedback.Verdict {
 	if p.FVSet {
 		hit := p.FVNode == ar.node.ID && p.FVEpoch == uint32(ar.ring.Epoch())
 		p.FVSet = false
@@ -215,27 +385,80 @@ func (ar *AccessRouter) validate(p *packet.Packet, nowSec uint32) feedback.Verdi
 			return feedback.Verdict(p.FVVerdict)
 		}
 	}
-	return feedback.Validate(ar.ring, ar.kaiLookup, p, nowSec, ar.sys.Cfg.WSec)
+	fb := &p.FB
+	if !feedback.Fresh(nowSec, fb.TS, ar.sys.Cfg.WSec) {
+		return feedback.Invalid
+	}
+	ar.memoFor(s, p.Dst)
+	if s.have&haveFV != 0 && s.fvTS == fb.TS && s.fvLink == fb.Link &&
+		s.fvMAC == fb.MAC && s.fvMode == fb.Mode && s.fvAction == fb.Action {
+		ar.stats.MemoHits++
+		return s.fvVerdict
+	}
+	ar.stats.MemoMisses++
+	cur, prev := ar.ring.Keys()
+	kai := func(link packet.LinkID) *cmac.CMAC {
+		if l := s.lim; l != nil && l.link == link {
+			return l.kai
+		}
+		ar.stats.Hashed++
+		return ar.kaiLookup(link)
+	}
+	v := feedback.ComputeVerdict(cur, prev, kai, p, nowSec, ar.sys.Cfg.WSec)
+	s.fvTS, s.fvLink, s.fvMAC = fb.TS, fb.Link, fb.MAC
+	s.fvMode, s.fvAction, s.fvVerdict = fb.Mode, fb.Action, v
+	s.have |= haveFV
+	return v
+}
+
+// nopToken returns token_nop (Eq. 1) under the current key for a packet
+// of s's sender to dst stamped at second ts.
+func (ar *AccessRouter) nopToken(s *senderSlot, dst packet.NodeID, ts uint32) [4]byte {
+	ar.memoFor(s, dst)
+	if s.have&haveNop != 0 && s.stTS == ts {
+		ar.stats.MemoHits++
+		return s.nopMAC
+	}
+	ar.stats.MemoMisses++
+	s.stTS = ts
+	s.nopMAC = feedback.NopMAC(ar.ring.Current(), s.src, dst, ts)
+	s.have = s.have&^haveUp | haveNop
+	return s.nopMAC
+}
+
+// lupTokens returns token_Lup (Eq. 2) for link, and the token_nop L-up
+// feedback carries beside it, under the current key for a packet of s's
+// sender to dst stamped at second ts.
+func (ar *AccessRouter) lupTokens(s *senderSlot, dst packet.NodeID, ts uint32, link packet.LinkID) (lup, nop [4]byte) {
+	nop = ar.nopToken(s, dst, ts) // leaves the memo at (dst, ts)
+	if s.have&haveUp != 0 && s.upLink == link {
+		ar.stats.MemoHits++
+		return s.upMAC, nop
+	}
+	ar.stats.MemoMisses++
+	s.upLink = link
+	s.upMAC = feedback.IncrMAC(ar.ring.Current(), s.src, dst, ts, link)
+	s.have |= haveUp
+	return s.upMAC, nop
 }
 
 // handleRequest polices a request packet (Figure 15) and stamps nop
 // feedback on success (§4.2).
-func (ar *AccessRouter) handleRequest(p *packet.Packet) bool {
+func (ar *AccessRouter) handleRequest(s *senderSlot, p *packet.Packet) bool {
 	now := ar.node.Network().Eng.Now()
-	rl := ar.reqLims[p.Src]
-	if rl == nil {
+	if s.have&haveReq == 0 {
 		// A fleet sender's token bucket is the exact aggregate of its
 		// members' buckets: rate and depth scale linearly with weight.
-		w := ar.senderWeight(p.Src)
-		rl = ratelimit.NewRequestLimiter(now)
-		rl.RatePerSec = ar.sys.Cfg.TokenRatePerSec * float64(w)
-		rl.Depth = ar.sys.Cfg.TokenDepth * float64(w)
-		ar.reqLims[p.Src] = rl
+		w := ar.senderWeight(s.src)
+		s.req = *ratelimit.NewRequestLimiter(now)
+		s.req.RatePerSec = ar.sys.Cfg.TokenRatePerSec * float64(w)
+		s.req.Depth = ar.sys.Cfg.TokenDepth * float64(w)
+		s.have |= haveReq
 	}
 	if p.Prio > ar.sys.Cfg.MaxPrioLevel {
 		p.Prio = ar.sys.Cfg.MaxPrioLevel
 	}
-	if !rl.Admit(p.Prio, now) {
+	if !s.req.Admit(p.Prio, now) {
 		ar.ReqDropped++
 		ar.node.Network().Cells.Add(obs.CoreRequestDropped, 1)
 		ar.trace(p, obs.HopDrop, "request-police")
@@ -250,9 +473,10 @@ func (ar *AccessRouter) handleRequest(p *packet.Packet) bool {
 	if ar.sys.Cfg.MultiFeedback {
 		ar.stampMultiNop(p)
 	} else {
-		feedback.StampNop(ar.ring.Current(), p, ar.node.Network().NowSec())
+		nowSec := ar.node.Network().NowSec()
+		p.FB = feedback.Nop(nowSec, ar.nopToken(s, p.Dst, nowSec))
 	}
-	ar.stampPassport(p)
+	ar.stampPassport(s, p)
 	return true
 }
 
@@ -316,16 +540,23 @@ func (l *regLimiter) stampForward(p *packet.Packet) {
 		ar.stampMultiNop(p)
 	} else {
 		nowSec := ar.node.Network().NowSec()
-		feedback.StampIncr(ar.ring.Current(), p, nowSec, l.key.link)
+		lup, nop := ar.lupTokens(l.slot, p.Dst, nowSec, l.link)
+		p.FB = feedback.Incr(nowSec, l.link, lup, nop)
 		ar.node.Network().Cells.Add(obs.CoreStampIncr, 1)
 	}
-	ar.stampPassport(p)
+	ar.stampPassport(l.slot, p)
 }
 
-// limiter returns (creating on demand) the rate limiter for (src, link).
-func (ar *AccessRouter) limiter(src packet.NodeID, link packet.LinkID) *regLimiter {
-	key := regKey{src, link}
+// limiter returns (creating on demand) the rate limiter of s's sender
+// for link: the one its previous packet used, or the one regLims holds.
+func (ar *AccessRouter) limiter(s *senderSlot, link packet.LinkID) *regLimiter {
+	if lim := s.lim; lim != nil && lim.link == link {
+		return lim
+	}
+	ar.stats.Hashed++
+	key := regKey{s.src, link}
 	if lim, ok := ar.regLims[key]; ok {
+		s.lim = lim
 		return lim
 	}
 	eng := ar.node.Network().Eng
@@ -335,17 +566,19 @@ func (ar *AccessRouter) limiter(src packet.NodeID, link packet.LinkID) *regLimit
 	// congestion quota all scale by N. The multiplicative decrease is
 	// scale-free, so the aggregate evolves bit-for-bit like the sum of N
 	// per-sender limiters receiving the same feedback.
-	w := ar.senderWeight(src)
+	w := ar.senderWeight(s.src)
 	lim := &regLimiter{
-		ar:  ar,
-		key: key,
+		ar:   ar,
+		slot: s,
+		link: link,
+		kai:  ar.kaiLookup(link),
 		aimd: ratelimit.AIMD{
 			DeltaBps: ar.sys.Cfg.DeltaBps * w,
 			MD:       ar.sys.Cfg.MD,
 			MinBps:   ar.sys.Cfg.MinRateBps * w,
 		},
 		ts:         ar.node.Network().NowSec(),
-		created:    eng.Now(),
+		lastDecr:   eng.Now(),
 		quotaBytes: ar.sys.Cfg.CongestionQuotaBytes * w,
 		org:        ar.node.NewOrigin(),
 	}
@@ -364,6 +597,7 @@ func (ar *AccessRouter) limiter(src packet.NodeID, link packet.LinkID) *regLimit
 	lim.quotaStart = eng.Now()
 	lim.ticker = lim.org.Tick(ar.sys.Cfg.Ilim, lim.adjust)
 	ar.regLims[key] = lim
+	s.lim = lim
 	return lim
 }
 
@@ -413,27 +647,29 @@ func (l *regLimiter) adjust() {
 }
 
 // maybeExpire removes the limiter after Ta without L-down feedback and
-// without limiter drops (§4.3.1).
+// without limiter drops (§4.3.1). The sender's slot forgets it, so no
+// packet can reach a removed limiter.
 func (l *regLimiter) maybeExpire() {
 	cfg := &l.ar.sys.Cfg
 	now := l.ar.node.Network().Eng.Now()
-	ref := l.created
-	if l.lastDecr > ref {
-		ref = l.lastDecr
-	}
+	ref := l.lastDecr
 	if d := l.pol.LastDropAt(); d > ref {
 		ref = d
 	}
 	if now-ref > cfg.LimiterIdle && l.pol.Backlog() == 0 {
 		l.ticker.Stop()
 		l.pol.Stop()
-		delete(l.ar.regLims, l.key)
+		delete(l.ar.regLims, regKey{l.slot.src, l.link})
+		if l.slot.lim == l {
+			l.slot.lim = nil
+		}
 	}
 }
 
 // kaiLookup resolves the key shared between this access router's AS and
 // the AS owning a link — the paper's IP-to-AS mapping plus the Passport
-// key table (§4.4).
+// key table (§4.4). It reads no router state: pipeline workers call it
+// off the owning goroutine.
 func (ar *AccessRouter) kaiLookup(link packet.LinkID) *cmac.CMAC {
 	l := ar.node.Network().LinkByID(link)
 	if l == nil {
@@ -442,15 +678,46 @@ func (ar *AccessRouter) kaiLookup(link packet.LinkID) *cmac.CMAC {
 	return ar.sys.Registry.Key(ar.node.AS, l.From.AS)
 }
 
-// stampPassport writes the Passport trailer when enabled.
-func (ar *AccessRouter) stampPassport(p *packet.Packet) {
+// hopsTo resolves the AS-level path to dst and this AS's pair keys along
+// it, sharing the result among destinations behind the same ASes.
+func (ar *AccessRouter) hopsTo(dst packet.NodeID) []passport.Hop {
+	ases := ar.node.Network().PathASes(ar.node.ID, dst)
+	for _, hops := range ar.hopSets {
+		if slices.EqualFunc(hops, ases, func(h passport.Hop, as packet.ASID) bool { return h.AS == as }) {
+			return hops
+		}
+	}
+	hops := ar.sys.Registry.Hops(make([]passport.Hop, 0, len(ases)), ar.node.AS, ases)
+	ar.hopSets = append(ar.hopSets, hops)
+	return hops
+}
+
+// stampPassport writes the Passport trailer when enabled, with the pair
+// keys resolved once per destination; a packet claiming another source
+// AS gets that AS's keys, resolved per packet.
+func (ar *AccessRouter) stampPassport(s *senderSlot, p *packet.Packet) {
 	if !ar.sys.Cfg.Passport {
 		return
 	}
-	path, ok := ar.pathASCache[p.Dst]
-	if !ok {
-		path = ar.node.Network().PathASes(ar.node.ID, p.Dst)
-		ar.pathASCache[p.Dst] = path
+	pt := s.path
+	if pt == nil || pt.dst != p.Dst {
+		ar.stats.Hashed++
+		pt = ar.paths[p.Dst]
+		if pt == nil {
+			pt = &asPath{dst: p.Dst, hops: ar.hopsTo(p.Dst)}
+			ar.paths[p.Dst] = pt
+		}
+		s.path = pt
 	}
-	ar.sys.Registry.Stamp(p, path)
+	if p.SrcAS == ar.node.AS {
+		passport.StampHops(p, pt.hops)
+		return
+	}
+	var buf [8]packet.ASID
+	ases := buf[:0]
+	for _, h := range pt.hops {
+		ases = append(ases, h.AS)
+	}
+	ar.stats.Hashed += uint64(len(ases))
+	ar.sys.Registry.Stamp(p, ases)
 }

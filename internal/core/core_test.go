@@ -42,6 +42,12 @@ func deploy(seed uint64, cfg topo.DumbbellConfig, nfCfg Config, denied ...packet
 	return d, s
 }
 
+// police polices p as a packet of the sender its source address names,
+// without the uplink an arrival would come with.
+func (ar *AccessRouter) police(p *packet.Packet) bool {
+	return ar.policeSlot(ar.slotAt(ar.slotFor(p.Src)), p)
+}
+
 func TestRequestPolicingAtAccess(t *testing.T) {
 	d, s := deploy(1, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
 	ar := s.Access(d.SrcAccess[0])

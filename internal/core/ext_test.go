@@ -73,7 +73,7 @@ func TestMultiFeedbackChainSecurity(t *testing.T) {
 	// Policing a valid chain creates a limiter per reported bottleneck.
 	q := &packet.Packet{}
 	q.CopyFrom(p)
-	if !ar.policeMulti(q) {
+	if !ar.police(q) {
 		t.Fatal("valid multi packet rejected")
 	}
 	if ar.LimiterCount() != 1 {
@@ -91,7 +91,7 @@ func TestMultiFeedbackEmptyChainIsNop(t *testing.T) {
 	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p)
-	if !ar.policeMulti(p) {
+	if !ar.police(p) {
 		t.Fatal("empty chain (nop) rejected")
 	}
 	if ar.LimiterCount() != 0 {
@@ -102,7 +102,7 @@ func TestMultiFeedbackEmptyChainIsNop(t *testing.T) {
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p2)
 	p2.Ext.MFB.TS -= 100
-	ar.policeMulti(p2)
+	ar.police(p2)
 	if p2.Kind != packet.KindRequest {
 		t.Fatal("stale multi header not demoted")
 	}

@@ -22,7 +22,7 @@ import (
 // limiter while crediting the rest — equivalent to the paper's cascade.
 // The forwarded packet is restamped with L-up of the smallest-rate
 // limiter's link (Appendix B.2's "reset the feedback to L-low-up").
-func (ar *AccessRouter) policeInferred(p *packet.Packet, link packet.LinkID) bool {
+func (ar *AccessRouter) policeInferred(s *senderSlot, p *packet.Packet, link packet.LinkID) bool {
 	links := ar.destLinks[p.Dst]
 	found := false
 	for _, l := range links {
@@ -38,7 +38,7 @@ func (ar *AccessRouter) policeInferred(p *packet.Packet, link packet.LinkID) boo
 
 	var minLim *regLimiter
 	for _, l := range links {
-		lim := ar.limiter(p.Src, l)
+		lim := ar.limiter(s, l)
 		if l == link {
 			// Direct feedback for this limiter.
 			lim.updateStatus(p.FB.Action, p.FB.TS)

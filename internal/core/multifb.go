@@ -53,8 +53,7 @@ func (ar *AccessRouter) validateMulti(p *packet.Packet) bool {
 		return false
 	}
 	h := &p.Ext.MFB
-	nowSec := ar.node.Network().NowSec()
-	if diff := int64(nowSec) - int64(h.TS); diff > int64(ar.sys.Cfg.WSec) || diff < -int64(ar.sys.Cfg.WSec) {
+	if !feedback.Fresh(ar.node.Network().NowSec(), h.TS, ar.sys.Cfg.WSec) {
 		return false
 	}
 	// Resolve each entry's Kai once; unknown links invalidate.
@@ -83,7 +82,7 @@ func (ar *AccessRouter) validateMulti(p *packet.Packet) bool {
 // smallest-rate limiter and credits the others' throughput meters: a
 // leaky-bucket cascade emits at the minimum of the member rates, so the
 // observable output is identical while the simulation stays single-queue.
-func (ar *AccessRouter) policeMulti(p *packet.Packet) bool {
+func (ar *AccessRouter) policeMulti(s *senderSlot, p *packet.Packet) bool {
 	if !ar.validateMulti(p) {
 		ar.Demoted++
 		p.Kind = packet.KindRequest
@@ -91,19 +90,19 @@ func (ar *AccessRouter) policeMulti(p *packet.Packet) bool {
 		if p.Ext != nil {
 			p.Ext.MFB = packet.MultiHeader{}
 		}
-		return ar.handleRequest(p)
+		return ar.handleRequest(s, p)
 	}
 	items := p.Ext.MFB.Items
 	if len(items) == 0 {
 		// Equivalent of nop: no bottleneck on path, no rate limiting.
 		ar.stampMultiNop(p)
-		ar.stampPassport(p)
+		ar.stampPassport(s, p)
 		return true
 	}
 	ts := p.Ext.MFB.TS
 	var minLim *regLimiter
 	for _, it := range items {
-		lim := ar.limiter(p.Src, it.Link)
+		lim := ar.limiter(s, it.Link)
 		lim.updateStatus(it.Action, ts)
 		if minLim == nil || lim.pol.Rate() < minLim.pol.Rate() {
 			minLim = lim

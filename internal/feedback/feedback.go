@@ -58,29 +58,42 @@ func DecrMAC(kai *cmac.CMAC, src, dst packet.NodeID, ts uint32, link packet.Link
 	return kai.Sum32(macInput(&buf, src, dst, ts, link, packet.FBMon, packet.ActDecr, tokennop))
 }
 
-// StampNop writes fresh nop feedback into p (access router, §4.2/§4.3.3).
-func StampNop(ka *cmac.CMAC, p *packet.Packet, nowSec uint32) {
-	p.FB = packet.Feedback{
+// Nop is the nop feedback an access router stamps: the header fields
+// around token_nop (Eq. 1).
+func Nop(ts uint32, tokenNop [4]byte) packet.Feedback {
+	return packet.Feedback{
 		Mode:   packet.FBNop,
 		Link:   0,
 		Action: packet.ActIncr,
-		TS:     nowSec,
-		MAC:    NopMAC(ka, p.Src, p.Dst, nowSec),
+		TS:     ts,
+		MAC:    tokenNop,
 	}
+}
+
+// Incr is the L-up feedback an access router stamps for link: token_Lup
+// (Eq. 2) in the MAC field, and token_nop beside it so a downstream
+// bottleneck can stamp L-down.
+func Incr(ts uint32, link packet.LinkID, tokenLup, tokenNop [4]byte) packet.Feedback {
+	return packet.Feedback{
+		Mode:     packet.FBMon,
+		Link:     link,
+		Action:   packet.ActIncr,
+		TS:       ts,
+		MAC:      tokenLup,
+		TokenNop: tokenNop,
+	}
+}
+
+// StampNop writes fresh nop feedback into p (access router, §4.2/§4.3.3).
+func StampNop(ka *cmac.CMAC, p *packet.Packet, nowSec uint32) {
+	p.FB = Nop(nowSec, NopMAC(ka, p.Src, p.Dst, nowSec))
 }
 
 // StampIncr writes fresh L-up feedback for link into p (access router,
 // §4.3.3: presented mon feedback is reset to L-up on forwarding). The
 // token_nop field is refilled so a downstream bottleneck can stamp L-down.
 func StampIncr(ka *cmac.CMAC, p *packet.Packet, nowSec uint32, link packet.LinkID) {
-	p.FB = packet.Feedback{
-		Mode:     packet.FBMon,
-		Link:     link,
-		Action:   packet.ActIncr,
-		TS:       nowSec,
-		MAC:      IncrMAC(ka, p.Src, p.Dst, nowSec, link),
-		TokenNop: NopMAC(ka, p.Src, p.Dst, nowSec),
-	}
+	p.FB = Incr(nowSec, link, IncrMAC(ka, p.Src, p.Dst, nowSec, link), NopMAC(ka, p.Src, p.Dst, nowSec))
 }
 
 // StampDecr overwrites p's feedback with L-down for link (bottleneck
@@ -135,6 +148,13 @@ const (
 // when the link's AS is unknown, which invalidates the feedback.
 type KaiLookup func(link packet.LinkID) *cmac.CMAC
 
+// Fresh reports whether a timestamp lies within the freshness window w of
+// the clock: |now - ts| <= w seconds (§4.4).
+func Fresh(nowSec, ts, wSec uint32) bool {
+	diff := int64(nowSec) - int64(ts)
+	return diff <= int64(wSec) && diff >= -int64(wSec)
+}
+
 // Validate checks the presented feedback in p against the access router's
 // key ring and the AS-pairwise keys, applying the freshness window w
 // (|now - ts| > w seconds invalidates, §4.4). It must be called before the
@@ -155,7 +175,7 @@ func Validate(ring *KeyRing, kai KaiLookup, p *packet.Packet, nowSec uint32, wSe
 // KeyRing.Keys.
 func ComputeVerdict(cur, prev *cmac.CMAC, kai KaiLookup, p *packet.Packet, nowSec uint32, wSec uint32) Verdict {
 	fb := &p.FB
-	if diff := int64(nowSec) - int64(fb.TS); diff > int64(wSec) || diff < -int64(wSec) {
+	if !Fresh(nowSec, fb.TS, wSec) {
 		return Invalid
 	}
 	// Check against the current key, then (if rotated) the previous one —

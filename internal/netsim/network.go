@@ -527,6 +527,13 @@ type Node struct {
 	// parameters, fair-share denominators) in closed form.
 	Weight int32
 
+	// AccessSlot is the 1-based index of the per-sender state the host's
+	// access router keeps for it (0: none yet) — the port number a
+	// router knows an attached host by, so policing finds that state
+	// without hashing the source address. Written and checked by the
+	// router; see core.AccessRouter.
+	AccessSlot int32
+
 	// Ingress, when set, intercepts every packet arriving at this node
 	// before delivery or forwarding. Returning false consumes the packet
 	// (policers use this to drop, or to cache and re-inject later via

@@ -71,23 +71,47 @@ func macInput(buf *[20]byte, p *packet.Packet, transitAS packet.ASID) []byte {
 	return buf[:]
 }
 
+// Hop is one AS of a path with the key the source AS shares with it (nil
+// when the pair is unknown).
+type Hop struct {
+	AS  packet.ASID
+	Key *cmac.CMAC
+}
+
+// Hops appends to hops the given AS-level path (excluding the source AS
+// itself) with srcAS's pair keys resolved: the per-path half of Stamp,
+// which a border router computes once for each destination it sends to.
+func (r *Registry) Hops(hops []Hop, srcAS packet.ASID, path []packet.ASID) []Hop {
+	for _, as := range path {
+		hops = append(hops, Hop{as, r.Key(srcAS, as)})
+	}
+	return hops
+}
+
 // Stamp writes the Passport trailer into p for the given AS-level path
 // (excluding the source AS itself). It is called by the border router of
 // the source AS.
 func (r *Registry) Stamp(p *packet.Packet, path []packet.ASID) {
+	var buf [8]Hop
+	StampHops(p, r.Hops(buf[:0], p.SrcAS, path))
+}
+
+// StampHops is the per-packet half of Stamp: it writes the trailer for a
+// path whose keys Hops resolved for p.SrcAS.
+func StampHops(p *packet.Packet, hops []Hop) {
 	// Rebuild in place on top of the packet's retained trailer capacity
 	// (packet.Pool keeps the backing array across recycles), writing
 	// every field so no stale entry survives.
 	entries := p.Passport.Entries[:0]
-	if cap(entries) < len(path) {
+	if cap(entries) < len(hops) {
 		// Size a fresh packet's trailer once, not by append doublings.
-		entries = make([]packet.PassportMAC, 0, len(path))
+		entries = make([]packet.PassportMAC, 0, len(hops))
 	}
 	var buf [20]byte
-	for _, as := range path {
-		e := packet.PassportMAC{AS: as}
-		if key := r.Key(p.SrcAS, as); key != nil {
-			e.MAC = key.Sum32(macInput(&buf, p, as))
+	for _, h := range hops {
+		e := packet.PassportMAC{AS: h.AS}
+		if h.Key != nil {
+			e.MAC = h.Key.Sum32(macInput(&buf, p, h.AS))
 		}
 		entries = append(entries, e)
 	}

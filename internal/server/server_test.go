@@ -492,6 +492,20 @@ func TestSubmitValidation(t *testing.T) {
 				{Kind: "attack", From: 4, To: 8, Params: map[string]float64{"dty": 1}},
 			},
 		}}}, http.StatusBadRequest, `unknown param \"dty\"`},
+		// Kinds a partitioned run is not proven to reproduce are refused
+		// with the reason, as a scenario and as a sweep's shard axis.
+		{"sharded-files", JobSpec{Scenario: &ScenarioSpec{
+			Topology:  good.Topology,
+			Workloads: []WorkloadSpec{{Kind: "filetransfers", From: 0, To: 4}},
+			Shards:    2,
+		}}, http.StatusBadRequest, "workload FileTransfers on more than one shard: sharded run not proven identical"},
+		{"sweep-sharded-web", JobSpec{Sweep: &SweepSpec{
+			Base: ScenarioSpec{
+				Topology:  good.Topology,
+				Workloads: []WorkloadSpec{{Kind: "webtraffic", From: 0, To: 4}},
+			},
+			Shards: []int{1, 2},
+		}}, http.StatusBadRequest, "workload WebTraffic on more than one shard"},
 	}
 	for _, tc := range cases {
 		code, body := postJSON(t, base+"/jobs", tc.spec)

@@ -285,6 +285,9 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 			return s.buildSingle()
 		}
 	}
+	if err := s.CheckSharded(); err != nil {
+		return nil, err
+	}
 	// Weigh aggregate fleets before partitioning: the load balance must
 	// count a fleet attachment point as the modeled senders it stands
 	// for, not as one host. Workload attachment stamps the owning

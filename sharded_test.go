@@ -4,6 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
 	"testing"
 
 	"netfence/internal/topo"
@@ -337,5 +342,88 @@ func TestShardIdentitySymmetricChains(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		sc.Shards = n
 		diffJSON(t, sc.Name, single, resultJSON(t, sc), n)
+	}
+}
+
+// workloadKinds lists every type of this package with an
+// attach(*scenarioEnv) method — every Workload — read from the source,
+// so a kind added to workload.go cannot stay out of the table below.
+func workloadKinds(t *testing.T) []string {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, f := range pkgs["netfence"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "attach" {
+				continue
+			}
+			if id, ok := fn.Recv.List[0].Type.(*ast.Ident); ok {
+				kinds = append(kinds, id.Name)
+			}
+		}
+	}
+	return kinds
+}
+
+// TestEveryWorkloadKindShardIdentity draws the line the standing
+// invariant is stated for: every Workload kind either reproduces the
+// single engine's Result JSON byte for byte on two shards, or Build
+// refuses to partition it with ErrShardedWorkloadUnproven. Each kind
+// runs alone over all twenty senders of equivScenario's dumbbell, so
+// no proven kind can cover for another.
+func TestEveryWorkloadKindShardIdentity(t *testing.T) {
+	all := Range(0, 20)
+	table := map[string]struct {
+		w      Workload
+		proven bool
+	}{
+		"LongTCP":       {LongTCP{Senders: all}, true},
+		"UDPFlood":      {UDPFlood{Senders: all}, true},
+		"OnOffFlood":    {OnOffFlood{Senders: all, On: 2 * Second, Off: 3 * Second}, true},
+		"ColluderPairs": {ColluderPairs{Senders: all, RateBps: 1_000_000}, true},
+		"FleetSpec":     {FleetSpec{Senders: all, Count: 200}, true},
+		"RequestFlood":  {RequestFlood{Senders: all, Strategic: true}, true},
+		"AttackSpec":    {AttackSpec{Senders: all, RateBps: 1_000_000}, true},
+		// Clients that open flows and draw sizes mid-run: 319 completed
+		// transfers on one engine and none on two, 503 against 594
+		// (ROADMAP, first open item).
+		"FileTransfers": {FileTransfers{Senders: all}, false},
+		"WebTraffic":    {WebTraffic{Senders: all}, false},
+	}
+	kinds := workloadKinds(t)
+	if len(kinds) != len(table) {
+		t.Errorf("the source declares %d workload kinds %v, the table holds %d", len(kinds), kinds, len(table))
+	}
+	spec := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
+	for _, kind := range kinds {
+		row, ok := table[kind]
+		if !ok {
+			t.Errorf("workload kind %s is missing from the table", kind)
+			continue
+		}
+		if got, _, _ := row.w.span(); got != kind {
+			t.Errorf("table row %s holds a %s", kind, got)
+		}
+		if row.proven != shardProven[kind] {
+			t.Errorf("%s: the table says proven=%v, Build's list says %v", kind, row.proven, shardProven[kind])
+		}
+		if !row.proven {
+			_, err := equivScenario(spec, []Workload{row.w}, 2).Build()
+			if !errors.Is(err, ErrShardedWorkloadUnproven) || !strings.Contains(err.Error(), kind) {
+				t.Errorf("%s on 2 shards: Build returned %v, want ErrShardedWorkloadUnproven naming the kind", kind, err)
+			}
+			if _, err := equivScenario(spec, []Workload{row.w}, 1).Build(); err != nil {
+				t.Errorf("%s on the single engine: %v", kind, err)
+			}
+			continue
+		}
+		single := resultJSON(t, equivScenario(spec, []Workload{row.w}, 1))
+		diffJSON(t, kind, single, resultJSON(t, equivScenario(spec, []Workload{row.w}, 2)), 2)
 	}
 }
