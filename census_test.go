@@ -1,0 +1,86 @@
+package netfence
+
+import "testing"
+
+// TestLinkCensus holds the idle-link cut-through to its point: a link
+// pays for a queue object only once a packet has found its transmitter
+// busy, and a packet that finds it idle on a link without an installed
+// discipline is not queued at all. On the collusion cell (Fig. 9, the
+// -short population over the ledger's 80 s; the start-up seconds alone
+// read 0.87) nine hops in ten are such hops — the rest are the
+// bottleneck's, whose queue is installed; on the random-AS cell — the
+// large-flood workload at a tenth of its size — most links are host
+// access links that never contend, so most links never allocate a queue.
+func TestLinkCensus(t *testing.T) {
+	const n = 1024
+	fig9 := shortLedgerCells()[1]
+	fig9.Duration, fig9.Warmup = 80*Second, 40*Second
+	cells := []struct {
+		sc                   Scenario
+		queueless, cutShare  float64
+		minLinks, minPackets int
+	}{
+		{sc: fig9, queueless: 0.8, cutShare: 0.9, minLinks: 80, minPackets: 100_000},
+		{sc: Scenario{
+			Name: "random-as-1024", Seed: 1,
+			Topology: RandomASSpec{Senders: n, BottleneckBps: n * 100_000, SrcASes: 32, ColluderASes: 9, GraphSeed: 1},
+			Defense:  Defense("netfence"),
+			Workloads: []Workload{
+				LongTCP{Senders: Range(0, n/4)},
+				AttackSpec{Senders: Range(n/4, n), RateBps: 200_000, ToColluders: true},
+			},
+			Duration: 2 * Second, Warmup: Second,
+		}, queueless: 0.8, cutShare: 0.6, minLinks: 2 * n, minPackets: 100_000},
+	}
+	for _, c := range cells {
+		in, err := c.sc.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Run()
+		st := in.Net.LinkStats()
+		sends := st.CutThrough + st.Queued
+		queueless := float64(st.Queueless) / float64(st.Links)
+		cutShare := float64(st.CutThrough) / float64(sends)
+		t.Logf("%s: %+v: %.3f of links without a queue, %.3f of sends cut through", c.sc.Name, st, queueless, cutShare)
+		if st.Links < c.minLinks || sends < uint64(c.minPackets) {
+			t.Errorf("%s: %d links, %d sends: the cell is too small to say anything", c.sc.Name, st.Links, sends)
+		}
+		if queueless < c.queueless {
+			t.Errorf("%s: %d of %d links hold no queue (%.3f), want at least %.2f", c.sc.Name, st.Queueless, st.Links, queueless, c.queueless)
+		}
+		if cutShare < c.cutShare {
+			t.Errorf("%s: %d of %d sends cut through (%.3f), want at least %.2f", c.sc.Name, st.CutThrough, sends, cutShare, c.cutShare)
+		}
+	}
+}
+
+// TestQueueHWMUncongested pins the one counter whose value came from
+// default FIFOs. On a dumbbell whose bottleneck never backs up the
+// installed queues peak at four packets, and queue_hwm_bytes is the
+// burst a TCP sender's window opens onto its own uplink: 175,500 B
+// before the cut-through, when that uplink's FIFO saw every packet, and
+// after it, when the FIFO exists only from the first contended packet on
+// and lone packets are counted by the network. The same at two shards,
+// where each replica keeps its own mark and the merge takes the maximum.
+func TestQueueHWMUncongested(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sc := Scenario{
+			Name: "uncongested", Seed: 3,
+			Topology: DumbbellSpec{Senders: 8, BottleneckBps: 1_000_000_000, EdgeBps: 100_000_000},
+			Defense:  Defense("netfence"),
+			Workloads: []Workload{
+				LongTCP{Senders: Range(0, 4)},
+				UDPFlood{Senders: Range(4, 8), RateBps: 200_000},
+			},
+			Duration: 4 * Second, Warmup: Second, Shards: shards,
+		}
+		res, err := sc.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Counters["queue_hwm_bytes"]; got != 175_500 {
+			t.Errorf("shards=%d: queue_hwm_bytes = %d, want 175500", shards, got)
+		}
+	}
+}

@@ -231,7 +231,7 @@ func (r *memoRig) run(prog []byte) {
 		case 6:
 			eng.RunUntil(eng.Now() + sim.Time(b1|b2<<8)*sim.Millisecond)
 		case 7:
-			for r.out.Q.Len() > 0 {
+			for backlog, _ := r.out.Backlog(); backlog > 0; backlog, _ = r.out.Backlog() {
 				eng.RunUntil(eng.Now() + sim.Microsecond)
 			}
 			r.ar.ring.Rotate(eng.Rand)

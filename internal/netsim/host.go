@@ -22,20 +22,10 @@ type Shim interface {
 	Ingress(p *packet.Packet) bool
 }
 
-// PlainShim is the identity shim used by legacy hosts and baseline
-// systems without a host layer: packets keep whatever the transport set.
-type PlainShim struct{}
-
-// Egress does nothing.
-func (PlainShim) Egress(*packet.Packet) {}
-
-// Ingress delivers everything.
-func (PlainShim) Ingress(*packet.Packet) bool { return true }
-
 // Host is the end-system stack living on a host node.
 type Host struct {
 	Node *Node
-	// Shim is the defense layer; nil behaves like PlainShim.
+	// Shim is the defense layer; nil leaves every packet as it is.
 	Shim Shim
 	// OnUnknownFlow, when set, creates an agent for the first packet of
 	// an unknown flow (server-style listeners).

@@ -15,9 +15,13 @@ type DropReasoner interface {
 }
 
 // Link is a unidirectional link: a queue followed by a transmitter with
-// serialization delay Size*8/Rate and propagation delay Delay. Replace Q
-// before traffic flows to install a discipline other than the default
-// unbounded FIFO.
+// serialization delay Size*8/Rate and propagation delay Delay. A nil Q is
+// the default unbounded FIFO, not needed yet: a packet that finds the
+// transmitter idle is transmitted directly, and the first to find it
+// busy materialises a *defaultQueue, which stays. Any other Q is a
+// discipline the caller installed by assigning it, and sees every
+// packet. Install before traffic flows: packets waiting in a default
+// queue that is replaced are stranded, as they always were.
 //
 // The link is one scheduling origin, keyed by its index, and owns one
 // reusable scheduler event that is either the transmit-complete of the
@@ -87,18 +91,45 @@ func (h *linkRetry) OnEvent(sim.Time, any) {
 	(*Link)(h).tryTransmit()
 }
 
-// Send enqueues p and starts the transmitter if idle. A packet the queue
-// refuses is dropped: observers see it via Network.OnDrop, then it
-// returns to the packet pool.
+// defaultQueue is the default FIFO and its ring's first slots in one
+// allocation; the type tells it from an installed discipline.
+type defaultQueue struct {
+	queue.FIFO
+	slots [8]*packet.Packet
+}
+
+// Send transmits p at once when the transmitter is idle — the default
+// queue is then empty, txDone drains it first — and no discipline is
+// installed, leaving what the FIFO would have (EnqueuedAt, trace record,
+// high-water mark); otherwise it enqueues p and starts the transmitter
+// if idle. A packet the queue refuses is dropped: observers see it via
+// Network.OnDrop, then it returns to the packet pool.
 func (l *Link) Send(p *packet.Packet) {
-	if !l.Q.Enqueue(p, l.net.Eng.Now()) {
+	now := l.net.Eng.Now()
+	if _, def := l.Q.(*defaultQueue); !l.sending && (def || l.Q == nil) {
+		l.net.cutThrough++
+		l.net.cutHWM = max(l.net.cutHWM, uint64(p.Size))
+		p.EnqueuedAt = now
+		if l.net.Rec.Sampled(uint32(p.Flow)) {
+			l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
+		}
+		l.transmit(p, now)
+		return
+	}
+	l.net.queued++
+	if l.Q == nil {
+		dq := &defaultQueue{}
+		dq.StartOn(dq.slots[:])
+		l.Q = dq
+	}
+	if !l.Q.Enqueue(p, now) {
 		l.net.Cells.Add(obs.NetsimDrops, 1)
 		if l.net.Rec.Sampled(uint32(p.Flow)) {
 			reason := ""
 			if dr, ok := l.Q.(DropReasoner); ok {
 				reason = dr.LastDropReason()
 			}
-			l.net.Rec.Record(int64(l.net.Eng.Now()), uint32(p.Flow), l.Label(), obs.HopDrop, reason)
+			l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopDrop, reason)
 		}
 		if l.net.OnDrop != nil {
 			l.net.OnDrop(p, l)
@@ -107,9 +138,17 @@ func (l *Link) Send(p *packet.Packet) {
 		return
 	}
 	if l.net.Rec.Sampled(uint32(p.Flow)) {
-		l.net.Rec.Record(int64(l.net.Eng.Now()), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
+		l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
 	}
 	l.tryTransmit()
+}
+
+// Backlog returns the packets and bytes waiting in the link's queue.
+func (l *Link) Backlog() (packets, bytes int) {
+	if l.Q == nil {
+		return 0, 0
+	}
+	return l.Q.Len(), l.Q.Bytes()
 }
 
 // Label names the link in traces: "from->to".
@@ -119,7 +158,7 @@ func (l *Link) Label() string { return l.From.String() + "->" + l.To.String() }
 // it. If the queue is backlogged but not yet eligible (rate-capped
 // channel), a retry is scheduled at the queue's hint.
 func (l *Link) tryTransmit() {
-	if l.sending {
+	if l.sending || l.Q == nil {
 		return
 	}
 	now := l.net.Eng.Now()
@@ -133,12 +172,16 @@ func (l *Link) tryTransmit() {
 	if l.ev.Pending() {
 		l.ev.Cancel() // the retry
 	}
+	l.transmit(p, now)
+}
+
+// transmit starts serializing p on the idle transmitter.
+func (l *Link) transmit(p *packet.Packet, now sim.Time) {
 	if l.OnTransmit != nil {
 		l.OnTransmit(p, l)
 	}
-	tx := sim.TxTime(int(p.Size), l.Rate)
 	l.sending = true
-	l.org.ScheduleEvent(&l.ev, now+tx, (*linkTx)(l), p)
+	l.org.ScheduleEvent(&l.ev, now+sim.TxTime(int(p.Size), l.Rate), (*linkTx)(l), p)
 }
 
 // txDone completes p's serialization: launch its propagation event (or
@@ -169,9 +212,6 @@ func (l *Link) Origin() *sim.Origin { return &l.org }
 // SetMailbox marks the link as a cut link delivering into mb's
 // destination replica. Partitioned-run wiring only.
 func (l *Link) SetMailbox(mb *Mailbox) { l.mailbox = mb }
-
-// IsCut reports whether the link hands off into another shard's replica.
-func (l *Link) IsCut() bool { return l.mailbox != nil }
 
 // SetRate changes the link capacity at the current instant. The packet
 // currently serializing (if any) completes at the old rate — its

@@ -1,11 +1,14 @@
 package netsim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"netfence/internal/aqm"
 	"netfence/internal/packet"
+	"netfence/internal/queue"
 	"netfence/internal/sim"
 )
 
@@ -319,5 +322,55 @@ func TestPoolRecyclesDeliveredPackets(t *testing.T) {
 	}
 	if n.Pool.Len() != 1 {
 		t.Fatalf("pool holds %d packets after drop, want 1", n.Pool.Len())
+	}
+}
+
+// callLog is a FIFO that writes down every call the link makes.
+type callLog struct {
+	queue.FIFO
+	calls []string
+}
+
+func (q *callLog) Enqueue(p *packet.Packet, now sim.Time) bool {
+	q.calls = append(q.calls, fmt.Sprintf("enq %d @%d", p.UID, now))
+	return q.FIFO.Enqueue(p, now)
+}
+
+func (q *callLog) Dequeue(now sim.Time) (*packet.Packet, sim.Time) {
+	p, retry := q.FIFO.Dequeue(now)
+	uid := uint64(0)
+	if p != nil {
+		uid = p.UID
+	}
+	q.calls = append(q.calls, fmt.Sprintf("deq %d @%d", uid, now))
+	return p, retry
+}
+
+// TestInstalledDisciplineSeesEveryPacket: a discipline assigned to Q is
+// never bypassed — its averages, caps and drop decisions are functions
+// of every enqueue. Idle or busy, the link calls Enqueue for each packet
+// and Dequeue whenever the transmitter is free, in the order it always
+// has (deq 0 is the empty poll after the last transmit-complete).
+func TestInstalledDisciplineSeesEveryPacket(t *testing.T) {
+	n, h1, h2, mid := lineTopo(1_000_000) // 12 ms per 1500 B on mid, 120 µs on the uplink
+	q := &callLog{}
+	mid.Q = q
+	h2.Host.Register(1, &sink{})
+	for i := 0; i < 3; i++ {
+		h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500})
+	}
+	n.Eng.Run()
+	h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500})
+	n.Eng.Run()
+	want := []string{
+		"enq 1 @1120000", "deq 1 @1120000", "enq 2 @1240000", "enq 3 @1360000",
+		"deq 2 @13120000", "deq 3 @25120000", "deq 0 @37120000",
+		"enq 4 @49360000", "deq 4 @49360000", "deq 0 @61360000",
+	}
+	if !slices.Equal(q.calls, want) {
+		t.Fatalf("calls on the installed queue:\n got %v\nwant %v", q.calls, want)
+	}
+	if st := n.LinkStats(); st.Queued < 4 || st.Links-st.Queueless != 2 {
+		t.Fatalf("%+v: want the installed queue and the uplink's default queue, nothing else", st)
 	}
 }

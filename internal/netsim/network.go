@@ -70,6 +70,9 @@ type Network struct {
 	remote []remoteHost
 	// hosts and links count what the network materialised.
 	hosts, links int
+	// cutThrough and queued count Link.Send by path; cutHWM is the
+	// backlog high-water mark the bypassed FIFOs would have reported.
+	cutThrough, queued, cutHWM uint64
 
 	uid  uint64
 	flow uint32
@@ -155,8 +158,8 @@ func (n *Network) ASes() []packet.ASID {
 func (n *Network) Materialised() (hosts, links int) { return n.hosts, n.links }
 
 // Connect creates a duplex connection between a and b as two independent
-// unidirectional links with unbounded FIFO queues (replace Q for
-// congestible links). It returns the a-to-b and b-to-a links.
+// unidirectional links, allocated as one pair, with the default FIFO
+// (assign Q on congestible links). It returns the a-to-b and b-to-a links.
 //
 // Connect fails fast on malformed links: nil endpoints or a non-positive
 // rate panic with the offending link named, instead of surfacing later as
@@ -188,27 +191,50 @@ func (n *Network) Connect(a, b *Node, rateBps int64, delay sim.Time) (ab, ba *Li
 		return nil, nil
 	}
 	n.Nodes[a.ID], n.Nodes[b.ID] = a, b // a placeholder becomes a bare node
-	ab = n.addLink(a, b, rateBps, delay)
-	ba = n.addLink(b, a, rateBps, delay)
-	return ab, ba
+	pair := new([2]Link)
+	n.addLink(&pair[0], a, b, rateBps, delay)
+	n.addLink(&pair[1], b, a, rateBps, delay)
+	return &pair[0], &pair[1]
 }
 
-func (n *Network) addLink(from, to *Node, rateBps int64, delay sim.Time) *Link {
-	l := &Link{
+func (n *Network) addLink(l *Link, from, to *Node, rateBps int64, delay sim.Time) {
+	*l = Link{
 		Index: len(n.Links),
 		ID:    packet.LinkID(len(n.Links) + 1), // 0 is the null link
 		From:  from,
 		To:    to,
 		Rate:  rateBps,
 		Delay: delay,
-		Q:     &queue.FIFO{},
 		org:   n.Eng.NewOrigin(originLink | uint64(len(n.Links))),
 		net:   n,
 	}
 	n.Links = append(n.Links, l)
 	n.links++
 	from.out = append(from.out, l)
-	return l
+}
+
+// LinkStats is the link census: links held, links without a queue object,
+// Send calls by path, and the highest backlog in bytes of any one queue
+// (the default FIFOs that packets cut through included).
+type LinkStats struct {
+	Links, Queueless             int
+	CutThrough, Queued, QueueHWM uint64
+}
+
+// LinkStats walks the links; call it at a control point.
+func (n *Network) LinkStats() LinkStats {
+	st := LinkStats{Links: n.links, CutThrough: n.cutThrough, Queued: n.queued, QueueHWM: n.cutHWM}
+	for _, l := range n.Links {
+		if l == nil {
+			continue // reserved: a remote host's link
+		}
+		if l.Q == nil {
+			st.Queueless++
+		} else if hw, ok := l.Q.(queue.HighWaterer); ok {
+			st.QueueHWM = max(st.QueueHWM, uint64(hw.HighWater()))
+		}
+	}
+	return st
 }
 
 // LinkByID returns the link with the given LinkID, or nil.
@@ -448,9 +474,6 @@ func (n *Network) Forward(at *Node, p *packet.Packet) {
 // Release returns a packet to the pool at end of life. Hand-constructed
 // packets (not drawn from the pool) pass through untouched.
 func (n *Network) Release(p *packet.Packet) { n.Pool.Put(p) }
-
-// AllocPacket draws a zeroed packet from the pool.
-func (n *Network) AllocPacket() *packet.Packet { return n.Pool.Get() }
 
 // arrive processes p's arrival at node via l. A packet that reaches its
 // destination is recycled once the host stack (shim, agents, observers)

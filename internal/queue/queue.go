@@ -60,6 +60,9 @@ type FIFO struct {
 	stats Stats
 }
 
+// StartOn hands the empty queue's ring its first slots (Ring.StartOn).
+func (f *FIFO) StartOn(buf []*packet.Packet) { f.q.StartOn(buf) }
+
 // Enqueue always succeeds.
 func (f *FIFO) Enqueue(p *packet.Packet, now sim.Time) bool {
 	p.EnqueuedAt = now

@@ -12,6 +12,10 @@ type Ring struct {
 	n    int
 }
 
+// StartOn makes buf the storage of an empty ring, so an owner can
+// allocate the first slots together with itself; growth moves off it.
+func (r *Ring) StartOn(buf []*packet.Packet) { r.buf = buf }
+
 // Len returns the number of buffered packets.
 func (r *Ring) Len() int { return r.n }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	netfence "netfence"
@@ -83,12 +84,33 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request, j *job
 	obs.RenderPrometheus(w, j.countersSnapshot())
 }
 
+// maxBodyBytes bounds a request body: specs and control requests are a
+// few kilobytes, and one POST must not be able to make the decoder
+// buffer without limit.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, strictly. It answers
+// a body over maxBodyBytes with 413 naming the limit, anything else
+// malformed with 400, and reports whether v is usable.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the limit of %d bytes", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, err)
+	}
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	j, err := s.submit(spec)
@@ -134,10 +156,7 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request, j *job) {
 		return
 	}
 	var req ControlRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// Structural validation is synchronous (a malformed mutation fails

@@ -64,7 +64,9 @@ func New(cfg Config) *Server {
 		runCtx:  ctx,
 		runStop: stop,
 	}
-	s.http = &http.Server{Handler: s.routes()}
+	// A client that opens a connection and never finishes its request
+	// headers must not hold it for ever.
+	s.http = &http.Server{Handler: s.routes(), ReadHeaderTimeout: 10 * time.Second}
 	return s
 }
 

@@ -749,3 +749,50 @@ func TestSampleEventCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestBodyLimit: both decoding endpoints read at most
+// maxBodyBytes. A body padded up to the limit is decoded as ever; one
+// byte more is answered 413 with the limit in the error, before any of
+// it reaches the spec layer.
+func TestRequestBodyLimit(t *testing.T) {
+	s := startServer(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	base := "http://" + s.Addr()
+	spec, err := json.Marshal(JobSpec{Scenario: &ScenarioSpec{
+		Topology:    smokeSpec().Topology,
+		Workloads:   smokeSpec().Workloads,
+		DurationSec: 2, WarmupSec: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(body []byte, size int) string { return strings.Repeat(" ", size-len(body)) + string(body) }
+	limit := fmt.Sprint(maxBodyBytes)
+	cases := []struct {
+		name, path, body string
+		code             int
+		want             string
+	}{
+		{"submit-at-limit", "/jobs", padded(spec, maxBodyBytes), http.StatusAccepted, `"id":"j1"`},
+		{"submit-over-limit", "/jobs", padded(spec, maxBodyBytes+1), http.StatusRequestEntityTooLarge, limit},
+		{"submit-one-long-string", "/jobs", `{"scenario":{"name":"` + strings.Repeat("a", 4*maxBodyBytes), http.StatusRequestEntityTooLarge, limit},
+		{"control-unknown-field", "/jobs/j1/control", `{"bogus":1}`, http.StatusBadRequest, "bogus"},
+		{"control-over-limit", "/jobs/j1/control", padded([]byte(`{"resume":true}`), maxBodyBytes+1), http.StatusRequestEntityTooLarge, limit},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var body bytes.Buffer
+		body.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || !strings.Contains(body.String(), tc.want) {
+			t.Errorf("%s: code=%d body=%s, want %d containing %q", tc.name, resp.StatusCode, body.String(), tc.code, tc.want)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
-	"netfence/internal/queue"
 	"netfence/internal/sim"
 )
 
@@ -43,18 +42,7 @@ func (in *Instance) replicaNets() []*netsim.Network {
 // into a replica's cells. Called at snapshot barriers; repeated
 // harvests are idempotent.
 func harvestGauges(net *netsim.Network) {
-	var hwm uint64
-	for _, l := range net.Links {
-		if l == nil {
-			continue // reserved: a remote host's link
-		}
-		if hw, ok := l.Q.(queue.HighWaterer); ok {
-			if v := uint64(hw.HighWater()); v > hwm {
-				hwm = v
-			}
-		}
-	}
-	net.Cells.SetMax(obs.QueueHWMBytes, hwm)
+	net.Cells.SetMax(obs.QueueHWMBytes, net.LinkStats().QueueHWM)
 	net.Cells.Set(obs.PacketPoolFresh, net.Pool.News)
 	net.Cells.Set(obs.PacketPoolIdle, uint64(net.Pool.Len()))
 }
