@@ -1,6 +1,11 @@
 package netfence
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"netfence/internal/netsim"
+)
 
 // TestLinkCensus holds the idle-link cut-through to its point: a link
 // pays for a queue object only once a packet has found its transmitter
@@ -81,6 +86,61 @@ func TestQueueHWMUncongested(t *testing.T) {
 		}
 		if got := res.Counters["queue_hwm_bytes"]; got != 175_500 {
 			t.Errorf("shards=%d: queue_hwm_bytes = %d, want 175500", shards, got)
+		}
+	}
+}
+
+// TestHandoffCensus holds the cut-link handoff to its books on the
+// ledger's Passport cell at the -short population. At every control
+// point and at the end, what the replicas lent is what they borrowed plus
+// what still waits undrained in a mailbox (at most one window's worth:
+// the deepest batch any drain saw, on every cut link), the borrowed
+// count is the runtime plane's netsim_handoff_packet_total, and no
+// replica sent home more than it borrowed. No arrival needed an event of
+// its own while FIFOs stood dozens deep: a cut link's pending events are
+// the one its mailbox owns, however much it has in flight.
+func TestHandoffCensus(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		in, err := poolCell(256, 8, 2*Second, shards).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts := uint64(in.Sharding.CutLinks)
+		check := func(when string) (sum netsim.HandoffStats) {
+			t.Helper()
+			for i, n := range in.replicaNets() {
+				st := n.HandoffStats()
+				if st.SentHome > st.Borrowed {
+					t.Errorf("shards=%d %s: replica %d sent home %d structs for %d borrowed", shards, when, i, st.SentHome, st.Borrowed)
+				}
+				sum.Lent += st.Lent
+				sum.Borrowed += st.Borrowed
+				sum.SentHome += st.SentHome
+				sum.Debt += st.Debt
+				sum.Keyed += st.Keyed
+				sum.FIFOHWM = max(sum.FIFOHWM, st.FIFOHWM)
+			}
+			rt := in.RuntimeCounters()
+			if sum.Borrowed != rt["netsim_handoff_packet_total"] {
+				t.Errorf("shards=%d %s: %d borrowed, netsim_handoff_packet_total = %d", shards, when, sum.Borrowed, rt["netsim_handoff_packet_total"])
+			}
+			if undrained := sum.Lent - sum.Borrowed; sum.Lent < sum.Borrowed || undrained > cuts*rt["netsim_mailbox_depth_hwm"] {
+				t.Errorf("shards=%d %s: %d lent, %d borrowed over %d cut links (deepest batch %d)", shards, when, sum.Lent, sum.Borrowed, cuts, rt["netsim_mailbox_depth_hwm"])
+			}
+			if sum.Keyed != 0 {
+				t.Errorf("shards=%d %s: %d arrivals took an event of their own with no delay lowered", shards, when, sum.Keyed)
+			}
+			return sum
+		}
+		for at := 250 * Millisecond; at < 2*Second; at += 250 * Millisecond {
+			in.Advance(at)
+			check(fmt.Sprint("at ", at))
+		}
+		in.Finish()
+		sum := check("at the end")
+		t.Logf("shards=%d: %+v", shards, sum)
+		if sum.Lent == 0 || sum.FIFOHWM < 2 {
+			t.Errorf("shards=%d: %+v: want traffic over the cut and FIFOs more than one deep", shards, sum)
 		}
 	}
 }

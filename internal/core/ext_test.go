@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"netfence/internal/defense"
@@ -17,6 +18,19 @@ import (
 // multi-bottleneck token, the Appendix B.2 inference cache, the token-
 // bucket limiter variant, the congestion quota, and the utilization
 // detector — on a two-bottleneck chain topology.
+
+// clonePacket returns an unpooled copy of p whose optional headers share
+// no memory with p's, for a test to tamper with.
+func clonePacket(p *packet.Packet) *packet.Packet {
+	q := *p
+	if p.Ext != nil {
+		x := *p.Ext
+		x.MFB.Items = slices.Clone(x.MFB.Items)
+		x.RetMFB.Items = slices.Clone(x.RetMFB.Items)
+		q.Ext = &x
+	}
+	return &q
+}
 
 func TestMultiFeedbackChainSecurity(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 1_000_000)
@@ -43,8 +57,7 @@ func TestMultiFeedbackChainSecurity(t *testing.T) {
 
 	// Tampering any element of the chain invalidates it.
 	tampered := func(mutate func(h *packet.MultiHeader)) bool {
-		q := &packet.Packet{}
-		q.CopyFrom(p)
+		q := clonePacket(p)
 		mutate(&q.Ext.MFB)
 		return ar.validateMulti(q)
 	}
@@ -71,8 +84,7 @@ func TestMultiFeedbackChainSecurity(t *testing.T) {
 	}
 
 	// Policing a valid chain creates a limiter per reported bottleneck.
-	q := &packet.Packet{}
-	q.CopyFrom(p)
+	q := clonePacket(p)
 	if !ar.police(q) {
 		t.Fatal("valid multi packet rejected")
 	}

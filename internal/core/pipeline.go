@@ -64,7 +64,7 @@ const pipeChunk = 64
 
 type pipeJob struct {
 	keys []sim.EventKey
-	pkts []packet.Packet
+	pkts []*packet.Packet
 	dest *netsim.Link
 }
 
@@ -173,8 +173,7 @@ func (pl *Pipeline) worker(name string, id int) {
 		w := &pipeWorker{pl: pl, clones: make(map[*cmac.CMAC]*cmac.CMAC)}
 		for job := range pl.jobs {
 			n := uint64(0)
-			for i := range job.pkts {
-				p := &job.pkts[i]
+			for i, p := range job.pkts {
 				did := w.feedbackVerdict(p, job.dest, job.keys[i].At)
 				if w.passportVerdict(p, job.dest) {
 					did = true

@@ -11,8 +11,9 @@ import (
 
 // The tests in this file assert the SHAPE of every reproduced figure at
 // tiny scale: who wins, by roughly what factor, where the crossovers
-// fall. Absolute values belong to EXPERIMENTS.md, regenerated by
-// cmd/netfence-sim at larger scales.
+// fall. Absolute values are what `netfence-sim -exp <figure> -scale
+// small|paper` prints, each figure beside the paper's expectation it
+// records with res.Note("paper shape: …") in this package.
 
 // skipIfShort gates the multi-second simulation tests so that
 // `go test -short ./...` stays fast for CI and inner-loop development.

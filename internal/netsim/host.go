@@ -54,8 +54,17 @@ func (h *Host) Network() *Network { return h.net }
 // NewPacket draws a zeroed packet from the network's pool; the packet
 // returns to the pool automatically when the network delivers or drops
 // it. Transports should prefer this over &packet.Packet{} so steady-state
-// sending allocates nothing.
-func (h *Host) NewPacket() *packet.Packet { return h.net.Pool.Get() }
+// sending allocates nothing. Before a sharded replica's pool allocates,
+// it takes what empties its cut links hold.
+func (h *Host) NewPacket() *packet.Packet {
+	pool := &h.net.Pool
+	if pool.Len() == 0 {
+		for _, mb := range h.net.outboxes {
+			mb.adopt(pool)
+		}
+	}
+	return pool.Get()
+}
 
 // Send stamps addressing metadata, runs the shim's egress path, and
 // injects p into the network.

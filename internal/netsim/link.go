@@ -198,7 +198,7 @@ func (l *Link) txDone(p *packet.Packet) {
 		// The handoff key is exactly what a local propagation event's
 		// scheduling key would have been, so the destination engine
 		// executes the arrival where a single global engine would have.
-		l.mailbox.push(&l.net.Pool, p, l.org.HandoffKey(now+l.Delay))
+		l.mailbox.push(l.net, p, l.org.HandoffKey(now+l.Delay))
 	} else {
 		l.org.Schedule(now+l.Delay, (*linkArrive)(l), p)
 	}
@@ -211,7 +211,10 @@ func (l *Link) Origin() *sim.Origin { return &l.org }
 
 // SetMailbox marks the link as a cut link delivering into mb's
 // destination replica. Partitioned-run wiring only.
-func (l *Link) SetMailbox(mb *Mailbox) { l.mailbox = mb }
+func (l *Link) SetMailbox(mb *Mailbox) {
+	l.mailbox = mb
+	l.net.outboxes = append(l.net.outboxes, mb)
+}
 
 // SetRate changes the link capacity at the current instant. The packet
 // currently serializing (if any) completes at the old rate — its

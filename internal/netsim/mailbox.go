@@ -14,34 +14,37 @@ import (
 // need no further synchronization; the barrier provides the
 // happens-before edge.
 //
-// Pending handoffs are stored structure-of-arrays — a key slab and a
-// parallel packet slab — so a drain hands the destination engine one
-// contiguous batch (Engine.InjectBatch). Keys in a window are minted as
-// now+delay with now nondecreasing and delay constant between barriers,
-// so the slab is already sorted by arrival time, and "did anything land
-// in this window" is answered by the first key alone.
+// A handoff moves the packet's struct, by reference: a struct lives
+// where its packet is, and empties go home. push appends the key and the
+// pointer; Drain moves the window onto the destination's FIFO and sends
+// back, through empties, as many idle structs of the destination's pool
+// as it still owes (the debt waits while that free list is short). The
+// source adopts them at its next push or pool miss. empties is the one
+// field the destination writes (draining) and the source reads
+// (executing), never the other way round.
 //
-// A handoff moves a packet's contents, not its struct: a packet is
-// allocated, recycled and counted by the one pool it was drawn from.
-// push copies the packet into a slot of the mailbox's by-value slab and
-// returns the struct to the source replica's pool on the spot; Drain
-// copies each slot into a packet drawn from the destination replica's
-// pool and injects that. Slots are reused window after window and keep
-// their Passport trailer arrays, so a mailbox holds one window's
-// handoffs at its deepest and nothing else. Traffic across a cut is
-// one-way toward the bottleneck shard: transferring structs instead
-// would fill the sink's free list and drain the source's for as long as
-// the run lasts.
+// Keys are minted as now+delay with now nondecreasing and delay constant
+// between barriers, so a window is sorted by arrival time, and so is the
+// FIFO as long as the delay is not lowered. One owned event, armed under
+// the head's own key and re-armed as each arrival fires, therefore runs
+// every arrival exactly where a pooled event per handoff would; the
+// arrivals a lowered delay puts ahead of the FIFO's tail get such an
+// event each.
 type Mailbox struct {
-	// destLink is the destination replica's copy of the cut link; its
-	// linkArrive handler delivers drained packets to the To node with
-	// full ingress/forwarding semantics.
+	// destLink is the destination replica's copy of the cut link: arrivals
+	// reach its To node with full ingress/forwarding semantics.
 	destLink *Link
 	keys     []sim.EventKey
-	pkts     []packet.Packet
-	// args is Drain's scratch: the destination's packets boxed as `any`
-	// for the batch injection.
-	args []any
+	pkts     []*packet.Packet
+	empties  []*packet.Packet
+
+	// Destination-private: the FIFO (live from head), its event, and the
+	// structs received and not yet paid for.
+	fifoKeys []sim.EventKey
+	fifoPkts []*packet.Packet
+	head     int
+	ev       sim.Event
+	owed     int
 }
 
 // NewMailbox creates the mailbox for a cut link. dest must be the
@@ -49,60 +52,98 @@ type Mailbox struct {
 // source's).
 func NewMailbox(dest *Link) *Mailbox { return &Mailbox{destLink: dest} }
 
-// push records one handoff and recycles p into pool, the source
-// replica's. Called by the source shard inside the transmit-complete
-// event.
-func (m *Mailbox) push(pool *packet.Pool, p *packet.Packet, key sim.EventKey) {
+// push records one handoff. Called by the source shard inside the
+// transmit-complete event.
+func (m *Mailbox) push(net *Network, p *packet.Packet, key sim.EventKey) {
 	m.keys = append(m.keys, key)
-	n := len(m.pkts)
-	if n < cap(m.pkts) {
-		m.pkts = m.pkts[:n+1] // the slot's retained arrays are reused
-	} else {
-		m.pkts = append(m.pkts, packet.Packet{})
-	}
-	m.pkts[n].CopyFrom(p)
-	pool.Put(p)
+	m.pkts = append(m.pkts, p)
+	net.lent++
+	m.adopt(&net.Pool)
 }
 
-// Pending exposes the mailbox's undrained handoff batch: the sorted
-// arrival-key slab and the parallel packet slab. The sharded validation
-// pipeline reads it between the coordinator's barrier and Drain — every
-// shard is parked at the drain round, so the batch (and all replica
-// state the verdicts depend on) is frozen — and writes its verdicts
-// into the slots, so they travel with Drain's copy. The slices alias
-// the mailbox's slabs and are invalidated by the next Drain or push.
-func (m *Mailbox) Pending() ([]sim.EventKey, []packet.Packet) { return m.keys, m.pkts }
+// adopt takes the empties sent home into pool, the source replica's.
+func (m *Mailbox) adopt(pool *packet.Pool) {
+	pool.Adopt(m.empties)
+	m.empties = m.empties[:0]
+}
+
+// Pending exposes the mailbox's undrained window: the sorted arrival
+// keys and the packets themselves. The sharded validation pipeline reads
+// it between the coordinator's barrier and Drain — every shard is parked
+// at the drain round, so the window (and all replica state the verdicts
+// depend on) is frozen — and writes its verdicts into the packets. The
+// slices are invalidated by the next Drain or push.
+func (m *Mailbox) Pending() ([]sim.EventKey, []*packet.Packet) { return m.keys, m.pkts }
 
 // DestLink returns the destination replica's copy of the cut link —
 // where Pending packets will arrive.
 func (m *Mailbox) DestLink() *Link { return m.destLink }
 
-// Drain injects every pending arrival into the destination engine as
-// one batch and reports whether any landed at or before deadline.
-// Called by the destination shard at window start, after the barrier.
+// Drain moves every pending arrival onto the FIFO, sends home the
+// empties owed, and reports whether any arrival landed at or before
+// deadline. Called by the destination shard at window start, after the
+// barrier.
 func (m *Mailbox) Drain(deadline sim.Time) bool {
-	if len(m.keys) == 0 {
+	net := m.destLink.net
+	n := len(m.keys)
+	if m.owed += n; m.owed > 0 {
+		before := len(m.empties)
+		m.empties = net.Pool.Lend(m.empties, m.owed)
+		m.owed -= len(m.empties) - before
+		net.sentHome += uint64(len(m.empties) - before)
+	}
+	if n == 0 {
 		return false
 	}
-	net := m.destLink.net
 	// Runtime-plane accounting, written on the destination goroutine
 	// (the only side active after the barrier): handoff volume and the
 	// deepest batch any drain saw. Shard-layout-dependent by nature.
 	cells := net.Cells
 	cells.Add(obs.NetsimHandoffBatches, 1)
-	cells.Add(obs.NetsimHandoffPackets, uint64(len(m.keys)))
-	cells.SetMax(obs.NetsimMailboxDepthHWM, uint64(len(m.keys)))
-	// Keys ascend within the slab, so the earliest arrival is keys[0].
-	hit := m.keys[0].At <= deadline
-	for i := range m.pkts {
-		p := net.Pool.Get()
-		p.CopyFrom(&m.pkts[i])
-		m.args = append(m.args, p)
+	cells.Add(obs.NetsimHandoffPackets, uint64(n))
+	cells.SetMax(obs.NetsimMailboxDepthHWM, uint64(n))
+	if m.head > len(m.fifoKeys)/2 { // the fired prefix outgrew what is live
+		live := copy(m.fifoKeys, m.fifoKeys[m.head:])
+		copy(m.fifoPkts, m.fifoPkts[m.head:])
+		m.fifoKeys, m.fifoPkts, m.head = m.fifoKeys[:live], m.fifoPkts[:live], 0
 	}
-	net.Eng.InjectBatch(m.keys, (*linkArrive)(m.destLink), m.args)
-	clear(m.args)
-	m.keys = m.keys[:0]
-	m.pkts = m.pkts[:0]
-	m.args = m.args[:0]
+	// The window's prefix that a lowered delay put ahead of the FIFO's
+	// tail is ordered by the calendar.
+	i := 0
+	if q := len(m.fifoKeys); q > m.head {
+		for ; i < n && m.keys[i].At < m.fifoKeys[q-1].At; i++ {
+			net.Eng.Inject(m.keys[i], (*linkArrive)(m.destLink), m.pkts[i])
+		}
+		net.keyed += uint64(i)
+	}
+	m.fifoKeys = append(m.fifoKeys, m.keys[i:]...)
+	m.fifoPkts = append(m.fifoPkts, m.pkts[i:]...)
+	net.fifoHWM = max(net.fifoHWM, uint64(len(m.fifoKeys)-m.head))
+	if !m.ev.Pending() { // the FIFO was empty: the window is all of it
+		m.arm()
+	}
+	// Keys ascend within the window, so the earliest arrival is keys[0].
+	hit := m.keys[0].At <= deadline
+	m.keys, m.pkts = m.keys[:0], m.pkts[:0]
 	return hit
+}
+
+// arm schedules the FIFO's head under the key its handoff minted.
+func (m *Mailbox) arm() {
+	m.destLink.net.Eng.InjectEvent(&m.ev, m.fifoKeys[m.head], (*mailboxArrive)(m), m.fifoPkts[m.head])
+}
+
+// mailboxArrive dispatches the mailbox's owned event: the FIFO's head
+// reaches the link's head end, and the next head takes the event.
+type mailboxArrive Mailbox
+
+func (h *mailboxArrive) OnEvent(_ sim.Time, arg any) {
+	m := (*Mailbox)(h)
+	if m.head++; m.head < len(m.fifoKeys) {
+		m.arm()
+	} else {
+		m.fifoKeys, m.fifoPkts, m.head = m.fifoKeys[:0], m.fifoPkts[:0], 0
+	}
+	l := m.destLink
+	l.net.arrive(arg.(*packet.Packet), l.To, l)
 }

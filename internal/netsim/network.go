@@ -73,6 +73,10 @@ type Network struct {
 	// cutThrough and queued count Link.Send by path; cutHWM is the
 	// backlog high-water mark the bypassed FIFOs would have reported.
 	cutThrough, queued, cutHWM uint64
+	// outboxes are the mailboxes of the cut links leaving this replica;
+	// the rest is the handoff census (see HandoffStats).
+	outboxes                       []*Mailbox
+	lent, sentHome, keyed, fifoHWM uint64
 
 	uid  uint64
 	flow uint32
@@ -233,6 +237,26 @@ func (n *Network) LinkStats() LinkStats {
 		} else if hw, ok := l.Q.(queue.HighWaterer); ok {
 			st.QueueHWM = max(st.QueueHWM, uint64(hw.HighWater()))
 		}
+	}
+	return st
+}
+
+// HandoffStats is the cut-link census of one replica: packets its cut
+// links lent to other shards and borrowed from them, idle structs it sent
+// home for those and still owes, empties come home and not yet adopted
+// (idle here, like the free list), arrivals that needed a keyed event of
+// their own, and the deepest any inbound FIFO stood after a drain.
+type HandoffStats struct {
+	Lent, Borrowed, SentHome, Debt, Home, Keyed, FIFOHWM uint64
+}
+
+// HandoffStats reads the census; call it at a control point.
+func (n *Network) HandoffStats() HandoffStats {
+	borrowed := n.Cells[obs.NetsimHandoffPackets]
+	st := HandoffStats{Lent: n.lent, Borrowed: borrowed, SentHome: n.sentHome,
+		Debt: borrowed - n.sentHome, Keyed: n.keyed, FIFOHWM: n.fifoHWM}
+	for _, mb := range n.outboxes {
+		st.Home += uint64(len(mb.empties))
 	}
 	return st
 }

@@ -181,7 +181,7 @@ var defs = []Def{
 	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed MAC verdicts consumed at admission instead of inline CMAC", "§5.1", Counter, true},
 	{PipelineRotationFallbacks, "pipeline_rotation_fallback_total", "handoff packets skipped by the pipeline because their window straddles a KeyRotate boundary (validated inline)", "§4.1", Counter, true},
 	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a replica's pool had none to recycle", "—", Counter, true},
-	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one replica's pool held at the last run boundary", "—", Gauge, true},
+	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one replica held at the last run boundary (free list plus empties come home over cut links)", "—", Gauge, true},
 	{ReplicaHosts, "replica_hosts_materialised_total", "hosts that exist as structs, summed over shard replicas (a host is built only on the shard owning its AS)", "§5.1", Counter, true},
 	{ReplicaLinks, "replica_links_materialised_total", "links that exist as structs, summed over shard replicas (router links are built on every replica, a host's two on its owner's)", "§5.1", Counter, true},
 }

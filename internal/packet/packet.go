@@ -9,8 +9,6 @@
 package packet
 
 import (
-	"slices"
-
 	"netfence/internal/sim"
 )
 
@@ -313,27 +311,6 @@ func (p *Packet) NeedExt() *Ext {
 // HasMFB reports whether the packet carries a forward Appendix B.1
 // multi-bottleneck header.
 func (p *Packet) HasMFB() bool { return p.Ext != nil && p.Ext.MFB.Present }
-
-// CopyFrom makes p carry src's contents while sharing no memory with
-// it: p keeps its own Passport trailer array, Ext block and pool
-// bookkeeping. A cut-link handoff uses it to move a packet between
-// shards without moving the struct out of its pool.
-func (p *Packet) CopyFrom(src *Packet) {
-	entries, ext := p.Passport.Entries[:0], p.Ext
-	pooled, inPool := p.pooled, p.inPool
-	*p = *src
-	p.pooled, p.inPool = pooled, inPool
-	p.Passport.Entries = append(entries, src.Passport.Entries...)
-	p.Ext = ext
-	if src.Ext != nil {
-		x := p.NeedExt()
-		*x = *src.Ext
-		x.MFB.Items = slices.Clone(src.Ext.MFB.Items)
-		x.RetMFB.Items = slices.Clone(src.Ext.RetMFB.Items)
-	} else if ext != nil {
-		*ext = Ext{}
-	}
-}
 
 // IsSYN reports whether the packet is a TCP SYN (and not a SYN-ACK).
 func (p *Packet) IsSYN() bool {

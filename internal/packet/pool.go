@@ -6,15 +6,18 @@ package packet
 // replicas of a sharded run each get their own network, engine and
 // pool).
 //
-// Ownership rule: a packet is allocated, recycled and counted by
-// exactly one pool — the one it was drawn from — and has exactly one
-// owner at a time: the transport that drew it, then the queue/limiter
-// holding it, then the network delivering it. The network returns it to
-// its pool at end of life (final delivery or drop), after every observer
-// hook has run. A packet crossing a cut link of a sharded run does not
-// change pools: the destination shard copies its contents into a packet
-// of its own (CopyFrom) and the source shard recycles the original, so
-// every shard's pool stays as small as its own traffic in flight.
+// Ownership rule: a packet has exactly one owner at a time — the
+// transport that drew it, then the queue/limiter holding it, then the
+// network delivering it — and is recycled by the pool of the network it
+// ends its life on (final delivery or drop), after every observer hook
+// has run. On one engine that is the pool it was drawn from. A packet
+// crossing a cut link of a sharded run takes its struct along, trailer
+// array and Ext included: a struct lives where its packet is, and
+// empties go home — the destination shard hands an idle struct of its
+// own back for each one it receives (Lend there, Adopt here; see
+// netsim.Mailbox), so every shard's pool stays as small as its own
+// traffic in flight. News counts a struct where it was allocated, Len
+// where it rests.
 // Packets constructed directly with &Packet{} (tests, hand-crafted
 // probes) are not pool-managed: Put ignores them, so legacy call sites
 // that inspect a packet after the run keep working.
@@ -60,6 +63,18 @@ func (pl *Pool) Put(p *Packet) {
 
 // Len returns the number of idle packets held by the pool.
 func (pl *Pool) Len() int { return len(pl.free) }
+
+// Lend moves up to n idle packets off the free list onto dst: the empties
+// a shard sends home for the packets a cut link brought it.
+func (pl *Pool) Lend(dst []*Packet, n int) []*Packet {
+	k := len(pl.free) - min(n, len(pl.free))
+	dst = append(dst, pl.free[k:]...)
+	pl.free = pl.free[:k]
+	return dst
+}
+
+// Adopt takes idle packets another pool lent onto the free list.
+func (pl *Pool) Adopt(ps []*Packet) { pl.free = append(pl.free, ps...) }
 
 // Reset zeroes every field of p, making it indistinguishable from a
 // freshly allocated packet to every consumer. The deliberate exception

@@ -176,67 +176,37 @@ func TestPoolRetainsExt(t *testing.T) {
 	}
 }
 
-// TestCopyFromIsDeep: a copy equals its source in every exported field
-// and shares no memory with it — whatever the source held, and whatever
-// the destination had retained from an earlier life.
-func TestCopyFromIsDeep(t *testing.T) {
-	var srcPool, dstPool Pool
-	prop := func(seed uint64, recycled bool) bool {
-		rng := rand.New(rand.NewPCG(seed, 9))
-		src, dst := srcPool.Get(), dstPool.Get()
-		dirtyPacket(src, rng)
-		if recycled {
-			// dst retains a trailer array and an Ext of its own.
-			dirtyPacket(dst, rng)
-			dstPool.Put(dst)
-			dst = dstPool.Get()
-		}
-		// The same seed fills the same values: an independent record of
-		// what src held.
-		want := &Packet{pooled: true}
-		dirtyPacket(want, rand.New(rand.NewPCG(seed, 9)))
-		ownExt := dst.Ext
-		dst.CopyFrom(src)
-		if !reflect.DeepEqual(dst, want) {
-			t.Errorf("copy differs from source:\n got %+v\nwant %+v", dst, want)
-			return false
-		}
-		if recycled && dst.Ext != ownExt {
-			t.Error("copy dropped the destination's retained Ext")
-			return false
-		}
-		// Scribble over everything the source owns.
-		for i := range src.Passport.Entries {
-			src.Passport.Entries[i].AS = -7
-		}
-		for i := range src.Ext.MFB.Items {
-			src.Ext.MFB.Items[i].Link = 0xdead
-		}
-		for i := range src.Ext.RetMFB.Items {
-			src.Ext.RetMFB.Items[i].Link = 0xdead
-		}
-		src.Ext.Cap.Expire++
-		srcPool.Put(src)
-		if !reflect.DeepEqual(dst, want) {
-			t.Errorf("copy changed when its source was mutated and recycled:\n got %+v\nwant %+v", dst, want)
-			return false
-		}
-		dstPool.Put(dst)
-		return true
+// TestLendAdopt: structs lent by one pool and adopted by another stay
+// idle throughout — neither pool allocates for them, a short free list
+// lends what it has, and an adopted struct is drawn like any other.
+func TestLendAdopt(t *testing.T) {
+	var home, away Pool
+	var ps []*Packet
+	for i := 0; i < 3; i++ {
+		ps = append(ps, home.Get())
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for _, p := range ps {
+		p.NeedExt().Cap.Present = true
+		away.Put(p) // the packets ended their lives on the other shard
 	}
-}
-
-// TestCopyFromWithoutExt: copying an Ext-less packet into one that
-// retains an Ext leaves that Ext zeroed, not stale.
-func TestCopyFromWithoutExt(t *testing.T) {
-	var pool Pool
-	dst := pool.Get()
-	dst.NeedExt().Cap.Present = true
-	dst.CopyFrom(&Packet{Src: 1, Dst: 2})
-	if dst.Ext == nil || !reflect.DeepEqual(*dst.Ext, Ext{}) {
-		t.Fatalf("retained Ext not cleared by an Ext-less copy: %+v", dst.Ext)
+	empties := away.Lend(nil, 2)
+	empties = away.Lend(empties, 5) // short: one left
+	if len(empties) != 3 || away.Len() != 0 {
+		t.Fatalf("lent %d of 3, %d still on the lender's free list", len(empties), away.Len())
 	}
+	home.Adopt(empties)
+	if home.Len() != 3 || home.News != 3 || away.News != 0 {
+		t.Fatalf("home idles %d (fresh %d), away fresh %d", home.Len(), home.News, away.News)
+	}
+	p := home.Get()
+	if home.News != 3 || p.Ext == nil || p.Ext.Cap.Present {
+		t.Fatalf("an adopted struct was not reused clean: fresh %d, ext %+v", home.News, p.Ext)
+	}
+	home.Put(p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double release of an adopted struct not caught")
+		}
+	}()
+	home.Put(p)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sort"
 	"sync"
 
@@ -166,16 +167,7 @@ func (j *job) run(ctx context.Context) {
 	defer close(j.finished)
 	defer j.hub.close()
 	j.setState(jobRunning)
-
-	var err error
-	switch {
-	case j.spec.Scenario != nil:
-		err = j.runScenario(ctx)
-	case j.spec.Sweep != nil:
-		err = j.runSweep(ctx)
-	default:
-		err = j.runSearch(ctx)
-	}
+	err := j.execute(ctx)
 
 	j.mu.Lock()
 	switch {
@@ -201,6 +193,29 @@ func (j *job) run(ctx context.Context) {
 		j.hub.publish("result", report)
 	}
 	j.hub.publish("status", j.status())
+}
+
+// execute runs the job by kind. A panic on this goroutine — in a
+// builder a spec names, in the segment loop — becomes the job's error,
+// so one POST cannot take the worker, and the server with it, down. A
+// panic on a goroutine the run itself starts (a shard's coordinator
+// worker, a pipeline worker, a sweep cell) is out of reach of this
+// recover and still ends the process.
+func (j *job) execute(ctx context.Context) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("server: job %s panicked: %v", j.id, r)
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	switch {
+	case j.spec.Scenario != nil:
+		return j.runScenario(ctx)
+	case j.spec.Sweep != nil:
+		return j.runSweep(ctx)
+	default:
+		return j.runSearch(ctx)
+	}
 }
 
 // sampleEvent is one streamed timeseries point. The last sample of a

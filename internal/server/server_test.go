@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -794,5 +795,65 @@ func TestRequestBodyLimit(t *testing.T) {
 		if resp.StatusCode != tc.code || !strings.Contains(body.String(), tc.want) {
 			t.Errorf("%s: code=%d body=%s, want %d containing %q", tc.name, resp.StatusCode, body.String(), tc.code, tc.want)
 		}
+	}
+}
+
+// registerPanicky guards the registry against go test -count.
+var registerPanicky sync.Once
+
+// TestJobPanicIsolated: a panic while a job runs — here in a builder the
+// spec names, a test-only registered defense — fails that job with the
+// panic value in its last status event, ends its stream, and leaves the
+// worker to run the next job to done. (The spec vocabulary names only
+// the four in-tree topologies, so a registered defense is the builder a
+// POST can reach.)
+func TestJobPanicIsolated(t *testing.T) {
+	registerPanicky.Do(func() {
+		netfence.RegisterDefense("panics-on-build", func(*netfence.Network, netfence.DefenseBuildOptions) (netfence.DefenseSystem, error) {
+			panic("builder blew up")
+		})
+	})
+	s := startServer(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	base := "http://" + s.Addr()
+	submit := func(spec ScenarioSpec) string {
+		t.Helper()
+		code, body := postJSON(t, base+"/jobs", JobSpec{Scenario: &spec})
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil || code != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", code, body)
+		}
+		return st.ID
+	}
+	bad := smokeSpec()
+	bad.Defense = "panics-on-build"
+	badID, goodID := submit(bad), submit(smokeSpec())
+
+	events := readStream(t, base+"/jobs/"+badID+"/stream") // returns: the hub closed
+	var last JobStatus
+	for _, ev := range events {
+		if ev.typ == "result" {
+			t.Errorf("a panicked job streamed a result: %s", ev.data)
+		}
+		if ev.typ == "status" {
+			if err := json.Unmarshal(ev.data, &last); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if last.State != string(jobFailed) || !strings.Contains(last.Error, "builder blew up") {
+		t.Fatalf("last status of the panicked job: %+v, want failed with the panic value", last)
+	}
+	select {
+	case <-s.job(badID).finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the panicked job's finished channel never closed")
+	}
+	if st := waitState(t, base, goodID, string(jobDone)); st.Error != "" {
+		t.Fatalf("the next job on the same worker: %+v", st)
 	}
 }

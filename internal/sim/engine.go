@@ -37,8 +37,8 @@ const (
 //   - closure events, created by At / After: heap-allocated per call, safe
 //     to hold and Cancel at any time;
 //   - owned events, embedded by value in a long-lived struct and armed
-//     with ScheduleEvent: reusable with zero allocation, but must not be
-//     re-armed while still queued;
+//     with ScheduleEvent or InjectEvent: reusable with zero allocation,
+//     but must not be re-armed while still queued;
 //   - pooled events, created by Schedule: drawn from the engine's free
 //     list and recycled after firing; no handle is returned, so they
 //     cannot be cancelled externally.
@@ -176,8 +176,8 @@ func (o *Origin) arm(ev *Event, t Time) {
 // EventKey is the scheduling key of one event — the currency of
 // cross-shard handoffs. The source side mints it with HandoffKey at the
 // instant it would have scheduled the event locally; the destination
-// engine's Inject places the event into its own order exactly where a
-// single global engine would have run it.
+// engine's Inject or InjectEvent places the event into its own order
+// exactly where a single global engine would have run it.
 type EventKey struct {
 	At          Time
 	Origin, Seq uint64
@@ -318,8 +318,7 @@ func (e *Engine) SchedStats() SchedStats {
 
 // eventSlabSize is how many pooled Event slots one free-list refill
 // allocates at once. Slab refills amortize the allocator over bursts
-// (a mailbox batch injection wants dozens of slots in one drain) and
-// keep pooled events cache-adjacent.
+// and keep pooled events cache-adjacent.
 const eventSlabSize = 64
 
 // grabEvent pops a pooled event slot off the free list, refilling the
@@ -566,10 +565,19 @@ func (e *Engine) RunBefore(t Time) {
 // (pooled, non-cancellable). Injecting into the past panics: it means
 // the caller violated the conservative-synchronization lookahead bound.
 func (e *Engine) Inject(k EventKey, h Handler, arg any) {
+	e.InjectEvent(e.grabEvent(), k, h, arg)
+}
+
+// InjectEvent is Inject into a caller-owned slot, held and re-armed
+// under ScheduleEvent's rules: a cut-link mailbox keeps one for the
+// earliest arrival it holds.
+func (e *Engine) InjectEvent(ev *Event, k EventKey, h Handler, arg any) {
 	if k.At < e.now {
 		panic("sim: Inject behind the engine clock (lookahead violation)")
 	}
-	ev := e.grabEvent()
+	if ev.queued {
+		panic("sim: InjectEvent on an event that is still queued")
+	}
 	ev.h, ev.arg = h, arg
 	ev.at, ev.origin, ev.seq = k.At, k.Origin, k.Seq
 	e.enqueue(ev)

@@ -8,7 +8,8 @@ import (
 // Opcodes of the fuzz program; bits 4 and up of the opcode byte pick the
 // origin (and the owned slot).
 const (
-	opAfter  = 0 // and 1
+	opAfter  = 0
+	opKeyed  = 1 // InjectEvent into an owned slot
 	opOwned  = 2
 	opCancel = 3
 	opInject = 4
@@ -65,8 +66,13 @@ func fuzzRun(e *Engine, data []byte) []int64 {
 		o := &origins[int(op>>4)%len(origins)]
 		id++
 		switch op & 7 {
-		case opAfter, opAfter + 1:
+		case opAfter:
 			handles = append(handles, o.After(fuzzDelay(arg), fired(id, arg)))
+		case opKeyed:
+			if ev := &owned[int(op>>4)%len(owned)]; !ev.Pending() {
+				k := EventKey{At: e.Now() + fuzzDelay(arg), Origin: o.id, Seq: 1<<40 + uint64(id)}
+				e.InjectEvent(ev, k, Func(fired(id, arg)), nil)
+			}
 		case opOwned:
 			if ev := &owned[int(op>>4)%len(owned)]; !ev.Pending() {
 				o.ScheduleEvent(ev, e.Now()+fuzzDelay(arg), Func(fired(id, arg)), nil)
@@ -94,8 +100,8 @@ func fuzzRun(e *Engine, data []byte) []int64 {
 // FuzzEngineOrder requires the calendar engine to fire the same events in
 // the same order, with the same Pending and Now along the way, as the
 // heap reference, under any interleaving of schedule, ScheduleEvent,
-// cancel, Inject, Step, RunUntil and RunBefore with delays of every
-// class. The seeds are the table tests' shapes.
+// cancel, Inject, InjectEvent, Step, RunUntil and RunBefore with delays
+// of every class. The seeds are the table tests' shapes.
 func FuzzEngineOrder(f *testing.F) {
 	d := func(class, jitter byte) byte { return jitter<<3 | class }
 	const o1, o2 = 1 << 4, 2 << 4
@@ -116,6 +122,11 @@ func FuzzEngineOrder(f *testing.F) {
 	// Owned timers re-armed across a rotation boundary.
 	f.Add([]byte{opOwned, d(4, 0), opOwned | o1, d(4, 31), opUntil, d(4, 8), opOwned, d(7, 3),
 		opOwned | o1, d(5, 0), opBefore, d(5, 1), opStep, 0})
+	// A mailbox's event: an owned slot armed under an explicit key, and
+	// again once it has fired — for the same instant, the same bucket, a
+	// later rotation — with pooled injections of its origin in between.
+	f.Add([]byte{opKeyed | o1, d(3, 2), opUntil, d(3, 2), opKeyed | o1, d(0, 0), opInject | o1, d(0, 0), opStep, 0,
+		opKeyed | o1, d(1, 9), opInject | o1, d(1, 4), opStep, 0, opKeyed | o1, d(5, 0), opBefore, d(5, 0), opKeyed | o2, d(4, 3)})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, want := fuzzRun(New(1), data), fuzzRun(NewHeapReference(1), data)
 		if !slices.Equal(got, want) {

@@ -44,7 +44,7 @@ func (in *Instance) replicaNets() []*netsim.Network {
 func harvestGauges(net *netsim.Network) {
 	net.Cells.SetMax(obs.QueueHWMBytes, net.LinkStats().QueueHWM)
 	net.Cells.Set(obs.PacketPoolFresh, net.Pool.News)
-	net.Cells.Set(obs.PacketPoolIdle, uint64(net.Pool.Len()))
+	net.Cells.Set(obs.PacketPoolIdle, uint64(net.Pool.Len())+net.HandoffStats().Home)
 }
 
 // mergedCells harvests and merges every replica's cells in shard

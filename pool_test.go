@@ -29,7 +29,8 @@ func poolCell(pop, srcASes int, dur Time, shards int) Scenario {
 }
 
 // poolCounts runs sc and returns each replica's pool counters: packets
-// it had to allocate, and packets idle on its free list at the end.
+// it had to allocate, and packets idle at the end — on its free list or
+// come home through a cut link and not yet adopted.
 func poolCounts(t *testing.T, sc Scenario) (fresh, idle []uint64) {
 	t.Helper()
 	in, err := sc.Build()
@@ -39,16 +40,16 @@ func poolCounts(t *testing.T, sc Scenario) (fresh, idle []uint64) {
 	in.Run()
 	for _, n := range in.replicaNets() {
 		fresh = append(fresh, n.Pool.News)
-		idle = append(idle, uint64(n.Pool.Len()))
+		idle = append(idle, uint64(n.Pool.Len())+n.HandoffStats().Home)
 	}
 	return fresh, idle
 }
 
 // TestShardPoolsBounded holds the packet lifecycle rule under sharding:
-// a packet is allocated and recycled by one pool, so splitting a run
-// over shards must neither multiply the packets allocated nor park them
-// on one shard's free list, and what a pool idles must track the traffic
-// in flight, not the simulated time elapsed.
+// a struct lives where its packet is and empties go home, so splitting a
+// run over shards must neither multiply the packets allocated nor park
+// them on one shard's free list, and what a pool idles must track the
+// traffic in flight, not the simulated time elapsed.
 func TestShardPoolsBounded(t *testing.T) {
 	pop, srcASes, dur := 256, 8, 2*Second
 	if !testing.Short() {
@@ -133,7 +134,7 @@ func TestPoolCountersOnRuntimePlane(t *testing.T) {
 	var fresh, idleMax uint64
 	for _, n := range in.replicaNets() {
 		fresh += n.Pool.News
-		idleMax = max(idleMax, uint64(n.Pool.Len()))
+		idleMax = max(idleMax, uint64(n.Pool.Len())+n.HandoffStats().Home)
 	}
 	if rt["packet_pool_fresh_total"] != fresh || fresh == 0 {
 		t.Errorf("packet_pool_fresh_total = %d, pools allocated %d", rt["packet_pool_fresh_total"], fresh)

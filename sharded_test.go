@@ -77,11 +77,21 @@ func diffJSON(t *testing.T, name string, want, got string, shards int) {
 // partitioned run must reproduce the single-engine Result JSON byte for
 // byte at several shard counts.
 func TestShardedEquivalenceTopologies(t *testing.T) {
+	delayLowered := []Mutation{
+		{At: 12 * Second, Link: &LinkMutation{Delay: 40 * Millisecond}},
+		{At: 18 * Second, Link: &LinkMutation{Delay: 10 * Millisecond}},
+		{At: 24 * Second, Link: &LinkMutation{Delay: 25 * Millisecond}},
+		{At: 24*Second + 7*Millisecond, Link: &LinkMutation{Restore: true}},
+	}
 	cases := []struct {
 		name      string
 		spec      TopologySpec
 		workloads []Workload
 		shards    []int
+		// timeline, when set, must make some cut link overtake itself:
+		// arrivals minted under a lowered delay land ahead of ones still
+		// in the destination's FIFO (HandoffStats.Keyed counts them).
+		timeline []Mutation
 	}{
 		{
 			name: "dumbbell",
@@ -92,6 +102,24 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 				ColluderPairs{Senders: Range(12, 20), RateBps: 1_000_000},
 			},
 			shards: []int{2, 4, 8},
+		},
+		{
+			// The star's bottleneck joins two ASes and is cut at both counts
+			// (the dumbbell's and the parking lot's lie inside one AS and never
+			// are). Its delay goes up to four lookaheads and back down to one
+			// with the link backlogged, then up and down again 7 ms apart.
+			name:      "star-delay-lowered",
+			spec:      StarSpec{Senders: 16, BottleneckBps: 3_200_000, ColluderASes: 2},
+			workloads: []Workload{LongTCP{Senders: Range(0, 4)}, UDPFlood{Senders: Range(4, 10)}},
+			shards:    []int{2, 4},
+			timeline:  delayLowered,
+		},
+		{
+			name:      "random-as-delay-lowered",
+			spec:      RandomASSpec{Senders: 20, BottleneckBps: 4_000_000, TransitASes: 4, ExtraLinks: 2, ColluderASes: 3, GraphSeed: 3},
+			workloads: []Workload{LongTCP{Senders: Range(0, 5)}, UDPFlood{Senders: Range(5, 12)}},
+			shards:    []int{2, 4},
+			timeline:  delayLowered,
 		},
 		{
 			name: "parking-lot",
@@ -129,10 +157,23 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			single := resultJSON(t, equivScenario(tc.spec, tc.workloads, 1))
+			run := func(shards int) (string, uint64) {
+				sc := equivScenario(tc.spec, tc.workloads, shards)
+				sc.Timeline = tc.timeline
+				raw, in := runWithInstance(t, sc)
+				var keyed uint64
+				for _, n := range in.replicaNets() {
+					keyed += n.HandoffStats().Keyed
+				}
+				return raw, keyed
+			}
+			single, _ := run(1)
 			for _, n := range tc.shards {
-				got := resultJSON(t, equivScenario(tc.spec, tc.workloads, n))
+				got, keyed := run(n)
 				diffJSON(t, tc.name, single, got, n)
+				if (keyed > 0) != (tc.timeline != nil) {
+					t.Errorf("%s: shards=%d: %d arrivals overtook their FIFO", tc.name, n, keyed)
+				}
 			}
 		})
 	}
