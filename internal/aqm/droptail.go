@@ -32,7 +32,6 @@ func (d *DropTail) Enqueue(p *packet.Packet, now sim.Time) bool {
 		d.stats.DroppedBytes += uint64(p.Size)
 		return false
 	}
-	p.EnqueuedAt = now
 	d.q.Push(p)
 	d.bytes += int(p.Size)
 	if d.bytes > d.hwm {

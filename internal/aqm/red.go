@@ -111,7 +111,6 @@ func (r *RED) Enqueue(p *packet.Packet, now sim.Time) bool {
 		r.stats.DroppedBytes += uint64(p.Size)
 		return false
 	}
-	p.EnqueuedAt = now
 	r.q.Push(p)
 	r.bytes += int(p.Size)
 	if r.bytes > r.hwm {

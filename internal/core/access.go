@@ -34,11 +34,14 @@ type AccessRouter struct {
 	slotOf  map[packet.NodeID]int32
 	regLims map[regKey]*regLimiter
 
-	// paths holds the AS-level path and the pair keys along it per
-	// destination, for Passport stamping; hopSets holds each distinct
-	// path once, for the destinations behind it to share.
-	paths   map[packet.NodeID]*asPath
+	// hopSets holds each distinct AS-level path to a destination once,
+	// with the key this AS shares with each AS on it, for Passport
+	// stamping; paths names the set of every destination resolved so
+	// far; pathBuf is the scratch a path is resolved into before it is
+	// matched against the sets.
+	paths   map[packet.NodeID]int32
 	hopSets [][]passport.Hop
+	pathBuf []packet.ASID
 
 	// destLinks is the Appendix B.2 inference cache: bottleneck links
 	// observed on the path toward each destination.
@@ -100,10 +103,13 @@ const (
 // per-AS state — the paper's scalability claim — so StampDecr and
 // Passport verification remain per-packet computations.
 type senderSlot struct {
-	req  ratelimit.RequestLimiter
-	lim  *regLimiter // last limiter used, nil once it expires
-	path *asPath     // last Passport path used
-	src  packet.NodeID
+	req ratelimit.RequestLimiter
+	lim *regLimiter // last limiter used, nil once it expires
+	// Last Passport path used: hop set pathSet-1 leads to pathDst (0:
+	// none yet).
+	pathDst packet.NodeID
+	pathSet int32
+	src     packet.NodeID
 
 	// The memos below hold tokens for packets to dst under the ring's
 	// key number epoch (its rotation count); a packet to another
@@ -133,13 +139,6 @@ const (
 	haveUp
 	haveFV
 )
-
-// asPath is the AS-level path from this router to one destination with
-// the key this AS shares with each AS on it.
-type asPath struct {
-	dst  packet.NodeID
-	hops []passport.Hop
-}
 
 type regKey struct {
 	src  packet.NodeID
@@ -206,7 +205,7 @@ func (s *System) ProtectAccess(r *netsim.Node) {
 		ring:      feedback.NewKeyRing(r.Network().Eng.Rand),
 		slotOf:    make(map[packet.NodeID]int32),
 		regLims:   make(map[regKey]*regLimiter),
-		paths:     make(map[packet.NodeID]*asPath),
+		paths:     make(map[packet.NodeID]int32),
 		destLinks: make(map[packet.NodeID][]packet.LinkID),
 		org:       r.NewOrigin(),
 	}
@@ -377,12 +376,12 @@ func (ar *AccessRouter) memoFor(s *senderSlot, dst packet.NodeID) {
 // freshness against the clock and then validated inline, by a compare
 // when the sender's previous packet presented the same feedback.
 func (ar *AccessRouter) validate(s *senderSlot, p *packet.Packet, nowSec uint32) feedback.Verdict {
-	if p.FVSet {
-		hit := p.FVNode == ar.node.ID && p.FVEpoch == uint32(ar.ring.Epoch())
-		p.FVSet = false
+	if st := p.Passport; st != nil && st.FVSet {
+		hit := st.FVNode == ar.node.ID && st.FVEpoch == uint32(ar.ring.Epoch())
+		st.FVSet = false
 		if hit {
 			ar.node.Network().Cells.Add(obs.PipelinePrecomputeHits, 1)
-			return feedback.Verdict(p.FVVerdict)
+			return feedback.Verdict(st.FVVerdict)
 		}
 	}
 	fb := &p.FB
@@ -679,17 +678,19 @@ func (ar *AccessRouter) kaiLookup(link packet.LinkID) *cmac.CMAC {
 }
 
 // hopsTo resolves the AS-level path to dst and this AS's pair keys along
-// it, sharing the result among destinations behind the same ASes.
-func (ar *AccessRouter) hopsTo(dst packet.NodeID) []passport.Hop {
-	ases := ar.node.Network().PathASes(ar.node.ID, dst)
-	for _, hops := range ar.hopSets {
+// it, and returns the index of its hop set: destinations behind the same
+// ASes share one.
+func (ar *AccessRouter) hopsTo(dst packet.NodeID) int32 {
+	ases := ar.node.Network().PathASes(ar.pathBuf, ar.node.ID, dst)
+	ar.pathBuf = ases
+	for i, hops := range ar.hopSets {
 		if slices.EqualFunc(hops, ases, func(h passport.Hop, as packet.ASID) bool { return h.AS == as }) {
-			return hops
+			return int32(i)
 		}
 	}
 	hops := ar.sys.Registry.Hops(make([]passport.Hop, 0, len(ases)), ar.node.AS, ases)
 	ar.hopSets = append(ar.hopSets, hops)
-	return hops
+	return int32(len(ar.hopSets) - 1)
 }
 
 // stampPassport writes the Passport trailer when enabled, with the pair
@@ -699,23 +700,23 @@ func (ar *AccessRouter) stampPassport(s *senderSlot, p *packet.Packet) {
 	if !ar.sys.Cfg.Passport {
 		return
 	}
-	pt := s.path
-	if pt == nil || pt.dst != p.Dst {
+	if s.pathSet == 0 || s.pathDst != p.Dst {
 		ar.stats.Hashed++
-		pt = ar.paths[p.Dst]
-		if pt == nil {
-			pt = &asPath{dst: p.Dst, hops: ar.hopsTo(p.Dst)}
-			ar.paths[p.Dst] = pt
+		set, ok := ar.paths[p.Dst]
+		if !ok {
+			set = ar.hopsTo(p.Dst)
+			ar.paths[p.Dst] = set
 		}
-		s.path = pt
+		s.pathDst, s.pathSet = p.Dst, set+1
 	}
+	hops := ar.hopSets[s.pathSet-1]
 	if p.SrcAS == ar.node.AS {
-		passport.StampHops(p, pt.hops)
+		passport.StampHops(p, hops)
 		return
 	}
 	var buf [8]packet.ASID
 	ases := buf[:0]
-	for _, h := range pt.hops {
+	for _, h := range hops {
 		ases = append(ases, h.AS)
 	}
 	ar.stats.Hashed += uint64(len(ases))

@@ -56,15 +56,15 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 			if p.SrcAS == l.From.AS {
 				return true // intra-AS traffic carries no trailer here
 			}
-			if p.PVLink == l.ID {
+			if st := p.Passport; st != nil && st.PVLink == l.ID {
 				// Verdict precomputed by the sharded validation pipeline at
 				// the drain barrier (Registry.Check under a worker-private
 				// CMAC clone). Consume it exactly once and apply the trailer
 				// consumption at the instant Verify would have mutated it.
-				p.PVLink = 0
-				passport.Apply(p, int(p.PVConsume))
+				st.PVLink = 0
+				passport.Apply(p, int(st.PVConsume))
 				cells.Add(obs.PipelinePrecomputeHits, 1)
-				return p.PVOK
+				return st.PVOK
 			}
 			return s.Registry.Verify(p, l.From.AS)
 		}

@@ -9,6 +9,7 @@ import (
 	"netfence/internal/defense"
 	"netfence/internal/feedback"
 	"netfence/internal/netsim"
+	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 	"netfence/internal/topo"
@@ -50,9 +51,11 @@ type memoRig struct {
 	sent     bool
 }
 
-func newMemoRig(t testing.TB) *memoRig {
+func newMemoRig(t testing.TB) *memoRig { return newMemoRigPassport(t, true) }
+
+func newMemoRigPassport(t testing.TB, passport bool) *memoRig {
 	cfg := DefaultConfig()
-	cfg.Passport = true
+	cfg.Passport = passport
 	cfg.WSec = 2
 	cfg.KeyRotate = 4 * sim.Second
 	cfg.LimiterIdle = 3 * sim.Second
@@ -106,9 +109,9 @@ func (r *memoRig) forwarded(p *packet.Packet, _ *netsim.Link) {
 
 // checkTrailer compares p's Passport trailer with Registry.Stamp's.
 func (r *memoRig) checkTrailer(p, q *packet.Packet) {
-	r.s.Registry.Stamp(q, r.d.Net.PathASes(r.ra.ID, q.Dst))
+	r.s.Registry.Stamp(q, r.d.Net.PathASes(nil, r.ra.ID, q.Dst))
 	if !p.Passport.Present || p.Passport.Next != 0 || !slices.Equal(p.Passport.Entries, q.Passport.Entries) {
-		r.t.Fatalf("trailer %+v, Registry.Stamp gives %+v", p.Passport, q.Passport)
+		r.t.Fatalf("trailer %+v, Registry.Stamp gives %+v", *p.Passport, *q.Passport)
 	}
 }
 
@@ -367,11 +370,12 @@ func TestPipelineVerdictBypassesMemo(t *testing.T) {
 	r.run(pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)) // memo: this feedback is valid nop
 	before := r.ar.Stats()
 	p := r.last
-	p.FVSet, p.FVNode, p.FVEpoch, p.FVVerdict = true, r.ra.ID, uint32(r.ar.ring.Epoch()), uint8(feedback.Invalid)
+	st := p.NeedPassport()
+	st.FVSet, st.FVNode, st.FVEpoch, st.FVVerdict = true, r.ra.ID, uint32(r.ar.ring.Epoch()), uint8(feedback.Invalid)
 	demoted := r.ar.Demoted
 	r.ra.Ingress(&p, r.up[0])
-	if r.ar.Demoted != demoted+1 || p.FVSet {
-		t.Fatalf("precomputed verdict not consumed: demoted %d -> %d, FVSet %v", demoted, r.ar.Demoted, p.FVSet)
+	if r.ar.Demoted != demoted+1 || st.FVSet {
+		t.Fatalf("precomputed verdict not consumed: demoted %d -> %d, FVSet %v", demoted, r.ar.Demoted, st.FVSet)
 	}
 	// Only the nop stamp of the demoted packet consulted the memo.
 	if st := r.ar.Stats(); st.MemoHits+st.MemoMisses != before.MemoHits+before.MemoMisses+1 {
@@ -402,5 +406,58 @@ func TestRegularPoliceZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("memo %s: policing a regular packet allocates %.1f times, want 0", name, allocs)
 		}
+	}
+}
+
+// TestPipelineWorkerMakesBlock: with Passport off a packet reaches the
+// validation pipeline without a trailer block, and the worker that
+// leaves its feedback verdict makes one, in the drain phase, off the
+// owning goroutine — each packet of a batch belongs to one chunk, so to
+// one worker. A scenario never gets here (a host and its access router
+// share a shard, so no host uplink is cut); the rig cuts one by hand,
+// between two replicas of itself, with enough packets for several
+// chunks. Run under -race.
+func TestPipelineWorkerMakesBlock(t *testing.T) {
+	src, dst := newMemoRigPassport(t, false), newMemoRigPassport(t, false)
+	dst.out.OnTransmit = nil // the rig's oracle for limiter releases; these pass straight through
+	mb := netsim.NewMailbox(dst.up[0])
+	src.up[0].SetMailbox(mb)
+	const n = 3*pipeChunk + 7
+	h := src.d.Senders[0]
+	fb := src.mint(h.ID, src.dsts[0], fbNop, 0, 0, 0)
+	for i := 0; i < n; i++ {
+		p := h.Host.NewPacket()
+		p.Src, p.SrcAS, p.Dst, p.Size, p.Flow = h.ID, h.AS, src.dsts[0], 200, 1
+		p.Kind, p.FB = packet.KindRegular, fb
+		src.up[0].Send(p)
+	}
+	eng := src.d.Net.Eng
+	eng.RunUntil(eng.Now() + sim.Millisecond)
+
+	pl := NewPipeline(dst.s, dst.d.Net, "test", 2)
+	defer pl.Stop()
+	pl.Submit([]*netsim.Mailbox{mb})
+	pl.Wait()
+	_, pkts := mb.Pending()
+	if len(pkts) != n {
+		t.Fatalf("%d of %d packets crossed the cut uplink", len(pkts), n)
+	}
+	for i, p := range pkts {
+		st := p.Passport
+		if st == nil || !st.FVSet || st.FVNode != dst.ra.ID || st.Present || len(st.Entries) != 0 {
+			t.Fatalf("packet %d left the pipeline with block %+v, want a feedback verdict for router %d and no trailer", i, st, dst.ra.ID)
+		}
+	}
+	cells := dst.d.Net.Cells
+	if got := cells[obs.PipelinePrecomputed]; got != n {
+		t.Fatalf("pipeline precomputed %d verdicts, want %d", got, n)
+	}
+	mb.Drain(eng.Now() + sim.Second)
+	dst.d.Net.Eng.RunUntil(eng.Now() + sim.Second)
+	if hits := cells[obs.PipelinePrecomputeHits]; hits != n {
+		t.Fatalf("the access router consumed %d of %d verdicts", hits, n)
+	}
+	if dst.ar.Demoted != 0 {
+		t.Fatalf("%d valid packets demoted", dst.ar.Demoted)
 	}
 }

@@ -239,7 +239,6 @@ func (q *nfQueue) enqueueRequest(p *packet.Packet, now sim.Time) bool {
 			q.release(victim)
 		}
 	}
-	p.EnqueuedAt = now
 	q.req[lvl].Push(p)
 	q.reqBytes += int(p.Size)
 	q.reqStats.Enqueued++

@@ -34,13 +34,16 @@ import (
 // registry and the routing table freely, and the only shared-mutable
 // hazard is CMAC chaining scratch, which each worker sidesteps with
 // private clones (cmac.Clone shares the immutable AES block, not the
-// scratch). Verdicts are pure given the key epoch, so precomputation is
-// only legal for arrivals before the next unexecuted KeyRotate tick:
-// arrivals at or past that boundary are skipped (counted as rotation
-// fallbacks) and validated inline by the consumer. The consumers
-// additionally re-check the verdict's binding — link identity for
-// Passport, router identity and ring epoch for feedback — so a stale or
-// mispredicted cache is dropped, never wrong, and results stay
+// scratch). A verdict is written into the packet's trailer block
+// (packet.PassportStamp), which the worker makes when the packet has
+// none: a packet of a batch is in exactly one chunk, so one worker is
+// its only writer until Wait. Verdicts are pure given the key epoch, so
+// precomputation is only legal for arrivals before the next unexecuted
+// KeyRotate tick: arrivals at or past that boundary are skipped (counted
+// as rotation fallbacks) and validated inline by the consumer. The
+// consumers additionally re-check the verdict's binding — link identity
+// for Passport, router identity and ring epoch for feedback — so a stale
+// or mispredicted cache is dropped, never wrong, and results stay
 // byte-identical to the single engine at every shard count.
 type Pipeline struct {
 	sys *System
@@ -232,10 +235,11 @@ func (w *pipeWorker) feedbackVerdict(p *packet.Packet, dest *netsim.Link, at sim
 	}
 	kai := func(link packet.LinkID) *cmac.CMAC { return w.clone(ar.kaiLookup(link)) }
 	v := feedback.ComputeVerdict(ccur, cprev, kai, p, uint32(at/sim.Second), sys.Cfg.WSec)
-	p.FVNode = node.ID
-	p.FVEpoch = uint32(ar.ring.Epoch())
-	p.FVVerdict = uint8(v)
-	p.FVSet = true
+	st := p.NeedPassport()
+	st.FVNode = node.ID
+	st.FVEpoch = uint32(ar.ring.Epoch())
+	st.FVVerdict = uint8(v)
+	st.FVSet = true
 	return true
 }
 
@@ -274,9 +278,10 @@ func (w *pipeWorker) passportVerdict(p *packet.Packet, dest *netsim.Link) bool {
 				continue
 			}
 			ok, consume := sys.Registry.Check(p, l.From.AS, w.clone(sys.Registry.Key(p.SrcAS, l.From.AS)))
-			p.PVOK = ok
-			p.PVConsume = int16(consume)
-			p.PVLink = l.ID
+			st := p.NeedPassport()
+			st.PVOK = ok
+			st.PVConsume = int16(consume)
+			st.PVLink = l.ID
 			return true
 		}
 		at = l.To

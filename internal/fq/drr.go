@@ -88,7 +88,6 @@ func (d *DRR) Enqueue(p *packet.Packet, now sim.Time) bool {
 		}
 	}
 	f := d.flow(p)
-	p.EnqueuedAt = now
 	f.q.Push(p)
 	f.bytes += int(p.Size)
 	d.bytes += int(p.Size)

@@ -97,15 +97,6 @@ func TestSteadyStateForwardingZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLinkLayoutBudget pins the per-link state — one owned event, the
-// origin, the queue and the counters — inside the 224-byte malloc size
-// class: a large topology's live heap is mostly links.
-func TestLinkLayoutBudget(t *testing.T) {
-	if n := unsafe.Sizeof(netsim.Link{}); n > 224 {
-		t.Fatalf("sizeof(Link) = %d, budget 224", n)
-	}
-}
-
 // TestNodeLayoutBudget pins the per-node state at its 96 bytes: what a
 // network knows about a host it does not hold goes in its flat per-node
 // arrays, not in fields every node of every run would carry.

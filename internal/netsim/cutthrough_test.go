@@ -20,8 +20,8 @@ type classicFIFO struct{ queue.FIFO }
 
 // cutArrival is what the far end of the link saw of one packet.
 type cutArrival struct {
-	At, EnqueuedAt sim.Time
-	UID            uint64
+	At  sim.Time
+	UID uint64
 }
 
 // cutSide is one one-link network on its own engine.
@@ -52,12 +52,11 @@ func newCutSide(classic bool) *cutSide {
 	s.dst = b.ID
 	s.lo, s.hi = s.eng.NewOrigin(1), s.eng.NewOrigin(^uint64(0))
 	sink := agentFunc(func(p *packet.Packet) {
-		s.arrived = append(s.arrived, cutArrival{At: s.eng.Now(), EnqueuedAt: p.EnqueuedAt, UID: p.UID})
+		s.arrived = append(s.arrived, cutArrival{At: s.eng.Now(), UID: p.UID})
 	})
 	b.Host.OnUnknownFlow = func(*packet.Packet) Agent { return sink }
 	s.l.OnTransmit = func(p *packet.Packet, _ *Link) { s.sent = append(s.sent, p.UID) }
 	s.net.OnDrop = func(p *packet.Packet, _ *Link) { s.dropped = append(s.dropped, p.UID) }
-	s.eng.RunUntil(sim.Millisecond) // so that an EnqueuedAt left unset shows
 	return s
 }
 
@@ -196,10 +195,10 @@ func runCutProgram(t *testing.T, prog []byte) {
 // cut-through: whatever the program — sizes, gaps down to the nanosecond
 // around the transmit-complete, rate and delay changes, sampled and
 // unsampled flows, a discipline installed over a backlog — arrival
-// instants and order, the transmit counters, each packet's EnqueuedAt,
-// the OnTransmit calls, the flight-recorder records, the engine's
-// executed and pending counts and the backlog high-water mark are those
-// of a link that queues every packet.
+// instants and order, the transmit counters, the OnTransmit calls, the
+// flight-recorder records, the engine's executed and pending counts and
+// the backlog high-water mark are those of a link that queues every
+// packet.
 func FuzzLinkCutThrough(f *testing.F) {
 	for _, prog := range cutSeeds {
 		f.Add(prog)
@@ -210,6 +209,32 @@ func FuzzLinkCutThrough(f *testing.F) {
 		}
 		runCutProgram(t, prog)
 	})
+}
+
+// TestLinkLayoutBudget pins the per-link state — one owned event, the
+// origin, the queue and the counters — inside the 224-byte malloc size
+// class: a large topology's live heap is mostly links. What an arrival
+// (To, net) and the start of a transmission (sending, Rate, Delay) read
+// stays in the first cache line of a struct that is cold by then.
+func TestLinkLayoutBudget(t *testing.T) {
+	var l Link
+	if n := unsafe.Sizeof(l); n > 224 {
+		t.Fatalf("sizeof(Link) = %d, budget 224", n)
+	}
+	for _, f := range []struct {
+		name string
+		end  uintptr
+	}{
+		{"To", unsafe.Offsetof(l.To) + unsafe.Sizeof(l.To)},
+		{"net", unsafe.Offsetof(l.net) + unsafe.Sizeof(l.net)},
+		{"sending", unsafe.Offsetof(l.sending) + unsafe.Sizeof(l.sending)},
+		{"Rate", unsafe.Offsetof(l.Rate) + unsafe.Sizeof(l.Rate)},
+		{"Delay", unsafe.Offsetof(l.Delay) + unsafe.Sizeof(l.Delay)},
+	} {
+		if f.end > 64 {
+			t.Errorf("Link.%s ends at offset %d, outside the first cache line", f.name, f.end)
+		}
+	}
 }
 
 // TestDefaultQueueLayoutBudget pins the materialised default queue — the

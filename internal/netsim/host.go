@@ -73,7 +73,6 @@ func (h *Host) Send(p *packet.Packet) {
 	p.SrcAS = h.Node.AS
 	p.DstAS = h.net.ASOf(p.Dst)
 	p.UID = h.net.NextUID()
-	p.SentAt = h.net.Eng.Now()
 	if h.Shim != nil {
 		h.Shim.Egress(p)
 	}

@@ -39,9 +39,12 @@ type Link struct {
 	sending bool
 	From    *Node
 	To      *Node
-	Rate    int64 // bits per second; must be positive
-	Delay   sim.Time
-	Q       queue.Queue
+	// net sits beside To: an arrival reads exactly these two, on a struct
+	// that has gone cold while the packet propagated.
+	net   *Network
+	Rate  int64 // bits per second; must be positive
+	Delay sim.Time
+	Q     queue.Queue
 
 	// OnTransmit, when set, observes each packet as transmission begins —
 	// the hook bottleneck routers use to update congestion policing
@@ -63,8 +66,6 @@ type Link struct {
 	// TxPackets and TxBytes count completed transmissions.
 	TxPackets uint64
 	TxBytes   uint64
-
-	net *Network
 }
 
 // linkTx dispatches the owned event in its transmit-complete role.
@@ -100,8 +101,8 @@ type defaultQueue struct {
 
 // Send transmits p at once when the transmitter is idle — the default
 // queue is then empty, txDone drains it first — and no discipline is
-// installed, leaving what the FIFO would have (EnqueuedAt, trace record,
-// high-water mark); otherwise it enqueues p and starts the transmitter
+// installed, leaving what the FIFO would have (trace record, high-water
+// mark); otherwise it enqueues p and starts the transmitter
 // if idle. A packet the queue refuses is dropped: observers see it via
 // Network.OnDrop, then it returns to the packet pool.
 func (l *Link) Send(p *packet.Packet) {
@@ -109,7 +110,6 @@ func (l *Link) Send(p *packet.Packet) {
 	if _, def := l.Q.(*defaultQueue); !l.sending && (def || l.Q == nil) {
 		l.net.cutThrough++
 		l.net.cutHWM = max(l.net.cutHWM, uint64(p.Size))
-		p.EnqueuedAt = now
 		if l.net.Rec.Sampled(uint32(p.Flow)) {
 			l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
 		}

@@ -25,14 +25,14 @@ func fillPacket(p *packet.Packet, dst packet.NodeID) {
 		MAC: [4]byte{1, 2, 3, 4}, TokenNop: [4]byte{5, 6, 7, 8}}
 	p.Ret = packet.Returned{Present: true, Mode: packet.FBMon, Link: 4, Action: packet.ActDecr, TS: 11,
 		MAC: [4]byte{9, 8, 7, 6}}
-	p.PVLink, p.PVOK, p.PVConsume = 3, true, 1
-	p.FVNode, p.FVSet, p.FVEpoch, p.FVVerdict = 2, true, 6, 2
-	p.Passport.Present = true
-	p.Passport.Next = 1
-	p.Passport.Entries = append(p.Passport.Entries[:0],
+	st := p.NeedPassport()
+	st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
+	st.FVNode, st.FVSet, st.FVEpoch, st.FVVerdict = 2, true, 6, 2
+	st.Present = true
+	st.Next = 1
+	st.Entries = append(st.Entries[:0],
 		packet.PassportMAC{AS: -1, MAC: [4]byte{1, 1, 1, 1}},
 		packet.PassportMAC{AS: 2, MAC: [4]byte{2, 2, 2, 2}})
-	p.EnqueuedAt, p.SentAt = 17, 13
 	x := p.NeedExt()
 	x.MFB = packet.MultiHeader{Present: true, TS: 12, Token: [4]byte{4, 3, 2, 1},
 		Items: []packet.MultiFB{{Link: 4, Action: packet.ActDecr}, {Link: 6, Action: packet.ActIncr}}}
@@ -44,11 +44,17 @@ func fillPacket(p *packet.Packet, dst packet.NodeID) {
 
 // snapPacket is a copy of p that shares no memory with it: what an
 // observer saw of a packet whose struct is recycled afterwards. What a
-// recycled struct retains — an empty array, a zeroed Ext — reads as
-// absent: which struct a packet occupies is not the model's business.
+// recycled struct retains — a zeroed trailer block, a zeroed Ext — reads
+// as absent: which struct a packet occupies is not the model's business.
 func snapPacket(p *packet.Packet) packet.Packet {
 	q := *p
-	q.Passport.Entries = append([]packet.PassportMAC(nil), p.Passport.Entries...)
+	if p.Passport != nil {
+		st := *p.Passport
+		st.Entries = append([]packet.PassportMAC(nil), st.Entries...)
+		if q.Passport = &st; reflect.DeepEqual(st, packet.PassportStamp{}) {
+			q.Passport = nil
+		}
+	}
 	if p.Ext != nil {
 		x := *p.Ext
 		x.MFB.Items = append([]packet.MultiFB(nil), x.MFB.Items...)
@@ -62,7 +68,7 @@ func snapPacket(p *packet.Packet) packet.Packet {
 
 // TestHandoffPreservesPacket: a packet crosses a cut link by reference.
 // What arrives on the destination replica is the very struct the source
-// sent — trailer array and Ext travel with it, so nothing can alias —
+// sent — trailer block and Ext travel with it, so nothing can alias —
 // equal in every field; the destination allocates nothing, pays for the
 // struct with an idle one of its own within two drains, and an empty the
 // source never comes to adopt is still counted idle there.
@@ -73,11 +79,12 @@ func TestHandoffPreservesPacket(t *testing.T) {
 	cut.SetMailbox(mb)
 
 	var got *packet.Packet
+	var gotStamp *packet.PassportStamp
 	var gotEntries *packet.PassportMAC
 	var gotExt *packet.Ext
 	var seen packet.Packet
 	bmid.To.Ingress = func(p *packet.Packet, _ *Link) bool {
-		got, gotEntries, gotExt, seen = p, &p.Passport.Entries[0], p.Ext, snapPacket(p)
+		got, gotStamp, gotEntries, gotExt, seen = p, p.Passport, &p.Passport.Entries[0], p.Ext, snapPacket(p)
 		return true
 	}
 
@@ -89,9 +96,8 @@ func TestHandoffPreservesPacket(t *testing.T) {
 			t.Fatalf("fillPacket leaves Packet.%s zero: extend it", f.Name)
 		}
 	}
-	entries, ext := &src.Passport.Entries[0], src.Ext
+	stamp, entries, ext := src.Passport, &src.Passport.Entries[0], src.Ext
 	want := snapPacket(src)
-	want.EnqueuedAt = 5 // the cut link's queue stamps its own clock
 
 	a.Eng.At(5, func() { cut.Send(src) })
 	a.Eng.Run()
@@ -105,8 +111,8 @@ func TestHandoffPreservesPacket(t *testing.T) {
 		t.Fatalf("after the first drain: %+v, %d events pending; want one struct borrowed and owed, one event", st, b.Eng.Pending())
 	}
 	b.Eng.Run()
-	if got != src || gotEntries != entries || gotExt != ext {
-		t.Fatal("the arrival is not the struct the source sent, with its trailer array and Ext")
+	if got != src || gotStamp != stamp || gotEntries != entries || gotExt != ext {
+		t.Fatal("the arrival is not the struct the source sent, with its trailer block and Ext")
 	}
 	if !reflect.DeepEqual(seen, want) {
 		t.Fatalf("arrived packet differs from what was sent:\n got %+v\n     %+v\nwant %+v\n     %+v", seen, seen.Ext, want, want.Ext)
@@ -393,10 +399,10 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 				sent++
 			}
 			p.UID, p.Src, p.Dst, p.Flow, p.Size = uid, from.ID, dst.ID, 1, int32(size)
-			p.SentAt = at
 			if flags&hoTrailer != 0 {
-				p.Passport.Present = true
-				p.Passport.Entries = append(p.Passport.Entries, packet.PassportMAC{AS: 2, MAC: [4]byte{byte(uid), 1, 2, 3}})
+				st := p.NeedPassport()
+				st.Present = true
+				st.Entries = append(st.Entries, packet.PassportMAC{AS: 2, MAC: [4]byte{byte(uid), 1, 2, 3}})
 			}
 			if flags&hoExt != 0 {
 				p.NeedExt().MFB = packet.MultiHeader{Present: true, Items: []packet.MultiFB{{Link: packet.LinkID(uid)}}}

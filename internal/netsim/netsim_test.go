@@ -138,9 +138,12 @@ func TestRoutesAndPaths(t *testing.T) {
 	if len(path) != 3 || path[1] != mid {
 		t.Fatalf("path = %v", path)
 	}
-	ases := n.PathASes(h1.ID, h2.ID)
+	ases := n.PathASes(nil, h1.ID, h2.ID)
 	if len(ases) != 1 || ases[0] != 2 {
 		t.Fatalf("AS path = %v", ases)
+	}
+	if a := testing.AllocsPerRun(100, func() { ases = n.PathASes(ases, h1.ID, h2.ID) }); a != 0 || len(ases) != 1 {
+		t.Fatalf("PathASes into a buffer that fits allocates %.0f times, gives %v", a, ases)
 	}
 	if n.LinkByID(mid.ID) != mid {
 		t.Fatal("LinkByID broken")

@@ -446,40 +446,50 @@ func (n *Network) Route(from *Node, dst packet.NodeID) *Link {
 	return n.Links[idx]
 }
 
-// PathLinks returns the link sequence from src to dst, or nil when
-// unreachable. On a sparse network the walk ends where it meets a
-// reserved link: at the access router of a remote dst, one hop short
-// and inside dst's AS, or at once when src itself is remote.
-func (n *Network) PathLinks(src, dst packet.NodeID) []*Link {
-	var path []*Link
-	for at := src; at != dst; {
+// walkPath calls visit for every link on the route from src to dst, in
+// order, and reports whether dst is reachable. On a sparse network the
+// walk ends where it meets a reserved link: at the access router of a
+// remote dst, one hop short and inside dst's AS, or at once when src
+// itself is remote.
+func (n *Network) walkPath(src, dst packet.NodeID, visit func(*Link)) bool {
+	for at, hops := src, 0; at != dst; hops++ {
 		idx := n.routeIndex(at, dst)
-		if idx < 0 {
-			return nil
+		if idx < 0 || hops > len(n.Nodes) { // no route, or a loop BFS tables cannot have
+			return false
 		}
 		l := n.Links[idx]
 		if l == nil {
 			break
 		}
-		path = append(path, l)
+		visit(l)
 		at = l.To.ID
-		if len(path) > len(n.Nodes) {
-			return nil // routing loop; cannot happen with BFS tables
-		}
+	}
+	return true
+}
+
+// PathLinks returns the link sequence from src to dst (see walkPath), or
+// nil when unreachable.
+func (n *Network) PathLinks(src, dst packet.NodeID) []*Link {
+	var path []*Link
+	if !n.walkPath(src, dst, func(l *Link) { path = append(path, l) }) {
+		return nil
 	}
 	return path
 }
 
-// PathASes returns the distinct downstream ASes on the path from src to
-// dst, excluding src's own AS — the AS-level path Passport stamps for.
-func (n *Network) PathASes(src, dst packet.NodeID) []packet.ASID {
-	var ases []packet.ASID
-	last := n.as[src]
-	for _, l := range n.PathLinks(src, dst) {
+// PathASes resolves into buf[:0] the distinct downstream ASes on the
+// path from src to dst, excluding src's own AS — the AS-level path
+// Passport stamps for; empty when unreachable. It allocates only when
+// buf is too small.
+func (n *Network) PathASes(buf []packet.ASID, src, dst packet.NodeID) []packet.ASID {
+	ases, last := buf[:0], n.as[src]
+	if !n.walkPath(src, dst, func(l *Link) {
 		if as := l.To.AS; as != last {
 			ases = append(ases, as)
 			last = as
 		}
+	}) {
+		return buf[:0]
 	}
 	return ases
 }

@@ -273,7 +273,7 @@ func TestSparseAccessRouterStaysCore(t *testing.T) {
 	if len(path) != 4 || path[3].To != ra {
 		t.Fatalf("path to the remote host = %v, want 4 links ending at its access router", path)
 	}
-	if got := n.PathASes(rv.ID, h.ID); len(got) != 3 || got[2] != 1 {
+	if got := n.PathASes(nil, rv.ID, h.ID); len(got) != 3 || got[2] != 1 {
 		t.Fatalf("PathASes(rv, remote host) = %v, want [1001 1000 1]", got)
 	}
 	mustPanic := func(what string, f func()) {

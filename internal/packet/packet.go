@@ -8,10 +8,6 @@
 // clean tree.
 package packet
 
-import (
-	"netfence/internal/sim"
-)
-
 // NodeID identifies a host or router. It doubles as the node's network
 // address: the paper's IP addresses map 1:1 onto NodeIDs in simulation.
 type NodeID int32
@@ -173,14 +169,46 @@ type PassportMAC struct {
 	MAC [4]byte
 }
 
-// PassportStamp is the Passport source-authentication trailer: one MAC per
-// AS on the path, verified in path order (internal/passport). A transit
-// AS with several on-path routers verifies once, at ingress.
+// PassportStamp is the block a packet grows when something beyond the
+// NetFence header rides along: the Passport source-authentication
+// trailer — one MAC per AS on the path, verified in path order
+// (internal/passport); a transit AS with several on-path routers
+// verifies once, at ingress — and the verdicts the sharded validation
+// pipeline leaves for the execute phase. A packet makes one on first
+// need (NeedPassport), entry array included, and keeps it across pool
+// recycles, zeroed, the way it keeps its Ext.
+//
+// The verdict cache is filled while a cut-link handoff batch drains
+// (every shard is at the drain barrier, so packet and key state are
+// frozen) and consumed by the serialized execute phase in place of
+// inline CMAC work. The verdicts are pure functions of the packet bytes
+// and the key epoch; the consumers re-check the binding (link/node
+// identity, key epoch) and fall back to inline validation on any
+// mismatch, so a stale or unconsumed cache is dropped, never wrong. Zero
+// values mean "no cached verdict" — LinkID 0 and the PV/FV flags are
+// reserved for exactly that.
 type PassportStamp struct {
 	Entries []PassportMAC
 	// Next indexes the first unverified entry.
-	Next    int32
-	Present bool
+	Next int32
+	// PVLink tags a cached Passport verdict with the protected link whose
+	// verify hook may consume it (0 = none); PVOK is the Registry.Check
+	// result and PVConsume its trailer-consumption index.
+	PVLink LinkID
+	// FVNode tags a cached feedback verdict with the access router that
+	// may consume it; FVSet distinguishes a cached Invalid from "no
+	// cache"; FVEpoch is the low 32 bits of the key-ring epoch the
+	// verdict was computed under; FVVerdict holds the feedback.Verdict
+	// value.
+	FVNode    NodeID
+	FVEpoch   uint32
+	PVConsume int16
+	// Present says the packet carries a trailer; a block made for a
+	// verdict alone leaves it false.
+	Present   bool
+	PVOK      bool
+	FVSet     bool
+	FVVerdict uint8
 }
 
 // MultiFB is one bottleneck's feedback inside the Appendix B.1
@@ -203,8 +231,8 @@ type MultiHeader struct {
 // Ext holds the headers no hop of the core design reads: the Appendix
 // B.1 multi-bottleneck headers and the TVA+ baseline's capabilities. A
 // packet grows one on first use (NeedExt) and keeps it across pool
-// recycles, zeroed, the way it keeps its Passport trailer array; a
-// default-config NetFence or FQ run never allocates one.
+// recycles, zeroed; a default-config NetFence or FQ run never allocates
+// one.
 type Ext struct {
 	// MFB and RetMFB are the forward and returned multi-bottleneck
 	// headers of the Appendix B.1 extension.
@@ -224,15 +252,20 @@ type Ext struct {
 // recycles them at end of life; hand-constructed &Packet{} values work
 // everywhere too and are simply never recycled.
 //
-// The struct carries what the core design reads on every hop and nothing
-// else; everything optional sits behind Ext. Fields are ordered widest
-// first within each group so the struct packs into 176 bytes
-// (TestPacketLayoutBudget holds it under 192): every pooled, cached or
-// in-flight packet costs that much heap, and Reset rewrites that many
-// bytes per recycle.
+// The struct is exactly 128 bytes — one 64-aligned allocator class, two
+// cache lines (TestPacketLayoutBudget pins size and offsets): every
+// pooled, cached or in-flight packet costs that much heap, and Reset
+// rewrites that many bytes per recycle. Line 0 holds what every hop
+// reads — addressing, flow, size, channel; line 1 what access routers
+// and shims read — the two feedback headers — and the pointers to what
+// is optional: the Passport trailer with the pipeline's verdicts, and
+// Ext. 8 of the 128 bytes are spare. A copy of the struct shares both
+// blocks with the original.
 type Packet struct {
 	// UID is a simulation-unique identifier, handy for tracing.
 	UID uint64
+
+	TCP TCPInfo
 
 	Src, Dst     NodeID
 	SrcAS, DstAS ASID
@@ -247,56 +280,27 @@ type Packet struct {
 	Prio  uint8
 	Proto Proto
 
-	TCP TCPInfo
+	// pooled marks packets drawn from a Pool (only those are recycled).
+	// See pool.go.
+	pooled bool
 
 	// FB is the forward congestion policing feedback.
 	FB Feedback
 	// Ret is the returned feedback for the reverse path.
 	Ret Returned
 
-	// Precomputed verdict cache, filled by the sharded validation
-	// pipeline while a cut-link handoff batch drains (every shard is at
-	// the drain barrier, so packet and key state are frozen) and consumed
-	// by the serialized execute phase in place of inline CMAC work. The
-	// verdicts are pure functions of the packet bytes and the key epoch;
-	// the consumers re-check the binding (link/node identity, key epoch)
-	// and fall back to inline validation on any mismatch, so a stale or
-	// unconsumed cache is dropped, never wrong. Zero values mean "no
-	// cached verdict" — LinkID 0 and the PV/FV flags are reserved for
-	// exactly that.
+	// inPool guards against double release.
+	inPool bool
 
-	// PVLink tags a cached Passport verdict with the protected link whose
-	// verify hook may consume it (0 = none); PVOK is the Registry.Check
-	// result and PVConsume its trailer-consumption index.
-	PVLink LinkID
-	// FVNode tags a cached feedback verdict with the access router that
-	// may consume it; FVSet distinguishes a cached Invalid from "no
-	// cache"; FVEpoch is the low 32 bits of the key-ring epoch the
-	// verdict was computed under; FVVerdict holds the feedback.Verdict
-	// value.
-	FVNode    NodeID
-	FVEpoch   uint32
-	PVConsume int16
-	PVOK      bool
-	FVSet     bool
-	FVVerdict uint8
-
-	// pooled marks packets drawn from a Pool (only those are recycled);
-	// inPool guards against double release. See pool.go.
-	pooled, inPool bool
-
-	// Passport is the source-authentication trailer.
-	Passport PassportStamp
-
-	// EnqueuedAt records when the packet last entered a queue, for
-	// queueing-delay metrics.
-	EnqueuedAt sim.Time
-	// SentAt records when the transport first emitted the packet.
-	SentAt sim.Time
+	// Passport is the source-authentication trailer and the pipeline's
+	// verdict cache; nil until NeedPassport.
+	Passport *PassportStamp
 
 	// Ext holds the optional headers (Appendix B.1, TVA+); nil until
 	// NeedExt.
 	Ext *Ext
+
+	_ [8]byte // spare
 }
 
 // NeedExt returns the packet's optional-header block, allocating it on
@@ -306,6 +310,28 @@ func (p *Packet) NeedExt() *Ext {
 		p.Ext = new(Ext)
 	}
 	return p.Ext
+}
+
+// passportInline is how many trailer entries a block is made with. The
+// 48-byte block and six 8-byte entries fill the allocator's 96-byte
+// class exactly, and six covers the AS-level paths of every shipped
+// topology (3 to 5 on the random-AS graph), so a packet's trailer is one
+// allocation for life; a longer path grows its own array once
+// (passport.StampHops), which the packet then keeps.
+const passportInline = 6
+
+// NeedPassport returns the packet's trailer block, allocating it on
+// first use together with its first entries.
+func (p *Packet) NeedPassport() *PassportStamp {
+	if p.Passport == nil {
+		b := new(struct {
+			PassportStamp
+			inline [passportInline]PassportMAC
+		})
+		b.Entries = b.inline[:0]
+		p.Passport = &b.PassportStamp
+	}
+	return p.Passport
 }
 
 // HasMFB reports whether the packet carries a forward Appendix B.1

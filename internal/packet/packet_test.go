@@ -86,13 +86,32 @@ func TestSizeConstantsMatchPaper(t *testing.T) {
 	}
 }
 
-// TestPacketLayoutBudget pins the packet's allocator size class: every
-// pooled, limiter-cached and in-flight packet costs this much heap, and
-// Reset rewrites this much per recycle. The struct is 176 bytes; the
-// budget leaves one size class of slack, and a field that would push it
-// past that belongs behind Ext.
+// TestPacketLayoutBudget pins the packet to two cache lines of one
+// 64-aligned allocator class: every pooled, limiter-cached and in-flight
+// packet costs this much heap, and Reset rewrites this much per recycle.
+// What every hop reads stays in the first line, what access routers and
+// shims read in the second; a field that does not fit belongs behind
+// the trailer block or Ext.
 func TestPacketLayoutBudget(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n > 192 {
-		t.Fatalf("Packet is %d bytes, budget 192", n)
+	var p Packet
+	if n := unsafe.Sizeof(p); n > 128 {
+		t.Fatalf("Packet is %d bytes, budget 128", n)
+	}
+	for _, f := range []struct {
+		name string
+		off  uintptr
+		line uintptr
+	}{
+		{"Dst", unsafe.Offsetof(p.Dst), 0}, {"Size", unsafe.Offsetof(p.Size), 0},
+		{"Flow", unsafe.Offsetof(p.Flow), 0}, {"Kind", unsafe.Offsetof(p.Kind), 0},
+		{"FB", unsafe.Offsetof(p.FB), 1}, {"Ret", unsafe.Offsetof(p.Ret), 1},
+		{"Passport", unsafe.Offsetof(p.Passport), 1}, {"Ext", unsafe.Offsetof(p.Ext), 1},
+	} {
+		if f.off/64 != f.line {
+			t.Errorf("Packet.%s at offset %d, want it in cache line %d", f.name, f.off, f.line)
+		}
+	}
+	if n := unsafe.Sizeof(PassportStamp{}); n > 48 {
+		t.Fatalf("PassportStamp is %d bytes, budget 48: with its %d inline entries the block leaves the 96-byte class", n, passportInline)
 	}
 }

@@ -12,7 +12,7 @@ package packet
 // ends its life on (final delivery or drop), after every observer hook
 // has run. On one engine that is the pool it was drawn from. A packet
 // crossing a cut link of a sharded run takes its struct along, trailer
-// array and Ext included: a struct lives where its packet is, and
+// block and Ext included: a struct lives where its packet is, and
 // empties go home — the destination shard hands an idle struct of its
 // own back for each one it receives (Lend there, Adopt here; see
 // netsim.Mailbox), so every shard's pool stays as small as its own
@@ -78,19 +78,23 @@ func (pl *Pool) Adopt(ps []*Packet) { pl.free = append(pl.free, ps...) }
 
 // Reset zeroes every field of p, making it indistinguishable from a
 // freshly allocated packet to every consumer. The deliberate exception
-// is retained capacity: the Passport trailer's backing array survives
-// (truncated to length zero and rewritten field-for-field on the next
-// stamp) and so does an Ext block (zeroed), so Passport, Appendix B.1
-// and TVA+ runs do not allocate per packet. Nothing in the tree copies a
-// PassportStamp out of a packet, so the retained array cannot alias live
-// state. The multi-bottleneck headers inside Ext are fully zeroed:
-// shims copy those by value, and a shared backing array would let a
-// recycled packet corrupt a peer's cached feedback.
+// is retained capacity: the trailer block survives, zeroed, with its
+// entry array truncated to length zero (rewritten field-for-field on the
+// next stamp), and so does an Ext block (zeroed), so Passport, Appendix
+// B.1 and TVA+ runs do not allocate per packet. Nothing in the tree
+// keeps a *PassportStamp or its entries beyond the packet's own life, so
+// the retained block cannot alias live state. The multi-bottleneck
+// headers inside Ext are fully zeroed: shims copy those by value, and a
+// shared backing array would let a recycled packet corrupt a peer's
+// cached feedback.
 func (p *Packet) Reset() {
-	entries, ext := p.Passport.Entries[:0], p.Ext
+	st, ext := p.Passport, p.Ext
 	pooled, inPool := p.pooled, p.inPool
 	*p = Packet{}
-	p.Passport.Entries = entries
+	if st != nil {
+		*st = PassportStamp{Entries: st.Entries[:0]}
+		p.Passport = st
+	}
 	if ext != nil {
 		*ext = Ext{}
 		p.Ext = ext

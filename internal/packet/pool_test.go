@@ -138,20 +138,40 @@ func TestPoolIgnoresForeignPackets(t *testing.T) {
 	}
 }
 
-// TestPoolRetainsPassportCapacity documents the one deliberate Reset
-// exception: the Passport trailer's backing array survives recycling so
+// TestPoolRetainsPassportCapacity documents the deliberate Reset
+// exception for the trailer block: it survives recycling — the same
+// block, every field zero, its entry array empty at the capacity it had,
+// whether that is the inline one or an array a longer path grew — so
 // stamping does not allocate per packet.
 func TestPoolRetainsPassportCapacity(t *testing.T) {
-	var pool Pool
-	p := pool.Get()
-	p.Passport.Entries = append(p.Passport.Entries, PassportMAC{AS: 1}, PassportMAC{AS: 2})
-	pool.Put(p)
-	q := pool.Get()
-	if len(q.Passport.Entries) != 0 {
-		t.Fatalf("recycled trailer has length %d", len(q.Passport.Entries))
-	}
-	if cap(q.Passport.Entries) < 2 {
-		t.Fatalf("recycled trailer lost its capacity: %d", cap(q.Passport.Entries))
+	for _, n := range []int{2, passportInline, passportInline + 3} {
+		var pool Pool
+		p := pool.Get()
+		if p.Passport != nil {
+			t.Fatal("fresh packet already has a trailer block")
+		}
+		st := p.NeedPassport()
+		if len(st.Entries) != 0 || cap(st.Entries) != passportInline || p.NeedPassport() != st {
+			t.Fatalf("new block has entries len %d cap %d, want 0 and %d, and a second NeedPassport must return it", len(st.Entries), cap(st.Entries), passportInline)
+		}
+		for i := 0; i < n; i++ {
+			st.Entries = append(st.Entries, PassportMAC{AS: ASID(i + 1)})
+		}
+		grown := cap(st.Entries)
+		st.Present, st.Next = true, 1
+		st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
+		st.FVNode, st.FVSet, st.FVEpoch, st.FVVerdict = 2, true, 6, 2
+		pool.Put(p)
+		q := pool.Get()
+		if q.Passport != st {
+			t.Fatal("recycled packet lost its trailer block")
+		}
+		if len(st.Entries) != 0 || cap(st.Entries) != grown {
+			t.Fatalf("%d entries: recycled trailer has len %d cap %d, want 0 and %d", n, len(st.Entries), cap(st.Entries), grown)
+		}
+		if z := *st; !reflect.DeepEqual(z, PassportStamp{Entries: z.Entries}) {
+			t.Fatalf("recycled trailer block not zeroed: %+v", z)
+		}
 	}
 }
 

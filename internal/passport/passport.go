@@ -99,12 +99,14 @@ func (r *Registry) Stamp(p *packet.Packet, path []packet.ASID) {
 // StampHops is the per-packet half of Stamp: it writes the trailer for a
 // path whose keys Hops resolved for p.SrcAS.
 func StampHops(p *packet.Packet, hops []Hop) {
-	// Rebuild in place on top of the packet's retained trailer capacity
-	// (packet.Pool keeps the backing array across recycles), writing
-	// every field so no stale entry survives.
-	entries := p.Passport.Entries[:0]
+	// Rebuild in place on top of the packet's retained trailer block
+	// (packet.Pool keeps it across recycles), writing every trailer
+	// field so no stale entry survives.
+	st := p.NeedPassport()
+	entries := st.Entries[:0]
 	if cap(entries) < len(hops) {
-		// Size a fresh packet's trailer once, not by append doublings.
+		// A path longer than the block's inline entries: size the array
+		// once, not by append doublings.
 		entries = make([]packet.PassportMAC, 0, len(hops))
 	}
 	var buf [20]byte
@@ -115,7 +117,7 @@ func StampHops(p *packet.Packet, hops []Hop) {
 		}
 		entries = append(entries, e)
 	}
-	p.Passport = packet.PassportStamp{Present: true, Entries: entries}
+	st.Entries, st.Next, st.Present = entries, 0, true
 }
 
 // Verify checks p's Passport trailer at the given transit AS. Entries are
@@ -138,8 +140,8 @@ func (r *Registry) Verify(p *packet.Packet, transitAS packet.ASID) bool {
 // owning goroutine, or a private Clone of it from a batch worker, since
 // CMAC scratch is not concurrent-safe.
 func (r *Registry) Check(p *packet.Packet, transitAS packet.ASID, mac *cmac.CMAC) (ok bool, consume int) {
-	st := &p.Passport
-	if !st.Present {
+	st := p.Passport
+	if st == nil || !st.Present {
 		return false, -1
 	}
 	// Already verified at this AS's ingress?
@@ -172,7 +174,7 @@ func Apply(p *packet.Packet, consume int) {
 	if consume < 0 {
 		return
 	}
-	st := &p.Passport
+	st := p.Passport
 	for j := int(st.Next); j < consume; j++ {
 		st.Entries[j].AS = -1
 	}

@@ -137,7 +137,7 @@ func TestStampVerifyProperty(t *testing.T) {
 // snapTrailer deep-copies a trailer so later in-place mutation of the
 // shared Entries backing array is detectable.
 func snapTrailer(p *packet.Packet) packet.PassportStamp {
-	s := p.Passport
+	s := *p.Passport
 	s.Entries = append([]packet.PassportMAC(nil), s.Entries...)
 	return s
 }
@@ -195,9 +195,9 @@ func TestCheckApplyMatchesVerify(t *testing.T) {
 			if ok != want {
 				t.Fatalf("%s: Check at AS %d = %v, Verify = %v", tc.name, as, ok, want)
 			}
-			if !equalTrailer(a.Passport, b.Passport) {
+			if !equalTrailer(*a.Passport, *b.Passport) {
 				t.Fatalf("%s: trailer state diverged after AS %d:\nverify: %+v\nsplit:  %+v",
-					tc.name, as, a.Passport, b.Passport)
+					tc.name, as, *a.Passport, *b.Passport)
 			}
 		}
 	}
@@ -215,32 +215,95 @@ func TestCheckIsPure(t *testing.T) {
 	if !ok || consume < 0 {
 		t.Fatalf("Check(AS 3) = (%v, %d), want a consuming success", ok, consume)
 	}
-	if !equalTrailer(p.Passport, before) {
+	if !equalTrailer(*p.Passport, before) {
 		t.Fatal("Check mutated the trailer")
 	}
 	// A negative consume Apply is a no-op.
 	Apply(p, -1)
-	if !equalTrailer(p.Passport, before) {
+	if !equalTrailer(*p.Passport, before) {
 		t.Fatal("Apply(-1) mutated the trailer")
 	}
 }
 
-// TestStampSizesTrailerOnce pins the trailer's allocation: a fresh
-// packet gets its entries in one allocation sized to the path, and a
-// recycled packet (retained capacity) in none.
+// TestStampSizesTrailerOnce pins the trailer's allocations: a fresh
+// packet gets block and entries in one, a path that outgrows the block's
+// inline entries one more for an array sized to it, and a packet that
+// has carried a path stamps that one or a shorter one in none.
 func TestStampSizesTrailerOnce(t *testing.T) {
-	r := testRegistry()
-	path := []packet.ASID{2, 3, 4}
-	fresh := testing.AllocsPerRun(100, func() {
-		p := packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
-		r.Stamp(&p, path)
-	})
-	if fresh != 1 {
-		t.Errorf("Stamp on a fresh packet allocates %.0f times, want 1", fresh)
+	r := fzRegistry()
+	for _, tc := range []struct {
+		name  string
+		path  []packet.ASID
+		fresh float64
+	}{
+		{"inline", []packet.ASID{2, 3, 4}, 1},
+		{"outgrown", []packet.ASID{2, 3, 4, 5, 6, 7, 8, 2}, 2},
+	} {
+		fresh := testing.AllocsPerRun(100, func() {
+			p := packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
+			r.Stamp(&p, tc.path)
+		})
+		if fresh != tc.fresh {
+			t.Errorf("%s: Stamp on a fresh packet allocates %.0f times, want %.0f", tc.name, fresh, tc.fresh)
+		}
+		p := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
+		r.Stamp(p, tc.path)
+		if cap(p.Passport.Entries) < len(tc.path) || len(p.Passport.Entries) != len(tc.path) {
+			t.Fatalf("%s: %d entries in an array of %d for a path of %d", tc.name, len(p.Passport.Entries), cap(p.Passport.Entries), len(tc.path))
+		}
+		for _, path := range [][]packet.ASID{tc.path, tc.path[:2]} {
+			if again := testing.AllocsPerRun(100, func() { r.Stamp(p, path) }); again != 0 {
+				t.Errorf("%s: Stamp of %d hops on a packet that carried %d allocates %.0f times, want 0", tc.name, len(path), len(tc.path), again)
+			}
+			for _, as := range path {
+				if !r.Verify(p, as) {
+					t.Fatalf("%s: verification failed at AS %d of %v", tc.name, as, path)
+				}
+			}
+		}
 	}
-	p := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, DstAS: 4, Size: 1500}
-	r.Stamp(p, path)
-	if again := testing.AllocsPerRun(100, func() { r.Stamp(p, path) }); again != 0 {
-		t.Errorf("Stamp on a recycled packet allocates %.0f times, want 0", again)
+}
+
+// TestRecycledPacketChecksLikeFresh: whatever trailer and verdicts a
+// packet carried, once through the pool it is a fresh packet to Check,
+// Apply and Verify — no trailer — and to the next Stamp, which reuses
+// the block it kept.
+func TestRecycledPacketChecksLikeFresh(t *testing.T) {
+	r := testRegistry()
+	var pool packet.Pool
+	p := pool.Get()
+	p.Src, p.Dst, p.SrcAS, p.Size = 10, 20, 1, 1500
+	r.Stamp(p, []packet.ASID{2, 3, 4})
+	if !r.Verify(p, 3) {
+		t.Fatal("verification failed at AS 3")
+	}
+	st := p.Passport
+	st.PVLink, st.PVOK, st.PVConsume = 5, true, 2
+	st.FVSet, st.FVNode, st.FVEpoch, st.FVVerdict = true, 7, 9, 2
+	pool.Put(p)
+
+	q := pool.Get()
+	if q != p || q.Passport != st {
+		t.Fatal("the pool did not hand back the packet with its block")
+	}
+	q.Src, q.Dst, q.SrcAS, q.Size = 10, 20, 1, 1500
+	fresh := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, Size: 1500}
+	for _, as := range []packet.ASID{2, 3, 4, 9} {
+		ok, consume := r.Check(q, as, r.Key(1, as))
+		wantOK, wantConsume := r.Check(fresh, as, r.Key(1, as))
+		if ok != wantOK || consume != wantConsume {
+			t.Fatalf("Check at AS %d on a recycled packet = (%v, %d), on a fresh one (%v, %d)", as, ok, consume, wantOK, wantConsume)
+		}
+		if r.Verify(q, as) {
+			t.Fatalf("a recycled packet verified at AS %d on the trailer of its previous life", as)
+		}
+	}
+	if st.PVLink != 0 || st.FVSet || st.Next != 0 {
+		t.Fatalf("a recycled block kept verdicts or consumption: %+v", *st)
+	}
+	r.Stamp(q, []packet.ASID{3, 4})
+	r.Stamp(fresh, []packet.ASID{3, 4})
+	if q.Passport != st || !equalTrailer(*q.Passport, *fresh.Passport) {
+		t.Fatalf("stamped after recycling: %+v, a fresh packet: %+v", *q.Passport, *fresh.Passport)
 	}
 }

@@ -65,7 +65,6 @@ func (f *FIFO) StartOn(buf []*packet.Packet) { f.q.StartOn(buf) }
 
 // Enqueue always succeeds.
 func (f *FIFO) Enqueue(p *packet.Packet, now sim.Time) bool {
-	p.EnqueuedAt = now
 	f.q.Push(p)
 	f.bytes += int(p.Size)
 	if f.bytes > f.hwm {

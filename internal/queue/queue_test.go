@@ -104,8 +104,8 @@ func TestFIFOStats(t *testing.T) {
 		t.Fatalf("bytes=%d len=%d", f.Bytes(), f.Len())
 	}
 	p, _ := f.Dequeue(7)
-	if p == nil || p.EnqueuedAt != 5 {
-		t.Fatal("EnqueuedAt not stamped")
+	if p == nil || p.Size != 100 {
+		t.Fatal("Dequeue did not return the head")
 	}
 	s := f.Stats()
 	if s.Enqueued != 2 || s.Dequeued != 1 || s.DequeuedBytes != 100 {

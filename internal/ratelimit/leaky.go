@@ -104,7 +104,6 @@ func (l *LeakyLimiter) Submit(p *packet.Packet) Verdict {
 		l.lastDropAt = now
 		return Drop
 	}
-	p.EnqueuedAt = now
 	l.q.Push(p)
 	l.bytes += int(p.Size)
 	if l.q.Len() == 1 {

@@ -121,6 +121,31 @@ func TestPipelineAutoMode(t *testing.T) {
 	}
 }
 
+// TestPipelineForcedOnWithoutPassport: forced on under the default
+// config the pipeline walks every handoff batch and the Result stays
+// the single engine's. Nothing is precomputed: without Passport only an
+// access router's feedback verdict is left to compute, and the partition
+// never cuts a host from its access router — the case in which a worker
+// makes a packet's trailer block for a verdict alone is driven by hand,
+// internal/core TestPipelineWorkerMakesBlock.
+func TestPipelineForcedOnWithoutPassport(t *testing.T) {
+	spec := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
+	single := resultJSON(t, equivScenario(spec, pipelineEquivWorkloads(), 1))
+	for _, n := range []int{2, 4} {
+		sc := equivScenario(spec, pipelineEquivWorkloads(), n)
+		sc.Pipeline = PipelineOn
+		got, in := runWithInstance(t, sc)
+		diffJSON(t, "forced on, passport off", single, got, n)
+		rc := in.RuntimeCounters()
+		if !in.Sharding.Pipeline || rc["pipeline_validation_packet_total"] == 0 {
+			t.Fatalf("shards=%d: pipeline forced on but examined no handoff packets: %v", n, rc)
+		}
+		if rc["pipeline_precompute_total"] != 0 {
+			t.Fatalf("shards=%d: %d verdicts precomputed with Passport off — a host uplink was cut", n, rc["pipeline_precompute_total"])
+		}
+	}
+}
+
 // TestPipelineRotationFallback shrinks KeyRotate so lookahead windows
 // straddle rotation boundaries: the pipeline must fall back to inline
 // validation for arrivals past each boundary (the counter proves the

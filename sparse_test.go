@@ -113,8 +113,8 @@ func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 							continue
 						}
 						for dst := range full.net.Nodes {
-							got := rep.net.PathASes(ar.ID, packet.NodeID(dst))
-							if want := full.net.PathASes(ar.ID, packet.NodeID(dst)); !slices.Equal(got, want) {
+							got := rep.net.PathASes(nil, ar.ID, packet.NodeID(dst))
+							if want := full.net.PathASes(nil, ar.ID, packet.NodeID(dst)); !slices.Equal(got, want) {
 								t.Fatalf("%s: AS path %v -> %d is %v, the full build's is %v", name, ar, dst, got, want)
 							}
 						}
