@@ -1,21 +1,18 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation, one testing.B benchmark per artifact.
+// Benchmarks of the paper's Figure 7: micro-benchmarks of the
+// per-packet data-path operations, whose ns/op is directly comparable
+// to the paper's table:
 //
-// The Fig7 benchmarks are genuine micro-benchmarks of the per-packet
-// data-path operations (ns/op is directly comparable to the paper's
-// Figure 7 table). The macro benchmarks (Fig8-Fig14, Theorem) each run
-// one full simulation cell at tiny scale per iteration; run them with
-// -benchtime=1x for a single regeneration, and use cmd/netfence-sim for
-// the full tables at larger scales:
+//	go test -bench Fig7 -benchmem -run '^$' .
 //
-//	go test -bench . -benchmem -benchtime=1x
+// The §6 figures are regenerated by cmd/netfence-sim and their shapes
+// asserted by internal/exp's tests; end-to-end and per-layer speed is
+// measured by the benchmark harness (benchmark/, BENCHMARK.json).
 package netfence_test
 
 import (
 	"testing"
 
 	"netfence/internal/cmac"
-	"netfence/internal/exp"
 	"netfence/internal/feedback"
 	"netfence/internal/header"
 	"netfence/internal/packet"
@@ -125,65 +122,5 @@ func BenchmarkFig7AccessRegularAttack(b *testing.B) {
 		if _, _, err := header.AccessProcessRegular(buf[:], ring, lookup, 10, 20, 100, 4); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Macro benchmarks: one simulation cell per iteration (tiny scale) ---
-
-// benchResult keeps results alive so the compiler cannot elide the runs.
-var benchResult string
-
-func benchRunner(b *testing.B, name string) {
-	b.Helper()
-	r, err := exp.RunnerByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res := r.Run(exp.Tiny)
-		benchResult = res.Table()
-	}
-}
-
-// BenchmarkFig8 regenerates the unwanted-traffic flooding table.
-func BenchmarkFig8(b *testing.B) { benchRunner(b, "fig8") }
-
-// BenchmarkFig9a regenerates the long-running-TCP collusion table.
-func BenchmarkFig9a(b *testing.B) { benchRunner(b, "fig9a") }
-
-// BenchmarkFig9b regenerates the web-traffic collusion table.
-func BenchmarkFig9b(b *testing.B) { benchRunner(b, "fig9b") }
-
-// BenchmarkFig10 regenerates the parking-lot table (core design).
-func BenchmarkFig10(b *testing.B) { benchRunner(b, "fig10") }
-
-// BenchmarkFig11 regenerates the on-off attack table.
-func BenchmarkFig11(b *testing.B) { benchRunner(b, "fig11") }
-
-// BenchmarkFig13 regenerates the B.1 multi-feedback parking-lot table.
-func BenchmarkFig13(b *testing.B) { benchRunner(b, "fig13") }
-
-// BenchmarkFig14 regenerates the B.2 inference parking-lot table.
-func BenchmarkFig14(b *testing.B) { benchRunner(b, "fig14") }
-
-// BenchmarkTheorem regenerates the fair-share bound check.
-func BenchmarkTheorem(b *testing.B) { benchRunner(b, "theorem") }
-
-// BenchmarkHeaderSizes regenerates the §6.1 size table.
-func BenchmarkHeaderSizes(b *testing.B) { benchRunner(b, "header") }
-
-// BenchmarkSimulatorThroughput measures raw simulator speed: packet
-// events per second through a NetFence-protected bottleneck under the
-// tiny collusion workload. Useful for sizing larger scales.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	r, err := exp.RunnerByName("fig9a")
-	if err != nil {
-		b.Fatal(err)
-	}
-	sc := exp.Tiny
-	sc.Labels = []int{100_000}
-	for i := 0; i < b.N; i++ {
-		res := r.Run(sc)
-		benchResult = res.Table()
 	}
 }

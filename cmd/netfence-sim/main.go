@@ -62,24 +62,10 @@
 // set (-1 = one shard per CPU):
 //
 //	netfence-sim -sweep -shards 4 -senders 128
-//	netfence-sim -bench-json -bench-scale large -shards 8
+//	netfence-sim -sweep -topo random-as -senders 1024 -shards -1
 //
-// -bench-json emits a machine-readable benchmark baseline (wall time,
-// events/s and allocs/event per experiment family) for perf-trajectory
-// tracking; the checked-in BENCH_PR5.json was generated this way.
-// -bench-baseline FILE additionally compares the fresh run against a
-// checked-in baseline and exits non-zero when any suite's wall time
-// regressed more than 25% (the CI bench smoke gate; with -shards it
-// also times a sharded collusion smoke cell). -bench-scale large swaps
-// the tiny figure suite for a single large-scale cell — the seeded
-// random AS-level topology with >=10k senders — and -bench-scale huge
-// raises that to 65,536 senders; with -shards N both run the
-// single-engine twin first and report the sharded speedup.
-// -bench-scale massive crosses the million-modeled-sender line with
-// fleet aggregation (1,024 attachment hosts of weight 1,024 plus 256
-// TCP users) and, with -shards N, additionally requires the sharded
-// Result JSON byte-identical to the single engine's; massive-smoke is
-// the same shape at 16,384 modeled senders for CI.
+// Performance is measured by the benchmark harness in benchmark/ (see
+// BENCHMARK.json), not by this command.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the run;
 // shard worker goroutines carry pprof labels (shard=<as-range>) so
@@ -103,7 +89,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -144,7 +129,7 @@ func main() {
 		traceFormat = flag.String("trace-format", "json", "trace output format: json (event array) | chrome (trace_event for chrome://tracing)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 
-		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = classic single engine; -1 = one shard per CPU). Applies to -sweep and the -bench-scale large/huge cells; the -exp figures drive the low-level API and stay single-engine")
+		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = classic single engine; -1 = one shard per CPU). Applies to -sweep, -search and -trace; the -exp figures drive the low-level API and stay single-engine")
 
 		pipelineFlag = flag.String("pipeline", "auto", "sharded validation pipeline: auto (on exactly when it pays — sharded NetFence with Passport verification) | on | off. Results are byte-identical in every mode; only wall-clock speed changes")
 
@@ -170,10 +155,6 @@ func main() {
 		duration   = flag.Int("duration", 240, "sweep: simulated seconds per cell")
 		parallel   = flag.Int("parallelism", 0, "sweep: concurrent cells (0 = GOMAXPROCS)")
 
-		benchJSON  = flag.Bool("bench-json", false, "emit the benchmark baseline as JSON and exit")
-		benchScale = flag.String("bench-scale", "tiny", "bench-json: tiny (figure suite) | large (random-as, >=10k senders) | huge (>=65k) | massive (>=1M modeled senders via fleet aggregation) | massive-smoke (CI-sized massive)")
-		benchBase  = flag.String("bench-baseline", "", "bench-json: baseline JSON to compare against; exit 1 on >25% wall-time regression")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the run to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	)
@@ -186,7 +167,7 @@ func main() {
 	cliPipeline = pipe
 
 	// Profile teardown must survive every exit path — fatal() and the
-	// bench-gate os.Exit(1) bypass defers, so they flush explicitly
+	// search gate's os.Exit(1) bypass defers, so they flush explicitly
 	// through the idempotent flushProfiles hook.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -250,14 +231,6 @@ func main() {
 		listMetrics()
 		return
 	}
-	if *benchJSON {
-		if !runBenchJSON(*benchScale, *benchBase, *shards) {
-			flushProfiles()
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *serveMode {
 		runServe(*addr, *serveWorkers, *serveQueue)
 		return
@@ -832,599 +805,8 @@ func parseUints(csv string) ([]uint64, error) {
 }
 
 // cliPipeline is the parsed -pipeline mode, applied to every
-// scenario-driven cell the CLI builds (sweep, search, trace, bench).
-// Explicit A/B bench rows override it per row.
+// scenario-driven cell the CLI builds (sweep, search, trace).
 var cliPipeline netfence.PipelineMode
-
-// benchNames is the fixed experiment-family suite timed by -bench-json:
-// one per major simulation shape (capability channel, collusion,
-// multi-bottleneck, analytic bound, incremental deployment, adaptive
-// adversaries).
-var benchNames = []string{"fig8", "fig9a", "fig10", "theorem", "deploy", "strategic", "worstcase"}
-
-// benchRow is one timed suite in the -bench-json report. EventsPerSec and
-// AllocsPerOp are measured over every engine the suite drives (an "op" is
-// one executed simulator event): the zero-allocation hot path shows up
-// directly as allocs_per_op approaching zero.
-type benchRow struct {
-	Name        string  `json:"name"`
-	Scale       string  `json:"scale"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Events      uint64  `json:"events"`
-	EventsPer   float64 `json:"events_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	// HeapAllocPeak and SysBytes snapshot memory at the row boundary
-	// (ReadMemStats right after the suite returns, before the next
-	// GC): live heap bytes and total bytes obtained from the OS. They
-	// bound the suite's working set; the bench gate ignores both.
-	HeapAllocPeak uint64 `json:"heap_alloc_peak"`
-	SysBytes      uint64 `json:"sys_bytes"`
-	// CandidatesPerSec is set on the adversarial-search row only:
-	// evaluated attack configurations per wall second.
-	CandidatesPerSec float64 `json:"candidates_per_sec,omitempty"`
-	// Pipeline is the sharded validation-pipeline mode of the row's
-	// scenario ("" on figure rows and single-engine cells).
-	Pipeline string `json:"pipeline,omitempty"`
-	// SerializedNs lists each shard's accumulated execute-round wall
-	// nanoseconds on sharded cells — the serialized portion of the
-	// parallel run, whose maximum bounds the achievable speedup. The
-	// validation pipeline shrinks the bottleneck shard's slot by moving
-	// CMAC work into the drain phase. The bench gate ignores it.
-	SerializedNs []int64 `json:"serialized_ns,omitempty"`
-	// Counters is the suite's metric snapshot (deterministic and
-	// runtime planes merged: drops by reason, per-shard event counts,
-	// handoff batches) on scenario-driven rows; nil on the figure rows,
-	// which drive the low-level API. The bench gate ignores it.
-	Counters map[string]uint64 `json:"counters,omitempty"`
-}
-
-type benchReport struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	// GOMAXPROCS and Hostname identify the execution environment behind
-	// a baseline, so cross-machine comparisons are visibly apples to
-	// oranges.
-	GOMAXPROCS int        `json:"gomaxprocs"`
-	Hostname   string     `json:"hostname,omitempty"`
-	Rows       []benchRow `json:"benchmarks"`
-}
-
-// timeSuite runs fn once, accounting wall time, heap allocations
-// (process-wide) and simulator events through a fresh per-suite Meter
-// handed to fn — so concurrent engines elsewhere in the process (or a
-// paused suite's leftovers) never leak into the row. fn may return a
-// metric snapshot to attach to the row.
-func timeSuite(name, scale string, fn func(m *netfence.Meter) map[string]uint64) benchRow {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	meter := &netfence.Meter{}
-	start := time.Now()
-	counters := fn(meter)
-	wall := time.Since(start).Seconds()
-	events := meter.Total()
-	runtime.ReadMemStats(&m1)
-	row := benchRow{
-		Name: name, Scale: scale, WallSeconds: wall, Events: events, Counters: counters,
-		HeapAllocPeak: m1.HeapAlloc, SysBytes: m1.Sys,
-	}
-	if wall > 0 {
-		row.EventsPer = float64(events) / wall
-	}
-	if events > 0 {
-		row.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(events)
-	}
-	return row
-}
-
-// runBenchJSON times the benchmark suite and emits a JSON baseline, so
-// successive PRs can track the perf trajectory (BENCH_PR5.json is the
-// current checked-in point). With a baseline file it also enforces the
-// <=25% wall-time regression gate, returning false on violation. A suite
-// over budget is retried up to twice and judged on its best time, so a
-// transient co-tenant spike on a shared runner does not fail the build —
-// a genuine regression reproduces on every attempt.
-//
-// shards > 1 adds sharded cells: a small partitioned collusion scenario
-// at the tiny scale (the CI sharded smoke), and a sharded run of the
-// large/huge cell next to its single-engine twin with the
-// events-per-second speedup reported on stderr — the headline number of
-// the parallel executor.
-func runBenchJSON(scale, baselinePath string, shards int) bool {
-	baseline := map[string]float64{}
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			fatal(err)
-		}
-		var base benchReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			fatal(err)
-		}
-		for _, r := range base.Rows {
-			baseline[r.Name] = r.WallSeconds
-		}
-	}
-	// measure runs one suite, retrying over-budget results.
-	measure := func(name, scName string, fn func(m *netfence.Meter) map[string]uint64) benchRow {
-		row := timeSuite(name, scName, fn)
-		budget, gated := baseline[name]
-		for attempt := 0; gated && budget > 0 && row.WallSeconds > 1.25*budget && attempt < 2; attempt++ {
-			fmt.Fprintf(os.Stderr, "bench: %s over budget (%.2fs vs %.2fs), retrying\n",
-				name, row.WallSeconds, budget)
-			if again := timeSuite(name, scName, fn); again.WallSeconds < row.WallSeconds {
-				row = again
-			}
-		}
-		return row
-	}
-	// annotate stamps a sharded cell's row with the realized pipeline
-	// state and the per-shard serialized execute time.
-	annotate := func(row *benchRow, sh *netfence.Sharding) {
-		if sh == nil {
-			return
-		}
-		row.Pipeline = "off"
-		if sh.Pipeline {
-			row.Pipeline = "on"
-		}
-		row.SerializedNs = sh.SerializedNanos()
-	}
-	// measureSharded is measure for scenario-driven sharded cells, with
-	// the row annotated from the (last attempt's) Sharding.
-	measureSharded := func(name, scName string, mk func(m *netfence.Meter) netfence.Scenario) benchRow {
-		var shInfo *netfence.Sharding
-		row := measure(name, scName, func(m *netfence.Meter) map[string]uint64 {
-			c, _, sh := runBenchScenarioFull(mk(m))
-			shInfo = sh
-			return c
-		})
-		annotate(&row, shInfo)
-		return row
-	}
-	// maxSerialized is the slowest shard's serialized seconds — the
-	// Amdahl bound of the row.
-	maxSerialized := func(row benchRow) float64 {
-		var mx int64
-		for _, v := range row.SerializedNs {
-			if v > mx {
-				mx = v
-			}
-		}
-		return float64(mx) / 1e9
-	}
-	// pipelineAB measures a Passport-enabled sharded scenario twice —
-	// pipeline off, then on — and reports the serialized-time reduction.
-	pipelineAB := func(name, scName string, mk func(pipe netfence.PipelineMode, m *netfence.Meter) netfence.Scenario) (off, on benchRow) {
-		off = measureSharded(name+"-nopipe", scName, func(m *netfence.Meter) netfence.Scenario {
-			return mk(netfence.PipelineOff, m)
-		})
-		on = measureSharded(name+"-pipe", scName, func(m *netfence.Meter) netfence.Scenario {
-			return mk(netfence.PipelineOn, m)
-		})
-		if off.WallSeconds > 0 && on.WallSeconds > 0 {
-			fmt.Fprintf(os.Stderr,
-				"pipeline A/B (%s): wall %.2fs -> %.2fs (%.2fx); max shard serialized %.2fs -> %.2fs\n",
-				name, off.WallSeconds, on.WallSeconds, off.WallSeconds/on.WallSeconds,
-				maxSerialized(off), maxSerialized(on))
-		}
-		return off, on
-	}
-	// passportVariant derives the Passport-enabled A/B form of a cell
-	// scenario.
-	passportVariant := func(sc netfence.Scenario, name string, pipe netfence.PipelineMode) netfence.Scenario {
-		sc.Name = name
-		sc.Defense = netfence.DefenseSpec{Name: "netfence", Config: passportConfig()}
-		sc.Pipeline = pipe
-		return sc
-	}
-
-	hostname, _ := os.Hostname()
-	rep := benchReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Hostname:   hostname,
-	}
-	switch scale {
-	case "tiny":
-		sc, err := exp.ScaleByName("tiny")
-		if err != nil {
-			fatal(err)
-		}
-		for _, name := range benchNames {
-			r, err := exp.RunnerByName(name)
-			if err != nil {
-				fatal(err)
-			}
-			rep.Rows = append(rep.Rows, measure(name, sc.Name, func(m *netfence.Meter) map[string]uint64 {
-				scm := sc
-				scm.Meter = m
-				r.Run(scm)
-				return nil
-			}))
-		}
-		if shards > 1 || shards == -1 {
-			n := displayShards(shards)
-			rep.Rows = append(rep.Rows, measureSharded(fmt.Sprintf("collusion-shards%d", n), "tiny",
-				func(m *netfence.Meter) netfence.Scenario { return shardedSmokeScenario(shards, n, m) }))
-			// Pipeline A/B on the Passport-enabled smoke: same cell with
-			// per-packet source-AS authentication, validated inline (off)
-			// vs precomputed at the drain barrier (on).
-			abName := fmt.Sprintf("collusion-passport-shards%d", n)
-			off, on := pipelineAB(abName, "tiny",
-				func(pipe netfence.PipelineMode, m *netfence.Meter) netfence.Scenario {
-					return passportVariant(shardedSmokeScenario(shards, n, m), abName, pipe)
-				})
-			rep.Rows = append(rep.Rows, off, on)
-		}
-		// The adversarial-search row: throughput of the optimizer loop
-		// itself, in candidates per second.
-		evals := 0
-		searchRow := measure("search", "tiny", func(m *netfence.Meter) map[string]uint64 {
-			evals = runSearchBench(m)
-			return nil
-		})
-		if searchRow.WallSeconds > 0 {
-			searchRow.CandidatesPerSec = float64(evals) / searchRow.WallSeconds
-		}
-		rep.Rows = append(rep.Rows, searchRow)
-	case "large", "huge":
-		// The headroom demonstration: one cell on the seeded random
-		// AS-level topology with >=10k senders (large) or >=65k senders
-		// (huge) — populations two to three orders of magnitude beyond
-		// the tiny figure suite, tractable with the pooled hot path and,
-		// sharded, with one engine per partition. With -shards the
-		// single-engine twin runs first so the report carries both rows
-		// and the events-per-second speedup is printed.
-		mkCell := largeScenario
-		if scale == "huge" {
-			mkCell = hugeScenario
-		}
-		single := measure("random-as-"+scale, scale,
-			func(m *netfence.Meter) map[string]uint64 { return runBenchScenario(mkCell(1, m)) })
-		rep.Rows = append(rep.Rows, single)
-		if shards > 1 || shards == -1 {
-			n := displayShards(shards)
-			sharded := measureSharded(fmt.Sprintf("random-as-%s-shards%d", scale, n), scale,
-				func(m *netfence.Meter) netfence.Scenario { return mkCell(shards, m) })
-			rep.Rows = append(rep.Rows, sharded)
-			if sharded.WallSeconds > 0 && single.WallSeconds > 0 {
-				fmt.Fprintf(os.Stderr, "sharded speedup (%s, %d shards): %.2fx wall, %.2fx events/sec\n",
-					scale, n, single.WallSeconds/sharded.WallSeconds, sharded.EventsPer/single.EventsPer)
-			}
-			// Pipeline A/B on the Passport-enabled cell: the bottleneck
-			// shard's inline CMAC verification is the serialized work the
-			// pipeline moves into the drain phase.
-			abName := fmt.Sprintf("random-as-%s-passport-shards%d", scale, n)
-			off, on := pipelineAB(abName, scale,
-				func(pipe netfence.PipelineMode, m *netfence.Meter) netfence.Scenario {
-					return passportVariant(mkCell(shards, m), abName, pipe)
-				})
-			rep.Rows = append(rep.Rows, off, on)
-		}
-	case "massive", "massive-smoke":
-		// The million-sender demonstration: fleet aggregation carries a
-		// modeled population two orders of magnitude beyond the huge
-		// cell's host count, and the cell itself proves determinism by
-		// re-running at the requested shard count and requiring the
-		// Result JSON byte-identical to the single engine's.
-		p := massiveFull
-		if scale == "massive-smoke" {
-			p = massiveSmoke
-		}
-		name := "random-as-" + scale
-		var singleJSON, shardedJSON string
-		single := measure(name, scale, func(m *netfence.Meter) map[string]uint64 {
-			c, raw := runBenchScenarioJSON(massiveScenario(name, p, 1, m))
-			singleJSON = raw
-			return c
-		})
-		rep.Rows = append(rep.Rows, single)
-		fmt.Fprintf(os.Stderr, "%s: %d modeled senders over %d hosts (%d fleet attachments, weight %d)\n",
-			name, p.population(), p.users+p.hosts, p.hosts, p.weight)
-		if shards > 1 || shards == -1 {
-			n := displayShards(shards)
-			var shInfo *netfence.Sharding
-			sharded := measure(fmt.Sprintf("%s-shards%d", name, n), scale,
-				func(m *netfence.Meter) map[string]uint64 {
-					c, raw, sh := runBenchScenarioFull(massiveScenario(name, p, shards, m))
-					shardedJSON = raw
-					shInfo = sh
-					return c
-				})
-			annotate(&sharded, shInfo)
-			rep.Rows = append(rep.Rows, sharded)
-			if shardedJSON != singleJSON {
-				fmt.Fprintf(os.Stderr, "%s: sharded Result diverged from the single engine\n", name)
-				return false
-			}
-			fmt.Fprintf(os.Stderr, "%s: sharded Result byte-identical to the single engine (%d shards)\n", name, n)
-			if sharded.WallSeconds > 0 && single.WallSeconds > 0 {
-				fmt.Fprintf(os.Stderr, "sharded speedup (%s, %d shards): %.2fx wall, %.2fx events/sec\n",
-					scale, n, single.WallSeconds/sharded.WallSeconds, sharded.EventsPer/single.EventsPer)
-			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown -bench-scale %q (tiny|large|huge|massive|massive-smoke)", scale))
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fatal(err)
-	}
-	if baselinePath == "" {
-		return true
-	}
-	ok := true
-	for _, r := range rep.Rows {
-		want, found := baseline[r.Name]
-		if !found || want <= 0 {
-			continue
-		}
-		if ratio := r.WallSeconds / want; ratio > 1.25 {
-			fmt.Fprintf(os.Stderr, "bench regression: %s took %.2fs vs baseline %.2fs (+%.0f%%)\n",
-				r.Name, r.WallSeconds, want, 100*(ratio-1))
-			ok = false
-		}
-	}
-	return ok
-}
-
-// displayShards resolves the -shards value for bench row names and
-// speedup reports: -1 (auto) displays as the CPU count. Scenarios get
-// the raw flag value instead — -1 is netfence.AutoShards, which clamps
-// to the topology's AS count rather than failing fast — so the display
-// can overstate the realized count only on machines with more CPUs
-// than the topology has ASes.
-func displayShards(shards int) int {
-	if shards == -1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return shards
-}
-
-// shardedSmokeScenario builds the CI sharded bench cell: the collusion
-// mix on a mid-size dumbbell, partitioned — small enough for the bench
-// smoke step, big enough that the mailbox handoff and window barriers
-// carry real traffic.
-func shardedSmokeScenario(shards, label int, m *netfence.Meter) netfence.Scenario {
-	const pop = 128
-	users := pop / 4
-	return netfence.Scenario{
-		Name:     fmt.Sprintf("collusion-shards%d", label),
-		Seed:     1,
-		Topology: netfence.DumbbellSpec{Senders: pop, BottleneckBps: pop * 100_000, ColluderASes: 9},
-		Defense:  netfence.Defense("netfence"),
-		Workloads: []netfence.Workload{
-			netfence.LongTCP{Senders: netfence.Range(0, users)},
-			netfence.ColluderPairs{Senders: netfence.Range(users, pop), RateBps: 1_000_000},
-		},
-		Duration: 20 * netfence.Second,
-		Warmup:   10 * netfence.Second,
-		Shards:   shards,
-		Pipeline: cliPipeline,
-		Meter:    m,
-	}
-}
-
-// passportConfig is the NetFence configuration with Passport source-AS
-// authentication enabled — the CMAC-heaviest configuration, whose
-// per-packet verification the validation pipeline parallelizes.
-func passportConfig() netfence.Config {
-	cfg := netfence.DefaultConfig()
-	cfg.Passport = true
-	return cfg
-}
-
-// runBenchScenario drives one scenario-driven bench cell and returns
-// its merged metric snapshot: the deterministic plane from the Result
-// plus the runtime plane (per-shard event counts, handoff batches).
-func runBenchScenario(sc netfence.Scenario) map[string]uint64 {
-	counters, _ := runBenchScenarioJSON(sc)
-	return counters
-}
-
-// runBenchScenarioJSON additionally returns the canonical Result JSON,
-// so cells that run the same scenario at several shard counts can
-// assert byte-identity (the massive cell's determinism check).
-func runBenchScenarioJSON(sc netfence.Scenario) (map[string]uint64, string) {
-	counters, raw, _ := runBenchScenarioFull(sc)
-	return counters, raw
-}
-
-// runBenchScenarioFull is runBenchScenarioJSON plus the run's Sharding
-// (nil on the single engine), for rows recording pipeline state and
-// per-shard serialized time.
-func runBenchScenarioFull(sc netfence.Scenario) (map[string]uint64, string, *netfence.Sharding) {
-	in, err := sc.Build()
-	if err != nil {
-		fatal(err)
-	}
-	res := in.Run()
-	fmt.Fprintln(os.Stderr, res.String())
-	raw, err := json.Marshal(res)
-	if err != nil {
-		fatal(err)
-	}
-	counters := map[string]uint64{}
-	obs.MergeMap(counters, res.Counters)
-	obs.MergeMap(counters, in.RuntimeCounters())
-	return counters, string(raw), in.Sharding
-}
-
-// runSearchBench is the adversarial-search bench cell: a small
-// annealed search (two strategies against TVA+ on the collusion
-// dumbbell), returning the number of evaluated candidates so the row
-// can report candidates/sec.
-func runSearchBench(m *netfence.Meter) int {
-	base := collusionBaseFor("", 4_000_000, 40, 1, true)(20)
-	base.Meter = m
-	rep, err := netfence.SearchSpec{
-		Base:       base,
-		Defenses:   []string{"tva"},
-		Strategies: []string{"flood", "onoff-sync"},
-		Optimizer:  "anneal",
-		Budget:     6,
-		Seed:       1,
-	}.Run()
-	if err != nil {
-		fatal(err)
-	}
-	evals := 0
-	for _, row := range rep.Rows {
-		evals += row.Evals
-	}
-	fmt.Fprint(os.Stderr, rep.Table())
-	return evals
-}
-
-// largeScenario builds the large bench scenario: 10,240 senders (25%
-// long-running TCP users, 75% flooding attackers) over the random-as
-// transit core, NetFence fully deployed, partitioned into the given
-// number of per-AS shards (1 = the classic single engine).
-func largeScenario(shards int, m *netfence.Meter) netfence.Scenario {
-	const pop = 10_240
-	users := pop / 4
-	return netfence.Scenario{
-		Name: "random-as-large",
-		Seed: 1,
-		Topology: netfence.RandomASSpec{
-			Senders: pop,
-			// 100 kbps fair share at the exit bottleneck: a 2x
-			// congested link once the attacker side offers its 200 kbps
-			// per sender, keeping the paper's operating regime at 500x
-			// the tiny-scale population.
-			BottleneckBps: pop * 100_000,
-			SrcASes:       32,
-			ColluderASes:  9,
-		},
-		Defense: netfence.Defense("netfence"),
-		Workloads: []netfence.Workload{
-			netfence.LongTCP{Senders: netfence.Range(0, users)},
-			netfence.AttackSpec{Senders: netfence.Range(users, pop), RateBps: 200_000, ToColluders: true},
-		},
-		Duration: 20 * netfence.Second,
-		Warmup:   10 * netfence.Second,
-		Shards:   shards,
-		Pipeline: cliPipeline,
-		Meter:    m,
-	}
-}
-
-// runHugeCell is the huge bench scenario: 65,536 senders over a larger
-// random AS-level core — the regime the paper's §6 argues about
-// (hundreds of thousands of senders per bottleneck), reachable in one
-// process by partitioning the topology across engines. The routing
-// tables stay small thanks to stub compression; the per-AS shard count
-// (64 source ASes, 8 transit ASes) leaves the partitioner room up to
-// dozens of shards.
-func hugeScenario(shards int, m *netfence.Meter) netfence.Scenario {
-	const pop = 65_536
-	users := pop / 4
-	return netfence.Scenario{
-		Name: "random-as-huge",
-		Seed: 1,
-		Topology: netfence.RandomASSpec{
-			Senders:       pop,
-			BottleneckBps: pop * 100_000,
-			SrcASes:       64,
-			TransitASes:   8,
-			ExtraLinks:    4,
-			ColluderASes:  9,
-		},
-		Defense: netfence.Defense("netfence"),
-		Workloads: []netfence.Workload{
-			netfence.LongTCP{Senders: netfence.Range(0, users)},
-			netfence.AttackSpec{Senders: netfence.Range(users, pop), RateBps: 200_000, ToColluders: true},
-		},
-		Duration: 10 * netfence.Second,
-		Warmup:   5 * netfence.Second,
-		Shards:   shards,
-		Pipeline: cliPipeline,
-		Meter:    m,
-	}
-}
-
-// massiveParams sizes a fleet-aggregated bench cell: `hosts` fleet
-// attachment hosts each standing for `weight` modeled attackers, next
-// to `users` individually-modeled TCP users. The full cell crosses the
-// million-modeled-sender line; the smoke variant keeps the same shape
-// at a population that finishes in seconds for CI.
-type massiveParams struct {
-	users   int   // individually modeled LongTCP users
-	hosts   int   // fleet attachment hosts
-	weight  int   // modeled attackers per attachment host
-	rateBps int64 // per-modeled-attacker offered load
-
-	srcASes, transitASes, extraLinks int
-
-	duration, warmup netfence.Time
-}
-
-// population returns the total modeled sender count of the cell.
-func (p massiveParams) population() int { return p.users + p.hosts*p.weight }
-
-var (
-	// massiveFull: 1,048,576 modeled attackers over 1,024 attachment
-	// hosts (weight 1,024) plus 256 TCP users — a 2x-congested
-	// bottleneck once the fleet offers 2 kbps per modeled sender.
-	massiveFull = massiveParams{
-		users: 256, hosts: 1024, weight: 1024, rateBps: 2_000,
-		srcASes: 64, transitASes: 8, extraLinks: 4,
-		duration: 10 * netfence.Second, warmup: 5 * netfence.Second,
-	}
-	// massiveSmoke: the same shape at 16,384 modeled attackers,
-	// seconds-fast for the CI smoke step.
-	massiveSmoke = massiveParams{
-		users: 64, hosts: 256, weight: 64, rateBps: 2_000,
-		srcASes: 16, transitASes: 4, extraLinks: 2,
-		duration: 5 * netfence.Second, warmup: 2 * netfence.Second,
-	}
-)
-
-// massiveScenario builds the fleet-aggregated random-as cell. The
-// topology carries users+hosts physical sender hosts; the FleetSpec
-// stamps each attachment host with its modeled weight, so the access
-// routers police weight-scaled aggregates and the partitioner balances
-// shards by modeled load. The bottleneck is sized to the modeled
-// population (1 kbps fair share), keeping the 2x-congested operating
-// regime of the large and huge cells.
-func massiveScenario(name string, p massiveParams, shards int, m *netfence.Meter) netfence.Scenario {
-	physical := p.users + p.hosts
-	return netfence.Scenario{
-		Name: name,
-		Seed: 1,
-		Topology: netfence.RandomASSpec{
-			Senders:       physical,
-			BottleneckBps: int64(p.population()) * 1_000,
-			SrcASes:       p.srcASes,
-			TransitASes:   p.transitASes,
-			ExtraLinks:    p.extraLinks,
-			ColluderASes:  9,
-		},
-		Defense: netfence.Defense("netfence"),
-		Workloads: []netfence.Workload{
-			netfence.LongTCP{Senders: netfence.Range(0, p.users)},
-			netfence.FleetSpec{
-				Count:    p.hosts * p.weight,
-				Senders:  netfence.Range(p.users, physical),
-				RateBps:  p.rateBps,
-				Attacker: true,
-			},
-		},
-		Duration: p.duration,
-		Warmup:   p.warmup,
-		Shards:   shards,
-		Pipeline: cliPipeline,
-		Meter:    m,
-	}
-}
 
 // profileFinalizers chains the -cpuprofile/-memprofile teardown;
 // flushProfiles runs it exactly once, on normal return or before any

@@ -381,6 +381,39 @@ func TestRunnersResolvable(t *testing.T) {
 	}
 }
 
+// runElsewhere names the runners another test of this file already runs
+// whole at tiny scale; the shape tests of the rest drive their cells,
+// not the runner that tabulates them.
+var runElsewhere = map[string]string{
+	"fig7":      "TestFig7Runs",
+	"header":    "TestHeaderSizesMatchPaper",
+	"theorem":   "TestTheoremHolds",
+	"strategic": "TestStrategicShape",
+	"worstcase": "TestWorstCaseShape",
+	"deploy":    "TestDeployRunnerFull",
+}
+
+// TestRunnersRun runs every other registered runner once at tiny scale,
+// as `netfence-sim -all -scale tiny` does, and holds its table to its
+// header: at least one row, and every row as wide as the columns.
+func TestRunnersRun(t *testing.T) {
+	skipIfShort(t)
+	for _, r := range Runners() {
+		if _, ok := runElsewhere[r.Name]; ok {
+			continue
+		}
+		res := r.Run(Tiny)
+		if len(res.Rows) == 0 {
+			t.Errorf("%s: no rows", r.Name)
+		}
+		for i, row := range res.Rows {
+			if len(row) != len(res.Columns) {
+				t.Errorf("%s row %d: %d cells under %d columns", r.Name, i, len(row), len(res.Columns))
+			}
+		}
+	}
+}
+
 func TestAblateBucketShape(t *testing.T) {
 	// The §4.3.3 design choice: a token-bucket limiter banks credit that
 	// synchronized attackers unleash as line-rate bursts; the leaky

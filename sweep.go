@@ -280,7 +280,7 @@ func (sw Sweep) RunContext(ctx context.Context) ([]*Result, error) {
 		}
 	}
 	for _, f := range sw.DeployFractions {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) { // NaN fails too
 			return nil, fmt.Errorf("netfence: Sweep deployment fraction %v outside [0, 1]", f)
 		}
 	}

@@ -398,7 +398,7 @@ func (d Deployment) plan(srcASes []packet.ASID) (topo.Plan, float64, error) {
 		p := topo.Plan{Legacy: legacy}
 		return p, p.Fraction(srcASes), nil
 	case d.hasFraction:
-		if d.fraction < 0 || d.fraction > 1 {
+		if !(d.fraction >= 0 && d.fraction <= 1) { // NaN fails too
 			return topo.Plan{}, 0, fmt.Errorf("Deployment: fraction %v outside [0, 1]", d.fraction)
 		}
 		p := topo.PlanFraction(srcASes, d.fraction)

@@ -2,6 +2,7 @@ package netfence_test
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -444,6 +445,25 @@ func TestSweepDeployFractions(t *testing.T) {
 	bad := netfence.Sweep{Base: sweepBase(), DeployFractions: []float64{2}}
 	if _, err := bad.Run(); err == nil {
 		t.Fatal("deployment fraction 2 accepted")
+	}
+}
+
+// TestDeployFractionOutsideUnitInterval holds both entry points of a
+// deployment fraction — Scenario.Deployment and Sweep.DeployFractions —
+// to refusing anything outside [0, 1], NaN included: a range check
+// written as f < 0 || f > 1 is false for NaN, and the plan then rounds
+// int(NaN·n + 0.5), whose value is implementation-defined.
+func TestDeployFractionOutsideUnitInterval(t *testing.T) {
+	for _, f := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
+		sc := sweepBase()
+		sc.Deployment = netfence.DeployFraction(f)
+		if _, err := sc.Build(); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("Scenario.Build with DeployFraction(%v): err = %v, want outside [0, 1]", f, err)
+		}
+		sw := netfence.Sweep{Base: sweepBase(), DeployFractions: []float64{0.5, f}}
+		if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("Sweep.DeployFractions %v: err = %v, want outside [0, 1]", f, err)
+		}
 	}
 }
 
