@@ -369,11 +369,20 @@ func TestDeployRunnerFull(t *testing.T) {
 	}
 }
 
+// TestRunnersResolvable pins every runner name the CLI's -exp flag and
+// the ledger's figure probes resolve, in paper order.
 func TestRunnersResolvable(t *testing.T) {
-	for _, r := range Runners() {
-		got, err := RunnerByName(r.Name)
-		if err != nil || got.Name != r.Name {
-			t.Fatalf("runner %q unresolvable", r.Name)
+	want := []string{"fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11", "fig13", "fig14",
+		"theorem", "strategic", "worstcase", "localize", "header",
+		"ablate-hysteresis", "ablate-initrate", "ablate-bucket", "quota", "deploy"}
+	runners := Runners()
+	if len(runners) != len(want) {
+		t.Fatalf("%d runners, want %d", len(runners), len(want))
+	}
+	for i, name := range want {
+		got, err := RunnerByName(name)
+		if err != nil || got.Name != name || runners[i].Name != name {
+			t.Fatalf("runner %d: %q unresolvable or out of order (have %q)", i, name, runners[i].Name)
 		}
 	}
 	if _, err := RunnerByName("nope"); err == nil {

@@ -31,7 +31,6 @@ import (
 	"netfence/internal/attack"
 	"netfence/internal/core"
 	"netfence/internal/defense"
-	"netfence/internal/exp"
 	"netfence/internal/metrics"
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
@@ -338,29 +337,3 @@ type (
 
 // Jain computes Jain's fairness index.
 func Jain(xs []float64) float64 { return metrics.Jain(xs) }
-
-// RunExperiment regenerates one of the paper's tables/figures by name
-// (fig7, fig8, fig9a, fig9b, fig10, fig11, fig13, fig14, theorem,
-// localize, header, ablate-hysteresis, ablate-initrate) at the given
-// scale (tiny, small, paper) and returns the rendered table.
-func RunExperiment(name, scale string) (string, error) {
-	sc, err := exp.ScaleByName(scale)
-	if err != nil {
-		return "", err
-	}
-	r, err := exp.RunnerByName(name)
-	if err != nil {
-		return "", err
-	}
-	res := r.Run(sc)
-	return res.Table(), nil
-}
-
-// Experiments lists the available experiment names with descriptions.
-func Experiments() map[string]string {
-	out := map[string]string{}
-	for _, r := range exp.Runners() {
-		out[r.Name] = r.Brief
-	}
-	return out
-}
