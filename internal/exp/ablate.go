@@ -3,15 +3,19 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
+
+// ablationDumbbell is the ablations' small dumbbell: n senders in their
+// own ASes behind one bottleneck, and a single colluder AS.
+func ablationDumbbell(n int, bottleneckBps int64) netfence.DumbbellSpec {
+	return netfence.DumbbellSpec{Senders: n, BottleneckBps: bottleneckBps, ColluderASes: 1}
+}
+
+// nfDefense deploys NetFence with an ablated configuration.
+func nfDefense(cfg netfence.Config) netfence.DefenseSpec {
+	return netfence.DefenseSpec{Name: "netfence", Config: cfg}
+}
 
 // AblateHysteresis probes the design choice of footnote 1: the L-down
 // stamping hysteresis must extend two control intervals past the last
@@ -39,33 +43,20 @@ func AblateHysteresis(sc Scale) Result {
 }
 
 func ablateHystCell(sc Scale, hysteresis int) (atkBps, userBps, fairBps float64) {
-	eng := sc.attach(sim.New(sc.Seed))
 	const bottleneck = 800_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	nfCfg.HysteresisIntervals = hysteresis
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	u := transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, packet.SizeData)
-	u.OnTime = nfCfg.Ilim  // burst one full control interval
-	u.OffTime = nfCfg.Ilim // harvest L-up the next
-	u.OffRateBps = 40_000  // trickle keeps feedback flowing
-	u.Start()
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	uMark, aMark := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	userBps = float64(rcv.DeliveredBytes()-uMark) * 8 / window
-	atkBps = float64(sink.Bytes-aMark) * 8 / window
-	return atkBps, userBps, bottleneck / 2
+	cfg := netfence.DefaultConfig()
+	cfg.HysteresisIntervals = hysteresis
+	r := sc.build(netfence.Scenario{
+		Topology: ablationDumbbell(2, bottleneck),
+		Defense:  nfDefense(cfg),
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: []int{0}},
+			// Burst one full control interval, harvest L-up the next; the
+			// trickle keeps feedback flowing.
+			netfence.OnOffFlood{Senders: []int{1}, On: cfg.Ilim, Off: cfg.Ilim, OffRateBps: 40_000, ToColluders: true},
+		},
+	}).Run()
+	return r.AttackerBps, r.UserBps, bottleneck / 2
 }
 
 // AblateBucket probes the §4.3.3 design choice of a leaky-bucket QUEUE
@@ -95,47 +86,23 @@ func AblateBucket(sc Scale) Result {
 }
 
 func ablateBucketCell(sc Scale, token bool) (userBps, atkBps float64, drops uint64) {
-	eng := sc.attach(sim.New(sc.Seed))
-	const bottleneck = 800_000
-	cfg := topo.DefaultDumbbell(4, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	nfCfg.TokenBucketLimiter = token
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sinks := make([]*transport.UDPSink, 3)
-	for i := 0; i < 3; i++ {
-		flow := packet.FlowID(10 + i)
-		sinks[i] = transport.NewUDPSink(d.Colluders[0].Host, flow)
-		u := transport.NewUDPSource(d.Senders[1+i].Host, d.Colluders[0].ID, flow, 1_000_000, packet.SizeData)
-		u.OnTime = 500 * sim.Millisecond
-		u.OffTime = 4 * sim.Second
-		u.OffRateBps = 30_000 // keep feedback flowing between bursts
-		u.Start()
-	}
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	uMark := rcv.DeliveredBytes()
-	var aMark uint64
-	for _, s := range sinks {
-		aMark += s.Bytes
-	}
-	dMark := d.Bottleneck.Q.Stats().Dropped
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	userBps = float64(rcv.DeliveredBytes()-uMark) * 8 / window
-	var aBytes uint64
-	for _, s := range sinks {
-		aBytes += s.Bytes
-	}
-	atkBps = float64(aBytes-aMark) * 8 / window / 3
-	drops = d.Bottleneck.Q.Stats().Dropped - dMark
-	return userBps, atkBps, drops
+	cfg := netfence.DefaultConfig()
+	cfg.TokenBucketLimiter = token
+	in := sc.build(netfence.Scenario{
+		Topology: ablationDumbbell(4, 800_000),
+		Defense:  nfDefense(cfg),
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: []int{0}},
+			// Feedback keeps flowing between bursts on the trickle.
+			netfence.OnOffFlood{Senders: []int{1, 2, 3}, On: 500 * netfence.Millisecond, Off: 4 * netfence.Second,
+				OffRateBps: 30_000, ToColluders: true},
+		},
+	})
+	q := in.Dumbbell.Bottleneck.Q
+	in.Advance(sc.Warmup)
+	mark := q.Stats().Dropped
+	r := in.Run()
+	return r.UserBps, r.AttackerBps, q.Stats().Dropped - mark
 }
 
 // AblateQuota probes the §7 congestion quota. The premise of the quota
@@ -157,7 +124,7 @@ func AblateQuota(sc Scale) Result {
 		}
 		fct, atk, qdrops := ablateQuotaCell(sc, quota)
 		res.AddRow(name,
-			fmt.Sprintf("%.2f", fct.Seconds()),
+			fmt.Sprintf("%.2f", fct),
 			fmt.Sprintf("%.0f", atk/1000),
 			fmt.Sprintf("%d", qdrops))
 	}
@@ -165,44 +132,19 @@ func AblateQuota(sc Scale) Result {
 	return res
 }
 
-func ablateQuotaCell(sc Scale, quota int64) (userFCT sim.Time, atkBps float64, quotaDrops uint64) {
-	eng := sc.attach(sim.New(sc.Seed))
-	const bottleneck = 400_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	nfCfg.CongestionQuotaBytes = quota
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
-	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
-		if p.Proto != packet.ProtoTCP {
-			return nil
-		}
-		return transport.NewTCPReceiver(d.Victim.Host, p.Flow)
-	}
-
-	var fct metrics.FCT
-	client := transport.NewFileClient(d.Senders[0].Host, d.Victim.ID, 50_000, transport.DefaultTCP())
-	client.Gap = 500 * sim.Millisecond
-	client.OnResult = func(t sim.Time, ok bool) {
-		if eng.Now() > sc.Warmup {
-			fct.Add(t, ok)
-		}
-	}
-	client.Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, packet.SizeData).Start()
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	aMark := sink.Bytes
-	eng.RunUntil(end)
-	client.Stop()
-	window := (end - warm).Seconds()
-	atkBps = float64(sink.Bytes-aMark) * 8 / window
-	quotaDrops = s.Access(d.SrcAccess[1]).QuotaDrops
-	return fct.Mean(), atkBps, quotaDrops
+func ablateQuotaCell(sc Scale, quota int64) (userFCT float64, atkBps float64, quotaDrops uint64) {
+	cfg := netfence.DefaultConfig()
+	cfg.CongestionQuotaBytes = quota
+	in := sc.build(netfence.Scenario{
+		Topology: ablationDumbbell(2, 400_000),
+		Defense:  nfDefense(cfg),
+		Workloads: []netfence.Workload{
+			netfence.FileTransfers{Senders: []int{0}, FileBytes: 50_000, Gap: 500 * netfence.Millisecond},
+			netfence.ColluderPairs{Senders: []int{1}},
+		},
+	})
+	r := in.Run()
+	return r.FCT.MeanSec, r.AttackerBps, in.System.(*netfence.System).Access(in.Dumbbell.SrcAccess[1]).QuotaDrops
 }
 
 // AblateInitRate probes the undocumented initial rate-limit parameter:
@@ -230,27 +172,12 @@ func AblateInitRate(sc Scale) Result {
 }
 
 func ablateInitCell(sc Scale, initBps int64) (userBps, atkBps float64) {
-	eng := sc.attach(sim.New(sc.Seed))
-	const bottleneck = 400_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	nfCfg.InitialRateBps = initBps
-	s := core.NewSystem(d.Net, nfCfg)
-	d.Deploy(s, defense.Policy{})
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, packet.SizeData).Start()
-
-	warm, end := sc.Warmup, sc.Duration
-	eng.RunUntil(warm)
-	uMark, aMark := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	userBps = float64(rcv.DeliveredBytes()-uMark) * 8 / window
-	atkBps = float64(sink.Bytes-aMark) * 8 / window
-	return userBps, atkBps
+	cfg := netfence.DefaultConfig()
+	cfg.InitialRateBps = initBps
+	r := sc.build(netfence.Scenario{
+		Topology:  ablationDumbbell(2, 400_000),
+		Defense:   nfDefense(cfg),
+		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0}}, netfence.ColluderPairs{Senders: []int{1}}},
+	}).Run()
+	return r.UserBps, r.AttackerBps
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+
+	"netfence"
 )
 
 // DeployFractions is the incremental-deployment sweep: the fraction of
@@ -33,16 +35,19 @@ func Deploy(sc Scale) Result {
 	if len(sc.Systems) > 0 {
 		systems = sc.Compared()
 	}
-	for _, f := range DeployFractions {
-		for _, kind := range systems {
-			c := fig9CellDeploy(sc, label, kind, false, f)
+	results := grid(sc, DeployFractions, systems, func(f float64, kind SystemKind) netfence.Scenario {
+		return fig9Cell(sc, label, kind, false, f)
+	})
+	for i, f := range DeployFractions {
+		for j, kind := range systems {
+			r := results[i][j]
 			res.AddRow(
 				fmt.Sprintf("%.0f%%", 100*f),
 				string(kind),
-				fmt.Sprintf("%.2f", c.ratio),
-				fmt.Sprintf("%.0f", c.legitBps/1000),
-				fmt.Sprintf("%.0f", c.atkBps/1000),
-				fmt.Sprintf("%.0f%%", 100*c.util),
+				fmt.Sprintf("%.2f", r.Ratio),
+				fmt.Sprintf("%.0f", r.UserBps/1000),
+				fmt.Sprintf("%.0f", r.AttackerBps/1000),
+				fmt.Sprintf("%.0f%%", 100*r.Utilization),
 			)
 		}
 	}

@@ -1,7 +1,8 @@
 // Package exp contains one runner per table/figure of the paper's
-// evaluation (§6). Each runner builds the paper's topology, deploys one
-// or more defense systems, drives the paper's workloads and attack
-// strategies, and emits the same rows/series the paper reports.
+// evaluation (§6). Each runner declares its cells as netfence.Scenario
+// values — the paper's topology, one or more defense systems, the
+// paper's workloads and attack strategies — runs them through the public
+// Scenario API, and emits the same rows/series the paper reports.
 //
 // Experiments run at three scales. The paper itself evaluates 25K-200K
 // senders by fixing a 1000-sender population and scaling the bottleneck
@@ -15,13 +16,8 @@ import (
 	"fmt"
 	"strings"
 
-	// The baselines register themselves in the defense registry; exp
-	// resolves them by name, so link them in explicitly.
-	_ "netfence/internal/baseline"
-	"netfence/internal/core"
+	"netfence"
 	"netfence/internal/defense"
-	"netfence/internal/netsim"
-	"netfence/internal/sim"
 )
 
 // Scale fixes an experiment family's population and durations.
@@ -35,7 +31,7 @@ type Scale struct {
 	Labels []int
 	// Duration is the simulated run length; measurements that need AIMD
 	// convergence start at Warmup.
-	Duration, Warmup sim.Time
+	Duration, Warmup netfence.Time
 	// PLGroup is the parking-lot per-group population (paper: 1000).
 	PLGroup int
 	// Seed feeds the deterministic RNG.
@@ -45,18 +41,60 @@ type Scale struct {
 	// paper's full lineup.
 	Systems []string
 	// Meter, when set, accumulates executed-event counts from every
-	// engine the experiment creates — per-invocation, so concurrent
+	// scenario the experiment runs — per-invocation, so concurrent
 	// experiment runs never share a counter.
-	Meter *sim.Meter
+	Meter *netfence.Meter
 }
 
-// attach wires the scale's meter (if any) onto a freshly created
-// engine; every runner cell calls it right after sim.New.
-func (sc Scale) attach(eng *sim.Engine) *sim.Engine {
-	if sc.Meter != nil {
-		eng.AttachMeter(sc.Meter)
+// cell stamps a runner's scenario with the scale's seed and meter, and
+// with the scale's measurement window unless the cell fixes its own.
+func (sc Scale) cell(s netfence.Scenario) netfence.Scenario {
+	s.Seed, s.Meter = sc.Seed, sc.Meter
+	if s.Duration == 0 {
+		s.Duration, s.Warmup = sc.Duration, sc.Warmup
 	}
-	return eng
+	return s
+}
+
+// runAll runs a runner's cells concurrently, one engine each, and
+// returns their results in argument order. Runners declare fixed cells,
+// so a failing one is a programmer error, not a runtime condition.
+func (sc Scale) runAll(cells ...netfence.Scenario) []*netfence.Result {
+	for i := range cells {
+		cells[i] = sc.cell(cells[i])
+	}
+	res, err := netfence.RunAll(cells...)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// build constructs one cell; runners that read defense-internal state
+// keep the Instance past its Run.
+func (sc Scale) build(s netfence.Scenario) *netfence.Instance {
+	in, err := sc.cell(s).Build()
+	if err != nil {
+		panic(err)
+	}
+	return in
+}
+
+// grid runs one cell per (row × column) concurrently and returns the
+// results in the same layout.
+func grid[R, C any](sc Scale, rows []R, cols []C, cell func(R, C) netfence.Scenario) [][]*netfence.Result {
+	var cells []netfence.Scenario
+	for _, r := range rows {
+		for _, c := range cols {
+			cells = append(cells, cell(r, c))
+		}
+	}
+	flat := sc.runAll(cells...)
+	out := make([][]*netfence.Result, len(rows))
+	for i := range out {
+		out[i] = flat[i*len(cols) : (i+1)*len(cols)]
+	}
+	return out
 }
 
 // The three standard scales.
@@ -64,19 +102,19 @@ var (
 	// Tiny runs in seconds; used by unit tests and the bench harness.
 	Tiny = Scale{
 		Name: "tiny", Senders: 20, Labels: []int{25_000, 200_000},
-		Duration: 120 * sim.Second, Warmup: 60 * sim.Second,
+		Duration: 120 * netfence.Second, Warmup: 60 * netfence.Second,
 		PLGroup: 12, Seed: 1,
 	}
 	// Small is the CLI default: every label, minutes of wall time.
 	Small = Scale{
 		Name: "small", Senders: 60, Labels: []int{25_000, 50_000, 100_000, 200_000},
-		Duration: 240 * sim.Second, Warmup: 120 * sim.Second,
+		Duration: 240 * netfence.Second, Warmup: 120 * netfence.Second,
 		PLGroup: 30, Seed: 1,
 	}
 	// Paper is the full 1000-sender, 4000-second configuration.
 	Paper = Scale{
 		Name: "paper", Senders: 1000, Labels: []int{25_000, 50_000, 100_000, 200_000},
-		Duration: 4000 * sim.Second, Warmup: 1000 * sim.Second,
+		Duration: 4000 * netfence.Second, Warmup: 1000 * netfence.Second,
 		PLGroup: 1000, Seed: 1,
 	}
 )
@@ -207,22 +245,6 @@ func KindByName(name string) SystemKind {
 		return SysNone
 	}
 	return SystemKind(name)
-}
-
-// buildSystem instantiates a system over a network through the defense
-// registry. nfCfg customizes NetFence; other systems use their defaults.
-func buildSystem(kind SystemKind, net *netsim.Network, nfCfg core.Config) defense.System {
-	var opts defense.BuildOptions
-	if defense.Canonical(string(kind)) == "netfence" {
-		opts.Config = nfCfg
-	}
-	s, err := defense.Build(string(kind), net, opts)
-	if err != nil {
-		// Runners take validated kinds; an unknown name here is a
-		// programmer error, not a runtime condition.
-		panic(err)
-	}
-	return s
 }
 
 // Runner is a named experiment: it maps a CLI/bench identifier to the

@@ -5,8 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"netfence/internal/core"
-	"netfence/internal/sim"
+	"netfence"
 )
 
 // The tests in this file assert the SHAPE of every reproduced figure at
@@ -52,24 +51,6 @@ func TestScaleArithmetic(t *testing.T) {
 	// 25K senders on 10 Gbps = 400 kbps each, the paper's upper target.
 	if Tiny.FairShareBps(25_000) != 400_000 {
 		t.Fatalf("25K fair share = %d", Tiny.FairShareBps(25_000))
-	}
-}
-
-func TestStrategicRequestLevel(t *testing.T) {
-	cfg := core.DefaultConfig()
-	// The paper's 25K-sender case: 990 attackers, 400 Mbps bottleneck,
-	// 20 Mbps request channel. Aggregate at level k is
-	// 990 * 1000/2^(k-1) * 736 bits; saturation holds through level 6.
-	if got := StrategicRequestLevel(990, 400_000_000, cfg); got != 6 {
-		t.Fatalf("strategic level = %d, want 6", got)
-	}
-	// More attackers can afford higher levels.
-	if got := StrategicRequestLevel(100_000, 400_000_000, cfg); got <= 6 {
-		t.Fatalf("bigger botnet should flood higher: %d", got)
-	}
-	// A single attacker cannot saturate anything: floor at level 1.
-	if got := StrategicRequestLevel(1, 400_000_000, cfg); got != 1 {
-		t.Fatalf("lone attacker level = %d", got)
 	}
 }
 
@@ -119,73 +100,79 @@ func TestHeaderSizesMatchPaper(t *testing.T) {
 
 func TestFig8Shape(t *testing.T) {
 	skipIfShort(t)
-	nf25 := fig8Cell(Tiny, 25_000, SysNetFence)
-	fq25 := fig8Cell(Tiny, 25_000, SysFQ)
-	fq200 := fig8Cell(Tiny, 200_000, SysFQ)
-	nf200 := fig8Cell(Tiny, 200_000, SysNetFence)
-	st200 := fig8Cell(Tiny, 200_000, SysStopIt)
+	r := Tiny.runAll(
+		fig8Cell(Tiny, 25_000, SysNetFence),
+		fig8Cell(Tiny, 25_000, SysFQ),
+		fig8Cell(Tiny, 200_000, SysFQ),
+		fig8Cell(Tiny, 200_000, SysNetFence),
+		fig8Cell(Tiny, 200_000, SysStopIt),
+	)
+	nf25, fq25, fq200, nf200, st200 := r[0].FCT, r[1].FCT, r[2].FCT, r[3].FCT, r[4].FCT
 
 	// Completion is total for the capability-style systems (paper: 100%
 	// everywhere; FQ at the largest scale may abort a few transfers at
 	// tiny populations).
-	for name, f := range map[string]interface{ CompletionRatio() float64 }{
+	for name, f := range map[string]netfence.FCTSummary{
 		"NetFence25": nf25, "NetFence200": nf200, "StopIt200": st200,
 	} {
-		if f.CompletionRatio() < 0.99 {
-			t.Fatalf("%s completion = %f", name, f.CompletionRatio())
+		if f.Completion < 0.99 {
+			t.Fatalf("%s completion = %f", name, f.Completion)
 		}
 	}
 	// NetFence pays the ~1 s request backoff but stays flat with scale.
-	if m := nf25.Mean(); m < 500*sim.Millisecond || m > 4*sim.Second {
-		t.Fatalf("NetFence@25K mean FCT = %v", m)
+	if m := nf25.MeanSec; m < 0.5 || m > 4 {
+		t.Fatalf("NetFence@25K mean FCT = %vs", m)
 	}
-	if nf200.Mean() > 3*nf25.Mean()+2*sim.Second {
-		t.Fatalf("NetFence FCT not flat: %v -> %v", nf25.Mean(), nf200.Mean())
+	if nf200.MeanSec > 3*nf25.MeanSec+2 {
+		t.Fatalf("NetFence FCT not flat: %vs -> %vs", nf25.MeanSec, nf200.MeanSec)
 	}
 	// FQ grows with the attacker population (paper: linear growth) and
 	// loses to NetFence at the large end.
-	if fq200.Mean() <= fq25.Mean() {
-		t.Fatalf("FQ FCT did not grow: %v -> %v", fq25.Mean(), fq200.Mean())
+	if fq200.MeanSec <= fq25.MeanSec {
+		t.Fatalf("FQ FCT did not grow: %vs -> %vs", fq25.MeanSec, fq200.MeanSec)
 	}
-	if fq200.Mean() <= nf200.Mean() {
-		t.Fatalf("FQ@200K (%v) should exceed NetFence@200K (%v)", fq200.Mean(), nf200.Mean())
+	if fq200.MeanSec <= nf200.MeanSec {
+		t.Fatalf("FQ@200K (%vs) should exceed NetFence@200K (%vs)", fq200.MeanSec, nf200.MeanSec)
 	}
 	// StopIt filters the flood at the source: fastest of all.
-	if st200.Mean() > nf200.Mean() {
-		t.Fatalf("StopIt (%v) should beat NetFence (%v)", st200.Mean(), nf200.Mean())
+	if st200.MeanSec > nf200.MeanSec {
+		t.Fatalf("StopIt (%vs) should beat NetFence (%vs)", st200.MeanSec, nf200.MeanSec)
 	}
 }
 
 func TestFig9aShape(t *testing.T) {
 	skipIfShort(t)
-	nf := fig9Cell(Tiny, 25_000, SysNetFence, false)
-	tva := fig9Cell(Tiny, 25_000, SysTVA, false)
-	fq := fig9Cell(Tiny, 25_000, SysFQ, false)
-	st := fig9Cell(Tiny, 25_000, SysStopIt, false)
+	r := Tiny.runAll(
+		fig9Cell(Tiny, 25_000, SysNetFence, false, 1),
+		fig9Cell(Tiny, 25_000, SysTVA, false, 1),
+		fig9Cell(Tiny, 25_000, SysFQ, false, 1),
+		fig9Cell(Tiny, 25_000, SysStopIt, false, 1),
+	)
+	nf, tva, fq, st := r[0], r[1], r[2], r[3]
 
 	// NetFence: ratio near 1 (paper: ~1), link utilization above 90%.
-	if nf.ratio < 0.7 || nf.ratio > 1.3 {
-		t.Fatalf("NetFence ratio = %.2f", nf.ratio)
+	if nf.Ratio < 0.7 || nf.Ratio > 1.3 {
+		t.Fatalf("NetFence ratio = %.2f", nf.Ratio)
 	}
-	if nf.util < 0.9 {
-		t.Fatalf("NetFence utilization = %.2f, paper reports >90%%", nf.util)
+	if nf.Utilization < 0.9 {
+		t.Fatalf("NetFence utilization = %.2f, paper reports >90%%", nf.Utilization)
 	}
-	if nf.jain < 0.9 {
-		t.Fatalf("NetFence Jain index = %.2f", nf.jain)
+	if nf.Jain < 0.9 {
+		t.Fatalf("NetFence Jain index = %.2f", nf.Jain)
 	}
 	// FQ and StopIt: per-sender fairness, slightly under 1.
-	for name, c := range map[string]fig9Out{"FQ": fq, "StopIt": st} {
-		if c.ratio < 0.5 || c.ratio > 1.2 {
-			t.Fatalf("%s ratio = %.2f", name, c.ratio)
+	for name, c := range map[string]*netfence.Result{"FQ": fq, "StopIt": st} {
+		if c.Ratio < 0.5 || c.Ratio > 1.2 {
+			t.Fatalf("%s ratio = %.2f", name, c.Ratio)
 		}
 	}
 	// TVA+: a small number of colluders slashes the victim's share; the
 	// paper's 9-colluder setup gives attackers several times the
 	// legitimate throughput.
-	if tva.ratio > 0.5 {
-		t.Fatalf("TVA+ ratio = %.2f, want far below 1", tva.ratio)
+	if tva.Ratio > 0.5 {
+		t.Fatalf("TVA+ ratio = %.2f, want far below 1", tva.Ratio)
 	}
-	if tva.ratio >= nf.ratio {
+	if tva.Ratio >= nf.Ratio {
 		t.Fatal("TVA+ should be the worst system under collusion")
 	}
 }
@@ -194,13 +181,13 @@ func TestFig9bShape(t *testing.T) {
 	skipIfShort(t)
 	// Web-like demand cannot fill a 400 kbps share: ratio below 1 at the
 	// 25K label, climbing at 200K where the share is 50 kbps.
-	nfBig := fig9Cell(Tiny, 25_000, SysNetFence, true)
-	nfSmall := fig9Cell(Tiny, 200_000, SysNetFence, true)
-	if nfBig.ratio > 0.9 {
-		t.Fatalf("web ratio at 25K = %.2f, want well under 1 (demand-limited)", nfBig.ratio)
+	r := Tiny.runAll(fig9Cell(Tiny, 25_000, SysNetFence, true, 1), fig9Cell(Tiny, 200_000, SysNetFence, true, 1))
+	nfBig, nfSmall := r[0], r[1]
+	if nfBig.Ratio > 0.9 {
+		t.Fatalf("web ratio at 25K = %.2f, want well under 1 (demand-limited)", nfBig.Ratio)
 	}
-	if nfSmall.ratio < nfBig.ratio {
-		t.Fatalf("web ratio should climb with senders: %.2f -> %.2f", nfBig.ratio, nfSmall.ratio)
+	if nfSmall.Ratio < nfBig.Ratio {
+		t.Fatalf("web ratio should climb with senders: %.2f -> %.2f", nfBig.Ratio, nfSmall.Ratio)
 	}
 }
 
@@ -210,7 +197,12 @@ func TestFig10Shape(t *testing.T) {
 	l240 := l160 * 3 / 2
 	const fair = 80_000.0
 
-	core160240 := fig10Cell(Tiny, ModeCore, l160, l240)
+	r := Tiny.runAll(
+		fig10Cell(Tiny, ModeCore, l160, l240),
+		fig10Cell(Tiny, ModeMultiFB, l160, l240),
+		fig10Cell(Tiny, ModeInfer, l160, l240),
+	)
+	core160240, multi, infer := fig10Means(Tiny, r[0]), fig10Means(Tiny, r[1]), fig10Means(Tiny, r[2])
 	// Core design: Group A under-achieves its fair share when L1 < L2,
 	// with users below attackers (the §4.3.5 limiter-switching penalty).
 	if core160240.aUser > 0.8*fair {
@@ -225,8 +217,6 @@ func TestFig10Shape(t *testing.T) {
 	}
 
 	// Both Appendix B extensions lift Group A users (Figures 13, 14).
-	multi := fig10Cell(Tiny, ModeMultiFB, l160, l240)
-	infer := fig10Cell(Tiny, ModeInfer, l160, l240)
 	if multi.aUser <= core160240.aUser {
 		t.Fatalf("B.1 did not improve A-user: %.0f vs core %.0f", multi.aUser, core160240.aUser)
 	}
@@ -235,9 +225,23 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
+// TestFig10Population pins that the parking-lot figures simulate the
+// population their link capacities are sized for: PLGroup senders in
+// each of the three groups. At tiny scale 12 senders do not split over
+// the default 5 ASes, which once floored the groups to 5 × 2.
+func TestFig10Population(t *testing.T) {
+	base := int64(2*Tiny.PLGroup) * 80_000
+	if r := Tiny.build(fig10Cell(Tiny, ModeCore, base, base)).Run(); r.Senders != 3*Tiny.PLGroup {
+		t.Fatalf("fig10 cell simulates %d senders, want %d", r.Senders, 3*Tiny.PLGroup)
+	}
+}
+
 func TestFig11Shape(t *testing.T) {
-	short := fig11Cell(Tiny, 500*sim.Millisecond, 1500*sim.Millisecond)
-	long := fig11Cell(Tiny, 500*sim.Millisecond, 50*sim.Second)
+	r := Tiny.runAll(
+		fig11Cell(Tiny, 500*netfence.Millisecond, 1500*netfence.Millisecond),
+		fig11Cell(Tiny, 500*netfence.Millisecond, 50*netfence.Second),
+	)
+	short, long := r[0].UserBps, r[1].UserBps
 	// Users keep at least ~(rho-discounted) always-on fair share of
 	// 100 kbps under the most aggressive shape...
 	if short < 70_000 {
@@ -333,25 +337,28 @@ func TestDeployShape(t *testing.T) {
 	// PR's acceptance path, restricted here to NetFence (5 cells, a few
 	// seconds). The full lineup runs in TestDeployRunnerFull.
 	label := Tiny.Labels[0]
-	none := fig9CellDeploy(Tiny, label, SysNetFence, false, 0)
-	half := fig9CellDeploy(Tiny, label, SysNetFence, false, 0.5)
-	full := fig9CellDeploy(Tiny, label, SysNetFence, false, 1)
+	r := Tiny.runAll(
+		fig9Cell(Tiny, label, SysNetFence, false, 0),
+		fig9Cell(Tiny, label, SysNetFence, false, 0.5),
+		fig9Cell(Tiny, label, SysNetFence, false, 1),
+	)
+	none, half, full := r[0].Ratio, r[1].Ratio, r[2].Ratio
 
 	// Undeployed: the 3x flood crushes the users.
-	if none.ratio > 0.2 {
-		t.Fatalf("ratio at 0%% deployment = %.2f, want near zero", none.ratio)
+	if none > 0.2 {
+		t.Fatalf("ratio at 0%% deployment = %.2f, want near zero", none)
 	}
 	// Deployment pays: every deployed AS improves the ratio.
-	if !(none.ratio < half.ratio && half.ratio < full.ratio+1) {
+	if !(none < half && half < full+1) {
 		t.Fatalf("ratio not improving with deployment: %.2f -> %.2f -> %.2f",
-			none.ratio, half.ratio, full.ratio)
+			none, half, full)
 	}
-	if half.ratio < 2*none.ratio {
-		t.Fatalf("half deployment barely helped: %.2f -> %.2f", none.ratio, half.ratio)
+	if half < 2*none {
+		t.Fatalf("half deployment barely helped: %.2f -> %.2f", none, half)
 	}
 	// Full deployment converges to the paper's ~1 fair-share parity.
-	if full.ratio < 0.7 || full.ratio > 1.3 {
-		t.Fatalf("ratio at full deployment = %.2f, want ~1", full.ratio)
+	if full < 0.7 || full > 1.3 {
+		t.Fatalf("ratio at full deployment = %.2f, want ~1", full)
 	}
 }
 
@@ -447,8 +454,8 @@ func TestAblateQuotaShape(t *testing.T) {
 	if atkOn >= atkOff {
 		t.Fatalf("quota did not throttle the flooder: %.0f -> %.0f", atkOff, atkOn)
 	}
-	if fctOn > fctOff+sim.Second {
-		t.Fatalf("quota hurt the demand-limited user: %v -> %v", fctOff, fctOn)
+	if fctOn > fctOff+1 {
+		t.Fatalf("quota hurt the demand-limited user: %vs -> %vs", fctOff, fctOn)
 	}
 }
 
@@ -489,14 +496,19 @@ func TestWorstCaseShape(t *testing.T) {
 }
 
 // TestWorstCaseDeterminism pins that the searched table is a pure
-// function of the scale: two runs render byte-identically.
+// function of the scale: two runs render byte-identically. 20 senders
+// over 10 ASes leave one attacker per AS, so the search has an attack
+// to shape.
 func TestWorstCaseDeterminism(t *testing.T) {
 	skipIfShort(t)
 	sc := Tiny
 	sc.Systems = []string{"tva"}
-	sc.Senders = 8
-	sc.Duration = 40 * sim.Second
-	sc.Warmup = 20 * sim.Second
+	sc.Senders = 20
+	sc.Duration = 40 * netfence.Second
+	sc.Warmup = 20 * netfence.Second
+	if _, attackers := fig9Roles(sc.Senders); len(attackers) == 0 {
+		t.Fatalf("%d senders leave no attack sender", sc.Senders)
+	}
 	ra, rb := WorstCase(sc), WorstCase(sc)
 	if a, b := ra.Table(), rb.Table(); a != b {
 		t.Fatalf("worstcase diverged:\n%s\n%s", a, b)

@@ -3,13 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
 
 // Mode selects the NetFence multi-bottleneck variant.
@@ -64,9 +58,13 @@ func Fig10(sc Scale, mode Mode) Result {
 		{"240M-160M", big, base},
 		{"160M-240M", base, big},
 	}
-	for _, c := range configs {
-		out := fig10Cell(sc, mode, c.l1, c.l2)
-		res.AddRow(c.label,
+	cells := make([]netfence.Scenario, len(configs))
+	for i, c := range configs {
+		cells[i] = fig10Cell(sc, mode, c.l1, c.l2)
+	}
+	for i, r := range sc.runAll(cells...) {
+		out := fig10Means(sc, r)
+		res.AddRow(configs[i].label,
 			fmt.Sprintf("%.0f", out.aUser/1000),
 			fmt.Sprintf("%.0f", out.aAtk/1000),
 			fmt.Sprintf("%.0f", out.bUser/1000),
@@ -86,74 +84,50 @@ type fig10Out struct {
 	aUser, aAtk, bUser, cUser float64
 }
 
-func fig10Cell(sc Scale, mode Mode, l1, l2 int64) fig10Out {
-	eng := sc.attach(sim.New(sc.Seed))
-	cfg := topo.DefaultParkingLot(sc.PLGroup, l1, l2)
-	pl := topo.NewParkingLot(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	nfCfg.MultiFeedback = mode == ModeMultiFB
-	nfCfg.InferLimiters = mode == ModeInfer
-	s := core.NewSystem(pl.Net, nfCfg)
-	pl.Deploy(s, defense.Policy{})
+// fig10Cell declares the parking lot with every group split 25% users
+// (long TCP to the group's victim) / 75% attackers (colluder floods),
+// group by group.
+func fig10Cell(sc Scale, mode Mode, l1, l2 int64) netfence.Scenario {
+	cfg := netfence.DefaultConfig()
+	cfg.MultiFeedback = mode == ModeMultiFB
+	cfg.InferLimiters = mode == ModeInfer
+	quarter := (sc.PLGroup + 3) / 4
+	var workloads []netfence.Workload
+	for g := 0; g < 3; g++ {
+		workloads = append(workloads,
+			netfence.LongTCP{Group: g, Senders: netfence.Range(0, quarter)},
+			netfence.ColluderPairs{Group: g, Senders: netfence.Range(quarter, sc.PLGroup)})
+	}
+	return netfence.Scenario{
+		Topology:  netfence.ParkingLotSpec{SendersPerGroup: sc.PLGroup, L1Bps: l1, L2Bps: l2},
+		Defense:   netfence.DefenseSpec{Name: "netfence", Config: cfg},
+		Workloads: workloads,
+	}
+}
 
-	type groupState struct {
-		userCtr []*int64
-		sinks   []*transport.UDPSink
-	}
-	var groups [3]groupState
-	for g := range pl.Groups {
-		grp := &pl.Groups[g]
-		quarter := (len(grp.Senders) + 3) / 4
-		for i, h := range grp.Senders {
-			if i < quarter {
-				ctr := new(int64)
-				groups[g].userCtr = append(groups[g].userCtr, ctr)
-				flow := pl.Net.NextFlow()
-				r := transport.NewTCPReceiver(grp.Victim.Host, flow)
-				r.OnDeliver = func(b int) { *ctr += int64(b) }
-				transport.NewTCPSender(h.Host, grp.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-			} else {
-				col := grp.Colluders[i%len(grp.Colluders)]
-				flow := packet.FlowID(uint32(3_000_000 + g*100_000 + i))
-				groups[g].sinks = append(groups[g].sinks, transport.NewUDPSink(col.Host, flow))
-				transport.NewUDPSource(h.Host, col.ID, flow, 1_000_000, packet.SizeData).Start()
-			}
-		}
-	}
-
-	eng.RunUntil(sc.Warmup)
-	userMark := make([][]int64, 3)
-	atkMark := make([][]uint64, 3)
-	for g := range groups {
-		for _, c := range groups[g].userCtr {
-			userMark[g] = append(userMark[g], *c)
-		}
-		for _, s := range groups[g].sinks {
-			atkMark[g] = append(atkMark[g], s.Bytes)
-		}
-	}
-	eng.RunUntil(sc.Duration)
-	window := (sc.Duration - sc.Warmup).Seconds()
-	avg := func(g int, users bool) float64 {
-		var rates []float64
-		if users {
-			for i, c := range groups[g].userCtr {
-				rates = append(rates, float64(*c-userMark[g][i])*8/window)
-			}
-		} else {
-			for i, s := range groups[g].sinks {
-				rates = append(rates, float64(s.Bytes-atkMark[g][i])*8/window)
-			}
-		}
-		m, _ := metrics.MeanStd(rates)
-		return m
-	}
+// fig10Means slices a parking-lot result's per-sender rates back into
+// group means: users and attackers meter in group order.
+func fig10Means(sc Scale, r *netfence.Result) fig10Out {
+	quarter := (sc.PLGroup + 3) / 4
+	users := func(g int) float64 { return mean(r.UserRates[g*quarter : (g+1)*quarter]) }
 	return fig10Out{
-		aUser: avg(0, true),
-		aAtk:  avg(0, false),
-		bUser: avg(1, true),
-		cUser: avg(2, true),
+		aUser: users(0),
+		aAtk:  mean(r.AttackerRates[:sc.PLGroup-quarter]),
+		bUser: users(1),
+		cUser: users(2),
 	}
+}
+
+// mean is the arithmetic mean of xs (0 when empty).
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // rogueShim models a compromised AS's host stack (§4.5): packets claim
@@ -161,12 +135,12 @@ func fig10Cell(sc Scale, mode Mode, l1, l2 int64) fig10Out {
 // enforced — congestion policing feedback.
 type rogueShim struct{}
 
-func (rogueShim) Egress(p *packet.Packet) {
-	p.Kind = packet.KindRegular
+func (rogueShim) Egress(p *netfence.Packet) {
+	p.Kind = netfence.KindRegular
 	p.FB.MAC = [4]byte{0xba, 0xad, 0xf0, 0x0d}
 }
 
-func (rogueShim) Ingress(*packet.Packet) bool { return true }
+func (rogueShim) Ingress(*netfence.Packet) bool { return true }
 
 // Localize regenerates the §4.5 damage-localization experiment (E10 in
 // DESIGN.md): one source AS harbors a compromised access router that does
@@ -190,22 +164,22 @@ func Localize(sc Scale) Result {
 }
 
 func localizeCell(sc Scale, fallback bool) (honestBps, rogueBps float64, engaged bool) {
-	eng := sc.attach(sim.New(sc.Seed))
 	const bottleneck = 2_000_000
-	cfg := topo.DefaultDumbbell(2, bottleneck)
-	cfg.ColluderASes = 1
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	nfCfg.PerASFallback = fallback
-	nfCfg.FallbackAfter = 20 * sim.Second
-	s := core.NewSystem(d.Net, nfCfg)
-	s.ProtectLink(d.Bottleneck)
-	s.ProtectAccess(d.SrcAccess[0]) // honest AS only; AS 1 is compromised
-	s.ProtectAccess(d.VictimAccess)
-	s.ProtectAccess(d.ColluderAccess[0])
-	s.AttachHost(d.Senders[0], defense.Policy{})
-	s.AttachHost(d.Victim, defense.Policy{})
-	s.AttachHost(d.Colluders[0], defense.Policy{})
+	cfg := netfence.DefaultConfig()
+	cfg.PerASFallback = fallback
+	cfg.FallbackAfter = 20 * netfence.Second
+	in := sc.build(netfence.Scenario{
+		Topology: netfence.DumbbellSpec{Senders: 2, BottleneckBps: bottleneck, ColluderASes: 1},
+		Defense:  netfence.DefenseSpec{Name: "netfence", Config: cfg},
+		// Source AS 1 is compromised: it runs no NetFence policing.
+		Deployment: netfence.DeployMap(map[int]bool{0: true, 1: false}),
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: []int{0}},
+			netfence.UDPFlood{Senders: []int{1}, RateBps: 2 * bottleneck, ToColluders: true},
+		},
+		Duration: 210 * netfence.Second,
+		Warmup:   90 * netfence.Second,
+	})
 	// The compromised AS differs from a legacy AS: its router holds real
 	// NetFence keys and stamps plausible-looking feedback it never
 	// enforces. The bottleneck cannot verify nop feedback (only access
@@ -213,21 +187,8 @@ func localizeCell(sc Scale, fallback bool) (honestBps, rogueBps float64, engaged
 	// channel — the exact hole the §4.5 per-AS fallback closes. A zero
 	// MAC would instead be demoted to legacy like a non-deploying AS's
 	// traffic.
-	d.Senders[1].Host.Shim = rogueShim{}
-
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	sink := transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 2*bottleneck, packet.SizeData).Start()
-
-	warm := 90 * sim.Second
-	end := warm + 120*sim.Second
-	eng.RunUntil(warm)
-	hMark, rMark := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(end)
-	window := (end - warm).Seconds()
-	honestBps = float64(rcv.DeliveredBytes()-hMark) * 8 / window
-	rogueBps = float64(sink.Bytes-rMark) * 8 / window
-	engaged = s.Bottleneck(d.Bottleneck).FallbackActive()
-	return honestBps, rogueBps, engaged
+	in.Dumbbell.Senders[1].Host.Shim = rogueShim{}
+	r := in.Run()
+	engaged = in.System.(*netfence.System).Bottleneck(in.Dumbbell.Bottleneck).FallbackActive()
+	return r.UserBps, r.AttackerBps, engaged
 }

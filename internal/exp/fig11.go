@@ -3,13 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
 
 // Fig11 regenerates Figure 11: average user throughput under microscopic
@@ -23,61 +17,34 @@ func Fig11(sc Scale) Result {
 		Title:   "avg user throughput (kbps) under synchronized on-off attacks, 100K senders",
 		Columns: []string{"Toff (s)", "Ton=0.5s", "Ton=4s"},
 	}
-	toffs := []sim.Time{1500 * sim.Millisecond, 10 * sim.Second, 50 * sim.Second, 100 * sim.Second}
+	toffs := []netfence.Time{1500 * netfence.Millisecond, 10 * netfence.Second, 50 * netfence.Second, 100 * netfence.Second}
 	if sc.Name == "tiny" {
-		toffs = []sim.Time{1500 * sim.Millisecond, 50 * sim.Second}
+		toffs = []netfence.Time{1500 * netfence.Millisecond, 50 * netfence.Second}
 	}
-	for _, toff := range toffs {
-		short := fig11Cell(sc, 500*sim.Millisecond, toff)
-		long := fig11Cell(sc, 4*sim.Second, toff)
+	tons := []netfence.Time{500 * netfence.Millisecond, 4 * netfence.Second}
+	results := grid(sc, toffs, tons, func(toff, ton netfence.Time) netfence.Scenario {
+		return fig11Cell(sc, ton, toff)
+	})
+	for i, toff := range toffs {
 		res.AddRow(
 			fmt.Sprintf("%.1f", toff.Seconds()),
-			fmt.Sprintf("%.0f", short/1000),
-			fmt.Sprintf("%.0f", long/1000),
+			fmt.Sprintf("%.0f", results[i][0].UserBps/1000),
+			fmt.Sprintf("%.0f", results[i][1].UserBps/1000),
 		)
 	}
 	res.Note("paper shape: >=100 kbps everywhere (fair share with always-on attackers), climbing toward ~400 kbps as Toff grows")
 	return res
 }
 
-func fig11Cell(sc Scale, ton, toff sim.Time) float64 {
-	eng := sc.attach(sim.New(sc.Seed))
-	const label = 100_000 // 100 kbps fair share
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	s := core.NewSystem(d.Net, core.DefaultConfig())
-	d.Deploy(s, defense.Policy{})
-
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
-	receivers := make([]*transport.TCPReceiver, len(legit))
-	for i, h := range legit {
-		flow := d.Net.NextFlow()
-		receivers[i] = transport.NewTCPReceiver(d.Victim.Host, flow)
-		transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
+// fig11Cell is the collusion dumbbell at a 100 kbps fair share with
+// every attacker bursting in phase: synchronized on-off floods.
+func fig11Cell(sc Scale, ton, toff netfence.Time) netfence.Scenario {
+	legit, attackers := fig9Roles(sc.Senders)
+	return netfence.Scenario{
+		Topology: collusionDumbbell(sc, 100_000),
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: legit},
+			netfence.OnOffFlood{Senders: attackers, On: ton, Off: toff, ToColluders: true},
+		},
 	}
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		transport.NewUDPSink(col.Host, flow)
-		u := transport.NewUDPSource(a.Host, col.ID, flow, 1_000_000, packet.SizeData)
-		u.OnTime = ton
-		u.OffTime = toff
-		u.Start() // all sources share phase: synchronized bursts
-	}
-
-	eng.RunUntil(sc.Warmup)
-	marks := make([]int64, len(receivers))
-	for i, r := range receivers {
-		marks[i] = r.DeliveredBytes()
-	}
-	eng.RunUntil(sc.Duration)
-	window := (sc.Duration - sc.Warmup).Seconds()
-	rates := make([]float64, len(receivers))
-	for i, r := range receivers {
-		rates[i] = float64(r.DeliveredBytes()-marks[i]) * 8 / window
-	}
-	mean, _ := metrics.MeanStd(rates)
-	return mean
 }

@@ -3,15 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/attack"
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
 
 // Fig8 regenerates Figure 8: the average transfer time of a 20 KB file
@@ -28,16 +20,19 @@ func Fig8(sc Scale) Result {
 		Title:   "mean 20 KB file transfer time under unwanted-traffic flooding",
 		Columns: []string{"senders", "system", "mean FCT (s)", "p95 (s)", "completion", "transfers"},
 	}
-	for _, label := range sc.Labels {
-		for _, kind := range sc.Compared() {
-			fct := fig8Cell(sc, label, kind)
+	results := grid(sc, sc.Labels, sc.Compared(), func(label int, kind SystemKind) netfence.Scenario {
+		return fig8Cell(sc, label, kind)
+	})
+	for i, label := range sc.Labels {
+		for j, kind := range sc.Compared() {
+			fct := results[i][j].FCT
 			res.AddRow(
 				fmt.Sprintf("%dK", label/1000),
 				string(kind),
-				fmt.Sprintf("%.2f", fct.Mean().Seconds()),
-				fmt.Sprintf("%.2f", fct.Percentile(95).Seconds()),
-				fmt.Sprintf("%.0f%%", 100*fct.CompletionRatio()),
-				fmt.Sprintf("%d", fct.Count()+fct.Failed()),
+				fmt.Sprintf("%.2f", fct.MeanSec),
+				fmt.Sprintf("%.2f", fct.P95Sec),
+				fmt.Sprintf("%.0f%%", 100*fct.Completion),
+				fmt.Sprintf("%d", fct.Count+fct.Failed),
 			)
 		}
 	}
@@ -45,77 +40,48 @@ func Fig8(sc Scale) Result {
 	return res
 }
 
-// StrategicRequestLevel computes the attack strategy of §6.3.1; it lives
-// in the attack subsystem (the adversary's decision, a pure function of
-// the public NetFence parameters) and is re-exported here for the
-// experiment harness.
-func StrategicRequestLevel(attackers int, bottleneckBps int64, cfg core.Config) uint8 {
-	return attack.StrategicRequestLevel(attackers, bottleneckBps, cfg)
-}
-
-// fig8Roles splits a dumbbell's senders: the first host of each source
-// AS is the legitimate user (the paper's one-user-per-AS stress setup).
-func fig8Roles(d *topo.Dumbbell, hostsPerAS int) (legit, attackers []*netsim.Node) {
-	for i, h := range d.Senders {
-		if i%hostsPerAS == 0 {
-			legit = append(legit, h)
+// roles splits a DumbbellSpec's senders into index lists, AS by AS: the
+// first users(perAS) hosts of every source AS are legitimate, the rest
+// attack. perAS follows DumbbellSpec's default layout — the most source
+// ASes, at most 10, that divide the population evenly.
+func roles(senders int, users func(perAS int) int) (legit, attackers []int) {
+	ases := min(10, senders)
+	for senders%ases != 0 {
+		ases--
+	}
+	perAS := senders / ases
+	for i := 0; i < senders; i++ {
+		if i%perAS < users(perAS) {
+			legit = append(legit, i)
 		} else {
-			attackers = append(attackers, h)
+			attackers = append(attackers, i)
 		}
 	}
 	return legit, attackers
 }
 
-func fig8Cell(sc Scale, label int, kind SystemKind) *metrics.FCT {
-	eng := sc.attach(sim.New(sc.Seed))
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	s := buildSystem(kind, d.Net, nfCfg)
+// fig8Roles makes the first host of each source AS the legitimate user
+// (the paper's one-user-per-AS stress setup).
+func fig8Roles(senders int) (legit, attackers []int) {
+	return roles(senders, func(int) int { return 1 })
+}
 
-	legit, attackers := fig8Roles(d, cfg.HostsPerAS)
-	denySet := make(map[packet.NodeID]bool, len(attackers))
-	for _, a := range attackers {
-		denySet[a.ID] = true
+func fig8Cell(sc Scale, label int, kind SystemKind) netfence.Scenario {
+	legit, attackers := fig8Roles(sc.Senders)
+	var flood netfence.Workload
+	switch kind {
+	case SysNetFence:
+		flood = netfence.RequestFlood{Senders: attackers, Strategic: true}
+	case SysTVA:
+		// TVA+'s request channel has no priority levels; flood flat.
+		flood = netfence.RequestFlood{Senders: attackers}
+	default:
+		flood = netfence.UDPFlood{Senders: attackers}
 	}
-	d.Deploy(s, defense.Policy{Deny: func(src packet.NodeID) bool {
-		return denySet[src]
-	}})
-	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
-		if p.Proto != packet.ProtoTCP {
-			return nil
-		}
-		return transport.NewTCPReceiver(d.Victim.Host, p.Flow)
+	return netfence.Scenario{
+		Topology:      netfence.DumbbellSpec{Senders: sc.Senders, BottleneckBps: sc.BottleneckBps(label)},
+		Defense:       netfence.Defense(string(kind)),
+		Workloads:     []netfence.Workload{netfence.FileTransfers{Senders: legit}, flood},
+		DenyAttackers: true,
 	}
-
-	fct := &metrics.FCT{}
-	clients := make([]*transport.FileClient, 0, len(legit))
-	for _, h := range legit {
-		c := transport.NewFileClient(h.Host, d.Victim.ID, 20_000, transport.DefaultTCP())
-		c.OnResult = func(d sim.Time, ok bool) { fct.Add(d, ok) }
-		clients = append(clients, c)
-		c.Start()
-	}
-
-	const atkRate = 1_000_000
-	level := StrategicRequestLevel(len(attackers), bottleneck, nfCfg)
-	for i, a := range attackers {
-		flow := packet.FlowID(1_000_000 + i)
-		switch kind {
-		case SysNetFence:
-			transport.NewRequestFlooder(a.Host, d.Victim.ID, flow, atkRate, level).Start()
-		case SysTVA:
-			// TVA+'s request channel has no priority levels; flood flat.
-			transport.NewRequestFlooder(a.Host, d.Victim.ID, flow, atkRate, 0).Start()
-		default:
-			transport.NewUDPSource(a.Host, d.Victim.ID, flow, atkRate, packet.SizeData).Start()
-		}
-	}
-
-	eng.RunUntil(sc.Duration)
-	for _, c := range clients {
-		c.Stop()
-	}
-	return fct
 }

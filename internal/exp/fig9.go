@@ -3,14 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
 
 // Fig9 regenerates Figure 9: the throughput ratio between legitimate
@@ -30,17 +23,20 @@ func Fig9(sc Scale, web bool) Result {
 		Title:   "throughput ratio legit/attacker, colluding attacks, " + title,
 		Columns: []string{"senders", "system", "ratio", "Jain legit", "legit kbps", "attacker kbps", "util"},
 	}
-	for _, label := range sc.Labels {
-		for _, kind := range sc.Compared() {
-			c := fig9Cell(sc, label, kind, web)
+	results := grid(sc, sc.Labels, sc.Compared(), func(label int, kind SystemKind) netfence.Scenario {
+		return fig9Cell(sc, label, kind, web, 1)
+	})
+	for i, label := range sc.Labels {
+		for j, kind := range sc.Compared() {
+			r := results[i][j]
 			res.AddRow(
 				fmt.Sprintf("%dK", label/1000),
 				string(kind),
-				fmt.Sprintf("%.2f", c.ratio),
-				fmt.Sprintf("%.2f", c.jain),
-				fmt.Sprintf("%.0f", c.legitBps/1000),
-				fmt.Sprintf("%.0f", c.atkBps/1000),
-				fmt.Sprintf("%.0f%%", 100*c.util),
+				fmt.Sprintf("%.2f", r.Ratio),
+				fmt.Sprintf("%.2f", r.Jain),
+				fmt.Sprintf("%.0f", r.UserBps/1000),
+				fmt.Sprintf("%.0f", r.AttackerBps/1000),
+				fmt.Sprintf("%.0f%%", 100*r.Utilization),
 			)
 		}
 	}
@@ -52,118 +48,31 @@ func Fig9(sc Scale, web bool) Result {
 	return res
 }
 
-type fig9Out struct {
-	ratio, jain      float64
-	legitBps, atkBps float64
-	util             float64
+// fig9Roles splits each source AS 25% legitimate / 75% attackers.
+func fig9Roles(senders int) (legit, attackers []int) {
+	return roles(senders, func(perAS int) int { return (perAS + 3) / 4 })
 }
 
-// fig9Roles splits each AS 25% legitimate / 75% attackers.
-func fig9Roles(d *topo.Dumbbell, hostsPerAS int) (legit, attackers []*netsim.Node) {
-	for i, h := range d.Senders {
-		if i%hostsPerAS < (hostsPerAS+3)/4 {
-			legit = append(legit, h)
-		} else {
-			attackers = append(attackers, h)
-		}
-	}
-	return legit, attackers
+// collusionDumbbell is the §6.3.2 dumbbell at a label: the scale's
+// senders with colluding receivers spread over nine extra ASes.
+func collusionDumbbell(sc Scale, label int) netfence.DumbbellSpec {
+	return netfence.DumbbellSpec{Senders: sc.Senders, BottleneckBps: sc.BottleneckBps(label), ColluderASes: 9}
 }
 
-func fig9Cell(sc Scale, label int, kind SystemKind, web bool) fig9Out {
-	return fig9CellDeploy(sc, label, kind, web, 1)
-}
-
-// fig9CellDeploy is fig9Cell at a partial deployment: only deployFrac of
-// the source ASes run the defense; the rest pass traffic undefended.
-// The incremental-deployment experiment sweeps this knob.
-func fig9CellDeploy(sc Scale, label int, kind SystemKind, web bool, deployFrac float64) fig9Out {
-	eng := sc.attach(sim.New(sc.Seed))
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	s := buildSystem(kind, d.Net, core.DefaultConfig())
-	// Colluding receivers do not identify attack traffic: no Deny.
-	d.DeployPlan(s, defense.Policy{}, topo.PlanFraction(d.G.SourceASes(), deployFrac))
-
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
-
-	// Per-sender delivered byte counters at the victim, attributed by
-	// source address so web workloads (many flows per sender) aggregate.
-	delivered := make(map[packet.NodeID]*int64, len(legit))
-	for _, h := range legit {
-		delivered[h.ID] = new(int64)
+// fig9Cell is one Figure 9 cell with deployFrac of the source ASes
+// running the defense (the rest pass traffic undefended) — the knob the
+// incremental-deployment experiment sweeps. Colluding receivers do not
+// identify attack traffic, so nobody is denied.
+func fig9Cell(sc Scale, label int, kind SystemKind, web bool, deployFrac float64) netfence.Scenario {
+	legit, attackers := fig9Roles(sc.Senders)
+	var users netfence.Workload = netfence.LongTCP{Senders: legit}
+	if web {
+		users = netfence.WebTraffic{Senders: legit}
 	}
-	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
-		if p.Proto != packet.ProtoTCP {
-			return nil
-		}
-		r := transport.NewTCPReceiver(d.Victim.Host, p.Flow)
-		ctr := delivered[p.Src]
-		if ctr != nil {
-			r.OnDeliver = func(b int) { *ctr += int64(b) }
-		}
-		return r
+	return netfence.Scenario{
+		Topology:   collusionDumbbell(sc, label),
+		Defense:    netfence.Defense(string(kind)),
+		Deployment: netfence.DeployFraction(deployFrac),
+		Workloads:  []netfence.Workload{users, netfence.ColluderPairs{Senders: attackers}},
 	}
-
-	var stoppers []interface{ Stop() }
-	for _, h := range legit {
-		if web {
-			w := transport.NewWebSource(h.Host, d.Victim.ID, transport.DefaultWeb())
-			w.Start()
-			stoppers = append(stoppers, w)
-		} else {
-			flow := d.Net.NextFlow()
-			r := transport.NewTCPReceiver(d.Victim.Host, flow)
-			ctr := delivered[h.ID]
-			r.OnDeliver = func(b int) { *ctr += int64(b) }
-			snd := transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP())
-			snd.Start()
-		}
-	}
-	sinks := make([]*transport.UDPSink, len(attackers))
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		sinks[i] = transport.NewUDPSink(col.Host, flow)
-		transport.NewUDPSource(a.Host, col.ID, flow, 1_000_000, packet.SizeData).Start()
-	}
-
-	eng.RunUntil(sc.Warmup)
-	legitMark := make([]int64, len(legit))
-	for i, h := range legit {
-		legitMark[i] = *delivered[h.ID]
-	}
-	atkMark := make([]uint64, len(sinks))
-	for i, s := range sinks {
-		atkMark[i] = s.Bytes
-	}
-	txMark := d.Bottleneck.TxBytes
-
-	eng.RunUntil(sc.Duration)
-	for _, st := range stoppers {
-		st.Stop()
-	}
-	window := (sc.Duration - sc.Warmup).Seconds()
-	legitRates := make([]float64, len(legit))
-	for i, h := range legit {
-		legitRates[i] = float64(*delivered[h.ID]-legitMark[i]) * 8 / window
-	}
-	atkRates := make([]float64, len(sinks))
-	for i, s := range sinks {
-		atkRates[i] = float64(s.Bytes-atkMark[i]) * 8 / window
-	}
-	legitMean, _ := metrics.MeanStd(legitRates)
-	atkMean, _ := metrics.MeanStd(atkRates)
-	out := fig9Out{
-		legitBps: legitMean,
-		atkBps:   atkMean,
-		jain:     metrics.Jain(legitRates),
-		util:     d.Bottleneck.Utilization(txMark, sc.Duration-sc.Warmup),
-	}
-	if atkMean > 0 {
-		out.ratio = legitMean / atkMean
-	}
-	return out
 }

@@ -3,14 +3,8 @@ package exp
 import (
 	"fmt"
 
+	"netfence"
 	"netfence/internal/attack"
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
 )
 
 // strategicLineup is the §6.3 adaptive-adversary lineup: every in-tree
@@ -20,6 +14,11 @@ var strategicLineup = []string{"flood", "onoff-sync", "request-prio", "replay", 
 // strategicNu is the assumed transport efficiency ν discounting the
 // Theorem-1 rate-limit bound to a goodput floor (BoundProbe's default).
 const strategicNu = attack.DefaultNu
+
+// strategicFloor is the Theorem-1 goodput floor ν·ρ·C/(G+B) at a label.
+func strategicFloor(sc Scale, label int) float64 {
+	return strategicNu * netfence.TheoremBound(netfence.DefaultConfig(), sc.BottleneckBps(label), sc.Senders)
+}
 
 // Strategic pits every in-tree attack strategy (the fixed
 // strategicLineup, so the figure is reproducible regardless of what
@@ -33,24 +32,24 @@ const strategicNu = attack.DefaultNu
 // colluders foremost) fall below it under at least one.
 func Strategic(sc Scale) Result {
 	label := sc.Labels[0]
-	bottleneck := sc.BottleneckBps(label)
-	floor := strategicNu * attack.TheoremBound(core.DefaultConfig(), bottleneck, sc.Senders)
+	floor := strategicFloor(sc, label)
 	res := Result{
 		Name: "Strategic attacks",
 		Title: fmt.Sprintf("legit goodput vs the Theorem-1 floor ν·ρ·C/(G+B) = %.0f kbps (%dK senders)",
 			floor/1000, label/1000),
 		Columns: []string{"strategy", "system", "legit kbps", "attacker kbps", "floor kbps", "holds"},
 	}
-	for _, strat := range strategicLineup {
-		for _, kind := range sc.Compared() {
-			c := strategicCell(sc, label, kind, strat, nil)
+	results := strategicGrid(sc, label)
+	for i, strat := range strategicLineup {
+		for j, kind := range sc.Compared() {
+			r := results[i][j]
 			res.AddRow(
 				strat,
 				string(kind),
-				fmt.Sprintf("%.0f", c.legitBps/1000),
-				fmt.Sprintf("%.0f", c.atkBps/1000),
+				fmt.Sprintf("%.0f", r.UserBps/1000),
+				fmt.Sprintf("%.0f", r.AttackerBps/1000),
 				fmt.Sprintf("%.0f", floor/1000),
-				fmt.Sprintf("%v", c.legitBps >= floor),
+				fmt.Sprintf("%v", r.UserBps >= floor),
 			)
 		}
 	}
@@ -59,85 +58,25 @@ func Strategic(sc Scale) Result {
 	return res
 }
 
-// strategicCell runs one (strategy, system) cell: the fig9 collusion
-// split with the attackers driven by the attack subsystem instead of
-// static UDP sources. params overrides the strategy's tunable
-// parameters (nil = the hand-written defaults) — the worst-case
-// search's evaluation surface.
-func strategicCell(sc Scale, label int, kind SystemKind, stratName string, params map[string]float64) fig9Out {
-	eng := sc.attach(sim.New(sc.Seed))
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	nfCfg := core.DefaultConfig()
-	s := buildSystem(kind, d.Net, nfCfg)
-	// Colluding receivers do not identify attack traffic: no Deny.
-	d.Deploy(s, defense.Policy{})
+// strategicGrid runs every lineup strategy at its defaults against every
+// compared system, indexed [strategy][system].
+func strategicGrid(sc Scale, label int) [][]*netfence.Result {
+	return grid(sc, strategicLineup, sc.Compared(), func(strat string, kind SystemKind) netfence.Scenario {
+		return strategicCell(sc, label, kind, strat)
+	})
+}
 
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
-
-	delivered := make(map[packet.NodeID]*int64, len(legit))
-	for _, h := range legit {
-		delivered[h.ID] = new(int64)
+// strategicCell is one (strategy, system) cell: the fig9 collusion split
+// with the attackers driven by the attack subsystem instead of static
+// UDP sources — also the base scenario of the worst-case search.
+func strategicCell(sc Scale, label int, kind SystemKind, strat string) netfence.Scenario {
+	legit, attackers := fig9Roles(sc.Senders)
+	return netfence.Scenario{
+		Topology: collusionDumbbell(sc, label),
+		Defense:  netfence.Defense(string(kind)),
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: legit},
+			netfence.AttackSpec{Strategy: strat, Senders: attackers, ToColluders: true, RateBps: 1_000_000},
+		},
 	}
-	for _, h := range legit {
-		flow := d.Net.NextFlow()
-		r := transport.NewTCPReceiver(d.Victim.Host, flow)
-		ctr := delivered[h.ID]
-		r.OnDeliver = func(b int) { *ctr += int64(b) }
-		transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-	}
-
-	env := &attack.Env{Eng: eng, Attackers: len(attackers), BottleneckBps: bottleneck, Config: nfCfg}
-	strat, err := attack.Build(stratName, attack.BuildOptions{RateBps: 1_000_000, Env: env, Params: params})
-	if err != nil {
-		// The lineup is fixed in-tree; an unknown name is a programmer
-		// error, not a runtime condition.
-		panic(err)
-	}
-	ctrl := attack.NewController(strat, env)
-	sinks := make([]*transport.UDPSink, len(attackers))
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		sinks[i] = transport.NewUDPSink(col.Host, flow)
-		ctrl.AddSender(a.Host, col.ID, flow)
-	}
-	ctrl.Start()
-
-	eng.RunUntil(sc.Warmup)
-	legitMark := make([]int64, len(legit))
-	for i, h := range legit {
-		legitMark[i] = *delivered[h.ID]
-	}
-	atkMark := make([]uint64, len(sinks))
-	for i, s := range sinks {
-		atkMark[i] = s.Bytes
-	}
-	txMark := d.Bottleneck.TxBytes
-
-	eng.RunUntil(sc.Duration)
-	ctrl.Stop()
-	window := (sc.Duration - sc.Warmup).Seconds()
-	legitRates := make([]float64, len(legit))
-	for i, h := range legit {
-		legitRates[i] = float64(*delivered[h.ID]-legitMark[i]) * 8 / window
-	}
-	atkRates := make([]float64, len(sinks))
-	for i, s := range sinks {
-		atkRates[i] = float64(s.Bytes-atkMark[i]) * 8 / window
-	}
-	legitMean, _ := metrics.MeanStd(legitRates)
-	atkMean, _ := metrics.MeanStd(atkRates)
-	out := fig9Out{
-		legitBps: legitMean,
-		atkBps:   atkMean,
-		jain:     metrics.Jain(legitRates),
-		util:     d.Bottleneck.Utilization(txMark, sc.Duration-sc.Warmup),
-	}
-	if atkMean > 0 {
-		out.ratio = legitMean / atkMean
-	}
-	return out
 }

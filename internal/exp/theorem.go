@@ -4,14 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"netfence/internal/core"
-	"netfence/internal/defense"
-	"netfence/internal/metrics"
-	"netfence/internal/netsim"
-	"netfence/internal/packet"
-	"netfence/internal/sim"
-	"netfence/internal/topo"
-	"netfence/internal/transport"
+	"netfence"
 )
 
 // Theorem empirically checks the §3.4/Appendix A fair-share guarantee.
@@ -24,7 +17,7 @@ import (
 // compares every user's end-of-run rate limit against the bound; the
 // realized minimum throughput and implied nu are reported alongside.
 func Theorem(sc Scale) Result {
-	cfg := core.DefaultConfig()
+	cfg := netfence.DefaultConfig()
 	rho := math.Pow(1-cfg.MD, 3)
 	res := Result{
 		Name:  "§3.4 theorem",
@@ -34,12 +27,12 @@ func Theorem(sc Scale) Result {
 	}
 	strategies := []struct {
 		name string
-		ton  sim.Time
-		toff sim.Time
+		ton  netfence.Time
+		toff netfence.Time
 	}{
 		{"constant 1 Mbps flood", 0, 0},
-		{"on-off 0.5s/1.5s synchronized", 500 * sim.Millisecond, 1500 * sim.Millisecond},
-		{"on-off 2s/2s (control-interval aligned)", 2 * sim.Second, 2 * sim.Second},
+		{"on-off 0.5s/1.5s synchronized", 500 * netfence.Millisecond, 1500 * netfence.Millisecond},
+		{"on-off 2s/2s (control-interval aligned)", 2 * netfence.Second, 2 * netfence.Second},
 	}
 	for _, st := range strategies {
 		out := theoremCell(sc, st.ton, st.toff)
@@ -72,70 +65,37 @@ type theoremOut struct {
 	minUser, meanUser float64
 }
 
-func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
-	eng := sc.attach(sim.New(sc.Seed))
+func theoremCell(sc Scale, ton, toff netfence.Time) theoremOut {
 	const label = 100_000
-	bottleneck := sc.BottleneckBps(label)
-	cfg := topo.DefaultDumbbell(sc.Senders, bottleneck)
-	cfg.ColluderASes = 9
-	d := topo.NewDumbbell(eng, cfg)
-	s := core.NewSystem(d.Net, core.DefaultConfig())
-	d.Deploy(s, defense.Policy{})
-
-	legit, attackers := fig9Roles(d, cfg.HostsPerAS)
+	legit, attackers := fig9Roles(sc.Senders)
 	// The first two legitimate senders are greedy constant-rate probes:
 	// senders with provably sufficient demand in every control interval,
 	// whose rate limits carry the Appendix A bound check. The rest run
 	// long TCP for the throughput/nu columns.
-	nProbes := 2
-	if nProbes > len(legit)-1 {
-		nProbes = len(legit) - 1
+	nProbes := min(2, len(legit)-1)
+	probes, users := legit[:nProbes], legit[nProbes:]
+	var flood netfence.Workload = netfence.ColluderPairs{Senders: attackers}
+	if ton > 0 {
+		flood = netfence.OnOffFlood{Senders: attackers, On: ton, Off: toff, ToColluders: true}
 	}
-	probes := legit[:nProbes]
-	legit = legit[nProbes:]
-	for i, h := range probes {
-		flow := packet.FlowID(4_000_000 + i)
-		transport.NewUDPSink(d.Victim.Host, flow)
-		transport.NewUDPSource(h.Host, d.Victim.ID, flow, 1_000_000, packet.SizeData).Start()
-	}
-	receivers := make([]*transport.TCPReceiver, len(legit))
-	for i, h := range legit {
-		flow := d.Net.NextFlow()
-		receivers[i] = transport.NewTCPReceiver(d.Victim.Host, flow)
-		transport.NewTCPSender(h.Host, d.Victim.ID, flow, -1, transport.DefaultTCP()).Start()
-	}
-	for i, a := range attackers {
-		col := d.Colluders[i%len(d.Colluders)]
-		flow := packet.FlowID(2_000_000 + i)
-		transport.NewUDPSink(col.Host, flow)
-		u := transport.NewUDPSource(a.Host, col.ID, flow, 1_000_000, packet.SizeData)
-		u.OnTime, u.OffTime = ton, toff
-		u.Start()
-	}
+	in := sc.build(netfence.Scenario{
+		Topology:  collusionDumbbell(sc, label),
+		Workloads: []netfence.Workload{netfence.UDPFlood{Senders: probes}, netfence.LongTCP{Senders: users}, flood},
+	})
+	r := in.Run()
 
-	eng.RunUntil(sc.Warmup)
-	marks := make([]int64, len(receivers))
-	for i, r := range receivers {
-		marks[i] = r.DeliveredBytes()
-	}
-	eng.RunUntil(sc.Duration)
-	window := (sc.Duration - sc.Warmup).Seconds()
-	rates := make([]float64, len(receivers))
-	for i, r := range receivers {
-		rates[i] = float64(r.DeliveredBytes()-marks[i]) * 8 / window
-	}
-	out := theoremOut{fair: float64(bottleneck) / float64(sc.Senders)}
+	out := theoremOut{fair: float64(sc.BottleneckBps(label)) / float64(sc.Senders), meanUser: r.UserBps}
 	out.minUser = math.Inf(1)
-	for _, r := range rates {
-		out.minUser = math.Min(out.minUser, r)
+	for _, rate := range r.UserRates {
+		out.minUser = math.Min(out.minUser, rate)
 	}
-	out.meanUser, _ = metrics.MeanStd(rates)
-	// Rate limits: users for the nu estimate, greedy senders (the
-	// attackers, who always have sufficient demand) for the bound check.
-	limitOf := func(h *netsim.Node) (float64, bool) {
+	// Rate limits: users for the nu estimate, greedy probes for the bound
+	// check.
+	s, d := in.System.(*netfence.System), in.Dumbbell
+	limitOf := func(sender int) (float64, bool) {
 		for _, ra := range d.SrcAccess {
 			if ar := s.Access(ra); ar != nil {
-				if lim := ar.Limiter(h.ID, d.Bottleneck.ID); lim != nil {
+				if lim := ar.Limiter(d.Senders[sender].ID, d.Bottleneck.ID); lim != nil {
 					return float64(lim.Rate()), true
 				}
 			}
@@ -144,7 +104,7 @@ func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
 	}
 	var sum float64
 	n := 0
-	for _, h := range legit {
+	for _, h := range users {
 		if v, ok := limitOf(h); ok {
 			sum += v
 			n++
@@ -164,6 +124,5 @@ func theoremCell(sc Scale, ton, toff sim.Time) theoremOut {
 	if !found {
 		out.minGreedyLimit = 0
 	}
-	_ = attackers
 	return out
 }

@@ -2,13 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"hash/fnv"
-	"runtime"
-	"sync"
 
-	"netfence/internal/attack"
-	"netfence/internal/core"
-	"netfence/internal/search"
+	"netfence"
 )
 
 // worstcaseSearchLineup is the subset of strategies the experiment
@@ -25,118 +20,67 @@ const worstcaseBudget = 6
 
 // WorstCase is the adversarial-search experiment: for each compared
 // defense it contrasts the worst hand-written strategy (the fixed
-// strategicLineup at its defaults — PR 3's instantiation of "regardless
-// of strategy") with the worst configuration a seeded annealer finds in
-// the strategies' declared parameter spaces. The paper's Theorem-1
+// strategicLineup at its defaults, the hand-written reading of
+// "regardless of strategy") with the worst configuration a seeded annealer finds in
+// the strategies' declared parameter spaces, searched by SearchSpec —
+// the engine behind netfence-sim -search. The paper's Theorem-1
 // claim survives the upgrade for NetFence — the searched optimum still
 // clears the goodput floor — while the searched attack pushes the
 // baselines (TVA+ against colluders foremost) strictly below their
 // hand-written worst case.
 func WorstCase(sc Scale) Result {
 	label := sc.Labels[0]
-	bottleneck := sc.BottleneckBps(label)
-	floor := strategicNu * attack.TheoremBound(core.DefaultConfig(), bottleneck, sc.Senders)
+	floor := strategicFloor(sc, label)
 	res := Result{
 		Name: "Worst-case search",
 		Title: fmt.Sprintf("hand-written vs searched worst attack, floor ν·ρ·C/(G+B) = %.0f kbps (%dK senders)",
 			floor/1000, label/1000),
 		Columns: []string{"system", "hand-written worst", "hand kbps", "searched worst", "searched kbps", "suppress", "holds"},
 	}
-	for _, kind := range sc.Compared() {
+	kinds := sc.Compared()
+	hand := strategicGrid(sc, label)
+	defenses := make([]string, len(kinds))
+	for i, kind := range kinds {
+		defenses[i] = string(kind)
+	}
+	report, err := netfence.SearchSpec{
+		Base:       sc.cell(strategicCell(sc, label, kinds[0], worstcaseSearchLineup[0])),
+		Defenses:   defenses,
+		Strategies: worstcaseSearchLineup,
+		Optimizer:  "anneal",
+		Budget:     worstcaseBudget,
+		Seed:       sc.Seed,
+		Nu:         strategicNu,
+	}.Run()
+	if err != nil {
+		panic(err) // a fixed in-tree search: failures are programmer errors
+	}
+	var searched []netfence.SearchRow
+	for _, row := range report.Rows {
+		if row.Worst {
+			searched = append(searched, row)
+		}
+	}
+	for j, kind := range kinds {
 		// The hand-written baseline: every lineup strategy at defaults.
-		handRates := make([]float64, len(strategicLineup))
-		runBatch(len(strategicLineup), func(i int) {
-			handRates[i] = strategicCell(sc, label, kind, strategicLineup[i], nil).legitBps
-		})
 		handWorst := 0
-		for i := 1; i < len(handRates); i++ {
-			if handRates[i] < handRates[handWorst] {
+		for i := range strategicLineup {
+			if hand[i][j].UserBps < hand[handWorst][j].UserBps {
 				handWorst = i
 			}
 		}
-
-		// The searched worst: anneal each search-lineup strategy's space.
-		searchedSpec, searchedLegit := "", 0.0
-		for si, strat := range worstcaseSearchLineup {
-			dims, err := attack.Params(strat)
-			if err != nil {
-				panic(err) // fixed in-tree lineup: a programmer error
-			}
-			opt, _ := search.New("anneal")
-			eval := func(batch []search.Vec) ([]float64, error) {
-				damages := make([]float64, len(batch))
-				runBatch(len(batch), func(i int) {
-					p := batch[i].Params(dims)
-					damages[i] = -strategicCell(sc, label, kind, strat, p).legitBps
-				})
-				return damages, nil
-			}
-			best, trace, err := opt.Run(dims, worstcaseBudget, worstcaseSeed(sc.Seed, kind, strat), eval)
-			if err != nil {
-				panic(err) // eval never errors; optimizer failures are programmer errors
-			}
-			bestLegit := 0.0
-			for _, st := range trace {
-				if st.Best {
-					bestLegit = -st.Damage
-				}
-			}
-			if si == 0 || bestLegit < searchedLegit {
-				searchedLegit = bestLegit
-				searchedSpec = attack.FormatSpec(strat, best.Params(dims))
-			}
-		}
-
+		handBps, s := hand[handWorst][j].UserBps, searched[j]
 		res.AddRow(
 			string(kind),
 			strategicLineup[handWorst],
-			fmt.Sprintf("%.0f", handRates[handWorst]/1000),
-			searchedSpec,
-			fmt.Sprintf("%.0f", searchedLegit/1000),
-			fmt.Sprintf("%.0f", (handRates[handWorst]-searchedLegit)/1000),
-			fmt.Sprintf("%v", searchedLegit >= floor),
+			fmt.Sprintf("%.0f", handBps/1000),
+			s.Attack,
+			fmt.Sprintf("%.0f", s.UserBps/1000),
+			fmt.Sprintf("%.0f", (handBps-s.UserBps)/1000),
+			fmt.Sprintf("%v", s.UserBps >= floor),
 		)
 	}
 	res.Note("searched: simulated annealing, budget %d per (system, strategy) cell over %v; deterministic in the scale's seed", worstcaseBudget, worstcaseSearchLineup)
 	res.Note("paper shape: NetFence holds the floor even at the searched optimum; the searched attack beats every hand-written strategy against TVA+ (colluder-granted capabilities reward raw rate)")
 	return res
-}
-
-// worstcaseSeed derives an independent optimizer seed per (system ×
-// strategy) cell from the scale's seed.
-func worstcaseSeed(seed uint64, kind SystemKind, strat string) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%s", kind, strat)
-	return seed ^ h.Sum64()
-}
-
-// runBatch fans n independent jobs across bounded workers; fn slots
-// its own results by index, so completion order never shows.
-func runBatch(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
