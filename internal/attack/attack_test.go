@@ -27,6 +27,8 @@ func TestStrategicRequestLevelGolden(t *testing.T) {
 		{"fig9 paper (750 of 1000, 25K label)", 750, 400_000_000, 5},
 		{"fig9 tiny (15 of 20, 25K label)", 15, 8_000_000, 5},
 		{"fig8 paper (990 of 1000, 25K label)", 990, 400_000_000, 6},
+		// A bigger botnet affords a higher level on the same capacity.
+		{"100K attackers, 400 Mbps", 100_000, 400_000_000, 12},
 		{"single attacker", 1, 400_000_000, 1},
 	}
 	for _, c := range cases {

@@ -92,29 +92,3 @@ func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
 		}
 	}
 }
-
-// Deploy installs a defense system across the full dumbbell: the
-// bottleneck link is protected, every access router polices, and every
-// host gets the system's shim. deny is the victim's receiver policy;
-// senders and colluders accept everyone.
-func (d *Dumbbell) Deploy(s defense.System, deny defense.Policy) {
-	d.G.Deploy(s, deny, Plan{})
-}
-
-// DeployPlan installs a defense system across the dumbbell under a
-// partial-deployment plan.
-func (d *Dumbbell) DeployPlan(s defense.System, deny defense.Policy, plan Plan) {
-	d.G.Deploy(s, deny, plan)
-}
-
-// Deploy installs a defense system across the full parking lot,
-// protecting both bottlenecks. deny is applied to every group's victim.
-func (pl *ParkingLot) Deploy(s defense.System, deny defense.Policy) {
-	pl.G.Deploy(s, deny, Plan{})
-}
-
-// DeployPlan installs a defense system across the parking lot under a
-// partial-deployment plan.
-func (pl *ParkingLot) DeployPlan(s defense.System, deny defense.Policy, plan Plan) {
-	pl.G.Deploy(s, deny, plan)
-}

@@ -130,12 +130,6 @@ type DefenseBuilder = defense.Builder
 // DefenseBuildOptions carries optional construction parameters.
 type DefenseBuildOptions = defense.BuildOptions
 
-// NewDefense resolves a registered defense by name and constructs it
-// over net; cfg optionally configures it (nil = defaults).
-func NewDefense(name string, net *Network, cfg any) (DefenseSystem, error) {
-	return defense.Build(name, net, defense.BuildOptions{Config: cfg})
-}
-
 // goodputMeter tracks one sender's delivered bytes for the probes. In a
 // sharded run the meter belongs to the shard owning the state its bytes
 // closure reads (the receiver side), which alone snapshots and ticks it.

@@ -46,23 +46,28 @@ func TestDefenseRegistry(t *testing.T) {
 			t.Fatalf("registry missing %q (have %v)", want, names)
 		}
 	}
+	build := func(d netfence.DefenseSpec) (*netfence.Instance, error) {
+		return netfence.Scenario{
+			Seed:     1,
+			Topology: netfence.DumbbellSpec{Senders: 2, BottleneckBps: 400_000},
+			Defense:  d,
+		}.Build()
+	}
 	for _, name := range []string{"netfence", "NetFence", "tva", "TVA+", "stopit", "StopIt", "fq", "FQ", "none", "None"} {
-		eng := netfence.NewEngine(1)
-		net := netfence.NewNetwork(eng)
-		sys, err := netfence.NewDefense(name, net, nil)
+		in, err := build(netfence.Defense(name))
 		if err != nil {
-			t.Fatalf("NewDefense(%q): %v", name, err)
+			t.Fatalf("Defense(%q): %v", name, err)
 		}
-		var _ netfence.DefenseSystem = sys
-		if sys.Name() == "" {
-			t.Fatalf("NewDefense(%q): empty system name", name)
+		var _ netfence.DefenseSystem = in.System
+		if in.System.Name() == "" {
+			t.Fatalf("Defense(%q): empty system name", name)
 		}
 	}
-	if _, err := netfence.NewDefense("bogus", netfence.NewNetwork(netfence.NewEngine(1)), nil); err == nil {
+	if _, err := build(netfence.Defense("bogus")); err == nil {
 		t.Fatal("bogus defense resolved")
 	}
 	// A NetFence config must be rejected by systems that take none.
-	if _, err := netfence.NewDefense("fq", netfence.NewNetwork(netfence.NewEngine(1)), netfence.DefaultConfig()); err == nil {
+	if _, err := build(netfence.DefenseSpec{Name: "fq", Config: netfence.DefaultConfig()}); err == nil {
 		t.Fatal("fq accepted a NetFence config")
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // Workload attaches traffic sources to a built scenario. The concrete
 // workloads are small spec structs — LongTCP, FileTransfers, WebTraffic,
-// UDPFlood, OnOffFlood, ColluderPairs, RequestFlood — that replace the
-// manual constructor wiring of the low-level API. Every workload names
+// UDPFlood, OnOffFlood, ColluderPairs, RequestFlood, FleetSpec,
+// AttackSpec — and the only way traffic enters a run. Every workload names
 // its senders by index into the topology's sender list (per group on the
 // parking lot); Range builds index lists.
 type Workload interface {
