@@ -6,17 +6,6 @@ import (
 	"netfence"
 )
 
-// ablationDumbbell is the ablations' small dumbbell: n senders in their
-// own ASes behind one bottleneck, and a single colluder AS.
-func ablationDumbbell(n int, bottleneckBps int64) netfence.DumbbellSpec {
-	return netfence.DumbbellSpec{Senders: n, BottleneckBps: bottleneckBps, ColluderASes: 1}
-}
-
-// nfDefense deploys NetFence with an ablated configuration.
-func nfDefense(cfg netfence.Config) netfence.DefenseSpec {
-	return netfence.DefenseSpec{Name: "netfence", Config: cfg}
-}
-
 // AblateHysteresis probes the design choice of footnote 1: the L-down
 // stamping hysteresis must extend two control intervals past the last
 // congestion instant, or a strategic sender that bursts in one interval
@@ -47,8 +36,8 @@ func ablateHystCell(sc Scale, hysteresis int) (atkBps, userBps, fairBps float64)
 	cfg := netfence.DefaultConfig()
 	cfg.HysteresisIntervals = hysteresis
 	r := sc.build(netfence.Scenario{
-		Topology: ablationDumbbell(2, bottleneck),
-		Defense:  nfDefense(cfg),
+		Topology: netfence.DumbbellSpec{Senders: 2, BottleneckBps: bottleneck, ColluderASes: 1},
+		Defense:  netfence.DefenseSpec{Name: "netfence", Config: cfg},
 		Workloads: []netfence.Workload{
 			netfence.LongTCP{Senders: []int{0}},
 			// Burst one full control interval, harvest L-up the next; the
@@ -89,8 +78,8 @@ func ablateBucketCell(sc Scale, token bool) (userBps, atkBps float64, drops uint
 	cfg := netfence.DefaultConfig()
 	cfg.TokenBucketLimiter = token
 	in := sc.build(netfence.Scenario{
-		Topology: ablationDumbbell(4, 800_000),
-		Defense:  nfDefense(cfg),
+		Topology: netfence.DumbbellSpec{Senders: 4, BottleneckBps: 800_000, ColluderASes: 1},
+		Defense:  netfence.DefenseSpec{Name: "netfence", Config: cfg},
 		Workloads: []netfence.Workload{
 			netfence.LongTCP{Senders: []int{0}},
 			// Feedback keeps flowing between bursts on the trickle.
@@ -132,12 +121,12 @@ func AblateQuota(sc Scale) Result {
 	return res
 }
 
-func ablateQuotaCell(sc Scale, quota int64) (userFCT float64, atkBps float64, quotaDrops uint64) {
+func ablateQuotaCell(sc Scale, quota int64) (userFCTSec, atkBps float64, quotaDrops uint64) {
 	cfg := netfence.DefaultConfig()
 	cfg.CongestionQuotaBytes = quota
 	in := sc.build(netfence.Scenario{
-		Topology: ablationDumbbell(2, 400_000),
-		Defense:  nfDefense(cfg),
+		Topology: netfence.DumbbellSpec{Senders: 2, BottleneckBps: 400_000, ColluderASes: 1},
+		Defense:  netfence.DefenseSpec{Name: "netfence", Config: cfg},
 		Workloads: []netfence.Workload{
 			netfence.FileTransfers{Senders: []int{0}, FileBytes: 50_000, Gap: 500 * netfence.Millisecond},
 			netfence.ColluderPairs{Senders: []int{1}},
@@ -175,8 +164,8 @@ func ablateInitCell(sc Scale, initBps int64) (userBps, atkBps float64) {
 	cfg := netfence.DefaultConfig()
 	cfg.InitialRateBps = initBps
 	r := sc.build(netfence.Scenario{
-		Topology:  ablationDumbbell(2, 400_000),
-		Defense:   nfDefense(cfg),
+		Topology:  netfence.DumbbellSpec{Senders: 2, BottleneckBps: 400_000, ColluderASes: 1},
+		Defense:   netfence.DefenseSpec{Name: "netfence", Config: cfg},
 		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0}}, netfence.ColluderPairs{Senders: []int{1}}},
 	}).Run()
 	return r.UserBps, r.AttackerBps

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netfence"
+	"netfence/internal/metrics"
 )
 
 // Mode selects the NetFence multi-bottleneck variant.
@@ -109,6 +110,7 @@ func fig10Cell(sc Scale, mode Mode, l1, l2 int64) netfence.Scenario {
 // group means: users and attackers meter in group order.
 func fig10Means(sc Scale, r *netfence.Result) fig10Out {
 	quarter := (sc.PLGroup + 3) / 4
+	mean := func(rates []float64) float64 { m, _ := metrics.MeanStd(rates); return m }
 	users := func(g int) float64 { return mean(r.UserRates[g*quarter : (g+1)*quarter]) }
 	return fig10Out{
 		aUser: users(0),
@@ -116,18 +118,6 @@ func fig10Means(sc Scale, r *netfence.Result) fig10Out {
 		bUser: users(1),
 		cUser: users(2),
 	}
-}
-
-// mean is the arithmetic mean of xs (0 when empty).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // rogueShim models a compromised AS's host stack (§4.5): packets claim
