@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netfence"
+	"netfence/internal/attack"
 )
 
 // The tests in this file assert the SHAPE of every reproduced figure at
@@ -51,6 +52,26 @@ func TestScaleArithmetic(t *testing.T) {
 	// 25K senders on 10 Gbps = 400 kbps each, the paper's upper target.
 	if Tiny.FairShareBps(25_000) != 400_000 {
 		t.Fatalf("25K fair share = %d", Tiny.FairShareBps(25_000))
+	}
+}
+
+// TestStrategicRequestLevel pins the request level fig8's
+// RequestFlood{Strategic} cells flood at.
+func TestStrategicRequestLevel(t *testing.T) {
+	cfg := netfence.DefaultConfig()
+	// The paper's 25K-sender case: 990 attackers, 400 Mbps bottleneck,
+	// 20 Mbps request channel. Aggregate at level k is
+	// 990 * 1000/2^(k-1) * 736 bits; saturation holds through level 6.
+	if got := attack.StrategicRequestLevel(990, 400_000_000, cfg); got != 6 {
+		t.Fatalf("strategic level = %d, want 6", got)
+	}
+	// More attackers can afford higher levels.
+	if got := attack.StrategicRequestLevel(100_000, 400_000_000, cfg); got <= 6 {
+		t.Fatalf("bigger botnet should flood higher: %d", got)
+	}
+	// A single attacker cannot saturate anything: floor at level 1.
+	if got := attack.StrategicRequestLevel(1, 400_000_000, cfg); got != 1 {
+		t.Fatalf("lone attacker level = %d", got)
 	}
 }
 

@@ -5,66 +5,100 @@ import (
 	"testing"
 
 	"netfence"
+	"netfence/internal/exp"
+	"netfence/internal/metrics"
 )
 
-// TestFacadeEndToEnd drives the public API exactly as the quickstart
-// example does: build a dumbbell, deploy NetFence, run a colluding pair
-// against a TCP user, and verify the fair-share outcome.
+// TestFacadeEndToEnd drives the quickstart run through a built Instance
+// rather than Scenario.Run: the exported Dumbbell and System fields are
+// the defense's live state, and the monitoring cycle must be open at the
+// 60 s mark before the post-warmup fair-share outcome is checked.
 func TestFacadeEndToEnd(t *testing.T) {
-	eng := netfence.NewEngine(42)
-	cfg := netfence.DefaultDumbbell(2, 400_000)
-	cfg.ColluderASes = 1
-	d := netfence.NewDumbbell(eng, cfg)
-	sys := netfence.NewSystem(d.Net, netfence.DefaultConfig())
-	netfence.DeployDumbbell(d, sys, netfence.Policy{})
-
-	rcv := netfence.NewTCPReceiver(d.Victim.Host, 1)
-	netfence.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, netfence.DefaultTCP()).Start()
-	sink := netfence.NewUDPSink(d.Colluders[0].Host, 2)
-	netfence.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 1_000_000, 1500).Start()
-
-	eng.RunUntil(60 * netfence.Second)
-	if !sys.Bottleneck(d.Bottleneck).Monitoring() {
-		t.Fatal("monitoring cycle not started")
-	}
-	start, atkStart := rcv.DeliveredBytes(), sink.Bytes
-	eng.RunUntil(180 * netfence.Second)
-	legit := float64(rcv.DeliveredBytes()-start) * 8 / 120
-	atk := float64(sink.Bytes-atkStart) * 8 / 120
-	if legit < 80_000 {
-		t.Fatalf("legit throughput %.0f bps", legit)
-	}
-	if atk > 300_000 {
-		t.Fatalf("attacker throughput %.0f bps above fair share band", atk)
-	}
-}
-
-func TestFacadeExperimentRegistry(t *testing.T) {
-	exps := netfence.Experiments()
-	for _, name := range []string{"fig7", "fig8", "fig9a", "fig9b", "fig10",
-		"fig11", "fig13", "fig14", "theorem", "localize", "header",
-		"ablate-hysteresis", "ablate-initrate", "ablate-bucket", "quota"} {
-		if _, ok := exps[name]; !ok {
-			t.Fatalf("experiment %q missing from registry", name)
-		}
-	}
-	if _, err := netfence.RunExperiment("nope", "tiny"); err == nil {
-		t.Fatal("bogus experiment accepted")
-	}
-	if _, err := netfence.RunExperiment("header", "bogus"); err == nil {
-		t.Fatal("bogus scale accepted")
-	}
-	out, err := netfence.RunExperiment("header", "tiny")
+	in, err := quickstartScenario().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "28") {
+	d := in.Dumbbell
+	if d == nil || len(d.Senders) != 2 || len(d.Colluders) != 1 {
+		t.Fatalf("built dumbbell = %+v", d)
+	}
+	sys, ok := in.System.(*netfence.System)
+	if !ok {
+		t.Fatalf("Instance.System is %T, want *netfence.System", in.System)
+	}
+	in.Advance(60 * netfence.Second)
+	if !sys.Bottleneck(d.Bottleneck).Monitoring() {
+		t.Fatal("monitoring cycle not started")
+	}
+	res := in.Run()
+	if res.UserBps < 80_000 {
+		t.Fatalf("legit throughput %.0f bps", res.UserBps)
+	}
+	if res.AttackerBps > 300_000 {
+		t.Fatalf("attacker throughput %.0f bps above fair share band", res.AttackerBps)
+	}
+}
+
+// TestFacadeExperimentRegistry resolves experiments the way the CLI's
+// -exp flag does: by runner and scale name, with bogus names of either
+// rejected, and a resolved runner printing its table.
+func TestFacadeExperimentRegistry(t *testing.T) {
+	for _, name := range []string{"fig7", "fig8", "fig9a", "fig9b", "fig10",
+		"fig11", "fig13", "fig14", "theorem", "localize", "header",
+		"ablate-hysteresis", "ablate-initrate", "ablate-bucket", "quota"} {
+		if r, err := exp.RunnerByName(name); err != nil || r.Brief == "" {
+			t.Fatalf("experiment %q missing from registry", name)
+		}
+	}
+	if _, err := exp.RunnerByName("nope"); err == nil {
+		t.Fatal("bogus experiment accepted")
+	}
+	if _, err := exp.ScaleByName("bogus"); err == nil {
+		t.Fatal("bogus scale accepted")
+	}
+	r, err := exp.RunnerByName("header")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run(exp.Tiny)
+	if out := res.Table(); !strings.Contains(out, "28") {
 		t.Fatalf("header experiment output missing worst-case size:\n%s", out)
 	}
 }
 
+// TestFacadeJain checks the FairnessProbe's Result.Jain is Jain's index
+// of the per-user goodputs the GoodputProbe reports.
 func TestFacadeJain(t *testing.T) {
-	if got := netfence.Jain([]float64{1, 1, 1}); got != 1 {
+	if got := metrics.Jain([]float64{1, 1, 1}); got != 1 {
 		t.Fatalf("Jain = %v", got)
+	}
+	res, err := netfence.Scenario{
+		Seed:     3,
+		Topology: netfence.DumbbellSpec{Senders: 4, BottleneckBps: 800_000},
+		Defense:  netfence.Defense("netfence"),
+		Workloads: []netfence.Workload{
+			netfence.LongTCP{Senders: []int{0, 1, 2}},
+			netfence.UDPFlood{Senders: []int{3}, RateBps: 1_000_000},
+		},
+		Probes:   []netfence.Probe{netfence.GoodputProbe{}, netfence.FairnessProbe{}},
+		Duration: 40 * netfence.Second,
+		Warmup:   10 * netfence.Second,
+	}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.UserRates) != 3 {
+		t.Fatalf("%d user rates, want 3", len(res.UserRates))
+	}
+	for i, r := range res.UserRates {
+		if r <= 0 {
+			t.Fatalf("user %d goodput %.0f bps", i, r)
+		}
+	}
+	if want := metrics.Jain(res.UserRates); res.Jain != want {
+		t.Fatalf("Result.Jain = %v, Jain(UserRates) = %v", res.Jain, want)
+	}
+	if res.Jain <= 1.0/3 || res.Jain > 1 {
+		t.Fatalf("Jain = %v outside (1/n, 1]", res.Jain)
 	}
 }
