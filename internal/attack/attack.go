@@ -89,34 +89,44 @@ type Sender struct {
 	Flow packet.FlowID
 	// Index is the sender's position in the workload's sender list.
 	Index int
-	Env   *Env
-	// State is the strategy's per-sender slot (e.g. the replay cache).
-	State any
 
 	// LastFB is the most recent feedback returned by the receiver; Ups
 	// and Downs count observed L-up/L-down actions — the raw material
 	// for policer-state inference.
-	LastFB packet.Feedback
-	HasFB  bool
-	Ups    uint64
-	Downs  uint64
-	// LastMFB is the most recent returned Appendix B.1 multi-bottleneck
-	// header — MultiFeedback configurations return feedback here instead
-	// of the single-feedback header. Observe fires only for the latter;
-	// strategies read LastMFB directly (its per-link actions still feed
-	// Ups/Downs).
-	LastMFB packet.MultiHeader
-	HasMFB  bool
-	// Sent counts packets emitted.
-	Sent uint64
-
-	ctrl     *Controller
-	inner    netsim.Shim
-	dec      Decision
-	org      sim.Origin
-	ev       sim.Event // owned inter-packet pacing event
+	LastFB   packet.Feedback
+	HasFB    bool
 	sending  bool
 	crafting bool
+	Ups      uint32
+	Downs    uint32
+	// Sent counts packets emitted.
+	Sent uint64
+	// State is the strategy's per-sender slot (e.g. the replay cache).
+	State any
+
+	ctrl  *Controller
+	inner netsim.Shim
+	dec   Decision
+	org   sim.Origin
+	ev    sim.Event // owned inter-packet pacing event
+	// mfb is the most recent returned Appendix B.1 multi-bottleneck
+	// header, made on the first one (see LastMFB).
+	mfb *packet.MultiHeader
+}
+
+// Env returns the scenario view of the sender's controller.
+func (s *Sender) Env() *Env { return s.ctrl.env }
+
+// LastMFB returns the most recent returned Appendix B.1 multi-bottleneck
+// header and whether one has arrived — MultiFeedback configurations
+// return feedback there instead of in the single-feedback header.
+// Observe fires only for the latter; its per-link actions still feed
+// Ups/Downs.
+func (s *Sender) LastMFB() (packet.MultiHeader, bool) {
+	if s.mfb == nil {
+		return packet.MultiHeader{}, false
+	}
+	return *s.mfb, true
 }
 
 // senderPace dispatches the sender's owned pacing event.
@@ -152,8 +162,10 @@ func (s *Sender) Ingress(p *packet.Packet) bool {
 		s.ctrl.strategy.Observe(s, s.LastFB)
 	}
 	if x := p.Ext; x != nil && x.RetMFB.Present {
-		s.LastMFB = x.RetMFB
-		s.HasMFB = true
+		if s.mfb == nil {
+			s.mfb = new(packet.MultiHeader)
+		}
+		*s.mfb = x.RetMFB
 		for _, it := range x.RetMFB.Items {
 			if it.Action == packet.ActDecr {
 				s.Downs++
@@ -306,7 +318,6 @@ func (c *Controller) AddSender(host *netsim.Host, dst packet.NodeID, flow packet
 		Dst:   dst,
 		Flow:  flow,
 		Index: len(c.senders),
-		Env:   c.env,
 		ctrl:  c,
 		org:   host.Node.NewOrigin(),
 	}

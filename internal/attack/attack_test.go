@@ -3,6 +3,7 @@ package attack
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"netfence/internal/core"
 	"netfence/internal/netsim"
@@ -266,5 +267,15 @@ func TestControllerObservesFeedback(t *testing.T) {
 	}
 	if s.Sent == 0 {
 		t.Fatal("flood sender emitted nothing")
+	}
+}
+
+// TestSenderLayoutBudget pins the per-sender attack state inside the
+// 256-byte malloc size class: a large scenario holds one per attack
+// host. The Appendix B.1 multi-bottleneck header sits behind a pointer
+// made on first use, and the scenario view is the controller's.
+func TestSenderLayoutBudget(t *testing.T) {
+	if n := unsafe.Sizeof(Sender{}); n > 256 {
+		t.Fatalf("sizeof(Sender) = %d, budget 256", n)
 	}
 }

@@ -154,7 +154,8 @@ func TestRateMultScalesRate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d0, d2 := base.Start(&Sender{Env: env}), doubled.Start(&Sender{Env: env})
+		s := &Sender{ctrl: NewController(base, env)}
+		d0, d2 := base.Start(s), doubled.Start(s)
 		if d2.RateBps != 2*d0.RateBps {
 			t.Fatalf("%s: rate_mult=2 rate %d, want %d", name, d2.RateBps, 2*d0.RateBps)
 		}

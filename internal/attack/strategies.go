@@ -189,9 +189,10 @@ func newOnOffSync(opts BuildOptions) (Strategy, error) {
 }
 
 func (o *onoffSync) decide(s *Sender) Decision {
-	ilim := s.Env.Config.Ilim
+	env := s.Env()
+	ilim := env.Config.Ilim
 	period := o.opt.OnIntervals + o.opt.OffIntervals
-	idx := int(s.Env.Eng.Now()/ilim) % period
+	idx := int(env.Eng.Now()/ilim) % period
 	if idx < o.opt.OnIntervals {
 		return o.decision()
 	}
@@ -318,12 +319,14 @@ func (r *replay) Observe(s *Sender, fb packet.Feedback) {
 
 func (r *replay) Craft(s *Sender, p *packet.Packet) bool {
 	st := r.state(s)
-	if st.tok == nil && s.HasMFB {
-		// Appendix B.1 configurations return the chained multi-
-		// bottleneck header instead of single feedback; cache it the
-		// same way (Observe never fires for it).
-		st.tok = s.LastMFB
-		st.age = 0
+	if st.tok == nil {
+		if mfb, ok := s.LastMFB(); ok {
+			// Appendix B.1 configurations return the chained multi-
+			// bottleneck header instead of single feedback; cache it
+			// the same way (Observe never fires for it).
+			st.tok = mfb
+			st.age = 0
+		}
 	}
 	switch fb := st.tok.(type) {
 	case packet.Feedback:

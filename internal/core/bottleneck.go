@@ -70,7 +70,7 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 		}
 	}
 	l.Q = b.q
-	l.OnTransmit = b.onTransmit
+	l.SetOnTransmit(b.onTransmit)
 	l.Origin().Tick(s.Cfg.DetectInterval, b.detectTick)
 	return b
 }

@@ -78,7 +78,7 @@ func newMemoRigPassport(t testing.TB, passport bool) *memoRig {
 	}
 	r.dsts = [3]packet.NodeID{d.Victim.ID, d.Colluders[0].ID, d.Colluders[1].ID}
 	r.links = [3]packet.LinkID{d.Bottleneck.ID, r.out.ID, 9999}
-	r.out.OnTransmit = r.forwarded
+	r.out.SetOnTransmit(r.forwarded)
 	// Start away from second 0, two rotations in.
 	eng.RunUntil(10 * sim.Second)
 	cur, prev := r.ar.ring.Keys()
@@ -419,7 +419,7 @@ func TestRegularPoliceZeroAlloc(t *testing.T) {
 // chunks. Run under -race.
 func TestPipelineWorkerMakesBlock(t *testing.T) {
 	src, dst := newMemoRigPassport(t, false), newMemoRigPassport(t, false)
-	dst.out.OnTransmit = nil // the rig's oracle for limiter releases; these pass straight through
+	dst.out.SetOnTransmit(nil) // the rig's oracle for limiter releases; these pass straight through
 	mb := netsim.NewMailbox(dst.up[0])
 	src.up[0].SetMailbox(mb)
 	const n = 3*pipeChunk + 7

@@ -35,7 +35,7 @@ type cutSide struct {
 	// harvests at every step fold it into the gauge.
 	hwm     uint64
 	arrived []cutArrival
-	sent    []uint64 // OnTransmit order
+	sent    []uint64 // transmit-hook order
 	dropped []uint64
 }
 
@@ -55,7 +55,7 @@ func newCutSide(classic bool) *cutSide {
 		s.arrived = append(s.arrived, cutArrival{At: s.eng.Now(), UID: p.UID})
 	})
 	b.Host.OnUnknownFlow = func(*packet.Packet) Agent { return sink }
-	s.l.OnTransmit = func(p *packet.Packet, _ *Link) { s.sent = append(s.sent, p.UID) }
+	s.l.SetOnTransmit(func(p *packet.Packet, _ *Link) { s.sent = append(s.sent, p.UID) })
 	s.net.OnDrop = func(p *packet.Packet, _ *Link) { s.dropped = append(s.dropped, p.UID) }
 	return s
 }
@@ -195,7 +195,7 @@ func runCutProgram(t *testing.T, prog []byte) {
 // cut-through: whatever the program — sizes, gaps down to the nanosecond
 // around the transmit-complete, rate and delay changes, sampled and
 // unsampled flows, a discipline installed over a backlog — arrival
-// instants and order, the transmit counters, the OnTransmit calls, the
+// instants and order, the transmit counters, the transmit-hook calls, the
 // flight-recorder records, the engine's executed and pending counts and
 // the backlog high-water mark are those of a link that queues every
 // packet.
@@ -211,15 +211,16 @@ func FuzzLinkCutThrough(f *testing.F) {
 	})
 }
 
-// TestLinkLayoutBudget pins the per-link state — one owned event, the
-// origin, the queue and the counters — inside the 224-byte malloc size
-// class: a large topology's live heap is mostly links. What an arrival
+// TestLinkLayoutBudget pins the per-link state — the origin, the queue,
+// the counters and one pointer to the cold block — inside the 128-byte
+// malloc size class, so a Connect pair is one 256-byte object: a large
+// topology's live heap is mostly links. What an arrival
 // (To, net) and the start of a transmission (sending, Rate, Delay) read
 // stays in the first cache line of a struct that is cold by then.
 func TestLinkLayoutBudget(t *testing.T) {
 	var l Link
-	if n := unsafe.Sizeof(l); n > 224 {
-		t.Fatalf("sizeof(Link) = %d, budget 224", n)
+	if n := unsafe.Sizeof(l); n > 128 {
+		t.Fatalf("sizeof(Link) = %d, budget 128", n)
 	}
 	for _, f := range []struct {
 		name string

@@ -23,19 +23,19 @@ type DropReasoner interface {
 // packet. Install before traffic flows: packets waiting in a default
 // queue that is replaced are stranded, as they always were.
 //
-// The link is one scheduling origin, keyed by its index, and owns one
-// reusable scheduler event that is either the transmit-complete of the
-// packet serializing now or the retry of a backlogged queue that is not
-// yet eligible — never both: nothing is retried while a packet
-// serializes, and a pending retry is cancelled before a transmission
-// starts. Per-packet propagation uses the engine's pooled one-shot
-// events. Steady-state forwarding therefore schedules without
-// allocating.
+// The link is one scheduling origin, keyed by its index. Its
+// transmit-complete and its per-packet propagation are the engine's
+// pooled one-shot events, so steady-state forwarding schedules without
+// allocating and the link owns no event. The one role that needs a
+// cancellable handle — the retry of a backlogged queue that is not yet
+// eligible, which only rate-capped disciplines ask for — lives in the
+// link's cold block with the two hooks only bottleneck and cut links
+// set; a link that needs none of the three never makes the block.
 type Link struct {
 	Index int
 	ID    packet.LinkID
-	// sending says which of its two roles ev has while pending: the
-	// transmit-complete of a serializing packet, or the retry.
+	// sending says the transmitter is busy: a transmit-complete is
+	// pending, and no retry is.
 	sending bool
 	From    *Node
 	To      *Node
@@ -46,29 +46,43 @@ type Link struct {
 	Delay sim.Time
 	Q     queue.Queue
 
-	// OnTransmit, when set, observes each packet as transmission begins —
-	// the hook bottleneck routers use to update congestion policing
-	// feedback in the mon state (§4.3.2).
-	OnTransmit func(p *packet.Packet, l *Link)
-
-	// mailbox, when set, marks this link as a cut link of a partitioned
-	// run whose To node lives on another shard: completed transmissions
-	// hand the packet off instead of scheduling a local arrival. Nil in
-	// single-engine runs — the hot path pays one predictable branch.
-	mailbox *Mailbox
+	// cold holds what most links never need; nil until one is set.
+	cold *linkCold
 
 	// org keys every event of the link: transmit-complete, retry and
 	// propagation (a cut link mints its handoff keys from it too), all
 	// scheduled on the shard owning From.
 	org sim.Origin
-	ev  sim.Event
 
 	// TxPackets and TxBytes count completed transmissions.
 	TxPackets uint64
 	TxBytes   uint64
 }
 
-// linkTx dispatches the owned event in its transmit-complete role.
+// linkCold is a link's rarely set state, made on first use.
+type linkCold struct {
+	// retry is the owned not-yet-eligible retry event.
+	retry sim.Event
+
+	// onTransmit, when set, observes each packet as transmission begins
+	// (see SetOnTransmit).
+	onTransmit func(p *packet.Packet, l *Link)
+
+	// mailbox, when set, marks this link as a cut link of a partitioned
+	// run whose To node lives on another shard: completed transmissions
+	// hand the packet off instead of scheduling a local arrival.
+	mailbox *Mailbox
+}
+
+// coldBlock returns the link's cold block, making it on first use.
+func (l *Link) coldBlock() *linkCold {
+	if l.cold == nil {
+		l.cold = &linkCold{}
+	}
+	return l.cold
+}
+
+// linkTx dispatches a pooled transmit-complete event.
 type linkTx Link
 
 func (h *linkTx) OnEvent(_ sim.Time, arg any) {
@@ -84,8 +98,7 @@ func (h *linkArrive) OnEvent(_ sim.Time, arg any) {
 	l.net.arrive(arg.(*packet.Packet), l.To, l)
 }
 
-// linkRetry dispatches the owned event in its not-yet-eligible retry
-// role.
+// linkRetry dispatches the cold block's not-yet-eligible retry.
 type linkRetry Link
 
 func (h *linkRetry) OnEvent(sim.Time, any) {
@@ -169,19 +182,19 @@ func (l *Link) tryTransmit() {
 		}
 		return
 	}
-	if l.ev.Pending() {
-		l.ev.Cancel() // the retry
+	if l.cold != nil && l.cold.retry.Pending() {
+		l.cold.retry.Cancel()
 	}
 	l.transmit(p, now)
 }
 
 // transmit starts serializing p on the idle transmitter.
 func (l *Link) transmit(p *packet.Packet, now sim.Time) {
-	if l.OnTransmit != nil {
-		l.OnTransmit(p, l)
+	if l.cold != nil && l.cold.onTransmit != nil {
+		l.cold.onTransmit(p, l)
 	}
 	l.sending = true
-	l.org.ScheduleEvent(&l.ev, now+sim.TxTime(int(p.Size), l.Rate), (*linkTx)(l), p)
+	l.org.Schedule(now+sim.TxTime(int(p.Size), l.Rate), (*linkTx)(l), p)
 }
 
 // txDone completes p's serialization: launch its propagation event (or
@@ -194,11 +207,11 @@ func (l *Link) txDone(p *packet.Packet) {
 	l.net.Cells.Add(obs.NetsimTxPackets, 1)
 	l.net.Cells.Add(obs.NetsimTxBytes, uint64(p.Size))
 	now := l.net.Eng.Now()
-	if l.mailbox != nil {
+	if l.cold != nil && l.cold.mailbox != nil {
 		// The handoff key is exactly what a local propagation event's
 		// scheduling key would have been, so the destination engine
 		// executes the arrival where a single global engine would have.
-		l.mailbox.push(l.net, p, l.org.HandoffKey(now+l.Delay))
+		l.cold.mailbox.push(l.net, p, l.org.HandoffKey(now+l.Delay))
 	} else {
 		l.org.Schedule(now+l.Delay, (*linkArrive)(l), p)
 	}
@@ -212,8 +225,15 @@ func (l *Link) Origin() *sim.Origin { return &l.org }
 // SetMailbox marks the link as a cut link delivering into mb's
 // destination replica. Partitioned-run wiring only.
 func (l *Link) SetMailbox(mb *Mailbox) {
-	l.mailbox = mb
+	l.coldBlock().mailbox = mb
 	l.net.outboxes = append(l.net.outboxes, mb)
+}
+
+// SetOnTransmit installs fn (nil removes it) to observe each packet as
+// its transmission begins — the hook bottleneck routers use to update
+// congestion policing feedback in the mon state (§4.3.2).
+func (l *Link) SetOnTransmit(fn func(p *packet.Packet, l *Link)) {
+	l.coldBlock().onTransmit = fn
 }
 
 // SetRate changes the link capacity at the current instant. The packet
@@ -243,16 +263,17 @@ func (l *Link) SetDelay(d sim.Time) {
 	l.Delay = d
 }
 
-// scheduleRetry arms (or re-arms) the not-yet-eligible retry timer.
-// Only an idle transmitter retries, so a pending ev is a retry.
+// scheduleRetry arms (or re-arms) the not-yet-eligible retry timer; an
+// earlier hint supersedes a pending retry, a later one leaves it.
 func (l *Link) scheduleRetry(at sim.Time) {
-	if l.ev.Pending() {
-		if l.ev.Time() <= at {
+	ev := &l.coldBlock().retry
+	if ev.Pending() {
+		if ev.Time() <= at {
 			return
 		}
-		l.ev.Cancel()
+		ev.Cancel()
 	}
-	l.org.ScheduleEvent(&l.ev, at, (*linkRetry)(l), nil)
+	l.org.ScheduleEvent(ev, at, (*linkRetry)(l), nil)
 }
 
 // Utilization returns the fraction of capacity used over an interval,

@@ -472,6 +472,18 @@ func keyLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
+// keyCompare is keyLess as a three-way comparison: the first term that
+// differs decides, and the rest are not compared.
+func keyCompare(a, b *Event) int {
+	switch {
+	case a.at != b.at:
+		return cmp.Compare(a.at, b.at)
+	case a.origin != b.origin:
+		return cmp.Compare(a.origin, b.origin)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // sortShiftBudget is how many entries per event sortByKey's insertion
 // sort may move before it gives up: enough to finish any bucket of up to
 // 24 events, however ordered.
@@ -492,9 +504,7 @@ func sortByKey(evs []*Event) {
 		}
 		evs[j] = ev
 		if budget -= i - j; budget < 0 {
-			slices.SortFunc(evs, func(a, b *Event) int {
-				return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.origin, b.origin), cmp.Compare(a.seq, b.seq))
-			})
+			slices.SortFunc(evs, keyCompare)
 			return
 		}
 	}

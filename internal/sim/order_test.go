@@ -260,6 +260,38 @@ func TestLargeUnsortedBucketSortsInNLogN(t *testing.T) {
 	}
 }
 
+// TestKeyCompareIsKeyLess: the fallback's three-way comparison orders
+// every pair of keys as keyLess does, ties in the first and second terms
+// included, and a dense bucket of such ties placed in reverse key order —
+// past the insertion sort's budget — comes out in key order.
+func TestKeyCompareIsKeyLess(t *testing.T) {
+	var keys []*Event
+	for at := range 3 {
+		for origin := range 3 {
+			for seq := range 3 {
+				keys = append(keys, &Event{at: Time(at), origin: uint64(origin), seq: uint64(seq)})
+			}
+		}
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			if c := keyCompare(a, b); (c < 0) != keyLess(a, b) || (c > 0) != keyLess(b, a) {
+				t.Fatalf("keyCompare(%d/%d/%d, %d/%d/%d) = %d", a.at, a.origin, a.seq, b.at, b.origin, b.seq, c)
+			}
+		}
+	}
+	bucket := make([]*Event, 0, 600)
+	for i := 599; i >= 0; i-- {
+		bucket = append(bucket, &Event{at: Time(i / 60), origin: uint64(i / 6 % 10), seq: uint64(i % 6)})
+	}
+	sortByKey(bucket)
+	for i := 1; i < len(bucket); i++ {
+		if !keyLess(bucket[i-1], bucket[i]) {
+			t.Fatalf("bucket out of key order at %d", i)
+		}
+	}
+}
+
 // TestIdleCursorFollowsTheClock: with nothing pending outside the heap
 // the cursor is pinned to the clock, forwards after an idle stretch and
 // backwards after a peek ahead whose event was cancelled, so what is

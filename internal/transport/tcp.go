@@ -77,12 +77,17 @@ type TCPSender struct {
 	state     int
 	started   sim.Time
 
-	// SYN handshake. synEv is the owned timer storage; synTimer points at
-	// it once armed (nil = never armed), preserving the tri-state the
-	// retransmission logic keys off.
+	// timerEv is the one owned timer event, armed as the SYN timer
+	// during the handshake and as the RTO after it: Receive cancels the
+	// SYN timer at establishment, before trySend can arm the first RTO,
+	// so the two roles are never pending together. synTimer and rtoTimer
+	// point at it once armed in their role (nil = never armed),
+	// preserving the tri-state the retransmission logic keys off.
+	timerEv sim.Event
+
+	// SYN handshake.
 	synRetries int
 	synRTO     sim.Time
-	synEv      sim.Event
 	synTimer   *sim.Event
 
 	// Reliability and congestion control. Sequence numbers are byte
@@ -98,15 +103,14 @@ type TCPSender struct {
 	rttSeq            int64
 	rttStart          sim.Time
 	rttValid, hasSRTT bool
-	rtoEv             sim.Event
 	rtoTimer          *sim.Event
 	transferTimer     *sim.Event
 	retransmits       uint64
 	timeouts          uint64
 }
 
-// tcpSYNTimer and tcpRTOTimer adapt the sender's owned timer events to
-// sim.Handler without per-arm closures.
+// tcpSYNTimer and tcpRTOTimer adapt the sender's owned timer event, in
+// each of its two roles, to sim.Handler without per-arm closures.
 type tcpSYNTimer TCPSender
 
 func (h *tcpSYNTimer) OnEvent(sim.Time, any) { (*TCPSender)(h).onSYNTimeout() }
@@ -166,8 +170,8 @@ func (s *TCPSender) sendSYN() {
 	p.Size = packet.SizeRequest
 	p.TCP = packet.TCPInfo{Flags: packet.FlagSYN}
 	s.host.Send(p)
-	s.org.ScheduleEvent(&s.synEv, s.org.Now()+s.synRTO, (*tcpSYNTimer)(s), nil)
-	s.synTimer = &s.synEv
+	s.org.ScheduleEvent(&s.timerEv, s.org.Now()+s.synRTO, (*tcpSYNTimer)(s), nil)
+	s.synTimer = &s.timerEv
 }
 
 func (s *TCPSender) onSYNTimeout() {
@@ -348,8 +352,8 @@ func (s *TCPSender) armRTO() {
 		s.rtoTimer = nil
 	}
 	if s.sndNxt > s.sndUna {
-		s.org.ScheduleEvent(&s.rtoEv, s.org.Now()+s.rto, (*tcpRTOTimer)(s), nil)
-		s.rtoTimer = &s.rtoEv
+		s.org.ScheduleEvent(&s.timerEv, s.org.Now()+s.rto, (*tcpRTOTimer)(s), nil)
+		s.rtoTimer = &s.timerEv
 	}
 }
 
@@ -358,8 +362,8 @@ func (s *TCPSender) armRTOIfIdle() {
 	// naturally is neither and must not be re-armed here (onRTO re-arms
 	// itself), exactly as with the old per-arm events.
 	if s.rtoTimer == nil || s.rtoTimer.Cancelled() {
-		s.org.ScheduleEvent(&s.rtoEv, s.org.Now()+s.rto, (*tcpRTOTimer)(s), nil)
-		s.rtoTimer = &s.rtoEv
+		s.org.ScheduleEvent(&s.timerEv, s.org.Now()+s.rto, (*tcpRTOTimer)(s), nil)
+		s.rtoTimer = &s.timerEv
 	}
 }
 
@@ -411,11 +415,8 @@ func (s *TCPSender) finish(ok bool) {
 
 // Close cancels timers and unregisters the sender from its host.
 func (s *TCPSender) Close() {
-	for _, ev := range []*sim.Event{s.synTimer, s.rtoTimer, s.transferTimer} {
-		if ev != nil {
-			ev.Cancel()
-		}
-	}
+	s.timerEv.Cancel() // the SYN timer or the RTO, whichever is armed
+	s.transferTimer.Cancel()
 	s.host.Unregister(s.Flow)
 	if s.state == tcpSynSent || s.state == tcpEstablished {
 		s.state = tcpIdle
