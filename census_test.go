@@ -3,6 +3,7 @@ package netfence
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"netfence/internal/netsim"
 )
@@ -142,5 +143,15 @@ func TestHandoffCensus(t *testing.T) {
 		if sum.Lent == 0 || sum.FIFOHWM < 2 {
 			t.Errorf("shards=%d: %+v: want traffic over the cut and FIFOs more than one deep", shards, sum)
 		}
+	}
+}
+
+// TestGoodputMeterLayoutBudget pins the per-sender goodput meter inside
+// the 48-byte malloc size class: every sender of a scenario has one. The
+// sharded timeseries rows live beside the meters (scenarioEnv.meterRates),
+// made only by the probe that fills them.
+func TestGoodputMeterLayoutBudget(t *testing.T) {
+	if n := unsafe.Sizeof(goodputMeter{}); n > 48 {
+		t.Fatalf("sizeof(goodputMeter) = %d, budget 48", n)
 	}
 }

@@ -26,26 +26,36 @@ type HostShim struct {
 	host *netsim.Host
 	deny func(src packet.NodeID) bool
 
-	// peers and flowStart hold one entry on nearly every host (a sender
-	// talks to its victim, one SYN is outstanding at a time), so both
-	// keep it inline, and the first peer's state lives in the shim
-	// itself.
-	peers     smallmap.Map[packet.NodeID, *peerState]
-	first     peerState
+	// A sender talks to its victim and a receiver hears from one sender,
+	// so nearly every host has one peer: its state lives in the shim
+	// itself under firstID (-1 until the first packet), and only further
+	// peers go into the table. flowStart likewise holds the one SYN
+	// outstanding at a time inline.
+	rest      map[packet.NodeID]*peerState
 	flowStart smallmap.Map[packet.FlowID, sim.Time]
-	// org keys the per-peer echo tickers.
-	org sim.Origin
+	// echoOrg keys the per-peer echo tickers. Only receivers of one-way
+	// traffic ever run one, so the origin is made on the first echo from
+	// the node ordinal reserved at attach (echoOrd): every origin made
+	// on the node after the shim keeps its ID either way.
+	echoOrg *sim.Origin
+	first   peerState
+	firstID packet.NodeID
+	echoOrd uint32
 }
 
+// peerState's fields are ordered so the two flags and lastFlow fill what
+// would otherwise be padding after the feedback records.
 type peerState struct {
 	// presented is the feedback this host presents on packets it sends
 	// to the peer (returned to us by the peer earlier).
 	presented    packet.Feedback
 	hasPresented bool
+	hasReqSince  bool
 
 	// toReturn is the latest network-stamped feedback observed on
 	// packets from the peer, to hand back.
 	toReturn packet.Returned
+	lastFlow packet.FlowID
 
 	// multi holds the Appendix B.1 multi-bottleneck equivalents of the
 	// three fields above; nil until a B.1 header arrives from the peer.
@@ -53,18 +63,16 @@ type peerState struct {
 
 	lastSent  sim.Time
 	lastHeard sim.Time
-	lastFlow  packet.FlowID
 	echo      *sim.Ticker
 
-	// reqSince marks when the shim last fell back to the request
-	// channel for lack of valid feedback toward this peer; the waiting
-	// time since then buys request priority (§4.2), exactly as the SYN
-	// path's flow-start clock does. Without this, a sender whose
-	// feedback expired mid-connection would be pinned at priority 0 —
-	// starved forever behind any demoted attack flood sharing the
-	// request channel (the replay strategy's best outcome).
-	reqSince    sim.Time
-	hasReqSince bool
+	// reqSince (valid when hasReqSince) marks when the shim last fell
+	// back to the request channel for lack of valid feedback toward this
+	// peer; the waiting time since then buys request priority (§4.2),
+	// exactly as the SYN path's flow-start clock does. Without this, a
+	// sender whose feedback expired mid-connection would be pinned at
+	// priority 0 — starved forever behind any demoted attack flood
+	// sharing the request channel (the replay strategy's best outcome).
+	reqSince sim.Time
 }
 
 type peerMulti struct {
@@ -84,10 +92,11 @@ func (ps *peerState) needMulti() *peerMulti {
 // AttachHost installs a NetFence shim on host h with the given policy.
 func (s *System) AttachHost(h *netsim.Node, pol defense.Policy) {
 	shim := &HostShim{
-		sys:  s,
-		host: h.Host,
-		deny: pol.Deny,
-		org:  h.NewOrigin(),
+		sys:     s,
+		host:    h.Host,
+		deny:    pol.Deny,
+		firstID: -1,
+		echoOrd: h.ReserveOrigin(),
 	}
 	h.Host.Shim = shim
 }
@@ -98,14 +107,22 @@ func Shim(h *netsim.Node) *HostShim {
 	return sh
 }
 
+// peer returns id's state, creating it on the first packet to or from id.
 func (sh *HostShim) peer(id packet.NodeID) *peerState {
-	ps, ok := sh.peers.Get(id)
-	if !ok {
-		ps = &sh.first
-		if sh.peers.Len() > 0 {
-			ps = &peerState{}
+	if id == sh.firstID {
+		return &sh.first
+	}
+	if sh.firstID < 0 {
+		sh.firstID = id
+		return &sh.first
+	}
+	ps := sh.rest[id]
+	if ps == nil {
+		if sh.rest == nil {
+			sh.rest = make(map[packet.NodeID]*peerState)
 		}
-		sh.peers.Set(id, ps)
+		ps = &peerState{}
+		sh.rest[id] = ps
 	}
 	return ps
 }
@@ -113,8 +130,11 @@ func (sh *HostShim) peer(id packet.NodeID) *peerState {
 // Presented returns the feedback currently presented toward a peer, for
 // tests and diagnostics.
 func (sh *HostShim) Presented(peer packet.NodeID) (packet.Feedback, bool) {
-	ps, ok := sh.peers.Get(peer)
-	if !ok {
+	ps := &sh.first
+	if peer != sh.firstID {
+		ps = sh.rest[peer]
+	}
+	if ps == nil {
 		return packet.Feedback{}, false
 	}
 	return ps.presented, ps.hasPresented
@@ -291,9 +311,13 @@ func (sh *HostShim) ensureEcho(peer packet.NodeID, ps *peerState) {
 	if ps.echo != nil {
 		return
 	}
+	if sh.echoOrg == nil {
+		org := sh.host.Node.OriginAt(sh.echoOrd)
+		sh.echoOrg = &org
+	}
 	eng := sh.host.Network().Eng
 	interval := sh.sys.Cfg.EchoInterval
-	ps.echo = sh.org.Tick(interval, func() {
+	ps.echo = sh.echoOrg.Tick(interval, func() {
 		now := eng.Now()
 		if now-ps.lastHeard > 8*interval {
 			ps.echo.Stop()

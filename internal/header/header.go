@@ -204,14 +204,16 @@ func Decode(src []byte, nowSec uint32) (Header, int, error) {
 		n += 4
 		if flags&flagRetLink != 0 {
 			h.Ret.Mode = packet.FBMon
+			// Only mon feedback has an action; Encode writes the flag
+			// for nothing else.
+			if flags&flagRetDecr != 0 {
+				h.Ret.Action = packet.ActDecr
+			}
 			if len(src) < n+4 {
 				return h, 0, ErrShort
 			}
 			h.Ret.Link = packet.LinkID(binary.BigEndian.Uint32(src[n:]))
 			n += 4
-		}
-		if flags&flagRetDecr != 0 {
-			h.Ret.Action = packet.ActDecr
 		}
 		h.Ret.TS = ReconstructTS(flags&flagRetTS, nowSec)
 	}

@@ -31,7 +31,6 @@ type Host struct {
 	// an unknown flow (server-style listeners).
 	OnUnknownFlow func(p *packet.Packet) Agent
 
-	net *Network
 	// agents holds one flow on nearly every host, inline.
 	agents smallmap.Map[packet.FlowID, Agent]
 }
@@ -49,7 +48,7 @@ func (h *Host) Agent(flow packet.FlowID) Agent {
 }
 
 // Network returns the owning network.
-func (h *Host) Network() *Network { return h.net }
+func (h *Host) Network() *Network { return h.Node.net }
 
 // NewPacket draws a zeroed packet from the network's pool; the packet
 // returns to the pool automatically when the network delivers or drops
@@ -57,9 +56,10 @@ func (h *Host) Network() *Network { return h.net }
 // sending allocates nothing. Before a sharded replica's pool allocates,
 // it takes what empties its cut links hold.
 func (h *Host) NewPacket() *packet.Packet {
-	pool := &h.net.Pool
+	net := h.Node.net
+	pool := &net.Pool
 	if pool.Len() == 0 {
-		for _, mb := range h.net.outboxes {
+		for _, mb := range net.outboxes {
 			mb.adopt(pool)
 		}
 	}
@@ -69,14 +69,15 @@ func (h *Host) NewPacket() *packet.Packet {
 // Send stamps addressing metadata, runs the shim's egress path, and
 // injects p into the network.
 func (h *Host) Send(p *packet.Packet) {
-	p.Src = h.Node.ID
-	p.SrcAS = h.Node.AS
-	p.DstAS = h.net.ASOf(p.Dst)
-	p.UID = h.net.NextUID()
+	nd := h.Node
+	p.Src = nd.ID
+	p.SrcAS = nd.AS
+	p.DstAS = nd.net.ASOf(p.Dst)
+	p.UID = nd.net.NextUID()
 	if h.Shim != nil {
 		h.Shim.Egress(p)
 	}
-	h.net.Forward(h.Node, p)
+	nd.net.Forward(nd, p)
 }
 
 // Receive runs the shim's ingress path and dispatches to the flow's agent.

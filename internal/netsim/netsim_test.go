@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"netfence/internal/aqm"
 	"netfence/internal/packet"
@@ -375,5 +376,14 @@ func TestInstalledDisciplineSeesEveryPacket(t *testing.T) {
 	}
 	if st := n.LinkStats(); st.Queued < 4 || st.Links-st.Queueless != 2 {
 		t.Fatalf("%+v: want the installed queue and the uplink's default queue, nothing else", st)
+	}
+}
+
+// TestHostLayoutBudget pins the host stack — node, shim, listener hook
+// and the inline flow table — at one 64-byte object: every sender of a
+// large topology carries one, attacker or not.
+func TestHostLayoutBudget(t *testing.T) {
+	if n := unsafe.Sizeof(Host{}); n > 64 {
+		t.Fatalf("sizeof(Host) = %d, budget 64", n)
 	}
 }

@@ -131,7 +131,7 @@ func (n *Network) NewHost(name string, as packet.ASID) *Node {
 	}
 	node := n.NewNode(name, as)
 	node.IsHost = true
-	node.Host = &Host{Node: node, net: n}
+	node.Host = &Host{Node: node}
 	n.hosts++
 	return node
 }
@@ -609,9 +609,21 @@ type Node struct {
 // node's ID and the entity's creation ordinal on it: everything on a
 // node runs on the shard owning the node, so the ordinal is the same at
 // every shard count.
-func (nd *Node) NewOrigin() sim.Origin {
+func (nd *Node) NewOrigin() sim.Origin { return nd.OriginAt(nd.ReserveOrigin()) }
+
+// ReserveOrigin hands out the node's next origin ordinal without making
+// the origin, for an entity that may never schedule anything: whatever
+// is created on the node after it keeps the ordinal, and so the ID, it
+// would have had if the origin were made now.
+func (nd *Node) ReserveOrigin() uint32 {
 	nd.origins++
-	return nd.net.Eng.NewOrigin(originNode | uint64(uint32(nd.ID))<<32 | uint64(nd.origins))
+	return nd.origins
+}
+
+// OriginAt returns the origin of the ordinal a ReserveOrigin on this node
+// returned.
+func (nd *Node) OriginAt(ord uint32) sim.Origin {
+	return nd.net.Eng.NewOrigin(originNode | uint64(uint32(nd.ID))<<32 | uint64(ord))
 }
 
 // SenderWeight returns how many modeled senders the node stands for,

@@ -1,17 +1,21 @@
 // Package smallmap is a map that holds its first entry inline and only
-// builds a hash table for the second. The simulator keeps several maps
-// per host (flow → agent, peer → shim state, flow → SYN start), ten
-// thousand hosts per replica, and nearly every one of them holds a
-// single entry: inline, that entry costs no allocation and its lookup is
-// one compare instead of a hash.
+// builds a hash table for the second. The simulator keeps a map per host
+// (flow → agent, flow → SYN start), ten thousand hosts per replica, and
+// nearly every one of them holds a single entry: inline, that entry
+// costs no allocation and its lookup is one compare instead of a hash.
+//
+// Field order is part of the size. The key comes first and the flag
+// right after it, so a 4-byte key and the flag share one word:
+// Map[int32, *T] is 24 bytes and Map[uint32, iface] is 32, where the
+// order key, val, used, rest would spend 32 and 40.
 package smallmap
 
 // Map is a map[K]V whose zero value is empty and ready to use. It is not
 // safe for concurrent use.
 type Map[K comparable, V any] struct {
 	key  K
-	val  V
 	used bool
+	val  V
 	rest map[K]V
 }
 

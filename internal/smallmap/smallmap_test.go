@@ -3,7 +3,21 @@ package smallmap
 import (
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 )
+
+// TestMapLayout pins the sizes the field order buys: a 4-byte key and
+// the used flag share a word, so the two instantiations the simulator
+// keeps per host cost 24 and 32 bytes.
+func TestMapLayout(t *testing.T) {
+	type iface interface{ M() }
+	if n := unsafe.Sizeof(Map[int32, *int]{}); n != 24 {
+		t.Errorf("sizeof(Map[int32, *T]) = %d, want 24", n)
+	}
+	if n := unsafe.Sizeof(Map[uint32, iface]{}); n != 32 {
+		t.Errorf("sizeof(Map[uint32, iface]) = %d, want 32", n)
+	}
+}
 
 // TestMatchesBuiltinMap drives a Map and a built-in map with the same
 // random Set/Delete/Get sequence over a small key space, so the inline

@@ -12,6 +12,9 @@
 package transport
 
 import (
+	"cmp"
+	"slices"
+
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
@@ -433,13 +436,21 @@ type TCPReceiver struct {
 
 	host      *netsim.Host
 	rcvNxt    int64
-	ooo       map[int64]int32 // seq -> length
 	delivered int64
+	// ooo holds the out-of-order segments, sorted by seq, every one
+	// above rcvNxt; nil until the first segment arrives early.
+	ooo []oooSegment
+}
+
+// oooSegment is one buffered out-of-order segment.
+type oooSegment struct {
+	seq int64
+	n   int32
 }
 
 // NewTCPReceiver creates and registers a receiver for flow on host.
 func NewTCPReceiver(host *netsim.Host, flow packet.FlowID) *TCPReceiver {
-	r := &TCPReceiver{Flow: flow, host: host, ooo: make(map[int64]int32)}
+	r := &TCPReceiver{Flow: flow, host: host}
 	host.Register(flow, r)
 	return r
 }
@@ -464,17 +475,23 @@ func (r *TCPReceiver) Receive(p *packet.Packet) {
 	switch {
 	case seq == r.rcvNxt:
 		r.advance(n)
-		// Drain any contiguous out-of-order segments.
-		for {
-			n2, ok := r.ooo[r.rcvNxt]
-			if !ok {
-				break
+		// Drain the buffered segments that start at or below the new
+		// rcvNxt: one starting exactly there is delivered, one starting
+		// below it (an overlap) can never start there again.
+		k := 0
+		for ; k < len(r.ooo) && r.ooo[k].seq <= r.rcvNxt; k++ {
+			if r.ooo[k].seq == r.rcvNxt {
+				r.advance(r.ooo[k].n)
 			}
-			delete(r.ooo, r.rcvNxt)
-			r.advance(n2)
 		}
+		r.ooo = slices.Delete(r.ooo, 0, k)
 	case seq > r.rcvNxt:
-		r.ooo[seq] = n
+		i, found := slices.BinarySearchFunc(r.ooo, seq, func(s oooSegment, seq int64) int { return cmp.Compare(s.seq, seq) })
+		if found {
+			r.ooo[i].n = n // a retransmission replaces the buffered length
+		} else {
+			r.ooo = slices.Insert(r.ooo, i, oooSegment{seq, n})
+		}
 	}
 	r.reply(packet.FlagACK, r.rcvNxt)
 }

@@ -425,16 +425,19 @@ func (p TimeseriesProbe) installSharded(env *scenarioEnv, interval Time) error {
 	// Meter ownership is fixed at attach time; bucket once so each
 	// shard's tick touches only its own meters instead of scanning the
 	// whole population behind the window barrier.
-	buckets := make([][]*goodputMeter, len(env.sh.engines))
-	for _, m := range env.meters {
-		buckets[m.shard] = append(buckets[m.shard], m)
+	buckets := make([][]int, len(env.sh.engines))
+	for i, m := range env.meters {
+		buckets[m.shard] = append(buckets[m.shard], i)
 	}
+	rates := make([][]float64, len(env.meters))
+	env.meterRates = rates
 	for i, eng := range env.sh.engines {
 		shard, e, mine := i, eng, buckets[i]
 		e.Tick(interval, func() {
-			for _, m := range mine {
+			for _, j := range mine {
+				m := env.meters[j]
 				cur := m.bytes()
-				m.rates = append(m.rates, float64(cur-m.tickMark)*8/secs)
+				rates[j] = append(rates[j], float64(cur-m.tickMark)*8/secs)
 				m.tickMark = cur
 			}
 			if shard == 0 {
@@ -469,14 +472,14 @@ func (env *scenarioEnv) mergedSeries() []Sample {
 	series := make([]Sample, 0, len(env.tickTimes))
 	for k, tsec := range env.tickTimes {
 		s := Sample{TimeSec: tsec}
-		for _, m := range env.meters {
-			if k >= len(m.rates) {
+		for i, m := range env.meters {
+			if k >= len(env.meterRates[i]) {
 				continue
 			}
 			if m.attacker {
-				s.AttackerBps += m.rates[k]
+				s.AttackerBps += env.meterRates[i][k]
 			} else {
-				s.UserBps += m.rates[k]
+				s.UserBps += env.meterRates[i][k]
 			}
 		}
 		if k < len(env.monFlags) {

@@ -134,23 +134,16 @@ type DefenseBuildOptions = defense.BuildOptions
 // sharded run the meter belongs to the shard owning the state its bytes
 // closure reads (the receiver side), which alone snapshots and ticks it.
 type goodputMeter struct {
-	group, sender int
-	attacker      bool
-	shard         int
+	shard int32
 	// weight is how many modeled senders the meter aggregates: 1 for an
 	// ordinary sender, N for a fleet meter reading the combined sink of
 	// N homogeneous senders. Probes divide by weight for per-sender
 	// rates and weight the fairness statistics accordingly.
-	weight int
-	bytes  func() int64
-
+	weight   int32
+	bytes    func() int64
 	warmMark int64
 	tickMark int64
-	// rates accumulates per-interval goodput when a TimeseriesProbe runs
-	// sharded: each owner shard appends locally, and the probe merges in
-	// global meter order at finish so the sums are bit-identical to the
-	// single-engine tick.
-	rates []float64
+	attacker bool
 }
 
 // scenarioEnv is the mutable state shared by workload attachment, the
@@ -212,9 +205,13 @@ type scenarioEnv struct {
 
 	// Sharded TimeseriesProbe state: shard 0 records the tick instants,
 	// the NetFence bottleneck's shard records the monitoring flags, and
-	// every shard appends its own meters' rates (see goodputMeter.rates).
-	tickTimes []float64
-	monFlags  []bool
+	// every shard appends its own meters' per-interval goodput to their
+	// rows of meterRates (indexed like meters, made only by that probe).
+	// The probe merges the rows in global meter order at finish, so the
+	// sums are bit-identical to the single-engine tick.
+	tickTimes  []float64
+	monFlags   []bool
+	meterRates [][]float64
 }
 
 func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
@@ -226,8 +223,8 @@ func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
 
 // addMeter registers a goodput meter whose bytes closure reads state
 // owned by owner's shard (the receiver of the measured traffic).
-func (env *scenarioEnv) addMeter(owner *netsim.Node, group, sender int, attacker bool, bytes func() int64) {
-	env.addWeightedMeter(owner, group, sender, attacker, 1, bytes)
+func (env *scenarioEnv) addMeter(owner *netsim.Node, attacker bool, bytes func() int64) {
+	env.addWeightedMeter(owner, attacker, 1, bytes)
 }
 
 // hasFleetMeters reports whether any meter aggregates more than one
@@ -245,10 +242,9 @@ func (env *scenarioEnv) hasFleetMeters() bool {
 
 // addWeightedMeter registers a meter standing for weight modeled
 // senders (a fleet's combined sink).
-func (env *scenarioEnv) addWeightedMeter(owner *netsim.Node, group, sender int, attacker bool, weight int, bytes func() int64) {
+func (env *scenarioEnv) addWeightedMeter(owner *netsim.Node, attacker bool, weight int32, bytes func() int64) {
 	env.meters = append(env.meters, &goodputMeter{
-		group: group, sender: sender, attacker: attacker,
-		shard: env.shardOf(owner), weight: weight, bytes: bytes,
+		shard: int32(env.shardOf(owner)), weight: weight, bytes: bytes, attacker: attacker,
 	})
 }
 
@@ -403,7 +399,7 @@ func (env *scenarioEnv) snapshotWarm() {
 // preallocated at build, so concurrent shards write disjoint slots.
 func (env *scenarioEnv) snapshotWarmShard(sh int) {
 	for _, m := range env.meters {
-		if m.shard == sh {
+		if int(m.shard) == sh {
 			m.warmMark = m.bytes()
 		}
 	}

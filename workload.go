@@ -110,7 +110,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 		}
 		flow := env.newFlow()
 		r := transport.NewTCPReceiver(victim.Host, flow)
-		env.addMeter(victim, w.Group, idx, false, r.DeliveredBytes)
+		env.addMeter(victim, false, r.DeliveredBytes)
 		transport.NewTCPSender(h.Host, victim.ID, flow, -1, cfg).Start()
 	}
 	return nil
@@ -158,7 +158,7 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 			return err
 		}
 		ctr := env.srcCounter(w.Group, h.ID)
-		env.addMeter(victim, w.Group, idx, false, func() int64 { return *ctr })
+		env.addMeter(victim, false, func() int64 { return *ctr })
 		c := transport.NewFileClient(h.Host, victim.ID, size, cfg)
 		c.Gap = w.Gap
 		fct := env.fctFor(h)
@@ -201,7 +201,7 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 			return err
 		}
 		ctr := env.srcCounter(w.Group, h.ID)
-		env.addMeter(victim, w.Group, idx, false, func() int64 { return *ctr })
+		env.addMeter(victim, false, func() int64 { return *ctr })
 		src := transport.NewWebSource(h.Host, victim.ID, cfg)
 		fct := env.fctFor(h)
 		src.OnResult = func(_ int64, d Time, ok bool) { fct.Add(d, ok) }
@@ -336,7 +336,7 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 		}
 		flow := env.newFlow()
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addMeter(dstHost, spec.group, idx, !spec.legit, func() int64 { return int64(sink.Bytes) })
+		env.addMeter(dstHost, !spec.legit, func() int64 { return int64(sink.Bytes) })
 		u := transport.NewUDPSource(h.Host, dstHost.ID, flow, rate, pktSize)
 		u.OnTime, u.OffTime = spec.on, spec.off
 		u.OffRateBps = spec.offRate
@@ -457,7 +457,7 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 		h.Weight = int32(weight)
 		flow := env.newFlow()
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addWeightedMeter(dstHost, w.Group, idx, w.Attacker, weight, func() int64 { return int64(sink.Bytes) })
+		env.addWeightedMeter(dstHost, w.Attacker, h.Weight, func() int64 { return int64(sink.Bytes) })
 		fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, weight, rate, pktSize, env.fleetRand(h))
 		cells := h.Host.Network().Cells
 		cells.Add(obs.FleetAttached, 1)
@@ -627,7 +627,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 		}
 		flow := env.newFlow()
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addMeter(dstHost, w.Group, idx, true, func() int64 { return int64(sink.Bytes) })
+		env.addMeter(dstHost, true, func() int64 { return int64(sink.Bytes) })
 		// Index must be the sender's position in the workload list, not
 		// in its shard's controller: index-dependent strategies (the
 		// legacy_frac split) must make the same per-sender choice no
