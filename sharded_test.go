@@ -412,18 +412,21 @@ func workloadKinds(t *testing.T) []string {
 	return kinds
 }
 
-// TestEveryWorkloadKindShardIdentity draws the line the standing
-// invariant is stated for: every Workload kind either reproduces the
-// single engine's Result JSON byte for byte on two shards, or Build
-// refuses to partition it with ErrShardedWorkloadUnproven. Each kind
-// runs alone over all twenty senders of equivScenario's dumbbell, so
-// no proven kind can cover for another.
-func TestEveryWorkloadKindShardIdentity(t *testing.T) {
+// kindRow is one workload kind run alone over all twenty senders of
+// kindSpec, and whether a partitioned run of it is proven identical.
+type kindRow struct {
+	w      Workload
+	proven bool
+}
+
+// kindSpec is equivScenario's twenty-sender dumbbell, the topology every
+// kindTable row runs on.
+var kindSpec = DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
+
+// kindTable holds one row per Workload kind.
+func kindTable() map[string]kindRow {
 	all := Range(0, 20)
-	table := map[string]struct {
-		w      Workload
-		proven bool
-	}{
+	return map[string]kindRow{
 		"LongTCP":       {LongTCP{Senders: all}, true},
 		"UDPFlood":      {UDPFlood{Senders: all}, true},
 		"OnOffFlood":    {OnOffFlood{Senders: all, On: 2 * Second, Off: 3 * Second}, true},
@@ -437,11 +440,21 @@ func TestEveryWorkloadKindShardIdentity(t *testing.T) {
 		"FileTransfers": {FileTransfers{Senders: all}, false},
 		"WebTraffic":    {WebTraffic{Senders: all}, false},
 	}
+}
+
+// TestEveryWorkloadKindShardIdentity draws the line the standing
+// invariant is stated for: every Workload kind either reproduces the
+// single engine's Result JSON byte for byte on two shards, or Build
+// refuses to partition it with ErrShardedWorkloadUnproven. Each kind
+// runs alone over all twenty senders of equivScenario's dumbbell, so
+// no proven kind can cover for another.
+func TestEveryWorkloadKindShardIdentity(t *testing.T) {
+	table := kindTable()
 	kinds := workloadKinds(t)
 	if len(kinds) != len(table) {
 		t.Errorf("the source declares %d workload kinds %v, the table holds %d", len(kinds), kinds, len(table))
 	}
-	spec := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
+	spec := kindSpec
 	for _, kind := range kinds {
 		row, ok := table[kind]
 		if !ok {
