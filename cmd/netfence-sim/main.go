@@ -129,7 +129,7 @@ func main() {
 		traceFormat = flag.String("trace-format", "json", "trace output format: json (event array) | chrome (trace_event for chrome://tracing)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty = off")
 
-		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = classic single engine; -1 = one shard per CPU). Applies to -sweep, -search and -trace; the -exp figures build Scenarios but run them single-engine")
+		shards = flag.Int("shards", 1, "partition scenario topologies into this many per-AS shards, one engine per shard (1 = one engine, the one-shard case of the same build; -1 = one shard per CPU). Applies to -sweep, -search and -trace; the -exp figures build Scenarios but run them single-engine")
 
 		pipelineFlag = flag.String("pipeline", "auto", "sharded validation pipeline: auto (on exactly when it pays — sharded NetFence with Passport verification) | on | off. Results are byte-identical in every mode; only wall-clock speed changes")
 

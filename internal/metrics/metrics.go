@@ -99,8 +99,9 @@ func Jain(xs []float64) float64 {
 
 // JainWeighted computes Jain's index over a population where xs[i] is
 // one per-member value shared by ws[i] members: (Σ w·x)² / (Σw · Σ w·x²).
-// With all weights 1 this is exactly Jain. Used by fleet-aggregated
-// scenarios, where one meter stands for N homogeneous senders.
+// With all weights 1 it performs exactly Jain's floating-point
+// operations. A fleet-aggregated scenario's meter stands for N
+// homogeneous senders.
 func JainWeighted(xs, ws []float64) float64 {
 	if len(xs) == 0 {
 		return 1
@@ -132,25 +133,4 @@ func MeanStd(xs []float64) (mean, std float64) {
 	}
 	std = math.Sqrt(std / float64(len(xs)))
 	return mean, std
-}
-
-// RateMeter converts a byte counter sampled at two instants into a rate.
-type RateMeter struct {
-	startBytes int64
-	startAt    sim.Time
-}
-
-// Mark snapshots the counter at the start of a measurement window.
-func (m *RateMeter) Mark(bytes int64, now sim.Time) {
-	m.startBytes = bytes
-	m.startAt = now
-}
-
-// Rate returns the average bits per second since Mark.
-func (m *RateMeter) Rate(bytes int64, now sim.Time) float64 {
-	dt := (now - m.startAt).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(bytes-m.startBytes) * 8 / dt
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -103,14 +104,51 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestRateMeter(t *testing.T) {
-	var m RateMeter
-	m.Mark(1000, 10*sim.Second)
-	got := m.Rate(2000, 20*sim.Second)
-	if got != 800 {
-		t.Fatalf("rate = %v, want 800 bps", got)
+// TestWeightedUnitBitwise is the property the scenario probes rest on
+// when they run every meter through the weighted arithmetic: with all
+// weights 1, JainWeighted and the weighted mean Σ totals / Σ weights
+// give the unweighted results bit for bit — x/1 and 1·x are exact, Σ1
+// counts exactly, and a fused multiply-add sees the same operands.
+// Inputs mix zeros, subnormals, 1e12-scale values and ordinary rates.
+func TestWeightedUnitBitwise(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	draw := func() float64 {
+		switch rng.IntN(5) {
+		case 0:
+			return 0
+		case 1:
+			return math.SmallestNonzeroFloat64 * float64(1+rng.IntN(1<<20))
+		case 2:
+			return 1e12 * (1 + rng.Float64())
+		case 3:
+			return float64(rng.IntN(1 << 30))
+		}
+		return rng.Float64() * 1e6
 	}
-	if m.Rate(5000, 10*sim.Second) != 0 {
-		t.Fatal("zero-width window should yield 0")
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, rng.IntN(64))
+		ones := make([]float64, len(xs))
+		for i := range xs {
+			xs[i], ones[i] = draw(), 1
+		}
+		if got, want := JainWeighted(xs, ones), Jain(xs); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("xs=%v: JainWeighted = %v, Jain = %v", xs, got, want)
+		}
+		// The probes' per-sender rate is total/weight; their mean sums
+		// the totals and the weights.
+		var sum, wsum, mean float64
+		for i, x := range xs {
+			if rate := x / ones[i]; math.Float64bits(rate) != math.Float64bits(x) {
+				t.Fatalf("%v / 1 = %v", x, rate)
+			}
+			sum += x
+			wsum += ones[i]
+		}
+		if wsum > 0 {
+			mean = sum / wsum
+		}
+		if want, _ := MeanStd(xs); math.Float64bits(mean) != math.Float64bits(want) {
+			t.Fatalf("xs=%v: weighted mean = %v, MeanStd = %v", xs, mean, want)
+		}
 	}
 }

@@ -125,50 +125,10 @@ var (
 	errServerDraining = errors.New("server is shutting down")
 )
 
-// submit validates, registers and enqueues a job spec. Structural
-// validation happens up front so a bad spec fails the POST, not the
-// job: spec → netfence conversion plus mutation shape checks
-// (referential checks against the built topology happen when the job
-// runs).
+// submit validates, registers and enqueues a job spec.
 func (s *Server) submit(spec JobSpec) (*job, error) {
-	given := 0
-	for _, set := range []bool{spec.Scenario != nil, spec.Sweep != nil, spec.Search != nil} {
-		if set {
-			given++
-		}
-	}
-	if given != 1 {
-		return nil, errors.New("submit exactly one of scenario, sweep or search")
-	}
-	switch {
-	case spec.Scenario != nil:
-		if _, err := spec.Scenario.Scenario(); err != nil {
-			return nil, err
-		}
-		for i, m := range spec.Scenario.Timeline {
-			if err := m.Mutation().Validate(); err != nil {
-				return nil, fmt.Errorf("timeline mutation %d: %w", i, err)
-			}
-		}
-	case spec.Sweep != nil:
-		if _, err := spec.Sweep.Sweep(); err != nil {
-			return nil, err
-		}
-		for _, tl := range spec.Sweep.Timelines {
-			for i, m := range tl.Timeline {
-				if err := m.Mutation().Validate(); err != nil {
-					return nil, fmt.Errorf("timeline %q mutation %d: %w", tl.Name, i, err)
-				}
-			}
-		}
-	default:
-		srch, err := spec.Search.Search()
-		if err != nil {
-			return nil, err
-		}
-		if err := srch.Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(spec); err != nil {
+		return nil, err
 	}
 
 	// Registration and the queue reservation happen in one critical
@@ -190,6 +150,51 @@ func (s *Server) submit(spec JobSpec) (*job, error) {
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	return j, nil
+}
+
+// validate is submit's structural validation, done up front so a bad
+// spec fails the POST, not the job: spec → netfence conversion plus
+// mutation shape checks (referential checks against the built topology
+// happen when the job runs).
+func validate(spec JobSpec) error {
+	given := 0
+	for _, set := range []bool{spec.Scenario != nil, spec.Sweep != nil, spec.Search != nil} {
+		if set {
+			given++
+		}
+	}
+	if given != 1 {
+		return errors.New("submit exactly one of scenario, sweep or search")
+	}
+	switch {
+	case spec.Scenario != nil:
+		if _, err := spec.Scenario.Scenario(); err != nil {
+			return err
+		}
+		for i, m := range spec.Scenario.Timeline {
+			if err := m.Mutation().Validate(); err != nil {
+				return fmt.Errorf("timeline mutation %d: %w", i, err)
+			}
+		}
+	case spec.Sweep != nil:
+		if _, err := spec.Sweep.Sweep(); err != nil {
+			return err
+		}
+		for _, tl := range spec.Sweep.Timelines {
+			for i, m := range tl.Timeline {
+				if err := m.Mutation().Validate(); err != nil {
+					return fmt.Errorf("timeline %q mutation %d: %w", tl.Name, i, err)
+				}
+			}
+		}
+	default:
+		srch, err := spec.Search.Search()
+		if err != nil {
+			return err
+		}
+		return srch.Validate()
+	}
+	return nil
 }
 
 func (s *Server) job(id string) *job {

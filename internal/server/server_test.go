@@ -446,23 +446,19 @@ func TestSearchJob(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation exercises the synchronous rejection surface.
-func TestSubmitValidation(t *testing.T) {
-	s := startServer(t)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
-	base := "http://" + s.Addr()
+// submitCase is one spec POST /jobs must reject, with the status and a
+// fragment of the error it must answer.
+type submitCase struct {
+	name string
+	spec JobSpec
+	code int
+	want string
+}
 
+// submitCases is the synchronous rejection surface.
+func submitCases() []submitCase {
 	good := smokeSpec()
-	cases := []struct {
-		name string
-		spec JobSpec
-		code int
-		want string
-	}{
+	return []submitCase{
 		{"neither", JobSpec{}, http.StatusBadRequest, "exactly one"},
 		{"bad-topology", JobSpec{Scenario: &ScenarioSpec{Topology: TopologySpec{Kind: "torus"}}}, http.StatusBadRequest, "unknown kind"},
 		{"bad-workload", JobSpec{Scenario: &ScenarioSpec{
@@ -507,12 +503,56 @@ func TestSubmitValidation(t *testing.T) {
 			},
 			Shards: []int{1, 2},
 		}}, http.StatusBadRequest, "workload WebTraffic on more than one shard"},
+		// Sender lists are checked against the topology before a range is
+		// built: this one used to allocate 8 TB at submit and kill the
+		// process.
+		{"range-beyond-topology", JobSpec{Scenario: &ScenarioSpec{
+			Topology:  TopologySpec{Kind: "dumbbell", Senders: 4, BottleneckBps: 1_000_000},
+			Workloads: []WorkloadSpec{{Kind: "longtcp", From: 0, To: 1_000_000_000_000}},
+		}}, http.StatusBadRequest, "workload 0: sender range [0, 1000000000000) outside the topology's 4 senders"},
+		{"range-negative", JobSpec{Scenario: &ScenarioSpec{
+			Topology:  good.Topology,
+			Workloads: []WorkloadSpec{good.Workloads[0], {Kind: "udpflood", From: -1, To: 2}},
+		}}, http.StatusBadRequest, "workload 1: sender range [-1, 2)"},
+		{"range-reversed", JobSpec{Scenario: &ScenarioSpec{
+			Topology:  good.Topology,
+			Workloads: []WorkloadSpec{{Kind: "udpflood", From: 5, To: 2}},
+		}}, http.StatusBadRequest, "workload 0: sender range [5, 2)"},
+		{"sender-beyond-parkinglot-group", JobSpec{Scenario: &ScenarioSpec{
+			Topology:  TopologySpec{Kind: "parkinglot", SendersPerGroup: 3, L1Bps: 1_000_000, L2Bps: 1_000_000},
+			Workloads: []WorkloadSpec{{Kind: "longtcp", Group: 1, Senders: []int{0, 3}}},
+		}}, http.StatusBadRequest, "workload 0: sender index 3 outside the topology's 3 senders"},
+		{"topology-too-large", JobSpec{Scenario: &ScenarioSpec{
+			Topology:  TopologySpec{Kind: "dumbbell", Senders: 1_000_000_000_000, BottleneckBps: 1_000_000},
+			Workloads: []WorkloadSpec{{Kind: "longtcp", From: 0, To: 1_000_000_000_000}},
+		}}, http.StatusBadRequest, "exceeds the limit"},
+		{"sweep-population-below-senders", JobSpec{Sweep: &SweepSpec{
+			Base: good, Populations: []int{16, 6},
+		}}, http.StatusBadRequest, "workload 1: sender range [4, 8) outside the topology's 6 senders"},
 	}
-	for _, tc := range cases {
+}
+
+// TestSubmitValidation exercises the synchronous rejection surface.
+func TestSubmitValidation(t *testing.T) {
+	s := startServer(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	base := "http://" + s.Addr()
+
+	for _, tc := range submitCases() {
 		code, body := postJSON(t, base+"/jobs", tc.spec)
 		if code != tc.code || !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s: code=%d body=%s, want %d containing %q", tc.name, code, body, tc.code, tc.want)
 		}
+	}
+	// A sweep's population cells, not its base topology, hold the senders.
+	grown := smokeSpec()
+	grown.Topology.Senders = 4
+	if _, err := (SweepSpec{Base: grown, Populations: []int{8, 16}}).Sweep(); err != nil {
+		t.Errorf("sweep growing a 4-sender base to 8 and 16 senders: %v", err)
 	}
 
 	if code := getJSON(t, base+"/jobs/j999", nil); code != http.StatusNotFound {

@@ -276,15 +276,48 @@ func (t TopologySpec) build() (netfence.TopologySpec, error) {
 	}
 }
 
-func (w WorkloadSpec) senders() []int {
-	if len(w.Senders) > 0 {
-		return w.Senders
+// maxSenders bounds the per-group sender population a spec may declare.
+// Hosts are materialised one by one, so the service refuses at submit a
+// population it could not hold instead of dying while building it.
+const maxSenders = 1 << 20
+
+// senderCap is the per-group sender count the topology builds at
+// population n (0 = the spec's own): the bound on workload indices.
+func (t TopologySpec) senderCap(n int) int {
+	switch {
+	case t.Kind == "parkinglot" && n > 0:
+		return n / 3
+	case t.Kind == "parkinglot":
+		return t.SendersPerGroup
+	case n > 0:
+		return n
 	}
-	return netfence.Range(w.From, w.To)
+	return t.Senders
 }
 
-func (w WorkloadSpec) build() (netfence.Workload, error) {
-	s := w.senders()
+// senders returns the workload's sender indices after checking them
+// against the topology's capacity, so an absurd range is refused before
+// it is allocated.
+func (w WorkloadSpec) senders(capacity int) ([]int, error) {
+	if len(w.Senders) > 0 {
+		for _, i := range w.Senders {
+			if i < 0 || i >= capacity {
+				return nil, fmt.Errorf("sender index %d outside the topology's %d senders", i, capacity)
+			}
+		}
+		return w.Senders, nil
+	}
+	if w.From < 0 || w.To < w.From || w.To > capacity {
+		return nil, fmt.Errorf("sender range [%d, %d) outside the topology's %d senders", w.From, w.To, capacity)
+	}
+	return netfence.Range(w.From, w.To), nil
+}
+
+func (w WorkloadSpec) build(capacity int) (netfence.Workload, error) {
+	s, err := w.senders(capacity)
+	if err != nil {
+		return nil, err
+	}
 	switch w.Kind {
 	case "longtcp":
 		return netfence.LongTCP{Senders: s, Group: w.Group}, nil
@@ -331,6 +364,15 @@ func (w WorkloadSpec) build() (netfence.Workload, error) {
 // declare the same probes to compare byte-identically (use this
 // function for that).
 func (s ScenarioSpec) Scenario() (netfence.Scenario, error) {
+	return s.scenario(s.Topology.senderCap(0))
+}
+
+// scenario is Scenario with workload sender indices bounded by
+// capacity per group.
+func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
+	if capacity > maxSenders {
+		return netfence.Scenario{}, fmt.Errorf("topology: %d senders per group exceeds the limit of %d", capacity, maxSenders)
+	}
 	topoSpec, err := s.Topology.build()
 	if err != nil {
 		return netfence.Scenario{}, err
@@ -355,7 +397,7 @@ func (s ScenarioSpec) Scenario() (netfence.Scenario, error) {
 		sc.Deployment = netfence.DeployFraction(*s.DeployFraction)
 	}
 	for i, w := range s.Workloads {
-		wl, err := w.build()
+		wl, err := w.build(capacity)
 		if err != nil {
 			return netfence.Scenario{}, fmt.Errorf("workload %d: %w", i, err)
 		}
@@ -383,7 +425,19 @@ func (s ScenarioSpec) Scenario() (netfence.Scenario, error) {
 
 // Sweep converts the spec to a runnable netfence.Sweep.
 func (s SweepSpec) Sweep() (netfence.Sweep, error) {
-	base, err := s.Base.Scenario()
+	// A population cell resizes the base topology, and every cell must
+	// hold the base workloads' senders.
+	capacity := s.Base.Topology.senderCap(0)
+	for i, n := range s.Populations {
+		c := s.Base.Topology.senderCap(n)
+		if c > maxSenders {
+			return netfence.Sweep{}, fmt.Errorf("population %d: %d senders per group exceeds the limit of %d", n, c, maxSenders)
+		}
+		if i == 0 || c < capacity {
+			capacity = c
+		}
+	}
+	base, err := s.Base.scenario(capacity)
 	if err != nil {
 		return netfence.Sweep{}, fmt.Errorf("base: %w", err)
 	}

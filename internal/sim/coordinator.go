@@ -2,8 +2,8 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -26,10 +26,16 @@ import (
 // shard=<name> for pprof, so CPU profiles attribute hot paths to
 // partitions. Determinism does not depend on goroutine scheduling: all
 // cross-shard state crosses only at barriers.
+//
+// A coordinator over one engine has nothing to synchronize: it runs the
+// engine on the caller's goroutine, starts no workers, counts no windows
+// and needs no lookahead.
 type Coordinator struct {
 	engines   []*Engine
 	lookahead Time
-	names     []string
+	// names label the shard workers for pprof; without one per engine a
+	// worker is labeled with its shard index.
+	names []string
 	// drain delivers pending inbound handoffs to shard i, returning
 	// whether anything landing at or before deadline was injected.
 	drain func(shard int, deadline Time) bool
@@ -51,17 +57,11 @@ type Coordinator struct {
 }
 
 // NewCoordinator creates a coordinator over the given shard engines.
-// The lookahead must be positive — a zero-delay cut link admits no
-// conservative window.
+// With more than one engine the lookahead must be positive — a
+// zero-delay cut link admits no conservative window.
 func NewCoordinator(engines []*Engine, lookahead Time, names []string) *Coordinator {
-	if lookahead <= 0 {
+	if len(engines) > 1 && lookahead <= 0 {
 		panic("sim: coordinator lookahead must be positive")
-	}
-	if len(names) != len(engines) {
-		names = make([]string, len(engines))
-		for i := range names {
-			names[i] = fmt.Sprintf("%d", i)
-		}
 	}
 	return &Coordinator{
 		engines:    engines,
@@ -87,7 +87,12 @@ func (c *Coordinator) Lookahead() Time { return c.lookahead }
 func (c *Coordinator) Windows() uint64 { return c.windows }
 
 // Now returns the frontier every shard has simulated up to.
-func (c *Coordinator) Now() Time { return c.now }
+func (c *Coordinator) Now() Time {
+	if len(c.engines) == 1 {
+		return c.engines[0].Now()
+	}
+	return c.now
+}
 
 // SerializedNanos returns a copy of the per-shard execute-round
 // wall-clock nanoseconds accumulated so far. Call it between Run*
@@ -116,7 +121,11 @@ func (c *Coordinator) start() {
 	for i := range c.engines {
 		c.jobs[i] = make(chan func(int))
 		ch, shard := c.jobs[i], i
-		labels := pprof.Labels("shard", c.names[i])
+		name := strconv.Itoa(i)
+		if len(c.names) == len(c.engines) {
+			name = c.names[i]
+		}
+		labels := pprof.Labels("shard", name)
 		go pprof.Do(context.Background(), labels, func(context.Context) {
 			for job := range ch {
 				job(shard)
@@ -150,6 +159,10 @@ func (c *Coordinator) doDrain(shard int, deadline Time) bool {
 func (c *Coordinator) RunUntil(t Time) {
 	if c.stopped {
 		panic("sim: RunUntil on a stopped coordinator")
+	}
+	if len(c.engines) == 1 {
+		c.engines[0].RunUntil(t)
+		return
 	}
 	c.start()
 	for c.now < t {
@@ -187,6 +200,10 @@ func (c *Coordinator) RunUntil(t Time) {
 func (c *Coordinator) RunBefore(t Time) {
 	if c.stopped {
 		panic("sim: RunBefore on a stopped coordinator")
+	}
+	if len(c.engines) == 1 {
+		c.engines[0].RunBefore(t)
+		return
 	}
 	c.start()
 	for c.now < t {

@@ -84,6 +84,30 @@ func TestInjectBehindClockPanics(t *testing.T) {
 	dst.Inject(k, orderRec{new([]string), "x"}, nil)
 }
 
+// TestCoordinatorSingleEngine pins the one-engine case: no lookahead is
+// needed, the engine runs on the caller's goroutine with the engine's own
+// window semantics, and no synchronization window is counted.
+func TestCoordinatorSingleEngine(t *testing.T) {
+	e := New(1)
+	var got []Time
+	for _, at := range []Time{5, 10, 15} {
+		e.At(at, func() { got = append(got, e.Now()) })
+	}
+	c := NewCoordinator([]*Engine{e}, 0, nil)
+	c.RunBefore(10)
+	if !slices.Equal(got, []Time{5}) || c.Now() != 10 {
+		t.Fatalf("RunBefore(10) executed %v, Now = %d; want [5], 10", got, c.Now())
+	}
+	c.RunUntil(15)
+	if !slices.Equal(got, []Time{5, 10, 15}) || c.Now() != 15 {
+		t.Fatalf("RunUntil(15) executed %v, Now = %d; want [5 10 15], 15", got, c.Now())
+	}
+	if c.Windows() != 0 {
+		t.Fatalf("Windows = %d, want 0", c.Windows())
+	}
+	c.Stop()
+}
+
 // TestCoordinatorWindows drives two engines exchanging "packets"
 // through a toy drain hook and checks lockstep windows and cross-shard
 // delivery up to the final instant.

@@ -206,7 +206,7 @@ func (in *Instance) primeControl() error {
 		return err
 	}
 	env.plan = plan
-	env.deployCtl = make([]*replicaDeploy, in.replicaCount())
+	env.deployCtl = make([]*replicaDeploy, len(env.sh.replicas))
 	for r := range env.deployCtl {
 		st := newReplicaDeploy()
 		for _, as := range env.graph.SourceASes() {
@@ -233,32 +233,6 @@ func (in *Instance) primeControl() error {
 	return nil
 }
 
-// replicaCount returns the number of network replicas (1 on the single
-// engine).
-func (in *Instance) replicaCount() int {
-	if sh := in.env.sh; sh != nil {
-		return len(sh.replicas)
-	}
-	return 1
-}
-
-// replica returns replica r's built topology (the only one on the
-// single engine).
-func (in *Instance) replica(r int) *builtTopo {
-	if sh := in.env.sh; sh != nil {
-		return sh.replicas[r]
-	}
-	return in.env.builtTopo
-}
-
-// replicaSystem returns replica r's defense system.
-func (in *Instance) replicaSystem(r int) defense.System {
-	if sh := in.env.sh; sh != nil {
-		return sh.systems[r]
-	}
-	return in.env.system
-}
-
 // Timeline returns the scenario's validated timeline, sorted by
 // instant — the schedule a segmented executor (Instance.Run, or the
 // serve-mode job runner) applies via Advance and Apply.
@@ -269,12 +243,7 @@ func (in *Instance) Timeline() []Mutation {
 }
 
 // Now returns the instant the instance has simulated up to.
-func (in *Instance) Now() Time {
-	if sh := in.env.sh; sh != nil {
-		return sh.coord.Now()
-	}
-	return in.Eng.Now()
-}
+func (in *Instance) Now() Time { return in.env.sh.coord.Now() }
 
 // Advance drives the simulation to exactly t without executing the
 // events scheduled at t itself — the control-point step of a segmented
@@ -292,11 +261,7 @@ func (in *Instance) Advance(t Time) {
 	if t <= in.Now() {
 		return
 	}
-	if sh := in.env.sh; sh != nil {
-		sh.coord.RunBefore(t)
-	} else {
-		in.Eng.RunBefore(t)
-	}
+	in.env.sh.coord.RunBefore(t)
 }
 
 // Apply applies mutations at the current instant (normally a control
@@ -332,7 +297,8 @@ func (in *Instance) checkMutation(m Mutation) error {
 		if m.Link.Bottleneck >= len(env.bottlenecks) {
 			return fmt.Errorf("link mutation: Bottleneck index %d out of range (topology tags %d)", m.Link.Bottleneck, len(env.bottlenecks))
 		}
-		if sh := env.sh; sh != nil && m.Link.Delay > 0 && m.Link.Delay < sh.lookahead {
+		// One shard has no cut link and a zero lookahead.
+		if sh := env.sh; m.Link.Delay > 0 && m.Link.Delay < sh.lookahead {
 			l := env.bottlenecks[m.Link.Bottleneck]
 			if sh.shardOf(l.From.ID) != sh.shardOf(l.To.ID) {
 				return fmt.Errorf("link mutation: Delay %v below the partition lookahead %v on cut bottleneck %d breaks conservative synchronization",
@@ -387,8 +353,8 @@ func (in *Instance) applyLink(lm *LinkMutation) {
 	if lm.Delay > 0 {
 		delay = lm.Delay
 	}
-	for r := 0; r < in.replicaCount(); r++ {
-		l := in.replica(r).net.Links[l0.Index]
+	for _, bt := range env.sh.replicas {
+		l := bt.net.Links[l0.Index]
 		if rate > 0 {
 			l.SetRate(rate)
 		}
@@ -437,9 +403,8 @@ func (in *Instance) applyDeploy(dm *DeployMutation) {
 			changes = append(changes, change{as: as, enable: is})
 		}
 	}
-	for r := 0; r < in.replicaCount(); r++ {
-		bt := in.replica(r)
-		sys := in.replicaSystem(r)
+	for r, bt := range env.sh.replicas {
+		sys := env.sh.systems[r]
 		st := env.deployCtl[r]
 		for _, ch := range changes {
 			if ch.enable {
@@ -578,13 +543,10 @@ func (st *replicaDeploy) disarmHost(h *netsim.Node) {
 func (in *Instance) Finish() *Result {
 	if !in.finished {
 		in.finished = true
-		if sh := in.env.sh; sh != nil {
-			sh.coord.RunUntil(in.Scenario.Duration)
-			sh.coord.Stop()
-			sh.stopPipelines()
-		} else {
-			in.Eng.RunUntil(in.Scenario.Duration)
-		}
+		sh := in.env.sh
+		sh.coord.RunUntil(in.Scenario.Duration)
+		sh.coord.Stop()
+		sh.stopPipelines()
 		for _, st := range in.env.stoppers {
 			st.Stop()
 		}
@@ -601,10 +563,8 @@ func (in *Instance) Stop() {
 		return
 	}
 	in.finished = true
-	if sh := in.env.sh; sh != nil {
-		sh.coord.Stop()
-		sh.stopPipelines()
-	}
+	in.env.sh.coord.Stop()
+	in.env.sh.stopPipelines()
 }
 
 // Series returns the timeseries samples collected so far by a

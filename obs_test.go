@@ -188,7 +188,7 @@ func TestTraceSampling(t *testing.T) {
 	if len(flows) > 2 {
 		t.Fatalf("trace covers %d flows, want at most 2 sampled", len(flows))
 	}
-	want := obs.SampleFlows(traced.Seed, int(in2.replicaNets()[0].FlowSeq()), 2)
+	want := obs.SampleFlows(traced.Seed, int(in2.Net.FlowSeq()), 2)
 	for f := range flows {
 		if int(f) >= len(want) || !want[f] {
 			t.Fatalf("flow %d recorded but not in the deterministic sample set", f)

@@ -24,19 +24,6 @@ type (
 // the /metrics endpoint.
 func Metrics() []MetricDef { return obs.Catalog() }
 
-// replicaNets lists the run's networks in shard order (a single entry
-// on the classic engine).
-func (in *Instance) replicaNets() []*netsim.Network {
-	if sh := in.env.sh; sh != nil {
-		nets := make([]*netsim.Network, len(sh.replicas))
-		for i, bt := range sh.replicas {
-			nets[i] = bt.net
-		}
-		return nets
-	}
-	return []*netsim.Network{in.env.net}
-}
-
 // harvestGauges folds state only visible by inspection — the
 // per-queue backlog high-water mark and the packet pool's counters —
 // into a replica's cells. Called at snapshot barriers; repeated
@@ -52,11 +39,12 @@ func harvestGauges(net *netsim.Network) {
 // Advance segments, or finished) so no engine goroutine is mutating
 // cells concurrently.
 func (in *Instance) mergedCells() obs.Cells {
-	nets := in.replicaNets()
-	cells := make([]obs.Cells, len(nets))
-	for i, n := range nets {
+	replicas := in.env.sh.replicas
+	cells := make([]obs.Cells, len(replicas))
+	for i, bt := range replicas {
+		n := bt.net
 		harvestGauges(n)
-		if len(nets) > 1 {
+		if len(replicas) > 1 {
 			// Replica accounting is a sharded run's: the single engine
 			// holds the topology once by definition, and its snapshots —
 			// a serve-mode job keeps one — do not pay for the rows.
@@ -116,10 +104,9 @@ func (in *Instance) EventsExecuted() uint64 {
 // of the sampled flows, sorted by full event content, so the trace is
 // byte-identical across shard counts. Empty without Scenario.TraceFlows.
 func (in *Instance) Trace() []TraceEvent {
-	nets := in.replicaNets()
-	recs := make([]*obs.Recorder, len(nets))
-	for i, n := range nets {
-		recs[i] = n.Rec
+	recs := make([]*obs.Recorder, len(in.env.sh.replicas))
+	for i, bt := range in.env.sh.replicas {
+		recs[i] = bt.net.Rec
 	}
 	return obs.MergeTraces(recs)
 }

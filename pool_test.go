@@ -38,7 +38,8 @@ func poolCounts(t *testing.T, sc Scenario) (fresh, idle []uint64) {
 		t.Fatal(err)
 	}
 	in.Run()
-	for _, n := range in.replicaNets() {
+	for _, bt := range in.env.sh.replicas {
+		n := bt.net
 		fresh = append(fresh, n.Pool.News)
 		idle = append(idle, uint64(n.Pool.Len())+n.HandoffStats().Home)
 	}
@@ -132,7 +133,8 @@ func TestPoolCountersOnRuntimePlane(t *testing.T) {
 	res := in.Run()
 	rt := in.RuntimeCounters()
 	var fresh, idleMax uint64
-	for _, n := range in.replicaNets() {
+	for _, bt := range in.env.sh.replicas {
+		n := bt.net
 		fresh += n.Pool.News
 		idleMax = max(idleMax, uint64(n.Pool.Len())+n.HandoffStats().Home)
 	}

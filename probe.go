@@ -203,50 +203,12 @@ func (GoodputProbe) finish(env *scenarioEnv, res *Result) {
 	if window <= 0 {
 		return
 	}
-	if !env.hasFleetMeters() {
-		// Fleet-free runs keep the historical arithmetic bit for bit.
-		for _, m := range env.meters {
-			rate := float64(m.bytes()-m.warmMark) * 8 / window
-			if m.attacker {
-				res.AttackerRates = append(res.AttackerRates, rate)
-			} else {
-				res.UserRates = append(res.UserRates, rate)
-			}
-		}
-		res.UserBps, _ = metrics.MeanStd(res.UserRates)
-		res.AttackerBps, _ = metrics.MeanStd(res.AttackerRates)
-	} else {
-		// Weighted means: a fleet meter's aggregate bytes stand for
-		// weight senders, so the population mean is Σ aggregate / Σ
-		// weight, and the recorded per-sender rate is aggregate/weight.
-		var userSum, userW, atkSum, atkW float64
-		for _, m := range env.meters {
-			agg := float64(m.bytes()-m.warmMark) * 8 / window
-			w := float64(m.weight)
-			if m.attacker {
-				res.AttackerRates = append(res.AttackerRates, agg/w)
-				atkSum += agg
-				atkW += w
-			} else {
-				res.UserRates = append(res.UserRates, agg/w)
-				userSum += agg
-				userW += w
-			}
-		}
-		if userW > 0 {
-			res.UserBps = userSum / userW
-		}
-		if atkW > 0 {
-			res.AttackerBps = atkSum / atkW
-		}
-	}
+	res.UserRates, _, res.UserBps = env.goodput(false, window)
+	res.AttackerRates, _, res.AttackerBps = env.goodput(true, window)
 	if res.AttackerBps > 0 {
 		res.Ratio = res.UserBps / res.AttackerBps
 	}
 	for i, l := range env.bottlenecks {
-		if i >= len(env.txWarmMarks) {
-			break
-		}
 		if u := l.Utilization(env.txWarmMarks[i], env.duration-env.warmup); u > res.Utilization {
 			res.Utilization = u
 		}
@@ -264,25 +226,7 @@ func (FairnessProbe) finish(env *scenarioEnv, res *Result) {
 	if window <= 0 {
 		return
 	}
-	if !env.hasFleetMeters() {
-		var rates []float64
-		for _, m := range env.meters {
-			if !m.attacker {
-				rates = append(rates, float64(m.bytes()-m.warmMark)*8/window)
-			}
-		}
-		res.Jain = metrics.Jain(rates)
-		return
-	}
-	// Fleet meters enter the index once per modeled sender, all at the
-	// fleet's per-sender rate: (Σ w·x)² / (Σw · Σ w·x²).
-	var rates, weights []float64
-	for _, m := range env.meters {
-		if !m.attacker {
-			rates = append(rates, float64(m.bytes()-m.warmMark)*8/window/float64(m.weight))
-			weights = append(weights, float64(m.weight))
-		}
-	}
+	rates, weights, _ := env.goodput(false, window)
 	res.Jain = metrics.JainWeighted(rates, weights)
 }
 
@@ -348,25 +292,40 @@ func (p BoundProbe) finish(env *scenarioEnv, res *Result) {
 	res.FairShareBps = float64(env.bottleneckBps()) / float64(senders)
 	res.BoundBps = nu * attack.TheoremBound(env.nfConfig(), env.bottleneckBps(), senders)
 	// Measured independently of GoodputProbe so probe order is free.
-	if !env.hasFleetMeters() {
-		var rates []float64
-		for _, m := range env.meters {
-			if !m.attacker {
-				rates = append(rates, float64(m.bytes()-m.warmMark)*8/window)
-			}
+	rates, _, mean := env.goodput(false, window)
+	res.BoundHolds = len(rates) > 0 && mean >= res.BoundBps
+}
+
+// goodput returns the post-warmup goodput of the user (or attacker)
+// meters over window seconds: each meter's per-sender rate and weight,
+// and the population mean. A fleet meter's bytes stand for weight
+// senders, so its per-sender rate is aggregate/weight and the mean is
+// Σ aggregate / Σ weight. With every weight 1 both are the unweighted
+// IEEE operations, bit for bit.
+func (env *scenarioEnv) goodput(attacker bool, window float64) (rates, weights []float64, mean float64) {
+	n := 0
+	for _, m := range env.meters {
+		if m.attacker == attacker {
+			n++
 		}
-		mean, _ := metrics.MeanStd(rates)
-		res.BoundHolds = len(rates) > 0 && mean >= res.BoundBps
-		return
 	}
+	if n == 0 {
+		return nil, nil, 0
+	}
+	rates, weights = make([]float64, 0, n), make([]float64, 0, n)
 	var sum, wsum float64
 	for _, m := range env.meters {
-		if !m.attacker {
-			sum += float64(m.bytes()-m.warmMark) * 8 / window
-			wsum += float64(m.weight)
+		if m.attacker != attacker {
+			continue
 		}
+		agg := float64(m.bytes()-m.warmMark) * 8 / window
+		w := float64(m.weight)
+		rates = append(rates, agg/w)
+		weights = append(weights, w)
+		sum += agg
+		wsum += w
 	}
-	res.BoundHolds = wsum > 0 && sum/wsum >= res.BoundBps
+	return rates, weights, sum / wsum
 }
 
 // TimeseriesProbe samples aggregate user and attacker goodput every
@@ -382,10 +341,14 @@ func (p TimeseriesProbe) install(env *scenarioEnv) error {
 	if interval <= 0 {
 		interval = 10 * Second
 	}
-	if env.sh != nil {
+	// One shard keeps the direct tick: per-meter rows and a merge on
+	// every Series read would cost a serve-mode job allocations for
+	// nothing to merge.
+	if len(env.sh.engines) > 1 {
 		return p.installSharded(env, interval)
 	}
-	env.eng.Tick(interval, func() {
+	eng := env.sh.engines[0]
+	eng.Tick(interval, func() {
 		secs := interval.Seconds()
 		var user, atk float64
 		for _, m := range env.meters {
@@ -399,7 +362,7 @@ func (p TimeseriesProbe) install(env *scenarioEnv) error {
 			}
 		}
 		s := Sample{
-			TimeSec:     env.eng.Now().Seconds(),
+			TimeSec:     eng.Now().Seconds(),
 			UserBps:     user,
 			AttackerBps: atk,
 		}
@@ -455,8 +418,8 @@ func (TimeseriesProbe) finish(env *scenarioEnv, res *Result) {
 	res.Series = env.mergedSeries()
 }
 
-// mergedSeries returns the timeseries collected so far. On the single
-// engine that is the accumulated sample slice; on a sharded run the
+// mergedSeries returns the timeseries collected so far. On one shard
+// that is the accumulated sample slice; on a sharded run the
 // per-shard buckets are merged in global meter order — the
 // single-engine accumulation order, so the samples come out
 // bit-identical. The merge is built fresh each call (not appended onto
@@ -466,7 +429,7 @@ func (TimeseriesProbe) finish(env *scenarioEnv, res *Result) {
 // coherent at a window barrier (a control point or the finished run),
 // where every shard has ticked the same instants.
 func (env *scenarioEnv) mergedSeries() []Sample {
-	if env.sh == nil {
+	if len(env.sh.engines) == 1 {
 		return env.series
 	}
 	series := make([]Sample, 0, len(env.tickTimes))

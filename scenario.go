@@ -13,9 +13,7 @@ import (
 	"netfence/internal/defense"
 	"netfence/internal/metrics"
 	"netfence/internal/netsim"
-	"netfence/internal/obs"
 	"netfence/internal/packet"
-	"netfence/internal/sim"
 	"netfence/internal/topo"
 	"netfence/internal/transport"
 )
@@ -71,10 +69,11 @@ type Scenario struct {
 	// by its own engine on its own goroutine with deterministic
 	// lookahead synchronization — results are byte-identical to the
 	// single-engine run for the deterministic workload set (see the
-	// README's parallel-execution contract). 0 and 1 run the classic
-	// single engine; AutoShards picks one shard per CPU, clamped to the
-	// topology's AS count; an explicit count exceeding the AS count
-	// fails fast instead of clamping.
+	// README's parallel-execution contract). 0 and 1 are the one-shard
+	// case of the same build: one engine over the dense topology.
+	// AutoShards picks one shard per CPU, clamped to the topology's AS
+	// count; an explicit count exceeding the AS count fails fast instead
+	// of clamping.
 	Shards int
 	// Pipeline controls the sharded validation pipeline, which overlaps
 	// batched MAC validation of cut-link handoffs with the drain phase so
@@ -149,19 +148,16 @@ type goodputMeter struct {
 // scenarioEnv is the mutable state shared by workload attachment, the
 // probes and the executor for one scenario run.
 type scenarioEnv struct {
-	sc     *Scenario
-	eng    *sim.Engine
-	net    *netsim.Network
-	system defense.System
+	sc *Scenario
 	*builtTopo
 
-	// sh is the sharded-run state; nil on the classic single engine.
+	// sh holds the run's engines, replicas and defense systems, one per
+	// shard.
 	sh *shardState
 
 	meters []*goodputMeter
-	// fcts holds one FCT aggregate per shard (a single slot on the
-	// single engine): transfer results are recorded by the sender's
-	// shard and merged at finish.
+	// fcts holds one FCT aggregate per shard: transfer results are
+	// recorded by the sender's shard and merged at finish.
 	fcts     []*metrics.FCT
 	denySet  map[packet.NodeID]bool
 	stoppers []interface{ Stop() }
@@ -172,8 +168,7 @@ type scenarioEnv struct {
 
 	// attackCtrls holds each AttackSpec workload's controllers in
 	// workload declaration order — one controller per shard owning attack
-	// senders (a single entry on the single engine). The control plane's
-	// attack mutations drive them.
+	// senders. The control plane's attack mutations drive them.
 	attackCtrls [][]*attack.Controller
 
 	// Control-plane state for timeline and live mutations (primeControl):
@@ -227,54 +222,22 @@ func (env *scenarioEnv) addMeter(owner *netsim.Node, attacker bool, bytes func()
 	env.addWeightedMeter(owner, attacker, 1, bytes)
 }
 
-// hasFleetMeters reports whether any meter aggregates more than one
-// modeled sender. Probes take the weight-aware arithmetic only then, so
-// fleet-free runs keep their historical floating-point results bit for
-// bit.
-func (env *scenarioEnv) hasFleetMeters() bool {
-	for _, m := range env.meters {
-		if m.weight > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // addWeightedMeter registers a meter standing for weight modeled
 // senders (a fleet's combined sink).
 func (env *scenarioEnv) addWeightedMeter(owner *netsim.Node, attacker bool, weight int32, bytes func() int64) {
 	env.meters = append(env.meters, &goodputMeter{
-		shard: int32(env.shardOf(owner)), weight: weight, bytes: bytes, attacker: attacker,
+		shard: int32(env.sh.shardOf(owner.ID)), weight: weight, bytes: bytes, attacker: attacker,
 	})
-}
-
-// shardOf returns the shard owning a node (0 on the single engine).
-func (env *scenarioEnv) shardOf(n *netsim.Node) int {
-	if env.sh == nil {
-		return 0
-	}
-	return env.sh.shardOf(n.ID)
-}
-
-// shardCount returns the run's shard count (1 on the single engine).
-func (env *scenarioEnv) shardCount() int {
-	if env.sh == nil {
-		return 1
-	}
-	return len(env.sh.engines)
 }
 
 // fctFor returns the FCT aggregate results from node n's shard feed.
 func (env *scenarioEnv) fctFor(n *netsim.Node) *metrics.FCT {
-	return env.fcts[env.shardOf(n)]
+	return env.fcts[env.sh.shardOf(n.ID)]
 }
 
 // mergedFCT returns the run's combined FCT aggregate, merging shard
 // aggregates in shard order (deterministic for a fixed shard count).
 func (env *scenarioEnv) mergedFCT() *metrics.FCT {
-	if len(env.fcts) == 1 {
-		return env.fcts[0]
-	}
 	m := &metrics.FCT{}
 	for _, f := range env.fcts {
 		m.Merge(f)
@@ -283,16 +246,11 @@ func (env *scenarioEnv) mergedFCT() *metrics.FCT {
 }
 
 // fleetRand returns a fleet's private deterministic RNG stream, keyed
-// by the attachment node's ID. Sharded engines serve it from
-// sim.KeyStream; the single engine constructs the identical PCG
-// directly (KeyStream's sharded derivation with base = Scenario.Seed),
-// so one fleet draws the same jitter sequence on every shard layout —
-// shards=1 included. This is what makes aggregate-fleet results
-// byte-identical across shard counts.
+// by the attachment node's ID — the stream sim.KeyStream derives on a
+// keyed engine — so one fleet draws the same jitter sequence on every
+// shard layout, shards=1 included. This is what makes aggregate-fleet
+// results byte-identical across shard counts.
 func (env *scenarioEnv) fleetRand(n *netsim.Node) *rand.Rand {
-	if r := n.Network().Eng.KeyStream(uint64(n.ID)); r != nil {
-		return r
-	}
 	return rand.New(rand.NewPCG(env.sc.Seed^0x9e3779b97f4a7c15, uint64(n.ID)))
 }
 
@@ -311,14 +269,10 @@ func (env *scenarioEnv) needsFanout() bool {
 	return false
 }
 
-// newFlow allocates an attachment-time flow ID from the run-global
-// counter, mirroring the single-engine allocation order exactly.
+// newFlow allocates an attachment-time flow ID from replica 0's
+// counter, which the file clients starting during attachment share.
 func (env *scenarioEnv) newFlow() packet.FlowID {
-	if env.sh == nil {
-		return env.net.NextFlow()
-	}
-	env.sh.flowSeq++
-	return packet.FlowID(env.sh.flowSeq)
+	return env.sh.replicas[0].net.NextFlow()
 }
 
 // srcCounter returns the delivered-bytes counter for a source host at a
@@ -382,21 +336,10 @@ func (env *scenarioEnv) recordAttack(name string) {
 	env.attacks = append(env.attacks, name)
 }
 
-// snapshotWarm marks every meter and bottleneck at the warmup boundary.
-func (env *scenarioEnv) snapshotWarm() {
-	for _, m := range env.meters {
-		m.warmMark = m.bytes()
-	}
-	env.txWarmMarks = make([]uint64, len(env.bottlenecks))
-	for i, l := range env.bottlenecks {
-		env.txWarmMarks[i] = l.TxBytes
-	}
-}
-
-// snapshotWarmShard is the sharded warmup snapshot: shard sh marks the
-// meters and bottleneck counters it owns, on its own engine, at the
-// same simulated instant as every other shard. txWarmMarks is
-// preallocated at build, so concurrent shards write disjoint slots.
+// snapshotWarmShard is the warmup snapshot: shard sh marks the meters
+// and bottleneck counters it owns, on its own engine, at the same
+// simulated instant as every other shard. txWarmMarks is preallocated
+// at build, so concurrent shards write disjoint slots.
 func (env *scenarioEnv) snapshotWarmShard(sh int) {
 	for _, m := range env.meters {
 		if int(m.shard) == sh {
@@ -415,10 +358,9 @@ func (env *scenarioEnv) snapshotWarmShard(sh int) {
 // the declarative layer.
 type Instance struct {
 	Scenario Scenario
-	// Eng is the engine (shard 0's engine on a sharded run).
+	// Eng is shard 0's engine (the only one on one shard).
 	Eng *Engine
-	// Engines lists every shard engine of a sharded run (one entry on
-	// the single engine path).
+	// Engines lists every shard engine in shard order.
 	Engines []*Engine
 	Net     *Network
 	System  DefenseSystem
@@ -462,21 +404,10 @@ func (s Scenario) Build() (*Instance, error) {
 	if s.Defense.Name == "" {
 		s.Defense.Name = "netfence"
 	}
-	var (
-		in  *Instance
-		err error
-	)
-	switch {
-	case s.Shards == AutoShards:
-		in, err = s.buildSharded(AutoShards)
-	case s.Shards < 0 || s.Shards == 0 || s.Shards == 1:
-		if s.Shards < 0 {
-			return nil, fmt.Errorf("scenario %q: Shards must be positive or AutoShards, got %d", s.Name, s.Shards)
-		}
-		in, err = s.buildSingle()
-	default:
-		in, err = s.buildSharded(s.Shards)
+	if s.Shards < 0 && s.Shards != AutoShards {
+		return nil, fmt.Errorf("scenario %q: Shards must be positive or AutoShards, got %d", s.Name, s.Shards)
 	}
+	in, err := s.build(s.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -484,88 +415,6 @@ func (s Scenario) Build() (*Instance, error) {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	return in, nil
-}
-
-// buildSingle is the classic single-engine construction — the exact
-// pre-sharding code path, which Shards <= 1 scenarios always take.
-func (s Scenario) buildSingle() (*Instance, error) {
-	eng := sim.New(s.Seed)
-	bt, err := s.Topology.buildTopo(eng, nil)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	system, err := defense.Build(s.Defense.Name, bt.net, defense.BuildOptions{Config: s.Defense.Config})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	plan, deployed, err := s.Deployment.plan(bt.graph.SourceASes())
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-
-	env := &scenarioEnv{
-		sc:          &s,
-		eng:         eng,
-		net:         bt.net,
-		system:      system,
-		builtTopo:   bt,
-		fcts:        []*metrics.FCT{{}},
-		denySet:     map[packet.NodeID]bool{},
-		deployed:    deployed,
-		listeners:   map[int]bool{},
-		srcCounters: map[int]map[packet.NodeID]*int64{},
-		duration:    s.Duration,
-		warmup:      s.Warmup,
-	}
-
-	// The deny policy closes over the deny set, which the attack
-	// workloads populate during attachment below.
-	var deny defense.Policy
-	if s.DenyAttackers {
-		deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
-	}
-	env.deny = deny
-	bt.graph.Deploy(system, deny, plan)
-
-	if cs, ok := system.(*core.System); ok && len(bt.bottlenecks) > 0 {
-		env.nfBottleneck = cs.Bottleneck(bt.bottlenecks[0])
-	}
-
-	for _, w := range s.Workloads {
-		if err := w.attach(env); err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	if s.TraceFlows > 0 {
-		bt.net.Rec = obs.NewRecorder(obs.SampleFlows(s.Seed, int(bt.net.FlowSeq()), s.TraceFlows))
-	}
-	if s.Meter != nil {
-		eng.AttachMeter(s.Meter)
-	}
-
-	probes := s.Probes
-	if probes == nil {
-		probes = []Probe{GoodputProbe{}, FairnessProbe{}, FCTProbe{}}
-	}
-	for _, p := range probes {
-		if err := p.install(env); err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	eng.At(s.Warmup, env.snapshotWarm)
-
-	return &Instance{
-		Scenario:   s,
-		Eng:        eng,
-		Engines:    []*Engine{eng},
-		Net:        bt.net,
-		System:     system,
-		Graph:      bt.graph,
-		Dumbbell:   bt.dumbbell,
-		ParkingLot: bt.parkingLot,
-		env:        env,
-		probes:     probes,
-	}, nil
 }
 
 // Run drives the built scenario to its Duration — applying the

@@ -105,13 +105,14 @@ func (sh *Sharding) Windows() uint64 { return sh.coord.Windows() }
 // moved into the drain phase.
 func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos() }
 
-// shardState is the executor state of one sharded scenario run: one
-// sparse replica of the network per shard. Every replica holds the same
-// routers, router links and control plane; a host, its stack, its two
-// links and its defense shim exist only on the replica of the shard
-// owning its AS — which attaches the live traffic — and are a reserved
-// node ID and pair of link indices everywhere else, so IDs, indices and
-// with them every scheduling origin agree across replicas.
+// shardState is the executor state of one scenario run: one replica of
+// the network per shard, each on its own engine. One shard is one dense
+// replica on a plain engine. With more, every replica is sparse and
+// holds the same routers, router links and control plane; a host, its
+// stack, its two links and its defense shim exist only on the replica of
+// the shard owning its AS — which attaches the live traffic — and are a
+// reserved node ID and pair of link indices everywhere else, so IDs,
+// indices and with them every scheduling origin agree across replicas.
 // Control-plane machinery (defense deployment, key-rotation timers,
 // detection tickers) is deliberately replicated everywhere: it is
 // per-AS-scale cheap, its setup draws are the only ones there are
@@ -120,8 +121,8 @@ func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos(
 // what lets the bottleneck shard's RED draw the exact values the single
 // engine would have drawn.
 type shardState struct {
-	// shardOfNode maps node ID to owning shard; lookahead is the
-	// partition's synchronization window.
+	// shardOfNode maps node ID to owning shard (nil on one shard);
+	// lookahead is the partition's synchronization window (0 on one).
 	shardOfNode []int32
 	lookahead   Time
 	engines     []*sim.Engine
@@ -132,7 +133,6 @@ type shardState struct {
 	// pipelines holds each shard's validation pipeline (nil slice when
 	// the run resolved to PipelineOff or no shard can use one).
 	pipelines []*core.Pipeline
-	flowSeq   uint32
 	info      *Sharding
 }
 
@@ -156,6 +156,9 @@ func (st *shardState) stopPipelines() {
 
 // shardOf returns the shard owning a node.
 func (st *shardState) shardOf(id packet.NodeID) int {
+	if st.shardOfNode == nil {
+		return 0
+	}
 	return int(st.shardOfNode[id])
 }
 
@@ -163,9 +166,13 @@ func (st *shardState) shardOf(id packet.NodeID) int {
 // slot filled with the owning replica's node, so a transport lands on
 // the right engine without the workload code knowing about shards. The
 // other replicas have nil there, or — built dense by a third-party
-// topology — a copy nothing is attached to.
+// topology — a copy nothing is attached to. A lone replica is its own
+// view.
 func (st *shardState) stitch() *builtTopo {
 	r0 := st.replicas[0]
+	if len(st.replicas) == 1 {
+		return r0
+	}
 	view := &builtTopo{
 		name:       r0.name,
 		net:        r0.net,
@@ -252,41 +259,52 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 	}
 }
 
-// buildSharded constructs the partitioned form of the scenario:
-// per-shard engines and sparse network replicas, mailbox-wired cut
-// links, a coordinator, and a scenarioEnv whose role view hands every
-// workload the owning replica's nodes so transports land on the right
-// engines. The scenario s must already be validated and defaulted by
-// Build.
-func (s Scenario) buildSharded(shards int) (*Instance, error) {
+// replicate builds the run's engines and network replicas. More than
+// one shard — explicit, or AutoShards resolved from the topology —
+// partitions a host-free skeleton by AS and builds one sparse replica
+// per shard on a keyed engine. Otherwise it builds the dense topology on
+// one plain engine (keyed streams would change single-engine draws), and
+// part is nil.
+func (s Scenario) replicate(shards int) (*shardState, *topo.Partition, error) {
 	build := func(owns func(packet.ASID) bool) (*sim.Engine, *builtTopo, error) {
 		eng := sim.New(s.Seed)
-		eng.EnableKeyStreams(s.Seed)
+		if owns != nil {
+			eng.EnableKeyStreams(s.Seed)
+		}
 		bt, err := s.Topology.buildTopo(eng, owns)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		return eng, bt, nil
 	}
-
 	// The skeleton holds no host at all: routers, their links, roles and
-	// every node's AS are what the partition reads. Nothing below keeps a
+	// every node's AS are what the partition reads. Nothing keeps a
 	// pointer into it — cut links and bottlenecks are looked up in the
-	// replicas by index — so it is garbage once this function returns.
-	_, skel, err := build(func(packet.ASID) bool { return false })
-	if err != nil {
-		return nil, err
-	}
-	if shards == AutoShards {
-		shards = resolveAutoShards(skel.graph)
-		if shards <= 1 {
-			// A topology too small to split runs the exact single-engine
-			// path, untagged and unkeyed.
-			return s.buildSingle()
+	// replicas by index — so it is garbage once the replicas exist.
+	var skel *builtTopo
+	if shards == AutoShards || shards > 1 {
+		var err error
+		if _, skel, err = build(func(packet.ASID) bool { return false }); err != nil {
+			return nil, nil, err
+		}
+		if shards == AutoShards {
+			shards = resolveAutoShards(skel.graph)
 		}
 	}
+	if shards <= 1 {
+		eng, bt, err := build(nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &shardState{
+			engines:  []*sim.Engine{eng},
+			replicas: []*builtTopo{bt},
+			systems:  make([]defense.System, 1),
+		}, nil, nil
+	}
+
 	if err := s.CheckSharded(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Weigh aggregate fleets before partitioning: the load balance must
 	// count a fleet attachment point as the modeled senders it stands
@@ -295,9 +313,8 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	s.applyFleetWeights(skel)
 	part, err := skel.graph.Partition(shards)
 	if err != nil {
-		return nil, fmt.Errorf("scenario %q: Shards=%d: %w", s.Name, shards, err)
+		return nil, nil, fmt.Errorf("scenario %q: Shards=%d: %w", s.Name, shards, err)
 	}
-
 	st := &shardState{
 		shardOfNode: part.ShardOfNode,
 		lookahead:   part.Lookahead,
@@ -310,24 +327,33 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	for i := range st.replicas {
 		owns := func(as packet.ASID) bool { return shardOfAS[as] == i }
 		if st.engines[i], st.replicas[i], err = build(owns); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+	}
+	return st, part, nil
+}
+
+// build constructs the scenario on its shards' replicas, then assembles
+// everything else once: defense deployment, workloads, tracing, meter,
+// probes and the warm-up mark. On one engine the scheduling order —
+// topology, defense, workloads, recorder, meter, probes, warm-up — is
+// what fixes every event's key. The scenario s must already be
+// validated and defaulted by Build.
+func (s Scenario) build(shards int) (*Instance, error) {
+	st, part, err := s.replicate(shards)
+	if err != nil {
+		return nil, err
 	}
 	eng0, bt0 := st.engines[0], st.replicas[0]
 
-	// Replicated control plane: the full defense deploys on every shard
-	// engine so keyrings, Passport keys, rotation timers and detection
-	// state exist — and draw the same setup randomness — everywhere.
 	plan, deployed, err := s.Deployment.plan(bt0.graph.SourceASes())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	env := &scenarioEnv{
 		sc:          &s,
-		eng:         eng0,
-		net:         bt0.net,
 		sh:          st,
-		fcts:        make([]*metrics.FCT, shards),
+		fcts:        make([]*metrics.FCT, len(st.engines)),
 		denySet:     map[packet.NodeID]bool{},
 		deployed:    deployed,
 		listeners:   map[int]bool{},
@@ -338,34 +364,102 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	for i := range env.fcts {
 		env.fcts[i] = &metrics.FCT{}
 	}
-	var deny defense.Policy
+	// The deny policy closes over the deny set, which the attack
+	// workloads populate during attachment below.
 	if s.DenyAttackers {
-		deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
+		env.deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
 	}
-	env.deny = deny
-	for i := 0; i < shards; i++ {
-		sys, err := defense.Build(s.Defense.Name, st.replicas[i].net, defense.BuildOptions{Config: s.Defense.Config})
+	// Replicated control plane: the full defense deploys on every shard
+	// engine so keyrings, Passport keys, rotation timers and detection
+	// state exist — and draw the same setup randomness — everywhere.
+	for i, bt := range st.replicas {
+		sys, err := defense.Build(s.Defense.Name, bt.net, defense.BuildOptions{Config: s.Defense.Config})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		st.systems[i] = sys
-		st.replicas[i].graph.Deploy(sys, deny, plan)
+		bt.graph.Deploy(sys, env.deny, plan)
 	}
-	env.system = st.systems[0]
 
-	stitched := st.stitch()
-	env.builtTopo = stitched
-
-	if len(stitched.bottlenecks) > 0 {
-		bn := stitched.bottlenecks[0]
-		owner := st.shardOf(bn.From.ID)
-		if cs, ok := st.systems[owner].(*core.System); ok {
+	env.builtTopo = st.stitch()
+	if len(env.bottlenecks) > 0 {
+		bn := env.bottlenecks[0]
+		if cs, ok := st.systems[st.shardOf(bn.From.ID)].(*core.System); ok {
 			env.nfBottleneck = cs.Bottleneck(bn)
 		}
 	}
+	if part == nil {
+		st.coord = sim.NewCoordinator(st.engines, 0, nil)
+	} else {
+		st.wire(part, bt0.graph, s.Pipeline)
+	}
 
-	// Wire the cut links: the source replica's link hands off into the
-	// destination replica's copy.
+	for _, w := range s.Workloads {
+		if err := w.attach(env); err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+		}
+	}
+	// Attach-time flows come from replica 0's counter. Give every other
+	// replica's runtime flow counter a range disjoint from them and from
+	// every other shard; replica 0 continues its own sequence.
+	attached := bt0.net.FlowSeq()
+	for i, bt := range st.replicas {
+		bt.net.SetFlowBase(attached + uint32(i)<<20)
+	}
+	if s.TraceFlows > 0 {
+		// One shared sample bitmap (read-only) covering the attach-time
+		// flows; each replica records into its own buffer and the merge
+		// sorts by content, so the trace is shard-count-invariant.
+		sampled := obs.SampleFlows(s.Seed, int(attached), s.TraceFlows)
+		for _, bt := range st.replicas {
+			bt.net.Rec = obs.NewRecorder(sampled)
+		}
+	}
+	if s.Meter != nil {
+		for _, e := range st.engines {
+			e.AttachMeter(s.Meter)
+		}
+	}
+
+	probes := s.Probes
+	if probes == nil {
+		probes = []Probe{GoodputProbe{}, FairnessProbe{}, FCTProbe{}}
+	}
+	for _, p := range probes {
+		if err := p.install(env); err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+		}
+	}
+	// Warmup marks are taken shard-locally: each engine snapshots the
+	// meters and bottleneck counters its shard owns, at the same
+	// simulated instant.
+	env.txWarmMarks = make([]uint64, len(env.bottlenecks))
+	for i, e := range st.engines {
+		shard := i
+		e.At(s.Warmup, func() { env.snapshotWarmShard(shard) })
+	}
+
+	return &Instance{
+		Scenario:   s,
+		Eng:        eng0,
+		Engines:    st.engines,
+		Net:        bt0.net,
+		System:     st.systems[0],
+		Graph:      bt0.graph,
+		Dumbbell:   bt0.dumbbell,
+		ParkingLot: bt0.parkingLot,
+		Sharding:   st.info,
+		env:        env,
+		probes:     probes,
+	}, nil
+}
+
+// wire connects a partitioned run's shards: mailbox-backed cut links,
+// the coordinator with its lookahead, and the validation pipeline.
+func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
+	shards := len(st.engines)
+	// The source replica's link hands off into the destination replica's
+	// copy.
 	for _, l := range part.CutLinks {
 		src := st.shardOf(l.From.ID)
 		dst := st.shardOf(l.To.ID)
@@ -374,7 +468,7 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 		st.inboxes[dst] = append(st.inboxes[dst], mb)
 	}
 
-	names := shardNames(part, bt0.graph)
+	names := shardNames(part, g)
 	st.coord = sim.NewCoordinator(st.engines, part.Lookahead, names)
 
 	// Resolve the validation-pipeline mode and build the per-shard worker
@@ -382,8 +476,8 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	// shards whose NetFence replica verifies Passport trailers at core
 	// links — the CMAC work that otherwise serializes on the bottleneck
 	// shard's execute phase.
-	usePipe := s.Pipeline == PipelineOn
-	if s.Pipeline == PipelineAuto {
+	usePipe := mode == PipelineOn
+	if mode == PipelineAuto {
 		if cs, ok := st.systems[0].(*core.System); ok {
 			usePipe = cs.Cfg.Passport && cs.Registry != nil
 		}
@@ -436,64 +530,6 @@ func (s Scenario) buildSharded(shards int) (*Instance, error) {
 	for _, sh := range part.ShardOfAS {
 		st.info.ASesPerShard[sh]++
 	}
-
-	for _, w := range s.Workloads {
-		if err := w.attach(env); err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	// Give each replica's runtime flow counter a range disjoint from the
-	// attach-time flows and from every other shard, so file/web
-	// transfers opening flows mid-run never collide across shards.
-	for i := range st.replicas {
-		st.replicas[i].net.SetFlowBase(st.flowSeq + uint32(i+1)<<20)
-	}
-	if s.TraceFlows > 0 {
-		// One shared sample bitmap (read-only) covering the attach-time
-		// flows; each replica records into its own buffer and the merge
-		// sorts by content, so the trace is shard-count-invariant.
-		sampled := obs.SampleFlows(s.Seed, int(st.flowSeq), s.TraceFlows)
-		for i := range st.replicas {
-			st.replicas[i].net.Rec = obs.NewRecorder(sampled)
-		}
-	}
-	if s.Meter != nil {
-		for _, e := range st.engines {
-			e.AttachMeter(s.Meter)
-		}
-	}
-
-	probes := s.Probes
-	if probes == nil {
-		probes = []Probe{GoodputProbe{}, FairnessProbe{}, FCTProbe{}}
-	}
-	for _, p := range probes {
-		if err := p.install(env); err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-	}
-	// Warmup marks are taken shard-locally: each engine snapshots the
-	// meters and bottleneck counters its shard owns, at the same
-	// simulated instant.
-	env.txWarmMarks = make([]uint64, len(stitched.bottlenecks))
-	for i := range st.engines {
-		shard := i
-		st.engines[i].At(s.Warmup, func() { env.snapshotWarmShard(shard) })
-	}
-
-	return &Instance{
-		Scenario:   s,
-		Eng:        eng0,
-		Engines:    st.engines,
-		Net:        bt0.net,
-		System:     st.systems[0],
-		Graph:      bt0.graph,
-		Dumbbell:   bt0.dumbbell,
-		ParkingLot: bt0.parkingLot,
-		Sharding:   st.info,
-		env:        env,
-		probes:     probes,
-	}, nil
 }
 
 // shardNames labels each shard with its AS span for pprof attribution.

@@ -162,8 +162,8 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 				sc.Timeline = tc.timeline
 				raw, in := runWithInstance(t, sc)
 				var keyed uint64
-				for _, n := range in.replicaNets() {
-					keyed += n.HandoffStats().Keyed
+				for _, bt := range in.env.sh.replicas {
+					keyed += bt.net.HandoffStats().Keyed
 				}
 				return raw, keyed
 			}

@@ -581,9 +581,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 	// from the shared clock, the workload-wide Attackers count and the
 	// workload-global sender Index — so splitting the population across
 	// controllers leaves every sender's behavior identical to the
-	// single-controller run. On the single
-	// engine this degenerates to exactly one controller, the historical
-	// path.
+	// single-controller run. One shard has exactly one controller.
 	mkCtrl := func(eng *Engine) (*attack.Controller, error) {
 		aenv := &attack.Env{
 			Eng:       eng,
@@ -617,7 +615,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 		} else {
 			env.denySet[h.ID] = true
 		}
-		sh := env.shardOf(h)
+		sh := env.sh.shardOf(h.ID)
 		ctrl := ctrls[sh]
 		if ctrl == nil {
 			if ctrl, err = mkCtrl(h.Host.Network().Eng); err != nil {
@@ -636,7 +634,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 	}
 	env.recordAttack(attack.Canonical(name))
 	var started []*attack.Controller
-	for sh := 0; sh < env.shardCount(); sh++ {
+	for sh := range env.sh.engines {
 		if ctrl := ctrls[sh]; ctrl != nil {
 			env.stoppers = append(env.stoppers, ctrl)
 			ctrl.Start()
