@@ -224,40 +224,8 @@ func TestSweepAttackFailFast(t *testing.T) {
 	}
 	noAttack := sweepBase()
 	sw = netfence.Sweep{Base: noAttack, Attacks: []string{"flood"}}
-	if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "no AttackSpec") {
-		t.Fatalf("missing-AttackSpec error = %v", err)
-	}
-	// With BaseFor the workloads are generated per cell: names are
-	// validated and the first population cell is probed for an
-	// AttackSpec.
-	sw = netfence.Sweep{
-		Base:        netfence.Scenario{Name: "x"},
-		BaseFor:     func(pop int) netfence.Scenario { return attackBase("flood") },
-		Populations: []int{4},
-		Attacks:     []string{"nope"},
-	}
-	if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), `Sweep attack "nope"`) {
-		t.Fatalf("BaseFor attack validation error = %v", err)
-	}
-	sw = netfence.Sweep{
-		Base:        netfence.Scenario{Name: "x"},
-		BaseFor:     func(pop int) netfence.Scenario { return sweepBase() }, // no AttackSpec
-		Populations: []int{4},
-		Attacks:     []string{"flood"},
-	}
-	if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "BaseFor has no AttackSpec") {
-		t.Fatalf("BaseFor missing-AttackSpec error = %v", err)
-	}
-	// A population-less registry topology never reaches BaseFor, so the
-	// cells would run Base's workloads — which must then carry the
-	// AttackSpec themselves.
-	sw = netfence.Sweep{
-		Base:    netfence.Scenario{Name: "x", Topology: netfence.Topology("star"), Workloads: sweepBase().Workloads},
-		BaseFor: func(pop int) netfence.Scenario { return attackBase("flood") },
-		Attacks: []string{"flood"},
-	}
 	if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "Base has no AttackSpec") {
-		t.Fatalf("population-less BaseFor fallback error = %v", err)
+		t.Fatalf("missing-AttackSpec error = %v", err)
 	}
 }
 

@@ -1,20 +1,22 @@
 package main
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"netfence"
 	"netfence/internal/server"
 )
 
-// specDir holds the example job specs: the JSON forms of what -sweep,
-// -search and -sweep -trace build.
+// specDir holds the example job specs.
 const specDir = "../../examples/specs"
 
 var specFiles = []string{"sweep.json", "search.json", "trace.json", "ci-trace.json", "ci-search.json"}
@@ -26,8 +28,8 @@ type specGolden struct {
 	Events uint64 `json:"events"`
 }
 
-// loadSpec decodes an example spec the way POST /jobs decodes a body,
-// strictly.
+// loadSpec decodes and validates an example spec through the service's
+// entry point, as POST /jobs and -spec do.
 func loadSpec(t *testing.T, name string) server.JobSpec {
 	t.Helper()
 	f, err := os.Open(filepath.Join(specDir, name))
@@ -35,60 +37,14 @@ func loadSpec(t *testing.T, name string) server.JobSpec {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var spec server.JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		t.Fatal(err)
+	spec, err := server.DecodeSpec(f)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := server.Validate(spec); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	return spec
-}
-
-// flagBuilt is what the flags each example spec stands for build,
-// mirroring runSweep, runSearch and runTraced over collusionBaseFor.
-func flagBuilt(name string) any {
-	lineup := []string{"netfence", "tva", "stopit", "fq"}
-	traced := func(strategy string, durationSec, traceFlows int) netfence.Scenario {
-		sc := collusionBaseFor("", 4_000_000, durationSec, 1, strategy != "")(20)
-		sc.Name = "collusion-traced"
-		sc.Seed = 1
-		sc.Defense = netfence.Defense("netfence")
-		sc.TraceFlows = traceFlows
-		for i, w := range sc.Workloads {
-			if as, ok := w.(netfence.AttackSpec); ok {
-				as.Strategy = strategy
-				sc.Workloads[i] = as
-			}
-		}
-		return sc
-	}
-	search := func(defenses, strategies []string, optimizer string, budget, shards int) netfence.SearchSpec {
-		base := collusionBaseFor("", 4_000_000, 240, shards, true)(20)
-		base.Name, base.Seed = "collusion", 1
-		return netfence.SearchSpec{
-			Base: base, Defenses: defenses, Strategies: strategies,
-			Optimizer: optimizer, Budget: budget, Seed: 1,
-		}
-	}
-	switch name {
-	case "sweep.json": // -sweep
-		return netfence.Sweep{
-			Base:        netfence.Scenario{Name: "collusion"},
-			BaseFor:     collusionBaseFor("", 4_000_000, 240, 1, false),
-			Defenses:    lineup,
-			Populations: []int{20},
-			Seeds:       []uint64{1},
-		}
-	case "search.json": // -search
-		return search(lineup, nil, "grid", 24, 1)
-	case "trace.json": // -sweep -trace FILE
-		return traced("", 240, 8)
-	case "ci-trace.json": // -sweep -defense netfence -attack flood -duration 30 -trace FILE -trace-flows 4
-		return traced("flood", 30, 4)
-	case "ci-search.json": // -search -defense netfence,tva -attack flood,onoff-sync -search-budget 4 -search-optimizer anneal -search-seed 1 -shards 2
-		return search([]string{"netfence", "tva"}, []string{"flood", "onoff-sync"}, "anneal", 4, 2)
-	}
-	panic("no flags for " + name)
 }
 
 // runGolden runs a Scenario or Sweep on a fresh meter and condenses it
@@ -106,13 +62,6 @@ func runGolden(t *testing.T, v any) specGolden {
 		res, err = v.Run()
 	case netfence.Sweep:
 		v.Base.Meter = meter
-		if baseFor := v.BaseFor; baseFor != nil {
-			v.BaseFor = func(pop int) netfence.Scenario {
-				sc := baseFor(pop)
-				sc.Meter = meter
-				return sc
-			}
-		}
 		res, err = v.Run()
 	}
 	if err != nil {
@@ -126,65 +75,34 @@ func runGolden(t *testing.T, v any) specGolden {
 	return specGolden{Result: hex.EncodeToString(sum[:]), Events: meter.Total()}
 }
 
-// TestSpecFilesMatchFlags holds each example spec to the flags it
-// replaces: decoded strictly and converted the way the service converts
-// a job, it builds the value the flags build (once the flag-built cells
-// carry the four probes every spec-built scenario declares, and a traced
-// cell its -trace-flows), and the runnable ones produce the same Result
-// bytes and event counts, pinned in testdata/spec_golden.json. Rewrite
-// the fixture with
+// TestSpecFilesGolden holds every example spec to the service's entry
+// point and the runnable ones to their pinned runs: each decodes,
+// validates and converts, and sweep.json, trace.json and ci-trace.json
+// run to the Result bytes and event counts in testdata/spec_golden.json.
+// Those are the runs of the flags the files replaced (-sweep, and
+// -sweep -trace with CI's and with default flags), their cells given the
+// four probes every spec-built scenario declares. The searches are
+// validated only: search.json runs for minutes, and CI runs
+// ci-search.json. Rewrite the fixture with
 //
-//	NETFENCE_REGEN_GOLDEN=1 go test -run TestSpecFilesMatchFlags ./cmd/netfence-sim
-func TestSpecFilesMatchFlags(t *testing.T) {
+//	NETFENCE_REGEN_GOLDEN=1 go test -run TestSpecFilesGolden ./cmd/netfence-sim
+func TestSpecFilesGolden(t *testing.T) {
 	got := map[string]specGolden{}
 	for _, name := range specFiles {
 		spec := loadSpec(t, name)
-		switch want := flagBuilt(name).(type) {
-		case netfence.Scenario:
+		switch {
+		case spec.Scenario != nil:
 			sc, err := spec.Scenario.Scenario()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want.Probes = sc.Probes
-			traced := sc
-			traced.TraceFlows = want.TraceFlows
-			if !reflect.DeepEqual(traced, want) {
-				t.Fatalf("%s builds\n%#v\nthe flags build\n%#v", name, traced, want)
-			}
 			got[name] = runGolden(t, sc)
-			if g := runGolden(t, want); g != got[name] {
-				t.Errorf("%s runs to %+v, the flags to %+v", name, got[name], g)
-			}
-		case netfence.Sweep:
+		case spec.Sweep != nil:
 			sw, err := spec.Sweep.Sweep()
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			baseFor := want.BaseFor
-			want.BaseFor = func(pop int) netfence.Scenario {
-				sc := baseFor(pop)
-				sc.Probes = sw.Base.Probes
-				return sc
-			}
-			if a, b := sw.Scenarios(), want.Scenarios(); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s expands to\n%#v\nthe flags to\n%#v", name, a, b)
-			}
 			got[name] = runGolden(t, sw)
-			if g := runGolden(t, want); g != got[name] {
-				t.Errorf("%s runs to %+v, the flags to %+v", name, got[name], g)
-			}
-		case netfence.SearchSpec:
-			sp, err := spec.Search.Search()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if err := sp.Validate(); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			want.Base.Probes = sp.Base.Probes
-			if !reflect.DeepEqual(sp, want) {
-				t.Fatalf("%s builds\n%#v\nthe flags build\n%#v", name, sp, want)
-			}
 		}
 	}
 
@@ -213,5 +131,85 @@ func TestSpecFilesMatchFlags(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("spec runs diverged from the fixture:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSpecCommand runs ci-trace.json the way CI does, with -trace (json
+// and chrome), -metrics-out and -out: the result line prints, -out holds
+// the service's batch Result, newline-terminated, and the trace and
+// metrics files are written. It also pins the refusals, each naming its
+// cause: a spec pausing for a resume nothing can send, -trace on a
+// sweep, and a field JobSpec does not declare.
+func TestSpecCommand(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(specDir, "ci-trace.json")
+	spec := loadSpec(t, "ci-trace.json")
+	sc, err := spec.Scenario.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, format := range []string{"json", "chrome"} {
+		o := specOutputs{
+			out:     filepath.Join(dir, format+".out.json"),
+			metrics: filepath.Join(dir, format+".prom"),
+			trace:   filepath.Join(dir, format+".trace"), traceFormat: format, traceFlows: 4,
+		}
+		var stdout bytes.Buffer
+		if err := runSpec(&stdout, path, o); err != nil {
+			t.Fatalf("%s: %v", format, err)
+		}
+		if got := stdout.String(); got != res.String()+"\n" {
+			t.Errorf("%s: printed %q, want the result line %q", format, got, res.String())
+		}
+		if out, err := os.ReadFile(o.out); err != nil || !bytes.Equal(out, append(want, '\n')) {
+			t.Errorf("%s: -out holds %d bytes (%v), not the batch Result's %d", format, len(out), err, len(want))
+		}
+		var trace any
+		if raw, err := os.ReadFile(o.trace); err != nil || json.Unmarshal(raw, &trace) != nil || len(raw) < 100 {
+			t.Errorf("%s: trace %s is not a non-trivial JSON document (%v)", format, o.trace, err)
+		}
+		if prom, err := os.ReadFile(o.metrics); err != nil || !bytes.Contains(prom, []byte("sim_events_executed_total")) {
+			t.Errorf("%s: metrics %q (%v) lack the event total", format, prom, err)
+		}
+	}
+
+	spec.PauseAtSec = []float64{10}
+	paused, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refusals := []struct {
+		name, spec string // spec "" = sweep.json
+		trace      bool
+		want       string
+	}{
+		{"pause", string(paused), false, "pause_at_sec needs the service's control endpoint"},
+		{"trace-sweep", "", true, "-trace records one scenario"},
+		{"unknown-field", `{"scenario": {"topology": {"kind": "dumbbell"}}, "trace_flows": 4}`, false, `unknown field "trace_flows"`},
+	}
+	for _, r := range refusals {
+		file := filepath.Join(specDir, "sweep.json")
+		if r.spec != "" {
+			file = filepath.Join(dir, r.name+".json")
+			if err := os.WriteFile(file, []byte(r.spec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := specOutputs{traceFormat: "json"}
+		if r.trace {
+			o.trace = filepath.Join(dir, "refused.trace")
+		}
+		if err := runSpec(io.Discard, file, o); err == nil || !strings.Contains(err.Error(), r.want) {
+			t.Errorf("%s: error %v, want one naming %q", r.name, err, r.want)
+		}
 	}
 }

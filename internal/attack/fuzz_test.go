@@ -10,7 +10,7 @@ import (
 // they accept re-parses from its canonical rendering (Spec.String /
 // FormatSpec) to the same strategy and parameters, and the canonical
 // rendering is a fixed point. A list re-parses from its specs joined
-// by commas — the CLI's -attack flag — to the same list.
+// by commas to the same list.
 func FuzzAttackSpec(f *testing.F) {
 	// TestParseSpecErrors, TestParseSpecList and TestSpecRoundTrip's
 	// shapes, plus whitespace, case and float-syntax variants.

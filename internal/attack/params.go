@@ -175,8 +175,8 @@ func (s Spec) String() string { return FormatSpec(s.Strategy, s.Params) }
 // ParseSpecList splits a comma-separated attack list into specs,
 // treating bare "key=val" segments as continuations of the preceding
 // strategy — so "onoff-sync:on=2,off=4,flood" parses as
-// onoff-sync{on:2, off:4} followed by flood, keeping the CLI's
-// comma-separated -attack flag compatible with parameterized specs.
+// onoff-sync{on:2, off:4} followed by flood, keeping a comma-separated
+// list compatible with parameterized specs.
 func ParseSpecList(csv string) ([]Spec, error) {
 	var raw []string
 	for _, seg := range strings.Split(csv, ",") {

@@ -23,9 +23,9 @@ const worstcaseBudget = 6
 // strategicLineup at its defaults, the hand-written reading of
 // "regardless of strategy") with the worst configuration a seeded annealer finds in
 // the strategies' declared parameter spaces, searched by SearchSpec —
-// the engine behind netfence-sim -search. The paper's Theorem-1
-// claim survives the upgrade for NetFence — the searched optimum still
-// clears the goodput floor — while the searched attack pushes the
+// the engine behind search jobs (netfence-sim -spec and -serve). The
+// paper's Theorem-1 claim survives the upgrade for NetFence — the
+// searched optimum still clears the goodput floor — while the searched attack pushes the
 // baselines (TVA+ against colluders foremost) strictly below their
 // hand-written worst case.
 func WorstCase(sc Scale) Result {

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
-	netfence "netfence"
 	"netfence/internal/obs"
 )
 
@@ -89,28 +89,40 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request, j *job
 // buffer without limit.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the JSON request body into v, strictly. It answers
-// a body over maxBodyBytes with 413 naming the limit, anything else
-// malformed with 400, and reports whether v is usable.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeStrict decodes one JSON value, refusing unknown fields.
+func decodeStrict[T any](r io.Reader) (T, error) {
+	var v T
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	err := dec.Decode(&v)
+	return v, err
+}
+
+// DecodeSpec decodes a job spec strictly: a field JobSpec does not
+// declare is an error, not ignored. POST /jobs and `netfence-sim -spec`
+// both decode through it; Validate is the check that follows.
+func DecodeSpec(r io.Reader) (JobSpec, error) { return decodeStrict[JobSpec](r) }
+
+// decodeBody decodes the request body with decode, under maxBodyBytes.
+// It answers a body over the limit with 413 naming the limit, anything
+// else malformed with 400, and reports whether the value is usable.
+func decodeBody[T any](w http.ResponseWriter, r *http.Request, decode func(io.Reader) (T, error)) (T, bool) {
+	v, err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
-		return true
+		return v, true
 	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the limit of %d bytes", tooLarge.Limit))
 	default:
 		writeError(w, http.StatusBadRequest, err)
 	}
-	return false
+	return v, false
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	if !decodeBody(w, r, &spec) {
+	spec, ok := decodeBody(w, r, DecodeSpec)
+	if !ok {
 		return
 	}
 	j, err := s.submit(spec)
@@ -155,20 +167,17 @@ func (s *Server) handleControl(w http.ResponseWriter, r *http.Request, j *job) {
 		writeError(w, http.StatusBadRequest, errors.New("control applies to scenario jobs only"))
 		return
 	}
-	var req ControlRequest
-	if !decodeBody(w, r, &req) {
+	req, ok := decodeBody(w, r, decodeStrict[ControlRequest])
+	if !ok {
 		return
 	}
 	// Structural validation is synchronous (a malformed mutation fails
 	// the POST); referential validation against the built topology
 	// happens on the runner and is acknowledged on the stream.
-	ms := make([]netfence.Mutation, len(req.Mutations))
-	for i, m := range req.Mutations {
-		ms[i] = m.Mutation()
-		if err := ms[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
+	ms, err := mutations(req.Mutations)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if err := j.control(ms, req.Resume); err != nil {
 		writeError(w, http.StatusConflict, err)

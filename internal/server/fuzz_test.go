@@ -3,15 +3,18 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// FuzzJobSpec holds submit's validation to its contract on arbitrary
-// bytes: decoded the way POST /jobs decodes a body, a spec never panics
-// the validation (conversion, mutation Validate, SearchSpec.Validate),
-// and whatever it accepts converts to the same netfence value a second
-// time.
+// FuzzJobSpec holds the shared job-spec entry point to its contract on
+// arbitrary bytes: decoded by DecodeSpec, as POST /jobs and
+// `netfence-sim -spec` decode, a spec never panics Validate (conversion,
+// mutation Validate, SearchSpec.Validate), and whatever it accepts
+// converts to the same netfence value a second time. The example spec
+// files seed it.
 func FuzzJobSpec(f *testing.F) {
 	smoke := smokeSpec()
 	parkingLot := smoke
@@ -40,12 +43,21 @@ func FuzzJobSpec(f *testing.F) {
 	// The spec that once made submit allocate 8 TB, as a client sends it.
 	f.Add([]byte(`{"scenario":{"topology":{"kind":"dumbbell","senders":4,"bottleneck_bps":1000000},` +
 		`"workloads":[{"kind":"longtcp","from":0,"to":1000000000000}]}}`))
+	files, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no example specs: %v", err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if dec.Decode(&spec) != nil || validate(spec) != nil {
+		spec, err := DecodeSpec(bytes.NewReader(raw))
+		if err != nil || Validate(spec) != nil {
 			return
 		}
 		first, second := convert(t, spec), convert(t, spec)

@@ -419,13 +419,6 @@ func (j *job) runSweep(ctx context.Context) error {
 		return err
 	}
 	sw.Base.Meter = j.meter
-	if base := sw.BaseFor; base != nil {
-		sw.BaseFor = func(pop int) netfence.Scenario {
-			sc := base(pop)
-			sc.Meter = j.meter
-			return sc
-		}
-	}
 	sw.Progress = func(done, total int, cell string) {
 		j.mu.Lock()
 		j.done, j.total, j.cell = done, total, cell

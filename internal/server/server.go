@@ -127,7 +127,7 @@ var (
 
 // submit validates, registers and enqueues a job spec.
 func (s *Server) submit(spec JobSpec) (*job, error) {
-	if err := validate(spec); err != nil {
+	if err := Validate(spec); err != nil {
 		return nil, err
 	}
 
@@ -152,11 +152,13 @@ func (s *Server) submit(spec JobSpec) (*job, error) {
 	return j, nil
 }
 
-// validate is submit's structural validation, done up front so a bad
-// spec fails the POST, not the job: spec → netfence conversion plus
-// mutation shape checks (referential checks against the built topology
-// happen when the job runs).
-func validate(spec JobSpec) error {
+// Validate is submit's structural validation, done up front so a bad
+// spec fails the POST, not the job: exactly one job kind, and the spec
+// converts to its netfence value (conversion checks every mutation's
+// shape, and a search its SearchSpec). Referential checks against the
+// built topology happen when the job runs. `netfence-sim -spec` runs the
+// same check.
+func Validate(spec JobSpec) error {
 	given := 0
 	for _, set := range []bool{spec.Scenario != nil, spec.Sweep != nil, spec.Search != nil} {
 		if set {
@@ -168,25 +170,11 @@ func validate(spec JobSpec) error {
 	}
 	switch {
 	case spec.Scenario != nil:
-		if _, err := spec.Scenario.Scenario(); err != nil {
-			return err
-		}
-		for i, m := range spec.Scenario.Timeline {
-			if err := m.Mutation().Validate(); err != nil {
-				return fmt.Errorf("timeline mutation %d: %w", i, err)
-			}
-		}
+		_, err := spec.Scenario.Scenario()
+		return err
 	case spec.Sweep != nil:
-		if _, err := spec.Sweep.Sweep(); err != nil {
-			return err
-		}
-		for _, tl := range spec.Sweep.Timelines {
-			for i, m := range tl.Timeline {
-				if err := m.Mutation().Validate(); err != nil {
-					return fmt.Errorf("timeline %q mutation %d: %w", tl.Name, i, err)
-				}
-			}
-		}
+		_, err := spec.Sweep.Sweep()
+		return err
 	default:
 		srch, err := spec.Search.Search()
 		if err != nil {
@@ -194,7 +182,6 @@ func validate(spec JobSpec) error {
 		}
 		return srch.Validate()
 	}
-	return nil
 }
 
 func (s *Server) job(id string) *job {

@@ -469,7 +469,23 @@ func submitCases() []submitCase {
 			Topology:  good.Topology,
 			Workloads: good.Workloads,
 			Timeline:  []MutationSpec{{AtSec: 1}},
-		}}, http.StatusBadRequest, "exactly one"},
+		}}, http.StatusBadRequest, "timeline mutation 0: mutation must set exactly one"},
+		// A sweep's or a search's base timeline is checked at submit too,
+		// not cell by cell when the job builds them.
+		{"sweep-base-bad-mutation", JobSpec{Sweep: &SweepSpec{Base: ScenarioSpec{
+			Topology:  good.Topology,
+			Workloads: good.Workloads,
+			Timeline:  []MutationSpec{{AtSec: 1}},
+		}}}, http.StatusBadRequest, "base: timeline mutation 0: mutation must set exactly one"},
+		{"search-base-bad-mutation", JobSpec{Search: &SearchJobSpec{Base: ScenarioSpec{
+			Topology:  good.Topology,
+			Workloads: good.Workloads,
+			Timeline:  []MutationSpec{{AtSec: 1}},
+		}}}, http.StatusBadRequest, "base: timeline mutation 0: mutation must set exactly one"},
+		{"sweep-axis-bad-mutation", JobSpec{Sweep: &SweepSpec{
+			Base:      good,
+			Timelines: []NamedTimelineSpec{{Name: "cut", Timeline: []MutationSpec{{AtSec: -1, Deploy: &DeployMutationSpec{Fraction: 0.5}}}}},
+		}}, http.StatusBadRequest, `timeline \"cut\" mutation 0: deploy mutation: At must be positive`},
 		{"two-kinds", JobSpec{
 			Sweep:  &SweepSpec{Base: good},
 			Search: &SearchJobSpec{Base: good},

@@ -200,8 +200,8 @@ func secs(s float64) netfence.Time {
 	return netfence.Time(s * float64(netfence.Second))
 }
 
-// Mutation converts the spec to a netfence.Mutation (structural
-// validation happens at Build/Apply).
+// Mutation converts the spec to a netfence.Mutation (Mutation.Validate
+// checks its shape).
 func (m MutationSpec) Mutation() netfence.Mutation {
 	out := netfence.Mutation{At: secs(m.AtSec)}
 	if m.Link != nil {
@@ -227,15 +227,22 @@ func (m MutationSpec) Mutation() netfence.Mutation {
 	return out
 }
 
-func mutations(specs []MutationSpec) []netfence.Mutation {
+// mutations converts a mutation list, checking each mutation's shape
+// (exactly one kind, a positive instant, sane values) so a malformed one
+// is refused at submit. Checks against the built topology happen when
+// the mutation applies.
+func mutations(specs []MutationSpec) ([]netfence.Mutation, error) {
 	if len(specs) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make([]netfence.Mutation, len(specs))
 	for i, m := range specs {
 		out[i] = m.Mutation()
+		if err := out[i].Validate(); err != nil {
+			return nil, fmt.Errorf("mutation %d: %w", i, err)
+		}
 	}
-	return out
+	return out, nil
 }
 
 func (t TopologySpec) build() (netfence.TopologySpec, error) {
@@ -381,6 +388,10 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 	if err != nil {
 		return netfence.Scenario{}, err
 	}
+	timeline, err := mutations(s.Timeline)
+	if err != nil {
+		return netfence.Scenario{}, fmt.Errorf("timeline %w", err)
+	}
 	sc := netfence.Scenario{
 		Name:          s.Name,
 		Seed:          s.Seed,
@@ -391,7 +402,7 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 		DenyAttackers: s.DenyAttackers,
 		Shards:        s.Shards,
 		Pipeline:      pipeline,
-		Timeline:      mutations(s.Timeline),
+		Timeline:      timeline,
 	}
 	if s.DeployFraction != nil {
 		sc.Deployment = netfence.DeployFraction(*s.DeployFraction)
@@ -459,10 +470,11 @@ func (s SweepSpec) Sweep() (netfence.Sweep, error) {
 		Parallelism:     s.Parallelism,
 	}
 	for _, tl := range s.Timelines {
-		sw.Timelines = append(sw.Timelines, netfence.NamedTimeline{
-			Name:     tl.Name,
-			Timeline: mutations(tl.Timeline),
-		})
+		timeline, err := mutations(tl.Timeline)
+		if err != nil {
+			return netfence.Sweep{}, fmt.Errorf("timeline %q %w", tl.Name, err)
+		}
+		sw.Timelines = append(sw.Timelines, netfence.NamedTimeline{Name: tl.Name, Timeline: timeline})
 	}
 	return sw, nil
 }

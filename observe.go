@@ -20,7 +20,7 @@ type (
 )
 
 // Metrics returns the full registered metric catalog in cell order —
-// the source of truth behind -list-metrics, Result.Counters keys and
+// the source of truth behind -list metrics, Result.Counters keys and
 // the /metrics endpoint.
 func Metrics() []MetricDef { return obs.Catalog() }
 

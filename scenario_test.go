@@ -254,40 +254,6 @@ func TestSweepMatrix(t *testing.T) {
 	}
 }
 
-// TestSweepBaseFor verifies the population axis with a generator: role
-// splits scale with the population and every sender is active.
-func TestSweepBaseFor(t *testing.T) {
-	results, err := netfence.Sweep{
-		Base: netfence.Scenario{Name: "collusion"},
-		BaseFor: func(pop int) netfence.Scenario {
-			sc := sweepBase()
-			sc.Topology = netfence.DumbbellSpec{Senders: pop, BottleneckBps: int64(pop) * 200_000, ColluderASes: 2}
-			sc.Workloads = []netfence.Workload{
-				netfence.LongTCP{Senders: netfence.Range(0, pop/2)},
-				netfence.ColluderPairs{Senders: netfence.Range(pop/2, pop)},
-			}
-			return sc
-		},
-		Populations: []int{2, 6},
-		Seeds:       []uint64{1},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	for i, wantSenders := range []int{2, 6} {
-		r := results[i]
-		if r.Senders != wantSenders {
-			t.Fatalf("cell %d population = %d, want %d", i, r.Senders, wantSenders)
-		}
-		if got := len(r.UserRates) + len(r.AttackerRates); got != wantSenders {
-			t.Fatalf("cell %d has %d active senders, want %d", i, got, wantSenders)
-		}
-	}
-}
-
 // TestPopulationExact pins that topology specs honor the declared
 // population exactly even when it does not divide the default AS count,
 // and reject explicit non-divisible splits.
@@ -315,18 +281,16 @@ func TestPopulationExact(t *testing.T) {
 	}
 }
 
-// TestSweepBaseForDefenseConfig pins the BaseFor contract: a defense
-// config supplied by the generator survives onto its own system's cells
-// and never leaks onto others.
+// TestSweepBaseForDefenseConfig pins who owns a defense config on the
+// sweep's Base: it survives onto the cells of its own system, whatever
+// the name's spelling, and never leaks onto others. It also pins the
+// population axis's up-front checks.
 func TestSweepBaseForDefenseConfig(t *testing.T) {
 	cfg := netfence.DefaultConfig()
+	base := sweepBase()
+	base.Defense = netfence.DefenseSpec{Name: "NetFence", Config: cfg}
 	sw := netfence.Sweep{
-		Base: netfence.Scenario{Name: "x"},
-		BaseFor: func(pop int) netfence.Scenario {
-			sc := sweepBase()
-			sc.Defense = netfence.DefenseSpec{Name: "netfence", Config: cfg}
-			return sc
-		},
+		Base:        base,
 		Defenses:    []string{"netfence", "fq"},
 		Populations: []int{4},
 	}
@@ -335,30 +299,10 @@ func TestSweepBaseForDefenseConfig(t *testing.T) {
 		t.Fatalf("matrix size %d, want 2", len(scs))
 	}
 	if scs[0].Defense.Config == nil {
-		t.Fatal("BaseFor's config dropped from its own system's cell")
+		t.Fatal("Base's config dropped from its own system's cell")
 	}
 	if scs[1].Defense.Config != nil {
 		t.Fatal("NetFence config leaked onto the fq cell")
-	}
-	// BaseFor with no Populations: the base topology's population feeds
-	// the generator.
-	sw2 := netfence.Sweep{
-		Base:        sweepBase(),
-		BaseFor:     func(pop int) netfence.Scenario { return sweepBase() },
-		Defenses:    []string{"fq"},
-		Populations: nil,
-	}
-	if scs := sw2.Scenarios(); len(scs) != 1 || scs[0].Topology == nil {
-		t.Fatalf("BaseFor skipped without explicit Populations: %+v", scs)
-	}
-	// BaseFor with neither Populations nor a base topology is an error.
-	sw3 := netfence.Sweep{
-		Base:     netfence.Scenario{Name: "x"},
-		BaseFor:  func(pop int) netfence.Scenario { return sweepBase() },
-		Defenses: []string{"fq"},
-	}
-	if _, err := sw3.Run(); err == nil {
-		t.Fatal("BaseFor without Populations or Base topology accepted")
 	}
 	// Non-positive populations are rejected up front, not conflated with
 	// the internal keep-base sentinel.

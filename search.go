@@ -374,7 +374,8 @@ func (r *SearchReport) Gate() error {
 	return errors.Join(errs...)
 }
 
-// JSON renders the report as indented JSON (the -search-out artifact).
+// JSON renders the report as indented JSON (what -out writes for a
+// search job).
 func (r *SearchReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }

@@ -40,8 +40,8 @@ const (
 	PipelineOff
 )
 
-// ParsePipelineMode parses "auto", "on" or "off" (the CLI and server
-// spellings).
+// ParsePipelineMode parses "auto", "on" or "off" (the job spec's
+// "pipeline" spellings).
 func ParsePipelineMode(s string) (PipelineMode, error) {
 	switch s {
 	case "", "auto":
@@ -54,7 +54,7 @@ func ParsePipelineMode(s string) (PipelineMode, error) {
 	return PipelineAuto, fmt.Errorf("netfence: unknown pipeline mode %q (auto|on|off)", s)
 }
 
-// String returns the CLI spelling of the mode.
+// String returns the job-spec spelling of the mode.
 func (m PipelineMode) String() string {
 	switch m {
 	case PipelineOn:

@@ -30,16 +30,12 @@ type Sweep struct {
 	// Defenses lists registry names to sweep (nil = just Base's defense).
 	Defenses []string
 	// Populations lists sender populations to sweep (nil = just Base's).
-	// With BaseFor unset, each entry only rebuilds Base's topology at
-	// that population — Base's workload sender lists are kept verbatim,
-	// which suits populations at or above every listed index but errors
-	// below them. Set BaseFor when the workloads depend on population.
+	// Each entry only rebuilds Base's topology at that population —
+	// Base's workload sender lists are kept verbatim, which suits
+	// populations at or above every listed index but errors below them.
+	// A role split that scales with the population is one Base (one
+	// sweep) per population.
 	Populations []int
-	// BaseFor, when set, generates the whole base scenario for a
-	// population cell instead of resizing Base's topology — the way to
-	// scale role splits (user/attacker index lists) with the population.
-	// Defense, seed and name are still applied per cell on top.
-	BaseFor func(population int) Scenario
 	// DeployFractions lists partial-deployment fractions to sweep: each
 	// cell deploys the defense on that fraction of source ASes via
 	// DeployFraction (nil = just Base's Deployment). The incremental-
@@ -47,10 +43,9 @@ type Sweep struct {
 	DeployFractions []float64
 	// Attacks lists attack specs to sweep — registry names, optionally
 	// parameterized ("onoff-sync:on=1,off=4"): each cell re-targets
-	// every AttackSpec workload of the cell's scenario (from Base or
-	// BaseFor) at that strategy with those parameter overrides (nil =
-	// keep the workloads' declared strategies). The adaptive-adversary
-	// axis of §6.3.
+	// every AttackSpec workload of Base at that strategy with those
+	// parameter overrides (nil = keep the workloads' declared
+	// strategies). The adaptive-adversary axis of §6.3.
 	Attacks []string
 	// Timelines lists named mutation timelines to sweep: each cell runs
 	// the scenario under that Timeline (nil = just Base's Timeline). The
@@ -100,13 +95,7 @@ func (sw Sweep) Scenarios() []Scenario {
 	}
 	pops := sw.Populations
 	if len(pops) == 0 {
-		if sw.BaseFor != nil && sw.Base.Topology != nil {
-			// BaseFor with no explicit axis: one cell at the base
-			// population, still generated through BaseFor.
-			pops = []int{sw.Base.Topology.population()}
-		} else {
-			pops = []int{0} // keep the base topology
-		}
+		pops = []int{0} // keep the base topology
 	}
 	// The deployment axis keeps cell names stable when unused: a nil
 	// axis reuses Base's Deployment and adds no name segment.
@@ -138,6 +127,8 @@ func (sw Sweep) Scenarios() []Scenario {
 	if baseName == "" {
 		baseName = "sweep"
 	}
+	// A system-specific config only survives onto its own system's
+	// cells; other cells fall back to defaults.
 	baseDefense := defense.Canonical(sw.Base.Defense.Name)
 	if baseDefense == "" {
 		baseDefense = "netfence"
@@ -152,27 +143,12 @@ func (sw Sweep) Scenarios() []Scenario {
 						for _, seed := range seeds {
 							for _, nsh := range shardsAxis {
 								sc := sw.Base
-								if pop > 0 {
-									if sw.BaseFor != nil {
-										sc = sw.BaseFor(pop)
-									} else if sc.Topology != nil {
-										sc.Topology = sc.Topology.withPopulation(pop)
-									}
-								}
-								// A system-specific config only survives onto its own
-								// system; other cells fall back to defaults. The cell's
-								// scenario (Base or BaseFor's output) owns the config.
-								cellDefense := defense.Canonical(sc.Defense.Name)
-								if cellDefense == "" {
-									cellDefense = baseDefense
-								}
-								cellConfig := sc.Defense.Config
-								if cellConfig == nil && cellDefense == baseDefense {
-									cellConfig = sw.Base.Defense.Config
+								if pop > 0 && sc.Topology != nil {
+									sc.Topology = sc.Topology.withPopulation(pop)
 								}
 								sc.Defense = DefenseSpec{Name: d}
-								if defense.Canonical(d) == cellDefense {
-									sc.Defense.Config = cellConfig
+								if defense.Canonical(d) == baseDefense {
+									sc.Defense.Config = sw.Base.Defense.Config
 								}
 								sc.Seed = seed
 								// A registry-resolved spec on its builder default has
@@ -268,9 +244,6 @@ func (sw Sweep) Run() ([]*Result, error) {
 // still returns every completed cell's result, the checkpoint the CLI
 // flushes on SIGINT.
 func (sw Sweep) RunContext(ctx context.Context) ([]*Result, error) {
-	if sw.BaseFor != nil && len(sw.Populations) == 0 && sw.Base.Topology == nil {
-		return nil, errors.New("netfence: Sweep.BaseFor needs Populations (or a Base topology to take the population from)")
-	}
 	for _, p := range sw.Populations {
 		if p <= 0 {
 			return nil, fmt.Errorf("netfence: Sweep population %d must be positive", p)
@@ -320,8 +293,7 @@ func (sw Sweep) RunContext(ctx context.Context) ([]*Result, error) {
 // offending entry and the registered strategies instead of erroring
 // from deep inside workload attachment — and on an Attacks axis with no
 // AttackSpec workload to re-target (without this, every /attack= cell
-// would silently run identical workloads). With BaseFor the check
-// probes the first population cell's generated scenario.
+// would silently run identical workloads).
 func (sw Sweep) checkAttacks() error {
 	for i, a := range sw.Attacks {
 		if !attack.Registered(a) {
@@ -333,39 +305,19 @@ func (sw Sweep) checkAttacks() error {
 	if len(sw.Attacks) == 0 {
 		return nil
 	}
-	// The cells' workloads come from BaseFor when a positive population
-	// reaches it; otherwise (no Populations and a population-less
-	// registry topology) Scenarios falls back to Base's workloads, so
-	// check whichever set the cells will actually run.
-	workloads := sw.Base.Workloads
-	where := "Base"
-	if sw.BaseFor != nil {
-		pop := 0
-		if len(sw.Populations) > 0 {
-			pop = sw.Populations[0]
-		} else if sw.Base.Topology != nil {
-			pop = sw.Base.Topology.population()
-		}
-		if pop > 0 {
-			workloads = sw.BaseFor(pop).Workloads
-			where = "BaseFor"
-		}
-	}
-	for _, w := range workloads {
+	for _, w := range sw.Base.Workloads {
 		if _, ok := w.(AttackSpec); ok {
 			return nil
 		}
 	}
-	return fmt.Errorf("netfence: Sweep.Attacks is set, but %s has no AttackSpec workload to re-target", where)
+	return errors.New("netfence: Sweep.Attacks is set, but Base has no AttackSpec workload to re-target")
 }
 
 // checkPopulation fails fast when a population cell is too small for
 // Base's declared workload sender lists — naming the offending workload
-// and index instead of erroring from deep inside topology build. With
-// BaseFor set the workloads are regenerated per cell, so there is
-// nothing to check up front.
+// and index instead of erroring from deep inside topology build.
 func (sw Sweep) checkPopulation(pop int) error {
-	if sw.BaseFor != nil || sw.Base.Topology == nil {
+	if sw.Base.Topology == nil {
 		return nil
 	}
 	sizes := sw.Base.Topology.withPopulation(pop).groupSizes()
