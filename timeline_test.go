@@ -3,6 +3,7 @@ package netfence
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -97,6 +98,70 @@ func TestTimelineSegmentationInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffJSON(t, "timeline-segmented", want, string(raw), 4)
+}
+
+// TestSegmentedSeriesAcrossShards drives the serve mode's scenario job
+// the way the job runner does — the 32-sender dumbbell, LongTCP on
+// 0–8, a flood from 8–32 to the colluders, 10 s with a 1 s timeseries,
+// advanced in 1 s segments with Series and Counters read at every
+// control point — and holds every mid-run series, and the final Result,
+// to the one-shard bytes at 2 and 4 shards. A second Series read at the
+// same point must return the same samples, not duplicates.
+func TestSegmentedSeriesAcrossShards(t *testing.T) {
+	job := func(shards int) (series []string, result string) {
+		sc := Scenario{
+			Name:     "job",
+			Seed:     1,
+			Topology: DumbbellSpec{Senders: 32, BottleneckBps: 3_200_000, ColluderASes: 2},
+			Workloads: []Workload{
+				LongTCP{Senders: Range(0, 8)},
+				AttackSpec{Senders: Range(8, 32), RateBps: 1_000_000, ToColluders: true},
+			},
+			Probes:   []Probe{GoodputProbe{}, FairnessProbe{}, FCTProbe{}, TimeseriesProbe{Interval: Second}},
+			Duration: 10 * Second,
+			Warmup:   5 * Second,
+			Shards:   shards,
+		}
+		in, err := sc.Build()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		// The stream sends samples, so an empty series compares equal
+		// whether it is nil or not.
+		read := func() []byte {
+			raw, err := json.Marshal(append([]Sample(nil), in.Series()...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		for at := Second; at < sc.Duration; at += Second {
+			in.Advance(at)
+			first := read()
+			in.Counters()
+			again := read()
+			if string(again) != string(first) {
+				t.Fatalf("shards=%d at %v: a repeat Series read changed it:\n%s\n%s", shards, at, first, again)
+			}
+			series = append(series, string(first))
+		}
+		raw, err := json.Marshal(in.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return series, string(raw)
+	}
+	wantSeries, want := job(1)
+	if !strings.Contains(want, `"Series":[{`) {
+		t.Fatalf("the job collected no timeseries: %s", want)
+	}
+	for _, shards := range []int{2, 4} {
+		series, got := job(shards)
+		for i := range wantSeries {
+			diffJSON(t, fmt.Sprintf("series after %d s", i+1), wantSeries[i], series[i], shards)
+		}
+		diffJSON(t, "job", want, got, shards)
+	}
 }
 
 // TestTimelineValidation exercises the fail-fast surface: structural
