@@ -148,8 +148,9 @@ func TestHandoffCensus(t *testing.T) {
 
 // TestGoodputMeterLayoutBudget pins the per-sender goodput meter inside
 // the 48-byte malloc size class: every sender of a scenario has one. The
-// sharded timeseries rows live beside the meters (scenarioEnv.meterRates),
-// made only by the probe that fills them.
+// meter points at the byte count it reads, and the timeseries rows live
+// beside the meters in each shard's list (shardMeters.row), made only by
+// the probe that fills them.
 func TestGoodputMeterLayoutBudget(t *testing.T) {
 	if n := unsafe.Sizeof(goodputMeter{}); n > 48 {
 		t.Fatalf("sizeof(goodputMeter) = %d, budget 48", n)

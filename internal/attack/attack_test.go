@@ -122,8 +122,8 @@ func TestOnOffSyncPhaseLock(t *testing.T) {
 	ctrl.Start()
 
 	ilim := env.Config.Ilim
-	var perInterval []uint64
-	last := uint64(0)
+	var perInterval []int64
+	last := int64(0)
 	for i := 1; i <= 6; i++ {
 		eng.RunUntil(sim.Time(i) * ilim)
 		perInterval = append(perInterval, sink.Bytes-last)
@@ -160,8 +160,8 @@ func TestOnOffTrickleKeepsBursts(t *testing.T) {
 	ctrl.AddSender(src.Host, dst.ID, 8)
 	ctrl.Start()
 	ilim := env.Config.Ilim
-	var burst2 uint64
-	last := uint64(0)
+	var burst2 int64
+	last := int64(0)
 	for i := 1; i <= 4; i++ {
 		eng.RunUntil(sim.Time(i) * ilim)
 		if i == 4 { // interval 3 is the second burst

@@ -1,19 +1,15 @@
 package attack
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// FuzzAttackSpec holds the attack-spec parsers to their contract on
-// arbitrary strings: ParseSpec and ParseSpecList never panic, whatever
-// they accept re-parses from its canonical rendering (Spec.String /
-// FormatSpec) to the same strategy and parameters, and the canonical
-// rendering is a fixed point. A list re-parses from its specs joined
-// by commas to the same list.
+// FuzzAttackSpec holds the attack-spec parser to its contract on
+// arbitrary strings: ParseSpec never panics, whatever it accepts
+// re-parses from its canonical rendering (FormatSpec) to the same
+// strategy and parameters, and the canonical rendering is a fixed
+// point.
 func FuzzAttackSpec(f *testing.F) {
-	// TestParseSpecErrors, TestParseSpecList and TestSpecRoundTrip's
-	// shapes, plus whitespace, case and float-syntax variants.
+	// TestParseSpecErrors and TestSpecRoundTrip's shapes, comma lists,
+	// plus whitespace, case and float-syntax variants.
 	for _, s := range []string{
 		"flood", "slowloris", "onoff-sync:dty=2", "flood:rate_mult",
 		"flood:rate_mult=fast", "flood:rate_mult=99", "onoff-sync:on=1.5",
@@ -36,52 +32,30 @@ func FuzzAttackSpec(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		if name, params, err := ParseSpec(s); err == nil {
-			checkCanonical(t, s, Spec{Strategy: name, Params: params})
-		}
-		specs, err := ParseSpecList(s)
-		if err != nil {
-			return
-		}
-		rendered := make([]string, len(specs))
-		for i, sp := range specs {
-			rendered[i] = checkCanonical(t, s, sp)
-		}
-		joined := strings.Join(rendered, ",")
-		again, err := ParseSpecList(joined)
-		if err != nil {
-			t.Fatalf("ParseSpecList(%q) accepted, its rendering %q rejected: %v", s, joined, err)
-		}
-		if len(again) != len(specs) {
-			t.Fatalf("ParseSpecList(%q): %d specs, its rendering %q: %d", s, len(specs), joined, len(again))
-		}
-		for i := range again {
-			if got := again[i].String(); got != rendered[i] {
-				t.Fatalf("ParseSpecList(%q) spec %d: %q, re-parsed from %q: %q", s, i, rendered[i], joined, got)
-			}
+			checkCanonical(t, s, name, params)
 		}
 	})
 }
 
-// checkCanonical re-parses an accepted spec from its rendering and
-// returns that rendering, failing unless the strategy and every
-// parameter survive and the rendering is a fixed point.
-func checkCanonical(t *testing.T, in string, sp Spec) string {
+// checkCanonical re-parses an accepted spec from its rendering, failing
+// unless the strategy and every parameter survive and the rendering is
+// a fixed point.
+func checkCanonical(t *testing.T, in, strategy string, params map[string]float64) {
 	t.Helper()
-	out := sp.String()
-	name, params, err := ParseSpec(out)
+	out := FormatSpec(strategy, params)
+	name, again, err := ParseSpec(out)
 	if err != nil {
 		t.Fatalf("%q accepted as %q, which ParseSpec rejects: %v", in, out, err)
 	}
-	if name != sp.Strategy || len(params) != len(sp.Params) {
-		t.Fatalf("%q accepted as %s %v, re-parsed from %q as %s %v", in, sp.Strategy, sp.Params, out, name, params)
+	if name != strategy || len(again) != len(params) {
+		t.Fatalf("%q accepted as %s %v, re-parsed from %q as %s %v", in, strategy, params, out, name, again)
 	}
-	for k, v := range sp.Params {
-		if got, ok := params[k]; !ok || got != v {
+	for k, v := range params {
+		if got, ok := again[k]; !ok || got != v {
 			t.Fatalf("%q: param %s = %v, re-parsed from %q as %v", in, k, v, out, got)
 		}
 	}
-	if again := FormatSpec(name, params); again != out {
-		t.Fatalf("%q: FormatSpec not a fixed point: %q -> %q", in, out, again)
+	if re := FormatSpec(name, again); re != out {
+		t.Fatalf("%q: FormatSpec not a fixed point: %q -> %q", in, out, re)
 	}
-	return out
 }

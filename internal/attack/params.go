@@ -162,44 +162,3 @@ func FormatSpec(name string, params map[string]float64) string {
 	}
 	return name + ":" + strings.Join(parts, ",")
 }
-
-// Spec is one parsed attack option: a strategy name plus parameter
-// overrides. String renders it canonically.
-type Spec struct {
-	Strategy string
-	Params   map[string]float64
-}
-
-func (s Spec) String() string { return FormatSpec(s.Strategy, s.Params) }
-
-// ParseSpecList splits a comma-separated attack list into specs,
-// treating bare "key=val" segments as continuations of the preceding
-// strategy — so "onoff-sync:on=2,off=4,flood" parses as
-// onoff-sync{on:2, off:4} followed by flood, keeping a comma-separated
-// list compatible with parameterized specs.
-func ParseSpecList(csv string) ([]Spec, error) {
-	var raw []string
-	for _, seg := range strings.Split(csv, ",") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if strings.Contains(seg, "=") && !strings.Contains(seg, ":") {
-			if len(raw) == 0 {
-				return nil, fmt.Errorf("attack list: param segment %q before any strategy name", seg)
-			}
-			raw[len(raw)-1] += "," + seg
-			continue
-		}
-		raw = append(raw, seg)
-	}
-	out := make([]Spec, 0, len(raw))
-	for _, r := range raw {
-		name, params, err := ParseSpec(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Spec{Strategy: name, Params: params})
-	}
-	return out, nil
-}

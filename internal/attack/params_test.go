@@ -96,30 +96,6 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
-// TestParseSpecList pins the continuation rule: a bare key=val segment
-// belongs to the preceding strategy.
-func TestParseSpecList(t *testing.T) {
-	specs, err := ParseSpecList("onoff-sync:on=2,off=4,flood, replay:cadence=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"onoff-sync:on=2,off=4", "flood", "replay:cadence=3"}
-	if len(specs) != len(want) {
-		t.Fatalf("specs = %v", specs)
-	}
-	for i, w := range want {
-		if specs[i].String() != w {
-			t.Fatalf("spec %d = %q, want %q", i, specs[i].String(), w)
-		}
-	}
-	if _, err := ParseSpecList("on=2,flood"); err == nil || !strings.Contains(err.Error(), "before any strategy name") {
-		t.Fatalf("leading continuation error = %v", err)
-	}
-	if _, err := ParseSpecList("flood:dty=2"); err == nil || !strings.Contains(err.Error(), `unknown param "dty"`) {
-		t.Fatalf("list validation error = %v", err)
-	}
-}
-
 // TestBuildValidatesParams checks Build rejects bad Params maps with
 // the strategy named, and accepts full-surface overrides for every
 // strategy.

@@ -95,7 +95,7 @@ func TestTVAColludersHurtVictimThroughput(t *testing.T) {
 	}
 	d.Net.Eng.RunUntil(60 * sim.Second)
 	legitBps := float64(legitRcv[0].DeliveredBytes()+legitRcv[1].DeliveredBytes()) * 8 / 60 / 2
-	var atkBytes uint64
+	var atkBytes int64
 	for _, s := range sinks {
 		atkBytes += s.Bytes
 	}

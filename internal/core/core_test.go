@@ -284,11 +284,11 @@ func TestCollusionFairShare(t *testing.T) {
 	if !s.Bottleneck(d.Bottleneck).Monitoring() {
 		t.Fatal("monitoring cycle never started under a 1 Mbps flood")
 	}
-	legitStart, atkStart := rcv.DeliveredBytes(), int64(sink.Bytes)
+	legitStart, atkStart := rcv.DeliveredBytes(), sink.Bytes
 	d.Net.Eng.RunUntil(end)
 	window := (end - warm).Seconds()
 	legitBps := float64(rcv.DeliveredBytes()-legitStart) * 8 / window
-	atkBps := float64(int64(sink.Bytes)-atkStart) * 8 / window
+	atkBps := float64(sink.Bytes-atkStart) * 8 / window
 
 	const fair = 200_000.0
 	if atkBps > 1.4*fair {

@@ -97,7 +97,7 @@ func TestRegistryErrors(t *testing.T) {
 // denyRun deploys a system over a 2-sender dumbbell whose victim denies
 // sender 1, floods UDP from both senders at the victim, and returns the
 // delivered byte counts for the allowed and denied sender.
-func denyRun(t *testing.T, build func(net *netsim.Network) defense.System) (allowed, denied uint64) {
+func denyRun(t *testing.T, build func(net *netsim.Network) defense.System) (allowed, denied int64) {
 	t.Helper()
 	eng := sim.New(1)
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))

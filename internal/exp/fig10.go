@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"netfence"
-	"netfence/internal/metrics"
 )
 
 // Mode selects the NetFence multi-bottleneck variant.
@@ -110,7 +109,13 @@ func fig10Cell(sc Scale, mode Mode, l1, l2 int64) netfence.Scenario {
 // group means: users and attackers meter in group order.
 func fig10Means(sc Scale, r *netfence.Result) fig10Out {
 	quarter := (sc.PLGroup + 3) / 4
-	mean := func(rates []float64) float64 { m, _ := metrics.MeanStd(rates); return m }
+	mean := func(rates []float64) float64 {
+		var sum float64
+		for _, x := range rates {
+			sum += x
+		}
+		return sum / float64(len(rates))
+	}
 	users := func(g int) float64 { return mean(r.UserRates[g*quarter : (g+1)*quarter]) }
 	return fig10Out{
 		aUser: users(0),

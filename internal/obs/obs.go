@@ -221,10 +221,14 @@ func (c Cells) ObserveBacklog(bytes uint64) {
 	c[QueueBacklogSum] += bytes
 }
 
-// gaugeCell reports whether an ID accumulates by max rather than sum.
-func gaugeCell(id ID) bool {
-	return id == QueueHWMBytes || id == NetsimMailboxDepthHWM || id == PacketPoolIdle
-}
+// gauge is the gauge set, read off defs once: these cells merge by max,
+// every other by sum, in Merge and MergeMap alike.
+var gauge = func() (g [NumIDs]bool) {
+	for _, d := range defs {
+		g[d.ID] = d.Kind == Gauge
+	}
+	return g
+}()
 
 // Merge folds per-replica cells into one snapshot, in the given
 // (deterministic) order: counters and histogram buckets sum, gauges
@@ -237,7 +241,7 @@ func Merge(shards []Cells) Cells {
 			continue
 		}
 		for id := ID(0); id < NumIDs; id++ {
-			if gaugeCell(id) {
+			if gauge[id] {
 				out.SetMax(id, c[id])
 			} else {
 				out[id] += c[id]

@@ -8,23 +8,6 @@ import (
 	"strings"
 )
 
-// typeByBase maps a metric base name to its Prometheus exposition
-// type, derived from the registry.
-func typeByBase() map[string]string {
-	m := make(map[string]string, len(defs))
-	for _, d := range defs {
-		switch d.Kind {
-		case Gauge:
-			m[d.Name] = "gauge"
-		case Histogram:
-			m[d.Name] = "histogram"
-		default:
-			m[d.Name] = "counter"
-		}
-	}
-	return m
-}
-
 // baseName strips a label suffix and the histogram-series suffixes so
 // an expanded key ("queue_backlog_bytes_bucket{le=...}") resolves to
 // its registered Def.
@@ -34,7 +17,7 @@ func baseName(key string) string {
 	}
 	for _, suf := range []string{"_bucket", "_count", "_sum"} {
 		if b := strings.TrimSuffix(key, suf); b != key {
-			if _, ok := helpByBase[b]; ok {
+			if _, ok := defByBase[b]; ok {
 				return b
 			}
 		}
@@ -42,10 +25,11 @@ func baseName(key string) string {
 	return key
 }
 
-var helpByBase = func() map[string]string {
-	m := make(map[string]string, len(defs))
+// defByBase resolves a metric base name to its registered Def.
+var defByBase = func() map[string]Def {
+	m := make(map[string]Def, len(defs))
 	for _, d := range defs {
-		m[d.Name] = d.Help
+		m[d.Name] = d
 	}
 	return m
 }()
@@ -54,17 +38,9 @@ var helpByBase = func() map[string]string {
 // series sum, gauges max — the expanded-key analogue of Merge, for
 // aggregating snapshots across runs or jobs.
 func MergeMap(dst, src map[string]uint64) {
-	gauges := map[string]bool{}
-	for _, d := range defs {
-		if d.Kind == Gauge {
-			gauges[d.Name] = true
-		}
-	}
 	for k, v := range src {
-		if gauges[baseName(k)] {
-			if v > dst[k] {
-				dst[k] = v
-			}
+		if d, ok := defByBase[baseName(k)]; ok && gauge[d.ID] {
+			dst[k] = max(dst[k], v)
 			continue
 		}
 		dst[k] += v
@@ -81,13 +57,19 @@ func RenderPrometheus(w io.Writer, counters map[string]uint64) error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	types := typeByBase()
 	seen := make(map[string]bool)
 	for _, k := range keys {
 		base := baseName(k)
-		if t, ok := types[base]; ok && !seen[base] {
+		if d, ok := defByBase[base]; ok && !seen[base] {
 			seen[base] = true
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", base, helpByBase[base], base, t); err != nil {
+			t := "counter"
+			switch d.Kind {
+			case Gauge:
+				t = "gauge"
+			case Histogram:
+				t = "histogram"
+			}
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", base, d.Help, base, t); err != nil {
 				return err
 			}
 		}

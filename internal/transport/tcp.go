@@ -458,6 +458,10 @@ func NewTCPReceiver(host *netsim.Host, flow packet.FlowID) *TCPReceiver {
 // DeliveredBytes returns cumulative in-order payload bytes.
 func (r *TCPReceiver) DeliveredBytes() int64 { return r.delivered }
 
+// Delivered returns the counter behind DeliveredBytes, for a meter that
+// reads it without a call.
+func (r *TCPReceiver) Delivered() *int64 { return &r.delivered }
+
 // Receive handles SYNs and data segments.
 func (r *TCPReceiver) Receive(p *packet.Packet) {
 	if p.Proto != packet.ProtoTCP {

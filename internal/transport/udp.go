@@ -136,7 +136,7 @@ func (u *UDPSource) emit() {
 // UDPSink counts traffic delivered to a destination (attacker throughput
 // in the collusion experiments is measured here).
 type UDPSink struct {
-	Bytes   uint64
+	Bytes   int64
 	Packets uint64
 	// OnDeliver, when set, observes each delivery.
 	OnDeliver func(p *packet.Packet)
@@ -151,7 +151,7 @@ func NewUDPSink(host *netsim.Host, flow packet.FlowID) *UDPSink {
 
 // Receive tallies the packet.
 func (s *UDPSink) Receive(p *packet.Packet) {
-	s.Bytes += uint64(p.Size)
+	s.Bytes += int64(p.Size)
 	s.Packets++
 	if s.OnDeliver != nil {
 		s.OnDeliver(p)

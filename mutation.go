@@ -429,35 +429,50 @@ func (in *Instance) applyDeploy(dm *DeployMutation) {
 // for a host it does not hold).
 func (st *replicaDeploy) arm(g *Graph, sys defense.System, deny defense.Policy, as packet.ASID) {
 	fresh := !st.installed[as]
+	walkAS(g, as, func(r *netsim.Node) {
+		if fresh {
+			sys.ProtectAccess(r)
+		} else if saved, ok := st.ingress[r]; ok {
+			r.Ingress = saved
+			delete(st.ingress, r)
+		}
+	}, func(h *netsim.Node, victim bool) {
+		pol := defense.Policy{}
+		if victim {
+			pol = deny
+		}
+		st.armHost(sys, h, pol, fresh)
+	})
+	st.installed[as] = true
+}
+
+// walkAS visits one source AS's share of every role group, group by
+// group: its access routers, then its senders, the group's victim and
+// its colluders (victim tells the victim host apart). Host slots the
+// replica does not hold are nil and skipped.
+func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *netsim.Node, victim bool)) {
 	groups := g.Groups()
 	for gi := range groups {
 		grp := &groups[gi]
 		for _, r := range grp.Access {
-			if r.AS != as {
-				continue
-			}
-			if fresh {
-				sys.ProtectAccess(r)
-			} else if saved, ok := st.ingress[r]; ok {
-				r.Ingress = saved
-				delete(st.ingress, r)
+			if r.AS == as {
+				router(r)
 			}
 		}
 		for _, h := range grp.Senders {
 			if h != nil && h.AS == as {
-				st.armHost(sys, h, defense.Policy{}, fresh)
+				host(h, false)
 			}
 		}
 		if grp.Victim != nil && grp.Victim.AS == as {
-			st.armHost(sys, grp.Victim, deny, fresh)
+			host(grp.Victim, true)
 		}
 		for _, c := range grp.Colluders {
 			if c != nil && c.AS == as {
-				st.armHost(sys, c, defense.Policy{}, fresh)
+				host(c, false)
 			}
 		}
 	}
-	st.installed[as] = true
 }
 
 // armHost installs or restores a host's defense shim, preserving a live
@@ -491,32 +506,12 @@ func (st *replicaDeploy) armHost(sys defense.System, h *netsim.Node, pol defense
 // ticking so the replicated random streams stay aligned) and hosts
 // shed the defense shim (saved underneath any live attack wrapper).
 func (st *replicaDeploy) disarm(g *Graph, as packet.ASID) {
-	groups := g.Groups()
-	for gi := range groups {
-		grp := &groups[gi]
-		for _, r := range grp.Access {
-			if r.AS != as {
-				continue
-			}
-			if _, ok := st.ingress[r]; !ok {
-				st.ingress[r] = r.Ingress
-			}
-			r.Ingress = nil
+	walkAS(g, as, func(r *netsim.Node) {
+		if _, ok := st.ingress[r]; !ok {
+			st.ingress[r] = r.Ingress
 		}
-		for _, h := range grp.Senders {
-			if h != nil && h.AS == as {
-				st.disarmHost(h)
-			}
-		}
-		if grp.Victim != nil && grp.Victim.AS == as {
-			st.disarmHost(grp.Victim)
-		}
-		for _, c := range grp.Colluders {
-			if c != nil && c.AS == as {
-				st.disarmHost(c)
-			}
-		}
-	}
+		r.Ingress = nil
+	}, func(h *netsim.Node, _ bool) { st.disarmHost(h) })
 }
 
 // disarmHost removes a host's defense shim, keeping a live attack
@@ -569,9 +564,9 @@ func (in *Instance) Stop() {
 
 // Series returns the timeseries samples collected so far by a
 // TimeseriesProbe (nil without one): the serve mode's streaming source.
-// On a sharded run the per-shard buckets merge consistently at any
-// control point — every shard has ticked the same instants once the
-// coordinator reaches a barrier.
+// The shards' rows merge consistently at any control point — every shard
+// has ticked the same instants once the coordinator reaches a barrier —
+// and a repeat read returns the same samples without merging again.
 func (in *Instance) Series() []Sample {
 	return in.env.mergedSeries()
 }

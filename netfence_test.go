@@ -6,7 +6,6 @@ import (
 
 	"netfence"
 	"netfence/internal/exp"
-	"netfence/internal/metrics"
 )
 
 // TestFacadeEndToEnd drives the quickstart run through a built Instance
@@ -63,42 +62,5 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	res := r.Run(exp.Tiny)
 	if out := res.Table(); !strings.Contains(out, "28") {
 		t.Fatalf("header experiment output missing worst-case size:\n%s", out)
-	}
-}
-
-// TestFacadeJain checks the FairnessProbe's Result.Jain is Jain's index
-// of the per-user goodputs the GoodputProbe reports.
-func TestFacadeJain(t *testing.T) {
-	if got := metrics.Jain([]float64{1, 1, 1}); got != 1 {
-		t.Fatalf("Jain = %v", got)
-	}
-	res, err := netfence.Scenario{
-		Seed:     3,
-		Topology: netfence.DumbbellSpec{Senders: 4, BottleneckBps: 800_000},
-		Defense:  netfence.Defense("netfence"),
-		Workloads: []netfence.Workload{
-			netfence.LongTCP{Senders: []int{0, 1, 2}},
-			netfence.UDPFlood{Senders: []int{3}, RateBps: 1_000_000},
-		},
-		Probes:   []netfence.Probe{netfence.GoodputProbe{}, netfence.FairnessProbe{}},
-		Duration: 40 * netfence.Second,
-		Warmup:   10 * netfence.Second,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.UserRates) != 3 {
-		t.Fatalf("%d user rates, want 3", len(res.UserRates))
-	}
-	for i, r := range res.UserRates {
-		if r <= 0 {
-			t.Fatalf("user %d goodput %.0f bps", i, r)
-		}
-	}
-	if want := metrics.Jain(res.UserRates); res.Jain != want {
-		t.Fatalf("Result.Jain = %v, Jain(UserRates) = %v", res.Jain, want)
-	}
-	if res.Jain <= 1.0/3 || res.Jain > 1 {
-		t.Fatalf("Jain = %v outside (1/n, 1]", res.Jain)
 	}
 }

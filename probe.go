@@ -2,10 +2,12 @@ package netfence
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"netfence/internal/attack"
-	"netfence/internal/metrics"
+	"netfence/internal/netsim"
 )
 
 // Probe measures a scenario run and writes its findings into the Result.
@@ -128,9 +130,7 @@ func (r *Result) String() string {
 // FormatResults renders a result set as an aligned table — the unified
 // output of RunAll and Sweep.Run.
 func FormatResults(results []*Result) string {
-	cols := []string{"scenario", "defense", "topo", "attack", "seed", "senders", "deploy",
-		"user kbps", "atk kbps", "ratio", "jain", "util", "fct(s)", "compl"}
-	rows := [][]string{}
+	var rows [][]string
 	for _, r := range results {
 		if r == nil {
 			continue
@@ -157,39 +157,173 @@ func FormatResults(results []*Result) string {
 			fmt.Sprintf("%.0f%%", 100*r.Utilization), fctMean, compl,
 		})
 	}
+	var b strings.Builder
+	writeTable(&b, []string{"scenario", "defense", "topo", "attack", "seed", "senders", "deploy",
+		"user kbps", "atk kbps", "ratio", "jain", "util", "fct(s)", "compl"}, rows)
+	return b.String()
+}
+
+// writeTable writes rows under a header, each column padded to its
+// widest cell and two spaces from the next, with a rule of dashes under
+// the header.
+func writeTable(b *strings.Builder, cols []string, rows [][]string) {
 	widths := make([]int, len(cols))
 	for i, c := range cols {
 		widths[i] = len(c)
 	}
 	for _, row := range rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	var b strings.Builder
 	line := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			fmt.Fprintf(b, "%-*s", widths[i], c)
 		}
 		b.WriteByte('\n')
 	}
 	line(cols)
+	rule := make([]string, len(cols))
 	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
+		rule[i] = strings.Repeat("-", w)
 	}
-	b.WriteByte('\n')
+	line(rule)
 	for _, row := range rows {
 		line(row)
 	}
-	return b.String()
+}
+
+// goodputMeter is one sender's goodput as the probes read it: the
+// delivered-byte count it points at — a TCP receiver's, a UDP sink's or
+// a victim listener's per-source counter — and its warm-up and tick
+// marks. The count lives at the receiver, so in a sharded run the meter
+// belongs to the receiver's shard, which alone marks and ticks it.
+type goodputMeter struct {
+	bytes    *int64
+	warmMark int64
+	tickMark int64
+	// shard owns the meter; slot is its index in the shard's list.
+	shard, slot int32
+	// weight is how many modeled senders the meter aggregates: 1 for an
+	// ordinary sender, N for a fleet meter reading the combined sink of
+	// N homogeneous senders. Probes divide by weight for per-sender
+	// rates and weight the fairness statistics accordingly.
+	weight   int32
+	attacker bool
+}
+
+// shardMeters is one shard's share of the meters, in global meter
+// order: the warm-up snapshot and the timeseries tick walk it on the
+// shard's own engine. row is the timeseries the tick appends to, one
+// rate per meter per tick, so tick k's rates start at k*len(meters).
+type shardMeters struct {
+	meters []*goodputMeter
+	row    []float64
+}
+
+// addMeter registers a goodput meter standing for weight modeled senders
+// that reads the byte count bytes, owned by owner's shard (the receiver
+// of the measured traffic).
+func (env *scenarioEnv) addMeter(owner *netsim.Node, attacker bool, weight int32, bytes *int64) {
+	sh := env.sh.shardOf(owner.ID)
+	own := &env.byShard[sh]
+	m := &goodputMeter{bytes: bytes, shard: int32(sh), slot: int32(len(own.meters)), weight: weight, attacker: attacker}
+	own.meters = append(own.meters, m)
+	env.meters = append(env.meters, m)
+}
+
+// snapshotWarmShard is the warmup snapshot: shard sh marks the meters
+// and bottleneck counters it owns, on its own engine, at the same
+// simulated instant as every other shard. txWarmMarks is preallocated
+// at build, so concurrent shards write disjoint slots.
+func (env *scenarioEnv) snapshotWarmShard(sh int) {
+	for _, m := range env.byShard[sh].meters {
+		m.warmMark = *m.bytes
+	}
+	for i, l := range env.bottlenecks {
+		if env.sh.shardOf(l.From.ID) == sh {
+			env.txWarmMarks[i] = l.TxBytes
+		}
+	}
+}
+
+// goodput returns the post-warmup goodput of the user (or attacker)
+// meters over window seconds: each meter's per-sender rate and weight,
+// and the population mean. A fleet meter's bytes stand for weight
+// senders, so its per-sender rate is aggregate/weight and the mean is
+// Σ aggregate / Σ weight. With every weight 1 both are the unweighted
+// IEEE operations, bit for bit.
+func (env *scenarioEnv) goodput(attacker bool, window float64) (rates, weights []float64, mean float64) {
+	n := 0
+	for _, m := range env.meters {
+		if m.attacker == attacker {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil, 0
+	}
+	rates, weights = make([]float64, 0, n), make([]float64, 0, n)
+	var sum, wsum float64
+	for _, m := range env.meters {
+		if m.attacker != attacker {
+			continue
+		}
+		agg := float64(*m.bytes-m.warmMark) * 8 / window
+		w := float64(m.weight)
+		rates = append(rates, agg/w)
+		weights = append(weights, w)
+		sum += agg
+		wsum += w
+	}
+	return rates, weights, sum / wsum
+}
+
+// fctRecord is one shard's transfer outcomes from the file and web
+// workloads: the completion times of the transfers that finished and
+// the count of those that failed.
+type fctRecord struct {
+	samples []Time
+	failed  int
+}
+
+func (f *fctRecord) add(d Time, ok bool) {
+	if ok {
+		f.samples = append(f.samples, d)
+	} else {
+		f.failed++
+	}
+}
+
+// summary condenses the record, sorting its samples: the mean
+// completion time (an integer Time division, so sample order cannot
+// change it), the 95th percentile at the ceil rank, and the completion
+// ratio, 1 when no transfer ended.
+func (f *fctRecord) summary() FCTSummary {
+	n := len(f.samples)
+	s := FCTSummary{Count: n, Failed: f.failed, Completion: 1}
+	if n+f.failed > 0 {
+		s.Completion = float64(n) / float64(n+f.failed)
+	}
+	if n == 0 {
+		return s
+	}
+	var sum Time
+	for _, d := range f.samples {
+		sum += d
+	}
+	s.MeanSec = (sum / Time(n)).Seconds()
+	slices.Sort(f.samples)
+	s.P95Sec = f.samples[int(math.Ceil(0.95*float64(n)))-1].Seconds()
+	return s
+}
+
+// fctFor returns the record of node n's shard, which its transfers feed.
+func (env *scenarioEnv) fctFor(n *netsim.Node) *fctRecord {
+	return &env.fcts[env.sh.shardOf(n.ID)]
 }
 
 // GoodputProbe measures post-warmup goodput: per-sender rates, user and
@@ -227,7 +361,30 @@ func (FairnessProbe) finish(env *scenarioEnv, res *Result) {
 		return
 	}
 	rates, weights, _ := env.goodput(false, window)
-	res.Jain = metrics.JainWeighted(rates, weights)
+	res.Jain = jainWeighted(rates, weights)
+}
+
+// jainWeighted computes Jain's fairness index (§6.3.2) over a population
+// where xs[i] is one per-member value shared by ws[i] members:
+// (Σ w·x)² / (Σw · Σ w·x²). It is 1 when all values are equal and
+// approaches 1/n under maximal unfairness; an empty or all-zero input
+// yields 1. With every weight 1 it performs exactly the unweighted
+// index's floating-point operations (Σx)² / (n · Σx²).
+func jainWeighted(xs, ws []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var wsum, sum, sq float64
+	for i, x := range xs {
+		w := ws[i]
+		wsum += w
+		sum += w * x
+		sq += w * x * x
+	}
+	if sq == 0 {
+		return 1
+	}
+	return sum * sum / (wsum * sq)
 }
 
 // FCTProbe summarizes the transfer completion times collected by the
@@ -236,15 +393,14 @@ type FCTProbe struct{}
 
 func (FCTProbe) install(*scenarioEnv) error { return nil }
 
+// finish merges the shards' records in shard order into a fresh one.
 func (FCTProbe) finish(env *scenarioEnv, res *Result) {
-	f := env.mergedFCT()
-	res.FCT = FCTSummary{
-		Count:      f.Count(),
-		Failed:     f.Failed(),
-		MeanSec:    f.Mean().Seconds(),
-		P95Sec:     f.Percentile(95).Seconds(),
-		Completion: f.CompletionRatio(),
+	var all fctRecord
+	for _, f := range env.fcts {
+		all.samples = append(all.samples, f.samples...)
+		all.failed += f.failed
 	}
+	res.FCT = all.summary()
 }
 
 // BoundProbe computes the Theorem-1 (§3.4, Appendix A) fair-share floor
@@ -296,38 +452,6 @@ func (p BoundProbe) finish(env *scenarioEnv, res *Result) {
 	res.BoundHolds = len(rates) > 0 && mean >= res.BoundBps
 }
 
-// goodput returns the post-warmup goodput of the user (or attacker)
-// meters over window seconds: each meter's per-sender rate and weight,
-// and the population mean. A fleet meter's bytes stand for weight
-// senders, so its per-sender rate is aggregate/weight and the mean is
-// Σ aggregate / Σ weight. With every weight 1 both are the unweighted
-// IEEE operations, bit for bit.
-func (env *scenarioEnv) goodput(attacker bool, window float64) (rates, weights []float64, mean float64) {
-	n := 0
-	for _, m := range env.meters {
-		if m.attacker == attacker {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, nil, 0
-	}
-	rates, weights = make([]float64, 0, n), make([]float64, 0, n)
-	var sum, wsum float64
-	for _, m := range env.meters {
-		if m.attacker != attacker {
-			continue
-		}
-		agg := float64(m.bytes()-m.warmMark) * 8 / window
-		w := float64(m.weight)
-		rates = append(rates, agg/w)
-		weights = append(weights, w)
-		sum += agg
-		wsum += w
-	}
-	return rates, weights, sum / wsum
-}
-
 // TimeseriesProbe samples aggregate user and attacker goodput every
 // Interval over the whole run (not just post-warmup), tagging each sample
 // with the NetFence monitoring-cycle state where applicable.
@@ -336,75 +460,35 @@ type TimeseriesProbe struct {
 	Interval Time
 }
 
+// install ticks every shard at the same simulated instants: each shard
+// appends its own meters' per-interval rates to its row, shard 0 records
+// the tick instants and the NetFence bottleneck's shard the monitoring
+// flags. The buffers are sized for the whole run.
 func (p TimeseriesProbe) install(env *scenarioEnv) error {
 	interval := p.Interval
 	if interval <= 0 {
 		interval = 10 * Second
 	}
-	// One shard keeps the direct tick: per-meter rows and a merge on
-	// every Series read would cost a serve-mode job allocations for
-	// nothing to merge.
-	if len(env.sh.engines) > 1 {
-		return p.installSharded(env, interval)
-	}
-	eng := env.sh.engines[0]
-	eng.Tick(interval, func() {
-		secs := interval.Seconds()
-		var user, atk float64
-		for _, m := range env.meters {
-			cur := m.bytes()
-			rate := float64(cur-m.tickMark) * 8 / secs
-			m.tickMark = cur
-			if m.attacker {
-				atk += rate
-			} else {
-				user += rate
-			}
-		}
-		s := Sample{
-			TimeSec:     eng.Now().Seconds(),
-			UserBps:     user,
-			AttackerBps: atk,
-		}
-		if env.nfBottleneck != nil {
-			s.Monitoring = env.nfBottleneck.Monitoring()
-		}
-		env.series = append(env.series, s)
-	})
-	return nil
-}
-
-// installSharded ticks every shard at the same simulated instants: each
-// shard records its own meters' per-interval rates (and the NetFence
-// bottleneck's shard the monitoring flag), and finish sums them in
-// global meter order — the single-engine accumulation order, so the
-// samples come out bit-identical.
-func (p TimeseriesProbe) installSharded(env *scenarioEnv, interval Time) error {
 	secs := interval.Seconds()
+	ticks := int(env.duration / interval)
 	monShard := -1
-	if env.nfBottleneck != nil && len(env.bottlenecks) > 0 {
+	if env.nfBottleneck != nil {
 		monShard = env.sh.shardOf(env.bottlenecks[0].From.ID)
+		env.monFlags = make([]bool, 0, ticks)
 	}
-	// Meter ownership is fixed at attach time; bucket once so each
-	// shard's tick touches only its own meters instead of scanning the
-	// whole population behind the window barrier.
-	buckets := make([][]int, len(env.sh.engines))
-	for i, m := range env.meters {
-		buckets[m.shard] = append(buckets[m.shard], i)
-	}
-	rates := make([][]float64, len(env.meters))
-	env.meterRates = rates
-	for i, eng := range env.sh.engines {
-		shard, e, mine := i, eng, buckets[i]
-		e.Tick(interval, func() {
-			for _, j := range mine {
-				m := env.meters[j]
-				cur := m.bytes()
-				rates[j] = append(rates[j], float64(cur-m.tickMark)*8/secs)
+	env.tickTimes = make([]float64, 0, ticks)
+	env.series = make([]Sample, 0, ticks)
+	for shard, eng := range env.sh.engines {
+		own := &env.byShard[shard]
+		own.row = make([]float64, 0, ticks*len(own.meters))
+		eng.Tick(interval, func() {
+			for _, m := range own.meters {
+				cur := *m.bytes
+				own.row = append(own.row, float64(cur-m.tickMark)*8/secs)
 				m.tickMark = cur
 			}
 			if shard == 0 {
-				env.tickTimes = append(env.tickTimes, e.Now().Seconds())
+				env.tickTimes = append(env.tickTimes, eng.Now().Seconds())
 			}
 			if shard == monShard {
 				env.monFlags = append(env.monFlags, env.nfBottleneck.Monitoring())
@@ -418,37 +502,34 @@ func (TimeseriesProbe) finish(env *scenarioEnv, res *Result) {
 	res.Series = env.mergedSeries()
 }
 
-// mergedSeries returns the timeseries collected so far. On one shard
-// that is the accumulated sample slice; on a sharded run the
-// per-shard buckets are merged in global meter order — the
-// single-engine accumulation order, so the samples come out
-// bit-identical. The merge is built fresh each call (not appended onto
-// prior state) so repeat collection — a second Instance.Run, or the
-// serve mode streaming at every segment boundary — returns a
-// consistent snapshot instead of duplicates. Sharded merges are only
-// coherent at a window barrier (a control point or the finished run),
-// where every shard has ticked the same instants.
+// mergedSeries returns the timeseries collected so far (nil while it
+// is empty). It merges only the ticks no earlier call merged, summing
+// the shards' rows in global meter order — the order one engine's tick
+// would sum in, so the samples are bit-identical on every shard count —
+// and appends them to env.series, so repeat reads (a second
+// Instance.Run, or the serve mode streaming at every segment boundary)
+// neither duplicate samples nor allocate. A merge is coherent at a
+// window barrier (a control point or the finished run), where every
+// shard has ticked the same instants.
 func (env *scenarioEnv) mergedSeries() []Sample {
-	if len(env.sh.engines) == 1 {
-		return env.series
-	}
-	series := make([]Sample, 0, len(env.tickTimes))
-	for k, tsec := range env.tickTimes {
-		s := Sample{TimeSec: tsec}
-		for i, m := range env.meters {
-			if k >= len(env.meterRates[i]) {
-				continue
-			}
+	for k := len(env.series); k < len(env.tickTimes); k++ {
+		s := Sample{TimeSec: env.tickTimes[k]}
+		for _, m := range env.meters {
+			own := &env.byShard[m.shard]
+			rate := own.row[k*len(own.meters)+int(m.slot)]
 			if m.attacker {
-				s.AttackerBps += env.meterRates[i][k]
+				s.AttackerBps += rate
 			} else {
-				s.UserBps += env.meterRates[i][k]
+				s.UserBps += rate
 			}
 		}
 		if k < len(env.monFlags) {
 			s.Monitoring = env.monFlags[k]
 		}
-		series = append(series, s)
+		env.series = append(env.series, s)
 	}
-	return series
+	if len(env.series) == 0 {
+		return nil
+	}
+	return env.series
 }

@@ -11,7 +11,6 @@ import (
 	_ "netfence/internal/baseline"
 	"netfence/internal/core"
 	"netfence/internal/defense"
-	"netfence/internal/metrics"
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/topo"
@@ -129,22 +128,6 @@ type DefenseBuilder = defense.Builder
 // DefenseBuildOptions carries optional construction parameters.
 type DefenseBuildOptions = defense.BuildOptions
 
-// goodputMeter tracks one sender's delivered bytes for the probes. In a
-// sharded run the meter belongs to the shard owning the state its bytes
-// closure reads (the receiver side), which alone snapshots and ticks it.
-type goodputMeter struct {
-	shard int32
-	// weight is how many modeled senders the meter aggregates: 1 for an
-	// ordinary sender, N for a fleet meter reading the combined sink of
-	// N homogeneous senders. Probes divide by weight for per-sender
-	// rates and weight the fairness statistics accordingly.
-	weight   int32
-	bytes    func() int64
-	warmMark int64
-	tickMark int64
-	attacker bool
-}
-
 // scenarioEnv is the mutable state shared by workload attachment, the
 // probes and the executor for one scenario run.
 type scenarioEnv struct {
@@ -155,10 +138,13 @@ type scenarioEnv struct {
 	// shard.
 	sh *shardState
 
-	meters []*goodputMeter
-	// fcts holds one FCT aggregate per shard: transfer results are
+	// meters lists every goodput meter in attachment order, the global
+	// order the probes sum in; byShard holds each shard's share of them.
+	meters  []*goodputMeter
+	byShard []shardMeters
+	// fcts holds one transfer record per shard: transfer results are
 	// recorded by the sender's shard and merged at finish.
-	fcts     []*metrics.FCT
+	fcts     []fctRecord
 	denySet  map[packet.NodeID]bool
 	stoppers []interface{ Stop() }
 
@@ -196,17 +182,13 @@ type scenarioEnv struct {
 
 	duration, warmup Time
 	txWarmMarks      []uint64
-	series           []Sample
 
-	// Sharded TimeseriesProbe state: shard 0 records the tick instants,
-	// the NetFence bottleneck's shard records the monitoring flags, and
-	// every shard appends its own meters' per-interval goodput to their
-	// rows of meterRates (indexed like meters, made only by that probe).
-	// The probe merges the rows in global meter order at finish, so the
-	// sums are bit-identical to the single-engine tick.
-	tickTimes  []float64
-	monFlags   []bool
-	meterRates [][]float64
+	// TimeseriesProbe state beside the shards' rows: the tick instants
+	// (shard 0), the monitoring flags (the NetFence bottleneck's shard)
+	// and the samples merged so far.
+	tickTimes []float64
+	monFlags  []bool
+	series    []Sample
 }
 
 func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
@@ -214,35 +196,6 @@ func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
 		return nil, fmt.Errorf("%s: group %d out of range (topology has %d)", kind, g, len(env.groups))
 	}
 	return &env.groups[g], nil
-}
-
-// addMeter registers a goodput meter whose bytes closure reads state
-// owned by owner's shard (the receiver of the measured traffic).
-func (env *scenarioEnv) addMeter(owner *netsim.Node, attacker bool, bytes func() int64) {
-	env.addWeightedMeter(owner, attacker, 1, bytes)
-}
-
-// addWeightedMeter registers a meter standing for weight modeled
-// senders (a fleet's combined sink).
-func (env *scenarioEnv) addWeightedMeter(owner *netsim.Node, attacker bool, weight int32, bytes func() int64) {
-	env.meters = append(env.meters, &goodputMeter{
-		shard: int32(env.sh.shardOf(owner.ID)), weight: weight, bytes: bytes, attacker: attacker,
-	})
-}
-
-// fctFor returns the FCT aggregate results from node n's shard feed.
-func (env *scenarioEnv) fctFor(n *netsim.Node) *metrics.FCT {
-	return env.fcts[env.sh.shardOf(n.ID)]
-}
-
-// mergedFCT returns the run's combined FCT aggregate, merging shard
-// aggregates in shard order (deterministic for a fixed shard count).
-func (env *scenarioEnv) mergedFCT() *metrics.FCT {
-	m := &metrics.FCT{}
-	for _, f := range env.fcts {
-		m.Merge(f)
-	}
-	return m
 }
 
 // fleetRand returns a fleet's private deterministic RNG stream, keyed
@@ -334,23 +287,6 @@ func (env *scenarioEnv) recordAttack(name string) {
 		}
 	}
 	env.attacks = append(env.attacks, name)
-}
-
-// snapshotWarmShard is the warmup snapshot: shard sh marks the meters
-// and bottleneck counters it owns, on its own engine, at the same
-// simulated instant as every other shard. txWarmMarks is preallocated
-// at build, so concurrent shards write disjoint slots.
-func (env *scenarioEnv) snapshotWarmShard(sh int) {
-	for _, m := range env.meters {
-		if int(m.shard) == sh {
-			m.warmMark = m.bytes()
-		}
-	}
-	for i, l := range env.bottlenecks {
-		if env.sh.shardOf(l.From.ID) == sh {
-			env.txWarmMarks[i] = l.TxBytes
-		}
-	}
 }
 
 // Instance is a built, not-yet-run scenario: the escape hatch for code

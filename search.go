@@ -322,17 +322,7 @@ func (s SearchSpec) runCell(ctx context.Context, opt search.Optimizer, d, st str
 // identical across shard counts.
 func (s SearchSpec) cellScenario(d, st string, params map[string]float64) Scenario {
 	sc := s.Base
-	// A system-specific config only survives onto its own system — the
-	// Sweep defense-axis rule.
-	baseDefense := defense.Canonical(sc.Defense.Name)
-	if baseDefense == "" {
-		baseDefense = "netfence"
-	}
-	cellConfig := sc.Defense.Config
-	sc.Defense = DefenseSpec{Name: d}
-	if defense.Canonical(d) == baseDefense {
-		sc.Defense.Config = cellConfig
-	}
+	sc.Defense = defenseFor(sc.Defense, d)
 	sc.Workloads = retargetAttacks(sc.Workloads, st, params)
 	sc.Probes = []Probe{GoodputProbe{}, FairnessProbe{}, FCTProbe{}, BoundProbe{Nu: s.Nu}}
 	baseName := sc.Name
@@ -383,8 +373,7 @@ func (r *SearchReport) JSON() ([]byte, error) {
 // Table renders the worst-found table: one row per (defense ×
 // strategy) cell, the defense's overall worst strategy starred.
 func (r *SearchReport) Table() string {
-	cols := []string{"defense", "strategy", "worst attack", "user kbps", "default", "suppress", "floor", "gap", "holds", "evals"}
-	rows := [][]string{}
+	var rows [][]string
 	for _, row := range r.Rows {
 		star := ""
 		if row.Worst {
@@ -401,39 +390,9 @@ func (r *SearchReport) Table() string {
 			fmt.Sprintf("%d", row.Evals),
 		})
 	}
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "worst-found table (optimizer=%s budget=%d seed=%d; * = defense's worst strategy)\n",
 		r.Optimizer, r.Budget, r.Seed)
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(cols)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range rows {
-		line(row)
-	}
+	writeTable(&b, []string{"defense", "strategy", "worst attack", "user kbps", "default", "suppress", "floor", "gap", "holds", "evals"}, rows)
 	return b.String()
 }

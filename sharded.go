@@ -6,7 +6,6 @@ import (
 
 	"netfence/internal/core"
 	"netfence/internal/defense"
-	"netfence/internal/metrics"
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/packet"
@@ -353,16 +352,14 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	env := &scenarioEnv{
 		sc:          &s,
 		sh:          st,
-		fcts:        make([]*metrics.FCT, len(st.engines)),
+		byShard:     make([]shardMeters, len(st.engines)),
+		fcts:        make([]fctRecord, len(st.engines)),
 		denySet:     map[packet.NodeID]bool{},
 		deployed:    deployed,
 		listeners:   map[int]bool{},
 		srcCounters: map[int]map[packet.NodeID]*int64{},
 		duration:    s.Duration,
 		warmup:      s.Warmup,
-	}
-	for i := range env.fcts {
-		env.fcts[i] = &metrics.FCT{}
 	}
 	// The deny policy closes over the deny set, which the attack
 	// workloads populate during attachment below.

@@ -127,13 +127,6 @@ func (sw Sweep) Scenarios() []Scenario {
 	if baseName == "" {
 		baseName = "sweep"
 	}
-	// A system-specific config only survives onto its own system's
-	// cells; other cells fall back to defaults.
-	baseDefense := defense.Canonical(sw.Base.Defense.Name)
-	if baseDefense == "" {
-		baseDefense = "netfence"
-	}
-
 	var out []Scenario
 	for _, d := range defenses {
 		for _, pop := range pops {
@@ -146,10 +139,7 @@ func (sw Sweep) Scenarios() []Scenario {
 								if pop > 0 && sc.Topology != nil {
 									sc.Topology = sc.Topology.withPopulation(pop)
 								}
-								sc.Defense = DefenseSpec{Name: d}
-								if defense.Canonical(d) == baseDefense {
-									sc.Defense.Config = sw.Base.Defense.Config
-								}
+								sc.Defense = defenseFor(sw.Base.Defense, d)
 								sc.Seed = seed
 								// A registry-resolved spec on its builder default has
 								// no declared population; omit the segment rather
@@ -196,6 +186,21 @@ func (sw Sweep) Scenarios() []Scenario {
 		}
 	}
 	return out
+}
+
+// defenseFor returns the defense of a cell that runs system d on top of
+// base, for the sweep's defense axis and the search's cells alike: a
+// system-specific Config survives only onto its own system (an empty
+// base name means "netfence"); other systems build with their defaults.
+func defenseFor(base DefenseSpec, d string) DefenseSpec {
+	own := defense.Canonical(base.Name)
+	if own == "" {
+		own = "netfence"
+	}
+	if defense.Canonical(d) == own {
+		return DefenseSpec{Name: d, Config: base.Config}
+	}
+	return DefenseSpec{Name: d}
 }
 
 // retargetAttacks copies a workload list with every AttackSpec pointed

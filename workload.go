@@ -110,7 +110,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 		}
 		flow := env.newFlow()
 		r := transport.NewTCPReceiver(victim.Host, flow)
-		env.addMeter(victim, false, r.DeliveredBytes)
+		env.addMeter(victim, false, 1, r.Delivered())
 		transport.NewTCPSender(h.Host, victim.ID, flow, -1, cfg).Start()
 	}
 	return nil
@@ -158,11 +158,11 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 			return err
 		}
 		ctr := env.srcCounter(w.Group, h.ID)
-		env.addMeter(victim, false, func() int64 { return *ctr })
+		env.addMeter(victim, false, 1, ctr)
 		c := transport.NewFileClient(h.Host, victim.ID, size, cfg)
 		c.Gap = w.Gap
 		fct := env.fctFor(h)
-		c.OnResult = func(d Time, ok bool) { fct.Add(d, ok) }
+		c.OnResult = fct.add
 		env.stoppers = append(env.stoppers, c)
 		c.Start()
 	}
@@ -201,10 +201,10 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 			return err
 		}
 		ctr := env.srcCounter(w.Group, h.ID)
-		env.addMeter(victim, false, func() int64 { return *ctr })
+		env.addMeter(victim, false, 1, ctr)
 		src := transport.NewWebSource(h.Host, victim.ID, cfg)
 		fct := env.fctFor(h)
-		src.OnResult = func(_ int64, d Time, ok bool) { fct.Add(d, ok) }
+		src.OnResult = func(_ int64, d Time, ok bool) { fct.add(d, ok) }
 		env.stoppers = append(env.stoppers, src)
 		src.Start()
 	}
@@ -336,7 +336,7 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 		}
 		flow := env.newFlow()
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addMeter(dstHost, !spec.legit, func() int64 { return int64(sink.Bytes) })
+		env.addMeter(dstHost, !spec.legit, 1, &sink.Bytes)
 		u := transport.NewUDPSource(h.Host, dstHost.ID, flow, rate, pktSize)
 		u.OnTime, u.OffTime = spec.on, spec.off
 		u.OffRateBps = spec.offRate
@@ -457,7 +457,7 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 		h.Weight = int32(weight)
 		flow := env.newFlow()
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addWeightedMeter(dstHost, w.Attacker, h.Weight, func() int64 { return int64(sink.Bytes) })
+		env.addMeter(dstHost, w.Attacker, h.Weight, &sink.Bytes)
 		fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, weight, rate, pktSize, env.fleetRand(h))
 		cells := h.Host.Network().Cells
 		cells.Add(obs.FleetAttached, 1)
@@ -625,7 +625,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 		}
 		flow := env.newFlow()
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addMeter(dstHost, true, func() int64 { return int64(sink.Bytes) })
+		env.addMeter(dstHost, true, 1, &sink.Bytes)
 		// Index must be the sender's position in the workload list, not
 		// in its shard's controller: index-dependent strategies (the
 		// legacy_frac split) must make the same per-sender choice no
