@@ -542,6 +542,20 @@ func submitCases() []submitCase {
 			Topology:  TopologySpec{Kind: "dumbbell", Senders: 1_000_000_000_000, BottleneckBps: 1_000_000},
 			Workloads: []WorkloadSpec{{Kind: "longtcp", From: 0, To: 1_000_000_000_000}},
 		}}, http.StatusBadRequest, "exceeds the limit"},
+		// Build once sized the timeseries buffers from these two: a 1 ns
+		// interval over the default 240 s is 2.4e11 samples, and a
+		// negative duration a negative size.
+		{"timeseries-too-fine", JobSpec{Scenario: &ScenarioSpec{
+			Topology:              good.Topology,
+			Workloads:             good.Workloads,
+			TimeseriesIntervalSec: 1e-9,
+		}}, http.StatusBadRequest, "timeseries: a 1e-09s interval over 240s is 240000000000 samples, over the limit"},
+		{"duration-negative", JobSpec{Scenario: &ScenarioSpec{
+			Topology:    good.Topology,
+			Workloads:   good.Workloads,
+			DurationSec: -1,
+			WarmupSec:   -2,
+		}}, http.StatusBadRequest, "duration_sec (-1) and warmup_sec (-2) must not be negative"},
 		{"sweep-population-below-senders", JobSpec{Sweep: &SweepSpec{
 			Base: good, Populations: []int{16, 6},
 		}}, http.StatusBadRequest, "workload 1: sender range [4, 8) outside the topology's 6 senders"},

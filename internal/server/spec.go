@@ -288,6 +288,11 @@ func (t TopologySpec) build() (netfence.TopologySpec, error) {
 // population it could not hold instead of dying while building it.
 const maxSenders = 1 << 20
 
+// maxTicks bounds the timeseries samples a spec may ask for over its
+// run: the probe keeps every sample until the run ends, so the service
+// refuses at submit an interval too fine for the duration.
+const maxTicks = 1 << 20
+
 // senderCap is the per-group sender count the topology builds at
 // population n (0 = the spec's own): the bound on workload indices.
 func (t TopologySpec) senderCap(n int) int {
@@ -380,6 +385,9 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 	if capacity > maxSenders {
 		return netfence.Scenario{}, fmt.Errorf("topology: %d senders per group exceeds the limit of %d", capacity, maxSenders)
 	}
+	if s.DurationSec < 0 || s.WarmupSec < 0 {
+		return netfence.Scenario{}, fmt.Errorf("duration_sec (%g) and warmup_sec (%g) must not be negative", s.DurationSec, s.WarmupSec)
+	}
 	topoSpec, err := s.Topology.build()
 	if err != nil {
 		return netfence.Scenario{}, err
@@ -424,6 +432,13 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 	interval := secs(s.TimeseriesIntervalSec)
 	if interval <= 0 {
 		interval = 5 * netfence.Second
+	}
+	dur := s.DurationSec
+	if dur == 0 {
+		dur = 240 // Build's default
+	}
+	if ticks := dur / interval.Seconds(); ticks > maxTicks {
+		return netfence.Scenario{}, fmt.Errorf("timeseries: a %gs interval over %gs is %.0f samples, over the limit of %d", interval.Seconds(), dur, ticks, maxTicks)
 	}
 	sc.Probes = []netfence.Probe{
 		netfence.GoodputProbe{},

@@ -218,7 +218,8 @@ type goodputMeter struct {
 // shardMeters is one shard's share of the meters, in global meter
 // order: the warm-up snapshot and the timeseries tick walk it on the
 // shard's own engine. row is the timeseries the tick appends to, one
-// rate per meter per tick, so tick k's rates start at k*len(meters).
+// rate per meter per tick not yet merged, so the k-th buffered tick's
+// rates start at k*len(meters).
 type shardMeters struct {
 	meters []*goodputMeter
 	row    []float64
@@ -463,24 +464,21 @@ type TimeseriesProbe struct {
 // install ticks every shard at the same simulated instants: each shard
 // appends its own meters' per-interval rates to its row, shard 0 records
 // the tick instants and the NetFence bottleneck's shard the monitoring
-// flags. The buffers are sized for the whole run.
+// flags. The buffers hold only the ticks no merge has taken yet and grow
+// by append, so Build allocates nothing in proportion to the tick count
+// and a run's memory follows the ticks it has actually taken.
 func (p TimeseriesProbe) install(env *scenarioEnv) error {
 	interval := p.Interval
 	if interval <= 0 {
 		interval = 10 * Second
 	}
 	secs := interval.Seconds()
-	ticks := int(env.duration / interval)
 	monShard := -1
 	if env.nfBottleneck != nil {
 		monShard = env.sh.shardOf(env.bottlenecks[0].From.ID)
-		env.monFlags = make([]bool, 0, ticks)
 	}
-	env.tickTimes = make([]float64, 0, ticks)
-	env.series = make([]Sample, 0, ticks)
 	for shard, eng := range env.sh.engines {
 		own := &env.byShard[shard]
-		own.row = make([]float64, 0, ticks*len(own.meters))
 		eng.Tick(interval, func() {
 			for _, m := range own.meters {
 				cur := *m.bytes
@@ -503,17 +501,18 @@ func (TimeseriesProbe) finish(env *scenarioEnv, res *Result) {
 }
 
 // mergedSeries returns the timeseries collected so far (nil while it
-// is empty). It merges only the ticks no earlier call merged, summing
+// is empty). It merges the ticks buffered since the last call, summing
 // the shards' rows in global meter order — the order one engine's tick
 // would sum in, so the samples are bit-identical on every shard count —
-// and appends them to env.series, so repeat reads (a second
-// Instance.Run, or the serve mode streaming at every segment boundary)
-// neither duplicate samples nor allocate. A merge is coherent at a
-// window barrier (a control point or the finished run), where every
-// shard has ticked the same instants.
+// appends them to env.series and empties the buffers. Repeat reads (a
+// second Instance.Run, or the serve mode streaming at every segment
+// boundary) neither duplicate samples nor allocate, and a streaming run
+// holds only its unmerged ticks. A merge is coherent at a window
+// barrier (a control point or the finished run), where every shard has
+// ticked the same instants.
 func (env *scenarioEnv) mergedSeries() []Sample {
-	for k := len(env.series); k < len(env.tickTimes); k++ {
-		s := Sample{TimeSec: env.tickTimes[k]}
+	for k, at := range env.tickTimes {
+		s := Sample{TimeSec: at}
 		for _, m := range env.meters {
 			own := &env.byShard[m.shard]
 			rate := own.row[k*len(own.meters)+int(m.slot)]
@@ -527,6 +526,10 @@ func (env *scenarioEnv) mergedSeries() []Sample {
 			s.Monitoring = env.monFlags[k]
 		}
 		env.series = append(env.series, s)
+	}
+	env.tickTimes, env.monFlags = env.tickTimes[:0], env.monFlags[:0]
+	for i := range env.byShard {
+		env.byShard[i].row = env.byShard[i].row[:0]
 	}
 	if len(env.series) == 0 {
 		return nil

@@ -3,6 +3,8 @@ package netfence
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +42,64 @@ func TestTableRendering(t *testing.T) {
 		"tva        flood       flood            1          0        0         80     -79  false  1    \n"
 	if got := report.Table(); got != wantReport {
 		t.Errorf("SearchReport.Table:\n%s\nwant:\n%s", got, wantReport)
+	}
+}
+
+// TestTimeseriesBuffersFollowTheRun pins the timeseries memory to the
+// ticks a run has taken. Build allocates nothing per tick, so a 1 ns
+// interval over the default 240 s (2.4e11 ticks) builds like any other;
+// a Series read empties the shards' rows, so a run streamed segment by
+// segment holds only its unmerged ticks; and a negative Duration is
+// refused.
+func TestTimeseriesBuffersFollowTheRun(t *testing.T) {
+	sc := Scenario{
+		Seed:     1,
+		Topology: DumbbellSpec{Senders: 4, BottleneckBps: 800_000},
+		Workloads: []Workload{
+			LongTCP{Senders: []int{0, 1}},
+			UDPFlood{Senders: []int{2, 3}, RateBps: 1_000_000},
+		},
+		Probes: []Probe{TimeseriesProbe{Interval: 1}},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	in, err := sc.Build()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Stop()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("Build with a 1 ns timeseries interval allocated %d MB", grew>>20)
+	}
+
+	sc.Probes = []Probe{TimeseriesProbe{Interval: 100 * Millisecond}}
+	sc.Duration = 4 * Second
+	if in, err = sc.Build(); err != nil {
+		t.Fatal(err)
+	}
+	merged := 0
+	for at := Second; at <= 3*Second; at += Second {
+		in.Advance(at)
+		n := len(in.Series())
+		if n <= merged {
+			t.Fatalf("at %v: %d samples, want more than %d", at, n, merged)
+		}
+		merged = n
+		for sh, own := range in.env.byShard {
+			if len(own.row) != 0 {
+				t.Errorf("at %v: shard %d still buffers %d rates after a merge", at, sh, len(own.row))
+			}
+		}
+		if len(in.env.tickTimes) != 0 || len(in.env.monFlags) != 0 {
+			t.Errorf("at %v: %d tick instants and %d monitoring flags still buffered", at, len(in.env.tickTimes), len(in.env.monFlags))
+		}
+	}
+	in.Stop()
+
+	sc.Duration, sc.Warmup = -Second, -2*Second
+	if _, err := sc.Build(); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+		t.Errorf("Build with a negative Duration: err = %v", err)
 	}
 }
 

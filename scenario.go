@@ -183,9 +183,9 @@ type scenarioEnv struct {
 	duration, warmup Time
 	txWarmMarks      []uint64
 
-	// TimeseriesProbe state beside the shards' rows: the tick instants
-	// (shard 0), the monitoring flags (the NetFence bottleneck's shard)
-	// and the samples merged so far.
+	// TimeseriesProbe state beside the shards' rows: the unmerged ticks'
+	// instants (shard 0) and monitoring flags (the NetFence bottleneck's
+	// shard), and the samples merged so far.
 	tickTimes []float64
 	monFlags  []bool
 	series    []Sample
@@ -327,6 +327,9 @@ type Instance struct {
 func (s Scenario) Build() (*Instance, error) {
 	if s.Topology == nil {
 		return nil, fmt.Errorf("scenario %q: Topology is required", s.Name)
+	}
+	if s.Duration < 0 || s.Warmup < 0 {
+		return nil, fmt.Errorf("scenario %q: Duration (%v) and Warmup (%v) must not be negative", s.Name, s.Duration, s.Warmup)
 	}
 	if s.Duration == 0 {
 		s.Duration = 240 * Second
