@@ -37,13 +37,13 @@ func TestDropTailFIFOOrder(t *testing.T) {
 	q := NewDropTail(1 << 20)
 	for i := 0; i < 10; i++ {
 		p := pkt(100)
-		p.UID = uint64(i)
+		p.Flow = packet.FlowID(i)
 		q.Enqueue(p, 0)
 	}
 	for i := 0; i < 10; i++ {
 		p, _ := q.Dequeue(0)
-		if p.UID != uint64(i) {
-			t.Fatalf("out of order: got %d want %d", p.UID, i)
+		if p.Flow != packet.FlowID(i) {
+			t.Fatalf("out of order: got %d want %d", p.Flow, i)
 		}
 	}
 }

@@ -304,8 +304,8 @@ func (ar *AccessRouter) ingress(p *packet.Packet, from *netsim.Link) bool {
 // trace records one policing hop for a sampled flow.
 func (ar *AccessRouter) trace(p *packet.Packet, kind, detail string) {
 	net := ar.node.Network()
-	if net.Rec.Sampled(uint32(p.Flow)) {
-		net.Rec.Record(int64(net.Eng.Now()), uint32(p.Flow), ar.node.String(), kind, detail)
+	if net.Rec.Sampled(uint64(p.Flow)) {
+		net.Rec.Record(int64(net.Eng.Now()), uint64(p.Flow), ar.node.String(), kind, detail)
 	}
 }
 
@@ -313,7 +313,7 @@ func (ar *AccessRouter) trace(p *packet.Packet, kind, detail string) {
 // the gate hot paths check before building a trace detail string, so
 // untraced runs never pay the formatting allocation.
 func (ar *AccessRouter) traced(p *packet.Packet) bool {
-	return ar.node.Network().Rec.Sampled(uint32(p.Flow))
+	return ar.node.Network().Rec.Sampled(uint64(p.Flow))
 }
 
 // policeSlot implements router.rate_limit_packet of Figure 18 for a

@@ -158,10 +158,10 @@ func (b *Bottleneck) overloadedFor(p *packet.Packet, now sim.Time) bool {
 // through the monitored link, applying the ordered rules of §4.3.2.
 func (b *Bottleneck) onTransmit(p *packet.Packet, l *netsim.Link) {
 	net := l.From.Network()
-	sampled := net.Rec.Sampled(uint32(p.Flow))
+	sampled := net.Rec.Sampled(uint64(p.Flow))
 	if !b.monActive || p.Kind == packet.KindLegacy {
 		if sampled {
-			net.Rec.Record(int64(net.Eng.Now()), uint32(p.Flow), l.Label(), obs.HopMonitor, "idle")
+			net.Rec.Record(int64(net.Eng.Now()), uint64(p.Flow), l.Label(), obs.HopMonitor, "idle")
 		}
 		return
 	}
@@ -176,13 +176,13 @@ func (b *Bottleneck) onTransmit(p *packet.Packet, l *netsim.Link) {
 	case p.FB.Action == packet.ActDecr:
 		// Rule 2: never overwrite an upstream link's L-down.
 		if sampled {
-			net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopMonitor, "mon keep-upstream-decr")
+			net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopMonitor, "mon keep-upstream-decr")
 		}
 		return
 	case !b.overloadedFor(p, now):
 		// Rule 3 negative: leave L-up feedback alone.
 		if sampled {
-			net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopMonitor, "mon keep-lup")
+			net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopMonitor, "mon keep-lup")
 		}
 		return
 	}
@@ -193,6 +193,6 @@ func (b *Bottleneck) onTransmit(p *packet.Packet, l *netsim.Link) {
 	feedback.StampDecr(kai, p, l.ID)
 	net.Cells.Add(obs.CoreStampDecr, 1)
 	if sampled {
-		net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopMonitor, "mon stamp-decr")
+		net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopMonitor, "mon stamp-decr")
 	}
 }

@@ -520,7 +520,7 @@ func TestRequestPoliceZeroAlloc(t *testing.T) {
 	if !ar.police(p) {
 		t.Fatal("warm-up request dropped")
 	}
-	if d.Net.Rec.Sampled(uint32(p.Flow)) {
+	if d.Net.Rec.Sampled(uint64(p.Flow)) {
 		t.Fatal("test flow unexpectedly sampled")
 	}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -110,8 +110,8 @@ func (q *nfQueue) enableFallback(now sim.Time, clock func() sim.Time) {
 		q.fbLastDrop = t
 		q.fbDropByAS[p.SrcAS] = t
 		q.cells.Add(obs.QueueDropRegular, 1)
-		if q.net != nil && q.net.Rec.Sampled(uint32(p.Flow)) {
-			q.net.Rec.Record(int64(t), uint32(p.Flow), q.label, obs.HopDrop, "fq-evict")
+		if q.net != nil && q.net.Rec.Sampled(uint64(p.Flow)) {
+			q.net.Rec.Record(int64(t), uint64(p.Flow), q.label, obs.HopDrop, "fq-evict")
 		}
 	}
 	for {
@@ -163,8 +163,8 @@ func (q *nfQueue) enqueue(p *packet.Packet, now sim.Time) bool {
 	if p.Kind == packet.KindRegular && p.FB == (packet.Feedback{}) && !p.HasMFB() {
 		p.Kind = packet.KindLegacy
 		q.cells.Add(obs.CoreDemotedLegacy, 1)
-		if q.net != nil && q.net.Rec.Sampled(uint32(p.Flow)) {
-			q.net.Rec.Record(int64(now), uint32(p.Flow), q.label, obs.HopDemote, "unstamped-regular->legacy")
+		if q.net != nil && q.net.Rec.Sampled(uint64(p.Flow)) {
+			q.net.Rec.Record(int64(now), uint64(p.Flow), q.label, obs.HopDemote, "unstamped-regular->legacy")
 		}
 	}
 	// Legacy traffic carries no Passport trailer either: skip source
@@ -232,8 +232,8 @@ func (q *nfQueue) enqueueRequest(p *packet.Packet, now sim.Time) bool {
 		q.reqStats.Dropped++
 		q.reqStats.DroppedBytes += uint64(victim.Size)
 		q.cells.Add(obs.QueueDropRequest, 1)
-		if q.net != nil && q.net.Rec.Sampled(uint32(victim.Flow)) {
-			q.net.Rec.Record(int64(now), uint32(victim.Flow), q.label, obs.HopDrop, "request-evict")
+		if q.net != nil && q.net.Rec.Sampled(uint64(victim.Flow)) {
+			q.net.Rec.Record(int64(now), uint64(victim.Flow), q.label, obs.HopDrop, "request-evict")
 		}
 		if q.release != nil {
 			q.release(victim)

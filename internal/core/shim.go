@@ -43,8 +43,8 @@ type HostShim struct {
 	echoOrd uint32
 }
 
-// peerState's fields are ordered so the two flags and lastFlow fill what
-// would otherwise be padding after the feedback records.
+// peerState's fields are ordered so the two flags fill what would
+// otherwise be padding after the first feedback record.
 type peerState struct {
 	// presented is the feedback this host presents on packets it sends
 	// to the peer (returned to us by the peer earlier).
@@ -232,8 +232,8 @@ func (sh *HostShim) noteRequest(p *packet.Packet, now sim.Time) {
 	if p.Prio > 0 {
 		net.Cells.Add(obs.CoreEscalation, 1)
 	}
-	if net.Rec.Sampled(uint32(p.Flow)) {
-		net.Rec.Record(int64(now), uint32(p.Flow), sh.host.Node.String(),
+	if net.Rec.Sampled(uint64(p.Flow)) {
+		net.Rec.Record(int64(now), uint64(p.Flow), sh.host.Node.String(),
 			obs.HopShim, "request prio="+strconv.Itoa(int(p.Prio)))
 	}
 }
@@ -241,8 +241,8 @@ func (sh *HostShim) noteRequest(p *packet.Packet, now sim.Time) {
 // traceHop records a shim-stamp hop for sampled flows.
 func (sh *HostShim) traceHop(p *packet.Packet, now sim.Time, detail string) {
 	net := sh.host.Network()
-	if net.Rec.Sampled(uint32(p.Flow)) {
-		net.Rec.Record(int64(now), uint32(p.Flow), sh.host.Node.String(),
+	if net.Rec.Sampled(uint64(p.Flow)) {
+		net.Rec.Record(int64(now), uint64(p.Flow), sh.host.Node.String(),
 			obs.HopShim, detail)
 	}
 }

@@ -21,7 +21,7 @@ type classicFIFO struct{ queue.FIFO }
 // cutArrival is what the far end of the link saw of one packet.
 type cutArrival struct {
 	At  sim.Time
-	UID uint64
+	Seq int64
 }
 
 // cutSide is one one-link network on its own engine.
@@ -35,14 +35,14 @@ type cutSide struct {
 	// harvests at every step fold it into the gauge.
 	hwm     uint64
 	arrived []cutArrival
-	sent    []uint64 // transmit-hook order
-	dropped []uint64
+	sent    []int64 // transmit-hook order
+	dropped []int64
 }
 
 func newCutSide(classic bool) *cutSide {
 	s := &cutSide{eng: sim.New(1)}
 	s.net = New(s.eng)
-	s.net.Rec = obs.NewRecorder([]bool{false, true, false}) // flow 1 of {1, 2}
+	s.net.Rec = obs.NewRecorder([]uint64{1}) // flow 1 of {1, 2}
 	a, b := s.net.NewNode("a", 1), s.net.NewHost("b", 2)
 	s.l, _ = s.net.Connect(a, b, 10_000_000, sim.Millisecond)
 	s.net.ComputeRoutes()
@@ -52,11 +52,11 @@ func newCutSide(classic bool) *cutSide {
 	s.dst = b.ID
 	s.lo, s.hi = s.eng.NewOrigin(1), s.eng.NewOrigin(^uint64(0))
 	sink := agentFunc(func(p *packet.Packet) {
-		s.arrived = append(s.arrived, cutArrival{At: s.eng.Now(), UID: p.UID})
+		s.arrived = append(s.arrived, cutArrival{At: s.eng.Now(), Seq: p.TCP.Seq})
 	})
 	b.Host.OnUnknownFlow = func(*packet.Packet) Agent { return sink }
-	s.l.SetOnTransmit(func(p *packet.Packet, _ *Link) { s.sent = append(s.sent, p.UID) })
-	s.net.OnDrop = func(p *packet.Packet, _ *Link) { s.dropped = append(s.dropped, p.UID) }
+	s.l.SetOnTransmit(func(p *packet.Packet, _ *Link) { s.sent = append(s.sent, p.TCP.Seq) })
+	s.net.OnDrop = func(p *packet.Packet, _ *Link) { s.dropped = append(s.dropped, p.TCP.Seq) }
 	return s
 }
 
@@ -138,7 +138,7 @@ var cutSeeds = map[string][]byte{
 // and once both engines have drained.
 func runCutProgram(t *testing.T, prog []byte) {
 	sides := [2]*cutSide{newCutSide(false), newCutSide(true)}
-	at, prevSize, uid := sides[0].eng.Now(), 0, uint64(0)
+	at, prevSize, seq := sides[0].eng.Now(), 0, int64(0)
 	agree := func(when string) {
 		t.Helper()
 		if a, b := sides[0].state(), sides[1].state(); a != b {
@@ -152,10 +152,10 @@ func runCutProgram(t *testing.T, prog []byte) {
 			gap *= 1 + sim.Time(b1&15)
 		}
 		at += gap
-		uid++
+		seq++
 		for _, s := range sides {
 			if op&7 < cutRate {
-				p := &packet.Packet{Dst: s.dst, UID: uid, Flow: packet.FlowID(1 + op>>3&1), Size: 40 + 6*int32(b1)}
+				p := &packet.Packet{Dst: s.dst, TCP: packet.TCPInfo{Seq: seq}, Flow: packet.FlowID(1 + op>>3&1), Size: 40 + 6*int32(b1)}
 				org := &s.lo
 				if op&cutAfterLink != 0 {
 					org = &s.hi

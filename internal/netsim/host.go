@@ -73,7 +73,6 @@ func (h *Host) Send(p *packet.Packet) {
 	p.Src = nd.ID
 	p.SrcAS = nd.AS
 	p.DstAS = nd.net.ASOf(p.Dst)
-	p.UID = nd.net.NextUID()
 	if h.Shim != nil {
 		h.Shim.Egress(p)
 	}

@@ -123,8 +123,8 @@ func (l *Link) Send(p *packet.Packet) {
 	if _, def := l.Q.(*defaultQueue); !l.sending && (def || l.Q == nil) {
 		l.net.cutThrough++
 		l.net.cutHWM = max(l.net.cutHWM, uint64(p.Size))
-		if l.net.Rec.Sampled(uint32(p.Flow)) {
-			l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
+		if l.net.Rec.Sampled(uint64(p.Flow)) {
+			l.net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopEnqueue, "")
 		}
 		l.transmit(p, now)
 		return
@@ -137,12 +137,12 @@ func (l *Link) Send(p *packet.Packet) {
 	}
 	if !l.Q.Enqueue(p, now) {
 		l.net.Cells.Add(obs.NetsimDrops, 1)
-		if l.net.Rec.Sampled(uint32(p.Flow)) {
+		if l.net.Rec.Sampled(uint64(p.Flow)) {
 			reason := ""
 			if dr, ok := l.Q.(DropReasoner); ok {
 				reason = dr.LastDropReason()
 			}
-			l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopDrop, reason)
+			l.net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopDrop, reason)
 		}
 		if l.net.OnDrop != nil {
 			l.net.OnDrop(p, l)
@@ -150,8 +150,8 @@ func (l *Link) Send(p *packet.Packet) {
 		l.net.Release(p)
 		return
 	}
-	if l.net.Rec.Sampled(uint32(p.Flow)) {
-		l.net.Rec.Record(int64(now), uint32(p.Flow), l.Label(), obs.HopEnqueue, "")
+	if l.net.Rec.Sampled(uint64(p.Flow)) {
+		l.net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopEnqueue, "")
 	}
 	l.tryTransmit()
 }

@@ -14,7 +14,6 @@ import (
 // a Passport trailer consumed past its first entry, a cached verdict of
 // each kind — for a packet bound for dst.
 func fillPacket(p *packet.Packet, dst packet.NodeID) {
-	p.UID = 99
 	p.Src, p.Dst = 7, dst
 	p.SrcAS, p.DstAS = 1, 2
 	p.Flow = 5
@@ -398,7 +397,7 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 			if s != one {
 				sent++
 			}
-			p.UID, p.Src, p.Dst, p.Flow, p.Size = uid, from.ID, dst.ID, 1, int32(size)
+			p.Src, p.Dst, p.Flow, p.Size = from.ID, dst.ID, packet.FlowID(uid), int32(size)
 			if flags&hoTrailer != 0 {
 				st := p.NeedPassport()
 				st.Present = true

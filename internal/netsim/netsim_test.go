@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -62,9 +63,6 @@ func TestAddressingFilledBySend(t *testing.T) {
 	p := s.got[0]
 	if p.Src != h1.ID || p.SrcAS != 1 || p.DstAS != 2 {
 		t.Fatalf("addressing: %+v", p)
-	}
-	if p.UID == 0 {
-		t.Fatal("UID not assigned")
 	}
 }
 
@@ -205,13 +203,13 @@ func TestShimConsumesControlPackets(t *testing.T) {
 // a loop-free path that reaches the destination.
 func TestRoutingProperty(t *testing.T) {
 	prop := func(seed uint64, n8 uint8) bool {
-		eng := sim.New(seed)
-		n := New(eng)
+		rng := rand.New(rand.NewPCG(seed, 1))
+		n := New(sim.New(seed))
 		num := int(n8%20) + 2
 		nodes := []*Node{n.NewNode("n0", 0)}
 		for i := 1; i < num; i++ {
 			nd := n.NewNode("n", packet.ASID(i%3))
-			parent := nodes[eng.Rand.IntN(len(nodes))]
+			parent := nodes[rng.IntN(len(nodes))]
 			n.Connect(nd, parent, 1_000_000, sim.Millisecond)
 			nodes = append(nodes, nd)
 		}
@@ -299,7 +297,7 @@ func TestPoolRecyclesDeliveredPackets(t *testing.T) {
 	if q != p {
 		t.Fatal("pool did not recycle the delivered packet")
 	}
-	if q.Dst != 0 || q.Size != 0 || q.UID != 0 {
+	if q.Dst != 0 || q.Size != 0 || q.Flow != 0 {
 		t.Fatalf("recycled packet not reset: %+v", q)
 	}
 
@@ -336,17 +334,17 @@ type callLog struct {
 }
 
 func (q *callLog) Enqueue(p *packet.Packet, now sim.Time) bool {
-	q.calls = append(q.calls, fmt.Sprintf("enq %d @%d", p.UID, now))
+	q.calls = append(q.calls, fmt.Sprintf("enq %d @%d", p.Payload, now))
 	return q.FIFO.Enqueue(p, now)
 }
 
 func (q *callLog) Dequeue(now sim.Time) (*packet.Packet, sim.Time) {
 	p, retry := q.FIFO.Dequeue(now)
-	uid := uint64(0)
+	tag := int32(0)
 	if p != nil {
-		uid = p.UID
+		tag = p.Payload
 	}
-	q.calls = append(q.calls, fmt.Sprintf("deq %d @%d", uid, now))
+	q.calls = append(q.calls, fmt.Sprintf("deq %d @%d", tag, now))
 	return p, retry
 }
 
@@ -354,17 +352,18 @@ func (q *callLog) Dequeue(now sim.Time) (*packet.Packet, sim.Time) {
 // never bypassed — its averages, caps and drop decisions are functions
 // of every enqueue. Idle or busy, the link calls Enqueue for each packet
 // and Dequeue whenever the transmitter is free, in the order it always
-// has (deq 0 is the empty poll after the last transmit-complete).
+// has (packets are tagged 1–4 in Payload; deq 0 is the empty poll after
+// the last transmit-complete).
 func TestInstalledDisciplineSeesEveryPacket(t *testing.T) {
 	n, h1, h2, mid := lineTopo(1_000_000) // 12 ms per 1500 B on mid, 120 µs on the uplink
 	q := &callLog{}
 	mid.Q = q
 	h2.Host.Register(1, &sink{})
-	for i := 0; i < 3; i++ {
-		h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500})
+	for i := int32(1); i <= 3; i++ {
+		h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500, Payload: i})
 	}
 	n.Eng.Run()
-	h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500})
+	h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500, Payload: 4})
 	n.Eng.Run()
 	want := []string{
 		"enq 1 @1120000", "deq 1 @1120000", "enq 2 @1240000", "enq 3 @1360000",

@@ -77,9 +77,6 @@ type Network struct {
 	// the rest is the handoff census (see HandoffStats).
 	outboxes                       []*Mailbox
 	lent, sentHome, keyed, fifoHWM uint64
-
-	uid  uint64
-	flow uint32
 }
 
 // remoteHost is a host whose AS the network does not own: a reserved
@@ -521,36 +518,14 @@ func (n *Network) arrive(p *packet.Packet, node *Node, l *Link) {
 			node.Host.Receive(p)
 		}
 		n.Cells.Add(obs.NetsimDelivered, 1)
-		if n.Rec.Sampled(uint32(p.Flow)) {
-			n.Rec.Record(int64(n.Eng.Now()), uint32(p.Flow), node.String(), obs.HopDeliver, "")
+		if n.Rec.Sampled(uint64(p.Flow)) {
+			n.Rec.Record(int64(n.Eng.Now()), uint64(p.Flow), node.String(), obs.HopDeliver, "")
 		}
 		n.Release(p)
 		return
 	}
 	n.Forward(node, p)
 }
-
-// NextUID returns a fresh packet UID.
-func (n *Network) NextUID() uint64 {
-	n.uid++
-	return n.uid
-}
-
-// NextFlow returns a fresh flow identifier.
-func (n *Network) NextFlow() packet.FlowID {
-	n.flow++
-	return packet.FlowID(n.flow)
-}
-
-// FlowSeq returns the flow-ID counter's position — after workload
-// attachment, the number of attach-time flows (the flight recorder's
-// sampling universe).
-func (n *Network) FlowSeq() uint32 { return n.flow }
-
-// SetFlowBase positions the flow-ID counter. Partitioned runs give each
-// shard replica a disjoint range after attachment so flows opened at
-// runtime (file and web transfers) never collide across shards.
-func (n *Network) SetFlowBase(base uint32) { n.flow = base }
 
 // NowSec returns the engine clock in whole seconds, the timestamp unit of
 // the NetFence header.
@@ -618,6 +593,13 @@ func (nd *Node) NewOrigin() sim.Origin { return nd.OriginAt(nd.ReserveOrigin()) 
 func (nd *Node) ReserveOrigin() uint32 {
 	nd.origins++
 	return nd.origins
+}
+
+// NewFlow mints the ID of one more flow sent from this node: the node's
+// ID and an ordinal reserved like an origin's, so the flow has the same
+// ID at every shard count and no origin on the node changes order.
+func (nd *Node) NewFlow() packet.FlowID {
+	return packet.FlowID(uint64(uint32(nd.ID))<<32 | uint64(nd.ReserveOrigin()))
 }
 
 // OriginAt returns the origin of the ordinal a ReserveOrigin on this node

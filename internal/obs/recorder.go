@@ -1,15 +1,19 @@
 package obs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // TraceEvent is one hop of a sampled packet's life: the simulated
 // instant, the flow, the node (or link endpoint) where it happened,
 // the hop kind, and a free-form detail. Events carry no per-packet
-// UIDs — pool identities differ across shard layouts — so merged
+// identity — pool identities differ across shard layouts — so merged
 // traces are byte-identical across shard counts.
 type TraceEvent struct {
 	T      int64  `json:"t_ns"`
-	Flow   uint32 `json:"flow"`
+	Flow   uint64 `json:"flow"`
 	Node   string `json:"node"`
 	Kind   string `json:"kind"`
 	Detail string `json:"detail,omitempty"`
@@ -32,29 +36,32 @@ const (
 // at the end of a run. A nil *Recorder means tracing is off; callers
 // guard the hot path with one nil check and pay nothing more.
 type Recorder struct {
-	// sampled marks attach-time flow IDs chosen for tracing; flows at
-	// or beyond len(sampled) (runtime-allocated flows) are never
-	// sampled, on any shard layout.
-	sampled []bool
+	// sampled lists the flow IDs chosen for tracing, ascending; flows
+	// opened at run time are never among them, on any shard layout.
+	sampled []uint64
 	events  []TraceEvent
 }
 
 // NewRecorder builds a recorder over a sampled-flow set (as returned
 // by SampleFlows). Replicas of one run share the same set.
-func NewRecorder(sampled []bool) *Recorder {
+func NewRecorder(sampled []uint64) *Recorder {
 	return &Recorder{sampled: sampled}
 }
 
 // Sampled reports whether a flow is traced. Nil-safe so instrumented
 // paths can guard with a single call.
-func (r *Recorder) Sampled(flow uint32) bool {
-	return r != nil && int(flow) < len(r.sampled) && r.sampled[flow]
+func (r *Recorder) Sampled(flow uint64) bool {
+	if r == nil {
+		return false
+	}
+	_, ok := slices.BinarySearch(r.sampled, flow)
+	return ok
 }
 
 // Record appends one hop. Callers check Sampled first; Record itself
 // does not filter so synthesized hops (e.g. demotions discovered after
 // the verdict) need no re-check.
-func (r *Recorder) Record(t int64, flow uint32, node, kind, detail string) {
+func (r *Recorder) Record(t int64, flow uint64, node, kind, detail string) {
 	r.events = append(r.events, TraceEvent{T: t, Flow: flow, Node: node, Kind: kind, Detail: detail})
 }
 
@@ -75,39 +82,26 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// SampleFlows deterministically picks n of the attach-time flows
-// 1..flowCount by smallest seeded hash — the same discipline as the
-// engine's KeyStream: a pure function of (seed, flow), so every shard
-// layout samples the identical set. Returns the membership bitmap,
-// sized flowCount+1.
-func SampleFlows(seed uint64, flowCount, n int) []bool {
-	sampled := make([]bool, flowCount+1)
-	if n <= 0 || flowCount <= 0 {
-		return sampled
+// SampleFlows deterministically picks n of the given flows by smallest
+// seeded hash — the same discipline as the engine's KeyStream: a pure
+// function of (seed, flow), so every shard layout samples the identical
+// set. Returns the chosen IDs, ascending.
+func SampleFlows(seed uint64, flows []uint64, n int) []uint64 {
+	hs := make([][2]uint64, len(flows))
+	for i, f := range flows {
+		hs[i] = [2]uint64{splitmix64(seed ^ f), f}
 	}
-	if n >= flowCount {
-		for f := 1; f <= flowCount; f++ {
-			sampled[f] = true
+	slices.SortFunc(hs, func(a, b [2]uint64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return sampled
-	}
-	type hf struct {
-		h uint64
-		f uint32
-	}
-	hs := make([]hf, flowCount)
-	for f := 1; f <= flowCount; f++ {
-		hs[f-1] = hf{splitmix64(seed ^ uint64(f)), uint32(f)}
-	}
-	sort.Slice(hs, func(a, b int) bool {
-		if hs[a].h != hs[b].h {
-			return hs[a].h < hs[b].h
-		}
-		return hs[a].f < hs[b].f
+		return cmp.Compare(a[1], b[1])
 	})
-	for i := 0; i < n; i++ {
-		sampled[hs[i].f] = true
+	sampled := make([]uint64, min(max(n, 0), len(hs)))
+	for i := range sampled {
+		sampled[i] = hs[i][1]
 	}
+	slices.Sort(sampled)
 	return sampled
 }
 

@@ -111,7 +111,7 @@ type chromeEvent struct {
 	Ph   string         `json:"ph"`
 	TS   float64        `json:"ts"` // microseconds
 	PID  int            `json:"pid"`
-	TID  uint32         `json:"tid"`
+	TID  uint64         `json:"tid"`
 	S    string         `json:"s"`
 	Args map[string]any `json:"args,omitempty"`
 }

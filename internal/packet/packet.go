@@ -22,7 +22,10 @@ type ASID int32
 type LinkID uint32
 
 // FlowID identifies a transport connection (a sender/receiver agent pair).
-type FlowID uint32
+// The sender's node mints it: the node's ID in the high 32 bits and an
+// ordinal the node reserved in the low (netsim.Node.NewFlow), so a flow
+// has the same ID however the topology is partitioned, and none is 0.
+type FlowID uint64
 
 // Kind classifies a packet into one of NetFence's three channels (§3.1).
 type Kind uint8
@@ -252,19 +255,15 @@ type Ext struct {
 // recycles them at end of life; hand-constructed &Packet{} values work
 // everywhere too and are simply never recycled.
 //
-// The struct is exactly 128 bytes — one 64-aligned allocator class, two
+// The struct is 120 bytes, in the 128-byte allocator class and two
 // cache lines (TestPacketLayoutBudget pins size and offsets): every
 // pooled, cached or in-flight packet costs that much heap, and Reset
 // rewrites that many bytes per recycle. Line 0 holds what every hop
 // reads — addressing, flow, size, channel; line 1 what access routers
 // and shims read — the two feedback headers — and the pointers to what
 // is optional: the Passport trailer with the pipeline's verdicts, and
-// Ext. 8 of the 128 bytes are spare. A copy of the struct shares both
-// blocks with the original.
+// Ext. A copy of the struct shares both blocks with the original.
 type Packet struct {
-	// UID is a simulation-unique identifier, handy for tracing.
-	UID uint64
-
 	TCP TCPInfo
 
 	Src, Dst     NodeID
@@ -280,17 +279,14 @@ type Packet struct {
 	Prio  uint8
 	Proto Proto
 
-	// pooled marks packets drawn from a Pool (only those are recycled).
-	// See pool.go.
-	pooled bool
+	// pooled marks packets drawn from a Pool (only those are recycled),
+	// and inPool guards against double release. See pool.go.
+	pooled, inPool bool
 
 	// FB is the forward congestion policing feedback.
 	FB Feedback
 	// Ret is the returned feedback for the reverse path.
 	Ret Returned
-
-	// inPool guards against double release.
-	inPool bool
 
 	// Passport is the source-authentication trailer and the pipeline's
 	// verdict cache; nil until NeedPassport.
@@ -299,8 +295,6 @@ type Packet struct {
 	// Ext holds the optional headers (Appendix B.1, TVA+); nil until
 	// NeedExt.
 	Ext *Ext
-
-	_ [8]byte // spare
 }
 
 // NeedExt returns the packet's optional-header block, allocating it on

@@ -128,9 +128,9 @@ func TestPoolDoubleReleasePanics(t *testing.T) {
 // are not pool-managed and must survive a Put untouched.
 func TestPoolIgnoresForeignPackets(t *testing.T) {
 	var pool Pool
-	p := &Packet{UID: 42, Size: 1500}
+	p := &Packet{Flow: 42, Size: 1500}
 	pool.Put(p)
-	if p.UID != 42 || p.Size != 1500 {
+	if p.Flow != 42 || p.Size != 1500 {
 		t.Fatal("Put reset a non-pool packet")
 	}
 	if pool.Len() != 0 {

@@ -14,16 +14,16 @@ func TestRingFIFO(t *testing.T) {
 		t.Fatal("empty ring returned a packet")
 	}
 	for i := 0; i < 100; i++ {
-		r.Push(&packet.Packet{UID: uint64(i)})
+		r.Push(&packet.Packet{Flow: packet.FlowID(i)})
 	}
 	if r.Len() != 100 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	if r.Peek().UID != 0 {
+	if r.Peek().Flow != 0 {
 		t.Fatal("peek broken")
 	}
 	for i := 0; i < 100; i++ {
-		if got := r.Pop().UID; got != uint64(i) {
+		if got := r.Pop().Flow; got != packet.FlowID(i) {
 			t.Fatalf("pop %d = %d", i, got)
 		}
 	}
@@ -32,12 +32,12 @@ func TestRingFIFO(t *testing.T) {
 func TestRingPopTail(t *testing.T) {
 	var r Ring
 	for i := 0; i < 5; i++ {
-		r.Push(&packet.Packet{UID: uint64(i)})
+		r.Push(&packet.Packet{Flow: packet.FlowID(i)})
 	}
-	if got := r.PopTail().UID; got != 4 {
+	if got := r.PopTail().Flow; got != 4 {
 		t.Fatalf("PopTail = %d", got)
 	}
-	if got := r.Pop().UID; got != 0 {
+	if got := r.Pop().Flow; got != 0 {
 		t.Fatalf("head after PopTail = %d", got)
 	}
 	if r.Len() != 3 {
@@ -56,7 +56,7 @@ func TestRingWrapProperty(t *testing.T) {
 		for i := 0; i < int(n)*4; i++ {
 			switch rng.IntN(3) {
 			case 0:
-				p := &packet.Packet{UID: uid}
+				p := &packet.Packet{Flow: packet.FlowID(uid)}
 				uid++
 				r.Push(p)
 				ref = append(ref, p)

@@ -4,24 +4,23 @@
 // nearly every one of them holds a single entry: inline, that entry
 // costs no allocation and its lookup is one compare instead of a hash.
 //
-// Field order is part of the size. The key comes first and the flag
-// right after it, so a 4-byte key and the flag share one word:
-// Map[int32, *T] is 24 bytes and Map[uint32, iface] is 32, where the
-// order key, val, used, rest would spend 32 and 40.
+// The inline slot is empty when its key is the zero value, so it needs
+// no flag of its own (a zero key lives in the table): Map[uint64, iface]
+// is 32 bytes where a flag would pad it to 40.
 package smallmap
 
 // Map is a map[K]V whose zero value is empty and ready to use. It is not
 // safe for concurrent use.
 type Map[K comparable, V any] struct {
 	key  K
-	used bool
 	val  V
 	rest map[K]V
 }
 
 // Get returns the value stored under k.
 func (m *Map[K, V]) Get(k K) (V, bool) {
-	if m.used && m.key == k {
+	var zero K
+	if k != zero && m.key == k {
 		return m.val, true
 	}
 	v, ok := m.rest[k]
@@ -30,13 +29,16 @@ func (m *Map[K, V]) Get(k K) (V, bool) {
 
 // Set stores v under k.
 func (m *Map[K, V]) Set(k K, v V) {
-	if m.used && m.key == k {
-		m.val = v
-		return
-	}
-	if _, ok := m.rest[k]; !ok && !m.used {
-		m.key, m.val, m.used = k, v, true
-		return
+	var zero K
+	if k != zero {
+		if m.key == k {
+			m.val = v
+			return
+		}
+		if _, ok := m.rest[k]; !ok && m.key == zero {
+			m.key, m.val = k, v
+			return
+		}
 	}
 	if m.rest == nil {
 		m.rest = make(map[K]V)
@@ -46,9 +48,10 @@ func (m *Map[K, V]) Set(k K, v V) {
 
 // Delete removes k; deleting an absent key is a no-op.
 func (m *Map[K, V]) Delete(k K) {
-	if m.used && m.key == k {
-		var zero V
-		m.val, m.used = zero, false
+	var zero K
+	if k != zero && m.key == k {
+		var none V
+		m.key, m.val = zero, none
 		return
 	}
 	delete(m.rest, k)
@@ -57,7 +60,8 @@ func (m *Map[K, V]) Delete(k K) {
 // Len returns the number of entries.
 func (m *Map[K, V]) Len() int {
 	n := len(m.rest)
-	if m.used {
+	var zero K
+	if m.key != zero {
 		n++
 	}
 	return n

@@ -6,22 +6,30 @@ import (
 	"unsafe"
 )
 
-// TestMapLayout pins the sizes the field order buys: a 4-byte key and
-// the used flag share a word, so the two instantiations the simulator
-// keeps per host cost 24 and 32 bytes.
+// TestMapLayout pins the sizes an inline slot without a flag buys: the
+// instantiations the simulator keeps per host — 8-byte flow keys to an
+// agent or a time — cost 32 and 24 bytes.
 func TestMapLayout(t *testing.T) {
 	type iface interface{ M() }
-	if n := unsafe.Sizeof(Map[int32, *int]{}); n != 24 {
-		t.Errorf("sizeof(Map[int32, *T]) = %d, want 24", n)
-	}
-	if n := unsafe.Sizeof(Map[uint32, iface]{}); n != 32 {
-		t.Errorf("sizeof(Map[uint32, iface]) = %d, want 32", n)
+	for _, c := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"Map[int32, *T]", unsafe.Sizeof(Map[int32, *int]{}), 24},
+		{"Map[uint32, iface]", unsafe.Sizeof(Map[uint32, iface]{}), 32},
+		{"Map[uint64, iface]", unsafe.Sizeof(Map[uint64, iface]{}), 32},
+		{"Map[uint64, int64]", unsafe.Sizeof(Map[uint64, int64]{}), 24},
+	} {
+		if c.size != c.max {
+			t.Errorf("sizeof(%s) = %d, want %d", c.name, c.size, c.max)
+		}
 	}
 }
 
 // TestMatchesBuiltinMap drives a Map and a built-in map with the same
-// random Set/Delete/Get sequence over a small key space, so the inline
-// slot is vacated and refilled while the table holds other keys.
+// random Set/Delete/Get sequence over a small key space that includes
+// the zero key (which never takes the inline slot), so the slot is
+// vacated and refilled while the table holds other keys.
 func TestMatchesBuiltinMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for round := 0; round < 200; round++ {

@@ -98,18 +98,17 @@ type TCPSender struct {
 	sndUna, sndNxt int64
 	cwnd, ssthresh float64
 	dupAcks        int
-	inFastRec      bool
 	recover        int64
 
 	// RTT estimation (RFC 6298), one sample in flight (Karn's rule).
-	srtt, rttvar, rto sim.Time
-	rttSeq            int64
-	rttStart          sim.Time
-	rttValid, hasSRTT bool
-	rtoTimer          *sim.Event
-	transferTimer     *sim.Event
-	retransmits       uint64
-	timeouts          uint64
+	srtt, rttvar, rto            sim.Time
+	rttSeq                       int64
+	rttStart                     sim.Time
+	rttValid, hasSRTT, inFastRec bool
+	rtoTimer                     *sim.Event
+	transferTimer                *sim.Event
+	retransmits                  uint64
+	timeouts                     uint64
 }
 
 // tcpSYNTimer and tcpRTOTimer adapt the sender's owned timer event, in

@@ -54,7 +54,7 @@ func (c *FileClient) next() {
 	if !c.running {
 		return
 	}
-	flow := c.host.Network().NextFlow()
+	flow := c.host.Node.NewFlow()
 	s := NewTCPSender(c.host, c.Dst, flow, c.FileBytes, c.Cfg)
 	s.OnComplete = func(fct sim.Time, ok bool) {
 		if ok {
@@ -172,7 +172,7 @@ func (w *WebSource) next() {
 		return
 	}
 	size := w.FileSize()
-	flow := w.host.Network().NextFlow()
+	flow := w.host.Node.NewFlow()
 	s := NewTCPSender(w.host, w.Dst, flow, size, w.Cfg.TCP)
 	s.OnComplete = func(fct sim.Time, ok bool) {
 		if ok {

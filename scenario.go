@@ -147,6 +147,9 @@ type scenarioEnv struct {
 	fcts     []fctRecord
 	denySet  map[packet.NodeID]bool
 	stoppers []interface{ Stop() }
+	// flows lists the attach-time flows, the flight recorder's sampling
+	// universe.
+	flows []uint64
 
 	// attacks lists the canonical strategy names of the scenario's
 	// AttackSpec workloads, in attachment order, for Result.Attack.
@@ -222,10 +225,12 @@ func (env *scenarioEnv) needsFanout() bool {
 	return false
 }
 
-// newFlow allocates an attachment-time flow ID from replica 0's
-// counter, which the file clients starting during attachment share.
-func (env *scenarioEnv) newFlow() packet.FlowID {
-	return env.sh.replicas[0].net.NextFlow()
+// flowFrom mints an attach-time flow on its sender node and lists it
+// among the flows the flight recorder samples from.
+func (env *scenarioEnv) flowFrom(n *netsim.Node) packet.FlowID {
+	f := n.NewFlow()
+	env.flows = append(env.flows, uint64(f))
+	return f
 }
 
 // srcCounter returns the delivered-bytes counter for a source host at a

@@ -396,18 +396,11 @@ func (s Scenario) build(shards int) (*Instance, error) {
 			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
-	// Attach-time flows come from replica 0's counter. Give every other
-	// replica's runtime flow counter a range disjoint from them and from
-	// every other shard; replica 0 continues its own sequence.
-	attached := bt0.net.FlowSeq()
-	for i, bt := range st.replicas {
-		bt.net.SetFlowBase(attached + uint32(i)<<20)
-	}
 	if s.TraceFlows > 0 {
-		// One shared sample bitmap (read-only) covering the attach-time
+		// One shared sample set (read-only) drawn from the attach-time
 		// flows; each replica records into its own buffer and the merge
 		// sorts by content, so the trace is shard-count-invariant.
-		sampled := obs.SampleFlows(s.Seed, int(attached), s.TraceFlows)
+		sampled := obs.SampleFlows(s.Seed, env.flows, s.TraceFlows)
 		for _, bt := range st.replicas {
 			bt.net.Rec = obs.NewRecorder(sampled)
 		}

@@ -108,7 +108,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 		if err != nil {
 			return err
 		}
-		flow := env.newFlow()
+		flow := env.flowFrom(h)
 		r := transport.NewTCPReceiver(victim.Host, flow)
 		env.addMeter(victim, false, 1, r.Delivered())
 		transport.NewTCPSender(h.Host, victim.ID, flow, -1, cfg).Start()
@@ -334,7 +334,7 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 		} else if !spec.legit {
 			env.denySet[h.ID] = true
 		}
-		flow := env.newFlow()
+		flow := env.flowFrom(h)
 		sink := transport.NewUDPSink(dstHost.Host, flow)
 		env.addMeter(dstHost, !spec.legit, 1, &sink.Bytes)
 		u := transport.NewUDPSource(h.Host, dstHost.ID, flow, rate, pktSize)
@@ -455,7 +455,7 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 		// partition reads it for load balancing, and senderCount folds
 		// it into the population the Theorem-1 probe divides by.
 		h.Weight = int32(weight)
-		flow := env.newFlow()
+		flow := env.flowFrom(h)
 		sink := transport.NewUDPSink(dstHost.Host, flow)
 		env.addMeter(dstHost, w.Attacker, h.Weight, &sink.Bytes)
 		fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, weight, rate, pktSize, env.fleetRand(h))
@@ -513,7 +513,7 @@ func (w RequestFlood) attach(env *scenarioEnv) error {
 			return err
 		}
 		env.denySet[h.ID] = true
-		flow := env.newFlow()
+		flow := env.flowFrom(h)
 		f := transport.NewRequestFlooder(h.Host, victim.ID, flow, rate, level)
 		env.stoppers = append(env.stoppers, f)
 		f.Start()
@@ -623,7 +623,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 			}
 			ctrls[sh] = ctrl
 		}
-		flow := env.newFlow()
+		flow := env.flowFrom(h)
 		sink := transport.NewUDPSink(dstHost.Host, flow)
 		env.addMeter(dstHost, true, 1, &sink.Bytes)
 		// Index must be the sender's position in the workload list, not
