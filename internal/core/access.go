@@ -202,20 +202,15 @@ func (s *System) ProtectAccess(r *netsim.Node) {
 	ar := &AccessRouter{
 		sys:       s,
 		node:      r,
-		ring:      feedback.NewKeyRing(r.Network().Eng.Rand),
 		slotOf:    make(map[packet.NodeID]int32),
 		regLims:   make(map[regKey]*regLimiter),
 		paths:     make(map[packet.NodeID]int32),
 		destLinks: make(map[packet.NodeID][]packet.LinkID),
 		org:       r.NewOrigin(),
 	}
-	// In sharded runs the rotated key bytes come from a per-router
-	// stream identical on every shard replica, so stamping and
-	// validation agree across shards; nil (single-engine) keeps the
-	// historical draw-from-engine behavior byte for byte.
-	ar.ring.Material = r.Network().Eng.KeyStream(uint64(r.ID))
+	ar.ring = feedback.NewKeyRing(r.Network().Eng.KeySource(ar.org.ID()))
 	ar.org.Tick(s.Cfg.KeyRotate, func() {
-		ar.ring.Rotate(r.Network().Eng.Rand)
+		ar.ring.Rotate()
 		// Runtime plane: rotation timers are replicated on every shard,
 		// so the count scales with the shard layout by design.
 		r.Network().Cells.Add(obs.CoreKeyringRotations, 1)

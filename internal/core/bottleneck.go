@@ -39,7 +39,7 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 	b := &Bottleneck{
 		sys:  s,
 		link: l,
-		q:    newNFQueue(&s.Cfg, l.Rate, l.From.Network().Eng.Rand),
+		q:    newNFQueue(&s.Cfg, l.Rate, l.From.Network().Eng.KeyStream(l.Origin().ID())),
 		det:  &aqm.LossDetector{Pth: s.Cfg.Pth, Alpha: 0.1},
 	}
 	b.q.release = l.From.Network().Release

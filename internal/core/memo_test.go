@@ -237,7 +237,7 @@ func (r *memoRig) run(prog []byte) {
 			for backlog, _ := r.out.Backlog(); backlog > 0; backlog, _ = r.out.Backlog() {
 				eng.RunUntil(eng.Now() + sim.Microsecond)
 			}
-			r.ar.ring.Rotate(eng.Rand)
+			r.ar.ring.Rotate()
 		default:
 			from, src, dst := b1&3%3, b1>>2&3%3, b1>>4&3%3
 			fb, link, keyAge := b2&3, b2>>2&3%3, b2>>4&3

@@ -28,7 +28,7 @@ type System struct {
 func NewSystem(net *netsim.Network, cfg Config) *System {
 	return &System{
 		Cfg:         cfg,
-		Registry:    passport.NewRegistry(net.Eng.Rand, net.ASes()),
+		Registry:    passport.NewRegistry(net.Eng.KeyStream(netsim.ControlStream), net.ASes()),
 		net:         net,
 		accesses:    make(map[packet.NodeID]*AccessRouter),
 		bottlenecks: make(map[packet.LinkID]*Bottleneck),

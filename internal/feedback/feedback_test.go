@@ -167,16 +167,15 @@ func TestMaliciousDownstreamCannotRestamp(t *testing.T) {
 }
 
 func TestKeyRotationGrace(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	ring := NewKeyRing(rng)
+	ring := NewKeyRing(*rand.NewPCG(1, 2))
 	_, kai := testKeys()
 	p := newPkt(10, 20)
 	StampNop(ring.Current(), p, 100)
-	ring.Rotate(rng)
+	ring.Rotate()
 	if got := Validate(ring, kaiAlways(kai), p, 101, w); got != ValidNop {
 		t.Fatalf("feedback stamped before rotation rejected: %v", got)
 	}
-	ring.Rotate(rng)
+	ring.Rotate()
 	if got := Validate(ring, kaiAlways(kai), p, 101, w); got != Invalid {
 		t.Fatalf("feedback survived two rotations: %v", got)
 	}

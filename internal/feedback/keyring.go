@@ -19,23 +19,18 @@ type KeyRing struct {
 	// epoch discards the cache and validates inline.
 	epoch uint64
 
-	// Material, when set, is a dedicated stream the actual key bytes are
-	// drawn from; Rotate still burns the same number of draws from its
-	// rng argument. Sharded runs use this split: every shard replica of
-	// one logical router rotates on its own engine's stream (keeping
-	// those streams position-aligned with the single-engine run for the
-	// value-sensitive consumers sharing them, like RED), while the key
-	// bytes come from a per-router stream identical on every replica —
-	// so a bottleneck shard validates exactly what a source shard
-	// stamped. Key bytes never influence behavior beyond MAC equality,
-	// so results are unaffected by which stream supplies them.
-	Material *rand.Rand
+	// src is the router's own key-material stream, held by value. Every
+	// shard replica of one router holds the same stream (the engine's
+	// KeySource for the router's origin), so a bottleneck shard validates
+	// exactly what a source shard stamped.
+	src rand.PCG
 }
 
-// NewKeyRing creates a key ring with a random initial key drawn from rng.
-func NewKeyRing(rng *rand.Rand) *KeyRing {
-	r := &KeyRing{}
-	r.current = cmac.New(randomKey(rng))
+// NewKeyRing creates a key ring drawing its keys from src, the first
+// one now.
+func NewKeyRing(src rand.PCG) *KeyRing {
+	r := &KeyRing{src: src}
+	r.current = cmac.New(r.randomKey())
 	r.prev = r.current
 	return r
 }
@@ -47,10 +42,10 @@ func NewKeyRingFromKey(key cmac.Key) *KeyRing {
 	return &KeyRing{current: c, prev: c}
 }
 
-func randomKey(rng *rand.Rand) cmac.Key {
+func (r *KeyRing) randomKey() cmac.Key {
 	var k cmac.Key
 	for i := 0; i < 16; i += 8 {
-		v := rng.Uint64()
+		v := r.src.Uint64()
 		for j := 0; j < 8; j++ {
 			k[i+j] = byte(v >> (8 * j))
 		}
@@ -60,16 +55,10 @@ func randomKey(rng *rand.Rand) cmac.Key {
 
 // Rotate replaces the current key with a fresh one, keeping the old key
 // for validation. The caller drives rotation on a timer whose period must
-// exceed the feedback expiration time w. With Material set, rng is
-// drawn from (and discarded) to keep its stream position aligned while
-// the key bytes come from the Material stream.
-func (r *KeyRing) Rotate(rng *rand.Rand) {
-	key := randomKey(rng)
-	if r.Material != nil {
-		key = randomKey(r.Material)
-	}
+// exceed the feedback expiration time w.
+func (r *KeyRing) Rotate() {
 	r.prev = r.current
-	r.current = cmac.New(key)
+	r.current = cmac.New(r.randomKey())
 	r.epoch++
 }
 

@@ -544,6 +544,11 @@ const (
 	originLink uint64 = 2 << 62 // | link index
 )
 
+// ControlStream is the random-stream ID (sim.Engine.KeyStream) of
+// control-plane setup no model entity owns — Passport's key exchange.
+// No scheduling origin has its class, so its draws are no entity's.
+const ControlStream uint64 = 3 << 62
+
 // Node is a router or host.
 type Node struct {
 	ID     packet.NodeID

@@ -121,6 +121,10 @@ type Origin struct {
 // on e.
 func (e *Engine) NewOrigin(id uint64) Origin { return Origin{eng: e, id: id} }
 
+// ID returns the origin's model-derived ID, which also names the
+// entity's random stream (Engine.KeyStream).
+func (o *Origin) ID() uint64 { return o.id }
+
 // Now returns the current simulated time.
 func (o *Origin) Now() Time { return o.eng.now }
 
@@ -232,10 +236,9 @@ type Engine struct {
 	now  Time
 	live int // queued, non-cancelled events
 
-	// keyBase, when keyed, seeds KeyStream: per-consumer deterministic
-	// randomness for sharded runs (see KeyStream).
-	keyBase uint64
-	keyed   bool
+	// seed is the simulation's seed, from which KeyStream derives every
+	// consumer's random stream.
+	seed uint64
 
 	wheel wheel
 	heap  eventHeap
@@ -256,9 +259,6 @@ type Engine struct {
 	// the reference configuration equivalence tests compare against.
 	forceHeap bool
 
-	// Rand is the simulation-wide random source, seeded at construction so
-	// that runs are reproducible.
-	Rand *rand.Rand
 	// executed counts events that have run, for diagnostics; flushed
 	// tracks how much of it has been folded into the attached meter.
 	executed uint64
@@ -266,12 +266,12 @@ type Engine struct {
 	meter    *Meter
 }
 
-// New returns an engine whose clock starts at zero and whose random source
-// is seeded with the given seed.
+// New returns an engine whose clock starts at zero and whose random
+// streams (KeyStream) derive from the given seed.
 func New(seed uint64) *Engine {
 	e := &Engine{
 		heap: make(eventHeap, 0, 64),
-		Rand: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		seed: seed,
 	}
 	e.Origin.eng = e
 	return e
@@ -606,24 +606,19 @@ func (e *Engine) InjectBatch(keys []EventKey, h Handler, args []any) {
 // HandoffKey distinct and comparable. Call before any event is scheduled.
 func (e *Engine) SetShardTag(shard int) { e.Origin.id = uint64(shard) }
 
-// EnableKeyStreams switches the engine into sharded key-material mode:
-// KeyStream returns per-consumer deterministic RNGs derived from base,
-// so every shard replica of one logical consumer (an access router's
-// keyring) draws identical values without sharing the engine stream.
-func (e *Engine) EnableKeyStreams(base uint64) {
-	e.keyed = true
-	e.keyBase = base
+// KeySource returns the random source private to the consumer id — as
+// a rule the ID of the Origin owning the draws — for a consumer that
+// holds its source by value. Every engine of one simulation returns the
+// same source for one id, so a consumer draws the same values on
+// whichever shard it lives, and no consumer's draws move another's.
+func (e *Engine) KeySource(id uint64) rand.PCG {
+	return *rand.NewPCG(e.seed^0x9e3779b97f4a7c15, id)
 }
 
-// KeyStream returns a deterministic random stream private to the given
-// consumer id, or nil when the engine is not in sharded key-material
-// mode (single-engine runs keep drawing from Engine.Rand, preserving
-// their byte-exact historical results).
+// KeyStream returns KeySource(id) as a Rand.
 func (e *Engine) KeyStream(id uint64) *rand.Rand {
-	if !e.keyed {
-		return nil
-	}
-	return rand.New(rand.NewPCG(e.keyBase^0x9e3779b97f4a7c15, id))
+	src := e.KeySource(id)
+	return rand.New(&src)
 }
 
 // AttachMeter directs the engine's executed-event accounting into m;

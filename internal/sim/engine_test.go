@@ -199,9 +199,10 @@ func TestTickerPanicsOnBadInterval(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func(seed uint64) []int64 {
 		e := New(seed)
+		rng := e.KeyStream(1)
 		var samples []int64
 		e.Tick(Millisecond, func() {
-			samples = append(samples, e.Rand.Int64N(1000))
+			samples = append(samples, rng.Int64N(1000))
 		})
 		e.RunUntil(20 * Millisecond)
 		return samples

@@ -17,7 +17,7 @@ import (
 // SenderWeight in closed form.
 //
 // Packet pacing is jittered by a per-fleet deterministic RNG stream
-// (derived from sim.KeyStream keyed by the attachment node, so the draw
+// (sim.Engine.KeyStream keyed by the attachment node, so the draw
 // sequence is identical on every shard layout): a homogeneous fleet is
 // statistically smooth, not phase-locked, and the jitter keeps the
 // aggregate from degenerating into a perfectly periodic pulse train
@@ -54,9 +54,8 @@ func (h *fleetPace) OnEvent(sim.Time, any) { (*FleetSource)(h).sendNext() }
 
 // NewFleetSource creates an aggregate source for senders homogeneous
 // UDP senders. rng must be the fleet's private deterministic stream —
-// shard-invariant by construction (sim.KeyStream keyed by the
-// attachment node's ID, or an identically-seeded PCG on a single
-// engine). Call Start to begin.
+// shard-invariant by construction (sim.Engine.KeyStream keyed by the
+// attachment node's ID). Call Start to begin.
 func NewFleetSource(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, senders int, rateBps int64, pktSize int32, rng *rand.Rand) *FleetSource {
 	if senders < 1 {
 		panic("transport: FleetSource needs at least one sender")

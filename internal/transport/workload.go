@@ -2,6 +2,7 @@ package transport
 
 import (
 	"math"
+	"math/rand/v2"
 
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
@@ -120,6 +121,7 @@ type WebSource struct {
 
 	host    *netsim.Host
 	org     sim.Origin
+	rng     *rand.Rand // the source's own stream, keyed by org
 	running bool
 	cur     *TCPSender
 
@@ -130,7 +132,9 @@ type WebSource struct {
 
 // NewWebSource creates a web-like source; call Start to begin.
 func NewWebSource(host *netsim.Host, dst packet.NodeID, cfg WebConfig) *WebSource {
-	return &WebSource{Dst: dst, Cfg: cfg, host: host, org: host.Node.NewOrigin()}
+	w := &WebSource{Dst: dst, Cfg: cfg, host: host, org: host.Node.NewOrigin()}
+	w.rng = host.Network().Eng.KeyStream(w.org.ID())
+	return w
 }
 
 // Start begins the first transfer.
@@ -149,7 +153,7 @@ func (w *WebSource) Stop() {
 
 // FileSize draws one file size from the mixture.
 func (w *WebSource) FileSize() int64 {
-	rng := w.host.Network().Eng.Rand
+	rng := w.rng
 	var size float64
 	if rng.Float64() < w.Cfg.TailProb {
 		// Pareto: xm * U^(-1/alpha).
@@ -185,8 +189,7 @@ func (w *WebSource) next() {
 			w.OnResult(size, fct, ok)
 		}
 		w.cur = nil
-		think := w.Cfg.ThinkMin +
-			sim.Time(w.host.Network().Eng.Rand.Int64N(int64(w.Cfg.ThinkMax-w.Cfg.ThinkMin)+1))
+		think := w.Cfg.ThinkMin + sim.Time(w.rng.Int64N(int64(w.Cfg.ThinkMax-w.Cfg.ThinkMin)+1))
 		w.org.After(think, w.next)
 	}
 	w.cur = s

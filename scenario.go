@@ -2,7 +2,6 @@ package netfence
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"strings"
 
 	// The baselines self-register in the defense registry; scenarios
@@ -40,7 +39,8 @@ import (
 type Scenario struct {
 	// Name labels the scenario in results (optional).
 	Name string
-	// Seed feeds the deterministic simulation RNG.
+	// Seed seeds every random stream of the run; each entity that draws
+	// owns its stream (sim.Engine.KeyStream).
 	Seed uint64
 	// Topology declares the network: DumbbellSpec, ParkingLotSpec,
 	// StarSpec, RandomASSpec, or Topology("name") for any registered
@@ -199,15 +199,6 @@ func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
 		return nil, fmt.Errorf("%s: group %d out of range (topology has %d)", kind, g, len(env.groups))
 	}
 	return &env.groups[g], nil
-}
-
-// fleetRand returns a fleet's private deterministic RNG stream, keyed
-// by the attachment node's ID — the stream sim.KeyStream derives on a
-// keyed engine — so one fleet draws the same jitter sequence on every
-// shard layout, shards=1 included. This is what makes aggregate-fleet
-// results byte-identical across shard counts.
-func (env *scenarioEnv) fleetRand(n *netsim.Node) *rand.Rand {
-	return rand.New(rand.NewPCG(env.sc.Seed^0x9e3779b97f4a7c15, uint64(n.ID)))
 }
 
 // needsFanout reports whether the scenario's timeline forces fleet

@@ -261,15 +261,11 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 // replicate builds the run's engines and network replicas. More than
 // one shard — explicit, or AutoShards resolved from the topology —
 // partitions a host-free skeleton by AS and builds one sparse replica
-// per shard on a keyed engine. Otherwise it builds the dense topology on
-// one plain engine (keyed streams would change single-engine draws), and
-// part is nil.
+// per shard on its own engine. Otherwise it builds the dense topology on
+// one engine, and part is nil.
 func (s Scenario) replicate(shards int) (*shardState, *topo.Partition, error) {
 	build := func(owns func(packet.ASID) bool) (*sim.Engine, *builtTopo, error) {
 		eng := sim.New(s.Seed)
-		if owns != nil {
-			eng.EnableKeyStreams(s.Seed)
-		}
 		bt, err := s.Topology.buildTopo(eng, owns)
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenario %q: %w", s.Name, err)

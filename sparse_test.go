@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"netfence/internal/defense"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 	"netfence/internal/topo"
@@ -124,57 +123,6 @@ func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 			if fullHosts, _ := full.net.Materialised(); hosts != fullHosts {
 				t.Fatalf("%s: shards=%d: the replicas hold %d hosts between them, the topology has %d", tc.name, shards, hosts, fullHosts)
 			}
-		}
-	}
-}
-
-// TestReplicaStreamsAligned pins the fact sparse replicas rest on: a
-// host draws no setup randomness. After Build, every replica's engine
-// stream must stand where a dense build of the same topology and
-// defense leaves it — so a future per-host draw fails here, loudly,
-// instead of silently desynchronising the bottleneck's RED from the
-// single engine's.
-func TestReplicaStreamsAligned(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Passport = true
-	for _, tc := range sparseTopologies {
-		sc := Scenario{
-			Name: "streams", Seed: 5,
-			Topology:   tc.spec,
-			Defense:    DefenseSpec{Name: "netfence", Config: cfg},
-			Deployment: DeployFraction(0.5),
-			Duration:   Second,
-		}
-		eng := sim.New(sc.Seed)
-		eng.EnableKeyStreams(sc.Seed)
-		dense, err := sc.Topology.buildTopo(eng, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := defense.Build(sc.Defense.Name, dense.net, defense.BuildOptions{Config: sc.Defense.Config})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, _, err := sc.Deployment.plan(dense.graph.SourceASes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense.graph.Deploy(sys, defense.Policy{}, plan)
-		want := eng.Rand.Uint64()
-
-		for _, shards := range []int{2, 4} {
-			sc.Shards = shards
-			in, err := sc.Build()
-			if err != nil {
-				t.Fatalf("%s: shards=%d: %v", tc.name, shards, err)
-			}
-			for i, e := range in.Engines {
-				if got := e.Rand.Uint64(); got != want {
-					t.Errorf("%s: shards=%d: replica %d's stream stands at %#x after Build, a dense build's at %#x",
-						tc.name, shards, i, got, want)
-				}
-			}
-			in.Stop()
 		}
 	}
 }

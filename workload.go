@@ -353,9 +353,9 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 // fleet weight, the access router scales the per-(sender, bottleneck)
 // AIMD limiter and request token bucket by that weight in closed form,
 // and one transport.FleetSource emits the fleet's combined offered load
-// with jitter drawn from a per-fleet deterministic RNG stream (derived
-// from sim.KeyStream, so results are byte-identical across shard
-// counts). Probes divide the fleet meter by its weight, so per-sender
+// with jitter drawn from a per-fleet deterministic RNG stream (the
+// engine's KeyStream for the attachment node, so results are
+// byte-identical across shard counts). Probes divide the fleet meter by its weight, so per-sender
 // goodput, fairness and Theorem-1 bounds read exactly as if the fleet
 // were materialized.
 //
@@ -458,7 +458,7 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 		flow := env.flowFrom(h)
 		sink := transport.NewUDPSink(dstHost.Host, flow)
 		env.addMeter(dstHost, w.Attacker, h.Weight, &sink.Bytes)
-		fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, weight, rate, pktSize, env.fleetRand(h))
+		fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, weight, rate, pktSize, h.Network().Eng.KeyStream(uint64(h.ID)))
 		cells := h.Host.Network().Cells
 		cells.Add(obs.FleetAttached, 1)
 		cells.Add(obs.FleetModeledSenders, uint64(weight))
