@@ -75,7 +75,9 @@ func (s *StopIt) AttachHost(h *netsim.Node, pol defense.Policy) {
 }
 
 // RequestFilter asks the source's access router to block src->dst, after
-// the control-channel delay.
+// the control-channel delay. It writes into this replica's copy of the
+// router, so a partitioned run with a deny policy is refused at Build:
+// the source may live on another shard.
 func (s *StopIt) RequestFilter(src, dst packet.NodeID) {
 	sa := s.access[src]
 	if sa == nil {

@@ -300,6 +300,56 @@ func TestLiveControlMatchesScriptedTimeline(t *testing.T) {
 	}
 }
 
+// TestShardedFileWebJobMatchesSingle holds a served job of the clients
+// that open flows and draw sizes mid-run — file transfers and web
+// traffic — to the same result bytes on two shards as on one.
+func TestShardedFileWebJobMatchesSingle(t *testing.T) {
+	s := startServer(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	base := "http://" + s.Addr()
+
+	result := func(shards int) []byte {
+		spec := smokeSpec()
+		spec.Workloads = []WorkloadSpec{
+			{Kind: "filetransfers", From: 0, To: 4},
+			{Kind: "webtraffic", From: 4, To: 8},
+		}
+		spec.Timeline = nil
+		spec.Shards = shards
+		code, body := postJSON(t, base+"/jobs", JobSpec{Scenario: &spec})
+		if code != http.StatusAccepted {
+			t.Fatalf("shards %d: submit = %d: %s", shards, code, body)
+		}
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, base, st.ID, string(jobDone))
+		var res struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if code := getJSON(t, base+"/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
+			t.Fatalf("shards %d: result = %d", shards, code)
+		}
+		return bytes.TrimSpace(res.Result)
+	}
+	one, two := result(1), result(2)
+	var res netfence.Result
+	if err := json.Unmarshal(one, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.FCT.Count == 0 {
+		t.Fatalf("the single-engine run completed no transfer: %s", one)
+	}
+	if !bytes.Equal(one, two) {
+		t.Errorf("shards 2 result differs from shards 1:\n1: %s\n2: %s", one, two)
+	}
+}
+
 // TestSweepJob submits a sweep, watches progress land in the status,
 // and reads the per-cell results.
 func TestSweepJob(t *testing.T) {
@@ -446,8 +496,9 @@ func TestSearchJob(t *testing.T) {
 	}
 }
 
-// submitCase is one spec POST /jobs must reject, with the status and a
-// fragment of the error it must answer.
+// submitCase is one spec POST /jobs must answer with the status and a
+// fragment of the body: the error of a rejection, the state of a job
+// accepted.
 type submitCase struct {
 	name string
 	spec JobSpec
@@ -455,7 +506,7 @@ type submitCase struct {
 	want string
 }
 
-// submitCases is the synchronous rejection surface.
+// submitCases is the synchronous validation surface.
 func submitCases() []submitCase {
 	good := smokeSpec()
 	return []submitCase{
@@ -505,20 +556,22 @@ func submitCases() []submitCase {
 				{Kind: "attack", From: 4, To: 8, Params: map[string]float64{"dty": 1}},
 			},
 		}}}, http.StatusBadRequest, `unknown param \"dty\"`},
-		// Kinds a partitioned run is not proven to reproduce are refused
-		// with the reason, as a scenario and as a sweep's shard axis.
+		// Every workload kind runs sharded, as a scenario and on a sweep's
+		// shard axis.
 		{"sharded-files", JobSpec{Scenario: &ScenarioSpec{
-			Topology:  good.Topology,
-			Workloads: []WorkloadSpec{{Kind: "filetransfers", From: 0, To: 4}},
-			Shards:    2,
-		}}, http.StatusBadRequest, "workload FileTransfers on more than one shard: sharded run not proven identical"},
+			Topology:    good.Topology,
+			Workloads:   []WorkloadSpec{{Kind: "filetransfers", From: 0, To: 4}},
+			Shards:      2,
+			DurationSec: 2,
+		}}, http.StatusAccepted, `"state"`},
 		{"sweep-sharded-web", JobSpec{Sweep: &SweepSpec{
 			Base: ScenarioSpec{
-				Topology:  good.Topology,
-				Workloads: []WorkloadSpec{{Kind: "webtraffic", From: 0, To: 4}},
+				Topology:    good.Topology,
+				Workloads:   []WorkloadSpec{{Kind: "webtraffic", From: 0, To: 4}},
+				DurationSec: 2,
 			},
 			Shards: []int{1, 2},
-		}}, http.StatusBadRequest, "workload WebTraffic on more than one shard"},
+		}}, http.StatusAccepted, `"state"`},
 		// Sender lists are checked against the topology before a range is
 		// built: this one used to allocate 8 TB at submit and kill the
 		// process.

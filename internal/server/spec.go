@@ -422,13 +422,6 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 		}
 		sc.Workloads = append(sc.Workloads, wl)
 	}
-	// A job that asks for shards is refused at submit when Build would
-	// refuse it when it ran.
-	if sc.Shards > 1 {
-		if err := sc.CheckSharded(); err != nil {
-			return netfence.Scenario{}, err
-		}
-	}
 	interval := secs(s.TimeseriesIntervalSec)
 	if interval <= 0 {
 		interval = 5 * netfence.Second
@@ -466,13 +459,6 @@ func (s SweepSpec) Sweep() (netfence.Sweep, error) {
 	base, err := s.Base.scenario(capacity)
 	if err != nil {
 		return netfence.Sweep{}, fmt.Errorf("base: %w", err)
-	}
-	for _, n := range s.Shards {
-		if n > 1 {
-			if err := base.CheckSharded(); err != nil {
-				return netfence.Sweep{}, fmt.Errorf("shards %d: %w", n, err)
-			}
-		}
 	}
 	sw := netfence.Sweep{
 		Base:            base,

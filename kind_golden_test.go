@@ -68,8 +68,7 @@ func runKindGolden(t *testing.T, sc Scenario) kindGolden {
 
 // TestSingleEngineKindGolden pins the single engine's bytes and event
 // counts for every workload kind run alone (the rows of
-// TestEveryWorkloadKindShardIdentity, FileTransfers and WebTraffic
-// included), plus one run under a link, attack and deploy timeline with
+// TestEveryWorkloadKindShardIdentity), plus one run under a link, attack and deploy timeline with
 // tracing and a timeseries. TestGraphGoldenEquivalence covers neither
 // the file, web, fleet, request-flood and on-off kinds nor the control
 // plane. After an intentional behavior change, rewrite the fixture with
@@ -84,7 +83,7 @@ func TestSingleEngineKindGolden(t *testing.T) {
 	}
 	sort.Strings(kinds)
 	for _, kind := range kinds {
-		got[kind] = runKindGolden(t, equivScenario(kindSpec, []Workload{table[kind].w}, 0))
+		got[kind] = runKindGolden(t, equivScenario(kindSpec, []Workload{table[kind]}, 0))
 	}
 	got["timeline"] = runKindGolden(t, goldenTimelineScenario())
 

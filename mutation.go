@@ -380,10 +380,9 @@ func (in *Instance) applyAttack(am *AttackMutation) {
 }
 
 // applyDeploy diffs the new plan against the active one and arms or
-// disarms each changed source AS — on EVERY replica, so installation's
-// setup randomness (keyring draws, rotation timers) stays
-// position-aligned across shard engines, the replicated-control-plane
-// invariant of the sharded executor.
+// disarms each changed source AS — on EVERY replica, the
+// replicated-control-plane invariant of the sharded executor: every
+// replica holds the same access routers, keyrings and rotation timers.
 func (in *Instance) applyDeploy(dm *DeployMutation) {
 	env := in.env
 	srcASes := env.graph.SourceASes()

@@ -67,9 +67,11 @@ type Scenario struct {
 	// Shards partitions the topology into per-AS shards, each simulated
 	// by its own engine on its own goroutine with deterministic
 	// lookahead synchronization — results are byte-identical to the
-	// single-engine run for the deterministic workload set (see the
-	// README's parallel-execution contract). 0 and 1 are the one-shard
-	// case of the same build: one engine over the dense topology.
+	// single-engine run for every workload kind (see the README's
+	// parallel-execution contract); Build refuses StopIt with
+	// DenyAttackers, whose filter requests cross shards. 0 and 1 are the
+	// one-shard case of the same build: one engine over the dense
+	// topology.
 	// AutoShards picks one shard per CPU, clamped to the topology's AS
 	// count; an explicit count exceeding the AS count fails fast instead
 	// of clamping.

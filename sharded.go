@@ -1,6 +1,7 @@
 package netfence
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -77,6 +78,10 @@ var (
 	ErrNoLookahead = topo.ErrNoLookahead
 )
 
+// errShardedFilterRequest is why Build refuses StopIt with a deny policy
+// on more than one shard.
+var errShardedFilterRequest = errors.New("a victim's filter request reaches only its own shard's copy of the source's access router")
+
 // Sharding describes a partitioned run, for introspection and tooling.
 type Sharding struct {
 	// Shards is the resolved shard count.
@@ -113,12 +118,11 @@ func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos(
 // reserved node ID and pair of link indices everywhere else, so IDs,
 // indices and with them every scheduling origin agree across replicas.
 // Control-plane machinery (defense deployment, key-rotation timers,
-// detection tickers) is deliberately replicated everywhere: it is
-// per-AS-scale cheap, its setup draws are the only ones there are
-// (hosts draw none), and replicated rotation keeps every engine's
-// random stream position-aligned with the single-engine run, which is
-// what lets the bottleneck shard's RED draw the exact values the single
-// engine would have drawn.
+// detection tickers) is replicated everywhere, which keeps deployment
+// free of ownership checks at per-AS-scale cost. Every entity that draws
+// randomness owns its stream (sim.Engine.KeyStream of its origin ID), so
+// a copy on a shard that does not own the entity moves no one else's
+// draws, and the owner's copy draws what the single engine's would.
 type shardState struct {
 	// shardOfNode maps node ID to owning shard (nil on one shard);
 	// lookahead is the partition's synchronization window (0 on one).
@@ -298,8 +302,10 @@ func (s Scenario) replicate(shards int) (*shardState, *topo.Partition, error) {
 		}, nil, nil
 	}
 
-	if err := s.CheckSharded(); err != nil {
-		return nil, nil, err
+	// StopIt's victim installs a filter by writing into its own replica's
+	// copy of the source's access router, which another shard may own.
+	if s.DenyAttackers && defense.Canonical(s.Defense.Name) == "stopit" {
+		return nil, nil, fmt.Errorf("scenario %q: StopIt with DenyAttackers on %d shards: %w", s.Name, shards, errShardedFilterRequest)
 	}
 	// Weigh aggregate fleets before partitioning: the load balance must
 	// count a fleet attachment point as the modeled senders it stands
@@ -363,8 +369,9 @@ func (s Scenario) build(shards int) (*Instance, error) {
 		env.deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
 	}
 	// Replicated control plane: the full defense deploys on every shard
-	// engine so keyrings, Passport keys, rotation timers and detection
-	// state exist — and draw the same setup randomness — everywhere.
+	// engine, so keyrings, Passport keys, rotation timers and detection
+	// state exist everywhere, each under the same origin on every
+	// replica.
 	for i, bt := range st.replicas {
 		sys, err := defense.Build(s.Defense.Name, bt.net, defense.BuildOptions{Config: s.Defense.Config})
 		if err != nil {

@@ -153,6 +153,23 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 			},
 			shards: []int{2, 4, 8},
 		},
+		{
+			// Clients that open flows mid-run: 319 transfers on one engine,
+			// once none at 2 and 4 shards (per-replica flow counters).
+			name:      "dumbbell-file-transfers",
+			spec:      kindSpec,
+			workloads: []Workload{FileTransfers{Senders: Range(0, 6)}, UDPFlood{Senders: Range(6, 12)}},
+			shards:    []int{2, 4, 8},
+		},
+		{
+			// Sizes and think times drawn mid-run: once 503 / 594 / 541 / 545
+			// transfers at 1 / 2 / 4 / 8 shards (one engine stream per
+			// replica).
+			name:      "dumbbell-web",
+			spec:      kindSpec,
+			workloads: []Workload{WebTraffic{Senders: Range(0, 20)}},
+			shards:    []int{2, 4, 8},
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -412,72 +429,65 @@ func workloadKinds(t *testing.T) []string {
 	return kinds
 }
 
-// kindRow is one workload kind run alone over all twenty senders of
-// kindSpec, and whether a partitioned run of it is proven identical.
-type kindRow struct {
-	w      Workload
-	proven bool
-}
-
 // kindSpec is equivScenario's twenty-sender dumbbell, the topology every
 // kindTable row runs on.
 var kindSpec = DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
 
-// kindTable holds one row per Workload kind.
-func kindTable() map[string]kindRow {
+// kindTable holds one workload per kind, run alone over all twenty
+// senders of kindSpec.
+func kindTable() map[string]Workload {
 	all := Range(0, 20)
-	return map[string]kindRow{
-		"LongTCP":       {LongTCP{Senders: all}, true},
-		"UDPFlood":      {UDPFlood{Senders: all}, true},
-		"OnOffFlood":    {OnOffFlood{Senders: all, On: 2 * Second, Off: 3 * Second}, true},
-		"ColluderPairs": {ColluderPairs{Senders: all, RateBps: 1_000_000}, true},
-		"FleetSpec":     {FleetSpec{Senders: all, Count: 200}, true},
-		"RequestFlood":  {RequestFlood{Senders: all, Strategic: true}, true},
-		"AttackSpec":    {AttackSpec{Senders: all, RateBps: 1_000_000}, true},
-		// Clients that open flows and draw sizes mid-run: 319 completed
-		// transfers on one engine and none on two, 503 against 594
-		// (ROADMAP, first open item).
-		"FileTransfers": {FileTransfers{Senders: all}, false},
-		"WebTraffic":    {WebTraffic{Senders: all}, false},
+	return map[string]Workload{
+		"LongTCP":       LongTCP{Senders: all},
+		"UDPFlood":      UDPFlood{Senders: all},
+		"OnOffFlood":    OnOffFlood{Senders: all, On: 2 * Second, Off: 3 * Second},
+		"ColluderPairs": ColluderPairs{Senders: all, RateBps: 1_000_000},
+		"FleetSpec":     FleetSpec{Senders: all, Count: 200},
+		"RequestFlood":  RequestFlood{Senders: all, Strategic: true},
+		"AttackSpec":    AttackSpec{Senders: all, RateBps: 1_000_000},
+		"FileTransfers": FileTransfers{Senders: all},
+		"WebTraffic":    WebTraffic{Senders: all},
 	}
 }
 
-// TestEveryWorkloadKindShardIdentity draws the line the standing
-// invariant is stated for: every Workload kind either reproduces the
-// single engine's Result JSON byte for byte on two shards, or Build
-// refuses to partition it with ErrShardedWorkloadUnproven. Each kind
-// runs alone over all twenty senders of equivScenario's dumbbell, so
-// no proven kind can cover for another.
+// TestEveryWorkloadKindShardIdentity holds every Workload kind, under
+// every registered defense, to the single engine's Result JSON byte for
+// byte on two shards. Each kind runs alone over all twenty senders of
+// equivScenario's dumbbell (10 s of it under -short), so no kind can
+// cover for another. The one refusal is StopIt with the deny policy
+// equivScenario sets: Build names the filter request a partitioned run
+// cannot deliver.
 func TestEveryWorkloadKindShardIdentity(t *testing.T) {
 	table := kindTable()
 	kinds := workloadKinds(t)
 	if len(kinds) != len(table) {
 		t.Errorf("the source declares %d workload kinds %v, the table holds %d", len(kinds), kinds, len(table))
 	}
-	spec := kindSpec
-	for _, kind := range kinds {
-		row, ok := table[kind]
-		if !ok {
-			t.Errorf("workload kind %s is missing from the table", kind)
-			continue
-		}
-		if got, _, _ := row.w.span(); got != kind {
-			t.Errorf("table row %s holds a %s", kind, got)
-		}
-		if row.proven != shardProven[kind] {
-			t.Errorf("%s: the table says proven=%v, Build's list says %v", kind, row.proven, shardProven[kind])
-		}
-		if !row.proven {
-			_, err := equivScenario(spec, []Workload{row.w}, 2).Build()
-			if !errors.Is(err, ErrShardedWorkloadUnproven) || !strings.Contains(err.Error(), kind) {
-				t.Errorf("%s on 2 shards: Build returned %v, want ErrShardedWorkloadUnproven naming the kind", kind, err)
+	for _, def := range Defenses() {
+		for _, kind := range kinds {
+			w, ok := table[kind]
+			if !ok {
+				t.Errorf("workload kind %s is missing from the table", kind)
+				continue
 			}
-			if _, err := equivScenario(spec, []Workload{row.w}, 1).Build(); err != nil {
-				t.Errorf("%s on the single engine: %v", kind, err)
+			if got, _, _ := w.span(); got != kind {
+				t.Errorf("table row %s holds a %s", kind, got)
 			}
-			continue
+			name := def + "/" + kind
+			sc := equivScenario(kindSpec, []Workload{w}, 2)
+			sc.Defense = Defense(def)
+			if testing.Short() {
+				sc.Duration, sc.Warmup = 10*Second, 4*Second
+			}
+			if def == "stopit" {
+				if _, err := sc.Build(); !errors.Is(err, errShardedFilterRequest) || !strings.Contains(err.Error(), "filter request") {
+					t.Errorf("%s with DenyAttackers on 2 shards: Build returned %v, want the filter-request refusal", name, err)
+				}
+				sc.DenyAttackers = false
+			}
+			single := sc
+			single.Shards = 1
+			diffJSON(t, name, resultJSON(t, single), resultJSON(t, sc), 2)
 		}
-		single := resultJSON(t, equivScenario(spec, []Workload{row.w}, 1))
-		diffJSON(t, kind, single, resultJSON(t, equivScenario(spec, []Workload{row.w}, 2)), 2)
 	}
 }

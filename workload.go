@@ -1,7 +1,6 @@
 package netfence
 
 import (
-	"errors"
 	"fmt"
 
 	"netfence/internal/attack"
@@ -22,35 +21,6 @@ type Workload interface {
 	// (-1 when it names no senders), so Sweep can fail fast on
 	// populations too small for the declared sender lists.
 	span() (kind string, group, maxIndex int)
-}
-
-// ErrShardedWorkloadUnproven is what Build returns, wrapped with the
-// workload's kind, for a partitioned run of a workload whose sharded
-// Result is not shown byte-identical to the single engine's: a refusal
-// is honest, a Result that silently depends on the shard count is not.
-var ErrShardedWorkloadUnproven = errors.New("sharded run not proven identical to the single engine")
-
-// shardProven lists the workload kinds TestEveryWorkloadKindShardIdentity
-// holds to the single engine's Result at every shard count. The file
-// and web clients are not among them: they open flows mid-run from
-// their replica's own flow counter and draw sizes and think times from
-// its engine's stream, so their Results move with the partition.
-var shardProven = map[string]bool{
-	"LongTCP": true, "UDPFlood": true, "OnOffFlood": true, "ColluderPairs": true,
-	"FleetSpec": true, "RequestFlood": true, "AttackSpec": true,
-}
-
-// CheckSharded returns ErrShardedWorkloadUnproven, naming the kind, when
-// the scenario holds a workload that a partitioned run is not proven to
-// reproduce. Build applies it once it knows the run has more than one
-// shard; a service applies it at submit.
-func (s Scenario) CheckSharded() error {
-	for _, w := range s.Workloads {
-		if kind, _, _ := w.span(); !shardProven[kind] {
-			return fmt.Errorf("scenario %q: workload %s on more than one shard: %w", s.Name, kind, ErrShardedWorkloadUnproven)
-		}
-	}
-	return nil
 }
 
 // maxIndex returns the largest index in a sender list, or -1.
