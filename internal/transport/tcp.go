@@ -429,7 +429,6 @@ func (s *TCPSender) Close() {
 // cumulatively, and buffers out-of-order segments.
 type TCPReceiver struct {
 	Flow packet.FlowID
-	Peer packet.NodeID
 	// OnDeliver, when set, observes each in-order payload delivery.
 	OnDeliver func(bytes int)
 
@@ -466,9 +465,8 @@ func (r *TCPReceiver) Receive(p *packet.Packet) {
 	if p.Proto != packet.ProtoTCP {
 		return
 	}
-	r.Peer = p.Src
 	if p.IsSYN() {
-		r.reply(packet.FlagSYN|packet.FlagACK, 0)
+		r.reply(p.Src, packet.FlagSYN|packet.FlagACK, 0)
 		return
 	}
 	if p.Payload <= 0 {
@@ -496,7 +494,7 @@ func (r *TCPReceiver) Receive(p *packet.Packet) {
 			r.ooo = slices.Insert(r.ooo, i, oooSegment{seq, n})
 		}
 	}
-	r.reply(packet.FlagACK, r.rcvNxt)
+	r.reply(p.Src, packet.FlagACK, r.rcvNxt)
 }
 
 func (r *TCPReceiver) advance(n int32) {
@@ -507,9 +505,10 @@ func (r *TCPReceiver) advance(n int32) {
 	}
 }
 
-func (r *TCPReceiver) reply(flags uint8, ack int64) {
+// reply sends a segment back to the sender, peer.
+func (r *TCPReceiver) reply(peer packet.NodeID, flags uint8, ack int64) {
 	p := r.host.NewPacket()
-	p.Dst = r.Peer
+	p.Dst = peer
 	p.Flow = r.Flow
 	p.Kind = packet.KindRegular
 	p.Proto = packet.ProtoTCP

@@ -149,8 +149,8 @@ type scenarioEnv struct {
 	fcts     []fctRecord
 	denySet  map[packet.NodeID]bool
 	stoppers []interface{ Stop() }
-	// flows lists the attach-time flows, the flight recorder's sampling
-	// universe.
+	// flows lists the attach-time flows of a traced run, the flight
+	// recorder's sampling universe.
 	flows []uint64
 
 	// attacks lists the canonical strategy names of the scenario's
@@ -218,11 +218,13 @@ func (env *scenarioEnv) needsFanout() bool {
 	return false
 }
 
-// flowFrom mints an attach-time flow on its sender node and lists it
-// among the flows the flight recorder samples from.
+// flowFrom mints an attach-time flow on its sender node and, on a traced
+// run, lists it among the flows the flight recorder samples from.
 func (env *scenarioEnv) flowFrom(n *netsim.Node) packet.FlowID {
 	f := n.NewFlow()
-	env.flows = append(env.flows, uint64(f))
+	if env.sc.TraceFlows > 0 {
+		env.flows = append(env.flows, uint64(f))
+	}
 	return f
 }
 
