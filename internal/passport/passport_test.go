@@ -307,3 +307,36 @@ func TestRecycledPacketChecksLikeFresh(t *testing.T) {
 		t.Fatalf("stamped after recycling: %+v, a fresh packet: %+v", *q.Passport, *fresh.Passport)
 	}
 }
+
+// TestRegistryKeyGolden pins the key bytes a seeded registry draws: one
+// MAC of a fixed input under every pair key, the self-pairs included,
+// over ASes declared out of numeric order. The values were recorded from
+// the eager table that built every CMAC in NewRegistry; a table that
+// draws a pair's bytes in another order, or into another pair, fails.
+func TestRegistryKeyGolden(t *testing.T) {
+	ases := []packet.ASID{7, 1, 300, 2}
+	r := NewRegistry(rand.New(rand.NewPCG(11, 5)), ases)
+	in := []byte("netfence-passport-k!")
+	for _, g := range []struct {
+		a, b packet.ASID
+		sum  [4]byte
+	}{
+		{7, 7, [4]byte{0x61, 0x8e, 0x07, 0xca}},
+		{7, 1, [4]byte{0x48, 0x03, 0x49, 0x87}},
+		{7, 300, [4]byte{0x75, 0x95, 0x71, 0x50}},
+		{7, 2, [4]byte{0x79, 0x82, 0xc7, 0x26}},
+		{1, 1, [4]byte{0x5e, 0xf8, 0x36, 0x52}},
+		{1, 300, [4]byte{0xb9, 0x2b, 0x58, 0x9a}},
+		{1, 2, [4]byte{0x8c, 0xa0, 0xbe, 0xd8}},
+		{300, 300, [4]byte{0x7a, 0x86, 0xc3, 0x2e}},
+		{300, 2, [4]byte{0xad, 0x48, 0x32, 0x84}},
+		{2, 2, [4]byte{0xdc, 0x4d, 0x07, 0xe4}},
+	} {
+		// Ask in both orders: a pair has one key.
+		for _, k := range [][2]packet.ASID{{g.a, g.b}, {g.b, g.a}} {
+			if got := r.Key(k[0], k[1]).Sum32(in); got != g.sum {
+				t.Errorf("Key(%d, %d).Sum32 = %x, want %x", k[0], k[1], got, g.sum)
+			}
+		}
+	}
+}
