@@ -75,9 +75,10 @@ func (s *StopIt) AttachHost(h *netsim.Node, pol defense.Policy) {
 }
 
 // RequestFilter asks the source's access router to block src->dst, after
-// the control-channel delay. It writes into this replica's copy of the
-// router, so a partitioned run with a deny policy is refused at Build:
-// the source may live on another shard.
+// the control-channel delay. It writes into the router this deployment
+// holds, and a partitioned run deploys an access router only on the
+// shard owning its AS — which may not be the victim's — so a
+// partitioned run with a deny policy is refused at Build.
 func (s *StopIt) RequestFilter(src, dst packet.NodeID) {
 	sa := s.access[src]
 	if sa == nil {

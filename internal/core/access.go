@@ -211,8 +211,9 @@ func (s *System) ProtectAccess(r *netsim.Node) {
 	ar.ring = feedback.NewKeyRing(r.Network().Eng.KeySource(ar.org.ID()))
 	ar.org.Tick(s.Cfg.KeyRotate, func() {
 		ar.ring.Rotate()
-		// Runtime plane: rotation timers are replicated on every shard,
-		// so the count scales with the shard layout by design.
+		// Runtime plane, so Result never carried it; the router rotates
+		// only on the shard owning it, so the count is the same at every
+		// shard count.
 		r.Network().Cells.Add(obs.CoreKeyringRotations, 1)
 	})
 	r.Ingress = ar.ingress
@@ -662,8 +663,8 @@ func (l *regLimiter) maybeExpire() {
 
 // kaiLookup resolves the key shared between this access router's AS and
 // the AS owning a link — the paper's IP-to-AS mapping plus the Passport
-// key table (§4.4). It reads no router state: pipeline workers call it
-// off the owning goroutine.
+// key table (§4.4). It may make the pair's CMAC, so only the goroutine
+// owning the router calls it; a pipeline worker makes its own.
 func (ar *AccessRouter) kaiLookup(link packet.LinkID) *cmac.CMAC {
 	l := ar.node.Network().LinkByID(link)
 	if l == nil {

@@ -32,9 +32,9 @@ import (
 // barrier and the mailbox Drain, when every shard is parked and all
 // replica state is frozen; workers therefore read rings, the Passport
 // registry and the routing table freely, and the only shared-mutable
-// hazard is CMAC chaining scratch, which each worker sidesteps with
-// private clones (cmac.Clone shares the immutable AES block, not the
-// scratch). A verdict is written into the packet's trailer block
+// hazards, CMAC scratch and the registry's CMAC cache, each worker
+// sidesteps with private CMACs: clones, or made of raw pair keys.
+// A verdict is written into the packet's trailer block
 // (packet.PassportStamp), which the worker makes when the packet has
 // none: a packet of a batch is in exactly one chunk, so one worker is
 // its only writer until Wait. Verdicts are pure given the key epoch, so
@@ -162,18 +162,19 @@ func (pl *Pipeline) nextRotation(now sim.Time) sim.Time {
 	return k * kr
 }
 
-// pipeWorker is one pool goroutine's private state: CMAC clones keyed
-// by the shared instance they duplicate, so each worker pays one clone
-// per key it ever touches and zero allocations after warm-up.
+// pipeWorker is one pool goroutine's private state: CMACs keyed by the
+// instance they clone or the pair key they are made of, so each worker
+// pays one per key it ever touches and zero allocations after warm-up.
 type pipeWorker struct {
 	pl     *Pipeline
 	clones map[*cmac.CMAC]*cmac.CMAC
+	pairs  map[cmac.Key]*cmac.CMAC
 }
 
 func (pl *Pipeline) worker(name string, id int) {
 	labels := pprof.Labels("pipeline", name, "worker", strconv.Itoa(id))
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		w := &pipeWorker{pl: pl, clones: make(map[*cmac.CMAC]*cmac.CMAC)}
+		w := &pipeWorker{pl: pl, clones: make(map[*cmac.CMAC]*cmac.CMAC), pairs: make(map[cmac.Key]*cmac.CMAC)}
 		for job := range pl.jobs {
 			n := uint64(0)
 			for i, p := range job.pkts {
@@ -193,18 +194,27 @@ func (pl *Pipeline) worker(name string, id int) {
 	})
 }
 
-// clone returns the worker's private duplicate of a shared CMAC
-// instance (nil for nil, mirroring unknown-key lookups).
+// clone returns the worker's private duplicate of a shared CMAC.
 func (w *pipeWorker) clone(c *cmac.CMAC) *cmac.CMAC {
-	if c == nil {
-		return nil
-	}
 	cl := w.clones[c]
 	if cl == nil {
 		cl = c.Clone()
 		w.clones[c] = cl
 	}
 	return cl
+}
+
+// pair returns the worker's own CMAC of the key ASes a and b share, nil
+// for an unknown pair (as Registry.Key).
+func (w *pipeWorker) pair(a, b packet.ASID) *cmac.CMAC {
+	k, ok := w.pl.sys.Registry.Raw(a, b)
+	if !ok {
+		return nil
+	}
+	if w.pairs[k] == nil {
+		w.pairs[k] = cmac.New(k)
+	}
+	return w.pairs[k]
 }
 
 // feedbackVerdict precomputes the access-policing verdict for a handoff
@@ -233,7 +243,12 @@ func (w *pipeWorker) feedbackVerdict(p *packet.Packet, dest *netsim.Link, at sim
 	if prev != cur {
 		cprev = w.clone(prev)
 	}
-	kai := func(link packet.LinkID) *cmac.CMAC { return w.clone(ar.kaiLookup(link)) }
+	kai := func(link packet.LinkID) *cmac.CMAC {
+		if l := w.pl.net.LinkByID(link); l != nil {
+			return w.pair(node.AS, l.From.AS)
+		}
+		return nil
+	}
 	v := feedback.ComputeVerdict(ccur, cprev, kai, p, uint32(at/sim.Second), sys.Cfg.WSec)
 	st := p.NeedPassport()
 	st.FVNode = node.ID
@@ -244,7 +259,8 @@ func (w *pipeWorker) feedbackVerdict(p *packet.Packet, dest *netsim.Link, at sim
 }
 
 // passportVerdict precomputes the Passport verify verdict at the first
-// protected link the handoff will enqueue on. Routing is static and the
+// protected link the handoff will enqueue on before a cut link (past
+// one, this shard deploys no bottleneck). Routing is static and the
 // hops before that link are plain FIFOs that never touch the trailer,
 // so the verdict computed here — via the pure Registry.Check, leaving
 // the trailer's consumption to the hook's passport.Apply — is exactly
@@ -277,12 +293,15 @@ func (w *pipeWorker) passportVerdict(p *packet.Packet, dest *netsim.Link) bool {
 				at = l.To
 				continue
 			}
-			ok, consume := sys.Registry.Check(p, l.From.AS, w.clone(sys.Registry.Key(p.SrcAS, l.From.AS)))
+			ok, consume := sys.Registry.Check(p, l.From.AS, w.pair(p.SrcAS, l.From.AS))
 			st := p.NeedPassport()
 			st.PVOK = ok
 			st.PVConsume = int16(consume)
 			st.PVLink = l.ID
 			return true
+		}
+		if l.Cut() {
+			return false
 		}
 		at = l.To
 	}

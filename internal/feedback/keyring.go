@@ -19,10 +19,9 @@ type KeyRing struct {
 	// epoch discards the cache and validates inline.
 	epoch uint64
 
-	// src is the router's own key-material stream, held by value. Every
-	// shard replica of one router holds the same stream (the engine's
-	// KeySource for the router's origin), so a bottleneck shard validates
-	// exactly what a source shard stamped.
+	// src is the router's own key-material stream, held by value: the
+	// engine's KeySource for the router's origin, so the router draws
+	// the same keys on whichever shard owns it.
 	src rand.PCG
 }
 

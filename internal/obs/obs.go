@@ -13,9 +13,9 @@
 //     counts and ships in Result.Counters, goldens included.
 //   - the RUNTIME plane counts execution artifacts that legitimately
 //     differ with the shard layout (events executed per shard, mailbox
-//     handoff batches, replicated keyring-rotation timers). It is
-//     surfaced on /metrics, -metrics-out and bench rows, never in
-//     Result.
+//     handoff batches), and keyring rotations, which no longer do but
+//     stay off Result. It is surfaced on /metrics, -metrics-out and
+//     bench rows, never in Result.
 package obs
 
 import "strconv"
@@ -171,7 +171,7 @@ var defs = []Def{
 	{FleetAttached, "fleet_attached_total", "aggregate fleet sources attached to the topology", "§5.1", Counter, false},
 	{FleetModeledSenders, "fleet_modeled_senders_total", "modeled senders represented by aggregate fleet sources", "§5.1", Counter, false},
 	{SimEventsExecuted, "sim_events_executed_total", "discrete events executed, per engine shard", "—", Counter, true},
-	{CoreKeyringRotations, "core_keyring_rotation_total", "access-router keyring rotations (replicated timers: scales with shard count)", "§4.1", Counter, true},
+	{CoreKeyringRotations, "core_keyring_rotation_total", "access-router keyring rotations (each router rotates on the one shard owning it)", "§4.1", Counter, true},
 	{NetsimHandoffBatches, "netsim_handoff_batch_total", "cut-link mailbox drain batches between shards", "—", Counter, true},
 	{NetsimHandoffPackets, "netsim_handoff_packet_total", "packets handed across shard cut links", "—", Counter, true},
 	{NetsimMailboxDepthHWM, "netsim_mailbox_depth_hwm", "highest packet depth a cut-link mailbox reached at a drain", "—", Gauge, true},

@@ -24,22 +24,31 @@ import (
 // setup draws them from a seeded RNG, which is equivalent for every
 // data-path purpose (both parties of a pair hold the same secret, third
 // parties do not).
+//
+// The table keeps each pair's 16 key bytes and makes the pair's CMAC on
+// the first Key call: a run uses few of the N(N+1)/2 pairs. Key fills
+// that cache, so it is for the goroutine owning the registry; Raw reads
+// only the table, fixed at NewRegistry, and is safe from any goroutine.
 type Registry struct {
-	keys map[[2]packet.ASID]*cmac.CMAC
+	raw  map[[2]packet.ASID]cmac.Key
+	macs map[[2]packet.ASID]*cmac.CMAC
 }
 
 // NewRegistry establishes a key for every unordered pair of the given
 // ASes, including the self-pair (used when the bottleneck is in the
 // sender's own AS).
 func NewRegistry(rng *rand.Rand, ases []packet.ASID) *Registry {
-	r := &Registry{keys: make(map[[2]packet.ASID]*cmac.CMAC)}
+	r := &Registry{
+		raw:  make(map[[2]packet.ASID]cmac.Key, len(ases)*(len(ases)+1)/2),
+		macs: make(map[[2]packet.ASID]*cmac.CMAC),
+	}
 	for i, a := range ases {
 		for _, b := range ases[i:] {
 			var k cmac.Key
 			for j := 0; j < 16; j += 8 {
 				binary.LittleEndian.PutUint64(k[j:], rng.Uint64())
 			}
-			r.keys[pairKey(a, b)] = cmac.New(k)
+			r.raw[pairKey(a, b)] = k
 		}
 	}
 	return r
@@ -53,9 +62,23 @@ func pairKey(a, b packet.ASID) [2]packet.ASID {
 }
 
 // Key returns the MAC keyed with the secret shared by ASes a and b, or
-// nil if the pair is unknown.
+// nil if the pair is unknown. The first call for a pair makes its CMAC.
 func (r *Registry) Key(a, b packet.ASID) *cmac.CMAC {
-	return r.keys[pairKey(a, b)]
+	pk := pairKey(a, b)
+	if m, ok := r.macs[pk]; ok {
+		return m
+	}
+	if k, ok := r.raw[pk]; ok {
+		r.macs[pk] = cmac.New(k)
+	}
+	return r.macs[pk]
+}
+
+// Raw returns the secret shared by ASes a and b, false if the pair is
+// unknown: what a goroutine not owning the registry makes its CMAC of.
+func (r *Registry) Raw(a, b packet.ASID) (cmac.Key, bool) {
+	k, ok := r.raw[pairKey(a, b)]
+	return k, ok
 }
 
 // macInput is the canonical Passport MAC input. Passport's MAC covers the
@@ -137,8 +160,8 @@ func (r *Registry) Verify(p *packet.Packet, transitAS packet.ASID) bool {
 // consume, or -1 when Verify would not touch the trailer at all (no
 // trailer, AS already verified, AS absent, or key unknown). mac is the
 // instance to compute with — pass r.Key(p.SrcAS, transitAS) on the
-// owning goroutine, or a private Clone of it from a batch worker, since
-// CMAC scratch is not concurrent-safe.
+// owning goroutine, or a batch worker's private CMAC of r.Raw's key,
+// since Key fills a cache and CMAC scratch is not concurrent-safe.
 func (r *Registry) Check(p *packet.Packet, transitAS packet.ASID, mac *cmac.CMAC) (ok bool, consume int) {
 	st := p.Passport
 	if st == nil || !st.Present {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"netfence/internal/cmac"
 	"netfence/internal/packet"
 )
 
@@ -338,5 +339,43 @@ func TestRegistryKeyGolden(t *testing.T) {
 				t.Errorf("Key(%d, %d).Sum32 = %x, want %x", k[0], k[1], got, g.sum)
 			}
 		}
+	}
+}
+
+// TestRawAgreesWithKey holds the raw-key accessor to Key: a CMAC built
+// from Raw's bytes computes what the registry's own does, for every
+// pair in both orders, and an unknown pair has neither.
+func TestRawAgreesWithKey(t *testing.T) {
+	ases := []packet.ASID{7, 1, 300, 2}
+	r := NewRegistry(rand.New(rand.NewPCG(11, 5)), ases)
+	in := []byte("netfence-passport-k!")
+	for _, a := range ases {
+		for _, b := range ases {
+			raw, ok := r.Raw(a, b)
+			if !ok {
+				t.Fatalf("Raw(%d, %d) unknown", a, b)
+			}
+			if got, want := cmac.New(raw).Sum32(in), r.Key(a, b).Sum32(in); got != want {
+				t.Fatalf("Raw(%d, %d) MACs %x, Key %x", a, b, got, want)
+			}
+		}
+	}
+	if _, ok := r.Raw(1, 9); ok || r.Key(1, 9) != nil {
+		t.Fatal("unknown AS has a key")
+	}
+}
+
+// TestNewRegistryMakesNoCMAC: establishing the keys of 64 ASes (2,080
+// pairs) makes no CMAC — each costs an AES key schedule and two
+// allocations — so its allocations stay a handful, not thousands.
+func TestNewRegistryMakesNoCMAC(t *testing.T) {
+	ases := make([]packet.ASID, 64)
+	for i := range ases {
+		ases[i] = packet.ASID(i + 1)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	allocs := testing.AllocsPerRun(5, func() { NewRegistry(rng, ases) })
+	if allocs > 32 {
+		t.Fatalf("NewRegistry over 64 ASes made %.0f allocations, want at most 32", allocs)
 	}
 }

@@ -58,35 +58,38 @@ func PlanFraction(srcASes []packet.ASID, f float64) Plan {
 }
 
 // Deploy installs a defense system across the graph under a deployment
-// plan: every bottleneck link is protected, then per group (in
-// declaration order) the participating access routers police and the
+// plan, on the part of the network the graph's shard owns (see Owns):
+// every bottleneck link it transmits is protected, then per group (in
+// declaration order) its participating access routers police and its
 // participating hosts get the system's shim. deny is each group victim's
 // receiver policy; senders and colluders accept everyone. Legacy ASes
-// are skipped entirely — their traffic crosses the network undefended —
-// and so are hosts a sparse graph does not hold: a shim draws no setup
-// randomness, so skipping one leaves every engine's stream where the
-// full deployment leaves it.
+// are skipped entirely — their traffic crosses the network undefended.
+// Every defended entity draws from its own stream, so what one shard
+// deploys moves no other shard's draws.
 func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
+	deploys := func(as packet.ASID) bool { return g.Owns(as) && plan.Participates(as) }
 	for _, l := range g.bottlenecks {
-		s.ProtectLink(l)
+		if g.Owns(l.From.AS) {
+			s.ProtectLink(l)
+		}
 	}
 	for i := range g.groups {
 		grp := &g.groups[i]
 		for _, r := range grp.Access {
-			if plan.Participates(r.AS) {
+			if deploys(r.AS) {
 				s.ProtectAccess(r)
 			}
 		}
 		for _, h := range grp.Senders {
-			if h != nil && plan.Participates(h.AS) {
+			if h != nil && deploys(h.AS) {
 				s.AttachHost(h, defense.Policy{})
 			}
 		}
-		if grp.Victim != nil && plan.Participates(grp.Victim.AS) {
+		if grp.Victim != nil && deploys(grp.Victim.AS) {
 			s.AttachHost(grp.Victim, deny)
 		}
 		for _, c := range grp.Colluders {
-			if c != nil && plan.Participates(c.AS) {
+			if c != nil && deploys(c.AS) {
 				s.AttachHost(c, defense.Policy{})
 			}
 		}

@@ -27,12 +27,12 @@ import (
 // builders issuing the same call sequence produce byte-identical
 // networks (and therefore identical simulation results for a seed).
 //
-// A graph built by an in-tree topology for one shard of a partitioned
-// run is sparse (see Sparse): routers, the links between them, roles,
-// node IDs and link indices are those of the full graph, but only the
-// hosts of the ASes the shard owns exist. The host constructors return
-// a placeholder for any other host, good only for passing to Link, and
-// its slot in the role lists is nil.
+// A graph built for one shard of a partitioned run owns its ASes (see
+// Owns); built by an in-tree topology it is sparse too (see Sparse):
+// routers, the links between them, roles, node IDs and link indices are
+// those of the full graph, but only the hosts the shard owns exist. The
+// host constructors return a placeholder for any other host, good only
+// for passing to Link, and its slot in the role lists is nil.
 type Graph struct {
 	Net *netsim.Network
 
@@ -41,8 +41,8 @@ type Graph struct {
 	srcASes     []packet.ASID
 	srcSeen     map[packet.ASID]bool
 	built       bool
-	// sparse says the graph was asked to hold some ASes' hosts only.
-	sparse bool
+	// owns says which ASes the graph's shard owns; nil owns every AS.
+	owns ownership
 	// remoteWeight holds what WeighSender was told about senders the
 	// graph does not hold.
 	remoteWeight map[packet.NodeID]int32
@@ -75,14 +75,15 @@ func newGraph(eng *sim.Engine, owns ownership) *Graph {
 	return &Graph{
 		Net:     netsim.NewSparse(eng, owns),
 		srcSeen: map[packet.ASID]bool{},
-		sparse:  owns != nil,
+		owns:    owns,
 	}
 }
 
-// ownership says which ASes' hosts a build materialises; nil owns every
-// AS. It rides, unexported, in BuildOptions and in the config of every
-// in-tree topology, where only Sparse can set it: a replica is sparse
-// because the sharded executor built it, never because a caller asked.
+// ownership says which ASes a build's shard owns, holds the hosts of and
+// defends; nil owns every AS. It rides, unexported, in BuildOptions and
+// in the config of every in-tree topology, where only Sparse can set it:
+// a replica is sparse because the sharded executor built it, never
+// because a caller asked.
 type ownership func(packet.ASID) bool
 
 func (o *ownership) setOwns(owns func(packet.ASID) bool) { *o = owns }
@@ -141,7 +142,7 @@ func (g *Graph) Sender(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
 	grp := g.group(group)
 	grp.Senders = append(grp.Senders, held(h))
-	if g.sparse {
+	if g.owns != nil {
 		grp.senderIDs = append(grp.senderIDs, h.ID)
 	}
 	if !g.srcSeen[as] {
@@ -187,6 +188,10 @@ func (g *Graph) Build() *Graph {
 	}
 	return g
 }
+
+// Owns reports whether the graph's shard owns an AS (every AS when the
+// graph was built for no shard): the replica Deploy defends it on.
+func (g *Graph) Owns(as packet.ASID) bool { return g.owns == nil || g.owns(as) }
 
 // Bottlenecks returns the tagged bottleneck links in declaration order.
 func (g *Graph) Bottlenecks() []*netsim.Link { return g.bottlenecks }

@@ -45,18 +45,15 @@ type Partition struct {
 }
 
 // Partition splits the graph's ASes into the requested number of shards:
-// contiguous runs of ASes in declaration order, weighted by node count,
-// with every bottleneck link's From-side AS merged into one atom. That
-// last rule is role awareness with two payoffs: inter-AS bottleneck
-// links become cut links (their delay funds the lookahead, and the
-// congested queue gets a dedicated shard boundary), while co-locating
-// all bottleneck transmitters keeps their randomized queue disciplines
-// on a single engine stream — the condition under which sharded results
-// reproduce the single-engine run bit for bit.
+// contiguous runs of ASes in declaration order, weighted by node count.
+// An inter-AS bottleneck link is cut like any other inter-AS link: its
+// delay funds the lookahead, and its transmitting AS's shard owns the
+// congested queue. Every random stream belongs to one entity, so where
+// the shards fall moves no draw.
 //
-// It fails fast with ErrTooManyShards when shards exceeds the AS count
-// (after bottleneck merging), and validates its own output against
-// ErrSplitIntraAS and ErrNoLookahead.
+// It fails fast with ErrTooManyShards when shards exceeds the AS count,
+// and validates its own output against ErrSplitIntraAS and
+// ErrNoLookahead.
 func (g *Graph) Partition(shards int) (*Partition, error) {
 	if !g.built {
 		return nil, fmt.Errorf("topo: Partition before Build")
@@ -65,37 +62,17 @@ func (g *Graph) Partition(shards int) (*Partition, error) {
 		return nil, fmt.Errorf("topo: shard count %d must be at least 1", shards)
 	}
 	ases := g.AllASes() // node-declaration order
-	// Atoms: one per AS, except every bottleneck From-AS joins the first
-	// bottleneck From-AS's atom.
-	atomOf := make(map[packet.ASID]int, len(ases))
-	var weights []int
-	bnAtom := -1
-	bnASes := map[packet.ASID]bool{}
-	for _, l := range g.bottlenecks {
-		bnASes[l.From.AS] = true
-	}
-	for _, as := range ases {
-		if bnASes[as] && bnAtom >= 0 {
-			atomOf[as] = bnAtom
-			continue
-		}
-		idx := len(weights)
-		atomOf[as] = idx
-		weights = append(weights, 0)
-		if bnASes[as] {
-			bnAtom = idx
-		}
-	}
-	if shards > len(weights) {
+	if shards > len(ases) {
 		return nil, fmt.Errorf("%w: %d shards requested, topology has %d partitionable ASes",
-			ErrTooManyShards, shards, len(weights))
+			ErrTooManyShards, shards, len(ases))
 	}
-	// Atom weight is modeled-sender weight, not raw node count: a fleet
+	// AS weight is modeled-sender weight, not raw node count: a fleet
 	// attachment point standing in for N senders pulls its shard's quota
 	// as if the N hosts were materialized, so the load balance reflects
-	// the traffic the atoms will actually generate. Weight-1 nodes (all
+	// the traffic the ASes will actually generate. Weight-1 nodes (all
 	// pre-fleet topologies) make this the historical node count. A host
 	// the graph does not hold weighs what WeighSender said, or one.
+	weights, total := make(map[packet.ASID]int, len(ases)), 0
 	for id, nd := range g.Net.Nodes {
 		w := 1
 		if nd != nil {
@@ -103,39 +80,30 @@ func (g *Graph) Partition(shards int) (*Partition, error) {
 		} else if rw := g.remoteWeight[packet.NodeID(id)]; rw > 1 {
 			w = int(rw)
 		}
-		weights[atomOf[g.Net.ASOf(packet.NodeID(id))]] += w
-	}
-	total := 0
-	for _, w := range weights {
+		weights[g.Net.ASOf(packet.NodeID(id))] += w
 		total += w
 	}
 
-	// Linear partition: walk atoms in order, starting the next shard
-	// when the cumulative weight crosses its quota — or when the atoms
+	// Linear partition: walk ASes in order, starting the next shard
+	// when the cumulative weight crosses its quota — or when the ASes
 	// left only just cover the shards still empty. Contiguity keeps
 	// shard indices monotone in declaration order.
-	shardOfAtom := make([]int, len(weights))
-	cum, shard, curAtoms := 0, 0, 0
-	for i, w := range weights {
-		remAtoms := len(weights) - i
-		mustLeave := remAtoms <= shards-shard-1
-		wantLeave := cum*shards >= (shard+1)*total
-		if curAtoms > 0 && shard+1 < shards && (mustLeave || wantLeave) {
-			shard++
-			curAtoms = 0
-		}
-		shardOfAtom[i] = shard
-		curAtoms++
-		cum += w
-	}
-
 	p := &Partition{
 		Shards:      shards,
 		ShardOfAS:   make(map[packet.ASID]int, len(ases)),
 		ShardOfNode: make([]int32, len(g.Net.Nodes)),
 	}
-	for _, as := range ases {
-		p.ShardOfAS[as] = shardOfAtom[atomOf[as]]
+	cum, shard, cur := 0, 0, 0
+	for i, as := range ases {
+		mustLeave := len(ases)-i <= shards-shard-1
+		wantLeave := cum*shards >= (shard+1)*total
+		if cur > 0 && shard+1 < shards && (mustLeave || wantLeave) {
+			shard++
+			cur = 0
+		}
+		p.ShardOfAS[as] = shard
+		cur++
+		cum += weights[as]
 	}
 	for id := range p.ShardOfNode {
 		p.ShardOfNode[id] = int32(p.ShardOfAS[g.Net.ASOf(packet.NodeID(id))])
@@ -162,26 +130,14 @@ func (g *Graph) Partition(shards int) (*Partition, error) {
 		p.CutLinks = append(p.CutLinks, l)
 	}
 	if len(p.CutLinks) == 0 {
-		// A single shard (or a topology whose ASes all collapsed into
-		// one atom) has no cut links; any positive window works. Use a
-		// conventional 1 ms so a degenerate 1-shard coordinator run
-		// still terminates.
+		// A single shard has no cut links; any positive window works.
+		// Use a conventional 1 ms so a degenerate 1-shard coordinator
+		// run still terminates.
 		p.Lookahead = sim.Millisecond
 	}
 	return p, nil
 }
 
 // MaxShards returns the number of independently partitionable units the
-// graph offers — the AS count after bottleneck-From merging, the upper
-// bound Partition accepts.
-func (g *Graph) MaxShards() int {
-	bnASes := map[packet.ASID]bool{}
-	for _, l := range g.bottlenecks {
-		bnASes[l.From.AS] = true
-	}
-	merged := 0
-	if len(bnASes) > 0 {
-		merged = len(bnASes) - 1
-	}
-	return len(g.AllASes()) - merged
-}
+// graph offers — its AS count, the upper bound Partition accepts.
+func (g *Graph) MaxShards() int { return len(g.AllASes()) }

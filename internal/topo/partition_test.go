@@ -10,7 +10,7 @@ import (
 func TestPartitionDumbbell(t *testing.T) {
 	eng := sim.New(1)
 	d := NewDumbbell(eng, DefaultDumbbell(20, 400_000))
-	// 13 ASes: transit, 10 sources, victim, plus none — MaxShards is 13.
+	// 12 ASes: 10 sources, transit and victim — MaxShards is 12.
 	if got := d.G.MaxShards(); got != 12 {
 		t.Fatalf("MaxShards = %d, want 12", got)
 	}

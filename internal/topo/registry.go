@@ -73,6 +73,7 @@ func Build(name string, eng *sim.Engine, opts BuildOptions) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topo %q: %w", Canonical(name), err)
 	}
+	g.owns = opts.ownership // a third-party builder builds every host
 	return g.Build(), nil
 }
 

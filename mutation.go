@@ -173,26 +173,18 @@ type linkParams struct {
 	delay Time
 }
 
-// replicaDeploy is one replica's deployment disarm/re-arm state: which
-// source ASes ever installed the defense, and the ingress hooks and
-// host shims saved while an AS is disarmed.
-type replicaDeploy struct {
+// deployState is the run's deployment disarm/re-arm state: which source
+// ASes ever installed the defense, and the ingress hooks and host shims
+// saved while an AS is disarmed (on the one replica owning the AS).
+type deployState struct {
 	installed map[packet.ASID]bool
 	ingress   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool
 	shims     map[*netsim.Node]netsim.Shim
 }
 
-func newReplicaDeploy() *replicaDeploy {
-	return &replicaDeploy{
-		installed: map[packet.ASID]bool{},
-		ingress:   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool{},
-		shims:     map[*netsim.Node]netsim.Shim{},
-	}
-}
-
 // primeControl prepares the built instance for timeline and live
 // mutations: it records every bottleneck's build-time parameters,
-// compiles the initial deployment plan into per-replica arm state, and
+// compiles the initial deployment plan into the arm state, and
 // validates the scenario Timeline against the built topology. Build
 // calls it on every instance, so serve-mode jobs can mutate scenarios
 // that declared no Timeline at all.
@@ -206,15 +198,13 @@ func (in *Instance) primeControl() error {
 		return err
 	}
 	env.plan = plan
-	env.deployCtl = make([]*replicaDeploy, len(env.sh.replicas))
-	for r := range env.deployCtl {
-		st := newReplicaDeploy()
-		for _, as := range env.graph.SourceASes() {
-			if plan.Participates(as) {
-				st.installed[as] = true
-			}
-		}
-		env.deployCtl[r] = st
+	env.deployCtl = &deployState{
+		installed: map[packet.ASID]bool{},
+		ingress:   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool{},
+		shims:     map[*netsim.Node]netsim.Shim{},
+	}
+	for _, as := range env.graph.SourceASes() {
+		env.deployCtl.installed[as] = plan.Participates(as)
 	}
 	// The timeline applies in instant order; within an instant, in
 	// declaration order (stable sort). The scenario's slice is shared
@@ -380,9 +370,8 @@ func (in *Instance) applyAttack(am *AttackMutation) {
 }
 
 // applyDeploy diffs the new plan against the active one and arms or
-// disarms each changed source AS — on EVERY replica, the
-// replicated-control-plane invariant of the sharded executor: every
-// replica holds the same access routers, keyrings and rotation timers.
+// disarms each changed source AS on the replica owning it, the one that
+// holds its access routers and hosts.
 func (in *Instance) applyDeploy(dm *DeployMutation) {
 	env := in.env
 	srcASes := env.graph.SourceASes()
@@ -402,31 +391,26 @@ func (in *Instance) applyDeploy(dm *DeployMutation) {
 			changes = append(changes, change{as: as, enable: is})
 		}
 	}
-	for r, bt := range env.sh.replicas {
-		sys := env.sh.systems[r]
-		st := env.deployCtl[r]
-		for _, ch := range changes {
-			if ch.enable {
-				st.arm(bt.graph, sys, env.deny, ch.as)
-			} else {
-				st.disarm(bt.graph, ch.as)
-			}
+	for _, ch := range changes {
+		sh := env.sh.shardOfAS[ch.as] // a nil map on one shard: 0
+		g := env.sh.replicas[sh].graph
+		if ch.enable {
+			env.deployCtl.arm(g, env.sh.systems[sh], env.deny, ch.as)
+		} else {
+			env.deployCtl.disarm(g, ch.as)
 		}
 	}
 	env.plan = newPlan
 	env.deployed = frac
 }
 
-// arm (re)enables the defense on one source AS: first participation
-// installs through the system's own ProtectAccess/AttachHost paths
-// (the same calls Graph.Deploy makes at build time); a re-join after a
-// disarm restores the saved ingress hooks and shims instead, so
-// long-lived per-router state (keyrings, rotation tickers) is not
-// duplicated. The access routers are armed on every replica; the hosts
-// only where they exist, on the replica owning the AS — a shim draws no
-// randomness, so the engines stay aligned (nil is a replica's role slot
-// for a host it does not hold).
-func (st *replicaDeploy) arm(g *Graph, sys defense.System, deny defense.Policy, as packet.ASID) {
+// arm (re)enables the defense on one source AS of g, the graph of the
+// replica owning it: first participation installs through the system's
+// own ProtectAccess/AttachHost paths (the same calls Graph.Deploy makes
+// at build time); a re-join after a disarm restores the saved ingress
+// hooks and shims instead, so long-lived per-router state (keyrings,
+// rotation tickers) is not duplicated.
+func (st *deployState) arm(g *Graph, sys defense.System, deny defense.Policy, as packet.ASID) {
 	fresh := !st.installed[as]
 	walkAS(g, as, func(r *netsim.Node) {
 		if fresh {
@@ -447,8 +431,8 @@ func (st *replicaDeploy) arm(g *Graph, sys defense.System, deny defense.Policy, 
 
 // walkAS visits one source AS's share of every role group, group by
 // group: its access routers, then its senders, the group's victim and
-// its colluders (victim tells the victim host apart). Host slots the
-// replica does not hold are nil and skipped.
+// its colluders (victim tells the victim host apart). Host slots of
+// other ASes the replica does not hold are nil and skipped.
 func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *netsim.Node, victim bool)) {
 	groups := g.Groups()
 	for gi := range groups {
@@ -478,7 +462,7 @@ func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *ne
 // attack wrapper: the attack Sender stays outermost (crafted packets
 // keep bypassing the honest stack) and the defense shim splices in
 // underneath it.
-func (st *replicaDeploy) armHost(sys defense.System, h *netsim.Node, pol defense.Policy, fresh bool) {
+func (st *deployState) armHost(sys defense.System, h *netsim.Node, pol defense.Policy, fresh bool) {
 	wrapper, _ := h.Host.Shim.(*attack.Sender)
 	if fresh {
 		sys.AttachHost(h, pol)
@@ -500,11 +484,12 @@ func (st *replicaDeploy) armHost(sys defense.System, h *netsim.Node, pol defense
 	}
 }
 
-// disarm turns one source AS legacy: access routers stop policing
-// (their ingress hooks are saved and cleared; rotation timers keep
-// ticking so the replicated random streams stay aligned) and hosts
-// shed the defense shim (saved underneath any live attack wrapper).
-func (st *replicaDeploy) disarm(g *Graph, as packet.ASID) {
+// disarm turns one source AS of g, the owning replica's graph, legacy:
+// access routers stop policing (ingress hooks saved and cleared; the
+// rotation timers keep ticking, so a re-armed router holds the keys it
+// would have held, on the KeyRotate grid the validation pipeline plans
+// by) and hosts shed the defense shim (saved under any attack wrapper).
+func (st *deployState) disarm(g *Graph, as packet.ASID) {
 	walkAS(g, as, func(r *netsim.Node) {
 		if _, ok := st.ingress[r]; !ok {
 			st.ingress[r] = r.Ingress
@@ -516,7 +501,7 @@ func (st *replicaDeploy) disarm(g *Graph, as packet.ASID) {
 // disarmHost removes a host's defense shim, keeping a live attack
 // wrapper in place (its crafted traffic now takes the legacy path, the
 // legacy-flood posture).
-func (st *replicaDeploy) disarmHost(h *netsim.Node) {
+func (st *deployState) disarmHost(h *netsim.Node) {
 	if wrapper, ok := h.Host.Shim.(*attack.Sender); ok {
 		if _, saved := st.shims[h]; !saved {
 			st.shims[h] = wrapper.Inner()

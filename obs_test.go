@@ -196,3 +196,29 @@ func TestTraceSampling(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyringRotationsShardInvariant: an access router rotates its
+// keyring only on the shard owning it, so the runtime plane's rotation
+// count is the same at every shard count. The 40 s run outlasts the
+// 32 s KeyRotate both for the routers armed at build and for those a
+// deploy mutation arms at 5 s.
+func TestKeyringRotationsShardInvariant(t *testing.T) {
+	var want uint64
+	for _, shards := range []int{1, 2, 4} {
+		sc := equivScenario(DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3},
+			[]Workload{LongTCP{Senders: Range(0, 5)}}, shards)
+		sc.Duration = 40 * Second
+		sc.Deployment = DeployFraction(0.5)
+		sc.Timeline = []Mutation{{At: 5 * Second, Deploy: &DeployMutation{Deployment: FullDeployment()}}}
+		_, in := runWithInstance(t, sc)
+		got := in.RuntimeCounters()["core_keyring_rotation_total"]
+		if shards == 1 {
+			if got == 0 {
+				t.Fatal("no keyring rotated in a run longer than KeyRotate")
+			}
+			want = got
+		} else if got != want {
+			t.Fatalf("shards=%d: %d keyring rotations, the single engine %d", shards, got, want)
+		}
+	}
+}

@@ -69,10 +69,10 @@ func (in *Instance) Counters() map[string]uint64 {
 // RuntimeCounters returns the runtime plane: execution artifacts that
 // legitimately vary with the shard layout — events executed (total and
 // per shard), cut-link handoff batches and packet counts, mailbox
-// depth high-water marks, replicated keyring-rotation timers, packet-pool
-// allocation and idle counts, hosts and links materialised over all
-// replicas of a sharded run. Surfaced
-// on /metrics, -metrics-out and bench rows; never part of Result.
+// depth high-water marks, packet-pool allocation and idle counts, hosts
+// and links materialised over all replicas of a sharded run — and
+// keyring rotations (a router rotates only on its owning shard, so these
+// no longer vary). Surfaced on /metrics, -metrics-out and bench rows.
 func (in *Instance) RuntimeCounters() map[string]uint64 {
 	m := obs.RuntimeMap(in.mergedCells())
 	var total uint64

@@ -164,12 +164,12 @@ type scenarioEnv struct {
 
 	// Control-plane state for timeline and live mutations (primeControl):
 	// the bottlenecks' build-time parameters (the Restore target), the
-	// active deployment plan, per-replica deployment arm/disarm state, and
-	// the victim deny policy (re-used when a deploy mutation arms a victim
+	// active deployment plan, the deployment arm/disarm state, and the
+	// victim deny policy (re-used when a deploy mutation arms a victim
 	// host for the first time).
 	linkOrig  []linkParams
 	plan      topo.Plan
-	deployCtl []*replicaDeploy
+	deployCtl *deployState
 	deny      defense.Policy
 
 	// deployed is the effective deployed fraction of source ASes.
@@ -299,11 +299,13 @@ type Instance struct {
 	// Engines lists every shard engine in shard order.
 	Engines []*Engine
 	Net     *Network
-	System  DefenseSystem
+	// System is the deployed defense: on a sharded run, shard 0's part
+	// only (another shard's access routers and bottlenecks are nil).
+	System DefenseSystem
 	// Graph is the constructed role-tagged topology. On a sharded run
-	// Net, System, Graph and the two views below are shard 0's replica:
-	// every router and router link, but only the hosts of the ASes
-	// shard 0 owns — the role lists hold nil for the others.
+	// Net, Graph and the two views below are shard 0's replica: every
+	// router and router link, but only the hosts of the ASes shard 0
+	// owns — the role lists hold nil for the others.
 	Graph *Graph
 	// Dumbbell is the constructed topology for DumbbellSpec scenarios;
 	// ParkingLot for ParkingLotSpec scenarios. The other is nil.

@@ -80,7 +80,7 @@ var (
 
 // errShardedFilterRequest is why Build refuses StopIt with a deny policy
 // on more than one shard.
-var errShardedFilterRequest = errors.New("a victim's filter request reaches only its own shard's copy of the source's access router")
+var errShardedFilterRequest = errors.New("a victim's filter request cannot reach the source's access router, which only the shard owning the source's AS deploys")
 
 // Sharding describes a partitioned run, for introspection and tooling.
 type Sharding struct {
@@ -112,21 +112,22 @@ func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos(
 // shardState is the executor state of one scenario run: one replica of
 // the network per shard, each on its own engine. One shard is one dense
 // replica on a plain engine. With more, every replica is sparse and
-// holds the same routers, router links and control plane; a host, its
-// stack, its two links and its defense shim exist only on the replica of
-// the shard owning its AS — which attaches the live traffic — and are a
-// reserved node ID and pair of link indices everywhere else, so IDs,
-// indices and with them every scheduling origin agree across replicas.
-// Control-plane machinery (defense deployment, key-rotation timers,
-// detection tickers) is replicated everywhere, which keeps deployment
-// free of ownership checks at per-AS-scale cost. Every entity that draws
-// randomness owns its stream (sim.Engine.KeyStream of its origin ID), so
-// a copy on a shard that does not own the entity moves no one else's
-// draws, and the owner's copy draws what the single engine's would.
+// holds the same routers and router links; a host, its stack, its two
+// links and its defense shim exist only on the replica of the shard
+// owning its AS — which attaches the live traffic — and are a reserved
+// node ID and pair of link indices everywhere else, so IDs, indices and
+// with them every scheduling origin agree across replicas. The control
+// plane is deployed where it is owned: an access router polices, with
+// its keyring and rotation timer, only on the replica owning its AS, and
+// a bottleneck is protected, with its queue discipline and detection
+// ticker, only on the replica owning its transmitting router. Every
+// entity that draws randomness owns its stream (sim.Engine.KeyStream of
+// its origin ID), so the owner draws what the single engine would.
 type shardState struct {
-	// shardOfNode maps node ID to owning shard (nil on one shard);
-	// lookahead is the partition's synchronization window (0 on one).
+	// shardOfNode and shardOfAS map a node ID and an AS to its shard (nil
+	// on one shard); lookahead is the synchronization window (0 on one).
 	shardOfNode []int32
+	shardOfAS   map[packet.ASID]int
 	lookahead   Time
 	engines     []*sim.Engine
 	replicas    []*builtTopo
@@ -302,8 +303,8 @@ func (s Scenario) replicate(shards int) (*shardState, *topo.Partition, error) {
 		}, nil, nil
 	}
 
-	// StopIt's victim installs a filter by writing into its own replica's
-	// copy of the source's access router, which another shard may own.
+	// StopIt's victim installs a filter by writing into the source's
+	// access router, which only the shard owning the source's AS holds.
 	if s.DenyAttackers && defense.Canonical(s.Defense.Name) == "stopit" {
 		return nil, nil, fmt.Errorf("scenario %q: StopIt with DenyAttackers on %d shards: %w", s.Name, shards, errShardedFilterRequest)
 	}
@@ -318,15 +319,15 @@ func (s Scenario) replicate(shards int) (*shardState, *topo.Partition, error) {
 	}
 	st := &shardState{
 		shardOfNode: part.ShardOfNode,
+		shardOfAS:   part.ShardOfAS,
 		lookahead:   part.Lookahead,
 		engines:     make([]*sim.Engine, shards),
 		replicas:    make([]*builtTopo, shards),
 		systems:     make([]defense.System, shards),
 		inboxes:     make([][]*netsim.Mailbox, shards),
 	}
-	shardOfAS := part.ShardOfAS // not part: a replica keeps its owns, and part points into the skeleton
 	for i := range st.replicas {
-		owns := func(as packet.ASID) bool { return shardOfAS[as] == i }
+		owns := func(as packet.ASID) bool { return st.shardOfAS[as] == i }
 		if st.engines[i], st.replicas[i], err = build(owns); err != nil {
 			return nil, nil, err
 		}
@@ -368,10 +369,9 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	if s.DenyAttackers {
 		env.deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
 	}
-	// Replicated control plane: the full defense deploys on every shard
-	// engine, so keyrings, Passport keys, rotation timers and detection
-	// state exist everywhere, each under the same origin on every
-	// replica.
+	// Each replica deploys the part of the defense its shard owns (see
+	// Graph.Deploy); every replica has its own System, whose Passport
+	// registry makes a pair's CMAC only when the shard uses the pair.
 	for i, bt := range st.replicas {
 		sys, err := defense.Build(s.Defense.Name, bt.net, defense.BuildOptions{Config: s.Defense.Config})
 		if err != nil {
