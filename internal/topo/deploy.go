@@ -58,7 +58,7 @@ func PlanFraction(srcASes []packet.ASID, f float64) Plan {
 }
 
 // Deploy installs a defense system across the graph under a deployment
-// plan, on the part of the network the graph's shard owns (see Owns):
+// plan, on the part of the network the graph's shard owns (see owned):
 // every bottleneck link it transmits is protected, then per group (in
 // declaration order) its participating access routers police and its
 // participating hosts get the system's shim. deny is each group victim's
@@ -67,9 +67,9 @@ func PlanFraction(srcASes []packet.ASID, f float64) Plan {
 // Every defended entity draws from its own stream, so what one shard
 // deploys moves no other shard's draws.
 func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
-	deploys := func(as packet.ASID) bool { return g.Owns(as) && plan.Participates(as) }
+	deploys := func(as packet.ASID) bool { return g.owned(as) && plan.Participates(as) }
 	for _, l := range g.bottlenecks {
-		if g.Owns(l.From.AS) {
+		if g.owned(l.From.AS) {
 			s.ProtectLink(l)
 		}
 	}

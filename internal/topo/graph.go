@@ -28,7 +28,7 @@ import (
 // networks (and therefore identical simulation results for a seed).
 //
 // A graph built for one shard of a partitioned run owns its ASes (see
-// Owns); built by an in-tree topology it is sparse too (see Sparse):
+// owned); built by an in-tree topology it is sparse too (see Sparse):
 // routers, the links between them, roles, node IDs and link indices are
 // those of the full graph, but only the hosts the shard owns exist. The
 // host constructors return a placeholder for any other host, good only
@@ -189,9 +189,9 @@ func (g *Graph) Build() *Graph {
 	return g
 }
 
-// Owns reports whether the graph's shard owns an AS (every AS when the
+// owned reports whether the graph's shard owns an AS (every AS when the
 // graph was built for no shard): the replica Deploy defends it on.
-func (g *Graph) Owns(as packet.ASID) bool { return g.owns == nil || g.owns(as) }
+func (g *Graph) owned(as packet.ASID) bool { return g.owns == nil || g.owns(as) }
 
 // Bottlenecks returns the tagged bottleneck links in declaration order.
 func (g *Graph) Bottlenecks() []*netsim.Link { return g.bottlenecks }
