@@ -109,8 +109,8 @@ func TestHandoffCensus(t *testing.T) {
 		cuts := uint64(in.Sharding.CutLinks)
 		check := func(when string) (sum netsim.HandoffStats) {
 			t.Helper()
-			for i, bt := range in.env.sh.replicas {
-				st := bt.net.HandoffStats()
+			for i, n := range in.env.sh.nets {
+				st := n.HandoffStats()
 				if st.SentHome > st.Borrowed {
 					t.Errorf("shards=%d %s: replica %d sent home %d structs for %d borrowed", shards, when, i, st.SentHome, st.Borrowed)
 				}

@@ -60,7 +60,7 @@ type nfQueue struct {
 	// request-channel victims); nil leaves them to the garbage collector.
 	release func(p *packet.Packet)
 
-	// cells is the observability counter store — the owning replica's
+	// cells is the observability counter store — the owning shard's
 	// shared cells once protect() wires the queue onto a link, a private
 	// scratch array for directly-constructed test queues.
 	cells obs.Cells

@@ -30,7 +30,7 @@ import (
 //
 // Determinism contract. Submit runs between the coordinator's drain
 // barrier and the mailbox Drain, when every shard is parked and all
-// replica state is frozen; workers therefore read rings, the Passport
+// shard state is frozen; workers therefore read rings, the Passport
 // registry and the routing table freely, and the only shared-mutable
 // hazards, CMAC scratch and the registry's CMAC cache, each worker
 // sidesteps with private CMACs: clones, or made of raw pair keys.
@@ -55,7 +55,7 @@ type Pipeline struct {
 
 	// precomputed is written by the workers (the one cross-goroutine
 	// stat); the rest accumulate on the drain goroutine. Wait folds all
-	// of them into the replica's runtime-plane cells.
+	// of them into the shard's runtime-plane cells.
 	precomputed                 atomic.Uint64
 	batches, packets, fallbacks uint64
 }
@@ -128,7 +128,7 @@ func (pl *Pipeline) Submit(mbs []*netsim.Mailbox) {
 }
 
 // Wait blocks until every submitted chunk is validated, then folds the
-// round's stats into the replica's runtime-plane cells (on the calling
+// round's stats into the shard's runtime-plane cells (on the calling
 // drain goroutine — the cells' single writer).
 func (pl *Pipeline) Wait() {
 	pl.wg.Wait()

@@ -103,7 +103,7 @@ func denyRun(t *testing.T, build func(net *netsim.Network) defense.System) (allo
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
 	s := build(d.Net)
 	badSrc := d.Senders[1].ID
-	d.G.Deploy(s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }}, topo.Plan{})
+	d.G.Deploy(d.Net, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }}, topo.Plan{})
 
 	sinkA := transport.NewUDPSink(d.Victim.Host, 1)
 	sinkD := transport.NewUDPSink(d.Victim.Host, 2)
@@ -122,7 +122,7 @@ func TestPolicyDenyAtNetFenceShim(t *testing.T) {
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
 	s := core.NewSystem(d.Net, core.DefaultConfig())
 	badSrc := d.Senders[1].ID
-	d.G.Deploy(s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }}, topo.Plan{})
+	d.G.Deploy(d.Net, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }}, topo.Plan{})
 
 	sinkA := transport.NewUDPSink(d.Victim.Host, 1)
 	sinkD := transport.NewUDPSink(d.Victim.Host, 2)
@@ -172,7 +172,7 @@ func TestPolicyDenyAtBaselineShims(t *testing.T) {
 func TestNilDenyAcceptsEveryone(t *testing.T) {
 	eng := sim.New(1)
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
-	d.G.Deploy(baseline.NewNone(), defense.Policy{}, topo.Plan{})
+	d.G.Deploy(d.Net, baseline.NewNone(), defense.Policy{}, topo.Plan{})
 	sink := transport.NewUDPSink(d.Victim.Host, 1)
 	transport.NewUDPSource(d.Senders[0].Host, d.Victim.ID, 1, 200_000, 1500).Start()
 	eng.RunUntil(5 * sim.Second)

@@ -47,14 +47,14 @@ func (h *Host) Agent(flow packet.FlowID) Agent {
 	return a
 }
 
-// Network returns the owning network.
+// Network returns the network of the shard owning the host.
 func (h *Host) Network() *Network { return h.Node.net }
 
 // NewPacket draws a zeroed packet from the network's pool; the packet
 // returns to the pool automatically when the network delivers or drops
 // it. Transports should prefer this over &packet.Packet{} so steady-state
-// sending allocates nothing. Before a sharded replica's pool allocates,
-// it takes what empties its cut links hold.
+// sending allocates nothing. Before a shard's pool allocates, it takes
+// what empties its cut links hold.
 func (h *Host) NewPacket() *packet.Packet {
 	net := h.Node.net
 	pool := &net.Pool

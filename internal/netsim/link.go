@@ -39,8 +39,10 @@ type Link struct {
 	sending bool
 	From    *Node
 	To      *Node
-	// net sits beside To: an arrival reads exactly these two, on a struct
-	// that has gone cold while the packet propagated.
+	// net is the network of the shard owning From, which transmits the
+	// link; it sits beside To: an arrival reads exactly these two, on a
+	// struct that has gone cold while the packet propagated (a cut link's
+	// arrivals read its mailbox's copy instead, bound to To's network).
 	net   *Network
 	Rate  int64 // bits per second; must be positive
 	Delay sim.Time
@@ -223,14 +225,14 @@ func (l *Link) txDone(p *packet.Packet) {
 func (l *Link) Origin() *sim.Origin { return &l.org }
 
 // SetMailbox marks the link as a cut link delivering into mb's
-// destination replica. Partitioned-run wiring only.
+// destination shard. Partitioned-run wiring only.
 func (l *Link) SetMailbox(mb *Mailbox) {
 	l.coldBlock().mailbox = mb
 	l.net.outboxes = append(l.net.outboxes, mb)
 }
 
 // Cut reports whether the link hands its packets to another shard: a
-// cut link of a partitioned run, on the replica that transmits it.
+// cut link of a partitioned run.
 func (l *Link) Cut() bool { return l.cold != nil && l.cold.mailbox != nil }
 
 // SetOnTransmit installs fn (nil removes it) to observe each packet as

@@ -31,8 +31,11 @@ import (
 // arrivals a lowered delay puts ahead of the FIFO's tail get such an
 // event each.
 type Mailbox struct {
-	// destLink is the destination replica's copy of the cut link: arrivals
-	// reach its To node with full ingress/forwarding semantics.
+	// destLink is the cut link as its destination sees it: a copy of its
+	// index, ID and endpoints bound to the To node's network. Arrivals
+	// reach the To node through it, in the destination shard's context
+	// with full ingress/forwarding semantics, and never read the link
+	// itself, whose cache lines the source shard keeps writing.
 	destLink *Link
 	keys     []sim.EventKey
 	pkts     []*packet.Packet
@@ -47,10 +50,11 @@ type Mailbox struct {
 	owed     int
 }
 
-// NewMailbox creates the mailbox for a cut link. dest must be the
-// destination shard replica's copy of the link (same Index as the
-// source's).
-func NewMailbox(dest *Link) *Mailbox { return &Mailbox{destLink: dest} }
+// NewMailbox creates the mailbox delivering over the cut link l to
+// l.To, in the network l.To is bound to (see Network.Bind).
+func NewMailbox(l *Link) *Mailbox {
+	return &Mailbox{destLink: &Link{Index: l.Index, ID: l.ID, From: l.From, To: l.To, net: l.To.net}}
+}
 
 // push records one handoff. Called by the source shard inside the
 // transmit-complete event.
@@ -61,7 +65,7 @@ func (m *Mailbox) push(net *Network, p *packet.Packet, key sim.EventKey) {
 	m.adopt(&net.Pool)
 }
 
-// adopt takes the empties sent home into pool, the source replica's.
+// adopt takes the empties sent home into pool, the source shard's.
 func (m *Mailbox) adopt(pool *packet.Pool) {
 	pool.Adopt(m.empties)
 	m.empties = m.empties[:0]
@@ -70,13 +74,13 @@ func (m *Mailbox) adopt(pool *packet.Pool) {
 // Pending exposes the mailbox's undrained window: the sorted arrival
 // keys and the packets themselves. The sharded validation pipeline reads
 // it between the coordinator's barrier and Drain — every shard is parked
-// at the drain round, so the window (and all replica state the verdicts
+// at the drain round, so the window (and all shard state the verdicts
 // depend on) is frozen — and writes its verdicts into the packets. The
 // slices are invalidated by the next Drain or push.
 func (m *Mailbox) Pending() ([]sim.EventKey, []*packet.Packet) { return m.keys, m.pkts }
 
-// DestLink returns the destination replica's copy of the cut link —
-// where Pending packets will arrive.
+// DestLink returns the destination's view of the cut link (index, ID
+// and endpoints) — where Pending packets will arrive.
 func (m *Mailbox) DestLink() *Link { return m.destLink }
 
 // Drain moves every pending arrival onto the FIFO, sends home the

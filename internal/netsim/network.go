@@ -16,11 +16,17 @@ import (
 
 // Network is a simulated internetwork. Build one by adding nodes and
 // links, call ComputeRoutes, then attach transports and run the engine.
+//
+// A partitioned run binds one graph to several networks (see Bind): each
+// is one shard's context — engine, packet pool, counters, recorder,
+// census — and they all share the graph's nodes, links, node → AS table
+// and routing arrays. Every node and link carries the network of the
+// shard that owns it, and only that shard's goroutine writes its mutable
+// state.
 type Network struct {
 	Eng *sim.Engine
-	// Nodes and Links are indexed by node ID and link index. On a sparse
-	// network (NewSparse) the slots of hosts it does not own, and of the
-	// links joining them to their access routers, are reserved and nil.
+	// Nodes and Links are indexed by node ID and link index: the whole
+	// graph, on every shard's network.
 	Nodes []*Node
 	Links []*Link
 
@@ -32,75 +38,54 @@ type Network struct {
 	// later.
 	Pool packet.Pool
 
-	// Routing state, leaf-compressed: full next-hop tables are kept only
-	// for "core" nodes (anything but single-link stub hosts), indexed by
-	// a dense core numbering, while stubs route through their one uplink.
-	// A 65k-sender topology has a few hundred core nodes, so the table is
-	// kilobytes instead of the 17 GB an all-pairs node table would cost —
-	// with next-hop choices bit-for-bit identical to the historical
-	// full-graph BFS (see ComputeRoutes).
-	coreIdx  []int32   // node -> dense core index, or -1 for stubs
-	attachAt []int32   // stub node -> core index of its attachment point
-	uplink   []int32   // stub node -> its single egress link index
-	downlink []int32   // node -> link index from its attachment core node to it, or -1
-	rtab     [][]int32 // [core][core] egress link index, or -1 when unreachable
+	routes
 
 	// OnDrop, when set, observes every packet lost at a link queue.
 	// The packet returns to the pool right after the hook returns; do
 	// not retain it.
 	OnDrop func(p *packet.Packet, l *Link)
 
-	// Cells is the replica's observability counter store, allocated
+	// Cells is the shard's observability counter store, allocated
 	// unconditionally so hot-path increments need no nil check. Each
-	// replica's cells are written only by its own engine goroutine.
+	// shard's cells are written only by its own engine goroutine.
 	Cells obs.Cells
 
-	// Rec, when set, is the replica's packet flight recorder. Nil by
+	// Rec, when set, is the shard's packet flight recorder. Nil by
 	// default: untraced runs pay exactly one nil comparison per
 	// instrumented site.
 	Rec *obs.Recorder
 
-	// owns says which ASes' hosts the network materialises; nil owns
-	// every AS.
-	owns func(packet.ASID) bool
-	// as maps every node ID, remote hosts included, to its AS.
+	// as maps every node ID to its AS.
 	as []packet.ASID
-	// remote lists the reserved hosts until ComputeRoutes folds them into
-	// the routing arrays.
-	remote []remoteHost
-	// hosts and links count what the network materialised.
+	// hosts and links count the hosts and links the network owns.
 	hosts, links int
 	// cutThrough and queued count Link.Send by path; cutHWM is the
 	// backlog high-water mark the bypassed FIFOs would have reported.
 	cutThrough, queued, cutHWM uint64
-	// outboxes are the mailboxes of the cut links leaving this replica;
+	// outboxes are the mailboxes of the cut links leaving this shard;
 	// the rest is the handoff census (see HandoffStats).
 	outboxes                       []*Mailbox
 	lent, sentHome, keyed, fifoHWM uint64
 }
 
-// remoteHost is a host whose AS the network does not own: a reserved
-// node ID and, for the duplex connection to its access router at, a
-// reserved pair of link indices. Nothing is scheduled on a remote host
-// and nothing is forwarded over its links here — the shard owning its
-// AS does both — but other nodes still route toward it.
-type remoteHost struct {
-	id, at   packet.NodeID
-	up, down int32
+// routes is the routing state, leaf-compressed: full next-hop tables
+// are kept only for "core" nodes (anything but single-link stub hosts),
+// indexed by a dense core numbering, while stubs route through their one
+// uplink. A 65k-sender topology has a few hundred core nodes, so the
+// table is kilobytes instead of the 17 GB an all-pairs node table would
+// cost — with next-hop choices bit-for-bit identical to the historical
+// full-graph BFS (see ComputeRoutes). It is immutable once computed, so
+// the shards of a partitioned run share it.
+type routes struct {
+	coreIdx  []int32   // node -> dense core index, or -1 for stubs
+	attachAt []int32   // stub node -> core index of its attachment point
+	uplink   []int32   // stub node -> its single egress link index
+	downlink []int32   // node -> link index from its attachment core node to it, or -1
+	rtab     [][]int32 // [core][core] egress link index, or -1 when unreachable
 }
 
 // New returns an empty network driven by eng.
-func New(eng *sim.Engine) *Network { return NewSparse(eng, nil) }
-
-// NewSparse returns an empty network that materialises only the hosts
-// of the ASes owns accepts (nil accepts all) — one shard's replica of a
-// partitioned topology. Routers, the links between them and every node
-// ID and link index are what the full network has: a host of another AS
-// keeps its ID, its AS and its place in the routing arrays, and costs
-// nothing else.
-func NewSparse(eng *sim.Engine, owns func(packet.ASID) bool) *Network {
-	return &Network{Eng: eng, Cells: obs.NewCells(), owns: owns}
-}
+func New(eng *sim.Engine) *Network { return &Network{Eng: eng, Cells: obs.NewCells()} }
 
 // NewNode adds a router node.
 func (n *Network) NewNode(name string, as packet.ASID) *Node {
@@ -115,17 +100,8 @@ func (n *Network) NewNode(name string, as packet.ASID) *Node {
 	return node
 }
 
-// NewHost adds a host node with an attached host stack. For a host of
-// an AS the network does not own it reserves the node ID and returns a
-// placeholder — ID and AS, no Host — that is not in Nodes and serves
-// only to be passed to Connect.
+// NewHost adds a host node with an attached host stack.
 func (n *Network) NewHost(name string, as packet.ASID) *Node {
-	if n.owns != nil && !n.owns(as) {
-		node := &Node{ID: packet.NodeID(len(n.Nodes)), AS: as, IsHost: true, net: n}
-		n.Nodes = append(n.Nodes, nil)
-		n.as = append(n.as, as)
-		return node
-	}
 	node := n.NewNode(name, as)
 	node.IsHost = true
 	node.Host = &Host{Node: node}
@@ -133,15 +109,14 @@ func (n *Network) NewHost(name string, as packet.ASID) *Node {
 	return node
 }
 
-// Node returns the node with the given ID, nil for a remote host.
+// Node returns the node with the given ID.
 func (n *Network) Node(id packet.NodeID) *Node { return n.Nodes[id] }
 
-// ASOf returns the AS of the node with the given ID, remote hosts
-// included.
+// ASOf returns the AS of the node with the given ID.
 func (n *Network) ASOf(id packet.NodeID) packet.ASID { return n.as[id] }
 
-// ASes returns every AS in the topology in node order, remote hosts
-// counted — the set Passport establishes pairwise keys for.
+// ASes returns every AS in the topology in node order — the set
+// Passport establishes pairwise keys for.
 func (n *Network) ASes() []packet.ASID {
 	seen := map[packet.ASID]bool{}
 	var out []packet.ASID
@@ -154,9 +129,46 @@ func (n *Network) ASes() []packet.ASID {
 	return out
 }
 
-// Materialised returns how many hosts and links the network holds as
-// structs, as opposed to reserved slots.
+// Materialised returns how many hosts and links the network owns: all
+// of them on an unpartitioned network, its shard's share on a bound one
+// (hosts by node, links by transmitting node).
 func (n *Network) Materialised() (hosts, links int) { return n.hosts, n.links }
+
+// Bind partitions the graph of n, a network whose routes are computed
+// and on which nothing is scheduled yet, over engines: shardOf maps
+// every node ID to its shard, engines[0] must be n's own engine, and
+// n is shard 0's network. Every other shard gets a network of its own
+// (packet pool, counters, census) sharing n's nodes, links, node → AS
+// table and routing arrays. Every node then carries its shard's network
+// and every link its From node's, and each link's scheduling origin is
+// re-made on its owner's engine with the same ID, so every event key and
+// random stream is what the single engine has.
+func (n *Network) Bind(shardOf []int32, engines []*sim.Engine) []*Network {
+	if engines[0] != n.Eng {
+		panic("netsim: Bind: engines[0] is not the network's engine")
+	}
+	if n.coreIdx == nil {
+		panic("netsim: Bind before ComputeRoutes")
+	}
+	nets := make([]*Network, len(engines))
+	nets[0] = n
+	for i := 1; i < len(nets); i++ {
+		nets[i] = &Network{Eng: engines[i], Cells: obs.NewCells(), Nodes: n.Nodes, Links: n.Links, routes: n.routes, as: n.as}
+	}
+	n.hosts, n.links = 0, 0
+	for _, nd := range n.Nodes {
+		nd.net = nets[shardOf[nd.ID]]
+		if nd.Host != nil {
+			nd.net.hosts++
+		}
+	}
+	for _, l := range n.Links {
+		l.net = l.From.net
+		l.org = l.net.Eng.NewOrigin(l.org.ID())
+		l.net.links++
+	}
+	return nets
+}
 
 // Connect creates a duplex connection between a and b as two independent
 // unidirectional links, allocated as one pair, with the default FIFO
@@ -165,14 +177,6 @@ func (n *Network) Materialised() (hosts, links int) { return n.hosts, n.links }
 // Connect fails fast on malformed links: nil endpoints or a non-positive
 // rate panic with the offending link named, instead of surfacing later as
 // a cryptic divide-by-zero in serialization-delay math.
-//
-// When one end is a remote host's placeholder and the other a node of
-// the same AS — which the network does not own either, and ASes are the
-// unit of ownership, so this network never forwards on the pair — the
-// two link indices are reserved and the links returned are nil. A
-// placeholder connected any other way (across ASes: a link some shard
-// may have to hand packets over) becomes a bare node, in Nodes but
-// without a Host, and its links are built.
 func (n *Network) Connect(a, b *Node, rateBps int64, delay sim.Time) (ab, ba *Link) {
 	if a == nil || b == nil {
 		panic(fmt.Sprintf("netsim: link %v -> %v: nil node", a, b))
@@ -180,18 +184,6 @@ func (n *Network) Connect(a, b *Node, rateBps int64, delay sim.Time) (ab, ba *Li
 	if rateBps <= 0 {
 		panic(fmt.Sprintf("netsim: link %s -> %s: non-positive rate %d bps", a, b, rateBps))
 	}
-	ra, rb := n.Nodes[a.ID] != a, n.Nodes[b.ID] != b
-	if ra != rb && a.AS == b.AS {
-		idx := int32(len(n.Links))
-		n.Links = append(n.Links, nil, nil)
-		rh := remoteHost{id: a.ID, at: b.ID, up: idx, down: idx + 1}
-		if rb {
-			rh = remoteHost{id: b.ID, at: a.ID, up: idx + 1, down: idx}
-		}
-		n.remote = append(n.remote, rh)
-		return nil, nil
-	}
-	n.Nodes[a.ID], n.Nodes[b.ID] = a, b // a placeholder becomes a bare node
 	pair := new([2]Link)
 	n.addLink(&pair[0], a, b, rateBps, delay)
 	n.addLink(&pair[1], b, a, rateBps, delay)
@@ -222,12 +214,13 @@ type LinkStats struct {
 	CutThrough, Queued, QueueHWM uint64
 }
 
-// LinkStats walks the links; call it at a control point.
+// LinkStats walks the links the network owns; call it at a control
+// point.
 func (n *Network) LinkStats() LinkStats {
 	st := LinkStats{Links: n.links, CutThrough: n.cutThrough, Queued: n.queued, QueueHWM: n.cutHWM}
 	for _, l := range n.Links {
-		if l == nil {
-			continue // reserved: a remote host's link
+		if l.net != n {
+			continue // another shard's
 		}
 		if l.Q == nil {
 			st.Queueless++
@@ -238,7 +231,7 @@ func (n *Network) LinkStats() LinkStats {
 	return st
 }
 
-// HandoffStats is the cut-link census of one replica: packets its cut
+// HandoffStats is the cut-link census of one shard: packets its cut
 // links lent to other shards and borrowed from them, idle structs it sent
 // home for those and still owes, empties come home and not yet adopted
 // (idle here, like the free list), arrivals that needed a keyed event of
@@ -285,37 +278,20 @@ func (n *Network) LinkByID(id packet.LinkID) *Link {
 // attachment node plus the explicit downlink entry — exactly what Route
 // reconstructs.
 //
-// A remote host (see NewSparse) is a stub by construction. Its reserved
-// links count toward its access router's degree, so the router stays the
-// core node it is in the full network — also when every host behind it
-// is remote and one uplink is all it holds — and, with the core subgraph
-// and the link order unchanged, every next hop is the full network's.
-// The reservations are folded into the routing arrays and released, so a
-// sparse network computes its routes once.
+// The shards of a partitioned run share the arrays (see Bind), so routes
+// are computed once, before binding.
 func (n *Network) ComputeRoutes() {
-	if n.owns != nil && n.coreIdx != nil {
-		panic("netsim: ComputeRoutes ran twice on a sparse network")
-	}
 	num := len(n.Nodes)
 	n.coreIdx = make([]int32, num)
 	n.attachAt = make([]int32, num)
 	n.uplink = make([]int32, num)
 	n.downlink = make([]int32, num)
-	degree := make([]int32, num)
-	for _, nd := range n.Nodes {
-		if nd != nil {
-			degree[nd.ID] = int32(len(nd.out))
-		}
-	}
-	for _, r := range n.remote {
-		degree[r.at]++
-	}
 	var core []*Node
 	for id, nd := range n.Nodes {
 		n.uplink[id] = -1
 		n.downlink[id] = -1
 		n.attachAt[id] = -1
-		if nd == nil || len(nd.out) == 1 && degree[id] == 1 && degree[nd.out[0].To.ID] > 1 {
+		if len(nd.out) == 1 && len(nd.out[0].To.out) > 1 {
 			n.coreIdx[id] = -1 // stub
 			continue
 		}
@@ -323,9 +299,6 @@ func (n *Network) ComputeRoutes() {
 		core = append(core, nd)
 	}
 	for _, nd := range n.Nodes {
-		if nd == nil {
-			continue
-		}
 		if n.coreIdx[nd.ID] >= 0 {
 			n.attachAt[nd.ID] = n.coreIdx[nd.ID]
 			continue
@@ -336,20 +309,12 @@ func (n *Network) ComputeRoutes() {
 	}
 	// Downlinks: the final hop from an attachment node to its stub.
 	for _, l := range n.Links {
-		if l != nil && n.coreIdx[l.To.ID] < 0 && n.coreIdx[l.From.ID] >= 0 {
+		if n.coreIdx[l.To.ID] < 0 && n.coreIdx[l.From.ID] >= 0 {
 			if n.downlink[l.To.ID] < 0 {
 				n.downlink[l.To.ID] = int32(l.Index)
 			}
 		}
 	}
-	for _, r := range n.remote {
-		if n.Nodes[r.id] != nil || n.uplink[r.id] >= 0 {
-			panic(fmt.Sprintf("netsim: remote host %d is connected more than once; a sparse network holds singly attached hosts only", r.id))
-		}
-		n.uplink[r.id], n.downlink[r.id] = r.up, r.down
-		n.attachAt[r.id] = n.coreIdx[r.at]
-	}
-	n.remote = nil
 
 	// Reverse BFS per core destination over the core subgraph, walking
 	// inbound links in link-declaration order — the original tie-break.
@@ -364,9 +329,6 @@ func (n *Network) ComputeRoutes() {
 	}
 	in := make([][]*Link, R)
 	for _, l := range n.Links {
-		if l == nil {
-			continue
-		}
 		fi, ti := n.coreIdx[l.From.ID], n.coreIdx[l.To.ID]
 		if fi >= 0 && ti >= 0 {
 			in[ti] = append(in[ti], l)
@@ -444,10 +406,7 @@ func (n *Network) Route(from *Node, dst packet.NodeID) *Link {
 }
 
 // walkPath calls visit for every link on the route from src to dst, in
-// order, and reports whether dst is reachable. On a sparse network the
-// walk ends where it meets a reserved link: at the access router of a
-// remote dst, one hop short and inside dst's AS, or at once when src
-// itself is remote.
+// order, and reports whether dst is reachable.
 func (n *Network) walkPath(src, dst packet.NodeID, visit func(*Link)) bool {
 	for at, hops := src, 0; at != dst; hops++ {
 		idx := n.routeIndex(at, dst)
@@ -455,9 +414,6 @@ func (n *Network) walkPath(src, dst packet.NodeID, visit func(*Link)) bool {
 			return false
 		}
 		l := n.Links[idx]
-		if l == nil {
-			break
-		}
 		visit(l)
 		at = l.To.ID
 	}
@@ -534,8 +490,8 @@ func (n *Network) NowSec() uint32 {
 }
 
 // Scheduling-origin ID classes (see sim.Origin): the top two bits name
-// the kind of model entity, the rest identify it by numbers every
-// replica of the topology agrees on. Class 0 is the engine's own
+// the kind of model entity, the rest identify it by its node ID or link
+// index. Class 0 is the engine's own
 // control-point origin, so at any instant control runs first, then the
 // nodes' own timers (long-armed, as a rule), then what the links have
 // in flight — close to the order a global scheduling count gives.
@@ -628,7 +584,8 @@ func (nd *Node) String() string { return fmt.Sprintf("%s(%d)", nd.Name, nd.ID) }
 // Out returns the node's egress links.
 func (nd *Node) Out() []*Link { return nd.out }
 
-// Network returns the owning network.
+// Network returns the network of the shard owning the node: its
+// engine, packet pool and counters.
 func (nd *Node) Network() *Network { return nd.net }
 
 // LinkTo returns the direct egress link to neighbor, or nil.

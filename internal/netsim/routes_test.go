@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"netfence/internal/packet"
 	"netfence/internal/sim"
@@ -153,146 +154,98 @@ func TestComputeRoutesMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestSparseRoutesMatchFull pins what a sparse network promises: built
-// by the same call sequence as the full one, it reserves the node IDs
-// and link indices of the hosts it does not own, and every next hop —
-// from every node, remote ones included, to every destination — is the
-// full network's link index. The random trials attach hosts across ASes
-// too, which a sparse network builds as bare nodes instead of reserving.
-func TestSparseRoutesMatchFull(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		build := func(owns func(packet.ASID) bool) *Network {
-			rng := rand.New(rand.NewPCG(uint64(trial), 7))
-			n := NewSparse(sim.New(1), owns)
-			cores := rng.IntN(8) + 2
-			var routers []*Node
-			for i := 0; i < cores; i++ {
-				r := n.NewNode(fmt.Sprintf("r%d", i), packet.ASID(i))
-				if i > 0 {
-					n.Connect(r, routers[rng.IntN(i)], 1e6, sim.Millisecond)
-				}
-				routers = append(routers, r)
+// TestBindSharesTheGraph pins what Bind promises: every shard's network
+// shares the graph's nodes, links, node → AS table and routing arrays;
+// every node carries its shard's network and every link its From node's;
+// every link origin schedules on its owner's engine; and the per-shard
+// censuses count exactly what the shard owns.
+func TestBindSharesTheGraph(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewPCG(uint64(trial), 7))
+		n := New(sim.New(1))
+		cores := rng.IntN(8) + 2
+		var routers []*Node
+		for i := 0; i < cores; i++ {
+			r := n.NewNode(fmt.Sprintf("r%d", i), packet.ASID(i))
+			if i > 0 {
+				n.Connect(r, routers[rng.IntN(i)], 1e6, sim.Millisecond)
 			}
-			for i, hosts := 0, rng.IntN(16); i < hosts; i++ {
-				at := rng.IntN(cores)
-				as := packet.ASID(at)
-				if rng.IntN(4) == 0 {
-					as = packet.ASID(rng.IntN(cores)) // maybe across ASes
-				}
-				h := n.NewHost(fmt.Sprintf("h%d", i), as)
-				if rng.IntN(2) == 0 {
-					n.Connect(h, routers[at], 1e6, sim.Millisecond)
-				} else {
-					n.Connect(routers[at], h, 1e6, sim.Millisecond)
-				}
-			}
-			n.ComputeRoutes()
-			return n
+			routers = append(routers, r)
 		}
-		full := build(nil)
-		owned := uint64(trial) * 0x9e3779b97f4a7c15 // a different subset of ASes each trial
-		owns := func(as packet.ASID) bool { return owned>>uint(as)&1 == 1 }
-		sparse := build(owns)
+		for i, hosts := 0, rng.IntN(16); i < hosts; i++ {
+			at := rng.IntN(cores)
+			n.Connect(n.NewHost(fmt.Sprintf("h%d", i), packet.ASID(at)), routers[at], 1e6, sim.Millisecond)
+		}
+		n.ComputeRoutes()
+		totalHosts, totalLinks := n.Materialised()
+		want := referenceRoutes(n)
 
-		if len(sparse.Nodes) != len(full.Nodes) || len(sparse.Links) != len(full.Links) {
-			t.Fatalf("trial %d: sparse has %d nodes, %d links; full has %d, %d",
-				trial, len(sparse.Nodes), len(sparse.Links), len(full.Nodes), len(full.Links))
+		shards := rng.IntN(3) + 2
+		shardOf := make([]int32, len(n.Nodes))
+		for id, nd := range n.Nodes {
+			shardOf[id] = int32(int(nd.AS) % shards)
+		}
+		engines := []*sim.Engine{n.Eng}
+		for len(engines) < shards {
+			engines = append(engines, sim.New(1))
+		}
+		nets := n.Bind(shardOf, engines)
+		if nets[0] != n {
+			t.Fatalf("trial %d: shard 0's network is not the graph's", trial)
 		}
 		hosts, links := 0, 0
-		for id, nd := range full.Nodes {
-			sn := sparse.Nodes[id]
-			if sparse.ASOf(nd.ID) != nd.AS {
-				t.Fatalf("trial %d: ASOf(%d) = %d, want %d", trial, id, sparse.ASOf(nd.ID), nd.AS)
+		for i, net := range nets {
+			if net.Eng != engines[i] {
+				t.Fatalf("trial %d: shard %d runs on another engine", trial, i)
 			}
-			if held := !nd.IsHost || owns(nd.AS); held && (sn == nil || (sn.Host == nil) != (nd.Host == nil)) {
-				t.Fatalf("trial %d: node %d (AS %d) is owned but not built in full", trial, id, nd.AS)
+			if unsafe.SliceData(net.Nodes) != unsafe.SliceData(n.Nodes) || unsafe.SliceData(net.Links) != unsafe.SliceData(n.Links) ||
+				unsafe.SliceData(net.as) != unsafe.SliceData(n.as) || unsafe.SliceData(net.coreIdx) != unsafe.SliceData(n.coreIdx) ||
+				unsafe.SliceData(net.attachAt) != unsafe.SliceData(n.attachAt) || unsafe.SliceData(net.uplink) != unsafe.SliceData(n.uplink) ||
+				unsafe.SliceData(net.downlink) != unsafe.SliceData(n.downlink) || unsafe.SliceData(net.rtab) != unsafe.SliceData(n.rtab) {
+				t.Fatalf("trial %d: shard %d does not share the graph's arrays", trial, i)
 			}
-			if sn != nil && sn.Host != nil {
-				hosts++
+			h, l := net.Materialised()
+			if st := net.LinkStats(); st.Links != l {
+				t.Fatalf("trial %d: shard %d: LinkStats counts %d links, Materialised %d", trial, i, st.Links, l)
+			}
+			hosts, links = hosts+h, links+l
+		}
+		if hosts != totalHosts || links != totalLinks {
+			t.Fatalf("trial %d: the shards own %d hosts and %d links, the graph has %d and %d", trial, hosts, links, totalHosts, totalLinks)
+		}
+		for _, nd := range n.Nodes {
+			if nd.Network() != nets[shardOf[nd.ID]] {
+				t.Fatalf("trial %d: node %v is not bound to its shard %d", trial, nd, shardOf[nd.ID])
 			}
 		}
-		for i, l := range full.Links {
-			sl := sparse.Links[i]
-			if sl != nil {
-				links++
-				if sl.From.ID != l.From.ID || sl.To.ID != l.To.ID {
-					t.Fatalf("trial %d: link %d joins %v->%v, full has %v->%v", trial, i, sl.From, sl.To, l.From, l.To)
-				}
-				continue
+		for _, l := range n.Links {
+			owner := nets[shardOf[l.From.ID]]
+			if l.net != owner {
+				t.Fatalf("trial %d: link %s is not bound to its From node's shard", trial, l.Label())
 			}
-			h, r := l.From, l.To
-			if !h.IsHost {
-				h, r = r, h
+			before := owner.Eng.Pending()
+			ev := l.Origin().At(sim.Second, func() {})
+			if owner.Eng.Pending() != before+1 {
+				t.Fatalf("trial %d: link %s schedules off its owner's engine", trial, l.Label())
 			}
-			if !h.IsHost || owns(h.AS) || h.AS != r.AS {
-				t.Fatalf("trial %d: link %d (%v->%v) is only reserved, but it is not a remote host's link into its own AS", trial, i, l.From, l.To)
-			}
+			ev.Cancel()
 		}
-		if gh, gl := sparse.Materialised(); gh != hosts || gl != links {
-			t.Fatalf("trial %d: Materialised() = %d hosts, %d links; the network holds %d, %d", trial, gh, gl, hosts, links)
-		}
-		for from := range full.Nodes {
-			for dst := range full.Nodes {
-				want := full.routeIndex(packet.NodeID(from), packet.NodeID(dst))
-				if got := sparse.routeIndex(packet.NodeID(from), packet.NodeID(dst)); got != want {
-					t.Fatalf("trial %d: next hop %d -> %d is link %d, the full network's is %d", trial, from, dst, got, want)
+		for from := range n.Nodes {
+			for dst := range n.Nodes {
+				for i, net := range nets {
+					if got := net.routeIndex(packet.NodeID(from), packet.NodeID(dst)); got != want[from][dst] {
+						t.Fatalf("trial %d: shard %d: next hop %d -> %d is link %d, want %d", trial, i, from, dst, got, want[from][dst])
+					}
 				}
 			}
 		}
 	}
-}
-
-// TestSparseAccessRouterStaysCore: an access router all of whose hosts
-// are remote holds one link, its uplink — a stub's shape. The reserved
-// links must count toward its degree, or it leaves the core subgraph and
-// nothing behind it is reachable.
-func TestSparseAccessRouterStaysCore(t *testing.T) {
-	n := NewSparse(sim.New(1), func(as packet.ASID) bool { return as == 2 })
-	t1 := n.NewNode("t1", 1000)
-	t2 := n.NewNode("t2", 1001)
-	n.Connect(t1, t2, 1e6, sim.Millisecond)
-	ra := n.NewNode("ra", 1)
-	n.Connect(ra, t1, 1e6, sim.Millisecond)
-	h := n.NewHost("h", 1)
-	if ab, ba := n.Connect(h, ra, 1e6, sim.Millisecond); ab != nil || ba != nil {
-		t.Fatal("a remote host's links were built")
-	}
-	rv := n.NewNode("rv", 2)
-	n.Connect(t2, rv, 1e6, sim.Millisecond)
-	v := n.NewHost("v", 2)
-	n.Connect(rv, v, 1e6, sim.Millisecond)
+	defer func() {
+		if recover() == nil {
+			t.Error("Bind accepted engines that do not start with the network's own")
+		}
+	}()
+	n := New(sim.New(1))
 	n.ComputeRoutes()
-
-	if n.Nodes[h.ID] != nil || n.Nodes[v.ID] != v || v.Host == nil {
-		t.Fatalf("ownership: remote host in Nodes = %v, owned host = %v", n.Nodes[h.ID], n.Nodes[v.ID])
-	}
-	if len(ra.Out()) != 1 || n.coreIdx[ra.ID] < 0 {
-		t.Fatalf("access router with %d built link(s) has core index %d; it must stay a core node", len(ra.Out()), n.coreIdx[ra.ID])
-	}
-	path := n.PathLinks(v.ID, h.ID)
-	if len(path) != 4 || path[3].To != ra {
-		t.Fatalf("path to the remote host = %v, want 4 links ending at its access router", path)
-	}
-	if got := n.PathASes(nil, rv.ID, h.ID); len(got) != 3 || got[2] != 1 {
-		t.Fatalf("PathASes(rv, remote host) = %v, want [1001 1000 1]", got)
-	}
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", what)
-			}
-		}()
-		f()
-	}
-	mustPanic("a second ComputeRoutes on a sparse network", n.ComputeRoutes)
-	mustPanic("a remote host connected twice", func() {
-		m := NewSparse(sim.New(1), func(packet.ASID) bool { return false })
-		r1, r2 := m.NewNode("r1", 1), m.NewNode("r2", 1)
-		m.Connect(r1, r2, 1e6, sim.Millisecond)
-		mh := m.NewHost("mh", 1)
-		m.Connect(mh, r1, 1e6, sim.Millisecond)
-		m.Connect(mh, r2, 1e6, sim.Millisecond)
-		m.ComputeRoutes()
-	})
+	n.Bind(nil, []*sim.Engine{sim.New(1)})
 }

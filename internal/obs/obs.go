@@ -2,8 +2,8 @@
 // cheap shard-local counters, gauges and histograms, and a sampled
 // packet flight recorder.
 //
-// Counters live in dense per-replica Cells — plain uint64 adds with no
-// atomics, safe because each replica's cells are touched only by its
+// Counters live in dense per-shard Cells — plain uint64 adds with no
+// atomics, safe because each shard's cells are touched only by its
 // own engine goroutine — and are merged in deterministic shard order
 // at run barriers. Metrics split into two planes:
 //
@@ -21,7 +21,7 @@ package obs
 import "strconv"
 
 // ID indexes one metric cell. All IDs are allocated here, at compile
-// time, so every replica's Cells share one layout and -list-metrics
+// time, so every shard's Cells share one layout and -list-metrics
 // cannot drift from the instrumentation.
 type ID int
 
@@ -72,7 +72,7 @@ const (
 	QueueBacklogSum
 
 	// Sender aggregation: fleet attachments and the modeled senders they
-	// stand for. Attach-time counts on the owning replica only, so the
+	// stand for. Attach-time counts on the owning shard only, so the
 	// merged totals are shard-layout-invariant and belong to the
 	// deterministic plane.
 	FleetAttached
@@ -94,20 +94,19 @@ const (
 	PipelinePrecomputeHits
 	PipelineRotationFallbacks
 
-	// Packet pools, harvested from each replica's pool at snapshot
+	// Packet pools, harvested from each shard's pool at snapshot
 	// barriers: packets the pool had to allocate so far, and (a gauge)
 	// packets sitting idle on its free list. A pool that allocates or
-	// idles out of proportion to its replica's traffic is a leak.
+	// idles out of proportion to its shard's traffic is a leak.
 	PacketPoolFresh
 	PacketPoolIdle
 
-	// Replica accounting of a sharded run, harvested at snapshot barriers
-	// and summed over replicas: the hosts and the links that exist as
-	// structs. A sharded run builds each host, and its two links, once —
-	// on the replica of the shard owning its AS — so the host sum is the
-	// topology's host count at every shard count, and the link sum
-	// exceeds the topology's by the router links, which every replica
-	// holds. Absent on the single engine.
+	// Shard accounting of a sharded run, harvested at snapshot barriers
+	// and summed over shards: the hosts and the links each shard owns. A
+	// sharded run builds its graph once and binds every host to the
+	// shard owning its AS and every link to its transmitting node's, so
+	// both sums are the topology's counts at every shard count. Absent on
+	// the single engine.
 	ReplicaHosts
 	ReplicaLinks
 
@@ -180,17 +179,17 @@ var defs = []Def{
 	{PipelinePrecomputed, "pipeline_precompute_total", "MAC verdicts precomputed off the serialized execute phase", "§5.1", Counter, true},
 	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed MAC verdicts consumed at admission instead of inline CMAC", "§5.1", Counter, true},
 	{PipelineRotationFallbacks, "pipeline_rotation_fallback_total", "handoff packets skipped by the pipeline because their window straddles a KeyRotate boundary (validated inline)", "§4.1", Counter, true},
-	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a replica's pool had none to recycle", "—", Counter, true},
-	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one replica held at the last run boundary (free list plus empties come home over cut links)", "—", Gauge, true},
-	{ReplicaHosts, "replica_hosts_materialised_total", "hosts that exist as structs, summed over shard replicas (a host is built only on the shard owning its AS)", "§5.1", Counter, true},
-	{ReplicaLinks, "replica_links_materialised_total", "links that exist as structs, summed over shard replicas (router links are built on every replica, a host's two on its owner's)", "§5.1", Counter, true},
+	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a shard's pool had none to recycle", "—", Counter, true},
+	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one shard held at the last run boundary (free list plus empties come home over cut links)", "—", Gauge, true},
+	{ReplicaHosts, "replica_hosts_materialised_total", "hosts owned, summed over shards (the graph is built once; a host belongs to the shard owning its AS)", "§5.1", Counter, true},
+	{ReplicaLinks, "replica_links_materialised_total", "links owned, summed over shards (the graph is built once; a link belongs to the shard owning its transmitting node)", "§5.1", Counter, true},
 }
 
 // Catalog returns the registry in cell order.
 func Catalog() []Def { return defs }
 
-// Cells is one replica's metric store: a dense array indexed by ID.
-// Cells are single-goroutine by construction (each replica's engine
+// Cells is one shard's metric store: a dense array indexed by ID.
+// Cells are single-goroutine by construction (each shard's engine
 // owns its cells), so Add is a plain uint64 add.
 type Cells []uint64
 
@@ -230,7 +229,7 @@ var gauge = func() (g [NumIDs]bool) {
 	return g
 }()
 
-// Merge folds per-replica cells into one snapshot, in the given
+// Merge folds per-shard cells into one snapshot, in the given
 // (deterministic) order: counters and histogram buckets sum, gauges
 // max. Shard order does not change either operation's result, but the
 // discipline matches the rest of the platform's barrier merges.

@@ -30,9 +30,9 @@ const (
 	HopDeliver = "deliver" // destination host received the packet
 )
 
-// Recorder is one replica's flight recorder: a deterministic
+// Recorder is one shard's flight recorder: a deterministic
 // flow-sampled trace buffer. Like Cells it is single-goroutine — each
-// replica records only hops it executes — and replicas' buffers merge
+// shard records only hops it executes — and shards' buffers merge
 // at the end of a run. A nil *Recorder means tracing is off; callers
 // guard the hot path with one nil check and pay nothing more.
 type Recorder struct {
@@ -43,7 +43,7 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder over a sampled-flow set (as returned
-// by SampleFlows). Replicas of one run share the same set.
+// by SampleFlows). The shards of one run share the same set.
 func NewRecorder(sampled []uint64) *Recorder {
 	return &Recorder{sampled: sampled}
 }
@@ -65,7 +65,7 @@ func (r *Recorder) Record(t int64, flow uint64, node, kind, detail string) {
 	r.events = append(r.events, TraceEvent{T: t, Flow: flow, Node: node, Kind: kind, Detail: detail})
 }
 
-// Events returns the buffer (unsorted; single-replica order).
+// Events returns the buffer (unsorted; single-shard order).
 func (r *Recorder) Events() []TraceEvent {
 	if r == nil {
 		return nil
@@ -105,7 +105,7 @@ func SampleFlows(seed uint64, flows []uint64, n int) []uint64 {
 	return sampled
 }
 
-// MergeTraces concatenates per-replica buffers and sorts by full event
+// MergeTraces concatenates per-shard buffers and sorts by full event
 // content, making the merged trace a pure set function — independent
 // of shard layout and drain interleaving.
 func MergeTraces(recs []*Recorder) []TraceEvent {

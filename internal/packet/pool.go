@@ -3,7 +3,7 @@ package packet
 // Pool recycles Packets so steady-state forwarding allocates nothing. It
 // is deliberately not synchronized: each simulation engine is
 // single-threaded and owns one pool (parallel sweep cells and the
-// replicas of a sharded run each get their own network, engine and
+// shards of a sharded run each get their own network, engine and
 // pool).
 //
 // Ownership rule: a packet has exactly one owner at a time — the

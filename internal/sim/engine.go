@@ -102,10 +102,9 @@ func (ev *Event) Time() Time { return ev.at }
 
 // Origin is a model entity that schedules events: a link, a host agent,
 // a rate limiter, the scenario control point. Its ID is the middle term
-// of every key it mints and must be derived from identifiers every
-// replica of the model agrees on (node ID, link index, per-node ordinal)
-// — never from scheduling history, a shard index or a replica-local
-// counter. seq counts the origin's own schedulings, so two events of one
+// of every key it mints and must be derived from identifiers of the
+// model itself (node ID, link index, per-node ordinal) — never from
+// scheduling history, a shard index or a shard-local counter. seq counts the origin's own schedulings, so two events of one
 // origin at one instant run in the order they were scheduled.
 //
 // Embed an Origin by value in the struct that owns the timers (obtain it
@@ -195,7 +194,7 @@ func (o *Origin) HandoffKey(at Time) EventKey {
 }
 
 // Meter aggregates executed-event counts across the engines of ONE
-// logical run (a scenario's shard replicas, a sweep's cells, a bench
+// logical run (a scenario's shards, a sweep's cells, a bench
 // suite). Engines attached to a meter flush their local counters into
 // it at Run/RunUntil boundaries, so the per-event hot path stays free
 // of atomics, and concurrent runs in one process (e.g. two -serve

@@ -1,6 +1,6 @@
 // Package smallmap is a map that holds its first entry inline and only
 // builds a hash table for the second. The simulator keeps a map per host
-// (flow → agent, flow → SYN start), ten thousand hosts per replica, and
+// (flow → agent, flow → SYN start), ten thousand hosts per shard, and
 // nearly every one of them holds a single entry: inline, that entry
 // costs no allocation and its lookup is one compare instead of a hash.
 //

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"netfence/internal/defense"
+	"netfence/internal/netsim"
 	"netfence/internal/packet"
 )
 
@@ -57,39 +58,41 @@ func PlanFraction(srcASes []packet.ASID, f float64) Plan {
 	return Plan{Legacy: legacy}
 }
 
-// Deploy installs a defense system across the graph under a deployment
-// plan, on the part of the network the graph's shard owns (see owned):
-// every bottleneck link it transmits is protected, then per group (in
-// declaration order) its participating access routers police and its
-// participating hosts get the system's shim. deny is each group victim's
-// receiver policy; senders and colluders accept everyone. Legacy ASes
-// are skipped entirely — their traffic crosses the network undefended.
-// Every defended entity draws from its own stream, so what one shard
-// deploys moves no other shard's draws.
-func (g *Graph) Deploy(s defense.System, deny defense.Policy, plan Plan) {
-	deploys := func(as packet.ASID) bool { return g.owned(as) && plan.Participates(as) }
+// Deploy installs a defense system under a deployment plan on the part
+// of the graph bound to net, the network s was built for: all of it on
+// an unpartitioned graph (net is g.Net), one shard's share on a
+// partitioned one (see netsim.Network.Bind). Every bottleneck link net
+// transmits is protected, then per group (in declaration order) its
+// participating access routers police and its participating hosts get
+// the system's shim. deny is each group victim's receiver policy;
+// senders and colluders accept everyone. Legacy ASes are skipped
+// entirely — their traffic crosses the network undefended. Every
+// defended entity draws from its own stream, so what one shard deploys
+// moves no other shard's draws.
+func (g *Graph) Deploy(net *netsim.Network, s defense.System, deny defense.Policy, plan Plan) {
+	deploys := func(n *netsim.Node) bool { return n.Network() == net && plan.Participates(n.AS) }
 	for _, l := range g.bottlenecks {
-		if g.owned(l.From.AS) {
+		if l.From.Network() == net {
 			s.ProtectLink(l)
 		}
 	}
 	for i := range g.groups {
 		grp := &g.groups[i]
 		for _, r := range grp.Access {
-			if deploys(r.AS) {
+			if deploys(r) {
 				s.ProtectAccess(r)
 			}
 		}
 		for _, h := range grp.Senders {
-			if h != nil && deploys(h.AS) {
+			if deploys(h) {
 				s.AttachHost(h, defense.Policy{})
 			}
 		}
-		if grp.Victim != nil && deploys(grp.Victim.AS) {
+		if grp.Victim != nil && deploys(grp.Victim) {
 			s.AttachHost(grp.Victim, deny)
 		}
 		for _, c := range grp.Colluders {
-			if c != nil && deploys(c.AS) {
+			if deploys(c) {
 				s.AttachHost(c, defense.Policy{})
 			}
 		}

@@ -27,12 +27,10 @@ import (
 // builders issuing the same call sequence produce byte-identical
 // networks (and therefore identical simulation results for a seed).
 //
-// A graph built for one shard of a partitioned run owns its ASes (see
-// owned); built by an in-tree topology it is sparse too (see Sparse):
-// routers, the links between them, roles, node IDs and link indices are
-// those of the full graph, but only the hosts the shard owns exist. The
-// host constructors return a placeholder for any other host, good only
-// for passing to Link, and its slot in the role lists is nil.
+// A partitioned run builds the graph once and binds it to its shards
+// (netsim.Network.Bind): the graph, its roles and Net's nodes and links
+// are whole, and each node and link carries the network of the shard
+// owning it.
 type Graph struct {
 	Net *netsim.Network
 
@@ -41,11 +39,6 @@ type Graph struct {
 	srcASes     []packet.ASID
 	srcSeen     map[packet.ASID]bool
 	built       bool
-	// owns says which ASes the graph's shard owns; nil owns every AS.
-	owns ownership
-	// remoteWeight holds what WeighSender was told about senders the
-	// graph does not hold.
-	remoteWeight map[packet.NodeID]int32
 }
 
 // GraphGroup is one sender group with its destinations and the access
@@ -60,53 +53,11 @@ type GraphGroup struct {
 	Victim *netsim.Node
 	// Colluders lists the group's colluding receiver hosts.
 	Colluders []*netsim.Node
-
-	// senderIDs parallels Senders on a sparse graph, where it names the
-	// senders Senders has nil for.
-	senderIDs []packet.NodeID
 }
 
 // NewGraph returns an empty topology graph driven by eng.
-func NewGraph(eng *sim.Engine) *Graph { return newGraph(eng, nil) }
-
-// newGraph returns an empty graph that holds the hosts of the ASes owns
-// accepts.
-func newGraph(eng *sim.Engine, owns ownership) *Graph {
-	return &Graph{
-		Net:     netsim.NewSparse(eng, owns),
-		srcSeen: map[packet.ASID]bool{},
-		owns:    owns,
-	}
-}
-
-// ownership says which ASes a build's shard owns, holds the hosts of and
-// defends; nil owns every AS. It rides, unexported, in BuildOptions and
-// in the config of every in-tree topology, where only Sparse can set it:
-// a replica is sparse because the sharded executor built it, never
-// because a caller asked.
-type ownership func(packet.ASID) bool
-
-func (o *ownership) setOwns(owns func(packet.ASID) bool) { *o = owns }
-
-// Sparse returns cfg — BuildOptions, or the config of an in-tree
-// topology — building only the hosts of the ASes owns accepts. A
-// third-party Builder never sees the request and builds every host,
-// which is correct and merely costs the memory.
-func Sparse[C any, P interface {
-	*C
-	setOwns(func(packet.ASID) bool)
-}](cfg C, owns func(packet.ASID) bool) C {
-	P(&cfg).setOwns(owns)
-	return cfg
-}
-
-// held returns h where the graph holds it as a host, nil for the
-// placeholder of a remote one: what a role list stores.
-func held(h *netsim.Node) *netsim.Node {
-	if h.Host == nil {
-		return nil
-	}
-	return h
+func NewGraph(eng *sim.Engine) *Graph {
+	return &Graph{Net: netsim.New(eng), srcSeen: map[packet.ASID]bool{}}
 }
 
 func (g *Graph) group(i int) *GraphGroup {
@@ -141,10 +92,7 @@ func (g *Graph) Host(name string, as packet.ASID) *netsim.Node {
 func (g *Graph) Sender(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
 	grp := g.group(group)
-	grp.Senders = append(grp.Senders, held(h))
-	if g.owns != nil {
-		grp.senderIDs = append(grp.senderIDs, h.ID)
-	}
+	grp.Senders = append(grp.Senders, h)
 	if !g.srcSeen[as] {
 		g.srcSeen[as] = true
 		g.srcASes = append(g.srcASes, as)
@@ -155,7 +103,7 @@ func (g *Graph) Sender(group int, name string, as packet.ASID) *netsim.Node {
 // Victim adds a group's destination host.
 func (g *Graph) Victim(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
-	g.group(group).Victim = held(h)
+	g.group(group).Victim = h
 	return h
 }
 
@@ -163,7 +111,7 @@ func (g *Graph) Victim(group int, name string, as packet.ASID) *netsim.Node {
 func (g *Graph) Colluder(group int, name string, as packet.ASID) *netsim.Node {
 	h := g.Net.NewHost(name, as)
 	grp := g.group(group)
-	grp.Colluders = append(grp.Colluders, held(h))
+	grp.Colluders = append(grp.Colluders, h)
 	return h
 }
 
@@ -189,10 +137,6 @@ func (g *Graph) Build() *Graph {
 	return g
 }
 
-// owned reports whether the graph's shard owns an AS (every AS when the
-// graph was built for no shard): the replica Deploy defends it on.
-func (g *Graph) owned(as packet.ASID) bool { return g.owns == nil || g.owns(as) }
-
 // Bottlenecks returns the tagged bottleneck links in declaration order.
 func (g *Graph) Bottlenecks() []*netsim.Link { return g.bottlenecks }
 
@@ -210,19 +154,3 @@ func (g *Graph) SourceASes() []packet.ASID {
 // AllASes returns every AS identifier in the topology, in node order —
 // the set Passport establishes pairwise keys for.
 func (g *Graph) AllASes() []packet.ASID { return g.Net.ASes() }
-
-// WeighSender makes sender idx of a group count as w modeled senders
-// when the graph is partitioned — the weight of a fleet attachment
-// point, known before the host that will carry it is built. A sender
-// the graph holds takes it as its node's Weight.
-func (g *Graph) WeighSender(group, idx int, w int32) {
-	grp := &g.groups[group]
-	if h := grp.Senders[idx]; h != nil {
-		h.Weight = w
-		return
-	}
-	if g.remoteWeight == nil {
-		g.remoteWeight = map[packet.NodeID]int32{}
-	}
-	g.remoteWeight[grp.senderIDs[idx]] = w
-}

@@ -36,8 +36,6 @@ type Partition struct {
 	ShardOfNode []int32
 	// CutLinks lists the links whose From and To nodes live in different
 	// shards, in link-declaration order. Only inter-AS links can be cut.
-	// They are the partitioned graph's own links: another replica of the
-	// topology finds its copy at the same Index.
 	CutLinks []*netsim.Link
 	// Lookahead is the minimum propagation delay over the cut links —
 	// the conservative synchronization window.
@@ -70,17 +68,11 @@ func (g *Graph) Partition(shards int) (*Partition, error) {
 	// attachment point standing in for N senders pulls its shard's quota
 	// as if the N hosts were materialized, so the load balance reflects
 	// the traffic the ASes will actually generate. Weight-1 nodes (all
-	// pre-fleet topologies) make this the historical node count. A host
-	// the graph does not hold weighs what WeighSender said, or one.
+	// pre-fleet topologies) make this the historical node count.
 	weights, total := make(map[packet.ASID]int, len(ases)), 0
-	for id, nd := range g.Net.Nodes {
-		w := 1
-		if nd != nil {
-			w = nd.SenderWeight()
-		} else if rw := g.remoteWeight[packet.NodeID(id)]; rw > 1 {
-			w = int(rw)
-		}
-		weights[g.Net.ASOf(packet.NodeID(id))] += w
+	for _, nd := range g.Net.Nodes {
+		w := nd.SenderWeight()
+		weights[nd.AS] += w
 		total += w
 	}
 
@@ -109,9 +101,6 @@ func (g *Graph) Partition(shards int) (*Partition, error) {
 		p.ShardOfNode[id] = int32(p.ShardOfAS[g.Net.ASOf(packet.NodeID(id))])
 	}
 	for _, l := range g.Net.Links {
-		if l == nil {
-			continue // reserved: inside one AS, never cut
-		}
 		fs, ts := p.ShardOfNode[l.From.ID], p.ShardOfNode[l.To.ID]
 		if fs == ts {
 			continue

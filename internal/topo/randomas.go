@@ -45,8 +45,6 @@ type RandomASConfig struct {
 	Delay sim.Time
 	// GraphSeed seeds the structure RNG (0 = 1).
 	GraphSeed uint64
-
-	ownership
 }
 
 // DefaultRandomAS mirrors the dumbbell's parameters over a 4-router
@@ -68,8 +66,7 @@ type RandomAS struct {
 	G   *Graph
 	Net *netsim.Network
 
-	// Senders, Victim and Colluders are the Graph's role lists: on a
-	// sparse graph the slot of a host another shard owns is nil.
+	// Senders, Victim and Colluders are the Graph's role lists.
 	Senders   []*netsim.Node
 	SrcAccess []*netsim.Node
 	// Transit lists the random-core routers, one AS each.
@@ -104,7 +101,7 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	}
 	rng := rand.New(rand.NewPCG(seed, 0x6e65746665_6e6365)) // "netfence"
 
-	g := newGraph(eng, cfg.ownership)
+	g := NewGraph(eng)
 	r := &RandomAS{G: g, Net: g.Net}
 
 	// Random connected transit core: a uniform random spanning tree by

@@ -55,7 +55,6 @@ func buildDumbbellGraph(eng *sim.Engine, opts BuildOptions) (*Graph, error) {
 	if cfg.SrcASes*cfg.HostsPerAS <= 0 {
 		return nil, fmt.Errorf("no senders (SrcASes=%d, HostsPerAS=%d)", cfg.SrcASes, cfg.HostsPerAS)
 	}
-	cfg.ownership = opts.ownership
 	return NewDumbbell(eng, cfg).G, nil
 }
 
@@ -88,7 +87,6 @@ func buildParkingLotGraph(eng *sim.Engine, opts BuildOptions) (*Graph, error) {
 	if cfg.SendersPerGroup <= 0 {
 		return nil, fmt.Errorf("SendersPerGroup must be positive")
 	}
-	cfg.ownership = opts.ownership
 	return NewParkingLot(eng, cfg).G, nil
 }
 
@@ -113,7 +111,6 @@ func buildStarGraph(eng *sim.Engine, opts BuildOptions) (*Graph, error) {
 	if cfg.Senders <= 0 {
 		return nil, fmt.Errorf("Senders must be positive")
 	}
-	cfg.ownership = opts.ownership
 	return NewStar(eng, cfg).G, nil
 }
 
@@ -135,7 +132,6 @@ func buildRandomASGraph(eng *sim.Engine, opts BuildOptions) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("config type %T is not topo.RandomASConfig", opts.Config)
 	}
-	cfg.ownership = opts.ownership
 	r, err := NewRandomAS(eng, cfg)
 	if err != nil {
 		return nil, err

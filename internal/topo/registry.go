@@ -22,8 +22,6 @@ type BuildOptions struct {
 	// understand. When both Config and Population are set, Population
 	// wins.
 	Config any
-
-	ownership
 }
 
 // Builder constructs a role-tagged topology graph on eng.
@@ -73,7 +71,6 @@ func Build(name string, eng *sim.Engine, opts BuildOptions) (*Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("topo %q: %w", Canonical(name), err)
 	}
-	g.owns = opts.ownership // a third-party builder builds every host
 	return g.Build(), nil
 }
 

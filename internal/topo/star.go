@@ -26,8 +26,6 @@ type StarConfig struct {
 	EdgeBps int64
 	// Delay is the per-link propagation delay.
 	Delay sim.Time
-
-	ownership
 }
 
 // DefaultStar mirrors the dumbbell's link parameters at a configurable
@@ -47,8 +45,7 @@ type Star struct {
 	G   *Graph
 	Net *netsim.Network
 
-	// Senders, Victim and Colluders are the Graph's role lists: on a
-	// sparse graph the slot of a host another shard owns is nil.
+	// Senders, Victim and Colluders are the Graph's role lists.
 	Senders []*netsim.Node
 	// Access is the single source-AS access router.
 	Access *netsim.Node
@@ -64,7 +61,7 @@ type Star struct {
 
 // NewStar builds the topology and computes routes.
 func NewStar(eng *sim.Engine, cfg StarConfig) *Star {
-	g := newGraph(eng, cfg.ownership)
+	g := NewGraph(eng)
 	st := &Star{G: g, Net: g.Net}
 
 	srcAS := packet.ASID(1)

@@ -34,8 +34,6 @@ type DumbbellConfig struct {
 	EdgeBps int64
 	// Delay is the per-link propagation delay (paper: 10 ms).
 	Delay sim.Time
-
-	ownership
 }
 
 // DefaultDumbbell mirrors the paper's setup at a configurable sender
@@ -61,9 +59,7 @@ type Dumbbell struct {
 	G   *Graph
 	Net *netsim.Network
 
-	// Senders lists every sender host, AS by AS. Like Victim and
-	// Colluders it is the Graph's role list: on a sparse graph the slot
-	// of a host another shard owns is nil.
+	// Senders lists every sender host, AS by AS.
 	Senders []*netsim.Node
 	// SrcAccess lists the source-AS access routers, parallel to AS order.
 	SrcAccess []*netsim.Node
@@ -85,7 +81,7 @@ type Dumbbell struct {
 
 // NewDumbbell builds the topology and computes routes.
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
-	g := newGraph(eng, cfg.ownership)
+	g := NewGraph(eng)
 	d := &Dumbbell{G: g, Net: g.Net}
 
 	transitAS := packet.ASID(1000)
@@ -142,8 +138,6 @@ type ParkingLotConfig struct {
 	L1Bps, L2Bps int64
 	EdgeBps      int64
 	Delay        sim.Time
-
-	ownership
 }
 
 // DefaultParkingLot mirrors the paper's three-group setup at a
@@ -161,8 +155,7 @@ func DefaultParkingLot(sendersPerGroup int, l1, l2 int64) ParkingLotConfig {
 }
 
 // PLGroup holds one sender group and its destinations: the Graph's
-// role lists, where a sparse graph has nil for a host another shard
-// owns.
+// role lists.
 type PLGroup struct {
 	Senders   []*netsim.Node
 	Access    []*netsim.Node
@@ -184,7 +177,7 @@ type ParkingLot struct {
 
 // NewParkingLot builds the topology and computes routes.
 func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
-	g := newGraph(eng, cfg.ownership)
+	g := NewGraph(eng)
 	pl := &ParkingLot{G: g, Net: g.Net}
 	transitAS := packet.ASID(1000)
 	pl.R0 = g.Router("R0", transitAS)

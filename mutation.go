@@ -80,8 +80,7 @@ type AttackMutation struct {
 
 // DeployMutation switches the scenario's active deployment plan: source
 // ASes joining the plan arm the defense (installing it on first
-// participation, drawing the same setup randomness on every shard
-// replica), and ASes leaving it disarm — their access routers stop
+// participation, on the shard owning the AS), and ASes leaving it disarm — their access routers stop
 // policing and their hosts shed the defense shim, so their traffic is
 // demoted to the legacy channel exactly like a build-time legacy AS's.
 type DeployMutation struct {
@@ -175,7 +174,7 @@ type linkParams struct {
 
 // deployState is the run's deployment disarm/re-arm state: which source
 // ASes ever installed the defense, and the ingress hooks and host shims
-// saved while an AS is disarmed (on the one replica owning the AS).
+// saved while an AS is disarmed (on the one shard owning the AS).
 type deployState struct {
 	installed map[packet.ASID]bool
 	ingress   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool
@@ -324,14 +323,11 @@ func (in *Instance) applyNow(ms []Mutation) {
 	}
 }
 
-// applyLink changes the target bottleneck on every replica: a
-// bottleneck joins routers, and routers and their links are the part of
-// the network every replica holds and must keep identical. Only the
-// owner's copy carries traffic, but a later repartition-free comparison
-// depends on all of them agreeing.
+// applyLink changes the target bottleneck's rate and delay, at a control
+// point, where no shard is writing the link. It changes no route.
 func (in *Instance) applyLink(lm *LinkMutation) {
 	env := in.env
-	l0 := env.bottlenecks[lm.Bottleneck]
+	l := env.bottlenecks[lm.Bottleneck]
 	rate, delay := int64(0), Time(0)
 	if lm.Restore {
 		orig := env.linkOrig[lm.Bottleneck]
@@ -343,19 +339,16 @@ func (in *Instance) applyLink(lm *LinkMutation) {
 	if lm.Delay > 0 {
 		delay = lm.Delay
 	}
-	for _, bt := range env.sh.replicas {
-		l := bt.net.Links[l0.Index]
-		if rate > 0 {
-			l.SetRate(rate)
-		}
-		if delay > 0 {
-			l.SetDelay(delay)
-		}
+	if rate > 0 {
+		l.SetRate(rate)
+	}
+	if delay > 0 {
+		l.SetDelay(delay)
 	}
 }
 
 // applyAttack drives the workload's controllers — one per shard owning
-// attack senders; non-owning replicas have none and schedule nothing.
+// attack senders; other shards have none and schedule nothing.
 func (in *Instance) applyAttack(am *AttackMutation) {
 	for _, c := range in.env.attackCtrls[am.Workload] {
 		switch am.Action {
@@ -370,8 +363,8 @@ func (in *Instance) applyAttack(am *AttackMutation) {
 }
 
 // applyDeploy diffs the new plan against the active one and arms or
-// disarms each changed source AS on the replica owning it, the one that
-// holds its access routers and hosts.
+// disarms each changed source AS, arming with the system of the shard
+// owning its access routers and hosts.
 func (in *Instance) applyDeploy(dm *DeployMutation) {
 	env := in.env
 	srcASes := env.graph.SourceASes()
@@ -392,20 +385,19 @@ func (in *Instance) applyDeploy(dm *DeployMutation) {
 		}
 	}
 	for _, ch := range changes {
-		sh := env.sh.shardOfAS[ch.as] // a nil map on one shard: 0
-		g := env.sh.replicas[sh].graph
 		if ch.enable {
-			env.deployCtl.arm(g, env.sh.systems[sh], env.deny, ch.as)
+			sh := env.sh.shardOfAS[ch.as] // a nil map on one shard: 0
+			env.deployCtl.arm(env.graph, env.sh.systems[sh], env.deny, ch.as)
 		} else {
-			env.deployCtl.disarm(g, ch.as)
+			env.deployCtl.disarm(env.graph, ch.as)
 		}
 	}
 	env.plan = newPlan
 	env.deployed = frac
 }
 
-// arm (re)enables the defense on one source AS of g, the graph of the
-// replica owning it: first participation installs through the system's
+// arm (re)enables the defense on one source AS of g with sys, the
+// system of the shard owning it: first participation installs through the system's
 // own ProtectAccess/AttachHost paths (the same calls Graph.Deploy makes
 // at build time); a re-join after a disarm restores the saved ingress
 // hooks and shims instead, so long-lived per-router state (keyrings,
@@ -431,8 +423,7 @@ func (st *deployState) arm(g *Graph, sys defense.System, deny defense.Policy, as
 
 // walkAS visits one source AS's share of every role group, group by
 // group: its access routers, then its senders, the group's victim and
-// its colluders (victim tells the victim host apart). Host slots of
-// other ASes the replica does not hold are nil and skipped.
+// its colluders (victim tells the victim host apart).
 func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *netsim.Node, victim bool)) {
 	groups := g.Groups()
 	for gi := range groups {
@@ -443,7 +434,7 @@ func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *ne
 			}
 		}
 		for _, h := range grp.Senders {
-			if h != nil && h.AS == as {
+			if h.AS == as {
 				host(h, false)
 			}
 		}
@@ -451,7 +442,7 @@ func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *ne
 			host(grp.Victim, true)
 		}
 		for _, c := range grp.Colluders {
-			if c != nil && c.AS == as {
+			if c.AS == as {
 				host(c, false)
 			}
 		}
@@ -484,7 +475,7 @@ func (st *deployState) armHost(sys defense.System, h *netsim.Node, pol defense.P
 	}
 }
 
-// disarm turns one source AS of g, the owning replica's graph, legacy:
+// disarm turns one source AS of g legacy:
 // access routers stop policing (ingress hooks saved and cleared; the
 // rotation timers keep ticking, so a re-armed router holds the keys it
 // would have held, on the KeyRotate grid the validation pipeline plans

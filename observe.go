@@ -26,7 +26,7 @@ func Metrics() []MetricDef { return obs.Catalog() }
 
 // harvestGauges folds state only visible by inspection — the
 // per-queue backlog high-water mark and the packet pool's counters —
-// into a replica's cells. Called at snapshot barriers; repeated
+// into a shard's cells. Called at snapshot barriers; repeated
 // harvests are idempotent.
 func harvestGauges(net *netsim.Network) {
 	net.Cells.SetMax(obs.QueueHWMBytes, net.LinkStats().QueueHWM)
@@ -34,20 +34,19 @@ func harvestGauges(net *netsim.Network) {
 	net.Cells.Set(obs.PacketPoolIdle, uint64(net.Pool.Len())+net.HandoffStats().Home)
 }
 
-// mergedCells harvests and merges every replica's cells in shard
+// mergedCells harvests and merges every shard's cells in shard
 // order. Callers must hold the run at a control point (built, between
 // Advance segments, or finished) so no engine goroutine is mutating
 // cells concurrently.
 func (in *Instance) mergedCells() obs.Cells {
-	replicas := in.env.sh.replicas
-	cells := make([]obs.Cells, len(replicas))
-	for i, bt := range replicas {
-		n := bt.net
+	nets := in.env.sh.nets
+	cells := make([]obs.Cells, len(nets))
+	for i, n := range nets {
 		harvestGauges(n)
-		if len(replicas) > 1 {
-			// Replica accounting is a sharded run's: the single engine
-			// holds the topology once by definition, and its snapshots —
-			// a serve-mode job keeps one — do not pay for the rows.
+		if len(nets) > 1 {
+			// Shard accounting is a sharded run's: the single engine owns
+			// the whole topology by definition, and its snapshots — a
+			// serve-mode job keeps one — do not pay for the rows.
 			hosts, links := n.Materialised()
 			n.Cells.Set(obs.ReplicaHosts, uint64(hosts))
 			n.Cells.Set(obs.ReplicaLinks, uint64(links))
@@ -70,7 +69,7 @@ func (in *Instance) Counters() map[string]uint64 {
 // legitimately vary with the shard layout — events executed (total and
 // per shard), cut-link handoff batches and packet counts, mailbox
 // depth high-water marks, packet-pool allocation and idle counts, hosts
-// and links materialised over all replicas of a sharded run — and
+// and links owned over all shards of a sharded run — and
 // keyring rotations (a router rotates only on its owning shard, so these
 // no longer vary). Surfaced on /metrics, -metrics-out and bench rows.
 func (in *Instance) RuntimeCounters() map[string]uint64 {
@@ -104,9 +103,9 @@ func (in *Instance) EventsExecuted() uint64 {
 // of the sampled flows, sorted by full event content, so the trace is
 // byte-identical across shard counts. Empty without Scenario.TraceFlows.
 func (in *Instance) Trace() []TraceEvent {
-	recs := make([]*obs.Recorder, len(in.env.sh.replicas))
-	for i, bt := range in.env.sh.replicas {
-		recs[i] = bt.net.Rec
+	recs := make([]*obs.Recorder, len(in.env.sh.nets))
+	for i, n := range in.env.sh.nets {
+		recs[i] = n.Rec
 	}
 	return obs.MergeTraces(recs)
 }

@@ -28,7 +28,7 @@ func poolCell(pop, srcASes int, dur Time, shards int) Scenario {
 	}
 }
 
-// poolCounts runs sc and returns each replica's pool counters: packets
+// poolCounts runs sc and returns each shard's pool counters: packets
 // it had to allocate, and packets idle at the end — on its free list or
 // come home through a cut link and not yet adopted.
 func poolCounts(t *testing.T, sc Scenario) (fresh, idle []uint64) {
@@ -38,8 +38,7 @@ func poolCounts(t *testing.T, sc Scenario) (fresh, idle []uint64) {
 		t.Fatal(err)
 	}
 	in.Run()
-	for _, bt := range in.env.sh.replicas {
-		n := bt.net
+	for _, n := range in.env.sh.nets {
 		fresh = append(fresh, n.Pool.News)
 		idle = append(idle, uint64(n.Pool.Len())+n.HandoffStats().Home)
 	}
@@ -133,8 +132,7 @@ func TestPoolCountersOnRuntimePlane(t *testing.T) {
 	res := in.Run()
 	rt := in.RuntimeCounters()
 	var fresh, idleMax uint64
-	for _, bt := range in.env.sh.replicas {
-		n := bt.net
+	for _, n := range in.env.sh.nets {
 		fresh += n.Pool.News
 		idleMax = max(idleMax, uint64(n.Pool.Len())+n.HandoffStats().Home)
 	}

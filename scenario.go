@@ -136,7 +136,7 @@ type scenarioEnv struct {
 	sc *Scenario
 	*builtTopo
 
-	// sh holds the run's engines, replicas and defense systems, one per
+	// sh holds the run's engines, networks and defense systems, one per
 	// shard.
 	sh *shardState
 
@@ -298,14 +298,15 @@ type Instance struct {
 	Eng *Engine
 	// Engines lists every shard engine in shard order.
 	Engines []*Engine
-	Net     *Network
+	// Net is the whole graph's network: every node and link. Its own
+	// context — engine, packet pool, counters — is shard 0's; on a
+	// sharded run a node's or link's Network() is its owner's.
+	Net *Network
 	// System is the deployed defense: on a sharded run, shard 0's part
 	// only (another shard's access routers and bottlenecks are nil).
 	System DefenseSystem
-	// Graph is the constructed role-tagged topology. On a sharded run
-	// Net, Graph and the two views below are shard 0's replica: every
-	// router and router link, but only the hosts of the ASes shard 0
-	// owns — the role lists hold nil for the others.
+	// Graph is the constructed role-tagged topology, whole at every
+	// shard count, like the two views below.
 	Graph *Graph
 	// Dumbbell is the constructed topology for DumbbellSpec scenarios;
 	// ParkingLot for ParkingLotSpec scenarios. The other is nil.

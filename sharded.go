@@ -109,20 +109,19 @@ func (sh *Sharding) Windows() uint64 { return sh.coord.Windows() }
 // moved into the drain phase.
 func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos() }
 
-// shardState is the executor state of one scenario run: one replica of
-// the network per shard, each on its own engine. One shard is one dense
-// replica on a plain engine. With more, every replica is sparse and
-// holds the same routers and router links; a host, its stack, its two
-// links and its defense shim exist only on the replica of the shard
-// owning its AS — which attaches the live traffic — and are a reserved
-// node ID and pair of link indices everywhere else, so IDs, indices and
-// with them every scheduling origin agree across replicas. The control
-// plane is deployed where it is owned: an access router polices, with
-// its keyring and rotation timer, only on the replica owning its AS, and
-// a bottleneck is protected, with its queue discipline and detection
-// ticker, only on the replica owning its transmitting router. Every
-// entity that draws randomness owns its stream (sim.Engine.KeyStream of
-// its origin ID), so the owner draws what the single engine would.
+// shardState is the executor state of one scenario run: one graph,
+// built once, bound to one network per shard, each on its own engine
+// (netsim.Network.Bind). One shard is the graph's own network on a plain
+// engine. With more, every node and link carries the network of the
+// shard owning its AS (a link, its From node's), which alone writes its
+// mutable state, and the shards' networks share the graph's nodes,
+// links, node → AS table and routing arrays. The control plane is
+// deployed where it is owned: an access router polices, with its keyring
+// and rotation timer, only on the shard owning its AS, and a bottleneck
+// is protected, with its queue discipline and detection ticker, only on
+// the shard owning its transmitting router. Every entity that draws
+// randomness owns its stream (sim.Engine.KeyStream of its origin ID), so
+// the owner draws what the single engine would.
 type shardState struct {
 	// shardOfNode and shardOfAS map a node ID and an AS to its shard (nil
 	// on one shard); lookahead is the synchronization window (0 on one).
@@ -130,7 +129,7 @@ type shardState struct {
 	shardOfAS   map[packet.ASID]int
 	lookahead   Time
 	engines     []*sim.Engine
-	replicas    []*builtTopo
+	nets        []*netsim.Network
 	systems     []defense.System
 	coord       *sim.Coordinator
 	inboxes     [][]*netsim.Mailbox
@@ -166,55 +165,6 @@ func (st *shardState) shardOf(id packet.NodeID) int {
 	return int(st.shardOfNode[id])
 }
 
-// stitch returns the role view the workloads attach to: every host
-// slot filled with the owning replica's node, so a transport lands on
-// the right engine without the workload code knowing about shards. The
-// other replicas have nil there, or — built dense by a third-party
-// topology — a copy nothing is attached to. A lone replica is its own
-// view.
-func (st *shardState) stitch() *builtTopo {
-	r0 := st.replicas[0]
-	if len(st.replicas) == 1 {
-		return r0
-	}
-	view := &builtTopo{
-		name:       r0.name,
-		net:        r0.net,
-		graph:      r0.graph,
-		dumbbell:   r0.dumbbell,
-		parkingLot: r0.parkingLot,
-		groups:     make([]roleGroup, len(r0.groups)),
-	}
-	for _, l := range r0.bottlenecks {
-		owner := st.shardOf(l.From.ID)
-		view.bottlenecks = append(view.bottlenecks, st.replicas[owner].net.Links[l.Index])
-	}
-	for gi := range view.groups {
-		view.groups[gi].senders = make([]*netsim.Node, len(r0.groups[gi].senders))
-		view.groups[gi].colluders = make([]*netsim.Node, len(r0.groups[gi].colluders))
-	}
-	for r, bt := range st.replicas {
-		mine := func(n *netsim.Node) bool { return n != nil && st.shardOf(n.ID) == r }
-		for gi := range bt.groups {
-			grp, rg := &bt.groups[gi], &view.groups[gi]
-			for i, n := range grp.senders {
-				if mine(n) {
-					rg.senders[i] = n
-				}
-			}
-			if mine(grp.victim) {
-				rg.victim = grp.victim
-			}
-			for i, c := range grp.colluders {
-				if mine(c) {
-					rg.colluders[i] = c
-				}
-			}
-		}
-	}
-	return view
-}
-
 // resolveAutoShards clamps the AutoShards request to
 // min(GOMAXPROCS, partitionable ASes) for a built graph. Explicit
 // counts never pass through here — Build validates them and Partition
@@ -230,22 +180,22 @@ func resolveAutoShards(g *Graph) int {
 	return n
 }
 
-// applyFleetWeights tells bt's graph the aggregate-mode FleetSpec
-// weights of its senders, for the partition's load balance. Only specs
-// that will actually aggregate count: exact fan-out (explicit or forced
-// by deployment mutations) keeps weight 1. Malformed specs are skipped
-// here — attachment reports their errors with full context.
+// applyFleetWeights gives bt's aggregate-mode FleetSpec attachment
+// points their weight before partitioning: the load balance must count
+// one as the modeled senders it stands for, not as one host. Attachment
+// sets the same weight. Only specs that will actually aggregate count:
+// exact fan-out (explicit or forced by deployment mutations) keeps
+// weight 1. Malformed specs are skipped here — attachment reports their
+// errors with full context.
 func (s *Scenario) applyFleetWeights(bt *builtTopo) {
-	fanout := false
 	for i := range s.Timeline {
 		if s.Timeline[i].Deploy != nil {
-			fanout = true
-			break
+			return
 		}
 	}
 	for _, w := range s.Workloads {
 		fs, ok := w.(FleetSpec)
-		if !ok || fs.Exact || fanout {
+		if !ok || fs.Exact {
 			continue
 		}
 		if fs.Count <= 0 || len(fs.Senders) == 0 || fs.Count%len(fs.Senders) != 0 {
@@ -254,106 +204,77 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 		if fs.Group < 0 || fs.Group >= len(bt.groups) {
 			continue
 		}
-		weight := fs.Count / len(fs.Senders)
+		weight, senders := int32(fs.Count/len(fs.Senders)), bt.groups[fs.Group].senders
 		for _, idx := range fs.Senders {
-			if idx >= 0 && idx < len(bt.groups[fs.Group].senders) {
-				bt.graph.WeighSender(fs.Group, idx, int32(weight))
+			if idx >= 0 && idx < len(senders) {
+				senders[idx].Weight = weight
 			}
 		}
 	}
 }
 
-// replicate builds the run's engines and network replicas. More than
-// one shard — explicit, or AutoShards resolved from the topology —
-// partitions a host-free skeleton by AS and builds one sparse replica
-// per shard on its own engine. Otherwise it builds the dense topology on
-// one engine, and part is nil.
-func (s Scenario) replicate(shards int) (*shardState, *topo.Partition, error) {
-	build := func(owns func(packet.ASID) bool) (*sim.Engine, *builtTopo, error) {
-		eng := sim.New(s.Seed)
-		bt, err := s.Topology.buildTopo(eng, owns)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		return eng, bt, nil
+// bindShards builds the run's topology once, on shard 0's engine, and
+// binds it to its shards. More than one shard — explicit, or AutoShards
+// resolved from the topology — partitions the graph by AS and binds each
+// node and link to the network of the shard owning it, each shard on its
+// own engine. Otherwise the graph runs on its own network, and part is
+// nil.
+func (s Scenario) bindShards(shards int) (*shardState, *builtTopo, *topo.Partition, error) {
+	eng := sim.New(s.Seed)
+	bt, err := s.Topology.buildTopo(eng)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	// The skeleton holds no host at all: routers, their links, roles and
-	// every node's AS are what the partition reads. Nothing keeps a
-	// pointer into it — cut links and bottlenecks are looked up in the
-	// replicas by index — so it is garbage once the replicas exist.
-	var skel *builtTopo
-	if shards == AutoShards || shards > 1 {
-		var err error
-		if _, skel, err = build(func(packet.ASID) bool { return false }); err != nil {
-			return nil, nil, err
-		}
-		if shards == AutoShards {
-			shards = resolveAutoShards(skel.graph)
-		}
+	if shards == AutoShards {
+		shards = resolveAutoShards(bt.graph)
+	}
+	st := &shardState{
+		engines: []*sim.Engine{eng},
+		nets:    []*netsim.Network{bt.net},
+		systems: make([]defense.System, max(shards, 1)),
 	}
 	if shards <= 1 {
-		eng, bt, err := build(nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &shardState{
-			engines:  []*sim.Engine{eng},
-			replicas: []*builtTopo{bt},
-			systems:  make([]defense.System, 1),
-		}, nil, nil
+		return st, bt, nil, nil
 	}
 
 	// StopIt's victim installs a filter by writing into the source's
 	// access router, which only the shard owning the source's AS holds.
 	if s.DenyAttackers && defense.Canonical(s.Defense.Name) == "stopit" {
-		return nil, nil, fmt.Errorf("scenario %q: StopIt with DenyAttackers on %d shards: %w", s.Name, shards, errShardedFilterRequest)
+		return nil, nil, nil, fmt.Errorf("scenario %q: StopIt with DenyAttackers on %d shards: %w", s.Name, shards, errShardedFilterRequest)
 	}
-	// Weigh aggregate fleets before partitioning: the load balance must
-	// count a fleet attachment point as the modeled senders it stands
-	// for, not as one host. Workload attachment stamps the owning
-	// replica's nodes later; this pass only informs the split.
-	s.applyFleetWeights(skel)
-	part, err := skel.graph.Partition(shards)
+	s.applyFleetWeights(bt)
+	part, err := bt.graph.Partition(shards)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %q: Shards=%d: %w", s.Name, shards, err)
+		return nil, nil, nil, fmt.Errorf("scenario %q: Shards=%d: %w", s.Name, shards, err)
 	}
-	st := &shardState{
-		shardOfNode: part.ShardOfNode,
-		shardOfAS:   part.ShardOfAS,
-		lookahead:   part.Lookahead,
-		engines:     make([]*sim.Engine, shards),
-		replicas:    make([]*builtTopo, shards),
-		systems:     make([]defense.System, shards),
-		inboxes:     make([][]*netsim.Mailbox, shards),
+	for len(st.engines) < shards {
+		st.engines = append(st.engines, sim.New(s.Seed))
 	}
-	for i := range st.replicas {
-		owns := func(as packet.ASID) bool { return st.shardOfAS[as] == i }
-		if st.engines[i], st.replicas[i], err = build(owns); err != nil {
-			return nil, nil, err
-		}
-	}
-	return st, part, nil
+	st.shardOfNode, st.shardOfAS, st.lookahead = part.ShardOfNode, part.ShardOfAS, part.Lookahead
+	st.nets = bt.net.Bind(part.ShardOfNode, st.engines)
+	st.inboxes = make([][]*netsim.Mailbox, shards)
+	return st, bt, part, nil
 }
 
-// build constructs the scenario on its shards' replicas, then assembles
-// everything else once: defense deployment, workloads, tracing, meter,
-// probes and the warm-up mark. On one engine the scheduling order —
-// topology, defense, workloads, recorder, meter, probes, warm-up — is
-// what fixes every event's key. The scenario s must already be
-// validated and defaulted by Build.
+// build constructs the scenario's topology on its shards, then
+// assembles everything else once: defense deployment, workloads,
+// tracing, meter, probes and the warm-up mark. On one engine the
+// scheduling order — topology, defense, workloads, recorder, meter,
+// probes, warm-up — is what fixes every event's key. The scenario s must
+// already be validated and defaulted by Build.
 func (s Scenario) build(shards int) (*Instance, error) {
-	st, part, err := s.replicate(shards)
+	st, bt, part, err := s.bindShards(shards)
 	if err != nil {
 		return nil, err
 	}
-	eng0, bt0 := st.engines[0], st.replicas[0]
 
-	plan, deployed, err := s.Deployment.plan(bt0.graph.SourceASes())
+	plan, deployed, err := s.Deployment.plan(bt.graph.SourceASes())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	env := &scenarioEnv{
 		sc:          &s,
+		builtTopo:   bt,
 		sh:          st,
 		byShard:     make([]shardMeters, len(st.engines)),
 		fcts:        make([]fctRecord, len(st.engines)),
@@ -369,19 +290,18 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	if s.DenyAttackers {
 		env.deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
 	}
-	// Each replica deploys the part of the defense its shard owns (see
-	// Graph.Deploy); every replica has its own System, whose Passport
-	// registry makes a pair's CMAC only when the shard uses the pair.
-	for i, bt := range st.replicas {
-		sys, err := defense.Build(s.Defense.Name, bt.net, defense.BuildOptions{Config: s.Defense.Config})
+	// Each shard deploys the part of the defense it owns (see
+	// Graph.Deploy) with a System of its own, whose Passport registry
+	// makes a pair's CMAC only when the shard uses the pair.
+	for i, net := range st.nets {
+		sys, err := defense.Build(s.Defense.Name, net, defense.BuildOptions{Config: s.Defense.Config})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		st.systems[i] = sys
-		bt.graph.Deploy(sys, env.deny, plan)
+		bt.graph.Deploy(net, sys, env.deny, plan)
 	}
 
-	env.builtTopo = st.stitch()
 	if len(env.bottlenecks) > 0 {
 		bn := env.bottlenecks[0]
 		if cs, ok := st.systems[st.shardOf(bn.From.ID)].(*core.System); ok {
@@ -391,7 +311,7 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	if part == nil {
 		st.coord = sim.NewCoordinator(st.engines, 0, nil)
 	} else {
-		st.wire(part, bt0.graph, s.Pipeline)
+		st.wire(part, bt.graph, s.Pipeline)
 	}
 
 	for _, w := range s.Workloads {
@@ -401,11 +321,11 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	}
 	if s.TraceFlows > 0 {
 		// One shared sample set (read-only) drawn from the attach-time
-		// flows; each replica records into its own buffer and the merge
+		// flows; each shard records into its own buffer and the merge
 		// sorts by content, so the trace is shard-count-invariant.
 		sampled := obs.SampleFlows(s.Seed, env.flows, s.TraceFlows)
-		for _, bt := range st.replicas {
-			bt.net.Rec = obs.NewRecorder(sampled)
+		for _, net := range st.nets {
+			net.Rec = obs.NewRecorder(sampled)
 		}
 	}
 	if s.Meter != nil {
@@ -434,13 +354,13 @@ func (s Scenario) build(shards int) (*Instance, error) {
 
 	return &Instance{
 		Scenario:   s,
-		Eng:        eng0,
+		Eng:        st.engines[0],
 		Engines:    st.engines,
-		Net:        bt0.net,
+		Net:        bt.net,
 		System:     st.systems[0],
-		Graph:      bt0.graph,
-		Dumbbell:   bt0.dumbbell,
-		ParkingLot: bt0.parkingLot,
+		Graph:      bt.graph,
+		Dumbbell:   bt.dumbbell,
+		ParkingLot: bt.parkingLot,
 		Sharding:   st.info,
 		env:        env,
 		probes:     probes,
@@ -451,13 +371,11 @@ func (s Scenario) build(shards int) (*Instance, error) {
 // the coordinator with its lookahead, and the validation pipeline.
 func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 	shards := len(st.engines)
-	// The source replica's link hands off into the destination replica's
-	// copy.
+	// A cut link hands off from its From node's shard into its To node's.
 	for _, l := range part.CutLinks {
-		src := st.shardOf(l.From.ID)
+		mb := netsim.NewMailbox(l)
+		l.SetMailbox(mb)
 		dst := st.shardOf(l.To.ID)
-		mb := netsim.NewMailbox(st.replicas[dst].net.Links[l.Index])
-		st.replicas[src].net.Links[l.Index].SetMailbox(mb)
 		st.inboxes[dst] = append(st.inboxes[dst], mb)
 	}
 
@@ -466,7 +384,7 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 
 	// Resolve the validation-pipeline mode and build the per-shard worker
 	// pools. Auto enables the stage exactly where it pays: handoffs into
-	// shards whose NetFence replica verifies Passport trailers at core
+	// shards whose NetFence deployment verifies Passport trailers at core
 	// links — the CMAC work that otherwise serializes on the bottleneck
 	// shard's execute phase.
 	usePipe := mode == PipelineOn
@@ -487,7 +405,7 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 			if !ok || len(st.inboxes[i]) == 0 {
 				continue
 			}
-			st.pipelines[i] = core.NewPipeline(cs, st.replicas[i].net, names[i], workers)
+			st.pipelines[i] = core.NewPipeline(cs, st.nets[i], names[i], workers)
 			pipeActive = true
 		}
 		if !pipeActive {
@@ -498,7 +416,7 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 	st.coord.SetDrain(func(shard int, deadline sim.Time) bool {
 		// Precompute every pending handoff's MAC verdicts on the worker
 		// pool before injecting: all shards are parked in the drain round,
-		// so the replica state the verdicts read is frozen, and Wait's
+		// so the shard state the verdicts read is frozen, and Wait's
 		// completion happens-before the injection below.
 		if pl := st.pipeline(shard); pl != nil {
 			pl.Submit(st.inboxes[shard])

@@ -179,8 +179,8 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 				sc.Timeline = tc.timeline
 				raw, in := runWithInstance(t, sc)
 				var keyed uint64
-				for _, bt := range in.env.sh.replicas {
-					keyed += bt.net.HandoffStats().Keyed
+				for _, n := range in.env.sh.nets {
+					keyed += n.HandoffStats().Keyed
 				}
 				return raw, keyed
 			}

@@ -2,18 +2,20 @@ package netfence
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 	"netfence/internal/topo"
 )
 
-// sparseTopologies are the wirings the sparse-replica tests build full,
-// as a skeleton and as every shard's replica: the four in-tree
-// topologies, the random one under three graph seeds (3 and 4 are the
-// wirings whose sharded runs once diverged).
+// sparseTopologies are the wirings the one-graph tests build on one
+// engine and bind to every shard count: the four in-tree topologies, the
+// random one under three graph seeds (3 and 4 are the wirings whose
+// sharded runs once diverged).
 var sparseTopologies = []struct {
 	name string
 	spec TopologySpec
@@ -26,44 +28,100 @@ var sparseTopologies = []struct {
 	{"star", StarSpec{Senders: 16, BottleneckBps: 3_200_000, ColluderASes: 6}},
 }
 
-func mustBuildTopo(t *testing.T, spec TopologySpec, owns func(packet.ASID) bool) *builtTopo {
+func mustBuildTopo(t *testing.T, spec TopologySpec) *builtTopo {
 	t.Helper()
-	bt, err := spec.buildTopo(sim.New(1), owns)
+	bt, err := spec.buildTopo(sim.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return bt
 }
 
-// TestSparseReplicaRoutesMatchFull shows, instead of assuming, that a
-// shard's sparse replica routes like the full network: the partition of
-// the host-less skeleton is the full graph's, every replica reserves
-// every node ID and link index, holds exactly the nodes of its shard
-// plus every router, and from each node of its shard picks the full
-// build's link — by index — toward every destination, hosts it does not
-// hold included; and the AS path Passport stamps from each of its access
-// routers is the full build's, element for element. On every replica
-// but the owner's, a source access router holds one built link, its
-// uplink: it must stay a core node there or nothing behind it routes.
+// sliceData returns the backing array of the slice in field name of v,
+// a pointer to a struct: the test's view of what two networks share.
+func sliceData(v any, name string) uintptr {
+	return reflect.ValueOf(v).Elem().FieldByName(name).Pointer()
+}
+
+// TestOneGraph pins the one-graph binding of a sharded run: every
+// shard's network shares the graph's node and link tables, node → AS
+// table and routing arrays; every node carries its owner's network and
+// every link its From node's; and every link origin schedules on its
+// owner's engine.
+func TestOneGraph(t *testing.T) {
+	for _, tc := range sparseTopologies {
+		for _, shards := range []int{2, 4, 8} {
+			in, err := Scenario{
+				Name: tc.name, Seed: 1, Topology: tc.spec,
+				Workloads: []Workload{LongTCP{Senders: Range(0, 4)}},
+				Duration:  Second, Shards: shards,
+			}.Build()
+			if err != nil {
+				t.Fatalf("%s: shards=%d: %v", tc.name, shards, err)
+			}
+			in.Stop()
+			name := fmt.Sprintf("%s: shards=%d", tc.name, shards)
+			st := in.env.sh
+			g := in.Net
+			if len(st.nets) != shards || st.nets[0] != g {
+				t.Fatalf("%s: %d networks, shard 0's the graph's: %v", name, len(st.nets), st.nets[0] == g)
+			}
+			for i, n := range st.nets {
+				if unsafe.SliceData(n.Nodes) != unsafe.SliceData(g.Nodes) || unsafe.SliceData(n.Links) != unsafe.SliceData(g.Links) {
+					t.Fatalf("%s: shard %d has node and link tables of its own", name, i)
+				}
+				for _, field := range []string{"as", "coreIdx", "attachAt", "uplink", "downlink", "rtab"} {
+					if sliceData(n, field) != sliceData(g, field) {
+						t.Fatalf("%s: shard %d has a %s array of its own", name, i, field)
+					}
+				}
+				if n.Eng != in.Engines[i] {
+					t.Fatalf("%s: shard %d's network runs on another engine", name, i)
+				}
+			}
+			for _, nd := range g.Nodes {
+				if nd.Network() != st.nets[st.shardOf(nd.ID)] {
+					t.Fatalf("%s: node %v is not bound to its shard %d", name, nd, st.shardOf(nd.ID))
+				}
+			}
+			for _, l := range g.Links {
+				owner := st.shardOf(l.From.ID)
+				if sliceData(l, "net") != uintptr(unsafe.Pointer(st.nets[owner])) {
+					t.Fatalf("%s: link %s is not bound to its From node's shard %d", name, l.Label(), owner)
+				}
+				eng := in.Engines[owner]
+				before := eng.Pending()
+				ev := l.Origin().At(in.Scenario.Duration, func() {})
+				if eng.Pending() != before+1 {
+					t.Fatalf("%s: link %s does not schedule on its owner's engine (shard %d)", name, l.Label(), owner)
+				}
+				ev.Cancel()
+			}
+		}
+	}
+}
+
+// TestSparseReplicaRoutesMatchFull shows, instead of assuming, that the
+// one graph of a sharded run routes like the single engine's build: the
+// partition is the single engine's graph's, a fleet attachment point
+// pulling the split the same way, each shard's network picks the single
+// build's link — by index — from each node it owns toward every
+// destination, and the AS path Passport stamps from each access router
+// it owns is the single build's, element for element.
 func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 	for _, tc := range sparseTopologies {
-		full := mustBuildTopo(t, tc.spec, nil)
-		skel := mustBuildTopo(t, tc.spec, func(packet.ASID) bool { return false })
-		if h, _ := skel.net.Materialised(); h != 0 {
-			t.Fatalf("%s: the skeleton holds %d hosts", tc.name, h)
-		}
-		// A fleet attachment point must pull the split the same way
-		// whether or not the graph holds the host that will carry it.
-		full.graph.WeighSender(0, 3, 1000)
-		skel.graph.WeighSender(0, 3, 1000)
+		full := mustBuildTopo(t, tc.spec)
+		full.groups[0].senders[3].Weight = 1000
+		fullHosts, _ := full.net.Materialised()
 		for _, shards := range []int{2, 4, 8} {
 			want, err := full.graph.Partition(shards)
 			if err != nil {
 				t.Fatalf("%s: shards=%d: %v", tc.name, shards, err)
 			}
-			part, err := skel.graph.Partition(shards)
+			sc := Scenario{Name: tc.name, Seed: 1, Topology: tc.spec, Workloads: []Workload{FleetSpec{Count: 1000, Senders: []int{3}}}}
+			st, bt, part, err := sc.bindShards(shards)
 			if err != nil {
-				t.Fatalf("%s: shards=%d: skeleton: %v", tc.name, shards, err)
+				t.Fatalf("%s: shards=%d: %v", tc.name, shards, err)
 			}
 			cuts := func(p *topo.Partition) (idx []int) {
 				for _, l := range p.CutLinks {
@@ -72,66 +130,58 @@ func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 				return idx
 			}
 			if !slices.Equal(part.ShardOfNode, want.ShardOfNode) || !slices.Equal(cuts(part), cuts(want)) || part.Lookahead != want.Lookahead {
-				t.Fatalf("%s: shards=%d: the skeleton partitions differently from the full graph", tc.name, shards)
+				t.Fatalf("%s: shards=%d: the run partitions differently from the single engine's graph", tc.name, shards)
 			}
 			hosts := 0
-			for r := 0; r < shards; r++ {
-				rep := mustBuildTopo(t, tc.spec, func(as packet.ASID) bool { return part.ShardOfAS[as] == r })
-				name := fmt.Sprintf("%s: shards=%d: replica %d", tc.name, shards, r)
-				if len(rep.net.Nodes) != len(full.net.Nodes) || len(rep.net.Links) != len(full.net.Links) {
-					t.Fatalf("%s has %d nodes and %d links, the full build %d and %d",
-						name, len(rep.net.Nodes), len(rep.net.Links), len(full.net.Nodes), len(full.net.Links))
+			for r, n := range st.nets {
+				name := fmt.Sprintf("%s: shards=%d: shard %d", tc.name, shards, r)
+				if len(n.Nodes) != len(full.net.Nodes) || len(n.Links) != len(full.net.Links) {
+					t.Fatalf("%s has %d nodes and %d links, the single build %d and %d",
+						name, len(n.Nodes), len(n.Links), len(full.net.Nodes), len(full.net.Links))
 				}
-				h, _ := rep.net.Materialised()
+				h, _ := n.Materialised()
 				hosts += h
 				for id, fn := range full.net.Nodes {
-					rn := rep.net.Nodes[id]
-					mine := int(part.ShardOfNode[id]) == r
-					if held := rn != nil; held != (mine || !fn.IsHost) {
-						t.Fatalf("%s: node %v (shard %d): held = %v", name, fn, part.ShardOfNode[id], held)
-					}
-					if !mine {
+					if int(part.ShardOfNode[id]) != r {
 						continue
 					}
 					for dst := range full.net.Nodes {
 						got, want := -1, -1
-						if l := rep.net.Route(rn, packet.NodeID(dst)); l != nil {
+						if l := n.Route(n.Nodes[id], packet.NodeID(dst)); l != nil {
 							got = l.Index
 						}
 						if l := full.net.Route(fn, packet.NodeID(dst)); l != nil {
 							want = l.Index
 						}
 						if got != want {
-							t.Fatalf("%s: next hop %v -> %d is link %d, the full build's is %d", name, fn, dst, got, want)
+							t.Fatalf("%s: next hop %v -> %d is link %d, the single build's is %d", name, fn, dst, got, want)
 						}
 					}
 				}
-				for _, grp := range rep.graph.Groups() {
+				for _, grp := range bt.graph.Groups() {
 					for _, ar := range grp.Access {
 						if int(part.ShardOfNode[ar.ID]) != r {
 							continue
 						}
 						for dst := range full.net.Nodes {
-							got := rep.net.PathASes(nil, ar.ID, packet.NodeID(dst))
+							got := n.PathASes(nil, ar.ID, packet.NodeID(dst))
 							if want := full.net.PathASes(nil, ar.ID, packet.NodeID(dst)); !slices.Equal(got, want) {
-								t.Fatalf("%s: AS path %v -> %d is %v, the full build's is %v", name, ar, dst, got, want)
+								t.Fatalf("%s: AS path %v -> %d is %v, the single build's is %v", name, ar, dst, got, want)
 							}
 						}
 					}
 				}
 			}
-			if fullHosts, _ := full.net.Materialised(); hosts != fullHosts {
-				t.Fatalf("%s: shards=%d: the replicas hold %d hosts between them, the topology has %d", tc.name, shards, hosts, fullHosts)
+			if hosts != fullHosts {
+				t.Fatalf("%s: shards=%d: the shards own %d hosts between them, the topology has %d", tc.name, shards, hosts, fullHosts)
 			}
 		}
 	}
 }
 
 // TestReplicaOverheadBounded reads the claim's accounting off the
-// runtime plane: over all replicas of a sharded run each host is
-// materialised once, and the links are the topology's plus at most one
-// more copy of the router links per shard. Full replicas read shards ×
-// hosts here.
+// runtime plane: over all shards of a sharded run each host and each
+// link is owned exactly once. Replicas of the graph would read more.
 func TestReplicaOverheadBounded(t *testing.T) {
 	pop, srcASes := 256, 8
 	if !testing.Short() {
@@ -154,17 +204,15 @@ func TestReplicaOverheadBounded(t *testing.T) {
 	if _, ok := single.RuntimeCounters()["replica_hosts_materialised_total"]; ok {
 		t.Error("the single engine reports replica accounting: every job snapshot would carry the rows")
 	}
-	routerLinks := links - 2*hosts
 	for _, shards := range []int{2, 4, 8} {
 		rt := build(shards).RuntimeCounters()
 		h, l := rt["replica_hosts_materialised_total"], rt["replica_links_materialised_total"]
-		t.Logf("shards=%d: %d hosts, %d links materialised over all replicas (topology: %d hosts, %d links, %d of them between routers)",
-			shards, h, l, hosts, links, routerLinks)
+		t.Logf("shards=%d: %d hosts, %d links owned over all shards (topology: %d hosts, %d links)", shards, h, l, hosts, links)
 		if h != hosts {
-			t.Errorf("shards=%d: %d hosts materialised over all replicas, the topology has %d", shards, h, hosts)
+			t.Errorf("shards=%d: %d hosts owned over all shards, the topology has %d", shards, h, hosts)
 		}
-		if limit := links + uint64(shards)*routerLinks; l > limit {
-			t.Errorf("shards=%d: %d links materialised over all replicas, more than the topology's %d plus %d router links per shard", shards, l, links, routerLinks)
+		if l != links {
+			t.Errorf("shards=%d: %d links owned over all shards, the topology has %d", shards, l, links)
 		}
 	}
 }

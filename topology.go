@@ -13,9 +13,8 @@ import (
 // DumbbellSpec, ParkingLotSpec, StarSpec and RandomASSpec; Topology
 // resolves any topology registered by name (see RegisterTopology).
 type TopologySpec interface {
-	// buildTopo constructs the topology on eng, holding the hosts of the
-	// ASes owns accepts (nil: all of them; see topo.Sparse).
-	buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error)
+	// buildTopo constructs the topology on eng.
+	buildTopo(eng *sim.Engine) (*builtTopo, error)
 	// withPopulation returns a copy at a different sender population —
 	// the Sweep runner's population axis.
 	withPopulation(n int) TopologySpec
@@ -88,11 +87,11 @@ func (s RegisteredTopology) topoName() string { return topo.Canonical(s.Name) }
 
 func (s RegisteredTopology) groupSizes() []int { return nil }
 
-func (s RegisteredTopology) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
-	g, err := topo.Build(s.Name, eng, topo.Sparse(topo.BuildOptions{
+func (s RegisteredTopology) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+	g, err := topo.Build(s.Name, eng, topo.BuildOptions{
 		Population: s.Population,
 		Config:     s.Config,
-	}, owns))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +126,7 @@ func (s DumbbellSpec) topoName() string { return "dumbbell" }
 
 func (s DumbbellSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s DumbbellSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
+func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Senders <= 0 {
 		return nil, fmt.Errorf("DumbbellSpec: Senders must be positive")
 	}
@@ -154,7 +153,7 @@ func (s DumbbellSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	d := topo.NewDumbbell(eng, topo.Sparse(cfg, owns))
+	d := topo.NewDumbbell(eng, cfg)
 	bt := builtFromGraph("dumbbell", d.G)
 	bt.dumbbell = d
 	return bt, nil
@@ -201,7 +200,7 @@ func (s ParkingLotSpec) groupSizes() []int {
 	return []int{s.SendersPerGroup, s.SendersPerGroup, s.SendersPerGroup}
 }
 
-func (s ParkingLotSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
+func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.declaredPopulation > 0 && s.declaredPopulation != 3*s.SendersPerGroup {
 		return nil, fmt.Errorf("ParkingLotSpec: population %d does not split into 3 equal groups", s.declaredPopulation)
 	}
@@ -228,7 +227,7 @@ func (s ParkingLotSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) 
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	pl := topo.NewParkingLot(eng, topo.Sparse(cfg, owns))
+	pl := topo.NewParkingLot(eng, cfg)
 	bt := builtFromGraph("parkinglot", pl.G)
 	bt.parkingLot = pl
 	return bt, nil
@@ -263,7 +262,7 @@ func (s StarSpec) topoName() string { return "star" }
 
 func (s StarSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s StarSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
+func (s StarSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Senders <= 0 {
 		return nil, fmt.Errorf("StarSpec: Senders must be positive")
 	}
@@ -278,7 +277,7 @@ func (s StarSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*buil
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	return builtFromGraph("star", topo.NewStar(eng, topo.Sparse(cfg, owns)).G), nil
+	return builtFromGraph("star", topo.NewStar(eng, cfg).G), nil
 }
 
 // RandomASSpec declares a seeded random AS-level graph: a random
@@ -319,7 +318,7 @@ func (s RandomASSpec) topoName() string { return "random-as" }
 
 func (s RandomASSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s RandomASSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*builtTopo, error) {
+func (s RandomASSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.BottleneckBps <= 0 {
 		return nil, fmt.Errorf("RandomASSpec: BottleneckBps must be positive")
 	}
@@ -337,7 +336,7 @@ func (s RandomASSpec) buildTopo(eng *sim.Engine, owns func(packet.ASID) bool) (*
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	r, err := topo.NewRandomAS(eng, topo.Sparse(cfg, owns))
+	r, err := topo.NewRandomAS(eng, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("RandomASSpec: %w", err)
 	}
