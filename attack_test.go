@@ -74,10 +74,10 @@ func TestAttackSpecValidation(t *testing.T) {
 	}
 	bad = attackBase("onoff-sync")
 	ws := bad.Workloads[1].(netfence.AttackSpec)
-	ws.Options = "nope"
+	ws.Params = map[string]float64{"on": 9} // declared range 1..8
 	bad.Workloads[1] = ws
-	if _, err := bad.Run(); err == nil {
-		t.Fatal("onoff-sync accepted a string option")
+	if _, err := bad.Run(); err == nil || !strings.Contains(err.Error(), "onoff-sync") {
+		t.Fatalf("onoff-sync with an out-of-range param: error %v", err)
 	}
 	bad = attackBase("flood")
 	bad.Topology = netfence.DumbbellSpec{Senders: 4, BottleneckBps: 800_000} // no colluders
@@ -181,25 +181,25 @@ func TestSweepAttackAxis(t *testing.T) {
 	}
 }
 
-// TestSweepAttackOptionsSurvival pins the Options rule on the Attacks
-// axis: strategy-specific options survive onto their own strategy's
+// TestSweepAttackOptionsSurvival pins the Params rule on the Attacks
+// axis: strategy-specific params survive onto their own strategy's
 // cells and are dropped from foreign cells (which would reject the
-// type), mirroring the Defense.Config rule.
+// key), mirroring the Defense.Config rule.
 func TestSweepAttackOptionsSurvival(t *testing.T) {
 	base := attackBase("onoff-sync")
 	ws := base.Workloads[1].(netfence.AttackSpec)
-	ws.Options = netfence.OnOffOptions{OffRateBps: 10_000}
+	ws.Params = map[string]float64{"trickle_bps": 10_000}
 	base.Workloads[1] = ws
 	sw := netfence.Sweep{Base: base, Attacks: []string{"flood", "onoff-sync"}}
 	scs := sw.Scenarios()
 	if len(scs) != 2 {
 		t.Fatalf("matrix size %d, want 2", len(scs))
 	}
-	if opts := scs[0].Workloads[1].(netfence.AttackSpec).Options; opts != nil {
-		t.Fatalf("flood cell kept onoff-sync options: %v", opts)
+	if p := scs[0].Workloads[1].(netfence.AttackSpec).Params; p != nil {
+		t.Fatalf("flood cell kept onoff-sync params: %v", p)
 	}
-	if opts := scs[1].Workloads[1].(netfence.AttackSpec).Options; opts == nil {
-		t.Fatal("onoff-sync cell lost its own options")
+	if p := scs[1].Workloads[1].(netfence.AttackSpec).Params; p["trickle_bps"] != 10_000 {
+		t.Fatalf("onoff-sync cell lost its own params: %v", p)
 	}
 	results, err := sw.Run()
 	if err != nil {

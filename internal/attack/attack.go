@@ -272,9 +272,6 @@ func NewController(strategy Strategy, env *Env) *Controller {
 // Strategy returns the driven strategy.
 func (c *Controller) Strategy() Strategy { return c.strategy }
 
-// Running reports whether the controller is currently driving traffic.
-func (c *Controller) Running() bool { return c.running }
-
 // decide routes a strategy decision through the rate override.
 func (c *Controller) decide(d Decision) Decision {
 	if c.rateOverride > 0 {

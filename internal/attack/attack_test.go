@@ -70,12 +70,9 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build(" Flood ", BuildOptions{}); err != nil {
 		t.Fatalf("canonicalization failed: %v", err)
 	}
-	// Strategies reject foreign option types.
-	if _, err := Build("onoff-sync", BuildOptions{Options: 42}); err == nil {
-		t.Fatal("onoff-sync accepted an int option")
-	}
-	if _, err := Build("flood", BuildOptions{Options: OnOffOptions{}}); err == nil {
-		t.Fatal("flood accepted options")
+	// Strategies reject parameters outside their declared ranges.
+	if _, err := Build("onoff-sync", BuildOptions{Params: map[string]float64{"off": 0}}); err == nil {
+		t.Fatal("onoff-sync accepted a zero-interval silence")
 	}
 	// request-prio needs a bottleneck to compute the §6.3.1 level.
 	if _, err := Build("request-prio", BuildOptions{}); err == nil {
@@ -112,7 +109,7 @@ func TestOnOffSyncPhaseLock(t *testing.T) {
 	eng, _, src, dst := testNet(1)
 	env := &Env{Eng: eng, Attackers: 1, BottleneckBps: 1_000_000, Config: core.DefaultConfig()}
 	strat, err := Build("onoff-sync", BuildOptions{RateBps: 400_000, Env: env,
-		Options: OnOffOptions{OnIntervals: 1, OffIntervals: 2}})
+		Params: map[string]float64{"on": 1, "off": 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +148,7 @@ func TestOnOffTrickleKeepsBursts(t *testing.T) {
 	env := &Env{Eng: eng, Attackers: 1, BottleneckBps: 1_000_000, Config: core.DefaultConfig()}
 	// Trickle gap: TxTime(1500 B, 1 kbps) = 12 s > the 6 s period.
 	strat, err := Build("onoff-sync", BuildOptions{RateBps: 400_000, Env: env,
-		Options: OnOffOptions{OnIntervals: 1, OffIntervals: 2, OffRateBps: 1_000}})
+		Params: map[string]float64{"on": 1, "off": 2, "trickle_bps": 1_000}})
 	if err != nil {
 		t.Fatal(err)
 	}

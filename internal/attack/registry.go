@@ -20,18 +20,12 @@ type BuildOptions struct {
 	// deployed NetFence parameters. nil builds against defaults, which
 	// disables the capacity-derived adaptations.
 	Env *Env
-	// Options is a strategy-specific configuration value whose concrete
-	// type is defined by the registered builder (OnOffOptions for
-	// "onoff-sync"). nil selects the strategy's defaults. Builders must
-	// reject configuration types they do not understand.
-	Options any
 	// Params sets the strategy's tunable parameters by name — the
 	// numeric surface an adversarial search turns (see the strategy's
 	// registered ParamSpecs; -list-attacks prints them). nil keeps every
-	// default; set values override both the defaults and any equivalent
-	// Options field. Build validates keys and ranges against the specs
-	// before the builder runs, so a typo fails fast with the strategy
-	// and key named.
+	// default; set values override the defaults. Build validates keys
+	// and ranges against the specs before the builder runs, so a typo
+	// fails fast with the strategy and key named.
 	Params map[string]float64
 }
 

@@ -113,14 +113,6 @@ func (b base) decision() Decision                 { return Decision{RateBps: b.r
 func (b base) Observe(*Sender, packet.Feedback)   {}
 func (b base) Craft(*Sender, *packet.Packet) bool { return false }
 
-// rejectOptions is the shared guard for strategies that take none.
-func rejectOptions(name string, opts BuildOptions) error {
-	if opts.Options != nil {
-		return fmt.Errorf("%s takes no options, got %T", name, opts.Options)
-	}
-	return nil
-}
-
 // flood is the baseline constant-rate UDP flood of §6.1/§6.3.2 — the
 // paper's 1 Mbps-per-attacker load — expressed as a strategy: every
 // packet takes the honest shim path, so under NetFence it is policed
@@ -128,27 +120,11 @@ func rejectOptions(name string, opts BuildOptions) error {
 type flood struct{ base }
 
 func newFlood(opts BuildOptions) (Strategy, error) {
-	if err := rejectOptions("flood", opts); err != nil {
-		return nil, err
-	}
 	return &flood{newBase("flood", opts, packet.SizeData)}, nil
 }
 
 func (f *flood) Start(*Sender) Decision { return f.decision() }
 func (f *flood) Tick(*Sender) Decision  { return f.decision() }
-
-// OnOffOptions configures the "onoff-sync" strategy.
-type OnOffOptions struct {
-	// OnIntervals and OffIntervals are the burst and silence lengths in
-	// AIMD control intervals (defaults 1 and 2: burst one interval,
-	// then hide for exactly the paper's L-down hysteresis window —
-	// footnote 1 proves 2 intervals is the minimum robust value, so
-	// this shape is the strongest timed attack against it).
-	OnIntervals, OffIntervals int
-	// OffRateBps keeps a low-rate trickle during off phases, harvesting
-	// L-up feedback between bursts (0 = full silence).
-	OffRateBps int64
-}
 
 // onoffSync is the synchronized on-off attack of §6.3.2 phase-locked to
 // the AIMD control interval: every sender derives its phase from the
@@ -156,47 +132,35 @@ type OnOffOptions struct {
 // intervals — Theorem 1's worst-case timing.
 type onoffSync struct {
 	base
-	opt OnOffOptions
+	// on and off are the burst and silence lengths in AIMD control
+	// intervals (params "on" and "off", defaults 1 and 2: burst one
+	// interval, then hide for exactly the paper's L-down hysteresis
+	// window — footnote 1 proves 2 intervals is the minimum robust
+	// value, so this shape is the strongest timed attack against it).
+	on, off int
+	// trickle keeps a low-rate trickle during off phases, harvesting
+	// L-up feedback between bursts (param "trickle_bps", 0 = full
+	// silence).
+	trickle int64
 }
 
 func newOnOffSync(opts BuildOptions) (Strategy, error) {
-	o := OnOffOptions{}
-	switch v := opts.Options.(type) {
-	case nil:
-	case OnOffOptions:
-		o = v
-	default:
-		return nil, fmt.Errorf("onoff-sync options must be attack.OnOffOptions, got %T", opts.Options)
-	}
-	if o.OnIntervals <= 0 {
-		o.OnIntervals = 1
-	}
-	if o.OffIntervals <= 0 {
-		o.OffIntervals = 2
-	}
-	// Params override both the defaults and the Options fields — the
-	// search surface wins so a tuned cell is what it says it is.
-	if v, ok := opts.Params["on"]; ok {
-		o.OnIntervals = int(v)
-	}
-	if v, ok := opts.Params["off"]; ok {
-		o.OffIntervals = int(v)
-	}
-	if v, ok := opts.Params["trickle_bps"]; ok {
-		o.OffRateBps = int64(v)
-	}
-	return &onoffSync{base: newBase("onoff-sync", opts, packet.SizeData), opt: o}, nil
+	return &onoffSync{
+		base:    newBase("onoff-sync", opts, packet.SizeData),
+		on:      int(opts.Param("on", 1)),
+		off:     int(opts.Param("off", 2)),
+		trickle: int64(opts.Param("trickle_bps", 0)),
+	}, nil
 }
 
 func (o *onoffSync) decide(s *Sender) Decision {
 	env := s.Env()
 	ilim := env.Config.Ilim
-	period := o.opt.OnIntervals + o.opt.OffIntervals
-	idx := int(env.Eng.Now()/ilim) % period
-	if idx < o.opt.OnIntervals {
+	idx := int(env.Eng.Now()/ilim) % (o.on + o.off)
+	if idx < o.on {
 		return o.decision()
 	}
-	return Decision{RateBps: o.opt.OffRateBps, PktSize: o.pktSize}
+	return Decision{RateBps: o.trickle, PktSize: o.pktSize}
 }
 
 func (o *onoffSync) Start(s *Sender) Decision { return o.decide(s) }
@@ -213,9 +177,6 @@ type requestPrio struct {
 }
 
 func newRequestPrio(opts BuildOptions) (Strategy, error) {
-	if err := rejectOptions("request-prio", opts); err != nil {
-		return nil, err
-	}
 	if opts.Env == nil || opts.Env.BottleneckBps <= 0 {
 		return nil, fmt.Errorf("request-prio needs a topology with a tagged bottleneck link to compute the §6.3.1 level")
 	}
@@ -276,9 +237,6 @@ type replayState struct {
 }
 
 func newReplay(opts BuildOptions) (Strategy, error) {
-	if err := rejectOptions("replay", opts); err != nil {
-		return nil, err
-	}
 	return &replay{
 		base:    newBase("replay", opts, packet.SizeData),
 		cadence: int(opts.Param("cadence", 0)),
@@ -357,9 +315,6 @@ type legacyFlood struct {
 }
 
 func newLegacyFlood(opts BuildOptions) (Strategy, error) {
-	if err := rejectOptions("legacy-flood", opts); err != nil {
-		return nil, err
-	}
 	attackers := 1
 	if opts.Env != nil && opts.Env.Attackers > 0 {
 		attackers = opts.Env.Attackers

@@ -110,24 +110,14 @@ func (c *CMAC) Sum32(msg []byte) [4]byte {
 	return [4]byte{full[0], full[1], full[2], full[3]}
 }
 
-// Clone returns an independent instance under the same key: the AES
-// block cipher and the derived subkeys are shared (both are immutable
-// after New), only the chaining scratch is fresh. Cloning is how a
-// batch-validation worker pool gets a private instance per goroutine —
-// New does not retain the raw key bytes, so sharing the block is the
-// only way to duplicate an existing instance.
-func (c *CMAC) Clone() *CMAC {
-	return &CMAC{block: c.block, k1: c.k1, k2: c.k2}
-}
-
 // VerifyBatch32 verifies a batch of messages against their truncated
 // 4-byte tags under this instance's key, writing per-message results
 // into ok and returning how many verified. msgs, tags and ok must have
 // equal length. Each message chains through the instance's
 // struct-resident scratch exactly like Sum, so the whole batch performs
 // zero heap allocations; like every other method it must not run
-// concurrently on one instance — batch-parallel callers Clone one
-// instance per worker.
+// concurrently on one instance — batch-parallel callers make one
+// instance per worker with New.
 func (c *CMAC) VerifyBatch32(msgs [][]byte, tags [][4]byte, ok []bool) int {
 	n := 0
 	for i, msg := range msgs {

@@ -3,7 +3,6 @@ package cmac
 import (
 	"bytes"
 	"encoding/hex"
-	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -271,61 +270,6 @@ func benchCMAC(b *testing.B, n int) {
 		_ = c.Sum(msg)
 	}
 }
-
-// TestCloneIndependence: a clone computes identical tags, and
-// interleaved use of the original and the clone never cross-contaminates
-// — they share only the immutable AES block and subkeys, not the
-// chaining scratch.
-func TestCloneIndependence(t *testing.T) {
-	var key Key
-	key[3] = 0x7f
-	c := New(key)
-	cl := c.Clone()
-	a := []byte("validation pipeline message a")
-	b := []byte("b")
-	if c.Sum(a) != cl.Sum(a) || c.Sum32(b) != cl.Sum32(b) {
-		t.Fatal("clone disagrees with its original")
-	}
-	wantA, wantB := c.Sum(a), c.Sum(b)
-	for i := 0; i < 4; i++ {
-		if cl.Sum(a) != wantA || c.Sum(a) != wantA {
-			t.Fatal("interleaved clone use changed tag for a")
-		}
-		if c.Sum(b) != wantB || cl.Sum(b) != wantB {
-			t.Fatal("interleaved clone use changed tag for b")
-		}
-	}
-}
-
-// TestClonesConcurrent: one clone per goroutine over a shared parent is
-// the pipeline's concurrency contract; run it under -race.
-func TestClonesConcurrent(t *testing.T) {
-	var key Key
-	key[0] = 9
-	parent := New(key)
-	msg := []byte("shared message for all workers")
-	want := parent.Sum(msg)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		cl := parent.Clone()
-		go func() {
-			for i := 0; i < 500; i++ {
-				if cl.Sum(msg) != want {
-					done <- errGoroutine
-					return
-				}
-			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-var errGoroutine = errors.New("clone tag diverged under concurrency")
 
 // TestVerifyBatch32 checks the batch verify against per-message Sum32
 // and counts matches, with corrupted tags rejected.

@@ -363,23 +363,10 @@ func (ar *AccessRouter) memoFor(s *senderSlot, dst packet.NodeID) {
 	}
 }
 
-// validate resolves the packet's feedback verdict: a verdict
-// precomputed by the sharded validation pipeline is consumed when its
-// binding (this router, the current key epoch) still holds — the epoch
-// check makes a stale cache, one computed under a key the ring has since
-// rotated past, harmless rather than wrong — and such a packet neither
-// reads nor fills the slot's memo. Everything else is checked for
-// freshness against the clock and then validated inline, by a compare
-// when the sender's previous packet presented the same feedback.
+// validate resolves the packet's feedback verdict: it checks freshness
+// against the clock, then validates by a compare when the sender's
+// previous packet presented the same feedback, and by CMAC otherwise.
 func (ar *AccessRouter) validate(s *senderSlot, p *packet.Packet, nowSec uint32) feedback.Verdict {
-	if st := p.Passport; st != nil && st.FVSet {
-		hit := st.FVNode == ar.node.ID && st.FVEpoch == uint32(ar.ring.Epoch())
-		st.FVSet = false
-		if hit {
-			ar.node.Network().Cells.Add(obs.PipelinePrecomputeHits, 1)
-			return feedback.Verdict(st.FVVerdict)
-		}
-	}
 	fb := &p.FB
 	if !feedback.Fresh(nowSec, fb.TS, ar.sys.Cfg.WSec) {
 		return feedback.Invalid
@@ -391,7 +378,6 @@ func (ar *AccessRouter) validate(s *senderSlot, p *packet.Packet, nowSec uint32)
 		return s.fvVerdict
 	}
 	ar.stats.MemoMisses++
-	cur, prev := ar.ring.Keys()
 	kai := func(link packet.LinkID) *cmac.CMAC {
 		if l := s.lim; l != nil && l.link == link {
 			return l.kai
@@ -399,7 +385,7 @@ func (ar *AccessRouter) validate(s *senderSlot, p *packet.Packet, nowSec uint32)
 		ar.stats.Hashed++
 		return ar.kaiLookup(link)
 	}
-	v := feedback.ComputeVerdict(cur, prev, kai, p, nowSec, ar.sys.Cfg.WSec)
+	v := feedback.Validate(ar.ring, kai, p, nowSec, ar.sys.Cfg.WSec)
 	s.fvTS, s.fvLink, s.fvMAC = fb.TS, fb.Link, fb.MAC
 	s.fvMode, s.fvAction, s.fvVerdict = fb.Mode, fb.Action, v
 	s.have |= haveFV

@@ -58,9 +58,10 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 			}
 			if st := p.Passport; st != nil && st.PVLink == l.ID {
 				// Verdict precomputed by the sharded validation pipeline at
-				// the drain barrier (Registry.Check under a worker-private
-				// CMAC clone). Consume it exactly once and apply the trailer
-				// consumption at the instant Verify would have mutated it.
+				// the drain barrier (Registry.Check under the worker's own
+				// CMAC of the pair key). Consume it exactly once and apply
+				// the trailer consumption at the instant Verify would have
+				// mutated it.
 				st.PVLink = 0
 				passport.Apply(p, int(st.PVConsume))
 				cells.Add(obs.PipelinePrecomputeHits, 1)
@@ -80,9 +81,6 @@ func (b *Bottleneck) Monitoring() bool { return b.monActive }
 
 // FallbackActive reports whether per-AS queuing has engaged (§4.5).
 func (b *Bottleneck) FallbackActive() bool { return b.q.fallbackActive() }
-
-// LossRate returns the smoothed regular-channel loss rate.
-func (b *Bottleneck) LossRate() float64 { return b.det.Rate() }
 
 // StartMonitoring forces a monitoring cycle open (tests and the
 // utilization-based detection path).

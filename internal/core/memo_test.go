@@ -362,28 +362,6 @@ func TestRepeatedPacketCostsCompares(t *testing.T) {
 	}
 }
 
-// TestPipelineVerdictBypassesMemo: a verdict the validation pipeline
-// attached is consumed as it is — even one the memo would contradict —
-// and leaves the memo as it was.
-func TestPipelineVerdictBypassesMemo(t *testing.T) {
-	r := newMemoRig(t)
-	r.run(pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)) // memo: this feedback is valid nop
-	before := r.ar.Stats()
-	p := r.last
-	st := p.NeedPassport()
-	st.FVSet, st.FVNode, st.FVEpoch, st.FVVerdict = true, r.ra.ID, uint32(r.ar.ring.Epoch()), uint8(feedback.Invalid)
-	demoted := r.ar.Demoted
-	r.ra.Ingress(&p, r.up[0])
-	if r.ar.Demoted != demoted+1 || st.FVSet {
-		t.Fatalf("precomputed verdict not consumed: demoted %d -> %d, FVSet %v", demoted, r.ar.Demoted, st.FVSet)
-	}
-	// Only the nop stamp of the demoted packet consulted the memo.
-	if st := r.ar.Stats(); st.MemoHits+st.MemoMisses != before.MemoHits+before.MemoMisses+1 {
-		t.Fatalf("memo consulted for a precomputed verdict: %+v -> %+v", before, st)
-	}
-	r.run(again()) // and the memo still answers valid nop
-}
-
 // TestRegularPoliceZeroAlloc: policing a regular packet allocates
 // nothing, on a memo hit or on a miss.
 func TestRegularPoliceZeroAlloc(t *testing.T) {
@@ -409,19 +387,20 @@ func TestRegularPoliceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkerMakesBlock: with Passport off a packet reaches the
-// validation pipeline without a trailer block, and the worker that
-// leaves its feedback verdict makes one, in the drain phase, off the
-// owning goroutine — each packet of a batch belongs to one chunk, so to
-// one worker. A scenario never gets here (a host and its access router
-// share a shard, so no host uplink is cut); the rig cuts one by hand,
-// between two replicas of itself, with enough packets for several
-// chunks. Run under -race.
+// TestPipelineWorkerMakesBlock: a packet without a Passport trailer
+// reaches the validation pipeline without a trailer block, and the
+// worker that leaves its Passport verdict makes one, in the drain phase,
+// off the owning goroutine — each packet of a batch belongs to one
+// chunk, so to one worker. The rig cuts its access router's egress by
+// hand, between two replicas of itself, with enough packets for several
+// chunks; past the cut the packets cross the protected bottleneck,
+// whose hook consumes every verdict in place of its inline Verify. Run
+// under -race.
 func TestPipelineWorkerMakesBlock(t *testing.T) {
-	src, dst := newMemoRigPassport(t, false), newMemoRigPassport(t, false)
-	dst.out.SetOnTransmit(nil) // the rig's oracle for limiter releases; these pass straight through
-	mb := netsim.NewMailbox(dst.up[0])
-	src.up[0].SetMailbox(mb)
+	src, dst := newMemoRig(t), newMemoRig(t)
+	src.out.SetOnTransmit(nil) // the rig's oracle for limiter releases; these are sent straight onto the link
+	mb := netsim.NewMailbox(dst.out)
+	src.out.SetMailbox(mb)
 	const n = 3*pipeChunk + 7
 	h := src.d.Senders[0]
 	fb := src.mint(h.ID, src.dsts[0], fbNop, 0, 0, 0)
@@ -429,7 +408,7 @@ func TestPipelineWorkerMakesBlock(t *testing.T) {
 		p := h.Host.NewPacket()
 		p.Src, p.SrcAS, p.Dst, p.Size, p.Flow = h.ID, h.AS, src.dsts[0], 200, 1
 		p.Kind, p.FB = packet.KindRegular, fb
-		src.up[0].Send(p)
+		src.out.Send(p)
 	}
 	eng := src.d.Net.Eng
 	eng.RunUntil(eng.Now() + sim.Millisecond)
@@ -438,14 +417,19 @@ func TestPipelineWorkerMakesBlock(t *testing.T) {
 	defer pl.Stop()
 	pl.Submit([]*netsim.Mailbox{mb})
 	pl.Wait()
-	_, pkts := mb.Pending()
+	pkts := mb.Pending()
 	if len(pkts) != n {
-		t.Fatalf("%d of %d packets crossed the cut uplink", len(pkts), n)
+		t.Fatalf("%d of %d packets crossed the cut link", len(pkts), n)
 	}
+	bl := dst.d.Bottleneck
 	for i, p := range pkts {
 		st := p.Passport
-		if st == nil || !st.FVSet || st.FVNode != dst.ra.ID || st.Present || len(st.Entries) != 0 {
-			t.Fatalf("packet %d left the pipeline with block %+v, want a feedback verdict for router %d and no trailer", i, st, dst.ra.ID)
+		if st == nil || st.PVLink != bl.ID || st.Present || len(st.Entries) != 0 {
+			t.Fatalf("packet %d left the pipeline with block %+v, want a verdict for link %d and no trailer", i, st, bl.ID)
+		}
+		q := packet.Packet{Src: p.Src, Dst: p.Dst, SrcAS: p.SrcAS, Size: p.Size}
+		if want := dst.s.Registry.Verify(&q, bl.From.AS); st.PVOK != want || want {
+			t.Fatalf("packet %d: precomputed verdict %v, inline Verify gives %v for a packet without a trailer", i, st.PVOK, want)
 		}
 	}
 	cells := dst.d.Net.Cells
@@ -455,9 +439,9 @@ func TestPipelineWorkerMakesBlock(t *testing.T) {
 	mb.Drain(eng.Now() + sim.Second)
 	dst.d.Net.Eng.RunUntil(eng.Now() + sim.Second)
 	if hits := cells[obs.PipelinePrecomputeHits]; hits != n {
-		t.Fatalf("the access router consumed %d of %d verdicts", hits, n)
+		t.Fatalf("the bottleneck consumed %d of %d verdicts", hits, n)
 	}
-	if dst.ar.Demoted != 0 {
-		t.Fatalf("%d valid packets demoted", dst.ar.Demoted)
+	if fails := cells[obs.CoreMACFail]; fails != n {
+		t.Fatalf("the bottleneck failed %d of %d packets without a trailer", fails, n)
 	}
 }

@@ -364,9 +364,6 @@ func (q *nfQueue) RegularStats() queue.Stats {
 	return s
 }
 
-// RequestStats returns the request channel's counters.
-func (q *nfQueue) RequestStats() queue.Stats { return q.reqStats }
-
 // HighWater returns the highest total backlog in bytes the queue
 // reached.
 func (q *nfQueue) HighWater() int { return q.hwm }

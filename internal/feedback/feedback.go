@@ -160,24 +160,11 @@ func Fresh(nowSec, ts, wSec uint32) bool {
 // (|now - ts| > w seconds invalidates, §4.4). It must be called before the
 // access router rewrites the feedback.
 func Validate(ring *KeyRing, kai KaiLookup, p *packet.Packet, nowSec uint32, wSec uint32) Verdict {
-	cur, prev := ring.Keys()
-	return ComputeVerdict(cur, prev, kai, p, nowSec, wSec)
-}
-
-// ComputeVerdict is Validate's pure core over explicit keys: the same
-// verdict, computed from the current and previous validation keys
-// directly instead of the ring. It touches no shared mutable state, so
-// a batch worker validating packets off the owning goroutine can call
-// it with private CMAC clones (instances are not concurrent-safe) and
-// cache the verdict for the owning goroutine to apply later — the
-// verdict-compute/verdict-apply split the sharded validation pipeline
-// builds on. Pass prev == cur before the first rotation, matching
-// KeyRing.Keys.
-func ComputeVerdict(cur, prev *cmac.CMAC, kai KaiLookup, p *packet.Packet, nowSec uint32, wSec uint32) Verdict {
 	fb := &p.FB
 	if !Fresh(nowSec, fb.TS, wSec) {
 		return Invalid
 	}
+	cur, prev := ring.Keys()
 	// Check against the current key, then (if rotated) the previous one —
 	// KeyRing.Check's contract, unrolled so the per-packet hot path does
 	// not allocate a predicate closure.

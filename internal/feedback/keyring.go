@@ -13,10 +13,9 @@ import (
 type KeyRing struct {
 	current *cmac.CMAC
 	prev    *cmac.CMAC
-	// epoch counts rotations. Verdicts precomputed off the owning
-	// goroutine (the sharded validation pipeline) are tagged with the
-	// epoch they were computed under; a consumer seeing a different
-	// epoch discards the cache and validates inline.
+	// epoch counts rotations. The access router's per-sender token
+	// memos are tagged with the epoch they were filled under and emptied
+	// when the ring has rotated since.
 	epoch uint64
 
 	// src is the router's own key-material stream, held by value: the
@@ -61,8 +60,8 @@ func (r *KeyRing) Rotate() {
 	r.epoch++
 }
 
-// Epoch returns the rotation count: the key-epoch identity a
-// precomputed verdict is only valid under.
+// Epoch returns the rotation count: the key-epoch identity a memoized
+// token or verdict is only valid under.
 func (r *KeyRing) Epoch() uint64 { return r.epoch }
 
 // Current returns the stamping key.

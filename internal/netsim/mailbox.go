@@ -71,13 +71,13 @@ func (m *Mailbox) adopt(pool *packet.Pool) {
 	m.empties = m.empties[:0]
 }
 
-// Pending exposes the mailbox's undrained window: the sorted arrival
-// keys and the packets themselves. The sharded validation pipeline reads
-// it between the coordinator's barrier and Drain — every shard is parked
-// at the drain round, so the window (and all shard state the verdicts
-// depend on) is frozen — and writes its verdicts into the packets. The
-// slices are invalidated by the next Drain or push.
-func (m *Mailbox) Pending() ([]sim.EventKey, []*packet.Packet) { return m.keys, m.pkts }
+// Pending exposes the packets of the mailbox's undrained window. The
+// sharded validation pipeline reads it between the coordinator's barrier
+// and Drain — every shard is parked at the drain round, so the window
+// (and all shard state the verdicts depend on) is frozen — and writes
+// its verdicts into the packets. The slice is invalidated by the next
+// Drain or push.
+func (m *Mailbox) Pending() []*packet.Packet { return m.pkts }
 
 // DestLink returns the destination's view of the cut link (index, ID
 // and endpoints) — where Pending packets will arrive.

@@ -26,7 +26,6 @@ func fillPacket(p *packet.Packet, dst packet.NodeID) {
 		MAC: [4]byte{9, 8, 7, 6}}
 	st := p.NeedPassport()
 	st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
-	st.FVNode, st.FVSet, st.FVEpoch, st.FVVerdict = 2, true, 6, 2
 	st.Present = true
 	st.Next = 1
 	st.Entries = append(st.Entries[:0],
@@ -231,10 +230,9 @@ func newHoPair() *hoPair {
 func (p *hoPair) window(t *testing.T, end sim.Time) {
 	t.Helper()
 	for _, mb := range []*Mailbox{p.toB, p.toA} {
-		keys, _ := mb.Pending()
-		want := len(keys) > 0 && keys[0].At <= end
+		want := len(mb.keys) > 0 && mb.keys[0].At <= end
 		if hit := mb.Drain(end); hit != want {
-			t.Fatalf("Drain(%d) of %d handoffs reported %v", end, len(keys), hit)
+			t.Fatalf("Drain(%d) of %d handoffs reported %v", end, len(mb.keys), hit)
 		}
 	}
 	p.a.eng.RunBefore(end)

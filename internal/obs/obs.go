@@ -92,7 +92,6 @@ const (
 	PipelinePackets
 	PipelinePrecomputed
 	PipelinePrecomputeHits
-	PipelineRotationFallbacks
 
 	// Packet pools, harvested from each shard's pool at snapshot
 	// barriers: packets the pool had to allocate so far, and (a gauge)
@@ -107,8 +106,8 @@ const (
 	// shard owning its AS and every link to its transmitting node's, so
 	// both sums are the topology's counts at every shard count. Absent on
 	// the single engine.
-	ReplicaHosts
-	ReplicaLinks
+	ShardHostsOwned
+	ShardLinksOwned
 
 	// NumIDs is the cell-array length; keep it last.
 	NumIDs
@@ -176,13 +175,12 @@ var defs = []Def{
 	{NetsimMailboxDepthHWM, "netsim_mailbox_depth_hwm", "highest packet depth a cut-link mailbox reached at a drain", "—", Gauge, true},
 	{PipelineBatches, "pipeline_validation_batch_total", "handoff batches fanned out to the validation worker pool", "§5.1", Counter, true},
 	{PipelinePackets, "pipeline_validation_packet_total", "handoff packets examined by the validation worker pool", "§5.1", Counter, true},
-	{PipelinePrecomputed, "pipeline_precompute_total", "MAC verdicts precomputed off the serialized execute phase", "§5.1", Counter, true},
-	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed MAC verdicts consumed at admission instead of inline CMAC", "§5.1", Counter, true},
-	{PipelineRotationFallbacks, "pipeline_rotation_fallback_total", "handoff packets skipped by the pipeline because their window straddles a KeyRotate boundary (validated inline)", "§4.1", Counter, true},
+	{PipelinePrecomputed, "pipeline_precompute_total", "Passport verdicts precomputed off the serialized execute phase", "§5.1", Counter, true},
+	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed Passport verdicts consumed at a bottleneck instead of inline CMAC", "§5.1", Counter, true},
 	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a shard's pool had none to recycle", "—", Counter, true},
 	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one shard held at the last run boundary (free list plus empties come home over cut links)", "—", Gauge, true},
-	{ReplicaHosts, "replica_hosts_materialised_total", "hosts owned, summed over shards (the graph is built once; a host belongs to the shard owning its AS)", "§5.1", Counter, true},
-	{ReplicaLinks, "replica_links_materialised_total", "links owned, summed over shards (the graph is built once; a link belongs to the shard owning its transmitting node)", "§5.1", Counter, true},
+	{ShardHostsOwned, "shard_hosts_owned_total", "hosts owned, summed over shards (the graph is built once; a host belongs to the shard owning its AS)", "§5.1", Counter, true},
+	{ShardLinksOwned, "shard_links_owned_total", "links owned, summed over shards (the graph is built once; a link belongs to the shard owning its transmitting node)", "§5.1", Counter, true},
 }
 
 // Catalog returns the registry in cell order.

@@ -176,20 +176,20 @@ type PassportMAC struct {
 // NetFence header rides along: the Passport source-authentication
 // trailer — one MAC per AS on the path, verified in path order
 // (internal/passport); a transit AS with several on-path routers
-// verifies once, at ingress — and the verdicts the sharded validation
-// pipeline leaves for the execute phase. A packet makes one on first
-// need (NeedPassport), entry array included, and keeps it across pool
-// recycles, zeroed, the way it keeps its Ext.
+// verifies once, at ingress — and the Passport verdict the sharded
+// validation pipeline leaves for the execute phase. A packet makes one
+// on first need (NeedPassport), entry array included, and keeps it
+// across pool recycles, zeroed, the way it keeps its Ext.
 //
 // The verdict cache is filled while a cut-link handoff batch drains
 // (every shard is at the drain barrier, so packet and key state are
 // frozen) and consumed by the serialized execute phase in place of
-// inline CMAC work. The verdicts are pure functions of the packet bytes
-// and the key epoch; the consumers re-check the binding (link/node
-// identity, key epoch) and fall back to inline validation on any
-// mismatch, so a stale or unconsumed cache is dropped, never wrong. Zero
-// values mean "no cached verdict" — LinkID 0 and the PV/FV flags are
-// reserved for exactly that.
+// inline CMAC work. The verdict is a pure function of the packet bytes
+// and the AS-pair key, which never rotates; the bottleneck's hook
+// re-checks the binding (link identity) and falls back to inline
+// verification on a mismatch, so an unconsumed cache is dropped, never
+// wrong. Zero values mean "no cached verdict" — LinkID 0 is reserved for
+// exactly that.
 type PassportStamp struct {
 	Entries []PassportMAC
 	// Next indexes the first unverified entry.
@@ -197,21 +197,12 @@ type PassportStamp struct {
 	// PVLink tags a cached Passport verdict with the protected link whose
 	// verify hook may consume it (0 = none); PVOK is the Registry.Check
 	// result and PVConsume its trailer-consumption index.
-	PVLink LinkID
-	// FVNode tags a cached feedback verdict with the access router that
-	// may consume it; FVSet distinguishes a cached Invalid from "no
-	// cache"; FVEpoch is the low 32 bits of the key-ring epoch the
-	// verdict was computed under; FVVerdict holds the feedback.Verdict
-	// value.
-	FVNode    NodeID
-	FVEpoch   uint32
+	PVLink    LinkID
 	PVConsume int16
 	// Present says the packet carries a trailer; a block made for a
 	// verdict alone leaves it false.
-	Present   bool
-	PVOK      bool
-	FVSet     bool
-	FVVerdict uint8
+	Present bool
+	PVOK    bool
 }
 
 // MultiFB is one bottleneck's feedback inside the Appendix B.1

@@ -160,7 +160,6 @@ func TestPoolRetainsPassportCapacity(t *testing.T) {
 		grown := cap(st.Entries)
 		st.Present, st.Next = true, 1
 		st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
-		st.FVNode, st.FVSet, st.FVEpoch, st.FVVerdict = 2, true, 6, 2
 		pool.Put(p)
 		q := pool.Get()
 		if q.Passport != st {

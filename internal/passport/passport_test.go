@@ -280,7 +280,6 @@ func TestRecycledPacketChecksLikeFresh(t *testing.T) {
 	}
 	st := p.Passport
 	st.PVLink, st.PVOK, st.PVConsume = 5, true, 2
-	st.FVSet, st.FVNode, st.FVEpoch, st.FVVerdict = true, 7, 9, 2
 	pool.Put(p)
 
 	q := pool.Get()
@@ -299,7 +298,7 @@ func TestRecycledPacketChecksLikeFresh(t *testing.T) {
 			t.Fatalf("a recycled packet verified at AS %d on the trailer of its previous life", as)
 		}
 	}
-	if st.PVLink != 0 || st.FVSet || st.Next != 0 {
+	if st.PVLink != 0 || st.PVOK || st.Next != 0 {
 		t.Fatalf("a recycled block kept verdicts or consumption: %+v", *st)
 	}
 	r.Stamp(q, []packet.ASID{3, 4})

@@ -61,7 +61,7 @@ type ScenarioSpec struct {
 	// Shards partitions the run (0/1 = single engine, -1 = auto).
 	Shards int `json:"shards,omitempty"`
 	// Pipeline controls the sharded validation pipeline: "auto" (or
-	// empty), "on" or "off". Results are byte-identical in every mode.
+	// empty) or "off". Results are byte-identical in both modes.
 	Pipeline string `json:"pipeline,omitempty"`
 	// TimeseriesIntervalSec is the sampling period of the timeseries
 	// probe every serve-mode scenario carries (0 = 5 s).

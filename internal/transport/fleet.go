@@ -43,8 +43,7 @@ type FleetSource struct {
 	running bool
 	// ev is the owned pacing event; the steady-state emit loop
 	// allocates nothing.
-	ev   sim.Event
-	sent uint64
+	ev sim.Event
 }
 
 // fleetPace dispatches the fleet's owned pacing event.
@@ -79,9 +78,6 @@ func (f *FleetSource) Stop() {
 	f.ev.Cancel()
 }
 
-// SentPackets returns the number of packets emitted.
-func (f *FleetSource) SentPackets() uint64 { return f.sent }
-
 func (f *FleetSource) sendNext() {
 	if !f.running {
 		return
@@ -108,5 +104,4 @@ func (f *FleetSource) emit() {
 	p.Size = f.PktSize
 	p.Payload = f.PktSize - packet.SizeIPUDP - packet.SizeNetFenceMx - packet.SizePassport
 	f.host.Send(p)
-	f.sent++
 }

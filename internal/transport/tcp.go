@@ -151,14 +151,8 @@ func (s *TCPSender) Start() {
 	s.sendSYN()
 }
 
-// AckedBytes returns the cumulatively acknowledged payload bytes.
-func (s *TCPSender) AckedBytes() int64 { return s.sndUna }
-
 // Retransmits returns the cumulative retransmitted segments.
 func (s *TCPSender) Retransmits() uint64 { return s.retransmits }
-
-// Timeouts returns the cumulative RTO events.
-func (s *TCPSender) Timeouts() uint64 { return s.timeouts }
 
 // Established reports whether the handshake has completed.
 func (s *TCPSender) Established() bool { return s.state == tcpEstablished }
@@ -373,7 +367,6 @@ func (s *TCPSender) onRTO() {
 	if s.state != tcpEstablished || s.sndNxt == s.sndUna {
 		return
 	}
-	s.timeouts++
 	s.ssthresh = s.cwnd / 2
 	if s.ssthresh < 2 {
 		s.ssthresh = 2

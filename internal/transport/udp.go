@@ -34,7 +34,6 @@ type UDPSource struct {
 	// allocating.
 	ev     sim.Event
 	flipEv sim.Event
-	sent   uint64
 }
 
 // udpPace, udpTrickle and udpFlip dispatch the source's owned events.
@@ -76,9 +75,6 @@ func (u *UDPSource) Stop() {
 	u.ev.Cancel()
 	u.flipEv.Cancel()
 }
-
-// SentPackets returns the number of packets emitted.
-func (u *UDPSource) SentPackets() uint64 { return u.sent }
 
 func (u *UDPSource) scheduleFlip(after sim.Time) {
 	u.org.ScheduleEvent(&u.flipEv, u.org.Now()+after, (*udpFlip)(u), nil)
@@ -130,7 +126,6 @@ func (u *UDPSource) emit() {
 	// UDP payload: everything beyond the stacked headers.
 	p.Payload = u.PktSize - packet.SizeIPUDP - packet.SizeNetFenceMx - packet.SizePassport
 	u.host.Send(p)
-	u.sent++
 }
 
 // UDPSink counts traffic delivered to a destination (attacker throughput
@@ -173,7 +168,6 @@ type RequestFlooder struct {
 	org     sim.Origin
 	running bool
 	ev      sim.Event
-	sent    uint64
 }
 
 // flooderPace dispatches the flooder's owned pacing event.
@@ -200,9 +194,6 @@ func (f *RequestFlooder) Stop() {
 	f.ev.Cancel()
 }
 
-// SentPackets returns packets emitted.
-func (f *RequestFlooder) SentPackets() uint64 { return f.sent }
-
 func (f *RequestFlooder) sendNext() {
 	if !f.running {
 		return
@@ -216,6 +207,5 @@ func (f *RequestFlooder) sendNext() {
 	p.Size = packet.SizeRequest
 	p.TCP = packet.TCPInfo{Flags: packet.FlagSYN}
 	f.host.Send(p)
-	f.sent++
 	f.org.ScheduleEvent(&f.ev, f.org.Now()+sim.TxTime(packet.SizeRequest, f.RateBps), (*flooderPace)(f), nil)
 }

@@ -478,8 +478,8 @@ func (st *deployState) armHost(sys defense.System, h *netsim.Node, pol defense.P
 // disarm turns one source AS of g legacy:
 // access routers stop policing (ingress hooks saved and cleared; the
 // rotation timers keep ticking, so a re-armed router holds the keys it
-// would have held, on the KeyRotate grid the validation pipeline plans
-// by) and hosts shed the defense shim (saved under any attack wrapper).
+// would have held) and hosts shed the defense shim (saved under any
+// attack wrapper).
 func (st *deployState) disarm(g *Graph, as packet.ASID) {
 	walkAS(g, as, func(r *netsim.Node) {
 		if _, ok := st.ingress[r]; !ok {

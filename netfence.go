@@ -110,7 +110,7 @@ type (
 	// AttackBuilder constructs a strategy from build options.
 	AttackBuilder = attack.Builder
 	// AttackBuildOptions carries rate, packet size, environment and
-	// strategy-specific options to a builder.
+	// strategy parameters to a builder.
 	AttackBuildOptions = attack.BuildOptions
 	// AttackEnv is the scenario view adaptive strategies key off.
 	AttackEnv = attack.Env
@@ -118,8 +118,6 @@ type (
 	AttackDecision = attack.Decision
 	// AttackSender is one controller-driven attack sender.
 	AttackSender = attack.Sender
-	// OnOffOptions configures the "onoff-sync" strategy.
-	OnOffOptions = attack.OnOffOptions
 	// AttackParamSpec declares one tunable strategy parameter — the
 	// dimension surface the adversarial search optimizes over.
 	AttackParamSpec = attack.ParamSpec

@@ -48,8 +48,8 @@ func (in *Instance) mergedCells() obs.Cells {
 			// the whole topology by definition, and its snapshots — a
 			// serve-mode job keeps one — do not pay for the rows.
 			hosts, links := n.Materialised()
-			n.Cells.Set(obs.ReplicaHosts, uint64(hosts))
-			n.Cells.Set(obs.ReplicaLinks, uint64(links))
+			n.Cells.Set(obs.ShardHostsOwned, uint64(hosts))
+			n.Cells.Set(obs.ShardLinksOwned, uint64(links))
 		}
 		cells[i] = n.Cells
 	}

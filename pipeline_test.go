@@ -53,9 +53,9 @@ func pipelineEquivWorkloads() []Workload {
 
 // TestPipelineEquivalence is the golden gate of the validation
 // pipeline: on dumbbell and random-as under full Passport deployment,
-// the sharded run with the pipeline ON, the sharded run with the
-// pipeline OFF, and the single engine must produce byte-identical
-// Result JSON at every shard count. The ON runs must actually
+// the sharded run with the pipeline on (auto), the sharded run with the
+// pipeline off, and the single engine must produce byte-identical
+// Result JSON at every shard count. The auto runs must actually
 // precompute (counters prove the pipeline was exercised, not quietly
 // disabled).
 func TestPipelineEquivalence(t *testing.T) {
@@ -80,10 +80,10 @@ func TestPipelineEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			single := resultJSON(t, passportEquiv(tc.spec, pipelineEquivWorkloads(), 1, PipelineAuto))
 			for _, n := range tc.shards {
-				for _, pipe := range []PipelineMode{PipelineOff, PipelineOn} {
+				for _, pipe := range []PipelineMode{PipelineOff, PipelineAuto} {
 					got, in := runWithInstance(t, passportEquiv(tc.spec, pipelineEquivWorkloads(), n, pipe))
 					diffJSON(t, fmt.Sprintf("%s pipeline=%v", tc.name, pipe), single, got, n)
-					on := pipe == PipelineOn
+					on := pipe == PipelineAuto
 					if in.Sharding == nil || in.Sharding.Pipeline != on {
 						t.Fatalf("%s shards=%d: Sharding.Pipeline = %v, want %v", tc.name, n, in.Sharding.Pipeline, on)
 					}
@@ -121,36 +121,11 @@ func TestPipelineAutoMode(t *testing.T) {
 	}
 }
 
-// TestPipelineForcedOnWithoutPassport: forced on under the default
-// config the pipeline walks every handoff batch and the Result stays
-// the single engine's. Nothing is precomputed: without Passport only an
-// access router's feedback verdict is left to compute, and the partition
-// never cuts a host from its access router — the case in which a worker
-// makes a packet's trailer block for a verdict alone is driven by hand,
-// internal/core TestPipelineWorkerMakesBlock.
-func TestPipelineForcedOnWithoutPassport(t *testing.T) {
-	spec := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
-	single := resultJSON(t, equivScenario(spec, pipelineEquivWorkloads(), 1))
-	for _, n := range []int{2, 4} {
-		sc := equivScenario(spec, pipelineEquivWorkloads(), n)
-		sc.Pipeline = PipelineOn
-		got, in := runWithInstance(t, sc)
-		diffJSON(t, "forced on, passport off", single, got, n)
-		rc := in.RuntimeCounters()
-		if !in.Sharding.Pipeline || rc["pipeline_validation_packet_total"] == 0 {
-			t.Fatalf("shards=%d: pipeline forced on but examined no handoff packets: %v", n, rc)
-		}
-		if rc["pipeline_precompute_total"] != 0 {
-			t.Fatalf("shards=%d: %d verdicts precomputed with Passport off — a host uplink was cut", n, rc["pipeline_precompute_total"])
-		}
-	}
-}
-
-// TestPipelineRotationFallback shrinks KeyRotate so lookahead windows
-// straddle rotation boundaries: the pipeline must fall back to inline
-// validation for arrivals past each boundary (the counter proves the
-// straddle happened) and stay byte-identical to the single engine.
-func TestPipelineRotationFallback(t *testing.T) {
+// TestPipelineKeyRotation shrinks KeyRotate so lookahead windows
+// straddle access-router key rotations: the pipeline's Passport verdicts
+// do not depend on those keys, so it keeps precomputing across every
+// boundary and stays byte-identical to the single engine.
+func TestPipelineKeyRotation(t *testing.T) {
 	spec := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
 	mk := func(shards int, pipe PipelineMode) Scenario {
 		sc := equivScenario(spec, pipelineEquivWorkloads(), shards)
@@ -162,14 +137,10 @@ func TestPipelineRotationFallback(t *testing.T) {
 	}
 	single := resultJSON(t, mk(1, PipelineAuto))
 	for _, n := range []int{2, 4} {
-		got, in := runWithInstance(t, mk(n, PipelineOn))
+		got, in := runWithInstance(t, mk(n, PipelineAuto))
 		diffJSON(t, "rotation-straddle", single, got, n)
-		rc := in.RuntimeCounters()
-		if rc["pipeline_rotation_fallback_total"] == 0 {
-			t.Fatalf("shards=%d: no rotation fallbacks — the straddle scenario is not exercising the boundary rule: %v", n, rc)
-		}
-		if rc["pipeline_precompute_total"] == 0 {
-			t.Fatalf("shards=%d: rotation fallback disabled precompute entirely", n)
+		if rc := in.RuntimeCounters(); rc["pipeline_precompute_total"] == 0 {
+			t.Fatalf("shards=%d: key rotation disabled precompute: %v", n, rc)
 		}
 	}
 }
@@ -177,8 +148,8 @@ func TestPipelineRotationFallback(t *testing.T) {
 // TestPipelineForgedMAC drives the forged-MAC adversary — the replay
 // strategy presenting stale feedback plus rogue legacy ASes whose hosts
 // run no shim (no valid stamps at all) — under partial deployment:
-// precomputed *invalid* verdicts must demote exactly as inline
-// validation does, byte for byte.
+// the Passport verdicts precomputed for their packets must act exactly
+// as inline verification does, byte for byte.
 func TestPipelineForgedMAC(t *testing.T) {
 	spec := DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3}
 	wl := []Workload{
@@ -193,19 +164,20 @@ func TestPipelineForgedMAC(t *testing.T) {
 	}
 	single := resultJSON(t, mk(1, PipelineAuto))
 	for _, n := range []int{2, 4} {
-		for _, pipe := range []PipelineMode{PipelineOff, PipelineOn} {
+		for _, pipe := range []PipelineMode{PipelineOff, PipelineAuto} {
 			got, in := runWithInstance(t, mk(n, pipe))
 			diffJSON(t, fmt.Sprintf("forged-mac pipeline=%v", pipe), single, got, n)
-			if pipe == PipelineOn && in.RuntimeCounters()["pipeline_validation_packet_total"] == 0 {
+			if pipe == PipelineAuto && in.RuntimeCounters()["pipeline_validation_packet_total"] == 0 {
 				t.Fatalf("shards=%d: pipeline on but examined no handoff packets", n)
 			}
 		}
 	}
 }
 
-// TestPipelineRace is a short Passport-enabled pipeline-on run for the
-// race detector: drain-phase workers cloning CMAC state and writing
-// packet-resident verdicts while the coordinator parks the shards.
+// TestPipelineRace is a short Passport-enabled pipeline run for the race
+// detector: drain-phase workers making their own pair-key CMACs and
+// writing packet-resident verdicts while the coordinator parks the
+// shards.
 func TestPipelineRace(t *testing.T) {
 	sc := passportEquiv(
 		DumbbellSpec{Senders: 8, BottleneckBps: 1_600_000, ColluderASes: 2},
@@ -213,7 +185,7 @@ func TestPipelineRace(t *testing.T) {
 			LongTCP{Senders: Range(0, 2)},
 			UDPFlood{Senders: Range(2, 5)},
 			ColluderPairs{Senders: Range(5, 8), RateBps: 1_000_000},
-		}, 4, PipelineOn)
+		}, 4, PipelineAuto)
 	sc.Duration = 10 * Second
 	sc.Warmup = 4 * Second
 	if _, err := sc.Run(); err != nil {

@@ -1,6 +1,7 @@
 package netfence
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -77,12 +78,12 @@ type Scenario struct {
 	// of clamping.
 	Shards int
 	// Pipeline controls the sharded validation pipeline, which overlaps
-	// batched MAC validation of cut-link handoffs with the drain phase so
-	// the serialized execute phase consumes precomputed verdicts. The
-	// zero value (PipelineAuto) turns it on exactly when it pays —
-	// sharded NetFence runs with Passport verification active; PipelineOn
-	// forces it, PipelineOff disables it. Single-engine runs ignore the
-	// setting, and results are byte-identical in every mode.
+	// batched Passport verification of cut-link handoffs with the drain
+	// phase so the serialized execute phase consumes precomputed
+	// verdicts. The zero value (PipelineAuto) turns it on exactly when it
+	// has work — sharded NetFence runs with Passport verification active;
+	// PipelineOff disables it. Single-engine runs ignore the setting, and
+	// results are byte-identical in both modes.
 	Pipeline PipelineMode
 	// Timeline declares scheduled mid-run control-plane changes — link
 	// degradations and restorations, attack toggles and
@@ -417,11 +418,5 @@ func (s Scenario) Run() (*Result, error) {
 // GOMAXPROCS workers) and returns their results in argument order. A
 // failing scenario leaves a nil slot; the error joins every failure.
 func RunAll(scs ...Scenario) ([]*Result, error) {
-	return runParallel(scs, 0)
-}
-
-// RunAllWithParallelism is RunAll with an explicit worker cap
-// (0 = GOMAXPROCS).
-func RunAllWithParallelism(parallelism int, scs ...Scenario) ([]*Result, error) {
-	return runParallel(scs, parallelism)
+	return runParallel(context.Background(), scs, 0, nil)
 }

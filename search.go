@@ -124,9 +124,6 @@ type SearchReport struct {
 	Rows      []SearchRow `json:"rows"`
 }
 
-// SearchOptimizers returns the available optimizer names.
-func SearchOptimizers() []string { return search.Names() }
-
 // cellSeed derives a per-cell optimizer seed from the search seed, so
 // every (defense × strategy) cell walks an independent — but still
 // fully reproducible — candidate sequence.
@@ -259,7 +256,7 @@ func (s SearchSpec) runCell(ctx context.Context, opt search.Optimizer, d, st str
 			scs[i] = s.cellScenario(d, st, params)
 			specs[i] = attack.FormatSpec(st, params)
 		}
-		results, err := runParallelCtx(ctx, scs, s.Parallelism, nil)
+		results, err := runParallel(ctx, scs, s.Parallelism, nil)
 		if err != nil {
 			return nil, err
 		}

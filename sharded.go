@@ -22,44 +22,38 @@ import (
 const AutoShards = -1
 
 // PipelineMode controls the sharded validation pipeline: the stage that
-// precomputes MAC verdicts for cut-link handoff batches on a worker
-// pool during the drain phase, so the serialized execute phase consumes
-// cached verdicts instead of running CMAC inline (see
-// core.Pipeline). Results are byte-identical in every mode at every
+// precomputes Passport verdicts for cut-link handoff batches on a
+// worker pool during the drain phase, so the serialized execute phase
+// consumes cached verdicts instead of running CMAC inline (see
+// core.Pipeline). Results are byte-identical in both modes at every
 // shard count — the mode trades wall-clock speed, never outcomes.
 type PipelineMode int
 
 const (
 	// PipelineAuto (the zero value) enables the pipeline exactly when it
-	// can pay: a sharded run of the NetFence system with Passport trailer
-	// verification active at core links. Everything else runs without it.
+	// has work: a sharded run of the NetFence system with Passport
+	// trailer verification active at core links. Everything else runs
+	// without it.
 	PipelineAuto PipelineMode = iota
-	// PipelineOn forces the pipeline on every sharded NetFence run.
-	PipelineOn
 	// PipelineOff disables the pipeline unconditionally.
 	PipelineOff
 )
 
-// ParsePipelineMode parses "auto", "on" or "off" (the job spec's
-// "pipeline" spellings).
+// ParsePipelineMode parses "auto" or "off" (the job spec's "pipeline"
+// spellings).
 func ParsePipelineMode(s string) (PipelineMode, error) {
 	switch s {
 	case "", "auto":
 		return PipelineAuto, nil
-	case "on":
-		return PipelineOn, nil
 	case "off":
 		return PipelineOff, nil
 	}
-	return PipelineAuto, fmt.Errorf("netfence: unknown pipeline mode %q (auto|on|off)", s)
+	return PipelineAuto, fmt.Errorf("netfence: unknown pipeline mode %q (auto|off)", s)
 }
 
 // String returns the job-spec spelling of the mode.
 func (m PipelineMode) String() string {
-	switch m {
-	case PipelineOn:
-		return "on"
-	case PipelineOff:
+	if m == PipelineOff {
 		return "off"
 	}
 	return "auto"
@@ -383,16 +377,12 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 	st.coord = sim.NewCoordinator(st.engines, part.Lookahead, names)
 
 	// Resolve the validation-pipeline mode and build the per-shard worker
-	// pools. Auto enables the stage exactly where it pays: handoffs into
-	// shards whose NetFence deployment verifies Passport trailers at core
-	// links — the CMAC work that otherwise serializes on the bottleneck
-	// shard's execute phase.
-	usePipe := mode == PipelineOn
-	if mode == PipelineAuto {
-		if cs, ok := st.systems[0].(*core.System); ok {
-			usePipe = cs.Cfg.Passport && cs.Registry != nil
-		}
-	}
+	// pools. Auto enables the stage exactly where it has work: handoffs
+	// into shards whose NetFence deployment verifies Passport trailers at
+	// core links — the CMAC work that otherwise serializes on the
+	// bottleneck shard's execute phase.
+	nf, isNF := st.systems[0].(*core.System)
+	usePipe := mode == PipelineAuto && isNF && nf.Cfg.Passport && nf.Registry != nil
 	pipeActive := false
 	if usePipe {
 		workers := runtime.GOMAXPROCS(0)
@@ -414,7 +404,7 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 	}
 
 	st.coord.SetDrain(func(shard int, deadline sim.Time) bool {
-		// Precompute every pending handoff's MAC verdicts on the worker
+		// Precompute every pending handoff's Passport verdict on the worker
 		// pool before injecting: all shards are parked in the drain round,
 		// so the shard state the verdicts read is frozen, and Wait's
 		// completion happens-before the injection below.

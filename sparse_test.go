@@ -201,12 +201,12 @@ func TestReplicaOverheadBounded(t *testing.T) {
 	if want := uint64(pop + 1 + 9); hosts != want { // senders, victim, colluders
 		t.Fatalf("single engine: %d hosts materialised, want %d", hosts, want)
 	}
-	if _, ok := single.RuntimeCounters()["replica_hosts_materialised_total"]; ok {
-		t.Error("the single engine reports replica accounting: every job snapshot would carry the rows")
+	if _, ok := single.RuntimeCounters()["shard_hosts_owned_total"]; ok {
+		t.Error("the single engine reports shard accounting: every job snapshot would carry the rows")
 	}
 	for _, shards := range []int{2, 4, 8} {
 		rt := build(shards).RuntimeCounters()
-		h, l := rt["replica_hosts_materialised_total"], rt["replica_links_materialised_total"]
+		h, l := rt["shard_hosts_owned_total"], rt["shard_links_owned_total"]
 		t.Logf("shards=%d: %d hosts, %d links owned over all shards (topology: %d hosts, %d links)", shards, h, l, hosts, links)
 		if h != hosts {
 			t.Errorf("shards=%d: %d hosts owned over all shards, the topology has %d", shards, h, hosts)

@@ -206,11 +206,11 @@ func defenseFor(base DefenseSpec, d string) DefenseSpec {
 // retargetAttacks copies a workload list with every AttackSpec pointed
 // at the given strategy with the given parameter overrides, leaving the
 // input (shared with Base across matrix cells) untouched.
-// Strategy-specific Options and Params only survive onto cells of their
-// own declared strategy — the same rule the defense axis applies to
+// Strategy-specific Params only survive onto cells of their own
+// declared strategy — the same rule the defense axis applies to
 // Defense.Config — so a foreign strategy's cells build with defaults
-// instead of erroring on an option type or param key they reject. Axis
-// params, when present, replace the workload's own.
+// instead of erroring on a param key they reject. Axis params, when
+// present, replace the workload's own.
 func retargetAttacks(ws []Workload, strategy string, params map[string]float64) []Workload {
 	out := make([]Workload, len(ws))
 	for i, w := range ws {
@@ -220,7 +220,6 @@ func retargetAttacks(ws []Workload, strategy string, params map[string]float64) 
 				declared = "flood"
 			}
 			if attack.Canonical(declared) != attack.Canonical(strategy) {
-				as.Options = nil
 				as.Params = nil
 			}
 			as.Strategy = strategy
@@ -291,7 +290,7 @@ func (sw Sweep) RunContext(ctx context.Context) ([]*Result, error) {
 			sw.Progress(done, len(scs), scs[i].Name)
 		}
 	}
-	return runParallelCtx(ctx, scs, sw.Parallelism, onDone)
+	return runParallel(ctx, scs, sw.Parallelism, onDone)
 }
 
 // checkAttacks fails fast on an unknown attack name — naming the
@@ -403,16 +402,12 @@ func cellWidth(in *Instance, budget int) int {
 // barriers wait on descheduled workers — oversubscription slows the
 // whole sweep down rather than speeding it up. An explicit parallelism
 // overrides the budget and caps plain worker count instead.
-func runParallel(scs []Scenario, parallelism int) ([]*Result, error) {
-	return runParallelCtx(context.Background(), scs, parallelism, nil)
-}
-
-// runParallelCtx is runParallel under a context with a per-cell
-// completion callback. Cancelling ctx stops feeding new cells (and
-// makes queued workers drop their items); cells already running finish
-// normally. onDone, when set, is invoked once per attempted cell —
-// completed or failed — with its scenario index.
-func runParallelCtx(ctx context.Context, scs []Scenario, parallelism int, onDone func(i int)) ([]*Result, error) {
+//
+// Cancelling ctx stops feeding new cells (and makes queued workers drop
+// their items); cells already running finish normally. onDone, when
+// set, is invoked once per attempted cell — completed or failed — with
+// its scenario index.
+func runParallel(ctx context.Context, scs []Scenario, parallelism int, onDone func(i int)) ([]*Result, error) {
 	var tokens *cpuTokens
 	budget := runtime.GOMAXPROCS(0)
 	if parallelism <= 0 {

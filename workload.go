@@ -267,9 +267,13 @@ type floodSpec struct {
 	offRate     int64
 	toColluders bool
 	// legit marks the senders as legitimate: they stay off the deny set
-	// and meter as users, not attackers (exact-fanout legitimate fleets).
+	// and meter as users, not attackers (legitimate fleets).
 	legit bool
-	kind  string
+	// weight, when positive, makes each sender a FleetSource attachment
+	// point standing for weight modeled senders (FleetSpec's aggregate
+	// mode); 0 attaches one UDPSource per sender.
+	weight int
+	kind   string
 }
 
 func attachFlood(env *scenarioEnv, spec floodSpec) error {
@@ -304,9 +308,27 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 		} else if !spec.legit {
 			env.denySet[h.ID] = true
 		}
+		weight := int32(1)
+		if spec.weight > 0 {
+			// The attachment node carries the fleet weight: the access
+			// router reads it when creating this sender's limiters, the
+			// partition reads it for load balancing, and senderCount
+			// folds it into the population the Theorem-1 probe divides by.
+			weight = int32(spec.weight)
+			h.Weight = weight
+		}
 		flow := env.flowFrom(h)
 		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addMeter(dstHost, !spec.legit, 1, &sink.Bytes)
+		env.addMeter(dstHost, !spec.legit, weight, &sink.Bytes)
+		if spec.weight > 0 {
+			fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, spec.weight, rate, pktSize, h.Network().Eng.KeyStream(uint64(h.ID)))
+			cells := h.Host.Network().Cells
+			cells.Add(obs.FleetAttached, 1)
+			cells.Add(obs.FleetModeledSenders, uint64(spec.weight))
+			env.stoppers = append(env.stoppers, fs)
+			fs.Start()
+			continue
+		}
 		u := transport.NewUDPSource(h.Host, dstHost.ID, flow, rate, pktSize)
 		u.OnTime, u.OffTime = spec.on, spec.off
 		u.OffRateBps = spec.offRate
@@ -369,6 +391,11 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 	if len(w.Senders) == 0 {
 		return fmt.Errorf("FleetSpec: no attachment senders listed")
 	}
+	spec := floodSpec{
+		senders: w.Senders, group: w.Group, rate: w.RateBps,
+		pktSize: w.PktSize, toColluders: w.ToColluders,
+		legit: !w.Attacker, kind: "FleetSpec",
+	}
 	if w.Exact || env.needsFanout() {
 		if w.Count != len(w.Senders) {
 			reason := "Exact is set"
@@ -378,64 +405,14 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 			return fmt.Errorf("FleetSpec: exact fan-out required because %s, but Count=%d != %d attachment senders",
 				reason, w.Count, len(w.Senders))
 		}
-		return attachFlood(env, floodSpec{
-			senders: w.Senders, group: w.Group, rate: w.RateBps,
-			pktSize: w.PktSize, toColluders: w.ToColluders,
-			legit: !w.Attacker, kind: "FleetSpec",
-		})
+		return attachFlood(env, spec)
 	}
 	if w.Count%len(w.Senders) != 0 {
 		return fmt.Errorf("FleetSpec: Count %d does not divide evenly among %d attachment senders",
 			w.Count, len(w.Senders))
 	}
-	weight := w.Count / len(w.Senders)
-	grp, err := env.group(w.Group, "FleetSpec")
-	if err != nil {
-		return err
-	}
-	if w.ToColluders && len(grp.colluders) == 0 {
-		return fmt.Errorf("FleetSpec: topology has no colluder hosts in group %d (set ColluderASes)", w.Group)
-	}
-	if !w.ToColluders {
-		if _, err := grp.victimHost("FleetSpec"); err != nil {
-			return err
-		}
-	}
-	rate := w.RateBps
-	if rate <= 0 {
-		rate = 1_000_000
-	}
-	pktSize := w.PktSize
-	if pktSize <= 0 {
-		pktSize = packet.SizeData
-	}
-	for k, idx := range w.Senders {
-		h, err := grp.sender(idx, "FleetSpec")
-		if err != nil {
-			return err
-		}
-		var dstHost = grp.victim
-		if w.ToColluders {
-			dstHost = grp.colluders[k%len(grp.colluders)]
-		} else if w.Attacker {
-			env.denySet[h.ID] = true
-		}
-		// The attachment node carries the fleet weight: the access
-		// router reads it when creating this sender's limiters, the
-		// partition reads it for load balancing, and senderCount folds
-		// it into the population the Theorem-1 probe divides by.
-		h.Weight = int32(weight)
-		flow := env.flowFrom(h)
-		sink := transport.NewUDPSink(dstHost.Host, flow)
-		env.addMeter(dstHost, w.Attacker, h.Weight, &sink.Bytes)
-		fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, weight, rate, pktSize, h.Network().Eng.KeyStream(uint64(h.ID)))
-		cells := h.Host.Network().Cells
-		cells.Add(obs.FleetAttached, 1)
-		cells.Add(obs.FleetModeledSenders, uint64(weight))
-		env.stoppers = append(env.stoppers, fs)
-		fs.Start()
-	}
-	return nil
+	spec.weight = w.Count / len(w.Senders)
+	return attachFlood(env, spec)
 }
 
 // RequestFlood attaches the request-channel attack source of §6.3.1:
@@ -513,9 +490,6 @@ type AttackSpec struct {
 	// (round-robin) instead of the victim — the colluding receivers of
 	// §6.3.2, who dutifully return feedback and are never denied.
 	ToColluders bool
-	// Options configures the strategy (its registered options type,
-	// e.g. OnOffOptions for "onoff-sync"); nil selects defaults.
-	Options any
 	// Params sets the strategy's tunable parameters by name (its
 	// registered ParamSpecs; -list-attacks prints them). nil keeps every
 	// default. The adversarial search drives this field; unknown keys or
@@ -565,7 +539,6 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 			RateBps: w.RateBps,
 			PktSize: w.PktSize,
 			Env:     aenv,
-			Options: w.Options,
 			Params:  w.Params,
 		})
 		if err != nil {
