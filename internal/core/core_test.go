@@ -12,6 +12,24 @@ import (
 	"netfence/internal/transport"
 )
 
+// TestNewSystemPoolMakesTrailers: a system with Passport on makes its
+// network's pool allocate each packet with its trailer block, so the
+// access routers' stamps cost no allocation of their own; with Passport
+// off the pool allocates the bare struct.
+func TestNewSystemPoolMakesTrailers(t *testing.T) {
+	for _, on := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Passport = on
+		d := topo.NewDumbbell(sim.New(1), topo.DumbbellConfig{
+			SrcASes: 1, HostsPerAS: 1, BottleneckBps: 1_000_000, EdgeBps: 10_000_000, Delay: sim.Millisecond,
+		})
+		NewSystem(d.Net, cfg)
+		if p := d.Senders[0].Host.NewPacket(); (p.Passport != nil) != on {
+			t.Errorf("Passport %v: a fresh pooled packet has trailer block %v, want one only with Passport on", on, p.Passport)
+		}
+	}
+}
+
 // deploy builds a dumbbell with NetFence fully installed. denied lists
 // sources the victim identifies as unwanted.
 func deploy(seed uint64, cfg topo.DumbbellConfig, nfCfg Config, denied ...packet.NodeID) (*topo.Dumbbell, *System) {

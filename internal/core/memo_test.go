@@ -387,16 +387,18 @@ func TestRegularPoliceZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkerMakesBlock: a packet without a Passport trailer
-// reaches the validation pipeline without a trailer block, and the
-// worker that leaves its Passport verdict makes one, in the drain phase,
-// off the owning goroutine — each packet of a batch belongs to one
-// chunk, so to one worker. The rig cuts its access router's egress by
-// hand, between two replicas of itself, with enough packets for several
-// chunks; past the cut the packets cross the protected bottleneck,
-// whose hook consumes every verdict in place of its inline Verify. Run
-// under -race.
-func TestPipelineWorkerMakesBlock(t *testing.T) {
+// runPipelineCut drives the validation pipeline over regular packets
+// without a Passport trailer, made by mk: the rig's access router's
+// egress is cut by hand, between two replicas of the rig, and the
+// packets are sent straight onto it, enough of them for several chunks
+// (a packet of a batch belongs to one chunk, so to one worker). After
+// the drain-phase workers leave their verdicts, check sees each packet
+// and its index; every verdict must be the bottleneck's and false, as
+// inline Verify gives for a packet without a trailer. Then the cut
+// drains, and past it the protected bottleneck's hook consumes every
+// verdict in place of its inline Verify. It returns the receiving rig
+// and the cut's mailbox.
+func runPipelineCut(t *testing.T, mk func(h *netsim.Node) *packet.Packet, check func(i int, p *packet.Packet)) (*memoRig, *netsim.Mailbox) {
 	src, dst := newMemoRig(t), newMemoRig(t)
 	src.out.SetOnTransmit(nil) // the rig's oracle for limiter releases; these are sent straight onto the link
 	mb := netsim.NewMailbox(dst.out)
@@ -405,7 +407,7 @@ func TestPipelineWorkerMakesBlock(t *testing.T) {
 	h := src.d.Senders[0]
 	fb := src.mint(h.ID, src.dsts[0], fbNop, 0, 0, 0)
 	for i := 0; i < n; i++ {
-		p := h.Host.NewPacket()
+		p := mk(h)
 		p.Src, p.SrcAS, p.Dst, p.Size, p.Flow = h.ID, h.AS, src.dsts[0], 200, 1
 		p.Kind, p.FB = packet.KindRegular, fb
 		src.out.Send(p)
@@ -431,6 +433,7 @@ func TestPipelineWorkerMakesBlock(t *testing.T) {
 		if want := dst.s.Registry.Verify(&q, bl.From.AS); st.PVOK != want || want {
 			t.Fatalf("packet %d: precomputed verdict %v, inline Verify gives %v for a packet without a trailer", i, st.PVOK, want)
 		}
+		check(i, p)
 	}
 	cells := dst.d.Net.Cells
 	if got := cells[obs.PipelinePrecomputed]; got != n {
@@ -443,5 +446,75 @@ func TestPipelineWorkerMakesBlock(t *testing.T) {
 	}
 	if fails := cells[obs.CoreMACFail]; fails != n {
 		t.Fatalf("the bottleneck failed %d of %d packets without a trailer", fails, n)
+	}
+	return dst, mb
+}
+
+// verdictAllocs counts what a drain-phase worker allocates to leave its
+// verdict on one packet of ps, each a regular arrival over mb's cut
+// link, a fresh one per call.
+func verdictAllocs(dst *memoRig, mb *netsim.Mailbox, ps []*packet.Packet) float64 {
+	w := &pipeWorker{pl: &Pipeline{sys: dst.s, net: dst.d.Net}, pairs: make(map[cmac.Key]*cmac.CMAC)}
+	h := dst.d.Senders[0]
+	fb := dst.mint(h.ID, dst.dsts[0], fbNop, 0, 0, 0)
+	for _, p := range ps {
+		p.Src, p.SrcAS, p.Dst, p.Size, p.Flow = h.ID, h.AS, dst.dsts[0], 200, 1
+		p.Kind, p.FB = packet.KindRegular, fb
+	}
+	i := 0
+	return testing.AllocsPerRun(len(ps)-1, func() {
+		w.passportVerdict(ps[i], mb.DestLink())
+		i++
+	})
+}
+
+// TestPipelineWorkerKeepsPooledBlock: a pooled packet of a Passport run
+// is made with its trailer block, so it reaches the validation pipeline
+// with one even without a trailer, and the drain-phase worker leaves its
+// verdict in that block — the same pointer the packet was drawn with —
+// allocating nothing. Run under -race.
+func TestPipelineWorkerKeepsPooledBlock(t *testing.T) {
+	var blocks []*packet.PassportStamp
+	dst, mb := runPipelineCut(t, func(h *netsim.Node) *packet.Packet {
+		p := h.Host.NewPacket()
+		blocks = append(blocks, p.Passport)
+		return p
+	}, func(i int, p *packet.Packet) {
+		if blocks[i] == nil || p.Passport != blocks[i] {
+			t.Fatalf("packet %d was drawn with block %p and left the pipeline with %p", i, blocks[i], p.Passport)
+		}
+	})
+	ps := make([]*packet.Packet, 51)
+	for i := range ps {
+		ps[i] = dst.d.Senders[0].Host.NewPacket()
+	}
+	if n := verdictAllocs(dst, mb, ps); n != 0 {
+		t.Fatalf("the worker allocates %.1f times per pooled packet, want 0", n)
+	}
+}
+
+// TestPipelineWorkerMakesBlock: a packet without a trailer block — a
+// hand-made packet.Packet, which no pool made — reaches the validation
+// pipeline without one, and the worker that leaves its Passport verdict
+// makes it, in the drain phase, off the owning goroutine: the one
+// allocation a goroutine other than a packet's owner makes for it. Run
+// under -race.
+func TestPipelineWorkerMakesBlock(t *testing.T) {
+	var made []*packet.Packet
+	dst, mb := runPipelineCut(t, func(*netsim.Node) *packet.Packet {
+		p := &packet.Packet{}
+		made = append(made, p)
+		return p
+	}, func(i int, p *packet.Packet) {
+		if p != made[i] {
+			t.Fatalf("packet %d is not the hand-made packet sent", i)
+		}
+	})
+	ps := make([]*packet.Packet, 51)
+	for i := range ps {
+		ps[i] = &packet.Packet{}
+	}
+	if n := verdictAllocs(dst, mb, ps); n != 1 {
+		t.Fatalf("the worker allocates %.1f times per hand-made packet, want 1: its trailer block", n)
 	}
 }

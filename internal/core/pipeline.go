@@ -35,12 +35,13 @@ import (
 // and the routing table freely, and sidestep the one shared-mutable
 // hazard, the registry's CMAC cache, with private CMACs made of raw pair
 // keys. A verdict is written into the packet's trailer block
-// (packet.PassportStamp), which the worker makes when the packet has
-// none: a packet of a batch is in exactly one chunk, so one worker is
-// its only writer until Wait. The bottleneck's hook re-checks the
-// verdict's binding (the link it was computed for), so an unconsumed or
-// mispredicted cache is dropped, never wrong, and results stay
-// byte-identical to the single engine at every shard count.
+// (packet.PassportStamp): a pooled packet of a Passport run is made with
+// one, and the worker makes it for a packet that has none. A packet of a
+// batch is in exactly one chunk, so one worker is its only writer until
+// Wait. The bottleneck's hook re-checks the verdict's binding (the link
+// it was computed for), so an unconsumed or mispredicted cache is
+// dropped, never wrong, and results stay byte-identical to the single
+// engine at every shard count.
 type Pipeline struct {
 	sys *System
 	net *netsim.Network

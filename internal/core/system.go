@@ -24,8 +24,15 @@ type System struct {
 }
 
 // NewSystem creates a NetFence deployment for net, establishing pairwise
-// keys among all ASes present in the topology.
+// keys among all ASes present in the topology. With Passport on, every
+// packet net's pool allocates from then on is made with its trailer
+// block, which the access routers stamp on nearly all of them: one
+// allocation per packet, not two. Build the system before anything
+// draws packets from net.
 func NewSystem(net *netsim.Network, cfg Config) *System {
+	if cfg.Passport {
+		net.Pool.MakeTrailers()
+	}
 	return &System{
 		Cfg:         cfg,
 		Registry:    passport.NewRegistry(net.Eng.KeyStream(netsim.ControlStream), net.ASes()),

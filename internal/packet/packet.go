@@ -177,9 +177,11 @@ type PassportMAC struct {
 // trailer — one MAC per AS on the path, verified in path order
 // (internal/passport); a transit AS with several on-path routers
 // verifies once, at ingress — and the Passport verdict the sharded
-// validation pipeline leaves for the execute phase. A packet makes one
-// on first need (NeedPassport), entry array included, and keeps it
-// across pool recycles, zeroed, the way it keeps its Ext.
+// validation pipeline leaves for the execute phase. On Passport runs the
+// block is made with the packet (Pool.MakeTrailers), entry array
+// included; any other packet makes one on first need (NeedPassport).
+// Either way the packet keeps it across pool recycles, zeroed, the way
+// it keeps its Ext.
 //
 // The verdict cache is filled while a cut-link handoff batch drains
 // (every shard is at the drain barrier, so packet and key state are
@@ -246,13 +248,15 @@ type Ext struct {
 // recycles them at end of life; hand-constructed &Packet{} values work
 // everywhere too and are simply never recycled.
 //
-// The struct is 120 bytes, in the 128-byte allocator class and two
-// cache lines (TestPacketLayoutBudget pins size and offsets): every
-// pooled, cached or in-flight packet costs that much heap, and Reset
-// rewrites that many bytes per recycle. Line 0 holds what every hop
-// reads — addressing, flow, size, channel; line 1 what access routers
-// and shims read — the two feedback headers — and the pointers to what
-// is optional: the Passport trailer with the pipeline's verdicts, and
+// The struct is 120 bytes, two cache lines: alone it takes the 128-byte
+// allocator class, and on Passport runs it is made with its trailer
+// block, 208 bytes, which fill the 208-byte class (TestPacketLayoutBudget
+// pins sizes and offsets). Every pooled, cached or in-flight packet
+// costs that much heap, and Reset rewrites the struct per recycle, the
+// block too once it has one. Line 0 holds what every hop reads —
+// addressing, flow, size, channel; line 1 what access routers and shims
+// read — the two feedback headers — and the pointers to what is
+// optional: the Passport trailer with the pipeline's verdicts, and
 // Ext. A copy of the struct shares both blocks with the original.
 type Packet struct {
 	TCP TCPInfo
@@ -280,7 +284,8 @@ type Packet struct {
 	Ret Returned
 
 	// Passport is the source-authentication trailer and the pipeline's
-	// verdict cache; nil until NeedPassport.
+	// verdict cache: made with the packet on Passport runs, else nil
+	// until NeedPassport.
 	Passport *PassportStamp
 
 	// Ext holds the optional headers (Appendix B.1, TVA+); nil until
@@ -297,24 +302,37 @@ func (p *Packet) NeedExt() *Ext {
 	return p.Ext
 }
 
-// passportInline is how many trailer entries a block is made with. The
-// 48-byte block and six 8-byte entries fill the allocator's 96-byte
-// class exactly, and six covers the AS-level paths of every shipped
-// topology (3 to 5 on the random-AS graph), so a packet's trailer is one
-// allocation for life; a longer path grows its own array once
-// (passport.StampHops), which the packet then keeps.
+// passportInline is how many trailer entries a block is made with. Six
+// covers the AS-level paths of every shipped topology (3 to 5 on the
+// random-AS graph), so a packet's trailer needs no array of its own; a
+// longer path grows one once (passport.StampHops), which the packet
+// then keeps. The 40-byte block and six 8-byte entries take 88 bytes,
+// in the allocator's 96-byte class when made alone, and bring the
+// 120-byte packet they are made with to 208 bytes, a class exactly.
 const passportInline = 6
 
-// NeedPassport returns the packet's trailer block, allocating it on
-// first use together with its first entries.
+// passportBlock is a trailer block with its inline entries: what
+// NeedPassport allocates alone, and what a trailer-making Pool allocates
+// inside each packet (passportPacket).
+type passportBlock struct {
+	PassportStamp
+	inline [passportInline]PassportMAC
+}
+
+// attach makes b p's trailer block, its entries the inline array.
+func (b *passportBlock) attach(p *Packet) *PassportStamp {
+	b.Entries = b.inline[:0]
+	p.Passport = &b.PassportStamp
+	return p.Passport
+}
+
+// NeedPassport returns the packet's trailer block, allocating it with
+// its inline entries when the packet has none: a packet from a pool of a
+// Passport run is made with its block, so this is the fallback for
+// hand-made packets and for pools that do not make trailers.
 func (p *Packet) NeedPassport() *PassportStamp {
 	if p.Passport == nil {
-		b := new(struct {
-			PassportStamp
-			inline [passportInline]PassportMAC
-		})
-		b.Entries = b.inline[:0]
-		p.Passport = &b.PassportStamp
+		return new(passportBlock).attach(p)
 	}
 	return p.Passport
 }

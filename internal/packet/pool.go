@@ -21,13 +21,35 @@ package packet
 // Packets constructed directly with &Packet{} (tests, hand-crafted
 // probes) are not pool-managed: Put ignores them, so legacy call sites
 // that inspect a packet after the run keep working.
+//
+// The pool of a network whose defense stamps Passport trailers makes
+// trailers (MakeTrailers): each packet it allocates comes with its
+// trailer block in the same object, one allocation of 208 bytes where
+// NeedPassport would make a second (128 + 96 bytes in their classes).
+// Any other pool allocates the bare 120-byte struct.
 type Pool struct {
 	free []*Packet
 
 	// Gets counts Get calls, News the subset that allocated a fresh
 	// Packet, Puts successful recycles — Gets-News hits quantify reuse.
 	Gets, News, Puts uint64
+
+	trailers bool
 }
+
+// passportPacket is a packet made with its trailer block, the object a
+// trailer-making Pool allocates.
+type passportPacket struct {
+	Packet
+	block passportBlock
+}
+
+// MakeTrailers makes every packet the pool allocates from now on carry
+// a zeroed trailer block with its inline entries; packets allocated
+// before make theirs on first need. The system that stamps Passport
+// trailers calls it when it is built on the pool's network, before
+// anything draws a packet.
+func (pl *Pool) MakeTrailers() { pl.trailers = true }
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 func (pl *Pool) Get() *Packet {
@@ -35,6 +57,11 @@ func (pl *Pool) Get() *Packet {
 	n := len(pl.free)
 	if n == 0 {
 		pl.News++
+		if pl.trailers {
+			b := &passportPacket{Packet: Packet{pooled: true}}
+			b.block.attach(&b.Packet)
+			return &b.Packet
+		}
 		return &Packet{pooled: true}
 	}
 	p := pl.free[n-1]
@@ -80,13 +107,14 @@ func (pl *Pool) Adopt(ps []*Packet) { pl.free = append(pl.free, ps...) }
 // freshly allocated packet to every consumer. The deliberate exception
 // is retained capacity: the trailer block survives, zeroed, with its
 // entry array truncated to length zero (rewritten field-for-field on the
-// next stamp), and so does an Ext block (zeroed), so Passport, Appendix
-// B.1 and TVA+ runs do not allocate per packet. Nothing in the tree
-// keeps a *PassportStamp or its entries beyond the packet's own life, so
-// the retained block cannot alias live state. The multi-bottleneck
-// headers inside Ext are fully zeroed: shims copy those by value, and a
-// shared backing array would let a recycled packet corrupt a peer's
-// cached feedback.
+// next stamp) — whether the packet was made with it on a Passport run
+// or made it later in NeedPassport — and so does an Ext block (zeroed),
+// so Passport, Appendix B.1 and TVA+ runs do not allocate per packet.
+// Nothing in the tree keeps a *PassportStamp or its entries beyond the
+// packet's own life, so the retained block cannot alias live state. The
+// multi-bottleneck headers inside Ext are fully zeroed: shims copy those
+// by value, and a shared backing array would let a recycled packet
+// corrupt a peer's cached feedback.
 func (p *Packet) Reset() {
 	st, ext := p.Passport, p.Ext
 	pooled, inPool := p.pooled, p.inPool

@@ -142,34 +142,63 @@ func TestPoolIgnoresForeignPackets(t *testing.T) {
 // exception for the trailer block: it survives recycling — the same
 // block, every field zero, its entry array empty at the capacity it had,
 // whether that is the inline one or an array a longer path grew — so
-// stamping does not allocate per packet.
+// stamping does not allocate per packet. A plain pool's fresh packet has
+// no block until NeedPassport; a trailer-making pool's is made with a
+// zeroed one, which NeedPassport returns.
 func TestPoolRetainsPassportCapacity(t *testing.T) {
-	for _, n := range []int{2, passportInline, passportInline + 3} {
-		var pool Pool
-		p := pool.Get()
-		if p.Passport != nil {
-			t.Fatal("fresh packet already has a trailer block")
+	for _, trailers := range []bool{false, true} {
+		for _, n := range []int{2, passportInline, passportInline + 3} {
+			var pool Pool
+			if trailers {
+				pool.MakeTrailers()
+			}
+			p := pool.Get()
+			born := p.Passport
+			if (born != nil) != trailers {
+				t.Fatalf("trailer-making %v: fresh packet has trailer block %v", trailers, born)
+			}
+			st := p.NeedPassport()
+			if len(st.Entries) != 0 || cap(st.Entries) != passportInline || p.NeedPassport() != st || (trailers && st != born) {
+				t.Fatalf("trailer-making %v: block has entries len %d cap %d, want 0 and %d, and NeedPassport must return it", trailers, len(st.Entries), cap(st.Entries), passportInline)
+			}
+			if z := *st; !reflect.DeepEqual(z, PassportStamp{Entries: z.Entries}) {
+				t.Fatalf("new trailer block not zeroed: %+v", z)
+			}
+			for i := 0; i < n; i++ {
+				st.Entries = append(st.Entries, PassportMAC{AS: ASID(i + 1)})
+			}
+			grown := cap(st.Entries)
+			st.Present, st.Next = true, 1
+			st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
+			pool.Put(p)
+			q := pool.Get()
+			if q.Passport != st {
+				t.Fatal("recycled packet lost its trailer block")
+			}
+			if len(st.Entries) != 0 || cap(st.Entries) != grown {
+				t.Fatalf("%d entries: recycled trailer has len %d cap %d, want 0 and %d", n, len(st.Entries), cap(st.Entries), grown)
+			}
+			if z := *st; !reflect.DeepEqual(z, PassportStamp{Entries: z.Entries}) {
+				t.Fatalf("recycled trailer block not zeroed: %+v", z)
+			}
 		}
-		st := p.NeedPassport()
-		if len(st.Entries) != 0 || cap(st.Entries) != passportInline || p.NeedPassport() != st {
-			t.Fatalf("new block has entries len %d cap %d, want 0 and %d, and a second NeedPassport must return it", len(st.Entries), cap(st.Entries), passportInline)
-		}
-		for i := 0; i < n; i++ {
-			st.Entries = append(st.Entries, PassportMAC{AS: ASID(i + 1)})
-		}
-		grown := cap(st.Entries)
-		st.Present, st.Next = true, 1
-		st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
-		pool.Put(p)
-		q := pool.Get()
-		if q.Passport != st {
-			t.Fatal("recycled packet lost its trailer block")
-		}
-		if len(st.Entries) != 0 || cap(st.Entries) != grown {
-			t.Fatalf("%d entries: recycled trailer has len %d cap %d, want 0 and %d", n, len(st.Entries), cap(st.Entries), grown)
-		}
-		if z := *st; !reflect.DeepEqual(z, PassportStamp{Entries: z.Entries}) {
-			t.Fatalf("recycled trailer block not zeroed: %+v", z)
+	}
+}
+
+// TestPoolMakesTrailers: a trailer-making pool allocates a packet and its
+// trailer block together, so a Get that misses followed by NeedPassport
+// is one allocation, where a plain pool makes two.
+func TestPoolMakesTrailers(t *testing.T) {
+	var plain, trailers Pool
+	trailers.MakeTrailers()
+	// Every Get misses: nothing is put back.
+	for _, tc := range []struct {
+		name string
+		pool *Pool
+		want float64
+	}{{"plain", &plain, 2}, {"trailer-making", &trailers, 1}} {
+		if n := testing.AllocsPerRun(100, func() { tc.pool.Get().NeedPassport() }); n != tc.want {
+			t.Errorf("%s pool: Get on a miss then NeedPassport allocates %.1f times, want %.0f", tc.name, n, tc.want)
 		}
 	}
 }
@@ -197,15 +226,21 @@ func TestPoolRetainsExt(t *testing.T) {
 
 // TestLendAdopt: structs lent by one pool and adopted by another stay
 // idle throughout — neither pool allocates for them, a short free list
-// lends what it has, and an adopted struct is drawn like any other.
+// lends what it has, and an adopted struct is drawn like any other, with
+// the trailer block it was made with, zeroed.
 func TestLendAdopt(t *testing.T) {
 	var home, away Pool
+	home.MakeTrailers()
 	var ps []*Packet
+	blocks := map[*Packet]*PassportStamp{}
 	for i := 0; i < 3; i++ {
-		ps = append(ps, home.Get())
+		p := home.Get()
+		ps, blocks[p] = append(ps, p), p.Passport
 	}
 	for _, p := range ps {
 		p.NeedExt().Cap.Present = true
+		p.Passport.Entries = append(p.Passport.Entries, PassportMAC{AS: 1})
+		p.Passport.Present, p.Passport.PVLink = true, 3
 		away.Put(p) // the packets ended their lives on the other shard
 	}
 	empties := away.Lend(nil, 2)
@@ -220,6 +255,10 @@ func TestLendAdopt(t *testing.T) {
 	p := home.Get()
 	if home.News != 3 || p.Ext == nil || p.Ext.Cap.Present {
 		t.Fatalf("an adopted struct was not reused clean: fresh %d, ext %+v", home.News, p.Ext)
+	}
+	if st := p.Passport; st != blocks[p] || !reflect.DeepEqual(*st, PassportStamp{Entries: st.Entries}) ||
+		len(st.Entries) != 0 || cap(st.Entries) != passportInline {
+		t.Fatalf("an adopted struct came back without its own trailer block, zeroed: %+v", *st)
 	}
 	home.Put(p)
 	defer func() {

@@ -70,9 +70,17 @@ func (q *refPacket) apply(consume int) {
 	q.next = int32(consume + 1)
 }
 
-// Steps of a FuzzPassportTrailer program: the low nibble of the first
-// byte (mod fzOps) names the step, the high nibble (mod fzSlots) the
-// packet; operands follow, and a program that runs out reads zeros.
+// A FuzzPassportTrailer program's first byte picks the pool its packets
+// come from: odd (fzTrailers) makes each packet with its trailer block,
+// as a Passport run's pool does; even (fzPlain) leaves the block to
+// NeedPassport. Steps follow: the low nibble of a step's first byte (mod
+// fzOps) names the step, the high nibble (mod fzSlots) the packet;
+// operands follow, and a program that runs out reads zeros.
+const (
+	fzPlain    = 0
+	fzTrailers = 1
+)
+
 const (
 	fzStamp    = iota // n, then n ASes: the source border stamps that path
 	fzVerify          // AS: Registry.Verify there
@@ -129,6 +137,9 @@ func runTrailerProgram(t *testing.T, prog []byte) {
 	as := func() packet.ASID { return 1 + packet.ASID(next()%fzASes) }
 
 	var pool packet.Pool
+	if next()&1 == fzTrailers {
+		pool.MakeTrailers()
+	}
 	var pkts [fzSlots]*packet.Packet
 	var refs [fzSlots]*refPacket
 	fresh := func(i int, src, dst, srcAS, size byte) {
@@ -237,22 +248,34 @@ func runTrailerProgram(t *testing.T, prog []byte) {
 // block's inline entries too), verifies whole or split at arbitrary
 // ASes, forges, reorders and truncates entries, spoofs the header,
 // leaves pipeline verdicts behind and recycles packets through a Pool
-// in between; every verdict and, after every step, every packet's
-// trailer state must equal the by-value reference's.
+// in between — a plain one, whose packets make their block on first
+// need, or a trailer-making one, whose packets are born with it; every
+// verdict and, after every step, every packet's trailer state must equal
+// the by-value reference's.
 func FuzzPassportTrailer(f *testing.F) {
-	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	join := func(pool byte, parts ...[]byte) []byte { return bytes.Join(append([][]byte{{pool}}, parts...), nil) }
 	// The rows of TestCheckApplyMatchesVerify and their neighbours.
-	f.Add(join(fzPath(0, 2, 3, 4), fzHops(fzVerify, 0, 2, 3, 4, 4, 9)))                                               // honest path
-	f.Add(join(fzPath(0, 2, 3, 4), fzHops(fzCheck, 0, 3, 2, 4)))                                                      // skip then revisit
-	f.Add(join(fzPath(1, 2, 3, 4), fzStep(fzForge, 1, 1), fzHops(fzCheck, 1, 2, 3, 4)))                               // corrupted mac
-	f.Add(join(fzPath(2, 2, 3), fzStep(fzSpoof, 2, 0, 8), fzHops(fzVerify, 2, 2, 3)))                                 // spoofed source
-	f.Add(join(fzPath(0, 2), fzStep(fzSpoof, 0, 1, 200), fzHops(fzVerify, 0, 2)))                                     // size inflation
-	f.Add(join(fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 5), fzHops(fzCheck, 0, 2)))                               // no trailer, then a verdict-only block
-	f.Add(join(fzPath(0, 2, 3, 4, 5, 6, 7, 8, 2), fzHops(fzVerify, 0, 2, 8, 2), fzPath(0, 3), fzHops(fzCheck, 0, 3))) // outgrows the inline entries, then a short path on the grown array
-	f.Add(join(fzPath(0, 2, 3, 4), fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 7), fzStep(fzRecycle, 0, 1, 2, 0, 9),
+	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzHops(fzVerify, 0, 2, 3, 4, 4, 9)))                                               // honest path
+	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzHops(fzCheck, 0, 3, 2, 4)))                                                      // skip then revisit
+	f.Add(join(fzPlain, fzPath(1, 2, 3, 4), fzStep(fzForge, 1, 1), fzHops(fzCheck, 1, 2, 3, 4)))                               // corrupted mac
+	f.Add(join(fzPlain, fzPath(2, 2, 3), fzStep(fzSpoof, 2, 0, 8), fzHops(fzVerify, 2, 2, 3)))                                 // spoofed source
+	f.Add(join(fzPlain, fzPath(0, 2), fzStep(fzSpoof, 0, 1, 200), fzHops(fzVerify, 0, 2)))                                     // size inflation
+	f.Add(join(fzPlain, fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 5), fzHops(fzCheck, 0, 2)))                               // no trailer, then a verdict-only block
+	f.Add(join(fzPlain, fzPath(0, 2, 3, 4, 5, 6, 7, 8, 2), fzHops(fzVerify, 0, 2, 8, 2), fzPath(0, 3), fzHops(fzCheck, 0, 3))) // outgrows the inline entries, then a short path on the grown array
+	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 7), fzStep(fzRecycle, 0, 1, 2, 0, 9),
 		fzHops(fzCheck, 0, 2, 3), fzPath(0, 3, 4), fzHops(fzVerify, 0, 3, 4))) // a recycled packet starts clean
-	f.Add(join(fzPath(0, 2, 3, 4), fzStep(fzSwap, 0, 0, 2), fzStep(fzTruncate, 0, 2), fzHops(fzVerify, 0, 4, 3, 2))) // reordered, truncated
-	f.Add(join(fzStep(fzVerdict, 1, 3), fzPath(1, 2, 3), fzHops(fzCheck, 1, 2)))                                     // a stamp keeps the verdict
+	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzStep(fzSwap, 0, 0, 2), fzStep(fzTruncate, 0, 2), fzHops(fzVerify, 0, 4, 3, 2))) // reordered, truncated
+	f.Add(join(fzPlain, fzStep(fzVerdict, 1, 3), fzPath(1, 2, 3), fzHops(fzCheck, 1, 2)))                                     // a stamp keeps the verdict
+	// Blocks made on first need, then blocks the packets were born with:
+	// a verdict-only block, a path past the inline entries, a recycle,
+	// and a packet never stamped.
+	bornWith := func(pool byte) []byte {
+		return join(pool, fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 5), fzPath(0, 2, 3, 4, 5, 6, 7, 8, 2),
+			fzHops(fzCheck, 0, 2, 3), fzStep(fzRecycle, 0, 1, 2, 0, 9), fzPath(0, 3, 4), fzHops(fzVerify, 0, 3, 4),
+			fzHops(fzVerify, 1, 2), fzStep(fzVerdict, 2, 4))
+	}
+	f.Add(bornWith(fzPlain))
+	f.Add(bornWith(fzTrailers))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]
