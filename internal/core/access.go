@@ -147,18 +147,21 @@ type regKey struct {
 
 // regLimiter is one (sender, bottleneck link) rate limiter with its AIMD
 // state (Figure 17), including the starred flags of the Appendix B.2
-// inference variant.
+// inference variant. It is one heap object: the leaky queue, its first
+// cache slots and the control-interval timer are held by value, and the
+// regulator is the queue's Emitter and the timer's handler.
 type regLimiter struct {
 	ar   *AccessRouter
 	slot *senderSlot // the sender's slot; slot.src is the limiter's sender
 	// kai is the key shared with the AS owning link (nil if unknown).
 	kai *cmac.CMAC
-	// org keys the limiter's timers: the control-interval ticker and the
+	// org keys the limiter's timers: the control-interval tick and the
 	// leaky queue's departures.
 	org sim.Origin
-	// pol is the policing strategy: the paper's leaky-bucket queue, or
-	// the token-bucket variant when Config.TokenBucketLimiter is set
-	// (the ablation of the §4.3.3 design choice).
+	// pol is the policing strategy: the paper's leaky-bucket queue
+	// (&leaky), or the token-bucket variant when
+	// Config.TokenBucketLimiter is set (the ablation of the §4.3.3
+	// design choice).
 	pol  ratelimit.Policer
 	aimd ratelimit.AIMD
 
@@ -177,7 +180,6 @@ type regLimiter struct {
 	// lastDecr is when L-down feedback was last presented, or when the
 	// limiter was created if none has been.
 	lastDecr sim.Time
-	ticker   *sim.Ticker
 
 	// Congestion-quota state (§7): bytes forwarded during intervals that
 	// followed a multiplicative decrease count against the quota.
@@ -186,6 +188,11 @@ type regLimiter struct {
 	quotaBytes int64
 	quotaUsed  int64
 	quotaStart sim.Time
+
+	// tick is the owned control-interval timer, re-armed every Ilim
+	// until the limiter expires.
+	tick  sim.Event
+	leaky ratelimit.LeakyLimiter
 }
 
 // senderWeight returns how many modeled senders stand behind src — the
@@ -462,7 +469,7 @@ func (ar *AccessRouter) handleRequest(s *senderSlot, p *packet.Packet) bool {
 }
 
 // submit passes p through a limiter's leaky bucket; Cached packets are
-// re-injected by the limiter's forward callback. Feedback is restamped
+// re-injected by the regulator's Emit. Feedback is restamped
 // when the packet actually departs ("when an access router FORWARDS a
 // regular packet to the next hop, it resets the congestion policing
 // feedback", §4.3.3) — stamping before the cache would hand out stale
@@ -567,19 +574,30 @@ func (ar *AccessRouter) limiter(s *senderSlot, link packet.LinkID) *regLimiter {
 		lim.pol = ratelimit.NewTokenLimiter(eng, ar.sys.Cfg.InitialRateBps*w,
 			ar.sys.Cfg.TokenBurstSec)
 	} else {
-		leaky := ratelimit.NewLeakyLimiter(eng, ar.sys.Cfg.InitialRateBps*w,
-			ar.sys.Cfg.MaxCacheDelay, func(p *packet.Packet) {
-				lim.stampForward(p)
-				ar.node.Network().Forward(ar.node, p)
-			})
-		leaky.SetOrigin(&lim.org)
-		lim.pol = leaky
+		lim.leaky.Init(&lim.org, ar.sys.Cfg.InitialRateBps*w, ar.sys.Cfg.MaxCacheDelay, lim)
+		lim.pol = &lim.leaky
 	}
 	lim.quotaStart = eng.Now()
-	lim.ticker = lim.org.Tick(ar.sys.Cfg.Ilim, lim.adjust)
+	lim.org.ScheduleEvent(&lim.tick, eng.Now()+ar.sys.Cfg.Ilim, lim, nil)
 	ar.regLims[key] = lim
 	s.lim = lim
 	return lim
+}
+
+// Emit implements ratelimit.Emitter: a packet the leaky queue cached
+// departs, restamped.
+func (l *regLimiter) Emit(p *packet.Packet) {
+	l.stampForward(p)
+	l.ar.node.Network().Forward(l.ar.node, p)
+}
+
+// OnEvent implements sim.Handler: the control interval ended. The tick
+// re-arms after adjust, whose SetRate may reschedule a departure on the
+// same origin first.
+func (l *regLimiter) OnEvent(now sim.Time, _ any) {
+	if l.adjust() {
+		l.org.ScheduleEvent(&l.tick, now+l.ar.sys.Cfg.Ilim, l, nil)
+	}
 }
 
 // updateStatus folds a presented feedback into the limiter's control
@@ -595,8 +613,9 @@ func (l *regLimiter) updateStatus(action packet.FBAction, ts uint32) {
 }
 
 // adjust runs once per control interval (Figure 17's adjust_rate_limit,
-// or the four-rule variant of Appendix B.2 when inference is enabled).
-func (l *regLimiter) adjust() {
+// or the four-rule variant of Appendix B.2 when inference is enabled). It
+// reports whether the limiter is still live.
+func (l *regLimiter) adjust() bool {
 	cfg := &l.ar.sys.Cfg
 	tput := l.pol.TakeIntervalThroughput(cfg.Ilim)
 	old := l.pol.Rate()
@@ -624,27 +643,28 @@ func (l *regLimiter) adjust() {
 	l.isActive = false
 	l.isActiveStar = false
 	l.ts = l.ar.node.Network().NowSec()
-	l.maybeExpire()
+	return !l.maybeExpire()
 }
 
 // maybeExpire removes the limiter after Ta without L-down feedback and
-// without limiter drops (§4.3.1). The sender's slot forgets it, so no
-// packet can reach a removed limiter.
-func (l *regLimiter) maybeExpire() {
+// without limiter drops (§4.3.1), and reports whether it did. The
+// sender's slot forgets it, so no packet can reach a removed limiter.
+func (l *regLimiter) maybeExpire() bool {
 	cfg := &l.ar.sys.Cfg
 	now := l.ar.node.Network().Eng.Now()
 	ref := l.lastDecr
 	if d := l.pol.LastDropAt(); d > ref {
 		ref = d
 	}
-	if now-ref > cfg.LimiterIdle && l.pol.Backlog() == 0 {
-		l.ticker.Stop()
-		l.pol.Stop()
-		delete(l.ar.regLims, regKey{l.slot.src, l.link})
-		if l.slot.lim == l {
-			l.slot.lim = nil
-		}
+	if now-ref <= cfg.LimiterIdle || l.pol.Backlog() != 0 {
+		return false
 	}
+	l.pol.Stop()
+	delete(l.ar.regLims, regKey{l.slot.src, l.link})
+	if l.slot.lim == l {
+		l.slot.lim = nil
+	}
+	return true
 }
 
 // kaiLookup resolves the key shared between this access router's AS and

@@ -7,6 +7,7 @@ import (
 	"netfence/internal/feedback"
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
+	"netfence/internal/ratelimit"
 	"netfence/internal/sim"
 	"netfence/internal/topo"
 	"netfence/internal/transport"
@@ -237,6 +238,8 @@ func TestLimiterLifecycle(t *testing.T) {
 	feedback.StampNop(ar.ring.Current(), p, nowSec)
 	kai := s.kaiForSender(src.AS, d.Bottleneck.From.AS)
 	feedback.StampDecr(kai, p, d.Bottleneck.ID)
+	eng := d.Net.Eng
+	pending := eng.Pending()
 	if !ar.police(p) {
 		t.Fatal("first limited packet should pass")
 	}
@@ -247,11 +250,76 @@ func TestLimiterLifecycle(t *testing.T) {
 		lim.Rate() != cfg.InitialRateBps {
 		t.Fatal("limiter missing or wrong initial rate")
 	}
+	// A second packet right behind the first is cached: the regulator
+	// now has its control tick and a departure pending.
+	lim := ar.regLims[regKey{src.ID, d.Bottleneck.ID}]
+	q := *p
+	if ar.police(&q) || lim.pol.Backlog() != 1 {
+		t.Fatalf("second packet not cached: backlog %d", lim.pol.Backlog())
+	}
+	if !lim.tick.Pending() || eng.Pending() != pending+2 {
+		t.Fatalf("tick pending %v, %d events pending, want the tick and a departure over %d",
+			lim.tick.Pending(), eng.Pending(), pending)
+	}
 	// With no L-down and no drops for Ta, the limiter is garbage
-	// collected at a control-interval boundary.
-	d.Net.Eng.RunUntil(12 * sim.Second)
+	// collected at a control-interval boundary, and nothing of it stays
+	// scheduled.
+	eng.RunUntil(12 * sim.Second)
 	if ar.LimiterCount() != 0 {
 		t.Fatalf("limiter not expired: %d", ar.LimiterCount())
+	}
+	if lim.tick.Pending() || lim.pol.Backlog() != 0 || eng.Pending() != pending {
+		t.Fatalf("after expiry: tick pending %v, backlog %d, %d events pending, want none beyond the %d before",
+			lim.tick.Pending(), lim.pol.Backlog(), eng.Pending(), pending)
+	}
+	ts := lim.ts
+	eng.RunUntil(22 * sim.Second)
+	if lim.ts != ts {
+		t.Fatalf("an expired limiter still adjusts: interval start %d -> %d", ts, lim.ts)
+	}
+}
+
+// TestRegulatorIsOneAllocation: a new (sender, link) regulator, with up
+// to cacheInline packets cached behind its first, is one allocation — the
+// leaky queue, its first cache slots and the control tick come with it.
+// Starting a peer's echo stream is one allocation too.
+func TestRegulatorIsOneAllocation(t *testing.T) {
+	d, s := deploy(6, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
+	ar := s.Access(d.SrcAccess[0])
+	src := d.Senders[0]
+	slot := ar.slotAt(ar.slotFor(src.ID))
+	const runs, cacheInline = 100, 8
+	ar.regLims = make(map[regKey]*regLimiter, 2*runs) // map growth is not the regulator's
+	pkts := make([]packet.Packet, 1+cacheInline)
+	for i := range pkts {
+		pkts[i] = packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID, Kind: packet.KindRegular, Size: 100}
+	}
+	link := packet.LinkID(1000) // no such link: no pair key to make
+	allocs := testing.AllocsPerRun(runs, func() {
+		link++
+		lim := ar.limiter(slot, link)
+		for i := range pkts {
+			if v := lim.pol.Submit(&pkts[i]); v == ratelimit.Drop || (i > 0) != (v == ratelimit.Cached) {
+				t.Fatalf("packet %d: verdict %v", i, v)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a regulator caching %d packets costs %.0f allocations, want 1", cacheInline, allocs)
+	}
+
+	sh := Shim(d.Victim)
+	peers := make([]peerState, runs+1)
+	i := 0
+	allocs = testing.AllocsPerRun(runs, func() {
+		sh.ensureEcho(src.ID, &peers[i])
+		if peers[i].echo == nil {
+			t.Fatal("no echo started")
+		}
+		i++
+	})
+	if allocs != 1 {
+		t.Errorf("starting an echo stream costs %.0f allocations, want 1", allocs)
 	}
 }
 

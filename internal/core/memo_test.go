@@ -15,16 +15,26 @@ import (
 	"netfence/internal/topo"
 )
 
-// TestSenderSlotLayoutBudget pins the access router's per-sender state:
-// the slot stays within 96 bytes (it replaced a 32-byte request limiter
-// and a map entry per sender), and a rate limiter may hold at most 16
-// bytes more than the 144 it had before it learnt its slot and its Kai.
+// TestSenderSlotLayoutBudget pins the access router's per-sender state
+// and the shim's echo stream:
+//   - the slot stays within 96 bytes (it replaced a 32-byte request
+//     limiter and a map entry per sender);
+//   - a rate regulator stays within the 576-byte size class. It is one
+//     object where there were six, 600 bytes in their classes: the
+//     144-byte regLimiter, the 224-byte LeakyLimiter, the 128-byte
+//     Ticker, the cache ring's 64 bytes of first slots, the 24-byte
+//     forward closure and the 16-byte adjust method value;
+//   - an echo stream, its owned event and what it sends with, stays
+//     within the 128-byte class (a closure and a Ticker before).
 func TestSenderSlotLayoutBudget(t *testing.T) {
 	if n := unsafe.Sizeof(senderSlot{}); n > 96 {
 		t.Fatalf("sizeof(senderSlot) = %d, budget 96", n)
 	}
-	if n := unsafe.Sizeof(regLimiter{}); n > 144+16 {
-		t.Fatalf("sizeof(regLimiter) = %d, budget 160", n)
+	if n := unsafe.Sizeof(regLimiter{}); n > 576 {
+		t.Fatalf("sizeof(regLimiter) = %d, budget 576", n)
+	}
+	if n := unsafe.Sizeof(echoTimer{}); n > 128 {
+		t.Fatalf("sizeof(echoTimer) = %d, budget 128", n)
 	}
 }
 

@@ -33,7 +33,7 @@ type HostShim struct {
 	// outstanding at a time inline.
 	rest      map[packet.NodeID]*peerState
 	flowStart smallmap.Map[packet.FlowID, sim.Time]
-	// echoOrg keys the per-peer echo tickers. Only receivers of one-way
+	// echoOrg keys the per-peer echo timers. Only receivers of one-way
 	// traffic ever run one, so the origin is made on the first echo from
 	// the node ordinal reserved at attach (echoOrd): every origin made
 	// on the node after the shim keeps its ID either way.
@@ -63,7 +63,7 @@ type peerState struct {
 
 	lastSent  sim.Time
 	lastHeard sim.Time
-	echo      *sim.Ticker
+	echo      *echoTimer
 
 	// reqSince (valid when hasReqSince) marks when the shim last fell
 	// back to the request channel for lack of valid feedback toward this
@@ -305,7 +305,7 @@ func (sh *HostShim) updatePresented(ps *peerState, fb packet.Feedback) {
 }
 
 // ensureEcho starts the low-rate dedicated feedback stream toward a
-// sender of one-way traffic (§3.1 step 4). The ticker idles away once the
+// sender of one-way traffic (§3.1 step 4). The stream idles away once the
 // peer goes silent.
 func (sh *HostShim) ensureEcho(peer packet.NodeID, ps *peerState) {
 	if ps.echo != nil {
@@ -315,26 +315,40 @@ func (sh *HostShim) ensureEcho(peer packet.NodeID, ps *peerState) {
 		org := sh.host.Node.OriginAt(sh.echoOrd)
 		sh.echoOrg = &org
 	}
-	eng := sh.host.Network().Eng
+	e := &echoTimer{sh: sh, ps: ps, peer: peer}
+	ps.echo = e
+	sh.echoOrg.ScheduleEvent(&e.ev, sh.echoOrg.Now()+sh.sys.Cfg.EchoInterval, e, nil)
+}
+
+// echoTimer is one peer's echo stream: the owned event that fires every
+// EchoInterval, and what it needs to send a feedback packet.
+type echoTimer struct {
+	ev   sim.Event
+	sh   *HostShim
+	ps   *peerState
+	peer packet.NodeID
+}
+
+// OnEvent implements sim.Handler: it sends one feedback packet when the
+// reverse path carried none lately, and re-arms after the send, unless
+// the peer has been silent for eight intervals.
+func (e *echoTimer) OnEvent(now sim.Time, _ any) {
+	sh, ps := e.sh, e.ps
 	interval := sh.sys.Cfg.EchoInterval
-	ps.echo = sh.echoOrg.Tick(interval, func() {
-		now := eng.Now()
-		if now-ps.lastHeard > 8*interval {
-			ps.echo.Stop()
-			ps.echo = nil
-			return
-		}
-		if now-ps.lastSent < interval {
-			return // recent reverse traffic already carried the feedback
-		}
-		if !ps.toReturn.Present && (ps.multi == nil || !ps.multi.toReturn.Present) {
-			return
-		}
+	if now-ps.lastHeard > 8*interval {
+		ps.echo = nil
+		return
+	}
+	// Send only when no reverse traffic carried the feedback within the
+	// interval, and there is feedback to return.
+	if now-ps.lastSent >= interval &&
+		(ps.toReturn.Present || ps.multi != nil && ps.multi.toReturn.Present) {
 		p := sh.host.NewPacket()
-		p.Dst = peer
+		p.Dst = e.peer
 		p.Flow = ps.lastFlow
 		p.Proto = packet.ProtoFeedback
 		p.Size = packet.SizeFeedbackPkt
 		sh.host.Send(p)
-	})
+	}
+	sh.echoOrg.ScheduleEvent(&e.ev, now+interval, e, nil)
 }

@@ -10,6 +10,7 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
+	"netfence/internal/topo"
 )
 
 // TestHostShimLayoutBudget pins the shim every NetFence host carries —
@@ -146,7 +147,7 @@ func packetView(p *packet.Packet) string {
 
 // TestShimPeerTableProperty drives the shim with random Egress/Ingress
 // sequences over one to five peers, with the clock advanced in between
-// (echo tickers fire and send through the shim), and holds every peer's
+// (echo timers fire and send through the shim), and holds every peer's
 // state, Presented and every decorated packet to a reference that keeps
 // each peer in a shim of its own.
 func TestShimPeerTableProperty(t *testing.T) {
@@ -246,5 +247,38 @@ func TestShimLateEchoOrigin(t *testing.T) {
 	sh.Ingress(&packet.Packet{Src: other.ID, Flow: 2, Proto: packet.ProtoUDP, Payload: 100, Size: 200})
 	if sh.echoOrg != org || sh.rest[other.ID] == nil || sh.rest[other.ID].echo == nil {
 		t.Error("the second peer's echo did not start from the shim's one echo origin")
+	}
+}
+
+// TestShimEchoIdlesAndRestarts: a peer's echo stream stops once the peer
+// has been silent for eight intervals, leaving nothing scheduled, and the
+// next one-way packet from the peer starts a new one from the shim's one
+// echo origin.
+func TestShimEchoIdlesAndRestarts(t *testing.T) {
+	cfg := DefaultConfig()
+	d, _ := deploy(9, topo.DefaultDumbbell(2, 1_000_000), cfg)
+	eng := d.Net.Eng
+	sh := Shim(d.Victim)
+	pending := eng.Pending()
+	oneWay := func() {
+		sh.Ingress(&packet.Packet{Src: d.Senders[0].ID, Flow: 1, Proto: packet.ProtoUDP, Payload: 100, Size: 200})
+	}
+	oneWay()
+	e, org := sh.first.echo, sh.echoOrg
+	if e == nil || !e.ev.Pending() || eng.Pending() != pending+1 {
+		t.Fatal("a one-way packet started no echo")
+	}
+	eng.RunUntil(eng.Now() + 8*cfg.EchoInterval)
+	if sh.first.echo != e || !e.ev.Pending() {
+		t.Fatal("the echo stopped before the peer was silent for eight intervals")
+	}
+	eng.RunUntil(eng.Now() + cfg.EchoInterval)
+	if sh.first.echo != nil || e.ev.Pending() || eng.Pending() != pending {
+		t.Fatalf("after eight silent intervals: echo %p, its event pending %v, %d events pending, want none beyond %d",
+			sh.first.echo, e.ev.Pending(), eng.Pending(), pending)
+	}
+	oneWay()
+	if sh.first.echo == nil || !sh.first.echo.ev.Pending() || sh.echoOrg != org {
+		t.Fatal("the next one-way packet did not restart the echo from the shim's echo origin")
 	}
 }

@@ -15,11 +15,26 @@ const (
 	// Pass: the packet may be forwarded immediately.
 	Pass Verdict = iota
 	// Cached: the limiter buffered the packet and will emit it later
-	// through the forward callback.
+	// through its Emitter.
 	Cached
 	// Drop: the packet was discarded (caching delay would be too long).
 	Drop
 )
+
+// Emitter receives the packets a LeakyLimiter releases from its cache.
+type Emitter interface {
+	Emit(p *packet.Packet)
+}
+
+// EmitFunc adapts a function to an Emitter.
+type EmitFunc func(*packet.Packet)
+
+// Emit calls f(p).
+func (f EmitFunc) Emit(p *packet.Packet) { f(p) }
+
+// cacheInline is how many cached packets a limiter holds without a
+// buffer of its own; a longer backlog moves the ring onto the heap.
+const cacheInline = 8
 
 // LeakyLimiter is the per-(sender, bottleneck) regular-packet rate
 // limiter (§4.3.3, Figure 16): a queue whose de-queuing rate is the rate
@@ -27,19 +42,23 @@ const (
 // a token bucket would let strategic senders synchronize bursts above the
 // rate limit (on-off attacks); the queue shape makes the instantaneous
 // output rate never exceed the limit while still absorbing TCP's bursts.
+//
+// The limiter embeds its departure event and its first cache slots, so an
+// owner that holds it by value and calls Init allocates nothing for it.
 type LeakyLimiter struct {
-	// org keys the departure timer: the engine's own origin until the
-	// owning model entity installs its own with SetOrigin.
+	// org keys the departure timer: the owning model entity's origin, or
+	// the engine's own for a limiter made by NewLeakyLimiter.
 	org *sim.Origin
 	// rate is the current rate limit in bits per second.
 	rate int64
 	// MaxDelay bounds the caching delay; packets that would wait longer
 	// are dropped (Figure 16's caching_delay_too_long).
 	MaxDelay sim.Time
-	// forward emits a cached packet when its departure time arrives.
-	forward func(*packet.Packet)
+	// out emits a cached packet when its departure time arrives.
+	out Emitter
 
 	q          queue.Ring
+	inline     [cacheInline]*packet.Packet // the ring's first slots
 	bytes      int
 	lastDepart sim.Time
 	// unleashEv is the owned departure timer, re-armed in place for every
@@ -54,22 +73,29 @@ type LeakyLimiter struct {
 	lastActive    sim.Time
 }
 
-// NewLeakyLimiter creates a limiter emitting through forward. The first
-// packet may depart immediately.
+// NewLeakyLimiter creates a limiter on the engine's own origin, emitting
+// through forward. The first packet may depart immediately.
 func NewLeakyLimiter(eng *sim.Engine, rateBps int64, maxDelay sim.Time, forward func(*packet.Packet)) *LeakyLimiter {
-	return &LeakyLimiter{
-		org:        &eng.Origin,
-		rate:       rateBps,
-		MaxDelay:   maxDelay,
-		forward:    forward,
-		lastDepart: eng.Now() - sim.Hour, // allow an immediate first departure
-		lastActive: eng.Now(),
-	}
+	l := new(LeakyLimiter)
+	l.Init(&eng.Origin, rateBps, maxDelay, EmitFunc(forward))
+	return l
 }
 
-// SetOrigin makes the limiter schedule its departures from o, the origin
-// of the model entity that owns it. Call before the first Submit.
-func (l *LeakyLimiter) SetOrigin(o *sim.Origin) { l.org = o }
+// Init sets up a zero or stopped limiter in place: it schedules its
+// departures from o, the origin of the model entity that owns it, and
+// emits through out. The first packet may depart immediately.
+func (l *LeakyLimiter) Init(o *sim.Origin, rateBps int64, maxDelay sim.Time, out Emitter) {
+	now := o.Now()
+	*l = LeakyLimiter{
+		org:        o,
+		rate:       rateBps,
+		MaxDelay:   maxDelay,
+		out:        out,
+		lastDepart: now - sim.Hour, // allow an immediate first departure
+		lastActive: now,
+	}
+	l.q.StartOn(l.inline[:])
+}
 
 // Rate returns the current rate limit in bits per second.
 func (l *LeakyLimiter) Rate() int64 { return l.rate }
@@ -154,7 +180,7 @@ func (l *LeakyLimiter) unleash() {
 	if l.q.Len() > 0 {
 		l.scheduleUnleash()
 	}
-	l.forward(p)
+	l.out.Emit(p)
 }
 
 // CreditBytes adds to the interval throughput accumulator without
