@@ -32,3 +32,28 @@ func TestParseDefenses(t *testing.T) {
 		}
 	}
 }
+
+// TestListRegistered runs every -list value: each prints its registry,
+// -list topologies prints exactly the four in-tree names, and an
+// unknown value is refused with the accepted ones.
+func TestListRegistered(t *testing.T) {
+	for _, what := range []string{"experiments", "defenses", "topologies", "attacks", "metrics"} {
+		var b strings.Builder
+		if err := listRegistered(&b, what); err != nil {
+			t.Fatalf("-list %s: %v", what, err)
+		}
+		if b.Len() == 0 {
+			t.Errorf("-list %s printed nothing", what)
+		}
+		if what == "topologies" {
+			if want := "dumbbell\nparkinglot\nrandom-as\nstar\n"; b.String() != want {
+				t.Errorf("-list topologies = %q, want %q", b.String(), want)
+			}
+		}
+	}
+	var b strings.Builder
+	err := listRegistered(&b, "figures")
+	if err == nil || !strings.Contains(err.Error(), `unknown -list "figures"`) || !strings.Contains(err.Error(), "topologies") {
+		t.Fatalf("-list figures error = %v", err)
+	}
+}

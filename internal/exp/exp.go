@@ -18,6 +18,7 @@ import (
 
 	"netfence"
 	"netfence/internal/defense"
+	"netfence/internal/obs"
 )
 
 // Scale fixes an experiment family's population and durations.
@@ -163,37 +164,7 @@ func (r *Result) Note(format string, args ...any) {
 func (r *Result) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.Name, r.Title)
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range r.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(r.Columns)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		line(row)
-	}
+	obs.WriteTable(&b, r.Columns, r.Rows)
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 
 	"netfence"
@@ -75,15 +74,25 @@ func TestStrategicRequestLevel(t *testing.T) {
 	}
 }
 
+// TestResultTable pins a figure table's bytes: the title line, the
+// header padded to its widest cell, the rule, a row shorter than the
+// columns (its missing cells are left off), and the notes.
 func TestResultTable(t *testing.T) {
-	r := Result{Name: "X", Title: "t", Columns: []string{"a", "bb"}}
-	r.AddRow("1", "2")
+	r := Result{Name: "X", Title: "t", Columns: []string{"a", "bb", "c"}}
+	r.AddRow("1", "2", "wide")
+	r.AddRow("333")
 	r.Note("hello %d", 7)
-	out := r.Table()
-	for _, want := range []string{"X — t", "a", "bb", "1", "2", "note: hello 7"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
+	r.Note("bye")
+	const want = "" +
+		"X — t\n" +
+		"a    bb  c   \n" +
+		"---  --  ----\n" +
+		"1    2   wide\n" +
+		"333\n" +
+		"note: hello 7\n" +
+		"note: bye\n"
+	if got := r.Table(); got != want {
+		t.Fatalf("Table:\n%q\nwant:\n%q", got, want)
 	}
 }
 

@@ -139,3 +139,36 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
+
+// WriteTable writes rows under a header, each column padded to its
+// widest cell and two spaces from the next, with a rule of dashes under
+// the header.
+func WriteTable(b *strings.Builder, cols []string, rows [][]string) {
+	widths := make([]int, len(cols))
+	for i, c := range cols {
+		widths[i] = len(c)
+	}
+	for _, row := range rows {
+		for i, c := range row {
+			widths[i] = max(widths[i], len(c))
+		}
+	}
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(b, "%-*s", widths[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	line(cols)
+	rule := make([]string, len(cols))
+	for i, w := range widths {
+		rule[i] = strings.Repeat("-", w)
+	}
+	line(rule)
+	for _, row := range rows {
+		line(row)
+	}
+}

@@ -240,13 +240,14 @@ func counterDelta(prev, cur map[string]uint64) map[string]uint64 {
 }
 
 // runScenario drives a scenario job in segments. Each segment advances
-// to the earliest of now+step, the next scripted mutation, the next
-// pending live mutation, the next pause instant, and the duration;
-// at the boundary it applies due mutations, flushes new timeseries
-// samples to the stream, and polls the control queue. Pauses block on
-// the control queue until a resume arrives, so mutations posted while
-// paused apply at exactly the held instant — which is what makes a
-// live-steered run reproducible against a scripted timeline.
+// to the earliest of now+step, the next pending live mutation, the next
+// pause instant, and the duration (Advance applies the scripted
+// timeline on the way); at the boundary it applies due live mutations,
+// flushes new timeseries samples to the stream, and polls the control
+// queue. Pauses block on the control queue until a resume arrives, so
+// mutations posted while paused apply at exactly the held instant —
+// which is what makes a live-steered run reproducible against a
+// scripted timeline.
 func (j *job) runScenario(ctx context.Context) error {
 	sc, err := j.spec.Scenario.Scenario()
 	if err != nil {
@@ -263,7 +264,6 @@ func (j *job) runScenario(ctx context.Context) error {
 	if step <= 0 {
 		step = netfence.Second
 	}
-	scripted := in.Timeline() // sorted; applied here, not by Run
 	pauses := make([]netfence.Time, 0, len(j.spec.PauseAtSec))
 	for _, p := range j.spec.PauseAtSec {
 		if t := secs(p); t > 0 && t <= sc.Duration {
@@ -274,7 +274,7 @@ func (j *job) runScenario(ctx context.Context) error {
 
 	var pending []netfence.Mutation // live mutations scheduled ahead
 	emitted := 0                    // samples already streamed
-	next, pi := 0, 0
+	pi := 0
 	now := netfence.Time(0)
 
 	var prevCounters map[string]uint64
@@ -341,9 +341,6 @@ func (j *job) runScenario(ctx context.Context) error {
 		if t > sc.Duration {
 			t = sc.Duration
 		}
-		if next < len(scripted) && scripted[next].At < t {
-			t = scripted[next].At
-		}
 		if len(pending) > 0 && pending[0].At < t {
 			t = pending[0].At
 		}
@@ -356,18 +353,8 @@ func (j *job) runScenario(ctx context.Context) error {
 		in.Advance(t)
 		now = t
 
-		// Scripted mutations due at this instant, grouped as Run groups
-		// them, then live ones scheduled for exactly this instant.
-		for next < len(scripted) && scripted[next].At == now {
-			g := next + 1
-			for g < len(scripted) && scripted[g].At == now {
-				g++
-			}
-			if err := in.Apply(scripted[next:g]...); err != nil {
-				return fmt.Errorf("timeline at %.3fs: %w", float64(now)/float64(netfence.Second), err)
-			}
-			next = g
-		}
+		// Live mutations scheduled for exactly this instant, after the
+		// scripted ones Advance applied.
 		for len(pending) > 0 && pending[0].At <= now {
 			m := pending[0]
 			pending = pending[1:]

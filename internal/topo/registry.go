@@ -12,16 +12,10 @@ import (
 // BuildOptions carries optional construction parameters to a Builder.
 type BuildOptions struct {
 	// Population overrides the builder's default total sender population
-	// (0 = the builder's default). Builders must reject populations they
-	// cannot realize (e.g. a parking lot population not divisible by 3).
+	// (0 or less = the builder's default). Builders must reject
+	// populations they cannot realize (e.g. a parking lot population not
+	// divisible by 3).
 	Population int
-	// Config is a builder-specific configuration value whose concrete
-	// type is defined by the registered builder (DumbbellConfig for
-	// "dumbbell", StarConfig for "star", ...). nil selects the builder's
-	// defaults. Builders must reject configuration types they do not
-	// understand. When both Config and Population are set, Population
-	// wins.
-	Config any
 }
 
 // Builder constructs a role-tagged topology graph on eng.
@@ -38,10 +32,11 @@ func Canonical(name string) string {
 }
 
 // Register makes a topology constructible by name through Build. The
-// in-tree topologies self-register from an init function ("dumbbell",
-// "parkinglot", "star", "random-as"); third-party topologies may
-// register under any unclaimed name. Register panics on an empty name, a
-// nil builder, or a duplicate registration — all programmer errors.
+// root netfence package registers the in-tree topologies ("dumbbell",
+// "parkinglot", "star", "random-as") as its typed specs; third-party
+// topologies may register under any unclaimed name. Register panics on
+// an empty name, a nil builder, or a duplicate registration — all
+// programmer errors.
 func Register(name string, b Builder) {
 	key := Canonical(name)
 	if key == "" {

@@ -227,3 +227,23 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
 
 // AllASes returns every AS identifier in the topology.
 func (pl *ParkingLot) AllASes() []packet.ASID { return pl.G.AllASes() }
+
+// SplitEvenly splits a population over at most wantASes ASes, lowering
+// the AS count to the largest divisor so every AS gets the same host
+// count — the shared declared-population-is-a-contract policy of every
+// builder (0 wantASes = 10).
+func SplitEvenly(population, wantASes int) (ases, perAS int) {
+	if wantASes <= 0 {
+		wantASes = 10
+	}
+	if wantASes > population {
+		wantASes = population
+	}
+	for wantASes > 1 && population%wantASes != 0 {
+		wantASes--
+	}
+	if wantASes < 1 {
+		wantASes = 1
+	}
+	return wantASes, population / wantASes
+}

@@ -121,11 +121,7 @@ func (m Mutation) Kind() string {
 // that needs no built topology. Index ranges and the sharded cut-link
 // lookahead bound are checked against the built instance by Apply (and
 // for a Scenario.Timeline, at Build).
-func (m Mutation) Validate() error { return m.validate() }
-
-// validate checks the mutation's self-contained invariants (everything
-// that needs no built topology).
-func (m Mutation) validate() error {
+func (m Mutation) Validate() error {
 	if m.kindCount() != 1 {
 		return fmt.Errorf("mutation must set exactly one of Link, Attack, Deploy (got %d)", m.kindCount())
 	}
@@ -222,35 +218,36 @@ func (in *Instance) primeControl() error {
 	return nil
 }
 
-// Timeline returns the scenario's validated timeline, sorted by
-// instant — the schedule a segmented executor (Instance.Run, or the
-// serve-mode job runner) applies via Advance and Apply.
-func (in *Instance) Timeline() []Mutation {
-	out := make([]Mutation, len(in.timeline))
-	copy(out, in.timeline)
-	return out
-}
-
 // Now returns the instant the instance has simulated up to.
 func (in *Instance) Now() Time { return in.env.sh.coord.Now() }
 
 // Advance drives the simulation to exactly t without executing the
 // events scheduled at t itself — the control-point step of a segmented
-// run. After it returns, Apply inserts mutations after every pre-t
-// effect and before every time-t event, on the single engine exactly
-// as on every shard count. t clamps to [Now, Duration]; advancing a
-// finished instance is a no-op.
+// run. On the way it stops at each scripted Timeline instant at or
+// before t and applies that instant's mutations in declaration order,
+// so after it returns, Apply inserts live mutations after every pre-t
+// effect and every scripted mutation due by t, and before every time-t
+// event, on the single engine exactly as on every shard count. t clamps
+// to [Now, Duration]; advancing a finished instance is a no-op.
 func (in *Instance) Advance(t Time) {
 	if in.finished {
 		return
 	}
-	if t > in.Scenario.Duration {
-		t = in.Scenario.Duration
+	t = min(t, in.Scenario.Duration)
+	for len(in.timeline) > 0 && in.timeline[0].At <= t {
+		m := in.timeline[0]
+		in.timeline = in.timeline[1:]
+		in.runBefore(m.At)
+		in.applyNow(m)
 	}
-	if t <= in.Now() {
-		return
+	in.runBefore(t)
+}
+
+// runBefore drives the shards to the control point at t, if t is ahead.
+func (in *Instance) runBefore(t Time) {
+	if t > in.Now() {
+		in.env.sh.coord.RunBefore(t)
 	}
-	in.env.sh.coord.RunBefore(t)
 }
 
 // Apply applies mutations at the current instant (normally a control
@@ -266,7 +263,7 @@ func (in *Instance) Apply(ms ...Mutation) error {
 			return fmt.Errorf("mutation %d: %w", i, err)
 		}
 	}
-	in.applyNow(ms)
+	in.applyNow(ms...)
 	return nil
 }
 
@@ -274,7 +271,7 @@ func (in *Instance) Apply(ms ...Mutation) error {
 // structural invariants, index ranges, and the sharded cut-link
 // lookahead bound.
 func (in *Instance) checkMutation(m Mutation) error {
-	if err := m.validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return err
 	}
 	if m.At > in.Scenario.Duration {
@@ -310,7 +307,7 @@ func (in *Instance) checkMutation(m Mutation) error {
 // they schedule is keyed by the scheduling model entity alone, so it
 // lands identically on every engine although application runs outside
 // any event callback.
-func (in *Instance) applyNow(ms []Mutation) {
+func (in *Instance) applyNow(ms ...Mutation) {
 	for _, m := range ms {
 		switch {
 		case m.Link != nil:
@@ -507,11 +504,13 @@ func (st *deployState) disarmHost(h *netsim.Node) {
 }
 
 // Finish completes the run: it drives the simulation to Duration
-// (executing the final instant's batch), stops the workloads, tears
-// down the shard workers, and collects every probe into the Result.
-// Repeat calls return a freshly collected Result without re-driving.
+// (applying the rest of the scripted Timeline and executing the final
+// instant's batch), stops the workloads, tears down the shard workers,
+// and collects every probe into the Result. Repeat calls return a
+// freshly collected Result without re-driving.
 func (in *Instance) Finish() *Result {
 	if !in.finished {
+		in.Advance(in.Scenario.Duration)
 		in.finished = true
 		sh := in.env.sh
 		sh.coord.RunUntil(in.Scenario.Duration)

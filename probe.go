@@ -8,6 +8,7 @@ import (
 
 	"netfence/internal/attack"
 	"netfence/internal/netsim"
+	"netfence/internal/obs"
 )
 
 // Probe measures a scenario run and writes its findings into the Result.
@@ -158,42 +159,9 @@ func FormatResults(results []*Result) string {
 		})
 	}
 	var b strings.Builder
-	writeTable(&b, []string{"scenario", "defense", "topo", "attack", "seed", "senders", "deploy",
+	obs.WriteTable(&b, []string{"scenario", "defense", "topo", "attack", "seed", "senders", "deploy",
 		"user kbps", "atk kbps", "ratio", "jain", "util", "fct(s)", "compl"}, rows)
 	return b.String()
-}
-
-// writeTable writes rows under a header, each column padded to its
-// widest cell and two spaces from the next, with a rule of dashes under
-// the header.
-func writeTable(b *strings.Builder, cols []string, rows [][]string) {
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			widths[i] = max(widths[i], len(c))
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(cols)
-	rule := make([]string, len(cols))
-	for i, w := range widths {
-		rule[i] = strings.Repeat("-", w)
-	}
-	line(rule)
-	for _, row := range rows {
-		line(row)
-	}
 }
 
 // goodputMeter is one sender's goodput as the probes read it: the

@@ -318,7 +318,8 @@ type Instance struct {
 
 	env    *scenarioEnv
 	probes []Probe
-	// timeline is the scenario Timeline, validated and sorted by instant.
+	// timeline is what Advance has yet to apply of the scenario
+	// Timeline, validated and sorted by instant.
 	timeline []Mutation
 	// finished flags a completed (or stopped) run: the coordinator's
 	// workers are torn down and the instance can only be collected.
@@ -366,24 +367,7 @@ func (s Scenario) Build() (*Instance, error) {
 // Result. Calling Run again returns a freshly collected Result without
 // re-driving the simulation, on the sharded path as on the single
 // engine.
-func (in *Instance) Run() *Result {
-	if !in.finished {
-		// Apply the validated timeline in instant groups: advance to
-		// each instant's control point, apply that instant's mutations
-		// in declaration order, continue. Serve-mode jobs interleave the
-		// same Advance/Apply calls with live mutations instead.
-		for i := 0; i < len(in.timeline); {
-			j := i + 1
-			for j < len(in.timeline) && in.timeline[j].At == in.timeline[i].At {
-				j++
-			}
-			in.Advance(in.timeline[i].At)
-			in.applyNow(in.timeline[i:j])
-			i = j
-		}
-	}
-	return in.Finish()
-}
+func (in *Instance) Run() *Result { return in.Finish() }
 
 // collect assembles the Result from the probes' current state.
 func (in *Instance) collect() *Result {

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 
 	"netfence/internal/attack"
 	"netfence/internal/defense"
+	"netfence/internal/obs"
 	"netfence/internal/search"
 )
 
@@ -183,7 +185,7 @@ func (s SearchSpec) resolve() (opt search.Optimizer, budget int, defenses, strat
 		defenses = []string{name}
 	}
 	for i, d := range defenses {
-		if !defenseRegistered(d) {
+		if !slices.Contains(defense.Names(), defense.Canonical(d)) {
 			return nil, 0, nil, nil, fmt.Errorf("netfence: SearchSpec defense %q (index %d) is not a registered system (registered: %s)",
 				d, i, strings.Join(defense.Names(), ", "))
 		}
@@ -330,18 +332,6 @@ func (s SearchSpec) cellScenario(d, st string, params map[string]float64) Scenar
 	return sc
 }
 
-// defenseRegistered reports whether a defense name resolves in the
-// registry.
-func defenseRegistered(name string) bool {
-	c := defense.Canonical(name)
-	for _, n := range defense.Names() {
-		if n == c {
-			return true
-		}
-	}
-	return false
-}
-
 // Gate enforces the Theorem-1 contract on the report: every netfence
 // row must clear the goodput floor at its searched worst case. Other
 // systems are expected to fall below the floor — that is the point of
@@ -390,6 +380,6 @@ func (r *SearchReport) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "worst-found table (optimizer=%s budget=%d seed=%d; * = defense's worst strategy)\n",
 		r.Optimizer, r.Budget, r.Seed)
-	writeTable(&b, []string{"defense", "strategy", "worst attack", "user kbps", "default", "suppress", "floor", "gap", "holds", "evals"}, rows)
+	obs.WriteTable(&b, []string{"defense", "strategy", "worst attack", "user kbps", "default", "suppress", "floor", "gap", "holds", "evals"}, rows)
 	return b.String()
 }

@@ -271,7 +271,7 @@ func (sw Sweep) RunContext(ctx context.Context) ([]*Result, error) {
 	}
 	for i, tl := range sw.Timelines {
 		for j, m := range tl.Timeline {
-			if err := m.validate(); err != nil {
+			if err := m.Validate(); err != nil {
 				return nil, fmt.Errorf("netfence: Sweep timeline %q (index %d) mutation %d: %w", tl.Name, i, j, err)
 			}
 		}

@@ -215,9 +215,9 @@ func TestTimelineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := in.Timeline()
+	tl := in.timeline
 	if len(tl) != 2 || tl[0].At != 2*Second || tl[1].At != 4*Second {
-		t.Fatalf("Timeline() = %+v, want sorted by At", tl)
+		t.Fatalf("timeline = %+v, want sorted by At", tl)
 	}
 
 	// Apply after Finish is rejected; Advance is a no-op.
@@ -358,4 +358,41 @@ func TestSweepRunContextCancel(t *testing.T) {
 	if completed < 2 || completed >= len(results) {
 		t.Errorf("completed %d of %d cells after cancel at 2", completed, len(results))
 	}
+}
+
+// TestAdvanceAppliesScriptedTimeline drives a scripted Timeline the way
+// the serve runner does — Advance in 3 s steps, the series read at every
+// control point, then Finish — and holds it to Run's bytes on two
+// shards. Two mutations share an instant inside a step, and one sits at
+// exactly Duration, which only Finish reaches.
+func TestAdvanceAppliesScriptedTimeline(t *testing.T) {
+	cell := func() Scenario {
+		sc := equivScenario(kindSpec, []Workload{
+			LongTCP{Senders: Range(0, 8)},
+			AttackSpec{Senders: Range(8, 20), RateBps: 1_000_000},
+		}, 2)
+		sc.Probes = []Probe{GoodputProbe{}, FairnessProbe{}, TimeseriesProbe{Interval: Second}}
+		sc.Timeline = []Mutation{
+			{At: 13 * Second, Link: &LinkMutation{Bottleneck: 0, RateBps: 2_000_000}},
+			{At: 30 * Second, Link: &LinkMutation{Bottleneck: 0, Restore: true}},
+			{At: 13 * Second, Attack: &AttackMutation{Workload: 0, Action: AttackStop}},
+		}
+		return sc
+	}
+	want := resultJSON(t, cell())
+
+	sc := cell()
+	in, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 3 * Second; at < sc.Duration; at += 3 * Second {
+		in.Advance(at)
+		in.Series()
+	}
+	raw, err := json.Marshal(in.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffJSON(t, "advance-scripted", want, string(raw), 2)
 }

@@ -19,12 +19,52 @@ type TopologySpec interface {
 	// the Sweep runner's population axis.
 	withPopulation(n int) TopologySpec
 	population() int
-	// topoName is the registry-style name recorded in results.
-	topoName() string
 	// groupSizes reports the per-group sender capacity the spec will
 	// build, for fail-fast workload validation; nil means unknown until
 	// build time (registry-resolved specs).
 	groupSizes() []int
+}
+
+// fairShareBps is the per-sender bottleneck share the registered
+// in-tree topologies keep at any population — the paper's scaling of
+// the bottleneck with the sender count (§6.3.1).
+const fairShareBps = 200_000
+
+// The in-tree topologies register as their typed specs at the paper's
+// fair share, with colluder ASes so the collusion workloads run
+// unchanged. A population of 0 or less selects 20 senders (60 on the
+// parking lot, 20 per group).
+func init() {
+	share := func(n int) int64 { return int64(n) * fairShareBps }
+	registerSpec("dumbbell", 20, func(n int) TopologySpec {
+		return DumbbellSpec{Senders: n, BottleneckBps: share(n), ColluderASes: 9}
+	})
+	registerSpec("parkinglot", 60, func(n int) TopologySpec {
+		g := n / 3
+		return ParkingLotSpec{SendersPerGroup: g, L1Bps: share(g), L2Bps: share(g) * 3 / 2, declaredPopulation: n}
+	})
+	registerSpec("star", 20, func(n int) TopologySpec {
+		return StarSpec{Senders: n, BottleneckBps: share(n), ColluderASes: 3}
+	})
+	registerSpec("random-as", 20, func(n int) TopologySpec {
+		return RandomASSpec{Senders: n, BottleneckBps: share(n), ColluderASes: 3}
+	})
+}
+
+// registerSpec registers name as the typed spec spec(n) at population n
+// (defaultN when the requested population is not positive).
+func registerSpec(name string, defaultN int, spec func(n int) TopologySpec) {
+	topo.Register(name, func(eng *sim.Engine, opts topo.BuildOptions) (*topo.Graph, error) {
+		n := opts.Population
+		if n <= 0 {
+			n = defaultN
+		}
+		bt, err := spec(n).buildTopo(eng)
+		if err != nil {
+			return nil, err
+		}
+		return bt.graph, nil
+	})
 }
 
 // RegisterTopology makes a third-party topology resolvable by name in
@@ -55,9 +95,9 @@ type GraphGroup = topo.GraphGroup
 // NewGraph returns an empty topology graph driven by eng.
 func NewGraph(eng *Engine) *Graph { return topo.NewGraph(eng) }
 
-// Topology resolves a registered topology by name with its default
-// configuration. Set Population (or sweep over Populations) to resize
-// it; set Config to the builder's config type for full control:
+// Topology resolves a registered topology by name at its default
+// population. Set Population (or sweep over Populations) to resize it;
+// use the typed spec (DumbbellSpec, ...) for full control:
 //
 //	sc.Topology = netfence.Topology("random-as")
 //	sc.Topology = netfence.RegisteredTopology{Name: "star", Population: 50}
@@ -71,9 +111,6 @@ type RegisteredTopology struct {
 	Name string
 	// Population overrides the builder's default sender population.
 	Population int
-	// Config optionally configures the builder (its registered config
-	// type, e.g. topo.StarConfig for "star"); nil selects defaults.
-	Config any
 }
 
 func (s RegisteredTopology) population() int { return s.Population }
@@ -83,15 +120,10 @@ func (s RegisteredTopology) withPopulation(n int) TopologySpec {
 	return s
 }
 
-func (s RegisteredTopology) topoName() string { return topo.Canonical(s.Name) }
-
 func (s RegisteredTopology) groupSizes() []int { return nil }
 
 func (s RegisteredTopology) buildTopo(eng *sim.Engine) (*builtTopo, error) {
-	g, err := topo.Build(s.Name, eng, topo.BuildOptions{
-		Population: s.Population,
-		Config:     s.Config,
-	})
+	g, err := topo.Build(s.Name, eng, topo.BuildOptions{Population: s.Population})
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +153,6 @@ func (s DumbbellSpec) withPopulation(n int) TopologySpec {
 	s.Senders = n
 	return s
 }
-
-func (s DumbbellSpec) topoName() string { return "dumbbell" }
 
 func (s DumbbellSpec) groupSizes() []int { return []int{s.Senders} }
 
@@ -194,8 +224,6 @@ func (s ParkingLotSpec) withPopulation(n int) TopologySpec {
 	return s
 }
 
-func (s ParkingLotSpec) topoName() string { return "parkinglot" }
-
 func (s ParkingLotSpec) groupSizes() []int {
 	return []int{s.SendersPerGroup, s.SendersPerGroup, s.SendersPerGroup}
 }
@@ -258,8 +286,6 @@ func (s StarSpec) withPopulation(n int) TopologySpec {
 	return s
 }
 
-func (s StarSpec) topoName() string { return "star" }
-
 func (s StarSpec) groupSizes() []int { return []int{s.Senders} }
 
 func (s StarSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
@@ -313,8 +339,6 @@ func (s RandomASSpec) withPopulation(n int) TopologySpec {
 	s.Senders = n
 	return s
 }
-
-func (s RandomASSpec) topoName() string { return "random-as" }
 
 func (s RandomASSpec) groupSizes() []int { return []int{s.Senders} }
 

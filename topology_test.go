@@ -216,6 +216,79 @@ func TestTopologyRegistry(t *testing.T) {
 	})
 }
 
+// TestRegisteredTopologyIsTypedSpec holds each in-tree registered
+// topology to the typed spec it is registered as — the paper's 200 kbps
+// per-sender fair share — at its default and an explicit population, on
+// one and two shards. A population of -1 builds the default, and a
+// parking lot of 7 is refused.
+func TestRegisteredTopologyIsTypedSpec(t *testing.T) {
+	const share = 200_000
+	typed := map[string]func(n int) netfence.TopologySpec{
+		"dumbbell": func(n int) netfence.TopologySpec {
+			return netfence.DumbbellSpec{Senders: n, BottleneckBps: int64(n) * share, ColluderASes: 9}
+		},
+		"parkinglot": func(n int) netfence.TopologySpec {
+			g := int64(n / 3)
+			return netfence.ParkingLotSpec{SendersPerGroup: n / 3, L1Bps: g * share, L2Bps: g * 300_000}
+		},
+		"star": func(n int) netfence.TopologySpec {
+			return netfence.StarSpec{Senders: n, BottleneckBps: int64(n) * share, ColluderASes: 3}
+		},
+		"random-as": func(n int) netfence.TopologySpec {
+			return netfence.RandomASSpec{Senders: n, BottleneckBps: int64(n) * share, ColluderASes: 3}
+		},
+	}
+	defaults := map[string]int{"dumbbell": 20, "parkinglot": 60, "star": 20, "random-as": 20}
+	run := func(topo netfence.TopologySpec, shards int) string {
+		t.Helper()
+		res, err := netfence.Scenario{
+			Name:     "registered",
+			Seed:     3,
+			Topology: topo,
+			Workloads: []netfence.Workload{
+				netfence.LongTCP{Senders: netfence.Range(0, 2)},
+				netfence.ColluderPairs{Senders: netfence.Range(2, 4), RateBps: 1_000_000},
+			},
+			Duration: 10 * netfence.Second,
+			Warmup:   5 * netfence.Second,
+			Shards:   shards,
+		}.Run()
+		if err != nil {
+			t.Fatalf("%+v: %v", topo, err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for name, spec := range typed {
+		for _, pop := range []int{0, 12} {
+			n := pop
+			if n == 0 {
+				n = defaults[name]
+			}
+			for _, shards := range []int{1, 2} {
+				want := run(spec(n), shards)
+				if got := run(netfence.RegisteredTopology{Name: name, Population: pop}, shards); got != want {
+					t.Errorf("%s population %d on %d shards differs from its typed spec:\nregistered: %s\ntyped:      %s", name, pop, shards, got, want)
+				}
+			}
+		}
+		if got, want := run(netfence.RegisteredTopology{Name: name, Population: -1}, 1), run(spec(defaults[name]), 1); got != want {
+			t.Errorf("%s population -1 does not build the default", name)
+		}
+	}
+	_, err := netfence.Scenario{
+		Topology:  netfence.RegisteredTopology{Name: "parkinglot", Population: 7},
+		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0}}},
+		Duration:  10 * netfence.Second,
+	}.Run()
+	if want := `topo "parkinglot": ParkingLotSpec: population 7 does not split into 3 equal groups`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("parkinglot population 7: err = %v, want %q", err, want)
+	}
+}
+
 // tinyLineOnce guards the process-global registration so the test
 // survives -count=N reruns.
 var tinyLineOnce sync.Once
