@@ -25,9 +25,9 @@ type System struct {
 
 // NewSystem creates a NetFence deployment for net, establishing pairwise
 // keys among all ASes present in the topology. With Passport on, every
-// packet net's pool allocates from then on is made with its trailer
-// block, which the access routers stamp on nearly all of them: one
-// allocation per packet, not two. Build the system before anything
+// fresh packet net's pool makes from then on comes with its trailer
+// block, which the access routers stamp on nearly all of them, so the
+// stamp allocates nothing of its own. Build the system before anything
 // draws packets from net.
 func NewSystem(net *netsim.Network, cfg Config) *System {
 	if cfg.Passport {

@@ -248,11 +248,11 @@ type Ext struct {
 // recycles them at end of life; hand-constructed &Packet{} values work
 // everywhere too and are simply never recycled.
 //
-// The struct is 120 bytes, two cache lines: alone it takes the 128-byte
-// allocator class, and on Passport runs it is made with its trailer
-// block, 208 bytes, which fill the 208-byte class (TestPacketLayoutBudget
-// pins sizes and offsets). Every pooled, cached or in-flight packet
-// costs that much heap, and Reset rewrites the struct per recycle, the
+// The struct is 120 bytes, two cache lines; on Passport runs it is made
+// with its trailer block, 208 bytes. A pool carves packets from slabs
+// that fill an allocator class (TestPacketLayoutBudget pins sizes,
+// offsets and slabs). Every pooled, cached or in-flight packet costs
+// that much heap, and Reset rewrites the struct per recycle, the
 // block too once it has one. Line 0 holds what every hop reads —
 // addressing, flow, size, channel; line 1 what access routers and shims
 // read — the two feedback headers — and the pointers to what is
@@ -308,12 +308,12 @@ func (p *Packet) NeedExt() *Ext {
 // longer path grows one once (passport.StampHops), which the packet
 // then keeps. The 40-byte block and six 8-byte entries take 88 bytes,
 // in the allocator's 96-byte class when made alone, and bring the
-// 120-byte packet they are made with to 208 bytes, a class exactly.
+// 120-byte packet they are made with to 208 bytes.
 const passportInline = 6
 
 // passportBlock is a trailer block with its inline entries: what
-// NeedPassport allocates alone, and what a trailer-making Pool allocates
-// inside each packet (passportPacket).
+// NeedPassport allocates alone, and what a trailer-making Pool carves
+// beside each packet (passportPacket).
 type passportBlock struct {
 	PassportStamp
 	inline [passportInline]PassportMAC

@@ -92,8 +92,10 @@ func TestSizeConstantsMatchPaper(t *testing.T) {
 // What every hop reads stays in the first line, what access routers and
 // shims read in the second; a field that does not fit belongs behind
 // the trailer block or Ext. A packet made with its trailer block, as a
-// Passport run's pool makes them, stays in the 208-byte class: 16 bytes
-// less per packet than the struct and block allocated apart.
+// Passport run's pool makes them, takes 208 bytes: 16 bytes less per
+// packet than the struct and block allocated apart. A pool's slab of
+// either kind fills its allocator class, 8192 and 12288 bytes, short of
+// room for one more packet.
 func TestPacketLayoutBudget(t *testing.T) {
 	var p Packet
 	if n := unsafe.Sizeof(p); n > 128 {
@@ -118,5 +120,16 @@ func TestPacketLayoutBudget(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(passportPacket{}); n > 208 {
 		t.Fatalf("a packet made with its trailer block is %d bytes, budget 208: it leaves the 208-byte class", n)
+	}
+	for _, s := range []struct {
+		name              string
+		slab, elem, class uintptr
+	}{
+		{"bare", unsafe.Sizeof([slabLen]Packet{}), unsafe.Sizeof(Packet{}), 8192},
+		{"Passport", unsafe.Sizeof([passportSlabLen]passportPacket{}), unsafe.Sizeof(passportPacket{}), 12288},
+	} {
+		if s.slab > s.class || s.slab <= s.class-s.elem {
+			t.Errorf("%s slab is %d bytes: want it to fill the %d-byte class with room for less than one more %d-byte packet", s.name, s.slab, s.class, s.elem)
+		}
 	}
 }

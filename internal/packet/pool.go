@@ -1,5 +1,7 @@
 package packet
 
+import "unsafe"
+
 // Pool recycles Packets so steady-state forwarding allocates nothing. It
 // is deliberately not synchronized: each simulation engine is
 // single-threaded and owns one pool (parallel sweep cells and the
@@ -16,36 +18,56 @@ package packet
 // empties go home — the destination shard hands an idle struct of its
 // own back for each one it receives (Lend there, Adopt here; see
 // netsim.Mailbox), so every shard's pool stays as small as its own
-// traffic in flight. News counts a struct where it was allocated, Len
+// traffic in flight. News counts a struct where it was carved, Len
 // where it rests.
 // Packets constructed directly with &Packet{} (tests, hand-crafted
 // probes) are not pool-managed: Put ignores them, so legacy call sites
 // that inspect a packet after the run keep working.
 //
-// The pool of a network whose defense stamps Passport trailers makes
-// trailers (MakeTrailers): each packet it allocates comes with its
-// trailer block in the same object, one allocation of 208 bytes where
-// NeedPassport would make a second (128 + 96 bytes in their classes).
-// Any other pool allocates the bare 120-byte struct.
+// A pool with nothing recycled carves its fresh packet from the rest of
+// a slab it allocated earlier, and allocates a new slab only when that
+// rest is used up. A slab fills one allocator class: 68 bare 120-byte
+// packets in 8192 bytes (slabLen), or, on a pool that makes trailers
+// (MakeTrailers; the pool of a network whose defense stamps Passport
+// trailers), 59 packets of 208 bytes, each with its trailer block beside
+// it, in 12288 (passportSlabLen). Any other packet makes its block on
+// first need (NeedPassport). The uncarved rest is not idle packets: it
+// is held apart from the free list, so Len and Lend never see it, and
+// News counts each packet as it is carved. A slab element may end its
+// life in another shard's pool (Lend/Adopt): elements are distinct
+// memory, and pools never free.
 type Pool struct {
 	free []*Packet
 
-	// Gets counts Get calls, News the subset that allocated a fresh
+	// slab and pslab are the uncarved rest of the current slab of bare
+	// and of trailer-made packets.
+	slab  []Packet
+	pslab []passportPacket
+
+	// Gets counts Get calls, News the subset that handed out a fresh
 	// Packet, Puts successful recycles — Gets-News hits quantify reuse.
 	Gets, News, Puts uint64
 
 	trailers bool
 }
 
-// passportPacket is a packet made with its trailer block, the object a
-// trailer-making Pool allocates.
+// passportPacket is a packet made with its trailer block, the element
+// of a trailer-making Pool's slab.
 type passportPacket struct {
 	Packet
 	block passportBlock
 }
 
-// MakeTrailers makes every packet the pool allocates from now on carry
-// a zeroed trailer block with its inline entries; packets allocated
+// Slab lengths: as many packets as fill the allocator class the slab is
+// sized for, so a struct that grows shortens its slab instead of
+// pushing it into the next class (TestPacketLayoutBudget).
+const (
+	slabLen         = int(8192 / unsafe.Sizeof(Packet{}))
+	passportSlabLen = int(12288 / unsafe.Sizeof(passportPacket{}))
+)
+
+// MakeTrailers makes every fresh packet the pool carves from now on
+// carry a zeroed trailer block with its inline entries; packets carved
 // before make theirs on first need. The system that stamps Passport
 // trailers calls it when it is built on the pool's network, before
 // anything draws a packet.
@@ -58,11 +80,22 @@ func (pl *Pool) Get() *Packet {
 	if n == 0 {
 		pl.News++
 		if pl.trailers {
-			b := &passportPacket{Packet: Packet{pooled: true}}
+			if len(pl.pslab) == 0 {
+				pl.pslab = make([]passportPacket, passportSlabLen)
+			}
+			b := &pl.pslab[0]
+			pl.pslab = pl.pslab[1:]
+			b.pooled = true
 			b.block.attach(&b.Packet)
 			return &b.Packet
 		}
-		return &Packet{pooled: true}
+		if len(pl.slab) == 0 {
+			pl.slab = make([]Packet, slabLen)
+		}
+		p := &pl.slab[0]
+		pl.slab = pl.slab[1:]
+		p.pooled = true
+		return p
 	}
 	p := pl.free[n-1]
 	pl.free[n-1] = nil

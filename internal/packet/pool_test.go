@@ -185,20 +185,81 @@ func TestPoolRetainsPassportCapacity(t *testing.T) {
 	}
 }
 
-// TestPoolMakesTrailers: a trailer-making pool allocates a packet and its
-// trailer block together, so a Get that misses followed by NeedPassport
-// is one allocation, where a plain pool makes two.
+// TestPoolMakesTrailers: a trailer-making pool carves each packet with
+// its trailer block beside it, so one slab's worth of misses, each
+// followed by NeedPassport, is one allocation, where a plain pool makes
+// its slab and then a block per packet.
 func TestPoolMakesTrailers(t *testing.T) {
 	var plain, trailers Pool
 	trailers.MakeTrailers()
-	// Every Get misses: nothing is put back.
+	// Every Get misses: nothing is put back, and each run starts on a
+	// slab boundary.
 	for _, tc := range []struct {
 		name string
 		pool *Pool
+		n    int
 		want float64
-	}{{"plain", &plain, 2}, {"trailer-making", &trailers, 1}} {
-		if n := testing.AllocsPerRun(100, func() { tc.pool.Get().NeedPassport() }); n != tc.want {
-			t.Errorf("%s pool: Get on a miss then NeedPassport allocates %.1f times, want %.0f", tc.name, n, tc.want)
+	}{{"plain", &plain, slabLen, float64(1 + slabLen)}, {"trailer-making", &trailers, passportSlabLen, 1}} {
+		if got := testing.AllocsPerRun(10, func() {
+			for range tc.n {
+				tc.pool.Get().NeedPassport()
+			}
+		}); got != tc.want {
+			t.Errorf("%s pool: %d misses, each then NeedPassport, allocate %.1f times, want %.0f", tc.name, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestPoolCarvesSlabs: packets carved across slab boundaries are
+// distinct, zeroed and pooled, a Passport packet with its own inline
+// block; News counts each one; the uncarved rest of a slab is not idle
+// (Len, Lend); and a recycled packet is handed out before a fresh one.
+func TestPoolCarvesSlabs(t *testing.T) {
+	for _, tc := range []struct {
+		trailers bool
+		slab     int
+	}{{false, slabLen}, {true, passportSlabLen}} {
+		var pool Pool
+		if tc.trailers {
+			pool.MakeTrailers()
+		}
+		n := 2*tc.slab + 1
+		seen := map[*Packet]bool{}
+		blocks := map[*PassportStamp]bool{}
+		var last *Packet
+		for i := range n {
+			p := pool.Get()
+			if seen[p] {
+				t.Fatalf("trailer-making %v: packet %d handed out twice", tc.trailers, i)
+			}
+			seen[p] = true
+			if !p.pooled || p.inPool || !likeFresh(t, "Packet", reflect.ValueOf(p).Elem()) {
+				t.Fatalf("trailer-making %v: packet %d is not a zeroed pooled packet", tc.trailers, i)
+			}
+			if st := p.Passport; (st != nil) != tc.trailers {
+				t.Fatalf("trailer-making %v: packet %d has trailer block %v", tc.trailers, i, st)
+			} else if st != nil {
+				if blocks[st] || cap(st.Entries) != passportInline {
+					t.Fatalf("packet %d: block shared or not inline (cap %d)", i, cap(st.Entries))
+				}
+				blocks[st] = true
+				st.Entries = append(st.Entries, PassportMAC{AS: ASID(i + 1)})
+			}
+			p.Flow = FlowID(i + 1) // a later packet sharing its memory would not look fresh
+			last = p
+		}
+		if pool.Gets != uint64(n) || pool.News != uint64(n) {
+			t.Fatalf("trailer-making %v: gets %d news %d, want %d each", tc.trailers, pool.Gets, pool.News, n)
+		}
+		if pool.Len() != 0 {
+			t.Fatalf("trailer-making %v: the slab tail counts as %d idle packets", tc.trailers, pool.Len())
+		}
+		if lent := pool.Lend(nil, n); len(lent) != 0 {
+			t.Fatalf("trailer-making %v: Lend lent %d packets from the slab tail", tc.trailers, len(lent))
+		}
+		pool.Put(last)
+		if p := pool.Get(); p != last || pool.News != uint64(n) {
+			t.Fatalf("trailer-making %v: a Get after a Put handed out a fresh packet (news %d)", tc.trailers, pool.News)
 		}
 	}
 }
