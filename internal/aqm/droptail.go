@@ -13,6 +13,7 @@ import (
 // DropTail is a FIFO queue that drops arriving packets once the buffer
 // holds LimitBytes.
 type DropTail struct {
+	queue.Drops
 	q     queue.Ring
 	bytes int
 	hwm   int
@@ -25,11 +26,11 @@ func NewDropTail(limitBytes int) *DropTail {
 	return &DropTail{limit: limitBytes}
 }
 
-// Enqueue appends p unless the buffer is full.
+// Enqueue appends p unless the buffer is full, when it discards p as
+// "tail".
 func (d *DropTail) Enqueue(p *packet.Packet, now sim.Time) bool {
 	if d.bytes+int(p.Size) > d.limit {
-		d.stats.Dropped++
-		d.stats.DroppedBytes += uint64(p.Size)
+		d.Discard(&d.stats, p, now, "tail")
 		return false
 	}
 	d.q.Push(p)
@@ -64,6 +65,3 @@ func (d *DropTail) Stats() queue.Stats { return d.stats }
 
 // HighWater returns the highest backlog in bytes the queue reached.
 func (d *DropTail) HighWater() int { return d.hwm }
-
-// LastDropReason reports why the last Enqueue refused a packet.
-func (d *DropTail) LastDropReason() string { return "tail" }

@@ -50,6 +50,7 @@ func DefaultRED(rateBps int64) REDConfig {
 // routers use to decide whether the link is overloaded when stamping
 // congestion policing feedback (§4.3.4).
 type RED struct {
+	queue.Drops
 	cfg   REDConfig
 	rng   *rand.Rand
 	q     queue.Ring
@@ -59,8 +60,6 @@ type RED struct {
 	count int // packets since last early drop
 	idleA sim.Time
 	stats queue.Stats
-	// lastDrop distinguishes hard-limit from early drops in traces.
-	lastDrop string
 
 	// lastCongested is the most recent instant the average queue crossed
 	// MinThresh or a packet was dropped; bottleneck routers derive the
@@ -74,17 +73,17 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 	return &RED{cfg: cfg, rng: rng, count: -1, idleA: -1}
 }
 
-// Enqueue runs the RED acceptance test and appends p if it survives.
+// Enqueue runs the RED acceptance test and appends p if it survives;
+// otherwise it discards p as "red-limit" (the hard limit) or
+// "red-early".
 func (r *RED) Enqueue(p *packet.Packet, now sim.Time) bool {
 	r.updateAvg(now)
-	drop := false
+	drop := ""
 	switch {
 	case r.bytes+int(p.Size) > r.cfg.LimitBytes:
-		drop = true // hard limit
-		r.lastDrop = "red-limit"
+		drop = "red-limit"
 	case r.avg >= float64(r.cfg.MaxThresh):
-		drop = true
-		r.lastDrop = "red-early"
+		drop = "red-early"
 	case r.avg >= float64(r.cfg.MinThresh):
 		pb := r.cfg.MaxP * (r.avg - float64(r.cfg.MinThresh)) /
 			float64(r.cfg.MaxThresh-r.cfg.MinThresh)
@@ -93,22 +92,20 @@ func (r *RED) Enqueue(p *packet.Packet, now sim.Time) bool {
 			pa = pb / (1 - float64(r.count)*pb)
 		}
 		if r.rng.Float64() < pa {
-			drop = true
-			r.lastDrop = "red-early"
+			drop = "red-early"
 		} else {
 			r.count++
 		}
 	default:
 		r.count = -1
 	}
-	if r.avg >= float64(r.cfg.MinThresh) || drop {
+	if r.avg >= float64(r.cfg.MinThresh) || drop != "" {
 		r.lastCongested = now
 		r.congestedSeen = true
 	}
-	if drop {
+	if drop != "" {
 		r.count = 0
-		r.stats.Dropped++
-		r.stats.DroppedBytes += uint64(p.Size)
+		r.Discard(&r.stats, p, now, drop)
 		return false
 	}
 	r.q.Push(p)
@@ -172,6 +169,3 @@ func (r *RED) LastCongested() (sim.Time, bool) { return r.lastCongested, r.conge
 
 // HighWater returns the highest backlog in bytes the queue reached.
 func (r *RED) HighWater() int { return r.hwm }
-
-// LastDropReason reports why the last Enqueue refused a packet.
-func (r *RED) LastDropReason() string { return r.lastDrop }

@@ -56,7 +56,7 @@ func (*None) Name() string { return "None" }
 
 // ProtectLink installs a DropTail queue.
 func (*None) ProtectLink(l *netsim.Link) {
-	l.Q = aqm.NewDropTail(queueLimit(l.Rate))
+	l.SetQueue(aqm.NewDropTail(queueLimit(l.Rate)))
 }
 
 // ProtectAccess does nothing.

@@ -22,9 +22,7 @@ func (*FQ) Name() string { return "FQ" }
 
 // ProtectLink installs a per-sender DRR queue.
 func (*FQ) ProtectLink(l *netsim.Link) {
-	q := fq.NewDRR(fq.BySender, packet.SizeData, queueLimit(l.Rate))
-	q.Release = l.From.Network().Release
-	l.Q = q
+	l.SetQueue(fq.NewDRR(fq.BySender, packet.SizeData, queueLimit(l.Rate)))
 }
 
 // ProtectAccess does nothing: FQ has no access-router role.

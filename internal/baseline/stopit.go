@@ -50,12 +50,10 @@ func (*StopIt) Name() string { return "StopIt" }
 
 // ProtectLink installs AS-then-sender hierarchical fair queuing.
 func (s *StopIt) ProtectLink(l *netsim.Link) {
-	main := fq.NewHDRR(fq.BySourceAS, fq.BySender, packet.SizeData, queueLimit(l.Rate))
-	main.Release = l.From.Network().Release
-	l.Q = &stopitQueue{
-		main:   main,
+	l.SetQueue(&stopitQueue{
+		main:   fq.NewHDRR(fq.BySourceAS, fq.BySender, packet.SizeData, queueLimit(l.Rate)),
 		legacy: aqm.NewDropTail(queueLimit(l.Rate) / 10),
-	}
+	})
 }
 
 // ProtectAccess installs a filter table covering r's attached hosts.
@@ -169,13 +167,10 @@ func (q *stopitQueue) Len() int { return q.main.Len() + q.legacy.Len() }
 func (q *stopitQueue) Bytes() int { return q.main.Bytes() + q.legacy.Bytes() }
 
 // Stats aggregates both channels.
-func (q *stopitQueue) Stats() queue.Stats {
-	s := q.main.Stats()
-	t := q.legacy.Stats()
-	s.Enqueued += t.Enqueued
-	s.Dequeued += t.Dequeued
-	s.Dropped += t.Dropped
-	s.DequeuedBytes += t.DequeuedBytes
-	s.DroppedBytes += t.DroppedBytes
-	return s
+func (q *stopitQueue) Stats() queue.Stats { return q.main.Stats().Add(q.legacy.Stats()) }
+
+// SetDropper installs d on both channels.
+func (q *stopitQueue) SetDropper(d queue.Dropper) {
+	q.main.SetDropper(d)
+	q.legacy.SetDropper(d)
 }

@@ -38,10 +38,7 @@ func (*TVA) Name() string { return "TVA+" }
 
 // ProtectLink installs the TVA+ two-channel queue.
 func (t *TVA) ProtectLink(l *netsim.Link) {
-	q := newTVAQueue(t, l.Rate)
-	q.req.Release = l.From.Network().Release
-	q.reg.Release = l.From.Network().Release
-	l.Q = q
+	l.SetQueue(newTVAQueue(t, l.Rate))
 }
 
 // ProtectAccess does nothing: TVA+ polices at congested routers, not at
@@ -147,15 +144,14 @@ func (q *tvaQueue) Bytes() int { return q.req.Bytes() + q.reg.Bytes() + q.legacy
 
 // Stats aggregates all channels.
 func (q *tvaQueue) Stats() queue.Stats {
-	s := q.req.Stats()
-	for _, t := range []queue.Stats{q.reg.Stats(), q.legacy.Stats()} {
-		s.Enqueued += t.Enqueued
-		s.Dequeued += t.Dequeued
-		s.Dropped += t.Dropped
-		s.DequeuedBytes += t.DequeuedBytes
-		s.DroppedBytes += t.DroppedBytes
-	}
-	return s
+	return q.req.Stats().Add(q.reg.Stats()).Add(q.legacy.Stats())
+}
+
+// SetDropper installs d on every channel.
+func (q *tvaQueue) SetDropper(d queue.Dropper) {
+	q.req.SetDropper(d)
+	q.reg.SetDropper(d)
+	q.legacy.SetDropper(d)
 }
 
 // tvaShim is the TVA+ host layer: receivers grant capabilities to peers

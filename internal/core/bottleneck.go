@@ -42,7 +42,6 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 		q:    newNFQueue(&s.Cfg, l.Rate, l.From.Network().Eng.KeyStream(l.Origin().ID())),
 		det:  &aqm.LossDetector{Pth: s.Cfg.Pth, Alpha: 0.1},
 	}
-	b.q.release = l.From.Network().Release
 	b.q.cells = l.From.Network().Cells
 	b.q.net = l.From.Network()
 	b.q.label = l.Label()
@@ -70,7 +69,7 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 			return s.Registry.Verify(p, l.From.AS)
 		}
 	}
-	l.Q = b.q
+	l.SetQueue(b.q)
 	l.SetOnTransmit(b.onTransmit)
 	l.Origin().Tick(s.Cfg.DetectInterval, b.detectTick)
 	return b
@@ -121,7 +120,7 @@ func (b *Bottleneck) detectTick() {
 			// Congestion persists despite the monitoring cycle: a sign of
 			// malfunctioning (compromised) access routers. Localize the
 			// damage with per-source-AS queuing.
-			b.q.enableFallback(now, b.link.From.Network().Eng.Now)
+			b.q.enableFallback(now)
 			b.link.From.Network().Cells.Add(obs.CoreFallbackEngaged, 1)
 		}
 	} else if b.monActive && now-b.lastAttack > b.sys.Cfg.MonitorHold {

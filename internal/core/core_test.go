@@ -6,6 +6,7 @@ import (
 	"netfence/internal/defense"
 	"netfence/internal/feedback"
 	"netfence/internal/netsim"
+	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/ratelimit"
 	"netfence/internal/sim"
@@ -618,5 +619,64 @@ func TestRequestPoliceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("request admission allocates %.1f per packet, want 0", allocs)
+	}
+}
+
+// TestFallbackDropTracedOnce holds the §4.5 fallback to the link's one
+// drop path: a packet the per-AS queue refuses is traced once, as
+// "fq-full", and a packet it evicts once, as "fq-evict". Each drop is
+// counted once in netsim_drop_total and queue_drop_regular and charged
+// to the source AS of the packet dropped.
+func TestFallbackDropTracedOnce(t *testing.T) {
+	net := netsim.New(sim.New(1))
+	a, b := net.NewNode("a", 1), net.NewNode("b", 2)
+	l, _ := net.Connect(a, b, 1_000_000, sim.Millisecond) // a 25,000 B regular channel
+	net.ComputeRoutes()
+	net.Rec = obs.NewRecorder([]uint64{1})
+	s := NewSystem(net, DefaultConfig())
+	s.ProtectLink(l)
+	q := s.Bottleneck(l).q
+	q.enableFallback(0)
+	enqueue := func(as packet.ASID, size int32) bool {
+		p := net.Pool.Get()
+		p.Src, p.SrcAS, p.Dst, p.Flow, p.Size = packet.NodeID(as), as, b.ID, 1, size
+		p.Kind = packet.KindRegular
+		p.FB = packet.Feedback{Mode: packet.FBNop, TS: 1, MAC: [4]byte{1, 2, 3, 4}}
+		return q.Enqueue(p, sim.Millisecond)
+	}
+	// Sixteen ASes hold one full-size packet each: 24,000 B.
+	for as := packet.ASID(1); as <= 16; as++ {
+		if !enqueue(as, 1500) {
+			t.Fatalf("AS %d refused below the limit", as)
+		}
+	}
+	// No class holds more than a seventeenth AS's packet: it is refused.
+	if enqueue(17, 1500) {
+		t.Fatal("the per-AS queue took a packet past its limit")
+	}
+	// AS 1 grows to 2,500 B, the buffer to its limit; AS 2's next packet
+	// evicts AS 1's tail.
+	if !enqueue(1, 1000) || !enqueue(2, 1000) {
+		t.Fatal("the per-AS queue refused a packet it had room or a victim for")
+	}
+	var drops []string
+	for _, ev := range net.Rec.Events() {
+		if ev.Kind == obs.HopDrop {
+			drops = append(drops, ev.Detail)
+		}
+	}
+	if len(drops) != 2 || drops[0] != "fq-full" || drops[1] != "fq-evict" {
+		t.Errorf("drop records %q, want [fq-full fq-evict]", drops)
+	}
+	if n, r := net.Cells[obs.NetsimDrops], net.Cells[obs.QueueDropRegular]; n != 2 || r != 2 {
+		t.Errorf("netsim_drop_total %d, queue_drop_regular %d; want 2 and 2", n, r)
+	}
+	for _, as := range []packet.ASID{17, 1} {
+		if _, ok := q.lastCongestedForAS(as); !ok {
+			t.Errorf("AS %d's drop was not charged to it", as)
+		}
+	}
+	if _, ok := q.lastCongestedForAS(2); ok {
+		t.Error("AS 2 was charged for AS 1's eviction")
 	}
 }

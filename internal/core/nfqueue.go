@@ -20,7 +20,12 @@ import (
 //   - regular: RED with the Figure 3 parameters, optionally replaced by
 //     per-source-AS DRR when the §4.5 compromised-AS fallback engages;
 //   - legacy: DropTail, served only when the other channels are idle.
+//
+// Each channel's drops reach the link's Dropper through a conversion of
+// the queue (regularDrops, fallbackDrops, legacyDrops) that first counts
+// them on the channel's queue_drop_* counter.
 type nfQueue struct {
+	queue.Drops
 	cfg  *Config
 	rate int64
 
@@ -46,7 +51,6 @@ type nfQueue struct {
 	// their per-AS queues (§4.5).
 	fbDropByAS map[packet.ASID]sim.Time
 	fbLimit    int
-	fbClock    func() sim.Time
 
 	// Legacy channel.
 	legacy *aqm.DropTail
@@ -56,19 +60,15 @@ type nfQueue struct {
 	verify      func(p *packet.Packet) bool
 	verifyFails uint64
 
-	// release recycles packets the queue drops internally (displaced
-	// request-channel victims); nil leaves them to the garbage collector.
-	release func(p *packet.Packet)
-
 	// cells is the observability counter store — the owning shard's
 	// shared cells once protect() wires the queue onto a link, a private
 	// scratch array for directly-constructed test queues.
 	cells obs.Cells
-	// net and label serve the flight recorder (nil net = untraced).
-	net      *netsim.Network
-	label    string
-	lastDrop string
-	hwm      int
+	// net and label trace demotions (nil net = untraced); drops are
+	// traced by the link.
+	net   *netsim.Network
+	label string
+	hwm   int
 }
 
 func newNFQueue(cfg *Config, rateBps int64, rng *rand.Rand) *nfQueue {
@@ -92,28 +92,45 @@ func newNFQueue(cfg *Config, rateBps int64, rng *rand.Rand) *nfQueue {
 		cells:      obs.NewCells(),
 	}
 	q.credit = q.creditMax
+	q.red.SetDropper((*regularDrops)(q))
+	q.legacy.SetDropper((*legacyDrops)(q))
 	return q
+}
+
+// The channels' Droppers: each counts a drop on its channel's counter
+// and forwards it to the queue's own Dropper.
+type (
+	regularDrops  nfQueue
+	fallbackDrops nfQueue
+	legacyDrops   nfQueue
+)
+
+func (d *regularDrops) Drop(p *packet.Packet, now sim.Time, reason string) {
+	d.cells.Add(obs.QueueDropRegular, 1)
+	d.Forward(p, now, reason)
+}
+
+// Drop also charges the congestion to p's source AS (§4.5).
+func (d *fallbackDrops) Drop(p *packet.Packet, now sim.Time, reason string) {
+	d.fbLastDrop = now
+	d.fbDropByAS[p.SrcAS] = now
+	(*regularDrops)(d).Drop(p, now, reason)
+}
+
+func (d *legacyDrops) Drop(p *packet.Packet, now sim.Time, reason string) {
+	d.cells.Add(obs.QueueDropLegacy, 1)
+	d.Forward(p, now, reason)
 }
 
 // enableFallback swaps the regular channel to per-source-AS fair queuing
 // (§4.5), migrating any queued packets.
-func (q *nfQueue) enableFallback(now sim.Time, clock func() sim.Time) {
+func (q *nfQueue) enableFallback(now sim.Time) {
 	if q.fallback != nil {
 		return
 	}
 	q.fallback = fq.NewHDRR(fq.BySourceAS, fq.BySender, packet.SizeData, q.fbLimit)
-	q.fallback.Release = q.release
+	q.fallback.SetDropper((*fallbackDrops)(q))
 	q.fbDropByAS = make(map[packet.ASID]sim.Time)
-	q.fbClock = clock
-	q.fallback.OnDrop = func(p *packet.Packet) {
-		t := q.fbClock()
-		q.fbLastDrop = t
-		q.fbDropByAS[p.SrcAS] = t
-		q.cells.Add(obs.QueueDropRegular, 1)
-		if q.net != nil && q.net.Rec.Sampled(uint64(p.Flow)) {
-			q.net.Rec.Record(int64(t), uint64(p.Flow), q.label, obs.HopDrop, "fq-evict")
-		}
-	}
 	for {
 		p, _ := q.red.Dequeue(now)
 		if p == nil {
@@ -173,7 +190,7 @@ func (q *nfQueue) enqueue(p *packet.Packet, now sim.Time) bool {
 	if !legacy && q.verify != nil && !q.verify(p) {
 		q.verifyFails++
 		q.cells.Add(obs.CoreMACFail, 1)
-		q.lastDrop = "mac-fail"
+		q.Forward(p, now, "mac-fail")
 		return false
 	}
 	switch p.Kind {
@@ -181,31 +198,17 @@ func (q *nfQueue) enqueue(p *packet.Packet, now sim.Time) bool {
 		return q.enqueueRequest(p, now)
 	case packet.KindRegular:
 		if q.fallback != nil {
-			ok := q.fallback.Enqueue(p, now)
-			if !ok {
-				q.fbLastDrop = now
-				q.lastDrop = "fq-full"
-			}
-			return ok
+			return q.fallback.Enqueue(p, now)
 		}
-		ok := q.red.Enqueue(p, now)
-		if !ok {
-			q.cells.Add(obs.QueueDropRegular, 1)
-			q.lastDrop = q.red.LastDropReason()
-		}
-		return ok
+		return q.red.Enqueue(p, now)
 	default:
-		ok := q.legacy.Enqueue(p, now)
-		if !ok {
-			q.cells.Add(obs.QueueDropLegacy, 1)
-			q.lastDrop = "tail"
-		}
-		return ok
+		return q.legacy.Enqueue(p, now)
 	}
 }
 
 // enqueueRequest appends to the packet's priority level, displacing
-// lower-priority packets when the channel is full.
+// lower-priority packets ("request-evict") when the channel is full, or
+// discarding p ("request-full") when none sits below it.
 func (q *nfQueue) enqueueRequest(p *packet.Packet, now sim.Time) bool {
 	lvl := int(p.Prio)
 	if lvl >= len(q.req) {
@@ -220,24 +223,14 @@ func (q *nfQueue) enqueueRequest(p *packet.Packet, now sim.Time) bool {
 				break
 			}
 		}
+		q.cells.Add(obs.QueueDropRequest, 1)
 		if low < 0 {
-			q.reqStats.Dropped++
-			q.reqStats.DroppedBytes += uint64(p.Size)
-			q.cells.Add(obs.QueueDropRequest, 1)
-			q.lastDrop = "request-full"
+			q.Discard(&q.reqStats, p, now, "request-full")
 			return false
 		}
 		victim := q.req[low].PopTail()
 		q.reqBytes -= int(victim.Size)
-		q.reqStats.Dropped++
-		q.reqStats.DroppedBytes += uint64(victim.Size)
-		q.cells.Add(obs.QueueDropRequest, 1)
-		if q.net != nil && q.net.Rec.Sampled(uint64(victim.Flow)) {
-			q.net.Rec.Record(int64(now), uint64(victim.Flow), q.label, obs.HopDrop, "request-evict")
-		}
-		if q.release != nil {
-			q.release(victim)
-		}
+		q.Discard(&q.reqStats, victim, now, "request-evict")
 	}
 	q.req[lvl].Push(p)
 	q.reqBytes += int(p.Size)
@@ -338,19 +331,8 @@ func (q *nfQueue) Bytes() int {
 // Stats returns counters aggregated over all channels. (Accumulated
 // without intermediate slices: detectors poll stats every tick.)
 func (q *nfQueue) Stats() queue.Stats {
-	s := q.RegularStats()
-	s = addStats(s, q.reqStats)
-	s = addStats(s, q.legacy.Stats())
+	s := q.RegularStats().Add(q.reqStats).Add(q.legacy.Stats())
 	s.Dropped += q.verifyFails
-	return s
-}
-
-func addStats(s, t queue.Stats) queue.Stats {
-	s.Enqueued += t.Enqueued
-	s.Dequeued += t.Dequeued
-	s.Dropped += t.Dropped
-	s.DequeuedBytes += t.DequeuedBytes
-	s.DroppedBytes += t.DroppedBytes
 	return s
 }
 
@@ -359,7 +341,7 @@ func addStats(s, t queue.Stats) queue.Stats {
 func (q *nfQueue) RegularStats() queue.Stats {
 	s := q.red.Stats()
 	if q.fallback != nil {
-		s = addStats(s, q.fallback.Stats())
+		s = s.Add(q.fallback.Stats())
 	}
 	return s
 }
@@ -367,9 +349,6 @@ func (q *nfQueue) RegularStats() queue.Stats {
 // HighWater returns the highest total backlog in bytes the queue
 // reached.
 func (q *nfQueue) HighWater() int { return q.hwm }
-
-// LastDropReason reports why the last Enqueue refused a packet.
-func (q *nfQueue) LastDropReason() string { return q.lastDrop }
 
 // lastCongested reports the most recent congestion instant of the
 // regular channel.

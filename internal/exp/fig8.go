@@ -36,7 +36,8 @@ func Fig8(sc Scale) Result {
 			)
 		}
 	}
-	res.Note("paper shape: StopIt < TVA+ < NetFence (+~1 s request backoff), FQ grows linearly with senders; 100%% completion everywhere")
+	res.Note("paper shape: StopIt < TVA+ < NetFence (+~1 s request backoff), 100%% completion for all three")
+	res.Note("FQ grows linearly with senders until each flow's share of the 0.2 s buffer falls under one packet; past that (small scale's 200K row: 75,000 B over 60 flows) TCP timeouts dominate its FCT and completion")
 	return res
 }
 

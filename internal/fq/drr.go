@@ -25,7 +25,6 @@ func ByDest(p *packet.Packet) uint64 { return uint64(uint32(p.Dst)) }
 func BySourceAS(p *packet.Packet) uint64 { return uint64(uint32(p.SrcAS)) }
 
 type flowQ struct {
-	key     uint64
 	q       queue.Ring
 	bytes   int
 	deficit int
@@ -36,21 +35,14 @@ type flowQ struct {
 // flows. When the shared buffer overflows it drops from the longest flow
 // queue, which preserves fairness under unresponsive floods.
 type DRR struct {
+	queue.Drops
 	key        KeyFunc
 	quantum    int
 	limitBytes int
-	// OnDrop, when set, observes every dropped packet (arriving or
-	// evicted), letting callers attribute congestion to flows or ASes.
-	OnDrop func(p *packet.Packet)
-	// Release, when set, recycles packets the queue drops internally
-	// (longest-queue eviction victims). Arriving packets the queue
-	// rejects stay with the caller, which releases them after its own
-	// observers run.
-	Release func(p *packet.Packet)
-	flows   map[uint64]*flowQ
-	active  []*flowQ // round-robin list of backlogged flows
-	bytes   int
-	stats   queue.Stats
+	flows      map[uint64]*flowQ
+	active     []*flowQ // round-robin list of backlogged flows
+	bytes      int
+	stats      queue.Stats
 }
 
 // NewDRR returns a DRR queue with the given flow key, quantum (use the
@@ -64,28 +56,19 @@ func NewDRR(key KeyFunc, quantum, limitBytes int) *DRR {
 	}
 }
 
-// Enqueue adds p to its flow's queue, evicting from the longest queue if
-// the shared buffer is full.
+// Enqueue adds p to its flow's queue. While the shared buffer is full it
+// evicts the tail of the longest flow ("fq-evict"), or discards p itself
+// ("fq-full") when that flow is p's own and no longer than p.
 func (d *DRR) Enqueue(p *packet.Packet, now sim.Time) bool {
 	for d.bytes+int(p.Size) > d.limitBytes {
 		victim := d.longest()
-		if victim == nil {
-			d.drop(p)
+		// When the incoming packet's own flow is (one of) the longest,
+		// dropping the newcomer is the cheaper equivalent.
+		if victim == nil || victim.bytes <= int(p.Size) && victim == d.flow(p) {
+			d.Discard(&d.stats, p, now, "fq-full")
 			return false
 		}
-		if victim.bytes <= int(p.Size) && victim == d.flow(p) {
-			// The incoming packet's own flow is (one of) the longest;
-			// dropping the newcomer is the cheaper equivalent.
-			d.drop(p)
-			return false
-		}
-		dropped := victim.q.PopTail()
-		victim.bytes -= int(dropped.Size)
-		d.bytes -= int(dropped.Size)
-		d.drop(dropped)
-		if d.Release != nil {
-			d.Release(dropped)
-		}
+		d.evict(victim, now)
 	}
 	f := d.flow(p)
 	f.q.Push(p)
@@ -100,19 +83,22 @@ func (d *DRR) Enqueue(p *packet.Packet, now sim.Time) bool {
 	return true
 }
 
-func (d *DRR) drop(p *packet.Packet) {
-	d.stats.Dropped++
-	d.stats.DroppedBytes += uint64(p.Size)
-	if d.OnDrop != nil {
-		d.OnDrop(p)
-	}
+// evict discards the tail packet of the backlogged flow f as "fq-evict"
+// and returns its size.
+func (d *DRR) evict(f *flowQ, now sim.Time) int {
+	p := f.q.PopTail()
+	n := int(p.Size)
+	f.bytes -= n
+	d.bytes -= n
+	d.Discard(&d.stats, p, now, "fq-evict")
+	return n
 }
 
 func (d *DRR) flow(p *packet.Packet) *flowQ {
 	k := d.key(p)
 	f := d.flows[k]
 	if f == nil {
-		f = &flowQ{key: k}
+		f = &flowQ{}
 		d.flows[k] = f
 	}
 	return f

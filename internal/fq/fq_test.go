@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"netfence/internal/packet"
-	"netfence/internal/sim"
 )
 
 func pktFrom(src packet.NodeID, as packet.ASID, size int32) *packet.Packet {
@@ -199,33 +198,5 @@ func TestHDRROverflowProtectsSmallClass(t *testing.T) {
 	}
 	if q.ClassCount() != 2 {
 		t.Fatalf("classes = %d", q.ClassCount())
-	}
-}
-
-func TestHDRRConservation(t *testing.T) {
-	prop := func(seed uint64, n uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, 11))
-		q := NewHDRR(BySourceAS, BySender, 1500, 50_000)
-		enq := 0
-		for i := 0; i < int(n)*4; i++ {
-			p := pktFrom(packet.NodeID(rng.IntN(5)), packet.ASID(rng.IntN(3)), int32(64+rng.IntN(1400)))
-			if q.Enqueue(p, sim.Time(i)) {
-				enq++
-			}
-		}
-		// Account for forced evictions recorded in stats.
-		enq -= int(q.Stats().Dropped) - (int(q.Stats().Enqueued) - enq)
-		out := 0
-		for {
-			p, _ := q.Dequeue(0)
-			if p == nil {
-				break
-			}
-			out++
-		}
-		return out == q.Len()+out && q.Bytes() == 0
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -12,25 +12,19 @@ import (
 // keys (senders). This is the "two-level hierarchical fair queuing"
 // described in §6.3 of the paper.
 type HDRR struct {
+	queue.Drops
 	outerKey   KeyFunc
 	innerKey   KeyFunc
 	quantum    int
 	limitBytes int
-	// OnDrop, when set, observes every dropped packet (arriving or
-	// evicted).
-	OnDrop func(p *packet.Packet)
-	// Release, when set, recycles eviction victims (see DRR.Release).
-	Release   func(p *packet.Packet)
-	classes   map[uint64]*hdrrClass
-	active    []*hdrrClass
-	bytes     int
-	hwm       int
-	stats     queue.Stats
-	flowCount int
+	classes    map[uint64]*hdrrClass
+	active     []*hdrrClass
+	bytes      int
+	hwm        int
+	stats      queue.Stats
 }
 
 type hdrrClass struct {
-	key     uint64
 	inner   *DRR
 	deficit int
 	active  bool
@@ -47,34 +41,23 @@ func NewHDRR(outer, inner KeyFunc, quantum, limitBytes int) *HDRR {
 	}
 }
 
-// Enqueue adds p to its (outer, inner) queue, evicting from the largest
-// class when the shared buffer is full.
+// Enqueue adds p to its (outer, inner) queue. While the shared buffer
+// is full it evicts from the largest class ("fq-evict"), or discards p
+// ("fq-full") when no class holds more than p.
 func (h *HDRR) Enqueue(p *packet.Packet, now sim.Time) bool {
 	if h.bytes+int(p.Size) > h.limitBytes {
 		victim := h.largest()
 		if victim == nil || victim.inner.Bytes() <= int(p.Size) {
-			h.stats.Dropped++
-			h.stats.DroppedBytes += uint64(p.Size)
-			if h.OnDrop != nil {
-				h.OnDrop(p)
-			}
+			h.Discard(&h.stats, p, now, "fq-full")
 			return false
 		}
-		// Delegate the eviction to the class's own longest-queue-drop by
-		// inserting into a full inner queue: shrink its limit temporarily.
-		h.evictFrom(victim, int(p.Size))
+		h.evictFrom(victim, int(p.Size), now)
 	}
+	// The inner queues share h's limit and together hold what h holds,
+	// so once h has room the inner queue takes p without evicting.
 	c := h.class(p)
-	before := c.inner.Bytes()
-	if !c.inner.Enqueue(p, now) {
-		h.stats.Dropped++
-		h.stats.DroppedBytes += uint64(p.Size)
-		if h.OnDrop != nil {
-			h.OnDrop(p)
-		}
-		return false
-	}
-	h.bytes += c.inner.Bytes() - before
+	c.inner.Enqueue(p, now)
+	h.bytes += int(p.Size)
 	if h.bytes > h.hwm {
 		h.hwm = h.bytes
 	}
@@ -87,34 +70,28 @@ func (h *HDRR) Enqueue(p *packet.Packet, now sim.Time) bool {
 	return true
 }
 
-// evictFrom forcibly removes at least want bytes from the class's longest
-// inner flow.
-func (h *HDRR) evictFrom(c *hdrrClass, want int) {
+// evictFrom removes at least want bytes from the tails of the class's
+// longest inner flows.
+func (h *HDRR) evictFrom(c *hdrrClass, want int, now sim.Time) {
 	for freed := 0; freed < want; {
 		f := c.inner.longest()
 		if f == nil {
 			return
 		}
-		p := f.q.PopTail()
-		if p == nil {
-			return
-		}
-		f.bytes -= int(p.Size)
-		c.inner.bytes -= int(p.Size)
-		c.inner.stats.Dropped++
-		c.inner.stats.DroppedBytes += uint64(p.Size)
-		h.bytes -= int(p.Size)
+		n := c.inner.evict(f, now)
+		h.bytes -= n
 		h.stats.Dropped++
-		h.stats.DroppedBytes += uint64(p.Size)
-		if h.OnDrop != nil {
-			h.OnDrop(p)
-		}
-		freed += int(p.Size)
-		// Recycle last: Release resets the packet, so no field may be
-		// read after it.
-		if h.Release != nil {
-			h.Release(p)
-		}
+		h.stats.DroppedBytes += uint64(n)
+		freed += n
+	}
+}
+
+// SetDropper installs d for h and for its classes' DRRs, which make the
+// evictions.
+func (h *HDRR) SetDropper(d queue.Dropper) {
+	h.Dropper = d
+	for _, c := range h.classes {
+		c.inner.SetDropper(d)
 	}
 }
 
@@ -123,12 +100,11 @@ func (h *HDRR) class(p *packet.Packet) *hdrrClass {
 	c := h.classes[k]
 	if c == nil {
 		c = &hdrrClass{
-			key: k,
 			// Inner queues share the global buffer; give each an
 			// effectively unlimited private cap.
 			inner: NewDRR(h.innerKey, h.quantum, h.limitBytes),
 		}
-		c.inner.Release = h.Release
+		c.inner.SetDropper(h.Dropper)
 		h.classes[k] = c
 	}
 	return c
@@ -200,9 +176,6 @@ func (h *HDRR) Stats() queue.Stats { return h.stats }
 
 // HighWater returns the highest backlog in bytes the queue reached.
 func (h *HDRR) HighWater() int { return h.hwm }
-
-// LastDropReason reports why the last Enqueue refused a packet.
-func (h *HDRR) LastDropReason() string { return "fq-full" }
 
 // ClassCount returns the number of outer classes ever observed.
 func (h *HDRR) ClassCount() int { return len(h.classes) }

@@ -47,7 +47,7 @@ func newCutSide(classic bool) *cutSide {
 	s.l, _ = s.net.Connect(a, b, 10_000_000, sim.Millisecond)
 	s.net.ComputeRoutes()
 	if classic {
-		s.l.Q = &classicFIFO{}
+		s.l.SetQueue(&classicFIFO{})
 	}
 	s.dst = b.ID
 	s.lo, s.hi = s.eng.NewOrigin(1), s.eng.NewOrigin(^uint64(0))
@@ -169,7 +169,7 @@ func runCutProgram(t *testing.T, prog []byte) {
 			case cutDelay:
 				s.l.SetDelay(cutDelays[b1&3])
 			case cutInstall:
-				s.l.Q = aqm.NewDropTail(1500 * (1 + int(b1&7)))
+				s.l.SetQueue(aqm.NewDropTail(1500 * (1 + int(b1&7))))
 			}
 		}
 		if op&7 < cutRate {

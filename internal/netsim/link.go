@@ -7,19 +7,12 @@ import (
 	"netfence/internal/sim"
 )
 
-// DropReasoner is implemented by queue disciplines that remember why
-// the last Enqueue refused a packet; the flight recorder asks only on
-// sampled flows, so the lookup stays off the hot path.
-type DropReasoner interface {
-	LastDropReason() string
-}
-
 // Link is a unidirectional link: a queue followed by a transmitter with
 // serialization delay Size*8/Rate and propagation delay Delay. A nil Q is
 // the default unbounded FIFO, not needed yet: a packet that finds the
 // transmitter idle is transmitted directly, and the first to find it
 // busy materialises a *defaultQueue, which stays. Any other Q is a
-// discipline the caller installed by assigning it, and sees every
+// discipline the caller installed with SetQueue, and sees every
 // packet. Install before traffic flows: packets waiting in a default
 // queue that is replaced are stranded, as they always were.
 //
@@ -118,8 +111,7 @@ type defaultQueue struct {
 // queue is then empty, txDone drains it first — and no discipline is
 // installed, leaving what the FIFO would have (trace record, high-water
 // mark); otherwise it enqueues p and starts the transmitter
-// if idle. A packet the queue refuses is dropped: observers see it via
-// Network.OnDrop, then it returns to the packet pool.
+// if idle. A packet the queue refuses has gone to Drop.
 func (l *Link) Send(p *packet.Packet) {
 	now := l.net.Eng.Now()
 	if _, def := l.Q.(*defaultQueue); !l.sending && (def || l.Q == nil) {
@@ -138,24 +130,34 @@ func (l *Link) Send(p *packet.Packet) {
 		l.Q = dq
 	}
 	if !l.Q.Enqueue(p, now) {
-		l.net.Cells.Add(obs.NetsimDrops, 1)
-		if l.net.Rec.Sampled(uint64(p.Flow)) {
-			reason := ""
-			if dr, ok := l.Q.(DropReasoner); ok {
-				reason = dr.LastDropReason()
-			}
-			l.net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopDrop, reason)
-		}
-		if l.net.OnDrop != nil {
-			l.net.OnDrop(p, l)
-		}
-		l.net.Release(p)
 		return
 	}
 	if l.net.Rec.Sampled(uint64(p.Flow)) {
 		l.net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopEnqueue, "")
 	}
 	l.tryTransmit()
+}
+
+// SetQueue installs q as the link's discipline, with the link as the
+// Dropper of every packet q discards.
+func (l *Link) SetQueue(q queue.Queue) {
+	q.SetDropper(l)
+	l.Q = q
+}
+
+// Drop ends a packet the link's queue discarded, refused on arrival or
+// evicted: it counts the drop, traces it with its reason, shows it to
+// Network.OnDrop and returns it to the packet pool. It is the one place
+// a queue drop is counted.
+func (l *Link) Drop(p *packet.Packet, now sim.Time, reason string) {
+	l.net.Cells.Add(obs.NetsimDrops, 1)
+	if l.net.Rec.Sampled(uint64(p.Flow)) {
+		l.net.Rec.Record(int64(now), uint64(p.Flow), l.Label(), obs.HopDrop, reason)
+	}
+	if l.net.OnDrop != nil {
+		l.net.OnDrop(p, l)
+	}
+	l.net.Release(p)
 }
 
 // Backlog returns the packets and bytes waiting in the link's queue.

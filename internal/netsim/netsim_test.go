@@ -94,7 +94,7 @@ func TestSerializationSpacing(t *testing.T) {
 
 func TestQueueDropsObserved(t *testing.T) {
 	n, h1, h2, mid := lineTopo(100_000)
-	mid.Q = aqm.NewDropTail(3000) // two packets
+	mid.SetQueue(aqm.NewDropTail(3000)) // two packets
 	drops := 0
 	n.OnDrop = func(p *packet.Packet, l *Link) {
 		if l == mid {
@@ -302,7 +302,7 @@ func TestPoolRecyclesDeliveredPackets(t *testing.T) {
 	}
 
 	// Queue drop path: a full DropTail releases the packet after OnDrop.
-	mid.Q = aqm.NewDropTail(100)
+	mid.SetQueue(aqm.NewDropTail(100))
 	dropped := 0
 	n.OnDrop = func(dp *packet.Packet, l *Link) {
 		if dp != q {
@@ -357,7 +357,7 @@ func (q *callLog) Dequeue(now sim.Time) (*packet.Packet, sim.Time) {
 func TestInstalledDisciplineSeesEveryPacket(t *testing.T) {
 	n, h1, h2, mid := lineTopo(1_000_000) // 12 ms per 1500 B on mid, 120 µs on the uplink
 	q := &callLog{}
-	mid.Q = q
+	mid.SetQueue(q)
 	h2.Host.Register(1, &sink{})
 	for i := int32(1); i <= 3; i++ {
 		h1.Host.Send(&packet.Packet{Dst: h2.ID, Flow: 1, Size: 1500, Payload: i})

@@ -40,9 +40,10 @@ type Network struct {
 
 	routes
 
-	// OnDrop, when set, observes every packet lost at a link queue.
-	// The packet returns to the pool right after the hook returns; do
-	// not retain it.
+	// OnDrop, when set, observes every packet a link queue discards,
+	// refused on arrival or evicted, from Link.Drop once the drop is
+	// counted and traced. The packet returns to the pool right after the
+	// hook returns; do not retain it.
 	OnDrop func(p *packet.Packet, l *Link)
 
 	// Cells is the shard's observability counter store, allocated

@@ -40,7 +40,7 @@ func TestLinkRetryPath(t *testing.T) {
 	l, _ := n.Connect(a, b, 10_000_000, ms) // a 1,250 B packet serializes in 1 ms
 	n.ComputeRoutes()
 	q := &gateQueue{}
-	l.Q = q
+	l.SetQueue(q)
 	var arrived []sim.Time
 	sink := agentFunc(func(*packet.Packet) { arrived = append(arrived, eng.Now()) })
 	b.Host.OnUnknownFlow = func(*packet.Packet) Agent { return sink }

@@ -160,7 +160,7 @@ var defs = []Def{
 	{NetsimDelivered, "netsim_delivered_total", "packets delivered to their destination host", "§6", Counter, false},
 	{NetsimTxPackets, "netsim_tx_packets_total", "packets transmitted on links", "§6", Counter, false},
 	{NetsimTxBytes, "netsim_tx_bytes_total", "bytes transmitted on links", "§6", Counter, false},
-	{NetsimDrops, "netsim_drop_total", "packets refused by a link queue", "§6", Counter, false},
+	{NetsimDrops, "netsim_drop_total", "packets a link queue discarded (refused on arrival or evicted)", "§6", Counter, false},
 	{QueueDropRequest, "queue_drop_request_total", "request-channel drops at a NetFence bottleneck (evictions and overflow)", "§4.2", Counter, false},
 	{QueueDropRegular, "queue_drop_regular_total", "regular-channel drops at a NetFence bottleneck (RED and fallback)", "§4.3", Counter, false},
 	{QueueDropLegacy, "queue_drop_legacy_total", "legacy-channel drops at a NetFence bottleneck", "§4.4", Counter, false},

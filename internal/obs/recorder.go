@@ -25,7 +25,7 @@ const (
 	HopPolice  = "police"  // access-router policing verdict
 	HopMonitor = "monitor" // bottleneck monitor state at traversal
 	HopEnqueue = "enqueue" // link queue admitted the packet
-	HopDrop    = "drop"    // link queue refused the packet (detail = reason)
+	HopDrop    = "drop"    // link queue discarded the packet (detail = reason)
 	HopDemote  = "demote"  // channel demotion (detail = which)
 	HopDeliver = "deliver" // destination host received the packet
 )

@@ -29,18 +29,65 @@ func (s Stats) LossFraction(prev Stats) float64 {
 	return float64(drops) / float64(drops+deqs)
 }
 
+// Add returns the sum of s and t, for a discipline built of channels.
+func (s Stats) Add(t Stats) Stats {
+	s.Enqueued += t.Enqueued
+	s.Dequeued += t.Dequeued
+	s.Dropped += t.Dropped
+	s.DequeuedBytes += t.DequeuedBytes
+	s.DroppedBytes += t.DroppedBytes
+	return s
+}
+
 // Queue is a link's packet buffer and scheduling discipline.
 //
 // Dequeue returns the next packet to transmit, or nil. When it returns nil
 // with a non-zero retry time, the queue holds packets that are not yet
 // eligible (e.g. a rate-capped request channel); the link must try again
 // at that time. A nil packet with zero retry means the queue is empty.
+//
+// Every packet the queue discards — refused by Enqueue, which then
+// returns false, or evicted to make room — goes to the Dropper that
+// SetDropper installed, exactly once and with its reason.
 type Queue interface {
 	Enqueue(p *packet.Packet, now sim.Time) bool
 	Dequeue(now sim.Time) (*packet.Packet, sim.Time)
 	Len() int
 	Bytes() int
 	Stats() Stats
+	SetDropper(d Dropper)
+}
+
+// Dropper takes the packets a queue discards. The reason names the rule
+// that discarded p ("tail", "red-early", "fq-evict", ...); the Dropper
+// owns p once Drop is called.
+type Dropper interface {
+	Drop(p *packet.Packet, now sim.Time, reason string)
+}
+
+// Drops is embedded by a discipline that discards packets: it holds the
+// installed Dropper and supplies SetDropper.
+type Drops struct {
+	// Dropper is the installed hook. Nil leaves discarded packets to the
+	// garbage collector.
+	Dropper Dropper
+}
+
+// SetDropper installs to.
+func (d *Drops) SetDropper(to Dropper) { d.Dropper = to }
+
+// Discard counts p as dropped in s and hands it to the Dropper.
+func (d *Drops) Discard(s *Stats, p *packet.Packet, now sim.Time, reason string) {
+	s.Dropped++
+	s.DroppedBytes += uint64(p.Size)
+	d.Forward(p, now, reason)
+}
+
+// Forward hands p to the Dropper, if one is installed, counting nothing.
+func (d *Drops) Forward(p *packet.Packet, now sim.Time, reason string) {
+	if d.Dropper != nil {
+		d.Dropper.Drop(p, now, reason)
+	}
 }
 
 // HighWaterer is implemented by disciplines that track their highest
@@ -97,3 +144,6 @@ func (f *FIFO) Stats() Stats { return f.stats }
 
 // HighWater returns the highest backlog in bytes the queue reached.
 func (f *FIFO) HighWater() int { return f.hwm }
+
+// SetDropper does nothing: a FIFO never discards.
+func (f *FIFO) SetDropper(Dropper) {}

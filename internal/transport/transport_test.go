@@ -22,7 +22,7 @@ func testNet(seed uint64, bottleneck int64, qlimit int) (*netsim.Network, *netsi
 	mid, _ := n.Connect(r1, r2, bottleneck, 10*sim.Millisecond)
 	n.Connect(r2, h2, 100_000_000, sim.Millisecond)
 	if qlimit > 0 {
-		mid.Q = aqm.NewDropTail(qlimit)
+		mid.SetQueue(aqm.NewDropTail(qlimit))
 	}
 	n.ComputeRoutes()
 	return n, h1, h2
@@ -98,7 +98,7 @@ func TestTwoTCPFlowsShareFairly(t *testing.T) {
 	n.Connect(a, r1, 100_000_000, sim.Millisecond)
 	n.Connect(b, r1, 100_000_000, sim.Millisecond)
 	mid, _ := n.Connect(r1, r2, 4_000_000, 10*sim.Millisecond)
-	mid.Q = aqm.NewDropTail(100_000)
+	mid.SetQueue(aqm.NewDropTail(100_000))
 	n.Connect(r2, dst, 100_000_000, sim.Millisecond)
 	n.ComputeRoutes()
 	ra := NewTCPReceiver(dst.Host, 1)
