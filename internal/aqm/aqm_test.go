@@ -3,6 +3,7 @@ package aqm
 import (
 	"math/rand/v2"
 	"testing"
+	"testing/quick"
 
 	"netfence/internal/packet"
 	"netfence/internal/queue"
@@ -210,5 +211,60 @@ func TestLossFraction(t *testing.T) {
 	}
 	if (queue.Stats{}).LossFraction(queue.Stats{}) != 0 {
 		t.Fatal("empty window should be lossless")
+	}
+}
+
+// dropLog records every packet a queue hands its Dropper, with the reason.
+type dropLog map[*packet.Packet][]string
+
+func (d dropLog) Drop(p *packet.Packet, _ sim.Time, reason string) { d[p] = append(d[p], reason) }
+
+// Property: RED conserves packets. A refused packet goes to the Dropper
+// exactly once, in its own Enqueue call and with a RED reason; every
+// accepted packet is dequeued or still queued; Stats agree with the
+// record; and the backlog never passes the hard limit. Over all runs RED
+// must have dropped, or the property held of nothing.
+func TestREDConservationProperty(t *testing.T) {
+	cfg := DefaultRED(500_000)
+	var droppedAll int
+	prop := func(seed uint64, n uint8) bool {
+		rng := rand.New(rand.NewPCG(seed, 5))
+		q := NewRED(cfg, rng)
+		drops := dropLog{}
+		q.SetDropper(drops)
+		now := sim.Time(0)
+		in, out := 0, 0
+		for i := 0; i < int(n); i++ {
+			now += sim.Millisecond
+			if rng.IntN(3) != 0 {
+				p := pkt(1500)
+				if q.Enqueue(p, now) {
+					in++
+					if len(drops[p]) != 0 {
+						return false
+					}
+				} else if r := drops[p]; len(r) != 1 || r[0] != "red-limit" && r[0] != "red-early" {
+					return false
+				}
+			} else if p, _ := q.Dequeue(now); p != nil {
+				if len(drops[p]) != 0 {
+					return false
+				}
+				out++
+			}
+			if q.Bytes() > cfg.LimitBytes {
+				return false
+			}
+		}
+		droppedAll += len(drops)
+		s := q.Stats()
+		return in == out+q.Len() && s.Enqueued == uint64(in) && s.Dequeued == uint64(out) &&
+			s.Dropped == uint64(len(drops)) && s.DroppedBytes == uint64(1500*len(drops))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if droppedAll == 0 {
+		t.Fatal("RED dropped nothing over all runs")
 	}
 }

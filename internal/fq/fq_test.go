@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"netfence/internal/packet"
+	"netfence/internal/sim"
 )
 
 func pktFrom(src packet.NodeID, as packet.ASID, size int32) *packet.Packet {
@@ -198,5 +199,69 @@ func TestHDRROverflowProtectsSmallClass(t *testing.T) {
 	}
 	if q.ClassCount() != 2 {
 		t.Fatalf("classes = %d", q.ClassCount())
+	}
+}
+
+// dropLog records every packet a queue hands its Dropper, with the reason.
+type dropLog map[*packet.Packet][]string
+
+func (d dropLog) Drop(p *packet.Packet, _ sim.Time, reason string) { d[p] = append(d[p], reason) }
+
+// Property: HDRR conserves packets on a buffer small enough to refuse and
+// evict. A refused packet is dropped as "fq-full" in its own Enqueue call,
+// an evicted one as "fq-evict"; after draining, every offered packet was
+// dequeued or dropped exactly once, Stats agree, and nothing is left.
+// Over all runs HDRR must have evicted, or the property held of nothing.
+func TestHDRRConservation(t *testing.T) {
+	var evictedAll int
+	prop := func(seed uint64, n uint8) bool {
+		rng := rand.New(rand.NewPCG(seed, 11))
+		q := NewHDRR(BySourceAS, BySender, 1500, 50_000)
+		drops := dropLog{}
+		q.SetDropper(drops)
+		var offered []*packet.Packet
+		accepted := 0
+		for i := 0; i < int(n)*4; i++ {
+			p := pktFrom(packet.NodeID(rng.IntN(5)), packet.ASID(rng.IntN(3)), int32(64+rng.IntN(1400)))
+			offered = append(offered, p)
+			if q.Enqueue(p, sim.Time(i)) {
+				accepted++
+				if len(drops[p]) != 0 {
+					return false
+				}
+			} else if r := drops[p]; len(r) != 1 || r[0] != "fq-full" {
+				return false
+			}
+			if q.Bytes() > 50_000 {
+				return false
+			}
+		}
+		for _, r := range drops {
+			if len(r) == 1 && r[0] == "fq-evict" {
+				evictedAll++
+			}
+		}
+		dequeued := map[*packet.Packet]int{}
+		for {
+			p, _ := q.Dequeue(0)
+			if p == nil {
+				break
+			}
+			dequeued[p]++
+		}
+		for _, p := range offered {
+			if dequeued[p]+len(drops[p]) != 1 {
+				return false
+			}
+		}
+		s := q.Stats()
+		return q.Len() == 0 && q.Bytes() == 0 && s.Enqueued == uint64(accepted) &&
+			s.Dequeued == uint64(len(dequeued)) && s.Dropped == uint64(len(drops))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if evictedAll == 0 {
+		t.Fatal("HDRR evicted nothing over all runs")
 	}
 }
