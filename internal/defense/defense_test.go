@@ -94,6 +94,21 @@ func TestRegistryErrors(t *testing.T) {
 	})
 }
 
+// deploy installs s on the whole dumbbell, giving the victim deny.
+func deploy(d *topo.Dumbbell, s defense.System, deny defense.Policy) {
+	for _, l := range d.G.Bottlenecks() {
+		s.ProtectLink(l)
+	}
+	all := func(packet.ASID) bool { return true }
+	d.G.Roles(all, s.ProtectAccess, func(h *netsim.Node, victim bool) {
+		pol := defense.Policy{}
+		if victim {
+			pol = deny
+		}
+		s.AttachHost(h, pol)
+	})
+}
+
 // denyRun deploys a system over a 2-sender dumbbell whose victim denies
 // sender 1, floods UDP from both senders at the victim, and returns the
 // delivered byte counts for the allowed and denied sender.
@@ -103,7 +118,7 @@ func denyRun(t *testing.T, build func(net *netsim.Network) defense.System) (allo
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
 	s := build(d.Net)
 	badSrc := d.Senders[1].ID
-	d.G.Deploy(d.Net, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }}, topo.Plan{})
+	deploy(d, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }})
 
 	sinkA := transport.NewUDPSink(d.Victim.Host, 1)
 	sinkD := transport.NewUDPSink(d.Victim.Host, 2)
@@ -122,7 +137,7 @@ func TestPolicyDenyAtNetFenceShim(t *testing.T) {
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
 	s := core.NewSystem(d.Net, core.DefaultConfig())
 	badSrc := d.Senders[1].ID
-	d.G.Deploy(d.Net, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }}, topo.Plan{})
+	deploy(d, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }})
 
 	sinkA := transport.NewUDPSink(d.Victim.Host, 1)
 	sinkD := transport.NewUDPSink(d.Victim.Host, 2)
@@ -172,7 +187,7 @@ func TestPolicyDenyAtBaselineShims(t *testing.T) {
 func TestNilDenyAcceptsEveryone(t *testing.T) {
 	eng := sim.New(1)
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
-	d.G.Deploy(d.Net, baseline.NewNone(), defense.Policy{}, topo.Plan{})
+	deploy(d, baseline.NewNone(), defense.Policy{})
 	sink := transport.NewUDPSink(d.Victim.Host, 1)
 	transport.NewUDPSource(d.Senders[0].Host, d.Victim.ID, 1, 200_000, 1500).Start()
 	eng.RunUntil(5 * sim.Second)

@@ -47,7 +47,8 @@ type JobStatus struct {
 }
 
 // controlAck is streamed on the job's SSE channel when a control
-// message is applied (or rejected by the instance).
+// message is applied (or rejected by the instance): how many of its
+// mutations applied at once and how many are scheduled ahead.
 type controlAck struct {
 	Applied int    `json:"applied"`
 	Pending int    `json:"pending"`
@@ -240,14 +241,13 @@ func counterDelta(prev, cur map[string]uint64) map[string]uint64 {
 }
 
 // runScenario drives a scenario job in segments. Each segment advances
-// to the earliest of now+step, the next pending live mutation, the next
-// pause instant, and the duration (Advance applies the scripted
-// timeline on the way); at the boundary it applies due live mutations,
-// flushes new timeseries samples to the stream, and polls the control
-// queue. Pauses block on the control queue until a resume arrives, so
-// mutations posted while paused apply at exactly the held instant —
-// which is what makes a live-steered run reproducible against a
-// scripted timeline.
+// to the earliest of now+step, the next pause instant, and the duration
+// (Advance applies the timeline, scripted and live, on the way); at the
+// boundary it flushes new timeseries samples to the stream and polls the
+// control queue. Pauses block on the control queue until a resume
+// arrives, so mutations posted while paused apply at exactly the held
+// instant — which is what makes a live-steered run reproducible against
+// a scripted timeline.
 func (j *job) runScenario(ctx context.Context) error {
 	sc, err := j.spec.Scenario.Scenario()
 	if err != nil {
@@ -272,8 +272,7 @@ func (j *job) runScenario(ctx context.Context) error {
 	}
 	sort.Slice(pauses, func(a, b int) bool { return pauses[a] < pauses[b] })
 
-	var pending []netfence.Mutation // live mutations scheduled ahead
-	emitted := 0                    // samples already streamed
+	emitted := 0 // samples already streamed
 	pi := 0
 	now := netfence.Time(0)
 
@@ -311,28 +310,22 @@ func (j *job) runScenario(ctx context.Context) error {
 		j.counters = merged
 		j.mu.Unlock()
 	}
-	// absorb applies a control message: mutations at or before the
-	// current instant apply here and now, later ones join the pending
-	// schedule.
+	// absorb delivers a control message to the instance, which applies
+	// mutations at or before the current instant here and now and
+	// schedules later ones.
 	absorb := func(msg controlMsg) {
 		ack := controlAck{Resume: msg.resume}
-		var due []netfence.Mutation
-		for _, m := range msg.mutations {
-			if m.At <= now {
-				due = append(due, m)
-			} else {
-				pending = append(pending, m)
+		if err := in.Apply(msg.mutations...); err != nil {
+			ack.Error = err.Error()
+		} else {
+			for _, m := range msg.mutations {
+				if m.At > now {
+					ack.Pending++
+				} else {
+					ack.Applied++
+				}
 			}
 		}
-		sort.SliceStable(pending, func(a, b int) bool { return pending[a].At < pending[b].At })
-		if len(due) > 0 {
-			if err := in.Apply(due...); err != nil {
-				ack.Error = err.Error()
-			} else {
-				ack.Applied = len(due)
-			}
-		}
-		ack.Pending = len(pending)
 		j.hub.publish("control", ack)
 	}
 
@@ -340,9 +333,6 @@ func (j *job) runScenario(ctx context.Context) error {
 		t := now + step
 		if t > sc.Duration {
 			t = sc.Duration
-		}
-		if len(pending) > 0 && pending[0].At < t {
-			t = pending[0].At
 		}
 		if pi < len(pauses) && pauses[pi] < t {
 			t = pauses[pi]
@@ -352,16 +342,6 @@ func (j *job) runScenario(ctx context.Context) error {
 		}
 		in.Advance(t)
 		now = t
-
-		// Live mutations scheduled for exactly this instant, after the
-		// scripted ones Advance applied.
-		for len(pending) > 0 && pending[0].At <= now {
-			m := pending[0]
-			pending = pending[1:]
-			if err := in.Apply(m); err != nil {
-				j.hub.publish("control", controlAck{Error: err.Error(), Pending: len(pending)})
-			}
-		}
 		flush()
 
 		if pi < len(pauses) && pauses[pi] == now {

@@ -300,6 +300,72 @@ func TestLiveControlMatchesScriptedTimeline(t *testing.T) {
 	}
 }
 
+// TestLiveControlOneMessage posts a whole timeline in one control
+// message at the first pause: the instance applies the mutation due at
+// that instant and schedules the rest, so the run reproduces the
+// scripted batch run, and each ack counts its own message's mutations —
+// a bare resume after it schedules nothing.
+func TestLiveControlOneMessage(t *testing.T) {
+	scripted := smokeSpec()
+	scripted.Name = "live-one-message"
+	scripted.Shards = 2
+	scripted.Timeline = []MutationSpec{
+		{AtSec: 2, Link: &LinkMutationSpec{Bottleneck: 0, RateBps: 400_000}},
+		{AtSec: 5, Attack: &AttackMutationSpec{Workload: 0, Action: "stop"}},
+		{AtSec: 6, Link: &LinkMutationSpec{Bottleneck: 0, Restore: true}},
+	}
+	want := batchResult(t, scripted)
+
+	live := scripted
+	live.Timeline = nil
+	s := startServer(t)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+	base := "http://" + s.Addr()
+	code, body := postJSON(t, base+"/jobs", JobSpec{Scenario: &live, StreamIntervalSec: 1, PauseAtSec: []float64{2}})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", code, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, base, st.ID, string(jobPaused))
+	for _, req := range []ControlRequest{{Mutations: scripted.Timeline}, {Resume: true}} {
+		if code, body := postJSON(t, base+"/jobs/"+st.ID+"/control", req); code != http.StatusAccepted {
+			t.Fatalf("control = %d: %s", code, body)
+		}
+	}
+	waitState(t, base, st.ID, string(jobDone))
+	var res struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if code := getJSON(t, base+"/jobs/"+st.ID+"/result", &res); code != http.StatusOK {
+		t.Fatalf("result = %d", code)
+	}
+	if !bytes.Equal(bytes.TrimSpace(res.Result), bytes.TrimSpace(want)) {
+		t.Errorf("one-message result differs from scripted batch run:\nlive:     %s\nscripted: %s", res.Result, want)
+	}
+
+	var acks []controlAck
+	for _, ev := range readStream(t, base+"/jobs/"+st.ID+"/stream") {
+		if ev.typ == "control" {
+			var ack controlAck
+			if err := json.Unmarshal(ev.data, &ack); err != nil {
+				t.Fatal(err)
+			}
+			acks = append(acks, ack)
+		}
+	}
+	wantAcks := []controlAck{{Applied: 1, Pending: 2}, {Resume: true}}
+	if fmt.Sprint(acks) != fmt.Sprint(wantAcks) {
+		t.Errorf("acks = %+v, want %+v", acks, wantAcks)
+	}
+}
+
 // TestShardedFileWebJobMatchesSingle holds a served job of the clients
 // that open flows and draw sizes mid-run — file transfers and web
 // traffic — to the same result bytes on two shards as on one.

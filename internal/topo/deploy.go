@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"netfence/internal/defense"
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 )
@@ -58,42 +57,29 @@ func PlanFraction(srcASes []packet.ASID, f float64) Plan {
 	return Plan{Legacy: legacy}
 }
 
-// Deploy installs a defense system under a deployment plan on the part
-// of the graph bound to net, the network s was built for: all of it on
-// an unpartitioned graph (net is g.Net), one shard's share on a
-// partitioned one (see netsim.Network.Bind). Every bottleneck link net
-// transmits is protected, then per group (in declaration order) its
-// participating access routers police and its participating hosts get
-// the system's shim. deny is each group victim's receiver policy;
-// senders and colluders accept everyone. Legacy ASes are skipped
-// entirely — their traffic crosses the network undefended. Every
-// defended entity draws from its own stream, so what one shard deploys
-// moves no other shard's draws.
-func (g *Graph) Deploy(net *netsim.Network, s defense.System, deny defense.Policy, plan Plan) {
-	deploys := func(n *netsim.Node) bool { return n.Network() == net && plan.Participates(n.AS) }
-	for _, l := range g.bottlenecks {
-		if l.From.Network() == net {
-			s.ProtectLink(l)
-		}
-	}
+// Roles visits, group by group in declaration order, every access
+// router and then every sender, the victim and every colluder whose AS
+// in selects (victim tells the group's victim apart): the one walk a
+// defense is installed, disarmed and re-armed by.
+func (g *Graph) Roles(in func(packet.ASID) bool, router func(*netsim.Node), host func(h *netsim.Node, victim bool)) {
 	for i := range g.groups {
 		grp := &g.groups[i]
 		for _, r := range grp.Access {
-			if deploys(r) {
-				s.ProtectAccess(r)
+			if in(r.AS) {
+				router(r)
 			}
 		}
 		for _, h := range grp.Senders {
-			if deploys(h) {
-				s.AttachHost(h, defense.Policy{})
+			if in(h.AS) {
+				host(h, false)
 			}
 		}
-		if grp.Victim != nil && deploys(grp.Victim) {
-			s.AttachHost(grp.Victim, deny)
+		if v := grp.Victim; v != nil && in(v.AS) {
+			host(v, true)
 		}
 		for _, c := range grp.Colluders {
-			if deploys(c) {
-				s.AttachHost(c, defense.Policy{})
+			if in(c.AS) {
+				host(c, false)
 			}
 		}
 	}

@@ -15,15 +15,15 @@ import (
 //
 // Role tagging drives three things:
 //
-//   - Deploy knows which links to protect, which routers police, and
-//     which hosts get the defense's shim;
+//   - deployment knows which links to protect and, through Roles,
+//     which routers police and which hosts get the defense's shim;
 //   - the scenario layer addresses workload senders/victims/colluders by
 //     (group, index) without knowing the wiring;
 //   - deployment Plans select participating ASes among the source ASes.
 //
 // Declaration order is semantic: nodes and links are created on the
-// underlying netsim.Network in call order, and Deploy walks bottlenecks,
-// then each group's access routers and hosts, in declaration order. Two
+// underlying netsim.Network in call order, and Roles walks each group's
+// access routers and hosts in declaration order. Two
 // builders issuing the same call sequence produce byte-identical
 // networks (and therefore identical simulation results for a seed).
 //
@@ -42,7 +42,7 @@ type Graph struct {
 }
 
 // GraphGroup is one sender group with its destinations and the access
-// routers Deploy protects for it.
+// routers the defense polices it at.
 type GraphGroup struct {
 	// Access lists the group's policing access routers in declaration
 	// order (source-AS access first is conventional, not required).
@@ -72,8 +72,8 @@ func (g *Graph) Router(name string, as packet.ASID) *netsim.Node {
 	return g.Net.NewNode(name, as)
 }
 
-// AccessRouter adds a policing access router to a group: Deploy installs
-// the defense's ProtectAccess on it when its AS participates in the plan.
+// AccessRouter adds a policing access router to a group: the defense's
+// ProtectAccess is installed on it when its AS participates in the plan.
 func (g *Graph) AccessRouter(group int, name string, as packet.ASID) *netsim.Node {
 	r := g.Net.NewNode(name, as)
 	grp := g.group(group)
@@ -82,7 +82,7 @@ func (g *Graph) AccessRouter(group int, name string, as packet.ASID) *netsim.Nod
 }
 
 // Host adds a host carrying no evaluation role (traffic can still be
-// attached to it manually; Deploy ignores it).
+// attached to it manually; Roles skips it).
 func (g *Graph) Host(name string, as packet.ASID) *netsim.Node {
 	return g.Net.NewHost(name, as)
 }
@@ -121,7 +121,7 @@ func (g *Graph) Link(a, b *netsim.Node, rateBps int64, delay sim.Time) (ab, ba *
 }
 
 // BottleneckLink connects a and b and tags the a-to-b direction as a
-// bottleneck: Deploy installs the defense's ProtectLink on it.
+// bottleneck: deployment installs the defense's ProtectLink on it.
 func (g *Graph) BottleneckLink(a, b *netsim.Node, rateBps int64, delay sim.Time) (ab, ba *netsim.Link) {
 	ab, ba = g.Net.Connect(a, b, rateBps, delay)
 	g.bottlenecks = append(g.bottlenecks, ab)

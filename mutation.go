@@ -1,7 +1,9 @@
 package netfence
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"netfence/internal/attack"
@@ -17,7 +19,9 @@ import (
 // mid-run through Instance.Apply (the serve-mode control endpoint) —
 // both take the same code path, applied at a control point where every
 // event before the mutation instant has executed and no event at or
-// after it has, on the single engine exactly as on every shard count.
+// after it has, on the single engine exactly as on every shard count. A
+// live mutation dated ahead of the run waits in the timeline for its
+// instant.
 // A scripted Timeline is therefore byte-reproducible, and a live
 // mutation applied at the same simulated instant reproduces it.
 type Mutation struct {
@@ -80,9 +84,11 @@ type AttackMutation struct {
 
 // DeployMutation switches the scenario's active deployment plan: source
 // ASes joining the plan arm the defense (installing it on first
-// participation, on the shard owning the AS), and ASes leaving it disarm — their access routers stop
-// policing and their hosts shed the defense shim, so their traffic is
-// demoted to the legacy channel exactly like a build-time legacy AS's.
+// participation, on the shard owning the AS), and ASes leaving it
+// disarm — their access routers stop policing and their hosts shed the
+// defense shim, so their traffic is demoted to the legacy channel
+// exactly like a build-time legacy AS's. A run whose FleetSpec attached
+// in aggregate refuses it (set FleetSpec.Exact).
 type DeployMutation struct {
 	// Deployment is the new plan (DeployFraction, DeployMap, or
 	// FullDeployment).
@@ -161,6 +167,10 @@ func (m Mutation) Validate() error {
 	return nil
 }
 
+// errFleetDeploy is why a deploy mutation and a FleetSpec attached in
+// aggregate exclude each other, scripted or live.
+var errFleetDeploy = errors.New("deployment mutations change who polices each sender, which FleetSpec aggregation cannot track: set Exact, with Count equal to the attachment senders")
+
 // linkParams records a bottleneck link's build-time rate and delay, the
 // Restore target.
 type linkParams struct {
@@ -168,67 +178,18 @@ type linkParams struct {
 	delay Time
 }
 
-// deployState is the run's deployment disarm/re-arm state: which source
-// ASes ever installed the defense, and the ingress hooks and host shims
-// saved while an AS is disarmed (on the one shard owning the AS).
-type deployState struct {
-	installed map[packet.ASID]bool
-	ingress   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool
-	shims     map[*netsim.Node]netsim.Shim
-}
-
-// primeControl prepares the built instance for timeline and live
-// mutations: it records every bottleneck's build-time parameters,
-// compiles the initial deployment plan into the arm state, and
-// validates the scenario Timeline against the built topology. Build
-// calls it on every instance, so serve-mode jobs can mutate scenarios
-// that declared no Timeline at all.
-func (in *Instance) primeControl() error {
-	env := in.env
-	for _, l := range env.bottlenecks {
-		env.linkOrig = append(env.linkOrig, linkParams{rate: l.Rate, delay: l.Delay})
-	}
-	plan, _, err := in.Scenario.Deployment.plan(env.graph.SourceASes())
-	if err != nil {
-		return err
-	}
-	env.plan = plan
-	env.deployCtl = &deployState{
-		installed: map[packet.ASID]bool{},
-		ingress:   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool{},
-		shims:     map[*netsim.Node]netsim.Shim{},
-	}
-	for _, as := range env.graph.SourceASes() {
-		env.deployCtl.installed[as] = plan.Participates(as)
-	}
-	// The timeline applies in instant order; within an instant, in
-	// declaration order (stable sort). The scenario's slice is shared
-	// with the caller (and across sweep cells), so sort a copy.
-	if len(in.Scenario.Timeline) > 0 {
-		tl := make([]Mutation, len(in.Scenario.Timeline))
-		copy(tl, in.Scenario.Timeline)
-		sort.SliceStable(tl, func(i, j int) bool { return tl[i].At < tl[j].At })
-		for i := range tl {
-			if err := in.checkMutation(tl[i]); err != nil {
-				return fmt.Errorf("Timeline[%d]: %w", i, err)
-			}
-		}
-		in.timeline = tl
-	}
-	return nil
-}
-
 // Now returns the instant the instance has simulated up to.
 func (in *Instance) Now() Time { return in.env.sh.coord.Now() }
 
 // Advance drives the simulation to exactly t without executing the
 // events scheduled at t itself — the control-point step of a segmented
-// run. On the way it stops at each scripted Timeline instant at or
-// before t and applies that instant's mutations in declaration order,
-// so after it returns, Apply inserts live mutations after every pre-t
-// effect and every scripted mutation due by t, and before every time-t
-// event, on the single engine exactly as on every shard count. t clamps
-// to [Now, Duration]; advancing a finished instance is a no-op.
+// run. On the way it stops at each timeline instant at or before t and
+// applies that instant's mutations in the order they joined it (the
+// scripted Timeline in declaration order, then live deliveries), so
+// after it returns, Apply inserts live mutations after every pre-t
+// effect and every mutation due by t, and before every time-t event, on
+// the single engine exactly as on every shard count. t clamps to
+// [Now, Duration]; advancing a finished instance is a no-op.
 func (in *Instance) Advance(t Time) {
 	if in.finished {
 		return
@@ -250,10 +211,13 @@ func (in *Instance) runBefore(t Time) {
 	}
 }
 
-// Apply applies mutations at the current instant (normally a control
-// point established by Advance). Scripted timelines and the serve
-// mode's live control endpoint both land here, so the two are the same
-// code path. Every mutation is validated before any is applied.
+// Apply delivers mutations to the run, the one path the scripted
+// Timeline (which Build loads through it) and the serve mode's live
+// control endpoint share. A mutation whose At is at or before Now
+// applies at once, at the current instant (normally a control point
+// established by Advance); a later one joins the timeline after every
+// entry already at its instant, and Advance applies it there. Every
+// mutation is validated before any is applied or scheduled.
 func (in *Instance) Apply(ms ...Mutation) error {
 	if in.finished {
 		return fmt.Errorf("netfence: Apply on a finished instance")
@@ -263,7 +227,15 @@ func (in *Instance) Apply(ms ...Mutation) error {
 			return fmt.Errorf("mutation %d: %w", i, err)
 		}
 	}
-	in.applyNow(ms...)
+	now := in.Now()
+	for _, m := range ms {
+		if m.At <= now {
+			in.applyNow(m)
+			continue
+		}
+		i := sort.Search(len(in.timeline), func(i int) bool { return in.timeline[i].At > m.At })
+		in.timeline = slices.Insert(in.timeline, i, m)
+	}
 	return nil
 }
 
@@ -296,6 +268,9 @@ func (in *Instance) checkMutation(m Mutation) error {
 			return fmt.Errorf("attack mutation: Workload index %d out of range (scenario declares %d AttackSpec workloads)", m.Attack.Workload, len(env.attackCtrls))
 		}
 	case m.Deploy != nil:
+		if env.fleetAggregate {
+			return fmt.Errorf("deploy mutation on a FleetSpec attached in aggregate: %w", errFleetDeploy)
+		}
 		if _, _, err := m.Deploy.Deployment.plan(env.graph.SourceASes()); err != nil {
 			return fmt.Errorf("deploy mutation: %w", err)
 		}
@@ -303,20 +278,18 @@ func (in *Instance) checkMutation(m Mutation) error {
 	return nil
 }
 
-// applyNow applies validated mutations at the current instant. Whatever
-// they schedule is keyed by the scheduling model entity alone, so it
+// applyNow applies a validated mutation at the current instant. Whatever
+// it schedules is keyed by the scheduling model entity alone, so it
 // lands identically on every engine although application runs outside
 // any event callback.
-func (in *Instance) applyNow(ms ...Mutation) {
-	for _, m := range ms {
-		switch {
-		case m.Link != nil:
-			in.applyLink(m.Link)
-		case m.Attack != nil:
-			in.applyAttack(m.Attack)
-		case m.Deploy != nil:
-			in.applyDeploy(m.Deploy)
-		}
+func (in *Instance) applyNow(m Mutation) {
+	switch {
+	case m.Link != nil:
+		in.applyLink(m.Link)
+	case m.Attack != nil:
+		in.applyAttack(m.Attack)
+	case m.Deploy != nil:
+		in.applyDeploy(m.Deploy)
 	}
 }
 
@@ -359,112 +332,61 @@ func (in *Instance) applyAttack(am *AttackMutation) {
 	}
 }
 
-// applyDeploy diffs the new plan against the active one and arms or
-// disarms each changed source AS, arming with the system of the shard
-// owning its access routers and hosts.
+// applyDeploy diffs the new plan against the active one: source ASes
+// leaving it disarm, ASes joining it arm.
 func (in *Instance) applyDeploy(dm *DeployMutation) {
 	env := in.env
-	srcASes := env.graph.SourceASes()
-	newPlan, frac, err := dm.Deployment.plan(srcASes)
+	plan, frac, err := dm.Deployment.plan(env.graph.SourceASes())
 	if err != nil {
 		// checkMutation validated the plan; an error here is a bug.
 		panic(fmt.Sprintf("netfence: deploy mutation plan failed after validation: %v", err))
 	}
-	type change struct {
-		as     packet.ASID
-		enable bool
-	}
-	var changes []change
-	for _, as := range srcASes {
-		was, is := env.plan.Participates(as), newPlan.Participates(as)
-		if was != is {
-			changes = append(changes, change{as: as, enable: is})
-		}
-	}
-	for _, ch := range changes {
-		if ch.enable {
-			sh := env.sh.shardOfAS[ch.as] // a nil map on one shard: 0
-			env.deployCtl.arm(env.graph, env.sh.systems[sh], env.deny, ch.as)
-		} else {
-			env.deployCtl.disarm(env.graph, ch.as)
-		}
-	}
-	env.plan = newPlan
-	env.deployed = frac
+	was := env.plan
+	env.disarm(func(as packet.ASID) bool { return was.Participates(as) && !plan.Participates(as) })
+	env.arm(func(as packet.ASID) bool { return !was.Participates(as) && plan.Participates(as) })
+	env.plan, env.deployed = plan, frac
 }
 
-// arm (re)enables the defense on one source AS of g with sys, the
-// system of the shard owning it: first participation installs through the system's
-// own ProtectAccess/AttachHost paths (the same calls Graph.Deploy makes
-// at build time); a re-join after a disarm restores the saved ingress
-// hooks and shims instead, so long-lived per-router state (keyrings,
-// rotation tickers) is not duplicated.
-func (st *deployState) arm(g *Graph, sys defense.System, deny defense.Policy, as packet.ASID) {
-	fresh := !st.installed[as]
-	walkAS(g, as, func(r *netsim.Node) {
-		if fresh {
-			sys.ProtectAccess(r)
-		} else if saved, ok := st.ingress[r]; ok {
+// arm enables the defense on every access router and host of the ASes
+// in selects, each with the system of the shard owning it: Build arms
+// the plan's participants, a deploy mutation the ASes joining its plan.
+// A node armed for the first time installs through the system's
+// ProtectAccess and AttachHost; a re-join after a disarm restores the
+// saved ingress hook and shim instead, so long-lived per-router state
+// (keyrings, rotation tickers) is not duplicated.
+func (env *scenarioEnv) arm(in func(packet.ASID) bool) {
+	env.graph.Roles(in, func(r *netsim.Node) {
+		if saved, ok := env.savedIngress[r]; ok {
 			r.Ingress = saved
-			delete(st.ingress, r)
+			delete(env.savedIngress, r)
+		} else {
+			env.sh.system(r).ProtectAccess(r)
 		}
 	}, func(h *netsim.Node, victim bool) {
 		pol := defense.Policy{}
 		if victim {
-			pol = deny
+			pol = env.deny
 		}
-		st.armHost(sys, h, pol, fresh)
+		env.armHost(h, pol)
 	})
-	st.installed[as] = true
-}
-
-// walkAS visits one source AS's share of every role group, group by
-// group: its access routers, then its senders, the group's victim and
-// its colluders (victim tells the victim host apart).
-func walkAS(g *Graph, as packet.ASID, router func(*netsim.Node), host func(h *netsim.Node, victim bool)) {
-	groups := g.Groups()
-	for gi := range groups {
-		grp := &groups[gi]
-		for _, r := range grp.Access {
-			if r.AS == as {
-				router(r)
-			}
-		}
-		for _, h := range grp.Senders {
-			if h.AS == as {
-				host(h, false)
-			}
-		}
-		if grp.Victim != nil && grp.Victim.AS == as {
-			host(grp.Victim, true)
-		}
-		for _, c := range grp.Colluders {
-			if c.AS == as {
-				host(c, false)
-			}
-		}
-	}
 }
 
 // armHost installs or restores a host's defense shim, preserving a live
 // attack wrapper: the attack Sender stays outermost (crafted packets
 // keep bypassing the honest stack) and the defense shim splices in
 // underneath it.
-func (st *deployState) armHost(sys defense.System, h *netsim.Node, pol defense.Policy, fresh bool) {
+func (env *scenarioEnv) armHost(h *netsim.Node, pol defense.Policy) {
 	wrapper, _ := h.Host.Shim.(*attack.Sender)
-	if fresh {
-		sys.AttachHost(h, pol)
+	saved, ok := env.savedShims[h]
+	if !ok {
+		env.sh.system(h).AttachHost(h, pol)
 		if wrapper != nil {
 			wrapper.SetInner(h.Host.Shim)
 			h.Host.Shim = wrapper
 		}
 		return
 	}
-	saved, ok := st.shims[h]
-	if !ok {
-		return
-	}
-	delete(st.shims, h)
+	delete(env.savedShims, h)
 	if wrapper != nil {
 		wrapper.SetInner(saved)
 	} else {
@@ -472,35 +394,24 @@ func (st *deployState) armHost(sys defense.System, h *netsim.Node, pol defense.P
 	}
 }
 
-// disarm turns one source AS of g legacy:
-// access routers stop policing (ingress hooks saved and cleared; the
-// rotation timers keep ticking, so a re-armed router holds the keys it
-// would have held) and hosts shed the defense shim (saved under any
-// attack wrapper).
-func (st *deployState) disarm(g *Graph, as packet.ASID) {
-	walkAS(g, as, func(r *netsim.Node) {
-		if _, ok := st.ingress[r]; !ok {
-			st.ingress[r] = r.Ingress
-		}
+// disarm turns the ASes in selects legacy: access routers stop policing
+// (ingress hooks saved and cleared; the rotation timers keep ticking, so
+// a re-armed router holds the keys it would have held) and hosts shed
+// the defense shim, saved from under any live attack wrapper, whose
+// crafted traffic now takes the legacy path.
+func (env *scenarioEnv) disarm(in func(packet.ASID) bool) {
+	env.graph.Roles(in, func(r *netsim.Node) {
+		env.savedIngress[r] = r.Ingress
 		r.Ingress = nil
-	}, func(h *netsim.Node, _ bool) { st.disarmHost(h) })
-}
-
-// disarmHost removes a host's defense shim, keeping a live attack
-// wrapper in place (its crafted traffic now takes the legacy path, the
-// legacy-flood posture).
-func (st *deployState) disarmHost(h *netsim.Node) {
-	if wrapper, ok := h.Host.Shim.(*attack.Sender); ok {
-		if _, saved := st.shims[h]; !saved {
-			st.shims[h] = wrapper.Inner()
+	}, func(h *netsim.Node, _ bool) {
+		if wrapper, ok := h.Host.Shim.(*attack.Sender); ok {
+			env.savedShims[h] = wrapper.Inner()
+			wrapper.SetInner(nil)
+		} else {
+			env.savedShims[h] = h.Host.Shim
+			h.Host.Shim = nil
 		}
-		wrapper.SetInner(nil)
-		return
-	}
-	if _, saved := st.shims[h]; !saved {
-		st.shims[h] = h.Host.Shim
-	}
-	h.Host.Shim = nil
+	})
 }
 
 // Finish completes the run: it drives the simulation to Duration

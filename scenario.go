@@ -3,6 +3,7 @@ package netfence
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	// The baselines self-register in the defense registry; scenarios
@@ -163,15 +164,18 @@ type scenarioEnv struct {
 	// senders. The control plane's attack mutations drive them.
 	attackCtrls [][]*attack.Controller
 
-	// Control-plane state for timeline and live mutations (primeControl):
-	// the bottlenecks' build-time parameters (the Restore target), the
-	// active deployment plan, the deployment arm/disarm state, and the
-	// victim deny policy (re-used when a deploy mutation arms a victim
-	// host for the first time).
-	linkOrig  []linkParams
-	plan      topo.Plan
-	deployCtl *deployState
-	deny      defense.Policy
+	// Control-plane state for timeline and live mutations: the
+	// bottlenecks' build-time parameters (the Restore target), the active
+	// deployment plan, the ingress hooks and host shims saved while their
+	// AS is disarmed (a re-arm restores them), the victim deny policy, and
+	// whether a FleetSpec attached in aggregate (which refuses deploy
+	// mutations).
+	linkOrig       []linkParams
+	plan           topo.Plan
+	savedIngress   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool
+	savedShims     map[*netsim.Node]netsim.Shim
+	deny           defense.Policy
+	fleetAggregate bool
 
 	// deployed is the effective deployed fraction of source ASes.
 	deployed float64
@@ -204,19 +208,14 @@ func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
 	return &env.groups[g], nil
 }
 
-// needsFanout reports whether the scenario's timeline forces fleet
-// workloads to materialize exact per-sender hosts: deployment mutations
-// re-partition which senders sit behind a deployed access router, which
-// invalidates the closed-form aggregation of per-sender limiter state.
+// deploysMidRun reports whether the timeline changes the deployment
+// plan, which forces every FleetSpec to exact fan-out: a deploy mutation
+// re-partitions which senders sit behind a deployed access router, and
+// the closed-form aggregation of per-sender limiter state cannot follow.
 // Link and attack mutations are aggregation-safe — they change what the
 // fleet experiences, not who polices it.
-func (env *scenarioEnv) needsFanout() bool {
-	for i := range env.sc.Timeline {
-		if env.sc.Timeline[i].Deploy != nil {
-			return true
-		}
-	}
-	return false
+func (s *Scenario) deploysMidRun() bool {
+	return slices.ContainsFunc(s.Timeline, func(m Mutation) bool { return m.Deploy != nil })
 }
 
 // flowFrom mints an attach-time flow on its sender node and, on a traced
@@ -318,8 +317,8 @@ type Instance struct {
 
 	env    *scenarioEnv
 	probes []Probe
-	// timeline is what Advance has yet to apply of the scenario
-	// Timeline, validated and sorted by instant.
+	// timeline is what Advance has yet to apply: the scripted Timeline
+	// and live mutations dated ahead, validated, in instant order.
 	timeline []Mutation
 	// finished flags a completed (or stopped) run: the coordinator's
 	// workers are torn down and the instance can only be collected.
@@ -355,8 +354,8 @@ func (s Scenario) Build() (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := in.primeControl(); err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
+	if err := in.Apply(s.Timeline...); err != nil {
+		return nil, fmt.Errorf("scenario %q: Timeline %w", s.Name, err)
 	}
 	return in, nil
 }

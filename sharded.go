@@ -151,6 +151,9 @@ func (st *shardState) stopPipelines() {
 	}
 }
 
+// system returns the defense System of the shard owning node n.
+func (st *shardState) system(n *netsim.Node) defense.System { return st.systems[st.shardOf(n.ID)] }
+
 // shardOf returns the shard owning a node.
 func (st *shardState) shardOf(id packet.NodeID) int {
 	if st.shardOfNode == nil {
@@ -182,10 +185,8 @@ func resolveAutoShards(g *Graph) int {
 // weight 1. Malformed specs are skipped here — attachment reports their
 // errors with full context.
 func (s *Scenario) applyFleetWeights(bt *builtTopo) {
-	for i := range s.Timeline {
-		if s.Timeline[i].Deploy != nil {
-			return
-		}
+	if s.deploysMidRun() {
+		return
 	}
 	for _, w := range s.Workloads {
 		fs, ok := w.(FleetSpec)
@@ -267,38 +268,48 @@ func (s Scenario) build(shards int) (*Instance, error) {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	env := &scenarioEnv{
-		sc:          &s,
-		builtTopo:   bt,
-		sh:          st,
-		byShard:     make([]shardMeters, len(st.engines)),
-		fcts:        make([]fctRecord, len(st.engines)),
-		denySet:     map[packet.NodeID]bool{},
-		deployed:    deployed,
-		listeners:   map[int]bool{},
-		srcCounters: map[int]map[packet.NodeID]*int64{},
-		duration:    s.Duration,
-		warmup:      s.Warmup,
+		sc:           &s,
+		builtTopo:    bt,
+		sh:           st,
+		byShard:      make([]shardMeters, len(st.engines)),
+		fcts:         make([]fctRecord, len(st.engines)),
+		denySet:      map[packet.NodeID]bool{},
+		plan:         plan,
+		deployed:     deployed,
+		savedIngress: map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool{},
+		savedShims:   map[*netsim.Node]netsim.Shim{},
+		listeners:    map[int]bool{},
+		srcCounters:  map[int]map[packet.NodeID]*int64{},
+		duration:     s.Duration,
+		warmup:       s.Warmup,
+	}
+	for _, l := range env.bottlenecks {
+		env.linkOrig = append(env.linkOrig, linkParams{rate: l.Rate, delay: l.Delay})
 	}
 	// The deny policy closes over the deny set, which the attack
 	// workloads populate during attachment below.
 	if s.DenyAttackers {
 		env.deny.Deny = func(src packet.NodeID) bool { return env.denySet[src] }
 	}
-	// Each shard deploys the part of the defense it owns (see
-	// Graph.Deploy) with a System of its own, whose Passport registry
-	// makes a pair's CMAC only when the shard uses the pair.
+	// Each shard has a System of its own, whose Passport registry makes a
+	// pair's CMAC only when the shard uses the pair, and each bottleneck,
+	// access router and host is deployed by its owning shard's System —
+	// through the installer deploy mutations arm with.
 	for i, net := range st.nets {
 		sys, err := defense.Build(s.Defense.Name, net, defense.BuildOptions{Config: s.Defense.Config})
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		st.systems[i] = sys
-		bt.graph.Deploy(net, sys, env.deny, plan)
 	}
+	for _, l := range env.bottlenecks {
+		st.system(l.From).ProtectLink(l)
+	}
+	env.arm(plan.Participates)
 
 	if len(env.bottlenecks) > 0 {
 		bn := env.bottlenecks[0]
-		if cs, ok := st.systems[st.shardOf(bn.From.ID)].(*core.System); ok {
+		if cs, ok := st.system(bn.From).(*core.System); ok {
 			env.nfBottleneck = cs.Bottleneck(bn)
 		}
 	}

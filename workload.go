@@ -358,7 +358,8 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 // closed-form aggregation cannot track). Forced or explicit fan-out
 // requires Count == len(Senders); the fan-out path is byte-identical to
 // UDPFlood/LongTCP-style individual attachment by construction (it is
-// the same code path). Attack controllers (AttackSpec) never aggregate:
+// the same code path). A fleet attached in aggregate refuses live deploy
+// mutations too. Attack controllers (AttackSpec) never aggregate:
 // adaptive strategies address senders individually by design.
 type FleetSpec struct {
 	// Count is the total modeled sender population of the fleet.
@@ -396,22 +397,22 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 		pktSize: w.PktSize, toColluders: w.ToColluders,
 		legit: !w.Attacker, kind: "FleetSpec",
 	}
-	if w.Exact || env.needsFanout() {
-		if w.Count != len(w.Senders) {
-			reason := "Exact is set"
-			if !w.Exact {
-				reason = "the timeline contains deployment mutations (aggregation cannot track per-sender policing changes)"
-			}
-			return fmt.Errorf("FleetSpec: exact fan-out required because %s, but Count=%d != %d attachment senders",
-				reason, w.Count, len(w.Senders))
+	if w.Exact || env.sc.deploysMidRun() {
+		if w.Count == len(w.Senders) {
+			return attachFlood(env, spec)
 		}
-		return attachFlood(env, spec)
+		if !w.Exact {
+			return fmt.Errorf("FleetSpec: Count=%d on %d attachment senders: %w", w.Count, len(w.Senders), errFleetDeploy)
+		}
+		return fmt.Errorf("FleetSpec: exact fan-out required because Exact is set, but Count=%d != %d attachment senders",
+			w.Count, len(w.Senders))
 	}
 	if w.Count%len(w.Senders) != 0 {
 		return fmt.Errorf("FleetSpec: Count %d does not divide evenly among %d attachment senders",
 			w.Count, len(w.Senders))
 	}
 	spec.weight = w.Count / len(w.Senders)
+	env.fleetAggregate = true
 	return attachFlood(env, spec)
 }
 
