@@ -269,9 +269,6 @@ func NewController(strategy Strategy, env *Env) *Controller {
 	return &Controller{strategy: strategy, env: env}
 }
 
-// Strategy returns the driven strategy.
-func (c *Controller) Strategy() Strategy { return c.strategy }
-
 // decide routes a strategy decision through the rate override.
 func (c *Controller) decide(d Decision) Decision {
 	if c.rateOverride > 0 {
@@ -303,9 +300,6 @@ func (c *Controller) SetRate(bps int64) {
 		s.apply(d)
 	}
 }
-
-// Senders returns the controller's senders in add order.
-func (c *Controller) Senders() []*Sender { return c.senders }
 
 // AddSender attaches one attack sender flooding dst on flow. Call
 // before Start.

@@ -77,12 +77,6 @@ func (c *Coordinator) SetDrain(fn func(shard int, deadline Time) bool) {
 	c.drain = fn
 }
 
-// Engines returns the coordinated shard engines in shard order.
-func (c *Coordinator) Engines() []*Engine { return c.engines }
-
-// Lookahead returns the synchronization window length.
-func (c *Coordinator) Lookahead() Time { return c.lookahead }
-
 // Windows returns the number of synchronization rounds executed so far.
 func (c *Coordinator) Windows() uint64 { return c.windows }
 

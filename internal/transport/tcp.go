@@ -510,9 +510,6 @@ func (r *TCPReceiver) reply(peer packet.NodeID, flags uint8, ack int64) {
 	r.host.Send(p)
 }
 
-// Close unregisters the receiver.
-func (r *TCPReceiver) Close() { r.host.Unregister(r.Flow) }
-
 func min(a, b int64) int64 {
 	if a < b {
 		return a
