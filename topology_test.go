@@ -2,6 +2,7 @@ package netfence_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
@@ -536,6 +537,44 @@ func TestDeployFractionOutsideUnitInterval(t *testing.T) {
 		sw := netfence.Sweep{Base: sweepBase(), DeployFractions: []float64{0.5, f}}
 		if _, err := sw.Run(); err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
 			t.Errorf("Sweep.DeployFractions %v: err = %v, want outside [0, 1]", f, err)
+		}
+	}
+}
+
+// TestSweepPopulationsResizeEverySpec sweeps the population axis over
+// the specs no other test resizes — StarSpec, RandomASSpec and a
+// RegisteredTopology — and checks every cell's /n= segment and that its
+// Result counts that many senders.
+func TestSweepPopulationsResizeEverySpec(t *testing.T) {
+	specs := map[string]netfence.TopologySpec{
+		"star":       netfence.StarSpec{Senders: 4, BottleneckBps: 800_000},
+		"random-as":  netfence.RandomASSpec{Senders: 4, BottleneckBps: 800_000},
+		"registered": netfence.Topology("parkinglot"),
+	}
+	pops := []int{6, 12}
+	for name, spec := range specs {
+		sw := netfence.Sweep{
+			Base: netfence.Scenario{
+				Name:      name,
+				Seed:      1,
+				Topology:  spec,
+				Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0, 1}}},
+				Duration:  2 * netfence.Second,
+				Warmup:    netfence.Second,
+			},
+			Populations: pops,
+		}
+		results, err := sw.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, n := range pops {
+			if want := fmt.Sprintf("%s/netfence/n=%d/seed=1", name, n); results[i].Scenario != want {
+				t.Errorf("%s: cell %d named %q, want %q", name, i, results[i].Scenario, want)
+			}
+			if results[i].Senders != n {
+				t.Errorf("%s: population %d built %d senders", name, n, results[i].Senders)
+			}
 		}
 	}
 }
