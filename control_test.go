@@ -241,3 +241,21 @@ func FuzzControlPath(f *testing.F) {
 		}
 	})
 }
+
+// TestUtilizationFollowsLinkMutations degrades the 2 Mbps bottleneck to
+// 0.5 Mbps halfway through the 2–10 s window: Utilization must divide
+// the window's transmitted bits by the capacity integrated over it
+// (2 Mbps × 4 s + 0.5 Mbps × 4 s), not by the rate at finish.
+func TestUtilizationFollowsLinkMutations(t *testing.T) {
+	sc := degradeScenario()
+	sc.Timeline = []Mutation{{At: 6 * Second, Link: &LinkMutation{RateBps: 500_000}}}
+	in, err := sc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := in.Run()
+	bits := float64(in.env.bottlenecks[0].TxBytes-in.env.txWarmMarks[0]) * 8
+	if want := bits / (2_000_000*4 + 500_000*4); res.Utilization != want || want > 1 {
+		t.Fatalf("Utilization = %v, want %v of the integrated capacity", res.Utilization, want)
+	}
+}

@@ -171,11 +171,35 @@ func (m Mutation) Validate() error {
 // aggregate exclude each other, scripted or live.
 var errFleetDeploy = errors.New("deployment mutations change who polices each sender, which FleetSpec aggregation cannot track: set Exact, with Count equal to the attachment senders")
 
-// linkParams records a bottleneck link's build-time rate and delay, the
-// Restore target.
+// linkParams is a bottleneck's control-plane record: its build-time
+// delay and every rate it has run at, from the instant each took effect.
+// The first delay and rate are the Restore target; the rates give the
+// capacity Result.Utilization divides by.
 type linkParams struct {
-	rate  int64
 	delay Time
+	rates []rateStep
+}
+
+// rateStep is a bottleneck rate and the instant Build or a link
+// mutation set it.
+type rateStep struct {
+	at   Time
+	rate int64
+}
+
+// capacityBits integrates the link's rate over [from, to].
+func (lp *linkParams) capacityBits(from, to Time) float64 {
+	bits := 0.0
+	for k, st := range lp.rates {
+		end := to
+		if k+1 < len(lp.rates) {
+			end = min(end, lp.rates[k+1].at)
+		}
+		if start := max(st.at, from); end > start {
+			bits += float64(st.rate) * (end - start).Seconds()
+		}
+	}
+	return bits
 }
 
 // Now returns the instant the instance has simulated up to.
@@ -297,11 +321,10 @@ func (in *Instance) applyNow(m Mutation) {
 // point, where no shard is writing the link. It changes no route.
 func (in *Instance) applyLink(lm *LinkMutation) {
 	env := in.env
-	l := env.bottlenecks[lm.Bottleneck]
+	l, lp := env.bottlenecks[lm.Bottleneck], &env.links[lm.Bottleneck]
 	rate, delay := int64(0), Time(0)
 	if lm.Restore {
-		orig := env.linkOrig[lm.Bottleneck]
-		rate, delay = orig.rate, orig.delay
+		rate, delay = lp.rates[0].rate, lp.delay
 	}
 	if lm.RateBps > 0 {
 		rate = lm.RateBps
@@ -311,6 +334,7 @@ func (in *Instance) applyLink(lm *LinkMutation) {
 	}
 	if rate > 0 {
 		l.SetRate(rate)
+		lp.rates = append(lp.rates, rateStep{at: in.Now(), rate: rate})
 	}
 	if delay > 0 {
 		l.SetDelay(delay)

@@ -42,7 +42,9 @@ type Result struct {
 
 	// GoodputProbe: mean post-warmup goodput of user and attacker
 	// senders, their ratio (the paper's headline fairness metric), the
-	// per-sender rates behind the means, and bottleneck utilization.
+	// per-sender rates behind the means, and bottleneck utilization: the
+	// busiest bottleneck's post-warmup transmitted bits over its capacity
+	// integrated over the window at the rates link mutations set.
 	UserBps, AttackerBps float64
 	Ratio                float64
 	UserRates            []float64
@@ -312,7 +314,8 @@ func (GoodputProbe) finish(env *scenarioEnv, res *Result) {
 		res.Ratio = res.UserBps / res.AttackerBps
 	}
 	for i, l := range env.bottlenecks {
-		if u := l.Utilization(env.txWarmMarks[i], env.duration-env.warmup); u > res.Utilization {
+		capacity := env.links[i].capacityBits(env.warmup, env.duration)
+		if u := float64(l.TxBytes-env.txWarmMarks[i]) * 8 / capacity; u > res.Utilization {
 			res.Utilization = u
 		}
 	}

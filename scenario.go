@@ -165,12 +165,12 @@ type scenarioEnv struct {
 	attackCtrls [][]*attack.Controller
 
 	// Control-plane state for timeline and live mutations: the
-	// bottlenecks' build-time parameters (the Restore target), the active
+	// bottlenecks' build-time delays and rate histories, the active
 	// deployment plan, the ingress hooks and host shims saved while their
 	// AS is disarmed (a re-arm restores them), the victim deny policy, and
 	// whether a FleetSpec attached in aggregate (which refuses deploy
 	// mutations).
-	linkOrig       []linkParams
+	links          []linkParams
 	plan           topo.Plan
 	savedIngress   map[*netsim.Node]func(*packet.Packet, *netsim.Link) bool
 	savedShims     map[*netsim.Node]netsim.Shim

@@ -284,7 +284,7 @@ func (s Scenario) build(shards int) (*Instance, error) {
 		warmup:       s.Warmup,
 	}
 	for _, l := range env.bottlenecks {
-		env.linkOrig = append(env.linkOrig, linkParams{rate: l.Rate, delay: l.Delay})
+		env.links = append(env.links, linkParams{delay: l.Delay, rates: []rateStep{{rate: l.Rate}}})
 	}
 	// The deny policy closes over the deny set, which the attack
 	// workloads populate during attachment below.
