@@ -283,12 +283,3 @@ func (l *Link) scheduleRetry(at sim.Time) {
 	}
 	l.org.ScheduleEvent(ev, at, (*linkRetry)(l), nil)
 }
-
-// Utilization returns the fraction of capacity used over an interval,
-// given a byte count captured at the interval's start.
-func (l *Link) Utilization(prevTxBytes uint64, interval sim.Time) float64 {
-	if interval <= 0 || l.Rate <= 0 {
-		return 0
-	}
-	return float64(l.TxBytes-prevTxBytes) * 8 / (float64(l.Rate) * interval.Seconds())
-}

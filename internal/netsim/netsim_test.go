@@ -246,7 +246,7 @@ func TestLinkUtilization(t *testing.T) {
 	}
 	n.Eng.Run()
 	elapsed := n.Eng.Now() - t0
-	util := mid.Utilization(start, elapsed)
+	util := float64(mid.TxBytes-start) * 8 / (float64(mid.Rate) * elapsed.Seconds())
 	if util < 0.8 || util > 1.01 {
 		t.Fatalf("utilization = %f", util)
 	}
