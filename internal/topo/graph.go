@@ -23,9 +23,9 @@ import (
 //
 // Declaration order is semantic: nodes and links are created on the
 // underlying netsim.Network in call order, and Roles walks each group's
-// access routers and hosts in declaration order. Two
-// builders issuing the same call sequence produce byte-identical
-// networks (and therefore identical simulation results for a seed).
+// access routers and hosts in declaration order. Two builders issuing
+// the same call sequence produce byte-identical networks (and therefore
+// identical simulation results for a seed).
 //
 // A partitioned run builds the graph once and binds it to its shards
 // (netsim.Network.Bind): the graph, its roles and Net's nodes and links

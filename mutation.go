@@ -19,11 +19,10 @@ import (
 // mid-run through Instance.Apply (the serve-mode control endpoint) —
 // both take the same code path, applied at a control point where every
 // event before the mutation instant has executed and no event at or
-// after it has, on the single engine exactly as on every shard count. A
-// live mutation dated ahead of the run waits in the timeline for its
-// instant.
+// after it has, on the single engine exactly as on every shard count.
 // A scripted Timeline is therefore byte-reproducible, and a live
-// mutation applied at the same simulated instant reproduces it.
+// mutation applied at the same simulated instant, or delivered ahead of
+// it to wait in the timeline, reproduces it.
 type Mutation struct {
 	// At is the simulated instant the mutation takes effect; it must be
 	// positive and at most the scenario Duration.
@@ -173,8 +172,8 @@ var errFleetDeploy = errors.New("deployment mutations change who polices each se
 
 // linkParams is a bottleneck's control-plane record: its build-time
 // delay and every rate it has run at, from the instant each took effect.
-// The first delay and rate are the Restore target; the rates give the
-// capacity Result.Utilization divides by.
+// The delay and the first rate are the Restore target; the rates give
+// the capacity Result.Utilization divides by.
 type linkParams struct {
 	delay Time
 	rates []rateStep
