@@ -117,10 +117,9 @@ func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos(
 // randomness owns its stream (sim.Engine.KeyStream of its origin ID), so
 // the owner draws what the single engine would.
 type shardState struct {
-	// shardOfNode and shardOfAS map a node ID and an AS to its shard (nil
-	// on one shard); lookahead is the synchronization window (0 on one).
+	// shardOfNode maps a node ID to its shard (nil on one shard);
+	// lookahead is the synchronization window (0 on one).
 	shardOfNode []int32
-	shardOfAS   map[packet.ASID]int
 	lookahead   Time
 	engines     []*sim.Engine
 	nets        []*netsim.Network
@@ -245,7 +244,7 @@ func (s Scenario) bindShards(shards int) (*shardState, *builtTopo, *topo.Partiti
 	for len(st.engines) < shards {
 		st.engines = append(st.engines, sim.New(s.Seed))
 	}
-	st.shardOfNode, st.shardOfAS, st.lookahead = part.ShardOfNode, part.ShardOfAS, part.Lookahead
+	st.shardOfNode, st.lookahead = part.ShardOfNode, part.Lookahead
 	st.nets = bt.net.Bind(part.ShardOfNode, st.engines)
 	st.inboxes = make([][]*netsim.Mailbox, shards)
 	return st, bt, part, nil
