@@ -30,7 +30,7 @@
 // floor at a searched optimum. -out writes the job's result JSON,
 // -metrics-out its counters, -progress a sweep's or search's cells to
 // stderr, and -trace a scenario job's flight-recorder trace. Everything
-// else — shards, pipeline, axes, optimizer — is in the spec.
+// else — shards, axes, optimizer — is in the spec.
 // pause_at_sec is refused, since nothing could resume the job, and
 // stream_interval_sec does nothing: segmentation never changes a Result.
 //

@@ -195,6 +195,7 @@ func TestSpecCommand(t *testing.T) {
 		{"pause", string(paused), false, "pause_at_sec needs the service's control endpoint"},
 		{"trace-sweep", "", true, "-trace records one scenario"},
 		{"unknown-field", `{"scenario": {"topology": {"kind": "dumbbell"}}, "trace_flows": 4}`, false, `unknown field "trace_flows"`},
+		{"pipeline-field", `{"scenario": {"topology": {"kind": "dumbbell"}, "pipeline": "off"}}`, false, `unknown field "pipeline"`},
 	}
 	for _, r := range refusals {
 		file := filepath.Join(specDir, "sweep.json")

@@ -670,7 +670,7 @@ func (l *regLimiter) maybeExpire() bool {
 // kaiLookup resolves the key shared between this access router's AS and
 // the AS owning a link — the paper's IP-to-AS mapping plus the Passport
 // key table (§4.4). It may make the pair's CMAC, so only the goroutine
-// owning the router calls it; a pipeline worker makes its own.
+// owning the router calls it.
 func (ar *AccessRouter) kaiLookup(link packet.LinkID) *cmac.CMAC {
 	l := ar.node.Network().LinkByID(link)
 	if l == nil {

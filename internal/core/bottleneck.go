@@ -6,7 +6,6 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/packet"
-	"netfence/internal/passport"
 	"netfence/internal/queue"
 	"netfence/internal/sim"
 )
@@ -50,21 +49,9 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 		b.util.Threshold = s.Cfg.UtilThreshold
 	}
 	if s.Cfg.Passport && s.Registry != nil {
-		cells := l.From.Network().Cells
 		b.q.verify = func(p *packet.Packet) bool {
 			if p.SrcAS == l.From.AS {
 				return true // intra-AS traffic carries no trailer here
-			}
-			if st := p.Passport; st != nil && st.PVLink == l.ID {
-				// Verdict precomputed by the sharded validation pipeline at
-				// the drain barrier (Registry.Check under the worker's own
-				// CMAC of the pair key). Consume it exactly once and apply
-				// the trailer consumption at the instant Verify would have
-				// mutated it.
-				st.PVLink = 0
-				passport.Apply(p, int(st.PVConsume))
-				cells.Add(obs.PipelinePrecomputeHits, 1)
-				return st.PVOK
 			}
 			return s.Registry.Verify(p, l.From.AS)
 		}

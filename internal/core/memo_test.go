@@ -9,7 +9,6 @@ import (
 	"netfence/internal/defense"
 	"netfence/internal/feedback"
 	"netfence/internal/netsim"
-	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 	"netfence/internal/topo"
@@ -394,137 +393,5 @@ func TestRegularPoliceZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("memo %s: policing a regular packet allocates %.1f times, want 0", name, allocs)
 		}
-	}
-}
-
-// runPipelineCut drives the validation pipeline over regular packets
-// without a Passport trailer, made by mk: the rig's access router's
-// egress is cut by hand, between two replicas of the rig, and the
-// packets are sent straight onto it, enough of them for several chunks
-// (a packet of a batch belongs to one chunk, so to one worker). After
-// the drain-phase workers leave their verdicts, check sees each packet
-// and its index; every verdict must be the bottleneck's and false, as
-// inline Verify gives for a packet without a trailer. Then the cut
-// drains, and past it the protected bottleneck's hook consumes every
-// verdict in place of its inline Verify. It returns the receiving rig
-// and the cut's mailbox.
-func runPipelineCut(t *testing.T, mk func(h *netsim.Node) *packet.Packet, check func(i int, p *packet.Packet)) (*memoRig, *netsim.Mailbox) {
-	src, dst := newMemoRig(t), newMemoRig(t)
-	src.out.SetOnTransmit(nil) // the rig's oracle for limiter releases; these are sent straight onto the link
-	mb := netsim.NewMailbox(dst.out)
-	src.out.SetMailbox(mb)
-	const n = 3*pipeChunk + 7
-	h := src.d.Senders[0]
-	fb := src.mint(h.ID, src.dsts[0], fbNop, 0, 0, 0)
-	for i := 0; i < n; i++ {
-		p := mk(h)
-		p.Src, p.SrcAS, p.Dst, p.Size, p.Flow = h.ID, h.AS, src.dsts[0], 200, 1
-		p.Kind, p.FB = packet.KindRegular, fb
-		src.out.Send(p)
-	}
-	eng := src.d.Net.Eng
-	eng.RunUntil(eng.Now() + sim.Millisecond)
-
-	pl := NewPipeline(dst.s, dst.d.Net, "test", 2)
-	defer pl.Stop()
-	pl.Submit([]*netsim.Mailbox{mb})
-	pl.Wait()
-	pkts := mb.Pending()
-	if len(pkts) != n {
-		t.Fatalf("%d of %d packets crossed the cut link", len(pkts), n)
-	}
-	bl := dst.d.Bottleneck
-	for i, p := range pkts {
-		st := p.Passport
-		if st == nil || st.PVLink != bl.ID || st.Present || len(st.Entries) != 0 {
-			t.Fatalf("packet %d left the pipeline with block %+v, want a verdict for link %d and no trailer", i, st, bl.ID)
-		}
-		q := packet.Packet{Src: p.Src, Dst: p.Dst, SrcAS: p.SrcAS, Size: p.Size}
-		if want := dst.s.Registry.Verify(&q, bl.From.AS); st.PVOK != want || want {
-			t.Fatalf("packet %d: precomputed verdict %v, inline Verify gives %v for a packet without a trailer", i, st.PVOK, want)
-		}
-		check(i, p)
-	}
-	cells := dst.d.Net.Cells
-	if got := cells[obs.PipelinePrecomputed]; got != n {
-		t.Fatalf("pipeline precomputed %d verdicts, want %d", got, n)
-	}
-	mb.Drain(eng.Now() + sim.Second)
-	dst.d.Net.Eng.RunUntil(eng.Now() + sim.Second)
-	if hits := cells[obs.PipelinePrecomputeHits]; hits != n {
-		t.Fatalf("the bottleneck consumed %d of %d verdicts", hits, n)
-	}
-	if fails := cells[obs.CoreMACFail]; fails != n {
-		t.Fatalf("the bottleneck failed %d of %d packets without a trailer", fails, n)
-	}
-	return dst, mb
-}
-
-// verdictAllocs counts what a drain-phase worker allocates to leave its
-// verdict on one packet of ps, each a regular arrival over mb's cut
-// link, a fresh one per call.
-func verdictAllocs(dst *memoRig, mb *netsim.Mailbox, ps []*packet.Packet) float64 {
-	w := &pipeWorker{pl: &Pipeline{sys: dst.s, net: dst.d.Net}, pairs: make(map[cmac.Key]*cmac.CMAC)}
-	h := dst.d.Senders[0]
-	fb := dst.mint(h.ID, dst.dsts[0], fbNop, 0, 0, 0)
-	for _, p := range ps {
-		p.Src, p.SrcAS, p.Dst, p.Size, p.Flow = h.ID, h.AS, dst.dsts[0], 200, 1
-		p.Kind, p.FB = packet.KindRegular, fb
-	}
-	i := 0
-	return testing.AllocsPerRun(len(ps)-1, func() {
-		w.passportVerdict(ps[i], mb.DestLink())
-		i++
-	})
-}
-
-// TestPipelineWorkerKeepsPooledBlock: a pooled packet of a Passport run
-// is made with its trailer block, so it reaches the validation pipeline
-// with one even without a trailer, and the drain-phase worker leaves its
-// verdict in that block — the same pointer the packet was drawn with —
-// allocating nothing. Run under -race.
-func TestPipelineWorkerKeepsPooledBlock(t *testing.T) {
-	var blocks []*packet.PassportStamp
-	dst, mb := runPipelineCut(t, func(h *netsim.Node) *packet.Packet {
-		p := h.Host.NewPacket()
-		blocks = append(blocks, p.Passport)
-		return p
-	}, func(i int, p *packet.Packet) {
-		if blocks[i] == nil || p.Passport != blocks[i] {
-			t.Fatalf("packet %d was drawn with block %p and left the pipeline with %p", i, blocks[i], p.Passport)
-		}
-	})
-	ps := make([]*packet.Packet, 51)
-	for i := range ps {
-		ps[i] = dst.d.Senders[0].Host.NewPacket()
-	}
-	if n := verdictAllocs(dst, mb, ps); n != 0 {
-		t.Fatalf("the worker allocates %.1f times per pooled packet, want 0", n)
-	}
-}
-
-// TestPipelineWorkerMakesBlock: a packet without a trailer block — a
-// hand-made packet.Packet, which no pool made — reaches the validation
-// pipeline without one, and the worker that leaves its Passport verdict
-// makes it, in the drain phase, off the owning goroutine: the one
-// allocation a goroutine other than a packet's owner makes for it. Run
-// under -race.
-func TestPipelineWorkerMakesBlock(t *testing.T) {
-	var made []*packet.Packet
-	dst, mb := runPipelineCut(t, func(*netsim.Node) *packet.Packet {
-		p := &packet.Packet{}
-		made = append(made, p)
-		return p
-	}, func(i int, p *packet.Packet) {
-		if p != made[i] {
-			t.Fatalf("packet %d is not the hand-made packet sent", i)
-		}
-	})
-	ps := make([]*packet.Packet, 51)
-	for i := range ps {
-		ps[i] = &packet.Packet{}
-	}
-	if n := verdictAllocs(dst, mb, ps); n != 1 {
-		t.Fatalf("the worker allocates %.1f times per hand-made packet, want 1: its trailer block", n)
 	}
 }

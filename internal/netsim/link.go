@@ -233,10 +233,6 @@ func (l *Link) SetMailbox(mb *Mailbox) {
 	l.net.outboxes = append(l.net.outboxes, mb)
 }
 
-// Cut reports whether the link hands its packets to another shard: a
-// cut link of a partitioned run.
-func (l *Link) Cut() bool { return l.cold != nil && l.cold.mailbox != nil }
-
 // SetOnTransmit installs fn (nil removes it) to observe each packet as
 // its transmission begins — the hook bottleneck routers use to update
 // congestion policing feedback in the mon state (§4.3.2).

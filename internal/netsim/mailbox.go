@@ -71,18 +71,6 @@ func (m *Mailbox) adopt(pool *packet.Pool) {
 	m.empties = m.empties[:0]
 }
 
-// Pending exposes the packets of the mailbox's undrained window. The
-// sharded validation pipeline reads it between the coordinator's barrier
-// and Drain — every shard is parked at the drain round, so the window
-// (and all shard state the verdicts depend on) is frozen — and writes
-// its verdicts into the packets. The slice is invalidated by the next
-// Drain or push.
-func (m *Mailbox) Pending() []*packet.Packet { return m.pkts }
-
-// DestLink returns the destination's view of the cut link (index, ID
-// and endpoints) — where Pending packets will arrive.
-func (m *Mailbox) DestLink() *Link { return m.destLink }
-
 // Drain moves every pending arrival onto the FIFO, sends home the
 // empties owed, and reports whether any arrival landed at or before
 // deadline. Called by the destination shard at window start, after the

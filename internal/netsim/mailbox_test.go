@@ -25,7 +25,6 @@ func fillPacket(p *packet.Packet, dst packet.NodeID) {
 	p.Ret = packet.Returned{Present: true, Mode: packet.FBMon, Link: 4, Action: packet.ActDecr, TS: 11,
 		MAC: [4]byte{9, 8, 7, 6}}
 	st := p.NeedPassport()
-	st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
 	st.Present = true
 	st.Next = 1
 	st.Entries = append(st.Entries[:0],

@@ -85,14 +85,6 @@ const (
 	NetsimHandoffPackets
 	NetsimMailboxDepthHWM
 
-	// Sharded validation pipeline (runtime plane: the pipeline only runs
-	// on sharded layouts, and how much it precomputes depends on the cut
-	// structure — the verdicts themselves are deterministic either way).
-	PipelineBatches
-	PipelinePackets
-	PipelinePrecomputed
-	PipelinePrecomputeHits
-
 	// Packet pools, harvested from each shard's pool at snapshot
 	// barriers: packets the pool had to allocate so far, and (a gauge)
 	// packets sitting idle on its free list. A pool that allocates or
@@ -173,10 +165,6 @@ var defs = []Def{
 	{NetsimHandoffBatches, "netsim_handoff_batch_total", "cut-link mailbox drain batches between shards", "—", Counter, true},
 	{NetsimHandoffPackets, "netsim_handoff_packet_total", "packets handed across shard cut links", "—", Counter, true},
 	{NetsimMailboxDepthHWM, "netsim_mailbox_depth_hwm", "highest packet depth a cut-link mailbox reached at a drain", "—", Gauge, true},
-	{PipelineBatches, "pipeline_validation_batch_total", "handoff batches fanned out to the validation worker pool", "§5.1", Counter, true},
-	{PipelinePackets, "pipeline_validation_packet_total", "handoff packets examined by the validation worker pool", "§5.1", Counter, true},
-	{PipelinePrecomputed, "pipeline_precompute_total", "Passport verdicts precomputed off the serialized execute phase", "§5.1", Counter, true},
-	{PipelinePrecomputeHits, "pipeline_precompute_hit_total", "precomputed Passport verdicts consumed at a bottleneck instead of inline CMAC", "§5.1", Counter, true},
 	{PacketPoolFresh, "packet_pool_fresh_total", "packets allocated because a shard's pool had none to recycle", "—", Counter, true},
 	{PacketPoolIdle, "packet_pool_idle_max", "most idle packets any one shard held at the last run boundary (free list plus empties come home over cut links)", "—", Gauge, true},
 	{ShardHostsOwned, "shard_hosts_owned_total", "hosts owned, summed over shards (the graph is built once; a host belongs to the shard owning its AS)", "§5.1", Counter, true},

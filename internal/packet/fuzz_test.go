@@ -98,7 +98,7 @@ func runPoolProgram(t *testing.T, prog []byte) {
 				for j := 0; j < int(arg%9); j++ {
 					p.Passport.Entries = append(p.Passport.Entries, PassportMAC{AS: ASID(j + 1)})
 				}
-				p.Passport.Next, p.Passport.PVLink = 1, LinkID(arg)
+				p.Passport.Next, p.Passport.Present = int32(arg%3), true
 			}
 			live = append(live, p)
 		case fpPut:

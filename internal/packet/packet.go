@@ -172,39 +172,20 @@ type PassportMAC struct {
 	MAC [4]byte
 }
 
-// PassportStamp is the block a packet grows when something beyond the
-// NetFence header rides along: the Passport source-authentication
-// trailer — one MAC per AS on the path, verified in path order
-// (internal/passport); a transit AS with several on-path routers
-// verifies once, at ingress — and the Passport verdict the sharded
-// validation pipeline leaves for the execute phase. On Passport runs the
-// block is made with the packet (Pool.MakeTrailers), entry array
-// included; any other packet makes one on first need (NeedPassport).
-// Either way the packet keeps it across pool recycles, zeroed, the way
-// it keeps its Ext.
-//
-// The verdict cache is filled while a cut-link handoff batch drains
-// (every shard is at the drain barrier, so packet and key state are
-// frozen) and consumed by the serialized execute phase in place of
-// inline CMAC work. The verdict is a pure function of the packet bytes
-// and the AS-pair key, which never rotates; the bottleneck's hook
-// re-checks the binding (link identity) and falls back to inline
-// verification on a mismatch, so an unconsumed cache is dropped, never
-// wrong. Zero values mean "no cached verdict" — LinkID 0 is reserved for
-// exactly that.
+// PassportStamp is the block a packet grows when the Passport
+// source-authentication trailer rides along: one MAC per AS on the path,
+// verified in path order (internal/passport); a transit AS with several
+// on-path routers verifies once, at ingress. On Passport runs the block
+// is made with the packet (Pool.MakeTrailers), entry array included; any
+// other packet makes one on first need (NeedPassport). Either way the
+// packet keeps it across pool recycles, zeroed, the way it keeps its
+// Ext.
 type PassportStamp struct {
 	Entries []PassportMAC
 	// Next indexes the first unverified entry.
 	Next int32
-	// PVLink tags a cached Passport verdict with the protected link whose
-	// verify hook may consume it (0 = none); PVOK is the Registry.Check
-	// result and PVConsume its trailer-consumption index.
-	PVLink    LinkID
-	PVConsume int16
-	// Present says the packet carries a trailer; a block made for a
-	// verdict alone leaves it false.
+	// Present says the packet carries a trailer.
 	Present bool
-	PVOK    bool
 }
 
 // MultiFB is one bottleneck's feedback inside the Appendix B.1
@@ -249,15 +230,15 @@ type Ext struct {
 // everywhere too and are simply never recycled.
 //
 // The struct is 120 bytes, two cache lines; on Passport runs it is made
-// with its trailer block, 208 bytes. A pool carves packets from slabs
+// with its trailer block, 200 bytes. A pool carves packets from slabs
 // that fill an allocator class (TestPacketLayoutBudget pins sizes,
 // offsets and slabs). Every pooled, cached or in-flight packet costs
 // that much heap, and Reset rewrites the struct per recycle, the
 // block too once it has one. Line 0 holds what every hop reads —
 // addressing, flow, size, channel; line 1 what access routers and shims
 // read — the two feedback headers — and the pointers to what is
-// optional: the Passport trailer with the pipeline's verdicts, and
-// Ext. A copy of the struct shares both blocks with the original.
+// optional: the Passport trailer and Ext. A copy of the struct shares
+// both blocks with the original.
 type Packet struct {
 	TCP TCPInfo
 
@@ -283,9 +264,8 @@ type Packet struct {
 	// Ret is the returned feedback for the reverse path.
 	Ret Returned
 
-	// Passport is the source-authentication trailer and the pipeline's
-	// verdict cache: made with the packet on Passport runs, else nil
-	// until NeedPassport.
+	// Passport is the source-authentication trailer: made with the
+	// packet on Passport runs, else nil until NeedPassport.
 	Passport *PassportStamp
 
 	// Ext holds the optional headers (Appendix B.1, TVA+); nil until
@@ -306,9 +286,9 @@ func (p *Packet) NeedExt() *Ext {
 // covers the AS-level paths of every shipped topology (3 to 5 on the
 // random-AS graph), so a packet's trailer needs no array of its own; a
 // longer path grows one once (passport.StampHops), which the packet
-// then keeps. The 40-byte block and six 8-byte entries take 88 bytes,
-// in the allocator's 96-byte class when made alone, and bring the
-// 120-byte packet they are made with to 208 bytes.
+// then keeps. The 32-byte block and six 8-byte entries take 80 bytes,
+// the allocator's 80-byte class when made alone, and bring the 120-byte
+// packet they are made with to 200 bytes.
 const passportInline = 6
 
 // passportBlock is a trailer block with its inline entries: what

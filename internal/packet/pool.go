@@ -29,7 +29,7 @@ import "unsafe"
 // rest is used up. A slab fills one allocator class: 68 bare 120-byte
 // packets in 8192 bytes (slabLen), or, on a pool that makes trailers
 // (MakeTrailers; the pool of a network whose defense stamps Passport
-// trailers), 59 packets of 208 bytes, each with its trailer block beside
+// trailers), 61 packets of 200 bytes, each with its trailer block beside
 // it, in 12288 (passportSlabLen). Any other packet makes its block on
 // first need (NeedPassport). The uncarved rest is not idle packets: it
 // is held apart from the free list, so Len and Lend never see it, and

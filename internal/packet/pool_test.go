@@ -169,7 +169,6 @@ func TestPoolRetainsPassportCapacity(t *testing.T) {
 			}
 			grown := cap(st.Entries)
 			st.Present, st.Next = true, 1
-			st.PVLink, st.PVOK, st.PVConsume = 3, true, 1
 			pool.Put(p)
 			q := pool.Get()
 			if q.Passport != st {
@@ -301,7 +300,7 @@ func TestLendAdopt(t *testing.T) {
 	for _, p := range ps {
 		p.NeedExt().Cap.Present = true
 		p.Passport.Entries = append(p.Passport.Entries, PassportMAC{AS: 1})
-		p.Passport.Present, p.Passport.PVLink = true, 3
+		p.Passport.Present, p.Passport.Next = true, 1
 		away.Put(p) // the packets ended their lives on the other shard
 	}
 	empties := away.Lend(nil, 2)

@@ -21,7 +21,6 @@ type refPacket struct {
 	entries []packet.PassportMAC
 	next    int32
 	present bool
-	pvLink  packet.LinkID // a pipeline verdict riding along
 }
 
 func (q *refPacket) stamp(r *Registry, path []packet.ASID) {
@@ -84,13 +83,12 @@ const (
 const (
 	fzStamp    = iota // n, then n ASes: the source border stamps that path
 	fzVerify          // AS: Registry.Verify there
-	fzCheck           // AS, apply?: the pipeline's split form
+	fzCheck           // AS, verify?: the pure Check, then Verify if the byte is odd
 	fzForge           // i: flip a bit of entry i's MAC
 	fzSwap            // i, j: reorder two entries
 	fzTruncate        // k: cut the trailer to k entries
 	fzRecycle         // src, dst, srcAS, size: back through the pool, a new packet
 	fzSpoof           // what, v: rewrite a header field the MAC covers
-	fzVerdict         // link: a pipeline verdict is left on the packet
 	fzOps
 
 	fzSlots = 3
@@ -163,10 +161,9 @@ func runTrailerProgram(t *testing.T, prog []byte) {
 			if p.Passport != nil {
 				got = *p.Passport
 			}
-			if got.Present != q.present || got.Next != q.next || got.PVLink != q.pvLink ||
-				!slices.Equal(got.Entries, q.entries) {
-				t.Fatalf("%s: packet %d carries %+v, the by-value reference present %v next %d entries %v pvLink %d",
-					when, i, got, q.present, q.next, q.entries, q.pvLink)
+			if got.Present != q.present || got.Next != q.next || !slices.Equal(got.Entries, q.entries) {
+				t.Fatalf("%s: packet %d carries %+v, the by-value reference present %v next %d entries %v",
+					when, i, got, q.present, q.next, q.entries)
 			}
 		}
 	}
@@ -190,16 +187,18 @@ func runTrailerProgram(t *testing.T, prog []byte) {
 				t.Fatalf("step %d: Verify at AS %d = %v, reference %v", step, at, got, ok)
 			}
 		case fzCheck:
-			at, doApply := as(), next()&1 != 0
+			at, verify := as(), next()&1 != 0
 			wantOK, wantConsume := q.check(r, at)
 			ok, consume := r.Check(p, at, r.Key(p.SrcAS, at))
 			if ok != wantOK || consume != wantConsume {
 				t.Fatalf("step %d: Check at AS %d = (%v, %d), reference (%v, %d)", step, at, ok, consume, wantOK, wantConsume)
 			}
 			agree("after a Check, which must be pure")
-			if doApply {
-				Apply(p, consume)
+			if verify {
 				q.apply(wantConsume)
+				if got := r.Verify(p, at); got != ok {
+					t.Fatalf("step %d: Verify at AS %d = %v, Check %v", step, at, got, ok)
+				}
 			}
 		case fzForge:
 			if j := next(); len(q.entries) > 0 {
@@ -234,10 +233,6 @@ func runTrailerProgram(t *testing.T, prog []byte) {
 				p.Src ^= packet.NodeID(v)
 				q.hdr.Src = p.Src
 			}
-		case fzVerdict:
-			link := packet.LinkID(next())
-			p.NeedPassport().PVLink = link
-			q.pvLink = link
 		}
 		agree("after step " + strconv.Itoa(step))
 	}
@@ -246,8 +241,8 @@ func runTrailerProgram(t *testing.T, prog []byte) {
 // FuzzPassportTrailer: Passport validation over arbitrary bytes. A
 // program stamps paths of 0 to 8 ASes (known and unknown, so past the
 // block's inline entries too), verifies whole or split at arbitrary
-// ASes, forges, reorders and truncates entries, spoofs the header,
-// leaves pipeline verdicts behind and recycles packets through a Pool
+// ASes, forges, reorders and truncates entries, spoofs the header and
+// recycles packets through a Pool
 // in between — a plain one, whose packets make their block on first
 // need, or a trailer-making one, whose packets are born with it; every
 // verdict and, after every step, every packet's trailer state must equal
@@ -260,19 +255,19 @@ func FuzzPassportTrailer(f *testing.F) {
 	f.Add(join(fzPlain, fzPath(1, 2, 3, 4), fzStep(fzForge, 1, 1), fzHops(fzCheck, 1, 2, 3, 4)))                               // corrupted mac
 	f.Add(join(fzPlain, fzPath(2, 2, 3), fzStep(fzSpoof, 2, 0, 8), fzHops(fzVerify, 2, 2, 3)))                                 // spoofed source
 	f.Add(join(fzPlain, fzPath(0, 2), fzStep(fzSpoof, 0, 1, 200), fzHops(fzVerify, 0, 2)))                                     // size inflation
-	f.Add(join(fzPlain, fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 5), fzHops(fzCheck, 0, 2)))                               // no trailer, then a verdict-only block
+	f.Add(join(fzPlain, fzHops(fzVerify, 0, 2), fzHops(fzCheck, 0, 2)))                                                        // no trailer
 	f.Add(join(fzPlain, fzPath(0, 2, 3, 4, 5, 6, 7, 8, 2), fzHops(fzVerify, 0, 2, 8, 2), fzPath(0, 3), fzHops(fzCheck, 0, 3))) // outgrows the inline entries, then a short path on the grown array
-	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 7), fzStep(fzRecycle, 0, 1, 2, 0, 9),
+	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzHops(fzVerify, 0, 2), fzStep(fzRecycle, 0, 1, 2, 0, 9),
 		fzHops(fzCheck, 0, 2, 3), fzPath(0, 3, 4), fzHops(fzVerify, 0, 3, 4))) // a recycled packet starts clean
 	f.Add(join(fzPlain, fzPath(0, 2, 3, 4), fzStep(fzSwap, 0, 0, 2), fzStep(fzTruncate, 0, 2), fzHops(fzVerify, 0, 4, 3, 2))) // reordered, truncated
-	f.Add(join(fzPlain, fzStep(fzVerdict, 1, 3), fzPath(1, 2, 3), fzHops(fzCheck, 1, 2)))                                     // a stamp keeps the verdict
+	f.Add(join(fzPlain, fzPath(1, 2, 3), fzStep(fzCheck, 1, 2, 0), fzHops(fzVerify, 1, 3, 2)))                                // a pure Check leaves the trailer to Verify
 	// Blocks made on first need, then blocks the packets were born with:
-	// a verdict-only block, a path past the inline entries, a recycle,
-	// and a packet never stamped.
+	// a path past the inline entries, a recycle, and a packet never
+	// stamped.
 	bornWith := func(pool byte) []byte {
-		return join(pool, fzHops(fzVerify, 0, 2), fzStep(fzVerdict, 0, 5), fzPath(0, 2, 3, 4, 5, 6, 7, 8, 2),
+		return join(pool, fzHops(fzVerify, 0, 2), fzPath(0, 2, 3, 4, 5, 6, 7, 8, 2),
 			fzHops(fzCheck, 0, 2, 3), fzStep(fzRecycle, 0, 1, 2, 0, 9), fzPath(0, 3, 4), fzHops(fzVerify, 0, 3, 4),
-			fzHops(fzVerify, 1, 2), fzStep(fzVerdict, 2, 4))
+			fzHops(fzVerify, 1, 2))
 	}
 	f.Add(bornWith(fzPlain))
 	f.Add(bornWith(fzTrailers))

@@ -27,8 +27,7 @@ import (
 //
 // The table keeps each pair's 16 key bytes and makes the pair's CMAC on
 // the first Key call: a run uses few of the N(N+1)/2 pairs. Key fills
-// that cache, so it is for the goroutine owning the registry; Raw reads
-// only the table, fixed at NewRegistry, and is safe from any goroutine.
+// that cache, so it is for the goroutine owning the registry.
 type Registry struct {
 	raw  map[[2]packet.ASID]cmac.Key
 	macs map[[2]packet.ASID]*cmac.CMAC
@@ -72,13 +71,6 @@ func (r *Registry) Key(a, b packet.ASID) *cmac.CMAC {
 		r.macs[pk] = cmac.New(k)
 	}
 	return r.macs[pk]
-}
-
-// Raw returns the secret shared by ASes a and b, false if the pair is
-// unknown: what a goroutine not owning the registry makes its CMAC of.
-func (r *Registry) Raw(a, b packet.ASID) (cmac.Key, bool) {
-	k, ok := r.raw[pairKey(a, b)]
-	return k, ok
 }
 
 // macInput is the canonical Passport MAC input. Passport's MAC covers the
@@ -145,23 +137,27 @@ func StampHops(p *packet.Packet, hops []Hop) {
 
 // Verify checks p's Passport trailer at the given transit AS. Entries are
 // consumed in path order: verifying an AS that appears later in the
-// trailer skips (and thereby invalidates) the ones before it, while
-// re-verifying at a second router of an already-verified AS succeeds
+// trailer skips and invalidates the ones before it (the packet did not
+// enter those ASes before this one), while re-verifying at a second router of an already-verified AS succeeds
 // without consuming anything — a transit AS verifies at ingress only.
 func (r *Registry) Verify(p *packet.Packet, transitAS packet.ASID) bool {
 	ok, consume := r.Check(p, transitAS, r.Key(p.SrcAS, transitAS))
-	Apply(p, consume)
+	if consume >= 0 {
+		st := p.Passport
+		for j := int(st.Next); j < consume; j++ {
+			st.Entries[j].AS = -1
+		}
+		st.Next = int32(consume + 1)
+	}
 	return ok
 }
 
 // Check is Verify's pure half: it computes the verdict Verify would
 // return for p at transitAS without mutating the trailer. ok is the MAC
-// comparison; consume is the entry index a subsequent Apply must
-// consume, or -1 when Verify would not touch the trailer at all (no
-// trailer, AS already verified, AS absent, or key unknown). mac is the
-// instance to compute with — pass r.Key(p.SrcAS, transitAS) on the
-// owning goroutine, or a batch worker's private CMAC of r.Raw's key,
-// since Key fills a cache and CMAC scratch is not concurrent-safe.
+// comparison; consume is the entry index Verify consumes, or -1 when
+// Verify does not touch the trailer at all (no trailer, AS already
+// verified, AS absent, or key unknown). mac is the instance to compute
+// with, r.Key(p.SrcAS, transitAS) for the verdict Verify gives.
 func (r *Registry) Check(p *packet.Packet, transitAS packet.ASID, mac *cmac.CMAC) (ok bool, consume int) {
 	st := p.Passport
 	if st == nil || !st.Present {
@@ -186,20 +182,4 @@ func (r *Registry) Check(p *packet.Packet, transitAS packet.ASID, mac *cmac.CMAC
 		return want == st.Entries[i].MAC, i
 	}
 	return false, -1
-}
-
-// Apply is Verify's mutating half: it consumes the trailer entry a
-// Check verdict identified. Entries bypassed by the consumption are
-// invalidated — the packet demonstrably did not enter those ASes before
-// this one. Apply(p, -1) is a no-op, matching the Check verdicts that
-// carry no consumption.
-func Apply(p *packet.Packet, consume int) {
-	if consume < 0 {
-		return
-	}
-	st := p.Passport
-	for j := int(st.Next); j < consume; j++ {
-		st.Entries[j].AS = -1
-	}
-	st.Next = int32(consume + 1)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"netfence/internal/cmac"
 	"netfence/internal/packet"
 )
 
@@ -157,8 +156,22 @@ func equalTrailer(x, y packet.PassportStamp) bool {
 	return true
 }
 
-// TestCheckApplyMatchesVerify: the pure Check plus deferred Apply — the
-// pipeline's split form — must agree with Verify hop by hop, including
+// consume applies a Check verdict's consumption index to p's trailer
+// the way Verify does: the entries it skips are invalidated, and -1
+// leaves the trailer as it is.
+func consume(p *packet.Packet, i int) {
+	if i < 0 {
+		return
+	}
+	st := p.Passport
+	for j := int(st.Next); j < i; j++ {
+		st.Entries[j].AS = -1
+	}
+	st.Next = int32(i + 1)
+}
+
+// TestCheckApplyMatchesVerify: the pure Check, with its consumption
+// index applied after it, must agree with Verify hop by hop, including
 // corrupted MACs, spoofed sources and off-path ASes, and leave the
 // trailer in the identical state.
 func TestCheckApplyMatchesVerify(t *testing.T) {
@@ -191,8 +204,8 @@ func TestCheckApplyMatchesVerify(t *testing.T) {
 		a, b := mk(tc.corrupt, tc.spoof)
 		for _, as := range tc.hops {
 			want := r.Verify(a, as)
-			ok, consume := r.Check(b, as, r.Key(b.SrcAS, as))
-			Apply(b, consume)
+			ok, i := r.Check(b, as, r.Key(b.SrcAS, as))
+			consume(b, i)
 			if ok != want {
 				t.Fatalf("%s: Check at AS %d = %v, Verify = %v", tc.name, as, ok, want)
 			}
@@ -204,9 +217,8 @@ func TestCheckApplyMatchesVerify(t *testing.T) {
 	}
 }
 
-// TestCheckIsPure: Check must not mutate the packet — the pipeline
-// calls it at the drain barrier and defers the consumption to Apply at
-// the protected link.
+// TestCheckIsPure: Check must not mutate the packet; Verify consumes
+// the entry only after Check's verdict.
 func TestCheckIsPure(t *testing.T) {
 	r := testRegistry()
 	p := &packet.Packet{Src: 10, Dst: 20, SrcAS: 1, Size: 700}
@@ -218,11 +230,6 @@ func TestCheckIsPure(t *testing.T) {
 	}
 	if !equalTrailer(*p.Passport, before) {
 		t.Fatal("Check mutated the trailer")
-	}
-	// A negative consume Apply is a no-op.
-	Apply(p, -1)
-	if !equalTrailer(*p.Passport, before) {
-		t.Fatal("Apply(-1) mutated the trailer")
 	}
 }
 
@@ -265,10 +272,9 @@ func TestStampSizesTrailerOnce(t *testing.T) {
 	}
 }
 
-// TestRecycledPacketChecksLikeFresh: whatever trailer and verdicts a
-// packet carried, once through the pool it is a fresh packet to Check,
-// Apply and Verify — no trailer — and to the next Stamp, which reuses
-// the block it kept.
+// TestRecycledPacketChecksLikeFresh: whatever trailer a packet carried,
+// once through the pool it is a fresh packet to Check and Verify — no
+// trailer — and to the next Stamp, which reuses the block it kept.
 func TestRecycledPacketChecksLikeFresh(t *testing.T) {
 	r := testRegistry()
 	var pool packet.Pool
@@ -279,7 +285,6 @@ func TestRecycledPacketChecksLikeFresh(t *testing.T) {
 		t.Fatal("verification failed at AS 3")
 	}
 	st := p.Passport
-	st.PVLink, st.PVOK, st.PVConsume = 5, true, 2
 	pool.Put(p)
 
 	q := pool.Get()
@@ -298,8 +303,8 @@ func TestRecycledPacketChecksLikeFresh(t *testing.T) {
 			t.Fatalf("a recycled packet verified at AS %d on the trailer of its previous life", as)
 		}
 	}
-	if st.PVLink != 0 || st.PVOK || st.Next != 0 {
-		t.Fatalf("a recycled block kept verdicts or consumption: %+v", *st)
+	if st.Next != 0 {
+		t.Fatalf("a recycled block kept its consumption: %+v", *st)
 	}
 	r.Stamp(q, []packet.ASID{3, 4})
 	r.Stamp(fresh, []packet.ASID{3, 4})
@@ -338,29 +343,6 @@ func TestRegistryKeyGolden(t *testing.T) {
 				t.Errorf("Key(%d, %d).Sum32 = %x, want %x", k[0], k[1], got, g.sum)
 			}
 		}
-	}
-}
-
-// TestRawAgreesWithKey holds the raw-key accessor to Key: a CMAC built
-// from Raw's bytes computes what the registry's own does, for every
-// pair in both orders, and an unknown pair has neither.
-func TestRawAgreesWithKey(t *testing.T) {
-	ases := []packet.ASID{7, 1, 300, 2}
-	r := NewRegistry(rand.New(rand.NewPCG(11, 5)), ases)
-	in := []byte("netfence-passport-k!")
-	for _, a := range ases {
-		for _, b := range ases {
-			raw, ok := r.Raw(a, b)
-			if !ok {
-				t.Fatalf("Raw(%d, %d) unknown", a, b)
-			}
-			if got, want := cmac.New(raw).Sum32(in), r.Key(a, b).Sum32(in); got != want {
-				t.Fatalf("Raw(%d, %d) MACs %x, Key %x", a, b, got, want)
-			}
-		}
-	}
-	if _, ok := r.Raw(1, 9); ok || r.Key(1, 9) != nil {
-		t.Fatal("unknown AS has a key")
 	}
 }
 

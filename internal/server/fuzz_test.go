@@ -43,6 +43,10 @@ func FuzzJobSpec(f *testing.F) {
 	// The spec that once made submit allocate 8 TB, as a client sends it.
 	f.Add([]byte(`{"scenario":{"topology":{"kind":"dumbbell","senders":4,"bottleneck_bps":1000000},` +
 		`"workloads":[{"kind":"longtcp","from":0,"to":1000000000000}]}}`))
+	// A client still sending the deleted "pipeline" field, which the
+	// strict decoder refuses.
+	f.Add([]byte(`{"scenario":{"topology":{"kind":"dumbbell","senders":4,"bottleneck_bps":1000000},"pipeline":"off",` +
+		`"workloads":[{"kind":"longtcp","from":0,"to":2}]}}`))
 	files, err := filepath.Glob("../../examples/specs/*.json")
 	if err != nil || len(files) == 0 {
 		f.Fatalf("no example specs: %v", err)

@@ -200,8 +200,8 @@ func (j *job) run(ctx context.Context) {
 // builder a spec names, in the segment loop — becomes the job's error,
 // so one POST cannot take the worker, and the server with it, down. A
 // panic on a goroutine the run itself starts (a shard's coordinator
-// worker, a pipeline worker, a sweep cell) is out of reach of this
-// recover and still ends the process.
+// worker, a sweep cell) is out of reach of this recover and still ends
+// the process.
 func (j *job) execute(ctx context.Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -678,12 +678,6 @@ func submitCases() []submitCase {
 		{"sweep-population-below-senders", JobSpec{Sweep: &SweepSpec{
 			Base: good, Populations: []int{16, 6},
 		}}, http.StatusBadRequest, "workload 1: sender range [4, 8) outside the topology's 6 senders"},
-		// The pipeline runs whenever it has work; "on" is not a mode.
-		{"pipeline-on", JobSpec{Scenario: &ScenarioSpec{
-			Topology:  good.Topology,
-			Workloads: good.Workloads,
-			Pipeline:  "on",
-		}}, http.StatusBadRequest, `unknown pipeline mode \"on\" (auto|off)`},
 	}
 }
 

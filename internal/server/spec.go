@@ -60,9 +60,6 @@ type ScenarioSpec struct {
 	DenyAttackers bool `json:"deny_attackers,omitempty"`
 	// Shards partitions the run (0/1 = single engine, -1 = auto).
 	Shards int `json:"shards,omitempty"`
-	// Pipeline controls the sharded validation pipeline: "auto" (or
-	// empty) or "off". Results are byte-identical in both modes.
-	Pipeline string `json:"pipeline,omitempty"`
 	// TimeseriesIntervalSec is the sampling period of the timeseries
 	// probe every serve-mode scenario carries (0 = 5 s).
 	TimeseriesIntervalSec float64 `json:"timeseries_interval_sec,omitempty"`
@@ -392,10 +389,6 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 	if err != nil {
 		return netfence.Scenario{}, err
 	}
-	pipeline, err := netfence.ParsePipelineMode(s.Pipeline)
-	if err != nil {
-		return netfence.Scenario{}, err
-	}
 	timeline, err := mutations(s.Timeline)
 	if err != nil {
 		return netfence.Scenario{}, fmt.Errorf("timeline %w", err)
@@ -409,7 +402,6 @@ func (s ScenarioSpec) scenario(capacity int) (netfence.Scenario, error) {
 		Warmup:        secs(s.WarmupSec),
 		DenyAttackers: s.DenyAttackers,
 		Shards:        s.Shards,
-		Pipeline:      pipeline,
 		Timeline:      timeline,
 	}
 	if s.DeployFraction != nil {

@@ -44,10 +44,9 @@ type Coordinator struct {
 	windows uint64
 
 	// serialized accumulates each shard's execute-round wall-clock
-	// nanoseconds — the Amdahl-serial portion of the run that the
-	// validation pipeline exists to shrink. Slot i is written only on
-	// shard i's worker goroutine; read it after a Run* call returns (the
-	// closing barrier is the happens-before edge).
+	// nanoseconds — the Amdahl-serial portion of the run. Slot i is
+	// written only on shard i's worker goroutine; read it after a Run*
+	// call returns (the closing barrier is the happens-before edge).
 	serialized []int64
 
 	jobs    []chan func(int)

@@ -449,7 +449,6 @@ func (in *Instance) Finish() *Result {
 		sh := in.env.sh
 		sh.coord.RunUntil(in.Scenario.Duration)
 		sh.coord.Stop()
-		sh.stopPipelines()
 		for _, st := range in.env.stoppers {
 			st.Stop()
 		}
@@ -467,7 +466,6 @@ func (in *Instance) Stop() {
 	}
 	in.finished = true
 	in.env.sh.coord.Stop()
-	in.env.sh.stopPipelines()
 }
 
 // Series returns the timeseries samples collected so far by a

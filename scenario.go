@@ -78,13 +78,10 @@ type Scenario struct {
 	// count; an explicit count exceeding the AS count fails fast instead
 	// of clamping.
 	Shards int
-	// Pipeline controls the sharded validation pipeline, which overlaps
-	// batched Passport verification of cut-link handoffs with the drain
-	// phase so the serialized execute phase consumes precomputed
-	// verdicts. The zero value (PipelineAuto) turns it on exactly when it
-	// has work — sharded NetFence runs with Passport verification active;
-	// PipelineOff disables it. Single-engine runs ignore the setting, and
-	// results are byte-identical in both modes.
+	// Pipeline selected the deleted sharded validation pipeline.
+	//
+	// Deprecated: ignored; removed with the benchmark change that stops
+	// naming it.
 	Pipeline PipelineMode
 	// Timeline declares scheduled mid-run control-plane changes — link
 	// degradations and restorations, attack toggles and

@@ -21,43 +21,19 @@ import (
 // hint and clamps by design.
 const AutoShards = -1
 
-// PipelineMode controls the sharded validation pipeline: the stage that
-// precomputes Passport verdicts for cut-link handoff batches on a
-// worker pool during the drain phase, so the serialized execute phase
-// consumes cached verdicts instead of running CMAC inline (see
-// core.Pipeline). Results are byte-identical in both modes at every
-// shard count — the mode trades wall-clock speed, never outcomes.
+// PipelineMode once selected the sharded validation pipeline, which
+// is deleted: sharded Passport runs verify inline on the destination
+// shard, as the single engine does.
+//
+// Deprecated: ignored; removed with the benchmark change that stops
+// naming it.
 type PipelineMode int
 
-const (
-	// PipelineAuto (the zero value) enables the pipeline exactly when it
-	// has work: a sharded run of the NetFence system with Passport
-	// trailer verification active at core links. Everything else runs
-	// without it.
-	PipelineAuto PipelineMode = iota
-	// PipelineOff disables the pipeline unconditionally.
-	PipelineOff
-)
-
-// ParsePipelineMode parses "auto" or "off" (the job spec's "pipeline"
-// spellings).
-func ParsePipelineMode(s string) (PipelineMode, error) {
-	switch s {
-	case "", "auto":
-		return PipelineAuto, nil
-	case "off":
-		return PipelineOff, nil
-	}
-	return PipelineAuto, fmt.Errorf("netfence: unknown pipeline mode %q (auto|off)", s)
-}
-
-// String returns the job-spec spelling of the mode.
-func (m PipelineMode) String() string {
-	if m == PipelineOff {
-		return "off"
-	}
-	return "auto"
-}
+// PipelineAuto is PipelineMode's zero value.
+//
+// Deprecated: ignored; removed with the benchmark change that stops
+// naming it.
+const PipelineAuto PipelineMode = 0
 
 // Partitioning errors, re-exported so callers can errors.Is against
 // them without importing internal packages.
@@ -86,8 +62,10 @@ type Sharding struct {
 	Lookahead Time
 	// ASesPerShard lists each shard's AS count.
 	ASesPerShard []int
-	// Pipeline reports whether the sharded validation pipeline is active
-	// on this run (Scenario.Pipeline resolved against the built system).
+	// Pipeline is always false.
+	//
+	// Deprecated: ignored; removed with the benchmark change that stops
+	// naming it.
 	Pipeline bool
 
 	coord *sim.Coordinator
@@ -98,9 +76,7 @@ func (sh *Sharding) Windows() uint64 { return sh.coord.Windows() }
 
 // SerializedNanos returns each shard's accumulated execute-round
 // wall-clock nanoseconds — the serialized portion of the parallel run.
-// Call it at a control point or after the run; with the validation
-// pipeline active, the bottleneck shard's slot shrinks by the CMAC work
-// moved into the drain phase.
+// Call it at a control point or after the run.
 func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos() }
 
 // shardState is the executor state of one scenario run: one graph,
@@ -126,28 +102,7 @@ type shardState struct {
 	systems     []defense.System
 	coord       *sim.Coordinator
 	inboxes     [][]*netsim.Mailbox
-	// pipelines holds each shard's validation pipeline (nil slice when
-	// the run resolved to PipelineOff or no shard can use one).
-	pipelines []*core.Pipeline
-	info      *Sharding
-}
-
-// pipeline returns shard sh's validation pipeline, nil when inactive.
-func (st *shardState) pipeline(sh int) *core.Pipeline {
-	if st.pipelines == nil {
-		return nil
-	}
-	return st.pipelines[sh]
-}
-
-// stopPipelines tears down every shard's validation workers. Safe to
-// call repeatedly and with no pipelines built.
-func (st *shardState) stopPipelines() {
-	for _, pl := range st.pipelines {
-		if pl != nil {
-			pl.Stop()
-		}
-	}
+	info        *Sharding
 }
 
 // system returns the defense System of the shard owning node n.
@@ -315,7 +270,7 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	if part == nil {
 		st.coord = sim.NewCoordinator(st.engines, 0, nil)
 	} else {
-		st.wire(part, bt.graph, s.Pipeline)
+		st.wire(part, bt.graph)
 	}
 
 	for _, w := range s.Workloads {
@@ -371,9 +326,9 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	}, nil
 }
 
-// wire connects a partitioned run's shards: mailbox-backed cut links,
-// the coordinator with its lookahead, and the validation pipeline.
-func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
+// wire connects a partitioned run's shards: mailbox-backed cut links
+// and the coordinator with its lookahead.
+func (st *shardState) wire(part *topo.Partition, g *Graph) {
 	shards := len(st.engines)
 	// A cut link hands off from its From node's shard into its To node's.
 	for _, l := range part.CutLinks {
@@ -383,45 +338,8 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 		st.inboxes[dst] = append(st.inboxes[dst], mb)
 	}
 
-	names := shardNames(part, g)
-	st.coord = sim.NewCoordinator(st.engines, part.Lookahead, names)
-
-	// Resolve the validation-pipeline mode and build the per-shard worker
-	// pools. Auto enables the stage exactly where it has work: handoffs
-	// into shards whose NetFence deployment verifies Passport trailers at
-	// core links — the CMAC work that otherwise serializes on the
-	// bottleneck shard's execute phase.
-	nf, isNF := st.systems[0].(*core.System)
-	usePipe := mode == PipelineAuto && isNF && nf.Cfg.Passport && nf.Registry != nil
-	pipeActive := false
-	if usePipe {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > 4 {
-			workers = 4
-		}
-		st.pipelines = make([]*core.Pipeline, shards)
-		for i := range st.inboxes {
-			cs, ok := st.systems[i].(*core.System)
-			if !ok || len(st.inboxes[i]) == 0 {
-				continue
-			}
-			st.pipelines[i] = core.NewPipeline(cs, st.nets[i], names[i], workers)
-			pipeActive = true
-		}
-		if !pipeActive {
-			st.pipelines = nil
-		}
-	}
-
+	st.coord = sim.NewCoordinator(st.engines, part.Lookahead, shardNames(part, g))
 	st.coord.SetDrain(func(shard int, deadline sim.Time) bool {
-		// Precompute every pending handoff's Passport verdict on the worker
-		// pool before injecting: all shards are parked in the drain round,
-		// so the shard state the verdicts read is frozen, and Wait's
-		// completion happens-before the injection below.
-		if pl := st.pipeline(shard); pl != nil {
-			pl.Submit(st.inboxes[shard])
-			pl.Wait()
-		}
 		hit := false
 		for _, mb := range st.inboxes[shard] {
 			if mb.Drain(deadline) {
@@ -435,7 +353,6 @@ func (st *shardState) wire(part *topo.Partition, g *Graph, mode PipelineMode) {
 		CutLinks:     len(part.CutLinks),
 		Lookahead:    part.Lookahead,
 		ASesPerShard: make([]int, shards),
-		Pipeline:     pipeActive,
 		coord:        st.coord,
 	}
 	for _, sh := range part.ShardOfAS {
