@@ -47,7 +47,7 @@ func TestApplyFutureMutationWaitsForItsInstant(t *testing.T) {
 	if err := in.Apply(degrade); err != nil {
 		t.Fatal(err)
 	}
-	if rate := in.env.bottlenecks[0].Rate; rate != 2_000_000 {
+	if rate := in.env.graph.Bottlenecks()[0].Rate; rate != 2_000_000 {
 		t.Fatalf("at t=0 the bottleneck runs at %d bps, want the 6 s mutation still pending", rate)
 	}
 	diffJSON(t, "future-dated", want, finishJSON(t, in), 1)
@@ -254,7 +254,7 @@ func TestUtilizationFollowsLinkMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := in.Run()
-	bits := float64(in.env.bottlenecks[0].TxBytes-in.env.txWarmMarks[0]) * 8
+	bits := float64(in.env.graph.Bottlenecks()[0].TxBytes-in.env.txWarmMarks[0]) * 8
 	if want := bits / (2_000_000*4 + 500_000*4); res.Utilization != want || want > 1 {
 		t.Fatalf("Utilization = %v, want %v of the integrated capacity", res.Utilization, want)
 	}

@@ -54,10 +54,11 @@ func main() {
 
 	// The scalability point: the bottleneck keeps no per-sender state;
 	// each access router holds only its own senders' limiters. Instance
-	// exposes the deployed system and topology for this introspection.
+	// exposes the deployed system and the topology's Graph for this
+	// introspection.
 	if sys, ok := in.System.(*netfence.System); ok {
 		total := 0
-		for _, ra := range in.Dumbbell.SrcAccess {
+		for _, ra := range in.Graph.Groups()[0].Access {
 			if ar := sys.Access(ra); ar != nil {
 				total += ar.LimiterCount()
 			}

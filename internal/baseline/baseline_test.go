@@ -12,41 +12,34 @@ import (
 )
 
 // deploySys installs a system on a dumbbell. deniedIdx are indexes into
-// d.Senders that the victim identifies as unwanted.
-func deploySys(seed uint64, cfg topo.DumbbellConfig, mk func(n *netsim.Network) defense.System, deniedIdx ...int) (*topo.Dumbbell, defense.System) {
+// the dumbbell's senders that the victim identifies as unwanted.
+func deploySys(seed uint64, cfg topo.DumbbellConfig, mk func(n *netsim.Network) defense.System, deniedIdx ...int) (*topo.Graph, defense.System) {
 	eng := sim.New(seed)
 	d := topo.NewDumbbell(eng, cfg)
 	s := mk(d.Net)
-	s.ProtectLink(d.Bottleneck)
-	for _, ra := range d.SrcAccess {
-		s.ProtectAccess(ra)
-	}
-	s.ProtectAccess(d.VictimAccess)
-	for _, rc := range d.ColluderAccess {
-		s.ProtectAccess(rc)
-	}
+	s.ProtectLink(d.Bottlenecks()[0])
 	denySet := map[packet.NodeID]bool{}
 	for _, i := range deniedIdx {
-		denySet[d.Senders[i].ID] = true
+		denySet[d.Groups()[0].Senders[i].ID] = true
 	}
-	for _, h := range d.Senders {
-		s.AttachHost(h, defense.Policy{})
-	}
-	s.AttachHost(d.Victim, defense.Policy{Deny: func(src packet.NodeID) bool {
-		return denySet[src]
-	}})
-	for _, c := range d.Colluders {
-		s.AttachHost(c, defense.Policy{})
-	}
+	all := func(packet.ASID) bool { return true }
+	d.Roles(all, s.ProtectAccess, func(h *netsim.Node, victim bool) {
+		pol := defense.Policy{}
+		if victim {
+			pol.Deny = func(src packet.NodeID) bool { return denySet[src] }
+		}
+		s.AttachHost(h, pol)
+	})
 	return d, s
 }
 
 func TestTVACapabilityGrantLoop(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 1_000_000)
 	d, _ := deploySys(1, cfg, func(n *netsim.Network) defense.System { return NewTVA() })
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
+	grp := d.Groups()[0]
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
 	ok := false
-	s := transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, 100_000, transport.DefaultTCP())
+	s := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 100_000, transport.DefaultTCP())
 	s.OnComplete = func(fct sim.Time, o bool) { ok = o }
 	s.Start()
 	d.Net.Eng.RunUntil(30 * sim.Second)
@@ -60,10 +53,11 @@ func TestTVAWithheldCapabilityThrottles(t *testing.T) {
 	// the attacker's 1 Mbps flood is squeezed into the 5% request channel.
 	cfg := topo.DefaultDumbbell(2, 1_000_000)
 	d, _ := deploySys(2, cfg, func(n *netsim.Network) defense.System { return NewTVA() }, 1)
-	attacker := d.Senders[1]
-	sink := transport.NewUDPSink(d.Victim.Host, 5)
+	grp := d.Groups()[0]
+	attacker := grp.Senders[1]
+	sink := transport.NewUDPSink(grp.Victim.Host, 5)
 	_ = sink
-	transport.NewUDPSource(attacker.Host, d.Victim.ID, 5, 1_000_000, 1500).Start()
+	transport.NewUDPSource(attacker.Host, grp.Victim.ID, 5, 1_000_000, 1500).Start()
 	d.Net.Eng.RunUntil(20 * sim.Second)
 	// Everything the victim sees arrived via the 5% request channel
 	// (50 kbps); the victim's shim then discards it.
@@ -80,18 +74,19 @@ func TestTVAColludersHurtVictimThroughput(t *testing.T) {
 	cfg := topo.DefaultDumbbell(8, 800_000)
 	cfg.ColluderASes = 3
 	d, _ := deploySys(3, cfg, func(n *netsim.Network) defense.System { return NewTVA() })
+	grp := d.Groups()[0]
 	// 2 legit senders -> victim, 6 attackers -> 3 colluders.
 	var legitRcv [2]*transport.TCPReceiver
 	for i := 0; i < 2; i++ {
-		legitRcv[i] = transport.NewTCPReceiver(d.Victim.Host, packet.FlowID(i+1))
-		transport.NewTCPSender(d.Senders[i].Host, d.Victim.ID, packet.FlowID(i+1), -1, transport.DefaultTCP()).Start()
+		legitRcv[i] = transport.NewTCPReceiver(grp.Victim.Host, packet.FlowID(i+1))
+		transport.NewTCPSender(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(i+1), -1, transport.DefaultTCP()).Start()
 	}
 	var sinks [6]*transport.UDPSink
 	for i := 0; i < 6; i++ {
-		col := d.Colluders[i%3]
+		col := grp.Colluders[i%3]
 		flow := packet.FlowID(10 + i)
 		sinks[i] = transport.NewUDPSink(col.Host, flow)
-		transport.NewUDPSource(d.Senders[2+i].Host, col.ID, flow, 1_000_000, 1500).Start()
+		transport.NewUDPSource(grp.Senders[2+i].Host, col.ID, flow, 1_000_000, 1500).Start()
 	}
 	d.Net.Eng.RunUntil(60 * sim.Second)
 	legitBps := float64(legitRcv[0].DeliveredBytes()+legitRcv[1].DeliveredBytes()) * 8 / 60 / 2
@@ -120,9 +115,10 @@ func TestStopItFilterBlocksFlood(t *testing.T) {
 		st = NewStopIt(n)
 		return st
 	}, 1)
-	attacker := d.Senders[1]
-	sink := transport.NewUDPSink(d.Victim.Host, 5)
-	transport.NewUDPSource(attacker.Host, d.Victim.ID, 5, 1_000_000, 1500).Start()
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	attacker := grp.Senders[1]
+	sink := transport.NewUDPSink(grp.Victim.Host, 5)
+	transport.NewUDPSource(attacker.Host, grp.Victim.ID, 5, 1_000_000, 1500).Start()
 	d.Net.Eng.RunUntil(20 * sim.Second)
 	if st.FiltersInstalled == 0 {
 		t.Fatal("no filter installed")
@@ -138,8 +134,8 @@ func TestStopItFilterBlocksFlood(t *testing.T) {
 	}
 	// The flood keeps running but is dropped at its own access router:
 	// the bottleneck carries almost nothing.
-	if d.Bottleneck.TxBytes > 1_000_000/8 {
-		t.Fatalf("bottleneck carried %d bytes despite source filtering", d.Bottleneck.TxBytes)
+	if bn.TxBytes > 1_000_000/8 {
+		t.Fatalf("bottleneck carried %d bytes despite source filtering", bn.TxBytes)
 	}
 }
 
@@ -150,12 +146,13 @@ func TestStopItLegitUnaffectedByFilters(t *testing.T) {
 		st = NewStopIt(n)
 		return st
 	}, 1)
-	transport.NewTCPReceiver(d.Victim.Host, 1)
+	grp := d.Groups()[0]
+	transport.NewTCPReceiver(grp.Victim.Host, 1)
 	ok := false
-	s := transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, 100_000, transport.DefaultTCP())
+	s := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 100_000, transport.DefaultTCP())
 	s.OnComplete = func(fct sim.Time, o bool) { ok = o }
 	s.Start()
-	transport.NewUDPSource(d.Senders[1].Host, d.Victim.ID, 5, 1_000_000, 1500).Start()
+	transport.NewUDPSource(grp.Senders[1].Host, grp.Victim.ID, 5, 1_000_000, 1500).Start()
 	d.Net.Eng.RunUntil(30 * sim.Second)
 	if !ok {
 		t.Fatal("legit transfer failed under a filtered flood")
@@ -168,11 +165,12 @@ func TestFQFairShareUnderFlood(t *testing.T) {
 	// where DRR's TCP-vs-UDP bias is extreme).
 	cfg := topo.DefaultDumbbell(4, 2_000_000)
 	d, _ := deploySys(6, cfg, func(n *netsim.Network) defense.System { return NewFQ() })
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	grp := d.Groups()[0]
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
 	for i := 1; i < 4; i++ {
-		transport.NewUDPSink(d.Victim.Host, packet.FlowID(10+i))
-		transport.NewUDPSource(d.Senders[i].Host, d.Victim.ID, packet.FlowID(10+i), 1_000_000, 1500).Start()
+		transport.NewUDPSink(grp.Victim.Host, packet.FlowID(10+i))
+		transport.NewUDPSource(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(10+i), 1_000_000, 1500).Start()
 	}
 	d.Net.Eng.RunUntil(60 * sim.Second)
 	bps := float64(rcv.DeliveredBytes()) * 8 / 60
@@ -187,11 +185,12 @@ func TestFQFairShareUnderFlood(t *testing.T) {
 func TestNoneUndefendedCollapse(t *testing.T) {
 	cfg := topo.DefaultDumbbell(4, 2_000_000)
 	d, _ := deploySys(7, cfg, func(n *netsim.Network) defense.System { return NewNone() })
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	grp := d.Groups()[0]
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
 	for i := 1; i < 4; i++ {
-		transport.NewUDPSink(d.Victim.Host, packet.FlowID(10+i))
-		transport.NewUDPSource(d.Senders[i].Host, d.Victim.ID, packet.FlowID(10+i), 1_000_000, 1500).Start()
+		transport.NewUDPSink(grp.Victim.Host, packet.FlowID(10+i))
+		transport.NewUDPSource(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(10+i), 1_000_000, 1500).Start()
 	}
 	d.Net.Eng.RunUntil(60 * sim.Second)
 	bps := float64(rcv.DeliveredBytes()) * 8 / 60

@@ -51,11 +51,10 @@ type AccessRouter struct {
 	org sim.Origin
 
 	// Counters for tests and metrics.
-	ReqAdmitted, ReqDropped   uint64
-	Demoted                   uint64
-	LimiterDrops, LimiterPass uint64
-	QuotaDrops                uint64
-	stats                     AccessStats
+	ReqDropped uint64
+	Demoted    uint64
+	QuotaDrops uint64
+	stats      AccessStats
 }
 
 // AccessStats counts what the per-sender fast path saved and what it
@@ -453,7 +452,6 @@ func (ar *AccessRouter) handleRequest(s *senderSlot, p *packet.Packet) bool {
 		ar.node.Network().Release(p)
 		return false
 	}
-	ar.ReqAdmitted++
 	ar.node.Network().Cells.Add(obs.CoreRequestAdmitted, 1)
 	if ar.traced(p) {
 		ar.trace(p, obs.HopPolice, "request admit prio="+strconv.Itoa(int(p.Prio)))
@@ -487,14 +485,12 @@ func (ar *AccessRouter) submit(lim *regLimiter, p *packet.Packet) bool {
 	}
 	switch lim.pol.Submit(p) {
 	case ratelimit.Pass:
-		ar.LimiterPass++
 		ar.node.Network().Cells.Add(obs.CoreLimiterPass, 1)
 		lim.stampForward(p)
 		return true
 	case ratelimit.Cached:
 		return false // the limiter now owns the packet and forwards it later
 	default:
-		ar.LimiterDrops++
 		ar.node.Network().Cells.Add(obs.CoreLimiterDrop, 1)
 		ar.trace(p, obs.HopDrop, "rate-limiter")
 		ar.node.Network().Release(p)

@@ -28,9 +28,6 @@ type Bottleneck struct {
 	// fallback replaces RED (whose own congestion clock then stops).
 	prevReg     queue.Stats
 	fbCongested sim.Time
-
-	// MonCycles counts monitoring cycles started, for tests/metrics.
-	MonCycles int
 }
 
 // protect wires the bottleneck machinery onto l.
@@ -68,14 +65,13 @@ func (b *Bottleneck) Monitoring() bool { return b.monActive }
 // FallbackActive reports whether per-AS queuing has engaged (§4.5).
 func (b *Bottleneck) FallbackActive() bool { return b.q.fallbackActive() }
 
-// StartMonitoring forces a monitoring cycle open (tests and the
-// utilization-based detection path).
+// StartMonitoring opens a monitoring cycle, or extends the open one:
+// detectTick calls it on every attacked tick, and tests force it.
 func (b *Bottleneck) StartMonitoring() {
 	now := b.link.From.Network().Eng.Now()
 	if !b.monActive {
 		b.monActive = true
 		b.monStarted = now
-		b.MonCycles++
 		b.link.From.Network().Cells.Add(obs.CoreMonitorUp, 1)
 	}
 	b.lastAttack = now
@@ -95,13 +91,7 @@ func (b *Bottleneck) detectTick() {
 		attacked = true
 	}
 	if attacked {
-		if !b.monActive {
-			b.monActive = true
-			b.monStarted = now
-			b.MonCycles++
-			b.link.From.Network().Cells.Add(obs.CoreMonitorUp, 1)
-		}
-		b.lastAttack = now
+		b.StartMonitoring()
 		if b.sys.Cfg.PerASFallback && !b.q.fallbackActive() &&
 			now-b.monStarted > b.sys.Cfg.FallbackAfter {
 			// Congestion persists despite the monitoring cycle: a sign of

@@ -25,8 +25,9 @@ func TestNewSystemPoolMakesTrailers(t *testing.T) {
 		d := topo.NewDumbbell(sim.New(1), topo.DumbbellConfig{
 			SrcASes: 1, HostsPerAS: 1, BottleneckBps: 1_000_000, EdgeBps: 10_000_000, Delay: sim.Millisecond,
 		})
+		grp := d.Groups()[0]
 		NewSystem(d.Net, cfg)
-		if p := d.Senders[0].Host.NewPacket(); (p.Passport != nil) != on {
+		if p := grp.Senders[0].Host.NewPacket(); (p.Passport != nil) != on {
 			t.Errorf("Passport %v: a fresh pooled packet has trailer block %v, want one only with Passport on", on, p.Passport)
 		}
 	}
@@ -34,31 +35,23 @@ func TestNewSystemPoolMakesTrailers(t *testing.T) {
 
 // deploy builds a dumbbell with NetFence fully installed. denied lists
 // sources the victim identifies as unwanted.
-func deploy(seed uint64, cfg topo.DumbbellConfig, nfCfg Config, denied ...packet.NodeID) (*topo.Dumbbell, *System) {
+func deploy(seed uint64, cfg topo.DumbbellConfig, nfCfg Config, denied ...packet.NodeID) (*topo.Graph, *System) {
 	eng := sim.New(seed)
 	d := topo.NewDumbbell(eng, cfg)
 	s := NewSystem(d.Net, nfCfg)
-	s.ProtectLink(d.Bottleneck)
-	for _, ra := range d.SrcAccess {
-		s.ProtectAccess(ra)
-	}
-	s.ProtectAccess(d.VictimAccess)
-	for _, rc := range d.ColluderAccess {
-		s.ProtectAccess(rc)
-	}
+	s.ProtectLink(d.Bottlenecks()[0])
 	denySet := map[packet.NodeID]bool{}
 	for _, id := range denied {
 		denySet[id] = true
 	}
-	for _, h := range d.Senders {
-		s.AttachHost(h, defense.Policy{})
-	}
-	s.AttachHost(d.Victim, defense.Policy{Deny: func(src packet.NodeID) bool {
-		return denySet[src]
-	}})
-	for _, c := range d.Colluders {
-		s.AttachHost(c, defense.Policy{})
-	}
+	all := func(packet.ASID) bool { return true }
+	d.Roles(all, s.ProtectAccess, func(h *netsim.Node, victim bool) {
+		pol := defense.Policy{}
+		if victim {
+			pol.Deny = func(src packet.NodeID) bool { return denySet[src] }
+		}
+		s.AttachHost(h, pol)
+	})
 	return d, s
 }
 
@@ -70,11 +63,12 @@ func (ar *AccessRouter) police(p *packet.Packet) bool {
 
 func TestRequestPolicingAtAccess(t *testing.T) {
 	d, s := deploy(1, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp := d.Groups()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 	mk := func(level uint8) *packet.Packet {
 		return &packet.Packet{
-			Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+			Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 			Kind: packet.KindRequest, Prio: level, Size: packet.SizeRequest,
 		}
 	}
@@ -103,12 +97,13 @@ func TestRequestPolicingAtAccess(t *testing.T) {
 
 func TestInvalidFeedbackDemotedToRequest(t *testing.T) {
 	d, s := deploy(2, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 	p := &packet.Packet{
-		Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+		Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500,
-		FB: packet.Feedback{Mode: packet.FBMon, Link: d.Bottleneck.ID,
+		FB: packet.Feedback{Mode: packet.FBMon, Link: bn.ID,
 			Action: packet.ActIncr, TS: 0, MAC: [4]byte{1, 2, 3, 4}},
 	}
 	if !ar.police(p) {
@@ -127,24 +122,25 @@ func TestInvalidFeedbackDemotedToRequest(t *testing.T) {
 
 func TestBottleneckStampingRules(t *testing.T) {
 	d, s := deploy(3, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	b := s.Bottleneck(d.Bottleneck)
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	b := s.Bottleneck(bn)
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 
 	// Not monitoring: nop feedback passes through unmodified.
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRequest, Size: packet.SizeRequest}
 	ar.police(p)
 	before := p.FB
-	b.onTransmit(p, d.Bottleneck)
+	b.onTransmit(p, bn)
 	if p.FB != before {
 		t.Fatal("feedback modified outside a monitoring cycle")
 	}
 
 	// Rule 1: in mon state, nop becomes L-down even when not overloaded.
 	b.StartMonitoring()
-	b.onTransmit(p, d.Bottleneck)
-	if p.FB.Mode != packet.FBMon || p.FB.Action != packet.ActDecr || p.FB.Link != d.Bottleneck.ID {
+	b.onTransmit(p, bn)
+	if p.FB.Mode != packet.FBMon || p.FB.Action != packet.ActDecr || p.FB.Link != bn.ID {
 		t.Fatalf("rule 1 violated: %+v", p.FB)
 	}
 	// The stamped L-down validates at the access router.
@@ -158,16 +154,16 @@ func TestBottleneckStampingRules(t *testing.T) {
 	// Rule 2: L-down is never overwritten (simulate an upstream link's
 	// L-down crossing a second monitored link).
 	before = p.FB
-	b.onTransmit(p, d.Bottleneck)
+	b.onTransmit(p, bn)
 	if p.FB != before {
 		t.Fatal("rule 2 violated: L-down overwritten")
 	}
 
 	// Rule 3: L-up survives when the link is not overloaded...
-	p2 := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p2 := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
-	feedback.StampIncr(ar.ring.Current(), p2, nowSec, d.Bottleneck.ID)
-	b.onTransmit(p2, d.Bottleneck)
+	feedback.StampIncr(ar.ring.Current(), p2, nowSec, bn.ID)
+	b.onTransmit(p2, bn)
 	if p2.FB.Action != packet.ActIncr {
 		t.Fatal("rule 3: L-up overwritten without overload")
 	}
@@ -177,7 +173,7 @@ func TestBottleneckStampingRules(t *testing.T) {
 	if !b.overloaded(d.Net.Eng.Now()) {
 		t.Fatal("overload not registered")
 	}
-	b.onTransmit(p2, d.Bottleneck)
+	b.onTransmit(p2, bn)
 	if p2.FB.Action != packet.ActDecr {
 		t.Fatal("rule 3: L-up kept despite overload")
 	}
@@ -185,8 +181,9 @@ func TestBottleneckStampingRules(t *testing.T) {
 
 func TestShimKeepsFreshIncr(t *testing.T) {
 	d, s := deploy(4, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	sh := Shim(d.Senders[0])
-	ps := sh.peer(d.Victim.ID)
+	grp := d.Groups()[0]
+	sh := Shim(grp.Senders[0])
+	ps := sh.peer(grp.Victim.ID)
 	incr := packet.Feedback{Mode: packet.FBMon, Link: 3, Action: packet.ActIncr, TS: 0}
 	decr := packet.Feedback{Mode: packet.FBMon, Link: 3, Action: packet.ActDecr, TS: 0}
 	sh.updatePresented(ps, incr)
@@ -204,9 +201,10 @@ func TestShimKeepsFreshIncr(t *testing.T) {
 
 func TestShimClassifiesSYNAsRequest(t *testing.T) {
 	d, _ := deploy(5, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	sh := Shim(d.Senders[0])
+	grp := d.Groups()[0]
+	sh := Shim(grp.Senders[0])
 	p := &packet.Packet{
-		Src: d.Senders[0].ID, Dst: d.Victim.ID, Flow: 7,
+		Src: grp.Senders[0].ID, Dst: grp.Victim.ID, Flow: 7,
 		Proto: packet.ProtoTCP, TCP: packet.TCPInfo{Flags: packet.FlagSYN},
 		Kind: packet.KindRegular, Size: packet.SizeRequest,
 	}
@@ -229,16 +227,17 @@ func TestLimiterLifecycle(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LimiterIdle = 5 * sim.Second
 	d, s := deploy(6, topo.DefaultDumbbell(2, 1_000_000), cfg)
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 
 	// Create a limiter by presenting valid L-down feedback.
 	nowSec := d.Net.NowSec()
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	feedback.StampNop(ar.ring.Current(), p, nowSec)
-	kai := s.kaiForSender(src.AS, d.Bottleneck.From.AS)
-	feedback.StampDecr(kai, p, d.Bottleneck.ID)
+	kai := s.kaiForSender(src.AS, bn.From.AS)
+	feedback.StampDecr(kai, p, bn.ID)
 	eng := d.Net.Eng
 	pending := eng.Pending()
 	if !ar.police(p) {
@@ -247,13 +246,13 @@ func TestLimiterLifecycle(t *testing.T) {
 	if ar.LimiterCount() != 1 {
 		t.Fatalf("limiters = %d, want 1", ar.LimiterCount())
 	}
-	if lim := ar.Limiter(src.ID, d.Bottleneck.ID); lim == nil ||
+	if lim := ar.Limiter(src.ID, bn.ID); lim == nil ||
 		lim.Rate() != cfg.InitialRateBps {
 		t.Fatal("limiter missing or wrong initial rate")
 	}
 	// A second packet right behind the first is cached: the regulator
 	// now has its control tick and a departure pending.
-	lim := ar.regLims[regKey{src.ID, d.Bottleneck.ID}]
+	lim := ar.regLims[regKey{src.ID, bn.ID}]
 	q := *p
 	if ar.police(&q) || lim.pol.Backlog() != 1 {
 		t.Fatalf("second packet not cached: backlog %d", lim.pol.Backlog())
@@ -286,14 +285,15 @@ func TestLimiterLifecycle(t *testing.T) {
 // Starting a peer's echo stream is one allocation too.
 func TestRegulatorIsOneAllocation(t *testing.T) {
 	d, s := deploy(6, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp := d.Groups()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 	slot := ar.slotAt(ar.slotFor(src.ID))
 	const runs, cacheInline = 100, 8
 	ar.regLims = make(map[regKey]*regLimiter, 2*runs) // map growth is not the regulator's
 	pkts := make([]packet.Packet, 1+cacheInline)
 	for i := range pkts {
-		pkts[i] = packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID, Kind: packet.KindRegular, Size: 100}
+		pkts[i] = packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID, Kind: packet.KindRegular, Size: 100}
 	}
 	link := packet.LinkID(1000) // no such link: no pair key to make
 	allocs := testing.AllocsPerRun(runs, func() {
@@ -309,7 +309,7 @@ func TestRegulatorIsOneAllocation(t *testing.T) {
 		t.Errorf("a regulator caching %d packets costs %.0f allocations, want 1", cacheInline, allocs)
 	}
 
-	sh := Shim(d.Victim)
+	sh := Shim(grp.Victim)
 	peers := make([]peerState, runs+1)
 	i := 0
 	allocs = testing.AllocsPerRun(runs, func() {
@@ -326,16 +326,17 @@ func TestRegulatorIsOneAllocation(t *testing.T) {
 
 func TestAIMDDecreasesWithoutIncrFeedback(t *testing.T) {
 	d, s := deploy(7, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 	nowSec := d.Net.NowSec()
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	feedback.StampNop(ar.ring.Current(), p, nowSec)
-	kai := s.kaiForSender(src.AS, d.Bottleneck.From.AS)
-	feedback.StampDecr(kai, p, d.Bottleneck.ID)
+	kai := s.kaiForSender(src.AS, bn.From.AS)
+	feedback.StampDecr(kai, p, bn.ID)
 	ar.police(p)
-	lim := ar.Limiter(src.ID, d.Bottleneck.ID)
+	lim := ar.Limiter(src.ID, bn.ID)
 	start := lim.Rate()
 	// Hiding L-down (sending nothing) cannot hold the rate: it decays
 	// multiplicatively every control interval.
@@ -353,11 +354,12 @@ func TestCollusionFairShare(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 400_000)
 	cfg.ColluderASes = 1
 	d, s := deploy(8, cfg, DefaultConfig())
-	legit, attacker := d.Senders[0], d.Senders[1]
-	colluder := d.Colluders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	legit, attacker := grp.Senders[0], grp.Senders[1]
+	colluder := grp.Colluders[0]
 
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	tcp := transport.NewTCPSender(legit.Host, d.Victim.ID, 1, -1, transport.DefaultTCP())
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
+	tcp := transport.NewTCPSender(legit.Host, grp.Victim.ID, 1, -1, transport.DefaultTCP())
 	tcp.Start()
 	sink := transport.NewUDPSink(colluder.Host, 2)
 	udp := transport.NewUDPSource(attacker.Host, colluder.ID, 2, 1_000_000, 1500)
@@ -368,7 +370,7 @@ func TestCollusionFairShare(t *testing.T) {
 		end  = 180 * sim.Second
 	)
 	d.Net.Eng.RunUntil(warm)
-	if !s.Bottleneck(d.Bottleneck).Monitoring() {
+	if !s.Bottleneck(bn).Monitoring() {
 		t.Fatal("monitoring cycle never started under a 1 Mbps flood")
 	}
 	legitStart, atkStart := rcv.DeliveredBytes(), sink.Bytes
@@ -390,8 +392,8 @@ func TestCollusionFairShare(t *testing.T) {
 	}
 	// The attacker's access router must hold a (sender, bottleneck)
 	// limiter pinned near the fair share.
-	ar := s.Access(d.SrcAccess[1])
-	lim := ar.Limiter(attacker.ID, d.Bottleneck.ID)
+	ar := s.Access(grp.Access[1])
+	lim := ar.Limiter(attacker.ID, bn.ID)
 	if lim == nil {
 		t.Fatal("no rate limiter for the attacker")
 	}
@@ -408,22 +410,24 @@ func TestFeedbackAsCapability(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 500_000)
 	nfCfg := DefaultConfig()
 	d, s := deploy(9, cfg, nfCfg, 1+1) // deny the second sender (IDs assigned below)
-	legit, attacker := d.Senders[0], d.Senders[1]
+	grp := d.Groups()[0]
+	legit, attacker := grp.Senders[0], grp.Senders[1]
 	if attacker.ID != 1+1 {
 		// Recompute denial if ID assumptions drift: rebuild with the
 		// actual attacker ID.
 		d, s = deploy(9, cfg, nfCfg, attacker.ID)
-		legit, attacker = d.Senders[0], d.Senders[1]
+		grp = d.Groups()[0]
+		legit, attacker = grp.Senders[0], grp.Senders[1]
 	}
 	_ = s
 	spawned := 0
-	d.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
+	grp.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
 		spawned++
-		return transport.NewTCPReceiver(d.Victim.Host, p.Flow)
+		return transport.NewTCPReceiver(grp.Victim.Host, p.Flow)
 	}
-	flood := transport.NewRequestFlooder(attacker.Host, d.Victim.ID, 900, 1_000_000, 6)
+	flood := transport.NewRequestFlooder(attacker.Host, grp.Victim.ID, 900, 1_000_000, 6)
 	flood.Start()
-	client := transport.NewFileClient(legit.Host, d.Victim.ID, 20_000, transport.DefaultTCP())
+	client := transport.NewFileClient(legit.Host, grp.Victim.ID, 20_000, transport.DefaultTCP())
 	client.Start()
 	d.Net.Eng.RunUntil(40 * sim.Second)
 	client.Stop()
@@ -436,7 +440,7 @@ func TestFeedbackAsCapability(t *testing.T) {
 		t.Logf("spawned=%d completed=%d failed=%d", spawned, client.Completed, client.Failed)
 	}
 	// The victim never accepted an attacker connection.
-	if got := d.Victim.Host.Agent(900); got != nil {
+	if got := grp.Victim.Host.Agent(900); got != nil {
 		t.Fatal("victim spawned an agent for the attacker's flow")
 	}
 }
@@ -447,12 +451,13 @@ func TestOnOffAttackBounded(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 400_000)
 	cfg.ColluderASes = 1
 	d, _ := deploy(10, cfg, DefaultConfig())
-	legit, attacker := d.Senders[0], d.Senders[1]
+	grp := d.Groups()[0]
+	legit, attacker := grp.Senders[0], grp.Senders[1]
 
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(legit.Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	transport.NewUDPSink(d.Colluders[0].Host, 2)
-	udp := transport.NewUDPSource(attacker.Host, d.Colluders[0].ID, 2, 1_000_000, 1500)
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
+	transport.NewTCPSender(legit.Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewUDPSink(grp.Colluders[0].Host, 2)
+	udp := transport.NewUDPSource(attacker.Host, grp.Colluders[0].ID, 2, 1_000_000, 1500)
 	udp.OnTime = 500 * sim.Millisecond
 	udp.OffTime = 1500 * sim.Millisecond
 	udp.Start()
@@ -481,30 +486,31 @@ func TestPerASLocalization(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 400_000)
 	cfg.ColluderASes = 1
 	d := topo.NewDumbbell(eng, cfg)
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
 	nfCfg := DefaultConfig()
 	nfCfg.PerASFallback = true
 	nfCfg.FallbackAfter = 20 * sim.Second
 	s := NewSystem(d.Net, nfCfg)
-	s.ProtectLink(d.Bottleneck)
+	s.ProtectLink(bn)
 	// AS of Senders[1] is compromised: its access router is NOT
 	// protected and its host runs no NetFence shim, blasting raw
 	// regular packets.
-	s.ProtectAccess(d.SrcAccess[0])
-	s.ProtectAccess(d.VictimAccess)
-	s.ProtectAccess(d.ColluderAccess[0])
-	s.AttachHost(d.Senders[0], defense.Policy{})
-	s.AttachHost(d.Victim, defense.Policy{})
-	s.AttachHost(d.Colluders[0], defense.Policy{})
+	s.ProtectAccess(grp.Access[0])
+	s.ProtectAccess(grp.Access[2]) // Rv, after the two source access routers
+	s.ProtectAccess(grp.Access[3]) // the colluder's access router
+	s.AttachHost(grp.Senders[0], defense.Policy{})
+	s.AttachHost(grp.Victim, defense.Policy{})
+	s.AttachHost(grp.Colluders[0], defense.Policy{})
 
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	transport.NewUDPSink(d.Colluders[0].Host, 2)
-	transport.NewUDPSource(d.Senders[1].Host, d.Colluders[0].ID, 2, 2_000_000, 1500).Start()
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewUDPSink(grp.Colluders[0].Host, 2)
+	transport.NewUDPSource(grp.Senders[1].Host, grp.Colluders[0].ID, 2, 2_000_000, 1500).Start()
 
 	warm := 90 * sim.Second
 	end := 210 * sim.Second
 	d.Net.Eng.RunUntil(warm)
-	b := s.Bottleneck(d.Bottleneck)
+	b := s.Bottleneck(bn)
 	if !b.FallbackActive() {
 		t.Fatal("per-AS fallback never engaged against a compromised AS")
 	}
@@ -525,10 +531,11 @@ func TestPassportBlocksSpoofedAS(t *testing.T) {
 	nfCfg := DefaultConfig()
 	nfCfg.Passport = true
 	d, _ := deploy(12, cfg, nfCfg)
+	grp := d.Groups()[0]
 	// Honest transfer completes with Passport stamping on.
-	transport.NewTCPReceiver(d.Victim.Host, 1)
+	transport.NewTCPReceiver(grp.Victim.Host, 1)
 	ok := false
-	snd := transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, 50_000, transport.DefaultTCP())
+	snd := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 50_000, transport.DefaultTCP())
 	snd.OnComplete = func(fct sim.Time, o bool) { ok = o }
 	snd.Start()
 	d.Net.Eng.RunUntil(30 * sim.Second)
@@ -538,14 +545,14 @@ func TestPassportBlocksSpoofedAS(t *testing.T) {
 	// A spoofed packet injected past the access router (compromised
 	// router scenario) presenting forged regular-channel credentials
 	// carries no valid trailer and dies at the bottleneck.
-	sink := transport.NewUDPSink(d.Victim.Host, 99)
+	sink := transport.NewUDPSink(grp.Victim.Host, 99)
 	spoof := &packet.Packet{
-		Src: d.Senders[1].ID, SrcAS: 555, Dst: d.Victim.ID, DstAS: d.Victim.AS,
+		Src: grp.Senders[1].ID, SrcAS: 555, Dst: grp.Victim.ID, DstAS: grp.Victim.AS,
 		Flow: 99, Kind: packet.KindRegular, Proto: packet.ProtoUDP,
 		Size: 1500, Payload: 1400,
 		FB: packet.Feedback{MAC: [4]byte{1, 2, 3, 4}}, // forged stamp
 	}
-	d.Net.Forward(d.SrcAccess[1], spoof)
+	d.Net.Forward(grp.Access[1], spoof)
 	d.Net.Eng.RunUntil(31 * sim.Second)
 	if sink.Packets != 0 {
 		t.Fatal("spoofed packet crossed the bottleneck")
@@ -554,11 +561,11 @@ func TestPassportBlocksSpoofedAS(t *testing.T) {
 	// traffic: §4.4 demotes it to the best-effort channel instead of
 	// dropping it, so incremental deployment keeps legacy ASes online.
 	bare := &packet.Packet{
-		Src: d.Senders[1].ID, SrcAS: d.Senders[1].AS, Dst: d.Victim.ID, DstAS: d.Victim.AS,
+		Src: grp.Senders[1].ID, SrcAS: grp.Senders[1].AS, Dst: grp.Victim.ID, DstAS: grp.Victim.AS,
 		Flow: 99, Kind: packet.KindRegular, Proto: packet.ProtoUDP,
 		Size: 1500, Payload: 1400,
 	}
-	d.Net.Forward(d.SrcAccess[1], bare)
+	d.Net.Forward(grp.Access[1], bare)
 	d.Net.Eng.RunUntil(32 * sim.Second)
 	if sink.Packets != 1 {
 		t.Fatalf("legacy (unstamped) packet not served best-effort: %d delivered", sink.Packets)
@@ -578,13 +585,15 @@ func TestKeyRotationTransparentToFlows(t *testing.T) {
 	nfCfg := DefaultConfig()
 	nfCfg.KeyRotate = 8 * sim.Second
 	d, s := deploy(13, cfg, nfCfg)
-	rcv := transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	grp := d.Groups()[0]
+	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
 	d.Net.Eng.RunUntil(60 * sim.Second)
 	if rcv.DeliveredBytes() < 500_000 {
 		t.Fatalf("flow starved: %d bytes in 60s", rcv.DeliveredBytes())
 	}
-	for _, ra := range []*netsim.Node{d.SrcAccess[0], d.VictimAccess} {
+	// Ra0 and Rv, which follows the two source access routers.
+	for _, ra := range []*netsim.Node{grp.Access[0], grp.Access[2]} {
 		if n := s.Access(ra).Demoted; n != 0 {
 			t.Fatalf("%d honest packets demoted across key rotations at %v", n, ra)
 		}
@@ -597,10 +606,11 @@ func TestKeyRotationTransparentToFlows(t *testing.T) {
 // trace detail is built only behind the traced() gate.
 func TestRequestPoliceZeroAlloc(t *testing.T) {
 	d, s := deploy(3, topo.DefaultDumbbell(2, 1_000_000), DefaultConfig())
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp := d.Groups()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 	p := &packet.Packet{
-		Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+		Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRequest, Size: packet.SizeRequest,
 	}
 	// Warm up: the first admission allocates the per-sender limiter.

@@ -37,18 +37,19 @@ func TestMultiFeedbackChainSecurity(t *testing.T) {
 	nfCfg := DefaultConfig()
 	nfCfg.MultiFeedback = true
 	d, s := deploy(20, cfg, nfCfg)
-	ar := s.Access(d.SrcAccess[0])
-	b := s.Bottleneck(d.Bottleneck)
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	b := s.Bottleneck(bn)
 	b.StartMonitoring()
-	src := d.Senders[0]
+	src := grp.Senders[0]
 
 	// Access stamps the empty multi header; the bottleneck appends its
 	// feedback; the chain validates.
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p)
 	b.stampMulti(p, d.Net.Eng.Now())
-	if items := p.Ext.MFB.Items; len(items) != 1 || items[0].Link != d.Bottleneck.ID {
+	if items := p.Ext.MFB.Items; len(items) != 1 || items[0].Link != bn.ID {
 		t.Fatalf("MFB items: %+v", items)
 	}
 	if !ar.validateMulti(p) {
@@ -98,9 +99,10 @@ func TestMultiFeedbackEmptyChainIsNop(t *testing.T) {
 	nfCfg := DefaultConfig()
 	nfCfg.MultiFeedback = true
 	d, s := deploy(21, cfg, nfCfg)
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	grp := d.Groups()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p)
 	if !ar.police(p) {
@@ -110,7 +112,7 @@ func TestMultiFeedbackEmptyChainIsNop(t *testing.T) {
 		t.Fatal("nop-equivalent packet created a limiter")
 	}
 	// A stale header demotes to the request channel.
-	p2 := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p2 := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
 	ar.stampMultiNop(p2)
 	p2.Ext.MFB.TS -= 100
@@ -125,12 +127,13 @@ func TestInferenceCacheAccumulates(t *testing.T) {
 	nfCfg := DefaultConfig()
 	nfCfg.InferLimiters = true
 	d, s := deploy(22, cfg, nfCfg)
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 
 	// Feedback from two different links toward the same destination.
 	mk := func(link packet.LinkID) *packet.Packet {
-		p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+		p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 			Kind: packet.KindRegular, Size: 1500}
 		p.FB = packet.Feedback{Mode: packet.FBMon, Link: link,
 			Action: packet.ActDecr, TS: d.Net.NowSec()}
@@ -140,9 +143,9 @@ func TestInferenceCacheAccumulates(t *testing.T) {
 	// Drive through the public path: inferred policing happens inside
 	// police() for valid feedback; craft valid L-down for the bottleneck
 	// and a second (reverse) link.
-	links := []packet.LinkID{d.Bottleneck.ID, d.Reverse.ID}
+	links := []packet.LinkID{bn.ID, bn.To.LinkTo(bn.From).ID}
 	for _, l := range links {
-		p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+		p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 			Kind: packet.KindRegular, Size: 1500}
 		nowSec := d.Net.NowSec()
 		// Stamp nop then L-down with real keys so validation passes.
@@ -151,7 +154,7 @@ func TestInferenceCacheAccumulates(t *testing.T) {
 			t.Fatalf("packet for link %d dropped without creating a limiter", l)
 		}
 	}
-	got := ar.InferredLinks(d.Victim.ID)
+	got := ar.InferredLinks(grp.Victim.ID)
 	if len(got) != 2 {
 		t.Fatalf("inference cache = %v, want both links", got)
 	}
@@ -203,23 +206,24 @@ func TestCongestionQuotaCharging(t *testing.T) {
 	nfCfg.CongestionQuotaBytes = 3000
 	nfCfg.QuotaWindow = 10 * sim.Second
 	d, s := deploy(23, cfg, nfCfg)
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 	nowSec := d.Net.NowSec()
 
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
-	stampValidDecr(s, ar, p, d.Bottleneck.ID, nowSec)
+	stampValidDecr(s, ar, p, bn.ID, nowSec)
 	if !ar.police(p) {
 		t.Fatal("first packet rejected")
 	}
-	lim := ar.regLims[regKey{src.ID, d.Bottleneck.ID}]
+	lim := ar.regLims[regKey{src.ID, bn.ID}]
 	// Force the quota path: pretend the last adjustment was an MD and
 	// charge two full packets.
 	lim.lastAdjustMD = true
 	lim.quotaUsed = 3001
 	q := *p
-	stampValidDecr(s, ar, &q, d.Bottleneck.ID, nowSec)
+	stampValidDecr(s, ar, &q, bn.ID, nowSec)
 	if ar.police(&q) {
 		t.Fatal("packet passed with quota exhausted")
 	}
@@ -228,9 +232,9 @@ func TestCongestionQuotaCharging(t *testing.T) {
 	}
 	// A new window resets the budget.
 	d.Net.Eng.RunUntil(11 * sim.Second)
-	r := packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	r := packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
-	stampValidDecr(s, ar, &r, d.Bottleneck.ID, d.Net.NowSec())
+	stampValidDecr(s, ar, &r, bn.ID, d.Net.NowSec())
 	ar.police(&r)
 	if lim.quotaUsed > 3000 && ar.QuotaDrops != 1 {
 		t.Fatal("quota window did not reset")
@@ -246,10 +250,11 @@ func TestUtilDetectorOpensMonitoring(t *testing.T) {
 	nfCfg.UtilDetect = true
 	nfCfg.UtilThreshold = 0.9
 	d, s := deploy(24, cfg, nfCfg)
-	transport.NewTCPReceiver(d.Victim.Host, 1)
-	transport.NewTCPSender(d.Senders[0].Host, d.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	transport.NewTCPReceiver(grp.Victim.Host, 1)
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
 	d.Net.Eng.RunUntil(30 * sim.Second)
-	if !s.Bottleneck(d.Bottleneck).Monitoring() {
+	if !s.Bottleneck(bn).Monitoring() {
 		t.Fatal("utilization detector never opened a monitoring cycle")
 	}
 }
@@ -262,13 +267,14 @@ func TestUtilDetectorOpensMonitoring(t *testing.T) {
 func TestReplayStaleFeedbackDemoted(t *testing.T) {
 	cfg := topo.DefaultDumbbell(2, 1_000_000)
 	d, s := deploy(26, cfg, DefaultConfig())
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 
 	mk := func() *packet.Packet {
-		p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+		p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 			Kind: packet.KindRegular, Size: 1500}
-		feedback.StampIncr(ar.ring.Current(), p, 0, d.Bottleneck.ID)
+		feedback.StampIncr(ar.ring.Current(), p, 0, bn.ID)
 		return p
 	}
 	replayed := mk().FB // cached in interval k (ts = 0)
@@ -283,7 +289,7 @@ func TestReplayStaleFeedbackDemoted(t *testing.T) {
 
 	// Two control intervals later the token is past w.
 	d.Net.Eng.RunUntil(2*DefaultConfig().Ilim + sim.Second)
-	stale := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	stale := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500, FB: replayed}
 	ar.police(stale)
 	if stale.Kind != packet.KindRequest || stale.Prio != 0 {
@@ -306,16 +312,17 @@ func TestReplayAcrossKeyRotationsDemoted(t *testing.T) {
 	nfCfg.KeyRotate = 2 * sim.Second
 	nfCfg.WSec = 1000 // freshness never trips; only key expiry can reject
 	d, s := deploy(27, cfg, nfCfg)
-	ar := s.Access(d.SrcAccess[0])
-	src := d.Senders[0]
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	ar := s.Access(grp.Access[0])
+	src := grp.Senders[0]
 
-	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+	p := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500}
-	feedback.StampIncr(ar.ring.Current(), p, 0, d.Bottleneck.ID)
+	feedback.StampIncr(ar.ring.Current(), p, 0, bn.ID)
 	replayed := p.FB
 
 	present := func() *packet.Packet {
-		q := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: d.Victim.ID,
+		q := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 			Kind: packet.KindRegular, Size: 1500, FB: replayed}
 		ar.police(q)
 		return q

@@ -44,7 +44,7 @@ func TestSenderSlotLayoutBudget(t *testing.T) {
 // trailer must agree.
 type memoRig struct {
 	t   testing.TB
-	d   *topo.Dumbbell
+	d   *topo.Graph
 	s   *System
 	ar  *AccessRouter
 	ra  *netsim.Node
@@ -73,20 +73,21 @@ func newMemoRigPassport(t testing.TB, passport bool) *memoRig {
 		SrcASes: 1, HostsPerAS: 3, ColluderASes: 2,
 		BottleneckBps: 1_000_000, EdgeBps: 10_000_000_000, Delay: 10 * sim.Millisecond,
 	})
+	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
 	s := NewSystem(d.Net, cfg)
-	s.ProtectLink(d.Bottleneck)
-	s.ProtectAccess(d.SrcAccess[0])
-	for _, h := range d.Senders {
+	s.ProtectLink(bn)
+	s.ProtectAccess(grp.Access[0])
+	for _, h := range grp.Senders {
 		s.AttachHost(h, defense.Policy{})
 	}
-	r := &memoRig{t: t, d: d, s: s, ra: d.SrcAccess[0]}
+	r := &memoRig{t: t, d: d, s: s, ra: grp.Access[0]}
 	r.ar = s.Access(r.ra)
-	r.out = r.ra.LinkTo(d.Rbl)
-	for i, h := range d.Senders {
+	r.out = r.ra.LinkTo(bn.From)
+	for i, h := range grp.Senders {
 		r.up[i] = h.LinkTo(r.ra)
 	}
-	r.dsts = [3]packet.NodeID{d.Victim.ID, d.Colluders[0].ID, d.Colluders[1].ID}
-	r.links = [3]packet.LinkID{d.Bottleneck.ID, r.out.ID, 9999}
+	r.dsts = [3]packet.NodeID{grp.Victim.ID, grp.Colluders[0].ID, grp.Colluders[1].ID}
+	r.links = [3]packet.LinkID{bn.ID, r.out.ID, 9999}
 	r.out.SetOnTransmit(r.forwarded)
 	// Start away from second 0, two rotations in.
 	eng.RunUntil(10 * sim.Second)
@@ -251,10 +252,10 @@ func (r *memoRig) run(prog []byte) {
 			from, src, dst := b1&3%3, b1>>2&3%3, b1>>4&3%3
 			fb, link, keyAge := b2&3, b2>>2&3%3, b2>>4&3
 			age, tamper := b3&7, b3>>3&7
-			h := r.d.Senders[src]
+			h := r.d.Groups()[0].Senders[src]
 			p := &packet.Packet{Src: h.ID, SrcAS: h.AS, Dst: r.dsts[dst], Size: 200, Flow: 1}
 			if b1>>7 != 0 {
-				p.SrcAS = r.d.Victim.AS
+				p.SrcAS = r.d.Groups()[0].Victim.AS
 			}
 			if b1>>6&1 != 0 {
 				p.Kind, p.Prio = packet.KindRequest, uint8(age)

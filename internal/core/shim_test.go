@@ -257,11 +257,12 @@ func TestShimLateEchoOrigin(t *testing.T) {
 func TestShimEchoIdlesAndRestarts(t *testing.T) {
 	cfg := DefaultConfig()
 	d, _ := deploy(9, topo.DefaultDumbbell(2, 1_000_000), cfg)
+	grp := d.Groups()[0]
 	eng := d.Net.Eng
-	sh := Shim(d.Victim)
+	sh := Shim(grp.Victim)
 	pending := eng.Pending()
 	oneWay := func() {
-		sh.Ingress(&packet.Packet{Src: d.Senders[0].ID, Flow: 1, Proto: packet.ProtoUDP, Payload: 100, Size: 200})
+		sh.Ingress(&packet.Packet{Src: grp.Senders[0].ID, Flow: 1, Proto: packet.ProtoUDP, Payload: 100, Size: 200})
 	}
 	oneWay()
 	e, org := sh.first.echo, sh.echoOrg

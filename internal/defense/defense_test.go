@@ -95,12 +95,12 @@ func TestRegistryErrors(t *testing.T) {
 }
 
 // deploy installs s on the whole dumbbell, giving the victim deny.
-func deploy(d *topo.Dumbbell, s defense.System, deny defense.Policy) {
-	for _, l := range d.G.Bottlenecks() {
+func deploy(d *topo.Graph, s defense.System, deny defense.Policy) {
+	for _, l := range d.Bottlenecks() {
 		s.ProtectLink(l)
 	}
 	all := func(packet.ASID) bool { return true }
-	d.G.Roles(all, s.ProtectAccess, func(h *netsim.Node, victim bool) {
+	d.Roles(all, s.ProtectAccess, func(h *netsim.Node, victim bool) {
 		pol := defense.Policy{}
 		if victim {
 			pol = deny
@@ -116,14 +116,15 @@ func denyRun(t *testing.T, build func(net *netsim.Network) defense.System) (allo
 	t.Helper()
 	eng := sim.New(1)
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
+	grp := d.Groups()[0]
 	s := build(d.Net)
-	badSrc := d.Senders[1].ID
+	badSrc := grp.Senders[1].ID
 	deploy(d, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }})
 
-	sinkA := transport.NewUDPSink(d.Victim.Host, 1)
-	sinkD := transport.NewUDPSink(d.Victim.Host, 2)
-	transport.NewUDPSource(d.Senders[0].Host, d.Victim.ID, 1, 200_000, 1500).Start()
-	transport.NewUDPSource(d.Senders[1].Host, d.Victim.ID, 2, 200_000, 1500).Start()
+	sinkA := transport.NewUDPSink(grp.Victim.Host, 1)
+	sinkD := transport.NewUDPSink(grp.Victim.Host, 2)
+	transport.NewUDPSource(grp.Senders[0].Host, grp.Victim.ID, 1, 200_000, 1500).Start()
+	transport.NewUDPSource(grp.Senders[1].Host, grp.Victim.ID, 2, 200_000, 1500).Start()
 	eng.RunUntil(10 * sim.Second)
 	return sinkA.Bytes, sinkD.Bytes
 }
@@ -135,14 +136,15 @@ func denyRun(t *testing.T, build func(net *netsim.Network) defense.System) (allo
 func TestPolicyDenyAtNetFenceShim(t *testing.T) {
 	eng := sim.New(1)
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
+	grp := d.Groups()[0]
 	s := core.NewSystem(d.Net, core.DefaultConfig())
-	badSrc := d.Senders[1].ID
+	badSrc := grp.Senders[1].ID
 	deploy(d, s, defense.Policy{Deny: func(src packet.NodeID) bool { return src == badSrc }})
 
-	sinkA := transport.NewUDPSink(d.Victim.Host, 1)
-	sinkD := transport.NewUDPSink(d.Victim.Host, 2)
-	transport.NewUDPSource(d.Senders[0].Host, d.Victim.ID, 1, 200_000, 1500).Start()
-	transport.NewUDPSource(d.Senders[1].Host, d.Victim.ID, 2, 200_000, 1500).Start()
+	sinkA := transport.NewUDPSink(grp.Victim.Host, 1)
+	sinkD := transport.NewUDPSink(grp.Victim.Host, 2)
+	transport.NewUDPSource(grp.Senders[0].Host, grp.Victim.ID, 1, 200_000, 1500).Start()
+	transport.NewUDPSource(grp.Senders[1].Host, grp.Victim.ID, 2, 200_000, 1500).Start()
 	eng.RunUntil(10 * sim.Second)
 
 	if sinkA.Bytes == 0 {
@@ -153,10 +155,10 @@ func TestPolicyDenyAtNetFenceShim(t *testing.T) {
 	}
 	// Feedback-as-capability: the allowed sender holds presented
 	// feedback for the victim; the denied sender must not.
-	if _, ok := core.Shim(d.Senders[0]).Presented(d.Victim.ID); !ok {
+	if _, ok := core.Shim(grp.Senders[0]).Presented(grp.Victim.ID); !ok {
 		t.Fatal("allowed sender never received feedback")
 	}
-	if _, ok := core.Shim(d.Senders[1]).Presented(d.Victim.ID); ok {
+	if _, ok := core.Shim(grp.Senders[1]).Presented(grp.Victim.ID); ok {
 		t.Fatal("denied sender obtained feedback despite the deny policy")
 	}
 }
@@ -187,9 +189,10 @@ func TestPolicyDenyAtBaselineShims(t *testing.T) {
 func TestNilDenyAcceptsEveryone(t *testing.T) {
 	eng := sim.New(1)
 	d := topo.NewDumbbell(eng, topo.DefaultDumbbell(2, 1_000_000))
+	grp := d.Groups()[0]
 	deploy(d, baseline.NewNone(), defense.Policy{})
-	sink := transport.NewUDPSink(d.Victim.Host, 1)
-	transport.NewUDPSource(d.Senders[0].Host, d.Victim.ID, 1, 200_000, 1500).Start()
+	sink := transport.NewUDPSink(grp.Victim.Host, 1)
+	transport.NewUDPSource(grp.Senders[0].Host, grp.Victim.ID, 1, 200_000, 1500).Start()
 	eng.RunUntil(5 * sim.Second)
 	if sink.Bytes == 0 {
 		t.Fatal("nil Deny dropped traffic")

@@ -87,7 +87,7 @@ func ablateBucketCell(sc Scale, token bool) (userBps, atkBps float64, drops uint
 				OffRateBps: 30_000, ToColluders: true},
 		},
 	})
-	q := in.Dumbbell.Bottleneck.Q
+	q := in.Graph.Bottlenecks()[0].Q
 	in.Advance(sc.Warmup)
 	mark := q.Stats().Dropped
 	r := in.Run()
@@ -133,7 +133,7 @@ func ablateQuotaCell(sc Scale, quota int64) (userFCTSec, atkBps float64, quotaDr
 		},
 	})
 	r := in.Run()
-	return r.FCT.MeanSec, r.AttackerBps, in.System.(*netfence.System).Access(in.Dumbbell.SrcAccess[1]).QuotaDrops
+	return r.FCT.MeanSec, r.AttackerBps, in.System.(*netfence.System).Access(in.Graph.Groups()[0].Access[1]).QuotaDrops
 }
 
 // AblateInitRate probes the undocumented initial rate-limit parameter:

@@ -182,8 +182,8 @@ func localizeCell(sc Scale, fallback bool) (honestBps, rogueBps float64, engaged
 	// channel — the exact hole the §4.5 per-AS fallback closes. A zero
 	// MAC would instead be demoted to legacy like a non-deploying AS's
 	// traffic.
-	in.Dumbbell.Senders[1].Host.Shim = rogueShim{}
+	in.Graph.Groups()[0].Senders[1].Host.Shim = rogueShim{}
 	r := in.Run()
-	engaged = in.System.(*netfence.System).Bottleneck(in.Dumbbell.Bottleneck).FallbackActive()
+	engaged = in.System.(*netfence.System).Bottleneck(in.Graph.Bottlenecks()[0]).FallbackActive()
 	return r.UserBps, r.AttackerBps, engaged
 }

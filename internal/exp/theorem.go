@@ -91,11 +91,11 @@ func theoremCell(sc Scale, ton, toff netfence.Time) theoremOut {
 	}
 	// Rate limits: users for the nu estimate, greedy probes for the bound
 	// check.
-	s, d := in.System.(*netfence.System), in.Dumbbell
+	s, grp, bn := in.System.(*netfence.System), in.Graph.Groups()[0], in.Graph.Bottlenecks()[0]
 	limitOf := func(sender int) (float64, bool) {
-		for _, ra := range d.SrcAccess {
+		for _, ra := range grp.Access {
 			if ar := s.Access(ra); ar != nil {
-				if lim := ar.Limiter(d.Senders[sender].ID, d.Bottleneck.ID); lim != nil {
+				if lim := ar.Limiter(grp.Senders[sender].ID, bn.ID); lim != nil {
 					return float64(lim.Rate()), true
 				}
 			}

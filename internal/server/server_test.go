@@ -809,7 +809,8 @@ func soloBaseline(t *testing.T, spec ScenarioSpec) (uint64, map[string]uint64) {
 // process-global event counter: two scenario jobs running concurrently
 // must each report exactly the executed-event total and counter
 // snapshot of a solo batch run — no cross-job bleed in either
-// direction. It also smokes the process /metrics endpoint.
+// direction. It also checks the GET /jobs listing and smokes the
+// process /metrics endpoint.
 func TestConcurrentJobMetersIsolated(t *testing.T) {
 	specA := smokeSpec()
 	specA.Name = "meter-a"
@@ -848,6 +849,20 @@ func TestConcurrentJobMetersIsolated(t *testing.T) {
 	}
 	for _, id := range ids {
 		waitState(t, base, id, string(jobDone))
+	}
+
+	// GET /jobs lists both jobs in submission order, each as its own
+	// GET /jobs/{id} reports it.
+	var list []JobStatus
+	if code := getJSON(t, base+"/jobs", &list); code != http.StatusOK || len(list) != len(ids) {
+		t.Fatalf("GET /jobs = %d with %d entries, want 200 with %d", code, len(list), len(ids))
+	}
+	for i, st := range list {
+		var one JobStatus
+		getJSON(t, base+"/jobs/"+ids[i], &one)
+		if st.ID != ids[i] || st.Kind != "scenario" || st.State != one.State {
+			t.Errorf("GET /jobs entry %d = %s/%s/%s, want %s/scenario/%s", i, st.ID, st.Kind, st.State, ids[i], one.State)
+		}
 	}
 
 	for i, want := range []uint64{wantA, wantB} {

@@ -6,12 +6,15 @@ import (
 	"netfence/internal/sim"
 )
 
-// Graph is the open topology builder every concrete topology in this
-// package is made of: declare routers, access routers, hosts and links,
-// tag them with evaluation roles (sender, victim, colluder, bottleneck),
-// and the generic deployment and scenario machinery does the rest. The
-// Dumbbell and ParkingLot builders are thin wrappers over Graph, and
-// third-party topologies registered through Register are Graphs too.
+// Graph is the open topology builder and the one topology view: declare
+// routers, access routers, hosts and links, tag them with evaluation
+// roles (sender, victim, colluder, bottleneck), and the generic
+// deployment and scenario machinery does the rest. NewDumbbell,
+// NewParkingLot and NewStar return the Graph they build, NewRandomAS
+// returns it as RandomAS.G, and third-party topologies registered
+// through Register are Graphs too. Callers read roles back through
+// Groups and Bottlenecks; a bottleneck link's From and To are its
+// routers.
 //
 // Role tagging drives three things:
 //
@@ -79,12 +82,6 @@ func (g *Graph) AccessRouter(group int, name string, as packet.ASID) *netsim.Nod
 	grp := g.group(group)
 	grp.Access = append(grp.Access, r)
 	return r
-}
-
-// Host adds a host carrying no evaluation role (traffic can still be
-// attached to it manually; Roles skips it).
-func (g *Graph) Host(name string, as packet.ASID) *netsim.Node {
-	return g.Net.NewHost(name, as)
 }
 
 // Sender adds a sender host to a group. Its AS is recorded as a source

@@ -11,10 +11,10 @@ func TestPartitionDumbbell(t *testing.T) {
 	eng := sim.New(1)
 	d := NewDumbbell(eng, DefaultDumbbell(20, 400_000))
 	// 12 ASes: 10 sources, transit and victim — MaxShards is 12.
-	if got := d.G.MaxShards(); got != 12 {
+	if got := d.MaxShards(); got != 12 {
 		t.Fatalf("MaxShards = %d, want 12", got)
 	}
-	p, err := d.G.Partition(4)
+	p, err := d.Partition(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestPartitionDumbbell(t *testing.T) {
 	// AS-atomicity and monotone shard indices over declaration order.
 	last := -1
 	seen := map[int]bool{}
-	for _, as := range d.G.AllASes() {
+	for _, as := range d.AllASes() {
 		s := p.ShardOfAS[as]
 		if s < last {
 			t.Fatalf("shard indices not monotone in AS declaration order: AS %d -> %d after %d", as, s, last)
@@ -44,7 +44,7 @@ func TestPartitionDumbbell(t *testing.T) {
 			t.Fatalf("cut link %s -> %s is intra-AS", l.From, l.To)
 		}
 	}
-	if p.ShardOfNode[d.Rbl.ID] != p.ShardOfNode[d.Rbr.ID] {
+	if b := d.Bottlenecks()[0]; p.ShardOfNode[b.From.ID] != p.ShardOfNode[b.To.ID] {
 		t.Fatal("bottleneck endpoints split across shards")
 	}
 	if p.Lookahead != 10*sim.Millisecond {
@@ -56,10 +56,10 @@ func TestPartitionTooManyShards(t *testing.T) {
 	eng := sim.New(1)
 	d := NewDumbbell(eng, DefaultDumbbell(4, 400_000))
 	// 4 senders -> 4 source ASes + transit + victim = 6 ASes.
-	if _, err := d.G.Partition(7); !errors.Is(err, ErrTooManyShards) {
+	if _, err := d.Partition(7); !errors.Is(err, ErrTooManyShards) {
 		t.Fatalf("Partition(7) err = %v, want ErrTooManyShards", err)
 	}
-	if _, err := d.G.Partition(0); err == nil {
+	if _, err := d.Partition(0); err == nil {
 		t.Fatal("Partition(0) should fail")
 	}
 }
@@ -67,7 +67,7 @@ func TestPartitionTooManyShards(t *testing.T) {
 func TestPartitionStarBottleneckIsCut(t *testing.T) {
 	eng := sim.New(1)
 	st := NewStar(eng, DefaultStar(8, 400_000))
-	p, err := st.G.Partition(2)
+	p, err := st.Partition(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPartitionStarBottleneckIsCut(t *testing.T) {
 	// awareness must make it a cut link.
 	found := false
 	for _, l := range p.CutLinks {
-		if l == st.Bottleneck {
+		if l == st.Bottlenecks()[0] {
 			found = true
 		}
 	}
@@ -87,7 +87,7 @@ func TestPartitionStarBottleneckIsCut(t *testing.T) {
 func TestPartitionSingleShard(t *testing.T) {
 	eng := sim.New(1)
 	st := NewStar(eng, DefaultStar(4, 400_000))
-	p, err := st.G.Partition(1)
+	p, err := st.Partition(1)
 	if err != nil {
 		t.Fatal(err)
 	}

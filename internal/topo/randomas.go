@@ -60,27 +60,19 @@ func DefaultRandomAS(senders int, bottleneckBps int64) RandomASConfig {
 	}
 }
 
-// RandomAS is the constructed random AS-level topology.
+// RandomAS is the constructed random AS-level topology: its Graph plus
+// the router lists the Graph's roles do not name.
 type RandomAS struct {
 	// G is the underlying role-tagged graph (one sender group).
 	G   *Graph
 	Net *netsim.Network
 
-	// Senders, Victim and Colluders are the Graph's role lists.
-	Senders   []*netsim.Node
+	// Senders is the Graph's sender list.
+	Senders []*netsim.Node
+	// SrcAccess lists the source-AS access routers, in AS order.
 	SrcAccess []*netsim.Node
 	// Transit lists the random-core routers, one AS each.
 	Transit []*netsim.Node
-	// Exit is the core router holding the bottleneck link to Rd, the
-	// destination-side router.
-	Exit, Rd   *netsim.Node
-	Bottleneck *netsim.Link
-
-	Victim       *netsim.Node
-	VictimAccess *netsim.Node
-
-	Colluders      []*netsim.Node
-	ColluderAccess []*netsim.Node
 }
 
 // NewRandomAS builds the topology and computes routes.
@@ -156,28 +148,23 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	// The exit: a random core router crosses the bottleneck to Rd, the
 	// destination-side router every victim- and colluder-bound packet
 	// must reach.
-	r.Exit = r.Transit[rng.IntN(transit)]
-	r.Rd = g.Router("Rd", packet.ASID(1999))
-	r.Bottleneck, _ = g.BottleneckLink(r.Exit, r.Rd, cfg.BottleneckBps, cfg.Delay)
+	exit := r.Transit[rng.IntN(transit)]
+	rd := g.Router("Rd", packet.ASID(1999))
+	g.BottleneckLink(exit, rd, cfg.BottleneckBps, cfg.Delay)
 
 	victimAS := packet.ASID(2000)
-	r.VictimAccess = g.AccessRouter(0, "Rv", victimAS)
-	g.Link(r.Rd, r.VictimAccess, cfg.EdgeBps, cfg.Delay)
-	g.Link(r.VictimAccess, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
+	rv := g.AccessRouter(0, "Rv", victimAS)
+	g.Link(rd, rv, cfg.EdgeBps, cfg.Delay)
+	g.Link(rv, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
-		g.Link(r.Rd, rc, cfg.EdgeBps, cfg.Delay)
+		g.Link(rd, rc, cfg.EdgeBps, cfg.Delay)
 		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
-		r.ColluderAccess = append(r.ColluderAccess, rc)
 	}
 
-	grp := g.groups[0]
-	r.Senders, r.Victim, r.Colluders = grp.Senders, grp.Victim, grp.Colluders
+	r.Senders = g.groups[0].Senders
 	g.Build()
 	return r, nil
 }
-
-// AllASes returns every AS identifier in the topology.
-func (r *RandomAS) AllASes() []packet.ASID { return r.G.AllASes() }

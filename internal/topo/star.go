@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 
-	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 )
@@ -39,55 +38,29 @@ func DefaultStar(senders int, bottleneckBps int64) StarConfig {
 	}
 }
 
-// Star is the constructed hotspot topology.
-type Star struct {
-	// G is the underlying role-tagged graph (one sender group).
-	G   *Graph
-	Net *netsim.Network
-
-	// Senders, Victim and Colluders are the Graph's role lists.
-	Senders []*netsim.Node
-	// Access is the single source-AS access router.
-	Access *netsim.Node
-	// Bottleneck is the Access->VictimAccess uplink.
-	Bottleneck *netsim.Link
-
-	Victim       *netsim.Node
-	VictimAccess *netsim.Node
-
-	Colluders      []*netsim.Node
-	ColluderAccess []*netsim.Node
-}
-
-// NewStar builds the topology and computes routes.
-func NewStar(eng *sim.Engine, cfg StarConfig) *Star {
+// NewStar builds the topology and computes routes. Its one sender group
+// polices at Ra, then Rv, then the colluder access routers; its one
+// bottleneck is the Ra->Rv uplink.
+func NewStar(eng *sim.Engine, cfg StarConfig) *Graph {
 	g := NewGraph(eng)
-	st := &Star{G: g, Net: g.Net}
 
 	srcAS := packet.ASID(1)
-	st.Access = g.AccessRouter(0, "Ra", srcAS)
+	ra := g.AccessRouter(0, "Ra", srcAS)
 	for i := 0; i < cfg.Senders; i++ {
-		g.Link(g.Sender(0, fmt.Sprintf("s%d", i), srcAS), st.Access, cfg.EdgeBps, cfg.Delay)
+		g.Link(g.Sender(0, fmt.Sprintf("s%d", i), srcAS), ra, cfg.EdgeBps, cfg.Delay)
 	}
 
 	victimAS := packet.ASID(2000)
-	st.VictimAccess = g.AccessRouter(0, "Rv", victimAS)
-	st.Bottleneck, _ = g.BottleneckLink(st.Access, st.VictimAccess, cfg.BottleneckBps, cfg.Delay)
-	g.Link(st.VictimAccess, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
+	rv := g.AccessRouter(0, "Rv", victimAS)
+	g.BottleneckLink(ra, rv, cfg.BottleneckBps, cfg.Delay)
+	g.Link(rv, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
-		g.Link(st.VictimAccess, rc, cfg.EdgeBps, cfg.Delay)
+		g.Link(rv, rc, cfg.EdgeBps, cfg.Delay)
 		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
-		st.ColluderAccess = append(st.ColluderAccess, rc)
 	}
 
-	grp := g.groups[0]
-	st.Senders, st.Victim, st.Colluders = grp.Senders, grp.Victim, grp.Colluders
-	g.Build()
-	return st
+	return g.Build()
 }
-
-// AllASes returns every AS identifier in the topology.
-func (st *Star) AllASes() []packet.ASID { return st.G.AllASes() }

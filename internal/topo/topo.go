@@ -52,48 +52,21 @@ func DefaultDumbbell(senders int, bottleneckBps int64) DumbbellConfig {
 	}
 }
 
-// Dumbbell is the constructed topology: a named-role view over its
-// underlying Graph.
-type Dumbbell struct {
-	// G is the underlying role-tagged graph (one sender group).
-	G   *Graph
-	Net *netsim.Network
-
-	// Senders lists every sender host, AS by AS.
-	Senders []*netsim.Node
-	// SrcAccess lists the source-AS access routers, parallel to AS order.
-	SrcAccess []*netsim.Node
-
-	// Rbl and Rbr are the transit-AS routers; Bottleneck is Rbl->Rbr.
-	Rbl, Rbr   *netsim.Node
-	Bottleneck *netsim.Link
-	// Reverse is the Rbr->Rbl link.
-	Reverse *netsim.Link
-
-	Victim       *netsim.Node
-	VictimAccess *netsim.Node
-
-	// Colluders holds one host per colluder AS, with parallel access
-	// routers in ColluderAccess.
-	Colluders      []*netsim.Node
-	ColluderAccess []*netsim.Node
-}
-
-// NewDumbbell builds the topology and computes routes.
-func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
+// NewDumbbell builds the topology and computes routes. Its one sender
+// group polices at the source-AS access routers, then Rv, then the
+// colluder access routers; its one bottleneck is Rbl->Rbr.
+func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Graph {
 	g := NewGraph(eng)
-	d := &Dumbbell{G: g, Net: g.Net}
 
 	transitAS := packet.ASID(1000)
-	d.Rbl = g.Router("Rbl", transitAS)
-	d.Rbr = g.Router("Rbr", transitAS)
-	d.Bottleneck, d.Reverse = g.BottleneckLink(d.Rbl, d.Rbr, cfg.BottleneckBps, cfg.Delay)
+	rbl := g.Router("Rbl", transitAS)
+	rbr := g.Router("Rbr", transitAS)
+	g.BottleneckLink(rbl, rbr, cfg.BottleneckBps, cfg.Delay)
 
 	for i := 0; i < cfg.SrcASes; i++ {
 		as := packet.ASID(1 + i)
 		ra := g.AccessRouter(0, fmt.Sprintf("Ra%d", i), as)
-		d.SrcAccess = append(d.SrcAccess, ra)
-		g.Link(ra, d.Rbl, cfg.EdgeBps, cfg.Delay)
+		g.Link(ra, rbl, cfg.EdgeBps, cfg.Delay)
 		for h := 0; h < cfg.HostsPerAS; h++ {
 			host := g.Sender(0, fmt.Sprintf("s%d.%d", i, h), as)
 			g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
@@ -101,27 +74,19 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	}
 
 	victimAS := packet.ASID(2000)
-	d.VictimAccess = g.AccessRouter(0, "Rv", victimAS)
-	g.Link(d.Rbr, d.VictimAccess, cfg.EdgeBps, cfg.Delay)
-	g.Link(d.VictimAccess, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
+	rv := g.AccessRouter(0, "Rv", victimAS)
+	g.Link(rbr, rv, cfg.EdgeBps, cfg.Delay)
+	g.Link(rv, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
-		d.ColluderAccess = append(d.ColluderAccess, rc)
-		g.Link(d.Rbr, rc, cfg.EdgeBps, cfg.Delay)
+		g.Link(rbr, rc, cfg.EdgeBps, cfg.Delay)
 		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
 	}
 
-	grp := g.groups[0]
-	d.Senders, d.Victim, d.Colluders = grp.Senders, grp.Victim, grp.Colluders
-	g.Build()
-	return d
+	return g.Build()
 }
-
-// AllASes returns every AS identifier in the topology, for Passport key
-// establishment.
-func (d *Dumbbell) AllASes() []packet.ASID { return d.G.AllASes() }
 
 // ParkingLotConfig parameterizes the multi-bottleneck topology: a chain
 // R0 -L1-> R1 -L2-> R2 with three sender groups. Group A crosses both
@@ -154,37 +119,18 @@ func DefaultParkingLot(sendersPerGroup int, l1, l2 int64) ParkingLotConfig {
 	}
 }
 
-// PLGroup holds one sender group and its destinations: the Graph's
-// role lists.
-type PLGroup struct {
-	Senders   []*netsim.Node
-	Access    []*netsim.Node
-	Victim    *netsim.Node
-	Colluders []*netsim.Node
-}
-
-// ParkingLot is the constructed multi-bottleneck topology.
-type ParkingLot struct {
-	// G is the underlying role-tagged graph (three sender groups).
-	G          *Graph
-	Net        *netsim.Network
-	R0, R1, R2 *netsim.Node
-	L1, L2     *netsim.Link
-	// Groups[0] = A (crosses L1 and L2), Groups[1] = B (L2 only),
-	// Groups[2] = C (L1 only).
-	Groups [3]PLGroup
-}
-
-// NewParkingLot builds the topology and computes routes.
-func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
+// NewParkingLot builds the topology and computes routes. Its
+// bottlenecks are L1 = R0->R1 and L2 = R1->R2; group 0 = A (crosses L1
+// and L2), group 1 = B (L2 only), group 2 = C (L1 only). Each group
+// polices only at its source-AS access routers.
+func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 	g := NewGraph(eng)
-	pl := &ParkingLot{G: g, Net: g.Net}
 	transitAS := packet.ASID(1000)
-	pl.R0 = g.Router("R0", transitAS)
-	pl.R1 = g.Router("R1", transitAS)
-	pl.R2 = g.Router("R2", transitAS)
-	pl.L1, _ = g.BottleneckLink(pl.R0, pl.R1, cfg.L1Bps, cfg.Delay)
-	pl.L2, _ = g.BottleneckLink(pl.R1, pl.R2, cfg.L2Bps, cfg.Delay)
+	r0 := g.Router("R0", transitAS)
+	r1 := g.Router("R1", transitAS)
+	r2 := g.Router("R2", transitAS)
+	g.BottleneckLink(r0, r1, cfg.L1Bps, cfg.Delay)
+	g.BottleneckLink(r1, r2, cfg.L2Bps, cfg.Delay)
 
 	asCounter := packet.ASID(1)
 	buildGroup := func(gi int, attach *netsim.Node, dstAttach *netsim.Node) {
@@ -214,19 +160,13 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *ParkingLot {
 			g.Link(dstAttach, rc, cfg.EdgeBps, cfg.Delay)
 			g.Link(rc, g.Colluder(gi, fmt.Sprintf("g%dc%d", gi, i), cas), cfg.EdgeBps, cfg.Delay)
 		}
-		grp := g.groups[gi]
-		pl.Groups[gi] = PLGroup{Senders: grp.Senders, Access: grp.Access, Victim: grp.Victim, Colluders: grp.Colluders}
 	}
-	buildGroup(0, pl.R0, pl.R2) // A: enters at R0, exits at R2 (L1+L2)
-	buildGroup(1, pl.R1, pl.R2) // B: enters at R1, exits at R2 (L2)
-	buildGroup(2, pl.R0, pl.R1) // C: enters at R0, exits at R1 (L1)
+	buildGroup(0, r0, r2) // A: enters at R0, exits at R2 (L1+L2)
+	buildGroup(1, r1, r2) // B: enters at R1, exits at R2 (L2)
+	buildGroup(2, r0, r1) // C: enters at R0, exits at R1 (L1)
 
-	g.Build()
-	return pl
+	return g.Build()
 }
-
-// AllASes returns every AS identifier in the topology.
-func (pl *ParkingLot) AllASes() []packet.ASID { return pl.G.AllASes() }
 
 // SplitEvenly splits a population over at most wantASes ASes, lowering
 // the AS count to the largest divisor so every AS gets the same host

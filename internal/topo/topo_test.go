@@ -17,18 +17,19 @@ func TestDumbbellStructure(t *testing.T) {
 	cfg := DefaultDumbbell(100, 10_000_000)
 	cfg.ColluderASes = 9
 	d := NewDumbbell(eng, cfg)
-	if len(d.Senders) != 100 {
-		t.Fatalf("senders = %d", len(d.Senders))
+	grp, bottleneck := d.Groups()[0], d.Bottlenecks()[0]
+	if len(grp.Senders) != 100 {
+		t.Fatalf("senders = %d", len(grp.Senders))
 	}
-	if len(d.SrcAccess) != 10 || len(d.Colluders) != 9 {
-		t.Fatalf("access=%d colluders=%d", len(d.SrcAccess), len(d.Colluders))
+	if n := len(srcAccess(d)); n != 10 || len(grp.Colluders) != 9 {
+		t.Fatalf("access=%d colluders=%d", n, len(grp.Colluders))
 	}
 	// Every sender routes to the victim through the bottleneck.
-	for _, s := range d.Senders {
-		path := d.Net.PathLinks(s.ID, d.Victim.ID)
+	for _, s := range grp.Senders {
+		path := d.Net.PathLinks(s.ID, grp.Victim.ID)
 		found := false
 		for _, l := range path {
-			if l == d.Bottleneck {
+			if l == bottleneck {
 				found = true
 			}
 		}
@@ -37,15 +38,15 @@ func TestDumbbellStructure(t *testing.T) {
 		}
 	}
 	// Sender-to-victim path: host->Ra->Rbl->Rbr->Rv->victim = 5 links.
-	if p := d.Net.PathLinks(d.Senders[0].ID, d.Victim.ID); len(p) != 5 {
+	if p := d.Net.PathLinks(grp.Senders[0].ID, grp.Victim.ID); len(p) != 5 {
 		t.Fatalf("path length = %d, want 5", len(p))
 	}
 	// Colluder traffic also crosses the bottleneck.
-	for _, c := range d.Colluders {
-		path := d.Net.PathLinks(d.Senders[0].ID, c.ID)
+	for _, c := range grp.Colluders {
+		path := d.Net.PathLinks(grp.Senders[0].ID, c.ID)
 		found := false
 		for _, l := range path {
-			if l == d.Bottleneck {
+			if l == bottleneck {
 				found = true
 			}
 		}
@@ -63,8 +64,8 @@ func TestDumbbellASAssignment(t *testing.T) {
 		t.Fatalf("AS count = %d, want 12", got)
 	}
 	// Hosts in the same AS share their access router.
-	a0 := d.Senders[0]
-	a1 := d.Senders[1]
+	a0 := d.Groups()[0].Senders[0]
+	a1 := d.Groups()[0].Senders[1]
 	if a0.AS != a1.AS {
 		t.Fatalf("first two senders in different ASes: %d %d", a0.AS, a1.AS)
 	}
@@ -73,29 +74,25 @@ func TestDumbbellASAssignment(t *testing.T) {
 func TestDumbbellSmallSenderCount(t *testing.T) {
 	eng := sim.New(1)
 	d := NewDumbbell(eng, DefaultDumbbell(4, 1_000_000))
-	if len(d.Senders) != 4 || len(d.SrcAccess) != 4 {
-		t.Fatalf("senders=%d access=%d", len(d.Senders), len(d.SrcAccess))
+	if n, a := len(d.Groups()[0].Senders), len(srcAccess(d)); n != 4 || a != 4 {
+		t.Fatalf("senders=%d access=%d", n, a)
 	}
 }
 
 func TestParkingLotPaths(t *testing.T) {
 	eng := sim.New(1)
 	pl := NewParkingLot(eng, DefaultParkingLot(30, 10_000_000, 10_000_000))
-	crosses := func(src, dst int32, l *struct{}) {}
-	_ = crosses
-	has := func(path []*struct{}) {}
-	_ = has
-
+	L1, L2 := pl.Bottlenecks()[0], pl.Bottlenecks()[1]
 	check := func(g int, wantL1, wantL2 bool) {
-		s := pl.Groups[g].Senders[0]
-		v := pl.Groups[g].Victim
+		s := pl.Groups()[g].Senders[0]
+		v := pl.Groups()[g].Victim
 		path := pl.Net.PathLinks(s.ID, v.ID)
 		l1, l2 := false, false
 		for _, l := range path {
-			if l == pl.L1 {
+			if l == L1 {
 				l1 = true
 			}
-			if l == pl.L2 {
+			if l == L2 {
 				l2 = true
 			}
 		}
@@ -112,14 +109,14 @@ func TestParkingLotGroupSizes(t *testing.T) {
 	eng := sim.New(1)
 	pl := NewParkingLot(eng, DefaultParkingLot(30, 10_000_000, 20_000_000))
 	for g := 0; g < 3; g++ {
-		if got := len(pl.Groups[g].Senders); got != 30 {
+		if got := len(pl.Groups()[g].Senders); got != 30 {
 			t.Fatalf("group %d senders = %d", g, got)
 		}
-		if len(pl.Groups[g].Colluders) != 3 {
-			t.Fatalf("group %d colluders = %d", g, len(pl.Groups[g].Colluders))
+		if len(pl.Groups()[g].Colluders) != 3 {
+			t.Fatalf("group %d colluders = %d", g, len(pl.Groups()[g].Colluders))
 		}
 	}
-	if pl.L1.Rate != 10_000_000 || pl.L2.Rate != 20_000_000 {
+	if pl.Bottlenecks()[0].Rate != 10_000_000 || pl.Bottlenecks()[1].Rate != 20_000_000 {
 		t.Fatal("bottleneck rates wrong")
 	}
 }
@@ -128,17 +125,16 @@ func TestGraphRoles(t *testing.T) {
 	eng := sim.New(1)
 	cfg := DefaultDumbbell(40, 10_000_000)
 	cfg.ColluderASes = 3
-	d := NewDumbbell(eng, cfg)
-	g := d.G
-	if len(g.Bottlenecks()) != 1 || g.Bottlenecks()[0] != d.Bottleneck {
-		t.Fatalf("bottleneck role lost: %v", g.Bottlenecks())
+	g := NewDumbbell(eng, cfg)
+	if b := g.Bottlenecks(); len(b) != 1 || b[0].From.Name != "Rbl" || b[0].To.Name != "Rbr" {
+		t.Fatalf("bottleneck role lost: %v", b)
 	}
 	grps := g.Groups()
 	if len(grps) != 1 {
 		t.Fatalf("groups = %d", len(grps))
 	}
-	if len(grps[0].Senders) != 40 || grps[0].Victim != d.Victim || len(grps[0].Colluders) != 3 {
-		t.Fatal("group roles do not match the dumbbell fields")
+	if len(grps[0].Senders) != 40 || grps[0].Victim == nil || grps[0].Victim.Name != "victim" || len(grps[0].Colluders) != 3 {
+		t.Fatal("group roles do not match the dumbbell's hosts")
 	}
 	// Source ASes: the 10 sender ASes, not transit/victim/colluder ASes.
 	src := g.SourceASes()
@@ -152,13 +148,13 @@ func TestGraphRoles(t *testing.T) {
 	}
 	// Parking lot: three groups, 15 source ASes.
 	pl := NewParkingLot(sim.New(1), DefaultParkingLot(30, 10_000_000, 10_000_000))
-	if n := len(pl.G.Groups()); n != 3 {
+	if n := len(pl.Groups()); n != 3 {
 		t.Fatalf("parking-lot groups = %d", n)
 	}
-	if n := len(pl.G.SourceASes()); n != 15 {
+	if n := len(pl.SourceASes()); n != 15 {
 		t.Fatalf("parking-lot source ASes = %d, want 15", n)
 	}
-	if n := len(pl.G.Bottlenecks()); n != 2 {
+	if n := len(pl.Bottlenecks()); n != 2 {
 		t.Fatalf("parking-lot bottlenecks = %d", n)
 	}
 }
@@ -213,19 +209,20 @@ func TestStarStructure(t *testing.T) {
 	cfg := DefaultStar(8, 1_600_000)
 	cfg.ColluderASes = 2
 	st := NewStar(eng, cfg)
-	if len(st.Senders) != 8 || len(st.Colluders) != 2 {
-		t.Fatalf("senders=%d colluders=%d", len(st.Senders), len(st.Colluders))
+	grp := st.Groups()[0]
+	if len(grp.Senders) != 8 || len(grp.Colluders) != 2 {
+		t.Fatalf("senders=%d colluders=%d", len(grp.Senders), len(grp.Colluders))
 	}
 	// Single source AS: all senders share it and the one access router.
-	if n := len(st.G.SourceASes()); n != 1 {
+	if n := len(st.SourceASes()); n != 1 {
 		t.Fatalf("source ASes = %d, want 1", n)
 	}
 	// Victim- and colluder-bound paths cross the bottleneck.
-	for _, dst := range append([]*netsim.Node{st.Victim}, st.Colluders...) {
-		path := st.Net.PathLinks(st.Senders[0].ID, dst.ID)
+	for _, dst := range append([]*netsim.Node{grp.Victim}, grp.Colluders...) {
+		path := st.Net.PathLinks(grp.Senders[0].ID, dst.ID)
 		found := false
 		for _, l := range path {
-			if l == st.Bottleneck {
+			if l == st.Bottlenecks()[0] {
 				found = true
 			}
 		}
@@ -267,15 +264,16 @@ func TestRandomASStructure(t *testing.T) {
 		t.Fatalf("core links = %d, want %d (5 tree + 3 extra, duplex)", core, 2*(5+3))
 	}
 	// Every victim- and colluder-bound path crosses the bottleneck exit.
+	grp := r.G.Groups()[0]
 	for _, s := range r.Senders {
-		for _, dst := range append([]*netsim.Node{r.Victim}, r.Colluders...) {
+		for _, dst := range append([]*netsim.Node{grp.Victim}, grp.Colluders...) {
 			path := r.Net.PathLinks(s.ID, dst.ID)
 			if path == nil {
 				t.Fatalf("no route %v -> %v", s, dst)
 			}
 			found := false
 			for _, l := range path {
-				if l == r.Bottleneck {
+				if l == r.G.Bottlenecks()[0] {
 					found = true
 				}
 			}
@@ -309,6 +307,19 @@ func TestRandomASStructure(t *testing.T) {
 	if _, err := NewRandomAS(sim.New(1), RandomASConfig{}); err == nil {
 		t.Fatal("zero-sender random graph accepted")
 	}
+}
+
+// srcAccess returns g's access routers that sit in a source AS.
+func srcAccess(g *Graph) []*netsim.Node {
+	var out []*netsim.Node
+	for _, grp := range g.Groups() {
+		for _, r := range grp.Access {
+			if slices.Contains(g.SourceASes(), r.AS) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
 }
 
 // testLineOnce guards the process-global registration so the test

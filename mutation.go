@@ -275,12 +275,12 @@ func (in *Instance) checkMutation(m Mutation) error {
 	env := in.env
 	switch {
 	case m.Link != nil:
-		if m.Link.Bottleneck >= len(env.bottlenecks) {
-			return fmt.Errorf("link mutation: Bottleneck index %d out of range (topology tags %d)", m.Link.Bottleneck, len(env.bottlenecks))
+		if m.Link.Bottleneck >= len(env.graph.Bottlenecks()) {
+			return fmt.Errorf("link mutation: Bottleneck index %d out of range (topology tags %d)", m.Link.Bottleneck, len(env.graph.Bottlenecks()))
 		}
 		// One shard has no cut link and a zero lookahead.
 		if sh := env.sh; m.Link.Delay > 0 && m.Link.Delay < sh.lookahead {
-			l := env.bottlenecks[m.Link.Bottleneck]
+			l := env.graph.Bottlenecks()[m.Link.Bottleneck]
 			if sh.shardOf(l.From.ID) != sh.shardOf(l.To.ID) {
 				return fmt.Errorf("link mutation: Delay %v below the partition lookahead %v on cut bottleneck %d breaks conservative synchronization",
 					m.Link.Delay, sh.lookahead, m.Link.Bottleneck)
@@ -320,7 +320,7 @@ func (in *Instance) applyNow(m Mutation) {
 // point, where no shard is writing the link. It changes no route.
 func (in *Instance) applyLink(lm *LinkMutation) {
 	env := in.env
-	l, lp := env.bottlenecks[lm.Bottleneck], &env.links[lm.Bottleneck]
+	l, lp := env.graph.Bottlenecks()[lm.Bottleneck], &env.links[lm.Bottleneck]
 	rate, delay := int64(0), Time(0)
 	if lm.Restore {
 		rate, delay = lp.rates[0].rate, lp.delay

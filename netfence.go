@@ -34,7 +34,6 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
-	"netfence/internal/topo"
 	"netfence/internal/transport"
 )
 
@@ -158,16 +157,6 @@ func FormatAttackSpec(name string, params map[string]float64) string {
 func TheoremBound(cfg Config, bottleneckBps int64, senders int) float64 {
 	return attack.TheoremBound(cfg, bottleneckBps, senders)
 }
-
-// Topologies, as Instance.Dumbbell and Instance.ParkingLot expose them.
-// The role-tagged Graph underneath them (and the topology registry
-// resolving them by name) is exported in topology.go.
-type (
-	// Dumbbell is the §6.3.1 evaluation topology.
-	Dumbbell = topo.Dumbbell
-	// ParkingLot is the multi-bottleneck topology.
-	ParkingLot = topo.ParkingLot
-)
 
 // Transport configuration for the TCP, file and web workloads.
 type (

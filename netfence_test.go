@@ -9,7 +9,7 @@ import (
 )
 
 // TestFacadeEndToEnd drives the quickstart run through a built Instance
-// rather than Scenario.Run: the exported Dumbbell and System fields are
+// rather than Scenario.Run: the exported Graph and System fields are
 // the defense's live state, and the monitoring cycle must be open at the
 // 60 s mark before the post-warmup fair-share outcome is checked.
 func TestFacadeEndToEnd(t *testing.T) {
@@ -17,16 +17,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := in.Dumbbell
-	if d == nil || len(d.Senders) != 2 || len(d.Colluders) != 1 {
-		t.Fatalf("built dumbbell = %+v", d)
+	if in.Graph == nil || len(in.Graph.Groups()) != 1 || len(in.Graph.Bottlenecks()) != 1 {
+		t.Fatalf("built dumbbell graph = %+v", in.Graph)
+	}
+	if grp := in.Graph.Groups()[0]; len(grp.Senders) != 2 || len(grp.Colluders) != 1 {
+		t.Fatalf("built dumbbell group = %+v", grp)
 	}
 	sys, ok := in.System.(*netfence.System)
 	if !ok {
 		t.Fatalf("Instance.System is %T, want *netfence.System", in.System)
 	}
 	in.Advance(60 * netfence.Second)
-	if !sys.Bottleneck(d.Bottleneck).Monitoring() {
+	if !sys.Bottleneck(in.Graph.Bottlenecks()[0]).Monitoring() {
 		t.Fatal("monitoring cycle not started")
 	}
 	res := in.Run()

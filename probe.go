@@ -214,7 +214,7 @@ func (env *scenarioEnv) snapshotWarmShard(sh int) {
 	for _, m := range env.byShard[sh].meters {
 		m.warmMark = *m.bytes
 	}
-	for i, l := range env.bottlenecks {
+	for i, l := range env.graph.Bottlenecks() {
 		if env.sh.shardOf(l.From.ID) == sh {
 			env.txWarmMarks[i] = l.TxBytes
 		}
@@ -313,7 +313,7 @@ func (GoodputProbe) finish(env *scenarioEnv, res *Result) {
 	if res.AttackerBps > 0 {
 		res.Ratio = res.UserBps / res.AttackerBps
 	}
-	for i, l := range env.bottlenecks {
+	for i, l := range env.graph.Bottlenecks() {
 		capacity := env.links[i].capacityBits(env.warmup, env.duration)
 		if u := float64(l.TxBytes-env.txWarmMarks[i]) * 8 / capacity; u > res.Utilization {
 			res.Utilization = u
@@ -398,8 +398,8 @@ func (BoundProbe) install(env *scenarioEnv) error {
 	// links, so dividing one link's capacity by every group's senders
 	// would deflate the floor into a vacuously-passing check. Fail fast
 	// instead.
-	if len(env.bottlenecks) != 1 {
-		return fmt.Errorf("BoundProbe: the Theorem-1 floor needs a single-bottleneck topology (this one tags %d)", len(env.bottlenecks))
+	if len(env.graph.Bottlenecks()) != 1 {
+		return fmt.Errorf("BoundProbe: the Theorem-1 floor needs a single-bottleneck topology (this one tags %d)", len(env.graph.Bottlenecks()))
 	}
 	return nil
 }
@@ -409,7 +409,7 @@ func (p BoundProbe) finish(env *scenarioEnv, res *Result) {
 	if window <= 0 {
 		return
 	}
-	senders := env.builtTopo.senderCount()
+	senders := senderCount(env.graph)
 	if senders == 0 {
 		return
 	}
@@ -446,7 +446,7 @@ func (p TimeseriesProbe) install(env *scenarioEnv) error {
 	secs := interval.Seconds()
 	monShard := -1
 	if env.nfBottleneck != nil {
-		monShard = env.sh.shardOf(env.bottlenecks[0].From.ID)
+		monShard = env.sh.shardOf(env.graph.Bottlenecks()[0].From.ID)
 	}
 	for shard, eng := range env.sh.engines {
 		own := &env.byShard[shard]

@@ -133,7 +133,10 @@ type DefenseBuildOptions = defense.BuildOptions
 // probes and the executor for one scenario run.
 type scenarioEnv struct {
 	sc *Scenario
-	*builtTopo
+	// graph is the run's role-tagged topology, whole at every shard
+	// count; topoName is its canonical name, Result.Topology.
+	graph    *topo.Graph
+	topoName string
 
 	// sh holds the run's engines, networks and defense systems, one per
 	// shard.
@@ -198,11 +201,12 @@ type scenarioEnv struct {
 	series    []Sample
 }
 
-func (env *scenarioEnv) group(g int, kind string) (*roleGroup, error) {
-	if g < 0 || g >= len(env.groups) {
-		return nil, fmt.Errorf("%s: group %d out of range (topology has %d)", kind, g, len(env.groups))
+func (env *scenarioEnv) group(g int, kind string) (*topo.GraphGroup, error) {
+	groups := env.graph.Groups()
+	if g < 0 || g >= len(groups) {
+		return nil, fmt.Errorf("%s: group %d out of range (topology has %d)", kind, g, len(groups))
 	}
-	return &env.groups[g], nil
+	return &groups[g], nil
 }
 
 // deploysMidRun reports whether the timeline changes the deployment
@@ -248,7 +252,7 @@ func (env *scenarioEnv) ensureListener(group int) {
 		return
 	}
 	env.listeners[group] = true
-	v := env.groups[group].victim
+	v := env.graph.Groups()[group].Victim
 	v.Host.OnUnknownFlow = func(p *Packet) Agent {
 		if p.Proto != packet.ProtoTCP {
 			return nil
@@ -263,7 +267,7 @@ func (env *scenarioEnv) ensureListener(group int) {
 
 // bottleneckBps is the (first) bottleneck capacity, for strategic attack
 // computations.
-func (env *scenarioEnv) bottleneckBps() int64 { return env.bottlenecks[0].Rate }
+func (env *scenarioEnv) bottleneckBps() int64 { return env.graph.Bottlenecks()[0].Rate }
 
 // nfConfig is the scenario's NetFence configuration — the deployed one
 // when the defense is NetFence with an explicit config, the Figure 3
@@ -303,12 +307,8 @@ type Instance struct {
 	// only (another shard's access routers and bottlenecks are nil).
 	System DefenseSystem
 	// Graph is the constructed role-tagged topology, whole at every
-	// shard count, like the two views below.
+	// shard count: read its roles through Groups and Bottlenecks.
 	Graph *Graph
-	// Dumbbell is the constructed topology for DumbbellSpec scenarios;
-	// ParkingLot for ParkingLotSpec scenarios. The other is nil.
-	Dumbbell   *Dumbbell
-	ParkingLot *ParkingLot
 	// Sharding describes the partition of a sharded run; nil otherwise.
 	Sharding *Sharding
 
@@ -370,10 +370,10 @@ func (in *Instance) collect() *Result {
 	res := &Result{
 		Scenario:    in.Scenario.Name,
 		Defense:     in.System.Name(),
-		Topology:    in.env.builtTopo.name,
+		Topology:    in.env.topoName,
 		Attack:      strings.Join(in.env.attacks, "+"),
 		Seed:        in.Scenario.Seed,
-		Senders:     in.env.builtTopo.senderCount(),
+		Senders:     senderCount(in.env.graph),
 		Deployed:    in.env.deployed,
 		DurationSec: in.Scenario.Duration.Seconds(),
 		WarmupSec:   in.Scenario.Warmup.Seconds(),

@@ -131,14 +131,14 @@ func resolveAutoShards(g *Graph) int {
 	return n
 }
 
-// applyFleetWeights gives bt's aggregate-mode FleetSpec attachment
+// applyFleetWeights gives g's aggregate-mode FleetSpec attachment
 // points their weight before partitioning: the load balance must count
 // one as the modeled senders it stands for, not as one host. Attachment
 // sets the same weight. Only specs that will actually aggregate count:
 // exact fan-out (explicit or forced by deployment mutations) keeps
 // weight 1. Malformed specs are skipped here — attachment reports their
 // errors with full context.
-func (s *Scenario) applyFleetWeights(bt *builtTopo) {
+func (s *Scenario) applyFleetWeights(g *topo.Graph) {
 	if s.deploysMidRun() {
 		return
 	}
@@ -150,10 +150,10 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 		if fs.Count <= 0 || len(fs.Senders) == 0 || fs.Count%len(fs.Senders) != 0 {
 			continue
 		}
-		if fs.Group < 0 || fs.Group >= len(bt.groups) {
+		if fs.Group < 0 || fs.Group >= len(g.Groups()) {
 			continue
 		}
-		weight, senders := int32(fs.Count/len(fs.Senders)), bt.groups[fs.Group].senders
+		weight, senders := int32(fs.Count/len(fs.Senders)), g.Groups()[fs.Group].Senders
 		for _, idx := range fs.Senders {
 			if idx >= 0 && idx < len(senders) {
 				senders[idx].Weight = weight
@@ -168,22 +168,22 @@ func (s *Scenario) applyFleetWeights(bt *builtTopo) {
 // node and link to the network of the shard owning it, each shard on its
 // own engine. Otherwise the graph runs on its own network, and part is
 // nil.
-func (s Scenario) bindShards(shards int) (*shardState, *builtTopo, *topo.Partition, error) {
+func (s Scenario) bindShards(shards int) (*shardState, *topo.Graph, *topo.Partition, error) {
 	eng := sim.New(s.Seed)
-	bt, err := s.Topology.buildTopo(eng)
+	g, err := s.Topology.buildTopo(eng)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	if shards == AutoShards {
-		shards = resolveAutoShards(bt.graph)
+		shards = resolveAutoShards(g)
 	}
 	st := &shardState{
 		engines: []*sim.Engine{eng},
-		nets:    []*netsim.Network{bt.net},
+		nets:    []*netsim.Network{g.Net},
 		systems: make([]defense.System, max(shards, 1)),
 	}
 	if shards <= 1 {
-		return st, bt, nil, nil
+		return st, g, nil, nil
 	}
 
 	// StopIt's victim installs a filter by writing into the source's
@@ -191,8 +191,8 @@ func (s Scenario) bindShards(shards int) (*shardState, *builtTopo, *topo.Partiti
 	if s.DenyAttackers && defense.Canonical(s.Defense.Name) == "stopit" {
 		return nil, nil, nil, fmt.Errorf("scenario %q: StopIt with DenyAttackers on %d shards: %w", s.Name, shards, errShardedFilterRequest)
 	}
-	s.applyFleetWeights(bt)
-	part, err := bt.graph.Partition(shards)
+	s.applyFleetWeights(g)
+	part, err := g.Partition(shards)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("scenario %q: Shards=%d: %w", s.Name, shards, err)
 	}
@@ -200,9 +200,9 @@ func (s Scenario) bindShards(shards int) (*shardState, *builtTopo, *topo.Partiti
 		st.engines = append(st.engines, sim.New(s.Seed))
 	}
 	st.shardOfNode, st.lookahead = part.ShardOfNode, part.Lookahead
-	st.nets = bt.net.Bind(part.ShardOfNode, st.engines)
+	st.nets = g.Net.Bind(part.ShardOfNode, st.engines)
 	st.inboxes = make([][]*netsim.Mailbox, shards)
-	return st, bt, part, nil
+	return st, g, part, nil
 }
 
 // build constructs the scenario's topology on its shards, then
@@ -212,18 +212,19 @@ func (s Scenario) bindShards(shards int) (*shardState, *builtTopo, *topo.Partiti
 // probes, warm-up — is what fixes every event's key. The scenario s must
 // already be validated and defaulted by Build.
 func (s Scenario) build(shards int) (*Instance, error) {
-	st, bt, part, err := s.bindShards(shards)
+	st, g, part, err := s.bindShards(shards)
 	if err != nil {
 		return nil, err
 	}
 
-	plan, deployed, err := s.Deployment.plan(bt.graph.SourceASes())
+	plan, deployed, err := s.Deployment.plan(g.SourceASes())
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	env := &scenarioEnv{
 		sc:           &s,
-		builtTopo:    bt,
+		graph:        g,
+		topoName:     s.Topology.name(),
 		sh:           st,
 		byShard:      make([]shardMeters, len(st.engines)),
 		fcts:         make([]fctRecord, len(st.engines)),
@@ -237,7 +238,7 @@ func (s Scenario) build(shards int) (*Instance, error) {
 		duration:     s.Duration,
 		warmup:       s.Warmup,
 	}
-	for _, l := range env.bottlenecks {
+	for _, l := range g.Bottlenecks() {
 		env.links = append(env.links, linkParams{delay: l.Delay, rates: []rateStep{{rate: l.Rate}}})
 	}
 	// The deny policy closes over the deny set, which the attack
@@ -256,13 +257,13 @@ func (s Scenario) build(shards int) (*Instance, error) {
 		}
 		st.systems[i] = sys
 	}
-	for _, l := range env.bottlenecks {
+	for _, l := range g.Bottlenecks() {
 		st.system(l.From).ProtectLink(l)
 	}
 	env.arm(plan.Participates)
 
-	if len(env.bottlenecks) > 0 {
-		bn := env.bottlenecks[0]
+	if len(g.Bottlenecks()) > 0 {
+		bn := g.Bottlenecks()[0]
 		if cs, ok := st.system(bn.From).(*core.System); ok {
 			env.nfBottleneck = cs.Bottleneck(bn)
 		}
@@ -270,7 +271,7 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	if part == nil {
 		st.coord = sim.NewCoordinator(st.engines, 0, nil)
 	} else {
-		st.wire(part, bt.graph)
+		st.wire(part, g)
 	}
 
 	for _, w := range s.Workloads {
@@ -305,24 +306,22 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	// Warmup marks are taken shard-locally: each engine snapshots the
 	// meters and bottleneck counters its shard owns, at the same
 	// simulated instant.
-	env.txWarmMarks = make([]uint64, len(env.bottlenecks))
+	env.txWarmMarks = make([]uint64, len(g.Bottlenecks()))
 	for i, e := range st.engines {
 		shard := i
 		e.At(s.Warmup, func() { env.snapshotWarmShard(shard) })
 	}
 
 	return &Instance{
-		Scenario:   s,
-		Eng:        st.engines[0],
-		Engines:    st.engines,
-		Net:        bt.net,
-		System:     st.systems[0],
-		Graph:      bt.graph,
-		Dumbbell:   bt.dumbbell,
-		ParkingLot: bt.parkingLot,
-		Sharding:   st.info,
-		env:        env,
-		probes:     probes,
+		Scenario: s,
+		Eng:      st.engines[0],
+		Engines:  st.engines,
+		Net:      g.Net,
+		System:   st.systems[0],
+		Graph:    g,
+		Sharding: st.info,
+		env:      env,
+		probes:   probes,
 	}, nil
 }
 

@@ -28,13 +28,13 @@ var sparseTopologies = []struct {
 	{"star", StarSpec{Senders: 16, BottleneckBps: 3_200_000, ColluderASes: 6}},
 }
 
-func mustBuildTopo(t *testing.T, spec TopologySpec) *builtTopo {
+func mustBuildTopo(t *testing.T, spec TopologySpec) *topo.Graph {
 	t.Helper()
-	bt, err := spec.buildTopo(sim.New(1))
+	g, err := spec.buildTopo(sim.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return bt
+	return g
 }
 
 // sliceData returns the backing array of the slice in field name of v,
@@ -111,15 +111,15 @@ func TestOneGraph(t *testing.T) {
 func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 	for _, tc := range sparseTopologies {
 		full := mustBuildTopo(t, tc.spec)
-		full.groups[0].senders[3].Weight = 1000
-		fullHosts, _ := full.net.Materialised()
+		full.Groups()[0].Senders[3].Weight = 1000
+		fullHosts, _ := full.Net.Materialised()
 		for _, shards := range []int{2, 4, 8} {
-			want, err := full.graph.Partition(shards)
+			want, err := full.Partition(shards)
 			if err != nil {
 				t.Fatalf("%s: shards=%d: %v", tc.name, shards, err)
 			}
 			sc := Scenario{Name: tc.name, Seed: 1, Topology: tc.spec, Workloads: []Workload{FleetSpec{Count: 1000, Senders: []int{3}}}}
-			st, bt, part, err := sc.bindShards(shards)
+			st, g, part, err := sc.bindShards(shards)
 			if err != nil {
 				t.Fatalf("%s: shards=%d: %v", tc.name, shards, err)
 			}
@@ -135,22 +135,22 @@ func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 			hosts := 0
 			for r, n := range st.nets {
 				name := fmt.Sprintf("%s: shards=%d: shard %d", tc.name, shards, r)
-				if len(n.Nodes) != len(full.net.Nodes) || len(n.Links) != len(full.net.Links) {
+				if len(n.Nodes) != len(full.Net.Nodes) || len(n.Links) != len(full.Net.Links) {
 					t.Fatalf("%s has %d nodes and %d links, the single build %d and %d",
-						name, len(n.Nodes), len(n.Links), len(full.net.Nodes), len(full.net.Links))
+						name, len(n.Nodes), len(n.Links), len(full.Net.Nodes), len(full.Net.Links))
 				}
 				h, _ := n.Materialised()
 				hosts += h
-				for id, fn := range full.net.Nodes {
+				for id, fn := range full.Net.Nodes {
 					if int(part.ShardOfNode[id]) != r {
 						continue
 					}
-					for dst := range full.net.Nodes {
+					for dst := range full.Net.Nodes {
 						got, want := -1, -1
 						if l := n.Route(n.Nodes[id], packet.NodeID(dst)); l != nil {
 							got = l.Index
 						}
-						if l := full.net.Route(fn, packet.NodeID(dst)); l != nil {
+						if l := full.Net.Route(fn, packet.NodeID(dst)); l != nil {
 							want = l.Index
 						}
 						if got != want {
@@ -158,14 +158,14 @@ func TestSparseReplicaRoutesMatchFull(t *testing.T) {
 						}
 					}
 				}
-				for _, grp := range bt.graph.Groups() {
+				for _, grp := range g.Groups() {
 					for _, ar := range grp.Access {
 						if int(part.ShardOfNode[ar.ID]) != r {
 							continue
 						}
-						for dst := range full.net.Nodes {
+						for dst := range full.Net.Nodes {
 							got := n.PathASes(nil, ar.ID, packet.NodeID(dst))
-							if want := full.net.PathASes(nil, ar.ID, packet.NodeID(dst)); !slices.Equal(got, want) {
+							if want := full.Net.PathASes(nil, ar.ID, packet.NodeID(dst)); !slices.Equal(got, want) {
 								t.Fatalf("%s: AS path %v -> %d is %v, the single build's is %v", name, ar, dst, got, want)
 							}
 						}

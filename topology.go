@@ -14,7 +14,9 @@ import (
 // resolves any topology registered by name (see RegisterTopology).
 type TopologySpec interface {
 	// buildTopo constructs the topology on eng.
-	buildTopo(eng *sim.Engine) (*builtTopo, error)
+	buildTopo(eng *sim.Engine) (*topo.Graph, error)
+	// name is the topology's canonical registry name, Result.Topology.
+	name() string
 	// withPopulation returns a copy at a different sender population —
 	// the Sweep runner's population axis.
 	withPopulation(n int) TopologySpec
@@ -59,11 +61,7 @@ func registerSpec(name string, defaultN int, spec func(n int) TopologySpec) {
 		if n <= 0 {
 			n = defaultN
 		}
-		bt, err := spec(n).buildTopo(eng)
-		if err != nil {
-			return nil, err
-		}
-		return bt.graph, nil
+		return spec(n).buildTopo(eng)
 	})
 }
 
@@ -83,10 +81,11 @@ type TopologyBuilder = topo.Builder
 // TopologyBuilder.
 type TopologyBuildOptions = topo.BuildOptions
 
-// Graph is the open topology builder: declare routers, access routers,
-// hosts and links, tagged with evaluation roles (sender, victim,
-// colluder, bottleneck), and the scenario and deployment machinery runs
-// on it without knowing the wiring.
+// Graph is the open topology builder and a built Instance's topology
+// view: declare nodes and links with Router, AccessRouter, Sender,
+// Victim, Colluder, Link and BottleneckLink, and the scenario and
+// deployment machinery runs on the roles they tag without knowing the
+// wiring. Groups and Bottlenecks read the roles back.
 type Graph = topo.Graph
 
 // GraphGroup is one sender group of a Graph.
@@ -122,12 +121,10 @@ func (s RegisteredTopology) withPopulation(n int) TopologySpec {
 
 func (s RegisteredTopology) groupSizes() []int { return nil }
 
-func (s RegisteredTopology) buildTopo(eng *sim.Engine) (*builtTopo, error) {
-	g, err := topo.Build(s.Name, eng, topo.BuildOptions{Population: s.Population})
-	if err != nil {
-		return nil, err
-	}
-	return builtFromGraph(topo.Canonical(s.Name), g), nil
+func (s RegisteredTopology) name() string { return topo.Canonical(s.Name) }
+
+func (s RegisteredTopology) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
+	return topo.Build(s.Name, eng, topo.BuildOptions{Population: s.Population})
 }
 
 // DumbbellSpec declares the §6.3.1 dumbbell: sender ASes through one
@@ -156,7 +153,9 @@ func (s DumbbellSpec) withPopulation(n int) TopologySpec {
 
 func (s DumbbellSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s DumbbellSpec) name() string { return "dumbbell" }
+
+func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	if s.Senders <= 0 {
 		return nil, fmt.Errorf("DumbbellSpec: Senders must be positive")
 	}
@@ -183,10 +182,7 @@ func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	d := topo.NewDumbbell(eng, cfg)
-	bt := builtFromGraph("dumbbell", d.G)
-	bt.dumbbell = d
-	return bt, nil
+	return topo.NewDumbbell(eng, cfg), nil
 }
 
 // ParkingLotSpec declares the §6.3.2 multi-bottleneck parking lot: a
@@ -228,7 +224,9 @@ func (s ParkingLotSpec) groupSizes() []int {
 	return []int{s.SendersPerGroup, s.SendersPerGroup, s.SendersPerGroup}
 }
 
-func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s ParkingLotSpec) name() string { return "parkinglot" }
+
+func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	if s.declaredPopulation > 0 && s.declaredPopulation != 3*s.SendersPerGroup {
 		return nil, fmt.Errorf("ParkingLotSpec: population %d does not split into 3 equal groups", s.declaredPopulation)
 	}
@@ -255,10 +253,7 @@ func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	pl := topo.NewParkingLot(eng, cfg)
-	bt := builtFromGraph("parkinglot", pl.G)
-	bt.parkingLot = pl
-	return bt, nil
+	return topo.NewParkingLot(eng, cfg), nil
 }
 
 // StarSpec declares the single-AS hotspot: every sender shares one
@@ -288,7 +283,9 @@ func (s StarSpec) withPopulation(n int) TopologySpec {
 
 func (s StarSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s StarSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s StarSpec) name() string { return "star" }
+
+func (s StarSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	if s.Senders <= 0 {
 		return nil, fmt.Errorf("StarSpec: Senders must be positive")
 	}
@@ -303,7 +300,7 @@ func (s StarSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if s.Delay > 0 {
 		cfg.Delay = s.Delay
 	}
-	return builtFromGraph("star", topo.NewStar(eng, cfg).G), nil
+	return topo.NewStar(eng, cfg), nil
 }
 
 // RandomASSpec declares a seeded random AS-level graph: a random
@@ -342,7 +339,9 @@ func (s RandomASSpec) withPopulation(n int) TopologySpec {
 
 func (s RandomASSpec) groupSizes() []int { return []int{s.Senders} }
 
-func (s RandomASSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
+func (s RandomASSpec) name() string { return "random-as" }
+
+func (s RandomASSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	if s.BottleneckBps <= 0 {
 		return nil, fmt.Errorf("RandomASSpec: BottleneckBps must be positive")
 	}
@@ -364,7 +363,7 @@ func (s RandomASSpec) buildTopo(eng *sim.Engine) (*builtTopo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("RandomASSpec: %w", err)
 	}
-	return builtFromGraph("random-as", r.G), nil
+	return r.G, nil
 }
 
 // Deployment plans which source ASes run a scenario's defense — the
@@ -431,68 +430,33 @@ func (d Deployment) plan(srcASes []packet.ASID) (topo.Plan, float64, error) {
 	}
 }
 
-// builtTopo is a constructed topology reduced to the role view the
-// workloads and probes operate on.
-type builtTopo struct {
-	name        string
-	net         *netsim.Network
-	graph       *topo.Graph
-	dumbbell    *topo.Dumbbell
-	parkingLot  *topo.ParkingLot
-	bottlenecks []*netsim.Link
-	groups      []roleGroup
-}
-
-// builtFromGraph reduces a role-tagged graph to the scenario role view.
-func builtFromGraph(name string, g *topo.Graph) *builtTopo {
-	bt := &builtTopo{
-		name:        name,
-		net:         g.Net,
-		graph:       g,
-		bottlenecks: g.Bottlenecks(),
-	}
-	for _, grp := range g.Groups() {
-		bt.groups = append(bt.groups, roleGroup{
-			senders:   grp.Senders,
-			victim:    grp.Victim,
-			colluders: grp.Colluders,
-		})
-	}
-	return bt
-}
-
-// senderCount is the topology's actual total sender population,
-// counting each fleet attachment point as the modeled senders it
-// stands for (SenderWeight; 1 for ordinary hosts).
-func (bt *builtTopo) senderCount() int {
+// senderCount is g's actual total sender population, counting each
+// fleet attachment point as the modeled senders it stands for
+// (SenderWeight; 1 for ordinary hosts).
+func senderCount(g *topo.Graph) int {
 	n := 0
-	for i := range bt.groups {
-		for _, s := range bt.groups[i].senders {
+	for _, grp := range g.Groups() {
+		for _, s := range grp.Senders {
 			n += s.SenderWeight()
 		}
 	}
 	return n
 }
 
-// roleGroup is one sender group with its destinations.
-type roleGroup struct {
-	senders   []*netsim.Node
-	victim    *netsim.Node
-	colluders []*netsim.Node
-}
-
-func (g *roleGroup) sender(idx int, kind string) (*netsim.Node, error) {
-	if idx < 0 || idx >= len(g.senders) {
-		return nil, fmt.Errorf("%s: sender index %d out of range (topology has %d)", kind, idx, len(g.senders))
+// groupSender returns sender idx of grp, or a build-time error naming
+// the workload kind.
+func groupSender(grp *topo.GraphGroup, idx int, kind string) (*netsim.Node, error) {
+	if idx < 0 || idx >= len(grp.Senders) {
+		return nil, fmt.Errorf("%s: sender index %d out of range (topology has %d)", kind, idx, len(grp.Senders))
 	}
-	return g.senders[idx], nil
+	return grp.Senders[idx], nil
 }
 
-// victimHost returns the group's victim, or a build-time error for
-// custom graphs that declared none.
-func (g *roleGroup) victimHost(kind string) (*netsim.Node, error) {
-	if g.victim == nil {
+// groupVictim returns grp's victim, or a build-time error for custom
+// graphs that declared none.
+func groupVictim(grp *topo.GraphGroup, kind string) (*netsim.Node, error) {
+	if grp.Victim == nil {
 		return nil, fmt.Errorf("%s: topology group has no victim host (declare one with Graph.Victim)", kind)
 	}
-	return g.victim, nil
+	return grp.Victim, nil
 }

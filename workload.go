@@ -65,7 +65,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	victim, err := grp.victimHost("LongTCP")
+	victim, err := groupVictim(grp, "LongTCP")
 	if err != nil {
 		return err
 	}
@@ -74,7 +74,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 		cfg = *w.TCP
 	}
 	for _, idx := range w.Senders {
-		h, err := grp.sender(idx, "LongTCP")
+		h, err := groupSender(grp, idx, "LongTCP")
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	victim, err := grp.victimHost("FileTransfers")
+	victim, err := groupVictim(grp, "FileTransfers")
 	if err != nil {
 		return err
 	}
@@ -123,7 +123,7 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 	}
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
-		h, err := grp.sender(idx, "FileTransfers")
+		h, err := groupSender(grp, idx, "FileTransfers")
 		if err != nil {
 			return err
 		}
@@ -156,7 +156,7 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	victim, err := grp.victimHost("WebTraffic")
+	victim, err := groupVictim(grp, "WebTraffic")
 	if err != nil {
 		return err
 	}
@@ -166,7 +166,7 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 	}
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
-		h, err := grp.sender(idx, "WebTraffic")
+		h, err := groupSender(grp, idx, "WebTraffic")
 		if err != nil {
 			return err
 		}
@@ -281,11 +281,11 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 	if err != nil {
 		return err
 	}
-	if spec.toColluders && len(grp.colluders) == 0 {
+	if spec.toColluders && len(grp.Colluders) == 0 {
 		return fmt.Errorf("%s: topology has no colluder hosts in group %d (set ColluderASes)", spec.kind, spec.group)
 	}
 	if !spec.toColluders {
-		if _, err := grp.victimHost(spec.kind); err != nil {
+		if _, err := groupVictim(grp, spec.kind); err != nil {
 			return err
 		}
 	}
@@ -298,13 +298,13 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 		pktSize = packet.SizeData
 	}
 	for k, idx := range spec.senders {
-		h, err := grp.sender(idx, spec.kind)
+		h, err := groupSender(grp, idx, spec.kind)
 		if err != nil {
 			return err
 		}
-		var dstHost = grp.victim
+		var dstHost = grp.Victim
 		if spec.toColluders {
-			dstHost = grp.colluders[k%len(grp.colluders)]
+			dstHost = grp.Colluders[k%len(grp.Colluders)]
 		} else if !spec.legit {
 			env.denySet[h.ID] = true
 		}
@@ -439,7 +439,7 @@ func (w RequestFlood) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	victim, err := grp.victimHost("RequestFlood")
+	victim, err := groupVictim(grp, "RequestFlood")
 	if err != nil {
 		return err
 	}
@@ -449,14 +449,14 @@ func (w RequestFlood) attach(env *scenarioEnv) error {
 	}
 	level := w.Level
 	if w.Strategic {
-		if len(env.bottlenecks) == 0 {
+		if len(env.graph.Bottlenecks()) == 0 {
 			return fmt.Errorf("RequestFlood: Strategic needs a topology with a tagged bottleneck link")
 		}
 		level = attack.StrategicRequestLevel(len(w.Senders), env.bottleneckBps(), env.nfConfig())
 	}
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
-		h, err := grp.sender(idx, "RequestFlood")
+		h, err := groupSender(grp, idx, "RequestFlood")
 		if err != nil {
 			return err
 		}
@@ -511,11 +511,11 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	if w.ToColluders && len(grp.colluders) == 0 {
+	if w.ToColluders && len(grp.Colluders) == 0 {
 		return fmt.Errorf("AttackSpec(%s): topology has no colluder hosts in group %d (set ColluderASes)", name, w.Group)
 	}
 	if !w.ToColluders {
-		if _, err := grp.victimHost("AttackSpec"); err != nil {
+		if _, err := groupVictim(grp, "AttackSpec"); err != nil {
 			return err
 		}
 	}
@@ -533,7 +533,7 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 			Attackers: len(w.Senders),
 			Config:    env.nfConfig(),
 		}
-		if len(env.bottlenecks) > 0 {
+		if len(env.graph.Bottlenecks()) > 0 {
 			aenv.BottleneckBps = env.bottleneckBps()
 		}
 		strat, err := attack.Build(name, attack.BuildOptions{
@@ -549,13 +549,13 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 	}
 	ctrls := map[int]*attack.Controller{}
 	for k, idx := range w.Senders {
-		h, err := grp.sender(idx, "AttackSpec")
+		h, err := groupSender(grp, idx, "AttackSpec")
 		if err != nil {
 			return err
 		}
-		dstHost := grp.victim
+		dstHost := grp.Victim
 		if w.ToColluders {
-			dstHost = grp.colluders[k%len(grp.colluders)]
+			dstHost = grp.Colluders[k%len(grp.Colluders)]
 		} else {
 			env.denySet[h.ID] = true
 		}
