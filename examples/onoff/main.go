@@ -28,7 +28,7 @@ func scenario(toff netfence.Time) netfence.Scenario {
 			// 2 users, 6 synchronized on-off attackers.
 			netfence.LongTCP{Senders: netfence.Range(0, 2)},
 			netfence.OnOffFlood{
-				Senders: netfence.Range(2, 8), RateBps: 1_000_000, PktSize: 1500,
+				Senders: netfence.Range(2, 8), RateBps: 1_000_000,
 				On: 500 * netfence.Millisecond, Off: toff, ToColluders: true,
 			},
 		},

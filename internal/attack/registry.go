@@ -11,10 +11,6 @@ import (
 type BuildOptions struct {
 	// RateBps is the per-sender attack rate (0 = 1 Mbps).
 	RateBps int64
-	// PktSize is the on-wire packet size (0 = the strategy's default:
-	// full-size data packets, or request-size for request-channel
-	// strategies).
-	PktSize int32
 	// Env gives the builder the scenario facts adaptive strategies key
 	// off: the attack population, the bottleneck capacity and the
 	// deployed NetFence parameters. nil builds against defaults, which

@@ -90,8 +90,8 @@ type base struct {
 	pktSize int32
 }
 
-func newBase(name string, opts BuildOptions, defaultSize int32) base {
-	b := base{name: name, rate: opts.RateBps, pktSize: opts.PktSize}
+func newBase(name string, opts BuildOptions, pktSize int32) base {
+	b := base{name: name, rate: opts.RateBps, pktSize: pktSize}
 	if b.rate <= 0 {
 		b.rate = 1_000_000
 	}
@@ -100,9 +100,6 @@ func newBase(name string, opts BuildOptions, defaultSize int32) base {
 		if b.rate < 1 {
 			b.rate = 1
 		}
-	}
-	if b.pktSize <= 0 {
-		b.pktSize = defaultSize
 	}
 	return b
 }

@@ -18,15 +18,9 @@ import (
 // the paper describes.
 //
 // The closed-loop filter-request protocol of the original system is
-// modeled as a reliable control channel with a configurable propagation
-// delay, the same abstraction the paper's own evaluation uses.
+// modeled as a reliable control channel with a fixed propagation delay
+// (filterDelay), the same abstraction the paper's own evaluation uses.
 type StopIt struct {
-	// FilterDelay is the time from the victim's decision to the filter
-	// taking effect at the source access router.
-	FilterDelay sim.Time
-	// FilterDuration is how long an installed filter lasts.
-	FilterDuration sim.Time
-
 	net *netsim.Network
 	// access maps each host to its access-router filter table.
 	access map[packet.NodeID]*stopitAccess
@@ -35,14 +29,18 @@ type StopIt struct {
 	FiltersInstalled int
 }
 
+// The paper's StopIt parameters.
+const (
+	// filterDelay is the time from the victim's decision to the filter
+	// taking effect at the source access router.
+	filterDelay = 100 * sim.Millisecond
+	// filterDuration is how long an installed filter lasts.
+	filterDuration = 10 * sim.Minute
+)
+
 // NewStopIt returns a StopIt deployment for net.
 func NewStopIt(net *netsim.Network) *StopIt {
-	return &StopIt{
-		FilterDelay:    100 * sim.Millisecond,
-		FilterDuration: 10 * sim.Minute,
-		net:            net,
-		access:         make(map[packet.NodeID]*stopitAccess),
-	}
+	return &StopIt{net: net, access: make(map[packet.NodeID]*stopitAccess)}
 }
 
 // Name identifies the system.
@@ -58,7 +56,7 @@ func (s *StopIt) ProtectLink(l *netsim.Link) {
 
 // ProtectAccess installs a filter table covering r's attached hosts.
 func (s *StopIt) ProtectAccess(r *netsim.Node) {
-	sa := &stopitAccess{sys: s, node: r, filters: make(map[[2]packet.NodeID]sim.Time)}
+	sa := &stopitAccess{node: r, filters: make(map[[2]packet.NodeID]sim.Time)}
 	r.Ingress = sa.ingress
 	for _, l := range r.Out() {
 		if l.To.IsHost && l.To.AS == r.AS {
@@ -84,16 +82,15 @@ func (s *StopIt) RequestFilter(src, dst packet.NodeID) {
 	}
 	key := [2]packet.NodeID{src, dst}
 	eng := s.net.Eng
-	if until, ok := sa.filters[key]; ok && until > eng.Now()+s.FilterDelay {
+	if until, ok := sa.filters[key]; ok && until > eng.Now()+filterDelay {
 		return // already installed or in flight
 	}
-	sa.filters[key] = eng.Now() + s.FilterDelay + s.FilterDuration
+	sa.filters[key] = eng.Now() + filterDelay + filterDuration
 	s.FiltersInstalled++
 }
 
 // stopitAccess is an access router's filter table.
 type stopitAccess struct {
-	sys     *StopIt
 	node    *netsim.Node
 	filters map[[2]packet.NodeID]sim.Time
 
@@ -107,7 +104,7 @@ func (sa *stopitAccess) ingress(p *packet.Packet, from *netsim.Link) bool {
 	}
 	now := sa.node.Network().Eng.Now()
 	if until, ok := sa.filters[[2]packet.NodeID{p.Src, p.Dst}]; ok {
-		if now <= until && now >= until-sa.sys.FilterDuration {
+		if now <= until && now >= until-filterDuration {
 			sa.Blocked++
 			sa.node.Network().Release(p) // filtered: end of life
 			return false

@@ -21,24 +21,25 @@ import (
 // shims mint packet.Capability values); see DESIGN.md. Capability caching
 // at routers is deliberately not modeled — the paper's Figure 7 likewise
 // excludes it because caching needs per-flow router state.
-type TVA struct {
-	// CapLifetime is how long a granted capability remains valid.
-	CapLifetime sim.Time
-	// RequestCapFrac caps the request channel's capacity share.
-	RequestCapFrac float64
-}
+type TVA struct{}
+
+// The paper's TVA+ parameters.
+const (
+	// tvaCapLifetime is how long a granted capability remains valid.
+	tvaCapLifetime = 10 * sim.Second
+	// tvaRequestCapFrac caps the request channel's capacity share.
+	tvaRequestCapFrac = 0.05
+)
 
 // NewTVA returns a TVA+ deployment with the paper's parameters.
-func NewTVA() *TVA {
-	return &TVA{CapLifetime: 10 * sim.Second, RequestCapFrac: 0.05}
-}
+func NewTVA() *TVA { return &TVA{} }
 
 // Name identifies the system.
 func (*TVA) Name() string { return "TVA+" }
 
 // ProtectLink installs the TVA+ two-channel queue.
 func (t *TVA) ProtectLink(l *netsim.Link) {
-	l.SetQueue(newTVAQueue(t, l.Rate))
+	l.SetQueue(newTVAQueue(l.Rate))
 }
 
 // ProtectAccess does nothing: TVA+ polices at congested routers, not at
@@ -47,7 +48,7 @@ func (t *TVA) ProtectAccess(r *netsim.Node) {}
 
 // AttachHost installs the capability-granting shim.
 func (t *TVA) AttachHost(h *netsim.Node, pol defense.Policy) {
-	h.Host.Shim = &tvaShim{sys: t, host: h.Host, deny: pol.Deny,
+	h.Host.Shim = &tvaShim{host: h.Host, deny: pol.Deny,
 		caps: make(map[packet.NodeID]packet.Capability),
 		refr: make(map[packet.NodeID]*tvaPeer), org: h.NewOrigin()}
 }
@@ -66,7 +67,7 @@ type tvaQueue struct {
 	creditAt   sim.Time
 }
 
-func newTVAQueue(t *TVA, rateBps int64) *tvaQueue {
+func newTVAQueue(rateBps int64) *tvaQueue {
 	limit := queueLimit(rateBps)
 	reqLimit := limit / 20
 	if reqLimit < 8_000 {
@@ -77,7 +78,7 @@ func newTVAQueue(t *TVA, rateBps int64) *tvaQueue {
 		reg:        fq.NewDRR(fq.ByDest, packet.SizeData, limit),
 		legacy:     aqm.NewDropTail(limit / 10),
 		creditMax:  2 * packet.SizeData,
-		creditRate: t.RequestCapFrac * float64(rateBps) / 8,
+		creditRate: tvaRequestCapFrac * float64(rateBps) / 8,
 	}
 }
 
@@ -158,7 +159,6 @@ func (q *tvaQueue) SetDropper(d queue.Dropper) {
 // they accept from; senders attach granted capabilities to their regular
 // packets.
 type tvaShim struct {
-	sys  *TVA
 	host *netsim.Host
 	deny func(src packet.NodeID) bool
 	// caps holds capabilities this host has been granted, by granter.
@@ -197,7 +197,7 @@ func (t *tvaShim) Egress(p *packet.Packet) {
 	x.CapGrant = packet.Capability{
 		Present: true,
 		Dst:     t.host.Node.ID,
-		Expire:  nowSec + uint32(t.sys.CapLifetime/sim.Second),
+		Expire:  nowSec + uint32(tvaCapLifetime/sim.Second),
 	}
 
 	if p.Kind == packet.KindRequest {
@@ -239,10 +239,10 @@ func (t *tvaShim) ensureRefresh(peer packet.NodeID, ps *tvaPeer) {
 		return
 	}
 	eng := t.host.Network().Eng
-	interval := t.sys.CapLifetime / 4
+	interval := tvaCapLifetime / 4
 	ps.refresh = t.org.Tick(interval, func() {
 		now := eng.Now()
-		if now-ps.lastHeard > 2*t.sys.CapLifetime {
+		if now-ps.lastHeard > 2*tvaCapLifetime {
 			ps.refresh.Stop()
 			ps.refresh = nil
 			return

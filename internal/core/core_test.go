@@ -33,25 +33,15 @@ func TestNewSystemPoolMakesTrailers(t *testing.T) {
 	}
 }
 
-// deploy builds a dumbbell with NetFence fully installed. denied lists
-// sources the victim identifies as unwanted.
-func deploy(seed uint64, cfg topo.DumbbellConfig, nfCfg Config, denied ...packet.NodeID) (*topo.Graph, *System) {
+// deploy builds a dumbbell with NetFence fully installed; no host
+// denies anyone.
+func deploy(seed uint64, cfg topo.DumbbellConfig, nfCfg Config) (*topo.Graph, *System) {
 	eng := sim.New(seed)
 	d := topo.NewDumbbell(eng, cfg)
 	s := NewSystem(d.Net, nfCfg)
 	s.ProtectLink(d.Bottlenecks()[0])
-	denySet := map[packet.NodeID]bool{}
-	for _, id := range denied {
-		denySet[id] = true
-	}
 	all := func(packet.ASID) bool { return true }
-	d.Roles(all, s.ProtectAccess, func(h *netsim.Node, victim bool) {
-		pol := defense.Policy{}
-		if victim {
-			pol.Deny = func(src packet.NodeID) bool { return denySet[src] }
-		}
-		s.AttachHost(h, pol)
-	})
+	d.Roles(all, s.ProtectAccess, func(h *netsim.Node, _ bool) { s.AttachHost(h, defense.Policy{}) })
 	return d, s
 }
 
@@ -407,19 +397,11 @@ func TestCollusionFairShare(t *testing.T) {
 // is stuck flooding the request channel while the legitimate client's
 // transfers complete quickly.
 func TestFeedbackAsCapability(t *testing.T) {
-	cfg := topo.DefaultDumbbell(2, 500_000)
-	nfCfg := DefaultConfig()
-	d, s := deploy(9, cfg, nfCfg, 1+1) // deny the second sender (IDs assigned below)
+	d, _ := deploy(9, topo.DefaultDumbbell(2, 500_000), DefaultConfig())
 	grp := d.Groups()[0]
 	legit, attacker := grp.Senders[0], grp.Senders[1]
-	if attacker.ID != 1+1 {
-		// Recompute denial if ID assumptions drift: rebuild with the
-		// actual attacker ID.
-		d, s = deploy(9, cfg, nfCfg, attacker.ID)
-		grp = d.Groups()[0]
-		legit, attacker = grp.Senders[0], grp.Senders[1]
-	}
-	_ = s
+	// The victim denies the second sender.
+	Shim(grp.Victim).deny = func(src packet.NodeID) bool { return src == attacker.ID }
 	spawned := 0
 	grp.Victim.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
 		spawned++

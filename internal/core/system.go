@@ -11,8 +11,7 @@ import (
 // registry providing the AS-pairwise keys Kai, the per-router access
 // machinery, and the per-link bottleneck machinery. Deploy it by calling
 // ProtectLink on congestible links, ProtectAccess on access routers, and
-// AttachHost on end hosts; it satisfies defense.System through the
-// SystemAdapter in this package.
+// AttachHost on end hosts; *System satisfies defense.System directly.
 type System struct {
 	Cfg Config
 	// Registry holds the pairwise AS keys (Passport's key exchange).

@@ -25,12 +25,8 @@ type Policer interface {
 	CreditBytes(n int)
 	// Backlog returns cached packets (always 0 for a token bucket).
 	Backlog() int
-	// Drops returns cumulative discarded packets.
-	Drops() uint64
 	// LastDropAt returns when the limiter last discarded a packet.
 	LastDropAt() sim.Time
-	// LastActive returns when the limiter last saw or emitted a packet.
-	LastActive() sim.Time
 	// Stop cancels any pending timers.
 	Stop()
 }
@@ -55,9 +51,7 @@ type TokenLimiter struct {
 	last   sim.Time
 
 	intervalBytes int64
-	drops         uint64
 	lastDropAt    sim.Time
-	lastActive    sim.Time
 }
 
 var _ Policer = (*TokenLimiter)(nil)
@@ -84,11 +78,9 @@ func (t *TokenLimiter) refill(now sim.Time) {
 // Submit passes the packet if the bucket covers it, else drops.
 func (t *TokenLimiter) Submit(p *packet.Packet) Verdict {
 	now := t.eng.Now()
-	t.lastActive = now
 	t.refill(now)
 	bits := float64(p.Size) * 8
 	if bits > t.tokens {
-		t.drops++
 		t.lastDropAt = now
 		return Drop
 	}
@@ -126,20 +118,13 @@ func (t *TokenLimiter) TakeIntervalThroughput(interval sim.Time) int64 {
 // CreditBytes counts bytes toward the interval throughput.
 func (t *TokenLimiter) CreditBytes(n int) {
 	t.intervalBytes += int64(n)
-	t.lastActive = t.eng.Now()
 }
 
 // Backlog is always zero: token buckets do not cache.
 func (t *TokenLimiter) Backlog() int { return 0 }
 
-// Drops returns cumulative discarded packets.
-func (t *TokenLimiter) Drops() uint64 { return t.drops }
-
 // LastDropAt returns the last discard instant.
 func (t *TokenLimiter) LastDropAt() sim.Time { return t.lastDropAt }
-
-// LastActive returns the last activity instant.
-func (t *TokenLimiter) LastActive() sim.Time { return t.lastActive }
 
 // Stop is a no-op: token buckets hold no timers.
 func (t *TokenLimiter) Stop() {}

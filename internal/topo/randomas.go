@@ -39,10 +39,6 @@ type RandomASConfig struct {
 	ColluderASes int
 	// BottleneckBps is the exit-link capacity.
 	BottleneckBps int64
-	// EdgeBps is the capacity of all non-bottleneck links.
-	EdgeBps int64
-	// Delay is the per-link propagation delay.
-	Delay sim.Time
 	// GraphSeed seeds the structure RNG (0 = 1).
 	GraphSeed uint64
 }
@@ -54,8 +50,6 @@ func DefaultRandomAS(senders int, bottleneckBps int64) RandomASConfig {
 		Senders:       senders,
 		TransitASes:   4,
 		BottleneckBps: bottleneckBps,
-		EdgeBps:       10_000_000_000,
-		Delay:         10 * sim.Millisecond,
 		GraphSeed:     1,
 	}
 }
@@ -104,7 +98,7 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 		r.Transit = append(r.Transit, t)
 		if i > 0 {
 			parent := r.Transit[rng.IntN(i)]
-			g.Link(t, parent, cfg.EdgeBps, cfg.Delay)
+			g.Link(t, parent, edgeBps, linkDelay)
 		}
 	}
 	// Extra links: exactly min(ExtraLinks, what the core can still hold)
@@ -129,7 +123,7 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 			continue
 		}
 		linked[key] = true
-		g.Link(r.Transit[a], r.Transit[b], cfg.EdgeBps, cfg.Delay)
+		g.Link(r.Transit[a], r.Transit[b], edgeBps, linkDelay)
 		added++
 	}
 
@@ -138,10 +132,10 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 		as := packet.ASID(1 + i)
 		ra := g.AccessRouter(0, fmt.Sprintf("Ra%d", i), as)
 		r.SrcAccess = append(r.SrcAccess, ra)
-		g.Link(ra, r.Transit[rng.IntN(transit)], cfg.EdgeBps, cfg.Delay)
+		g.Link(ra, r.Transit[rng.IntN(transit)], edgeBps, linkDelay)
 		for h := 0; h < perAS; h++ {
 			host := g.Sender(0, fmt.Sprintf("s%d.%d", i, h), as)
-			g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
+			g.Link(host, ra, edgeBps, linkDelay)
 		}
 	}
 
@@ -150,18 +144,18 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	// must reach.
 	exit := r.Transit[rng.IntN(transit)]
 	rd := g.Router("Rd", packet.ASID(1999))
-	g.BottleneckLink(exit, rd, cfg.BottleneckBps, cfg.Delay)
+	g.BottleneckLink(exit, rd, cfg.BottleneckBps, linkDelay)
 
 	victimAS := packet.ASID(2000)
 	rv := g.AccessRouter(0, "Rv", victimAS)
-	g.Link(rd, rv, cfg.EdgeBps, cfg.Delay)
-	g.Link(rv, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
+	g.Link(rd, rv, edgeBps, linkDelay)
+	g.Link(rv, g.Victim(0, "victim", victimAS), edgeBps, linkDelay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
-		g.Link(rd, rc, cfg.EdgeBps, cfg.Delay)
-		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
+		g.Link(rd, rc, edgeBps, linkDelay)
+		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), edgeBps, linkDelay)
 	}
 
 	r.Senders = g.groups[0].Senders

@@ -21,21 +21,12 @@ type StarConfig struct {
 	ColluderASes int
 	// BottleneckBps is the Ra->Rv uplink capacity.
 	BottleneckBps int64
-	// EdgeBps is the capacity of all non-bottleneck links.
-	EdgeBps int64
-	// Delay is the per-link propagation delay.
-	Delay sim.Time
 }
 
-// DefaultStar mirrors the dumbbell's link parameters at a configurable
-// population.
+// DefaultStar returns the star at a configurable population; its links
+// carry the dumbbell's parameters.
 func DefaultStar(senders int, bottleneckBps int64) StarConfig {
-	return StarConfig{
-		Senders:       senders,
-		BottleneckBps: bottleneckBps,
-		EdgeBps:       10_000_000_000,
-		Delay:         10 * sim.Millisecond,
-	}
+	return StarConfig{Senders: senders, BottleneckBps: bottleneckBps}
 }
 
 // NewStar builds the topology and computes routes. Its one sender group
@@ -47,19 +38,19 @@ func NewStar(eng *sim.Engine, cfg StarConfig) *Graph {
 	srcAS := packet.ASID(1)
 	ra := g.AccessRouter(0, "Ra", srcAS)
 	for i := 0; i < cfg.Senders; i++ {
-		g.Link(g.Sender(0, fmt.Sprintf("s%d", i), srcAS), ra, cfg.EdgeBps, cfg.Delay)
+		g.Link(g.Sender(0, fmt.Sprintf("s%d", i), srcAS), ra, edgeBps, linkDelay)
 	}
 
 	victimAS := packet.ASID(2000)
 	rv := g.AccessRouter(0, "Rv", victimAS)
-	g.BottleneckLink(ra, rv, cfg.BottleneckBps, cfg.Delay)
-	g.Link(rv, g.Victim(0, "victim", victimAS), cfg.EdgeBps, cfg.Delay)
+	g.BottleneckLink(ra, rv, cfg.BottleneckBps, linkDelay)
+	g.Link(rv, g.Victim(0, "victim", victimAS), edgeBps, linkDelay)
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
 		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
-		g.Link(rv, rc, cfg.EdgeBps, cfg.Delay)
-		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
+		g.Link(rv, rc, edgeBps, linkDelay)
+		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), edgeBps, linkDelay)
 	}
 
 	return g.Build()

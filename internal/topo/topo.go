@@ -14,6 +14,14 @@ import (
 	"netfence/internal/sim"
 )
 
+// The evaluation's link parameters (§6.3.1): every non-bottleneck link
+// runs at 10 Gbps, "sufficient to avoid congestion", and every link
+// has 10 ms of propagation delay.
+const (
+	edgeBps   = 10_000_000_000
+	linkDelay = 10 * sim.Millisecond
+)
+
 // DumbbellConfig parameterizes the §6.3.1 topology: ten source ASes
 // connect through a transit AS (routers Rbl—Rbr, the bottleneck) to a
 // destination AS holding the victim, plus optional colluder ASes hanging
@@ -47,8 +55,8 @@ func DefaultDumbbell(senders int, bottleneckBps int64) DumbbellConfig {
 		SrcASes:       ases,
 		HostsPerAS:    senders / ases,
 		BottleneckBps: bottleneckBps,
-		EdgeBps:       10_000_000_000,
-		Delay:         10 * sim.Millisecond,
+		EdgeBps:       edgeBps,
+		Delay:         linkDelay,
 	}
 }
 
@@ -90,32 +98,28 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Graph {
 
 // ParkingLotConfig parameterizes the multi-bottleneck topology: a chain
 // R0 -L1-> R1 -L2-> R2 with three sender groups. Group A crosses both
-// bottlenecks, Group C only L1, Group B only L2 (§6.3.2).
+// bottlenecks, Group C only L1, Group B only L2 (§6.3.2). Each group
+// has three colluder destinations.
 type ParkingLotConfig struct {
 	// SendersPerGroup is the number of hosts per group (paper: 1000).
 	SendersPerGroup int
 	// ASesPerGroup splits each group's senders over this many ASes.
 	ASesPerGroup int
-	// ColluderASesPerGroup is the number of colluder destinations per
-	// group's attackers.
-	ColluderASesPerGroup int
 	// L1Bps and L2Bps are the two bottleneck capacities.
 	L1Bps, L2Bps int64
-	EdgeBps      int64
-	Delay        sim.Time
 }
+
+// colluderASesPerGroup is the parking lot's colluder-AS count per group.
+const colluderASesPerGroup = 3
 
 // DefaultParkingLot mirrors the paper's three-group setup at a
 // configurable scale.
 func DefaultParkingLot(sendersPerGroup int, l1, l2 int64) ParkingLotConfig {
 	return ParkingLotConfig{
-		SendersPerGroup:      sendersPerGroup,
-		ASesPerGroup:         5,
-		ColluderASesPerGroup: 3,
-		L1Bps:                l1,
-		L2Bps:                l2,
-		EdgeBps:              10_000_000_000,
-		Delay:                10 * sim.Millisecond,
+		SendersPerGroup: sendersPerGroup,
+		ASesPerGroup:    5,
+		L1Bps:           l1,
+		L2Bps:           l2,
 	}
 }
 
@@ -129,8 +133,8 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 	r0 := g.Router("R0", transitAS)
 	r1 := g.Router("R1", transitAS)
 	r2 := g.Router("R2", transitAS)
-	g.BottleneckLink(r0, r1, cfg.L1Bps, cfg.Delay)
-	g.BottleneckLink(r1, r2, cfg.L2Bps, cfg.Delay)
+	g.BottleneckLink(r0, r1, cfg.L1Bps, linkDelay)
+	g.BottleneckLink(r1, r2, cfg.L2Bps, linkDelay)
 
 	asCounter := packet.ASID(1)
 	buildGroup := func(gi int, attach *netsim.Node, dstAttach *netsim.Node) {
@@ -139,10 +143,10 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 			as := asCounter
 			asCounter++
 			ra := g.AccessRouter(gi, fmt.Sprintf("g%dRa%d", gi, i), as)
-			g.Link(ra, attach, cfg.EdgeBps, cfg.Delay)
+			g.Link(ra, attach, edgeBps, linkDelay)
 			for h := 0; h < perAS; h++ {
 				host := g.Sender(gi, fmt.Sprintf("g%ds%d.%d", gi, i, h), as)
-				g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
+				g.Link(host, ra, edgeBps, linkDelay)
 			}
 		}
 		// Victim AS. Its access router is deliberately a plain router —
@@ -150,15 +154,15 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 		vas := asCounter
 		asCounter++
 		rv := g.Router(fmt.Sprintf("g%dRv", gi), vas)
-		g.Link(dstAttach, rv, cfg.EdgeBps, cfg.Delay)
-		g.Link(rv, g.Victim(gi, fmt.Sprintf("g%dvictim", gi), vas), cfg.EdgeBps, cfg.Delay)
+		g.Link(dstAttach, rv, edgeBps, linkDelay)
+		g.Link(rv, g.Victim(gi, fmt.Sprintf("g%dvictim", gi), vas), edgeBps, linkDelay)
 		// Colluder ASes.
-		for i := 0; i < cfg.ColluderASesPerGroup; i++ {
+		for i := 0; i < colluderASesPerGroup; i++ {
 			cas := asCounter
 			asCounter++
 			rc := g.Router(fmt.Sprintf("g%dRc%d", gi, i), cas)
-			g.Link(dstAttach, rc, cfg.EdgeBps, cfg.Delay)
-			g.Link(rc, g.Colluder(gi, fmt.Sprintf("g%dc%d", gi, i), cas), cfg.EdgeBps, cfg.Delay)
+			g.Link(dstAttach, rc, edgeBps, linkDelay)
+			g.Link(rc, g.Colluder(gi, fmt.Sprintf("g%dc%d", gi, i), cas), edgeBps, linkDelay)
 		}
 	}
 	buildGroup(0, r0, r2) // A: enters at R0, exits at R2 (L1+L2)

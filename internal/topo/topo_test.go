@@ -116,9 +116,7 @@ func TestParkingLotGroupSizes(t *testing.T) {
 			t.Fatalf("group %d colluders = %d", g, len(pl.Groups()[g].Colluders))
 		}
 	}
-	if pl.Bottlenecks()[0].Rate != 10_000_000 || pl.Bottlenecks()[1].Rate != 20_000_000 {
-		t.Fatal("bottleneck rates wrong")
-	}
+	checkLinkParams(t, pl, 10_000_000, 20_000_000)
 }
 
 func TestGraphRoles(t *testing.T) {
@@ -230,6 +228,7 @@ func TestStarStructure(t *testing.T) {
 			t.Fatalf("path to %v misses the bottleneck", dst)
 		}
 	}
+	checkLinkParams(t, st, 1_600_000)
 }
 
 func TestRandomASStructure(t *testing.T) {
@@ -282,6 +281,7 @@ func TestRandomASStructure(t *testing.T) {
 			}
 		}
 	}
+	checkLinkParams(t, r.G, 4_000_000)
 	// Same GraphSeed, same wiring; a different seed changes it (the
 	// builder draws structure from GraphSeed, not the engine seed).
 	b, _ := NewRandomAS(sim.New(99), cfg)
@@ -306,6 +306,30 @@ func TestRandomASStructure(t *testing.T) {
 	}
 	if _, err := NewRandomAS(sim.New(1), RandomASConfig{}); err == nil {
 		t.Fatal("zero-sender random graph accepted")
+	}
+}
+
+// checkLinkParams holds g to the evaluation's link parameters: every
+// link has 10 ms of propagation delay, bottleneck i runs at
+// bottleneckBps[i] in both directions, and every other link at 10 Gbps.
+func checkLinkParams(t *testing.T, g *Graph, bottleneckBps ...int64) {
+	t.Helper()
+	if len(g.Bottlenecks()) != len(bottleneckBps) {
+		t.Fatalf("bottlenecks = %d, want %d", len(g.Bottlenecks()), len(bottleneckBps))
+	}
+	want := map[*netsim.Link]int64{}
+	for i, l := range g.Bottlenecks() {
+		want[l] = bottleneckBps[i]
+		want[l.To.LinkTo(l.From)] = bottleneckBps[i]
+	}
+	for _, l := range g.Net.Links {
+		rate, ok := want[l]
+		if !ok {
+			rate = 10_000_000_000
+		}
+		if l.Rate != rate || l.Delay != 10*sim.Millisecond {
+			t.Fatalf("link %s->%s: %d bps, %v delay; want %d bps, 10ms", l.From.Name, l.To.Name, l.Rate, l.Delay, rate)
+		}
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
-	"netfence/internal/transport"
 )
 
 // Simulation engine and time.
@@ -108,8 +107,8 @@ type (
 	AttackStrategy = attack.Strategy
 	// AttackBuilder constructs a strategy from build options.
 	AttackBuilder = attack.Builder
-	// AttackBuildOptions carries rate, packet size, environment and
-	// strategy parameters to a builder.
+	// AttackBuildOptions carries rate, environment and strategy
+	// parameters to a builder.
 	AttackBuildOptions = attack.BuildOptions
 	// AttackEnv is the scenario view adaptive strategies key off.
 	AttackEnv = attack.Env
@@ -157,17 +156,3 @@ func FormatAttackSpec(name string, params map[string]float64) string {
 func TheoremBound(cfg Config, bottleneckBps int64, senders int) float64 {
 	return attack.TheoremBound(cfg, bottleneckBps, senders)
 }
-
-// Transport configuration for the TCP, file and web workloads.
-type (
-	// TCPConfig tunes TCP.
-	TCPConfig = transport.TCPConfig
-	// WebConfig tunes the web-like source.
-	WebConfig = transport.WebConfig
-)
-
-// DefaultTCP returns the evaluation TCP configuration.
-func DefaultTCP() TCPConfig { return transport.DefaultTCP() }
-
-// DefaultWeb returns the §6.3.2 web workload parameters.
-func DefaultWeb() WebConfig { return transport.DefaultWeb() }

@@ -63,8 +63,9 @@ type Scenario struct {
 	Duration, Warmup Time
 	// DenyAttackers gives every victim the paper's receiver policy: deny
 	// traffic from senders carrying attack workloads aimed at it
-	// (UDPFlood to the victim, RequestFlood). Colluder-bound floods are
-	// never denied — their receivers cooperate with the attacker.
+	// (victim-bound UDPFlood, OnOffFlood and AttackSpec, RequestFlood,
+	// and FleetSpec with Attacker set). Colluder-bound floods are never
+	// denied — their receivers cooperate with the attacker.
 	DenyAttackers bool
 	// Shards partitions the topology into per-AS shards, each simulated
 	// by its own engine on its own goroutine with deterministic

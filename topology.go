@@ -140,8 +140,6 @@ type DumbbellSpec struct {
 	SrcASes int
 	// EdgeBps overrides the non-bottleneck capacity (0 = 10 Gbps).
 	EdgeBps int64
-	// Delay overrides the per-link propagation delay (0 = 10 ms).
-	Delay Time
 }
 
 func (s DumbbellSpec) population() int { return s.Senders }
@@ -179,9 +177,6 @@ func (s DumbbellSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	if s.EdgeBps > 0 {
 		cfg.EdgeBps = s.EdgeBps
 	}
-	if s.Delay > 0 {
-		cfg.Delay = s.Delay
-	}
 	return topo.NewDumbbell(eng, cfg), nil
 }
 
@@ -194,12 +189,6 @@ type ParkingLotSpec struct {
 	SendersPerGroup int
 	// L1Bps and L2Bps are the two bottleneck capacities.
 	L1Bps, L2Bps int64
-	// ASesPerGroup splits each group over this many ASes (0 = 5, clamped
-	// to the group population).
-	ASesPerGroup int
-	// ColluderASesPerGroup overrides the colluder count (0 = 3).
-	ColluderASesPerGroup int
-	Delay                Time
 
 	// declaredPopulation records a Sweep population-axis request; the
 	// declared population is a contract, so buildTopo rejects values
@@ -237,22 +226,9 @@ func (s ParkingLotSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 		return nil, fmt.Errorf("ParkingLotSpec: L1Bps and L2Bps must be positive")
 	}
 	cfg := topo.DefaultParkingLot(s.SendersPerGroup, s.L1Bps, s.L2Bps)
-	if s.ASesPerGroup > 0 {
-		if s.SendersPerGroup%s.ASesPerGroup != 0 {
-			return nil, fmt.Errorf("ParkingLotSpec: %d senders per group do not split evenly over %d ASes", s.SendersPerGroup, s.ASesPerGroup)
-		}
-		cfg.ASesPerGroup = s.ASesPerGroup
-	} else {
-		// The declared group population is a contract: pick the largest
-		// AS count that divides it exactly.
-		cfg.ASesPerGroup, _ = topo.SplitEvenly(s.SendersPerGroup, cfg.ASesPerGroup)
-	}
-	if s.ColluderASesPerGroup > 0 {
-		cfg.ColluderASesPerGroup = s.ColluderASesPerGroup
-	}
-	if s.Delay > 0 {
-		cfg.Delay = s.Delay
-	}
+	// The declared group population is a contract: pick the largest AS
+	// count that divides it exactly.
+	cfg.ASesPerGroup, _ = topo.SplitEvenly(s.SendersPerGroup, cfg.ASesPerGroup)
 	return topo.NewParkingLot(eng, cfg), nil
 }
 
@@ -268,10 +244,6 @@ type StarSpec struct {
 	// ColluderASes adds destination-side ASes with one colluder host
 	// each.
 	ColluderASes int
-	// EdgeBps overrides the non-bottleneck capacity (0 = 10 Gbps).
-	EdgeBps int64
-	// Delay overrides the per-link propagation delay (0 = 10 ms).
-	Delay Time
 }
 
 func (s StarSpec) population() int { return s.Senders }
@@ -294,12 +266,6 @@ func (s StarSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	}
 	cfg := topo.DefaultStar(s.Senders, s.BottleneckBps)
 	cfg.ColluderASes = s.ColluderASes
-	if s.EdgeBps > 0 {
-		cfg.EdgeBps = s.EdgeBps
-	}
-	if s.Delay > 0 {
-		cfg.Delay = s.Delay
-	}
 	return topo.NewStar(eng, cfg), nil
 }
 
@@ -324,10 +290,6 @@ type RandomASSpec struct {
 	ColluderASes int
 	// GraphSeed seeds the structure RNG (0 = 1).
 	GraphSeed uint64
-	// EdgeBps overrides the non-bottleneck capacity (0 = 10 Gbps).
-	EdgeBps int64
-	// Delay overrides the per-link propagation delay (0 = 10 ms).
-	Delay Time
 }
 
 func (s RandomASSpec) population() int { return s.Senders }
@@ -352,12 +314,6 @@ func (s RandomASSpec) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
 	cfg.ColluderASes = s.ColluderASes
 	if s.GraphSeed != 0 {
 		cfg.GraphSeed = s.GraphSeed
-	}
-	if s.EdgeBps > 0 {
-		cfg.EdgeBps = s.EdgeBps
-	}
-	if s.Delay > 0 {
-		cfg.Delay = s.Delay
 	}
 	r, err := topo.NewRandomAS(eng, cfg)
 	if err != nil {

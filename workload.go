@@ -54,8 +54,6 @@ type LongTCP struct {
 	Senders []int
 	// Group selects the parking-lot sender group; must be 0 on a dumbbell.
 	Group int
-	// TCP overrides the evaluation TCP configuration (nil = DefaultTCP).
-	TCP *TCPConfig
 }
 
 func (w LongTCP) span() (string, int, int) { return "LongTCP", w.Group, maxIndex(w.Senders) }
@@ -69,10 +67,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	cfg := DefaultTCP()
-	if w.TCP != nil {
-		cfg = *w.TCP
-	}
+	cfg := transport.DefaultTCP()
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "LongTCP")
 		if err != nil {
@@ -97,7 +92,6 @@ type FileTransfers struct {
 	FileBytes int64
 	// Gap delays the next attempt after a completion (0 = immediate).
 	Gap Time
-	TCP *TCPConfig
 }
 
 func (w FileTransfers) span() (string, int, int) {
@@ -117,10 +111,7 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 	if size <= 0 {
 		size = 20_000
 	}
-	cfg := DefaultTCP()
-	if w.TCP != nil {
-		cfg = *w.TCP
-	}
+	cfg := transport.DefaultTCP()
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "FileTransfers")
@@ -145,8 +136,6 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 type WebTraffic struct {
 	Senders []int
 	Group   int
-	// Web overrides the workload parameters (nil = DefaultWeb).
-	Web *WebConfig
 }
 
 func (w WebTraffic) span() (string, int, int) { return "WebTraffic", w.Group, maxIndex(w.Senders) }
@@ -160,10 +149,7 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	cfg := DefaultWeb()
-	if w.Web != nil {
-		cfg = *w.Web
-	}
+	cfg := transport.DefaultWeb()
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "WebTraffic")
@@ -191,8 +177,6 @@ type UDPFlood struct {
 	Group   int
 	// RateBps is the per-sender send rate (0 = 1 Mbps).
 	RateBps int64
-	// PktSize is the packet size on the wire (0 = 1500 B).
-	PktSize int32
 	// ToColluders redirects the flood to the group's colluder hosts
 	// (round-robin), modelling the §6.3.2 colluding sender-receiver pairs.
 	ToColluders bool
@@ -203,7 +187,7 @@ func (w UDPFlood) span() (string, int, int) { return "UDPFlood", w.Group, maxInd
 func (w UDPFlood) attach(env *scenarioEnv) error {
 	return attachFlood(env, floodSpec{
 		senders: w.Senders, group: w.Group, rate: w.RateBps,
-		pktSize: w.PktSize, toColluders: w.ToColluders, kind: "UDPFlood",
+		toColluders: w.ToColluders, kind: "UDPFlood",
 	})
 }
 
@@ -219,7 +203,6 @@ type OnOffFlood struct {
 	On, Off Time
 	// OffRateBps, when positive, trickles during off phases.
 	OffRateBps  int64
-	PktSize     int32
 	ToColluders bool
 }
 
@@ -230,8 +213,7 @@ func (w OnOffFlood) attach(env *scenarioEnv) error {
 		return fmt.Errorf("OnOffFlood: On and Off must both be positive")
 	}
 	return attachFlood(env, floodSpec{
-		senders: w.Senders, group: w.Group, rate: w.RateBps,
-		pktSize: w.PktSize, toColluders: w.ToColluders,
+		senders: w.Senders, group: w.Group, rate: w.RateBps, toColluders: w.ToColluders,
 		on: w.On, off: w.Off, offRate: w.OffRateBps, kind: "OnOffFlood",
 	})
 }
@@ -262,7 +244,6 @@ type floodSpec struct {
 	senders     []int
 	group       int
 	rate        int64
-	pktSize     int32
 	on, off     Time
 	offRate     int64
 	toColluders bool
@@ -293,10 +274,6 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 	if rate <= 0 {
 		rate = 1_000_000
 	}
-	pktSize := spec.pktSize
-	if pktSize <= 0 {
-		pktSize = packet.SizeData
-	}
 	for k, idx := range spec.senders {
 		h, err := groupSender(grp, idx, spec.kind)
 		if err != nil {
@@ -321,7 +298,7 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 		sink := transport.NewUDPSink(dstHost.Host, flow)
 		env.addMeter(dstHost, !spec.legit, weight, &sink.Bytes)
 		if spec.weight > 0 {
-			fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, spec.weight, rate, pktSize, h.Network().Eng.KeyStream(uint64(h.ID)))
+			fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, spec.weight, rate, packet.SizeData, h.Network().Eng.KeyStream(uint64(h.ID)))
 			cells := h.Host.Network().Cells
 			cells.Add(obs.FleetAttached, 1)
 			cells.Add(obs.FleetModeledSenders, uint64(spec.weight))
@@ -329,7 +306,7 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 			fs.Start()
 			continue
 		}
-		u := transport.NewUDPSource(h.Host, dstHost.ID, flow, rate, pktSize)
+		u := transport.NewUDPSource(h.Host, dstHost.ID, flow, rate, packet.SizeData)
 		u.OnTime, u.OffTime = spec.on, spec.off
 		u.OffRateBps = spec.offRate
 		env.stoppers = append(env.stoppers, u)
@@ -338,18 +315,19 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 	return nil
 }
 
-// FleetSpec models Count statistically homogeneous UDP senders with
-// only len(Senders) materialized hosts — the million-sender aggregation
-// layer. Each listed sender host becomes a fleet attachment point
-// standing for Count/len(Senders) modeled senders: its node carries the
-// fleet weight, the access router scales the per-(sender, bottleneck)
-// AIMD limiter and request token bucket by that weight in closed form,
-// and one transport.FleetSource emits the fleet's combined offered load
-// with jitter drawn from a per-fleet deterministic RNG stream (the
-// engine's KeyStream for the attachment node, so results are
-// byte-identical across shard counts). Probes divide the fleet meter by its weight, so per-sender
-// goodput, fairness and Theorem-1 bounds read exactly as if the fleet
-// were materialized.
+// FleetSpec models Count statistically homogeneous UDP senders, all
+// aimed at the group's victim, with only len(Senders) materialized
+// hosts — the million-sender aggregation layer. Each listed sender host
+// becomes a fleet attachment point standing for Count/len(Senders)
+// modeled senders: its node carries the fleet weight, the access router
+// scales the per-(sender, bottleneck) AIMD limiter and request token
+// bucket by that weight in closed form, and one transport.FleetSource
+// emits the fleet's combined offered load with jitter drawn from a
+// per-fleet deterministic RNG stream (the engine's KeyStream for the
+// attachment node, so results are byte-identical across shard counts).
+// Probes divide the fleet meter by its weight, so per-sender goodput,
+// fairness and Theorem-1 bounds read exactly as if the fleet were
+// materialized.
 //
 // Exact fan-out contract: when per-sender identity matters the fleet
 // materializes one real sender per modeled sender instead. That happens
@@ -370,15 +348,10 @@ type FleetSpec struct {
 	Group   int
 	// RateBps is the PER-MODELED-SENDER offered load (0 = 1 Mbps).
 	RateBps int64
-	// PktSize is the on-wire packet size (0 = 1500 B).
-	PktSize int32
 	// Attacker marks the fleet hostile: meters count it as attack
-	// traffic and victim-bound senders join the deny set when the
-	// scenario sets DenyAttackers.
+	// traffic and its senders join the deny set when the scenario sets
+	// DenyAttackers.
 	Attacker bool
-	// ToColluders aims the fleet at the group's colluder hosts
-	// (round-robin over attachment points) instead of the victim.
-	ToColluders bool
 	// Exact forces per-sender fan-out (requires Count == len(Senders)).
 	Exact bool
 }
@@ -394,7 +367,6 @@ func (w FleetSpec) attach(env *scenarioEnv) error {
 	}
 	spec := floodSpec{
 		senders: w.Senders, group: w.Group, rate: w.RateBps,
-		pktSize: w.PktSize, toColluders: w.ToColluders,
 		legit: !w.Attacker, kind: "FleetSpec",
 	}
 	if w.Exact || env.sc.deploysMidRun() {
@@ -485,8 +457,6 @@ type AttackSpec struct {
 	Group    int
 	// RateBps is the per-sender attack rate (0 = the paper's 1 Mbps).
 	RateBps int64
-	// PktSize is the on-wire packet size (0 = the strategy's default).
-	PktSize int32
 	// ToColluders aims the attack at the group's colluder hosts
 	// (round-robin) instead of the victim — the colluding receivers of
 	// §6.3.2, who dutifully return feedback and are never denied.
@@ -538,7 +508,6 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 		}
 		strat, err := attack.Build(name, attack.BuildOptions{
 			RateBps: w.RateBps,
-			PktSize: w.PktSize,
 			Env:     aenv,
 			Params:  w.Params,
 		})
