@@ -30,6 +30,10 @@ import (
 
 // Env is the scenario view an adaptive strategy keys its decisions off:
 // what the attacker population knows about the network it is attacking.
+// NetFence's public protocol parameters (the control interval
+// core.Ilim, the request-channel share core.RequestCapFrac, the token
+// rates and priority levels of internal/ratelimit) are constants, so a
+// strategy reads them directly.
 type Env struct {
 	// Eng is the driving simulation engine.
 	Eng *sim.Engine
@@ -39,11 +43,6 @@ type Env struct {
 	// topology exposes none; capacity-derived strategies then error at
 	// build time).
 	BottleneckBps int64
-	// Config holds the deployed NetFence parameters — public protocol
-	// constants (control interval, request-channel share, token rates) a
-	// real attacker reads off the spec. The zero value is replaced with
-	// the Figure 3 defaults.
-	Config core.Config
 }
 
 // Decision is a strategy's transmission plan until the next tick.
@@ -57,17 +56,15 @@ type Decision struct {
 // Strategy is one adaptive attack. A single instance drives every
 // sender of a workload (so population-level choices are shared and
 // bursts synchronize); per-sender state lives on the Sender, in its
-// State slot.
+// State slot. Its Controller re-decides once per AIMD control interval
+// core.Ilim, so every strategy is phase-locked to the policer.
 type Strategy interface {
 	// Name is the canonical registry name, echoed in results.
 	Name() string
-	// Interval is the decision tick; strategies that phase-lock to the
-	// policer return the AIMD control interval here.
-	Interval(env *Env) sim.Time
 	// Start initializes one sender before traffic begins and returns
 	// its first Decision.
 	Start(s *Sender) Decision
-	// Tick re-decides a sender's Decision once per Interval.
+	// Tick re-decides a sender's Decision once per control interval.
 	Tick(s *Sender) Decision
 	// Observe hands the strategy congestion policing feedback returned
 	// to a sender — the attacker's inference surface over the policer's
@@ -259,13 +256,8 @@ type Controller struct {
 	rateOverride int64
 }
 
-// NewController creates a controller for one strategy instance. A zero
-// env.Config is replaced with the Figure 3 defaults so interval-derived
-// decisions always have a control interval to lock onto.
+// NewController creates a controller for one strategy instance.
 func NewController(strategy Strategy, env *Env) *Controller {
-	if env.Config.Ilim <= 0 {
-		env.Config = core.DefaultConfig()
-	}
 	return &Controller{strategy: strategy, env: env}
 }
 
@@ -334,13 +326,9 @@ func (c *Controller) Start() {
 	for _, s := range c.senders {
 		s.apply(c.decide(c.strategy.Start(s)))
 	}
-	interval := c.strategy.Interval(c.env)
-	if interval <= 0 {
-		interval = c.env.Config.Ilim
-	}
 	// The decision tick is scenario-level control: it is keyed from the
 	// engine's own origin, and each sender paces from its host's.
-	c.ticker = c.env.Eng.Tick(interval, func() {
+	c.ticker = c.env.Eng.Tick(core.Ilim, func() {
 		for _, s := range c.senders {
 			s.apply(c.decide(c.strategy.Tick(s)))
 		}

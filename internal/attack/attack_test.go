@@ -18,7 +18,6 @@ import (
 // (75% of the population at 10 Gbps / 25K senders) the level is
 // scale-invariant: 5 at both paper and tiny scale.
 func TestStrategicRequestLevelGolden(t *testing.T) {
-	cfg := core.DefaultConfig()
 	cases := []struct {
 		name          string
 		attackers     int
@@ -33,20 +32,19 @@ func TestStrategicRequestLevelGolden(t *testing.T) {
 		{"single attacker", 1, 400_000_000, 1},
 	}
 	for _, c := range cases {
-		if got := StrategicRequestLevel(c.attackers, c.bottleneckBps, cfg); got != c.want {
+		if got := StrategicRequestLevel(c.attackers, c.bottleneckBps); got != c.want {
 			t.Errorf("%s: level = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
 
 func TestTheoremBound(t *testing.T) {
-	cfg := core.DefaultConfig()
 	// rho = (1-0.1)^3 = 0.729; C/N = 400 kbps at the tiny 25K label.
-	got := TheoremBound(cfg, 8_000_000, 20)
+	got := TheoremBound(8_000_000, 20)
 	if want := 0.729 * 400_000; got < want-1 || got > want+1 {
 		t.Fatalf("bound = %f, want ~%f", got, want)
 	}
-	if TheoremBound(cfg, 0, 20) != 0 || TheoremBound(cfg, 8_000_000, 0) != 0 {
+	if TheoremBound(0, 20) != 0 || TheoremBound(8_000_000, 0) != 0 {
 		t.Fatal("degenerate inputs must yield a zero bound")
 	}
 }
@@ -78,7 +76,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := Build("request-prio", BuildOptions{}); err == nil {
 		t.Fatal("request-prio built without a bottleneck")
 	}
-	env := &Env{Attackers: 15, BottleneckBps: 8_000_000, Config: core.DefaultConfig()}
+	env := &Env{Attackers: 15, BottleneckBps: 8_000_000}
 	s, err := Build("request-prio", BuildOptions{Env: env})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +105,7 @@ func testNet(seed uint64) (*sim.Engine, *netsim.Network, *netsim.Node, *netsim.N
 // interval: traffic flows in on-phases, none in off-phases.
 func TestOnOffSyncPhaseLock(t *testing.T) {
 	eng, _, src, dst := testNet(1)
-	env := &Env{Eng: eng, Attackers: 1, BottleneckBps: 1_000_000, Config: core.DefaultConfig()}
+	env := &Env{Eng: eng, Attackers: 1, BottleneckBps: 1_000_000}
 	strat, err := Build("onoff-sync", BuildOptions{RateBps: 400_000, Env: env,
 		Params: map[string]float64{"on": 1, "off": 2}})
 	if err != nil {
@@ -118,7 +116,7 @@ func TestOnOffSyncPhaseLock(t *testing.T) {
 	ctrl.AddSender(src.Host, dst.ID, 7)
 	ctrl.Start()
 
-	ilim := env.Config.Ilim
+	ilim := core.Ilim
 	var perInterval []int64
 	last := int64(0)
 	for i := 1; i <= 6; i++ {
@@ -145,7 +143,7 @@ func TestOnOffSyncPhaseLock(t *testing.T) {
 // trickle event is rescheduled when the Decision changes).
 func TestOnOffTrickleKeepsBursts(t *testing.T) {
 	eng, _, src, dst := testNet(4)
-	env := &Env{Eng: eng, Attackers: 1, BottleneckBps: 1_000_000, Config: core.DefaultConfig()}
+	env := &Env{Eng: eng, Attackers: 1, BottleneckBps: 1_000_000}
 	// Trickle gap: TxTime(1500 B, 1 kbps) = 12 s > the 6 s period.
 	strat, err := Build("onoff-sync", BuildOptions{RateBps: 400_000, Env: env,
 		Params: map[string]float64{"on": 1, "off": 2, "trickle_bps": 1_000}})
@@ -156,7 +154,7 @@ func TestOnOffTrickleKeepsBursts(t *testing.T) {
 	sink := transport.NewUDPSink(dst.Host, 8)
 	ctrl.AddSender(src.Host, dst.ID, 8)
 	ctrl.Start()
-	ilim := env.Config.Ilim
+	ilim := core.Ilim
 	var burst2 int64
 	last := int64(0)
 	for i := 1; i <= 4; i++ {
@@ -179,7 +177,7 @@ func TestOnOffTrickleKeepsBursts(t *testing.T) {
 // emission.
 func TestControllerRestart(t *testing.T) {
 	eng, _, src, dst := testNet(5)
-	env := &Env{Eng: eng, Attackers: 1, Config: core.DefaultConfig()}
+	env := &Env{Eng: eng, Attackers: 1}
 	strat, err := Build("flood", BuildOptions{RateBps: 200_000, Env: env})
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +208,7 @@ func TestControllerRestart(t *testing.T) {
 // every packet forever.
 func TestReplayCraft(t *testing.T) {
 	eng, _, src, dst := testNet(2)
-	env := &Env{Eng: eng, Attackers: 1, Config: core.DefaultConfig()}
+	env := &Env{Eng: eng, Attackers: 1}
 	strat, err := Build("replay", BuildOptions{Env: env})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +238,7 @@ func TestReplayCraft(t *testing.T) {
 // undefended hosts.
 func TestControllerObservesFeedback(t *testing.T) {
 	eng, _, src, dst := testNet(3)
-	env := &Env{Eng: eng, Attackers: 1, Config: core.DefaultConfig()}
+	env := &Env{Eng: eng, Attackers: 1}
 	strat, err := Build("flood", BuildOptions{RateBps: 100_000, Env: env})
 	if err != nil {
 		t.Fatal(err)

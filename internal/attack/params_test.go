@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"netfence/internal/core"
 	"netfence/internal/sim"
 )
 
@@ -104,7 +103,7 @@ func TestBuildValidatesParams(t *testing.T) {
 		!strings.Contains(err.Error(), `attack "flood": unknown param "dty"`) {
 		t.Fatalf("Build error = %v", err)
 	}
-	env := &Env{Eng: sim.New(1), Attackers: 2, BottleneckBps: 1_000_000, Config: core.DefaultConfig()}
+	env := &Env{Eng: sim.New(1), Attackers: 2, BottleneckBps: 1_000_000}
 	for _, name := range Names() {
 		specs, _ := Params(name)
 		params := map[string]float64{}
@@ -121,7 +120,7 @@ func TestBuildValidatesParams(t *testing.T) {
 // strategy's sending rate.
 func TestRateMultScalesRate(t *testing.T) {
 	for _, name := range Names() {
-		env := &Env{Eng: sim.New(1), Attackers: 1, BottleneckBps: 1_000_000, Config: core.DefaultConfig()}
+		env := &Env{Eng: sim.New(1), Attackers: 1, BottleneckBps: 1_000_000}
 		base, err := Build(name, BuildOptions{RateBps: 100_000, Env: env})
 		if err != nil {
 			t.Fatal(err)

@@ -12,9 +12,8 @@ type BuildOptions struct {
 	// RateBps is the per-sender attack rate (0 = 1 Mbps).
 	RateBps int64
 	// Env gives the builder the scenario facts adaptive strategies key
-	// off: the attack population, the bottleneck capacity and the
-	// deployed NetFence parameters. nil builds against defaults, which
-	// disables the capacity-derived adaptations.
+	// off: the attack population and the bottleneck capacity. nil builds
+	// against defaults, which disables the capacity-derived adaptations.
 	Env *Env
 	// Params sets the strategy's tunable parameters by name — the
 	// numeric surface an adversarial search turns (see the strategy's

@@ -6,7 +6,7 @@ import (
 
 	"netfence/internal/core"
 	"netfence/internal/packet"
-	"netfence/internal/sim"
+	"netfence/internal/ratelimit"
 )
 
 // rateMultSpec is the rate knob every in-tree strategy shares: the
@@ -45,13 +45,13 @@ func init() {
 // attack traffic still saturates the request channel. attackers is the
 // flood population, bottleneckBps the link capacity. (Moved here from
 // internal/core: it is an adversary decision, not a defense function.)
-func StrategicRequestLevel(attackers int, bottleneckBps int64, cfg core.Config) uint8 {
-	channel := cfg.RequestCapFrac * float64(bottleneckBps)
+func StrategicRequestLevel(attackers int, bottleneckBps int64) uint8 {
+	channel := core.RequestCapFrac * float64(bottleneckBps)
 	level := uint8(1)
-	for level < cfg.MaxPrioLevel {
+	for level < ratelimit.MaxPrioLevel {
 		next := level + 1
 		// Admitted per-sender packet rate at a level halves per step.
-		perSender := cfg.TokenRatePerSec / float64(uint64(1)<<(next-1))
+		perSender := ratelimit.DefaultTokenRate / float64(uint64(1)<<(next-1))
 		aggregate := float64(attackers) * perSender * packet.SizeRequest * 8
 		if aggregate < channel {
 			break
@@ -69,21 +69,23 @@ func StrategicRequestLevel(attackers int, bottleneckBps int64, cfg core.Config) 
 const DefaultNu = 0.5
 
 // TheoremBound returns the Theorem 1 (§3.4, Appendix A) lower bound
-// rho·C/(G+B) with rho = (1-MD)³ on the rate limit of any sender with
-// sufficient demand: the share a legitimate sender keeps regardless of
-// the attackers' strategy. senders is G+B, the total competing
-// population; the result is 0 when the inputs are degenerate.
-func TheoremBound(cfg core.Config, bottleneckBps int64, senders int) float64 {
+// rho·C/(G+B) with rho = (1-δ)³, δ the AIMD multiplicative decrease of
+// ratelimit.DefaultAIMD, on the rate limit of any sender with sufficient
+// demand: the share a legitimate sender keeps regardless of the
+// attackers' strategy. senders is G+B, the total competing population;
+// the result is 0 when the inputs are degenerate, and TheoremBound(1, 1)
+// is rho itself.
+func TheoremBound(bottleneckBps int64, senders int) float64 {
 	if bottleneckBps <= 0 || senders <= 0 {
 		return 0
 	}
-	rho := math.Pow(1-cfg.MD, 3)
+	rho := math.Pow(1-ratelimit.DefaultAIMD().MD, 3)
 	return rho * float64(bottleneckBps) / float64(senders)
 }
 
 // base carries the rate/packet-size plumbing shared by the in-tree
-// strategies and provides the no-op defaults (honest crafting, per-
-// control-interval decisions).
+// strategies and provides the no-op defaults (honest crafting, no
+// feedback observation).
 type base struct {
 	name    string
 	rate    int64
@@ -105,7 +107,6 @@ func newBase(name string, opts BuildOptions, pktSize int32) base {
 }
 
 func (b base) Name() string                       { return b.name }
-func (b base) Interval(env *Env) sim.Time         { return env.Config.Ilim }
 func (b base) decision() Decision                 { return Decision{RateBps: b.rate, PktSize: b.pktSize} }
 func (b base) Observe(*Sender, packet.Feedback)   {}
 func (b base) Craft(*Sender, *packet.Packet) bool { return false }
@@ -151,9 +152,7 @@ func newOnOffSync(opts BuildOptions) (Strategy, error) {
 }
 
 func (o *onoffSync) decide(s *Sender) Decision {
-	env := s.Env()
-	ilim := env.Config.Ilim
-	idx := int(env.Eng.Now()/ilim) % (o.on + o.off)
+	idx := int(s.Env().Eng.Now()/core.Ilim) % (o.on + o.off)
 	if idx < o.on {
 		return o.decision()
 	}
@@ -177,18 +176,14 @@ func newRequestPrio(opts BuildOptions) (Strategy, error) {
 	if opts.Env == nil || opts.Env.BottleneckBps <= 0 {
 		return nil, fmt.Errorf("request-prio needs a topology with a tagged bottleneck link to compute the §6.3.1 level")
 	}
-	cfg := opts.Env.Config
-	if cfg.Ilim <= 0 {
-		cfg = core.DefaultConfig()
-	}
-	level := StrategicRequestLevel(opts.Env.Attackers, opts.Env.BottleneckBps, cfg)
+	level := StrategicRequestLevel(opts.Env.Attackers, opts.Env.BottleneckBps)
 	// The "level" param pins the priority explicitly (a search probing
 	// whether the computed §6.3.1 level really is optimal); 0 keeps the
-	// computed one. Clamped to the deployment's MaxPrioLevel.
+	// computed one. Clamped to ratelimit.MaxPrioLevel.
 	if v := opts.Param("level", 0); v > 0 {
 		level = uint8(v)
-		if level > cfg.MaxPrioLevel {
-			level = cfg.MaxPrioLevel
+		if level > ratelimit.MaxPrioLevel {
+			level = ratelimit.MaxPrioLevel
 		}
 	}
 	return &requestPrio{

@@ -438,12 +438,12 @@ func (ar *AccessRouter) handleRequest(s *senderSlot, p *packet.Packet) bool {
 		// members' buckets: rate and depth scale linearly with weight.
 		w := ar.senderWeight(s.src)
 		s.req = *ratelimit.NewRequestLimiter(now)
-		s.req.RatePerSec = ar.sys.Cfg.TokenRatePerSec * float64(w)
-		s.req.Depth = ar.sys.Cfg.TokenDepth * float64(w)
+		s.req.RatePerSec = ratelimit.DefaultTokenRate * float64(w)
+		s.req.Depth = ratelimit.DefaultTokenDepth * float64(w)
 		s.have |= haveReq
 	}
-	if p.Prio > ar.sys.Cfg.MaxPrioLevel {
-		p.Prio = ar.sys.Cfg.MaxPrioLevel
+	if p.Prio > ratelimit.MaxPrioLevel {
+		p.Prio = ratelimit.MaxPrioLevel
 	}
 	if !s.req.Admit(p.Prio, now) {
 		ar.ReqDropped++
@@ -551,30 +551,28 @@ func (ar *AccessRouter) limiter(s *senderSlot, link packet.LinkID) *regLimiter {
 	// scale-free, so the aggregate evolves bit-for-bit like the sum of N
 	// per-sender limiters receiving the same feedback.
 	w := ar.senderWeight(s.src)
+	aimd := ratelimit.DefaultAIMD()
+	aimd.DeltaBps *= w
+	aimd.MinBps *= w
 	lim := &regLimiter{
-		ar:   ar,
-		slot: s,
-		link: link,
-		kai:  ar.kaiLookup(link),
-		aimd: ratelimit.AIMD{
-			DeltaBps: ar.sys.Cfg.DeltaBps * w,
-			MD:       ar.sys.Cfg.MD,
-			MinBps:   ar.sys.Cfg.MinRateBps * w,
-		},
+		ar:         ar,
+		slot:       s,
+		link:       link,
+		kai:        ar.kaiLookup(link),
+		aimd:       aimd,
 		ts:         ar.node.Network().NowSec(),
 		lastDecr:   eng.Now(),
 		quotaBytes: ar.sys.Cfg.CongestionQuotaBytes * w,
 		org:        ar.node.NewOrigin(),
 	}
 	if ar.sys.Cfg.TokenBucketLimiter {
-		lim.pol = ratelimit.NewTokenLimiter(eng, ar.sys.Cfg.InitialRateBps*w,
-			ar.sys.Cfg.TokenBurstSec)
+		lim.pol = ratelimit.NewTokenLimiter(eng, ar.sys.Cfg.InitialRateBps*w, tokenBurstSec)
 	} else {
-		lim.leaky.Init(&lim.org, ar.sys.Cfg.InitialRateBps*w, ar.sys.Cfg.MaxCacheDelay, lim)
+		lim.leaky.Init(&lim.org, ar.sys.Cfg.InitialRateBps*w, maxCacheDelay, lim)
 		lim.pol = &lim.leaky
 	}
 	lim.quotaStart = eng.Now()
-	lim.org.ScheduleEvent(&lim.tick, eng.Now()+ar.sys.Cfg.Ilim, lim, nil)
+	lim.org.ScheduleEvent(&lim.tick, eng.Now()+Ilim, lim, nil)
 	ar.regLims[key] = lim
 	s.lim = lim
 	return lim
@@ -592,7 +590,7 @@ func (l *regLimiter) Emit(p *packet.Packet) {
 // same origin first.
 func (l *regLimiter) OnEvent(now sim.Time, _ any) {
 	if l.adjust() {
-		l.org.ScheduleEvent(&l.tick, now+l.ar.sys.Cfg.Ilim, l, nil)
+		l.org.ScheduleEvent(&l.tick, now+Ilim, l, nil)
 	}
 }
 
@@ -613,7 +611,7 @@ func (l *regLimiter) updateStatus(action packet.FBAction, ts uint32) {
 // reports whether the limiter is still live.
 func (l *regLimiter) adjust() bool {
 	cfg := &l.ar.sys.Cfg
-	tput := l.pol.TakeIntervalThroughput(cfg.Ilim)
+	tput := l.pol.TakeIntervalThroughput(Ilim)
 	old := l.pol.Rate()
 	var next int64
 	if cfg.InferLimiters {

@@ -35,8 +35,8 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 	b := &Bottleneck{
 		sys:  s,
 		link: l,
-		q:    newNFQueue(&s.Cfg, l.Rate, l.From.Network().Eng.KeyStream(l.Origin().ID())),
-		det:  &aqm.LossDetector{Pth: s.Cfg.Pth, Alpha: 0.1},
+		q:    newNFQueue(l.Rate, l.From.Network().Eng.KeyStream(l.Origin().ID())),
+		det:  aqm.NewLossDetector(),
 	}
 	b.q.cells = l.From.Network().Cells
 	b.q.net = l.From.Network()
@@ -55,7 +55,7 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 	}
 	l.SetQueue(b.q)
 	l.SetOnTransmit(b.onTransmit)
-	l.Origin().Tick(s.Cfg.DetectInterval, b.detectTick)
+	l.Origin().Tick(detectInterval, b.detectTick)
 	return b
 }
 
@@ -93,14 +93,14 @@ func (b *Bottleneck) detectTick() {
 	if attacked {
 		b.StartMonitoring()
 		if b.sys.Cfg.PerASFallback && !b.q.fallbackActive() &&
-			now-b.monStarted > b.sys.Cfg.FallbackAfter {
+			now-b.monStarted > fallbackAfter {
 			// Congestion persists despite the monitoring cycle: a sign of
 			// malfunctioning (compromised) access routers. Localize the
 			// damage with per-source-AS queuing.
 			b.q.enableFallback(now)
 			b.link.From.Network().Cells.Add(obs.CoreFallbackEngaged, 1)
 		}
-	} else if b.monActive && now-b.lastAttack > b.sys.Cfg.MonitorHold {
+	} else if b.monActive && now-b.lastAttack > monitorHold {
 		b.monActive = false
 		b.link.From.Network().Cells.Add(obs.CoreMonitorDown, 1)
 	}
@@ -115,14 +115,14 @@ func (b *Bottleneck) detectTick() {
 // onto well-behaved ASes' senders (§4.5).
 func (b *Bottleneck) overloaded(now sim.Time) bool {
 	last, seen := b.q.lastCongested()
-	h := sim.Time(b.sys.Cfg.HysteresisIntervals) * b.sys.Cfg.Ilim
+	h := sim.Time(b.sys.Cfg.HysteresisIntervals) * Ilim
 	return seen && now <= last+h
 }
 
 func (b *Bottleneck) overloadedFor(p *packet.Packet, now sim.Time) bool {
 	if b.q.fallbackActive() {
 		last, seen := b.q.lastCongestedForAS(p.SrcAS)
-		h := sim.Time(b.sys.Cfg.HysteresisIntervals) * b.sys.Cfg.Ilim
+		h := sim.Time(b.sys.Cfg.HysteresisIntervals) * Ilim
 		return seen && now <= last+h
 	}
 	return b.overloaded(now)

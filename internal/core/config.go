@@ -9,40 +9,52 @@ import (
 	"netfence/internal/sim"
 )
 
-// Config carries every NetFence parameter. Defaults follow Figure 3 of
-// the paper; the monitoring-cycle hold times, which the paper sets to "a
-// few hours" in deployment, default to values proportionate to simulated
-// experiment lengths and are overridden per scale.
-type Config struct {
-	// TokenRatePerSec is the request-limiter refill rate (Figure 3:
-	// l1 = 1 ms per token, i.e. 1000 tokens/s).
-	TokenRatePerSec float64
-	// TokenDepth caps accumulated request tokens.
-	TokenDepth float64
+// NetFence's fixed parameters: Figure 3 of the paper and the simulation
+// values that go with them. The rest of Figure 3 lives with the
+// primitives that use it: the request tokens and priority levels in
+// ratelimit (DefaultTokenRate, DefaultTokenDepth, MaxPrioLevel), the AIMD
+// steps in ratelimit.DefaultAIMD and the loss threshold in
+// aqm.NewLossDetector.
+const (
 	// Ilim is the rate-limiter control interval (Figure 3: 2 s).
-	Ilim sim.Time
+	Ilim = 2 * sim.Second
+	// RequestCapFrac caps the request channel's share of link capacity
+	// (§4.2: 5%).
+	RequestCapFrac = 0.05
+
+	// maxCacheDelay bounds the leaky limiter's packet-caching delay
+	// (Figure 16's caching_delay_too_long).
+	maxCacheDelay = 2 * sim.Second
+	// tokenBurstSec is the credit, in seconds of rate, of the token-bucket
+	// limiter Config.TokenBucketLimiter swaps in.
+	tokenBurstSec = 1.0
+	// detectInterval is how often a router samples its loss detector.
+	detectInterval = 100 * sim.Millisecond
+	// monitorHold is Tb: a monitoring cycle persists this long after the
+	// last attack sign. The paper uses a few hours; one simulated hour
+	// outlasts every experiment.
+	monitorHold = sim.Hour
+	// fallbackAfter is how long congestion must persist into a
+	// monitoring cycle before Config.PerASFallback switches the regular
+	// channel to per-source-AS fair queuing (§4.5).
+	fallbackAfter = 20 * sim.Second
+	// echoInterval is how often a receiver of one-way traffic sends
+	// dedicated low-rate feedback packets (§3.1 step 4).
+	echoInterval = 250 * sim.Millisecond
+)
+
+// Config holds what a NetFence deployment may vary: the switches for §4.5
+// damage localization, the Appendix B extensions, Passport and the §7
+// congestion quota; the knobs the ablation experiments turn; and the
+// timers tests shorten to run quickly. The fixed parameters are the
+// constants above.
+type Config struct {
 	// WSec is the feedback expiration time w in seconds (Figure 3: 4 s).
 	WSec uint32
-	// DeltaBps is the AIMD additive increase (Figure 3: 12 kbps).
-	DeltaBps int64
-	// MD is the AIMD multiplicative decrease delta (Figure 3: 0.1).
-	MD float64
-	// MinRateBps floors rate limits.
-	MinRateBps int64
 	// InitialRateBps seeds fresh rate limiters. The paper does not state
 	// a value; 100 kbps sits mid-range of its 50-400 kbps target region.
 	InitialRateBps int64
-	// MaxCacheDelay bounds the leaky limiter's packet-caching delay
-	// (Figure 16's caching_delay_too_long).
-	MaxCacheDelay sim.Time
 
-	// Pth is the attack-detection loss threshold (Figure 3: 2%).
-	Pth float64
-	// DetectInterval is how often a router samples its loss detector.
-	DetectInterval sim.Time
-	// MonitorHold is Tb: a monitoring cycle persists this long after the
-	// last attack sign (paper: a few hours).
-	MonitorHold sim.Time
 	// HysteresisIntervals is how many control intervals past the last
 	// congestion instant a router keeps stamping L-down. Footnote 1 of
 	// the paper proves 2 is the minimum robust value; the ablation
@@ -52,25 +64,14 @@ type Config struct {
 	// without L-down feedback or limiter drops.
 	LimiterIdle sim.Time
 
-	// RequestCapFrac caps the request channel's share of link capacity
-	// (§4.2: 5%).
-	RequestCapFrac float64
-	// MaxPrioLevel bounds request priority levels.
-	MaxPrioLevel uint8
-
 	// KeyRotate is the access-router secret rotation period; it must
 	// exceed the feedback expiration window.
 	KeyRotate sim.Time
 
-	// EchoInterval is how often a receiver of one-way traffic sends
-	// dedicated low-rate feedback packets (§3.1 step 4).
-	EchoInterval sim.Time
-
 	// PerASFallback enables §4.5 damage localization: if congestion
-	// persists FallbackAfter into a monitoring cycle, the regular channel
+	// persists fallbackAfter into a monitoring cycle, the regular channel
 	// switches to per-source-AS fair queuing.
 	PerASFallback bool
-	FallbackAfter sim.Time
 
 	// MultiFeedback enables the Appendix B.1 extension: packets carry
 	// feedback from every bottleneck on the path.
@@ -85,11 +86,10 @@ type Config struct {
 	Passport bool
 
 	// TokenBucketLimiter replaces the leaky-bucket regular limiter with
-	// a token bucket of TokenBurstSec seconds of credit — the design the
+	// a token bucket of tokenBurstSec seconds of credit — the design the
 	// paper rejects; kept for the ablation that demonstrates why
 	// (§4.3.3, §5.2.1 on-off attacks).
 	TokenBucketLimiter bool
-	TokenBurstSec      float64
 
 	// CongestionQuotaBytes, when positive, enables the §7 congestion
 	// quota: per (sender, bottleneck), at most this many bytes of
@@ -105,52 +105,17 @@ type Config struct {
 	UtilThreshold float64
 }
 
-// DefaultConfig returns the Figure 3 parameters with simulation-friendly
-// monitoring-cycle durations (long enough to never expire mid-experiment).
+// DefaultConfig returns the paper's settings (Figure 3's w, footnote 1's
+// hysteresis), idle and rotation timers long enough for any experiment,
+// and every extension off.
 func DefaultConfig() Config {
 	return Config{
-		TokenRatePerSec:     1000,
-		TokenDepth:          2048,
-		Ilim:                2 * sim.Second,
 		WSec:                4,
-		DeltaBps:            12_000,
-		MD:                  0.1,
-		MinRateBps:          512,
 		InitialRateBps:      100_000,
-		MaxCacheDelay:       2 * sim.Second,
-		Pth:                 0.02,
-		DetectInterval:      100 * sim.Millisecond,
-		MonitorHold:         sim.Hour,
 		HysteresisIntervals: 2,
 		LimiterIdle:         sim.Hour,
-		RequestCapFrac:      0.05,
-		MaxPrioLevel:        20,
 		KeyRotate:           32 * sim.Second,
-		EchoInterval:        250 * sim.Millisecond,
-		FallbackAfter:       30 * sim.Second,
-		TokenBurstSec:       1.0,
 		QuotaWindow:         60 * sim.Second,
 		UtilThreshold:       0.95,
 	}
-}
-
-// AffordableLevel maps a sender's waiting time to the highest request
-// priority level it can pay for under the Figure 15 token bucket — the
-// sender-side mirror of the access router's limiter. A sender that has
-// waited ~1 s can afford level 10 (cost 512), reproducing the §6.3.1
-// behaviour.
-func (c Config) AffordableLevel(waited sim.Time) uint8 {
-	tokens := c.TokenRatePerSec * waited.Seconds()
-	if tokens > c.TokenDepth {
-		tokens = c.TokenDepth
-	}
-	var level uint8
-	for level < c.MaxPrioLevel {
-		cost := float64(uint64(1) << level) // cost of level+1 = 2^level
-		if cost > tokens {
-			break
-		}
-		level++
-	}
-	return level
 }

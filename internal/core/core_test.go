@@ -330,7 +330,7 @@ func TestAIMDDecreasesWithoutIncrFeedback(t *testing.T) {
 	start := lim.Rate()
 	// Hiding L-down (sending nothing) cannot hold the rate: it decays
 	// multiplicatively every control interval.
-	d.Net.Eng.RunUntil(3 * s.Cfg.Ilim)
+	d.Net.Eng.RunUntil(3 * Ilim)
 	if lim.Rate() >= start {
 		t.Fatalf("rate did not decrease: %d -> %d", start, lim.Rate())
 	}
@@ -471,7 +471,6 @@ func TestPerASLocalization(t *testing.T) {
 	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
 	nfCfg := DefaultConfig()
 	nfCfg.PerASFallback = true
-	nfCfg.FallbackAfter = 20 * sim.Second
 	s := NewSystem(d.Net, nfCfg)
 	s.ProtectLink(bn)
 	// AS of Senders[1] is compromised: its access router is NOT

@@ -288,7 +288,7 @@ func TestReplayStaleFeedbackDemoted(t *testing.T) {
 	}
 
 	// Two control intervals later the token is past w.
-	d.Net.Eng.RunUntil(2*DefaultConfig().Ilim + sim.Second)
+	d.Net.Eng.RunUntil(2*Ilim + sim.Second)
 	stale := &packet.Packet{Src: src.ID, SrcAS: src.AS, Dst: grp.Victim.ID,
 		Kind: packet.KindRegular, Size: 1500, FB: replayed}
 	ar.police(stale)

@@ -9,6 +9,7 @@ import (
 	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/queue"
+	"netfence/internal/ratelimit"
 	"netfence/internal/sim"
 )
 
@@ -26,7 +27,6 @@ import (
 // them on the channel's queue_drop_* counter.
 type nfQueue struct {
 	queue.Drops
-	cfg  *Config
 	rate int64
 
 	// Request channel: one FIFO ring per priority level.
@@ -71,21 +71,20 @@ type nfQueue struct {
 	hwm   int
 }
 
-func newNFQueue(cfg *Config, rateBps int64, rng *rand.Rand) *nfQueue {
+func newNFQueue(rateBps int64, rng *rand.Rand) *nfQueue {
 	redCfg := aqm.DefaultRED(rateBps)
 	reqLimit := redCfg.LimitBytes / 20
 	if reqLimit < 8_000 {
 		reqLimit = 8_000
 	}
 	q := &nfQueue{
-		cfg:      cfg,
 		rate:     rateBps,
-		req:      make([]queue.Ring, int(cfg.MaxPrioLevel)+1),
+		req:      make([]queue.Ring, int(ratelimit.MaxPrioLevel)+1),
 		reqLimit: reqLimit,
 		// The burst must cover full-size packets: regular packets with
 		// invalid feedback are demoted onto this channel (§4.4).
 		creditMax:  2 * packet.SizeData,
-		creditRate: cfg.RequestCapFrac * float64(rateBps) / 8,
+		creditRate: RequestCapFrac * float64(rateBps) / 8,
 		red:        aqm.NewRED(redCfg, rng),
 		fbLimit:    redCfg.LimitBytes,
 		legacy:     aqm.NewDropTail(redCfg.LimitBytes / 10),

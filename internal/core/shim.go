@@ -8,6 +8,7 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/packet"
+	"netfence/internal/ratelimit"
 	"netfence/internal/sim"
 	"netfence/internal/smallmap"
 )
@@ -179,7 +180,7 @@ func (sh *HostShim) Egress(p *packet.Packet) {
 			sh.flowStart.Set(p.Flow, now)
 		}
 		p.Kind = packet.KindRequest
-		p.Prio = sh.sys.Cfg.AffordableLevel(now - start)
+		p.Prio = ratelimit.AffordableLevel(now - start)
 		clearFeedback(p)
 		sh.noteRequest(p, now)
 		return
@@ -210,7 +211,7 @@ func (sh *HostShim) Egress(p *packet.Packet) {
 		ps.hasReqSince = true
 	}
 	p.Kind = packet.KindRequest
-	p.Prio = sh.sys.Cfg.AffordableLevel(now - ps.reqSince)
+	p.Prio = ratelimit.AffordableLevel(now - ps.reqSince)
 	clearFeedback(p)
 	sh.noteRequest(p, now)
 }
@@ -317,11 +318,11 @@ func (sh *HostShim) ensureEcho(peer packet.NodeID, ps *peerState) {
 	}
 	e := &echoTimer{sh: sh, ps: ps, peer: peer}
 	ps.echo = e
-	sh.echoOrg.ScheduleEvent(&e.ev, sh.echoOrg.Now()+sh.sys.Cfg.EchoInterval, e, nil)
+	sh.echoOrg.ScheduleEvent(&e.ev, sh.echoOrg.Now()+echoInterval, e, nil)
 }
 
 // echoTimer is one peer's echo stream: the owned event that fires every
-// EchoInterval, and what it needs to send a feedback packet.
+// echoInterval, and what it needs to send a feedback packet.
 type echoTimer struct {
 	ev   sim.Event
 	sh   *HostShim
@@ -334,14 +335,13 @@ type echoTimer struct {
 // the peer has been silent for eight intervals.
 func (e *echoTimer) OnEvent(now sim.Time, _ any) {
 	sh, ps := e.sh, e.ps
-	interval := sh.sys.Cfg.EchoInterval
-	if now-ps.lastHeard > 8*interval {
+	if now-ps.lastHeard > 8*echoInterval {
 		ps.echo = nil
 		return
 	}
 	// Send only when no reverse traffic carried the feedback within the
 	// interval, and there is feedback to return.
-	if now-ps.lastSent >= interval &&
+	if now-ps.lastSent >= echoInterval &&
 		(ps.toReturn.Present || ps.multi != nil && ps.multi.toReturn.Present) {
 		p := sh.host.NewPacket()
 		p.Dst = e.peer
@@ -350,5 +350,5 @@ func (e *echoTimer) OnEvent(now sim.Time, _ any) {
 		p.Size = packet.SizeFeedbackPkt
 		sh.host.Send(p)
 	}
-	sh.echoOrg.ScheduleEvent(&e.ev, now+interval, e, nil)
+	sh.echoOrg.ScheduleEvent(&e.ev, now+echoInterval, e, nil)
 }

@@ -269,11 +269,11 @@ func TestShimEchoIdlesAndRestarts(t *testing.T) {
 	if e == nil || !e.ev.Pending() || eng.Pending() != pending+1 {
 		t.Fatal("a one-way packet started no echo")
 	}
-	eng.RunUntil(eng.Now() + 8*cfg.EchoInterval)
+	eng.RunUntil(eng.Now() + 8*echoInterval)
 	if sh.first.echo != e || !e.ev.Pending() {
 		t.Fatal("the echo stopped before the peer was silent for eight intervals")
 	}
-	eng.RunUntil(eng.Now() + cfg.EchoInterval)
+	eng.RunUntil(eng.Now() + echoInterval)
 	if sh.first.echo != nil || e.ev.Pending() || eng.Pending() != pending {
 		t.Fatalf("after eight silent intervals: echo %p, its event pending %v, %d events pending, want none beyond %d",
 			sh.first.echo, e.ev.Pending(), eng.Pending(), pending)

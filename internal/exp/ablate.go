@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netfence"
+	"netfence/internal/core"
 )
 
 // AblateHysteresis probes the design choice of footnote 1: the L-down
@@ -42,7 +43,7 @@ func ablateHystCell(sc Scale, hysteresis int) (atkBps, userBps, fairBps float64)
 			netfence.LongTCP{Senders: []int{0}},
 			// Burst one full control interval, harvest L-up the next; the
 			// trickle keeps feedback flowing.
-			netfence.OnOffFlood{Senders: []int{1}, On: cfg.Ilim, Off: cfg.Ilim, OffRateBps: 40_000, ToColluders: true},
+			netfence.OnOffFlood{Senders: []int{1}, On: core.Ilim, Off: core.Ilim, OffRateBps: 40_000, ToColluders: true},
 		},
 	}).Run()
 	return r.AttackerBps, r.UserBps, bottleneck / 2

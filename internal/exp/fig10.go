@@ -162,7 +162,6 @@ func localizeCell(sc Scale, fallback bool) (honestBps, rogueBps float64, engaged
 	const bottleneck = 2_000_000
 	cfg := netfence.DefaultConfig()
 	cfg.PerASFallback = fallback
-	cfg.FallbackAfter = 20 * netfence.Second
 	in := sc.build(netfence.Scenario{
 		Topology: netfence.DumbbellSpec{Senders: 2, BottleneckBps: bottleneck, ColluderASes: 1},
 		Defense:  netfence.DefenseSpec{Name: "netfence", Config: cfg},

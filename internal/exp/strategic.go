@@ -17,7 +17,7 @@ const strategicNu = attack.DefaultNu
 
 // strategicFloor is the Theorem-1 goodput floor ν·ρ·C/(G+B) at a label.
 func strategicFloor(sc Scale, label int) float64 {
-	return strategicNu * netfence.TheoremBound(netfence.DefaultConfig(), sc.BottleneckBps(label), sc.Senders)
+	return strategicNu * netfence.TheoremBound(sc.BottleneckBps(label), sc.Senders)
 }
 
 // Strategic pits every in-tree attack strategy (the fixed
@@ -53,7 +53,7 @@ func Strategic(sc Scale) Result {
 			)
 		}
 	}
-	res.Note("Theorem 1 bounds the rate LIMIT at ρ·C/(G+B), ρ=(1-δ)³=0.729; the goodput floor discounts it by an assumed TCP efficiency ν=%.1f", strategicNu)
+	res.Note("Theorem 1 bounds the rate LIMIT at ρ·C/(G+B), ρ=(1-δ)³=%.3f; the goodput floor discounts it by an assumed TCP efficiency ν=%.1f", attack.TheoremBound(1, 1), strategicNu)
 	res.Note("paper shape: NetFence holds the floor under every strategy; TVA+ falls below it against colluder floods (capabilities granted), and replay/legacy shapes are demoted to the request/legacy channels")
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"netfence"
+	"netfence/internal/attack"
 )
 
 // Theorem empirically checks the §3.4/Appendix A fair-share guarantee.
@@ -17,11 +18,9 @@ import (
 // compares every user's end-of-run rate limit against the bound; the
 // realized minimum throughput and implied nu are reported alongside.
 func Theorem(sc Scale) Result {
-	cfg := netfence.DefaultConfig()
-	rho := math.Pow(1-cfg.MD, 3)
 	res := Result{
 		Name:  "§3.4 theorem",
-		Title: "fair-share lower bound rho*C/(G+B) on rate limits, rho=" + fmt.Sprintf("%.3f", rho),
+		Title: "fair-share lower bound rho*C/(G+B) on rate limits, rho=" + fmt.Sprintf("%.3f", attack.TheoremBound(1, 1)),
 		Columns: []string{"attack strategy", "fair kbps", "bound kbps",
 			"min rate-limit kbps", "min user kbps", "implied nu", "holds"},
 	}
@@ -36,18 +35,17 @@ func Theorem(sc Scale) Result {
 	}
 	for _, st := range strategies {
 		out := theoremCell(sc, st.ton, st.toff)
-		bound := rho * out.fair
 		nu := 0.0
 		if out.meanLimit > 0 {
 			nu = out.meanUser / out.meanLimit
 		}
 		res.AddRow(st.name,
 			fmt.Sprintf("%.0f", out.fair/1000),
-			fmt.Sprintf("%.0f", bound/1000),
+			fmt.Sprintf("%.0f", out.bound/1000),
 			fmt.Sprintf("%.0f", out.minGreedyLimit/1000),
 			fmt.Sprintf("%.0f", out.minUser/1000),
 			fmt.Sprintf("%.2f", nu),
-			fmt.Sprintf("%v", out.minGreedyLimit >= bound*0.95), // 5% sampling slack
+			fmt.Sprintf("%v", out.minGreedyLimit >= out.bound*0.95), // 5% sampling slack
 		)
 	}
 	res.Note("the bound applies to senders with sufficient demand (Appendix A); greedy constant senders always qualify, so their limits carry the check")
@@ -56,7 +54,8 @@ func Theorem(sc Scale) Result {
 }
 
 type theoremOut struct {
-	fair float64
+	// fair is C/(G+B) and bound the Theorem 1 floor rho times it.
+	fair, bound float64
 	// minGreedyLimit is the smallest rate limit across senders with
 	// provably sufficient demand (the greedy constant senders).
 	minGreedyLimit float64
@@ -84,7 +83,11 @@ func theoremCell(sc Scale, ton, toff netfence.Time) theoremOut {
 	})
 	r := in.Run()
 
-	out := theoremOut{fair: float64(sc.BottleneckBps(label)) / float64(sc.Senders), meanUser: r.UserBps}
+	out := theoremOut{
+		fair:     float64(sc.BottleneckBps(label)) / float64(sc.Senders),
+		bound:    attack.TheoremBound(sc.BottleneckBps(label), sc.Senders),
+		meanUser: r.UserBps,
+	}
 	out.minUser = math.Inf(1)
 	for _, rate := range r.UserRates {
 		out.minUser = math.Min(out.minUser, rate)

@@ -71,7 +71,7 @@ func TestRequestLimiterWaitBuysPriority(t *testing.T) {
 	}
 	// After ~1s of waiting the sender can afford level 11 (cost 1024),
 	// the §6.3.1 story: waiting time buys priority.
-	lvl := r.AffordableLevel(1050 * sim.Millisecond)
+	lvl := AffordableLevel(1050 * sim.Millisecond)
 	if lvl != 11 {
 		t.Fatalf("affordable level after ~1s = %d, want 11", lvl)
 	}
@@ -81,6 +81,37 @@ func TestRequestLimiterWaitBuysPriority(t *testing.T) {
 	// Bucket drained again: the same level is immediately unaffordable.
 	if r.Admit(11, 1060*sim.Millisecond) {
 		t.Fatal("second level-11 admitted without waiting")
+	}
+}
+
+// Property: the sender's estimate agrees with the router's bucket. After
+// a drained limiter has refilled for w, a request at AffordableLevel(w) is
+// admitted, and every level above AffordableLevel(w + 1 ms) is refused:
+// the leftover after draining is under one token, 1 ms of refill. Waits
+// run to 5 s, past both the bucket's 2.048 s to fill and the 4.096 s an
+// estimate with twice the depth would need to claim level 13.
+func TestAffordableLevelMatchesLimiterProperty(t *testing.T) {
+	prop := func(seed uint64) bool {
+		rng := rand.New(rand.NewPCG(seed, 2))
+		r := NewRequestLimiter(0)
+		for r.Admit(1, 0) {
+		}
+		w := sim.Time(rng.Int64N(int64(5*sim.Second) + 1))
+		hi := AffordableLevel(w + sim.Millisecond)
+		for level := hi + 1; level <= MaxPrioLevel; level++ {
+			if r.Admit(level, w) {
+				t.Logf("w=%v: level %d admitted above %d", w, level, hi)
+				return false
+			}
+		}
+		if lo := AffordableLevel(w); !r.Admit(lo, w) {
+			t.Logf("w=%v: affordable level %d refused", w, lo)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

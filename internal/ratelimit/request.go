@@ -33,6 +33,10 @@ const DefaultTokenRate = 1000.0
 // where legitimate senders succeed around level 10 after backoff.
 const DefaultTokenDepth = 2048.0
 
+// MaxPrioLevel bounds request priority levels: access routers clamp
+// higher claims to it, and bottlenecks keep one request queue per level.
+const MaxPrioLevel uint8 = 20
+
 // NewRequestLimiter returns a limiter with the paper's defaults, starting
 // with a full bucket so a sender's first requests are not penalized.
 func NewRequestLimiter(now sim.Time) *RequestLimiter {
@@ -50,6 +54,24 @@ func Cost(level uint8) float64 {
 		level = 31
 	}
 	return float64(uint64(1) << (level - 1))
+}
+
+// AffordableLevel maps a sender's waiting time to the highest request
+// priority level it can pay for, up to MaxPrioLevel — the sender-side
+// estimate of a RequestLimiter it drained when the wait began, which has
+// refilled at DefaultTokenRate up to DefaultTokenDepth since. A sender
+// that has waited ~1 s can afford level 10 (cost 512), reproducing the
+// §6.3.1 behaviour.
+func AffordableLevel(waited sim.Time) uint8 {
+	tokens := DefaultTokenRate * waited.Seconds()
+	if tokens > DefaultTokenDepth {
+		tokens = DefaultTokenDepth
+	}
+	var level uint8
+	for level < MaxPrioLevel && Cost(level+1) <= tokens {
+		level++
+	}
+	return level
 }
 
 // Admit decides whether a request packet of the given priority level may
@@ -71,18 +93,6 @@ func (r *RequestLimiter) Admit(level uint8, now sim.Time) bool {
 func (r *RequestLimiter) Tokens(now sim.Time) float64 {
 	r.refill(now)
 	return r.tokens
-}
-
-// AffordableLevel returns the highest priority level the sender can
-// currently pay for. Senders estimate this from their waiting time; the
-// simulation computes it exactly, which only strengthens the adversary.
-func (r *RequestLimiter) AffordableLevel(now sim.Time) uint8 {
-	r.refill(now)
-	var level uint8
-	for Cost(level+1) <= r.tokens && level < 31 {
-		level++
-	}
-	return level
 }
 
 func (r *RequestLimiter) refill(now sim.Time) {

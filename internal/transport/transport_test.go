@@ -259,12 +259,12 @@ func TestFileClientRepeats(t *testing.T) {
 func TestWebSourceSizesWithinBounds(t *testing.T) {
 	n, h1, _ := testNet(12, 10_000_000, 0)
 	_ = n
-	w := NewWebSource(h1.Host, 3, DefaultWeb())
+	w := NewWebSource(h1.Host, 3)
 	sawTail := false
 	for i := 0; i < 5000; i++ {
 		s := w.FileSize()
-		if s < w.Cfg.MinBytes || s > w.Cfg.MaxBytes {
-			t.Fatalf("file size %d out of [%d,%d]", s, w.Cfg.MinBytes, w.Cfg.MaxBytes)
+		if s < webMinBytes || s > webMaxBytes {
+			t.Fatalf("file size %d out of [%d,%d]", s, webMinBytes, webMaxBytes)
 		}
 		if s > 60_000 {
 			sawTail = true
@@ -280,7 +280,7 @@ func TestWebSourceTransfers(t *testing.T) {
 	h2.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
 		return NewTCPReceiver(h2.Host, p.Flow)
 	}
-	w := NewWebSource(h1.Host, h2.ID, DefaultWeb())
+	w := NewWebSource(h1.Host, h2.ID)
 	w.Start()
 	n.Eng.RunUntil(30 * sim.Second)
 	w.Stop()
@@ -295,9 +295,6 @@ func TestWebSourceTransfers(t *testing.T) {
 // Property: across random tiny bottleneck buffers and file sizes, TCP
 // delivers exactly the file, in order, no duplicates.
 func TestTCPReliabilityProperty(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	prop := func(seed uint64, kb uint8, qpkts uint8) bool {
 		size := int64(kb%64+1) * 1024
 		qlim := (int(qpkts%6) + 2) * 1500

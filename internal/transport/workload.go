@@ -77,45 +77,32 @@ func (c *FileClient) next() {
 	s.Start()
 }
 
-// WebConfig parameterizes the web-like source of §6.3.2: file sizes drawn
-// from a mixture of an exponential body and a Pareto tail (after Luo &
-// Marin's web-traffic model), truncated to MaxBytes, with a uniform think
-// time between transfers.
-type WebConfig struct {
-	TCP TCPConfig
-	// BodyMeanBytes is the mean of the exponential body.
-	BodyMeanBytes float64
-	// TailShape and TailScaleBytes parameterize the Pareto tail.
-	TailShape, TailScaleBytes float64
-	// TailProb is the probability a file is drawn from the tail.
-	TailProb float64
-	// MinBytes and MaxBytes clamp file sizes (the paper caps at 150 KB).
-	MinBytes, MaxBytes int64
-	// ThinkMin and ThinkMax bound the uniform inter-transfer gap (the
-	// paper uses 0.1-0.2 s).
-	ThinkMin, ThinkMax sim.Time
-}
-
-// DefaultWeb returns the §6.3.2 web workload parameters.
-func DefaultWeb() WebConfig {
-	return WebConfig{
-		TCP:            DefaultTCP(),
-		BodyMeanBytes:  12_000,
-		TailShape:      1.2,
-		TailScaleBytes: 10_000,
-		TailProb:       0.12,
-		MinBytes:       1_000,
-		MaxBytes:       150_000,
-		ThinkMin:       100 * sim.Millisecond,
-		ThinkMax:       200 * sim.Millisecond,
-	}
-}
+// The web-like source of §6.3.2: file sizes drawn from a mixture of an
+// exponential body and a Pareto tail (after Luo & Marin's web-traffic
+// model), clamped to [webMinBytes, webMaxBytes], with a uniform think time
+// between transfers.
+const (
+	// webBodyMeanBytes is the mean of the exponential body.
+	webBodyMeanBytes = 12_000.0
+	// webTailShape and webTailScaleBytes parameterize the Pareto tail.
+	webTailShape      = 1.2
+	webTailScaleBytes = 10_000.0
+	// webTailProb is the probability a file is drawn from the tail.
+	webTailProb = 0.12
+	// webMinBytes and webMaxBytes clamp file sizes (the paper caps at
+	// 150 KB).
+	webMinBytes int64 = 1_000
+	webMaxBytes int64 = 150_000
+	// webThinkMin and webThinkMax bound the uniform inter-transfer gap
+	// (the paper uses 0.1-0.2 s).
+	webThinkMin = 100 * sim.Millisecond
+	webThinkMax = 200 * sim.Millisecond
+)
 
 // WebSource issues back-to-back small-file transfers with think times,
 // each over a fresh TCP connection.
 type WebSource struct {
 	Dst packet.NodeID
-	Cfg WebConfig
 	// OnResult observes each transfer.
 	OnResult func(bytes int64, fct sim.Time, ok bool)
 
@@ -130,9 +117,10 @@ type WebSource struct {
 	DeliveredBytes int64
 }
 
-// NewWebSource creates a web-like source; call Start to begin.
-func NewWebSource(host *netsim.Host, dst packet.NodeID, cfg WebConfig) *WebSource {
-	w := &WebSource{Dst: dst, Cfg: cfg, host: host, org: host.Node.NewOrigin()}
+// NewWebSource creates a web-like source; call Start to begin. Each
+// transfer runs DefaultTCP.
+func NewWebSource(host *netsim.Host, dst packet.NodeID) *WebSource {
+	w := &WebSource{Dst: dst, host: host, org: host.Node.NewOrigin()}
 	w.rng = host.Network().Eng.KeyStream(w.org.ID())
 	return w
 }
@@ -155,18 +143,18 @@ func (w *WebSource) Stop() {
 func (w *WebSource) FileSize() int64 {
 	rng := w.rng
 	var size float64
-	if rng.Float64() < w.Cfg.TailProb {
+	if rng.Float64() < webTailProb {
 		// Pareto: xm * U^(-1/alpha).
-		size = w.Cfg.TailScaleBytes * math.Pow(rng.Float64(), -1/w.Cfg.TailShape)
+		size = webTailScaleBytes * math.Pow(rng.Float64(), -1/webTailShape)
 	} else {
-		size = w.Cfg.BodyMeanBytes * rng.ExpFloat64()
+		size = webBodyMeanBytes * rng.ExpFloat64()
 	}
 	n := int64(size)
-	if n < w.Cfg.MinBytes {
-		n = w.Cfg.MinBytes
+	if n < webMinBytes {
+		n = webMinBytes
 	}
-	if n > w.Cfg.MaxBytes {
-		n = w.Cfg.MaxBytes
+	if n > webMaxBytes {
+		n = webMaxBytes
 	}
 	return n
 }
@@ -177,7 +165,7 @@ func (w *WebSource) next() {
 	}
 	size := w.FileSize()
 	flow := w.host.Node.NewFlow()
-	s := NewTCPSender(w.host, w.Dst, flow, size, w.Cfg.TCP)
+	s := NewTCPSender(w.host, w.Dst, flow, size, DefaultTCP())
 	s.OnComplete = func(fct sim.Time, ok bool) {
 		if ok {
 			w.Completed++
@@ -189,7 +177,7 @@ func (w *WebSource) next() {
 			w.OnResult(size, fct, ok)
 		}
 		w.cur = nil
-		think := w.Cfg.ThinkMin + sim.Time(w.rng.Int64N(int64(w.Cfg.ThinkMax-w.Cfg.ThinkMin)+1))
+		think := webThinkMin + sim.Time(w.rng.Int64N(int64(webThinkMax-webThinkMin)+1))
 		w.org.After(think, w.next)
 	}
 	w.cur = s

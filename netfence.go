@@ -82,7 +82,11 @@ const (
 
 // NetFence proper.
 type (
-	// Config holds every NetFence parameter (Figure 3 defaults).
+	// Config holds what a NetFence deployment may vary: the §4.5, App. B,
+	// Passport and §7 switches, the ablation knobs and the timers tests
+	// shorten. Figure 3's fixed parameters are constants of internal/core
+	// (core.Ilim, core.RequestCapFrac), internal/ratelimit and
+	// internal/aqm.
 	Config = core.Config
 	// System is a NetFence deployment.
 	System = core.System
@@ -93,7 +97,7 @@ type (
 	DefenseSystem = defense.System
 )
 
-// DefaultConfig returns the paper's Figure 3 parameters.
+// DefaultConfig returns the paper's settings with every extension off.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Attack strategies. The adaptive-adversary subsystem (internal/attack)
@@ -110,7 +114,9 @@ type (
 	// AttackBuildOptions carries rate, environment and strategy
 	// parameters to a builder.
 	AttackBuildOptions = attack.BuildOptions
-	// AttackEnv is the scenario view adaptive strategies key off.
+	// AttackEnv is the scenario view adaptive strategies key off: the
+	// attack population and the bottleneck capacity. NetFence's protocol
+	// parameters are constants, not part of it.
 	AttackEnv = attack.Env
 	// AttackDecision is a strategy's per-tick transmission plan.
 	AttackDecision = attack.Decision
@@ -153,6 +159,6 @@ func FormatAttackSpec(name string, params map[string]float64) string {
 // TheoremBound returns the Theorem-1 (§3.4, Appendix A) lower bound
 // ρ·C/(G+B) on a sufficient-demand sender's rate limit — the fair-share
 // floor no attack strategy can push a legitimate sender below.
-func TheoremBound(cfg Config, bottleneckBps int64, senders int) float64 {
-	return attack.TheoremBound(cfg, bottleneckBps, senders)
+func TheoremBound(bottleneckBps int64, senders int) float64 {
+	return attack.TheoremBound(bottleneckBps, senders)
 }

@@ -418,7 +418,7 @@ func (p BoundProbe) finish(env *scenarioEnv, res *Result) {
 		nu = attack.DefaultNu
 	}
 	res.FairShareBps = float64(env.bottleneckBps()) / float64(senders)
-	res.BoundBps = nu * attack.TheoremBound(env.nfConfig(), env.bottleneckBps(), senders)
+	res.BoundBps = nu * attack.TheoremBound(env.bottleneckBps(), senders)
 	// Measured independently of GoodputProbe so probe order is free.
 	rates, _, mean := env.goodput(false, window)
 	res.BoundHolds = len(rates) > 0 && mean >= res.BoundBps

@@ -270,17 +270,6 @@ func (env *scenarioEnv) ensureListener(group int) {
 // computations.
 func (env *scenarioEnv) bottleneckBps() int64 { return env.graph.Bottlenecks()[0].Rate }
 
-// nfConfig is the scenario's NetFence configuration — the deployed one
-// when the defense is NetFence with an explicit config, the Figure 3
-// defaults otherwise (attackers key off the public protocol parameters
-// either way).
-func (env *scenarioEnv) nfConfig() Config {
-	if c, ok := env.sc.Defense.Config.(Config); ok {
-		return c
-	}
-	return core.DefaultConfig()
-}
-
 // recordAttack notes an attached attack strategy once for Result.Attack.
 func (env *scenarioEnv) recordAttack(name string) {
 	for _, a := range env.attacks {

@@ -202,9 +202,6 @@ func TestShardedEquivalenceTopologies(t *testing.T) {
 // the mailbox handoff. It also exercises the handoff under -race when
 // the race job runs it.
 func TestShardedEquivalenceFuzz(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzz sweep is a long test; the topology suite covers short runs")
-	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		spec := RandomASSpec{Senders: 16, BottleneckBps: 3_200_000, TransitASes: 4, ExtraLinks: 1, ColluderASes: 2, GraphSeed: 2}
 		wl := []Workload{

@@ -45,9 +45,6 @@ func timelineScenario(shards int) Scenario {
 // for byte at every shard count, exactly like the static scenarios of
 // the sharded equivalence suite.
 func TestTimelineDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timeline equivalence sweep is minutes-long; run without -short")
-	}
 	want := resultJSON(t, timelineScenario(1))
 	if !strings.Contains(want, `"Series":[{`) {
 		t.Fatalf("timeline baseline collected no timeseries: %s", want)
@@ -64,9 +61,6 @@ func TestTimelineDeterminism(t *testing.T) {
 // byte-identical to the scripted Run. Event order must depend only on
 // the event keys, never on where the window boundaries fall.
 func TestTimelineSegmentationInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timeline equivalence sweep is minutes-long; run without -short")
-	}
 	want := resultJSON(t, timelineScenario(4))
 
 	sc := timelineScenario(4)

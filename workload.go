@@ -149,7 +149,6 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	cfg := transport.DefaultWeb()
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "WebTraffic")
@@ -158,7 +157,7 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 		}
 		ctr := env.srcCounter(w.Group, h.ID)
 		env.addMeter(victim, false, 1, ctr)
-		src := transport.NewWebSource(h.Host, victim.ID, cfg)
+		src := transport.NewWebSource(h.Host, victim.ID)
 		fct := env.fctFor(h)
 		src.OnResult = func(_ int64, d Time, ok bool) { fct.add(d, ok) }
 		env.stoppers = append(env.stoppers, src)
@@ -424,7 +423,7 @@ func (w RequestFlood) attach(env *scenarioEnv) error {
 		if len(env.graph.Bottlenecks()) == 0 {
 			return fmt.Errorf("RequestFlood: Strategic needs a topology with a tagged bottleneck link")
 		}
-		level = attack.StrategicRequestLevel(len(w.Senders), env.bottleneckBps(), env.nfConfig())
+		level = attack.StrategicRequestLevel(len(w.Senders), env.bottleneckBps())
 	}
 	env.ensureListener(w.Group)
 	for _, idx := range w.Senders {
@@ -501,7 +500,6 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 		aenv := &attack.Env{
 			Eng:       eng,
 			Attackers: len(w.Senders),
-			Config:    env.nfConfig(),
 		}
 		if len(env.graph.Bottlenecks()) > 0 {
 			aenv.BottleneckBps = env.bottleneckBps()
