@@ -175,7 +175,7 @@ func TestLossDetectorMildAttackBelowThreshold(t *testing.T) {
 }
 
 func TestUtilDetector(t *testing.T) {
-	d := NewUtilDetector(1_000_000)
+	d := NewUtilDetector(1_000_000, 0.95)
 	var tx uint64
 	now := sim.Time(0)
 	d.Sample(tx, now)

@@ -42,8 +42,7 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 	b.q.net = l.From.Network()
 	b.q.label = l.Label()
 	if s.Cfg.UtilDetect {
-		b.util = aqm.NewUtilDetector(l.Rate)
-		b.util.Threshold = s.Cfg.UtilThreshold
+		b.util = aqm.NewUtilDetector(l.Rate, s.Cfg.UtilThreshold)
 	}
 	if s.Cfg.Passport && s.Registry != nil {
 		b.q.verify = func(p *packet.Packet) bool {
