@@ -18,7 +18,12 @@
 //     bench rows, never in Result.
 package obs
 
-import "strconv"
+import (
+	"encoding/json"
+	"slices"
+	"strconv"
+	"strings"
+)
 
 // ID indexes one metric cell. All IDs are allocated here, at compile
 // time, so every shard's Cells share one layout and -list-metrics
@@ -236,6 +241,10 @@ func Merge(shards []Cells) Cells {
 	return out
 }
 
+// numDeterministic counts the deterministic plane's cells, which precede
+// every runtime cell.
+const numDeterministic = SimEventsExecuted
+
 // bucketLabel renders a histogram bucket's `le` bound.
 func bucketLabel(i int) string {
 	if i >= len(QueueBacklogBounds) {
@@ -244,30 +253,90 @@ func bucketLabel(i int) string {
 	return strconv.FormatUint(QueueBacklogBounds[i], 10)
 }
 
-// expand writes one Def's cells into a name→value map, expanding
-// histogram defs into their bucket/sum/count series. Zero-valued
-// entries are omitted: the map stays lean and a metric's absence is as
+// series is one rendered key of the counter plane, whose value is the
+// sum of the cells in [lo, hi): a counter or gauge reads its own cell,
+// a histogram bucket every bucket at or below it (the series are
+// cumulative), the histogram's _count every bucket and its _sum the sum
+// cell.
+type series struct {
+	key string
+	// quoted is key as encoding/json writes it.
+	quoted []byte
+	lo, hi ID
+}
+
+// value sums the series' cells; cells past the end of c read zero.
+func (s series) value(c Cells) (v uint64) {
+	for id := s.lo; id < min(s.hi, ID(len(c))); id++ {
+		v += c[id]
+	}
+	return v
+}
+
+// planeSeries lists one plane's series in cell order, expanding each
+// histogram into its bucket, count and sum series.
+func planeSeries(runtime bool) []series {
+	var out []series
+	add := func(key string, lo, hi ID) {
+		q, err := json.Marshal(key)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, series{key: key, quoted: q, lo: lo, hi: hi})
+	}
+	for _, d := range defs {
+		if d.Runtime != runtime {
+			continue
+		}
+		if d.Kind != Histogram {
+			add(d.Name, d.ID, d.ID+1)
+			continue
+		}
+		buckets := ID(len(QueueBacklogBounds)) + 1
+		for i := ID(0); i < buckets; i++ {
+			add(d.Name+`_bucket{le="`+bucketLabel(int(i))+`"}`, d.ID, d.ID+i+1)
+		}
+		add(d.Name+"_count", d.ID, d.ID+buckets)
+		add(d.Name+"_sum", d.ID+buckets, d.ID+buckets+1)
+	}
+	return out
+}
+
+var (
+	detSeries     = planeSeries(false)
+	runtimeSeries = planeSeries(true)
+	// detSorted is detSeries in key order, the order encoding/json
+	// writes a map's keys in.
+	detSorted = func() []series {
+		s := slices.Clone(detSeries)
+		slices.SortFunc(s, func(a, b series) int { return strings.Compare(a.key, b.key) })
+		return s
+	}()
+)
+
+// fill writes every series of ss with a non-zero value into m. Zero
+// values are omitted: the map stays lean and a metric's absence is as
 // deterministic as its value.
-func expand(m map[string]uint64, d Def, c Cells) {
-	switch d.Kind {
-	case Histogram:
-		var cum uint64
-		for i := 0; i <= len(QueueBacklogBounds); i++ {
-			cum += c[d.ID+ID(i)]
-			if cum > 0 {
-				m[d.Name+`_bucket{le="`+bucketLabel(i)+`"}`] = cum
-			}
+func fill(m map[string]uint64, c Cells, ss []series) {
+	for _, s := range ss {
+		if v := s.value(c); v > 0 {
+			m[s.key] = v
 		}
-		if cum > 0 {
-			m[d.Name+"_count"] = cum
+	}
+}
+
+// fillExecuted writes each shard's executed-event count as a labelled
+// series, and their sum as sim_events_executed_total.
+func fillExecuted(m map[string]uint64, executed []uint64) {
+	var total uint64
+	for i, n := range executed {
+		total += n
+		if n > 0 {
+			m[`sim_events_executed{shard="`+strconv.Itoa(i)+`"}`] = n
 		}
-		if s := c[QueueBacklogSum]; s > 0 {
-			m[d.Name+"_sum"] = s
-		}
-	default:
-		if v := c[d.ID]; v > 0 {
-			m[d.Name] = v
-		}
+	}
+	if total > 0 {
+		m["sim_events_executed_total"] = total
 	}
 }
 
@@ -276,23 +345,97 @@ func expand(m map[string]uint64, d Def, c Cells) {
 // counts by the platform's equivalence contract.
 func DeterministicMap(c Cells) map[string]uint64 {
 	m := make(map[string]uint64)
-	for _, d := range defs {
-		if d.Runtime {
-			continue
-		}
-		expand(m, d, c)
-	}
+	fill(m, c, detSeries)
 	return m
 }
 
-// RuntimeMap extracts the runtime plane as a name→value map.
-func RuntimeMap(c Cells) map[string]uint64 {
+// RuntimeMap extracts the runtime plane as a name→value map, with the
+// executed-event count of each shard engine (in shard order).
+func RuntimeMap(c Cells, executed []uint64) map[string]uint64 {
 	m := make(map[string]uint64)
-	for _, d := range defs {
-		if !d.Runtime {
+	fill(m, c, runtimeSeries)
+	fillExecuted(m, executed)
+	return m
+}
+
+// Map renders both planes as one name→value map: the union of
+// DeterministicMap(c) and RuntimeMap(c, executed).
+func Map(c Cells, executed []uint64) map[string]uint64 {
+	m := make(map[string]uint64, len(detSeries)+len(runtimeSeries)+len(executed)+1)
+	fill(m, c, detSeries)
+	fill(m, c, runtimeSeries)
+	fillExecuted(m, executed)
+	return m
+}
+
+// DeterministicCells inverts DeterministicMap: the deterministic cells
+// whose map is m, histogram buckets recovered from their cumulative
+// series. Keys DeterministicMap does not write are ignored.
+func DeterministicCells(m map[string]uint64) Cells {
+	c := NewCells()
+	// In cell order, the cells below a series' last are set before it,
+	// so its last cell is its value less theirs.
+	var next ID
+	for _, s := range detSeries {
+		last := s.hi - 1
+		if last < next {
+			continue // the histogram's _count repeats its +Inf bucket
+		}
+		c[last] = m[s.key] - s.value(c[:last])
+		next = s.hi
+	}
+	return c
+}
+
+// Grown returns how far each deterministic cell of cur grew past prev
+// (a nil prev reads as zeros, a cell that did not grow reads zero), or
+// nil when none grew. It covers the deterministic cells only, so it
+// renders through DeterministicMap and AppendDeterministicJSON.
+func Grown(prev, cur Cells) Cells {
+	var d Cells
+	for id := ID(0); id < numDeterministic; id++ {
+		var p uint64
+		if prev != nil {
+			p = prev[id]
+		}
+		if cur[id] > p {
+			if d == nil {
+				d = make(Cells, numDeterministic)
+			}
+			d[id] = cur[id] - p
+		}
+	}
+	return d
+}
+
+// detJSONMax bounds the length of AppendDeterministicJSON's object:
+// every series present, each value 20 digits long.
+var detJSONMax = func() int {
+	n := len("{}")
+	for _, s := range detSeries {
+		n += len(s.quoted) + len(`:,`) + 20
+	}
+	return n
+}()
+
+// AppendDeterministicJSON appends the JSON object encoding/json writes
+// for DeterministicMap(c): keys sorted, zero values left out. It grows b
+// once, to the longest such object.
+func AppendDeterministicJSON(b []byte, c Cells) []byte {
+	b = slices.Grow(b, detJSONMax)
+	b = append(b, '{')
+	open := len(b)
+	for _, s := range detSorted {
+		v := s.value(c)
+		if v == 0 {
 			continue
 		}
-		expand(m, d, c)
+		if len(b) > open {
+			b = append(b, ',')
+		}
+		b = append(b, s.quoted...)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, v, 10)
 	}
-	return m
+	return append(b, '}')
 }

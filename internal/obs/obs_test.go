@@ -19,7 +19,7 @@ func TestMergeGaugesTakeMax(t *testing.T) {
 
 		expand := DeterministicMap
 		if d.Runtime {
-			expand = RuntimeMap
+			expand = func(c Cells) map[string]uint64 { return RuntimeMap(c, nil) }
 		}
 		dst, src := expand(a), expand(b)
 		if len(src) == 0 {
@@ -30,6 +30,23 @@ func TestMergeGaugesTakeMax(t *testing.T) {
 			if v != want {
 				t.Errorf("MergeMap %s: %s = %d, want %d", d.Name, k, v, want)
 			}
+		}
+	}
+}
+
+// TestDeterministicCellsFirst holds the cell layout Grown relies on:
+// every deterministic series reads cells below numDeterministic and
+// every runtime series cells at or above it, so a delta of the first
+// numDeterministic cells carries the whole deterministic plane.
+func TestDeterministicCellsFirst(t *testing.T) {
+	for _, s := range detSeries {
+		if s.hi > numDeterministic {
+			t.Errorf("deterministic series %s reads cells [%d, %d), past %d", s.key, s.lo, s.hi, numDeterministic)
+		}
+	}
+	for _, s := range runtimeSeries {
+		if s.lo < numDeterministic {
+			t.Errorf("runtime series %s reads cells [%d, %d), below %d", s.key, s.lo, s.hi, numDeterministic)
 		}
 	}
 }

@@ -50,8 +50,8 @@ func (s *Server) routes() http.Handler {
 
 // handleMetrics serves the process-level Prometheus text exposition:
 // service gauges (server_up, per-state job counts) plus every job's
-// merged simulation counters folded together — counter planes sum,
-// gauges take the max, mirroring obs.Merge semantics.
+// counter snapshot merged by obs.Merge — counters sum, gauges take the
+// max — and rendered once.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.order))
@@ -60,14 +60,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	agg := map[string]uint64{"server_up": 1}
 	states := map[jobState]uint64{}
+	cells := make([]obs.Cells, 0, len(jobs))
+	var executed []uint64 // per shard index, summed over jobs
+	var events uint64
 	for _, j := range jobs {
 		j.mu.Lock()
 		states[j.state]++
+		cells = append(cells, j.cells)
+		for len(executed) < len(j.executed) {
+			executed = append(executed, 0)
+		}
+		for i, n := range j.executed {
+			executed[i] += n
+		}
 		j.mu.Unlock()
-		obs.MergeMap(agg, j.countersSnapshot())
+		events += j.meter.Total()
 	}
+	agg := obs.Map(obs.Merge(cells), executed)
+	if len(jobs) > 0 {
+		// Every job's snapshot carries its meter's live total.
+		agg["sim_events_executed_total"] = events
+	}
+	agg["server_up"] = 1
 	for st, n := range states {
 		agg[`server_jobs{state="`+string(st)+`"}`] = n
 	}

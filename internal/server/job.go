@@ -71,10 +71,13 @@ type job struct {
 	result  *netfence.Result
 	results []*netfence.Result
 	report  *netfence.SearchReport
-	// counters is the job's latest merged metric snapshot (deterministic
-	// plus runtime plane): scenario jobs refresh it at every segment
-	// boundary, sweep jobs when the matrix completes.
-	counters map[string]uint64
+	// cells and executed are the job's latest counter snapshot: both
+	// planes merged across shards, and each shard engine's executed
+	// events. Scenario jobs replace them at every segment boundary, sweep
+	// jobs set cells when the matrix completes; a stored snapshot is
+	// never written again, so readers may keep it past the lock.
+	cells    obs.Cells
+	executed []uint64
 
 	// meter accumulates executed-event counts across every engine the
 	// job creates — per-job, so concurrent jobs never share a counter.
@@ -109,18 +112,20 @@ func (j *job) kind() string {
 	}
 }
 
-// countersSnapshot copies the job's latest metric snapshot, overlaying
+// snapshot returns the job's latest counter snapshot.
+func (j *job) snapshot() (obs.Cells, []uint64) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.cells, j.executed
+}
+
+// countersSnapshot renders the job's latest counter snapshot, overlaying
 // the live executed-event total from the job's meter (safe to read at
 // any time — the meter is atomic and engines flush it at every segment
 // boundary, so a running job's event count stays fresh even before its
 // first counter snapshot lands).
 func (j *job) countersSnapshot() map[string]uint64 {
-	j.mu.Lock()
-	out := make(map[string]uint64, len(j.counters)+1)
-	for k, v := range j.counters {
-		out[k] = v
-	}
-	j.mu.Unlock()
+	out := obs.Map(j.snapshot())
 	out["sim_events_executed_total"] = j.meter.Total()
 	return out
 }
@@ -224,20 +229,16 @@ func (j *job) execute(ctx context.Context) (err error) {
 // accumulated since the previous batch.
 type sampleEvent struct {
 	netfence.Sample
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	Counters counterCells `json:"counters,omitempty"`
 }
 
-// counterDelta returns the keys of cur that grew past prev — the
-// per-segment increments attached to streamed samples. A nil prev
-// yields the full snapshot.
-func counterDelta(prev, cur map[string]uint64) map[string]uint64 {
-	d := make(map[string]uint64)
-	for k, v := range cur {
-		if v > prev[k] {
-			d[k] = v - prev[k]
-		}
-	}
-	return d
+// counterCells are the deterministic counter increments of a segment,
+// as obs.Grown returns them: nil when no counter grew. They marshal as
+// the object of their non-zero series, keys sorted.
+type counterCells obs.Cells
+
+func (c counterCells) MarshalJSON() ([]byte, error) {
+	return obs.AppendDeterministicJSON(nil, obs.Cells(c)), nil
 }
 
 // runScenario drives a scenario job in segments. Each segment advances
@@ -276,20 +277,20 @@ func (j *job) runScenario(ctx context.Context) error {
 	pi := 0
 	now := netfence.Time(0)
 
-	var prevCounters map[string]uint64
+	var shipped obs.Cells // the snapshot the last streamed delta ran to
 	flush := func() {
 		series := in.Series()
-		det := in.Counters()
+		cells, executed := in.CounterCells()
 		if emitted < len(series) {
 			// The last sample of the batch carries the deterministic
 			// counter increments since the previous published delta, so
 			// stream consumers see the counter plane advance segment by
-			// segment without re-polling the metrics endpoint. prev only
-			// moves when a delta ships: a boundary with no new samples
-			// (e.g. inside the warmup) folds into the next batch instead
-			// of silently dropping its increments.
-			delta := counterDelta(prevCounters, det)
-			prevCounters = det
+			// segment without re-polling the metrics endpoint. shipped
+			// only moves when a delta ships: a boundary with no new
+			// samples (e.g. inside the warmup) folds into the next batch
+			// instead of silently dropping its increments.
+			delta := counterCells(obs.Grown(shipped, cells))
+			shipped = cells
 			for ; emitted < len(series); emitted++ {
 				ev := sampleEvent{Sample: series[emitted]}
 				if emitted == len(series)-1 {
@@ -298,16 +299,9 @@ func (j *job) runScenario(ctx context.Context) error {
 				j.hub.publish("sample", ev)
 			}
 		}
-		merged := make(map[string]uint64, len(det))
-		for k, v := range det {
-			merged[k] = v
-		}
-		for k, v := range in.RuntimeCounters() {
-			merged[k] = v
-		}
 		j.mu.Lock()
 		j.nowSec = float64(now) / float64(netfence.Second)
-		j.counters = merged
+		j.cells, j.executed = cells, executed
 		j.mu.Unlock()
 	}
 	// absorb delivers a control message to the instance, which applies
@@ -393,15 +387,16 @@ func (j *job) runSweep(ctx context.Context) error {
 		j.hub.publish("status", j.status())
 	}
 	results, err := sw.RunContext(ctx)
-	agg := make(map[string]uint64)
+	cells := make([]obs.Cells, 0, len(results))
 	for _, r := range results {
 		if r != nil {
-			obs.MergeMap(agg, r.Counters)
+			cells = append(cells, obs.DeterministicCells(r.Counters))
 		}
 	}
+	agg := obs.Merge(cells)
 	j.mu.Lock()
 	j.results = results
-	j.counters = agg
+	j.cells = agg
 	j.mu.Unlock()
 	return err
 }

@@ -1,8 +1,6 @@
 package netfence
 
 import (
-	"strconv"
-
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/sim"
@@ -73,19 +71,20 @@ func (in *Instance) Counters() map[string]uint64 {
 // keyring rotations (a router rotates only on its owning shard, so these
 // no longer vary). Surfaced on /metrics, -metrics-out and bench rows.
 func (in *Instance) RuntimeCounters() map[string]uint64 {
-	m := obs.RuntimeMap(in.mergedCells())
-	var total uint64
+	return obs.RuntimeMap(in.CounterCells())
+}
+
+// CounterCells returns both counter planes unrendered, from one
+// harvest: the cells merged across shards, which Counters and
+// RuntimeCounters render, and each shard engine's executed-event count
+// in shard order. The cells are a fresh copy, for a caller that keeps a
+// snapshot per segment boundary and renders it only when read.
+func (in *Instance) CounterCells() (obs.Cells, []uint64) {
+	executed := make([]uint64, len(in.Engines))
 	for i, e := range in.Engines {
-		n := e.Executed()
-		total += n
-		if n > 0 {
-			m[`sim_events_executed{shard="`+strconv.Itoa(i)+`"}`] = n
-		}
+		executed[i] = e.Executed()
 	}
-	if total > 0 {
-		m["sim_events_executed_total"] = total
-	}
-	return m
+	return in.mergedCells(), executed
 }
 
 // EventsExecuted returns the total discrete events executed by the
