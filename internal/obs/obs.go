@@ -361,7 +361,7 @@ func RuntimeMap(c Cells, executed []uint64) map[string]uint64 {
 // Map renders both planes as one name→value map: the union of
 // DeterministicMap(c) and RuntimeMap(c, executed).
 func Map(c Cells, executed []uint64) map[string]uint64 {
-	m := make(map[string]uint64, len(detSeries)+len(runtimeSeries)+len(executed)+1)
+	m := make(map[string]uint64)
 	fill(m, c, detSeries)
 	fill(m, c, runtimeSeries)
 	fillExecuted(m, executed)
