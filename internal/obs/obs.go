@@ -422,7 +422,9 @@ var detJSONMax = func() int {
 // for DeterministicMap(c): keys sorted, zero values left out. It grows b
 // once, to the longest such object.
 func AppendDeterministicJSON(b []byte, c Cells) []byte {
-	b = slices.Grow(b, detJSONMax)
+	if cap(b)-len(b) < detJSONMax {
+		b = append(make([]byte, 0, len(b)+detJSONMax), b...)
+	}
 	b = append(b, '{')
 	open := len(b)
 	for _, s := range detSorted {

@@ -112,20 +112,16 @@ func (j *job) kind() string {
 	}
 }
 
-// snapshot returns the job's latest counter snapshot.
-func (j *job) snapshot() (obs.Cells, []uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cells, j.executed
-}
-
 // countersSnapshot renders the job's latest counter snapshot, overlaying
 // the live executed-event total from the job's meter (safe to read at
 // any time — the meter is atomic and engines flush it at every segment
 // boundary, so a running job's event count stays fresh even before its
 // first counter snapshot lands).
 func (j *job) countersSnapshot() map[string]uint64 {
-	out := obs.Map(j.snapshot())
+	j.mu.Lock()
+	cells, executed := j.cells, j.executed
+	j.mu.Unlock()
+	out := obs.Map(cells, executed)
 	out["sim_events_executed_total"] = j.meter.Total()
 	return out
 }
