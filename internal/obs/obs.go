@@ -278,10 +278,7 @@ func (s series) value(c Cells) (v uint64) {
 func planeSeries(runtime bool) []series {
 	var out []series
 	add := func(key string, lo, hi ID) {
-		q, err := json.Marshal(key)
-		if err != nil {
-			panic(err)
-		}
+		q, _ := json.Marshal(key) // a string always marshals
 		out = append(out, series{key: key, quoted: q, lo: lo, hi: hi})
 	}
 	for _, d := range defs {
@@ -375,14 +372,9 @@ func DeterministicCells(m map[string]uint64) Cells {
 	c := NewCells()
 	// In cell order, the cells below a series' last are set before it,
 	// so its last cell is its value less theirs.
-	var next ID
 	for _, s := range detSeries {
 		last := s.hi - 1
-		if last < next {
-			continue // the histogram's _count repeats its +Inf bucket
-		}
 		c[last] = m[s.key] - s.value(c[:last])
-		next = s.hi
 	}
 	return c
 }
