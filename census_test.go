@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"netfence/internal/netsim"
+	"netfence/internal/transport"
 )
 
 // TestLinkCensus holds the idle-link cut-through to its point: a link
@@ -146,13 +147,21 @@ func TestHandoffCensus(t *testing.T) {
 	}
 }
 
-// TestGoodputMeterLayoutBudget pins the per-sender goodput meter inside
-// the 48-byte malloc size class: every sender of a scenario has one. The
-// meter points at the byte count it reads, and the timeseries rows live
-// beside the meters in each shard's list (shardMeters.row), made only by
-// the probe that fills them.
+// TestGoodputMeterLayoutBudget pins the per-sender goodput meter at 40
+// bytes: every sender of a scenario has one. The meter points at the
+// byte count it reads, and the timeseries rows live beside the meters in
+// each shard's list (shardMeters.row), made only by the probe that fills
+// them. A run carves its meters from 8 KB slab chunks, 204 meters in
+// 8160 bytes, and its UDP sinks, 341 in 8184.
 func TestGoodputMeterLayoutBudget(t *testing.T) {
-	if n := unsafe.Sizeof(goodputMeter{}); n > 48 {
-		t.Fatalf("sizeof(goodputMeter) = %d, budget 48", n)
+	if n := unsafe.Sizeof(goodputMeter{}); n > 40 {
+		t.Fatalf("sizeof(goodputMeter) = %d, budget 40", n)
+	}
+	var env scenarioEnv
+	if c, b := env.meterSlab.ChunkLen(), env.meterSlab.ChunkLen()*int(unsafe.Sizeof(goodputMeter{})); c != 204 || b != 8160 {
+		t.Errorf("a meter slab chunk holds %d meters in %d bytes, want 204 in 8160", c, b)
+	}
+	if c, b := env.sinks.ChunkLen(), env.sinks.ChunkLen()*int(unsafe.Sizeof(transport.UDPSink{})); c != 341 || b != 8184 {
+		t.Errorf("a sink slab chunk holds %d sinks in %d bytes, want 341 in 8184", c, b)
 	}
 }

@@ -21,11 +21,14 @@
 package attack
 
 import (
+	"slices"
+
 	"netfence/internal/core"
 	"netfence/internal/feedback"
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
+	"netfence/internal/slab"
 )
 
 // Env is the scenario view an adaptive strategy keys its decisions off:
@@ -249,8 +252,10 @@ type Controller struct {
 	strategy Strategy
 	env      *Env
 	senders  []*Sender
-	ticker   *sim.Ticker
-	running  bool
+	// carve makes the senders, which live as long as the controller.
+	carve   slab.Slab[Sender]
+	ticker  *sim.Ticker
+	running bool
 	// rateOverride, when positive, pins every Decision's RateBps — the
 	// control plane's re-parameterization knob (see SetRate).
 	rateOverride int64
@@ -293,10 +298,19 @@ func (c *Controller) SetRate(bps int64) {
 	}
 }
 
+// Reserve readies the next n AddSender calls: the last chunk their
+// senders are carved from ends at exactly n, and the sender list grows
+// once.
+func (c *Controller) Reserve(n int) {
+	c.carve.Reserve(n)
+	c.senders = slices.Grow(c.senders, n)
+}
+
 // AddSender attaches one attack sender flooding dst on flow. Call
 // before Start.
 func (c *Controller) AddSender(host *netsim.Host, dst packet.NodeID, flow packet.FlowID) *Sender {
-	s := &Sender{
+	s := c.carve.New()
+	*s = Sender{
 		Host:  host,
 		Dst:   dst,
 		Flow:  flow,

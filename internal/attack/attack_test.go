@@ -268,9 +268,15 @@ func TestControllerObservesFeedback(t *testing.T) {
 // TestSenderLayoutBudget pins the per-sender attack state inside the
 // 256-byte malloc size class: a large scenario holds one per attack
 // host. The Appendix B.1 multi-bottleneck header sits behind a pointer
-// made on first use, and the scenario view is the controller's.
+// made on first use, and the scenario view is the controller's. A
+// controller carves its senders from 8 KB slab chunks, 31 senders in
+// 7936 bytes beside the allocator's header.
 func TestSenderLayoutBudget(t *testing.T) {
 	if n := unsafe.Sizeof(Sender{}); n > 256 {
 		t.Fatalf("sizeof(Sender) = %d, budget 256", n)
+	}
+	var c Controller
+	if n, b := c.carve.ChunkLen(), c.carve.ChunkLen()*int(unsafe.Sizeof(Sender{})); n != 31 || b != 7936 {
+		t.Errorf("a sender slab chunk holds %d senders in %d bytes, want 31 in 7936", n, b)
 	}
 }

@@ -92,7 +92,8 @@ func (ps *peerState) needMulti() *peerMulti {
 
 // AttachHost installs a NetFence shim on host h with the given policy.
 func (s *System) AttachHost(h *netsim.Node, pol defense.Policy) {
-	shim := &HostShim{
+	shim := s.shims.New()
+	*shim = HostShim{
 		sys:     s,
 		host:    h.Host,
 		deny:    pol.Deny,
@@ -101,6 +102,11 @@ func (s *System) AttachHost(h *netsim.Node, pol defense.Policy) {
 	}
 	h.Host.Shim = shim
 }
+
+// ReserveHosts readies the shims of the next n AttachHost calls, so the
+// last chunk they are carved from ends at exactly n: a deployment that
+// knows how many hosts it arms calls it first.
+func (s *System) ReserveHosts(n int) { s.shims.Reserve(n) }
 
 // Shim returns the NetFence shim installed on h, or nil.
 func Shim(h *netsim.Node) *HostShim {

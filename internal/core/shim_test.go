@@ -16,10 +16,15 @@ import (
 // TestHostShimLayoutBudget pins the shim every NetFence host carries —
 // the first peer's state inline, the table for further peers, the
 // inline SYN clock and the echo origin behind a pointer — inside the
-// 160-byte malloc size class.
+// 160-byte malloc size class. A System carves its shims from 8 KB slab
+// chunks, 51 shims in 8160 bytes.
 func TestHostShimLayoutBudget(t *testing.T) {
 	if n := unsafe.Sizeof(HostShim{}); n > 160 {
 		t.Fatalf("sizeof(HostShim) = %d, budget 160", n)
+	}
+	var s System
+	if c, b := s.shims.ChunkLen(), s.shims.ChunkLen()*int(unsafe.Sizeof(HostShim{})); c != 51 || b != 8160 {
+		t.Errorf("a shim slab chunk holds %d shims in %d bytes, want 51 in 8160", c, b)
 	}
 	if n := unsafe.Sizeof(peerState{}); n > 88 {
 		t.Errorf("sizeof(peerState) = %d, budget 88", n)

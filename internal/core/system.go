@@ -5,6 +5,7 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/passport"
+	"netfence/internal/slab"
 )
 
 // System is a NetFence deployment over a simulated network: the Passport
@@ -20,6 +21,8 @@ type System struct {
 	net         *netsim.Network
 	accesses    map[packet.NodeID]*AccessRouter
 	bottlenecks map[packet.LinkID]*Bottleneck
+	// shims carves the host shims AttachHost installs.
+	shims slab.Slab[HostShim]
 }
 
 // NewSystem creates a NetFence deployment for net, establishing pairwise

@@ -7,6 +7,7 @@ import (
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
 	"netfence/internal/sim"
+	"netfence/internal/slab"
 )
 
 // BenchmarkSteadyStateForwarding measures the zero-allocation claim for
@@ -99,9 +100,14 @@ func TestSteadyStateForwardingZeroAlloc(t *testing.T) {
 
 // TestNodeLayoutBudget pins the per-node state at its 96 bytes: what a
 // network knows about a host it does not hold goes in its flat per-node
-// arrays, not in fields every node of every run would carry.
+// arrays, not in fields every node of every run would carry. A network
+// carves its nodes from 8 KB slab chunks, 85 nodes in 8160 bytes.
 func TestNodeLayoutBudget(t *testing.T) {
 	if n := unsafe.Sizeof(netsim.Node{}); n > 96 {
 		t.Fatalf("sizeof(Node) = %d, budget 96", n)
+	}
+	var s slab.Slab[netsim.Node]
+	if n, b := s.ChunkLen(), s.ChunkLen()*int(unsafe.Sizeof(netsim.Node{})); n != 85 || b != 8160 {
+		t.Errorf("a node slab chunk holds %d nodes in %d bytes, want 85 in 8160", n, b)
 	}
 }

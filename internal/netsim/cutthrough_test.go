@@ -213,8 +213,10 @@ func FuzzLinkCutThrough(f *testing.F) {
 
 // TestLinkLayoutBudget pins the per-link state — the origin, the queue,
 // the counters and one pointer to the cold block — inside the 128-byte
-// malloc size class, so a Connect pair is one 256-byte object: a large
-// topology's live heap is mostly links. What an arrival
+// malloc size class, so a Connect pair fits 256 bytes: a large
+// topology's live heap is mostly links. A network carves its pairs from
+// 8 KB slab chunks, 34 pairs in 8160 bytes, and each node's first egress
+// slot from chunks of 1023 slots in 8184 bytes. What an arrival
 // (To, net) and the start of a transmission (sending, Rate, Delay) read
 // stays in the first cache line of a struct that is cold by then.
 func TestLinkLayoutBudget(t *testing.T) {
@@ -235,6 +237,13 @@ func TestLinkLayoutBudget(t *testing.T) {
 		if f.end > 64 {
 			t.Errorf("Link.%s ends at offset %d, outside the first cache line", f.name, f.end)
 		}
+	}
+	var n Network
+	if c, b := n.pairSlab.ChunkLen(), n.pairSlab.ChunkLen()*int(unsafe.Sizeof([2]Link{})); c != 34 || b != 8160 {
+		t.Errorf("a link-pair slab chunk holds %d pairs in %d bytes, want 34 in 8160", c, b)
+	}
+	if c, b := n.outSlab.ChunkLen(), n.outSlab.ChunkLen()*int(unsafe.Sizeof([1]*Link{})); c != 1023 || b != 8184 {
+		t.Errorf("an egress-slot slab chunk holds %d slots in %d bytes, want 1023 in 8184", c, b)
 	}
 }
 

@@ -379,10 +379,15 @@ func TestInstalledDisciplineSeesEveryPacket(t *testing.T) {
 }
 
 // TestHostLayoutBudget pins the host stack — node, shim, listener hook
-// and the inline flow table — at one 64-byte object: every sender of a
-// large topology carries one, attacker or not.
+// and the inline flow table — at 64 bytes: every sender of a large
+// topology carries one, attacker or not. A network carves them from 8 KB
+// slab chunks, 127 stacks in 8128 bytes beside the allocator's header.
 func TestHostLayoutBudget(t *testing.T) {
 	if n := unsafe.Sizeof(Host{}); n > 64 {
 		t.Fatalf("sizeof(Host) = %d, budget 64", n)
+	}
+	var n Network
+	if c, b := n.hostSlab.ChunkLen(), n.hostSlab.ChunkLen()*int(unsafe.Sizeof(Host{})); c != 127 || b != 8128 {
+		t.Errorf("a host slab chunk holds %d stacks in %d bytes, want 127 in 8128", c, b)
 	}
 }

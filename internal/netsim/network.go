@@ -7,11 +7,13 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/queue"
 	"netfence/internal/sim"
+	"netfence/internal/slab"
 )
 
 // Network is a simulated internetwork. Build one by adding nodes and
@@ -67,6 +69,14 @@ type Network struct {
 	// the rest is the handoff census (see HandoffStats).
 	outboxes                       []*Mailbox
 	lent, sentHome, keyed, fifoHWM uint64
+
+	// The graph's per-entity state is carved from slabs the topology
+	// builder reserves (Reserve): nodes, host stacks, link pairs and each
+	// node's first egress slot.
+	nodeSlab slab.Slab[Node]
+	hostSlab slab.Slab[Host]
+	pairSlab slab.Slab[[2]Link]
+	outSlab  slab.Slab[[1]*Link]
 }
 
 // routes is the routing state, leaf-compressed: full next-hop tables
@@ -88,9 +98,26 @@ type routes struct {
 // New returns an empty network driven by eng.
 func New(eng *sim.Engine) *Network { return &Network{Eng: eng, Cells: obs.NewCells()} }
 
+// Reserve readies the network for nodes more nodes, hosts of them
+// hosts, and pairs more duplex connections: their structs are carved
+// from chunks that end exactly at those counts (see slab.Slab.Reserve),
+// and the node and link tables grow once. A topology builder that knows
+// its size calls it before adding anything; one that does not leaves up
+// to a chunk of each kind uncarved.
+func (n *Network) Reserve(nodes, hosts, pairs int) {
+	n.nodeSlab.Reserve(nodes)
+	n.outSlab.Reserve(nodes)
+	n.hostSlab.Reserve(hosts)
+	n.pairSlab.Reserve(pairs)
+	n.Nodes = slices.Grow(n.Nodes, nodes)
+	n.as = slices.Grow(n.as, nodes)
+	n.Links = slices.Grow(n.Links, 2*pairs)
+}
+
 // NewNode adds a router node.
 func (n *Network) NewNode(name string, as packet.ASID) *Node {
-	node := &Node{
+	node := n.nodeSlab.New()
+	*node = Node{
 		ID:   packet.NodeID(len(n.Nodes)),
 		AS:   as,
 		Name: name,
@@ -105,7 +132,8 @@ func (n *Network) NewNode(name string, as packet.ASID) *Node {
 func (n *Network) NewHost(name string, as packet.ASID) *Node {
 	node := n.NewNode(name, as)
 	node.IsHost = true
-	node.Host = &Host{Node: node}
+	node.Host = n.hostSlab.New()
+	node.Host.Node = node
 	n.hosts++
 	return node
 }
@@ -185,7 +213,7 @@ func (n *Network) Connect(a, b *Node, rateBps int64, delay sim.Time) (ab, ba *Li
 	if rateBps <= 0 {
 		panic(fmt.Sprintf("netsim: link %s -> %s: non-positive rate %d bps", a, b, rateBps))
 	}
-	pair := new([2]Link)
+	pair := n.pairSlab.New()
 	n.addLink(&pair[0], a, b, rateBps, delay)
 	n.addLink(&pair[1], b, a, rateBps, delay)
 	return &pair[0], &pair[1]
@@ -204,6 +232,9 @@ func (n *Network) addLink(l *Link, from, to *Node, rateBps int64, delay sim.Time
 	}
 	n.Links = append(n.Links, l)
 	n.links++
+	if from.out == nil {
+		from.out = n.outSlab.New()[:0]
+	}
 	from.out = append(from.out, l)
 }
 
@@ -287,7 +318,7 @@ func (n *Network) ComputeRoutes() {
 	n.attachAt = make([]int32, num)
 	n.uplink = make([]int32, num)
 	n.downlink = make([]int32, num)
-	var core []*Node
+	R := int32(0)
 	for id, nd := range n.Nodes {
 		n.uplink[id] = -1
 		n.downlink[id] = -1
@@ -296,8 +327,8 @@ func (n *Network) ComputeRoutes() {
 			n.coreIdx[id] = -1 // stub
 			continue
 		}
-		n.coreIdx[id] = int32(len(core))
-		core = append(core, nd)
+		n.coreIdx[id] = R
+		R++
 	}
 	for _, nd := range n.Nodes {
 		if n.coreIdx[nd.ID] >= 0 {
@@ -319,39 +350,46 @@ func (n *Network) ComputeRoutes() {
 
 	// Reverse BFS per core destination over the core subgraph, walking
 	// inbound links in link-declaration order — the original tie-break.
-	R := len(core)
+	// Each core node's inbound links are one row of in, at inAt[ti].
 	n.rtab = make([][]int32, R)
-	flat := make([]int32, R*R)
+	flat := make([]int32, int(R)*int(R))
 	for i := range flat {
 		flat[i] = -1
 	}
 	for i := range n.rtab {
-		n.rtab[i] = flat[i*R : (i+1)*R]
+		n.rtab[i] = flat[i*int(R) : (i+1)*int(R)]
 	}
-	in := make([][]*Link, R)
+	inAt := make([]int32, R+1)
 	for _, l := range n.Links {
-		fi, ti := n.coreIdx[l.From.ID], n.coreIdx[l.To.ID]
-		if fi >= 0 && ti >= 0 {
-			in[ti] = append(in[ti], l)
+		if fi, ti := n.coreIdx[l.From.ID], n.coreIdx[l.To.ID]; fi >= 0 && ti >= 0 {
+			inAt[ti+1]++
 		}
 	}
-	qbuf := make([]int32, 0, R)
-	seen := make([]bool, R)
-	for dst := 0; dst < R; dst++ {
-		for i := range seen {
-			seen[i] = false
+	for i := int32(1); i <= R; i++ {
+		inAt[i] += inAt[i-1]
+	}
+	in := make([]*Link, inAt[R])
+	fill := slices.Clone(inAt[:R])
+	for _, l := range n.Links {
+		if fi, ti := n.coreIdx[l.From.ID], n.coreIdx[l.To.ID]; fi >= 0 && ti >= 0 {
+			in[fill[ti]] = l
+			fill[ti]++
 		}
-		qbuf = append(qbuf[:0], int32(dst))
+	}
+	queue := make([]int32, 0, R)
+	seen := make([]bool, R)
+	for dst := int32(0); dst < R; dst++ {
+		clear(seen)
+		queue = append(queue[:0], dst)
 		seen[dst] = true
-		for len(qbuf) > 0 {
-			v := qbuf[0]
-			qbuf = qbuf[1:]
-			for _, l := range in[v] {
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for _, l := range in[inAt[v]:inAt[v+1]] {
 				u := n.coreIdx[l.From.ID]
 				if !seen[u] {
 					seen[u] = true
 					n.rtab[u][dst] = int32(l.Index)
-					qbuf = append(qbuf, u)
+					queue = append(queue, u)
 				}
 			}
 		}

@@ -1,6 +1,10 @@
 package packet
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"netfence/internal/slab"
+)
 
 // Pool recycles Packets so steady-state forwarding allocates nothing. It
 // is deliberately not synchronized: each simulation engine is
@@ -39,16 +43,16 @@ import "unsafe"
 type Pool struct {
 	free []*Packet
 
-	// slab and pslab are the uncarved rest of the current slab of bare
-	// and of trailer-made packets.
-	slab  []Packet
-	pslab []passportPacket
-
 	// Gets counts Get calls, News the subset that handed out a fresh
 	// Packet, Puts successful recycles — Gets-News hits quantify reuse.
 	Gets, News, Puts uint64
 
 	trailers bool
+
+	// slab and pslab carve the bare and the trailer-made packets; they
+	// sit after what every Get and Put touches.
+	slab  slab.Slab[Packet]
+	pslab slab.Slab[passportPacket]
 }
 
 // passportPacket is a packet made with its trailer block, the element
@@ -59,11 +63,13 @@ type passportPacket struct {
 }
 
 // Slab lengths: as many packets as fill the allocator class the slab is
-// sized for, so a struct that grows shortens its slab instead of
-// pushing it into the next class (TestPacketLayoutBudget).
+// sized for, beside the allocator's header, so a struct that grows
+// shortens its slab instead of pushing it into the next class
+// (TestPacketLayoutBudget). The bare slab's class is slab.DefaultBytes.
 const (
-	slabLen         = int(8192 / unsafe.Sizeof(Packet{}))
-	passportSlabLen = int(12288 / unsafe.Sizeof(passportPacket{}))
+	passportSlabBytes = 12288
+	slabLen           = int((slab.DefaultBytes - slab.Header) / unsafe.Sizeof(Packet{}))
+	passportSlabLen   = int((passportSlabBytes - slab.Header) / unsafe.Sizeof(passportPacket{}))
 )
 
 // MakeTrailers makes every fresh packet the pool carves from now on
@@ -71,7 +77,12 @@ const (
 // before make theirs on first need. The system that stamps Passport
 // trailers calls it when it is built on the pool's network, before
 // anything draws a packet.
-func (pl *Pool) MakeTrailers() { pl.trailers = true }
+func (pl *Pool) MakeTrailers() {
+	if !pl.trailers {
+		pl.trailers = true
+		pl.pslab = slab.Sized[passportPacket](passportSlabBytes)
+	}
+}
 
 // Get returns a zeroed packet, reusing a recycled one when available.
 func (pl *Pool) Get() *Packet {
@@ -80,20 +91,12 @@ func (pl *Pool) Get() *Packet {
 	if n == 0 {
 		pl.News++
 		if pl.trailers {
-			if len(pl.pslab) == 0 {
-				pl.pslab = make([]passportPacket, passportSlabLen)
-			}
-			b := &pl.pslab[0]
-			pl.pslab = pl.pslab[1:]
+			b := pl.pslab.New()
 			b.pooled = true
 			b.block.attach(&b.Packet)
 			return &b.Packet
 		}
-		if len(pl.slab) == 0 {
-			pl.slab = make([]Packet, slabLen)
-		}
-		p := &pl.slab[0]
-		pl.slab = pl.slab[1:]
+		p := pl.slab.New()
 		p.pooled = true
 		return p
 	}

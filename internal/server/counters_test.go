@@ -221,7 +221,10 @@ func checkProcessMetrics(t *testing.T, s *Server) {
 // the delta is one more cell array. Rendering is the one buffer
 // MarshalJSON fills (json.Marshal adds boxing the delta and copying the
 // buffer out of its pooled encoder, which the race detector's pool
-// drops make vary).
+// drops make vary). At the final boundary the runner collects the
+// Result, whose counters render from the cells Finish harvested, and
+// snapshots those cells: a copy of them and the executed counts, no
+// second harvest.
 func TestCounterAllocs(t *testing.T) {
 	sc, err := goldenJob(false).Scenario.Scenario()
 	if err != nil {
@@ -247,11 +250,18 @@ func TestCounterAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const wantBoundary, wantRender = 4, 1
+	final := testing.AllocsPerRun(100, func() {
+		in.Finish()
+		in.CounterCells()
+	})
+	const wantBoundary, wantRender, wantFinal = 4, 1, 16
 	if boundary != wantBoundary {
 		t.Errorf("a boundary's snapshot and delta cost %.0f allocations, want %d", boundary, wantBoundary)
 	}
 	if render != wantRender {
 		t.Errorf("rendering a delta costs %.0f allocations, want %d", render, wantRender)
+	}
+	if final != wantFinal {
+		t.Errorf("the final boundary's Result and snapshot cost %.0f allocations, want %d", final, wantFinal)
 	}
 }

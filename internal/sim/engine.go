@@ -6,6 +6,9 @@ import (
 	"math/rand/v2"
 	"slices"
 	"sync/atomic"
+	"unsafe"
+
+	"netfence/internal/slab"
 )
 
 // Handler is the allocation-free event callback: hot paths implement
@@ -263,14 +266,19 @@ type Engine struct {
 	executed uint64
 	flushed  uint64
 	meter    *Meter
+
+	// events carves the pooled slots that have never been on the free
+	// list; it sits last, away from the fields every event touches.
+	events slab.Slab[Event]
 }
 
 // New returns an engine whose clock starts at zero and whose random
 // streams (KeyStream) derive from the given seed.
 func New(seed uint64) *Engine {
 	e := &Engine{
-		heap: make(eventHeap, 0, 64),
-		seed: seed,
+		heap:   make(eventHeap, 0, 64),
+		seed:   seed,
+		events: slab.Sized[Event](eventSlabBytes),
 	}
 	e.Origin.eng = e
 	return e
@@ -315,28 +323,39 @@ func (e *Engine) SchedStats() SchedStats {
 		DueInserted: e.dueInserted, Drains: w.drains}
 }
 
-// eventSlabSize is how many pooled Event slots one free-list refill
-// allocates at once. Slab refills amortize the allocator over bursts
-// and keep pooled events cache-adjacent.
-const eventSlabSize = 64
+// eventSlabSize is how many pooled Event slots one slab chunk holds;
+// eventSlabBytes is the budget that makes it so, the allocator's header
+// included. Chunks amortize the allocator over bursts and keep pooled
+// events cache-adjacent.
+const (
+	eventSlabSize  = 64
+	eventSlabBytes = eventSlabSize*int(unsafe.Sizeof(Event{})) + slab.Header
+)
 
-// grabEvent pops a pooled event slot off the free list, refilling the
-// list from a contiguous slab when it runs dry.
+// grabEvent pops a pooled event slot off the free list, carving a fresh
+// one from the engine's slab when the list is empty. It stays small
+// enough to inline into Schedule and Inject: the carving is out of line,
+// a slot is marked pooled once, when carved, and the free-list link left
+// in next is never read, because whatever queues the slot next either
+// links it into a wheel slot, which rewrites next, or keeps it where
+// next is not read (the heap, the due batch).
 func (e *Engine) grabEvent() *Event {
 	ev := e.free
 	if ev == nil {
-		slab := make([]Event, eventSlabSize)
-		for i := range slab {
-			slab[i].loc = locNone
-			slab[i].index = -1
-			if i > 0 {
-				slab[i].next = &slab[i-1]
-			}
-		}
-		ev = &slab[eventSlabSize-1]
+		ev = e.carveEvent()
 	}
 	e.free = ev.next
-	ev.next = nil
+	return ev
+}
+
+// carveEvent makes a pooled event slot that has never been on the free
+// list.
+//
+//go:noinline
+func (e *Engine) carveEvent() *Event {
+	ev := e.events.New()
+	ev.loc = locNone
+	ev.index = -1
 	ev.pooled = true
 	return ev
 }
@@ -344,7 +363,6 @@ func (e *Engine) grabEvent() *Event {
 // recycle scrubs a pooled event slot and returns it to the free list, so
 // the list retains nothing.
 func (e *Engine) recycle(ev *Event) {
-	ev.pooled = false
 	ev.h, ev.arg = nil, nil
 	ev.next = e.free
 	e.free = ev

@@ -87,14 +87,21 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	}
 	rng := rand.New(rand.NewPCG(seed, 0x6e65746665_6e6365)) // "netfence"
 
+	possible := transit*(transit-1)/2 - (transit - 1)
+	want := cfg.ExtraLinks
+	if want > possible {
+		want = possible
+	}
 	g := NewGraph(eng)
-	r := &RandomAS{G: g, Net: g.Net}
+	srcNodes, c := srcASes*(1+perAS), cfg.ColluderASes
+	g.Net.Reserve(transit+srcNodes+3+2*c, srcASes*perAS+1+c, transit-1+want+srcNodes+3+2*c)
+	r := &RandomAS{G: g, Net: g.Net, Transit: make([]*netsim.Node, 0, transit), SrcAccess: make([]*netsim.Node, 0, srcASes)}
 
 	// Random connected transit core: a uniform random spanning tree by
 	// attachment (router i links to a uniform earlier router), plus
 	// optional extra links.
 	for i := 0; i < transit; i++ {
-		t := g.Router(fmt.Sprintf("T%d", i), packet.ASID(1000+i))
+		t := g.Router(nodeName("T", i), packet.ASID(1000+i))
 		r.Transit = append(r.Transit, t)
 		if i > 0 {
 			parent := r.Transit[rng.IntN(i)]
@@ -104,11 +111,6 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	// Extra links: exactly min(ExtraLinks, what the core can still hold)
 	// distinct non-tree edges, redrawing collisions so the configured
 	// density is honored.
-	possible := transit*(transit-1)/2 - (transit - 1)
-	want := cfg.ExtraLinks
-	if want > possible {
-		want = possible
-	}
 	linked := map[[2]int]bool{}
 	for added, attempts := 0, 0; added < want && attempts < 100*want+100; attempts++ {
 		a, b := rng.IntN(transit), rng.IntN(transit)
@@ -130,13 +132,12 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 	// Source ASes hang off random transit routers.
 	for i := 0; i < srcASes; i++ {
 		as := packet.ASID(1 + i)
-		ra := g.AccessRouter(0, fmt.Sprintf("Ra%d", i), as)
+		ra := g.AccessRouter(0, nodeName("Ra", i), as)
 		r.SrcAccess = append(r.SrcAccess, ra)
 		g.Link(ra, r.Transit[rng.IntN(transit)], edgeBps, linkDelay)
-		for h := 0; h < perAS; h++ {
-			host := g.Sender(0, fmt.Sprintf("s%d.%d", i, h), as)
-			g.Link(host, ra, edgeBps, linkDelay)
-		}
+		numbered(nodeName("s", i)+".", perAS, func(name string) {
+			g.Link(g.Sender(0, name, as), ra, edgeBps, linkDelay)
+		})
 	}
 
 	// The exit: a random core router crosses the bottleneck to Rd, the
@@ -153,9 +154,9 @@ func NewRandomAS(eng *sim.Engine, cfg RandomASConfig) (*RandomAS, error) {
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
-		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
+		rc := g.AccessRouter(0, nodeName("Rc", i), as)
 		g.Link(rd, rc, edgeBps, linkDelay)
-		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), edgeBps, linkDelay)
+		g.Link(rc, g.Colluder(0, nodeName("c", i), as), edgeBps, linkDelay)
 	}
 
 	r.Senders = g.groups[0].Senders

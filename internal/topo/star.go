@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"fmt"
-
 	"netfence/internal/packet"
 	"netfence/internal/sim"
 )
@@ -34,12 +32,14 @@ func DefaultStar(senders int, bottleneckBps int64) StarConfig {
 // bottleneck is the Ra->Rv uplink.
 func NewStar(eng *sim.Engine, cfg StarConfig) *Graph {
 	g := NewGraph(eng)
+	c := cfg.ColluderASes
+	g.Net.Reserve(3+cfg.Senders+2*c, cfg.Senders+1+c, 2+cfg.Senders+2*c)
 
 	srcAS := packet.ASID(1)
 	ra := g.AccessRouter(0, "Ra", srcAS)
-	for i := 0; i < cfg.Senders; i++ {
-		g.Link(g.Sender(0, fmt.Sprintf("s%d", i), srcAS), ra, edgeBps, linkDelay)
-	}
+	numbered("s", cfg.Senders, func(name string) {
+		g.Link(g.Sender(0, name, srcAS), ra, edgeBps, linkDelay)
+	})
 
 	victimAS := packet.ASID(2000)
 	rv := g.AccessRouter(0, "Rv", victimAS)
@@ -48,9 +48,9 @@ func NewStar(eng *sim.Engine, cfg StarConfig) *Graph {
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
-		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
+		rc := g.AccessRouter(0, nodeName("Rc", i), as)
 		g.Link(rv, rc, edgeBps, linkDelay)
-		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), edgeBps, linkDelay)
+		g.Link(rc, g.Colluder(0, nodeName("c", i), as), edgeBps, linkDelay)
 	}
 
 	return g.Build()

@@ -7,7 +7,7 @@
 package topo
 
 import (
-	"fmt"
+	"strconv"
 
 	"netfence/internal/netsim"
 	"netfence/internal/packet"
@@ -65,6 +65,8 @@ func DefaultDumbbell(senders int, bottleneckBps int64) DumbbellConfig {
 // colluder access routers; its one bottleneck is Rbl->Rbr.
 func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Graph {
 	g := NewGraph(eng)
+	srcNodes, c := cfg.SrcASes*(1+cfg.HostsPerAS), cfg.ColluderASes
+	g.Net.Reserve(4+srcNodes+2*c, cfg.SrcASes*cfg.HostsPerAS+1+c, 3+srcNodes+2*c)
 
 	transitAS := packet.ASID(1000)
 	rbl := g.Router("Rbl", transitAS)
@@ -73,12 +75,11 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Graph {
 
 	for i := 0; i < cfg.SrcASes; i++ {
 		as := packet.ASID(1 + i)
-		ra := g.AccessRouter(0, fmt.Sprintf("Ra%d", i), as)
+		ra := g.AccessRouter(0, nodeName("Ra", i), as)
 		g.Link(ra, rbl, cfg.EdgeBps, cfg.Delay)
-		for h := 0; h < cfg.HostsPerAS; h++ {
-			host := g.Sender(0, fmt.Sprintf("s%d.%d", i, h), as)
-			g.Link(host, ra, cfg.EdgeBps, cfg.Delay)
-		}
+		numbered(nodeName("s", i)+".", cfg.HostsPerAS, func(name string) {
+			g.Link(g.Sender(0, name, as), ra, cfg.EdgeBps, cfg.Delay)
+		})
 	}
 
 	victimAS := packet.ASID(2000)
@@ -88,9 +89,9 @@ func NewDumbbell(eng *sim.Engine, cfg DumbbellConfig) *Graph {
 
 	for i := 0; i < cfg.ColluderASes; i++ {
 		as := packet.ASID(3000 + i)
-		rc := g.AccessRouter(0, fmt.Sprintf("Rc%d", i), as)
+		rc := g.AccessRouter(0, nodeName("Rc", i), as)
 		g.Link(rbr, rc, cfg.EdgeBps, cfg.Delay)
-		g.Link(rc, g.Colluder(0, fmt.Sprintf("c%d", i), as), cfg.EdgeBps, cfg.Delay)
+		g.Link(rc, g.Colluder(0, nodeName("c", i), as), cfg.EdgeBps, cfg.Delay)
 	}
 
 	return g.Build()
@@ -129,6 +130,10 @@ func DefaultParkingLot(sendersPerGroup int, l1, l2 int64) ParkingLotConfig {
 // polices only at its source-AS access routers.
 func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 	g := NewGraph(eng)
+	perAS := cfg.SendersPerGroup / cfg.ASesPerGroup
+	srcNodes := cfg.ASesPerGroup * (1 + perAS)
+	g.Net.Reserve(3+3*(srcNodes+2+2*colluderASesPerGroup), 3*(cfg.ASesPerGroup*perAS+1+colluderASesPerGroup),
+		2+3*(srcNodes+2+2*colluderASesPerGroup))
 	transitAS := packet.ASID(1000)
 	r0 := g.Router("R0", transitAS)
 	r1 := g.Router("R1", transitAS)
@@ -138,31 +143,31 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 
 	asCounter := packet.ASID(1)
 	buildGroup := func(gi int, attach *netsim.Node, dstAttach *netsim.Node) {
-		perAS := cfg.SendersPerGroup / cfg.ASesPerGroup
+		pre := "g" + strconv.Itoa(gi)
+		raPre, sPre := pre+"Ra", pre+"s"
 		for i := 0; i < cfg.ASesPerGroup; i++ {
 			as := asCounter
 			asCounter++
-			ra := g.AccessRouter(gi, fmt.Sprintf("g%dRa%d", gi, i), as)
+			ra := g.AccessRouter(gi, nodeName(raPre, i), as)
 			g.Link(ra, attach, edgeBps, linkDelay)
-			for h := 0; h < perAS; h++ {
-				host := g.Sender(gi, fmt.Sprintf("g%ds%d.%d", gi, i, h), as)
-				g.Link(host, ra, edgeBps, linkDelay)
-			}
+			numbered(nodeName(sPre, i)+".", perAS, func(name string) {
+				g.Link(g.Sender(gi, name, as), ra, edgeBps, linkDelay)
+			})
 		}
 		// Victim AS. Its access router is deliberately a plain router —
 		// the parking-lot experiments police only the source side.
 		vas := asCounter
 		asCounter++
-		rv := g.Router(fmt.Sprintf("g%dRv", gi), vas)
+		rv := g.Router(pre+"Rv", vas)
 		g.Link(dstAttach, rv, edgeBps, linkDelay)
-		g.Link(rv, g.Victim(gi, fmt.Sprintf("g%dvictim", gi), vas), edgeBps, linkDelay)
+		g.Link(rv, g.Victim(gi, pre+"victim", vas), edgeBps, linkDelay)
 		// Colluder ASes.
 		for i := 0; i < colluderASesPerGroup; i++ {
 			cas := asCounter
 			asCounter++
-			rc := g.Router(fmt.Sprintf("g%dRc%d", gi, i), cas)
+			rc := g.Router(nodeName(pre+"Rc", i), cas)
 			g.Link(dstAttach, rc, edgeBps, linkDelay)
-			g.Link(rc, g.Colluder(gi, fmt.Sprintf("g%dc%d", gi, i), cas), edgeBps, linkDelay)
+			g.Link(rc, g.Colluder(gi, nodeName(pre+"c", i), cas), edgeBps, linkDelay)
 		}
 	}
 	buildGroup(0, r0, r2) // A: enters at R0, exits at R2 (L1+L2)
@@ -170,6 +175,34 @@ func NewParkingLot(eng *sim.Engine, cfg ParkingLotConfig) *Graph {
 	buildGroup(2, r0, r1) // C: enters at R0, exits at R1 (L1)
 
 	return g.Build()
+}
+
+// nodeName is prefix followed by the decimal number i ("Ra3"): a
+// router's name, made in one allocation.
+func nodeName(prefix string, i int) string {
+	b := make([]byte, 0, 32)
+	return string(strconv.AppendInt(append(b, prefix...), int64(i), 10))
+}
+
+// numbered calls add with prefix+"0", prefix+"1", … prefix+(n-1), in
+// order: the names of one AS's hosts, cut from one string so that
+// naming them costs a few allocations instead of one per host.
+func numbered(prefix string, n int, add func(name string)) {
+	digits := 1
+	for d := n; d >= 10; d /= 10 {
+		digits++
+	}
+	b := make([]byte, 0, n*(len(prefix)+digits))
+	ends := make([]int, n)
+	for h := range ends {
+		b = strconv.AppendInt(append(b, prefix...), int64(h), 10)
+		ends[h] = len(b)
+	}
+	all, start := string(b), 0
+	for _, end := range ends {
+		add(all[start:end])
+		start = end
+	}
 }
 
 // SplitEvenly splits a population over at most wantASes ASes, lowering

@@ -452,6 +452,14 @@ func (in *Instance) Finish() *Result {
 		for _, st := range in.env.stoppers {
 			st.Stop()
 		}
+		if nets := in.env.sh.nets; len(nets) == 1 {
+			// One shard's cells are their own merge, and nothing writes
+			// them any more: keep them rather than a copy.
+			harvestGauges(nets[0])
+			in.final = nets[0].Cells
+		} else {
+			in.final = in.mergedCells()
+		}
 	}
 	return in.collect()
 }

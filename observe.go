@@ -1,6 +1,8 @@
 package netfence
 
 import (
+	"slices"
+
 	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/sim"
@@ -60,6 +62,9 @@ func (in *Instance) mergedCells() obs.Cells {
 // 1/2/4/8 — the same equivalence contract as the Result itself — and
 // is what Result.Counters carries.
 func (in *Instance) Counters() map[string]uint64 {
+	if in.final != nil {
+		return obs.DeterministicMap(in.final)
+	}
 	return obs.DeterministicMap(in.mergedCells())
 }
 
@@ -78,11 +83,15 @@ func (in *Instance) RuntimeCounters() map[string]uint64 {
 // harvest: the cells merged across shards, which Counters and
 // RuntimeCounters render, and each shard engine's executed-event count
 // in shard order. The cells are a fresh copy, for a caller that keeps a
-// snapshot per segment boundary and renders it only when read.
+// snapshot per segment boundary and renders it only when read. A
+// finished run's copy is of the cells Finish harvested.
 func (in *Instance) CounterCells() (obs.Cells, []uint64) {
 	executed := make([]uint64, len(in.Engines))
 	for i, e := range in.Engines {
 		executed[i] = e.Executed()
+	}
+	if in.final != nil {
+		return slices.Clone(in.final), executed
 	}
 	return in.mergedCells(), executed
 }

@@ -201,9 +201,18 @@ type shardMeters struct {
 func (env *scenarioEnv) addMeter(owner *netsim.Node, attacker bool, weight int32, bytes *int64) {
 	sh := env.sh.shardOf(owner.ID)
 	own := &env.byShard[sh]
-	m := &goodputMeter{bytes: bytes, shard: int32(sh), slot: int32(len(own.meters)), weight: weight, attacker: attacker}
+	m := env.meterSlab.New()
+	*m = goodputMeter{bytes: bytes, shard: int32(sh), slot: int32(len(own.meters)), weight: weight, attacker: attacker}
 	own.meters = append(own.meters, m)
 	env.meters = append(env.meters, m)
+}
+
+// reserveMeters readies the meters of a workload about to attach n
+// metered senders: chunks that end at exactly n, and one growth of the
+// list.
+func (env *scenarioEnv) reserveMeters(n int) {
+	env.meterSlab.Reserve(n)
+	env.meters = slices.Grow(env.meters, n)
 }
 
 // snapshotWarmShard is the warmup snapshot: shard sh marks the meters

@@ -13,7 +13,9 @@ import (
 	"netfence/internal/core"
 	"netfence/internal/defense"
 	"netfence/internal/netsim"
+	"netfence/internal/obs"
 	"netfence/internal/packet"
+	"netfence/internal/slab"
 	"netfence/internal/topo"
 	"netfence/internal/transport"
 )
@@ -147,6 +149,10 @@ type scenarioEnv struct {
 	// order the probes sum in; byShard holds each shard's share of them.
 	meters  []*goodputMeter
 	byShard []shardMeters
+	// meterSlab and sinks carve the meters and the UDP sinks the
+	// workloads attach: both live as long as the run.
+	meterSlab slab.Slab[goodputMeter]
+	sinks     slab.Slab[transport.UDPSink]
 	// fcts holds one transfer record per shard: transfer results are
 	// recorded by the sender's shard and merged at finish.
 	fcts     []fctRecord
@@ -310,6 +316,10 @@ type Instance struct {
 	// finished flags a completed (or stopped) run: the coordinator's
 	// workers are torn down and the instance can only be collected.
 	finished bool
+	// final holds the merged cells harvested once when the run finished
+	// (nil before, and after Stop): nothing moves them any more, so the
+	// counter accessors read it instead of harvesting again.
+	final obs.Cells
 }
 
 // Build validates the scenario and constructs everything — engine,

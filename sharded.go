@@ -260,6 +260,15 @@ func (s Scenario) build(shards int) (*Instance, error) {
 	for _, l := range g.Bottlenecks() {
 		st.system(l.From).ProtectLink(l)
 	}
+	// Each shard's NetFence system reserves the shims of the hosts it
+	// arms, so its last shim chunk ends at exactly their count.
+	hosts := make([]int, len(st.nets))
+	g.Roles(plan.Participates, func(*netsim.Node) {}, func(h *netsim.Node, _ bool) { hosts[st.shardOf(h.ID)]++ })
+	for i, sys := range st.systems {
+		if cs, ok := sys.(*core.System); ok {
+			cs.ReserveHosts(hosts[i])
+		}
+	}
 	env.arm(plan.Participates)
 
 	if len(g.Bottlenecks()) > 0 {

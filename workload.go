@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netfence/internal/attack"
+	"netfence/internal/netsim"
 	"netfence/internal/obs"
 	"netfence/internal/packet"
 	"netfence/internal/transport"
@@ -68,6 +69,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 		return err
 	}
 	cfg := transport.DefaultTCP()
+	env.reserveMeters(len(w.Senders))
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "LongTCP")
 		if err != nil {
@@ -113,6 +115,7 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 	}
 	cfg := transport.DefaultTCP()
 	env.ensureListener(w.Group)
+	env.reserveMeters(len(w.Senders))
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "FileTransfers")
 		if err != nil {
@@ -150,6 +153,7 @@ func (w WebTraffic) attach(env *scenarioEnv) error {
 		return err
 	}
 	env.ensureListener(w.Group)
+	env.reserveMeters(len(w.Senders))
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "WebTraffic")
 		if err != nil {
@@ -256,6 +260,15 @@ type floodSpec struct {
 	kind   string
 }
 
+// newSink registers a UDP sink for flow on host h. Sinks live as long as
+// the run, so they are carved from the run's slab; a workload reserves
+// its count first.
+func (env *scenarioEnv) newSink(h *netsim.Node, flow packet.FlowID) *transport.UDPSink {
+	s := env.sinks.New()
+	h.Host.Register(flow, s)
+	return s
+}
+
 func attachFlood(env *scenarioEnv, spec floodSpec) error {
 	grp, err := env.group(spec.group, spec.kind)
 	if err != nil {
@@ -273,6 +286,8 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 	if rate <= 0 {
 		rate = 1_000_000
 	}
+	env.reserveMeters(len(spec.senders))
+	env.sinks.Reserve(len(spec.senders))
 	for k, idx := range spec.senders {
 		h, err := groupSender(grp, idx, spec.kind)
 		if err != nil {
@@ -294,7 +309,7 @@ func attachFlood(env *scenarioEnv, spec floodSpec) error {
 			h.Weight = weight
 		}
 		flow := env.flowFrom(h)
-		sink := transport.NewUDPSink(dstHost.Host, flow)
+		sink := env.newSink(dstHost, flow)
 		env.addMeter(dstHost, !spec.legit, weight, &sink.Bytes)
 		if spec.weight > 0 {
 			fs := transport.NewFleetSource(h.Host, dstHost.ID, flow, spec.weight, rate, packet.SizeData, h.Network().Eng.KeyStream(uint64(h.ID)))
@@ -514,7 +529,16 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 		}
 		return attack.NewController(strat, aenv), nil
 	}
-	ctrls := map[int]*attack.Controller{}
+	// Each controller reserves its shard's share of the population.
+	perShard := make([]int, len(env.sh.engines))
+	for _, idx := range w.Senders {
+		if h, err := groupSender(grp, idx, "AttackSpec"); err == nil {
+			perShard[env.sh.shardOf(h.ID)]++
+		}
+	}
+	env.reserveMeters(len(w.Senders))
+	env.sinks.Reserve(len(w.Senders))
+	ctrls := make([]*attack.Controller, len(env.sh.engines))
 	for k, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "AttackSpec")
 		if err != nil {
@@ -532,10 +556,11 @@ func (w AttackSpec) attach(env *scenarioEnv) error {
 			if ctrl, err = mkCtrl(h.Host.Network().Eng); err != nil {
 				return err
 			}
+			ctrl.Reserve(perShard[sh])
 			ctrls[sh] = ctrl
 		}
 		flow := env.flowFrom(h)
-		sink := transport.NewUDPSink(dstHost.Host, flow)
+		sink := env.newSink(dstHost, flow)
 		env.addMeter(dstHost, true, 1, &sink.Bytes)
 		// Index must be the sender's position in the workload list, not
 		// in its shard's controller: index-dependent strategies (the
