@@ -29,10 +29,13 @@ type AccessRouter struct {
 	// that fill up and never move: the first has room for every attached
 	// host. A slot's index is chunk<<slotBits | offset, plus one; an
 	// attached host carries its own on its Node, and slotOf finds the
-	// slot of any other source address a packet may claim.
-	slots   [][]senderSlot
-	slotOf  map[packet.NodeID]int32
-	regLims map[regKey]*regLimiter
+	// slot of any other source address a packet may claim. On Passport
+	// runs trailers holds each slot's trailer memo, a chunk beside each
+	// chunk of slots.
+	slots    [][]senderSlot
+	trailers [][]trailerMemo
+	slotOf   map[packet.NodeID]int32
+	regLims  map[regKey]*regLimiter
 
 	// hopSets holds each distinct AS-level path to a destination once,
 	// with the key this AS shares with each AS on it, for Passport
@@ -44,7 +47,9 @@ type AccessRouter struct {
 	pathBuf []packet.ASID
 
 	// destLinks is the Appendix B.2 inference cache: bottleneck links
-	// observed on the path toward each destination.
+	// observed on the path toward each destination. It and the other
+	// maps are made at their first write, slotOf sized for the attached
+	// hosts: a router that polices nobody writes none of them.
 	destLinks map[packet.NodeID][]packet.LinkID
 
 	// org keys the key-rotation ticker.
@@ -61,12 +66,12 @@ type AccessRouter struct {
 // still pays; it is read by tests, never by the model.
 type AccessStats struct {
 	// MemoHits and MemoMisses count token lookups (token_nop, token_Lup,
-	// presented-feedback verdict): a hit is a compare, a miss computes
-	// the MACs and refills the memo.
+	// presented-feedback verdict) and own-AS Passport trailers: a hit is
+	// a compare, a miss computes the MACs and refills the memo.
 	MemoHits, MemoMisses uint64
 	// Hashed counts Go map accesses made while policing: slot lookups by
-	// source address, limiter, path and pair-key lookups (the Appendix B
-	// variants' walks over a packet's other limiters are not counted).
+	// source address, limiter and path lookups (the Appendix B variants'
+	// walks over a packet's other limiters are not counted).
 	Hashed uint64
 }
 
@@ -130,6 +135,8 @@ type senderSlot struct {
 	fvAction  packet.FBAction
 	fvVerdict feedback.Verdict
 	have      uint8 // haveReq | haveNop | haveUp | haveFV
+	// self is the slot's own index, which finds its trailer memo.
+	self int32
 }
 
 const (
@@ -138,6 +145,23 @@ const (
 	haveUp
 	haveFV
 )
+
+// trailerMemo is a sender's last own-AS Passport trailer: the MACs of hop
+// set set-1 (0: none yet) for a packet to dst of size bytes. Every MAC
+// input — source, destination, source AS, transit AS and size — is then
+// fixed (the slot fixes the source, and the memo is for the router's own
+// AS only), as are the pair keys, so a hit writes exactly the trailer
+// passport.StampHops would compute. A transit AS still verifies each
+// packet's MAC: that is the paper's per-AS rule.
+type trailerMemo struct {
+	dst       packet.NodeID
+	set, size uint16
+	macs      [trailerMemoHops][4]byte
+}
+
+// trailerMemoHops is the longest AS path a trailer memo holds, which
+// makes it 32 bytes; a longer path is stamped per packet.
+const trailerMemoHops = 6
 
 type regKey struct {
 	src  packet.NodeID
@@ -206,13 +230,9 @@ func (ar *AccessRouter) senderWeight(src packet.NodeID) int64 {
 // packets that arrive from r's directly attached hosts.
 func (s *System) ProtectAccess(r *netsim.Node) {
 	ar := &AccessRouter{
-		sys:       s,
-		node:      r,
-		slotOf:    make(map[packet.NodeID]int32),
-		regLims:   make(map[regKey]*regLimiter),
-		paths:     make(map[packet.NodeID]int32),
-		destLinks: make(map[packet.NodeID][]packet.LinkID),
-		org:       r.NewOrigin(),
+		sys:  s,
+		node: r,
+		org:  r.NewOrigin(),
 	}
 	ar.ring = feedback.NewKeyRing(r.Network().Eng.KeySource(ar.org.ID()))
 	ar.org.Tick(s.Cfg.KeyRotate, func() {
@@ -269,11 +289,17 @@ func (ar *AccessRouter) slotFor(src packet.NodeID) int32 {
 				n = slotChunkMin
 			}
 			n = min(n, 1<<slotBits)
+			if ar.slotOf == nil {
+				ar.slotOf = make(map[packet.NodeID]int32, n)
+			}
 			ar.slots = append(ar.slots, make([]senderSlot, 0, n))
+			if ar.sys.Cfg.Passport {
+				ar.trailers = append(ar.trailers, make([]trailerMemo, n))
+			}
 			c++
 		}
-		ar.slots[c] = append(ar.slots[c], senderSlot{src: src})
-		i = int32(c<<slotBits + len(ar.slots[c]))
+		i = int32(c<<slotBits + len(ar.slots[c]) + 1)
+		ar.slots[c] = append(ar.slots[c], senderSlot{src: src, self: i})
 		ar.slotOf[src] = i
 	}
 	return i
@@ -573,6 +599,9 @@ func (ar *AccessRouter) limiter(s *senderSlot, link packet.LinkID) *regLimiter {
 	}
 	lim.quotaStart = eng.Now()
 	lim.org.ScheduleEvent(&lim.tick, eng.Now()+Ilim, lim, nil)
+	if ar.regLims == nil {
+		ar.regLims = make(map[regKey]*regLimiter)
+	}
 	ar.regLims[key] = lim
 	s.lim = lim
 	return lim
@@ -690,8 +719,10 @@ func (ar *AccessRouter) hopsTo(dst packet.NodeID) int32 {
 }
 
 // stampPassport writes the Passport trailer when enabled, with the pair
-// keys resolved once per destination; a packet claiming another source
-// AS gets that AS's keys, resolved per packet.
+// keys resolved once per destination, and the MACs of the router's own
+// AS from the sender's trailer memo when the packet's destination, hop
+// set and size are its predecessor's; a packet claiming another source
+// AS gets that AS's keys and MACs, resolved per packet.
 func (ar *AccessRouter) stampPassport(s *senderSlot, p *packet.Packet) {
 	if !ar.sys.Cfg.Passport {
 		return
@@ -701,20 +732,38 @@ func (ar *AccessRouter) stampPassport(s *senderSlot, p *packet.Packet) {
 		set, ok := ar.paths[p.Dst]
 		if !ok {
 			set = ar.hopsTo(p.Dst)
+			if ar.paths == nil {
+				ar.paths = make(map[packet.NodeID]int32)
+			}
 			ar.paths[p.Dst] = set
 		}
 		s.pathDst, s.pathSet = p.Dst, set+1
 	}
 	hops := ar.hopSets[s.pathSet-1]
-	if p.SrcAS == ar.node.AS {
-		passport.StampHops(p, hops)
+	if p.SrcAS != ar.node.AS {
+		var buf [8]packet.ASID
+		ases := buf[:0]
+		for _, h := range hops {
+			ases = append(ases, h.AS)
+		}
+		ar.sys.Registry.Stamp(p, ases)
 		return
 	}
-	var buf [8]packet.ASID
-	ases := buf[:0]
-	for _, h := range hops {
-		ases = append(ases, h.AS)
+	i := s.self - 1
+	m := &ar.trailers[i>>slotBits][i&(1<<slotBits-1)]
+	set, size := uint16(s.pathSet), uint16(p.Size)
+	fits := int32(set) == s.pathSet && int32(size) == p.Size
+	if m.set == set && m.dst == p.Dst && m.size == size && fits {
+		ar.stats.MemoHits++
+		passport.StampMACs(p, hops, m.macs[:len(hops)])
+		return
 	}
-	ar.stats.Hashed += uint64(len(ases))
-	ar.sys.Registry.Stamp(p, ases)
+	ar.stats.MemoMisses++
+	passport.StampHops(p, hops)
+	if fits && len(hops) <= len(m.macs) {
+		m.dst, m.set, m.size = p.Dst, set, size
+		for j, e := range p.Passport.Entries {
+			m.macs[j] = e.MAC
+		}
+	}
 }

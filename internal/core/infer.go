@@ -33,6 +33,9 @@ func (ar *AccessRouter) policeInferred(s *senderSlot, p *packet.Packet, link pac
 	}
 	if !found {
 		links = append(links, link)
+		if ar.destLinks == nil {
+			ar.destLinks = make(map[packet.NodeID][]packet.LinkID)
+		}
 		ar.destLinks[p.Dst] = links
 	}
 

@@ -216,6 +216,7 @@ const (
 // packet, 4-5 the last packet again, 6 a clock step of b1 | b2<<8 ms,
 // 7 a key rotation. A packet is
 //
+//	b0: its size, pktSizes[b0>>3&3]
 //	b1: uplink (2 bits), claimed source (2), destination (2), request (1),
 //	    claims the victim's source AS (1)
 //	b2: feedback (2), link (2), key age in rotations (2)
@@ -226,6 +227,15 @@ func pkt(from, src, dst int, request bool, fb, link, keyAge, age, tamper int) []
 		b1 |= 1 << 6
 	}
 	return []byte{0, byte(b1), byte(fb | link<<2 | keyAge<<4), byte(age | tamper<<3)}
+}
+
+// pktSizes are the sizes a packet op picks from.
+var pktSizes = [4]int32{200, 1500, 40, 92}
+
+// sized is a packet op of pktSizes[size].
+func sized(size int, op []byte) []byte {
+	op[0] |= byte(size << 3)
+	return op
 }
 func again() []byte      { return []byte{4, 0, 0, 0} }
 func step(ms int) []byte { return []byte{6, byte(ms), byte(ms >> 8), 0} }
@@ -253,7 +263,7 @@ func (r *memoRig) run(prog []byte) {
 			fb, link, keyAge := b2&3, b2>>2&3%3, b2>>4&3
 			age, tamper := b3&7, b3>>3&7
 			h := r.d.Groups()[0].Senders[src]
-			p := &packet.Packet{Src: h.ID, SrcAS: h.AS, Dst: r.dsts[dst], Size: 200, Flow: 1}
+			p := &packet.Packet{Src: h.ID, SrcAS: h.AS, Dst: r.dsts[dst], Size: pktSizes[prog[0]>>3&3], Flow: 1}
 			if b1>>7 != 0 {
 				p.SrcAS = r.d.Groups()[0].Victim.AS
 			}
@@ -322,6 +332,14 @@ var memoSeeds = map[string][]byte{
 	// mode and action.
 	"right MAC, other mode":   cat(pkt(0, 0, 0, false, fbUp, 0, 0, 0, 0), pkt(0, 0, 0, false, fbUp, 0, 0, 0, tamperMode)),
 	"right MAC, other action": cat(pkt(0, 0, 0, false, fbUp, 0, 0, 0, 0), pkt(0, 0, 0, false, fbUp, 0, 0, 0, tamperAction)),
+	// size, of the Passport trailer memo: same sender, destination and
+	// path, another size, then the first size again.
+	"trailer of another size": cat(pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0), again(), sized(1, pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)),
+		sized(2, pkt(0, 0, 0, true, 0, 0, 0, 0, 0)), pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)),
+	// dst and hop set of the trailer memo: the victim and a colluder sit
+	// behind different ASes.
+	"trailer to another destination": cat(sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0)), sized(1, pkt(0, 0, 1, true, 0, 0, 0, 0, 0)),
+		sized(1, pkt(0, 0, 2, true, 0, 0, 0, 0, 0)), sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0))),
 	// The other attached sender's address: its slot, its MACs.
 	"spoofed source": cat(pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0), pkt(0, 1, 0, false, fbNop, 0, 0, 0, 0), pkt(1, 1, 0, true, 0, 0, 0, 0, 0),
 		pkt(1, 0, 0, false, fbNop, 0, 0, 0, 0), pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)),
@@ -346,10 +364,11 @@ func FuzzAccessMemo(f *testing.F) {
 }
 
 // TestRepeatedPacketCostsCompares: a regular packet whose sender,
-// destination and link equal its predecessor's is policed without a Go
-// map access — the slot is found by the index on the host's Node, the
-// limiter and the Passport path through the slot — and without a MAC but
-// the trailer's: the verdict and both stamped tokens are memo hits.
+// destination, link and size equal its predecessor's is policed without
+// a Go map access — the slot is found by the index on the host's Node,
+// the limiter and the Passport path through the slot — and without a
+// MAC: the verdict, both stamped tokens and the Passport trailer are memo
+// hits.
 func TestRepeatedPacketCostsCompares(t *testing.T) {
 	r := newMemoRig(t)
 	for name, prog := range map[string][]byte{

@@ -53,15 +53,13 @@ func (h *Host) Network() *Network { return h.Node.net }
 // NewPacket draws a zeroed packet from the network's pool; the packet
 // returns to the pool automatically when the network delivers or drops
 // it. Transports should prefer this over &packet.Packet{} so steady-state
-// sending allocates nothing. Before a shard's pool allocates, it takes
-// what empties its cut links hold.
+// sending allocates nothing. Before a shard's pool allocates, it adopts
+// the empties its cut links have brought home (Network.AdoptEmpties).
 func (h *Host) NewPacket() *packet.Packet {
 	net := h.Node.net
 	pool := &net.Pool
 	if pool.Len() == 0 {
-		for _, mb := range net.outboxes {
-			mb.adopt(pool)
-		}
+		net.AdoptEmpties()
 	}
 	return pool.Get()
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -66,9 +67,10 @@ func snapPacket(p *packet.Packet) packet.Packet {
 // TestHandoffPreservesPacket: a packet crosses a cut link by reference.
 // What arrives on the destination replica is the very struct the source
 // sent — trailer block and Ext travel with it, so nothing can alias —
-// equal in every field; the destination allocates nothing, pays for the
-// struct with an idle one of its own within two drains, and an empty the
-// source never comes to adopt is still counted idle there.
+// equal in every field; the destination allocates nothing and pays for
+// the struct with an idle one of its own at its first drain after the
+// arrival, an empty the source has not adopted yet is counted idle there,
+// and the source adopts it once its clock is a lookahead past the lend.
 func TestHandoffPreservesPacket(t *testing.T) {
 	a, ah1, _, cut := lineTopo(1_000_000)
 	b, _, bh2, bmid := lineTopo(1_000_000)
@@ -128,7 +130,14 @@ func TestHandoffPreservesPacket(t *testing.T) {
 	if idle := uint64(a.Pool.Len()) + a.HandoffStats().Home; idle != a.Pool.News {
 		t.Fatalf("a source that never sends again idles %d of the %d structs it allocated", idle, a.Pool.News)
 	}
-	if p := ah1.Host.NewPacket(); p != src || a.Pool.News != 1 || a.HandoffStats().Home != 0 {
+	// Lent at b's clock, the empty is the source's to adopt a lookahead
+	// later, not before.
+	a.Eng.RunUntil(b.Eng.Now() + mb.lookahead - 1)
+	if p := ah1.Host.NewPacket(); p == src || a.Pool.News != 2 {
+		t.Fatalf("the source adopted an empty before its clock passed the lend by the lookahead (fresh %d)", a.Pool.News)
+	}
+	a.Eng.RunUntil(b.Eng.Now() + mb.lookahead)
+	if p := ah1.Host.NewPacket(); p != src || a.Pool.News != 2 || a.HandoffStats().Home != 0 {
 		t.Fatalf("the source allocated (fresh %d) with an empty of its own at home", a.Pool.News)
 	}
 }
@@ -208,10 +217,12 @@ func (st hoState) diff(want hoState) string {
 }
 
 // hoPair is the partitioned form: replica a owns AS 1, replica b AS 2,
-// and the two directions of the middle link are cut.
+// and the two directions of the middle link are cut. lead says which
+// replica runs ahead when both may step (see hoLeadA).
 type hoPair struct {
 	a, b     *hoSide
 	toB, toA *Mailbox
+	lead     byte
 }
 
 func newHoPair() *hoPair {
@@ -224,18 +235,68 @@ func newHoPair() *hoPair {
 	return p
 }
 
-// window is one round of the coordinator: every inbox drained, then
-// every replica run up to, not including, end.
-func (p *hoPair) window(t *testing.T, end sim.Time) {
-	t.Helper()
-	for _, mb := range []*Mailbox{p.toB, p.toA} {
-		want := len(mb.keys) > 0 && mb.keys[0].At <= end
-		if hit := mb.Drain(end); hit != want {
-			t.Fatalf("Drain(%d) of %d handoffs reported %v", end, len(mb.keys), hit)
+// Which replica steps when both may: a, b, the one behind (lockstep), or
+// each in turn.
+const (
+	hoLeadA = iota
+	hoLeadB
+	hoLockstep
+	hoTakeTurns
+)
+
+// hoLookahead is the least delay a cut link ever has: how far one
+// replica may run ahead of the other.
+var hoLookahead = hoDelays[0]
+
+// advance runs the replicas to to in steps of at most win, as the
+// coordinator's workers would with per-shard clocks: a replica steps
+// only while its end lies within the lookahead of the other's clock;
+// before each step it adopts the empties come home and drains its inbox;
+// after each step the replica behind drains what the step handed it, in
+// the middle of its own run, as a concurrent Drain would. At to both
+// drain once more, as the coordinator does at the end of a call.
+func (p *hoPair) advance(to, win sim.Time) {
+	sides := [2]*hoSide{p.a, p.b}
+	inbox := [2]*Mailbox{p.toA, p.toB}
+	turn := 0
+	for p.a.eng.Now() < to || p.b.eng.Now() < to {
+		x := 0
+		switch p.lead {
+		case hoLeadB:
+			x = 1
+		case hoLockstep:
+			if p.b.eng.Now() < p.a.eng.Now() {
+				x = 1
+			}
+		case hoTakeTurns:
+			x, turn = turn, 1-turn
 		}
+		end := min(sides[x].eng.Now()+win, to)
+		if sides[x].eng.Now() >= to || sides[1-x].eng.Now()+hoLookahead < end {
+			x = 1 - x
+			end = min(sides[x].eng.Now()+win, to)
+		}
+		s, y := sides[x], sides[1-x]
+		s.net.AdoptEmpties()
+		inbox[x].Drain(end)
+		s.eng.RunBefore(end)
+		inbox[1-x].Drain(min(y.eng.Now()+win, to))
 	}
-	p.a.eng.RunBefore(end)
-	p.b.eng.RunBefore(end)
+	p.toB.Drain(to)
+	p.toA.Drain(to)
+}
+
+// undrained counts the handoffs pushed into mb and not yet drained.
+func (mb *Mailbox) undrained() int {
+	n, at := 0, mb.readAt
+	c := mb.read
+	if c == nil {
+		c = mb.first.Load()
+	}
+	for ; c != nil; c, at = c.next.Load(), 0 {
+		n += int(c.n.Load()) - at
+	}
+	return n
 }
 
 // state folds the pair into the single engine's terms. An arrival that
@@ -253,20 +314,22 @@ func (p *hoPair) state(t *testing.T) hoState {
 		Arrived:  [2][]hoArrival{p.b.arrived[0], p.a.arrived[1]},
 	}
 	for _, mb := range []*Mailbox{p.toB, p.toA} {
-		st.Pending += uint64(len(mb.keys) + len(mb.fifoKeys) - mb.head)
+		st.Pending += uint64(mb.undrained() + mb.queued)
 		if mb.ev.Pending() {
 			st.Pending--
 		}
 	}
 	// The books of each direction: every struct lent was borrowed or
-	// waits in the mailbox, and every one borrowed is paid for or owed.
+	// waits in the mailbox, and every one borrowed is paid for, owed, or
+	// still to arrive — the FIFO's, and those with keyed events.
 	for _, d := range []struct {
 		src, dst *hoSide
 		mb       *Mailbox
 	}{{p.a, p.b, p.toB}, {p.b, p.a, p.toA}} {
 		out, in := d.src.net.HandoffStats(), d.dst.net.HandoffStats()
-		if out.Lent != in.Borrowed+uint64(len(d.mb.keys)) || in.Borrowed != in.SentHome+uint64(d.mb.owed) || in.Debt != uint64(d.mb.owed) {
-			t.Fatalf("handoff books: source %+v, destination %+v, %d undrained, %d owed", out, in, len(d.mb.keys), d.mb.owed)
+		if out.Lent != in.Borrowed+uint64(d.mb.undrained()) || in.Debt != in.Borrowed-in.SentHome ||
+			in.Debt < uint64(d.mb.owed+d.mb.queued) || in.Keyed == 0 && in.Debt != uint64(d.mb.owed+d.mb.queued) {
+			t.Fatalf("handoff books: source %+v, destination %+v, %d undrained, %d owed, %d queued", out, in, d.mb.undrained(), d.mb.owed, d.mb.queued)
 		}
 	}
 	return st
@@ -279,15 +342,15 @@ func (s *hoSide) state() hoState {
 }
 
 // Program steps are three bytes: op, b1, b2. Every step first advances
-// the clock, window by window, by (b2&15) quarters of the previous
-// packet's transmit time plus b2>>4 nanoseconds, and acts there — at a
-// window boundary, as a control point does.
+// the clock, in steps of a window, by (b2&15) quarters of the previous
+// packet's transmit time plus b2>>4 nanoseconds, and acts there — where
+// both replicas have arrived, as at a control point.
 const (
 	hoFwd    = 0 // 0–1: h1 sends 40+6*b1 bytes to h2; op bit 3: Passport trailer; bit 4: Ext
 	hoRev    = 2 // h2 sends to h1, same flags
 	hoLocal  = 3 // r2 forwards a packet of its own to h2 at the instant the last forward send reaches r2 over an idle path
 	hoDelay  = 4 // SetDelay(hoDelays[b1&3]) on the forward cut link (b1 bit 2: the reverse one)
-	hoWindow = 5 // windows are hoWindows[b1&3] long from here on
+	hoWindow = 5 // windows are hoWindows[b1&3] long from here on, and b1>>2&3 says who leads (hoLeadA...)
 	hoIdle   = 6 // nothing; the gap is taken 1+b1&15 times
 	hoBurst  = 7 // 1+b1&31 forward sends of 1,500 B at once
 )
@@ -340,6 +403,17 @@ var hoSeeds = map[string][]byte{
 	"ping-pong": bytes.Join([][]byte{hoPingPong(6), hoPkt(hoFwd, 1500, 0), hoStep(hoIdle, 15, 15), hoPingPong(3),
 		hoStep(hoBurst, 4, 0), hoPkt(hoRev, 1500, 0), hoStep(hoIdle, 15, 15), hoPingPong(2),
 		hoStep(hoDelay, 4|3, 40), hoPkt(hoRev, 40, 0), hoStep(hoDelay, 4|0, 40), hoPkt(hoRev, 40, 0), hoPkt(hoRev, 40, 0)}, nil),
+	// b runs ahead and drains a's pushes while a is still sending; the
+	// empties b owes a wait on b's clock, not a's.
+	"b-leads": bytes.Join([][]byte{hoStep(hoWindow, hoLeadB<<2, 0), hoPingPong(6), hoStep(hoIdle, 15, 15),
+		hoStep(hoBurst, 20, 0), hoStep(hoIdle, 15, 15), hoPingPong(3)}, nil),
+	// The replicas lead in turn under short windows, with a burst
+	// deeper than a chunk of handoffs in flight.
+	"turns-deeper-than-a-chunk": bytes.Join([][]byte{hoStep(hoWindow, 2|hoTakeTurns<<2, 0), hoStep(hoDelay, 3, 0),
+		bytes.Repeat(hoStep(hoBurst, 31, 0), 5), hoStep(hoIdle, 15, 15), hoPingPong(4)}, nil),
+	// Lockstep, with the delay lowered under arrivals pending.
+	"lockstep-delay-lowered": bytes.Join([][]byte{hoStep(hoWindow, 1|hoLockstep<<2, 0), hoStep(hoDelay, 3, 0),
+		hoStep(hoBurst, 5, 0), hoStep(hoIdle, 3, 15), hoStep(hoDelay, 0, 0), hoStep(hoBurst, 3, 0)}, nil),
 	// r2's own packet and a handoff reach r2's egress at one instant:
 	// the handoff's minted key, not the draining engine's, says who
 	// goes first.
@@ -347,10 +421,11 @@ var hoSeeds = map[string][]byte{
 		hoPkt(hoFwd, 400, 4), hoPkt(hoLocal, 1000, 0), hoStep(hoBurst, 2, 1), hoPkt(hoLocal, 40, 0)}, nil),
 }
 
-// runHandoffProgram drives prog into the replica pair, window by window
-// as the sharded executor does (push, barrier, Drain, run), and into the
-// same hops on one engine, and holds the two to the same observable
-// behaviour after every window and once everything has drained.
+// runHandoffProgram drives prog into the replica pair, step by step as
+// the sharded executor does (one replica up to a lookahead ahead of the
+// other, Drains interleaved with the other's pushes), and into the same
+// hops on one engine, and holds the two to the same observable behaviour
+// at every program step and once everything has drained.
 func runHandoffProgram(t *testing.T, prog []byte) {
 	one, two := newHoSide(), newHoPair()
 	now, win := sim.Time(0), hoWindows[0]
@@ -365,18 +440,18 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 		// Struct conservation: every packet either pool allocated is in
 		// flight or idle — on a free list or an empty on its way home.
 		fresh := two.a.net.Pool.News + two.b.net.Pool.News
-		idle := two.a.net.Pool.Len() + two.b.net.Pool.Len() + len(two.toB.empties) + len(two.toA.empties)
+		idle := two.a.net.Pool.Len() + two.b.net.Pool.Len() + int(two.a.net.HandoffStats().Home+two.b.net.HandoffStats().Home)
 		if flying := sent - len(got.Arrived[0]) - len(got.Arrived[1]); int(fresh) != idle+flying {
 			t.Fatalf("%s: %d structs allocated, %d idle, %d in flight", when, fresh, idle, flying)
 		}
 	}
 	advance := func(to sim.Time, when string) {
 		t.Helper()
-		for now < to {
-			now = min(now+win, to)
-			two.window(t, now)
+		if now < to {
+			now = to
+			two.advance(now, win)
 			one.eng.RunBefore(now)
-			agree(fmt.Sprintf("%s, window ending %d", when, now))
+			agree(fmt.Sprintf("%s, at %d", when, now))
 		}
 	}
 	// send schedules, on the engine owning the node, a packet entering
@@ -426,7 +501,7 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 			}
 			continue
 		case hoWindow:
-			win = hoWindows[b1&3]
+			win, two.lead = hoWindows[b1&3], b1>>2&3
 			continue
 		case hoIdle:
 			continue
@@ -467,7 +542,7 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 		mb *Mailbox
 	}{{two.a, two.toB}, {two.b, two.toA}} {
 		pool := &d.s.net.Pool
-		d.mb.adopt(pool)
+		d.mb.adopt(pool, math.MaxInt64)
 		for pool.Len() > 0 {
 			p := pool.Get()
 			if seen[p] {
@@ -483,8 +558,9 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 
 // FuzzMailboxHandoff is the differential oracle of the by-reference
 // handoff: whatever the program — sizes, trailers and Ext blocks, gaps
-// down to the nanosecond, window lengths, the cut link's delay raised
-// and lowered with arrivals pending, traffic both ways — arrival
+// down to the nanosecond, window lengths, which replica runs ahead and
+// drains while the other pushes, the cut link's delay raised and
+// lowered with arrivals pending, traffic both ways — arrival
 // instants and order, every field of every arrived packet, the executed
 // and pending event counts and the cut links' transmit counters are the
 // single engine's, the books of lent, borrowed, sent home and owed

@@ -265,9 +265,11 @@ func (n *Network) LinkStats() LinkStats {
 
 // HandoffStats is the cut-link census of one shard: packets its cut
 // links lent to other shards and borrowed from them, idle structs it sent
-// home for those and still owes, empties come home and not yet adopted
-// (idle here, like the free list), arrivals that needed a keyed event of
-// their own, and the deepest any inbound FIFO stood after a drain.
+// home for those, the borrowed structs not yet paid for (arrivals still
+// in flight here, and the debt of those that arrived), empties come home
+// and not yet adopted (idle here, like the free list), arrivals that
+// needed a keyed event of their own, and the deepest any inbound FIFO
+// stood after a drain.
 type HandoffStats struct {
 	Lent, Borrowed, SentHome, Debt, Home, Keyed, FIFOHWM uint64
 }
@@ -278,9 +280,20 @@ func (n *Network) HandoffStats() HandoffStats {
 	st := HandoffStats{Lent: n.lent, Borrowed: borrowed, SentHome: n.sentHome,
 		Debt: borrowed - n.sentHome, Keyed: n.keyed, FIFOHWM: n.fifoHWM}
 	for _, mb := range n.outboxes {
-		st.Home += uint64(len(mb.empties))
+		st.Home += mb.home()
 	}
 	return st
+}
+
+// AdoptEmpties takes into the pool the empties the shard's cut links
+// have brought home, as far as the shard's clock lets it (see Mailbox).
+// The sharded executor calls it before each step; a pool miss calls it
+// too.
+func (n *Network) AdoptEmpties() {
+	now := n.Eng.Now()
+	for _, mb := range n.outboxes {
+		mb.adopt(&n.Pool, now)
+	}
 }
 
 // LinkByID returns the link with the given LinkID, or nil.

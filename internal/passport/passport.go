@@ -31,7 +31,29 @@ import (
 type Registry struct {
 	raw  map[[2]packet.ASID]cmac.Key
 	macs map[[2]packet.ASID]*cmac.CMAC
+	// index numbers the ASes: an open-addressed table, a slot per AS at
+	// the first free place from its hash (asHash), holding the AS and its
+	// number plus one. cols[j] holds the CMACs the AS numbered j shares
+	// with each AS by number, the column made at the first Key call
+	// naming it second. Key's callers name the far AS second — a
+	// bottleneck's own, a link's, a path's transit AS — so a run makes
+	// few columns, and a verification resolves its key in two probes of
+	// a table of a few dozen slots and two slice indexes instead of
+	// hashing the AS pair into the map.
+	index []asSlot
+	shift uint8
+	cols  [][]*cmac.CMAC
 }
+
+// asSlot is one slot of Registry.index; num 0 marks it empty.
+type asSlot struct {
+	as  packet.ASID
+	num int32
+}
+
+// asHash places AS a in an index of 2^(32-shift) slots (Fibonacci
+// hashing: the top bits of a multiplicative hash).
+func asHash(a packet.ASID, shift uint8) int { return int(uint32(a) * 0x9e3779b9 >> shift) }
 
 // NewRegistry establishes a key for every unordered pair of the given
 // ASes, including the self-pair (used when the bottleneck is in the
@@ -50,6 +72,23 @@ func NewRegistry(rng *rand.Rand, ases []packet.ASID) *Registry {
 			r.raw[pairKey(a, b)] = k
 		}
 	}
+	// At most half the slots are taken, so a probe ends within a few.
+	r.shift = 31
+	for 1<<(32-r.shift) < 2*len(ases) {
+		r.shift--
+	}
+	r.index = make([]asSlot, 1<<(32-r.shift))
+	r.cols = make([][]*cmac.CMAC, 0, len(ases))
+	for _, a := range ases {
+		if r.number(a) < 0 {
+			r.cols = append(r.cols, nil)
+			i := asHash(a, r.shift)
+			for r.index[i].num != 0 {
+				i = (i + 1) & (len(r.index) - 1)
+			}
+			r.index[i] = asSlot{a, int32(len(r.cols))}
+		}
+	}
 	return r
 }
 
@@ -63,6 +102,37 @@ func pairKey(a, b packet.ASID) [2]packet.ASID {
 // Key returns the MAC keyed with the secret shared by ASes a and b, or
 // nil if the pair is unknown. The first call for a pair makes its CMAC.
 func (r *Registry) Key(a, b packet.ASID) *cmac.CMAC {
+	i, j := r.number(a), r.number(b)
+	if i < 0 || j < 0 {
+		return r.pairMAC(a, b)
+	}
+	col := r.cols[j]
+	if col == nil {
+		col = make([]*cmac.CMAC, len(r.cols))
+		r.cols[j] = col
+	}
+	m := col[i]
+	if m == nil {
+		m = r.pairMAC(a, b)
+		col[i] = m
+	}
+	return m
+}
+
+// number returns AS a's number, or -1 when the registry has no key for
+// it.
+func (r *Registry) number(a packet.ASID) int {
+	mask := len(r.index) - 1
+	for i := asHash(a, r.shift); r.index[i].num != 0; i = (i + 1) & mask {
+		if r.index[i].as == a {
+			return int(r.index[i].num) - 1
+		}
+	}
+	return -1
+}
+
+// pairMAC is Key by map: the pair's CMAC, made on first use.
+func (r *Registry) pairMAC(a, b packet.ASID) *cmac.CMAC {
 	pk := pairKey(a, b)
 	if m, ok := r.macs[pk]; ok {
 		return m
@@ -114,25 +184,40 @@ func (r *Registry) Stamp(p *packet.Packet, path []packet.ASID) {
 // StampHops is the per-packet half of Stamp: it writes the trailer for a
 // path whose keys Hops resolved for p.SrcAS.
 func StampHops(p *packet.Packet, hops []Hop) {
-	// Rebuild in place on top of the packet's retained trailer block
-	// (packet.Pool keeps it across recycles), writing every trailer
-	// field so no stale entry survives.
+	entries := trailer(p, len(hops))
+	var buf [20]byte
+	for i, h := range hops {
+		entries[i] = packet.PassportMAC{AS: h.AS}
+		if h.Key != nil {
+			entries[i].MAC = h.Key.Sum32(macInput(&buf, p, h.AS))
+		}
+	}
+}
+
+// StampMACs writes the trailer StampHops would, from the MACs, one per
+// hop, that StampHops computed for a packet equal to p in every MAC input
+// (source and destination addresses, source AS and size).
+func StampMACs(p *packet.Packet, hops []Hop, macs [][4]byte) {
+	entries := trailer(p, len(hops))
+	for i, h := range hops {
+		entries[i] = packet.PassportMAC{AS: h.AS, MAC: macs[i]}
+	}
+}
+
+// trailer readies p's trailer for n entries and returns them to be
+// written. It rebuilds in place on top of the packet's retained trailer
+// block (packet.Pool keeps it across recycles), setting every trailer
+// field so no stale entry survives.
+func trailer(p *packet.Packet, n int) []packet.PassportMAC {
 	st := p.NeedPassport()
 	entries := st.Entries[:0]
-	if cap(entries) < len(hops) {
+	if cap(entries) < n {
 		// A path longer than the block's inline entries: size the array
 		// once, not by append doublings.
-		entries = make([]packet.PassportMAC, 0, len(hops))
+		entries = make([]packet.PassportMAC, 0, n)
 	}
-	var buf [20]byte
-	for _, h := range hops {
-		e := packet.PassportMAC{AS: h.AS}
-		if h.Key != nil {
-			e.MAC = h.Key.Sum32(macInput(&buf, p, h.AS))
-		}
-		entries = append(entries, e)
-	}
-	st.Entries, st.Next, st.Present = entries, 0, true
+	st.Entries, st.Next, st.Present = entries[:n], 0, true
+	return st.Entries
 }
 
 // Verify checks p's Passport trailer at the given transit AS. Entries are

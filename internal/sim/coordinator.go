@@ -2,62 +2,109 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Coordinator drives N shard engines through conservative parallel
-// discrete-event simulation: bounded time windows of one lookahead (the
-// minimum cut-link propagation delay), a barrier between windows, and a
-// drain hook per shard that re-schedules cross-shard handoffs onto the
-// destination engine before its window starts.
+// discrete-event simulation with per-shard clocks: each shard runs on its
+// own worker goroutine and publishes its clock, the instant before which
+// it has executed every event, and executes only events that lie strictly
+// before every other shard's published clock plus the lookahead L (the
+// minimum cut-link propagation delay). A drain hook per shard moves the
+// cross-shard handoffs pending for it onto its engine before each step.
 //
-// Safety argument: an event executing in window [W, W+L) can influence
-// another shard only through a cut link whose delay is >= L, so its
-// earliest cross-shard effect lands at or after W+L — the next window.
-// Draining every mailbox at each window boundary therefore delivers
-// every arrival before any event that could observe it, and the
-// model-derived keys carried by the handoffs (see EventKey) order them
-// exactly as a single global engine would have.
+// Safety argument: an event at instant T can influence another shard
+// only through a cut link whose delay is >= L, so its earliest
+// cross-shard effect lands at or after T+L. A shard whose neighbour has
+// published clock c has therefore been sent, before that publication,
+// every handoff landing before c+L; it reads the clock, drains, and runs
+// up to c+L at most. The model-derived keys carried by the handoffs (see
+// EventKey) order them exactly as a single global engine would have, so
+// goroutine timing decides only when a shard runs, never what it runs.
+// The atomic store of a clock and its load by a neighbour are the one
+// happens-before edge per step that the handoff buffers rely on.
 //
-// Each shard runs on its own persistent worker goroutine, labeled
-// shard=<name> for pprof, so CPU profiles attribute hot paths to
-// partitions. Determinism does not depend on goroutine scheduling: all
-// cross-shard state crosses only at barriers.
+// Steps: a shard advances one step at a time, from its clock to the next
+// multiple of L/stepsPerLookahead (or the call's target), so the steps,
+// and the instants at which the drain hook runs, are the same on every
+// run of a simulation whatever the goroutines do. A shard whose next step
+// is not yet safe parks until a neighbour publishes a clock; a lighter
+// shard runs up to one lookahead ahead instead of waiting at every
+// window.
+//
+// Each shard's worker is labeled shard=<name> for pprof, so CPU profiles
+// attribute hot paths to partitions.
 //
 // A coordinator over one engine has nothing to synchronize: it runs the
-// engine on the caller's goroutine, starts no workers, counts no windows
+// engine on the caller's goroutine, starts no workers, counts no steps
 // and needs no lookahead.
 type Coordinator struct {
 	engines   []*Engine
 	lookahead Time
+	step      Time
 	// names label the shard workers for pprof; without one per engine a
 	// worker is labeled with its shard index.
 	names []string
-	// drain delivers pending inbound handoffs to shard i, returning
-	// whether anything landing at or before deadline was injected.
-	drain func(shard int, deadline Time) bool
+	// drain delivers pending inbound handoffs to shard i before it runs
+	// up to (not including) end. It runs on the shard's worker, and on
+	// the caller's goroutine at the end of every Run* call, when every
+	// shard has reached the target.
+	drain func(shard int, end Time)
 
 	now     Time
 	windows uint64
+	// spin: every shard can hold a P of its own, so a shard that cannot
+	// advance may poll its neighbours' clocks briefly before it parks.
+	spin bool
 
-	// serialized accumulates each shard's execute-round wall-clock
+	// serialized accumulates each shard's execute wall-clock
 	// nanoseconds — the Amdahl-serial portion of the run. Slot i is
 	// written only on shard i's worker goroutine; read it after a Run*
-	// call returns (the closing barrier is the happens-before edge).
+	// call returns (the call's WaitGroup is the happens-before edge).
 	serialized []int64
 
-	jobs    []chan func(int)
+	clocks  []shardClock
+	jobs    []chan runJob
 	wg      sync.WaitGroup
 	started bool
 	stopped bool
 }
 
+// stepsPerLookahead divides the lookahead into the steps a shard
+// publishes its clock after: the finer the step, the closer a shard
+// follows its neighbours, and the more often it drains and publishes.
+const stepsPerLookahead = 8
+
+// spinChecks bounds how many times a shard polls its neighbours' clocks
+// before it parks.
+const spinChecks = 64
+
+// shardClock is one shard's published clock and its parking place — the
+// step end it waits to run to, and whether it is parked — padded to its
+// own cache lines: every other shard polls it.
+type shardClock struct {
+	clock  atomic.Int64
+	need   atomic.Int64
+	parked atomic.Bool
+	wake   chan struct{}
+	_      [96]byte
+}
+
+// runJob is one Run* call as a worker sees it: advance to target,
+// executing the events at target too when inclusive.
+type runJob struct {
+	target    Time
+	inclusive bool
+}
+
 // NewCoordinator creates a coordinator over the given shard engines.
 // With more than one engine the lookahead must be positive — a
-// zero-delay cut link admits no conservative window.
+// zero-delay cut link admits no conservative step.
 func NewCoordinator(engines []*Engine, lookahead Time, names []string) *Coordinator {
 	if len(engines) > 1 && lookahead <= 0 {
 		panic("sim: coordinator lookahead must be positive")
@@ -65,21 +112,26 @@ func NewCoordinator(engines []*Engine, lookahead Time, names []string) *Coordina
 	return &Coordinator{
 		engines:    engines,
 		lookahead:  lookahead,
+		step:       max(lookahead/stepsPerLookahead, 1),
 		names:      names,
 		serialized: make([]int64, len(engines)),
 	}
 }
 
-// SetDrain installs the mailbox drain hook, invoked on each shard's own
-// goroutine at every window start.
-func (c *Coordinator) SetDrain(fn func(shard int, deadline Time) bool) {
+// SetDrain installs the mailbox drain hook, invoked for a shard before
+// each of its steps with the step's (exclusive) end, and once more for
+// every shard at the end of each Run* call with the call's target.
+func (c *Coordinator) SetDrain(fn func(shard int, end Time)) {
 	c.drain = fn
 }
 
-// Windows returns the number of synchronization rounds executed so far.
+// Windows returns the number of steps each shard has executed so far:
+// one per lookahead/8 of simulated time, plus one per Run* call that
+// ends between two step boundaries or executes its target instant. The
+// count is a function of the calls made, not of goroutine timing.
 func (c *Coordinator) Windows() uint64 { return c.windows }
 
-// Now returns the frontier every shard has simulated up to.
+// Now returns the instant every shard has simulated up to.
 func (c *Coordinator) Now() Time {
 	if len(c.engines) == 1 {
 		return c.engines[0].Now()
@@ -87,21 +139,12 @@ func (c *Coordinator) Now() Time {
 	return c.now
 }
 
-// SerializedNanos returns a copy of the per-shard execute-round
-// wall-clock nanoseconds accumulated so far. Call it between Run*
-// calls, when every shard is parked at the closing barrier.
+// SerializedNanos returns a copy of the per-shard execute wall-clock
+// nanoseconds accumulated so far. Call it between Run* calls.
 func (c *Coordinator) SerializedNanos() []int64 {
 	out := make([]int64, len(c.serialized))
 	copy(out, c.serialized)
 	return out
-}
-
-// execute runs one shard's execute round, charging its wall-clock cost
-// to the shard's serialized-time slot.
-func (c *Coordinator) execute(i int, end Time) {
-	t0 := time.Now()
-	c.engines[i].RunBefore(end)
-	c.serialized[i] += int64(time.Since(t0))
 }
 
 // start spawns the labeled worker goroutines on first use.
@@ -110,9 +153,12 @@ func (c *Coordinator) start() {
 		return
 	}
 	c.started = true
-	c.jobs = make([]chan func(int), len(c.engines))
+	c.spin = runtime.GOMAXPROCS(0) >= len(c.engines)
+	c.clocks = make([]shardClock, len(c.engines))
+	c.jobs = make([]chan runJob, len(c.engines))
 	for i := range c.engines {
-		c.jobs[i] = make(chan func(int))
+		c.clocks[i].wake = make(chan struct{}, 1)
+		c.jobs[i] = make(chan runJob)
 		ch, shard := c.jobs[i], i
 		name := strconv.Itoa(i)
 		if len(c.names) == len(c.engines) {
@@ -121,34 +167,15 @@ func (c *Coordinator) start() {
 		labels := pprof.Labels("shard", name)
 		go pprof.Do(context.Background(), labels, func(context.Context) {
 			for job := range ch {
-				job(shard)
+				c.advance(shard, job)
 				c.wg.Done()
 			}
 		})
 	}
 }
 
-// round runs fn(shard) on every shard's worker concurrently and waits
-// for all of them — one barrier.
-func (c *Coordinator) round(fn func(int)) {
-	c.wg.Add(len(c.engines))
-	for i := range c.jobs {
-		c.jobs[i] <- fn
-	}
-	c.wg.Wait()
-}
-
-// doDrain invokes the drain hook for one shard, if installed.
-func (c *Coordinator) doDrain(shard int, deadline Time) bool {
-	if c.drain == nil {
-		return false
-	}
-	return c.drain(shard, deadline)
-}
-
-// RunUntil advances every shard to exactly t: lookahead-sized windows
-// with a drain+barrier between each, then the final instant. Callable
-// repeatedly with increasing t.
+// RunUntil advances every shard to exactly t, executing every event at
+// or before t. Callable repeatedly with increasing t.
 func (c *Coordinator) RunUntil(t Time) {
 	if c.stopped {
 		panic("sim: RunUntil on a stopped coordinator")
@@ -157,39 +184,15 @@ func (c *Coordinator) RunUntil(t Time) {
 		c.engines[0].RunUntil(t)
 		return
 	}
-	c.start()
-	for c.now < t {
-		end := c.now + c.lookahead
-		if end > t {
-			end = t
-		}
-		// Two barriers per window: every shard drains its inboxes while
-		// no producer runs, then every shard executes. A combined phase
-		// would let shard A start filling a mailbox the still-draining
-		// shard B is truncating.
-		//
-		// Every window — including the last — is exclusive of its end:
-		// events at exactly t must wait until the barrier below has
-		// delivered the cross-shard arrivals landing at t, or a local
-		// time-t event would execute ahead of an arrival whose key sorts
-		// before it.
-		c.round(func(i int) { c.doDrain(i, end) })
-		c.round(func(i int) { c.execute(i, end) })
-		c.windows++
-		c.now = end
-	}
-	c.settle(t)
+	c.run(runJob{target: t, inclusive: true})
 }
 
 // RunBefore advances every shard to exactly t WITHOUT executing the
-// events scheduled at t itself: the window loop of RunUntil with no
-// settle phase. It is the control-point step of a segmented run — after
-// it returns, every event strictly before t has executed on every
-// shard and no event at or after t has, so scenario mutations applied
-// now land after all pre-t effects and before every time-t event, on
-// every shard, exactly as on a single engine. Handoffs landing exactly
-// at t are delivered by the first drain of the next RunBefore/RunUntil
-// call, still ahead of the time-t batch.
+// events scheduled at t itself. It is the control-point step of a
+// segmented run — after it returns, every event strictly before t has
+// executed on every shard and no event at or after t has, so scenario
+// mutations applied now land after all pre-t effects and before every
+// time-t event, on every shard, exactly as on a single engine.
 func (c *Coordinator) RunBefore(t Time) {
 	if c.stopped {
 		panic("sim: RunBefore on a stopped coordinator")
@@ -198,40 +201,118 @@ func (c *Coordinator) RunBefore(t Time) {
 		c.engines[0].RunBefore(t)
 		return
 	}
+	c.run(runJob{target: t})
+}
+
+// run hands job to every worker and waits for all of them. Each shard's
+// clock starts the call at its engine's: what was scheduled at a control
+// point runs no earlier than that. When the workers are done, every
+// shard drains once more on the caller's goroutine, so everything handed
+// off before the target is on its destination's engine at the control
+// point, whatever the workers' timing was.
+func (c *Coordinator) run(job runJob) {
 	c.start()
-	for c.now < t {
-		end := c.now + c.lookahead
-		if end > t {
-			end = t
+	for i, e := range c.engines {
+		c.clocks[i].clock.Store(int64(e.Now()))
+	}
+	c.wg.Add(len(c.engines))
+	for _, ch := range c.jobs {
+		ch <- job
+	}
+	c.wg.Wait()
+	c.now = max(c.now, job.target)
+	if c.drain != nil {
+		for i := range c.engines {
+			c.drain(i, c.engines[i].Now())
 		}
-		c.round(func(i int) { c.doDrain(i, end) })
-		c.round(func(i int) { c.execute(i, end) })
-		c.windows++
-		c.now = end
 	}
 }
 
-// settle executes the time-t batch at the end of a run.
-func (c *Coordinator) settle(t Time) {
-	// The final instant: handoffs transmitted in the last window can
-	// land exactly at t; deliver them first, then execute the time-t
-	// batch, interleaved by key like any other instant. Handoffs
-	// minted at t land beyond t (the lookahead is positive), so the
-	// confirmation rounds terminate immediately.
-	injected := make([]bool, len(c.engines))
+// advance runs shard i's side of one Run* call, step by step.
+func (c *Coordinator) advance(i int, job runJob) {
+	e := c.engines[i]
+	stop := job.target
+	if job.inclusive {
+		stop++ // the last step executes the target instant
+	}
 	for {
-		c.round(func(i int) { injected[i] = c.doDrain(i, t) })
-		c.round(func(i int) {
-			t0 := time.Now()
-			c.engines[i].RunUntil(t)
-			c.serialized[i] += int64(time.Since(t0))
-		})
-		any := false
-		for _, in := range injected {
-			any = any || in
-		}
-		if !any {
+		from := e.Now()
+		if from >= stop {
 			return
+		}
+		end := min((from/c.step+1)*c.step, stop)
+		c.await(i, end)
+		if c.drain != nil {
+			c.drain(i, end)
+		}
+		t0 := time.Now()
+		if job.inclusive && end == stop {
+			e.RunUntil(job.target)
+		} else {
+			e.RunBefore(end)
+		}
+		c.serialized[i] += int64(time.Since(t0))
+		if i == 0 {
+			c.windows++
+		}
+		c.publish(i, e.Now())
+		if end == stop {
+			return
+		}
+	}
+}
+
+// ready reports whether every other shard's published clock plus the
+// lookahead reaches end, so that shard i may execute events before end.
+func (c *Coordinator) ready(i int, end Time) bool {
+	for j := range c.clocks {
+		if j != i && Time(c.clocks[j].clock.Load())+c.lookahead < end {
+			return false
+		}
+	}
+	return true
+}
+
+// await blocks shard i until it may execute events before end: a few
+// polls when every shard has a P of its own, then parked until another
+// shard publishes a clock that could let it run. The parked flag is set
+// before the last check and read by publish after its store, so one of
+// the two sees the other.
+func (c *Coordinator) await(i int, end Time) {
+	if c.spin {
+		for n := 0; n < spinChecks; n++ {
+			if c.ready(i, end) {
+				return
+			}
+		}
+	}
+	s := &c.clocks[i]
+	s.need.Store(int64(end))
+	for {
+		s.parked.Store(true)
+		if c.ready(i, end) {
+			s.parked.Store(false)
+			return
+		}
+		<-s.wake
+		s.parked.Store(false)
+		if c.ready(i, end) {
+			return
+		}
+	}
+}
+
+// publish stores shard i's clock and wakes every parked shard that the
+// clock no longer holds back.
+func (c *Coordinator) publish(i int, clock Time) {
+	c.clocks[i].clock.Store(int64(clock))
+	for j := range c.clocks {
+		s := &c.clocks[j]
+		if j != i && s.parked.Load() && clock+c.lookahead >= Time(s.need.Load()) {
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
 		}
 	}
 }

@@ -1,8 +1,14 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunBeforeBoundary pins RunBefore's window semantics: strictly
@@ -109,8 +115,8 @@ func TestCoordinatorSingleEngine(t *testing.T) {
 }
 
 // TestCoordinatorWindows drives two engines exchanging "packets"
-// through a toy drain hook and checks lockstep windows and cross-shard
-// delivery up to the final instant.
+// through a toy drain hook and checks cross-shard delivery up to the
+// final instant.
 func TestCoordinatorWindows(t *testing.T) {
 	a := New(1)
 	a.SetShardTag(0)
@@ -119,13 +125,16 @@ func TestCoordinatorWindows(t *testing.T) {
 	const lookahead = 10
 
 	// Shard A emits a handoff every 7 ticks, landing lookahead later on
-	// shard B; the mailbox is a slice drained at window starts.
+	// shard B; the mailbox is a locked slice drained before B's steps.
 	type msg struct{ key EventKey }
+	var mu sync.Mutex
 	var box []msg
 	delivered := 0
 	var emit func()
 	emit = func() {
+		mu.Lock()
 		box = append(box, msg{a.HandoffKey(a.Now() + lookahead)})
+		mu.Unlock()
 		if a.Now()+7 <= 100 {
 			a.At(a.Now()+7, emit)
 		}
@@ -133,20 +142,17 @@ func TestCoordinatorWindows(t *testing.T) {
 	a.At(7, emit)
 
 	c := NewCoordinator([]*Engine{a, b}, lookahead, nil)
-	c.SetDrain(func(shard int, deadline Time) bool {
+	c.SetDrain(func(shard int, _ Time) {
 		if shard != 1 {
-			return false
+			return
 		}
-		hit := false
+		mu.Lock()
+		defer mu.Unlock()
 		for _, m := range box {
 			b.Inject(m.key, orderRec{new([]string), "pkt"}, nil)
 			delivered++
-			if m.key.At <= deadline {
-				hit = true
-			}
 		}
 		box = box[:0]
-		return hit
 	})
 	c.RunUntil(110)
 	c.Stop()
@@ -164,5 +170,176 @@ func TestCoordinatorWindows(t *testing.T) {
 	}
 	if c.Windows() == 0 {
 		t.Fatal("no synchronization windows recorded")
+	}
+}
+
+// ringModel is a ring of nodes, one scheduling origin each: a node ticks
+// at a period of its own, logs each tick, and hands a message to the
+// next node at least a lookahead later; every message's arrival is
+// logged too. In heavy spans, which pass from node to node, a tick also
+// burns wall-clock time, so the nodes' loads alternate.
+type ringModel struct {
+	nodes   []*ringNode
+	deliver func(to int, k EventKey, from int)
+	// lead, when set, is called on each event with the node and the
+	// instant, to watch the other shards' clocks.
+	lead func(node int, now Time)
+}
+
+type ringNode struct {
+	m      *ringModel
+	i      int
+	org    Origin
+	period Time
+	ticks  int
+	log    []string
+}
+
+const (
+	ringLookahead = 1000
+	ringHeavySpan = 10 * ringLookahead
+)
+
+func newRingModel(engines []*Engine, n int) *ringModel {
+	m := &ringModel{}
+	for i := 0; i < n; i++ {
+		nd := &ringNode{m: m, i: i, org: engines[i%len(engines)].NewOrigin(uint64(100 + i)), period: Time(97 + 13*i)}
+		nd.org.Schedule(nd.period, nd, nil)
+		m.nodes = append(m.nodes, nd)
+	}
+	return m
+}
+
+// OnEvent is a tick: log it, burn time in a heavy span, hand the next
+// node a message and re-arm.
+func (nd *ringNode) OnEvent(now Time, _ any) {
+	if nd.m.lead != nil {
+		nd.m.lead(nd.i, now)
+	}
+	nd.ticks++
+	nd.log = append(nd.log, fmt.Sprintf("%d tick %d", now, nd.ticks))
+	if int(now/ringHeavySpan)%len(nd.m.nodes) == nd.i {
+		for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+		}
+	}
+	k := nd.org.HandoffKey(now + ringLookahead + Time(nd.ticks%3)*7)
+	nd.m.deliver((nd.i+1)%len(nd.m.nodes), k, nd.i)
+	nd.org.Schedule(now+nd.period, nd, nil)
+}
+
+// ringArrival is a message reaching node to.
+type ringArrival struct {
+	nd   *ringNode
+	from int
+}
+
+func (a ringArrival) OnEvent(now Time, _ any) {
+	if a.nd.m.lead != nil {
+		a.nd.m.lead(a.nd.i, now)
+	}
+	a.nd.log = append(a.nd.log, fmt.Sprintf("%d from %d", now, a.from))
+}
+
+// runRing runs the ring model over shards engines (one engine: no
+// coordinator workers) through a few control points to horizon and
+// returns every node's log, and the most a node's event ran ahead of
+// another shard's published clock.
+func runRing(t *testing.T, shards, nodes int, horizon Time) (logs [][]string, lead Time) {
+	engines := make([]*Engine, shards)
+	for i := range engines {
+		engines[i] = New(1)
+		engines[i].SetShardTag(i)
+	}
+	m := newRingModel(engines, nodes)
+	c := NewCoordinator(engines, ringLookahead, nil)
+	type msg struct {
+		k    EventKey
+		from int
+		to   int
+	}
+	boxes := make([]struct {
+		sync.Mutex
+		msgs []msg
+	}, shards)
+	m.deliver = func(to int, k EventKey, from int) {
+		if shards == 1 {
+			engines[0].Inject(k, ringArrival{m.nodes[to], from}, nil)
+			return
+		}
+		b := &boxes[to%shards]
+		b.Lock()
+		b.msgs = append(b.msgs, msg{k, from, to})
+		b.Unlock()
+	}
+	var maxLead atomic.Int64
+	maxLead.Store(math.MinInt64)
+	if shards > 1 {
+		m.lead = func(node int, now Time) {
+			for j := range c.clocks {
+				if j == node%shards {
+					continue
+				}
+				d := now - Time(c.clocks[j].clock.Load())
+				if d >= ringLookahead {
+					t.Errorf("node %d ran an event at %d, a lookahead past shard %d's clock", node, now, j)
+				}
+				for cur := maxLead.Load(); int64(d) > cur && !maxLead.CompareAndSwap(cur, int64(d)); cur = maxLead.Load() {
+				}
+			}
+		}
+		c.SetDrain(func(shard int, _ Time) {
+			b := &boxes[shard]
+			b.Lock()
+			defer b.Unlock()
+			for _, ms := range b.msgs {
+				engines[shard].Inject(ms.k, ringArrival{m.nodes[ms.to], ms.from}, nil)
+			}
+			b.msgs = b.msgs[:0]
+		})
+	}
+	for at := horizon / 7; at < horizon; at += horizon / 3 {
+		c.RunBefore(at)
+	}
+	c.RunUntil(horizon)
+	c.Stop()
+	for _, nd := range m.nodes {
+		logs = append(logs, nd.log)
+	}
+	return logs, Time(maxLead.Load())
+}
+
+// TestCoordinatorClocks: under heavy spans that pass from shard to shard,
+// every node of a sharded run fires exactly the single engine's events
+// in its order, a shard's events run ahead of another shard's published
+// clock at some point but never by the lookahead, and eight shards on two
+// Ps finish.
+func TestCoordinatorClocks(t *testing.T) {
+	const horizon = 32 * ringHeavySpan
+	for _, shards := range []int{2, 3, 8} {
+		if shards == 8 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		}
+		want, _ := runRing(t, 1, 8, horizon)
+		done := make(chan struct{})
+		var got [][]string
+		var lead Time
+		go func() {
+			defer close(done)
+			got, lead = runRing(t, shards, 8, horizon)
+		}()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("shards=%d: the run did not finish in a minute", shards)
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("shards=%d: node %d fired %d events, the single engine %d, or in another order", shards, i, len(got[i]), len(want[i]))
+			}
+		}
+		if lead <= 0 {
+			t.Errorf("shards=%d: no shard ever ran ahead of another's clock (most %d)", shards, lead)
+		}
+		t.Logf("shards=%d: %d events per node, a shard ran up to %d ns ahead of another's clock", shards, len(want[0]), lead)
 	}
 }

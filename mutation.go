@@ -479,7 +479,7 @@ func (in *Instance) Stop() {
 // Series returns the timeseries samples collected so far by a
 // TimeseriesProbe (nil without one): the serve mode's streaming source.
 // The shards' rows merge consistently at any control point — every shard
-// has ticked the same instants once the coordinator reaches a barrier —
+// has ticked the same instants once the coordinator returns —
 // and a repeat read returns the same samples without merging again.
 func (in *Instance) Series() []Sample {
 	return in.env.mergedSeries()

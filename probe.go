@@ -487,9 +487,8 @@ func (TimeseriesProbe) finish(env *scenarioEnv, res *Result) {
 // appends them to env.series and empties the buffers. Repeat reads (a
 // second Instance.Run, or the serve mode streaming at every segment
 // boundary) neither duplicate samples nor allocate, and a streaming run
-// holds only its unmerged ticks. A merge is coherent at a window
-// barrier (a control point or the finished run), where every shard has
-// ticked the same instants.
+// holds only its unmerged ticks. A merge is coherent at a control point
+// (or the finished run), where every shard has ticked the same instants.
 func (env *scenarioEnv) mergedSeries() []Sample {
 	for k, at := range env.tickTimes {
 		s := Sample{TimeSec: at}

@@ -58,7 +58,8 @@ type Sharding struct {
 	Shards int
 	// CutLinks is the number of inter-shard links.
 	CutLinks int
-	// Lookahead is the synchronization window (minimum cut-link delay).
+	// Lookahead is how far one shard may run ahead of another (minimum
+	// cut-link delay).
 	Lookahead Time
 	// ASesPerShard lists each shard's AS count.
 	ASesPerShard []int
@@ -71,12 +72,16 @@ type Sharding struct {
 	coord *sim.Coordinator
 }
 
-// Windows returns the number of synchronization rounds executed so far.
+// Windows returns the number of steps each shard has executed so far:
+// one per eighth of the lookahead of simulated time, plus one per
+// Advance or Run that ends between two step boundaries or executes its
+// target instant. Every shard takes the same steps, and the count
+// depends on the run's control points alone, not on goroutine timing.
 func (sh *Sharding) Windows() uint64 { return sh.coord.Windows() }
 
-// SerializedNanos returns each shard's accumulated execute-round
-// wall-clock nanoseconds — the serialized portion of the parallel run.
-// Call it at a control point or after the run.
+// SerializedNanos returns each shard's accumulated execute wall-clock
+// nanoseconds — the serialized portion of the parallel run. Call it at a
+// control point or after the run.
 func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos() }
 
 // shardState is the executor state of one scenario run: one graph,
@@ -94,7 +99,7 @@ func (sh *Sharding) SerializedNanos() []int64 { return sh.coord.SerializedNanos(
 // the owner draws what the single engine would.
 type shardState struct {
 	// shardOfNode maps a node ID to its shard (nil on one shard);
-	// lookahead is the synchronization window (0 on one).
+	// lookahead is the minimum cut-link delay (0 on one).
 	shardOfNode []int32
 	lookahead   Time
 	engines     []*sim.Engine
@@ -347,14 +352,13 @@ func (st *shardState) wire(part *topo.Partition, g *Graph) {
 	}
 
 	st.coord = sim.NewCoordinator(st.engines, part.Lookahead, shardNames(part, g))
-	st.coord.SetDrain(func(shard int, deadline sim.Time) bool {
-		hit := false
+	// Before each step a shard takes home the empties its outbound cut
+	// links brought back, then drains its inbound ones.
+	st.coord.SetDrain(func(shard int, end sim.Time) {
+		st.nets[shard].AdoptEmpties()
 		for _, mb := range st.inboxes[shard] {
-			if mb.Drain(deadline) {
-				hit = true
-			}
+			mb.Drain(end)
 		}
-		return hit
 	})
 	st.info = &Sharding{
 		Shards:       shards,

@@ -224,7 +224,7 @@ func TestShardedEquivalenceFuzz(t *testing.T) {
 }
 
 // TestShardedRace drives a small sharded scenario so `go test -race`
-// exercises the mailbox handoff, barrier hand-over and per-shard meter
+// exercises the mailbox handoff, the published clocks and per-shard meter
 // ticking under the race detector. Kept unconditionally short.
 func TestShardedRace(t *testing.T) {
 	sc := equivScenario(

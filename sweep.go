@@ -62,8 +62,8 @@ type Sweep struct {
 	// Parallelism caps concurrent scenarios. 0 budgets the sum of
 	// in-flight shard goroutines (a cell's width is its shard count) to
 	// GOMAXPROCS — sharded cells bring their own goroutines, and
-	// oversubscribing the scheduler thrashes every cell's window
-	// barriers. Set it explicitly to override the budget with a plain
+	// oversubscribing the scheduler makes every cell's shards wait on
+	// descheduled neighbours. Set it explicitly to override the budget with a plain
 	// worker cap.
 	Parallelism int
 	// Progress, when set, is called after each cell completes (or fails)
@@ -398,8 +398,8 @@ func cellWidth(in *Instance, budget int) int {
 // each result at its scenario's index. With no explicit parallelism it
 // budgets the sum of in-flight shard goroutines to GOMAXPROCS via a
 // weighted semaphore: every sharded cell brings its own goroutines,
-// and running more than the budget allows makes each cell's window
-// barriers wait on descheduled workers — oversubscription slows the
+// and running more than the budget allows makes each cell's shards
+// wait on descheduled neighbours — oversubscription slows the
 // whole sweep down rather than speeding it up. An explicit parallelism
 // overrides the budget and caps plain worker count instead.
 //
