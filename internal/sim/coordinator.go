@@ -78,7 +78,9 @@ type Coordinator struct {
 // stepsPerLookahead divides the lookahead into the steps a shard
 // publishes its clock after: the finer the step, the closer a shard
 // follows its neighbours, and the more often it drains and publishes.
-const stepsPerLookahead = 8
+// On the 2-shard Passport cell quarters and eighths run alike, and
+// quarters halve what a short sharded run spends on steps.
+const stepsPerLookahead = 4
 
 // spinChecks bounds how many times a shard polls its neighbours' clocks
 // before it parks.
@@ -126,7 +128,7 @@ func (c *Coordinator) SetDrain(fn func(shard int, end Time)) {
 }
 
 // Windows returns the number of steps each shard has executed so far:
-// one per lookahead/8 of simulated time, plus one per Run* call that
+// one per lookahead/4 of simulated time, plus one per Run* call that
 // ends between two step boundaries or executes its target instant. The
 // count is a function of the calls made, not of goroutine timing.
 func (c *Coordinator) Windows() uint64 { return c.windows }

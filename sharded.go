@@ -73,7 +73,7 @@ type Sharding struct {
 }
 
 // Windows returns the number of steps each shard has executed so far:
-// one per eighth of the lookahead of simulated time, plus one per
+// one per quarter of the lookahead of simulated time, plus one per
 // Advance or Run that ends between two step boundaries or executes its
 // target instant. Every shard takes the same steps, and the count
 // depends on the run's control points alone, not on goroutine timing.
