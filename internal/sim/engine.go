@@ -578,10 +578,9 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // RunBefore executes all events scheduled strictly before t, then
-// advances the clock to exactly t. It is the window step of a
-// partitioned run: events at t itself belong to the next window (a
-// cross-shard arrival landing exactly at a window boundary must be able
-// to preempt them).
+// advances the clock to exactly t. It is the step of a partitioned run:
+// events at t itself belong to the next step (a cross-shard arrival
+// landing exactly at a step boundary must be able to preempt them).
 func (e *Engine) RunBefore(t Time) {
 	e.RunUntil(t - 1)
 	e.now = max(e.now, t)
