@@ -38,7 +38,8 @@ func TestSenderSlotLayoutBudget(t *testing.T) {
 }
 
 // memoRig is one access router with three attached senders of one AS,
-// Passport on, and an oracle: every packet the router polices is also
+// four destinations — the victim, a second host of the victim's AS and
+// two colluders of ASes of their own — Passport on, and an oracle: every packet the router polices is also
 // run through feedback.Validate / StampNop / StampIncr and
 // Registry.Stamp directly, and the verdict, the stamped feedback and the
 // trailer must agree.
@@ -51,7 +52,7 @@ type memoRig struct {
 	out *netsim.Link // ra's egress: what the limiters forward leaves here
 
 	up    [3]*netsim.Link  // the senders' uplinks
-	dsts  [3]packet.NodeID // victim and two colluders
+	dsts  [4]packet.NodeID // victim, two colluders, the victim's AS-mate
 	links [3]packet.LinkID // the bottleneck, a link of ra's own AS, no link
 
 	keys     []*cmac.CMAC // the stamping keys the rig has seen, oldest first
@@ -74,6 +75,15 @@ func newMemoRigPassport(t testing.TB, passport bool) *memoRig {
 		BottleneckBps: 1_000_000, EdgeBps: 10_000_000_000, Delay: 10 * sim.Millisecond,
 	})
 	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
+	// A second host behind the victim's access router: same AS path,
+	// another destination.
+	mate := d.Net.NewHost("victim2", grp.Victim.AS)
+	for _, n := range d.Net.Nodes {
+		if n.Name == "Rv" {
+			d.Link(n, mate, 10_000_000_000, 10*sim.Millisecond)
+		}
+	}
+	d.Net.ComputeRoutes()
 	s := NewSystem(d.Net, cfg)
 	s.ProtectLink(bn)
 	s.ProtectAccess(grp.Access[0])
@@ -86,7 +96,7 @@ func newMemoRigPassport(t testing.TB, passport bool) *memoRig {
 	for i, h := range grp.Senders {
 		r.up[i] = h.LinkTo(r.ra)
 	}
-	r.dsts = [3]packet.NodeID{grp.Victim.ID, grp.Colluders[0].ID, grp.Colluders[1].ID}
+	r.dsts = [4]packet.NodeID{grp.Victim.ID, grp.Colluders[0].ID, grp.Colluders[1].ID, mate.ID}
 	r.links = [3]packet.LinkID{bn.ID, r.out.ID, 9999}
 	r.out.SetOnTransmit(r.forwarded)
 	// Start away from second 0, two rotations in.
@@ -217,7 +227,7 @@ const (
 // 7 a key rotation. A packet is
 //
 //	b0: its size, pktSizes[b0>>3&3]
-//	b1: uplink (2 bits), claimed source (2), destination (2), request (1),
+//	b1: uplink (2 bits), claimed source (2), destination (2, r.dsts), request (1),
 //	    claims the victim's source AS (1)
 //	b2: feedback (2), link (2), key age in rotations (2)
 //	b3: feedback age in seconds (3), tamper (3)
@@ -259,7 +269,7 @@ func (r *memoRig) run(prog []byte) {
 			}
 			r.ar.ring.Rotate()
 		default:
-			from, src, dst := b1&3%3, b1>>2&3%3, b1>>4&3%3
+			from, src, dst := b1&3%3, b1>>2&3%3, b1>>4&3
 			fb, link, keyAge := b2&3, b2>>2&3%3, b2>>4&3
 			age, tamper := b3&7, b3>>3&7
 			h := r.d.Groups()[0].Senders[src]
@@ -277,7 +287,7 @@ func (r *memoRig) run(prog []byte) {
 			case tamperMAC:
 				p.FB.MAC[0] ^= 1
 			case tamperDst:
-				p.Dst = r.dsts[(dst+1)%3]
+				p.Dst = r.dsts[(dst+1)%len(r.dsts)]
 			case tamperLink:
 				p.FB.Link = r.links[(link+1)%3]
 			case tamperAction:
@@ -336,9 +346,13 @@ var memoSeeds = map[string][]byte{
 	// path, another size, then the first size again.
 	"trailer of another size": cat(pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0), again(), sized(1, pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)),
 		sized(2, pkt(0, 0, 0, true, 0, 0, 0, 0, 0)), pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0)),
-	// dst and hop set of the trailer memo: the victim and a colluder sit
-	// behind different ASes.
-	"trailer to another destination": cat(sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0)), sized(1, pkt(0, 0, 1, true, 0, 0, 0, 0, 0)),
+	// dst of the trailer memo: the victim and its AS-mate share the hop
+	// set, and the size is the same.
+	"trailer to the destination's AS-mate": cat(sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0)), sized(1, pkt(0, 0, 3, true, 0, 0, 0, 0, 0)),
+		sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0))),
+	// hop set of the trailer memo: the victim and a colluder sit behind
+	// different ASes.
+	"trailer to another AS": cat(sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0)), sized(1, pkt(0, 0, 1, true, 0, 0, 0, 0, 0)),
 		sized(1, pkt(0, 0, 2, true, 0, 0, 0, 0, 0)), sized(1, pkt(0, 0, 0, true, 0, 0, 0, 0, 0))),
 	// The other attached sender's address: its slot, its MACs.
 	"spoofed source": cat(pkt(0, 0, 0, false, fbNop, 0, 0, 0, 0), pkt(0, 1, 0, false, fbNop, 0, 0, 0, 0), pkt(1, 1, 0, true, 0, 0, 0, 0, 0),

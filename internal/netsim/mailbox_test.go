@@ -154,6 +154,9 @@ type hoSide struct {
 	// sort below every link's origin.
 	orgs    [3]sim.Origin
 	arrived [2][]hoArrival // at h2, at h1
+	// crossed counts the packets that reached the cut's far end: r2 over
+	// the forward link, r1 over the reverse one.
+	crossed [2]uint64
 }
 
 // hoArrival is what a host saw of one packet.
@@ -176,6 +179,17 @@ func newHoSide() *hoSide {
 	s.fwd, s.rev = n.Connect(r1, s.r2, hoRate, hoDelays[0])
 	n.Connect(s.r2, s.h2, hoRate, sim.Millisecond)
 	n.ComputeRoutes()
+	for i, end := range []struct {
+		node *Node
+		cut  packet.LinkID
+	}{{s.r2, s.fwd.ID}, {r1, s.rev.ID}} {
+		end.node.Ingress = func(_ *packet.Packet, from *Link) bool {
+			if from != nil && from.ID == end.cut {
+				s.crossed[i]++
+			}
+			return true
+		}
+	}
 	for i, h := range []*Node{s.h2, s.h1} {
 		log := &s.arrived[i]
 		sink := agentFunc(func(p *packet.Packet) { *log = append(*log, hoArrival{s.eng.Now(), snapPacket(p)}) })
@@ -253,9 +267,10 @@ var hoLookahead = hoDelays[0]
 // only while its end lies within the lookahead of the other's clock;
 // before each step it adopts the empties come home and drains its inbox;
 // after each step the replica behind drains what the step handed it, in
-// the middle of its own run, as a concurrent Drain would. At to both
-// drain once more, as the coordinator does at the end of a call.
-func (p *hoPair) advance(to, win sim.Time) {
+// the middle of its own run, as a concurrent Drain would, and then each
+// is called. At to both drain once more, as the coordinator does at the
+// end of a call.
+func (p *hoPair) advance(to, win sim.Time, each func()) {
 	sides := [2]*hoSide{p.a, p.b}
 	inbox := [2]*Mailbox{p.toA, p.toB}
 	turn := 0
@@ -281,6 +296,7 @@ func (p *hoPair) advance(to, win sim.Time) {
 		inbox[x].Drain(end)
 		s.eng.RunBefore(end)
 		inbox[1-x].Drain(min(y.eng.Now()+win, to))
+		each()
 	}
 	p.toB.Drain(to)
 	p.toA.Drain(to)
@@ -304,8 +320,7 @@ func (mb *Mailbox) undrained() int {
 // — the single engine holds one for each — and that is the whole
 // difference in the pending counts: a cut link never holds more than one
 // event for what is in order.
-func (p *hoPair) state(t *testing.T) hoState {
-	t.Helper()
+func (p *hoPair) state() hoState {
 	st := hoState{
 		Now:      p.a.eng.Now(),
 		Executed: p.a.eng.Executed() + p.b.eng.Executed(),
@@ -319,20 +334,33 @@ func (p *hoPair) state(t *testing.T) hoState {
 			st.Pending--
 		}
 	}
-	// The books of each direction: every struct lent was borrowed or
-	// waits in the mailbox, and every one borrowed is paid for, owed, or
-	// still to arrive — the FIFO's, and those with keyed events.
+	return st
+}
+
+// books holds each direction's handoff books at any point of a run:
+// every struct lent was borrowed or waits in the mailbox; every one
+// borrowed has reached the cut's far end or is still to — in the FIFO,
+// or under a keyed event of its own, of which there are at most as many
+// as were ever injected; and the destination's debt is exactly what it
+// owes for the arrivals that fired plus the arrivals to come, so an
+// arrival left unpaid shows at once. With drained set nothing is still
+// to arrive, and the debt is the arrivals owed.
+func (p *hoPair) books(t *testing.T, when string, drained bool) {
+	t.Helper()
 	for _, d := range []struct {
 		src, dst *hoSide
 		mb       *Mailbox
-	}{{p.a, p.b, p.toB}, {p.b, p.a, p.toA}} {
+		crossed  uint64
+	}{{p.a, p.b, p.toB, p.b.crossed[0]}, {p.b, p.a, p.toA, p.a.crossed[1]}} {
 		out, in := d.src.net.HandoffStats(), d.dst.net.HandoffStats()
-		if out.Lent != in.Borrowed+uint64(d.mb.undrained()) || in.Debt != in.Borrowed-in.SentHome ||
-			in.Debt < uint64(d.mb.owed+d.mb.queued) || in.Keyed == 0 && in.Debt != uint64(d.mb.owed+d.mb.queued) {
-			t.Fatalf("handoff books: source %+v, destination %+v, %d undrained, %d owed, %d queued", out, in, d.mb.undrained(), d.mb.owed, d.mb.queued)
+		toCome := int64(in.Borrowed) - int64(d.crossed)
+		keyed := toCome - int64(d.mb.queued) // keyed events not yet fired
+		if out.Lent != in.Borrowed+uint64(d.mb.undrained()) || int64(in.Debt) != int64(d.mb.owed)+toCome ||
+			keyed < 0 || keyed > int64(in.Keyed) || drained && toCome != 0 {
+			t.Fatalf("%s: handoff books: source %+v, destination %+v, %d undrained, %d crossed, %d owed, %d queued",
+				when, out, in, d.mb.undrained(), d.crossed, d.mb.owed, d.mb.queued)
 		}
 	}
-	return st
 }
 
 func (s *hoSide) state() hoState {
@@ -424,35 +452,50 @@ var hoSeeds = map[string][]byte{
 // runHandoffProgram drives prog into the replica pair, step by step as
 // the sharded executor does (one replica up to a lookahead ahead of the
 // other, Drains interleaved with the other's pushes), and into the same
-// hops on one engine, and holds the two to the same observable behaviour
-// at every program step and once everything has drained.
+// hops on one engine. It holds the pair's books and struct conservation
+// after every replica step, the pair to the single engine's observable
+// behaviour at every program step and wherever the two replicas' clocks
+// meet, and all of it once everything has drained.
 func runHandoffProgram(t *testing.T, prog []byte) {
 	one, two := newHoSide(), newHoPair()
 	now, win := sim.Time(0), hoWindows[0]
 	sent, prevSize, uid := 0, 0, uint64(0) // sent counts what the pair has drawn from its pools
 	lastFwd, lastSize := sim.Time(0), 0
-	agree := func(when string) {
+	// conserve: every packet either pool allocated is in flight or idle
+	// — on a free list or an empty on its way home.
+	conserve := func(when string) {
 		t.Helper()
-		got, want := two.state(t), one.state()
-		if d := got.diff(want); d != "" {
-			t.Fatalf("%s: the replica pair and the single engine differ: %s", when, d)
-		}
-		// Struct conservation: every packet either pool allocated is in
-		// flight or idle — on a free list or an empty on its way home.
 		fresh := two.a.net.Pool.News + two.b.net.Pool.News
 		idle := two.a.net.Pool.Len() + two.b.net.Pool.Len() + int(two.a.net.HandoffStats().Home+two.b.net.HandoffStats().Home)
-		if flying := sent - len(got.Arrived[0]) - len(got.Arrived[1]); int(fresh) != idle+flying {
+		if flying := sent - len(two.b.arrived[0]) - len(two.a.arrived[1]); int(fresh) != idle+flying {
 			t.Fatalf("%s: %d structs allocated, %d idle, %d in flight", when, fresh, idle, flying)
 		}
 	}
+	agree := func(when string, drained bool) {
+		t.Helper()
+		if d := two.state().diff(one.state()); d != "" {
+			t.Fatalf("%s: the replica pair and the single engine differ: %s", when, d)
+		}
+		two.books(t, when, drained)
+		conserve(when)
+	}
 	advance := func(to sim.Time, when string) {
 		t.Helper()
-		if now < to {
-			now = to
-			two.advance(now, win)
-			one.eng.RunBefore(now)
-			agree(fmt.Sprintf("%s, at %d", when, now))
+		if now >= to {
+			return
 		}
+		now = to
+		two.advance(now, win, func() {
+			t.Helper()
+			two.books(t, when, false)
+			conserve(when)
+			if at := two.a.eng.Now(); at == two.b.eng.Now() && at > one.eng.Now() && at < now {
+				one.eng.RunBefore(at)
+				agree(fmt.Sprintf("%s, clocks meeting at %d", when, at), false)
+			}
+		})
+		one.eng.RunBefore(now)
+		agree(fmt.Sprintf("%s, at %d", when, now), false)
 	}
 	// send schedules, on the engine owning the node, a packet entering
 	// the network there.
@@ -534,6 +577,7 @@ func runHandoffProgram(t *testing.T, prog []byte) {
 		}
 		advance(now+hoDelays[3], "drained")
 	}
+	agree("drained", true)
 	// Every struct ever allocated is now idle, once: in a pool, or an
 	// empty its home has yet to adopt.
 	seen := map[*packet.Packet]bool{}

@@ -29,8 +29,7 @@ import (
 // the first Key call: a run uses few of the N(N+1)/2 pairs. Key fills
 // that cache, so it is for the goroutine owning the registry.
 type Registry struct {
-	raw  map[[2]packet.ASID]cmac.Key
-	macs map[[2]packet.ASID]*cmac.CMAC
+	raw map[[2]packet.ASID]cmac.Key
 	// index numbers the ASes: an open-addressed table, a slot per AS at
 	// the first free place from its hash (asHash), holding the AS and its
 	// number plus one. cols[j] holds the CMACs the AS numbered j shares
@@ -59,10 +58,7 @@ func asHash(a packet.ASID, shift uint8) int { return int(uint32(a) * 0x9e3779b9 
 // ASes, including the self-pair (used when the bottleneck is in the
 // sender's own AS).
 func NewRegistry(rng *rand.Rand, ases []packet.ASID) *Registry {
-	r := &Registry{
-		raw:  make(map[[2]packet.ASID]cmac.Key, len(ases)*(len(ases)+1)/2),
-		macs: make(map[[2]packet.ASID]*cmac.CMAC),
-	}
+	r := &Registry{raw: make(map[[2]packet.ASID]cmac.Key, len(ases)*(len(ases)+1)/2)}
 	for i, a := range ases {
 		for _, b := range ases[i:] {
 			var k cmac.Key
@@ -100,11 +96,12 @@ func pairKey(a, b packet.ASID) [2]packet.ASID {
 }
 
 // Key returns the MAC keyed with the secret shared by ASes a and b, or
-// nil if the pair is unknown. The first call for a pair makes its CMAC.
+// nil if the pair is unknown. The first call for a pair makes its CMAC,
+// which Key(b, a) returns too.
 func (r *Registry) Key(a, b packet.ASID) *cmac.CMAC {
 	i, j := r.number(a), r.number(b)
 	if i < 0 || j < 0 {
-		return r.pairMAC(a, b)
+		return nil
 	}
 	col := r.cols[j]
 	if col == nil {
@@ -113,7 +110,14 @@ func (r *Registry) Key(a, b packet.ASID) *cmac.CMAC {
 	}
 	m := col[i]
 	if m == nil {
-		m = r.pairMAC(a, b)
+		if other := r.cols[i]; other != nil && other[j] != nil {
+			m = other[j]
+		} else {
+			m = cmac.New(r.raw[pairKey(a, b)])
+			if other != nil {
+				other[j] = m
+			}
+		}
 		col[i] = m
 	}
 	return m
@@ -129,18 +133,6 @@ func (r *Registry) number(a packet.ASID) int {
 		}
 	}
 	return -1
-}
-
-// pairMAC is Key by map: the pair's CMAC, made on first use.
-func (r *Registry) pairMAC(a, b packet.ASID) *cmac.CMAC {
-	pk := pairKey(a, b)
-	if m, ok := r.macs[pk]; ok {
-		return m
-	}
-	if k, ok := r.raw[pk]; ok {
-		r.macs[pk] = cmac.New(k)
-	}
-	return r.macs[pk]
 }
 
 // macInput is the canonical Passport MAC input. Passport's MAC covers the

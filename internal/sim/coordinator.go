@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -58,9 +57,6 @@ type Coordinator struct {
 
 	now     Time
 	windows uint64
-	// spin: every shard can hold a P of its own, so a shard that cannot
-	// advance may poll its neighbours' clocks briefly before it parks.
-	spin bool
 
 	// serialized accumulates each shard's execute wall-clock
 	// nanoseconds — the Amdahl-serial portion of the run. Slot i is
@@ -81,10 +77,6 @@ type Coordinator struct {
 // On the 2-shard Passport cell quarters and eighths run alike, and
 // quarters halve what a short sharded run spends on steps.
 const stepsPerLookahead = 4
-
-// spinChecks bounds how many times a shard polls its neighbours' clocks
-// before it parks.
-const spinChecks = 64
 
 // shardClock is one shard's published clock and its parking place — the
 // step end it waits to run to, and whether it is parked — padded to its
@@ -155,7 +147,6 @@ func (c *Coordinator) start() {
 		return
 	}
 	c.started = true
-	c.spin = runtime.GOMAXPROCS(0) >= len(c.engines)
 	c.clocks = make([]shardClock, len(c.engines))
 	c.jobs = make([]chan runJob, len(c.engines))
 	for i := range c.engines {
@@ -275,19 +266,11 @@ func (c *Coordinator) ready(i int, end Time) bool {
 	return true
 }
 
-// await blocks shard i until it may execute events before end: a few
-// polls when every shard has a P of its own, then parked until another
-// shard publishes a clock that could let it run. The parked flag is set
-// before the last check and read by publish after its store, so one of
-// the two sees the other.
+// await blocks shard i until it may execute events before end, parked
+// until another shard publishes a clock that could let it run. The
+// parked flag is set before the last check and read by publish after its
+// store, so one of the two sees the other.
 func (c *Coordinator) await(i int, end Time) {
-	if c.spin {
-		for n := 0; n < spinChecks; n++ {
-			if c.ready(i, end) {
-				return
-			}
-		}
-	}
 	s := &c.clocks[i]
 	s.need.Store(int64(end))
 	for {
