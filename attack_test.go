@@ -157,15 +157,13 @@ func TestSweepAttackAxis(t *testing.T) {
 		t.Fatalf("Base workload mutated to %q", got)
 	}
 
-	serial := sw
-	serial.Parallelism = 1
-	parallel := sw
-	parallel.Parallelism = 4
-	a, err := serial.Run()
+	setProcs(t, 1)
+	a, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.Run()
+	setProcs(t, 4)
+	b, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,34 +174,6 @@ func TestLossDetectorMildAttackBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestUtilDetector(t *testing.T) {
-	d := NewUtilDetector(1_000_000, 0.95)
-	var tx uint64
-	now := sim.Time(0)
-	d.Sample(tx, now)
-	// 50% utilization: not attacked.
-	for i := 0; i < 50; i++ {
-		now += sim.Second
-		tx += 62_500 // 0.5 Mbps in bytes/s
-		if d.Sample(tx, now) {
-			t.Fatal("attack at 50% utilization")
-		}
-	}
-	// 100% utilization: detected.
-	attacked := false
-	for i := 0; i < 60; i++ {
-		now += sim.Second
-		tx += 125_000
-		if d.Sample(tx, now) {
-			attacked = true
-			break
-		}
-	}
-	if !attacked {
-		t.Fatalf("full link not detected, util=%f", d.Util())
-	}
-}
-
 func TestLossFraction(t *testing.T) {
 	prev := queue.Stats{Dequeued: 100, Dropped: 10}
 	cur := queue.Stats{Dequeued: 180, Dropped: 30}

@@ -39,7 +39,7 @@ func TestTVACapabilityGrantLoop(t *testing.T) {
 	grp := d.Groups()[0]
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
 	ok := false
-	s := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 100_000, transport.DefaultTCP())
+	s := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 100_000)
 	s.OnComplete = func(fct sim.Time, o bool) { ok = o }
 	s.Start()
 	d.Net.Eng.RunUntil(30 * sim.Second)
@@ -79,7 +79,7 @@ func TestTVAColludersHurtVictimThroughput(t *testing.T) {
 	var legitRcv [2]*transport.TCPReceiver
 	for i := 0; i < 2; i++ {
 		legitRcv[i] = transport.NewTCPReceiver(grp.Victim.Host, packet.FlowID(i+1))
-		transport.NewTCPSender(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(i+1), -1, transport.DefaultTCP()).Start()
+		transport.NewTCPSender(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(i+1), -1).Start()
 	}
 	var sinks [6]*transport.UDPSink
 	for i := 0; i < 6; i++ {
@@ -149,7 +149,7 @@ func TestStopItLegitUnaffectedByFilters(t *testing.T) {
 	grp := d.Groups()[0]
 	transport.NewTCPReceiver(grp.Victim.Host, 1)
 	ok := false
-	s := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 100_000, transport.DefaultTCP())
+	s := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 100_000)
 	s.OnComplete = func(fct sim.Time, o bool) { ok = o }
 	s.Start()
 	transport.NewUDPSource(grp.Senders[1].Host, grp.Victim.ID, 5, 1_000_000, 1500).Start()
@@ -167,7 +167,7 @@ func TestFQFairShareUnderFlood(t *testing.T) {
 	d, _ := deploySys(6, cfg, func(n *netsim.Network) defense.System { return NewFQ() })
 	grp := d.Groups()[0]
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
-	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1).Start()
 	for i := 1; i < 4; i++ {
 		transport.NewUDPSink(grp.Victim.Host, packet.FlowID(10+i))
 		transport.NewUDPSource(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(10+i), 1_000_000, 1500).Start()
@@ -187,7 +187,7 @@ func TestNoneUndefendedCollapse(t *testing.T) {
 	d, _ := deploySys(7, cfg, func(n *netsim.Network) defense.System { return NewNone() })
 	grp := d.Groups()[0]
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
-	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1).Start()
 	for i := 1; i < 4; i++ {
 		transport.NewUDPSink(grp.Victim.Host, packet.FlowID(10+i))
 		transport.NewUDPSource(grp.Senders[i].Host, grp.Victim.ID, packet.FlowID(10+i), 1_000_000, 1500).Start()

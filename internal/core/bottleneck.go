@@ -18,7 +18,6 @@ type Bottleneck struct {
 	link *netsim.Link
 	q    *nfQueue
 	det  *aqm.LossDetector
-	util *aqm.UtilDetector
 
 	monActive  bool
 	monStarted sim.Time
@@ -41,9 +40,6 @@ func (s *System) protect(l *netsim.Link) *Bottleneck {
 	b.q.cells = l.From.Network().Cells
 	b.q.net = l.From.Network()
 	b.q.label = l.Label()
-	if s.Cfg.UtilDetect {
-		b.util = aqm.NewUtilDetector(l.Rate, s.Cfg.UtilThreshold)
-	}
 	if s.Cfg.Passport && s.Registry != nil {
 		b.q.verify = func(p *packet.Packet) bool {
 			if p.SrcAS == l.From.AS {
@@ -85,11 +81,7 @@ func (b *Bottleneck) detectTick() {
 		b.fbCongested = now
 	}
 	b.prevReg = reg
-	attacked := b.det.Sample(reg)
-	if b.util != nil && b.util.Sample(b.link.TxBytes, now) {
-		attacked = true
-	}
-	if attacked {
+	if b.det.Sample(reg) {
 		b.StartMonitoring()
 		if b.sys.Cfg.PerASFallback && !b.q.fallbackActive() &&
 			now-b.monStarted > fallbackAfter {

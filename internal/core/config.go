@@ -97,12 +97,6 @@ type Config struct {
 	// may pass per QuotaWindow.
 	CongestionQuotaBytes int64
 	QuotaWindow          sim.Time
-
-	// UtilDetect additionally starts monitoring cycles when smoothed
-	// link utilization exceeds UtilThreshold — the well-provisioned-link
-	// detector of §4.3.1.
-	UtilDetect    bool
-	UtilThreshold float64
 }
 
 // DefaultConfig returns the paper's settings (Figure 3's w, footnote 1's
@@ -116,6 +110,5 @@ func DefaultConfig() Config {
 		LimiterIdle:         sim.Hour,
 		KeyRotate:           32 * sim.Second,
 		QuotaWindow:         60 * sim.Second,
-		UtilThreshold:       0.95,
 	}
 }

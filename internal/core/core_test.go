@@ -349,7 +349,7 @@ func TestCollusionFairShare(t *testing.T) {
 	colluder := grp.Colluders[0]
 
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
-	tcp := transport.NewTCPSender(legit.Host, grp.Victim.ID, 1, -1, transport.DefaultTCP())
+	tcp := transport.NewTCPSender(legit.Host, grp.Victim.ID, 1, -1)
 	tcp.Start()
 	sink := transport.NewUDPSink(colluder.Host, 2)
 	udp := transport.NewUDPSource(attacker.Host, colluder.ID, 2, 1_000_000, 1500)
@@ -409,7 +409,7 @@ func TestFeedbackAsCapability(t *testing.T) {
 	}
 	flood := transport.NewRequestFlooder(attacker.Host, grp.Victim.ID, 900, 1_000_000, 6)
 	flood.Start()
-	client := transport.NewFileClient(legit.Host, grp.Victim.ID, 20_000, transport.DefaultTCP())
+	client := transport.NewFileClient(legit.Host, grp.Victim.ID, 20_000)
 	client.Start()
 	d.Net.Eng.RunUntil(40 * sim.Second)
 	client.Stop()
@@ -437,7 +437,7 @@ func TestOnOffAttackBounded(t *testing.T) {
 	legit, attacker := grp.Senders[0], grp.Senders[1]
 
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
-	transport.NewTCPSender(legit.Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewTCPSender(legit.Host, grp.Victim.ID, 1, -1).Start()
 	transport.NewUDPSink(grp.Colluders[0].Host, 2)
 	udp := transport.NewUDPSource(attacker.Host, grp.Colluders[0].ID, 2, 1_000_000, 1500)
 	udp.OnTime = 500 * sim.Millisecond
@@ -484,7 +484,7 @@ func TestPerASLocalization(t *testing.T) {
 	s.AttachHost(grp.Colluders[0], defense.Policy{})
 
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
-	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1).Start()
 	transport.NewUDPSink(grp.Colluders[0].Host, 2)
 	transport.NewUDPSource(grp.Senders[1].Host, grp.Colluders[0].ID, 2, 2_000_000, 1500).Start()
 
@@ -516,7 +516,7 @@ func TestPassportBlocksSpoofedAS(t *testing.T) {
 	// Honest transfer completes with Passport stamping on.
 	transport.NewTCPReceiver(grp.Victim.Host, 1)
 	ok := false
-	snd := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 50_000, transport.DefaultTCP())
+	snd := transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, 50_000)
 	snd.OnComplete = func(fct sim.Time, o bool) { ok = o }
 	snd.Start()
 	d.Net.Eng.RunUntil(30 * sim.Second)
@@ -568,7 +568,7 @@ func TestKeyRotationTransparentToFlows(t *testing.T) {
 	d, s := deploy(13, cfg, nfCfg)
 	grp := d.Groups()[0]
 	rcv := transport.NewTCPReceiver(grp.Victim.Host, 1)
-	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
+	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1).Start()
 	d.Net.Eng.RunUntil(60 * sim.Second)
 	if rcv.DeliveredBytes() < 500_000 {
 		t.Fatalf("flow starved: %d bytes in 60s", rcv.DeliveredBytes())

@@ -241,24 +241,6 @@ func TestCongestionQuotaCharging(t *testing.T) {
 	}
 }
 
-func TestUtilDetectorOpensMonitoring(t *testing.T) {
-	// A full link with zero loss (elastic TCP just filling it) does not
-	// trip the loss detector quickly, but the utilization detector must
-	// open a monitoring cycle.
-	cfg := topo.DefaultDumbbell(2, 1_000_000)
-	nfCfg := DefaultConfig()
-	nfCfg.UtilDetect = true
-	nfCfg.UtilThreshold = 0.9
-	d, s := deploy(24, cfg, nfCfg)
-	grp, bn := d.Groups()[0], d.Bottlenecks()[0]
-	transport.NewTCPReceiver(grp.Victim.Host, 1)
-	transport.NewTCPSender(grp.Senders[0].Host, grp.Victim.ID, 1, -1, transport.DefaultTCP()).Start()
-	d.Net.Eng.RunUntil(30 * sim.Second)
-	if !s.Bottleneck(bn).Monitoring() {
-		t.Fatal("utilization detector never opened a monitoring cycle")
-	}
-}
-
 // TestReplayStaleFeedbackDemoted is the end-to-end replay probe against
 // the freshness window w: L-up feedback stamped in control interval k
 // and presented in interval k+2 (4 s later with the Figure 3 Ilim = 2 s,

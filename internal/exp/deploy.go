@@ -14,7 +14,7 @@ var DeployFractions = []float64{0, 0.25, 0.5, 0.75, 1}
 // study: the closed-loop system against the capability and fair-queuing
 // baselines (StopIt's source filters are not meaningfully partial —
 // filtering ASes must deploy by definition).
-var deployCompared = []SystemKind{SysNetFence, SysTVA, SysFQ}
+var deployCompared = []string{"netfence", "tva", "fq"}
 
 // Deploy regenerates the incremental-deployment experiment: the
 // legitimate/attacker throughput ratio of the §6.3.2 collusion scenario
@@ -35,15 +35,14 @@ func Deploy(sc Scale) Result {
 	if len(sc.Systems) > 0 {
 		systems = sc.Compared()
 	}
-	results := grid(sc, DeployFractions, systems, func(f float64, kind SystemKind) netfence.Scenario {
-		return fig9Cell(sc, label, kind, false, f)
+	results := grid(sc, DeployFractions, systems, func(f float64, name string) netfence.Scenario {
+		return fig9Cell(sc, label, name, false, f)
 	})
 	for i, f := range DeployFractions {
-		for j, kind := range systems {
-			r := results[i][j]
+		for _, r := range results[i] {
 			res.AddRow(
 				fmt.Sprintf("%.0f%%", 100*f),
-				string(kind),
+				r.Defense,
 				fmt.Sprintf("%.2f", r.Ratio),
 				fmt.Sprintf("%.0f", r.UserBps/1000),
 				fmt.Sprintf("%.0f", r.AttackerBps/1000),

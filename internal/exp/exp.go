@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"netfence"
-	"netfence/internal/defense"
 	"netfence/internal/obs"
 )
 
@@ -171,51 +170,19 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// SystemKind selects a defense system.
-type SystemKind string
+// comparedSystems is the lineup of Figures 8 and 9, as defense-registry
+// names.
+var comparedSystems = []string{"fq", "netfence", "tva", "stopit"}
 
-// The four systems of §6.3 plus the undefended control.
-const (
-	SysNetFence SystemKind = "NetFence"
-	SysTVA      SystemKind = "TVA+"
-	SysStopIt   SystemKind = "StopIt"
-	SysFQ       SystemKind = "FQ"
-	SysNone     SystemKind = "None"
-)
-
-// ComparedSystems is the lineup of Figures 8 and 9.
-var ComparedSystems = []SystemKind{SysFQ, SysNetFence, SysTVA, SysStopIt}
-
-// Compared returns the systems a comparison figure sweeps: the paper's
-// lineup by default, or the Scale.Systems restriction when set.
-func (sc Scale) Compared() []SystemKind {
+// Compared returns the defense-registry names a comparison figure
+// sweeps: the paper's lineup by default, or the Scale.Systems
+// restriction when set. Rows print each cell's Result.Defense, the
+// system's own name.
+func (sc Scale) Compared() []string {
 	if len(sc.Systems) == 0 {
-		return ComparedSystems
+		return comparedSystems
 	}
-	out := make([]SystemKind, len(sc.Systems))
-	for i, name := range sc.Systems {
-		out[i] = KindByName(name)
-	}
-	return out
-}
-
-// KindByName maps a defense-registry name to the display kind used in
-// result tables; unrecognized names pass through unchanged so runners can
-// compare third-party registered systems too.
-func KindByName(name string) SystemKind {
-	switch defense.Canonical(name) {
-	case "netfence":
-		return SysNetFence
-	case "tva":
-		return SysTVA
-	case "stopit":
-		return SysStopIt
-	case "fq":
-		return SysFQ
-	case "none":
-		return SysNone
-	}
-	return SystemKind(name)
+	return sc.Systems
 }
 
 // Runner is a named experiment: it maps a CLI/bench identifier to the

@@ -130,11 +130,11 @@ func TestHeaderSizesMatchPaper(t *testing.T) {
 func TestFig8Shape(t *testing.T) {
 	skipIfShort(t)
 	r := Tiny.runAll(
-		fig8Cell(Tiny, 25_000, SysNetFence),
-		fig8Cell(Tiny, 25_000, SysFQ),
-		fig8Cell(Tiny, 200_000, SysFQ),
-		fig8Cell(Tiny, 200_000, SysNetFence),
-		fig8Cell(Tiny, 200_000, SysStopIt),
+		fig8Cell(Tiny, 25_000, "netfence"),
+		fig8Cell(Tiny, 25_000, "fq"),
+		fig8Cell(Tiny, 200_000, "fq"),
+		fig8Cell(Tiny, 200_000, "netfence"),
+		fig8Cell(Tiny, 200_000, "stopit"),
 	)
 	nf25, fq25, fq200, nf200, st200 := r[0].FCT, r[1].FCT, r[2].FCT, r[3].FCT, r[4].FCT
 
@@ -172,10 +172,10 @@ func TestFig8Shape(t *testing.T) {
 func TestFig9aShape(t *testing.T) {
 	skipIfShort(t)
 	r := Tiny.runAll(
-		fig9Cell(Tiny, 25_000, SysNetFence, false, 1),
-		fig9Cell(Tiny, 25_000, SysTVA, false, 1),
-		fig9Cell(Tiny, 25_000, SysFQ, false, 1),
-		fig9Cell(Tiny, 25_000, SysStopIt, false, 1),
+		fig9Cell(Tiny, 25_000, "netfence", false, 1),
+		fig9Cell(Tiny, 25_000, "tva", false, 1),
+		fig9Cell(Tiny, 25_000, "fq", false, 1),
+		fig9Cell(Tiny, 25_000, "stopit", false, 1),
 	)
 	nf, tva, fq, st := r[0], r[1], r[2], r[3]
 
@@ -210,7 +210,7 @@ func TestFig9bShape(t *testing.T) {
 	skipIfShort(t)
 	// Web-like demand cannot fill a 400 kbps share: ratio below 1 at the
 	// 25K label, climbing at 200K where the share is 50 kbps.
-	r := Tiny.runAll(fig9Cell(Tiny, 25_000, SysNetFence, true, 1), fig9Cell(Tiny, 200_000, SysNetFence, true, 1))
+	r := Tiny.runAll(fig9Cell(Tiny, 25_000, "netfence", true, 1), fig9Cell(Tiny, 200_000, "netfence", true, 1))
 	nfBig, nfSmall := r[0], r[1]
 	if nfBig.Ratio > 0.9 {
 		t.Fatalf("web ratio at 25K = %.2f, want well under 1 (demand-limited)", nfBig.Ratio)
@@ -304,7 +304,7 @@ func TestStrategicShape(t *testing.T) {
 	baselineBroke := false
 	for _, row := range res.Rows {
 		strategy, system := row[0], row[1]
-		if system == string(SysNetFence) {
+		if system == "NetFence" {
 			strategies[strategy] = true
 			if !holds(row) {
 				t.Fatalf("NetFence below the Theorem-1 floor under %q: %v", strategy, row)
@@ -367,9 +367,9 @@ func TestDeployShape(t *testing.T) {
 	// seconds). The full lineup runs in TestDeployRunnerFull.
 	label := Tiny.Labels[0]
 	r := Tiny.runAll(
-		fig9Cell(Tiny, label, SysNetFence, false, 0),
-		fig9Cell(Tiny, label, SysNetFence, false, 0.5),
-		fig9Cell(Tiny, label, SysNetFence, false, 1),
+		fig9Cell(Tiny, label, "netfence", false, 0),
+		fig9Cell(Tiny, label, "netfence", false, 0.5),
+		fig9Cell(Tiny, label, "netfence", false, 1),
 	)
 	none, half, full := r[0].Ratio, r[1].Ratio, r[2].Ratio
 
@@ -400,7 +400,7 @@ func TestDeployRunnerFull(t *testing.T) {
 	// The Scale.Systems restriction must hold here like the figures.
 	sc := Tiny
 	sc.Systems = []string{"fq"}
-	if rows := Deploy(sc).Rows; len(rows) != len(DeployFractions) || rows[0][1] != string(SysFQ) {
+	if rows := Deploy(sc).Rows; len(rows) != len(DeployFractions) || rows[0][1] != "FQ" {
 		t.Fatalf("Systems restriction ignored: %v", rows)
 	}
 }
@@ -511,11 +511,11 @@ func TestWorstCaseShape(t *testing.T) {
 	for _, row := range res.Rows {
 		system, hand, searched, holds := row[0], kbps(row[2]), kbps(row[4]), row[len(row)-1]
 		switch system {
-		case string(SysNetFence):
+		case "NetFence":
 			if holds != "true" {
 				t.Fatalf("NetFence below the floor at the searched optimum: %v", row)
 			}
-		case string(SysTVA):
+		case "TVA+":
 			if searched >= hand {
 				t.Fatalf("searched attack (%v kbps) not strictly worse for TVA+ than the hand-written worst (%v kbps): %v",
 					searched, hand, row)

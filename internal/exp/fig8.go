@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netfence"
+	"netfence/internal/defense"
 )
 
 // Fig8 regenerates Figure 8: the average transfer time of a 20 KB file
@@ -20,15 +21,15 @@ func Fig8(sc Scale) Result {
 		Title:   "mean 20 KB file transfer time under unwanted-traffic flooding",
 		Columns: []string{"senders", "system", "mean FCT (s)", "p95 (s)", "completion", "transfers"},
 	}
-	results := grid(sc, sc.Labels, sc.Compared(), func(label int, kind SystemKind) netfence.Scenario {
-		return fig8Cell(sc, label, kind)
+	results := grid(sc, sc.Labels, sc.Compared(), func(label int, name string) netfence.Scenario {
+		return fig8Cell(sc, label, name)
 	})
 	for i, label := range sc.Labels {
-		for j, kind := range sc.Compared() {
-			fct := results[i][j].FCT
+		for _, r := range results[i] {
+			fct := r.FCT
 			res.AddRow(
 				fmt.Sprintf("%dK", label/1000),
-				string(kind),
+				r.Defense,
 				fmt.Sprintf("%.2f", fct.MeanSec),
 				fmt.Sprintf("%.2f", fct.P95Sec),
 				fmt.Sprintf("%.0f%%", 100*fct.Completion),
@@ -67,13 +68,13 @@ func fig8Roles(senders int) (legit, attackers []int) {
 	return roles(senders, func(int) int { return 1 })
 }
 
-func fig8Cell(sc Scale, label int, kind SystemKind) netfence.Scenario {
+func fig8Cell(sc Scale, label int, name string) netfence.Scenario {
 	legit, attackers := fig8Roles(sc.Senders)
 	var flood netfence.Workload
-	switch kind {
-	case SysNetFence:
+	switch defense.Canonical(name) {
+	case "netfence":
 		flood = netfence.RequestFlood{Senders: attackers, Strategic: true}
-	case SysTVA:
+	case "tva":
 		// TVA+'s request channel has no priority levels; flood flat.
 		flood = netfence.RequestFlood{Senders: attackers}
 	default:
@@ -81,7 +82,7 @@ func fig8Cell(sc Scale, label int, kind SystemKind) netfence.Scenario {
 	}
 	return netfence.Scenario{
 		Topology:      netfence.DumbbellSpec{Senders: sc.Senders, BottleneckBps: sc.BottleneckBps(label)},
-		Defense:       netfence.Defense(string(kind)),
+		Defense:       netfence.Defense(name),
 		Workloads:     []netfence.Workload{netfence.FileTransfers{Senders: legit}, flood},
 		DenyAttackers: true,
 	}

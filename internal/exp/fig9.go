@@ -23,15 +23,14 @@ func Fig9(sc Scale, web bool) Result {
 		Title:   "throughput ratio legit/attacker, colluding attacks, " + title,
 		Columns: []string{"senders", "system", "ratio", "Jain legit", "legit kbps", "attacker kbps", "util"},
 	}
-	results := grid(sc, sc.Labels, sc.Compared(), func(label int, kind SystemKind) netfence.Scenario {
-		return fig9Cell(sc, label, kind, web, 1)
+	results := grid(sc, sc.Labels, sc.Compared(), func(label int, name string) netfence.Scenario {
+		return fig9Cell(sc, label, name, web, 1)
 	})
 	for i, label := range sc.Labels {
-		for j, kind := range sc.Compared() {
-			r := results[i][j]
+		for _, r := range results[i] {
 			res.AddRow(
 				fmt.Sprintf("%dK", label/1000),
-				string(kind),
+				r.Defense,
 				fmt.Sprintf("%.2f", r.Ratio),
 				fmt.Sprintf("%.2f", r.Jain),
 				fmt.Sprintf("%.0f", r.UserBps/1000),
@@ -63,7 +62,7 @@ func collusionDumbbell(sc Scale, label int) netfence.DumbbellSpec {
 // running the defense (the rest pass traffic undefended) — the knob the
 // incremental-deployment experiment sweeps. Colluding receivers do not
 // identify attack traffic, so nobody is denied.
-func fig9Cell(sc Scale, label int, kind SystemKind, web bool, deployFrac float64) netfence.Scenario {
+func fig9Cell(sc Scale, label int, name string, web bool, deployFrac float64) netfence.Scenario {
 	legit, attackers := fig9Roles(sc.Senders)
 	var users netfence.Workload = netfence.LongTCP{Senders: legit}
 	if web {
@@ -71,7 +70,7 @@ func fig9Cell(sc Scale, label int, kind SystemKind, web bool, deployFrac float64
 	}
 	return netfence.Scenario{
 		Topology:   collusionDumbbell(sc, label),
-		Defense:    netfence.Defense(string(kind)),
+		Defense:    netfence.Defense(name),
 		Deployment: netfence.DeployFraction(deployFrac),
 		Workloads:  []netfence.Workload{users, netfence.ColluderPairs{Senders: attackers}},
 	}

@@ -41,11 +41,10 @@ func Strategic(sc Scale) Result {
 	}
 	results := strategicGrid(sc, label)
 	for i, strat := range strategicLineup {
-		for j, kind := range sc.Compared() {
-			r := results[i][j]
+		for _, r := range results[i] {
 			res.AddRow(
 				strat,
-				string(kind),
+				r.Defense,
 				fmt.Sprintf("%.0f", r.UserBps/1000),
 				fmt.Sprintf("%.0f", r.AttackerBps/1000),
 				fmt.Sprintf("%.0f", floor/1000),
@@ -61,19 +60,19 @@ func Strategic(sc Scale) Result {
 // strategicGrid runs every lineup strategy at its defaults against every
 // compared system, indexed [strategy][system].
 func strategicGrid(sc Scale, label int) [][]*netfence.Result {
-	return grid(sc, strategicLineup, sc.Compared(), func(strat string, kind SystemKind) netfence.Scenario {
-		return strategicCell(sc, label, kind, strat)
+	return grid(sc, strategicLineup, sc.Compared(), func(strat, name string) netfence.Scenario {
+		return strategicCell(sc, label, name, strat)
 	})
 }
 
 // strategicCell is one (strategy, system) cell: the fig9 collusion split
 // with the attackers driven by the attack subsystem instead of static
 // UDP sources — also the base scenario of the worst-case search.
-func strategicCell(sc Scale, label int, kind SystemKind, strat string) netfence.Scenario {
+func strategicCell(sc Scale, label int, name, strat string) netfence.Scenario {
 	legit, attackers := fig9Roles(sc.Senders)
 	return netfence.Scenario{
 		Topology: collusionDumbbell(sc, label),
-		Defense:  netfence.Defense(string(kind)),
+		Defense:  netfence.Defense(name),
 		Workloads: []netfence.Workload{
 			netfence.LongTCP{Senders: legit},
 			netfence.AttackSpec{Strategy: strat, Senders: attackers, ToColluders: true, RateBps: 1_000_000},

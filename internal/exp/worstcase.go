@@ -37,14 +37,10 @@ func WorstCase(sc Scale) Result {
 			floor/1000, label/1000),
 		Columns: []string{"system", "hand-written worst", "hand kbps", "searched worst", "searched kbps", "suppress", "holds"},
 	}
-	kinds := sc.Compared()
+	defenses := sc.Compared()
 	hand := strategicGrid(sc, label)
-	defenses := make([]string, len(kinds))
-	for i, kind := range kinds {
-		defenses[i] = string(kind)
-	}
 	report, err := netfence.SearchSpec{
-		Base:       sc.cell(strategicCell(sc, label, kinds[0], worstcaseSearchLineup[0])),
+		Base:       sc.cell(strategicCell(sc, label, defenses[0], worstcaseSearchLineup[0])),
 		Defenses:   defenses,
 		Strategies: worstcaseSearchLineup,
 		Optimizer:  "anneal",
@@ -61,7 +57,7 @@ func WorstCase(sc Scale) Result {
 			searched = append(searched, row)
 		}
 	}
-	for j, kind := range kinds {
+	for j := range defenses {
 		// The hand-written baseline: every lineup strategy at defaults.
 		handWorst := 0
 		for i := range strategicLineup {
@@ -71,7 +67,7 @@ func WorstCase(sc Scale) Result {
 		}
 		handBps, s := hand[handWorst][j].UserBps, searched[j]
 		res.AddRow(
-			string(kind),
+			hand[handWorst][j].Defense,
 			strategicLineup[handWorst],
 			fmt.Sprintf("%.0f", handBps/1000),
 			s.Attack,

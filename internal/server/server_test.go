@@ -709,6 +709,20 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeSpecRefusesParallelism: sweep and search jobs size their
+// worker pools from GOMAXPROCS, so a spec carrying a parallelism field
+// is refused, naming the field.
+func TestDecodeSpecRefusesParallelism(t *testing.T) {
+	for _, raw := range []string{
+		`{"sweep":{"base":{"name":"s"},"seeds":[1,2],"parallelism":2}}`,
+		`{"search":{"base":{"name":"s"},"budget":4,"parallelism":2}}`,
+	} {
+		if _, err := DecodeSpec(strings.NewReader(raw)); err == nil || !strings.Contains(err.Error(), `"parallelism"`) {
+			t.Errorf("%s: err = %v, want the parallelism field named", raw, err)
+		}
+	}
+}
+
 // TestShutdownDrain covers the graceful path (an in-flight job runs to
 // completion under Shutdown) and the deadline path (a long job is
 // aborted at a segment boundary with its partial state kept).

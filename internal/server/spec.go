@@ -78,7 +78,6 @@ type SweepSpec struct {
 	Timelines       []NamedTimelineSpec `json:"timelines,omitempty"`
 	Seeds           []uint64            `json:"seeds,omitempty"`
 	Shards          []int               `json:"shards,omitempty"`
-	Parallelism     int                 `json:"parallelism,omitempty"`
 }
 
 // SearchJobSpec is the JSON form of a netfence.SearchSpec: the
@@ -100,8 +99,6 @@ type SearchJobSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Nu is the Theorem-1 gate's assumed transport efficiency (0 = 0.5).
 	Nu float64 `json:"nu,omitempty"`
-	// Parallelism caps concurrent candidate simulations (0 = auto).
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // NamedTimelineSpec is one entry of the sweep's timeline axis.
@@ -460,7 +457,6 @@ func (s SweepSpec) Sweep() (netfence.Sweep, error) {
 		Attacks:         s.Attacks,
 		Seeds:           s.Seeds,
 		Shards:          s.Shards,
-		Parallelism:     s.Parallelism,
 	}
 	for _, tl := range s.Timelines {
 		timeline, err := mutations(tl.Timeline)
@@ -480,13 +476,12 @@ func (s SearchJobSpec) Search() (netfence.SearchSpec, error) {
 		return netfence.SearchSpec{}, fmt.Errorf("base: %w", err)
 	}
 	return netfence.SearchSpec{
-		Base:        base,
-		Defenses:    s.Defenses,
-		Strategies:  s.Strategies,
-		Optimizer:   s.Optimizer,
-		Budget:      s.Budget,
-		Seed:        s.Seed,
-		Nu:          s.Nu,
-		Parallelism: s.Parallelism,
+		Base:       base,
+		Defenses:   s.Defenses,
+		Strategies: s.Strategies,
+		Optimizer:  s.Optimizer,
+		Budget:     s.Budget,
+		Seed:       s.Seed,
+		Nu:         s.Nu,
 	}, nil
 }

@@ -20,39 +20,26 @@ import (
 	"netfence/internal/sim"
 )
 
-// TCPConfig tunes the TCP implementation. The defaults follow the paper's
-// evaluation setup (§6.3.1).
-type TCPConfig struct {
-	// MSS is the payload bytes per full segment. Data packets are
-	// MSS + 92 B of headers on the wire, 1500 B total by default.
-	MSS int
-	// InitRTO is the initial retransmission timeout, also used for the
-	// SYN handshake (the paper sets the initial SYN RTO to 1 s).
-	InitRTO sim.Time
-	// MinRTO and MaxRTO clamp the adaptive timeout.
-	MinRTO, MaxRTO sim.Time
-	// MaxSYNRetries aborts connection setup after this many SYN
+// The TCP setup of the paper's evaluation (§6.3.1).
+const (
+	// tcpMSS is the payload bytes per full segment. Data packets are
+	// tcpMSS + 92 B of headers on the wire, 1500 B in all.
+	tcpMSS = packet.SizeData - packet.SizeRequest // 1408 B
+	// tcpInitRTO is the initial retransmission timeout, also used for
+	// the SYN handshake (the paper sets the initial SYN RTO to 1 s).
+	tcpInitRTO = sim.Second
+	// tcpMinRTO and tcpMaxRTO clamp the adaptive timeout.
+	tcpMinRTO = 200 * sim.Millisecond
+	tcpMaxRTO = 60 * sim.Second
+	// tcpMaxSYNRetries aborts connection setup after this many SYN
 	// retransmissions (the paper uses nine).
-	MaxSYNRetries int
-	// MaxCwnd caps the congestion window in segments.
-	MaxCwnd float64
-	// TransferTimeout aborts a bounded transfer that has not completed
-	// in time (the paper uses 200 s); zero disables the abort.
-	TransferTimeout sim.Time
-}
-
-// DefaultTCP returns the evaluation configuration.
-func DefaultTCP() TCPConfig {
-	return TCPConfig{
-		MSS:             packet.SizeData - packet.SizeRequest, // 1408 B payload
-		InitRTO:         sim.Second,
-		MinRTO:          200 * sim.Millisecond,
-		MaxRTO:          60 * sim.Second,
-		MaxSYNRetries:   9,
-		MaxCwnd:         4096,
-		TransferTimeout: 200 * sim.Second,
-	}
-}
+	tcpMaxSYNRetries = 9
+	// tcpMaxCwnd caps the congestion window in segments.
+	tcpMaxCwnd = 4096
+	// tcpTransferTimeout aborts a bounded transfer that has not
+	// completed in time (the paper uses 200 s).
+	tcpTransferTimeout = 200 * sim.Second
+)
 
 // Sender states.
 const (
@@ -67,7 +54,6 @@ const (
 // FileBytes < 0) to a TCPReceiver registered under the same flow at the
 // destination host.
 type TCPSender struct {
-	Cfg  TCPConfig
 	Dst  packet.NodeID
 	Flow packet.FlowID
 	// OnComplete fires once, with the transfer duration and whether it
@@ -124,9 +110,8 @@ func (h *tcpRTOTimer) OnEvent(sim.Time, any) { (*TCPSender)(h).onRTO() }
 // NewTCPSender creates a sender on host for a transfer of fileBytes to
 // dst under the given flow (negative fileBytes streams forever). Call
 // Start to begin.
-func NewTCPSender(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, fileBytes int64, cfg TCPConfig) *TCPSender {
+func NewTCPSender(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, fileBytes int64) *TCPSender {
 	s := &TCPSender{
-		Cfg:       cfg,
 		Dst:       dst,
 		Flow:      flow,
 		host:      host,
@@ -135,8 +120,8 @@ func NewTCPSender(host *netsim.Host, dst packet.NodeID, flow packet.FlowID, file
 		cwnd:      1,
 		ssthresh:  64,
 	}
-	s.rto = cfg.InitRTO
-	s.synRTO = cfg.InitRTO
+	s.rto = tcpInitRTO
+	s.synRTO = tcpInitRTO
 	return s
 }
 
@@ -145,8 +130,8 @@ func (s *TCPSender) Start() {
 	s.host.Register(s.Flow, s)
 	s.state = tcpSynSent
 	s.started = s.org.Now()
-	if s.Cfg.TransferTimeout > 0 && s.fileBytes >= 0 {
-		s.transferTimer = s.org.After(s.Cfg.TransferTimeout, func() { s.finish(false) })
+	if s.fileBytes >= 0 {
+		s.transferTimer = s.org.After(tcpTransferTimeout, func() { s.finish(false) })
 	}
 	s.sendSYN()
 }
@@ -175,13 +160,13 @@ func (s *TCPSender) onSYNTimeout() {
 		return
 	}
 	s.synRetries++
-	if s.synRetries > s.Cfg.MaxSYNRetries {
+	if s.synRetries > tcpMaxSYNRetries {
 		s.finish(false)
 		return
 	}
 	s.synRTO *= 2
-	if s.synRTO > s.Cfg.MaxRTO {
-		s.synRTO = s.Cfg.MaxRTO
+	if s.synRTO > tcpMaxRTO {
+		s.synRTO = tcpMaxRTO
 	}
 	s.sendSYN()
 }
@@ -224,21 +209,21 @@ func (s *TCPSender) handleACK(ack int64) {
 			} else {
 				// NewReno partial ACK: the next hole is lost too.
 				s.retransmit(s.sndUna)
-				s.cwnd -= float64(acked) / float64(s.Cfg.MSS)
+				s.cwnd -= float64(acked) / tcpMSS
 				if s.cwnd < 1 {
 					s.cwnd = 1
 				}
 			}
 		} else {
 			s.dupAcks = 0
-			segs := float64(acked) / float64(s.Cfg.MSS)
+			segs := float64(acked) / tcpMSS
 			if s.cwnd < s.ssthresh {
 				s.cwnd += segs // slow start
 			} else {
 				s.cwnd += segs / s.cwnd // congestion avoidance
 			}
-			if s.cwnd > s.Cfg.MaxCwnd {
-				s.cwnd = s.Cfg.MaxCwnd
+			if s.cwnd > tcpMaxCwnd {
+				s.cwnd = tcpMaxCwnd
 			}
 		}
 		if s.fileBytes >= 0 && s.sndUna >= s.fileBytes {
@@ -280,11 +265,11 @@ func (s *TCPSender) sampleRTT(r sim.Time) {
 		s.srtt = (7*s.srtt + r) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.Cfg.MinRTO {
-		s.rto = s.Cfg.MinRTO
+	if s.rto < tcpMinRTO {
+		s.rto = tcpMinRTO
 	}
-	if s.rto > s.Cfg.MaxRTO {
-		s.rto = s.Cfg.MaxRTO
+	if s.rto > tcpMaxRTO {
+		s.rto = tcpMaxRTO
 	}
 }
 
@@ -293,9 +278,9 @@ func (s *TCPSender) trySend() {
 	if s.state != tcpEstablished {
 		return
 	}
-	wnd := int64(s.cwnd * float64(s.Cfg.MSS))
+	wnd := int64(s.cwnd * tcpMSS)
 	for s.sndNxt < s.sndUna+wnd {
-		n := int64(s.Cfg.MSS)
+		n := int64(tcpMSS)
 		if s.fileBytes >= 0 {
 			if rem := s.fileBytes - s.sndNxt; rem <= 0 {
 				break
@@ -317,7 +302,7 @@ func (s *TCPSender) trySend() {
 }
 
 func (s *TCPSender) retransmit(seq int64) {
-	n := int64(s.Cfg.MSS)
+	n := int64(tcpMSS)
 	if s.fileBytes >= 0 {
 		if rem := s.fileBytes - seq; rem < n {
 			n = rem
@@ -376,17 +361,17 @@ func (s *TCPSender) onRTO() {
 	s.dupAcks = 0
 	s.rttValid = false
 	s.rto *= 2
-	if s.rto > s.Cfg.MaxRTO {
-		s.rto = s.Cfg.MaxRTO
+	if s.rto > tcpMaxRTO {
+		s.rto = tcpMaxRTO
 	}
 	s.retransmit(s.sndUna)
-	s.sndNxt = s.sndUna + int64(min(int64(s.Cfg.MSS), s.remainingAt(s.sndUna)))
+	s.sndNxt = s.sndUna + min(tcpMSS, s.remainingAt(s.sndUna))
 	s.armRTO()
 }
 
 func (s *TCPSender) remainingAt(seq int64) int64 {
 	if s.fileBytes < 0 {
-		return int64(s.Cfg.MSS)
+		return tcpMSS
 	}
 	return s.fileBytes - seq
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // TestTCPSenderLayoutBudget pins the per-sender TCP state inside the
-// 384-byte malloc size class: a large scenario holds one per long flow,
+// 352-byte malloc size class: a large scenario holds one per long flow,
 // and the SYN and RTO roles share one owned event to get there.
 func TestTCPSenderLayoutBudget(t *testing.T) {
-	if n := unsafe.Sizeof(TCPSender{}); n > 384 {
-		t.Fatalf("sizeof(TCPSender) = %d, budget 384", n)
+	if n := unsafe.Sizeof(TCPSender{}); n > 352 {
+		t.Fatalf("sizeof(TCPSender) = %d, budget 352", n)
 	}
 }
 
@@ -27,11 +27,14 @@ func TestTCPTimerRoles(t *testing.T) {
 		name      string
 		fileBytes int64
 		receiver  bool // no receiver: every SYN goes unanswered
+		ends      bool // the sender finishes or fails by itself
 		roles     string
 	}{
-		{"short", 20_000, true, "syn+rto"},
-		{"streaming", -1, true, "syn+rto"},
-		{"syn-retries-exhausted", 20_000, false, "syn"},
+		{"short", 20_000, true, true, "syn+rto"},
+		{"streaming", -1, true, false, "syn+rto"},
+		// Unbounded, so the 200 s transfer abort cannot pre-empt the
+		// SYN backoff's 303 s.
+		{"syn-retries-exhausted", -1, false, true, "syn"},
 	}
 	for _, tc := range cases {
 		for _, closeAt := range []string{"finish", "handshake", "established"} {
@@ -43,9 +46,7 @@ func TestTCPTimerRoles(t *testing.T) {
 				if tc.receiver {
 					NewTCPReceiver(h2.Host, 1)
 				}
-				cfg := DefaultTCP()
-				cfg.TransferTimeout = 0 // a closure event of its own, not the shared one
-				s := NewTCPSender(h1.Host, h2.ID, 1, tc.fileBytes, cfg)
+				s := NewTCPSender(h1.Host, h2.ID, 1, tc.fileBytes)
 				s.Start()
 				syn, rto := false, false
 				check := func() {
@@ -74,9 +75,9 @@ func TestTCPTimerRoles(t *testing.T) {
 					s.Close()
 					closed = true
 				}
-				horizon := 1000 * sim.Second // past the SYN backoff's 303 s
-				if tc.fileBytes < 0 {
-					horizon = 10 * sim.Second // the streaming transfer never finishes
+				horizon := 10 * sim.Second // the streaming transfer never finishes
+				if tc.ends {
+					horizon = 1000 * sim.Second // past the SYN backoff's 303 s
 				}
 				for n.Eng.Now() < horizon && n.Eng.Step() {
 					check()
@@ -86,7 +87,7 @@ func TestTCPTimerRoles(t *testing.T) {
 					}
 				}
 				if !closed && s.state != tcpDone && s.state != tcpFailed {
-					if tc.fileBytes >= 0 {
+					if tc.ends {
 						t.Fatalf("the transfer neither finished nor failed (state %d)", s.state)
 					}
 					s.Close()

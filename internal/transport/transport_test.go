@@ -33,7 +33,7 @@ func TestTCPTransferCompletes(t *testing.T) {
 	r := NewTCPReceiver(h2.Host, 1)
 	var fct sim.Time
 	ok := false
-	s := NewTCPSender(h1.Host, h2.ID, 1, 100_000, DefaultTCP())
+	s := NewTCPSender(h1.Host, h2.ID, 1, 100_000)
 	s.OnComplete = func(d sim.Time, o bool) { fct, ok = d, o }
 	s.Start()
 	n.Eng.Run()
@@ -56,9 +56,7 @@ func TestTCPSurvivesHeavyLoss(t *testing.T) {
 	n, h1, h2 := testNet(2, 1_000_000, 4500)
 	r := NewTCPReceiver(h2.Host, 1)
 	ok := false
-	cfg := DefaultTCP()
-	cfg.TransferTimeout = 0
-	s := NewTCPSender(h1.Host, h2.ID, 1, 300_000, cfg)
+	s := NewTCPSender(h1.Host, h2.ID, 1, 300_000)
 	s.OnComplete = func(d sim.Time, o bool) { ok = o }
 	s.Start()
 	n.Eng.Run()
@@ -76,7 +74,7 @@ func TestTCPSurvivesHeavyLoss(t *testing.T) {
 func TestTCPLongFlowFillsBottleneck(t *testing.T) {
 	n, h1, h2 := testNet(3, 2_000_000, 50_000)
 	r := NewTCPReceiver(h2.Host, 1)
-	s := NewTCPSender(h1.Host, h2.ID, 1, -1, DefaultTCP())
+	s := NewTCPSender(h1.Host, h2.ID, 1, -1)
 	s.Start()
 	n.Eng.RunUntil(30 * sim.Second)
 	tput := float64(r.DeliveredBytes()) * 8 / 30
@@ -103,8 +101,8 @@ func TestTwoTCPFlowsShareFairly(t *testing.T) {
 	n.ComputeRoutes()
 	ra := NewTCPReceiver(dst.Host, 1)
 	rb := NewTCPReceiver(dst.Host, 2)
-	NewTCPSender(a.Host, dst.ID, 1, -1, DefaultTCP()).Start()
-	NewTCPSender(b.Host, dst.ID, 2, -1, DefaultTCP()).Start()
+	NewTCPSender(a.Host, dst.ID, 1, -1).Start()
+	NewTCPSender(b.Host, dst.ID, 2, -1).Start()
 	eng.RunUntil(60 * sim.Second)
 	ta, tb := float64(ra.DeliveredBytes()), float64(rb.DeliveredBytes())
 	ratio := ta / tb
@@ -115,38 +113,40 @@ func TestTwoTCPFlowsShareFairly(t *testing.T) {
 
 func TestTCPSYNRetryAndAbort(t *testing.T) {
 	// No receiver registered: SYNs go unanswered; the sender must abort
-	// after 9 retries with exponential backoff (1+2+4+...+512 s).
+	// after 9 retries with exponential backoff capped at the 60 s
+	// maximum RTO (1+2+4+...+32+60+60+60+60 = 303 s). The transfer is
+	// unbounded, so the 200 s transfer abort cannot pre-empt it.
 	n, h1, h2 := testNet(5, 10_000_000, 0)
 	ok, done := true, false
-	cfg := DefaultTCP()
-	cfg.TransferTimeout = 0 // isolate SYN abort
-	s := NewTCPSender(h1.Host, h2.ID, 1, 20_000, cfg)
-	s.OnComplete = func(d sim.Time, o bool) { ok, done = o, true }
+	var fct sim.Time
+	s := NewTCPSender(h1.Host, h2.ID, 1, -1)
+	s.OnComplete = func(d sim.Time, o bool) { fct, ok, done = d, o, true }
 	s.Start()
 	n.Eng.Run()
 	if !done || ok {
 		t.Fatalf("done=%v ok=%v, want failed completion", done, ok)
 	}
-	// Sum of 1..512 s of backoff: abort no earlier than 60 s in.
-	if n.Eng.Now() < 60*sim.Second {
-		t.Fatalf("aborted too early: %v", n.Eng.Now())
+	if fct != 303*sim.Second {
+		t.Fatalf("aborted at %v, want 303s", fct)
 	}
 }
 
 func TestTCPTransferTimeout(t *testing.T) {
+	// No receiver: a bounded transfer stuck in the SYN backoff is
+	// aborted by the 200 s transfer timeout, before the SYN retries run
+	// out at 303 s.
 	n, h1, h2 := testNet(6, 10_000_000, 0)
 	ok, done := true, false
-	cfg := DefaultTCP()
-	cfg.TransferTimeout = 5 * sim.Second
-	s := NewTCPSender(h1.Host, h2.ID, 1, 20_000, cfg)
-	s.OnComplete = func(d sim.Time, o bool) { ok, done = o, true }
+	var fct sim.Time
+	s := NewTCPSender(h1.Host, h2.ID, 1, 20_000)
+	s.OnComplete = func(d sim.Time, o bool) { fct, ok, done = d, o, true }
 	s.Start()
-	n.Eng.RunUntil(20 * sim.Second)
+	n.Eng.RunUntil(1000 * sim.Second)
 	if !done || ok {
 		t.Fatalf("done=%v ok=%v, want timeout failure", done, ok)
 	}
-	if n.Eng.Now() > 20*sim.Second {
-		t.Fatal("timeout did not fire by 5s")
+	if fct != 200*sim.Second {
+		t.Fatalf("aborted at %v, want 200s", fct)
 	}
 }
 
@@ -238,7 +238,7 @@ func TestFileClientRepeats(t *testing.T) {
 	h2.Host.OnUnknownFlow = func(p *packet.Packet) netsim.Agent {
 		return NewTCPReceiver(h2.Host, p.Flow)
 	}
-	c := NewFileClient(h1.Host, h2.ID, 20_000, DefaultTCP())
+	c := NewFileClient(h1.Host, h2.ID, 20_000)
 	var fcts []sim.Time
 	c.OnResult = func(fct sim.Time, ok bool) {
 		if ok {
@@ -301,9 +301,7 @@ func TestTCPReliabilityProperty(t *testing.T) {
 		n, h1, h2 := testNet(seed, 1_000_000, qlim)
 		r := NewTCPReceiver(h2.Host, 1)
 		ok := false
-		cfg := DefaultTCP()
-		cfg.TransferTimeout = 0
-		s := NewTCPSender(h1.Host, h2.ID, 1, size, cfg)
+		s := NewTCPSender(h1.Host, h2.ID, 1, size)
 		s.OnComplete = func(d sim.Time, o bool) { ok = o }
 		s.Start()
 		n.Eng.RunUntil(600 * sim.Second)

@@ -16,7 +16,6 @@ import (
 type FileClient struct {
 	Dst       packet.NodeID
 	FileBytes int64
-	Cfg       TCPConfig
 	// OnResult observes each attempt's duration and outcome.
 	OnResult func(fct sim.Time, ok bool)
 	// Gap delays the next attempt after a completion (zero = immediate).
@@ -32,9 +31,8 @@ type FileClient struct {
 }
 
 // NewFileClient creates a repeating client; call Start to begin.
-func NewFileClient(host *netsim.Host, dst packet.NodeID, fileBytes int64, cfg TCPConfig) *FileClient {
-	return &FileClient{Dst: dst, FileBytes: fileBytes, Cfg: cfg,
-		host: host, org: host.Node.NewOrigin()}
+func NewFileClient(host *netsim.Host, dst packet.NodeID, fileBytes int64) *FileClient {
+	return &FileClient{Dst: dst, FileBytes: fileBytes, host: host, org: host.Node.NewOrigin()}
 }
 
 // Start begins the first transfer.
@@ -56,7 +54,7 @@ func (c *FileClient) next() {
 		return
 	}
 	flow := c.host.Node.NewFlow()
-	s := NewTCPSender(c.host, c.Dst, flow, c.FileBytes, c.Cfg)
+	s := NewTCPSender(c.host, c.Dst, flow, c.FileBytes)
 	s.OnComplete = func(fct sim.Time, ok bool) {
 		if ok {
 			c.Completed++
@@ -117,8 +115,7 @@ type WebSource struct {
 	DeliveredBytes int64
 }
 
-// NewWebSource creates a web-like source; call Start to begin. Each
-// transfer runs DefaultTCP.
+// NewWebSource creates a web-like source; call Start to begin.
 func NewWebSource(host *netsim.Host, dst packet.NodeID) *WebSource {
 	w := &WebSource{Dst: dst, host: host, org: host.Node.NewOrigin()}
 	w.rng = host.Network().Eng.KeyStream(w.org.ID())
@@ -165,7 +162,7 @@ func (w *WebSource) next() {
 	}
 	size := w.FileSize()
 	flow := w.host.Node.NewFlow()
-	s := NewTCPSender(w.host, w.Dst, flow, size, DefaultTCP())
+	s := NewTCPSender(w.host, w.Dst, flow, size)
 	s.OnComplete = func(fct sim.Time, ok bool) {
 		if ok {
 			w.Completed++

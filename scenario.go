@@ -398,5 +398,5 @@ func (s Scenario) Run() (*Result, error) {
 // GOMAXPROCS workers) and returns their results in argument order. A
 // failing scenario leaves a nil slot; the error joins every failure.
 func RunAll(scs ...Scenario) ([]*Result, error) {
-	return runParallel(context.Background(), scs, 0, nil)
+	return runParallel(context.Background(), scs, nil)
 }

@@ -2,6 +2,7 @@ package netfence_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -185,25 +186,30 @@ func sweepBase() netfence.Scenario {
 	}
 }
 
+// setProcs sets GOMAXPROCS, which sizes a sweep's worker pool, for the
+// rest of the test and restores the previous value when the test ends.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestSweepDeterminism runs the same 4-defense × 2-seed matrix serially
-// and with maximum parallelism: the result sets must be identical, byte
-// for byte — one engine per scenario, no shared mutable state.
+// (GOMAXPROCS 1) and with eight workers: the result sets must be
+// identical, byte for byte — one engine per scenario, no shared mutable
+// state.
 func TestSweepDeterminism(t *testing.T) {
 	sw := netfence.Sweep{
 		Base:     sweepBase(),
 		Defenses: []string{"netfence", "tva", "stopit", "fq"},
 		Seeds:    []uint64{1, 2},
 	}
-	serial := sw
-	serial.Parallelism = 1
-	parallel := sw
-	parallel.Parallelism = 8
-
-	a, err := serial.Run()
+	setProcs(t, 1)
+	a, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.Run()
+	setProcs(t, 8)
+	b, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,7 @@ func TestSweepDeterminism(t *testing.T) {
 		}
 	}
 	// Seed-stability: rerunning the parallel sweep reproduces it again.
-	c, err := parallel.Run()
+	c, err := sw.Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,6 @@ type SearchSpec struct {
 	Seed uint64
 	// Nu is the BoundProbe's assumed transport efficiency ν (0 = 0.5).
 	Nu float64
-	// Parallelism caps concurrent candidate simulations, exactly as
-	// Sweep.Parallelism (0 = GOMAXPROCS-budgeted).
-	Parallelism int
 	// Progress, when set, is called after each evaluated candidate with
 	// the evaluation count so far, the budget-derived upper bound, and
 	// the candidate's cell name. Calls are serialized. done may end
@@ -258,7 +255,7 @@ func (s SearchSpec) runCell(ctx context.Context, opt search.Optimizer, d, st str
 			scs[i] = s.cellScenario(d, st, params)
 			specs[i] = attack.FormatSpec(st, params)
 		}
-		results, err := runParallel(ctx, scs, s.Parallelism, nil)
+		results, err := runParallel(ctx, scs, nil)
 		if err != nil {
 			return nil, err
 		}

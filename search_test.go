@@ -25,18 +25,19 @@ func searchBase(shards int) netfence.Scenario {
 
 // TestSearchDeterminism pins the report contract: identical
 // seed/budget/optimizer produce a byte-identical worst-found table
-// regardless of shard count and worker count, and the netfence rows
-// clear the Theorem-1 floor at the searched optimum.
+// regardless of shard count and worker count (GOMAXPROCS sizes the
+// pool), and the netfence rows clear the Theorem-1 floor at the
+// searched optimum.
 func TestSearchDeterminism(t *testing.T) {
-	run := func(shards, parallelism int) (*netfence.SearchReport, string, string) {
+	run := func(shards, procs int) (*netfence.SearchReport, string, string) {
+		setProcs(t, procs)
 		rep, err := netfence.SearchSpec{
-			Base:        searchBase(shards),
-			Defenses:    []string{"netfence", "none"},
-			Strategies:  []string{"flood"},
-			Optimizer:   "anneal",
-			Budget:      4,
-			Seed:        7,
-			Parallelism: parallelism,
+			Base:       searchBase(shards),
+			Defenses:   []string{"netfence", "none"},
+			Strategies: []string{"flood"},
+			Optimizer:  "anneal",
+			Budget:     4,
+			Seed:       7,
 		}.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -48,9 +49,9 @@ func TestSearchDeterminism(t *testing.T) {
 		return rep, rep.Table(), string(js)
 	}
 	rep, table1, js1 := run(1, 1)
-	_, table4, js4 := run(4, 3)
+	_, table4, js4 := run(4, 8)
 	if table1 != table4 {
-		t.Fatalf("worst-found table differs across shard/worker counts:\n--- shards=1 workers=1\n%s\n--- shards=4 workers=3\n%s", table1, table4)
+		t.Fatalf("worst-found table differs across shard/worker counts:\n--- shards=1 procs=1\n%s\n--- shards=4 procs=8\n%s", table1, table4)
 	}
 	if js1 != js4 {
 		t.Fatalf("JSON report differs across shard/worker counts:\n%s\n%s", js1, js4)

@@ -16,8 +16,9 @@ import (
 // engine (or engine group, for sharded cells) per scenario, and
 // returns a unified result set. Results are deterministic: the matrix
 // expands in a fixed order, every scenario runs on its own seeded
-// engine, and results land in matrix order regardless of worker count,
-// so the same sweep always produces an identical []*Result.
+// engine, and results land in matrix order regardless of worker count
+// (GOMAXPROCS sets it), so the same sweep always produces an identical
+// []*Result.
 //
 //	results, err := netfence.Sweep{
 //		Base:     base,
@@ -59,13 +60,6 @@ type Sweep struct {
 	// ways — the parallel-execution axis, for speedup and equivalence
 	// studies.
 	Shards []int
-	// Parallelism caps concurrent scenarios. 0 budgets the sum of
-	// in-flight shard goroutines (a cell's width is its shard count) to
-	// GOMAXPROCS — sharded cells bring their own goroutines, and
-	// oversubscribing the scheduler makes every cell's shards wait on
-	// descheduled neighbours. Set it explicitly to override the budget with a plain
-	// worker cap.
-	Parallelism int
 	// Progress, when set, is called after each cell completes (or fails)
 	// with the number of finished cells, the matrix total, and the cell's
 	// name. Calls are serialized; done reaches total when the sweep ends.
@@ -290,7 +284,7 @@ func (sw Sweep) RunContext(ctx context.Context) ([]*Result, error) {
 			sw.Progress(done, len(scs), scs[i].Name)
 		}
 	}
-	return runParallel(ctx, scs, sw.Parallelism, onDone)
+	return runParallel(ctx, scs, onDone)
 }
 
 // checkAttacks fails fast on an unknown attack name — naming the
@@ -394,34 +388,27 @@ func cellWidth(in *Instance, budget int) int {
 	return n
 }
 
-// runParallel drives scenarios across a bounded worker pool, slotting
-// each result at its scenario's index. With no explicit parallelism it
-// budgets the sum of in-flight shard goroutines to GOMAXPROCS via a
-// weighted semaphore: every sharded cell brings its own goroutines,
-// and running more than the budget allows makes each cell's shards
-// wait on descheduled neighbours — oversubscription slows the
-// whole sweep down rather than speeding it up. An explicit parallelism
-// overrides the budget and caps plain worker count instead.
+// runParallel drives scenarios across a pool of GOMAXPROCS workers,
+// slotting each result at its scenario's index. It budgets the sum of
+// in-flight shard goroutines to GOMAXPROCS via a weighted semaphore:
+// every sharded cell brings its own goroutines, and running more than
+// the budget allows makes each cell's shards wait on descheduled
+// neighbours — oversubscription slows the whole sweep down rather than
+// speeding it up. GOMAXPROCS is the one concurrency lever.
 //
 // Cancelling ctx stops feeding new cells (and makes queued workers drop
 // their items); cells already running finish normally. onDone, when
 // set, is invoked once per attempted cell — completed or failed — with
 // its scenario index.
-func runParallel(ctx context.Context, scs []Scenario, parallelism int, onDone func(i int)) ([]*Result, error) {
-	var tokens *cpuTokens
+func runParallel(ctx context.Context, scs []Scenario, onDone func(i int)) ([]*Result, error) {
 	budget := runtime.GOMAXPROCS(0)
-	if parallelism <= 0 {
-		parallelism = budget
-		tokens = newCPUTokens(budget)
-	}
-	if parallelism > len(scs) {
-		parallelism = len(scs)
-	}
+	tokens := newCPUTokens(budget)
+	workers := min(budget, len(scs))
 	results := make([]*Result, len(scs))
 	errs := make([]error, len(scs)+1)
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -436,7 +423,7 @@ func runParallel(ctx context.Context, scs []Scenario, parallelism int, onDone fu
 				// shard count (AutoShards resolved against the actual
 				// topology), so an auto-sharded cell over a small
 				// topology is charged what it really uses. At most
-				// `parallelism` built-but-waiting cells exist, the same
+				// GOMAXPROCS built-but-waiting cells exist, the same
 				// bound as running cells.
 				in, err := scs[i].Build()
 				if err != nil {
@@ -446,16 +433,10 @@ func runParallel(ctx context.Context, scs []Scenario, parallelism int, onDone fu
 					}
 					continue
 				}
-				n := 0
-				if tokens != nil {
-					n = cellWidth(in, budget)
-					tokens.acquire(n)
-				}
-				res := in.Run()
-				if tokens != nil {
-					tokens.release(n)
-				}
-				results[i] = res
+				n := cellWidth(in, budget)
+				tokens.acquire(n)
+				results[i] = in.Run()
+				tokens.release(n)
 				if onDone != nil {
 					onDone(i)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -329,10 +330,12 @@ func TestSweepRunContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int32
+	// One worker, so the cells after the cancel are never started.
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	sw := Sweep{
-		Base:        base,
-		Seeds:       []uint64{1, 2, 3, 4, 5, 6, 7, 8},
-		Parallelism: 1,
+		Base:  base,
+		Seeds: []uint64{1, 2, 3, 4, 5, 6, 7, 8},
 		Progress: func(d, total int, cell string) {
 			if done.Add(1) == 2 {
 				cancel() // after two cells, interrupt

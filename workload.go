@@ -68,7 +68,6 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 	if err != nil {
 		return err
 	}
-	cfg := transport.DefaultTCP()
 	env.reserveMeters(len(w.Senders))
 	for _, idx := range w.Senders {
 		h, err := groupSender(grp, idx, "LongTCP")
@@ -78,7 +77,7 @@ func (w LongTCP) attach(env *scenarioEnv) error {
 		flow := env.flowFrom(h)
 		r := transport.NewTCPReceiver(victim.Host, flow)
 		env.addMeter(victim, false, 1, r.Delivered())
-		transport.NewTCPSender(h.Host, victim.ID, flow, -1, cfg).Start()
+		transport.NewTCPSender(h.Host, victim.ID, flow, -1).Start()
 	}
 	return nil
 }
@@ -113,7 +112,6 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 	if size <= 0 {
 		size = 20_000
 	}
-	cfg := transport.DefaultTCP()
 	env.ensureListener(w.Group)
 	env.reserveMeters(len(w.Senders))
 	for _, idx := range w.Senders {
@@ -123,7 +121,7 @@ func (w FileTransfers) attach(env *scenarioEnv) error {
 		}
 		ctr := env.srcCounter(w.Group, h.ID)
 		env.addMeter(victim, false, 1, ctr)
-		c := transport.NewFileClient(h.Host, victim.ID, size, cfg)
+		c := transport.NewFileClient(h.Host, victim.ID, size)
 		c.Gap = w.Gap
 		fct := env.fctFor(h)
 		c.OnResult = fct.add
