@@ -148,7 +148,7 @@ func TestLossDetector(t *testing.T) {
 		}
 	}
 	if !attacked {
-		t.Fatalf("attack not detected, rate=%f", d.Rate())
+		t.Fatalf("attack not detected, rate=%f", d.rate)
 	}
 	// Loss stops: the EWMA eventually falls back under the threshold.
 	for i := 0; i < 200; i++ {
@@ -156,7 +156,7 @@ func TestLossDetector(t *testing.T) {
 		d.Sample(s)
 	}
 	if d.Sample(s) {
-		t.Fatalf("attack still flagged after recovery, rate=%f", d.Rate())
+		t.Fatalf("attack still flagged after recovery, rate=%f", d.rate)
 	}
 }
 

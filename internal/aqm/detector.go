@@ -31,6 +31,3 @@ func (d *LossDetector) Sample(s queue.Stats) bool {
 	d.rate = (1-lossAlpha)*d.rate + lossAlpha*frac
 	return d.rate > lossPth
 }
-
-// Rate returns the smoothed loss rate.
-func (d *LossDetector) Rate() float64 { return d.rate }

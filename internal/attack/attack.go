@@ -1,6 +1,6 @@
-// Package attack is the adaptive-adversary subsystem: pluggable attack
-// strategies driven by the simulation engine, mirroring the defense
-// registry (internal/defense) and the topology registry (internal/topo).
+// Package attack is the adaptive-adversary subsystem: the attack
+// strategies of the §6.3 evaluation, resolved by name from a static
+// table and driven by the simulation engine.
 //
 // NetFence's claim (§3.4, Theorem 1) is not that it stops one flood but
 // that it bounds the damage of *any* sender strategy. The §6.3
@@ -62,7 +62,7 @@ type Decision struct {
 // State slot. Its Controller re-decides once per AIMD control interval
 // core.Ilim, so every strategy is phase-locked to the policer.
 type Strategy interface {
-	// Name is the canonical registry name, echoed in results.
+	// Name is the canonical strategy name, echoed in results.
 	Name() string
 	// Start initializes one sender before traffic begins and returns
 	// its first Decision.

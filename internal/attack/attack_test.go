@@ -50,7 +50,7 @@ func TestTheoremBound(t *testing.T) {
 }
 
 // TestRegistry checks the five in-tree strategies resolve by name and
-// the error paths mirror the defense/topo registries.
+// the error paths mirror the defense registry's.
 func TestRegistry(t *testing.T) {
 	names := Names()
 	for _, want := range []string{"flood", "onoff-sync", "request-prio", "replay", "legacy-flood"} {

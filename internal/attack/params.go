@@ -9,9 +9,9 @@ import (
 )
 
 // ParamSpec declares one tunable parameter of an attack strategy: the
-// knob an adversarial search turns. Every strategy registers its specs
-// alongside its builder; BuildOptions.Params sets values by Name, and
-// Build validates them against the specs before the builder runs.
+// knob an adversarial search turns. Every strategy declares its specs
+// in the strategy table; BuildOptions.Params sets values by Name, and
+// Build validates them against the specs before the strategy is built.
 type ParamSpec struct {
 	// Name is the canonical key ("rate_mult", "on", "cadence", ...).
 	Name string
@@ -31,24 +31,6 @@ func (p ParamSpec) Type() string {
 		return "int"
 	}
 	return "float"
-}
-
-// checkSpecs validates a registration's spec list — programmer errors,
-// reported by panic from Register.
-func checkSpecs(name string, specs []ParamSpec) {
-	seen := map[string]bool{}
-	for _, p := range specs {
-		if p.Name == "" {
-			panic(fmt.Sprintf("attack: Register(%q) with unnamed ParamSpec", name))
-		}
-		if seen[p.Name] {
-			panic(fmt.Sprintf("attack: Register(%q) declares param %q twice", name, p.Name))
-		}
-		seen[p.Name] = true
-		if p.Min > p.Max || p.Default < p.Min || p.Default > p.Max {
-			panic(fmt.Sprintf("attack: Register(%q) param %q has default %v outside [%v, %v]", name, p.Name, p.Default, p.Min, p.Max))
-		}
-	}
 }
 
 // validateParams checks a Params map against a strategy's specs:
@@ -92,7 +74,7 @@ func validateParams(specs []ParamSpec, params map[string]float64) error {
 // ParseSpec parses an attack option string — "name" or
 // "name:key=val,key=val" — into the canonical strategy name and its
 // parameter map, failing fast with the strategy and offending key
-// named: an unknown strategy reports the registered names, an unknown
+// named: an unknown strategy reports the strategy names, an unknown
 // or out-of-range key reports the strategy's declared params.
 func ParseSpec(s string) (name string, params map[string]float64, err error) {
 	head, rest, hasParams := strings.Cut(s, ":")
@@ -100,9 +82,9 @@ func ParseSpec(s string) (name string, params map[string]float64, err error) {
 	if name == "" {
 		return "", nil, fmt.Errorf("attack spec %q: missing strategy name", s)
 	}
-	if !Registered(name) {
-		return "", nil, fmt.Errorf("attack: unknown strategy %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
+	st, err := lookup(name)
+	if err != nil {
+		return "", nil, err
 	}
 	if !hasParams {
 		return name, nil, nil
@@ -123,8 +105,7 @@ func ParseSpec(s string) (name string, params map[string]float64, err error) {
 		}
 		params[k] = f
 	}
-	specs, _ := Params(name)
-	if err := validateParams(specs, params); err != nil {
+	if err := validateParams(st.params, params); err != nil {
 		return "", nil, fmt.Errorf("attack %q: %w", name, err)
 	}
 	return name, params, nil
@@ -134,7 +115,7 @@ func ParseSpec(s string) (name string, params map[string]float64, err error) {
 // "name" or "name:key=val,..." with keys in ParamSpec declaration
 // order and minimal float formatting — so equal configurations always
 // render byte-identically. FormatSpec and ParseSpec round-trip. Keys
-// not declared by the strategy (unregistered names pass through too)
+// not declared by the strategy (unknown names pass through too)
 // append in sorted order.
 func FormatSpec(name string, params map[string]float64) string {
 	name = Canonical(name)

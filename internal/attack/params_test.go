@@ -23,9 +23,6 @@ func TestParamSpecsDeclared(t *testing.T) {
 			if p.Name == "rate_mult" {
 				hasRate = true
 			}
-			if p.Min > p.Max || p.Default < p.Min || p.Default > p.Max {
-				t.Fatalf("%s param %s: default %v outside [%v, %v]", name, p.Name, p.Default, p.Min, p.Max)
-			}
 		}
 		if !hasRate {
 			t.Fatalf("%s lacks the shared rate_mult knob: %+v", name, specs)
@@ -33,6 +30,34 @@ func TestParamSpecsDeclared(t *testing.T) {
 	}
 	if _, err := Params("bogus"); err == nil || !strings.Contains(err.Error(), "registered:") {
 		t.Fatalf("unknown strategy error = %v", err)
+	}
+}
+
+// TestStrategyTable holds every entry of the strategy table to the
+// rules Build and ParseSpec rely on: a canonical name and constructor,
+// canonical param names without duplicates, and each default inside
+// [Min, Max].
+func TestStrategyTable(t *testing.T) {
+	for name, st := range strategies {
+		if name == "" || name != Canonical(name) {
+			t.Errorf("strategy %q: name is not canonical", name)
+		}
+		if st.build == nil {
+			t.Errorf("strategy %q: no constructor", name)
+		}
+		seen := map[string]bool{}
+		for _, p := range st.params {
+			if p.Name == "" || p.Name != Canonical(p.Name) {
+				t.Errorf("strategy %q: param %q is not canonically named", name, p.Name)
+			}
+			if seen[p.Name] {
+				t.Errorf("strategy %q: param %q declared twice", name, p.Name)
+			}
+			seen[p.Name] = true
+			if !(p.Min <= p.Default && p.Default <= p.Max) {
+				t.Errorf("strategy %q: param %q default %v outside [%v, %v]", name, p.Name, p.Default, p.Min, p.Max)
+			}
+		}
 	}
 }
 

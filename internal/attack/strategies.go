@@ -18,26 +18,30 @@ var rateMultSpec = ParamSpec{
 	Min: 0.1, Max: 8, Default: 1,
 }
 
-func init() {
-	Register("flood", newFlood, rateMultSpec)
-	Register("onoff-sync", newOnOffSync,
-		ParamSpec{Name: "on", Desc: "burst length in AIMD control intervals", Min: 1, Max: 8, Default: 1, Integer: true},
-		ParamSpec{Name: "off", Desc: "silence length in AIMD control intervals", Min: 1, Max: 8, Default: 2, Integer: true},
-		ParamSpec{Name: "trickle_bps", Desc: "off-phase trickle rate harvesting L-up feedback (0 = full silence)", Min: 0, Max: 200_000, Default: 0},
+// strategies is the table of in-tree strategies. Each declares its
+// tunable surface: Build validates BuildOptions.Params against it, and
+// the adversarial search treats it as the dimensions of the strategy's
+// configuration space.
+var strategies = map[string]strategy{
+	"flood": {newFlood, []ParamSpec{rateMultSpec}},
+	"onoff-sync": {newOnOffSync, []ParamSpec{
+		{Name: "on", Desc: "burst length in AIMD control intervals", Min: 1, Max: 8, Default: 1, Integer: true},
+		{Name: "off", Desc: "silence length in AIMD control intervals", Min: 1, Max: 8, Default: 2, Integer: true},
+		{Name: "trickle_bps", Desc: "off-phase trickle rate harvesting L-up feedback (0 = full silence)", Min: 0, Max: 200_000, Default: 0},
 		rateMultSpec,
-	)
-	Register("request-prio", newRequestPrio,
-		ParamSpec{Name: "level", Desc: "request priority level (0 = the computed §6.3.1 strategic level)", Min: 0, Max: 20, Default: 0, Integer: true},
+	}},
+	"request-prio": {newRequestPrio, []ParamSpec{
+		{Name: "level", Desc: "request priority level (0 = the computed §6.3.1 strategic level)", Min: 0, Max: 20, Default: 0, Integer: true},
 		rateMultSpec,
-	)
-	Register("replay", newReplay,
-		ParamSpec{Name: "cadence", Desc: "re-harvest a fresh token every N control intervals (0 = cache once, replay forever)", Min: 0, Max: 32, Default: 0, Integer: true},
+	}},
+	"replay": {newReplay, []ParamSpec{
+		{Name: "cadence", Desc: "re-harvest a fresh token every N control intervals (0 = cache once, replay forever)", Min: 0, Max: 32, Default: 0, Integer: true},
 		rateMultSpec,
-	)
-	Register("legacy-flood", newLegacyFlood,
-		ParamSpec{Name: "legacy_frac", Desc: "fraction of senders crafting legacy packets; the rest flood the honest policed path", Min: 0, Max: 1, Default: 1},
+	}},
+	"legacy-flood": {newLegacyFlood, []ParamSpec{
+		{Name: "legacy_frac", Desc: "fraction of senders crafting legacy packets; the rest flood the honest policed path", Min: 0, Max: 1, Default: 1},
 		rateMultSpec,
-	)
+	}},
 }
 
 // StrategicRequestLevel computes the request-channel attack strategy of

@@ -162,7 +162,3 @@ func (d *DRR) Bytes() int { return d.bytes }
 
 // Stats returns cumulative counters.
 func (d *DRR) Stats() queue.Stats { return d.stats }
-
-// FlowCount returns the number of flows ever observed (state footprint —
-// the quantity NetFence's design minimizes at bottleneck routers).
-func (d *DRR) FlowCount() int { return len(d.flows) }

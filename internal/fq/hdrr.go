@@ -179,12 +179,3 @@ func (h *HDRR) HighWater() int { return h.hwm }
 
 // ClassCount returns the number of outer classes ever observed.
 func (h *HDRR) ClassCount() int { return len(h.classes) }
-
-// FlowCount returns the total number of inner flows ever observed.
-func (h *HDRR) FlowCount() int {
-	n := 0
-	for _, c := range h.classes {
-		n += c.inner.FlowCount()
-	}
-	return n
-}

@@ -709,6 +709,30 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestTopologyKinds holds the job specs' topology kinds to
+// netfence.Topologies(): every listed name builds, and an unknown kind
+// is refused with every listed name in the error.
+func TestTopologyKinds(t *testing.T) {
+	names := netfence.Topologies()
+	for _, n := range names {
+		spec, err := TopologySpec{Kind: n}.build()
+		if err != nil {
+			t.Errorf("kind %q: %v", n, err)
+		} else if spec == nil {
+			t.Errorf("kind %q built no spec", n)
+		}
+	}
+	_, err := TopologySpec{Kind: "bogus"}.build()
+	if err == nil {
+		t.Fatal("kind bogus accepted")
+	}
+	for _, n := range names {
+		if !strings.Contains(err.Error(), n) {
+			t.Errorf("unknown-kind error %q does not name %q", err, n)
+		}
+	}
+}
+
 // TestDecodeSpecRefusesParallelism: sweep and search jobs size their
 // worker pools from GOMAXPROCS, so a spec carrying a parallelism field
 // is refused, naming the field.

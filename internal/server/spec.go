@@ -9,6 +9,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 
 	netfence "netfence"
 )
@@ -110,7 +111,8 @@ type NamedTimelineSpec struct {
 // TopologySpec is the JSON form of the in-tree topology specs,
 // selected by Kind.
 type TopologySpec struct {
-	// Kind is "dumbbell", "star", "parkinglot" or "random-as".
+	// Kind is one of netfence.Topologies(): "dumbbell", "parkinglot",
+	// "random-as" or "star".
 	Kind string `json:"kind"`
 	// Senders is the sender population (dumbbell, star, random-as).
 	Senders int `json:"senders,omitempty"`
@@ -271,9 +273,9 @@ func (t TopologySpec) build() (netfence.TopologySpec, error) {
 			GraphSeed:     t.GraphSeed,
 		}, nil
 	case "":
-		return nil, fmt.Errorf("topology: kind is required (dumbbell|star|parkinglot|random-as)")
+		return nil, fmt.Errorf("topology: kind is required (%s)", strings.Join(netfence.Topologies(), "|"))
 	default:
-		return nil, fmt.Errorf("topology: unknown kind %q (dumbbell|star|parkinglot|random-as)", t.Kind)
+		return nil, fmt.Errorf("topology: unknown kind %q (%s)", t.Kind, strings.Join(netfence.Topologies(), "|"))
 	}
 }
 

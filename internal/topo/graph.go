@@ -6,13 +6,12 @@ import (
 	"netfence/internal/sim"
 )
 
-// Graph is the open topology builder and the one topology view: declare
+// Graph is the topology builder and the one topology view: declare
 // routers, access routers, hosts and links, tag them with evaluation
 // roles (sender, victim, colluder, bottleneck), and the generic
 // deployment and scenario machinery does the rest. NewDumbbell,
-// NewParkingLot and NewStar return the Graph they build, NewRandomAS
-// returns it as RandomAS.G, and third-party topologies registered
-// through Register are Graphs too. Callers read roles back through
+// NewParkingLot and NewStar return the Graph they build, and
+// NewRandomAS returns it as RandomAS.G. Callers read roles back through
 // Groups and Bottlenecks; a bottleneck link's From and To are its
 // routers.
 //

@@ -1,10 +1,7 @@
 package topo
 
 import (
-	"fmt"
 	"slices"
-	"strings"
-	"sync"
 	"testing"
 
 	"netfence/internal/netsim"
@@ -344,71 +341,4 @@ func srcAccess(g *Graph) []*netsim.Node {
 		}
 	}
 	return out
-}
-
-// testLineOnce guards the process-global registration so the test
-// survives -count=N reruns.
-var testLineOnce sync.Once
-
-// buildTestLine is a one-group line topology: Population senders (2 by
-// default) behind one access router, a bottleneck, and a victim.
-func buildTestLine(eng *sim.Engine, opts BuildOptions) (*Graph, error) {
-	if opts.Population == 5 {
-		return nil, fmt.Errorf("five is refused")
-	}
-	g := NewGraph(eng)
-	ra := g.AccessRouter(0, "Ra", 1)
-	rv := g.AccessRouter(0, "Rv", 2)
-	g.BottleneckLink(ra, rv, 400_000, 10*sim.Millisecond)
-	pop := opts.Population
-	if pop <= 0 {
-		pop = 2
-	}
-	for i := 0; i < pop; i++ {
-		g.Link(g.Sender(0, "s", 1), ra, 1_000_000_000, sim.Millisecond)
-	}
-	g.Link(rv, g.Victim(0, "v", 2), 1_000_000_000, sim.Millisecond)
-	return g, nil
-}
-
-func TestTopologyRegistryInternal(t *testing.T) {
-	testLineOnce.Do(func() { Register(" Test-Line ", buildTestLine) })
-	if !slices.Contains(Names(), "test-line") {
-		t.Fatalf("registry missing the canonical %q (have %v)", "test-line", Names())
-	}
-	// The population reaches the builder; 0 selects its default.
-	for pop, want := range map[int]int{0: 2, 30: 30} {
-		g, err := Build("test-line", sim.New(1), BuildOptions{Population: pop})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(g.Groups()[0].Senders); n != want {
-			t.Fatalf("population %d built %d senders, want %d", pop, n, want)
-		}
-	}
-	// Case-insensitive resolution.
-	if _, err := Build(" TEST-line ", sim.New(1), BuildOptions{}); err != nil {
-		t.Fatalf("canonicalization failed: %v", err)
-	}
-	// A builder's error carries the topology's canonical name.
-	if _, err := Build("test-line", sim.New(1), BuildOptions{Population: 5}); err == nil ||
-		err.Error() != `topo "test-line": five is refused` {
-		t.Fatalf("builder error = %v", err)
-	}
-	// Unknown names list the registry.
-	if _, err := Build("nope", sim.New(1), BuildOptions{}); err == nil || !strings.Contains(err.Error(), "test-line") {
-		t.Fatalf("unknown topology error = %v", err)
-	}
-	// Duplicate and invalid registrations panic.
-	mustPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("duplicate", func() { Register("TEST-LINE", buildTestLine) })
-	mustPanic("empty name", func() { Register(" ", buildTestLine) })
-	mustPanic("nil builder", func() { Register("x-nil", nil) })
 }

@@ -22,7 +22,7 @@
 //	}.Run()
 //
 // The types below are what the Scenario API, a built Instance and the
-// defense, attack and topology registries expose; every example under
+// defense registry and attack strategies expose; every example under
 // examples/ and every table and figure cmd/netfence-sim regenerates is
 // built from Scenarios.
 package netfence
@@ -100,43 +100,14 @@ type (
 // DefaultConfig returns the paper's settings with every extension off.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Attack strategies. The adaptive-adversary subsystem (internal/attack)
-// mirrors the defense and topology registries: strategies resolve by
-// name in AttackSpec workloads and the Sweep.Attacks axis, and third
-// parties register their own through RegisterAttack.
-type (
-	// AttackStrategy decides, per control tick, how each attack sender
-	// transmits; see the interface's hooks for feedback observation and
-	// packet crafting.
-	AttackStrategy = attack.Strategy
-	// AttackBuilder constructs a strategy from build options.
-	AttackBuilder = attack.Builder
-	// AttackBuildOptions carries rate, environment and strategy
-	// parameters to a builder.
-	AttackBuildOptions = attack.BuildOptions
-	// AttackEnv is the scenario view adaptive strategies key off: the
-	// attack population and the bottleneck capacity. NetFence's protocol
-	// parameters are constants, not part of it.
-	AttackEnv = attack.Env
-	// AttackDecision is a strategy's per-tick transmission plan.
-	AttackDecision = attack.Decision
-	// AttackSender is one controller-driven attack sender.
-	AttackSender = attack.Sender
-	// AttackParamSpec declares one tunable strategy parameter — the
-	// dimension surface the adversarial search optimizes over.
-	AttackParamSpec = attack.ParamSpec
-)
+// AttackParamSpec declares one tunable parameter of an attack strategy
+// — a dimension of the surface the adversarial search optimizes over.
+// The five in-tree strategies (internal/attack: "flood", "onoff-sync",
+// "request-prio", "replay", "legacy-flood") resolve by name in
+// AttackSpec workloads, the Sweep.Attacks axis and SearchSpec.
+type AttackParamSpec = attack.ParamSpec
 
-// RegisterAttack makes a third-party attack strategy resolvable by name
-// in scenarios and sweeps. In-tree strategies ("flood", "onoff-sync",
-// "request-prio", "replay", "legacy-flood") are pre-registered. The
-// optional params declare the strategy's tunable surface (validated on
-// build, searched by SearchSpec).
-func RegisterAttack(name string, b AttackBuilder, params ...AttackParamSpec) {
-	attack.Register(name, b, params...)
-}
-
-// Attacks returns the sorted names of every registered attack strategy.
+// Attacks returns the sorted names of the in-tree attack strategies.
 func Attacks() []string { return attack.Names() }
 
 // AttackParams returns a strategy's declared tunable parameters in

@@ -1,11 +1,12 @@
 package netfence
 
 import (
-	"sync"
 	"testing"
 
 	"netfence/internal/core"
 	"netfence/internal/packet"
+	"netfence/internal/sim"
+	"netfence/internal/topo"
 )
 
 // TestControlPlaneOwned: each shard deploys only the control plane it
@@ -83,41 +84,44 @@ func TestControlPlaneOwned(t *testing.T) {
 	}
 }
 
-var twoExitOnce sync.Once
+// twoExit is a topology whose two bottlenecks are transmitted from
+// different ASes: four source ASes reach core router C1 (AS 100), whose
+// link to C2 (AS 200) is bottleneck L1; C2's link to the victim's access
+// router (AS 300) is bottleneck L2, and a colluder AS hangs off C2, so
+// colluder traffic crosses L1 only. C1 is declared first and C2 after
+// the sources, so a two-way split by weight puts the two transmitters on
+// different shards.
+type twoExit struct{}
 
-// registerTwoExit registers "two-exit", a topology whose two bottlenecks
-// are transmitted from different ASes: four source ASes reach core
-// router C1 (AS 100), whose link to C2 (AS 200) is bottleneck L1; C2's
-// link to the victim's access router (AS 300) is bottleneck L2, and a
-// colluder AS hangs off C2, so colluder traffic crosses L1 only. C1 is
-// declared first and C2 after the sources, so a two-way split by weight
-// puts the two transmitters on different shards.
-func registerTwoExit() {
-	RegisterTopology("two-exit", func(eng *Engine, opts TopologyBuildOptions) (*Graph, error) {
-		g := NewGraph(eng)
-		c1 := g.Router("C1", 100)
-		var access []*Node
-		for as := 1; as <= 4; as++ {
-			ra := g.AccessRouter(0, "Ra", packet.ASID(as))
-			g.Link(ra, c1, 1_000_000_000, 10*Millisecond)
-			access = append(access, ra)
+func (twoExit) name() string                      { return "two-exit" }
+func (twoExit) population() int                   { return 12 }
+func (s twoExit) withPopulation(int) TopologySpec { return s }
+func (twoExit) groupSizes() []int                 { return []int{12} }
+
+func (twoExit) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
+	g := topo.NewGraph(eng)
+	c1 := g.Router("C1", 100)
+	var access []*Node
+	for as := 1; as <= 4; as++ {
+		ra := g.AccessRouter(0, "Ra", packet.ASID(as))
+		g.Link(ra, c1, 1_000_000_000, 10*Millisecond)
+		access = append(access, ra)
+	}
+	for i, ra := range access {
+		for h := 0; h < 3; h++ {
+			s := g.Sender(0, "s", packet.ASID(i+1))
+			g.Link(s, ra, 1_000_000_000, Millisecond)
 		}
-		for i, ra := range access {
-			for h := 0; h < 3; h++ {
-				s := g.Sender(0, "s", packet.ASID(i+1))
-				g.Link(s, ra, 1_000_000_000, Millisecond)
-			}
-		}
-		c2 := g.Router("C2", 200)
-		g.BottleneckLink(c1, c2, 3_000_000, 10*Millisecond)
-		rv := g.AccessRouter(0, "Rv", 300)
-		g.BottleneckLink(c2, rv, 2_000_000, 10*Millisecond)
-		g.Link(rv, g.Victim(0, "v", 300), 1_000_000_000, Millisecond)
-		rc := g.AccessRouter(0, "Rc", 400)
-		g.Link(c2, rc, 1_000_000_000, 10*Millisecond)
-		g.Link(rc, g.Colluder(0, "c", 400), 1_000_000_000, Millisecond)
-		return g, nil
-	})
+	}
+	c2 := g.Router("C2", 200)
+	g.BottleneckLink(c1, c2, 3_000_000, 10*Millisecond)
+	rv := g.AccessRouter(0, "Rv", 300)
+	g.BottleneckLink(c2, rv, 2_000_000, 10*Millisecond)
+	g.Link(rv, g.Victim(0, "v", 300), 1_000_000_000, Millisecond)
+	rc := g.AccessRouter(0, "Rc", 400)
+	g.Link(c2, rc, 1_000_000_000, 10*Millisecond)
+	g.Link(rc, g.Colluder(0, "c", 400), 1_000_000_000, Millisecond)
+	return g.Build(), nil
 }
 
 // TestSplitBottleneckTransmitters: two bottlenecks transmitted from
@@ -125,8 +129,7 @@ func registerTwoExit() {
 // shards they land on different shards, and at 2, 3 and 4 shards the
 // Result is the single engine's, byte for byte.
 func TestSplitBottleneckTransmitters(t *testing.T) {
-	twoExitOnce.Do(registerTwoExit)
-	sc := equivScenario(Topology("two-exit"), []Workload{
+	sc := equivScenario(twoExit{}, []Workload{
 		LongTCP{Senders: Range(0, 4)},
 		UDPFlood{Senders: Range(4, 8)},
 		ColluderPairs{Senders: Range(8, 12), RateBps: 1_000_000},

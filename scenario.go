@@ -20,14 +20,13 @@ import (
 	"netfence/internal/transport"
 )
 
-// Scenario is the declarative description of one simulation: a topology
-// resolved from the topology registry (or declared inline), a defense
-// system resolved by name from the pluggable defense registry, a
-// deployment plan saying which ASes actually run it, a set of workloads
-// and attacks, and the probes that measure the outcome. Zero manual
-// wiring — Run builds the engine and network, deploys the defense,
-// attaches every transport, drives the simulation and samples the
-// probes:
+// Scenario is the declarative description of one simulation: a typed
+// topology spec, a defense system resolved by name from the pluggable
+// defense registry, a deployment plan saying which ASes actually run
+// it, a set of workloads and attacks, and the probes that measure the
+// outcome. Zero manual wiring — Run builds the engine and network,
+// deploys the defense, attaches every transport, drives the simulation
+// and samples the probes:
 //
 //	sc := netfence.Scenario{
 //		Seed:     42,
@@ -47,8 +46,7 @@ type Scenario struct {
 	// owns its stream (sim.Engine.KeyStream).
 	Seed uint64
 	// Topology declares the network: DumbbellSpec, ParkingLotSpec,
-	// StarSpec, RandomASSpec, or Topology("name") for any registered
-	// topology.
+	// StarSpec or RandomASSpec.
 	Topology TopologySpec
 	// Defense names the deployed system; the zero value means "netfence".
 	Defense DefenseSpec

@@ -135,9 +135,8 @@ func (sw Sweep) Scenarios() []Scenario {
 								}
 								sc.Defense = defenseFor(sw.Base.Defense, d)
 								sc.Seed = seed
-								// A registry-resolved spec on its builder default has
-								// no declared population; omit the segment rather
-								// than reporting a misleading n=0.
+								// A spec without a positive population fails at
+								// build; omit the segment rather than report n=0.
 								popSeg := ""
 								if sc.Topology != nil {
 									if n := sc.Topology.population(); n > 0 {
@@ -319,9 +318,6 @@ func (sw Sweep) checkPopulation(pop int) error {
 		return nil
 	}
 	sizes := sw.Base.Topology.withPopulation(pop).groupSizes()
-	if sizes == nil {
-		return nil // registry-resolved spec: capacity unknown until build
-	}
 	for _, w := range sw.Base.Workloads {
 		kind, group, max := w.span()
 		if max < 0 {

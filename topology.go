@@ -9,123 +9,36 @@ import (
 	"netfence/internal/topo"
 )
 
-// TopologySpec declares a scenario's network. The in-tree specs are
-// DumbbellSpec, ParkingLotSpec, StarSpec and RandomASSpec; Topology
-// resolves any topology registered by name (see RegisterTopology).
+// TopologySpec declares a scenario's network: DumbbellSpec,
+// ParkingLotSpec, StarSpec or RandomASSpec.
 type TopologySpec interface {
 	// buildTopo constructs the topology on eng.
 	buildTopo(eng *sim.Engine) (*topo.Graph, error)
-	// name is the topology's canonical registry name, Result.Topology.
+	// name is the topology's canonical name, Result.Topology.
 	name() string
 	// withPopulation returns a copy at a different sender population —
 	// the Sweep runner's population axis.
 	withPopulation(n int) TopologySpec
 	population() int
 	// groupSizes reports the per-group sender capacity the spec will
-	// build, for fail-fast workload validation; nil means unknown until
-	// build time (registry-resolved specs).
+	// build, for fail-fast workload validation.
 	groupSizes() []int
 }
 
-// fairShareBps is the per-sender bottleneck share the registered
-// in-tree topologies keep at any population — the paper's scaling of
-// the bottleneck with the sender count (§6.3.1).
-const fairShareBps = 200_000
-
-// The in-tree topologies register as their typed specs at the paper's
-// fair share, with colluder ASes so the collusion workloads run
-// unchanged. A population of 0 or less selects 20 senders (60 on the
-// parking lot, 20 per group).
-func init() {
-	share := func(n int) int64 { return int64(n) * fairShareBps }
-	registerSpec("dumbbell", 20, func(n int) TopologySpec {
-		return DumbbellSpec{Senders: n, BottleneckBps: share(n), ColluderASes: 9}
-	})
-	registerSpec("parkinglot", 60, func(n int) TopologySpec {
-		g := n / 3
-		return ParkingLotSpec{SendersPerGroup: g, L1Bps: share(g), L2Bps: share(g) * 3 / 2, declaredPopulation: n}
-	})
-	registerSpec("star", 20, func(n int) TopologySpec {
-		return StarSpec{Senders: n, BottleneckBps: share(n), ColluderASes: 3}
-	})
-	registerSpec("random-as", 20, func(n int) TopologySpec {
-		return RandomASSpec{Senders: n, BottleneckBps: share(n), ColluderASes: 3}
-	})
+// Topologies returns the sorted names of the in-tree topology specs.
+func Topologies() []string {
+	specs := []TopologySpec{DumbbellSpec{}, ParkingLotSpec{}, RandomASSpec{}, StarSpec{}}
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.name()
+	}
+	return out
 }
 
-// registerSpec registers name as the typed spec spec(n) at population n
-// (defaultN when the requested population is not positive).
-func registerSpec(name string, defaultN int, spec func(n int) TopologySpec) {
-	topo.Register(name, func(eng *sim.Engine, opts topo.BuildOptions) (*topo.Graph, error) {
-		n := opts.Population
-		if n <= 0 {
-			n = defaultN
-		}
-		return spec(n).buildTopo(eng)
-	})
-}
-
-// RegisterTopology makes a third-party topology resolvable by name in
-// scenarios and sweeps. The builder returns a role-tagged *Graph; the
-// in-tree topologies ("dumbbell", "parkinglot", "star", "random-as")
-// are pre-registered.
-func RegisterTopology(name string, b TopologyBuilder) { topo.Register(name, b) }
-
-// Topologies returns the sorted names of every registered topology.
-func Topologies() []string { return topo.Names() }
-
-// TopologyBuilder constructs a role-tagged topology graph.
-type TopologyBuilder = topo.Builder
-
-// TopologyBuildOptions carries optional construction parameters to a
-// TopologyBuilder.
-type TopologyBuildOptions = topo.BuildOptions
-
-// Graph is the open topology builder and a built Instance's topology
-// view: declare nodes and links with Router, AccessRouter, Sender,
-// Victim, Colluder, Link and BottleneckLink, and the scenario and
-// deployment machinery runs on the roles they tag without knowing the
-// wiring. Groups and Bottlenecks read the roles back.
+// Graph is a built Instance's topology view: the role-tagged nodes and
+// links the scenario and deployment machinery runs on. Groups and
+// Bottlenecks read the roles back.
 type Graph = topo.Graph
-
-// GraphGroup is one sender group of a Graph.
-type GraphGroup = topo.GraphGroup
-
-// NewGraph returns an empty topology graph driven by eng.
-func NewGraph(eng *Engine) *Graph { return topo.NewGraph(eng) }
-
-// Topology resolves a registered topology by name at its default
-// population. Set Population (or sweep over Populations) to resize it;
-// use the typed spec (DumbbellSpec, ...) for full control:
-//
-//	sc.Topology = netfence.Topology("random-as")
-//	sc.Topology = netfence.RegisteredTopology{Name: "star", Population: 50}
-func Topology(name string) TopologySpec { return RegisteredTopology{Name: name} }
-
-// RegisteredTopology is the TopologySpec resolving a registered
-// topology by name at build time.
-type RegisteredTopology struct {
-	// Name is the registry name ("dumbbell", "parkinglot", "star",
-	// "random-as", or any third-party registration).
-	Name string
-	// Population overrides the builder's default sender population.
-	Population int
-}
-
-func (s RegisteredTopology) population() int { return s.Population }
-
-func (s RegisteredTopology) withPopulation(n int) TopologySpec {
-	s.Population = n
-	return s
-}
-
-func (s RegisteredTopology) groupSizes() []int { return nil }
-
-func (s RegisteredTopology) name() string { return topo.Canonical(s.Name) }
-
-func (s RegisteredTopology) buildTopo(eng *sim.Engine) (*topo.Graph, error) {
-	return topo.Build(s.Name, eng, topo.BuildOptions{Population: s.Population})
-}
 
 // DumbbellSpec declares the §6.3.1 dumbbell: sender ASes through one
 // bottleneck to a victim AS, plus optional colluder ASes.
@@ -408,8 +321,8 @@ func groupSender(grp *topo.GraphGroup, idx int, kind string) (*netsim.Node, erro
 	return grp.Senders[idx], nil
 }
 
-// groupVictim returns grp's victim, or a build-time error for custom
-// graphs that declared none.
+// groupVictim returns grp's victim, or a build-time error when the
+// group declares none.
 func groupVictim(grp *topo.GraphGroup, kind string) (*netsim.Node, error) {
 	if grp.Victim == nil {
 		return nil, fmt.Errorf("%s: topology group has no victim host (declare one with Graph.Victim)", kind)

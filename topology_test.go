@@ -7,7 +7,6 @@ import (
 	"os"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"netfence"
@@ -131,225 +130,6 @@ func parkingLotGoldenScenario() netfence.Scenario {
 		Duration: 60 * netfence.Second,
 		Warmup:   30 * netfence.Second,
 	}
-}
-
-// TestTopologyRegistry verifies registry resolution: every in-tree
-// topology resolves by name and runs a scenario, unknown names error
-// with the registered list, and duplicate registration panics.
-func TestTopologyRegistry(t *testing.T) {
-	names := netfence.Topologies()
-	for _, want := range []string{"dumbbell", "parkinglot", "star", "random-as"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("registry missing %q (have %v)", want, names)
-		}
-	}
-
-	for _, name := range []string{"dumbbell", "star", "random-as"} {
-		res, err := netfence.Scenario{
-			Name:     "reg-" + name,
-			Seed:     1,
-			Topology: netfence.RegisteredTopology{Name: name, Population: 4},
-			Workloads: []netfence.Workload{
-				netfence.LongTCP{Senders: netfence.Range(0, 2)},
-				netfence.ColluderPairs{Senders: netfence.Range(2, 4)},
-			},
-			Duration: 30 * netfence.Second,
-			Warmup:   15 * netfence.Second,
-		}.Run()
-		if err != nil {
-			t.Fatalf("Topology(%q): %v", name, err)
-		}
-		if res.Topology != name {
-			t.Fatalf("result topology = %q, want %q", res.Topology, name)
-		}
-		if res.Senders != 4 {
-			t.Fatalf("Topology(%q) population = %d, want 4", name, res.Senders)
-		}
-		if res.UserBps <= 0 {
-			t.Fatalf("Topology(%q): no user goodput", name)
-		}
-	}
-
-	// The registered parking lot needs a population divisible by 3.
-	if _, err := (netfence.Scenario{
-		Topology:  netfence.RegisteredTopology{Name: "parkinglot", Population: 6},
-		Workloads: []netfence.Workload{netfence.LongTCP{Group: 1, Senders: []int{0}}},
-		Duration:  20 * netfence.Second,
-		Warmup:    10 * netfence.Second,
-	}).Run(); err != nil {
-		t.Fatalf("registered parkinglot: %v", err)
-	}
-	if _, err := (netfence.Scenario{
-		Topology:  netfence.RegisteredTopology{Name: "parkinglot", Population: 7},
-		Workloads: []netfence.Workload{netfence.LongTCP{Group: 0, Senders: []int{0}}},
-		Duration:  20 * netfence.Second,
-	}).Run(); err == nil {
-		t.Fatal("parkinglot population 7 (not divisible by 3) accepted")
-	}
-
-	// Unknown names error and list what is registered.
-	_, err := (netfence.Scenario{
-		Topology:  netfence.Topology("bogus"),
-		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0}}},
-		Duration:  20 * netfence.Second,
-	}).Run()
-	if err == nil {
-		t.Fatal("bogus topology resolved")
-	}
-	if !strings.Contains(err.Error(), "dumbbell") {
-		t.Fatalf("unknown-topology error does not list registrations: %v", err)
-	}
-
-	// Duplicate registration is a programmer error.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate RegisterTopology did not panic")
-		}
-	}()
-	netfence.RegisterTopology("dumbbell", func(eng *netfence.Engine, opts netfence.TopologyBuildOptions) (*netfence.Graph, error) {
-		return netfence.NewGraph(eng), nil
-	})
-}
-
-// TestRegisteredTopologyIsTypedSpec holds each in-tree registered
-// topology to the typed spec it is registered as — the paper's 200 kbps
-// per-sender fair share — at its default and an explicit population, on
-// one and two shards. A population of -1 builds the default, and a
-// parking lot of 7 is refused.
-func TestRegisteredTopologyIsTypedSpec(t *testing.T) {
-	const share = 200_000
-	typed := map[string]func(n int) netfence.TopologySpec{
-		"dumbbell": func(n int) netfence.TopologySpec {
-			return netfence.DumbbellSpec{Senders: n, BottleneckBps: int64(n) * share, ColluderASes: 9}
-		},
-		"parkinglot": func(n int) netfence.TopologySpec {
-			g := int64(n / 3)
-			return netfence.ParkingLotSpec{SendersPerGroup: n / 3, L1Bps: g * share, L2Bps: g * 300_000}
-		},
-		"star": func(n int) netfence.TopologySpec {
-			return netfence.StarSpec{Senders: n, BottleneckBps: int64(n) * share, ColluderASes: 3}
-		},
-		"random-as": func(n int) netfence.TopologySpec {
-			return netfence.RandomASSpec{Senders: n, BottleneckBps: int64(n) * share, ColluderASes: 3}
-		},
-	}
-	defaults := map[string]int{"dumbbell": 20, "parkinglot": 60, "star": 20, "random-as": 20}
-	run := func(topo netfence.TopologySpec, shards int) string {
-		t.Helper()
-		res, err := netfence.Scenario{
-			Name:     "registered",
-			Seed:     3,
-			Topology: topo,
-			Workloads: []netfence.Workload{
-				netfence.LongTCP{Senders: netfence.Range(0, 2)},
-				netfence.ColluderPairs{Senders: netfence.Range(2, 4), RateBps: 1_000_000},
-			},
-			Duration: 10 * netfence.Second,
-			Warmup:   5 * netfence.Second,
-			Shards:   shards,
-		}.Run()
-		if err != nil {
-			t.Fatalf("%+v: %v", topo, err)
-		}
-		raw, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(raw)
-	}
-	for name, spec := range typed {
-		for _, pop := range []int{0, 12} {
-			n := pop
-			if n == 0 {
-				n = defaults[name]
-			}
-			for _, shards := range []int{1, 2} {
-				want := run(spec(n), shards)
-				if got := run(netfence.RegisteredTopology{Name: name, Population: pop}, shards); got != want {
-					t.Errorf("%s population %d on %d shards differs from its typed spec:\nregistered: %s\ntyped:      %s", name, pop, shards, got, want)
-				}
-			}
-		}
-		if got, want := run(netfence.RegisteredTopology{Name: name, Population: -1}, 1), run(spec(defaults[name]), 1); got != want {
-			t.Errorf("%s population -1 does not build the default", name)
-		}
-	}
-	_, err := netfence.Scenario{
-		Topology:  netfence.RegisteredTopology{Name: "parkinglot", Population: 7},
-		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0}}},
-		Duration:  10 * netfence.Second,
-	}.Run()
-	if want := `topo "parkinglot": ParkingLotSpec: population 7 does not split into 3 equal groups`; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("parkinglot population 7: err = %v, want %q", err, want)
-	}
-}
-
-// tinyLineOnce guards the process-global registration so the test
-// survives -count=N reruns.
-var tinyLineOnce sync.Once
-
-// TestCustomTopologyRegistration registers a third-party Graph builder
-// and runs a scenario on it end to end.
-func TestCustomTopologyRegistration(t *testing.T) {
-	tinyLineOnce.Do(func() {
-		registerTinyLine()
-	})
-	sc := netfence.Scenario{
-		Seed:      9,
-		Topology:  netfence.Topology("tiny-line"),
-		Workloads: []netfence.Workload{netfence.LongTCP{Senders: []int{0, 1}}},
-		Duration:  30 * netfence.Second,
-		Warmup:    10 * netfence.Second,
-	}
-	res, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Topology != "tiny-line" || res.Senders != 2 {
-		t.Fatalf("custom topology result: %+v", res)
-	}
-	if res.UserBps <= 0 {
-		t.Fatal("no goodput across custom topology")
-	}
-
-	// A third-party builder is never asked for a sparse replica: it
-	// builds every host on every shard's, and the sharded run is still
-	// the single engine's, byte for byte.
-	sc.Shards = 2
-	sharded, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(res)
-	if got, _ := json.Marshal(sharded); string(got) != string(want) {
-		t.Fatalf("custom topology at 2 shards diverged from the single engine:\nsingle:  %s\nsharded: %s", want, got)
-	}
-}
-
-func registerTinyLine() {
-	netfence.RegisterTopology("tiny-line", func(eng *netfence.Engine, opts netfence.TopologyBuildOptions) (*netfence.Graph, error) {
-		g := netfence.NewGraph(eng)
-		ra := g.AccessRouter(0, "Ra", 1)
-		rv := g.AccessRouter(0, "Rv", 2)
-		g.BottleneckLink(ra, rv, 400_000, 10*netfence.Millisecond)
-		pop := opts.Population
-		if pop <= 0 {
-			pop = 2
-		}
-		for i := 0; i < pop; i++ {
-			h := g.Sender(0, "s", 1)
-			g.Link(h, ra, 1_000_000_000, netfence.Millisecond)
-		}
-		v := g.Victim(0, "v", 2)
-		g.Link(rv, v, 1_000_000_000, netfence.Millisecond)
-		return g, nil
-	})
 }
 
 // TestPartialDeployment pins the incremental-deployment semantics: at
@@ -542,14 +322,13 @@ func TestDeployFractionOutsideUnitInterval(t *testing.T) {
 }
 
 // TestSweepPopulationsResizeEverySpec sweeps the population axis over
-// the specs no other test resizes — StarSpec, RandomASSpec and a
-// RegisteredTopology — and checks every cell's /n= segment and that its
-// Result counts that many senders.
+// the specs no other test resizes — StarSpec and RandomASSpec — and
+// checks every cell's /n= segment and that its Result counts that many
+// senders.
 func TestSweepPopulationsResizeEverySpec(t *testing.T) {
 	specs := map[string]netfence.TopologySpec{
-		"star":       netfence.StarSpec{Senders: 4, BottleneckBps: 800_000},
-		"random-as":  netfence.RandomASSpec{Senders: 4, BottleneckBps: 800_000},
-		"registered": netfence.Topology("parkinglot"),
+		"star":      netfence.StarSpec{Senders: 4, BottleneckBps: 800_000},
+		"random-as": netfence.RandomASSpec{Senders: 4, BottleneckBps: 800_000},
 	}
 	pops := []int{6, 12}
 	for name, spec := range specs {

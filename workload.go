@@ -454,9 +454,9 @@ func (w RequestFlood) attach(env *scenarioEnv) error {
 }
 
 // AttackSpec attaches an adaptive attack workload: every listed sender
-// is driven by a strategy resolved by name from the attack registry
-// ("flood", "onoff-sync", "request-prio", "replay", "legacy-flood", or
-// any RegisterAttack registration). Strategies decide per control tick
+// is driven by an in-tree strategy resolved by name ("flood",
+// "onoff-sync", "request-prio", "replay" or "legacy-flood"; see
+// Attacks). Strategies decide per control tick
 // how fast each sender transmits, observe the feedback the network
 // returns, and may craft each packet's channel, priority and presented
 // feedback — the §6.3 strategic adversaries as first-class workloads.
