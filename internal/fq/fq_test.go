@@ -199,8 +199,8 @@ func TestHDRROverflowProtectsSmallClass(t *testing.T) {
 	if q.Bytes() > 20_000 {
 		t.Fatalf("over limit: %d", q.Bytes())
 	}
-	if q.ClassCount() != 2 {
-		t.Fatalf("classes = %d", q.ClassCount())
+	if len(q.classes) != 2 {
+		t.Fatalf("classes = %d", len(q.classes))
 	}
 }
 

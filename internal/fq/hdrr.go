@@ -176,6 +176,3 @@ func (h *HDRR) Stats() queue.Stats { return h.stats }
 
 // HighWater returns the highest backlog in bytes the queue reached.
 func (h *HDRR) HighWater() int { return h.hwm }
-
-// ClassCount returns the number of outer classes ever observed.
-func (h *HDRR) ClassCount() int { return len(h.classes) }

@@ -1,98 +1,12 @@
 package netfence
 
 import (
-	"bytes"
-	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
 
 	"netfence/internal/obs"
 )
-
-// obsSnapshots runs sc with tracing enabled and returns three
-// deterministic byte strings: the counter snapshot at a mid-run Advance
-// boundary, the final Result counter snapshot, and the merged trace
-// JSON. JSON map marshaling sorts keys, so equal maps yield equal
-// bytes.
-func obsSnapshots(t *testing.T, sc Scenario) (mid, end, trace string) {
-	t.Helper()
-	sc.TraceFlows = 4
-	in, err := sc.Build()
-	if err != nil {
-		t.Fatalf("%s (shards=%d): %v", sc.Name, sc.Shards, err)
-	}
-	defer in.Stop()
-
-	in.Advance(sc.Duration / 2)
-	midRaw, err := json.Marshal(in.Counters())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res := in.Finish()
-	endRaw, err := json.Marshal(res.Counters)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := obs.WriteTraceJSON(&buf, in.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	return string(midRaw), string(endRaw), buf.String()
-}
-
-// TestObsDeterminismAcrossShards is the observability analogue of the
-// sharded equivalence gate: the deterministic counter plane and the
-// sampled flight-recorder trace must be byte-identical at shards 1, 2,
-// 4 and 8 — including a counter snapshot taken at a mid-run Advance
-// boundary, so the guarantee holds for live-steered runs, not just
-// completed ones.
-func TestObsDeterminismAcrossShards(t *testing.T) {
-	cases := []struct {
-		name      string
-		spec      TopologySpec
-		workloads []Workload
-	}{
-		{
-			name: "dumbbell",
-			spec: DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3},
-			workloads: []Workload{
-				LongTCP{Senders: Range(0, 5)},
-				UDPFlood{Senders: Range(5, 12)},
-				ColluderPairs{Senders: Range(12, 20), RateBps: 1_000_000},
-			},
-		},
-		{
-			name: "random-as",
-			spec: RandomASSpec{Senders: 20, BottleneckBps: 4_000_000, TransitASes: 4, ExtraLinks: 2, ColluderASes: 3, GraphSeed: 3},
-			workloads: []Workload{
-				LongTCP{Senders: Range(0, 5)},
-				UDPFlood{Senders: Range(5, 12)},
-				ColluderPairs{Senders: Range(12, 20), RateBps: 1_000_000},
-			},
-		},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			mid1, end1, trace1 := obsSnapshots(t, equivScenario(tc.spec, tc.workloads, 1))
-			if mid1 == "{}" || end1 == "{}" {
-				t.Fatalf("%s: empty counter snapshot (mid=%s end=%s)", tc.name, mid1, end1)
-			}
-			if trace1 == "[\n]\n" {
-				t.Fatalf("%s: empty trace with TraceFlows=4", tc.name)
-			}
-			for _, n := range []int{2, 4, 8} {
-				mid, end, trace := obsSnapshots(t, equivScenario(tc.spec, tc.workloads, n))
-				diffJSON(t, tc.name+"/mid-counters", mid1, mid, n)
-				diffJSON(t, tc.name+"/end-counters", end1, end, n)
-				diffJSON(t, tc.name+"/trace", trace1, trace, n)
-			}
-		})
-	}
-}
 
 // TestResultCountersPlane pins the plane split: the deterministic
 // snapshot in Result.Counters must not carry runtime-plane series
@@ -193,32 +107,6 @@ func TestTraceSampling(t *testing.T) {
 	for f := range flows {
 		if !slices.Contains(want, f) {
 			t.Fatalf("flow %d recorded but not in the deterministic sample set", f)
-		}
-	}
-}
-
-// TestKeyringRotationsShardInvariant: an access router rotates its
-// keyring only on the shard owning it, so the runtime plane's rotation
-// count is the same at every shard count. The 40 s run outlasts the
-// 32 s KeyRotate both for the routers armed at build and for those a
-// deploy mutation arms at 5 s.
-func TestKeyringRotationsShardInvariant(t *testing.T) {
-	var want uint64
-	for _, shards := range []int{1, 2, 4} {
-		sc := equivScenario(DumbbellSpec{Senders: 20, BottleneckBps: 4_000_000, ColluderASes: 3},
-			[]Workload{LongTCP{Senders: Range(0, 5)}}, shards)
-		sc.Duration = 40 * Second
-		sc.Deployment = DeployFraction(0.5)
-		sc.Timeline = []Mutation{{At: 5 * Second, Deploy: &DeployMutation{Deployment: FullDeployment()}}}
-		_, in := runWithInstance(t, sc)
-		got := in.RuntimeCounters()["core_keyring_rotation_total"]
-		if shards == 1 {
-			if got == 0 {
-				t.Fatal("no keyring rotated in a run longer than KeyRotate")
-			}
-			want = got
-		} else if got != want {
-			t.Fatalf("shards=%d: %d keyring rotations, the single engine %d", shards, got, want)
 		}
 	}
 }

@@ -28,60 +28,6 @@ func poolCell(pop, srcASes int, dur Time, shards int) Scenario {
 	}
 }
 
-// poolCounts runs sc and returns each shard's pool counters: packets
-// it had to allocate, and packets idle at the end — on its free list or
-// come home through a cut link and not yet adopted.
-func poolCounts(t *testing.T, sc Scenario) (fresh, idle []uint64) {
-	t.Helper()
-	in, err := sc.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.Run()
-	for _, n := range in.env.sh.nets {
-		fresh = append(fresh, n.Pool.News)
-		idle = append(idle, uint64(n.Pool.Len())+n.HandoffStats().Home)
-	}
-	return fresh, idle
-}
-
-// TestShardPoolsBounded holds the packet lifecycle rule under sharding:
-// a struct lives where its packet is and empties go home, so splitting a
-// run over shards must neither multiply the packets allocated nor park
-// them on one shard's free list, and what a pool idles must track the
-// traffic in flight, not the simulated time elapsed.
-func TestShardPoolsBounded(t *testing.T) {
-	pop, srcASes, dur := 256, 8, 2*Second
-	if !testing.Short() {
-		pop, srcASes = 10_240, 32
-	}
-	singleFresh, _ := poolCounts(t, poolCell(pop, srcASes, dur, 0))
-	single := singleFresh[0]
-	for _, shards := range []int{2, 4} {
-		fresh, idle := poolCounts(t, poolCell(pop, srcASes, dur, shards))
-		_, idle2 := poolCounts(t, poolCell(pop, srcASes, 2*dur, shards))
-		t.Logf("shards=%d fresh=%v idle=%v idle@2x=%v (single engine fresh=%d)", shards, fresh, idle, idle2, single)
-		var sum uint64
-		for _, n := range fresh {
-			sum += n
-		}
-		if limit := single + single*3/10; sum > limit {
-			t.Errorf("shards=%d: %d packets allocated over all pools, more than 1.3x the single engine's %d", shards, sum, single)
-		}
-		for i := range idle {
-			if idle[i] > single {
-				t.Errorf("shards=%d: shard %d idles %d packets, more than the single engine ever allocated (%d)", shards, i, idle[i], single)
-			}
-			// A free list well under the single engine's working set
-			// moves with the traffic's phase at the instant the run
-			// ends; its ratio says nothing about growth.
-			if idle2[i] >= 2*idle[i] && idle2[i] > single/2 {
-				t.Errorf("shards=%d: shard %d idle packets grew %d -> %d when the run doubled: the pool grows with simulated time", shards, i, idle[i], idle2[i])
-			}
-		}
-	}
-}
-
 // TestExtStaysNilOnCorePath: the core design never reads the optional
 // headers, so default NetFence and FQ runs must not allocate an Ext on
 // any packet. A recycled packet keeps the Ext it ever grew, so draining

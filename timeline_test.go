@@ -41,21 +41,6 @@ func timelineScenario(shards int) Scenario {
 	return sc
 }
 
-// TestTimelineDeterminism is the golden gate of the control plane: a
-// scripted timeline must reproduce the single-engine Result JSON byte
-// for byte at every shard count, exactly like the static scenarios of
-// the sharded equivalence suite.
-func TestTimelineDeterminism(t *testing.T) {
-	want := resultJSON(t, timelineScenario(1))
-	if !strings.Contains(want, `"Series":[{`) {
-		t.Fatalf("timeline baseline collected no timeseries: %s", want)
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := resultJSON(t, timelineScenario(shards))
-		diffJSON(t, "timeline", want, got, shards)
-	}
-}
-
 // TestTimelineSegmentationInvariance checks that a segmented run — the
 // serve mode's execution shape, advancing in small steps with the same
 // mutations applied at the same instants through Instance.Apply — is
